@@ -18,11 +18,17 @@ Usage::
 With no arguments, checks ``README.md`` and every ``docs/*.md``.  Exits
 non-zero on the first failing snippet, printing the file, the line of the
 opening fence, the snippet and its output.
+
+Prose that describes code without running it carries a staleness marker,
+``<!-- staleness-marker: pkg.module.name ... -->``; every dotted name in one
+must still import, so renaming or deleting what a paragraph is about fails
+the check until the paragraph is revisited.
 """
 
 from __future__ import annotations
 
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -39,6 +45,7 @@ RUNNERS = {
 }
 
 _FENCE_RE = re.compile(r"^(`{3,})([^`]*)$")
+_MARKER_RE = re.compile(r"<!--\s*staleness-marker:(.*?)-->", re.DOTALL)
 
 #: Per-snippet wall-clock budget; a doc snippet that needs more than this is
 #: a benchmark, not documentation.
@@ -79,6 +86,21 @@ def extract_snippets(path: Path) -> List[Snippet]:
     return snippets
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``pkg.module.attr`` still names something importable."""
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def stale_markers(path: Path) -> List[str]:
+    """The names in ``path``'s staleness markers that no longer resolve."""
+    names = [n for body in _MARKER_RE.findall(path.read_text()) for n in body.split()]
+    return [name for name in names if not resolves(name)]
+
+
 def run_snippet(snippet: Snippet, cwd: Path, env: dict) -> subprocess.CompletedProcess:
     command = [*RUNNERS[snippet.language], snippet.code]
     return subprocess.run(
@@ -100,6 +122,13 @@ def main(argv: List[str]) -> int:
     if missing:
         print(f"error: no such file(s): {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
+
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    stale = [(f, name) for f in files for name in stale_markers(f)]
+    for source, name in stale:
+        print(f"FAIL {source}: staleness-marker {name} no longer resolves")
+    if stale:
+        return 1
 
     snippets = [s for f in files for s in extract_snippets(f)]
     if not snippets:

@@ -50,18 +50,14 @@ def ifub_diameter(graph: CSRGraph, *, start: int | None = None) -> int:
         return 0
     if start is None:
         start = int(np.argmax(graph.degrees))
-    root_bfs = bfs_distances(graph, start)
-    distances = root_bfs.distances
-    reached = distances >= 0
-    if not np.any(reached):
-        return 0
-    max_level = int(distances[reached].max())
+    root_bfs = bfs_distances(graph, start, keep_levels=True)
+    max_level = root_bfs.eccentricity
     lower_bound = max_level
     # Process fringe vertices level by level, deepest first.
     for level in range(max_level, 0, -1):
         if lower_bound >= 2 * level:
             break
-        fringe = np.flatnonzero(distances == level)
+        fringe = root_bfs.levels[level]
         for v in fringe:
             ecc = bfs_distances(graph, int(v)).eccentricity
             if ecc > lower_bound:

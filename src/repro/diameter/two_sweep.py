@@ -9,10 +9,13 @@ heuristics below give the same kind of bounds at a few BFS's cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
+from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_distances, farthest_vertex
 
@@ -49,6 +52,27 @@ def two_sweep_lower_bound(graph: CSRGraph, *, seed: int | None = None) -> int:
     return int(dist)
 
 
+def _sweep_component(graph: CSRGraph, start: int, sweeps: int) -> Tuple[int, int, int]:
+    """``(lower, upper, size)`` of the connected component containing ``start``."""
+    lower, upper = 0, math.inf
+    current = start
+    for _ in range(max(1, sweeps)):
+        result = bfs_distances(graph, current)
+        ecc = result.eccentricity
+        lower = max(lower, ecc)
+        upper = min(upper, 2 * ecc)
+        # Next sweep starts from a farthest vertex.
+        current = int(result.deepest[0])
+    # Sweep once from a vertex in the "middle" of the last long path, which
+    # often has small eccentricity and therefore tightens the upper bound.
+    result = bfs_distances(graph, current, keep_levels=True)
+    mid = int(result.levels[result.eccentricity // 2][0])
+    mid_ecc = bfs_distances(graph, mid).eccentricity
+    lower = max(lower, mid_ecc)
+    upper = max(min(upper, 2 * mid_ecc), lower)
+    return lower, upper, result.num_reached
+
+
 def double_sweep_estimate(graph: CSRGraph, *, sweeps: int = 4, seed: int | None = None) -> DiameterEstimate:
     """Lower and upper diameter bounds from a few BFS sweeps.
 
@@ -56,38 +80,32 @@ def double_sweep_estimate(graph: CSRGraph, *, sweeps: int = 4, seed: int | None 
     ``min_v (2 * ecc(v))`` over the swept vertices (eccentricity of any vertex
     is at least half the diameter), additionally tightened by sweeping from a
     mid-point of the longest sweep path level structure.
+
+    The sweeps start at a random vertex and cover its connected component.
+    On a disconnected graph the diameter is the largest over the components,
+    so every other component that could exceed the bound so far (one with
+    ``k`` vertices has diameter at most ``k - 1``) is swept as well, from its
+    smallest vertex, largest component first.
     """
     n = graph.num_vertices
     if n == 0:
         return DiameterEstimate(0, 0)
     rng = np.random.default_rng(seed)
-    lower = 0
-    upper = None
-    current = int(rng.integers(0, n))
-    for _ in range(max(1, sweeps)):
-        result = bfs_distances(graph, current)
-        ecc = result.eccentricity
-        lower = max(lower, ecc)
-        upper = min(upper, 2 * ecc) if upper is not None else 2 * ecc
-        reached = np.flatnonzero(result.distances >= 0)
-        if reached.size == 0:
-            break
-        # Next sweep starts from a farthest vertex.
-        current = int(reached[np.argmax(result.distances[reached])])
-    # Sweep once from a vertex in the "middle" of the last long path, which
-    # often has small eccentricity and therefore tightens the upper bound.
-    result = bfs_distances(graph, current)
-    reached = np.flatnonzero(result.distances >= 0)
-    if reached.size > 0:
-        half = result.eccentricity // 2
-        mid_candidates = reached[result.distances[reached] == half]
-        if mid_candidates.size > 0:
-            mid = int(mid_candidates[0])
-            mid_ecc = bfs_distances(graph, mid).eccentricity
-            lower = max(lower, mid_ecc)
-            upper = min(upper, 2 * mid_ecc)
-    upper = max(upper if upper is not None else 0, lower)
-    return DiameterEstimate(lower=int(lower), upper=int(upper))
+    start = int(rng.integers(0, n))
+    lower, upper, size = _sweep_component(graph, start, sweeps)
+    if size < n:
+        components = connected_components(graph)
+        # Stable, so equal sizes go smallest id first.
+        for component in np.argsort(-components.sizes, kind="stable"):
+            if components.sizes[component] - 1 <= upper:
+                break
+            if component == components.labels[start]:
+                continue
+            first = int(np.argmax(components.labels == component))
+            other_lower, other_upper, _ = _sweep_component(graph, first, sweeps)
+            lower = max(lower, other_lower)
+            upper = max(upper, other_upper)
+    return DiameterEstimate(lower=lower, upper=upper)
 
 
 def vertex_diameter_upper_bound(graph: CSRGraph, *, seed: int | None = None) -> int:
@@ -95,8 +113,9 @@ def vertex_diameter_upper_bound(graph: CSRGraph, *, seed: int | None = None) -> 
 
     The vertex diameter is the number of vertices on a longest shortest path,
     i.e. the (edge) diameter plus one.  The bound returned is
-    ``double_sweep_estimate(...).upper + 1`` and never less than 2 for graphs
-    with at least one edge.
+    ``double_sweep_estimate(...).upper + 1``, which holds for every connected
+    component of the graph, and never less than 2 for graphs with at least
+    one edge.
     """
     if graph.num_vertices == 0:
         return 0

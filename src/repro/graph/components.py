@@ -12,7 +12,7 @@ from typing import List
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import UNREACHED, bfs_distances
+from repro.graph.traversal import UNREACHED, bfs_distances, csr_views, expand_frontier
 
 __all__ = ["ConnectedComponents", "connected_components", "largest_connected_component", "is_connected"]
 
@@ -25,7 +25,7 @@ class ConnectedComponents:
     ----------
     labels:
         int64 array; ``labels[v]`` is the component id of vertex ``v``.
-        Component ids are dense, starting at 0, ordered by discovery.
+        Component ids are dense, starting at 0, ordered by smallest member id.
     sizes:
         int64 array of component sizes indexed by component id.
     """
@@ -49,27 +49,46 @@ class ConnectedComponents:
 
 
 def connected_components(graph: CSRGraph) -> ConnectedComponents:
-    """Label all connected components via repeated BFS."""
+    """Label all connected components in O(n + m).
+
+    Every BFS stamps its component id into the one shared ``labels`` array,
+    so a component costs only its own vertices and edges; vertices without
+    neighbours never start a BFS.
+    """
     n = graph.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
+    indptr, indices = csr_views(graph)
+    labels = np.full(n, UNREACHED, dtype=np.int64)
+    has_edges = indptr[1:] > indptr[:-1]
+    roots: List[int] = []
     sizes: List[int] = []
-    for v in range(n):
-        if labels[v] >= 0:
+    for v in np.flatnonzero(has_edges).tolist():
+        if labels[v] != UNREACHED:
             continue
-        component = len(sizes)
-        distances = bfs_distances(graph, v).distances
-        members = np.flatnonzero(distances != UNREACHED)
-        labels[members] = component
-        sizes.append(int(members.size))
-    return ConnectedComponents(labels=labels, sizes=np.asarray(sizes, dtype=np.int64))
+        # The scan is in id order, so ``v`` is its component's smallest member.
+        labels[v] = len(roots)
+        frontier = np.array([v], dtype=np.int64)
+        size = 0
+        while frontier.size > 0:
+            size += frontier.size
+            frontier, _, _ = expand_frontier(indptr, indices, frontier, labels, len(roots))
+        roots.append(v)
+        sizes.append(size)
+    # Every isolated vertex is its own component; number all of them, with
+    # the BFS components, by smallest member id.
+    isolated = np.flatnonzero(~has_edges)
+    all_roots = np.concatenate([np.asarray(roots, dtype=np.int64), isolated])
+    rank = np.empty(all_roots.size, dtype=np.int64)
+    rank[np.argsort(all_roots)] = np.arange(all_roots.size)
+    labels[isolated] = np.arange(len(roots), all_roots.size)
+    all_sizes = np.ones(all_roots.size, dtype=np.int64)
+    all_sizes[rank[: len(roots)]] = np.asarray(sizes, dtype=np.int64)
+    return ConnectedComponents(labels=rank[labels], sizes=all_sizes)
 
 
 def is_connected(graph: CSRGraph) -> bool:
     """Whether the graph is connected (the empty graph counts as connected)."""
-    if graph.num_vertices == 0:
-        return True
-    distances = bfs_distances(graph, 0).distances
-    return bool(np.all(distances != UNREACHED))
+    n = graph.num_vertices
+    return n == 0 or bfs_distances(graph, 0).num_reached == n
 
 
 def largest_connected_component(graph: CSRGraph) -> CSRGraph:

@@ -1,10 +1,10 @@
-"""Breadth-first-search kernels.
+"""Whole-graph breadth-first search: distances, sigma counts, BFS trees.
 
-Every sample taken by KADABRA is one (bidirectional) BFS; the traversal
-kernels below are therefore the innermost loops of the whole system.  They are
-implemented as level-synchronous frontier sweeps over the CSR arrays so that
-each level is processed with vectorized numpy operations (see the HPC guide:
-vectorize the inner loops, avoid Python-level per-edge work).
+The diameter phase, connected components and the incremental updater all sit
+on these level-synchronous sweeps.  Every level is one :func:`gather_csr`
+over base-``ndarray`` views of the CSR arrays taken once per traversal, so
+there is no Python work per vertex and a memory-mapped graph costs the same
+as one held in memory.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.kernels.scratch import gather_csr
 
 __all__ = [
     "BFSResult",
@@ -38,53 +39,65 @@ class BFSResult:
         The BFS source vertex.
     distances:
         int64 array of length ``n``; ``-1`` marks unreachable vertices.
+    eccentricity:
+        Largest finite distance from the source.
+    num_reached:
+        Number of vertices reachable from the source (including itself).
+    deepest:
+        The vertices at distance ``eccentricity``, in increasing id order.
     sigma:
         Optional float64 array of shortest-path counts from the source
         (present only for :func:`bfs_with_sigma`).
     levels:
-        The frontier of each BFS level (lists of vertex arrays); level 0 is
-        ``[source]``.
+        The frontier of each BFS level, each in increasing id order; level 0
+        is ``[source]``.
     """
 
     source: int
     distances: np.ndarray
+    eccentricity: int
+    num_reached: int
+    deepest: np.ndarray
     sigma: Optional[np.ndarray] = None
     levels: Optional[List[np.ndarray]] = None
 
-    @property
-    def eccentricity(self) -> int:
-        """Largest finite distance from the source."""
-        reached = self.distances[self.distances >= 0]
-        if reached.size == 0:
-            return 0
-        return int(reached.max())
 
-    @property
-    def num_reached(self) -> int:
-        """Number of vertices reachable from the source (including itself)."""
-        return int(np.count_nonzero(self.distances >= 0))
+def csr_views(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` as base ndarrays: take once per traversal, so no
+    level pays ``np.memmap.__getitem__`` on a memory-mapped graph."""
+    return np.asarray(graph.indptr), np.asarray(graph.indices)
 
 
-def _expand_frontier(
-    graph: CSRGraph, frontier: np.ndarray, distances: np.ndarray, level: int
-) -> np.ndarray:
-    """Return the next BFS frontier given the current one (vectorized)."""
-    indptr = graph.indptr
-    indices = graph.indices
-    starts = indptr[frontier]
-    stops = indptr[frontier + 1]
-    total = int(np.sum(stops - starts))
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Gather all neighbours of the frontier.
-    neighbor_chunks = [indices[s:e] for s, e in zip(starts, stops)]
-    neighbors = np.concatenate(neighbor_chunks).astype(np.int64, copy=False)
-    fresh = neighbors[distances[neighbors] == UNREACHED]
-    if fresh.size == 0:
-        return np.empty(0, dtype=np.int64)
-    next_frontier = np.unique(fresh)
-    distances[next_frontier] = level
-    return next_frontier
+def expand_frontier(
+    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, marks: np.ndarray, stamp: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Settle one BFS level: stamp every ``UNREACHED`` neighbour of ``frontier``.
+
+    Returns ``(fresh, neighbors, degs)``: the newly stamped vertices in
+    increasing id order, and the gathered adjacency rows of ``frontier``
+    with their lengths.  When ``stamp`` is the level number,
+    ``marks[neighbors] == stamp`` afterwards selects the edges into the new
+    level.
+    """
+    neighbors, degs = gather_csr(indptr, indices, frontier)
+    # Sort, then drop repeats: several times faster than ``np.unique`` on the
+    # heavily repeated candidates of a low-diameter graph's middle levels.
+    found = np.sort(neighbors[marks[neighbors] == UNREACHED])
+    first = np.ones(found.size, dtype=bool)
+    first[1:] = found[1:] != found[:-1]
+    fresh = found[first].astype(np.int64, copy=False)
+    marks[fresh] = stamp
+    return fresh, neighbors, degs
+
+
+def _begin(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, distances, frontier)`` of a BFS about to leave ``source``."""
+    n = graph.num_vertices
+    if not (0 <= source < n):
+        raise ValueError(f"source {source} out of range [0, {n})")
+    distances = np.full(n, UNREACHED, dtype=np.int64)
+    distances[source] = 0
+    return (*csr_views(graph), distances, np.array([source], dtype=np.int64))
 
 
 def bfs_distances(
@@ -101,20 +114,27 @@ def bfs_distances(
     keep_levels:
         If true, retain the per-level frontiers in the result.
     """
-    n = graph.num_vertices
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
-    distances = np.full(n, UNREACHED, dtype=np.int64)
-    distances[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    indptr, indices, distances, frontier = _begin(graph, source)
     levels: Optional[List[np.ndarray]] = [frontier] if keep_levels else None
     level = 0
-    while frontier.size > 0:
+    num_reached = 1
+    while True:
+        fresh, _, _ = expand_frontier(indptr, indices, frontier, distances, level + 1)
+        if fresh.size == 0:
+            break
         level += 1
-        frontier = _expand_frontier(graph, frontier, distances, level)
-        if keep_levels and frontier.size > 0:
+        num_reached += fresh.size
+        frontier = fresh
+        if keep_levels:
             levels.append(frontier)
-    return BFSResult(source=source, distances=distances, levels=levels)
+    return BFSResult(
+        source=source,
+        distances=distances,
+        eccentricity=level,
+        num_reached=num_reached,
+        deepest=frontier,
+        levels=levels,
+    )
 
 
 def bfs_with_sigma(graph: CSRGraph, source: int) -> BFSResult:
@@ -124,43 +144,28 @@ def bfs_with_sigma(graph: CSRGraph, source: int) -> BFSResult:
     the quantity needed to sample a shortest path uniformly at random and it is
     also the forward pass of Brandes' algorithm.
     """
-    n = graph.num_vertices
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
-    indptr = graph.indptr
-    indices = graph.indices
-    distances = np.full(n, UNREACHED, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    distances[source] = 0
+    indptr, indices, distances, frontier = _begin(graph, source)
+    sigma = np.zeros(graph.num_vertices, dtype=np.float64)
     sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
     levels: List[np.ndarray] = [frontier]
-    level = 0
-    while frontier.size > 0:
-        level += 1
-        starts = indptr[frontier]
-        stops = indptr[frontier + 1]
-        degs = stops - starts
-        total = int(np.sum(degs))
-        if total == 0:
-            break
-        neighbor_chunks = [indices[s:e] for s, e in zip(starts, stops)]
-        neighbors = np.concatenate(neighbor_chunks).astype(np.int64, copy=False)
-        origins = np.repeat(frontier, degs)
-        # New vertices discovered at this level.
-        undiscovered = distances[neighbors] == UNREACHED
-        fresh = np.unique(neighbors[undiscovered])
-        if fresh.size > 0:
-            distances[fresh] = level
-        # Accumulate sigma along edges (u in frontier) -> (v at this level).
-        onlevel = distances[neighbors] == level
-        if np.any(onlevel):
-            np.add.at(sigma, neighbors[onlevel], sigma[origins[onlevel]])
+    while True:
+        fresh, neighbors, degs = expand_frontier(indptr, indices, frontier, distances, len(levels))
         if fresh.size == 0:
             break
+        # Accumulate sigma along edges (u in frontier) -> (v on the new level).
+        onlevel = distances[neighbors] == len(levels)
+        np.add.at(sigma, neighbors[onlevel], np.repeat(sigma[frontier], degs)[onlevel])
         frontier = fresh
         levels.append(frontier)
-    return BFSResult(source=source, distances=distances, sigma=sigma, levels=levels)
+    return BFSResult(
+        source=source,
+        distances=distances,
+        eccentricity=len(levels) - 1,
+        num_reached=sum(level.size for level in levels),
+        deepest=frontier,
+        sigma=sigma,
+        levels=levels,
+    )
 
 
 def bfs_tree_parents(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,41 +174,21 @@ def bfs_tree_parents(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarr
     ``parents[source] == source`` and ``parents[v] == -1`` for unreachable
     vertices.  Used by diameter heuristics and tests.
     """
-    n = graph.num_vertices
-    distances = np.full(n, UNREACHED, dtype=np.int64)
-    parents = np.full(n, -1, dtype=np.int64)
-    distances[source] = 0
+    indptr, indices, distances, frontier = _begin(graph, source)
+    parents = np.full(graph.num_vertices, -1, dtype=np.int64)
     parents[source] = source
-    frontier = np.array([source], dtype=np.int64)
-    indptr = graph.indptr
-    indices = graph.indices
     level = 0
-    while frontier.size > 0:
+    while True:
         level += 1
-        starts = indptr[frontier]
-        stops = indptr[frontier + 1]
-        degs = stops - starts
-        if int(np.sum(degs)) == 0:
+        fresh, neighbors, degs = expand_frontier(indptr, indices, frontier, distances, level)
+        if fresh.size == 0:
             break
-        neighbor_chunks = [indices[s:e] for s, e in zip(starts, stops)]
-        neighbors = np.concatenate(neighbor_chunks).astype(np.int64, copy=False)
-        origins = np.repeat(frontier, degs)
-        undiscovered = distances[neighbors] == UNREACHED
-        if not np.any(undiscovered):
-            break
-        cand_v = neighbors[undiscovered]
-        cand_p = origins[undiscovered]
-        # Keep the first parent for each newly discovered vertex.
-        order = np.argsort(cand_v, kind="stable")
-        cand_v = cand_v[order]
-        cand_p = cand_p[order]
-        first = np.ones(cand_v.size, dtype=bool)
-        first[1:] = cand_v[1:] != cand_v[:-1]
-        new_v = cand_v[first]
-        new_p = cand_p[first]
-        distances[new_v] = level
-        parents[new_v] = new_p
-        frontier = new_v
+        # First parent in frontier order: ``return_index`` gives the first
+        # occurrence of each vertex, and the unique values are ``fresh``.
+        edges = np.flatnonzero(distances[neighbors] == level)
+        _, first = np.unique(neighbors[edges], return_index=True)
+        parents[fresh] = np.repeat(frontier, degs)[edges[first]]
+        frontier = fresh
     return distances, parents
 
 
@@ -213,8 +198,6 @@ def eccentricity(graph: CSRGraph, v: int) -> int:
 
 
 def farthest_vertex(graph: CSRGraph, source: int) -> Tuple[int, int]:
-    """Return ``(vertex, distance)`` of a vertex farthest from ``source``."""
+    """Return ``(vertex, distance)`` of the smallest-id vertex farthest from ``source``."""
     result = bfs_distances(graph, source)
-    reached = np.flatnonzero(result.distances >= 0)
-    far = reached[np.argmax(result.distances[reached])]
-    return int(far), int(result.distances[far])
+    return int(result.deepest[0]), result.eccentricity
