@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
-from repro.kernels import ScratchPool, gather_csr
+from repro.kernels.scratch import ScratchPool, csr_views, gather_csr, settle_level
 
 __all__ = ["brandes_betweenness", "brandes_from_sources"]
 
@@ -33,8 +33,7 @@ def _accumulate_source_dependencies(
     ``sigma_b`` as the dependency accumulator), so a sweep over many sources
     performs no O(n) allocation per source.
     """
-    indptr = np.asarray(graph.indptr)
-    indices = np.asarray(graph.indices)
+    indptr, indptr_hi, indices = csr_views(graph)
     base = pool.begin_sample()
     mark = pool.mark_a
     sigma = pool.sigma_a
@@ -45,29 +44,19 @@ def _accumulate_source_dependencies(
     delta[source] = 0.0
     frontier = np.array([source], dtype=np.int64)
     levels = [frontier]
-    level = 0
-    while frontier.size > 0:
-        level += 1
-        neighbors, degs = gather_csr(indptr, indices, frontier)
-        if neighbors.size == 0:
+    while True:
+        neighbors, degs = gather_csr(indptr, indices, frontier, indptr_hi)
+        frontier = settle_level(
+            frontier, neighbors, degs, mark, base, base + len(levels), sigma
+        )
+        if frontier.size == 0:
             break
-        # A neighbour settles on this level iff it was unvisited before the
-        # level was processed (same argument as in the sampling kernels).
-        fresh_mask = mark[neighbors] < base
-        fresh = np.unique(neighbors[fresh_mask])
-        if fresh.size == 0:
-            break
-        mark[fresh] = base + level
-        sigma[fresh] = 0.0
-        delta[fresh] = 0.0
-        origin_sigma = np.repeat(sigma[frontier], degs)
-        np.add.at(sigma, neighbors[fresh_mask], origin_sigma[fresh_mask])
-        frontier = fresh
+        delta[frontier] = 0.0
         levels.append(frontier)
 
     # Accumulate dependencies bottom-up, level by level (vectorized per level).
     for frontier in reversed(levels[1:]):
-        neighbors, degs = gather_csr(indptr, indices, frontier)
+        neighbors, degs = gather_csr(indptr, indices, frontier, indptr_hi)
         if neighbors.size == 0:
             continue
         # Edges from w (on this level) to its predecessors v (previous level).

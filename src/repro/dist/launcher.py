@@ -164,7 +164,13 @@ def launch_local(
             if time.monotonic() > deadline:
                 _kill_all(procs)
                 raise LaunchError(f"distributed run exceeded {timeout}s")
-            time.sleep(_POLL_SECONDS)
+            # Wait on a live rank instead of sleeping, so the launch returns as
+            # that rank exits (rank 0 hosts the hub and exits last); the other
+            # ranks are still polled once per interval.
+            try:
+                procs[codes.index(None)].wait(timeout=_POLL_SECONDS)
+            except subprocess.TimeoutExpired:
+                pass
 
         if failed_rank is None:
             if not result_file.exists():

@@ -56,9 +56,9 @@ def connected_components(graph: CSRGraph) -> ConnectedComponents:
     neighbours never start a BFS.
     """
     n = graph.num_vertices
-    indptr, indices = csr_views(graph)
+    csr = indptr, indptr_hi, _ = csr_views(graph)
     labels = np.full(n, UNREACHED, dtype=np.int64)
-    has_edges = indptr[1:] > indptr[:-1]
+    has_edges = indptr_hi > indptr[:-1]
     roots: List[int] = []
     sizes: List[int] = []
     for v in np.flatnonzero(has_edges).tolist():
@@ -70,7 +70,7 @@ def connected_components(graph: CSRGraph) -> ConnectedComponents:
         size = 0
         while frontier.size > 0:
             size += frontier.size
-            frontier, _, _ = expand_frontier(indptr, indices, frontier, labels, len(roots))
+            frontier, _, _ = expand_frontier(csr, frontier, labels, len(roots))
         roots.append(v)
         sizes.append(size)
     # Every isolated vertex is its own component; number all of them, with

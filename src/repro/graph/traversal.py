@@ -1,10 +1,12 @@
 """Whole-graph breadth-first search: distances, sigma counts, BFS trees.
 
 The diameter phase, connected components and the incremental updater all sit
-on these level-synchronous sweeps.  Every level is one :func:`gather_csr`
-over base-``ndarray`` views of the CSR arrays taken once per traversal, so
-there is no Python work per vertex and a memory-mapped graph costs the same
-as one held in memory.
+on these level-synchronous sweeps.  Every level is one
+:func:`~repro.kernels.scratch.gather_csr` and one
+:func:`~repro.kernels.scratch.settle_level` - the step the sampling kernels
+and Brandes use - over base-``ndarray`` views of the CSR arrays taken once per
+traversal, so there is no Python work per vertex and a memory-mapped graph
+costs the same as one held in memory.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.kernels.scratch import gather_csr
+from repro.kernels.scratch import csr_views, gather_csr, settle_level
 
 __all__ = [
     "BFSResult",
@@ -62,42 +64,36 @@ class BFSResult:
     levels: Optional[List[np.ndarray]] = None
 
 
-def csr_views(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` as base ndarrays: take once per traversal, so no
-    level pays ``np.memmap.__getitem__`` on a memory-mapped graph."""
-    return np.asarray(graph.indptr), np.asarray(graph.indices)
-
-
 def expand_frontier(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, marks: np.ndarray, stamp: int
+    csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    frontier: np.ndarray,
+    marks: np.ndarray,
+    stamp: int,
+    sigma: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Settle one BFS level: stamp every ``UNREACHED`` neighbour of ``frontier``.
 
-    Returns ``(fresh, neighbors, degs)``: the newly stamped vertices in
-    increasing id order, and the gathered adjacency rows of ``frontier``
-    with their lengths.  When ``stamp`` is the level number,
-    ``marks[neighbors] == stamp`` afterwards selects the edges into the new
-    level.
+    ``csr`` is :func:`csr_views` of the graph.  Returns ``(fresh, neighbors,
+    degs)``: the newly stamped vertices in increasing id order, and the
+    gathered adjacency rows of ``frontier`` with their lengths.  When
+    ``stamp`` is the level number, ``marks[neighbors] == stamp`` afterwards
+    selects the edges into the new level.  With ``sigma`` given, the new
+    level's shortest-path counts are accumulated into it.
     """
-    neighbors, degs = gather_csr(indptr, indices, frontier)
-    # Sort, then drop repeats: several times faster than ``np.unique`` on the
-    # heavily repeated candidates of a low-diameter graph's middle levels.
-    found = np.sort(neighbors[marks[neighbors] == UNREACHED])
-    first = np.ones(found.size, dtype=bool)
-    first[1:] = found[1:] != found[:-1]
-    fresh = found[first].astype(np.int64, copy=False)
-    marks[fresh] = stamp
-    return fresh, neighbors, degs
+    indptr, indptr_hi, indices = csr
+    neighbors, degs = gather_csr(indptr, indices, frontier, indptr_hi)
+    # Stamps are >= 0 and ``UNREACHED`` is the one mark below 0.
+    return settle_level(frontier, neighbors, degs, marks, 0, stamp, sigma), neighbors, degs
 
 
-def _begin(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(indptr, indices, distances, frontier)`` of a BFS about to leave ``source``."""
+def _begin(graph: CSRGraph, source: int) -> Tuple[tuple, np.ndarray, np.ndarray]:
+    """``(csr, distances, frontier)`` of a BFS about to leave ``source``."""
     n = graph.num_vertices
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
     distances = np.full(n, UNREACHED, dtype=np.int64)
     distances[source] = 0
-    return (*csr_views(graph), distances, np.array([source], dtype=np.int64))
+    return csr_views(graph), distances, np.array([source], dtype=np.int64)
 
 
 def bfs_distances(
@@ -114,12 +110,12 @@ def bfs_distances(
     keep_levels:
         If true, retain the per-level frontiers in the result.
     """
-    indptr, indices, distances, frontier = _begin(graph, source)
+    csr, distances, frontier = _begin(graph, source)
     levels: Optional[List[np.ndarray]] = [frontier] if keep_levels else None
     level = 0
     num_reached = 1
     while True:
-        fresh, _, _ = expand_frontier(indptr, indices, frontier, distances, level + 1)
+        fresh, _, _ = expand_frontier(csr, frontier, distances, level + 1)
         if fresh.size == 0:
             break
         level += 1
@@ -144,17 +140,14 @@ def bfs_with_sigma(graph: CSRGraph, source: int) -> BFSResult:
     the quantity needed to sample a shortest path uniformly at random and it is
     also the forward pass of Brandes' algorithm.
     """
-    indptr, indices, distances, frontier = _begin(graph, source)
+    csr, distances, frontier = _begin(graph, source)
     sigma = np.zeros(graph.num_vertices, dtype=np.float64)
     sigma[source] = 1.0
     levels: List[np.ndarray] = [frontier]
     while True:
-        fresh, neighbors, degs = expand_frontier(indptr, indices, frontier, distances, len(levels))
+        fresh, _, _ = expand_frontier(csr, frontier, distances, len(levels), sigma)
         if fresh.size == 0:
             break
-        # Accumulate sigma along edges (u in frontier) -> (v on the new level).
-        onlevel = distances[neighbors] == len(levels)
-        np.add.at(sigma, neighbors[onlevel], np.repeat(sigma[frontier], degs)[onlevel])
         frontier = fresh
         levels.append(frontier)
     return BFSResult(
@@ -174,20 +167,20 @@ def bfs_tree_parents(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarr
     ``parents[source] == source`` and ``parents[v] == -1`` for unreachable
     vertices.  Used by diameter heuristics and tests.
     """
-    indptr, indices, distances, frontier = _begin(graph, source)
+    csr, distances, frontier = _begin(graph, source)
     parents = np.full(graph.num_vertices, -1, dtype=np.int64)
     parents[source] = source
     level = 0
     while True:
         level += 1
-        fresh, neighbors, degs = expand_frontier(indptr, indices, frontier, distances, level)
+        fresh, neighbors, degs = expand_frontier(csr, frontier, distances, level)
         if fresh.size == 0:
             break
-        # First parent in frontier order: ``return_index`` gives the first
-        # occurrence of each vertex, and the unique values are ``fresh``.
+        # First parent in frontier order, i.e. the smallest id (levels are
+        # sorted), over the edges into the new level.
         edges = np.flatnonzero(distances[neighbors] == level)
-        _, first = np.unique(neighbors[edges], return_index=True)
-        parents[fresh] = np.repeat(frontier, degs)[edges[first]]
+        parents[fresh] = graph.num_vertices
+        np.minimum.at(parents, neighbors[edges], frontier.repeat(degs)[edges])
         frontier = fresh
     return distances, parents
 

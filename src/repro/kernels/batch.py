@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.kernels import abi as _abi
-from repro.kernels.scratch import ScratchPool
+from repro.kernels.scratch import ScratchPool, csr_views
 from repro.obs import metrics as _metrics
 
 __all__ = ["SampleBatch", "BatchPathSampler"]
@@ -201,8 +201,7 @@ class BatchPathSampler:
         self._graph = graph
         # Plain ndarray views: identical memory, none of np.memmap's
         # __array_finalize__ cost on every slice in the kernel hot loop.
-        self._indptr = np.asarray(graph.indptr)
-        self._indices = np.asarray(graph.indices)
+        self._indptr, _, self._indices = csr_views(graph)
         self._method = method
         self._pool = pool if pool is not None else ScratchPool(graph.num_vertices)
         self._pair_strategy = pair_strategy

@@ -11,9 +11,8 @@ re-implementation on top of :class:`~repro.kernels.scratch.ScratchPool`:
   :func:`~repro.kernels.scratch.gather_csr` instead of a per-vertex Python
   slice loop, and the edge-meet gather of one level doubles as the expansion
   gather of the next (the legacy sampler walked those rows twice);
-* a neighbour settles on the new level iff it was unvisited before the level
-  was processed, so the sigma scatter reuses the freshness mask instead of
-  re-reading the marks;
+* every level is settled by the shared
+  :func:`~repro.kernels.scratch.settle_level` step;
 * weighted picks go through :func:`~repro.kernels.weighted.weighted_index`,
   which is bit-compatible with the ``Generator.choice`` calls of the legacy
   sampler.
@@ -30,7 +29,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels.scratch import ScratchPool, gather_csr
+from repro.kernels.scratch import ScratchPool, gather_csr, settle_level
 from repro.kernels.weighted import weighted_index
 
 __all__ = ["bidirectional_sample"]
@@ -39,30 +38,21 @@ __all__ = ["bidirectional_sample"]
 class _Side:
     """State of one directional search over pooled buffers."""
 
-    __slots__ = (
-        "mark",
-        "sigma",
-        "frontier",
-        "level",
-        "frontier_degree",
-        "levels",
-        "cached_neighbors",
-        "cached_degs",
-    )
+    __slots__ = ("mark", "sigma", "frontier", "level", "levels", "neighbors", "degs")
 
-    def __init__(self, mark, sigma, root: int, base: int, root_degree: int) -> None:
+    def __init__(self, mark, sigma, root: int, base: int, root_row: np.ndarray) -> None:
         self.mark = mark
         self.sigma = sigma
         mark[root] = base
         sigma[root] = 1.0
         self.frontier = np.array([root], dtype=np.int64)
         self.level = 0
-        self.frontier_degree = int(root_degree)
         self.levels: List[np.ndarray] = [self.frontier]
-        # Adjacency rows of ``frontier``, if already gathered by the edge-meet
-        # check of the previous expansion of this side.
-        self.cached_neighbors = None
-        self.cached_degs = None
+        # Adjacency rows of ``frontier`` as ``gather_csr`` returns them: the
+        # edge-meet gather of one level is the expansion gather of the next,
+        # so every row is gathered once.
+        self.neighbors = root_row
+        self.degs = np.array([root_row.size], dtype=np.int64)
 
 
 def _walk_to_root(
@@ -73,7 +63,10 @@ def _walk_to_root(
     start: int,
     rng: np.random.Generator,
 ) -> List[int]:
-    """Sigma-weighted backward walk from ``start`` towards the side's root."""
+    """Sigma-weighted backward walk from ``start`` towards the side's root.
+
+    Consumes exactly one uniform per step, as ``weighted_index`` does.
+    """
     mark = side.mark
     sigma = side.sigma
     path: List[int] = []
@@ -82,14 +75,30 @@ def _walk_to_root(
     while depth > 1:
         nbrs = indices[indptr[current] : indptr[current + 1]]
         preds = nbrs[mark[nbrs] == base + depth - 1]
-        weights = sigma[preds]
-        total = float(weights.sum())
-        if preds.size == 0 or total <= 0.0:  # pragma: no cover - defensive
-            raise RuntimeError("inconsistent sigma values during backtracking")
-        current = int(preds[weighted_index(weights, total, rng)])
+        if preds.size == 1:
+            rng.random()  # the draw a one-weight pick makes, whatever it reads
+            current = int(preds[0])
+        else:
+            weights = sigma[preds]
+            total = float(weights.sum())
+            if preds.size == 0 or total <= 0.0:  # pragma: no cover - defensive
+                raise RuntimeError("inconsistent sigma values during backtracking")
+            current = int(preds[weighted_index(weights, total, rng)])
         path.append(current)
         depth -= 1
     return path
+
+
+#: "No meet yet": larger than any path length.
+_UNMET = 1 << 62
+
+
+def _nearest_met(other_marks: np.ndarray, base: int) -> int:
+    """Smallest level the other side stamped on these vertices this sample;
+    ``_UNMET`` when it stamped none (one ``max()`` settles that common case)."""
+    if other_marks.size == 0 or other_marks.max() < base:
+        return _UNMET
+    return int(other_marks[other_marks >= base].min() - base)
 
 
 def bidirectional_sample(
@@ -109,88 +118,57 @@ def bidirectional_sample(
     base = pool.begin_sample()
 
     # Special case: adjacent endpoints (sorted adjacency rows, binary search).
-    s_start = int(indptr[source])
-    s_stop = int(indptr[source + 1])
-    source_row = indices[s_start:s_stop]
-    pos = int(np.searchsorted(source_row, target))
+    source_row = indices[indptr[source] : indptr[source + 1]]
+    pos = int(source_row.searchsorted(target))
     if pos < source_row.size and int(source_row[pos]) == target:
-        return True, 1, [], s_stop - s_start
+        return True, 1, [], source_row.size
 
-    fwd = _Side(pool.mark_a, pool.sigma_a, source, base, s_stop - s_start)
-    bwd = _Side(
-        pool.mark_b, pool.sigma_b, target, base, int(indptr[target + 1] - indptr[target])
-    )
+    indptr_hi = indptr[1:]
+    target_row = indices[indptr[target] : indptr_hi[target]]
+    fwd = _Side(pool.mark_a, pool.sigma_a, source, base, source_row.astype(np.int64))
+    bwd = _Side(pool.mark_b, pool.sigma_b, target, base, target_row.astype(np.int64))
     edges_touched = 0
-    best_length = -1  # -1 encodes "no meet found yet"
+    best_length = _UNMET
 
     while True:
         # If a shortest length has been established and no shorter path can
         # still be discovered, stop expanding.
-        if 0 <= best_length <= fwd.level + bwd.level + 1:
+        if best_length <= fwd.level + bwd.level + 1:
             break
         if fwd.frontier.size == 0 or bwd.frontier.size == 0:
             break
         # Balanced expansion: grow the cheaper side.
-        side, other = (fwd, bwd) if fwd.frontier_degree <= bwd.frontier_degree else (bwd, fwd)
+        side, other = (fwd, bwd) if fwd.neighbors.size <= bwd.neighbors.size else (bwd, fwd)
         new_level = side.level + 1
-        frontier = side.frontier
-        if side.cached_neighbors is not None:
-            neighbors, degs = side.cached_neighbors, side.cached_degs
-            side.cached_neighbors = None
-            side.cached_degs = None
-        else:
-            neighbors, degs = gather_csr(indptr, indices, frontier)
-        total = int(neighbors.size)
-        edges_touched += total
-        if total == 0:
-            side.frontier = neighbors[:0]
+        neighbors = side.neighbors
+        edges_touched += neighbors.size
+        if neighbors.size == 0:  # an isolated root: this search is over
+            side.frontier = neighbors
             continue
-        mark = side.mark
-        sigma = side.sigma
-        # A neighbour lies on the new level iff it was unvisited before this
-        # level was processed, so the freshness mask doubles as the sigma
-        # scatter mask.
-        fresh_mask = mark[neighbors] < base
-        fresh = np.unique(neighbors[fresh_mask])
+        fresh = settle_level(
+            side.frontier, neighbors, side.degs, side.mark, base, base + new_level, side.sigma
+        )
         side.frontier = fresh
         side.level = new_level
         if fresh.size == 0:
-            side.frontier_degree = 0
+            side.neighbors = neighbors[:0]
             continue
-        mark[fresh] = base + new_level
-        sigma[fresh] = 0.0
-        origin_sigma = np.repeat(sigma[frontier], degs)
-        np.add.at(sigma, neighbors[fresh_mask], origin_sigma[fresh_mask])
         side.levels.append(fresh)
 
-        # Check for meets involving the newly settled vertices.
-        other_marks = other.mark[fresh]
-        met = other_marks >= base
-        if met.any():
-            candidate = new_level + int((other_marks[met] - base).min())
-            if best_length < 0 or candidate < best_length:
-                best_length = candidate
-        # Edge meets: neighbours of fresh vertices settled on the other side.
-        # The gathered rows are exactly the next expansion of this side, so
-        # they are cached instead of being walked twice.
-        fresh_neighbors, fresh_degs = gather_csr(indptr, indices, fresh)
-        side.cached_neighbors = fresh_neighbors
-        side.cached_degs = fresh_degs
-        side.frontier_degree = int(fresh_neighbors.size)
-        edges_touched += int(fresh_neighbors.size)
-        reach_marks = other.mark[fresh_neighbors]
-        crossing = reach_marks >= base
-        if crossing.any():
-            candidate = new_level + 1 + int((reach_marks[crossing] - base).min())
-            if best_length < 0 or candidate < best_length:
-                best_length = candidate
+        # Meets at the newly settled vertices, then edge meets: neighbours of
+        # fresh vertices settled on the other side.
+        best_length = min(best_length, new_level + _nearest_met(other.mark[fresh], base))
+        side.neighbors, side.degs = gather_csr(indptr, indices, fresh, indptr_hi)
+        edges_touched += side.neighbors.size
+        best_length = min(
+            best_length, new_level + 1 + _nearest_met(other.mark[side.neighbors], base)
+        )
 
-    if best_length < 0:
+    if best_length >= _UNMET:
         return False, 0, [], edges_touched
 
     length = best_length
     level_s, level_t = fwd.level, bwd.level
-    internal: List[int]
     if length <= level_s + level_t:
         # Vertex cut at a fixed split position k.
         k = min(level_s, length)
@@ -202,34 +180,20 @@ def bidirectional_sample(
         total_weight = weights.sum()
         if candidates.size == 0 or float(total_weight) <= 0.0:  # pragma: no cover
             raise RuntimeError("bidirectional search found no cut vertices")
-        cut_vertex = int(candidates[weighted_index(weights, float(total_weight), rng)])
-        prefix = _walk_to_root(indptr, indices, fwd, base, cut_vertex, rng)
-        suffix = _walk_to_root(indptr, indices, bwd, base, cut_vertex, rng)
-        internal = prefix[::-1]
-        if cut_vertex != source and cut_vertex != target:
-            internal.append(cut_vertex)
-        internal.extend(suffix)
+        u = v = int(candidates[weighted_index(weights, float(total_weight), rng)])
     else:
-        # Edge cut between the deepest settled levels of the two sides.
-        us = fwd.levels[level_s] if level_s < len(fwd.levels) else fwd.frontier[:0]
-        u_neighbors, u_degs = gather_csr(indptr, indices, us)
-        cut_mask = bwd.mark[u_neighbors] == base + level_t
+        # Edge cut between the deepest settled levels of the two sides; the
+        # deepest forward level is the forward frontier, its rows gathered.
+        cut_mask = bwd.mark[fwd.neighbors] == base + level_t
         if not cut_mask.any():  # pragma: no cover - defensive
             raise RuntimeError("bidirectional search found no cut edges")
-        vs = u_neighbors[cut_mask]
-        u_rep = np.repeat(np.asarray(us, dtype=np.int64), u_degs)[cut_mask]
-        weights = fwd.sigma[u_rep] * bwd.sigma[vs]
+        vs = fwd.neighbors[cut_mask]
+        us = fwd.frontier.repeat(fwd.degs)[cut_mask]
+        weights = fwd.sigma[us] * bwd.sigma[vs]
         pick = weighted_index(weights, weights.sum(), rng)
-        u = int(u_rep[pick])
-        v = int(vs[pick])
-        prefix = _walk_to_root(indptr, indices, fwd, base, u, rng)
-        suffix = _walk_to_root(indptr, indices, bwd, base, v, rng)
-        internal = prefix[::-1]
-        if u != source and u != target:
-            internal.append(u)
-        if v != source and v != target:
-            internal.append(v)
-        internal.extend(suffix)
+        u, v = int(us[pick]), int(vs[pick])
 
-    internal = [x for x in internal if x != source and x != target]
-    return True, length, internal, edges_touched
+    internal = _walk_to_root(indptr, indices, fwd, base, u, rng)[::-1]
+    internal.extend((u,) if u == v else (u, v))
+    internal.extend(_walk_to_root(indptr, indices, bwd, base, v, rng))
+    return True, length, [x for x in internal if x != source and x != target], edges_touched

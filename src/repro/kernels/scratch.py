@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ScratchPool", "ScratchSlab", "gather_csr"]
+__all__ = ["ScratchPool", "ScratchSlab", "csr_views", "gather_csr", "settle_level"]
 
 #: Re-zero the mark arrays once ``generation * span`` approaches int64 range.
 _RESET_LIMIT = np.int64(2) ** 62
@@ -175,29 +175,85 @@ class ScratchSlab:
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 
 
-def gather_csr(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray):
+def csr_views(graph):
+    """``(indptr, indptr_hi, indices)`` of ``graph`` as base ndarrays.
+
+    ``indptr_hi`` is the ``indptr[1:]`` view (row ends).  Take the views once
+    per traversal or sampler: no BFS level then pays
+    ``np.memmap.__getitem__`` on a memory-mapped graph.
+    """
+    indptr = np.asarray(graph.indptr)
+    return indptr, indptr[1:], np.asarray(graph.indices)
+
+
+def gather_csr(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, indptr_hi=None):
     """Concatenated adjacency rows of ``frontier``, in frontier order.
 
     Returns ``(neighbors, degs)`` where ``neighbors`` lists the CSR rows of
     the frontier vertices back to back (exactly the order the legacy
     per-vertex slice loop produced) and ``degs`` the row lengths.  Fully
-    vectorized: no per-vertex Python iteration, and a plain slice view for
-    the common single-vertex frontier.
+    vectorized: no per-vertex Python iteration, and a plain slice for the
+    common single-vertex frontier.  ``neighbors`` is int64 whatever the
+    graph stores: every level indexes with it several times, and numpy casts
+    any other index dtype on each use.  ``indptr_hi`` is the ``indptr[1:]``
+    view of :func:`csr_views`, for callers that hold one.
     """
     if frontier.size == 1:
         v = int(frontier[0])
         start = int(indptr[v])
         stop = int(indptr[v + 1])
-        return indices[start:stop], np.array([stop - start], dtype=np.int64)
+        return indices[start:stop].astype(np.int64), np.array([stop - start], dtype=np.int64)
     starts = indptr[frontier]
-    degs = indptr[frontier + 1] - starts
-    total = int(degs.sum())
+    degs = (indptr[1:] if indptr_hi is None else indptr_hi)[frontier] - starts
+    ends = degs.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
-        return indices[:0], degs
+        return _EMPTY_IDX, degs
     # Global positions: for the j-th slot of vertex i the position is
     # starts[i] + (j - ends_before[i]) where ends_before is the exclusive
     # cumulative degree sum.
-    ends = np.cumsum(degs)
     idx = np.arange(total, dtype=np.int64)
-    idx += np.repeat(starts - (ends - degs), degs)
-    return indices[idx], degs
+    idx += (starts - (ends - degs)).repeat(degs)
+    return indices[idx].astype(np.int64, copy=False), degs
+
+
+def settle_level(frontier, neighbors, degs, mark, base, stamp, sigma=None):
+    """Settle one BFS level: the one copy of the sigma-BFS level step.
+
+    ``neighbors, degs = gather_csr(..., frontier)`` (int64); a vertex is
+    unvisited iff ``mark[v] < base``.  Stamps every unvisited neighbour with
+    ``stamp`` and returns them as ``fresh`` - sorted and duplicate-free.  With
+    ``sigma`` given, ``sigma[v]`` of every fresh ``v`` becomes the sum of
+    ``sigma[u]`` over its edges from the frontier, added in ``neighbors``
+    order (the order ``np.add.at`` has always used, so sums are bit-equal).
+
+    A neighbour lies on the new level iff it was unvisited before the level
+    was processed, so one freshness mask selects both the new vertices and
+    the sigma scatter.
+    """
+    fresh_mask = mark[neighbors] < base
+    reached = neighbors[fresh_mask]
+    if reached.size == 0:
+        return _EMPTY_IDX
+    if frontier.size == 1:
+        # One CSR row: already sorted and duplicate-free.
+        mark[reached] = stamp
+        if sigma is not None:
+            sigma[reached] = sigma[frontier[0]]
+        return reached
+    # Sort, then drop repeats: several times faster than ``np.unique``.
+    found = np.sort(reached)
+    first = np.empty(found.size, dtype=bool)
+    first[0] = True
+    np.not_equal(found[1:], found[:-1], out=first[1:])
+    fresh = found[first]
+    mark[fresh] = stamp
+    if sigma is not None:
+        contrib = sigma[frontier].repeat(degs)[fresh_mask]
+        if fresh.size == reached.size:
+            # No vertex reached twice: a plain store is the whole sum.
+            sigma[reached] = contrib
+        else:
+            sigma[fresh] = 0.0
+            np.add.at(sigma, reached, contrib)
+    return fresh

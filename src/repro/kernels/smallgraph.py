@@ -3,10 +3,10 @@
 On graphs with a few hundred to a few thousand vertices, a path sample
 touches so few edges that the cost of the numpy kernel is dominated by
 per-call dispatch overhead (~1 µs per numpy operation, ~35 operations per
-sample), not by the traversal itself.  Below
-:data:`SMALL_GRAPH_VERTEX_LIMIT` the batch sampler therefore switches to this
-kernel, which walks Python-list adjacency with generation-stamped list marks
-— no numpy calls at all in the BFS inner loop.
+sample), not by the traversal itself.  Up to
+:data:`SMALL_GRAPH_ENTRY_LIMIT` adjacency entries the batch sampler therefore
+switches to this kernel, which walks Python-list adjacency with
+generation-stamped list marks — no numpy calls at all in the BFS inner loop.
 
 Bit-compatibility with the legacy sampler is preserved exactly:
 
@@ -47,8 +47,10 @@ __all__ = [
 #: Largest graph (vertices) the Python kernel is selected for.
 SMALL_GRAPH_VERTEX_LIMIT = 20_000
 #: Largest adjacency array (directed entries) the Python kernel is selected
-#: for — bounds the one-time ``tolist`` materialisation.
-SMALL_GRAPH_ENTRY_LIMIT = 1_000_000
+#: for.  Measured, not guessed: on road, Barabasi-Albert and R-MAT graphs alike
+#: the numpy kernel overtakes this one between 15k and 25k entries, whatever
+#: the vertex count (table in ``docs/kernels.md``, "The routing window").
+SMALL_GRAPH_ENTRY_LIMIT = 20_000
 
 # Memoised tolist adjacency, keyed by a content fingerprint of the CSR
 # arrays.  Every BatchPathSampler construction over the same graph (repeated

@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels.scratch import ScratchPool, gather_csr
+from repro.kernels.scratch import ScratchPool, gather_csr, settle_level
 from repro.kernels.weighted import weighted_index
 
 __all__ = ["unidirectional_sample"]
@@ -36,30 +36,16 @@ def unidirectional_sample(
 
     mark[source] = base
     sigma[source] = 1.0
+    indptr_hi = indptr[1:]
     frontier = np.array([source], dtype=np.int64)
     level = 0
     edges_touched = 0
     while frontier.size > 0:
         level += 1
-        neighbors, degs = gather_csr(indptr, indices, frontier)
-        total = int(neighbors.size)
-        edges_touched += total
-        if total == 0:
-            break
-        new_mark = base + level
-        # A neighbour lies on the new level iff it was unvisited before this
-        # level was processed, so the freshness mask doubles as the sigma
-        # scatter mask.
-        fresh_mask = mark[neighbors] < base
-        fresh = np.unique(neighbors[fresh_mask])
-        if fresh.size == 0:
-            break
-        mark[fresh] = new_mark
-        sigma[fresh] = 0.0
-        origin_sigma = np.repeat(sigma[frontier], degs)
-        np.add.at(sigma, neighbors[fresh_mask], origin_sigma[fresh_mask])
-        frontier = fresh
-        if mark[target] == new_mark:
+        neighbors, degs = gather_csr(indptr, indices, frontier, indptr_hi)
+        edges_touched += neighbors.size
+        frontier = settle_level(frontier, neighbors, degs, mark, base, base + level, sigma)
+        if mark[target] == base + level:
             # The sigma values of this level are complete once the level has
             # been fully processed, which is the case here.
             break

@@ -266,7 +266,10 @@ class WavefrontSampler:
         # Adjacent endpoints: resolved up front with one bulk gather, like the
         # per-pair kernel's sorted-row binary search (same edges accounting:
         # only the adjacent case charges the source-row scan).
+        # gather_csr's int64 rows are cast back: every later gather here is in
+        # the graph's dtype, and the lanes' concatenated rows are large.
         adj_nbrs, adj_degs = gather_csr(indptr, indices, src)
+        adj_nbrs = adj_nbrs.astype(indices.dtype, copy=False)
         if adj_nbrs.size:
             seg = lanes64.repeat(adj_degs)
             hits = np.bincount(seg, weights=(adj_nbrs == dst[seg]), minlength=K) > 0
@@ -279,6 +282,7 @@ class WavefrontSampler:
         # bulk gathers for the whole chunk instead of two single-vertex
         # gathers per lane; the forward rows were gathered above anyway).
         bwd_nbrs, bwd_degs = gather_csr(indptr, indices, dst)
+        bwd_nbrs = bwd_nbrs.astype(indices.dtype, copy=False)
         offs_f = np.empty(K + 1, dtype=np.int64)
         offs_f[0] = 0
         np.cumsum(adj_degs, out=offs_f[1:])
