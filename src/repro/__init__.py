@@ -39,10 +39,7 @@ exact            exact   no       no         n-sssp
 source-sampling  approx  no       no         n-sssp
 ===============  ======  =======  =========  =================
 
-New backends are added with :func:`repro.api.register_backend`; the legacy
-per-algorithm classes (``KadabraBetweenness``, ``SharedMemoryKadabra``,
-``DistributedKadabra``, ``RKBetweenness``, ``SourceSamplingBetweenness``)
-still work but are deprecated shims over the same implementations.
+New backends are added with :func:`repro.api.register_backend`.
 
 Sessions
 --------
@@ -72,7 +69,6 @@ from repro.api import (
 )
 from repro.core import (
     BetweennessResult,
-    KadabraBetweenness,
     KadabraOptions,
     StateFrame,
     StoppingCondition,
@@ -87,7 +83,7 @@ from repro.session import (
     open_session,
 )
 from repro.store import GraphCatalog, load_graph
-from repro.baselines import brandes_betweenness, RKBetweenness
+from repro.baselines import brandes_betweenness
 
 __version__ = "1.1.0"
 
@@ -103,10 +99,8 @@ __all__ = [
     "SessionCapabilityError",
     "SessionStateError",
     "SnapshotError",
-    "KadabraBetweenness",
     "KadabraOptions",
     "ProgressEvent",
-    "RKBetweenness",
     "Resources",
     "StateFrame",
     "StoppingCondition",

@@ -19,12 +19,12 @@ from repro.api.registry import EXACT_AUTO_VERTEX_LIMIT, register_backend
 from repro.baselines.brandes import brandes_betweenness
 from repro.baselines.rk import _RKBetweenness
 from repro.baselines.source_sampling import _SourceSamplingBetweenness, source_sample_size
-from repro.core.kadabra import _SequentialKadabra
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
-from repro.epoch.shared_memory import _SharedMemoryKadabra
 from repro.graph.csr import CSRGraph
-from repro.parallel.driver import _DistributedKadabra
+from repro.mpi.interface import Communicator, SelfComm
+from repro.mpi.threaded import run_threaded
+from repro.parallel.engine import run_rank
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
 
@@ -39,13 +39,61 @@ def _run_sequential(
     resources: Resources,
     progress: Optional[ProgressCallback],
 ) -> BetweennessResult:
-    return _SequentialKadabra(
+    from repro.session import EstimationSession
+
+    return EstimationSession(
         graph,
         options,
         progress=progress,
         batch_size=resources.batch_size,
         kernel=resources.kernel,
     ).run()
+
+
+def _run_ranks(
+    graph: CSRGraph,
+    options: KadabraOptions,
+    resources: Resources,
+    progress: Optional[ProgressCallback],
+    *,
+    processes: int,
+    threads: int,
+    algorithm: str = "epoch",
+) -> BetweennessResult:
+    """The rank engine in this process: ``SelfComm``, or one thread per rank.
+
+    With several ranks and an ``.rcsr``-backed graph, every rank opens its own
+    memory map instead of inheriting the caller's arrays — the OS page cache
+    shares the read-only pages, so this models the paper's "one replicated
+    read-only CSR per rank" at near-zero per-rank cost.
+    """
+    source = getattr(graph, "source_path", None) if processes > 1 else None
+
+    def body(comm: Communicator, rank: int) -> Optional[BetweennessResult]:
+        rank_graph = graph
+        if source is not None:
+            from repro.store.format import open_rcsr
+
+            try:
+                rank_graph = open_rcsr(source)
+            except (OSError, ValueError):  # pragma: no cover - store file vanished
+                pass
+        result, _stats = run_rank(
+            comm,
+            rank_graph,
+            options,
+            threads=threads,
+            algorithm=algorithm,
+            processes_per_node=resources.processes_per_node if algorithm == "epoch" else None,
+            batch_size=resources.batch_size,
+            kernel=resources.kernel,
+            progress=progress,
+        )
+        return result
+
+    if processes == 1:
+        return body(SelfComm(), 0)
+    return run_threaded(processes, body)[0]
 
 
 def _run_shared_memory(
@@ -54,14 +102,7 @@ def _run_shared_memory(
     resources: Resources,
     progress: Optional[ProgressCallback],
 ) -> BetweennessResult:
-    return _SharedMemoryKadabra(
-        graph,
-        options,
-        num_threads=resources.threads,
-        progress=progress,
-        batch_size=resources.batch_size,
-        kernel=resources.kernel,
-    ).run()
+    return _run_ranks(graph, options, resources, progress, processes=1, threads=resources.threads)
 
 
 def _run_distributed(
@@ -70,17 +111,10 @@ def _run_distributed(
     resources: Resources,
     progress: Optional[ProgressCallback],
 ) -> BetweennessResult:
-    return _DistributedKadabra(
-        graph,
-        options,
-        num_processes=resources.processes,
-        threads_per_process=resources.threads,
-        processes_per_node=resources.processes_per_node,
-        algorithm="epoch",
-        progress=progress,
-        batch_size=resources.batch_size,
-        kernel=resources.kernel,
-    ).run()
+    return _run_ranks(
+        graph, options, resources, progress,
+        processes=resources.processes, threads=resources.threads,
+    )
 
 
 def _run_mpi_only(
@@ -89,16 +123,10 @@ def _run_mpi_only(
     resources: Resources,
     progress: Optional[ProgressCallback],
 ) -> BetweennessResult:
-    return _DistributedKadabra(
-        graph,
-        options,
-        num_processes=resources.processes,
-        threads_per_process=1,
-        algorithm="mpi-only",
-        progress=progress,
-        batch_size=resources.batch_size,
-        kernel=resources.kernel,
-    ).run()
+    return _run_ranks(
+        graph, options, resources, progress,
+        processes=resources.processes, threads=1, algorithm="mpi-only",
+    )
 
 
 def _run_rk(

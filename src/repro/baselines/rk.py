@@ -24,12 +24,11 @@ from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
 from repro.core.kadabra import make_batch_sampler
 from repro.kernels import plan_batches, resolve_batch_size
-from repro.util.deprecation import warn_legacy_entry_point
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
 from repro.util.validation import check_positive, check_probability
 
-__all__ = ["rk_sample_size", "RKBetweenness"]
+__all__ = ["rk_sample_size"]
 
 
 def rk_sample_size(eps: float, delta: float, vertex_diameter: int, *, constant: float = OMEGA_CONSTANT) -> int:
@@ -114,15 +113,3 @@ class _RKBetweenness:
             phase_seconds=timer.as_dict(),
             extra={"edges_touched": float(frame.edges_touched)},
         )
-
-
-class RKBetweenness(_RKBetweenness):
-    """Deprecated entry point for the RK fixed-sample-size approximation.
-
-    Use :func:`repro.estimate_betweenness` with ``algorithm="rk"``; this class
-    remains as a thin shim and will be removed in a future release.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warn_legacy_entry_point("RKBetweenness", "rk")
-        super().__init__(*args, **kwargs)

@@ -21,12 +21,11 @@ from repro.baselines.brandes import _accumulate_source_dependencies
 from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
 from repro.kernels import ScratchPool
-from repro.util.deprecation import warn_legacy_entry_point
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
 from repro.util.validation import check_positive, check_probability
 
-__all__ = ["SourceSamplingBetweenness", "source_sample_size"]
+__all__ = ["source_sample_size"]
 
 
 def source_sample_size(eps: float, delta: float, num_vertices: int) -> int:
@@ -94,16 +93,3 @@ class _SourceSamplingBetweenness:
             phase_seconds=timer.as_dict(),
             extra={"num_sources": float(k)},
         )
-
-
-class SourceSamplingBetweenness(_SourceSamplingBetweenness):
-    """Deprecated entry point for the source-sampling baseline.
-
-    Use :func:`repro.estimate_betweenness` with ``algorithm="source-sampling"``
-    (or keep a session via :func:`repro.open_session`); this class remains as
-    a thin shim and will be removed in a future release.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warn_legacy_entry_point("SourceSamplingBetweenness", "source-sampling")
-        super().__init__(*args, **kwargs)

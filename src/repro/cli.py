@@ -647,6 +647,13 @@ def _cmd_dist(argv: list) -> int:
         f"communication: {result['communication_bytes']} bytes; "
         f"restarts: {result['restarts']}; wall: {elapsed:.2f} s"
     )
+    phases = result["phase_seconds"]
+    ads = ", ".join(f"{k[4:]} {v:.3f}" for k, v in phases.items() if k.startswith("ads_"))
+    print(
+        f"phases at rank 0 (s): diameter {phases.get('diameter', 0.0):.3f}, "
+        f"calibration {phases.get('calibration', 0.0):.3f}, "
+        f"adaptive {phases.get('adaptive_sampling', 0.0):.3f} ({ads})"
+    )
     if result.get("resumed_from_samples"):
         print(
             f"resumed from checkpoint: epoch {result['resumed_from_epoch']}, "

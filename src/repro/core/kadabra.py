@@ -1,46 +1,20 @@
-"""Sequential KADABRA: the reference adaptive-sampling driver.
+"""Sampler factories shared by every KADABRA driver.
 
-The three phases of Section III-A:
-
-1. *Diameter*: compute an upper bound on the vertex diameter, which enters
-   the static sample budget ``omega``.
-2. *Calibration*: take a fixed number of samples non-adaptively and derive the
-   per-vertex failure probabilities ``delta_L`` / ``delta_U``.
-3. *Adaptive sampling*: keep sampling, periodically evaluating the stopping
-   condition on the aggregated state, until the accuracy guarantee holds (or
-   ``omega`` samples have been taken).
-
-The parallel drivers in :mod:`repro.parallel` and :mod:`repro.epoch` reuse the
-phase implementations in this module; only the orchestration of phase 3
-differs.
+The sequential session (:mod:`repro.session`), the rank engine
+(:mod:`repro.parallel.engine`) and the RK baseline all obtain their path
+samplers here, so kernel routing and the ``native_sampler`` hook of sharded
+graph views are decided in one place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-from repro.core.calibration import calibrate_deltas, calibration_sample_count
 from repro.core.options import KadabraOptions
-from repro.core.result import BetweennessResult
-from repro.core.state_frame import StateFrame
-from repro.core.stopping import StoppingCondition, compute_omega
-from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
-from repro.kernels import plan_batches, resolve_batch_size
 from repro.sampling import BidirectionalBFSSampler, PathSampler, UnidirectionalBFSSampler
-from repro.util.deprecation import warn_legacy_entry_point
-from repro.util.progress import ProgressCallback, ProgressEvent
-from repro.util.timer import PhaseTimer
 
-__all__ = [
-    "KadabraBetweenness",
-    "prepare_stopping_condition",
-    "make_sampler",
-    "make_batch_sampler",
-]
+__all__ = ["make_sampler", "make_batch_sampler"]
 
 
 def make_sampler(
@@ -89,116 +63,3 @@ def make_batch_sampler(
     return BatchPathSampler(
         graph, method=method, pair_strategy=pair_strategy, kernel=kernel
     )
-
-
-def prepare_stopping_condition(
-    graph: CSRGraph,
-    options: KadabraOptions,
-    sampler: PathSampler,
-    rng: np.random.Generator,
-    *,
-    timer: Optional[PhaseTimer] = None,
-    progress: Optional[ProgressCallback] = None,
-    batch_size="auto",
-) -> Tuple[StoppingCondition, StateFrame, int, int]:
-    """Run the diameter and calibration phases.
-
-    Returns ``(stopping_condition, calibration_frame, omega, vertex_diameter)``.
-    The calibration frame already contains the non-adaptive samples and must be
-    carried into the adaptive phase so that no work is wasted.  When a
-    ``progress`` callback is given it is invoked after each phase.  The
-    calibration samples are drawn in batches (``batch_size`` as in
-    :func:`repro.kernels.plan_batches`); the interleaved pair strategy keeps
-    the stream identical to per-sample drawing.
-    """
-    timer = timer if timer is not None else PhaseTimer()
-    batch_size = resolve_batch_size(batch_size)
-
-    with timer.phase("diameter"):
-        if options.vertex_diameter_override is not None:
-            vd = int(options.vertex_diameter_override)
-        else:
-            vd = vertex_diameter_upper_bound(graph, seed=options.seed)
-            vd = max(vd, 2)
-    omega = compute_omega(options.eps, options.delta, vd)
-    if options.max_samples_override is not None:
-        omega = min(omega, int(options.max_samples_override))
-    if progress is not None:
-        progress(ProgressEvent(phase="diameter", omega=omega))
-
-    with timer.phase("calibration"):
-        num_calibration = calibration_sample_count(
-            options.calibration_samples, omega, graph.num_vertices
-        )
-        frame = StateFrame.zeros(graph.num_vertices)
-        for take in plan_batches(num_calibration, batch_size):
-            frame.record_batch(sampler.sample_batch(take, rng))
-        calibration = calibrate_deltas(frame, options.delta, eps=options.eps)
-
-    condition = StoppingCondition(
-        eps=options.eps,
-        omega=omega,
-        delta_l=calibration.delta_l,
-        delta_u=calibration.delta_u,
-    )
-    if progress is not None:
-        progress(
-            ProgressEvent(phase="calibration", num_samples=frame.num_samples, omega=omega)
-        )
-    return condition, frame, omega, vd
-
-
-@dataclass
-class _SequentialKadabra:
-    """Sequential KADABRA betweenness approximation (implementation).
-
-    Example
-    -------
-    >>> from repro.graph.generators import barabasi_albert
-    >>> from repro.api import estimate_betweenness
-    >>> graph = barabasi_albert(200, 3, seed=1)
-    >>> result = estimate_betweenness(graph, algorithm="sequential", eps=0.05, seed=1)
-    >>> len(result.scores) == graph.num_vertices
-    True
-    """
-
-    graph: CSRGraph
-    options: KadabraOptions = field(default_factory=KadabraOptions)
-    progress: Optional[ProgressCallback] = None
-    batch_size: object = "auto"
-    kernel: Optional[str] = None
-
-    def run(self) -> BetweennessResult:
-        """One-shot run, implemented as a single-use estimation session.
-
-        The session's native engine is the (refactored) sequential KADABRA
-        loop: diameter -> calibration -> check/draw epochs on the
-        :class:`~repro.core.stopping.CheckSchedule` grid.  For a fixed seed
-        the sample stream and estimates are bit-identical to the pre-session
-        driver; on top of that, callers that keep the session instead of this
-        shim gain ``refine``/``checkpoint``/``peek`` (see
-        :mod:`repro.session`).
-        """
-        from repro.session import EstimationSession
-
-        session = EstimationSession(
-            self.graph,
-            self.options,
-            progress=self.progress,
-            batch_size=resolve_batch_size(self.batch_size),
-            kernel=self.kernel,
-        )
-        return session.run()
-
-
-class KadabraBetweenness(_SequentialKadabra):
-    """Deprecated entry point for sequential KADABRA.
-
-    Use :func:`repro.estimate_betweenness` with ``algorithm="sequential"``
-    (or ``"auto"``); this class remains as a thin shim and will be removed in
-    a future release.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warn_legacy_entry_point("KadabraBetweenness", "sequential")
-        super().__init__(*args, **kwargs)

@@ -2,20 +2,19 @@
 
 One OS process per rank.  Rank 0's process hosts the rendezvous hub (unless
 ``connect`` points at a remote hub), every rank joins the world communicator
-over TCP, and the run mirrors :class:`repro.parallel.driver._DistributedKadabra`'s
-phase structure exactly — diameter broadcast, calibration reduce +
-``calibrate_deltas``, then Algorithm 1 or the epoch-based Algorithm 2 through
-the *unchanged* :mod:`repro.parallel` framework.  What this module adds on
-top of the threaded simulation:
+over TCP and runs :func:`repro.parallel.engine.run_rank` — the same function
+the shared-memory and threaded backends run — on its own view of the graph.
+What this module adds around the engine:
 
 * **Sharded adjacency** — with ``parts`` set, each rank opens a
   :class:`~repro.store.partition.PartitionedGraphView` of only its shard
   (``rank % parts``); the manifest's precomputed diameter bound makes the
   sequential diameter phase a no-op.
-* **Epoch checkpoints** — rank 0 snapshots the live aggregate at epoch
-  boundaries through the ``on_aggregate`` hook into a ``.snap`` container,
-  so a SIGKILLed run resumes from the last completed epoch with zero lost
-  aggregated samples (see :func:`repro.dist.launcher.launch_local`).
+* **Epoch checkpoints** — rank 0 snapshots the engine's
+  :class:`~repro.parallel.engine.EpochBoundary` through the ``on_aggregate``
+  hook into a ``.snap`` container and hands the loaded boundary back as
+  ``resume``, so a SIGKILLed run continues from the last completed epoch with
+  zero lost aggregated samples (see :func:`repro.dist.launcher.launch_local`).
 * **Merged observability** — every rank ships its metrics-registry snapshot
   to rank 0 with the final ``gather``; rank 0 merges them so one
   ``/metrics`` exposition covers the whole world.
@@ -28,7 +27,6 @@ crash recovery with real processes, never set in normal operation.
 from __future__ import annotations
 
 import json
-import math
 import os
 import signal
 import threading
@@ -39,20 +37,12 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.calibration import calibrate_deltas, calibration_sample_count
-from repro.core.kadabra import make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.state_frame import StateFrame
-from repro.core.stopping import StoppingCondition, compute_omega
-from repro.diameter import vertex_diameter_upper_bound
 from repro.dist.socketcomm import SocketComm, SocketHub
-from repro.kernels import plan_batches
 from repro.mpi.interface import Communicator
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.parallel.algorithm1 import adaptive_sampling_algorithm1
-from repro.parallel.algorithm2 import adaptive_sampling_algorithm2
-from repro.parallel.epoch_length import thread_zero_samples_per_epoch
-from repro.sampling.rng import derive_seed, rng_for_rank_thread
+from repro.parallel.engine import EpochBoundary, run_rank
 from repro.session.snapshot import read_snapshot, require_keys, write_snapshot
 from repro.store.format import open_rcsr, read_header
 from repro.store.partition import PartitionManifest, PartitionedGraphView, manifest_path_for
@@ -61,9 +51,6 @@ __all__ = ["DistWorkerConfig", "run_worker", "FAULT_RANK_ENV", "CHECKPOINT_KIND"
 
 FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
 CHECKPOINT_KIND = "dist-epoch"
-
-#: Salt tag separating post-resume RNG streams from the original run's.
-_RESUME_SEED_TAG = 7701
 
 
 @dataclass
@@ -179,26 +166,18 @@ def _arm_fault_injection(config: DistWorkerConfig) -> None:
 
 
 def _write_checkpoint(
-    path: str,
-    *,
-    epoch: int,
-    aggregated: StateFrame,
-    config: DistWorkerConfig,
-    omega: int,
-    vd: int,
-    delta_l: np.ndarray,
-    delta_u: np.ndarray,
-    graph_checksum: str,
+    path: str, boundary: EpochBoundary, *, config: DistWorkerConfig, graph_checksum: str
 ) -> None:
+    aggregated = boundary.frame
     meta = {
         "kind": CHECKPOINT_KIND,
-        "epoch": int(epoch),
+        "epoch": int(boundary.epoch),
         "num_samples": int(aggregated.num_samples),
         "eps": float(config.eps),
         "delta": float(config.delta),
         "seed": config.seed,
-        "omega": int(omega),
-        "vertex_diameter": int(vd),
+        "omega": int(boundary.omega),
+        "vertex_diameter": int(boundary.vertex_diameter),
         "size": int(config.size),
         "parts": config.parts,
         "algorithm": config.algorithm,
@@ -207,13 +186,13 @@ def _write_checkpoint(
     }
     arrays = {
         "counts": aggregated.counts.copy(),
-        "delta_l": np.asarray(delta_l, dtype=np.float64),
-        "delta_u": np.asarray(delta_u, dtype=np.float64),
+        "delta_l": np.asarray(boundary.delta_l, dtype=np.float64),
+        "delta_u": np.asarray(boundary.delta_u, dtype=np.float64),
     }
     write_snapshot(Path(path), meta, arrays)
 
 
-def _load_checkpoint(path: str, *, graph_checksum: str, config: DistWorkerConfig):
+def _load_checkpoint(path: str, *, graph_checksum: str, config: DistWorkerConfig) -> EpochBoundary:
     meta, arrays = read_snapshot(Path(path))
     require_keys(
         meta,
@@ -229,8 +208,14 @@ def _load_checkpoint(path: str, *, graph_checksum: str, config: DistWorkerConfig
         )
     if float(meta["eps"]) != float(config.eps) or float(meta["delta"]) != float(config.delta):
         raise ValueError(f"{path}: checkpoint (eps, delta) differ from this run's")
-    frame = StateFrame.from_scalar_state(meta["frame"], arrays["counts"])
-    return meta, frame, arrays["delta_l"], arrays["delta_u"]
+    return EpochBoundary(
+        epoch=int(meta["epoch"]),
+        frame=StateFrame.from_scalar_state(meta["frame"], arrays["counts"]),
+        omega=int(meta["omega"]),
+        vertex_diameter=int(meta["vertex_diameter"]),
+        delta_l=arrays["delta_l"],
+        delta_u=arrays["delta_u"],
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -291,143 +276,45 @@ def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[
         max_samples_override=config.max_samples,
         vertex_diameter_override=vd_hint,
     )
-    rank = comm.rank
 
-    resume_meta = None
-    if config.resume and config.checkpoint and comm.is_root:
-        if Path(config.checkpoint).exists():
-            resume_meta = _load_checkpoint(
-                config.checkpoint, graph_checksum=graph_checksum, config=config
-            )
-    resuming = comm.bcast(resume_meta is not None, root=0)
+    # Rank 0 alone reads and writes checkpoints; the engine broadcasts what
+    # the other ranks need of a restored boundary.
+    checkpointing = bool(config.checkpoint) and comm.is_root
+    resume: Optional[EpochBoundary] = None
+    if checkpointing and config.resume and Path(config.checkpoint).exists():
+        resume = _load_checkpoint(config.checkpoint, graph_checksum=graph_checksum, config=config)
+    base_epoch = resume.epoch if resume is not None else 0
+    resumed_from_samples = resume.frame.num_samples if resume is not None else 0
 
-    calibration_frame: Optional[StateFrame] = None
-    initial_frame: Optional[StateFrame] = None
-    base_epoch = 0
-    resumed_from_samples = 0
-
-    if resuming:
-        # ---------------- Resume: skip diameter + calibration ------------- #
-        if comm.is_root:
-            meta, frame, delta_l, delta_u = resume_meta
-            payload = (
-                int(meta["vertex_diameter"]),
-                int(meta["omega"]),
-                delta_l,
-                delta_u,
-                int(meta["epoch"]),
-                int(meta["num_samples"]),
-            )
-        else:
-            payload = None
-        vd, omega, delta_l, delta_u, base_epoch, resumed_from_samples = comm.bcast(payload, root=0)
-        if comm.is_root:
-            initial_frame = resume_meta[1]
-        # Fresh, independent streams: never replay the pre-crash samples.
-        rng_seed = derive_seed(config.seed, _RESUME_SEED_TAG, base_epoch)
-    else:
-        # ---------------- Phase 1: diameter ------------------------------- #
-        if comm.is_root:
-            if options.vertex_diameter_override is not None:
-                vd = int(options.vertex_diameter_override)
-            else:
-                vd = max(vertex_diameter_upper_bound(graph, seed=options.seed), 2)
-        else:
-            vd = None
-        vd = int(comm.bcast(vd, root=0))
-        omega = compute_omega(options.eps, options.delta, vd)
-        if options.max_samples_override is not None:
-            omega = min(omega, int(options.max_samples_override))
-
-        # ---------------- Phase 2: calibration ---------------------------- #
-        total_calibration = calibration_sample_count(
-            options.calibration_samples, omega, graph.num_vertices
-        )
-        per_rank = int(math.ceil(total_calibration / comm.size))
-        sampler = make_sampler(graph, options)
-        rng = rng_for_rank_thread(options.seed, rank, 0, num_threads=num_threads + 1)
-        local_frame = StateFrame.zeros(graph.num_vertices)
-        for take in plan_batches(per_rank, "auto"):
-            local_frame.record_batch(sampler.sample_batch(take, rng))
-        calibration_frame = comm.reduce(local_frame, op="sum", root=0)
-        if comm.is_root:
-            calibration = calibrate_deltas(calibration_frame, options.delta, eps=options.eps)
-            payload = (calibration.delta_l, calibration.delta_u)
-        else:
-            payload = None
-        delta_l, delta_u = comm.bcast(payload, root=0)
-        initial_frame = calibration_frame if comm.is_root else None
-        rng_seed = options.seed
-
-    condition = StoppingCondition(eps=options.eps, omega=omega, delta_l=delta_l, delta_u=delta_u)
-
-    # ---------------- Checkpoint hook (rank 0 only) ----------------------- #
     on_aggregate = None
-    if config.checkpoint and comm.is_root:
+    if checkpointing:
         checkpoint_every = max(int(config.checkpoint_every), 1)
 
-        def on_aggregate(epochs_done: int, aggregated: StateFrame) -> None:
-            if epochs_done % checkpoint_every == 0:
+        def on_aggregate(boundary: EpochBoundary) -> None:
+            if (boundary.epoch - base_epoch) % checkpoint_every == 0:
                 _write_checkpoint(
-                    config.checkpoint,
-                    epoch=base_epoch + epochs_done,
-                    aggregated=aggregated,
-                    config=config,
-                    omega=omega,
-                    vd=vd,
-                    delta_l=delta_l,
-                    delta_u=delta_u,
-                    graph_checksum=graph_checksum,
+                    config.checkpoint, boundary, config=config, graph_checksum=graph_checksum
                 )
 
-    # ---------------- Phase 3: adaptive sampling -------------------------- #
-    samples_per_epoch = thread_zero_samples_per_epoch(
-        comm.size,
-        num_threads if config.algorithm == "epoch" else 1,
-        base=float(options.samples_per_check),
-        exponent=options.epoch_exponent,
+    result, stats = run_rank(
+        comm,
+        graph,
+        options,
+        threads=num_threads,
+        algorithm=config.algorithm,
+        max_epochs=config.max_epochs,
+        on_aggregate=on_aggregate,
+        resume=resume,
     )
-    adaptive_start = time.perf_counter()
-    if config.algorithm == "mpi-only":
-        stats = adaptive_sampling_algorithm1(
-            comm,
-            make_sampler(graph, options),
-            condition,
-            rng_for_rank_thread(rng_seed, rank, 1, num_threads=num_threads + 1),
-            samples_per_epoch=samples_per_epoch,
-            initial_frame=initial_frame,
-            max_epochs=config.max_epochs,
-            on_aggregate=on_aggregate,
-            batch_size="auto",
-        )
-    else:
-        rngs = [
-            rng_for_rank_thread(rng_seed, rank, t + 1, num_threads=num_threads + 1)
-            for t in range(num_threads)
-        ]
-        stats = adaptive_sampling_algorithm2(
-            comm,
-            lambda _thread: make_sampler(graph, options),
-            condition,
-            rngs,
-            num_threads=num_threads,
-            samples_per_epoch=samples_per_epoch,
-            initial_frame=initial_frame,
-            max_epochs=config.max_epochs,
-            on_aggregate=on_aggregate,
-            batch_size="auto",
-        )
-    adaptive_seconds = time.perf_counter() - adaptive_start
-    aggregated = stats.aggregated_frame
 
     # ---------------- Merge per-rank stats + metrics at rank 0 ------------ #
     loaded = graph.loaded_parts() if isinstance(graph, PartitionedGraphView) else None
     eager = graph.eager_parts() if isinstance(graph, PartitionedGraphView) else None
     rank_report = {
-        "rank": rank,
+        "rank": comm.rank,
         "local_samples": int(stats.local_samples),
         "communication_bytes": int(comm.communication_bytes()),
-        "adaptive_seconds": float(adaptive_seconds),
+        "adaptive_seconds": float(stats.phase_seconds.get("adaptive_sampling", 0.0)),
         "eager_parts": list(eager) if eager is not None else None,
         "loaded_parts": list(loaded) if loaded is not None else None,
         "metrics": get_registry().snapshot() if metrics_enabled() else None,
@@ -436,7 +323,7 @@ def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[
     if not comm.is_root:
         return None
 
-    assert aggregated is not None and reports is not None
+    assert result is not None and reports is not None
     if metrics_enabled():
         registry = get_registry()
         for report in reports:
@@ -448,21 +335,22 @@ def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[
     total_adaptive_samples = sum(r["local_samples"] for r in per_rank)
     slowest = max(r["adaptive_seconds"] for r in per_rank)
     return {
-        "scores": [float(x) for x in aggregated.betweenness_estimates()],
-        "num_samples": int(aggregated.num_samples),
-        "num_epochs": int(stats.num_epochs),
+        "scores": [float(x) for x in result.scores],
+        "num_samples": int(result.num_samples),
+        "num_epochs": int(result.num_epochs),
         "eps": float(options.eps),
         "delta": float(options.delta),
-        "omega": int(omega),
-        "vertex_diameter": int(vd),
+        "omega": int(result.omega),
+        "vertex_diameter": int(result.vertex_diameter),
         "algorithm": config.algorithm,
         "num_processes": int(comm.size),
         "threads_per_process": int(num_threads),
         "parts": config.parts,
-        "samples_per_epoch_n0": float(samples_per_epoch),
+        "samples_per_epoch_n0": result.extra["samples_per_epoch_n0"],
         "resumed_from_samples": int(resumed_from_samples),
         "resumed_from_epoch": int(base_epoch),
         "communication_bytes": int(sum(r["communication_bytes"] for r in per_rank)),
         "aggregate_samples_per_sec": (total_adaptive_samples / slowest) if slowest > 0 else 0.0,
+        "phase_seconds": result.phase_seconds,
         "per_rank": per_rank,
     }

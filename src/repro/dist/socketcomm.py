@@ -38,7 +38,7 @@ import struct
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.mpi.interface import Communicator
+from repro.mpi.interface import CommError, Communicator
 from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import PolledRequest, Request
 from repro.obs.metrics import get_registry, metrics_enabled
@@ -50,10 +50,6 @@ _LEN = struct.Struct(">Q")
 COMM_BYTES_METRIC = "repro_dist_comm_bytes_total"
 
 WORLD_COMM_ID = 0
-
-
-class CommError(RuntimeError):
-    """A collective failed: protocol mismatch or a peer connection was lost."""
 
 
 # --------------------------------------------------------------------------- #
@@ -655,11 +651,13 @@ def run_socket(
 
     Mirrors :func:`repro.mpi.threaded.run_threaded`: ranks are threads of the
     calling process, but every collective crosses the loopback TCP stack
-    through a real :class:`SocketHub`.  Re-raises the first rank exception.
+    through a real :class:`SocketHub`.  A rank that raises fails the world —
+    the other ranks' pending and later collectives raise :class:`CommError`
+    instead of waiting for it — and the first exception is re-raised.
     """
     hub = SocketHub(num_ranks).start()
     results: List[Any] = [None] * num_ranks
-    errors: List[Optional[BaseException]] = [None] * num_ranks
+    errors: List[BaseException] = []  # in order of occurrence
 
     def body(rank: int) -> None:
         comm = None
@@ -667,7 +665,8 @@ def run_socket(
             comm = SocketComm.connect(hub.host, hub.port, rank, num_ranks)
             results[rank] = target(comm, rank)
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            errors[rank] = exc
+            errors.append(exc)
+            hub._fail_all(f"rank {rank} raised {exc!r}")
         finally:
             if comm is not None:
                 comm.close()
@@ -685,7 +684,6 @@ def run_socket(
                 raise TimeoutError(f"socket rank {t.name} did not finish within {timeout}s")
     finally:
         hub.close()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:
+        raise errors[0]
     return results

@@ -3,15 +3,4 @@
 from repro.epoch.framework import EpochManager
 from repro.epoch.frames import FramePool
 
-__all__ = ["EpochManager", "FramePool", "SharedMemoryKadabra"]
-
-
-def __getattr__(name: str):
-    # SharedMemoryKadabra builds on repro.parallel.algorithm2, which itself
-    # imports the epoch framework; resolving it lazily avoids the import cycle
-    # while keeping `from repro.epoch import SharedMemoryKadabra` working.
-    if name == "SharedMemoryKadabra":
-        from repro.epoch.shared_memory import SharedMemoryKadabra
-
-        return SharedMemoryKadabra
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["EpochManager", "FramePool"]

@@ -1,12 +1,13 @@
 """MPI substrate: communicator interface, threaded runtime and topology split."""
 
-from repro.mpi.interface import Communicator, SelfComm
+from repro.mpi.interface import CommError, Communicator, SelfComm
 from repro.mpi.requests import Request, CompletedRequest, PolledRequest
 from repro.mpi.reduce_ops import REDUCE_OPS, reduce_op, combine
 from repro.mpi.threaded import ThreadedComm, ThreadedCommWorld, run_threaded
 from repro.mpi.topology import NodeTopology, build_topology
 
 __all__ = [
+    "CommError",
     "Communicator",
     "SelfComm",
     "Request",

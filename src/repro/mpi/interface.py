@@ -23,7 +23,11 @@ from typing import Any, List, Optional
 
 from repro.mpi.requests import CompletedRequest, Request
 
-__all__ = ["Communicator", "SelfComm"]
+__all__ = ["CommError", "Communicator", "SelfComm"]
+
+
+class CommError(RuntimeError):
+    """A collective failed: protocol mismatch, a lost peer, or a rank that raised."""
 
 
 class Communicator(abc.ABC):

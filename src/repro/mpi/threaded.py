@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.state_frame import StateFrame
-from repro.mpi.interface import Communicator
+from repro.mpi.interface import CommError, Communicator
 from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import PolledRequest, Request
 
@@ -109,9 +109,12 @@ class _Collective:
 class _CommCore:
     """State shared by all ranks of one communicator."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, failure: Optional[List[str]] = None) -> None:
         self.size = size
         self.lock = threading.Lock()
+        # Shared by a world and all its splits: non-empty once a rank raised,
+        # which fails every pending and later collective with CommError.
+        self.failure: List[str] = failure if failure is not None else []
         self.table: Dict[Tuple[str, int], _Collective] = {}
         self.total_bytes = 0
         # Cache of communicator splits so that every rank calling split() with
@@ -152,6 +155,7 @@ class ThreadedComm(Communicator):
         """Deposit this rank's contribution to the matching collective."""
         key = (kind, self._next_seq(kind))
         core = self._core
+        self._raise_if_failed()
         with core.lock:
             entry = core.table.get(key)
             if entry is None:
@@ -189,13 +193,23 @@ class ThreadedComm(Communicator):
             entry.count += 1
         return entry, key
 
+    def _raise_if_failed(self) -> None:
+        if self._core.failure:
+            raise CommError(self._core.failure[0])
+
     def _all_arrived(self, entry: _Collective) -> bool:
         with self._core.lock:
-            return entry.count >= self._core.size
+            if entry.count >= self._core.size:
+                return True
+        self._raise_if_failed()
+        return False
 
     def _root_arrived(self, entry: _Collective) -> bool:
         with self._core.lock:
-            return entry.value is not None or entry.count >= self._core.size
+            if entry.value is not None or entry.count >= self._core.size:
+                return True
+        self._raise_if_failed()
+        return False
 
     # ------------------------------------------------------------------ #
     # Barrier
@@ -278,7 +292,10 @@ class ThreadedComm(Communicator):
                 registered = sum(
                     len(v) for v in core.split_members.get(call_index, {}).values()
                 )
-                return registered >= core.size
+            if registered >= core.size:
+                return True
+            self._raise_if_failed()
+            return False
 
         PolledRequest(all_registered).wait()
 
@@ -286,7 +303,7 @@ class ThreadedComm(Communicator):
             group = sorted(core.split_members[call_index][color])
             cores_for_call = core.split_table.setdefault(call_index, {})
             if color not in cores_for_call:
-                cores_for_call[color] = _CommCore(len(group))
+                cores_for_call[color] = _CommCore(len(group), core.failure)
             new_core = cores_for_call[color]
             new_rank = [old_rank for _, old_rank in group].index(self._rank)
         return ThreadedComm(new_core, new_rank)
@@ -315,6 +332,10 @@ class ThreadedCommWorld:
         with self._core.lock:
             return self._core.total_bytes
 
+    def fail(self, message: str) -> None:
+        """Mark the world failed: collectives that cannot complete raise ``CommError``."""
+        self._core.failure.append(message)
+
 
 def run_threaded(
     num_ranks: int,
@@ -324,19 +345,22 @@ def run_threaded(
 ) -> List[Any]:
     """Run ``target(comm, rank)`` in ``num_ranks`` threads and collect results.
 
-    Exceptions raised in any rank are re-raised in the caller (after all
-    threads have been joined) so that test failures surface properly.
+    A rank that raises fails the world — the other ranks' pending and later
+    collectives raise :class:`~repro.mpi.interface.CommError` instead of
+    waiting for it — and the first exception is re-raised in the caller after
+    all threads have been joined.
     """
     world = ThreadedCommWorld(num_ranks)
     results: List[Any] = [None] * num_ranks
-    errors: List[Optional[BaseException]] = [None] * num_ranks
+    errors: List[BaseException] = []  # in order of occurrence
 
     def runner(rank: int) -> None:
         comm = world.comm_for_rank(rank)
         try:
             results[rank] = target(comm, rank)
         except BaseException as exc:  # noqa: BLE001 - propagate to caller
-            errors[rank] = exc
+            errors.append(exc)
+            world.fail(f"rank {rank} raised {exc!r}")
 
     threads = [threading.Thread(target=runner, args=(rank,), daemon=True) for rank in range(num_ranks)]
     for thread in threads:
@@ -345,7 +369,6 @@ def run_threaded(
         thread.join(timeout=timeout)
         if thread.is_alive():
             raise TimeoutError("threaded MPI run did not finish within the timeout")
-    for error in errors:
-        if error is not None:
-            raise error
+    if errors:
+        raise errors[0]
     return results

@@ -1,15 +1,17 @@
-"""Distributed adaptive-sampling algorithms (Algorithms 1 and 2 of the paper)."""
+"""Parallel adaptive sampling: the rank engine and its epoch loop (Algorithms 1 and 2)."""
 
 from repro.parallel.epoch_length import thread_zero_samples_per_epoch
-from repro.parallel.algorithm1 import Algorithm1Stats, adaptive_sampling_algorithm1
-from repro.parallel.algorithm2 import Algorithm2Stats, adaptive_sampling_algorithm2
-from repro.parallel.driver import DistributedKadabra
+from repro.parallel.engine import (
+    EpochBoundary,
+    EpochStats,
+    adaptive_sampling_epochs,
+    run_rank,
+)
 
 __all__ = [
     "thread_zero_samples_per_epoch",
-    "Algorithm1Stats",
-    "adaptive_sampling_algorithm1",
-    "Algorithm2Stats",
-    "adaptive_sampling_algorithm2",
-    "DistributedKadabra",
+    "EpochBoundary",
+    "EpochStats",
+    "adaptive_sampling_epochs",
+    "run_rank",
 ]

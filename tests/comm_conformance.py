@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import Any, Callable, List
 
 import numpy as np
+import pytest
 
 from repro.core.state_frame import StateFrame
-from repro.mpi import SelfComm, run_threaded
+from repro.mpi import CommError, SelfComm, run_threaded
 from repro.dist.socketcomm import run_socket
 
 Body = Callable[[Any, int], Any]
@@ -219,6 +220,34 @@ def check_communication_bytes_positive(runner: CommRunner, n: int) -> None:
     assert all(b >= 100 * 8 for b in results)
 
 
+def check_rank_exception_fails_the_world(runner: CommRunner, n: int) -> None:
+    """A rank that raises must not leave its peers waiting in a collective.
+
+    Their pending and later collectives raise ``CommError`` and the runner
+    re-raises the original exception (without the fix: the runner's timeout).
+    """
+
+    class RankFailure(Exception):
+        pass
+
+    failed_peers = []
+
+    def body(comm, rank):
+        if rank == 0:
+            raise RankFailure("rank 0 gave up")
+        try:
+            comm.bcast(None, root=0)  # pending: rank 0 never contributes
+        except CommError:
+            with pytest.raises(CommError):
+                comm.allreduce(rank, op="sum")  # later collectives fail too
+            failed_peers.append(rank)
+            raise
+
+    with pytest.raises(RankFailure):
+        runner.run(n, body)
+    assert sorted(failed_peers) == list(range(1, n))
+
+
 #: name -> (check, min_ranks_required)
 CHECKS = {
     "reduce_sum_root0": (check_reduce_sum_root0, 1),
@@ -239,4 +268,5 @@ CHECKS = {
     "split_subcommunicator_collectives": (check_split_subcommunicator_collectives, 4),
     "split_key_reverses_order": (check_split_key_reverses_order, 3),
     "communication_bytes_positive": (check_communication_bytes_positive, 2),
+    "rank_exception_fails_the_world": (check_rank_exception_fails_the_world, 2),
 }

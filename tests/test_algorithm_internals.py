@@ -1,8 +1,10 @@
-"""Focused tests of the adaptive-sampling loop internals (Algorithms 1 & 2).
+"""Focused tests of the adaptive-sampling epoch loop (Algorithms 1 & 2).
 
-These exercise the algorithm functions directly (not through the driver) so
+These exercise the loop function directly (not through the rank engine) so
 that failure modes — inconsistent aggregation, missing calibration carry-over,
 omega exhaustion, topology wiring — are pinned down at the right layer.
+Algorithm 1 is the loop's ``algorithm="mpi-only"`` case: one thread per rank
+and an overlapped ``ireduce``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,15 @@ import pytest
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import StoppingCondition
 from repro.mpi import SelfComm, build_topology, run_threaded
-from repro.parallel.algorithm1 import adaptive_sampling_algorithm1
-from repro.parallel.algorithm2 import adaptive_sampling_algorithm2
+from repro.parallel import adaptive_sampling_epochs
 from repro.sampling import BidirectionalBFSSampler
+
+
+def algorithm1(comm, sampler, condition, rng, **kwargs):
+    """Algorithm 1 on this rank: the epoch loop's mpi-only case."""
+    return adaptive_sampling_epochs(
+        comm, lambda _t: sampler, condition, [rng], num_threads=1, algorithm="mpi-only", **kwargs
+    )
 
 
 def _loose_condition(n, omega=400, eps=0.5):
@@ -31,7 +39,7 @@ def _strict_condition(n, omega=10**7, eps=1e-4):
 class TestAlgorithm1Internals:
     def test_single_rank_terminates_and_aggregates(self, small_social_graph):
         condition = _loose_condition(small_social_graph.num_vertices)
-        stats = adaptive_sampling_algorithm1(
+        stats = algorithm1(
             SelfComm(),
             BidirectionalBFSSampler(small_social_graph),
             condition,
@@ -48,7 +56,7 @@ class TestAlgorithm1Internals:
         condition = _loose_condition(n, omega=100)
         seed_frame = StateFrame.zeros(n)
         seed_frame.num_samples = 99  # one sample away from omega
-        stats = adaptive_sampling_algorithm1(
+        stats = algorithm1(
             SelfComm(),
             BidirectionalBFSSampler(small_social_graph),
             condition,
@@ -61,7 +69,7 @@ class TestAlgorithm1Internals:
 
     def test_max_epochs_safety(self, small_social_graph):
         condition = _strict_condition(small_social_graph.num_vertices)
-        stats = adaptive_sampling_algorithm1(
+        stats = algorithm1(
             SelfComm(),
             BidirectionalBFSSampler(small_social_graph),
             condition,
@@ -77,7 +85,7 @@ class TestAlgorithm1Internals:
         condition = _loose_condition(n, omega=600)
 
         def body(comm, rank):
-            return adaptive_sampling_algorithm1(
+            return algorithm1(
                 comm,
                 BidirectionalBFSSampler(small_social_graph),
                 condition,
@@ -99,7 +107,7 @@ class TestAlgorithm1Internals:
     def test_invalid_samples_per_epoch(self, small_social_graph):
         condition = _loose_condition(small_social_graph.num_vertices)
         with pytest.raises(ValueError):
-            adaptive_sampling_algorithm1(
+            algorithm1(
                 SelfComm(),
                 BidirectionalBFSSampler(small_social_graph),
                 condition,
@@ -115,7 +123,7 @@ class TestAlgorithm2Internals:
     def test_single_rank_multi_thread(self, small_social_graph):
         n = small_social_graph.num_vertices
         condition = _loose_condition(n, omega=500)
-        stats = adaptive_sampling_algorithm2(
+        stats = adaptive_sampling_epochs(
             SelfComm(),
             lambda _t: BidirectionalBFSSampler(small_social_graph),
             condition,
@@ -129,28 +137,13 @@ class TestAlgorithm2Internals:
         assert stats.num_epochs >= 1
         assert set(stats.phase_seconds) >= {"sampling", "epoch_transition", "check"}
 
-    def test_ireduce_variant(self, small_social_graph):
-        n = small_social_graph.num_vertices
-        condition = _loose_condition(n, omega=300)
-        stats = adaptive_sampling_algorithm2(
-            SelfComm(),
-            lambda _t: BidirectionalBFSSampler(small_social_graph),
-            condition,
-            self._rngs(2),
-            num_threads=2,
-            samples_per_epoch=20,
-            use_ibarrier_reduce=False,
-        )
-        assert stats.aggregated_frame is not None
-        assert stats.aggregated_frame.num_samples >= 20
-
     def test_with_topology_across_ranks(self, small_social_graph):
         n = small_social_graph.num_vertices
         condition = _loose_condition(n, omega=600)
 
         def body(comm, rank):
             topology = build_topology(comm, processes_per_node=2)
-            return adaptive_sampling_algorithm2(
+            return adaptive_sampling_epochs(
                 comm,
                 lambda _t: BidirectionalBFSSampler(small_social_graph),
                 condition,
@@ -171,17 +164,17 @@ class TestAlgorithm2Internals:
         condition = _loose_condition(small_social_graph.num_vertices)
         sampler_factory = lambda _t: BidirectionalBFSSampler(small_social_graph)  # noqa: E731
         with pytest.raises(ValueError):
-            adaptive_sampling_algorithm2(
+            adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=0,
                 samples_per_epoch=10,
             )
         with pytest.raises(ValueError):
-            adaptive_sampling_algorithm2(
+            adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(2), num_threads=2,
                 samples_per_epoch=0,
             )
         with pytest.raises(ValueError):
-            adaptive_sampling_algorithm2(
+            adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=2,
                 samples_per_epoch=10,
             )
@@ -192,7 +185,7 @@ class TestAlgorithm2Internals:
         exact = brandes_betweenness(small_social_graph).scores
         n = small_social_graph.num_vertices
         condition = _loose_condition(n, omega=4000, eps=0.5)
-        stats = adaptive_sampling_algorithm2(
+        stats = adaptive_sampling_epochs(
             SelfComm(),
             lambda _t: BidirectionalBFSSampler(small_social_graph),
             condition,

@@ -19,11 +19,8 @@ from repro.api import (
     select_backend,
     unregister_backend,
 )
-from repro.baselines import RKBetweenness
-from repro.core import KadabraBetweenness, KadabraOptions
-from repro.epoch import SharedMemoryKadabra
+from repro.core import KadabraOptions
 from repro.graph.generators import barabasi_albert, star_graph
-from repro.parallel import DistributedKadabra
 
 FAST = dict(
     eps=0.2,
@@ -199,38 +196,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Resources(threads=-1)
         assert Resources(processes=3, threads=2).total_workers == 6
-
-
-class TestLegacyShims:
-    def test_sequential_shim_warns_and_runs(self, graph):
-        with pytest.warns(DeprecationWarning, match="KadabraBetweenness"):
-            driver = KadabraBetweenness(graph, KadabraOptions(**FAST))
-        result = driver.run()
-        assert result.scores.shape == (graph.num_vertices,)
-
-    def test_shared_memory_shim_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="SharedMemoryKadabra"):
-            SharedMemoryKadabra(graph, KadabraOptions(**FAST), num_threads=2)
-
-    def test_distributed_shim_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="DistributedKadabra"):
-            DistributedKadabra(graph, KadabraOptions(**FAST), num_processes=2)
-
-    def test_rk_shim_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="RKBetweenness"):
-            RKBetweenness(graph, KadabraOptions(**FAST))
-
-    def test_facade_does_not_warn(self, graph, recwarn):
-        estimate_betweenness(graph, algorithm="sequential", **FAST)
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
-
-    def test_options_default_is_per_instance(self):
-        g = star_graph(5)
-        with pytest.warns(DeprecationWarning):
-            a = KadabraBetweenness(g)
-            b = KadabraBetweenness(g)
-        assert a.options == b.options
-        assert a.options is not b.options  # default_factory, not a shared instance
 
 
 class TestCliPolish:

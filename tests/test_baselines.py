@@ -7,7 +7,8 @@ import pytest
 
 networkx = pytest.importorskip("networkx")
 
-from repro.baselines import RKBetweenness, brandes_betweenness, brandes_from_sources, rk_sample_size
+from repro import estimate_betweenness
+from repro.baselines import brandes_betweenness, brandes_from_sources, rk_sample_size
 from repro.core import KadabraOptions
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import cycle_graph, path_graph, star_graph
@@ -109,15 +110,15 @@ class TestRK:
     def test_rk_accuracy(self, medium_social_graph):
         exact = brandes_betweenness(medium_social_graph).scores
         options = KadabraOptions(eps=0.05, delta=0.1, seed=11)
-        result = RKBetweenness(medium_social_graph, options).run()
+        result = estimate_betweenness(medium_social_graph, algorithm="rk", options=options)
         assert result.num_samples == result.omega
         assert max_abs_error(result.scores, exact) <= 0.05
 
     def test_rk_respects_max_samples_override(self, small_social_graph):
         options = KadabraOptions(eps=0.001, seed=1, max_samples_override=300)
-        result = RKBetweenness(small_social_graph, options).run()
+        result = estimate_betweenness(small_social_graph, algorithm="rk", options=options)
         assert result.num_samples == 300
 
     def test_rk_trivial_graph(self):
-        result = RKBetweenness(CSRGraph.empty(1), KadabraOptions(eps=0.1, seed=0)).run()
+        result = estimate_betweenness(CSRGraph.empty(1), algorithm="rk", eps=0.1, seed=0)
         assert result.scores.shape == (1,)

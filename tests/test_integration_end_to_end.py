@@ -10,16 +10,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import KadabraBetweenness, KadabraOptions, brandes_betweenness
-from repro.baselines import RKBetweenness, SourceSamplingBetweenness
+from repro import KadabraOptions, Resources, brandes_betweenness, estimate_betweenness
 from repro.core import identify_top_k
-from repro.epoch import SharedMemoryKadabra
 from repro.experiments.instances import build_proxy_graph
 from repro.graph import largest_connected_component, read_edge_list, write_edge_list
 from repro.graph.generators import hyperbolic_graph, rmat_graph
 from repro.io_utils import load_result, save_result
-from repro.parallel import DistributedKadabra
 from repro.util.stats import max_abs_error, relative_rank_overlap
+
+
+def sequential_kadabra(graph, options):
+    return estimate_betweenness(graph, algorithm="sequential", options=options)
+
+
+def parallel(graph, options, algorithm, **resources):
+    return estimate_betweenness(
+        graph, algorithm=algorithm, options=options, resources=Resources(**resources)
+    )
 
 
 class TestFileToResultWorkflow:
@@ -31,7 +38,7 @@ class TestFileToResultWorkflow:
         assert graph.num_vertices == medium_social_graph.num_vertices
 
         options = KadabraOptions(eps=0.08, delta=0.1, seed=21, calibration_samples=100)
-        result = KadabraBetweenness(graph, options).run()
+        result = sequential_kadabra(graph, options)
 
         result_path = tmp_path / "scores.json"
         save_result(result, result_path)
@@ -56,29 +63,31 @@ class TestAlgorithmAgreement:
         return KadabraOptions(eps=0.05, delta=0.1, seed=23, calibration_samples=300)
 
     def test_sequential(self, graph, exact_scores, options):
-        result = KadabraBetweenness(graph, options).run()
+        result = sequential_kadabra(graph, options)
         assert max_abs_error(result.scores, exact_scores) <= options.eps
 
     def test_shared_memory(self, graph, exact_scores, options):
-        result = SharedMemoryKadabra(graph, options, num_threads=2).run()
+        result = parallel(graph, options, "shared-memory", threads=2)
         assert max_abs_error(result.scores, exact_scores) <= options.eps
 
     def test_distributed(self, graph, exact_scores, options):
-        result = DistributedKadabra(graph, options, num_processes=2, threads_per_process=2).run()
+        result = parallel(graph, options, "distributed", processes=2, threads=2)
         assert max_abs_error(result.scores, exact_scores) <= options.eps
 
     def test_rk(self, graph, exact_scores, options):
-        result = RKBetweenness(graph, options).run()
+        result = estimate_betweenness(graph, algorithm="rk", options=options)
         assert max_abs_error(result.scores, exact_scores) <= options.eps
 
     def test_source_sampling(self, graph, exact_scores):
-        result = SourceSamplingBetweenness(graph, eps=0.05, delta=0.1, seed=9, num_sources=100).run()
+        result = estimate_betweenness(
+            graph, algorithm="source-sampling", eps=0.05, delta=0.1, seed=9, max_samples_override=100
+        )
         assert max_abs_error(result.scores, exact_scores) <= 0.08
 
     def test_rankings_consistent(self, graph, exact_scores, options):
         """All approximations recover the exact top-5 reasonably well."""
-        sequential = KadabraBetweenness(graph, options).run()
-        distributed = DistributedKadabra(graph, options, num_processes=2).run()
+        sequential = sequential_kadabra(graph, options)
+        distributed = parallel(graph, options, "distributed", processes=2)
         assert relative_rank_overlap(sequential.scores, exact_scores, 5) >= 0.6
         assert relative_rank_overlap(distributed.scores, exact_scores, 5) >= 0.6
 
@@ -87,7 +96,7 @@ class TestTopKWorkflow:
     def test_top_k_on_hyperbolic_graph(self):
         graph = largest_connected_component(hyperbolic_graph(800, avg_degree=10, seed=5))
         options = KadabraOptions(eps=0.03, delta=0.1, seed=6)
-        result = KadabraBetweenness(graph, options).run()
+        result = sequential_kadabra(graph, options)
         exact = brandes_betweenness(graph).scores
         topk = identify_top_k(result, 3)
         # Any membership the analysis confirms must be correct.
@@ -100,14 +109,12 @@ class TestTopKWorkflow:
 class TestProxyInstanceWorkflow:
     def test_road_proxy_full_run(self, quick_options):
         graph = build_proxy_graph("roadNet-PA", scale=1 / 8000, seed=2)
-        result = DistributedKadabra(
-            graph, quick_options, num_processes=2, threads_per_process=1
-        ).run()
+        result = parallel(graph, quick_options, "distributed", processes=2, threads=1)
         exact = brandes_betweenness(graph).scores
         assert max_abs_error(result.scores, exact) <= 2 * quick_options.eps
 
     def test_social_proxy_full_run(self, quick_options):
         graph = build_proxy_graph("dbpedia-link", scale=1 / 20000, seed=2)
-        result = SharedMemoryKadabra(graph, quick_options, num_threads=2).run()
+        result = parallel(graph, quick_options, "shared-memory", threads=2)
         exact = brandes_betweenness(graph).scores
         assert max_abs_error(result.scores, exact) <= 2 * quick_options.eps

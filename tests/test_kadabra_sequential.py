@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import brandes_betweenness
-from repro.core import (
-    BetweennessResult,
-    KadabraBetweenness,
-    KadabraOptions,
-)
+from repro import estimate_betweenness
+from repro.core import BetweennessResult, KadabraOptions
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert, path_graph, star_graph
 from repro.util.stats import max_abs_error, relative_rank_overlap
+
+
+def sequential(graph, options):
+    return estimate_betweenness(graph, algorithm="sequential", options=options)
 
 
 class TestOptions:
@@ -62,24 +63,24 @@ class TestResult:
 class TestSequentialKadabra:
     def test_accuracy_against_brandes(self, medium_social_graph, accurate_options):
         exact = brandes_betweenness(medium_social_graph).scores
-        result = KadabraBetweenness(medium_social_graph, accurate_options).run()
+        result = sequential(medium_social_graph, accurate_options)
         assert max_abs_error(result.scores, exact) <= accurate_options.eps
         # The highest-betweenness vertices are recovered.
         assert relative_rank_overlap(result.scores, exact, 5) >= 0.6
 
     def test_deterministic_given_seed(self, small_social_graph, quick_options):
-        a = KadabraBetweenness(small_social_graph, quick_options).run()
-        b = KadabraBetweenness(small_social_graph, quick_options).run()
+        a = sequential(small_social_graph, quick_options)
+        b = sequential(small_social_graph, quick_options)
         assert np.array_equal(a.scores, b.scores)
         assert a.num_samples == b.num_samples
 
     def test_different_seeds_differ(self, small_social_graph, quick_options):
-        a = KadabraBetweenness(small_social_graph, quick_options).run()
-        b = KadabraBetweenness(small_social_graph, quick_options.with_(seed=123)).run()
+        a = sequential(small_social_graph, quick_options)
+        b = sequential(small_social_graph, quick_options.with_(seed=123))
         assert not np.array_equal(a.scores, b.scores)
 
     def test_result_metadata(self, small_social_graph, quick_options):
-        result = KadabraBetweenness(small_social_graph, quick_options).run()
+        result = sequential(small_social_graph, quick_options)
         assert result.omega is not None and result.omega > 0
         assert result.num_samples <= result.omega
         assert result.vertex_diameter >= 2
@@ -87,13 +88,13 @@ class TestSequentialKadabra:
         assert result.eps == quick_options.eps
 
     def test_scores_are_probabilities(self, small_social_graph, quick_options):
-        result = KadabraBetweenness(small_social_graph, quick_options).run()
+        result = sequential(small_social_graph, quick_options)
         assert np.all(result.scores >= 0.0)
         assert np.all(result.scores <= 1.0)
 
     def test_star_graph_centre_dominates(self, quick_options):
         g = star_graph(20)
-        result = KadabraBetweenness(g, quick_options).run()
+        result = sequential(g, quick_options)
         assert result.ranking()[0] == 0
         # Exact value: centre lies on every path between distinct leaves.
         exact_centre = 19 * 18 / (20 * 19)
@@ -101,31 +102,29 @@ class TestSequentialKadabra:
 
     def test_path_graph_midpoint_highest(self, quick_options):
         g = path_graph(15)
-        result = KadabraBetweenness(g, quick_options).run()
+        result = sequential(g, quick_options)
         top = result.ranking()[0]
         assert 4 <= top <= 10  # the middle of the path
 
     def test_max_samples_override_respected(self, small_social_graph):
         options = KadabraOptions(eps=0.001, seed=1, max_samples_override=500, calibration_samples=100)
-        result = KadabraBetweenness(small_social_graph, options).run()
+        result = sequential(small_social_graph, options)
         assert result.num_samples <= 500 + options.samples_per_check
 
     def test_vertex_diameter_override(self, small_social_graph):
         options = KadabraOptions(eps=0.1, seed=1, vertex_diameter_override=5, calibration_samples=50,
                                  max_samples_override=300)
-        result = KadabraBetweenness(small_social_graph, options).run()
+        result = sequential(small_social_graph, options)
         assert result.vertex_diameter == 5
 
     def test_unidirectional_sampler_option(self, small_social_graph, quick_options):
-        result = KadabraBetweenness(
-            small_social_graph, quick_options.with_(use_bidirectional_bfs=False)
-        ).run()
+        result = sequential(small_social_graph, quick_options.with_(use_bidirectional_bfs=False))
         assert result.num_samples > 0
 
     def test_tiny_graphs(self, quick_options):
-        empty = KadabraBetweenness(CSRGraph.empty(0), quick_options).run()
+        empty = sequential(CSRGraph.empty(0), quick_options)
         assert empty.num_vertices == 0
-        single = KadabraBetweenness(CSRGraph.empty(1), quick_options).run()
+        single = sequential(CSRGraph.empty(1), quick_options)
         assert single.scores.shape == (1,)
-        edge = KadabraBetweenness(CSRGraph.from_edges([(0, 1)]), quick_options).run()
+        edge = sequential(CSRGraph.from_edges([(0, 1)]), quick_options)
         assert np.all(edge.scores == 0.0)

@@ -1,18 +1,28 @@
-"""Integration tests of Algorithms 1 and 2 and the distributed/shared-memory drivers."""
+"""Integration tests of the rank engine behind the shared-memory, distributed and mpi-only backends."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import Resources, estimate_betweenness
 from repro.baselines import brandes_betweenness
 from repro.core import KadabraOptions
-from repro.epoch import SharedMemoryKadabra
-from repro.parallel import (
-    DistributedKadabra,
-    thread_zero_samples_per_epoch,
-)
+from repro.mpi import SelfComm, run_threaded
+from repro.parallel import run_rank, thread_zero_samples_per_epoch
 from repro.util.stats import max_abs_error
+
+
+def shared_memory(graph, options, *, threads):
+    return estimate_betweenness(
+        graph, algorithm="shared-memory", options=options, resources=Resources(threads=threads)
+    )
+
+
+def distributed(graph, options, *, algorithm="distributed", **resources):
+    return estimate_betweenness(
+        graph, algorithm=algorithm, options=options, resources=Resources(**resources)
+    )
 
 
 class TestEpochLengthRule:
@@ -42,17 +52,17 @@ class TestEpochLengthRule:
 class TestSharedMemoryKadabra:
     def test_accuracy(self, medium_social_graph, accurate_options):
         exact = brandes_betweenness(medium_social_graph).scores
-        result = SharedMemoryKadabra(medium_social_graph, accurate_options, num_threads=3).run()
+        result = shared_memory(medium_social_graph, accurate_options, threads=3)
         assert max_abs_error(result.scores, exact) <= accurate_options.eps
         assert result.num_samples > 0
         assert result.num_epochs >= 1
 
     def test_single_thread(self, small_social_graph, quick_options):
-        result = SharedMemoryKadabra(small_social_graph, quick_options, num_threads=1).run()
+        result = shared_memory(small_social_graph, quick_options, threads=1)
         assert result.num_samples > 0
 
     def test_phase_breakdown_present(self, small_social_graph, quick_options):
-        result = SharedMemoryKadabra(small_social_graph, quick_options, num_threads=2).run()
+        result = shared_memory(small_social_graph, quick_options, threads=2)
         assert "diameter" in result.phase_seconds
         assert "calibration" in result.phase_seconds
         assert any(key.startswith("ads_") for key in result.phase_seconds)
@@ -60,45 +70,37 @@ class TestSharedMemoryKadabra:
     def test_trivial_graph(self, quick_options):
         from repro.graph.csr import CSRGraph
 
-        result = SharedMemoryKadabra(CSRGraph.empty(1), quick_options, num_threads=2).run()
+        result = shared_memory(CSRGraph.empty(1), quick_options, threads=2)
         assert result.scores.shape == (1,)
 
     def test_invalid_thread_count(self, small_social_graph, quick_options):
         with pytest.raises(ValueError):
-            SharedMemoryKadabra(small_social_graph, quick_options, num_threads=0)
+            shared_memory(small_social_graph, quick_options, threads=0)
+        with pytest.raises(ValueError):
+            run_rank(SelfComm(), small_social_graph, quick_options, threads=0)
 
 
 class TestDistributedKadabraEpoch:
     def test_accuracy_multiple_ranks(self, medium_social_graph, accurate_options):
         exact = brandes_betweenness(medium_social_graph).scores
-        result = DistributedKadabra(
-            medium_social_graph, accurate_options, num_processes=3, threads_per_process=2
-        ).run()
+        result = distributed(medium_social_graph, accurate_options, processes=3, threads=2)
         assert max_abs_error(result.scores, exact) <= accurate_options.eps
 
     def test_single_process_path(self, small_social_graph, quick_options):
-        result = DistributedKadabra(
-            small_social_graph, quick_options, num_processes=1, threads_per_process=2
-        ).run()
+        result = distributed(small_social_graph, quick_options, processes=1, threads=2)
         assert result.num_samples > 0
         assert result.extra["num_processes"] == 1.0
 
     def test_numa_split(self, medium_social_graph, quick_options):
-        result = DistributedKadabra(
-            medium_social_graph,
-            quick_options,
-            num_processes=4,
-            threads_per_process=1,
-            processes_per_node=2,
-        ).run()
+        result = distributed(
+            medium_social_graph, quick_options, processes=4, threads=1, processes_per_node=2
+        )
         assert result.num_samples > 0
         exact = brandes_betweenness(medium_social_graph).scores
         assert max_abs_error(result.scores, exact) <= 3 * quick_options.eps
 
     def test_metadata(self, small_social_graph, quick_options):
-        result = DistributedKadabra(
-            small_social_graph, quick_options, num_processes=2, threads_per_process=2
-        ).run()
+        result = distributed(small_social_graph, quick_options, processes=2, threads=2)
         assert result.omega is not None
         assert result.num_epochs >= 1
         assert result.extra["communication_bytes"] >= 0.0
@@ -108,66 +110,57 @@ class TestDistributedKadabraEpoch:
         options = KadabraOptions(
             eps=0.0005, delta=0.1, seed=3, calibration_samples=50, samples_per_check=10
         )
-        result = DistributedKadabra(
-            small_social_graph,
-            options,
-            num_processes=2,
-            threads_per_process=1,
-            max_epochs=3,
-        ).run()
-        assert result.num_epochs <= 4
+        results = run_threaded(
+            2, lambda comm, rank: run_rank(comm, small_social_graph, options, max_epochs=3)[0]
+        )
+        assert results[0].num_epochs <= 4
+        assert results[1] is None
 
     def test_deterministic_given_seed(self, small_social_graph, quick_options):
-        run = lambda: DistributedKadabra(  # noqa: E731
-            small_social_graph, quick_options, num_processes=1, threads_per_process=1
-        ).run()
+        run = lambda: distributed(small_social_graph, quick_options, processes=1, threads=1)  # noqa: E731
         a, b = run(), run()
         assert np.array_equal(a.scores, b.scores)
 
     def test_road_network_instance(self, small_road_graph, quick_options):
         exact = brandes_betweenness(small_road_graph).scores
-        result = DistributedKadabra(
-            small_road_graph, quick_options, num_processes=2, threads_per_process=2
-        ).run()
+        result = distributed(small_road_graph, quick_options, processes=2, threads=2)
         assert max_abs_error(result.scores, exact) <= 2 * quick_options.eps
 
     def test_validation(self, small_social_graph, quick_options):
         with pytest.raises(ValueError):
-            DistributedKadabra(small_social_graph, quick_options, num_processes=0)
+            distributed(small_social_graph, quick_options, processes=0)
         with pytest.raises(ValueError):
-            DistributedKadabra(small_social_graph, quick_options, threads_per_process=0)
+            distributed(small_social_graph, quick_options, threads=0)
         with pytest.raises(ValueError):
-            DistributedKadabra(small_social_graph, quick_options, algorithm="other")
+            run_rank(SelfComm(), small_social_graph, quick_options, algorithm="other")
         with pytest.raises(ValueError):
-            DistributedKadabra(small_social_graph, quick_options, processes_per_node=0)
+            distributed(small_social_graph, quick_options, processes_per_node=0)
+        with pytest.raises(ValueError):
+            run_rank(SelfComm(), small_social_graph, quick_options, processes_per_node=0)
 
     def test_trivial_graph(self, quick_options):
         from repro.graph.csr import CSRGraph
 
-        result = DistributedKadabra(CSRGraph.empty(0), quick_options, num_processes=2).run()
+        result = distributed(CSRGraph.empty(0), quick_options, processes=2)
         assert result.num_vertices == 0
 
 
 class TestDistributedKadabraAlgorithm1:
     def test_accuracy(self, medium_social_graph, accurate_options):
         exact = brandes_betweenness(medium_social_graph).scores
-        result = DistributedKadabra(
-            medium_social_graph, accurate_options, num_processes=3, algorithm="mpi-only"
-        ).run()
+        result = distributed(
+            medium_social_graph, accurate_options, algorithm="mpi-only", processes=3
+        )
         assert max_abs_error(result.scores, exact) <= accurate_options.eps
 
     def test_single_process(self, small_social_graph, quick_options):
-        result = DistributedKadabra(
-            small_social_graph, quick_options, num_processes=1, algorithm="mpi-only"
-        ).run()
+        result = distributed(small_social_graph, quick_options, algorithm="mpi-only", processes=1)
         assert result.num_samples > 0
 
     def test_agrees_with_epoch_algorithm_on_ranking(self, medium_social_graph, accurate_options):
-        epoch = DistributedKadabra(
-            medium_social_graph, accurate_options, num_processes=2, threads_per_process=2
-        ).run()
-        mpi_only = DistributedKadabra(
-            medium_social_graph, accurate_options, num_processes=2, algorithm="mpi-only"
-        ).run()
+        epoch = distributed(medium_social_graph, accurate_options, processes=2, threads=2)
+        mpi_only = distributed(
+            medium_social_graph, accurate_options, algorithm="mpi-only", processes=2
+        )
         # Both approximate the same ground truth; their top vertex agrees.
         assert epoch.ranking()[0] == mpi_only.ranking()[0]

@@ -473,12 +473,15 @@ class TestFacadeIntegration:
             assert np.array_equal(refined.scores, expected.scores)
 
 
-class TestLegacyShims:
-    def test_source_sampling_shim_warns(self, small_social_graph):
-        from repro.baselines import SourceSamplingBetweenness
+class TestSourceSamplingEntryPoint:
+    def test_source_sampling_class_is_gone(self, small_social_graph):
+        import repro.baselines
 
-        with pytest.warns(DeprecationWarning, match="source-sampling"):
-            SourceSamplingBetweenness(small_social_graph, seed=0, num_sources=5)
+        assert not hasattr(repro.baselines, "SourceSamplingBetweenness")
+        result = estimate_betweenness(
+            small_social_graph, algorithm="source-sampling", max_samples_override=5, seed=0
+        )
+        assert result.num_samples == 5
 
     def test_facade_source_sampling_does_not_warn(self, small_social_graph, recwarn):
         estimate_betweenness(

@@ -6,17 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    SourceSamplingBetweenness,
-    brandes_betweenness,
-    source_sample_size,
-)
-from repro.core import (
-    BetweennessResult,
-    KadabraBetweenness,
-    detectable_vertices,
-    identify_top_k,
-)
+from repro import estimate_betweenness
+from repro.baselines import brandes_betweenness, source_sample_size
+from repro.core import BetweennessResult, detectable_vertices, identify_top_k
 from repro.cli import build_parser, main as cli_main
 from repro.graph.generators import star_graph
 from repro.graph.io import write_edge_list
@@ -24,17 +16,27 @@ from repro.io_utils import load_result, load_scores_csv, save_result, save_score
 from repro.util.stats import max_abs_error
 
 
+def sequential(graph, options):
+    return estimate_betweenness(graph, algorithm="sequential", options=options)
+
+
+def source_sampling(graph, *, num_sources=None, **options):
+    return estimate_betweenness(
+        graph, algorithm="source-sampling", max_samples_override=num_sources, **options
+    )
+
+
 class TestTopK:
     def test_star_graph_centre_confirmed(self, quick_options):
         graph = star_graph(30)
-        result = KadabraBetweenness(graph, quick_options).run()
+        result = sequential(graph, quick_options)
         topk = identify_top_k(result, 1)
         assert topk.vertices[0] == 0
         assert topk.confirmed[0]
         assert topk.num_confirmed == 1 and topk.all_confirmed
 
     def test_bounds_bracket_scores(self, small_social_graph, quick_options):
-        result = KadabraBetweenness(small_social_graph, quick_options).run()
+        result = sequential(small_social_graph, quick_options)
         topk = identify_top_k(result, 5)
         assert np.all(topk.lower_bounds <= result.scores + 1e-12)
         assert np.all(topk.upper_bounds >= result.scores - 1e-12)
@@ -44,7 +46,7 @@ class TestTopK:
 
     def test_k_larger_than_n_clamped(self, quick_options):
         graph = star_graph(6)
-        result = KadabraBetweenness(graph, quick_options).run()
+        result = sequential(graph, quick_options)
         topk = identify_top_k(result, 100)
         assert topk.vertices.shape == (6,)
         # With no vertices outside the set, all memberships are confirmed.
@@ -52,7 +54,7 @@ class TestTopK:
 
     def test_invalid_k(self, quick_options):
         graph = star_graph(6)
-        result = KadabraBetweenness(graph, quick_options).run()
+        result = sequential(graph, quick_options)
         with pytest.raises(ValueError):
             identify_top_k(result, 0)
 
@@ -84,23 +86,21 @@ class TestSourceSampling:
 
     def test_accuracy_on_small_graph(self, medium_social_graph):
         exact = brandes_betweenness(medium_social_graph).scores
-        approx = SourceSamplingBetweenness(
-            medium_social_graph, eps=0.05, delta=0.1, seed=3, num_sources=80
-        ).run()
+        approx = source_sampling(medium_social_graph, eps=0.05, delta=0.1, seed=3, num_sources=80)
         assert max_abs_error(approx.scores, exact) < 0.05
         assert approx.num_samples == 80
 
     def test_all_sources_equals_exact(self, small_social_graph):
         exact = brandes_betweenness(small_social_graph).scores
-        approx = SourceSamplingBetweenness(
+        approx = source_sampling(
             small_social_graph, seed=0, num_sources=small_social_graph.num_vertices
-        ).run()
+        )
         assert np.allclose(approx.scores, exact)
 
     def test_trivial_graph(self):
         from repro.graph.csr import CSRGraph
 
-        result = SourceSamplingBetweenness(CSRGraph.empty(1), seed=0).run()
+        result = source_sampling(CSRGraph.empty(1), seed=0)
         assert result.scores.shape == (1,)
 
 
