@@ -1,6 +1,6 @@
 """``mpi4py``-backed communicator behind a capability probe.
 
-Mirrors the :mod:`repro.kernels.numba_backend` pattern: try-import, run a
+The kernel ABI's probe pattern (:mod:`repro.kernels.abi`): try-import, run a
 tiny smoke against ``COMM_WORLD``, degrade gracefully.  ``mpi4py`` is never a
 hard dependency — containers without an MPI stack (like the default test
 image) simply report the transport as unavailable and the socket transport

@@ -9,9 +9,8 @@ process-global registry, carrying
   of a batch at once), RNG-stream compatible with the legacy scalar
   samplers, weighted/directed-ready;
 * an **availability probe** — run once per process and cached, so an
-  optional accelerated backend whose import or self-test fails (no numba in
-  the environment, say) degrades gracefully to the portable kernels instead
-  of erroring at sample time;
+  optional accelerated backend whose import or self-test fails degrades
+  gracefully to the portable kernels instead of erroring at sample time;
 * **cost hints** — a coarse cost-model tag plus a suitability window over
   (graph size, adjacency entries, index dtype) that drives automatic
   routing, and an ``auto_rank`` tie-break.
@@ -419,8 +418,3 @@ def _register_default_kernels() -> None:
 
 
 _register_default_kernels()
-
-# Optional accelerated backends register themselves the same way; their
-# probes gate availability (no numba in the environment -> the spec is
-# registered but unavailable, and routing never picks it).
-from repro.kernels import numba_backend as _numba_backend  # noqa: E402,F401

@@ -29,18 +29,19 @@ is a thin translation.  One query flows through it as:
    :class:`~repro.service.store.JobStore`.  From here on it survives this
    process: a crashed coordinator's jobs are re-run on restart
    (:meth:`JobManager.resume_pending`) or picked up by external workers.
-6. **Execute** — with ``dispatch="pool"`` (default) the manager claims its
-   own row and runs the estimation in a worker pool as before (process pool
-   by default; thread pool for tests), heartbeating the lease while the
-   estimation runs.  With ``dispatch="external"`` the manager only watches
-   the row: N separate worker processes
-   (``python -m repro.service.worker``) drain the store, and the manager
-   resolves the waiting future when the row turns ``done``.
-7. **Store** — the finished result is written to the result cache (by the
-   pool worker here, or by the external worker there) together with the
-   session checkpoint when the backend supports refinement, and the full
-   result JSON lands in the job row — the durable copy that answers polls
-   after every process restarts.
+6. **Execute** — one executor for both dispatch modes:
+   :class:`~repro.service.worker.StoreWorker` claims the row, heartbeats its
+   lease, runs the estimation and finishes the row.  With ``dispatch="pool"``
+   (default) the manager hands the row id to its worker pool (process pool by
+   default; thread pool for tests), whose worker claims that row *by id* and
+   streams progress back; with ``dispatch="external"`` N worker processes
+   (``python -m repro.service.worker``) drain the store.
+7. **Store** — the worker writes the finished result to the result cache
+   (with the session checkpoint when the backend supports refinement) and
+   the full result JSON to the job row — the durable copy that answers polls
+   after every process restarts.  Every job then ends in
+   :meth:`JobManager._settle`, which reads the row: ``done`` resolves the
+   waiting future with the row's result, ``failed``/``cancelled`` raise.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.dominance import algorithm_family
 from repro.service.schema import QueryRequest
-from repro.service.store import JobStore, QuotaExceeded
+from repro.service.store import FINISHED_STATES, JobRecord, JobStore, QuotaExceeded
+from repro.service.worker import StoreWorker
 from repro.store import GraphCatalog
 
 __all__ = ["Job", "JobManager", "SubmitOutcome", "TenantQuota"]
@@ -80,7 +82,7 @@ STORE_RETENTION = 1000
 WORKER_MODES = ("process", "thread")
 DISPATCH_MODES = ("pool", "external")
 
-#: Lease given to pool-claimed jobs.  The pool heartbeats every
+#: Lease given to pool-claimed jobs.  The pool worker heartbeats every
 #: ``lease/3`` while the estimation runs, so the lease only expires when the
 #: coordinator actually died — at which point a restart's
 #: :meth:`JobManager.resume_pending` (or any external worker's
@@ -133,49 +135,34 @@ class TenantQuota:
         return {"max_inflight": self.max_inflight, "max_queued": self.max_queued}
 
 
-def _estimate_kwargs(request: QueryRequest, resources) -> Dict[str, object]:
-    kwargs: Dict[str, object] = {
-        "algorithm": request.algorithm,
-        "eps": request.eps,
-        "delta": request.delta,
-    }
-    if request.seed is not None:
-        kwargs["seed"] = request.seed
-    if resources is not None:
-        kwargs["resources"] = resources
-    return kwargs
+#: The pool process's :class:`StoreWorker`, built once by :func:`_pool_init`.
+_POOL_WORKER: Optional[StoreWorker] = None
 
 
-def _process_run(
-    job_id: str,
-    graph_path: str,
-    kwargs: Dict[str, object],
-    queue,
-    collect_metrics: bool = False,
-):
-    """Worker-process entry point: run one estimation, stream progress back.
+def _pool_init(store_path, cache_dir, options) -> None:
+    """Pool-process initializer: open the store and the cache once per process."""
+    global _POOL_WORKER
+    _POOL_WORKER = StoreWorker(store_path, cache=ResultCache(cache_dir), **options)
 
-    Runs in a ``ProcessPoolExecutor`` worker, so it re-imports the facade and
-    memory-maps the graph locally — the parent never ships graph data, only
-    the path.  ``queue`` is a ``multiprocessing.Manager`` queue proxy; events
-    that fail to enqueue are dropped (progress is best-effort, results are
-    not).
 
-    Returns ``(result, metrics_snapshot)``.  When ``collect_metrics`` the
-    worker's process-global registry is cleared before the run and its
-    snapshot shipped back with the result, so the parent can ``merge()`` the
+def _pool_execute(row_id: int, job_id: str, queue, collect_metrics: bool):
+    """Pool-process entry point: run one row, stream progress back.
+
+    ``queue`` is a ``multiprocessing.Manager`` queue proxy; events that fail
+    to enqueue are dropped (progress is best-effort, results are not).
+
+    Returns ``(StoreWorker.execute's outcome, metrics_snapshot)``.  When
+    ``collect_metrics`` the worker's process-global registry is cleared before
+    the run and its snapshot shipped back, so the parent can ``merge()`` the
     kernel counters (samples, batches) of every worker into its own registry
     — worker processes have no other channel back to ``/metrics``.  The
-    registry is a pure transport buffer here: nothing else in the worker
-    reads it, so clearing per job keeps the snapshot equal to this job's
-    delta even when the pool reuses the process.
+    registry is a pure transport buffer here: nothing else in the worker reads
+    it, so clearing per job keeps the snapshot equal to this job's delta even
+    when the pool reuses the process.
     """
-    from repro.api import estimate_betweenness
-    from repro.obs import metrics as worker_metrics
-
     if collect_metrics:
-        worker_metrics.REGISTRY.clear()
-        worker_metrics.enable_metrics()
+        obs_metrics.REGISTRY.clear()
+        obs_metrics.enable_metrics()
 
     def on_event(event) -> None:
         try:
@@ -183,9 +170,8 @@ def _process_run(
         except Exception:
             pass
 
-    result = estimate_betweenness(graph_path, callbacks=on_event, **kwargs)
-    snapshot = worker_metrics.REGISTRY.snapshot() if collect_metrics else None
-    return result, snapshot
+    outcome = _POOL_WORKER.execute(row_id, on_event)
+    return outcome, obs_metrics.REGISTRY.snapshot() if collect_metrics else None
 
 
 @dataclass
@@ -201,7 +187,6 @@ class Job:
     key: str
     request: QueryRequest
     checksum: str
-    graph_path: str
     future: "asyncio.Future[BetweennessResult]" = field(repr=False)
     status: str = "queued"  # queued | running | done | error
     #: Row id in the durable store (``id`` is ``job-<store_id>``).
@@ -209,18 +194,11 @@ class Job:
     #: How many times the store has handed this job to a worker.
     attempts: int = 0
     #: Cache-entry key of the session checkpoint this job resumes from
-    #: (``None`` for cold runs) and the snapshot path handed to the worker.
+    #: (``None`` for cold runs); the snapshot path itself is in the row's kwargs.
     refined_from: Optional[str] = None
-    resume_from: Optional[str] = field(default=None, repr=False)
     #: Parent-graph checksum this job incrementally updates from (``None``
-    #: outside the evolving-graph path), plus the parent snapshot path and
-    #: the lineage delta payload handed to the worker.
+    #: outside the evolving-graph path).
     updated_from: Optional[str] = None
-    update_from: Optional[str] = field(default=None, repr=False)
-    update_delta: Optional[dict] = field(default=None, repr=False)
-    #: Where the worker should checkpoint the finished session (``None``
-    #: disables snapshot production, e.g. for custom-estimator test seams).
-    checkpoint_path: Optional[str] = field(default=None, repr=False)
     events: Deque[dict] = field(default_factory=lambda: deque(maxlen=MAX_EVENTS))
     #: Monotonic count of events ever emitted (the deque only keeps the tail);
     #: clients use it to detect new events across a full ring buffer.
@@ -237,7 +215,7 @@ class Job:
         self.num_events += 1
 
     def status_dict(self) -> Dict[str, object]:
-        """The polling representation (``GET /v1/jobs/<id>``), without scores."""
+        """This process's view of the job (``GET /v1/jobs``), without scores."""
         out: Dict[str, object] = {
             "job_id": self.id,
             "status": self.status,
@@ -285,8 +263,8 @@ class JobManager:
         Defaults to ``jobs.sqlite3`` inside the result-cache directory, so
         every coordinator and worker sharing the cache shares the queue.
     dispatch:
-        ``"pool"`` (default): this manager claims and executes its own jobs
-        in its worker pool.  ``"external"``: jobs are only enqueued; separate
+        ``"pool"`` (default): this manager's worker pool claims and executes
+        its jobs.  ``"external"``: jobs are only enqueued; separate
         ``python -m repro.service.worker`` processes drain the store and the
         manager watches the rows.
     resources:
@@ -306,9 +284,8 @@ class JobManager:
         Retention clamps: finished jobs kept in memory, progress events kept
         per job, finished rows kept in the store.
     estimator:
-        Thread-mode only: replaces :func:`repro.api.estimate_betweenness`
-        (must accept the same keyword arguments).  This is the seam tests use
-        to count sampling runs.
+        Thread-mode only: the :class:`StoreWorker` ``estimator`` seam tests
+        use to count sampling runs.
     """
 
     def __init__(
@@ -366,7 +343,6 @@ class JobManager:
                     lease_seconds=lease_seconds,
                 )
         self._dispatch = dispatch
-        self._resources = resources
         self._worker_mode = worker_mode
         self._max_workers = max_workers
         self._quota = quota if quota is not None else TenantQuota()
@@ -375,7 +351,6 @@ class JobManager:
         self._max_finished_jobs = int(max_finished_jobs)
         self._max_events_per_job = int(max_events_per_job)
         self._store_retention = int(store_retention)
-        self._estimator = estimator
         self._executor = None
         self._manager = None
         self._event_queue = None
@@ -387,6 +362,16 @@ class JobManager:
         #: pid so :meth:`resume_pending` can recognise (and reclaim) rows a
         #: dead local coordinator left behind.
         self.worker_id = f"pool:{socket.gethostname()}:{os.getpid()}"
+        #: The executor of thread-mode pool jobs (pool processes build their
+        #: own from the same arguments, see :func:`_pool_init`).
+        self._worker = StoreWorker(
+            self.store,
+            cache=self.cache,
+            worker_id=self.worker_id,
+            lease_seconds=self._lease_seconds,
+            resources=resources,
+            estimator=estimator,
+        )
         #: Per-manager metrics registry: the counters below plus the job
         #: latency histogram and in-flight gauge.  The server renders it next
         #: to the process-global :data:`repro.obs.metrics.REGISTRY` on
@@ -582,7 +567,7 @@ class JobManager:
         if (
             refinable is None
             and family == "adaptive-sampling"
-            and self._snapshots_enabled()
+            and self._worker.estimator is None
         ):
             update = await loop.run_in_executor(
                 None, functools.partial(self._find_update, checksum, request)
@@ -602,20 +587,14 @@ class JobManager:
 
         kwargs: Dict[str, object] = {}
         refined_from = updated_from = None
-        resume_from = update_from = None
-        update_delta = None
         if refinable is not None:
             entry, snapshot_path = refinable
             refined_from = entry.key
-            resume_from = str(snapshot_path)
-            kwargs["resume_from"] = resume_from
+            kwargs["resume_from"] = str(snapshot_path)
         elif update is not None:
-            parent_checksum, entry, snapshot_path, delta_payload = update
-            updated_from = parent_checksum
-            update_from = snapshot_path
-            update_delta = delta_payload
-            kwargs["update_from"] = update_from
-            kwargs["graph_delta"] = update_delta
+            updated_from, entry, snapshot_path, delta_payload = update
+            kwargs["update_from"] = snapshot_path
+            kwargs["graph_delta"] = delta_payload
 
         record, created = self.store.enqueue(
             key=key,
@@ -625,54 +604,46 @@ class JobManager:
             graph_path=graph_path,
             kwargs=kwargs,
         )
-        job = Job(
-            id=record.job_id,
-            key=key,
-            request=request,
-            checksum=checksum,
-            graph_path=graph_path,
-            future=loop.create_future(),
-            store_id=record.id,
-            attempts=record.attempts,
-            refined_from=refined_from,
-            resume_from=resume_from,
-            updated_from=updated_from,
-            update_from=update_from,
-            update_delta=update_delta,
-            events=deque(maxlen=self._max_events_per_job),
-        )
-        if created and self._dispatch == "pool" and self._snapshots_enabled():
-            # Writer-unique name: the cache directory is explicitly shared
-            # across processes — a plain ".job-N.snap.tmp" would let two
-            # services clobber each other's snapshots and cache one under the
-            # other's (seed-keyed!) entry.
-            from repro.store.format import unique_tmp_path
-
-            job.checkpoint_path = str(
-                unique_tmp_path(self.cache.cache_dir / f".{job.id}.snap")
-            )
         if refinable is not None:
             self._count("cache_refines")
         elif update is not None:
             self._count("cache_updates")
+        if not created:
+            self._count("deduplicated")
+        # A row another coordinator already owns (dedup across processes) is
+        # watched, like every row under external dispatch.
+        job = self._track(
+            record,
+            request,
+            run_here=created and self._dispatch == "pool",
+            refined_from=refined_from,
+            updated_from=updated_from,
+        )
+        self._prune_finished()
+        return SubmitOutcome(checksum=checksum, job=job)
+
+    def _track(self, record: JobRecord, request: QueryRequest, *, run_here: bool, **extra) -> Job:
+        """Register a live store row in this process and drive it to its end."""
+        job = Job(
+            id=record.job_id,
+            key=record.key,
+            request=request,
+            checksum=record.checksum,
+            future=self._loop.create_future(),
+            store_id=record.id,
+            attempts=record.attempts,
+            events=deque(maxlen=self._max_events_per_job),
+            **extra,
+        )
         # Errors must reach pollers even when no submitter awaits the future.
         job.future.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None
         )
         self._jobs[job.id] = job
-        self._inflight[key] = job
+        self._inflight[job.key] = job
         self._inflight_gauge.set(len(self._inflight))
-        self._prune_finished()
-        if created and self._dispatch == "pool":
-            asyncio.ensure_future(self._run(job))
-        else:
-            # Either another coordinator already owns the live row (dedup
-            # across processes) or dispatch is external — both mean: watch
-            # the store until the row finishes.
-            if not created:
-                self._count("deduplicated")
-            asyncio.ensure_future(self._watch(job))
-        return SubmitOutcome(checksum=checksum, job=job)
+        asyncio.ensure_future(self._run(job) if run_here else self._watch(job))
+        return job
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -706,29 +677,6 @@ class JobManager:
         entry, snapshot_path = found
         return parent_checksum, entry, str(snapshot_path), delta_payload
 
-    def _snapshots_enabled(self) -> bool:
-        """Whether jobs should produce session checkpoints.
-
-        Custom estimators (the thread-mode test seam) have a pinned keyword
-        signature and never produce snapshots; the real facade writes one
-        whenever the resolved backend supports refinement.
-        """
-        return self._estimator is None
-
-    def _finish_cache_write(self, job: Job, result: BetweennessResult) -> None:
-        """Blocking: persist result (+ session snapshot, if produced)."""
-        snapshot = None
-        if job.checkpoint_path is not None and Path(job.checkpoint_path).is_file():
-            snapshot = job.checkpoint_path
-        try:
-            self.cache.put(job.checksum, job.request, result, snapshot=snapshot)
-        finally:
-            if snapshot is not None:
-                try:
-                    Path(snapshot).unlink()
-                except OSError:
-                    pass
-
     def _ensure_workers(self):
         if self._executor is not None:
             return self._executor
@@ -742,7 +690,16 @@ class JobManager:
                 target=self._drain_events, name="repro-service-progress", daemon=True
             )
             self._drain_thread.start()
-            self._executor = ProcessPoolExecutor(max_workers=self._max_workers)
+            options = {
+                "worker_id": self.worker_id,
+                "lease_seconds": self._lease_seconds,
+                "resources": self._worker.resources,
+            }
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._max_workers,
+                initializer=_pool_init,
+                initargs=(self.store.path, self.cache.cache_dir, options),
+            )
         else:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -767,120 +724,91 @@ class JobManager:
         if job is not None:
             job.add_event(event)
 
-    def _finish_error(self, job: Job, exc: Exception) -> None:
-        job.status = "error"
-        job.error = f"{type(exc).__name__}: {exc}"
+    def _settle(self, job: Job, record: Optional[JobRecord]) -> None:
+        """Finish a job from its terminal store row — the one way a job ends."""
         job.finished_at = time.time()
-        self._count("failed")
         self._inflight.pop(job.key, None)
         self._inflight_gauge.set(len(self._inflight))
-        if job.checkpoint_path is not None:
+        error = None
+        if record is None:
+            error = "RuntimeError: job row vanished from the store"
+        elif record.state != "done":
+            error = record.error or f"job {record.state}"
+        else:
+            job.attempts = record.attempts
+            job.started_at = record.started_at
             try:
-                Path(job.checkpoint_path).unlink(missing_ok=True)
-            except OSError:
-                pass
-        if not job.future.cancelled():
-            job.future.set_exception(exc)
-
-    def _finish_done(self, job: Job, result: BetweennessResult) -> None:
-        job.result = result
+                job.result = BetweennessResult.from_json(record.result)
+            except Exception as exc:  # noqa: BLE001 - corrupt row payload
+                error = f"{type(exc).__name__}: {exc}"
+        if error is not None:
+            job.status = "error"
+            job.error = error
+            self._count("failed")
+            if not job.future.cancelled():
+                job.future.set_exception(RuntimeError(error))
+            return
+        # The worker wrote the cache entry through its own ResultCache; it may
+        # change which entry wins for requests on this graph, so this
+        # process's hot-tier verdicts are dropped.
+        self.cache.hot.invalidate(job.checksum)
         job.status = "done"
-        job.finished_at = time.time()
         self._count("completed")
-        self._observe_finished(job, result)
-        self._inflight.pop(job.key, None)
-        self._inflight_gauge.set(len(self._inflight))
+        self._observe_finished(job, job.result)
         self._prune_finished()
         if not job.future.cancelled():
-            job.future.set_result(result)
+            job.future.set_result(job.result)
 
     async def _run(self, job: Job) -> None:
-        """Pool dispatch: claim our own store row and execute it here."""
+        """Pool dispatch: execute our row here for as long as it is queued.
+
+        The pool worker claims the row by id and finishes it in the store;
+        the executor future only says when to look at the row again.  A row
+        ``queued`` once more (its lease was lost mid-run) goes back to the
+        pool, one somebody else holds is watched, a terminal one is settled.
+        """
         loop = asyncio.get_running_loop()
         executor = self._ensure_workers()
-        claimed = self.store.claim(
-            self.worker_id, job_id=job.store_id, lease_seconds=self._lease_seconds
-        )
-        if claimed is None:
-            # Someone else (an external worker sharing the store) grabbed the
-            # row between enqueue and claim — fall back to watching it.
-            await self._watch(job)
-            return
-        job.attempts = claimed.attempts
-        job.status = "running"
-        job.started_at = time.time()
-        kwargs = _estimate_kwargs(job.request, self._resources)
-        if job.resume_from is not None:
-            kwargs["resume_from"] = job.resume_from
-        if job.update_from is not None:
-            kwargs["update_from"] = job.update_from
-            kwargs["graph_delta"] = job.update_delta
-        if job.checkpoint_path is not None:
-            kwargs["checkpoint_path"] = job.checkpoint_path
-        try:
-            if self._worker_mode == "process":
-                func = functools.partial(
-                    _process_run,
-                    job.id,
-                    job.graph_path,
-                    kwargs,
-                    self._event_queue,
-                    obs_metrics.metrics_enabled(),
-                )
-            else:
-                estimator = self._estimator or _default_estimator()
-
-                def on_event(event) -> None:
-                    loop.call_soon_threadsafe(job.add_event, event.as_dict())
-
-                func = functools.partial(
-                    estimator, job.graph_path, callbacks=on_event, **kwargs
-                )
-            result = await self._await_with_heartbeat(
-                loop.run_in_executor(executor, func), job
+        if self._worker_mode == "process":
+            call = functools.partial(
+                _pool_execute,
+                job.store_id,
+                job.id,
+                self._event_queue,
+                obs_metrics.metrics_enabled(),
             )
-            if self._worker_mode == "process":
-                result, worker_snapshot = result
-                if worker_snapshot:
-                    # Fold the worker's kernel counters (samples/batches) into
-                    # this process's global registry — it is what /metrics
-                    # renders; worker registries die with their processes.
-                    obs_metrics.REGISTRY.merge(worker_snapshot)
-        except Exception as exc:  # noqa: BLE001 - job errors become status
-            self.store.fail(job.store_id, self.worker_id, f"{type(exc).__name__}: {exc}")
-            self._finish_error(job, exc)
-            return
-        # The cache write is an optimization: an unwritable cache directory
-        # must not turn a correctly computed result into a failed job.
-        try:
-            await loop.run_in_executor(None, self._finish_cache_write, job, result)
-        except Exception as exc:  # noqa: BLE001
-            self._count("cache_write_failures")
-            job.add_event(
-                {"phase": "cache-write-failed", "error": f"{type(exc).__name__}: {exc}"}
-            )
-        self.store.complete(job.store_id, self.worker_id, result.to_json())
-        self._finish_done(job, result)
+        else:
 
-    async def _await_with_heartbeat(self, fut, job: Job):
-        """Await an executor future, extending the job's store lease meanwhile.
+            def on_event(event) -> None:
+                loop.call_soon_threadsafe(job.add_event, event.as_dict())
 
-        Heartbeats fire every ``lease/3`` without a standing background task:
-        the wait itself wakes up to beat.  A lost lease (this coordinator
-        stalled past the deadline and the job was re-queued) is deliberately
-        *not* fatal — the local run finishes and both writers race the
-        owner-guarded ``complete``; results are deterministic in the seed, so
-        whichever lands is correct.
-        """
-        fut = asyncio.ensure_future(fut)
-        interval = max(0.05, self._lease_seconds / 3.0)
-        while True:
+            def call():  # pool threads count into this process's registry
+                return self._worker.execute(job.store_id, on_event), None
+
+        while (record := self.store.get_by_rowid(job.store_id)) and record.state == "queued":
+            job.status = "running"
             try:
-                return await asyncio.wait_for(asyncio.shield(fut), timeout=interval)
-            except asyncio.TimeoutError:
-                self.store.heartbeat(
-                    job.store_id, self.worker_id, lease_seconds=self._lease_seconds
-                )
+                outcome, worker_metrics = await loop.run_in_executor(executor, call)
+            except Exception as exc:  # noqa: BLE001 - the pool itself broke
+                # No worker will finish this row: fail it if a dead pool
+                # process held it, else take it out of the queue — left
+                # queued it would go straight back to the broken pool.
+                error = f"{type(exc).__name__}: {exc}"
+                if not self.store.fail(job.store_id, self.worker_id, error):
+                    self.store.cancel(job.store_id)
+                continue
+            if worker_metrics:
+                # Fold the worker's kernel counters (samples/batches) into
+                # this process's global registry — it is what /metrics
+                # renders; worker registries die with their processes.
+                obs_metrics.REGISTRY.merge(worker_metrics)
+            if outcome is not None and outcome[1] is not None:  # (completed, cache_error)
+                self._count("cache_write_failures")
+                job.add_event({"phase": "cache-write-failed", "error": outcome[1]})
+        if record is not None and record.state == "running":
+            await self._watch(job)  # someone else holds the row
+        else:
+            self._settle(job, record)
 
     async def _watch(self, job: Job) -> None:
         """External dispatch (or a foreign live row): poll the store row.
@@ -894,28 +822,13 @@ class JobManager:
             record = await loop.run_in_executor(
                 None, self.store.get_by_rowid, job.store_id
             )
-            if record is None:
-                self._finish_error(job, RuntimeError("job row vanished from the store"))
+            if record is None or record.state in FINISHED_STATES:
+                self._settle(job, record)
                 return
             job.attempts = record.attempts
             if record.state == "running" and job.status == "queued":
                 job.status = "running"
                 job.started_at = record.started_at
-            elif record.state == "done":
-                try:
-                    result = BetweennessResult.from_json(record.result)
-                except Exception as exc:  # noqa: BLE001 - corrupt row payload
-                    self._finish_error(job, exc)
-                    return
-                if job.started_at is None:
-                    job.started_at = record.started_at
-                self._finish_done(job, result)
-                return
-            elif record.state in ("failed", "cancelled"):
-                self._finish_error(
-                    job, RuntimeError(record.error or f"job {record.state}")
-                )
-                return
             await loop.run_in_executor(None, self.store.requeue_expired)
             await asyncio.sleep(self._poll_seconds)
 
@@ -942,12 +855,7 @@ class JobManager:
                 continue
             if pid == os.getpid() or _pid_alive(pid):
                 continue
-            cursor = self.store._conn().execute(
-                "UPDATE jobs SET state='queued', lease_owner=NULL,"
-                " lease_deadline=NULL WHERE id=? AND lease_owner=?",
-                (record.id, owner),
-            )
-            released += cursor.rowcount
+            released += self.store.release(record.id, owner)
         return released
 
     async def resume_pending(self) -> int:
@@ -960,8 +868,7 @@ class JobManager:
         gone — but their results still land in the store and the cache.
         Returns how many jobs were adopted.
         """
-        loop = asyncio.get_running_loop()
-        self._loop = loop
+        self._loop = asyncio.get_running_loop()
         self.store.requeue_expired()
         self._requeue_dead_local()
         tracked = {job.store_id for job in self._jobs.values()}
@@ -973,32 +880,10 @@ class JobManager:
                 request = QueryRequest.from_dict(record.request)
             except Exception:  # noqa: BLE001 - unparseable legacy row
                 continue
-            job = Job(
-                id=record.job_id,
-                key=record.key,
-                request=request,
-                checksum=record.checksum,
-                graph_path=record.graph_path,
-                future=loop.create_future(),
-                store_id=record.id,
-                attempts=record.attempts,
-                resume_from=record.kwargs.get("resume_from"),
-                update_from=record.kwargs.get("update_from"),
-                update_delta=record.kwargs.get("graph_delta"),
-                num_waiters=0,
-                events=deque(maxlen=self._max_events_per_job),
+            self._track(
+                record, request, run_here=self._dispatch == "pool", num_waiters=0
             )
-            job.future.add_done_callback(
-                lambda f: f.exception() if not f.cancelled() else None
-            )
-            self._jobs[job.id] = job
-            self._inflight[job.key] = job
-            if self._dispatch == "pool":
-                asyncio.ensure_future(self._run(job))
-            else:
-                asyncio.ensure_future(self._watch(job))
             adopted += 1
-        self._inflight_gauge.set(len(self._inflight))
         return adopted
 
     # ------------------------------------------------------------------ #
@@ -1067,9 +952,3 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:
         return True
     return True
-
-
-def _default_estimator() -> Callable[..., BetweennessResult]:
-    from repro.api import estimate_betweenness
-
-    return estimate_betweenness

@@ -34,7 +34,9 @@ import asyncio
 import json
 import time
 from typing import Dict, Optional, Tuple, Union
+from urllib.parse import parse_qs
 
+from repro.core.result import BetweennessResult
 from repro.obs import metrics as obs_metrics
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobManager, TenantQuota
@@ -422,34 +424,21 @@ class BetweennessService:
         }
 
     def _job_status(self, job_id: str, query: str = "") -> Tuple[int, dict]:
-        job = self.jobs.get_job(job_id)
-        if job is None:
-            # Not tracked in this process — the row may still exist in the
-            # durable store (finished before a restart, or owned by another
-            # coordinator/worker sharing it).  The row alone answers a poll.
-            record = self.jobs.store.get(job_id)
-            if record is None:
-                raise _HttpError(404, f"unknown job {job_id!r}")
-            payload = record.as_dict()
-            # In-memory jobs report "status"; keep the store-backed payload
-            # polling-compatible so clients survive a coordinator restart.
-            payload["status"] = record.state
-            if record.state == "done" and record.result is not None:
-                from repro.core.result import BetweennessResult
+        """One job's polling payload, built from its durable store row.
 
-                request = QueryRequest.from_dict(record.request)
-                result = BetweennessResult.from_json(record.result)
-                payload["result"] = result_payload(
-                    result, request.k, include_scores=request.include_scores
-                )
-            return 200, payload
+        The row answers for state, result, timestamps and attempts whether or
+        not this process ever tracked the job (it may have finished before a
+        restart, or belong to another coordinator sharing the store).
+        """
+        record = self.jobs.store.get(job_id)
+        if record is None:
+            raise _HttpError(404, f"unknown job {job_id!r}")
+        request = QueryRequest.from_dict(record.request)
         # k / include_scores only shape the response and never split a job, so
         # a deduplicated poller may want a different shape than the request
         # that created the job: ?k=25&include_scores=true override it.
-        from urllib.parse import parse_qs
-
         params = parse_qs(query)
-        k = job.request.k
+        k = request.k
         if "k" in params:
             try:
                 k = int(params["k"][-1])
@@ -457,13 +446,23 @@ class BetweennessService:
                 raise _HttpError(400, f"invalid k {params['k'][-1]!r}") from None
             if k < 0:
                 raise _HttpError(400, "k must be non-negative")
-        include_scores = job.request.include_scores
+        include_scores = request.include_scores
         if "include_scores" in params:
             include_scores = params["include_scores"][-1].lower() in ("1", "true", "yes")
-        payload = job.status_dict()
-        if job.status == "done" and job.result is not None:
+        # The in-memory job, when there is one, adds only what lives in this
+        # process (progress, waiters, refine/update source); the row wins on
+        # every key both have.
+        job = self.jobs.get_job(job_id)
+        payload = {**(job.status_dict() if job is not None else {}), **record.as_dict()}
+        # "status" is the polling key clients wait on (done | error end it).
+        payload["status"] = (
+            "error" if record.state in ("failed", "cancelled") else record.state
+        )
+        if record.state == "done" and record.result is not None:
             payload["result"] = result_payload(
-                job.result, k, include_scores=include_scores
+                BetweennessResult.from_json(record.result),
+                k,
+                include_scores=include_scores,
             )
         return 200, payload
 

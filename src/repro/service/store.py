@@ -205,8 +205,8 @@ class JobStore:
         expire leases without sleeping.
 
     Connections are per-thread (SQLite objects are not thread-safe), created
-    lazily and closed by :meth:`close`.  All timestamps are ``clock()``
-    floats (seconds).
+    lazily and closed by :meth:`close` (or :meth:`close_thread`).  All
+    timestamps are ``clock()`` floats (seconds).
     """
 
     def __init__(
@@ -244,6 +244,22 @@ class JobStore:
             with self._connections_lock:
                 self._connections.append(conn)
         return conn
+
+    def close_thread(self) -> None:
+        """Close the calling thread's connection, if it opened one.
+
+        Short-lived threads (a job's lease heartbeat) call this on their way
+        out; otherwise each would pin a connection until :meth:`close`.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        del self._local.conn
+        with self._connections_lock:
+            # close() may have swept (and closed) it already.
+            if conn in self._connections:
+                self._connections.remove(conn)
+        conn.close()
 
     def close(self) -> None:
         """Close every connection this store opened (idempotent)."""
@@ -359,8 +375,8 @@ class JobStore:
         """Extend a claim's lease; ``False`` means the lease was lost.
 
         A ``False`` return tells the worker its job was re-queued (it stalled
-        past the deadline) — it should abandon the run; its eventual
-        :meth:`complete` would be rejected anyway.
+        past the deadline); its :meth:`complete` is rejected unless it wins
+        the row back.
         """
         lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         cursor = self._conn().execute(
@@ -394,6 +410,16 @@ class JobStore:
             " lease_owner=NULL, lease_deadline=NULL"
             " WHERE id=? AND lease_owner=? AND state='running'",
             (error, self.clock(), job_id, worker_id),
+        )
+        return cursor.rowcount == 1
+
+    def release(self, job_id: int, worker_id: str) -> bool:
+        """Re-queue a job whose owner is known to be dead, without waiting out
+        its lease; owner-guarded like :meth:`complete`."""
+        cursor = self._conn().execute(
+            "UPDATE jobs SET state='queued', lease_owner=NULL, lease_deadline=NULL"
+            " WHERE id=? AND lease_owner=?",
+            (job_id, worker_id),
         )
         return cursor.rowcount == 1
 

@@ -1,22 +1,34 @@
-"""Store-draining estimation worker: N of these processes empty one queue.
+"""The one job executor: a claimed store row in, a finished row out.
 
-One :class:`StoreWorker` is the pull side of :class:`~repro.service.store.
-JobStore`: claim the oldest queued job under a lease, keep the lease alive
-from a heartbeat thread while the estimation runs, persist the result to the
-shared :class:`~repro.service.cache.ResultCache` (with a session checkpoint,
-so the cache entry is refinable), and mark the row ``done``.  Workers are
-deliberately stateless — all coordination is rows in the store — so scaling
-out is starting more processes::
+:class:`StoreWorker` is the only code in the service that turns a claimed
+:class:`~repro.service.store.JobStore` row into a finished one: keep the
+lease alive from a heartbeat thread, build the estimator's arguments from the
+row, run the one ``estimate_betweenness`` call of ``repro.service``, persist
+the result to the shared :class:`~repro.service.cache.ResultCache` (with a
+session checkpoint, so the cache entry is refinable), and mark the row
+``done`` or ``failed`` under the owner guard.  :meth:`StoreWorker.execute`
+does that for one row; two callers reach it:
 
-    python -m repro.service.worker --store /path/to/jobs.sqlite3 &
-    python -m repro.service.worker --store /path/to/jobs.sqlite3 &
+* :meth:`StoreWorker.run`, the pull loop of a standalone worker process.
+  Workers are stateless — all coordination is rows in the store — so scaling
+  out is starting more processes::
+
+      python -m repro.service.worker --store /path/to/jobs.sqlite3 &
+      python -m repro.service.worker --store /path/to/jobs.sqlite3 &
+
+* the coordinator's worker pool (``dispatch="pool"``,
+  :mod:`repro.service.jobs`), which claims each row *by id* and passes a
+  progress callback: one ``StoreWorker`` per pool process, or the
+  coordinator's own instance on its pool threads.
 
 Crash safety falls out of the lease protocol: a SIGKILLed worker stops
-heartbeating, its lease expires, and any surviving worker's
-``requeue_expired`` poll hands the job to someone else.  Because estimations
-are deterministic in the request's seed, the replacement run is bit-identical
-to what the dead worker would have produced — asserted end to end in
-``tests/test_service_durability.py``.
+heartbeating, its lease expires, and any survivor's ``requeue_expired`` poll
+hands the job to someone else.  Because estimations are deterministic in the
+request's seed, the replacement run is bit-identical to what the dead worker
+would have produced (``tests/test_service_durability.py``) — and a worker
+that merely *stalled* past its lease needs one rule: finish, persist (a
+second cache write of the same bytes is idempotent) and let the owner-guarded
+``complete`` decide whose row it is.
 
 Fault injection: ``hold_seconds`` (CLI ``--hold-seconds``, env
 ``$REPRO_WORKER_HOLD_SECONDS``) makes the worker sleep *after claiming* a job
@@ -32,20 +44,20 @@ import signal
 import sys
 import threading
 import time
-from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from repro.service.cache import ResultCache
 from repro.service.schema import QueryRequest
 from repro.service.store import JobRecord, JobStore, default_worker_id
+from repro.store.format import unique_tmp_path
 
-__all__ = ["StoreWorker", "run_worker", "main"]
+__all__ = ["StoreWorker", "main"]
 
 _HOLD_ENV = "REPRO_WORKER_HOLD_SECONDS"
 
 
 class StoreWorker:
-    """Claims jobs from one :class:`JobStore` and runs them to completion.
+    """Runs claimed :class:`JobStore` rows to completion (see module docs).
 
     Parameters
     ----------
@@ -64,6 +76,10 @@ class StoreWorker:
         Optional :class:`~repro.api.Resources` for every estimation.
     hold_seconds:
         Fault-injection hook (see module docstring).
+    estimator:
+        Replaces :func:`repro.api.estimate_betweenness` — the seam tests use
+        to count sampling runs.  Its keyword signature is pinned, so it is
+        never asked for a session checkpoint.
     """
 
     def __init__(
@@ -76,6 +92,7 @@ class StoreWorker:
         poll_seconds: float = 0.2,
         resources=None,
         hold_seconds: float = 0.0,
+        estimator: Optional[Callable] = None,
     ) -> None:
         self.store = store if isinstance(store, JobStore) else JobStore(store)
         if lease_seconds is not None:
@@ -87,6 +104,7 @@ class StoreWorker:
         self.poll_seconds = float(poll_seconds)
         self.resources = resources
         self.hold_seconds = float(hold_seconds)
+        self.estimator = estimator
         self.jobs_done = 0
         self.jobs_failed = 0
         self._stop = threading.Event()
@@ -113,8 +131,8 @@ class StoreWorker:
             if max_jobs is not None and self.jobs_done + self.jobs_failed >= max_jobs:
                 break
             self.store.requeue_expired()
-            record = self.store.claim(self.worker_id, lease_seconds=self.lease_seconds)
-            if record is None:
+            outcome = self.execute()
+            if outcome is None:
                 now = time.monotonic()
                 if idle_since is None:
                     idle_since = now
@@ -126,58 +144,80 @@ class StoreWorker:
                 self._stop.wait(self.poll_seconds)
                 continue
             idle_since = None
-            self._execute(record)
+            if outcome[0]:
+                self.jobs_done += 1
+            else:
+                self.jobs_failed += 1
         return self.jobs_done
 
     # ------------------------------------------------------------------ #
-    def _execute(self, record: JobRecord) -> None:
-        """Run one claimed job under a live lease."""
-        lease_lost = threading.Event()
+    def execute(
+        self, row_id: Optional[int] = None, on_event: Optional[Callable] = None
+    ) -> Optional[Tuple[bool, Optional[str]]]:
+        """Claim the oldest queued row (or ``row_id``) and run it under a live lease.
+
+        ``on_event`` receives the estimator's progress events.  Returns
+        ``None`` when there was nothing to claim, else ``(completed,
+        cache_error)``: whether this worker's ``complete`` was the one the
+        store accepted, and the error text of a failed cache write.
+        """
+        record = self.store.claim(
+            self.worker_id, job_id=row_id, lease_seconds=self.lease_seconds
+        )
+        if record is None:
+            return None
         done = threading.Event()
 
         def _heartbeat() -> None:
             interval = max(0.05, self.lease_seconds / 3.0)
-            while not done.wait(interval):
-                if not self.store.heartbeat(
+            try:
+                # A lost lease ends the beat, not the run (see module docs).
+                while not done.wait(interval) and self.store.heartbeat(
                     record.id, self.worker_id, lease_seconds=self.lease_seconds
                 ):
-                    lease_lost.set()
-                    return
+                    pass
+            finally:
+                self.store.close_thread()
 
         beat = threading.Thread(
             target=_heartbeat, name=f"repro-worker-heartbeat-{record.id}", daemon=True
         )
         beat.start()
+        # Writer-unique name: the cache directory is shared across processes —
+        # a plain ".job-N.snap.tmp" would let two services clobber each
+        # other's snapshots and cache one under the other's (seed-keyed!) entry.
+        checkpoint = unique_tmp_path(self.cache.cache_dir / f".job-{record.id}.snap")
         try:
             if self.hold_seconds > 0:
                 # Fault-injection window: the job is claimed and heartbeating
                 # but has not sampled yet — SIGKILL here and the lease-expiry
                 # path must recover it (tests/test_service_durability.py).
                 time.sleep(self.hold_seconds)
-            result, checkpoint = self._estimate(record)
-            if lease_lost.is_set():
-                # The lease expired mid-run (e.g. a debugger pause); someone
-                # else owns the job now — discard rather than double-write.
-                self.jobs_failed += 1
-                return
-            self._persist(record, result, checkpoint)
-            if self.store.complete(record.id, self.worker_id, result.to_json()):
-                self.jobs_done += 1
-            else:
-                self.jobs_failed += 1
+            request = QueryRequest.from_dict(record.request)
+            result = self._estimate(record, request, on_event, checkpoint)
+            # The cache write is best-effort: an unwritable cache must not
+            # fail a correctly computed job — the durable copy is the row.
+            cache_error = None
+            try:
+                snapshot = checkpoint if checkpoint.is_file() else None
+                self.cache.put(record.checksum, request, result, snapshot=snapshot)
+            except Exception as exc:  # noqa: BLE001
+                cache_error = f"{type(exc).__name__}: {exc}"
+            completed = self.store.complete(record.id, self.worker_id, result.to_json())
+            return completed, cache_error
         except Exception as exc:  # noqa: BLE001 - job errors become row state
             self.store.fail(record.id, self.worker_id, f"{type(exc).__name__}: {exc}")
-            self.jobs_failed += 1
+            return False, None
         finally:
             done.set()
             beat.join(timeout=2.0)
+            try:
+                checkpoint.unlink(missing_ok=True)
+            except OSError:
+                pass
 
-    def _estimate(self, record: JobRecord):
-        """Run the facade for one job row; returns ``(result, checkpoint_path)``."""
-        from repro.api import estimate_betweenness
-        from repro.store.format import unique_tmp_path
-
-        request = QueryRequest.from_dict(record.request)
+    def _estimate(self, record: JobRecord, request: QueryRequest, on_event, checkpoint):
+        """The service's one estimator call: keyword arguments from the job row."""
         kwargs = {
             "algorithm": request.algorithm,
             "eps": request.eps,
@@ -192,43 +232,12 @@ class StoreWorker:
         for key in ("resume_from", "update_from", "graph_delta"):
             if record.kwargs.get(key) is not None:
                 kwargs[key] = record.kwargs[key]
-        checkpoint = record.kwargs.get("checkpoint_path")
-        if checkpoint is None:
-            checkpoint = str(
-                unique_tmp_path(self.cache.cache_dir / f".job-{record.id}.snap")
-            )
-        kwargs["checkpoint_path"] = checkpoint
-        result = estimate_betweenness(record.graph_path, **kwargs)
-        return result, checkpoint
+        estimate = self.estimator
+        if estimate is None:  # a custom estimator's keyword signature is pinned
+            from repro.api import estimate_betweenness as estimate
 
-    def _persist(self, record: JobRecord, result, checkpoint: str) -> None:
-        """Write the result (+ snapshot) into the shared cache, best-effort.
-
-        An unwritable cache must not fail a correctly computed job — the
-        durable copy is the store row the caller is about to write.
-        """
-        request = QueryRequest.from_dict(record.request)
-        snapshot = checkpoint if Path(checkpoint).is_file() else None
-        try:
-            self.cache.put(record.checksum, request, result, snapshot=snapshot)
-        except Exception:  # noqa: BLE001
-            pass
-        finally:
-            if snapshot is not None:
-                try:
-                    Path(snapshot).unlink()
-                except OSError:
-                    pass
-
-
-def run_worker(store_path, **kwargs) -> int:
-    """Convenience wrapper: build a :class:`StoreWorker` and :meth:`run` it."""
-    run_opts = {
-        key: kwargs.pop(key)
-        for key in ("max_jobs", "max_idle_seconds")
-        if key in kwargs
-    }
-    return StoreWorker(store_path, **kwargs).run(**run_opts)
+            kwargs["checkpoint_path"] = str(checkpoint)
+        return estimate(record.graph_path, callbacks=on_event, **kwargs)
 
 
 def main(argv=None) -> int:

@@ -499,9 +499,8 @@ class ShardedPathSampler:
 
     Single-sided level-synchronous sigma-BFS from the source until the target
     is settled, followed by a sigma-weighted backward walk — the same uniform
-    path distribution as the kernel backends (it mirrors the numba backend's
-    algorithm), with every adjacency read going through the view so only the
-    touched shard pages fault in.
+    path distribution as the kernel backends, with every adjacency read going
+    through the view so only the touched shard pages fault in.
 
     Implements the :class:`~repro.sampling.base.PathSampler` surface the
     drivers use (``sample``, ``sample_path``, ``sample_batch``, ``graph``).

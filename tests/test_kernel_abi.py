@@ -68,7 +68,7 @@ def _force_bidirectional(sampler: BatchPathSampler) -> BatchPathSampler:
 class TestKernelRegistry:
     def test_default_kernels_registered(self):
         names = kernel_names()
-        for expected in ("smallgraph", "bidirectional", "unidirectional", "wavefront", "numba"):
+        for expected in ("smallgraph", "bidirectional", "unidirectional", "wavefront"):
             assert expected in names
 
     def test_portable_kernels_available(self):

@@ -1,0 +1,318 @@
+"""One executor behind both dispatch modes, and every job settled from its row.
+
+``dispatch="pool"`` hands a row id to its worker pool, whose worker runs
+:meth:`repro.service.worker.StoreWorker.execute`; ``dispatch="external"``
+lets ``StoreWorker.run`` processes drain the store.  These tests pin what
+that sharing promises: the two modes are the same computation with the same
+artifacts; progress, cache-write failures and kernel counters still reach the
+coordinator from a pool worker; a pool job whose lease is lost ends ``done``
+in the *store*; the per-job heartbeat thread leaks no connection; and a poll
+answered from the row honours ``?k=`` / ``include_scores=``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core.result import BetweennessResult
+from repro.graph.generators import barabasi_albert
+from repro.graph.io import write_edge_list
+from repro.service import (
+    BetweennessService,
+    JobManager,
+    JobStore,
+    QueryRequest,
+    ResultCache,
+    ServiceClient,
+    StoreWorker,
+)
+from repro.store import GraphCatalog
+
+QUERY = {"eps": 0.1, "delta": 0.2, "algorithm": "sequential", "seed": 5}
+
+
+@pytest.fixture()
+def graph(tmp_path):
+    path = tmp_path / "ba.txt"
+    write_edge_list(barabasi_albert(60, 2, seed=4), path)
+    return path
+
+
+def fake_result(**kwargs) -> BetweennessResult:
+    rng = np.random.default_rng(kwargs.get("seed", 0))
+    return BetweennessResult(
+        scores=rng.random(5), num_samples=50, eps=kwargs["eps"], delta=kwargs["delta"],
+        omega=200, num_epochs=1, phase_seconds={"total": 0.001}, backend="sequential",
+    )
+
+
+def run_one(tmp_path, name, graph, *, dispatch, **manager_kwargs):
+    """Run QUERY through a fresh manager; returns (row, manager, checksum, job)."""
+    cache = ResultCache(tmp_path / f"{name}-results")
+    manager = JobManager(
+        cache=cache,
+        catalog=GraphCatalog(tmp_path / "graph-cache"),
+        store=JobStore(tmp_path / f"{name}-jobs.sqlite3"),
+        dispatch=dispatch,
+        poll_seconds=0.02,
+        **manager_kwargs,
+    )
+
+    async def scenario():
+        outcome = await manager.submit(QueryRequest(graph=str(graph), **QUERY))
+        if dispatch == "external":
+            worker = StoreWorker(manager.store, cache=cache, poll_seconds=0.02)
+            drain = asyncio.to_thread(worker.run, max_jobs=1)
+            await asyncio.gather(outcome.job.future, drain)
+        else:
+            await outcome.job.future
+        await asyncio.sleep(0.3)  # let queued progress events drain
+        return outcome
+
+    try:
+        outcome = asyncio.run(scenario())
+        row = manager.store.get(outcome.job.id)
+    finally:
+        manager.close()
+    return row, manager, outcome.checksum, outcome.job
+
+
+class TestOneExecutor:
+    def test_pool_and_external_are_the_same_computation(self, tmp_path, graph):
+        rows = {}
+        for name, kwargs in (
+            ("pool", {"dispatch": "pool", "worker_mode": "process"}),
+            ("thread", {"dispatch": "pool", "worker_mode": "thread"}),
+            ("external", {"dispatch": "external"}),
+        ):
+            row, manager, checksum, job = run_one(tmp_path, name, graph, **kwargs)
+            cache = manager.cache
+            assert row.state == "done" and row.attempts == 1
+            assert job.status == "done"
+            payload = json.loads(row.result)
+            assert payload["num_samples"] > 0 and len(payload["scores"]) == 60
+            rows[name] = json.dumps(payload["scores"])
+            (entry,) = cache.entries(checksum)
+            assert entry.has_snapshot
+            refinable = cache.find_refinable(
+                checksum, family="adaptive-sampling", eps=0.05, delta=0.2, seed=5
+            )
+            assert refinable is not None and refinable[0].key == entry.key
+            # The worker's temporary checkpoint is gone; only the entry remains.
+            assert not list(cache.cache_dir.glob(".job-*"))
+        assert rows["pool"] == rows["external"] == rows["thread"]
+
+    @pytest.mark.parametrize("worker_mode", ["process", "thread"])
+    def test_pool_progress_reaches_the_job_endpoint(self, tmp_path, graph, worker_mode):
+        async def main():
+            service = BetweennessService(
+                port=0,
+                cache=ResultCache(tmp_path / "results"),
+                catalog=GraphCatalog(tmp_path / "graph-cache"),
+                worker_mode=worker_mode,
+            )
+            await service.start()
+            client = ServiceClient(service.host, service.port, timeout=60.0)
+            try:
+                submitted = await asyncio.to_thread(
+                    client.query, graph=str(graph), **QUERY, wait=False
+                )
+                status = await asyncio.to_thread(
+                    client.wait_for_job, submitted["job_id"], poll_seconds=0.05, timeout=60.0
+                )
+                phases = set()
+                for _ in range(100):  # process-mode events arrive via a queue thread
+                    phases = {event["phase"] for event in status["progress"]}
+                    if {"diameter", "calibration", "adaptive_sampling"} <= phases:
+                        break
+                    await asyncio.sleep(0.05)
+                    status = await asyncio.to_thread(client.job, submitted["job_id"])
+                metrics = await asyncio.to_thread(client.metrics)
+                return status, phases, metrics
+            finally:
+                await service.stop()
+
+        status, phases, metrics = asyncio.run(main())
+        assert status["status"] == "done" and status["state"] == "done"
+        assert {"diameter", "calibration", "adaptive_sampling"} <= phases
+        assert status["num_events"] >= len(status["progress"]) > 0
+        # The worker's kernel counters made it back to this process's /metrics.
+        samples = [
+            float(line.rpartition(" ")[2])
+            for line in metrics.splitlines()
+            if line.startswith("repro_kernel_samples_total")
+        ]
+        assert samples and max(samples) > 0
+
+    def test_process_pool_reports_cache_write_failure(self, tmp_path, graph):
+        # A *file* where the graph's entry directory should be: the put fails
+        # in the pool process; the coordinator must still hear about it.
+        catalog = GraphCatalog(tmp_path / "graph-cache")
+        checksum = catalog.checksum(catalog.resolve(str(graph)))
+        (tmp_path / "pool-results").mkdir()
+        (tmp_path / "pool-results" / checksum.replace(":", "-")).write_text("not a directory")
+        row, manager, _checksum, job = run_one(
+            tmp_path, "pool", graph, dispatch="pool", worker_mode="process"
+        )
+        assert row.state == "done" and job.status == "done"
+        assert manager.counters["cache_write_failures"] == 1
+        assert manager.counters["failed"] == 0
+        assert "cache-write-failed" in {event["phase"] for event in job.events}
+        assert not list(manager.cache.cache_dir.glob(".job-*"))
+
+    def test_broken_pool_fails_the_job_instead_of_spinning(self, tmp_path, graph):
+        manager = JobManager(
+            cache=ResultCache(tmp_path / "results"),
+            catalog=GraphCatalog(tmp_path / "graph-cache"),
+            worker_mode="thread",
+            estimator=lambda *a, **k: fake_result(**k),
+        )
+
+        def broken(row_id, on_event=None):
+            raise OSError("pool is gone")
+
+        manager._worker.execute = broken
+
+        async def scenario():
+            outcome = await manager.submit(QueryRequest(graph=str(graph), **QUERY))
+            with pytest.raises(RuntimeError):
+                await asyncio.wait_for(outcome.job.future, timeout=10.0)
+            return outcome.job
+
+        try:
+            job = asyncio.run(scenario())
+            row = manager.store.get(job.id)
+        finally:
+            manager.close()
+        assert job.status == "error"
+        assert row.state == "cancelled"  # never claimed, so not left queued
+
+
+class TestSettleFromTheRow:
+    def test_pool_job_requeued_under_it_ends_done_in_the_store(self, tmp_path, graph):
+        """The lease expires mid-run and a janitor re-queues the row: the pool
+        must run it again until the *row* is done, not just resolve the future."""
+        now = [1000.0]
+        store = JobStore(tmp_path / "jobs.sqlite3", clock=lambda: now[0])
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def estimator(graph_path, *, callbacks=None, **kwargs):
+            calls.append(kwargs["seed"])
+            started.set()
+            assert release.wait(timeout=30.0)
+            return fake_result(**kwargs)
+
+        manager = JobManager(
+            cache=ResultCache(tmp_path / "results"),
+            catalog=GraphCatalog(tmp_path / "graph-cache"),
+            store=store,
+            worker_mode="thread",
+            estimator=estimator,
+            lease_seconds=60.0,  # first heartbeat after 20 s: none during the test
+        )
+
+        async def scenario():
+            outcome = await manager.submit(QueryRequest(graph=str(graph), **QUERY))
+            assert await asyncio.to_thread(started.wait, 30.0)
+            now[0] += 61.0  # past the lease
+            assert store.requeue_expired() == (1, 0)
+            assert store.get(outcome.job.id).state == "queued"
+            release.set()
+            result = await asyncio.wait_for(outcome.job.future, timeout=30.0)
+            return outcome.job, result
+
+        try:
+            job, result = asyncio.run(scenario())
+            row = store.get(job.id)
+        finally:
+            manager.close()
+        assert row.state == "done" and row.attempts == 2 and job.attempts == 2
+        assert calls == [5, 5]
+        assert result.scores.tolist() == json.loads(row.result)["scores"]
+        assert manager.counters["completed"] == 1 and manager.counters["failed"] == 0
+
+    def test_store_backed_poll_honours_k_and_include_scores(self, tmp_path, graph):
+        """A finished row polled through a *fresh* service on the same store
+        (a restart) is shaped by the poll's own ``?k=`` / ``include_scores=``."""
+        store_path = tmp_path / "jobs.sqlite3"
+        cache = ResultCache(tmp_path / "results")
+        catalog = GraphCatalog(tmp_path / "graph-cache")
+        request = QueryRequest(graph=str(graph), **QUERY, k=7)
+        path = catalog.resolve(request.graph)
+        checksum = catalog.checksum(path)
+        with_store = JobStore(store_path)
+        record, _ = with_store.enqueue(
+            key=request.job_key(checksum), tenant=request.tenant,
+            request=request.as_dict(), checksum=checksum, graph_path=str(path),
+        )
+        assert StoreWorker(with_store, cache=cache).run(max_jobs=1) == 1
+        with_store.close()
+
+        async def main():
+            service = BetweennessService(
+                port=0, cache=cache, catalog=catalog, store=JobStore(store_path),
+                dispatch="external",
+            )
+            await service.start()
+            client = ServiceClient(service.host, service.port, timeout=30.0)
+            try:
+                assert service.jobs.get_job(record.job_id) is None
+                url = f"/v1/jobs/{record.job_id}"
+                plain = await asyncio.to_thread(client.request, "GET", url)
+                shaped = await asyncio.to_thread(
+                    client.request, "GET", url + "?k=2&include_scores=true"
+                )
+                return plain, shaped
+            finally:
+                await service.stop()
+
+        plain, shaped = asyncio.run(main())
+        assert plain["status"] == "done" and len(plain["result"]["top"]) == 7
+        assert "scores" not in plain["result"]
+        assert len(shaped["result"]["top"]) == 2
+        assert len(shaped["result"]["scores"]) == 60
+
+
+class TestHeartbeatConnections:
+    def test_long_jobs_do_not_leak_store_connections(self, tmp_path, graph):
+        """Every job runs its own heartbeat thread, and a thread that beats
+        opens a thread-local SQLite connection: it must close on the way out."""
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        catalog = GraphCatalog(tmp_path / "graph-cache")
+        path = catalog.resolve(str(graph))
+        checksum = catalog.checksum(path)
+        for seed in range(6):
+            request = QueryRequest(graph=str(graph), **{**QUERY, "seed": seed})
+            store.enqueue(
+                key=request.job_key(checksum), tenant="default",
+                request=request.as_dict(), checksum=checksum, graph_path=str(path),
+            )
+        beats = set()
+        heartbeat = store.heartbeat
+
+        def counting_heartbeat(*args, **kwargs):
+            beats.add(threading.current_thread().name)
+            return heartbeat(*args, **kwargs)
+
+        store.heartbeat = counting_heartbeat
+        worker = StoreWorker(
+            store,
+            cache=ResultCache(tmp_path / "results"),
+            lease_seconds=0.15,
+            hold_seconds=0.2,  # longer than lease/3: every job beats at least once
+        )
+        worker.run(max_jobs=1)  # warm-up: this thread's connection, imports
+        connections = len(store._connections)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        assert worker.run(max_jobs=6) == 6
+        assert len(beats) >= 5  # the beats really came from per-job threads
+        assert len(store._connections) == connections
+        assert len(os.listdir("/proc/self/fd")) <= descriptors
+        store.close()
