@@ -7,7 +7,7 @@ identify the important ones.  This example
 
 1. builds a social-network proxy (R-MAT, Graph500 parameters, as used in the
    paper's synthetic evaluation),
-2. runs the epoch-based distributed KADABRA (ranks simulated as threads),
+2. runs the epoch-based distributed KADABRA (two ranks: this process and one forked from it),
 3. compares eps = 0.05 and eps = 0.02 to show how a tighter error bound
    exposes more of the high-betweenness vertices, mirroring the paper's
    argument for eps = 0.001 at scale.

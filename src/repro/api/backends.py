@@ -9,6 +9,10 @@ where ``options`` is a validated :class:`~repro.core.options.KadabraOptions`,
 optional :data:`~repro.util.progress.ProgressCallback`.  Importing this module
 (which :mod:`repro.api` does) populates the registry with the paper's five
 execution modes plus the older source-sampling baseline.
+
+Every parallel mode runs :func:`repro.parallel.engine.run_rank`; asking for
+``processes > 1`` gets that many OS processes, forked from the caller and
+joined over loopback TCP, not threads taking turns under the GIL.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
 from repro.mpi.interface import Communicator, SelfComm
-from repro.mpi.threaded import run_threaded
 from repro.parallel.engine import run_rank
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
@@ -60,27 +63,19 @@ def _run_ranks(
     threads: int,
     algorithm: str = "epoch",
 ) -> BetweennessResult:
-    """The rank engine in this process: ``SelfComm``, or one thread per rank.
+    """The rank engine on ``processes`` ranks: ``SelfComm`` here, or real processes.
 
-    With several ranks and an ``.rcsr``-backed graph, every rank opens its own
-    memory map instead of inheriting the caller's arrays — the OS page cache
-    shares the read-only pages, so this models the paper's "one replicated
-    read-only CSR per rank" at near-zero per-rank cost.
+    With several ranks the caller is rank 0 and the others are forked from it
+    (:func:`repro.dist.socketcomm.run_forked`): they inherit ``graph`` —
+    in memory or mapped — copy-on-write, the paper's "one replicated
+    read-only CSR per rank" at near-zero per-rank cost, and ``progress``
+    fires only here.
     """
-    source = getattr(graph, "source_path", None) if processes > 1 else None
 
     def body(comm: Communicator, rank: int) -> Optional[BetweennessResult]:
-        rank_graph = graph
-        if source is not None:
-            from repro.store.format import open_rcsr
-
-            try:
-                rank_graph = open_rcsr(source)
-            except (OSError, ValueError):  # pragma: no cover - store file vanished
-                pass
         result, _stats = run_rank(
             comm,
-            rank_graph,
+            graph,
             options,
             threads=threads,
             algorithm=algorithm,
@@ -93,7 +88,9 @@ def _run_ranks(
 
     if processes == 1:
         return body(SelfComm(), 0)
-    return run_threaded(processes, body)[0]
+    from repro.dist.socketcomm import run_forked
+
+    return run_forked(processes, body)
 
 
 def _run_shared_memory(

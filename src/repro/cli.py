@@ -475,16 +475,16 @@ def build_dist_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-betweenness dist",
         description="Real multi-process distributed estimation over the socket "
-        "transport: 'run' spawns N local worker processes against a rank-0 "
+        "transport: 'run' forks N local worker processes against a rank-0 "
         "rendezvous hub (partitioning the graph into per-rank .rcsr shards "
-        "first); 'worker' is one rank, spawned by 'run' or by hand/mpirun "
+        "first); 'worker' is one rank, started by hand or by mpirun "
         "for multi-host deployments.",
         epilog="The launcher, rendezvous, shard layout and fault recovery are "
         "documented in docs/distributed.md.",
     )
     actions = parser.add_subparsers(dest="action", required=True)
 
-    run = actions.add_parser("run", help="spawn and monitor a local worker world")
+    run = actions.add_parser("run", help="fork and monitor a local worker world")
     run.add_argument("graph", help=".rcsr file, text graph file, or registered dataset name")
     run.add_argument("--processes", type=int, default=2, help="worker processes (default 2)")
     run.add_argument(
@@ -518,7 +518,7 @@ def build_dist_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", default=None, help="merged result JSON path")
     run.add_argument("--top", type=int, default=5, help="print the top-K vertices (0 = none)")
 
-    worker = actions.add_parser("worker", help="run one rank (spawned by 'run' or mpirun)")
+    worker = actions.add_parser("worker", help="run one rank (on another host, or under mpirun)")
     worker.add_argument("--graph", required=True, help=".rcsr container path")
     worker.add_argument("--rank", type=int, required=True)
     worker.add_argument("--size", type=int, required=True)
@@ -590,8 +590,10 @@ def _cmd_dist(argv: list) -> int:
             )
         else:
             print(
-                "error: the threaded transport is in-process; use the plain "
-                "estimation CLI with --algorithm distributed instead",
+                "error: the threaded transport (ranks as threads of one process) is a "
+                "test fixture, not a way to run an estimation; 'dist run' forks real "
+                "rank processes over the socket transport, and so does the plain "
+                "estimation CLI with --algorithm distributed --processes N",
                 file=sys.stderr,
             )
         return 2

@@ -3,11 +3,13 @@
 Everything below :mod:`repro.parallel` was written against the
 :class:`~repro.mpi.interface.Communicator` ABC precisely so the threaded
 simulation could be swapped for real transport.  This package performs the
-swap:
+swap, and starts every local rank the same way — by fork from the process
+that asked for it (:func:`~repro.dist.socketcomm.fork_rank`):
 
 * :mod:`repro.dist.socketcomm` — :class:`SocketComm`, the ABC over TCP with a
   rank-0 rendezvous hub, length-prefixed stdlib framing and a background
-  receive thread giving ``ThreadedComm``-equivalent non-blocking semantics.
+  receive thread giving ``ThreadedComm``-equivalent non-blocking semantics;
+  :func:`run_forked`, which the facade's ``processes > 1`` runs on.
 * :mod:`repro.dist.mpi4py_adapter` — the same ABC over ``mpi4py`` when the
   container has it, behind a capability probe (never a hard dependency).
 * :mod:`repro.dist.transports` — the probe-backed transport registry shown by
@@ -15,11 +17,13 @@ swap:
 * :mod:`repro.dist.driver` — per-worker phase driver: partitioned graph view,
   diameter/calibration/adaptive phases through the unchanged epoch framework,
   epoch-boundary checkpoints and resume.
-* :mod:`repro.dist.launcher` — ``repro.cli dist run``: spawn N local worker
-  processes, monitor them, respawn-with-resume after a crash.
+* :mod:`repro.dist.launcher` — ``repro.cli dist run``: fork N local worker
+  processes, monitor them, fork the world again with resume after a crash.
+  ``repro.cli dist worker`` is the entry for ranks it cannot fork: remote
+  hosts and ``mpirun``.
 """
 
-from repro.dist.socketcomm import CommError, SocketComm, SocketHub, run_socket
+from repro.dist.socketcomm import CommError, SocketComm, SocketHub, run_forked, run_socket
 from repro.dist.transports import TransportSpec, format_transport_table, list_transports
 
 __all__ = [
@@ -29,5 +33,6 @@ __all__ = [
     "TransportSpec",
     "format_transport_table",
     "list_transports",
+    "run_forked",
     "run_socket",
 ]

@@ -3,7 +3,7 @@
 One OS process per rank.  Rank 0's process hosts the rendezvous hub (unless
 ``connect`` points at a remote hub), every rank joins the world communicator
 over TCP and runs :func:`repro.parallel.engine.run_rank` — the same function
-the shared-memory and threaded backends run — on its own view of the graph.
+every parallel backend runs — on its own view of the graph.
 What this module adds around the engine:
 
 * **Sharded adjacency** — with ``parts`` set, each rank opens a
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -234,16 +235,18 @@ def _open_graph(config: DistWorkerConfig):
     return open_rcsr(path), checksum, None
 
 
-def run_worker(config: DistWorkerConfig) -> int:
+def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = None) -> int:
     """Run one rank of a distributed estimation; returns a process exit code.
 
-    Rank 0 (without ``connect``) hosts the hub, writes checkpoints, and emits
-    the merged result JSON to ``config.result_path``.
+    Rank 0 (without ``connect``) hosts the hub — on ``listener`` when the
+    launcher that forked it bound one, else on ``config.host:config.port`` —
+    writes checkpoints, and emits the merged result JSON to
+    ``config.result_path``.
     """
     _arm_fault_injection(config)
     hub: Optional[SocketHub] = None
     if config.rank == 0 and config.connect is None:
-        hub = SocketHub(config.size, host=config.host, port=config.port).start()
+        hub = SocketHub(config.size, host=config.host, port=config.port, listener=listener).start()
     host, port = config.hub_address()
     comm = SocketComm.connect(host, port, config.rank, config.size, timeout=config.timeout)
     try:
@@ -252,7 +255,7 @@ def run_worker(config: DistWorkerConfig) -> int:
             out = Path(config.result_path)
             out.parent.mkdir(parents=True, exist_ok=True)
             tmp = out.with_name(out.name + ".tmp")
-            tmp.write_text(json.dumps(result, indent=2))
+            tmp.write_text(json.dumps(result))
             os.replace(tmp, out)
         return 0
     finally:

@@ -1,37 +1,40 @@
-"""Local process launcher: spawn N workers, monitor, resume after a crash.
+"""Local process launcher: fork N ranks, monitor, resume after a crash.
 
 ``repro.cli dist run`` lands here.  The launcher:
 
 1. partitions the graph up front (idempotent; also computes the diameter
    bound once, so no worker pays for it and no two workers race the shard
    writes);
-2. spawns ``processes`` real OS processes, each running
-   ``python -m repro.cli dist worker --rank R ...`` against the rank-0 hub
-   on a pre-picked free port;
+2. binds the hub's listening socket, then forks ``processes`` real OS
+   processes from itself (:func:`repro.dist.socketcomm.fork_rank`), each
+   calling :func:`repro.dist.driver.run_worker` directly — no interpreter
+   start-up, no re-import of numpy and ``repro``; rank 0 inherits the
+   listener and hosts the hub on it.  ``python -m repro.cli dist worker`` is
+   the same function behind a command line, for ranks on other hosts and
+   under ``mpirun``;
 3. monitors them: if any worker dies (crash, OOM, SIGKILL), the remaining
    workers are torn down and — when a checkpoint exists and restarts
-   remain — the whole world is respawned with ``--resume``, continuing from
-   the last persisted epoch boundary with zero lost aggregated samples;
+   remain — the whole world is forked again with ``resume`` set, continuing
+   from the last persisted epoch boundary with zero lost aggregated samples;
 4. returns rank 0's merged result JSON, annotated with the restart count.
+   However it ends, no rank outlives the call.
 
-Fault-injection (``fault_rank``) exports :data:`~repro.dist.driver.FAULT_RANK_ENV`
-to exactly one worker of the *first* generation; respawned generations never
-inherit it, mirroring a real transient fault.
+Fault-injection (``fault_rank``) sets :data:`~repro.dist.driver.FAULT_RANK_ENV`
+inside exactly one worker of the *first* generation; later generations never
+see it, mirroring a real transient fault.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import socket
-import subprocess
-import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.dist.driver import FAULT_RANK_ENV, DistWorkerConfig
+from repro.dist.driver import FAULT_RANK_ENV, DistWorkerConfig, run_worker
+from repro.dist.socketcomm import bind_listener, fork_rank, reap
 from repro.store.partition import partition_rcsr
 
 __all__ = ["LaunchError", "pick_free_port", "launch_local"]
@@ -44,35 +47,25 @@ class LaunchError(RuntimeError):
 
 
 def pick_free_port(host: str = "127.0.0.1") -> int:
-    """An ephemeral TCP port that was free at probe time."""
+    """An ephemeral TCP port that was free at probe time.
+
+    For callers that must name a port before anything listens on it
+    (``launch_local(port=...)``, a hub address handed to remote workers);
+    :func:`launch_local` itself binds port 0 and keeps the socket.
+    """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
         probe.bind((host, 0))
         return probe.getsockname()[1]
 
 
-def _spawn(config: DistWorkerConfig, *, fault: bool) -> subprocess.Popen:
-    env = dict(os.environ)
-    env.pop(FAULT_RANK_ENV, None)
+def _rank_process(config: DistWorkerConfig, listener: socket.socket, fault: bool) -> None:
+    """Body of one forked rank: the launcher's state, minus what is not this rank's."""
+    os.environ.pop(FAULT_RANK_ENV, None)
     if fault:
-        env[FAULT_RANK_ENV] = str(config.rank)
-    src_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root if not existing else f"{src_root}{os.pathsep}{existing}"
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *config.to_argv()],
-        env=env,
-    )
-
-
-def _kill_all(procs: List[subprocess.Popen]) -> None:
-    for proc in procs:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
-    for proc in procs:
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL pending
-            pass
+        os.environ[FAULT_RANK_ENV] = str(config.rank)
+    if config.rank != 0:
+        listener.close()
+    run_worker(config, listener=listener if config.rank == 0 else None)
 
 
 def launch_local(
@@ -122,7 +115,11 @@ def launch_local(
     resume = False
     deadline = time.monotonic() + timeout
     while True:
-        world_port = port if port is not None else pick_free_port(host)
+        try:
+            listener = bind_listener(host, port or 0, backlog=processes)
+        except OSError as exc:
+            raise LaunchError(f"cannot listen on {host}:{port or 0}: {exc}") from None
+        world_port = listener.getsockname()[1]
         configs = [
             DistWorkerConfig(
                 graph=str(graph_path),
@@ -148,29 +145,28 @@ def launch_local(
             )
             for rank in range(processes)
         ]
-        procs = [
-            _spawn(config, fault=(fault_rank == config.rank and restarts == 0))
-            for config in configs
-        ]
-
+        procs = []
         failed_rank: Optional[int] = None
-        while True:
-            codes = [proc.poll() for proc in procs]
-            if any(code not in (None, 0) for code in codes):
-                failed_rank = next(i for i, code in enumerate(codes) if code not in (None, 0))
-                break
-            if all(code == 0 for code in codes):
-                break
-            if time.monotonic() > deadline:
-                _kill_all(procs)
-                raise LaunchError(f"distributed run exceeded {timeout}s")
-            # Wait on a live rank instead of sleeping, so the launch returns as
-            # that rank exits (rank 0 hosts the hub and exits last); the other
-            # ranks are still polled once per interval.
-            try:
-                procs[codes.index(None)].wait(timeout=_POLL_SECONDS)
-            except subprocess.TimeoutExpired:
-                pass
+        try:
+            for config in configs:
+                fault = fault_rank == config.rank and restarts == 0
+                procs.append(fork_rank(_rank_process, config, listener, fault, rank=config.rank))
+            while True:
+                codes = [proc.exitcode for proc in procs]
+                if any(code not in (None, 0) for code in codes):
+                    failed_rank = next(i for i, code in enumerate(codes) if code not in (None, 0))
+                    break
+                if all(code == 0 for code in codes):
+                    break
+                if time.monotonic() > deadline:
+                    raise LaunchError(f"distributed run exceeded {timeout}s")
+                # Wait on a live rank instead of sleeping, so the launch returns as
+                # that rank exits (rank 0 hosts the hub and exits last); the other
+                # ranks are still polled once per interval.
+                procs[codes.index(None)].join(_POLL_SECONDS)
+        finally:
+            listener.close()
+            reap(procs)
 
         if failed_rank is None:
             if not result_file.exists():
@@ -179,11 +175,10 @@ def launch_local(
             result["restarts"] = restarts
             return result
 
-        _kill_all(procs)
         can_resume = checkpoint is not None and Path(checkpoint).exists()
         if restarts >= max_restarts:
             raise LaunchError(
-                f"rank {failed_rank} died (exit {procs[failed_rank].poll()}) "
+                f"rank {failed_rank} died (exit {procs[failed_rank].exitcode}) "
                 f"and the restart budget ({max_restarts}) is exhausted"
             )
         restarts += 1

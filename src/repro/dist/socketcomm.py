@@ -26,16 +26,24 @@ transparently, real hosts) with nothing but the standard library:
   :class:`CommError` naming the lost rank.  The distributed launcher turns
   that into kill-remaining + checkpoint resume.
 
+``run_forked(num_ranks, target)`` is how this repo runs local ranks: rank 0
+(and the hub) in the calling process, every other rank a forked child that
+inherits the caller's state — graph included — copy-on-write.  :func:`fork_rank`
+and :func:`reap`, the two primitives under it, are also how
+:func:`repro.dist.launcher.launch_local` starts and stops its ranks.
 ``run_socket(num_ranks, target)`` mirrors ``run_threaded`` for tests: real
 sockets over loopback, ranks as threads of the calling process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import socket
 import struct
 import threading
+import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.mpi.interface import CommError, Communicator
@@ -43,7 +51,17 @@ from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import PolledRequest, Request
 from repro.obs.metrics import get_registry, metrics_enabled
 
-__all__ = ["CommError", "SocketComm", "SocketHub", "run_socket", "COMM_BYTES_METRIC"]
+__all__ = [
+    "CommError",
+    "SocketComm",
+    "SocketHub",
+    "bind_listener",
+    "fork_rank",
+    "reap",
+    "run_forked",
+    "run_socket",
+    "COMM_BYTES_METRIC",
+]
 
 _LEN = struct.Struct(">Q")
 
@@ -105,23 +123,47 @@ class _HubCollective:
         self.has_value = False
 
 
+def bind_listener(host: str = "127.0.0.1", port: int = 0, *, backlog: int) -> socket.socket:
+    """A bound, listening TCP socket for a :class:`SocketHub` to accept on.
+
+    Whoever forks ranks binds this *before* forking and hands it to the hub:
+    a connect then queues in the backlog instead of being refused, however
+    early the rank is, and no port is probed, released and bound again.
+    """
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(backlog)
+    except OSError:
+        listener.close()
+        raise
+    return listener
+
+
 class SocketHub:
     """Rank-0 rendezvous listener and collective matcher.
 
     Accepts exactly ``size`` connections, then matches ``("coll", ...)``
     messages by ``(comm_id, kind, seq)`` and replies with ``("result", ...)``
     frames.  ``split`` creates child communicator ids here, so sub-communicator
-    collectives route through the same connections.
+    collectives route through the same connections.  ``listener`` is a socket
+    from :func:`bind_listener` to accept on (the hub owns it from then on);
+    without one the hub binds ``(host, port)`` itself.
     """
 
-    def __init__(self, size: int, *, host: str = "127.0.0.1", port: int = 0) -> None:
+    def __init__(
+        self,
+        size: int,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        listener: Optional[socket.socket] = None,
+    ) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
         self._size = size
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(size)
+        self._listener = listener if listener is not None else bind_listener(host, port, backlog=size)
         self._listener.settimeout(0.2)
         self._lock = threading.Lock()
         self._conns: Dict[int, Tuple[socket.socket, threading.Lock]] = {}
@@ -532,8 +574,10 @@ class SocketComm(Communicator):
     ) -> "SocketComm":
         """Join the world communicator via the rank-0 hub.
 
-        Retries the TCP connect until ``timeout`` — worker processes race the
-        rank-0 process's hub startup, so the first connects may be refused.
+        Retries the TCP connect until ``timeout``: a ``dist worker`` started
+        by hand or by ``mpirun`` races the rank-0 process's hub startup, so
+        its first connects may be refused.  Forked ranks never are — their
+        hub's listener is bound before the fork.
         """
         deadline = threading.Event()
         waited = 0.0
@@ -635,6 +679,116 @@ class SocketComm(Communicator):
 
     def __repr__(self) -> str:
         return f"SocketComm(rank={self._rank}, size={self._size}, comm_id={self._comm_id})"
+
+
+# --------------------------------------------------------------------------- #
+# ranks as forked processes
+
+
+def _start_on_own_cpu(rank: int) -> None:
+    """Scheduler hint, not a pin: move to the ``rank``-th allowed CPU, then allow all again.
+
+    Forked by a process that was CPU-bound until a moment ago, the ranks of a
+    small world land together on a CPU their parent is not on, and the kernel
+    takes about a second to spread them (``docs/distributed.md``, "Where
+    forked ranks start"); an exec'd worker hid that behind its import time.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {allowed[rank % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # a sandbox may refuse; the kernel's own placement stands
+        pass
+
+
+def _forked_main(rank: int, target: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+    _start_on_own_cpu(rank)
+    # The child is a copy of the forking thread: without this its registry
+    # snapshot would ship the parent's counters home once per rank.  (Its
+    # span stack was emptied at the fork, see repro.obs.trace.)
+    get_registry().clear()
+    target(*args)
+
+
+def fork_rank(
+    target: Callable[..., Any], *args: Any, rank: int
+) -> multiprocessing.process.BaseProcess:
+    """Start ``target(*args)`` as rank ``rank`` in a forked child; returns its ``Process``.
+
+    The child starts where the caller is — modules imported, graph loaded or
+    mapped, closures intact — so nothing is pickled, re-imported or re-opened,
+    but with zeroed metrics, no open spans and on a CPU of its own
+    (:func:`_start_on_own_cpu`).  ``multiprocessing``'s fork context flushes
+    stdio before the fork and leaves the child through ``os._exit``, so
+    buffered output is not written twice and the caller's ``atexit`` handlers
+    never run there.  Exit code 0 means ``target`` returned, 1 that it raised
+    (traceback on stderr), ``-N`` signal ``N``.  Pair every call with
+    :func:`reap`.
+    """
+    proc = multiprocessing.get_context("fork").Process(
+        target=_forked_main, args=(rank, target, args), name=f"repro-rank-{rank}"
+    )
+    proc.start()
+    return proc
+
+
+def reap(procs: List[multiprocessing.process.BaseProcess], *, grace: float = 0.0) -> None:
+    """Leave no child behind: wait ``grace`` seconds in all, SIGKILL what still runs, collect."""
+    deadline = time.monotonic() + grace
+    for proc in procs:
+        proc.join(max(deadline - time.monotonic(), 0.0))
+        if proc.is_alive():
+            proc.kill()
+        proc.join()
+
+
+def _forked_rank(
+    host: str, port: int, rank: int, size: int, target: Callable[[SocketComm, int], Any]
+) -> None:
+    comm = SocketComm.connect(host, port, rank, size)
+    target(comm, rank)
+    comm.gather(get_registry().snapshot() if metrics_enabled() else None, root=0)
+    # Goodbye only after success: a rank that raises leaves without one, and
+    # the hub tells the others "rank r connection lost".
+    comm.close()
+
+
+def run_forked(num_ranks: int, target: Callable[[SocketComm, int], Any]) -> Any:
+    """Run ``target(comm, rank)`` on ``num_ranks`` processes; returns rank 0's result.
+
+    Rank 0 and the hub run here, in the caller, so whatever ``target`` closes
+    over (progress callbacks, open spans) and its result never cross a process
+    edge; ranks ``1 .. num_ranks-1`` are children from :func:`fork_rank`,
+    whose metrics are merged into this process's registry at the end.  A rank
+    that raises or is killed fails the world — the survivors' pending and
+    later collectives raise :class:`CommError` naming it — and every child is
+    reaped before this returns or raises.
+    """
+    hub = SocketHub(num_ranks)  # listening from here on: no connect is refused
+    procs: List[multiprocessing.process.BaseProcess] = []
+    grace = 0.0
+    try:
+        for rank in range(1, num_ranks):
+            procs.append(fork_rank(_forked_rank, hub.host, hub.port, rank, num_ranks, target, rank=rank))
+        # Accepting only now keeps the hub's threads and connections out of
+        # the children.
+        hub.start()
+        _start_on_own_cpu(0)
+        comm = SocketComm.connect(hub.host, hub.port, 0, num_ranks)
+        try:
+            result = target(comm, 0)
+            for snapshot in comm.gather(None, root=0)[1:]:
+                if snapshot:
+                    get_registry().merge(snapshot)
+        finally:
+            comm.close()
+        grace = 10.0  # the others are past their last collective; let them say goodbye
+        return result
+    finally:
+        reap(procs, grace=grace)
+        hub.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -34,14 +34,14 @@ def _registry() -> List[TransportSpec]:
     return [
         TransportSpec(
             name="threaded",
-            description="In-process simulation (ranks as threads); tests and single-host runs",
+            description="Ranks as threads of one process; conformance fixture, runs no estimation",
             probe=_probe_always("stdlib threading"),
             multiprocess=False,
             multihost=False,
         ),
         TransportSpec(
             name="socket",
-            description="TCP sockets with rank-0 rendezvous hub; real processes and hosts",
+            description="TCP sockets with rank-0 rendezvous hub; forked local ranks, remote hosts",
             probe=_probe_always("stdlib sockets"),
             multiprocess=True,
             multihost=True,

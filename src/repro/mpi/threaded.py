@@ -1,9 +1,11 @@
 """Threaded in-process MPI runtime.
 
-mpi4py and a multi-node cluster are not available in this environment, so the
-MPI substrate the paper's algorithms need is provided by an in-process
-runtime: every rank is a Python thread, and the collectives are implemented on
-shared memory with the same *semantics* as their MPI counterparts:
+Every rank is a Python thread, and the collectives are implemented on shared
+memory with the same *semantics* as their MPI counterparts.  The threads take
+turns under the GIL, so nothing runs an estimation here any more (the facade's
+``processes > 1`` forks real processes, :func:`repro.dist.socketcomm.run_forked`);
+the runtime is the reference the communicator conformance suite and the
+benchmark ladder compare the socket transport against:
 
 * collectives are matched by call order per communicator (the i-th ``ireduce``
   of every rank belongs to the same operation);

@@ -513,6 +513,14 @@ class MetricsRegistry:
 #: has no better home records here.
 REGISTRY = MetricsRegistry()
 
+# A fork while another thread is inside the registry would leave the lock
+# held forever in the child; taking it across the fork rules that out.
+os.register_at_fork(
+    before=REGISTRY._lock.acquire,
+    after_in_parent=REGISTRY._lock.release,
+    after_in_child=REGISTRY._lock.release,
+)
+
 
 def get_registry() -> MetricsRegistry:
     """The process-global :data:`REGISTRY`."""

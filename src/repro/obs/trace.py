@@ -186,6 +186,21 @@ def current_span():
     return stack[-1] if stack else None
 
 
+def _reset_after_fork() -> None:
+    """Give a forked child its own tracing state.
+
+    The child is a copy of the forking thread, open spans included; they
+    close in the parent, so spans the child opens under them would never be
+    flushed.  Another thread may also have held the flush lock at the fork.
+    """
+    global _flush_lock
+    _local.stack = []
+    _flush_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
+
 def tracing_enabled() -> bool:
     return _enabled
 

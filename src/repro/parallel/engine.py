@@ -3,9 +3,9 @@
 Every parallel execution mode runs :func:`run_rank` once per rank; the modes
 differ only in the :class:`~repro.mpi.interface.Communicator` and the graph
 view they hand in (``SelfComm`` + the caller's graph for shared memory,
-``run_threaded`` + a per-rank memory map for the in-process simulation,
-``SocketComm`` + a mapped ``.rcsr`` or shard view for real processes).  The
-function mirrors the paper's phase structure:
+``SocketComm`` + the graph inherited from the caller for the facade's forked
+ranks, ``SocketComm`` + a mapped ``.rcsr`` or shard view for ``dist``
+workers).  The function mirrors the paper's phase structure:
 
 1. *Diameter* — computed sequentially at rank 0 (the paper uses a sequential
    algorithm as well) and broadcast.
@@ -419,9 +419,9 @@ def run_rank(
         stream_seed = derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch)
     else:
         # ---------------- Phase 1: diameter (sequential at rank 0) -------- #
-        # Ranks run on their own threads, so non-root spans root their own
-        # per-rank trees (the span stack is thread-local); rank 0 under
-        # SelfComm nests beneath the facade's "estimate" span as usual.
+        # Ranks run in their own processes (or, in tests, threads), so
+        # non-root spans root their own per-rank trees; rank 0 nests beneath
+        # the facade's "estimate" span as usual.
         with timer.phase("diameter"), obs_trace.span("diameter", rank=rank):
             vd = None
             if comm.is_root:

@@ -1,7 +1,7 @@
 """End-to-end tests for the multi-process distributed runtime (``repro.dist``).
 
-These spawn *real* OS processes through :func:`repro.dist.launcher.launch_local`
-(each worker runs ``python -m repro.cli dist worker``), talk over loopback TCP
+These start *real* OS processes through :func:`repro.dist.launcher.launch_local`
+(each worker is forked from the launcher and calls ``run_worker``), talk over loopback TCP
 via :class:`~repro.dist.socketcomm.SocketComm`, and map partitioned ``.rcsr``
 shards.  The acceptance criteria of the distributed PR live here: a 4-process
 run where each rank eagerly maps only its own shard satisfies the

@@ -445,41 +445,39 @@ class TestFacadeAndDriverIntegration:
         assert result.scores.size == social_graph.num_vertices
         assert result.backend == "sequential"
 
-    def test_distributed_ranks_open_mmap_per_worker(self, tmp_path, social_graph, monkeypatch):
+    def test_distributed_ranks_inherit_the_callers_graph(self, tmp_path, social_graph, monkeypatch):
         path = tmp_path / "graph.rcsr"
         write_rcsr(social_graph, path)
         stored = open_rcsr(path)
-        opens = []
+        assert stored.is_memory_mapped
+        # Ranks 1.. are forked from the caller, so an open in any of them is
+        # only visible through the file system, not through a list here.
+        opens = tmp_path / "opens.log"
         real_open = store_format.open_rcsr
 
         def counting_open(p, **kwargs):
-            opens.append(p)
+            with open(opens, "a") as log:
+                log.write(f"{p}\n")
             return real_open(p, **kwargs)
 
         monkeypatch.setattr(store_format, "open_rcsr", counting_open)
         options = KadabraOptions(
             eps=0.2, seed=9, calibration_samples=50, max_samples_override=400, samples_per_check=50
         )
+        resources = Resources(processes=2, threads=2)
         distributed = estimate_betweenness(
-            stored,
-            algorithm="distributed",
-            options=options,
-            resources=Resources(processes=2, threads=2),
+            stored, algorithm="distributed", options=options, resources=resources
         )
-        assert len(opens) == 2  # one open per rank
         assert distributed.scores.size == social_graph.num_vertices
         assert distributed.num_samples > 0
         assert float(distributed.scores.max()) <= 1.0
-        # Same run on the in-memory graph must not re-open the store.
-        opens.clear()
         in_memory = estimate_betweenness(
-            social_graph,
-            algorithm="distributed",
-            options=options,
-            resources=Resources(processes=2, threads=2),
+            social_graph, algorithm="distributed", options=options, resources=resources
         )
-        assert opens == []
         assert in_memory.scores.size == distributed.scores.size
+        # Mapped or in memory, every rank samples from the graph it inherited;
+        # nobody goes back to the store.
+        assert not opens.exists()
 
     def test_memmap_graph_runs_all_sequential_backends(self, stored_path):
         graph = open_rcsr(stored_path)
