@@ -5,8 +5,10 @@ number of adjacency entries touched times the per-edge traversal time of the
 machine.  Two ways to obtain the edges-touched figure:
 
 * :func:`measure_edges_per_sample` runs the actual sampler on the (proxy)
-  graph and averages the ``edges_touched`` counter of the returned samples —
-  the most faithful option, used when a concrete :class:`CSRGraph` exists;
+  graph and averages the ``edges_touched`` counter of the returned samples -
+  the rows the search actually read, i.e. those of the frontiers it expanded,
+  not of every frontier it settled - the most faithful option, used when a
+  concrete :class:`CSRGraph` exists;
 * :func:`estimate_edges_per_sample` is an analytic estimate from ``|V|``,
   ``|E|`` and the diameter, used for the paper-scale instances of Table I/II
   whose billion-edge graphs cannot be instantiated here: on complex networks

@@ -71,7 +71,8 @@ class SampleBatch:
     lengths:
         Hop length of the sampled shortest path (0 when disconnected).
     edges_touched:
-        Adjacency entries scanned per sample (cost-model accounting).
+        Adjacency entries of the frontiers each sample's search expanded, each
+        row counted once (cost-model accounting).
     contrib_vertices:
         All internal path vertices of the batch, concatenated — the vertices
         whose betweenness counters are incremented, ready for ``np.add.at``.

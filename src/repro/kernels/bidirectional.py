@@ -1,26 +1,42 @@
 """Pooled balanced bidirectional BFS sampling kernel.
 
 The algorithm is KADABRA's balanced bidirectional sigma-BFS (see
-:mod:`repro.sampling.bidirectional` for the full derivation of the canonical
-vertex/edge cut decomposition).  This kernel is the zero-allocation
-re-implementation on top of :class:`~repro.kernels.scratch.ScratchPool`:
+:mod:`repro.sampling.bidirectional` for the cut decomposition that keeps the
+sampled path uniform).  This kernel is the zero-allocation implementation on
+top of :class:`~repro.kernels.scratch.ScratchPool`:
 
 * visited/distance state lives in generation-stamped marks instead of freshly
   allocated O(n) arrays;
-* adjacency rows are gathered with the vectorized
-  :func:`~repro.kernels.scratch.gather_csr` instead of a per-vertex Python
-  slice loop, and the edge-meet gather of one level doubles as the expansion
-  gather of the next (the legacy sampler walked those rows twice);
-* every level is settled by the shared
-  :func:`~repro.kernels.scratch.settle_level` step;
+* **scan on expand**: a side keeps its frontier and the *extents* of that
+  frontier's adjacency rows (:func:`~repro.kernels.scratch.row_extents`;
+  their length sum is the volume the balance rule compares).  The rows
+  themselves are read (:func:`~repro.kernels.scratch.gather_rows`) only for
+  the side chosen to expand, and that one scan both looks for edges into the
+  other search and feeds the shared
+  :func:`~repro.kernels.scratch.settle_level` step.  The rows of the two
+  frontiers settled last - on a power-law graph the ones that hold the hubs -
+  are never read, except the cheaper of them once, by the closing scan;
 * weighted picks go through :func:`~repro.kernels.weighted.weighted_index`,
   which is bit-compatible with the ``Generator.choice`` calls of the legacy
   sampler.
 
-Because every candidate set is enumerated in the same order and every random
-draw consumes the generator identically, the kernel reproduces the legacy
-sampler's output *exactly* for a fixed RNG state — the property the
-batch/scalar equivalence tests pin down.
+Two facts about the search make the loop as short as it is.  *No vertex ever
+carries both sides' marks*: a scan sees every vertex its settle step could
+stamp, and ends the search instead if one of them carries the other side's
+mark - so the searches always meet over an edge, never in a vertex.  *Every
+marked neighbour a scan finds lies on the other side's deepest level*: had the
+other side expanded the level of that neighbour, its own scan would have
+found this edge, or stamped this side's endpoint.  The second is an
+``assert`` in both kernels, exercised by ``tests/test_scan_on_expand.py``.
+
+The legacy sampler (``sampling/_reference.py``) looks for the same edges
+eagerly, on the rows of every level as soon as it is settled, and so ends in
+the same state ``(level_s, level_t)``.  When the closing scan ran from the
+target's side its cut edges are put back into the order a forward scan lists
+them; every candidate set is then enumerated in the same order and every
+random draw consumes the generator identically, so the kernel reproduces the
+legacy sampler's output *exactly* for a fixed RNG state - the property the
+equivalence tests pin down.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels.scratch import ScratchPool, gather_csr, settle_level
+from repro.kernels.scratch import ScratchPool, gather_rows, row_extents, settle_level
 from repro.kernels.weighted import weighted_index
 
 __all__ = ["bidirectional_sample"]
@@ -38,21 +54,26 @@ __all__ = ["bidirectional_sample"]
 class _Side:
     """State of one directional search over pooled buffers."""
 
-    __slots__ = ("mark", "sigma", "frontier", "level", "levels", "neighbors", "degs")
+    __slots__ = ("mark", "sigma", "frontier", "level", "starts", "degs", "ends", "volume")
 
-    def __init__(self, mark, sigma, root: int, base: int, root_row: np.ndarray) -> None:
+    def __init__(self, mark, sigma, root: int, base: int, indptr, indptr_hi) -> None:
         self.mark = mark
         self.sigma = sigma
         mark[root] = base
         sigma[root] = 1.0
-        self.frontier = np.array([root], dtype=np.int64)
         self.level = 0
-        self.levels: List[np.ndarray] = [self.frontier]
-        # Adjacency rows of ``frontier`` as ``gather_csr`` returns them: the
-        # edge-meet gather of one level is the expansion gather of the next,
-        # so every row is gathered once.
-        self.neighbors = root_row
-        self.degs = np.array([root_row.size], dtype=np.int64)
+        self.advance(np.array([root], dtype=np.int64), indptr, indptr_hi)
+
+    def advance(self, fresh: np.ndarray, indptr, indptr_hi) -> None:
+        """Make the non-empty, just settled ``fresh`` the frontier.
+
+        Only the extents of its adjacency rows are computed; the rows are read
+        if and when this frontier is the one the search expands.
+        """
+        self.frontier = fresh
+        self.starts, self.degs, self.ends = row_extents(indptr, indptr_hi, fresh)
+        #: Adjacency entries a scan of the frontier reads.
+        self.volume = int(self.ends[-1])
 
 
 def _walk_to_root(
@@ -89,18 +110,6 @@ def _walk_to_root(
     return path
 
 
-#: "No meet yet": larger than any path length.
-_UNMET = 1 << 62
-
-
-def _nearest_met(other_marks: np.ndarray, base: int) -> int:
-    """Smallest level the other side stamped on these vertices this sample;
-    ``_UNMET`` when it stamped none (one ``max()`` settles that common case)."""
-    if other_marks.size == 0 or other_marks.max() < base:
-        return _UNMET
-    return int(other_marks[other_marks >= base].min() - base)
-
-
 def bidirectional_sample(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -113,7 +122,9 @@ def bidirectional_sample(
 
     Returns ``(connected, length, internal_vertices, edges_touched)`` where
     ``internal_vertices`` lists the vertices strictly between the endpoints
-    on the sampled path (the vertices whose betweenness counters are bumped).
+    on the sampled path (the vertices whose betweenness counters are bumped)
+    and ``edges_touched`` counts the adjacency entries of the frontiers the
+    search expanded, each row once.
     """
     base = pool.begin_sample()
 
@@ -124,76 +135,45 @@ def bidirectional_sample(
         return True, 1, [], source_row.size
 
     indptr_hi = indptr[1:]
-    target_row = indices[indptr[target] : indptr_hi[target]]
-    fwd = _Side(pool.mark_a, pool.sigma_a, source, base, source_row.astype(np.int64))
-    bwd = _Side(pool.mark_b, pool.sigma_b, target, base, target_row.astype(np.int64))
+    fwd = _Side(pool.mark_a, pool.sigma_a, source, base, indptr, indptr_hi)
+    bwd = _Side(pool.mark_b, pool.sigma_b, target, base, indptr, indptr_hi)
+    if fwd.volume == 0 or bwd.volume == 0:  # an isolated endpoint
+        return False, 0, [], 0
     edges_touched = 0
-    best_length = _UNMET
 
     while True:
-        # If a shortest length has been established and no shorter path can
-        # still be discovered, stop expanding.
-        if best_length <= fwd.level + bwd.level + 1:
-            break
-        if fwd.frontier.size == 0 or bwd.frontier.size == 0:
-            break
-        # Balanced expansion: grow the cheaper side.
-        side, other = (fwd, bwd) if fwd.neighbors.size <= bwd.neighbors.size else (bwd, fwd)
-        new_level = side.level + 1
-        neighbors = side.neighbors
+        # Balanced expansion: scan the side whose frontier has fewer entries.
+        side, other = (fwd, bwd) if fwd.volume <= bwd.volume else (bwd, fwd)
+        neighbors = gather_rows(indices, side.starts, side.degs, side.ends)
         edges_touched += neighbors.size
-        if neighbors.size == 0:  # an isolated root: this search is over
-            side.frontier = neighbors
-            continue
+        met = other.mark[neighbors]
+        if met.max() >= base:
+            break
         fresh = settle_level(
-            side.frontier, neighbors, side.degs, side.mark, base, base + new_level, side.sigma
+            side.frontier, neighbors, side.degs, side.mark, base, base + side.level + 1, side.sigma
         )
-        side.frontier = fresh
-        side.level = new_level
-        if fresh.size == 0:
-            side.neighbors = neighbors[:0]
-            continue
-        side.levels.append(fresh)
+        if fresh.size == 0:  # this side's component is exhausted
+            return False, 0, [], edges_touched
+        side.level += 1
+        side.advance(fresh, indptr, indptr_hi)
 
-        # Meets at the newly settled vertices, then edge meets: neighbours of
-        # fresh vertices settled on the other side.
-        best_length = min(best_length, new_level + _nearest_met(other.mark[fresh], base))
-        side.neighbors, side.degs = gather_csr(indptr, indices, fresh, indptr_hi)
-        edges_touched += side.neighbors.size
-        best_length = min(
-            best_length, new_level + 1 + _nearest_met(other.mark[side.neighbors], base)
-        )
-
-    if best_length >= _UNMET:
-        return False, 0, [], edges_touched
-
-    length = best_length
-    level_s, level_t = fwd.level, bwd.level
-    if length <= level_s + level_t:
-        # Vertex cut at a fixed split position k.
-        k = min(level_s, length)
-        if length - k > level_t:
-            k = length - level_t
-        settled = fwd.levels[k] if k < len(fwd.levels) else fwd.frontier[:0]
-        candidates = settled[bwd.mark[settled] == base + (length - k)]
-        weights = fwd.sigma[candidates] * bwd.sigma[candidates]
-        total_weight = weights.sum()
-        if candidates.size == 0 or float(total_weight) <= 0.0:  # pragma: no cover
-            raise RuntimeError("bidirectional search found no cut vertices")
-        u = v = int(candidates[weighted_index(weights, float(total_weight), rng)])
+    # The scan found edges into the other search: a shortest path is one hop
+    # longer than the two depths, and it crosses exactly one of these edges.
+    cut = met >= base
+    assert (met[cut] == base + other.level).all()  # see the module docstring
+    near, far = side.frontier.repeat(side.degs)[cut], neighbors[cut]
+    if side is fwd:
+        us, vs = near, far
     else:
-        # Edge cut between the deepest settled levels of the two sides; the
-        # deepest forward level is the forward frontier, its rows gathered.
-        cut_mask = bwd.mark[fwd.neighbors] == base + level_t
-        if not cut_mask.any():  # pragma: no cover - defensive
-            raise RuntimeError("bidirectional search found no cut edges")
-        vs = fwd.neighbors[cut_mask]
-        us = fwd.frontier.repeat(fwd.degs)[cut_mask]
-        weights = fwd.sigma[us] * bwd.sigma[vs]
-        pick = weighted_index(weights, weights.sum(), rng)
-        u, v = int(us[pick]), int(vs[pick])
+        # The cut edges in the order a forward scan lists them.
+        order = np.lexsort((near, far))
+        us, vs = far[order], near[order]
+    weights = fwd.sigma[us] * bwd.sigma[vs]
+    pick = weighted_index(weights, weights.sum(), rng)
+    u, v = int(us[pick]), int(vs[pick])
 
     internal = _walk_to_root(indptr, indices, fwd, base, u, rng)[::-1]
-    internal.extend((u,) if u == v else (u, v))
+    internal.extend((u, v))
     internal.extend(_walk_to_root(indptr, indices, bwd, base, v, rng))
+    length = fwd.level + bwd.level + 1
     return True, length, [x for x in internal if x != source and x != target], edges_touched

@@ -17,6 +17,13 @@ edge.  :class:`ScratchPool` removes that cost with two classic tricks:
   steady-state sampling performs zero O(n) heap allocations per sample (the
   property the allocation-counting regression test pins down).
 
+The module also holds the two steps every traversal in the repository is made
+of: reading the adjacency rows of a frontier (:func:`row_extents` says where
+they lie and how many entries they hold, :func:`gather_rows` reads them;
+:func:`gather_csr` is both, for a traversal that scans every frontier it
+settles, where the bidirectional kernel scans only the one it expands) and
+:func:`settle_level`, the one sigma-BFS level step.
+
 One pool serves one worker (thread) at a time — pools are cheap (6 arrays),
 so drivers create one per sampling thread instead of sharing.
 """
@@ -25,7 +32,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ScratchPool", "ScratchSlab", "csr_views", "gather_csr", "settle_level"]
+__all__ = [
+    "ScratchPool",
+    "ScratchSlab",
+    "csr_views",
+    "row_extents",
+    "gather_rows",
+    "gather_csr",
+    "settle_level",
+]
 
 #: Re-zero the mark arrays once ``generation * span`` approaches int64 range.
 _RESET_LIMIT = np.int64(2) ** 62
@@ -186,35 +201,57 @@ def csr_views(graph):
     return indptr, indptr[1:], np.asarray(graph.indices)
 
 
-def gather_csr(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, indptr_hi=None):
-    """Concatenated adjacency rows of ``frontier``, in frontier order.
+def row_extents(indptr: np.ndarray, indptr_hi: np.ndarray, frontier: np.ndarray):
+    """Where the adjacency rows of ``frontier`` lie, without reading them.
 
-    Returns ``(neighbors, degs)`` where ``neighbors`` lists the CSR rows of
-    the frontier vertices back to back (exactly the order the legacy
-    per-vertex slice loop produced) and ``degs`` the row lengths.  Fully
-    vectorized: no per-vertex Python iteration, and a plain slice for the
-    common single-vertex frontier.  ``neighbors`` is int64 whatever the
-    graph stores: every level indexes with it several times, and numpy casts
-    any other index dtype on each use.  ``indptr_hi`` is the ``indptr[1:]``
-    view of :func:`csr_views`, for callers that hold one.
+    Returns ``(starts, degs, ends)``: row starts and lengths in ``indices``
+    and the running length sum, so ``ends[-1]`` is the number of entries a
+    scan of the frontier would read - the *volume* the balanced bidirectional
+    search compares before it decides which side to scan.  Costs O(frontier),
+    whatever the degrees; ``frontier`` must not be empty.
     """
-    if frontier.size == 1:
-        v = int(frontier[0])
-        start = int(indptr[v])
-        stop = int(indptr[v + 1])
-        return indices[start:stop].astype(np.int64), np.array([stop - start], dtype=np.int64)
     starts = indptr[frontier]
-    degs = (indptr[1:] if indptr_hi is None else indptr_hi)[frontier] - starts
-    ends = degs.cumsum()
-    total = int(ends[-1]) if ends.size else 0
+    degs = indptr_hi[frontier] - starts
+    return starts, degs, degs.cumsum()
+
+
+def gather_rows(indices: np.ndarray, starts: np.ndarray, degs: np.ndarray, ends: np.ndarray):
+    """The adjacency rows :func:`row_extents` located, back to back.
+
+    ``neighbors`` lists the rows in frontier order (exactly the order a
+    per-vertex slice loop produces).  Fully vectorized, and a plain slice for
+    the common single-vertex frontier.  The result is int64 whatever the
+    graph stores: every level indexes with it several times, and numpy casts
+    any other index dtype on each use.
+    """
+    total = int(ends[-1])
     if total == 0:
-        return _EMPTY_IDX, degs
+        return _EMPTY_IDX
+    if starts.size == 1:
+        start = int(starts[0])
+        return indices[start : start + total].astype(np.int64)
     # Global positions: for the j-th slot of vertex i the position is
     # starts[i] + (j - ends_before[i]) where ends_before is the exclusive
     # cumulative degree sum.
     idx = np.arange(total, dtype=np.int64)
     idx += (starts - (ends - degs)).repeat(degs)
-    return indices[idx].astype(np.int64, copy=False), degs
+    return indices[idx].astype(np.int64, copy=False)
+
+
+def gather_csr(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, indptr_hi=None):
+    """Concatenated adjacency rows of ``frontier``, in frontier order.
+
+    Returns ``(neighbors, degs)``: :func:`row_extents` then
+    :func:`gather_rows`, for a traversal that scans every frontier it settles.
+    ``indptr_hi`` is the ``indptr[1:]`` view of :func:`csr_views`, for callers
+    that hold one.
+    """
+    if frontier.size == 0:
+        return _EMPTY_IDX, _EMPTY_IDX
+    starts, degs, ends = row_extents(
+        indptr, indptr[1:] if indptr_hi is None else indptr_hi, frontier
+    )
+    return gather_rows(indices, starts, degs, ends), degs
 
 
 def settle_level(frontier, neighbors, degs, mark, base, stamp, sigma=None):

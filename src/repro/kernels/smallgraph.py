@@ -8,6 +8,11 @@ sample), not by the traversal itself.  Up to
 switches to this kernel, which walks Python-list adjacency with
 generation-stamped list marks — no numpy calls at all in the BFS inner loop.
 
+The search is the numpy kernel's (:mod:`repro.kernels.bidirectional`, which
+also says why the two searches only ever meet over an edge): a frontier's
+rows are read only when that frontier is expanded, in one fused pass that
+settles the next level and lists the edges into the other search.
+
 Bit-compatibility with the legacy sampler is preserved exactly:
 
 * integer mark state is exact; sigma values are Python floats, i.e. the same
@@ -47,10 +52,13 @@ __all__ = [
 #: Largest graph (vertices) the Python kernel is selected for.
 SMALL_GRAPH_VERTEX_LIMIT = 20_000
 #: Largest adjacency array (directed entries) the Python kernel is selected
-#: for.  Measured, not guessed: on road, Barabasi-Albert and R-MAT graphs alike
-#: the numpy kernel overtakes this one between 15k and 25k entries, whatever
-#: the vertex count (table in ``docs/kernels.md``, "The routing window").
-SMALL_GRAPH_ENTRY_LIMIT = 20_000
+#: for.  Measured, not guessed: since both kernels read a frontier's rows only
+#: when they expand it, the numpy kernel overtakes this one at about 55k
+#: entries on road graphs, 85k-90k on R-MAT graphs and beyond 110k on sparse
+#: Barabasi-Albert graphs; the first rows to lose are Barabasi-Albert graphs
+#: of average degree 24-32 just under 50k (table in ``docs/kernels.md``, "The
+#: routing window, measured").
+SMALL_GRAPH_ENTRY_LIMIT = 50_000
 
 # Memoised tolist adjacency, keyed by a content fingerprint of the CSR
 # arrays.  Every BatchPathSampler construction over the same graph (repeated
@@ -177,114 +185,61 @@ def bidirectional_sample_small(
     f_sigma[source] = 1.0
     b_mark[target] = base
     b_sigma[target] = 1.0
-    # Side state: [mark, sigma, frontier, level, frontier_degree, levels].
-    fwd = [f_mark, f_sigma, [source], 0, s_stop - s_start, [[source]]]
-    bwd = [b_mark, b_sigma, [target], 0, indptr[target + 1] - indptr[target], [[target]]]
+    # Side state: [mark, sigma, frontier, level, frontier_degree].
+    fwd = [f_mark, f_sigma, [source], 0, s_stop - s_start]
+    bwd = [b_mark, b_sigma, [target], 0, indptr[target + 1] - indptr[target]]
+    if not fwd[4] or not bwd[4]:  # an isolated endpoint
+        return False, 0, [], 0
     edges_touched = 0
-    best_length = -1
 
     while True:
-        if 0 <= best_length <= fwd[3] + bwd[3] + 1:
-            break
-        if not fwd[2] or not bwd[2]:
-            break
+        # Balanced expansion: scan the side whose frontier has fewer entries.
         side, other = (fwd, bwd) if fwd[4] <= bwd[4] else (bwd, fwd)
-        mark, sigma, frontier, level = side[0], side[1], side[2], side[3]
+        mark, sigma = side[0], side[1]
         other_mark = other[0]
-        new_level = level + 1
-        new_mark = base + new_level
+        new_mark = base + side[3] + 1
+        edges_touched += side[4]
+        # One pass over the frontier's rows settles the next level and lists
+        # the edges into the other search.  No vertex carries both marks (the
+        # scan that would stamp the second one ends the search instead), so
+        # only an unvisited neighbour is looked up on the other side.  After
+        # a cut edge the search is over: whatever the pass settles beside it
+        # is never read.
         fresh: List[int] = []
-        touched = 0
-        for u in frontier:
+        cut_edges: List[Tuple[int, int]] = []
+        for u in side[2]:
             su = sigma[u]
             for v in indices[indptr[u] : indptr[u + 1]]:
-                touched += 1
                 mv = mark[v]
                 if mv < base:
-                    mark[v] = new_mark
-                    sigma[v] = su
-                    fresh.append(v)
+                    om = other_mark[v]
+                    if om >= base:
+                        assert om == base + other[3]  # see kernels.bidirectional
+                        cut_edges.append((u, v))
+                    else:
+                        mark[v] = new_mark
+                        sigma[v] = su
+                        fresh.append(v)
                 elif mv == new_mark:
                     sigma[v] += su
-        edges_touched += touched
-        if touched == 0:
-            side[2] = []
-            continue
+        if cut_edges:
+            break
+        if not fresh:  # this side's component is exhausted
+            return False, 0, [], edges_touched
         fresh.sort()
         side[2] = fresh
-        side[3] = new_level
-        if not fresh:
-            side[4] = 0
-            continue
-        side[5].append(fresh)
-
-        # Vertex meets among the newly settled vertices and edge meets via
-        # their adjacency rows (which also yields the next frontier degree);
-        # both only feed a min, so one fused pass is equivalent.
-        fresh_degree = 0
+        side[3] += 1
+        degree = 0
         for v in fresh:
-            om = other_mark[v]
-            if om >= base:
-                candidate = new_level + om - base
-                if best_length < 0 or candidate < best_length:
-                    best_length = candidate
-            for w in indices[indptr[v] : indptr[v + 1]]:
-                fresh_degree += 1
-                om = other_mark[w]
-                if om >= base:
-                    candidate = new_level + 1 + om - base
-                    if best_length < 0 or candidate < best_length:
-                        best_length = candidate
-        side[4] = fresh_degree
-        edges_touched += fresh_degree
+            degree += indptr[v + 1] - indptr[v]
+        side[4] = degree
 
-    if best_length < 0:
-        return False, 0, [], edges_touched
-
-    length = best_length
-    level_s, level_t = fwd[3], bwd[3]
-    internal: List[int]
-    if length <= level_s + level_t:
-        # Vertex cut at a fixed split position k.
-        k = min(level_s, length)
-        if length - k > level_t:
-            k = length - level_t
-        settled = fwd[5][k] if k < len(fwd[5]) else []
-        want = base + (length - k)
-        candidates = [v for v in settled if b_mark[v] == want]
-        if not candidates:  # pragma: no cover - defensive
-            raise RuntimeError("bidirectional search found no cut vertices")
-        weights = [f_sigma[v] * b_sigma[v] for v in candidates]
-        cut_vertex = candidates[_weighted_pick(weights, rng)]
-        prefix = _walk_to_root(indptr, indices, f_mark, f_sigma, base, cut_vertex, rng)
-        suffix = _walk_to_root(indptr, indices, b_mark, b_sigma, base, cut_vertex, rng)
-        internal = prefix[::-1]
-        if cut_vertex != source and cut_vertex != target:
-            internal.append(cut_vertex)
-        internal.extend(suffix)
-    else:
-        # Edge cut between the deepest settled levels of the two sides.
-        us = fwd[5][level_s] if level_s < len(fwd[5]) else []
-        want = base + level_t
-        cut_edges: List[Tuple[int, int]] = []
-        cut_weights: List[float] = []
-        for u in us:
-            fu = f_sigma[u]
-            for w in indices[indptr[u] : indptr[u + 1]]:
-                if b_mark[w] == want:
-                    cut_edges.append((u, w))
-                    cut_weights.append(fu * b_sigma[w])
-        if not cut_edges:  # pragma: no cover - defensive
-            raise RuntimeError("bidirectional search found no cut edges")
-        u, v = cut_edges[_weighted_pick(cut_weights, rng)]
-        prefix = _walk_to_root(indptr, indices, f_mark, f_sigma, base, u, rng)
-        suffix = _walk_to_root(indptr, indices, b_mark, b_sigma, base, v, rng)
-        internal = prefix[::-1]
-        if u != source and u != target:
-            internal.append(u)
-        if v != source and v != target:
-            internal.append(v)
-        internal.extend(suffix)
-
-    internal = [x for x in internal if x != source and x != target]
-    return True, length, internal, edges_touched
+    if side is bwd:
+        # The cut edges in the order a forward scan lists them.
+        cut_edges = sorted((u, v) for v, u in cut_edges)
+    u, v = cut_edges[_weighted_pick([f_sigma[u] * b_sigma[v] for u, v in cut_edges], rng)]
+    internal = _walk_to_root(indptr, indices, f_mark, f_sigma, base, u, rng)[::-1]
+    internal.extend((u, v))
+    internal.extend(_walk_to_root(indptr, indices, b_mark, b_sigma, base, v, rng))
+    length = fwd[3] + bwd[3] + 1
+    return True, length, [x for x in internal if x != source and x != target], edges_touched

@@ -17,16 +17,18 @@ kernel removes that last per-pair overhead by advancing the frontiers of up to
   *concatenated* frontiers;
 * vertex/edge meets are reduced per lane with ``np.minimum.at``, and the
   edge-meet gather of one level is cached as the expansion gather of the
-  next, exactly like the per-pair kernel;
+  next - the eager schedule: the rows of every settled frontier are read,
+  where the per-pair kernel reads only those of a frontier it expands;
 * finished pairs are *retired from the active set* each round and their
   sigma-weighted backward walks run lock-step across all retirees (one
   segmented weighted pick per walk step for the whole group).
 
 The expansion schedule (side choices, levels, meets, termination) is a
-deterministic function of the graph and the pair, so ``connected``, ``length``
-and ``edges_touched`` are *identical* to the per-pair bidirectional kernel;
-only the random picks consume the generator differently (bulk draws instead
-of scalar draws).  The sampled path is still a uniformly random shortest
+deterministic function of the graph and the pair, so ``connected`` and
+``length`` are *identical* to the per-pair bidirectional kernel
+(``edges_touched`` is not: it also counts the rows of the frontiers settled
+last, which the per-pair kernel never reads); the random picks consume the
+generator differently (bulk draws instead of scalar draws).  The sampled path is still a uniformly random shortest
 path — the estimator is statistically identical, which the distributional
 tests against :mod:`repro.sampling._reference` pin down — but the RNG stream
 differs from the interleaved per-pair kernels, so routing only selects this

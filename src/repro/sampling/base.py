@@ -47,8 +47,8 @@ class PathSample:
         (empty when the pair is adjacent or disconnected).  These are the
         vertices whose betweenness counter is incremented.
     edges_touched:
-        Number of adjacency entries scanned while taking the sample; used by
-        the cluster model to calibrate the per-sample cost.
+        Adjacency entries of the frontiers the search expanded, each row
+        counted once; the cluster model calibrates the per-sample cost on it.
     """
 
     source: int

@@ -8,18 +8,16 @@ single sample orders of magnitude cheaper than a full BFS.
 
 Uniformity of the sampled path is preserved by counting shortest paths on both
 sides (``sigma_s``, ``sigma_t``) and decomposing every shortest path at a
-canonical *cut*:
+canonical *cut*.  A side looks at the rows of its frontier before it settles
+the next level and stops the search at the first edge into the other side's
+tree, so the two trees never share a vertex: when they meet, at depths
+``level_s`` and ``level_t``, the distance is ``L == level_s + level_t + 1``
+and every shortest path crosses exactly one edge ``(u, v)`` with
+``dist_s[u] = level_s`` and ``dist_t[v] = level_t``; the number of shortest
+paths through it equals ``sigma_s[u] * sigma_t[v]``.
 
-* if the shortest s-t distance ``L`` satisfies ``L <= level_s + level_t``, the
-  cut is a vertex ``x`` at distance ``k`` from ``s`` and ``L - k`` from ``t``
-  (for one fixed ``k``); the number of shortest paths through ``x`` equals
-  ``sigma_s[x] * sigma_t[x]``;
-* if ``L == level_s + level_t + 1``, the cut is an edge ``(u, v)`` with
-  ``dist_s[u] = level_s`` and ``dist_t[v] = level_t``; the number of shortest
-  paths through it equals ``sigma_s[u] * sigma_t[v]``.
-
-Sampling the cut proportionally to these weights and then extending both ends
-by sigma-weighted backward walks yields a uniformly random shortest path.
+Sampling the cut edge proportionally to these weights and then extending both
+ends by sigma-weighted backward walks yields a uniformly random shortest path.
 
 Since the batched-kernel refactor the search itself lives in
 :func:`repro.kernels.bidirectional.bidirectional_sample`, which runs on a

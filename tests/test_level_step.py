@@ -6,7 +6,8 @@ and the whole-graph traversal.  These tests hold it to a deque BFS on the
 graph shapes that take its different branches (single-vertex frontiers,
 repeat-free levels, repeat-heavy levels), hold the kernels built on it to the
 reference samplers stream for stream, and pin its call budget: no
-``np.unique``, no per-level ``np.memmap`` indexing, no row gathered twice, one
+``np.unique``, no per-level ``np.memmap`` indexing, no row gathered twice and
+none gathered for a frontier the bidirectional search does not expand, one
 uniform per backward step.
 """
 
@@ -23,7 +24,7 @@ import repro.kernels.unidirectional as unidirectional
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, path_graph, road_network_graph, star_graph
 from repro.kernels import BatchPathSampler, ScratchPool
-from repro.kernels.scratch import csr_views, gather_csr, settle_level
+from repro.kernels.scratch import csr_views, gather_csr, gather_rows, settle_level
 from repro.kernels.weighted import weighted_index
 from repro.sampling._reference import (
     ReferenceBidirectionalSampler,
@@ -132,20 +133,19 @@ class TestKernelsOnTheStep:
             lengths = set()
             for sample in sampler.sample_batch(40, rng).iter_samples():
                 expected = reference.sample(ref_rng)
-                assert (
-                    sample.source,
-                    sample.target,
-                    sample.connected,
-                    sample.length,
-                    sample.edges_touched,
-                ) == (
+                assert (sample.source, sample.target, sample.connected, sample.length) == (
                     expected.source,
                     expected.target,
                     expected.connected,
                     expected.length,
-                    expected.edges_touched,
                 )
                 assert np.array_equal(sample.internal_vertices, expected.internal_vertices)
+                # The references read the rows of every frontier they settle;
+                # the bidirectional kernel only of those it expands.
+                if family == "unidirectional":
+                    assert sample.edges_touched == expected.edges_touched
+                else:
+                    assert sample.edges_touched <= expected.edges_touched
                 lengths.add(sample.length)
             assert len(lengths) > 5  # short and long searches
             assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
@@ -174,39 +174,54 @@ class TestKernelsOnTheStep:
         "module, kernel", [(bidirectional, "bidirectional"), (unidirectional, "unidirectional")]
     )
     def test_one_gather_per_level(self, road_pair, module, kernel, monkeypatch):
-        """No adjacency row is gathered twice: the rows a level's edge-meet
-        check reads are the rows its expansion settles from, and the edge cut
-        reads them a third time without gathering again."""
+        """No adjacency row is gathered twice, and the bidirectional search
+        gathers rows only for a frontier it expands: one gather per settled
+        level plus the closing scan, whose rows the edge cut reads as well."""
         graph = road_pair[0]
-        calls = {"gather": 0, "settle": 0, "settled": 0}
+        indptr = np.asarray(graph.indptr)
+        calls = {"settle": 0}
+        gathered = []  # row starts, per gather
 
-        def counting_gather(*args):
-            calls["gather"] += 1
-            return gather_csr(*args)
+        def counting_rows(indices, starts, degs, ends):
+            gathered.append(starts.tolist())
+            return gather_rows(indices, starts, degs, ends)
+
+        def counting_csr(indptr, indices, frontier, indptr_hi):
+            gathered.append(indptr[frontier].tolist())
+            return gather_csr(indptr, indices, frontier, indptr_hi)
 
         def counting_settle(*args):
             fresh = settle_level(*args)
+            assert fresh.size  # a connected graph: no level comes up empty
             calls["settle"] += 1
-            calls["settled"] += fresh.size > 0
             return fresh
 
-        monkeypatch.setattr(module, "gather_csr", counting_gather)
+        if kernel == "bidirectional":
+            monkeypatch.setattr(module, "gather_rows", counting_rows)
+        else:
+            monkeypatch.setattr(module, "gather_csr", counting_csr)
         monkeypatch.setattr(module, "settle_level", counting_settle)
         sampler = BatchPathSampler(graph, method=kernel, kernel=kernel)
         rng = np.random.default_rng(8)
         for _ in range(25):
-            calls.update(gather=0, settle=0, settled=0)
-            length = int(sampler.sample_batch(1, rng).lengths[0])
+            calls.update(settle=0)
+            gathered.clear()
+            batch = sampler.sample_batch(1, rng)
+            length = int(batch.lengths[0])
+            rows = [start for starts in gathered for start in starts]
+            assert len(rows) == len(set(rows))
             if kernel == "unidirectional":
                 # A truncated BFS gathers and settles exactly ``length`` levels.
-                assert calls == {"gather": length, "settle": length, "settled": length}
-            else:
-                # Root rows are slices; every settled level is gathered once.
-                assert calls["gather"] == calls["settled"]
-                if length > 1:
-                    # Two searches that meet settled ``length - 1`` levels
-                    # between them (one more when they meet in a vertex).
-                    assert length - 1 <= calls["settled"] <= length
+                assert (len(gathered), calls["settle"]) == (length, length)
+            elif length > 1:
+                # Two searches that meet over an edge settled ``length - 1``
+                # levels between them; the closing scan settles nothing, and
+                # the two deepest frontiers but one are never read.
+                assert (len(gathered), calls["settle"]) == (length, length - 1)
+                read = np.isin(indptr[:-1], rows)
+                assert int(batch.edges_touched[0]) == int(np.diff(indptr)[read].sum())
+            else:  # adjacent endpoints: a row slice, no search
+                assert (len(gathered), calls["settle"]) == (0, 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -227,16 +242,16 @@ def settled_side(graph, root):
     indptr, indptr_hi, indices = csr_views(graph)
     pool = ScratchPool(graph.num_vertices)
     base = pool.begin_sample()
-    row = graph.neighbors(root).astype(np.int64)
-    side = bidirectional._Side(pool.mark_a, pool.sigma_a, root, base, row)
-    while side.frontier.size:
-        side.level += 1
+    side = bidirectional._Side(pool.mark_a, pool.sigma_a, root, base, indptr, indptr_hi)
+    while True:
+        neighbors = gather_rows(indices, side.starts, side.degs, side.ends)
         fresh = settle_level(
-            side.frontier, side.neighbors, side.degs, side.mark, base, base + side.level, side.sigma
+            side.frontier, neighbors, side.degs, side.mark, base, base + side.level + 1, side.sigma
         )
-        side.frontier = fresh
-        side.neighbors, side.degs = gather_csr(indptr, indices, fresh, indptr_hi)
-    return indptr, indices, side, base
+        if fresh.size == 0:
+            return indptr, indices, side, base
+        side.level += 1
+        side.advance(fresh, indptr, indptr_hi)
 
 
 def weighted_walk(indptr, indices, side, base, start, rng):

@@ -534,7 +534,13 @@ class TestExternalDispatch:
                 )
                 # Identical repeat: now a pure cache hit, no second job.
                 again = await asyncio.to_thread(client.query, **fields)
-                stats = await asyncio.to_thread(client.stats)
+                # The poll above reads the store row; the coordinator counts
+                # the job when its own watcher next reads it (poll_seconds).
+                for _ in range(100):
+                    stats = await asyncio.to_thread(client.stats)
+                    if stats["completed"]:
+                        break
+                    await asyncio.sleep(0.05)
                 # A row this coordinator never tracked (enqueued directly,
                 # completed by the worker) must still answer a poll from the
                 # store — with the same "status" key in-memory jobs use.
