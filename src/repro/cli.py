@@ -829,6 +829,9 @@ def _cmd_info(argv: list) -> int:
     if routing["effective"] != routing["auto"]:
         line += f" (auto would pick {routing['auto']}; $REPRO_KERNEL={routing['env']})"
     print(line)
+    from repro.kernels import compiled
+
+    print(f"bidirectional search: {compiled.describe()}")
     from repro.store.partition import find_manifests, format_placement
 
     for manifest in find_manifests(info.path):

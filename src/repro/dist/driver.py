@@ -338,7 +338,7 @@ def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[
     total_adaptive_samples = sum(r["local_samples"] for r in per_rank)
     slowest = max(r["adaptive_seconds"] for r in per_rank)
     return {
-        "scores": [float(x) for x in result.scores],
+        "scores": result.scores.tolist(),
         "num_samples": int(result.num_samples),
         "num_epochs": int(result.num_epochs),
         "eps": float(options.eps),

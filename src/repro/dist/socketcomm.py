@@ -727,6 +727,9 @@ def fork_rank(
     (traceback on stderr), ``-N`` signal ``N``.  Pair every call with
     :func:`reap`.
     """
+    from repro.kernels import compiled
+
+    compiled.load()  # built and checked once, here: every rank inherits the library
     proc = multiprocessing.get_context("fork").Process(
         target=_forked_main, args=(rank, target, args), name=f"repro-rank-{rank}"
     )

@@ -13,7 +13,30 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "validate_csr"]
+
+
+def validate_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise :class:`ValueError` unless the arrays are a well-formed CSR adjacency.
+
+    One vectorised pass over each array.  :class:`CSRGraph` runs it at
+    construction; :class:`~repro.kernels.batch.BatchPathSampler` runs it again
+    on whatever graph it is given (a memory-mapped ``.rcsr`` is opened without
+    it), so that no kernel ever indexes with an entry it has not seen.
+    """
+    if indptr.ndim != 1 or indices.ndim != 1:
+        raise ValueError("indptr and indices must be one-dimensional")
+    if indptr.size == 0:
+        raise ValueError("indptr must have length n + 1 >= 1")
+    if indptr[0] != 0:
+        raise ValueError("indptr[0] must be 0")
+    if indptr[-1] != indices.size:
+        raise ValueError("indptr[-1] must equal len(indices)")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr must be non-decreasing")
+    n = indptr.size - 1
+    if indices.size > 0 and (int(indices.max()) >= n or int(indices.min()) < 0):
+        raise ValueError("indices contain out-of-range vertex ids")
 
 
 class CSRGraph:
@@ -48,19 +71,7 @@ class CSRGraph:
         else:
             indices = np.asarray(indices, dtype=np.uint32)
         if validate:
-            if indptr.ndim != 1 or indices.ndim != 1:
-                raise ValueError("indptr and indices must be one-dimensional")
-            if indptr.size == 0:
-                raise ValueError("indptr must have length n + 1 >= 1")
-            if indptr[0] != 0:
-                raise ValueError("indptr[0] must be 0")
-            if indptr[-1] != indices.size:
-                raise ValueError("indptr[-1] must equal len(indices)")
-            if np.any(np.diff(indptr) < 0):
-                raise ValueError("indptr must be non-decreasing")
-            n = indptr.size - 1
-            if indices.size > 0 and (int(indices.max()) >= n or int(indices.min()) < 0):
-                raise ValueError("indices contain out-of-range vertex ids")
+            validate_csr(indptr, indices)
         self._indptr = indptr
         self._indptr.setflags(write=False)
         self._indices = indices

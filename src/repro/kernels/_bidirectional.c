@@ -1,0 +1,306 @@
+/* Balanced bidirectional sigma-BFS path sampling, one pair per call.
+ *
+ * The search is kernels/smallgraph.py's, statement for statement: the side
+ * whose frontier holds fewer adjacency entries is scanned, one pass over its
+ * rows settles the next level (sigma added in scan order) and lists the edges
+ * into the other search, the settled level is sorted, and cut edges found from
+ * the target's side are put back into the order a forward scan lists them.
+ * The cut pick and both backward walks replicate numpy's pairwise `sum` and
+ * kernels/weighted.py's `weighted_index` bit for bit, so a sample is the
+ * numpy kernel's sample for the same uniforms.  kernels/compiled.py builds
+ * this file (with -ffp-contract=off: a fused multiply-add would round
+ * differently), checks the replicas against numpy before first use, validates
+ * the CSR arrays and owns every buffer named in `State`.
+ */
+#include <stdint.h>
+#include <string.h>
+
+enum {
+    ST_PATH = 0,         /* out = {level_s, level_t, edges_touched, cut edges} */
+    ST_ADJACENT = 1,     /* out[2] = edges_touched */
+    ST_DISCONNECTED = 2, /* out[2] = edges_touched */
+    ST_GROW = 3,         /* out[3] cut edges do not fit `capacity`: grow and retry */
+    ST_BROKEN_LEVEL = 4, /* a cut edge ends above the other side's deepest level */
+    ST_NO_PREDECESSOR = 5
+};
+
+typedef struct {
+    int64_t n;
+    const int64_t *indptr;
+    const void *indices;
+    int64_t wide;     /* indices are int64, else uint32 */
+    int64_t *mark[2]; /* ScratchPool.mark_a / mark_b */
+    double *sigma[2]; /* ScratchPool.sigma_a / sigma_b */
+    int64_t *buf[4];  /* n entries each: two frontiers, the level being settled, sort scratch */
+    int64_t capacity; /* of keys, scratch and weights; at least the largest degree */
+    int64_t *keys;    /* cut edge (u, v), u on the source's side, as u * n + v */
+    int64_t *scratch;
+    double *weights;
+    const double *uniforms; /* 1 + max(level_s - 1, 0) + max(level_t - 1, 0) of them */
+    int64_t *path;          /* level_s + level_t internal vertices */
+    int64_t *out;           /* 4 entries */
+} State;
+
+#if defined(__GNUC__)
+#define FORCE_INLINE static inline __attribute__((always_inline))
+#else
+#define FORCE_INLINE static inline
+#endif
+
+#define IDX(j) (wide ? ((const int64_t *)st->indices)[j] : (int64_t)((const uint32_t *)st->indices)[j])
+
+/* numpy's DOUBLE_pairwise_sum over a contiguous array (what ndarray.sum() runs). */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int64_t i;
+        for (i = 0; i < 8; i++)
+            r[i] = a[i];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* kernels/weighted.py: cdf = cumsum(w / total); cdf /= cdf[-1];
+ * searchsorted(cdf, u, side="right"), clamped.  Overwrites w with the cdf. */
+static int64_t weighted_index(double *w, int64_t n, double total, double u)
+{
+    double running = w[0] / total;
+    w[0] = running;
+    for (int64_t i = 1; i < n; i++) {
+        running += w[i] / total;
+        w[i] = running;
+    }
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        const int64_t mid = lo + ((hi - lo) >> 1);
+        if (u < w[mid] / running)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo < n ? lo : n - 1;
+}
+
+/* Ascending sort of `len` values below `limit`; `tmp` holds `len` entries. */
+static void sort_below(int64_t *a, int64_t *tmp, int64_t len, int64_t limit)
+{
+    int64_t i = 1;
+    while (i < len && a[i - 1] <= a[i])
+        i++;
+    if (i >= len)
+        return;
+    if (len <= 64) {
+        for (i = 1; i < len; i++) {
+            const int64_t x = a[i];
+            int64_t j = i;
+            for (; j > 0 && a[j - 1] > x; j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    int64_t *src = a, *dst = tmp;
+    for (int shift = 0; shift < 63 && ((limit - 1) >> shift) > 0; shift += 8) {
+        int64_t start[256] = {0}, total = 0;
+        for (i = 0; i < len; i++)
+            start[(src[i] >> shift) & 255]++;
+        for (int d = 0; d < 256; d++) {
+            const int64_t c = start[d];
+            start[d] = total;
+            total += c;
+        }
+        for (i = 0; i < len; i++)
+            dst[start[(src[i] >> shift) & 255]++] = src[i];
+        int64_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != a)
+        memcpy(a, src, (size_t)len * sizeof *a);
+}
+
+FORCE_INLINE int search_pair(State *st, int64_t base, int64_t source, int64_t target, const int wide)
+{
+    const int64_t n = st->n, *indptr = st->indptr;
+    int64_t *out = st->out;
+
+    /* Adjacent endpoints: searchsorted in the source's sorted row. */
+    int64_t lo = indptr[source], hi = indptr[source + 1];
+    while (lo < hi) {
+        const int64_t mid = lo + ((hi - lo) >> 1);
+        if (IDX(mid) < target)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    int64_t volume[2] = {indptr[source + 1] - indptr[source], indptr[target + 1] - indptr[target]};
+    out[2] = volume[0];
+    if (lo < indptr[source + 1] && IDX(lo) == target)
+        return ST_ADJACENT;
+
+    int64_t *frontier[2] = {st->buf[0], st->buf[1]}, *fresh = st->buf[2];
+    int64_t count[2] = {1, 1}, level[2] = {0, 0};
+    int64_t ncut = 0;
+    int side, broken = 0;
+    frontier[0][0] = source;
+    frontier[1][0] = target;
+    st->mark[0][source] = st->mark[1][target] = base;
+    st->sigma[0][source] = st->sigma[1][target] = 1.0;
+    out[2] = 0;
+    if (!volume[0] || !volume[1]) /* an isolated endpoint */
+        return ST_DISCONNECTED;
+
+    for (;;) {
+        /* Balanced expansion: scan the side whose frontier has fewer entries. */
+        side = volume[0] <= volume[1] ? 0 : 1;
+        int64_t *mark = st->mark[side];
+        double *sigma = st->sigma[side];
+        const int64_t *other = st->mark[1 - side];
+        const int64_t stamp = base + level[side] + 1, deepest = base + level[1 - side];
+        int64_t nfresh = 0;
+        out[2] += volume[side];
+        for (int64_t i = 0; i < count[side]; i++) {
+            const int64_t u = frontier[side][i];
+            const double su = sigma[u];
+            for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) {
+                const int64_t v = IDX(j), mv = mark[v];
+                if (mv == stamp) {
+                    sigma[v] += su;
+                } else if (mv < base) {
+                    /* No vertex carries both marks, so only an unvisited
+                     * neighbour is looked up on the other side. */
+                    const int64_t om = other[v];
+                    if (om >= base) {
+                        broken |= om != deepest;
+                        if (ncut < st->capacity)
+                            st->keys[ncut] = side == 0 ? u * n + v : v * n + u;
+                        ncut++;
+                    } else if (!ncut) { /* after a cut edge the level is never read */
+                        mark[v] = stamp;
+                        sigma[v] = su;
+                        fresh[nfresh++] = v;
+                    }
+                }
+            }
+        }
+        if (ncut)
+            break;
+        if (!nfresh) /* this side's component is exhausted */
+            return ST_DISCONNECTED;
+        sort_below(fresh, st->buf[3], nfresh, n);
+        int64_t *swap = frontier[side];
+        frontier[side] = fresh;
+        fresh = swap;
+        count[side] = nfresh;
+        level[side]++;
+        volume[side] = 0;
+        for (int64_t i = 0; i < nfresh; i++)
+            volume[side] += indptr[frontier[side][i] + 1] - indptr[frontier[side][i]];
+    }
+
+    out[0] = level[0];
+    out[1] = level[1];
+    out[3] = ncut;
+    if (broken)
+        return ST_BROKEN_LEVEL;
+    if (ncut > st->capacity)
+        return ST_GROW;
+    if (side == 1) /* the cut edges in the order a forward scan lists them */
+        sort_below(st->keys, st->scratch, ncut, n * n);
+    return ST_PATH;
+}
+
+/* Sigma-weighted backward walk from `current` (at `depth`) towards the root of
+ * `side`, one uniform per step; the vertices it passes go to path[at],
+ * path[at + step], ... */
+FORCE_INLINE int walk_back(State *st, int side, int64_t base, int64_t current, int64_t depth,
+                           const double **uniform, int64_t at, int step, const int wide)
+{
+    const int64_t *mark = st->mark[side];
+    const double *sigma = st->sigma[side];
+    int64_t *preds = st->scratch;
+    double *weights = st->weights;
+    for (; depth > 1; depth--) {
+        const int64_t want = base + depth - 1;
+        int64_t count = 0;
+        for (int64_t j = st->indptr[current]; j < st->indptr[current + 1]; j++) {
+            const int64_t w = IDX(j);
+            if (mark[w] == want) {
+                preds[count] = w;
+                weights[count++] = sigma[w];
+            }
+        }
+        int64_t pick = 0;
+        if (count != 1) {
+            const double total = pairwise_sum(weights, count);
+            if (count == 0 || total <= 0.0)
+                return ST_NO_PREDECESSOR;
+            pick = weighted_index(weights, count, total, **uniform);
+        }
+        ++*uniform;
+        current = preds[pick];
+        st->path[at] = current;
+        at += step;
+    }
+    return ST_PATH;
+}
+
+FORCE_INLINE int finish_pair(State *st, int64_t base, const int wide)
+{
+    const int64_t n = st->n, ls = st->out[0], lt = st->out[1], ncut = st->out[3];
+    const double *uniform = st->uniforms;
+    for (int64_t i = 0; i < ncut; i++)
+        st->weights[i] = st->sigma[0][st->keys[i] / n] * st->sigma[1][st->keys[i] % n];
+    const int64_t key = st->keys[weighted_index(st->weights, ncut, pairwise_sum(st->weights, ncut), *uniform++)];
+    const int64_t u = key / n, v = key % n;
+    /* Internal vertices in path order: the forward walk reversed, u, v, the
+     * backward walk; u (v) is the source (target) itself on level 0. */
+    if (ls > 0)
+        st->path[ls - 1] = u;
+    if (lt > 0)
+        st->path[ls] = v;
+    int status = walk_back(st, 0, base, u, ls, &uniform, ls - 2, -1, wide);
+    if (status == ST_PATH)
+        status = walk_back(st, 1, base, v, lt, &uniform, ls + 1, 1, wide);
+    return status;
+}
+
+/* One search; `base` is ScratchPool.begin_sample()'s, the endpoints are
+ * distinct and below n. */
+int repro_search(State *st, int64_t base, int64_t source, int64_t target)
+{
+    return st->wide ? search_pair(st, base, source, target, 1) : search_pair(st, base, source, target, 0);
+}
+
+/* After ST_PATH and with `uniforms` filled: pick the cut edge, walk back. */
+int repro_finish(State *st, int64_t base)
+{
+    return st->wide ? finish_pair(st, base, 1) : finish_pair(st, base, 0);
+}
+
+/* The numpy replicas, exported for the self-check. */
+double repro_pairwise_sum(const double *a, int64_t n)
+{
+    return pairwise_sum(a, n);
+}
+
+int64_t repro_weighted_index(double *w, int64_t n, double total, double u)
+{
+    return weighted_index(w, n, total, u);
+}

@@ -326,6 +326,10 @@ def format_kernel_table() -> str:
     ]
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    from repro.kernels import compiled
+
+    lines.append("")
+    lines.append(f"bidirectional search: {compiled.describe()}")
     return "\n".join(lines)
 
 
@@ -341,8 +345,13 @@ def _make_smallgraph(indptr: np.ndarray, indices: np.ndarray):
 
 
 def _make_bidirectional(indptr: np.ndarray, indices: np.ndarray):
+    # One kernel, two searches that return the same samples: the compiled one
+    # where it was built, passed its self-check and can read these arrays.
+    from repro.kernels import compiled
     from repro.kernels.bidirectional import bidirectional_sample
 
+    if compiled.usable(indptr, indices):
+        return compiled.compiled_sample, indptr, indices
     return bidirectional_sample, indptr, indices
 
 
@@ -383,7 +392,7 @@ def _register_default_kernels() -> None:
     register_kernel(
         KernelSpec(
             name="bidirectional",
-            description="pooled numpy balanced bidirectional sigma-BFS",
+            description="pooled balanced bidirectional sigma-BFS (compiled search, or numpy)",
             family="bidirectional",
             stream_compatible=True,
             cost_hint="numpy-bfs",

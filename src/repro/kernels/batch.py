@@ -31,7 +31,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.graph.csr import validate_csr
 from repro.kernels import abi as _abi
+from repro.kernels.compiled import compiled_sample
 from repro.kernels.scratch import ScratchPool, csr_views
 from repro.obs import metrics as _metrics
 
@@ -203,6 +205,10 @@ class BatchPathSampler:
         # Plain ndarray views: identical memory, none of np.memmap's
         # __array_finalize__ cost on every slice in the kernel hot loop.
         self._indptr, _, self._indices = csr_views(graph)
+        # Whatever made the graph (a mapped .rcsr is opened unvalidated), no
+        # kernel indexes with an entry that was not checked: ValueError here,
+        # not a wild read in the search.
+        validate_csr(self._indptr, self._indices)
         self._method = method
         self._pool = pool if pool is not None else ScratchPool(graph.num_vertices)
         self._pair_strategy = pair_strategy
@@ -247,6 +253,11 @@ class BatchPathSampler:
     def kernel_spec(self):
         """The resolved :class:`~repro.kernels.abi.KernelSpec`."""
         return self._spec
+
+    @property
+    def compiled(self) -> bool:
+        """Whether the search runs in the compiled helper (:mod:`repro.kernels.compiled`)."""
+        return self._kernel is compiled_sample
 
     @property
     def pool(self) -> ScratchPool:

@@ -58,6 +58,10 @@ class ScratchPool:
         Shortest-path counts per side; valid only for vertices whose mark
         carries the current generation.  Brandes reuses ``sigma_b`` as its
         dependency accumulator.
+    compiled:
+        The :class:`~repro.kernels.compiled.CompiledSearch` working on these
+        arrays, set by :func:`~repro.kernels.compiled.compiled_sample` on its
+        first call; ``None`` until then.
     """
 
     __slots__ = (
@@ -67,6 +71,7 @@ class ScratchPool:
         "mark_b",
         "sigma_a",
         "sigma_b",
+        "compiled",
         "_py_state",
         "_generation",
         "generations_started",
@@ -82,6 +87,7 @@ class ScratchPool:
         self.mark_b = np.zeros(n, dtype=np.int64)
         self.sigma_a = np.zeros(n, dtype=np.float64)
         self.sigma_b = np.zeros(n, dtype=np.float64)
+        self.compiled = None
         self._py_state = None
         self._generation = 0
         self.generations_started = 0

@@ -684,6 +684,9 @@ class JobManager:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
+            from repro.kernels import compiled
+
+            compiled.load()  # before the first fork: pool workers inherit the library
             self._manager = multiprocessing.Manager()
             self._event_queue = self._manager.Queue()
             self._drain_thread = threading.Thread(

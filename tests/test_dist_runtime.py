@@ -226,3 +226,7 @@ class TestResultArtifact:
         on_disk = json.loads(out.read_text())
         assert on_disk["num_samples"] == result["num_samples"]
         assert on_disk["scores"] == result["scores"]
+        # Equal scores are one float object: a kept result costs a list of
+        # pointers, not a float per vertex.
+        scores = result["scores"]
+        assert len({id(score) for score in scores}) == len(set(scores)) < len(scores)

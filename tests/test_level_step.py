@@ -26,6 +26,7 @@ from repro.graph.generators import grid_graph, path_graph, road_network_graph, s
 from repro.kernels import BatchPathSampler, ScratchPool
 from repro.kernels.scratch import csr_views, gather_csr, gather_rows, settle_level
 from repro.kernels.weighted import weighted_index
+from repro.sampling.base import sample_vertex_pair
 from repro.sampling._reference import (
     ReferenceBidirectionalSampler,
     ReferenceUnidirectionalSampler,
@@ -176,9 +177,15 @@ class TestKernelsOnTheStep:
     def test_one_gather_per_level(self, road_pair, module, kernel, monkeypatch):
         """No adjacency row is gathered twice, and the bidirectional search
         gathers rows only for a frontier it expands: one gather per settled
-        level plus the closing scan, whose rows the edge cut reads as well."""
+        level plus the closing scan, whose rows the edge cut reads as well.
+
+        Drives the numpy kernels by their own names: ``BatchPathSampler`` may
+        hand the ``bidirectional`` spec's compiled search out instead, which
+        makes no numpy call to count."""
         graph = road_pair[0]
-        indptr = np.asarray(graph.indptr)
+        indptr, _, indices = csr_views(graph)
+        sample = getattr(module, f"{kernel}_sample")
+        pool = ScratchPool(graph.num_vertices)
         calls = {"settle": 0}
         gathered = []  # row starts, per gather
 
@@ -201,13 +208,12 @@ class TestKernelsOnTheStep:
         else:
             monkeypatch.setattr(module, "gather_csr", counting_csr)
         monkeypatch.setattr(module, "settle_level", counting_settle)
-        sampler = BatchPathSampler(graph, method=kernel, kernel=kernel)
         rng = np.random.default_rng(8)
         for _ in range(25):
             calls.update(settle=0)
             gathered.clear()
-            batch = sampler.sample_batch(1, rng)
-            length = int(batch.lengths[0])
+            source, target = sample_vertex_pair(graph.num_vertices, rng)
+            _, length, _, edges_touched = sample(indptr, indices, pool, source, target, rng)
             rows = [start for starts in gathered for start in starts]
             assert len(rows) == len(set(rows))
             if kernel == "unidirectional":
@@ -219,7 +225,7 @@ class TestKernelsOnTheStep:
                 # the two deepest frontiers but one are never read.
                 assert (len(gathered), calls["settle"]) == (length, length - 1)
                 read = np.isin(indptr[:-1], rows)
-                assert int(batch.edges_touched[0]) == int(np.diff(indptr)[read].sum())
+                assert edges_touched == int(np.diff(indptr)[read].sum())
             else:  # adjacent endpoints: a row slice, no search
                 assert (len(gathered), calls["settle"]) == (0, 0)
 

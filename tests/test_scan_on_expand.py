@@ -1,13 +1,17 @@
 """Scan on expand: the bidirectional kernels read a frontier's rows only when
 they expand it, and still sample what the eager reference samples.
 
-Three claims, no optional dependency:
+Three claims, no optional dependency, each made of the three searches: the
+compiled one the ``bidirectional`` kernel runs where its helper was built
+(``compiled``; skipped where no C compiler is), the numpy one it runs
+otherwise (``bidirectional``, with the helper forced off) and the Python
+kernel (``smallgraph``):
 
-* **identity** - on every graph family the numpy kernel, the Python kernel and
+* **identity** - on every graph family the searches and
   ``sampling/_reference.py`` (the eager legacy sampler, kept as the oracle)
   return the same pairs, lengths and internal vertices from one stream and
-  leave the generator at the same position, the kernels reading no more
-  adjacency entries than the reference;
+  leave the generator in the same state after every sample, the kernels reading
+  no more adjacency entries than the reference;
 * **the re-ordering branch** - a graph built so the *backward* frontier is the
   cheaper one at the closing scan, with several cut edges of unequal weight;
 * **uniformity** - a chi-square test of the sampled paths against the uniform
@@ -41,10 +45,25 @@ from repro.graph.generators import (
     star_graph,
     watts_strogatz,
 )
-from repro.kernels import BatchPathSampler
+from repro.kernels import BatchPathSampler, compiled
 from repro.sampling._reference import ReferenceBidirectionalSampler
 
-KERNELS = ("bidirectional", "smallgraph")
+SEARCHES = ("compiled", "bidirectional", "smallgraph")
+
+
+def make_sampler(graph, search, monkeypatch):
+    """A sampler whose pairs go through ``search`` (see the module docstring)."""
+    if search == "smallgraph":
+        return BatchPathSampler(graph, method="bidirectional", kernel="smallgraph")
+    if search == "compiled" and compiled.load()[0] is None:
+        pytest.skip(f"no compiled search here: {compiled.load()[1]}")
+    with monkeypatch.context() as patch:
+        if search == "bidirectional":
+            patch.setattr(compiled, "load", lambda: (None, "forced off by the test"))
+        sampler = BatchPathSampler(graph, method="bidirectional", kernel="bidirectional")
+    assert sampler.compiled == (search == "compiled")
+    return sampler
+
 
 FAMILIES = {
     "gnm-disconnected": lambda: erdos_renyi_gnm(120, 100, seed=1),
@@ -104,18 +123,19 @@ def shortest_paths(graph, source, target):
 
 class TestSameSamplesAsTheEagerReference:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_kernels_and_reference_on_one_stream(self, family):
+    def test_kernels_and_reference_on_one_stream(self, family, monkeypatch):
         graph = FAMILIES[family]()
         degrees = np.diff(np.asarray(graph.indptr))
         if family == "rmat-isolated-vertices":
             assert (degrees == 0).any()
         reference = ReferenceBidirectionalSampler(graph)
         outcomes = {}
-        for kernel in KERNELS:
+        for search in SEARCHES if compiled.load()[0] is not None else SEARCHES[1:]:
             rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-            sampler = BatchPathSampler(graph, method="bidirectional", kernel=kernel)
-            batch = sampler.sample_batch(250, rng)
-            for sample in batch.iter_samples():
+            sampler = make_sampler(graph, search, monkeypatch)
+            touched, connected = [], []
+            for _ in range(250):
+                sample = next(sampler.sample_batch(1, rng).iter_samples())
                 expected = reference.sample(ref_rng)
                 assert (sample.source, sample.target, sample.connected, sample.length) == (
                     expected.source,
@@ -125,18 +145,19 @@ class TestSameSamplesAsTheEagerReference:
                 )
                 assert np.array_equal(sample.internal_vertices, expected.internal_vertices)
                 assert sample.edges_touched <= expected.edges_touched
-            assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
-            outcomes[kernel] = batch
-        a, b = (outcomes[kernel] for kernel in KERNELS)
-        assert np.array_equal(a.edges_touched, b.edges_touched)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                touched.append(sample.edges_touched)
+                connected.append(sample.connected)
+            outcomes[search] = touched
+        assert len(set(map(tuple, outcomes.values()))) == 1
         if family.endswith("disconnected"):
-            assert not a.connected.all() and a.connected.any()
+            assert not all(connected) and any(connected)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_backward_closing_scan_lists_cut_edges_in_forward_order(self, kernel):
+    @pytest.mark.parametrize("kernel", SEARCHES)
+    def test_backward_closing_scan_lists_cut_edges_in_forward_order(self, kernel, monkeypatch):
         graph = hub_graph()
         degrees = np.diff(np.asarray(graph.indptr))
-        sampler = BatchPathSampler(graph, method="bidirectional", kernel=kernel)
+        sampler = make_sampler(graph, kernel, monkeypatch)
         reference = ReferenceBidirectionalSampler(graph)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         count = 400
@@ -168,18 +189,20 @@ class TestUniformOverShortestPaths:
     """ROADMAP, guarantee-level verification (a): the sampled path is uniform
     over *all* shortest paths, not merely a valid one."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", SEARCHES)
     @pytest.mark.parametrize(
         "make, source, target, expected_paths",
         [(lambda: grid_graph(5, 5), 0, 24, 70), (hub_graph, 0, 11, 11)],
         ids=["grid-corners", "hub"],
     )
-    def test_chi_square_against_uniform(self, kernel, make, source, target, expected_paths):
+    def test_chi_square_against_uniform(
+        self, kernel, make, source, target, expected_paths, monkeypatch
+    ):
         graph = make()
         paths = shortest_paths(graph, source, target)
         assert len(paths) == len(set(paths)) == expected_paths
         draws = 100 * len(paths)
-        sampler = BatchPathSampler(graph, method="bidirectional", kernel=kernel)
+        sampler = make_sampler(graph, kernel, monkeypatch)
         batch = sampler.sample_pairs(
             np.full(draws, source), np.full(draws, target), np.random.default_rng(2024)
         )
