@@ -831,7 +831,7 @@ def _cmd_info(argv: list) -> int:
     print(line)
     from repro.kernels import compiled
 
-    print(f"bidirectional search: {compiled.describe()}")
+    print(compiled.describe())
     from repro.store.partition import find_manifests, format_placement
 
     for manifest in find_manifests(info.path):

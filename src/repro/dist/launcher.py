@@ -2,9 +2,13 @@
 
 ``repro.cli dist run`` lands here.  The launcher:
 
-1. partitions the graph up front (idempotent; also computes the diameter
-   bound once, so no worker pays for it and no two workers race the shard
-   writes);
+1. with ``parts``, partitions the graph up front (idempotent, so no two
+   workers race the shard writes; the manifest also records the diameter
+   bound, so no worker pays for that phase).  Without ``parts`` - every rank
+   maps the whole graph - nothing is precomputed: rank 0 runs the diameter
+   phase inside :func:`repro.parallel.engine.run_rank` and broadcasts the
+   bound, while the other ranks wait (the ``diameter`` entry of rank 0's
+   ``phase_seconds``);
 2. binds the hub's listening socket, then forks ``processes`` real OS
    processes from itself (:func:`repro.dist.socketcomm.fork_rank`), each
    calling :func:`repro.dist.driver.run_worker` directly — no interpreter

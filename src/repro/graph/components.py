@@ -12,7 +12,7 @@ from typing import List
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import UNREACHED, bfs_distances, csr_views, expand_frontier
+from repro.graph.traversal import UNREACHED, bfs_distances, csr_views, level_sweeper
 
 __all__ = ["ConnectedComponents", "connected_components", "largest_connected_component", "is_connected"]
 
@@ -57,6 +57,7 @@ def connected_components(graph: CSRGraph) -> ConnectedComponents:
     """
     n = graph.num_vertices
     csr = indptr, indptr_hi, _ = csr_views(graph)
+    sweep = level_sweeper(csr)
     labels = np.full(n, UNREACHED, dtype=np.int64)
     has_edges = indptr_hi > indptr[:-1]
     roots: List[int] = []
@@ -65,14 +66,8 @@ def connected_components(graph: CSRGraph) -> ConnectedComponents:
         if labels[v] != UNREACHED:
             continue
         # The scan is in id order, so ``v`` is its component's smallest member.
-        labels[v] = len(roots)
-        frontier = np.array([v], dtype=np.int64)
-        size = 0
-        while frontier.size > 0:
-            size += frontier.size
-            frontier, _, _ = expand_frontier(csr, frontier, labels, len(roots))
+        sizes.append(sum(level.size for level in sweep(labels, v, len(roots), 0)))
         roots.append(v)
-        sizes.append(size)
     # Every isolated vertex is its own component; number all of them, with
     # the BFS components, by smallest member id.
     isolated = np.flatnonzero(~has_edges)

@@ -1,26 +1,35 @@
 """Whole-graph breadth-first search: distances, sigma counts, BFS trees.
 
 The diameter phase, connected components and the incremental updater all sit
-on these level-synchronous sweeps.  Every level is one
-:func:`~repro.kernels.scratch.gather_csr` and one
+on these level-synchronous sweeps.  The plain sweep - :func:`bfs_distances`
+and the component labelling, through :func:`level_sweeper` - is one compiled
+call per source where :func:`repro.kernels.compiled.usable` holds for the
+graph's arrays.  Everywhere else, and for the sigma and parent sweeps, every
+level is one :func:`~repro.kernels.scratch.gather_csr` and one
 :func:`~repro.kernels.scratch.settle_level` - the step the sampling kernels
 and Brandes use - over base-``ndarray`` views of the CSR arrays taken once per
 traversal, so there is no Python work per vertex and a memory-mapped graph
-costs the same as one held in memory.
+costs the same as one held in memory.  Both give the same levels, each in
+increasing id order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, validate_csr
+from repro.kernels import compiled
 from repro.kernels.scratch import csr_views, gather_csr, settle_level
 
 __all__ = [
     "BFSResult",
+    "level_sweeper",
+    "numpy_sweep",
+    "sweep_path",
     "bfs_distances",
     "bfs_with_sigma",
     "eccentricity",
@@ -96,6 +105,53 @@ def _begin(graph: CSRGraph, source: int) -> Tuple[tuple, np.ndarray, np.ndarray]
     return csr_views(graph), distances, np.array([source], dtype=np.int64)
 
 
+def numpy_sweep(
+    csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    marks: np.ndarray,
+    source: int,
+    stamp: int,
+    step: int,
+) -> List[np.ndarray]:
+    """The numpy level loop behind :func:`level_sweeper`; same contract."""
+    frontier = np.array([source], dtype=np.int64)
+    marks[source] = stamp
+    levels = [frontier]
+    while True:
+        stamp += step
+        frontier, _, _ = expand_frontier(csr, frontier, marks, stamp)
+        if frontier.size == 0:
+            return levels
+        levels.append(frontier)
+
+
+def level_sweeper(
+    csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Callable[[np.ndarray, int, int, int], List[np.ndarray]]:
+    """``sweep(marks, source, stamp, step) -> levels`` over :func:`csr_views` of a graph.
+
+    A sweep stamps every vertex reachable from ``source`` whose mark is
+    negative - level ``k`` with ``stamp + k * step``, both non-negative - and
+    returns the levels, ``int64`` arrays in increasing id order, level 0 being
+    ``[source]``.  One call here serves any number of sweeps of the graph.
+
+    The graph may be a memory-mapped file that nothing has validated.  The
+    compiled sweep checks what it indexes with as it goes; before the numpy
+    loop :func:`~repro.graph.csr.validate_csr` reads the arrays once.  Either
+    way malformed arrays end in :class:`ValueError`.
+    """
+    indptr, _, indices = csr
+    if compiled.usable(indptr, indices):
+        return compiled.Sweep(compiled.load()[0], indptr, indices)
+    validate_csr(indptr, indices)
+    return functools.partial(numpy_sweep, csr)
+
+
+def sweep_path(graph: CSRGraph) -> str:
+    """``"compiled"`` or ``"numpy"``: what :func:`level_sweeper` hands out for ``graph``."""
+    indptr, _, indices = csr_views(graph)
+    return "compiled" if compiled.usable(indptr, indices) else "numpy"
+
+
 def bfs_distances(
     graph: CSRGraph, source: int, *, keep_levels: bool = False
 ) -> BFSResult:
@@ -110,26 +166,15 @@ def bfs_distances(
     keep_levels:
         If true, retain the per-level frontiers in the result.
     """
-    csr, distances, frontier = _begin(graph, source)
-    levels: Optional[List[np.ndarray]] = [frontier] if keep_levels else None
-    level = 0
-    num_reached = 1
-    while True:
-        fresh, _, _ = expand_frontier(csr, frontier, distances, level + 1)
-        if fresh.size == 0:
-            break
-        level += 1
-        num_reached += fresh.size
-        frontier = fresh
-        if keep_levels:
-            levels.append(frontier)
+    csr, distances, _ = _begin(graph, source)
+    levels = level_sweeper(csr)(distances, source, 0, 1)
     return BFSResult(
         source=source,
         distances=distances,
-        eccentricity=level,
-        num_reached=num_reached,
-        deepest=frontier,
-        levels=levels,
+        eccentricity=len(levels) - 1,
+        num_reached=sum(level.size for level in levels),
+        deepest=levels[-1],
+        levels=levels if keep_levels else None,
     )
 
 

@@ -1,4 +1,6 @@
-/* Balanced bidirectional sigma-BFS path sampling, one pair per call.
+/* Balanced bidirectional sigma-BFS path sampling, one pair per call, and the
+ * whole-graph BFS of graph/traversal.py and graph/components.py (repro_sweep,
+ * at the end of the file), one source per call.
  *
  * The search is kernels/smallgraph.py's, statement for statement: the side
  * whose frontier holds fewer adjacency entries is scanned, one pass over its
@@ -47,7 +49,8 @@ typedef struct {
 #define FORCE_INLINE static inline
 #endif
 
-#define IDX(j) (wide ? ((const int64_t *)st->indices)[j] : (int64_t)((const uint32_t *)st->indices)[j])
+#define ENTRY(base, j) (wide ? ((const int64_t *)(base))[j] : (int64_t)((const uint32_t *)(base))[j])
+#define IDX(j) ENTRY(st->indices, j)
 
 /* numpy's DOUBLE_pairwise_sum over a contiguous array (what ndarray.sum() runs). */
 static double pairwise_sum(const double *a, int64_t n)
@@ -303,4 +306,62 @@ double repro_pairwise_sum(const double *a, int64_t n)
 int64_t repro_weighted_index(double *w, int64_t n, double total, double u)
 {
     return weighted_index(w, n, total, u);
+}
+
+/* Level-synchronous BFS of everything reachable from `source`.  A vertex is
+ * unvisited iff mark[v] < 0; level k is stamped `stamp + k * step`, so stamp 0
+ * with step 1 writes hop distances and step 0 writes one component id.  The
+ * vertices reached go to `order` level after level, each level in increasing
+ * id order, level k being order[offsets[k] .. offsets[k + 1]).  `order` and
+ * `offsets` hold n + 1 entries, `scratch` n; only the vertices and rows the
+ * search reaches are touched.
+ *
+ * Returns the number of levels, or one of the codes below.  The arrays may
+ * come straight from a file nobody validated (the diameter phase runs before
+ * any sampler exists), so every row extent is checked against `num_entries`
+ * and every neighbour id against n before it is used as an index. */
+enum { SWEEP_BAD_ROW = -1, SWEEP_BAD_NEIGHBOUR = -2 };
+
+FORCE_INLINE int64_t sweep(const int64_t n, const int64_t *indptr, const void *indices,
+                           const int64_t num_entries, const int64_t source, int64_t *mark,
+                           const int64_t stamp, const int64_t step, int64_t *order,
+                           int64_t *scratch, int64_t *offsets, const int wide)
+{
+    int64_t head = 0, tail = 1, level = 0;
+    order[0] = source;
+    mark[source] = stamp;
+    offsets[0] = 0;
+    while (head < tail) {
+        const int64_t end = tail, next = stamp + (level + 1) * step;
+        offsets[++level] = end;
+        for (; head < end; head++) {
+            const int64_t u = order[head], lo = indptr[u], hi = indptr[u + 1];
+            if (lo < 0 || hi < lo || hi > num_entries)
+                return SWEEP_BAD_ROW;
+            for (int64_t j = lo; j < hi; j++) {
+                const int64_t v = ENTRY(indices, j);
+                if ((uint64_t)v >= (uint64_t)n)
+                    return SWEEP_BAD_NEIGHBOUR;
+                /* Without a branch, which on a road network is mispredicted
+                 * every third neighbour: v is written at the tail and stays
+                 * there only if it was unvisited.  A vertex is stamped once,
+                 * so tail <= n and order needs n + 1 entries. */
+                const int64_t mv = mark[v];
+                order[tail] = v;
+                tail += mv < 0;
+                mark[v] = mv < 0 ? next : mv;
+            }
+        }
+        sort_below(order + end, scratch, tail - end, n);
+    }
+    return level;
+}
+
+/* `source` is below n; `stamp` and `step` are not negative. */
+int64_t repro_sweep(int64_t n, const int64_t *indptr, const void *indices, int64_t wide,
+                    int64_t num_entries, int64_t source, int64_t *mark, int64_t stamp,
+                    int64_t step, int64_t *order, int64_t *scratch, int64_t *offsets)
+{
+    return wide ? sweep(n, indptr, indices, num_entries, source, mark, stamp, step, order, scratch, offsets, 1)
+                : sweep(n, indptr, indices, num_entries, source, mark, stamp, step, order, scratch, offsets, 0);
 }

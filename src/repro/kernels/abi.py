@@ -329,7 +329,7 @@ def format_kernel_table() -> str:
     from repro.kernels import compiled
 
     lines.append("")
-    lines.append(f"bidirectional search: {compiled.describe()}")
+    lines.append(compiled.describe())
     return "\n".join(lines)
 
 

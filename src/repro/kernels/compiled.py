@@ -1,4 +1,4 @@
-"""The ``bidirectional`` kernel's search as one compiled call.
+"""The ``bidirectional`` kernel's search and the whole-graph BFS sweeps, compiled.
 
 ``_bidirectional.c`` (beside this file) is the scan-on-expand search of
 :mod:`repro.kernels.smallgraph` plus the cut pick and both backward walks of
@@ -9,7 +9,10 @@ numpy kernel: for one generator state the two return the same
 generator in the same state.  It is not a kernel of its own - the
 ``bidirectional`` spec hands out :func:`compiled_sample` when :func:`load`
 succeeds and the graph's arrays qualify (:func:`usable`), and the numpy search
-otherwise.
+otherwise.  The same file holds the level-synchronous whole-graph BFS under
+:func:`repro.graph.traversal.bfs_distances` and
+:func:`repro.graph.components.connected_components` (:class:`Sweep`), used
+under the same condition and with the numpy level loop as the only other path.
 
 *Build.*  On first use the source is compiled with ``$CC`` (default ``cc``)
 and ``-O2 -fPIC -shared -ffp-contract=off`` into
@@ -21,17 +24,21 @@ first, so that they inherit the library instead of each looking for it.
 
 *Self-check.*  The C side re-implements numpy's pairwise ``sum`` and
 :func:`~repro.kernels.weighted.weighted_index`; a loaded library is used only
-after both equal numpy bit for bit on a fixed battery and a small-graph search
-equals :func:`~repro.kernels.bidirectional.bidirectional_sample`.  No
+after both equal numpy bit for bit on a fixed battery, a small-graph search
+equals :func:`~repro.kernels.bidirectional.bidirectional_sample` and a sweep
+from every vertex of the same graph equals the numpy level loop.  No
 compiler, an unusable cache directory or a failed check each leave the numpy
-search in place; :func:`describe` says which search runs and why.
+search and the numpy sweeps in place; :func:`describe` says which run and why.
 
 *What crosses the boundary.*  Pointers into arrays this module validated or
 allocated, never a Python object: the CSR arrays
 (:func:`repro.graph.csr.validate_csr` has run, in
 :class:`~repro.kernels.batch.BatchPathSampler`), the pool's mark and sigma
-arrays, and the buffers of :class:`CompiledSearch`.  ``ctypes`` releases the
-GIL for the call.
+arrays, and the buffers of :class:`CompiledSearch`.  A sweep runs before any
+sampler exists, possibly on a mapped file nobody has read yet, so the C loop
+itself checks every row extent and neighbour id it is about to index with and
+:class:`Sweep` turns its refusal into :class:`ValueError`.  ``ctypes`` releases
+the GIL for the call.
 """
 
 from __future__ import annotations
@@ -51,12 +58,14 @@ import numpy as np
 from repro.kernels.scratch import ScratchPool
 from repro.kernels.weighted import weighted_index
 
-__all__ = ["load", "describe", "usable", "compiled_sample", "CompiledSearch"]
+__all__ = ["load", "describe", "usable", "compiled_sample", "CompiledSearch", "Sweep"]
 
 _SOURCE = Path(__file__).with_name("_bidirectional.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # Status codes of repro_search / repro_finish.
 _PATH, _ADJACENT, _DISCONNECTED, _GROW, _BROKEN_LEVEL, _NO_PREDECESSOR = range(6)
+# What repro_sweep returns in place of a level count.
+_SWEEP_REFUSALS = {-1: "a row extent outside indices", -2: "an out-of-range vertex id"}
 #: A cut edge travels as ``u * n + v`` in an int64.
 _MAX_VERTICES = 2**31
 _INDEX_DTYPES = (np.dtype(np.uint32), np.dtype(np.int64))
@@ -149,6 +158,21 @@ def _bind(path: Path) -> ctypes.CDLL:
         ctypes.c_double,
     ]
     lib.repro_weighted_index.restype = ctypes.c_int64
+    lib.repro_sweep.argtypes = [
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # indptr
+        ctypes.c_void_p,  # indices
+        ctypes.c_int64,  # wide
+        ctypes.c_int64,  # len(indices)
+        ctypes.c_int64,  # source
+        ctypes.c_void_p,  # mark
+        ctypes.c_int64,  # stamp
+        ctypes.c_int64,  # step
+        ctypes.c_void_p,  # order
+        ctypes.c_void_p,  # scratch
+        ctypes.c_void_p,  # offsets
+    ]
+    lib.repro_sweep.restype = ctypes.c_int64
     return lib
 
 
@@ -169,13 +193,13 @@ def load() -> Tuple[Optional[ctypes.CDLL], str]:
 
 
 def describe() -> str:
-    """One line for ``--list-kernels`` and ``info``: which search, and why."""
+    """The line ``--list-kernels`` and ``info`` end with: what runs the search and the sweeps."""
     lib, detail = load()
-    return f"compiled ({detail})" if lib is not None else f"numpy ({detail})"
+    return f"bidirectional search and BFS sweeps: {'compiled' if lib is not None else 'numpy'} ({detail})"
 
 
 def usable(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """Whether :func:`compiled_sample` can run on these CSR arrays."""
+    """Whether :func:`compiled_sample` and :class:`Sweep` can run on these CSR arrays."""
     return (
         indptr.dtype == np.int64
         and indices.dtype in _INDEX_DTYPES
@@ -243,6 +267,29 @@ def _self_check(lib: ctypes.CDLL) -> None:
                 raise _Unavailable(f"self-check: search {source}-{target} differs from numpy's")
         if rng_a.random() != rng_b.random():
             raise _Unavailable("self-check: the searches leave the generator in different states")
+        _check_sweeps(lib, indptr, indices)
+
+
+def _check_sweeps(lib: ctypes.CDLL, indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Distances from every vertex, then one id per component, against numpy."""
+    from repro.graph.traversal import numpy_sweep
+
+    n = indptr.size - 1
+    ours, csr = Sweep(lib, indptr, indices), (indptr, indptr[1:], indices)
+    labels_a, labels_b = np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64)
+    for source in range(n):
+        runs = [(np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64), 0, 1)]
+        if labels_a[source] < 0:
+            runs.append((labels_a, labels_b, source, 0))
+        for marks_a, marks_b, stamp, step in runs:
+            levels_a = ours(marks_a, source, stamp, step)
+            levels_b = numpy_sweep(csr, marks_b, source, stamp, step)
+            if not (
+                np.array_equal(marks_a, marks_b)
+                and len(levels_a) == len(levels_b)
+                and all(np.array_equal(a, b) for a, b in zip(levels_a, levels_b))
+            ):
+                raise _Unavailable(f"self-check: sweep from {source} differs from numpy's")
 
 
 # --------------------------------------------------------------------------- #
@@ -354,3 +401,58 @@ def compiled_sample(
     if state is None or state.indices is not indices or state.indptr is not indptr:
         state = pool.compiled = CompiledSearch(load()[0], indptr, indices, pool)
     return state.sample(pool, source, target, rng)
+
+
+# --------------------------------------------------------------------------- #
+# Whole-graph BFS
+# --------------------------------------------------------------------------- #
+
+class Sweep:
+    """Whole-graph BFS over one graph's CSR arrays: ``repro_sweep`` and its buffers.
+
+    One object serves one caller at a time (a traversal creates its own; the
+    component labelling reuses one for all its searches, so that a component
+    costs its own vertices and not an ``n``-sized allocation).
+    :func:`usable` must hold for the arrays.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, indptr: np.ndarray, indices: np.ndarray) -> None:
+        n = self._n = indptr.size - 1
+        self._csr = (indptr, indices)  # the addresses below stay valid
+        # One allocation: order (n + 1 entries), sort scratch (n), level offsets (n + 1).
+        work = self._work = np.empty(3 * n + 2, dtype=np.int64)
+        self._order, self._offsets = work[:n], work[2 * n + 1 :]
+        self._call = functools.partial(
+            lib.repro_sweep,
+            n,
+            indptr.ctypes.data,
+            indices.ctypes.data,
+            int(indices.dtype == np.int64),
+            indices.size,
+        )
+        self._buffers = (work.ctypes.data, work[n + 1 :].ctypes.data, self._offsets.ctypes.data)
+
+    def __call__(self, marks: np.ndarray, source: int, stamp: int, step: int) -> List[np.ndarray]:
+        """Stamp everything reachable from ``source`` into ``marks``; return the levels.
+
+        A vertex is unvisited iff its mark is negative; level ``k`` is stamped
+        ``stamp + k * step`` (``0, 1`` writes hop distances, ``step=0`` one
+        component id).  The levels are ``int64`` arrays in increasing id order,
+        level 0 being ``[source]``, cut from one new array: nothing returned
+        refers to this object's buffers.  A row extent outside
+        ``indices`` or a neighbour id outside the graph raises
+        :class:`ValueError`, with ``marks`` partly stamped.
+        """
+        if not (0 <= source < self._n and stamp >= 0 and step >= 0):
+            raise ValueError("source must be a vertex of the graph, stamp and step non-negative")
+        flags = marks.flags
+        if marks.dtype != np.int64 or marks.shape != (self._n,) or not (flags.c_contiguous and flags.writeable):
+            raise ValueError("marks must be a writable contiguous int64 array with one entry per vertex")
+        levels = self._call(int(source), marks.ctypes.data, stamp, step, *self._buffers)
+        if levels < 0:
+            raise ValueError(
+                f"malformed CSR arrays: the search from {source} met {_SWEEP_REFUSALS[levels]}"
+            )
+        bounds = self._offsets[: levels + 1].tolist()
+        reached = self._order[: bounds[-1]].copy()
+        return [reached[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -54,6 +54,7 @@ from repro.core.stopping import StoppingCondition, compute_omega
 from repro.diameter import vertex_diameter_upper_bound
 from repro.epoch.frames import FramePool
 from repro.epoch.framework import EpochManager
+from repro.graph.traversal import sweep_path
 from repro.kernels import plan_batches, resolve_batch_size, worker_batch_size
 from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
@@ -422,12 +423,13 @@ def run_rank(
         # Ranks run in their own processes (or, in tests, threads), so
         # non-root spans root their own per-rank trees; rank 0 nests beneath
         # the facade's "estimate" span as usual.
-        with timer.phase("diameter"), obs_trace.span("diameter", rank=rank):
+        with timer.phase("diameter"), obs_trace.span("diameter", rank=rank) as sp:
             vd = None
             if comm.is_root:
                 if options.vertex_diameter_override is not None:
                     vd = int(options.vertex_diameter_override)
                 else:
+                    sp.set("sweep", sweep_path(graph))
                     vd = max(vertex_diameter_upper_bound(graph, seed=options.seed), 2)
             vd = int(comm.bcast(vd, root=0))
         omega = compute_omega(options.eps, options.delta, vd)

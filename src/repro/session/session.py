@@ -63,6 +63,7 @@ from repro.core.stopping import CheckSchedule, StoppingCondition, compute_omega
 from repro.core.topk import TopKResult, confidence_bounds, identify_top_k
 from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
+from repro.graph.traversal import sweep_path
 from repro.kernels import plan_batches, resolve_batch_size
 from repro.obs import trace as obs_trace
 from repro.session.sample_log import SampleLog
@@ -438,6 +439,7 @@ class EstimationSession:
             if self._options.vertex_diameter_override is not None:
                 self._vd = int(self._options.vertex_diameter_override)
             else:
+                sp.set("sweep", sweep_path(self._graph))
                 self._vd = max(
                     vertex_diameter_upper_bound(self._graph, seed=self._options.seed),
                     2,

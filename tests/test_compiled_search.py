@@ -7,7 +7,8 @@ components, adjacent and isolated endpoints, path counts beyond 2^53, more cut
 edges than the buffer holds), what never reaches C (a malformed CSR), the
 errors it reports as the numpy kernel's exceptions, how the helper is built,
 cached and inherited across a fork - and that each way of not having it
-leaves a working numpy search and a line saying why.
+leaves a working numpy search, working numpy sweeps (``tests/test_sweeps.py``
+holds the compiled ones to them) and a line saying why.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import pytest
 from test_scan_on_expand import make_sampler
 
 from repro.dist.socketcomm import fork_rank, reap
+from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, path_graph, road_network_graph
+from repro.graph.traversal import bfs_distances, sweep_path
 from repro.kernels import BatchPathSampler, compiled, format_kernel_table
 from repro.kernels.bidirectional import bidirectional_sample
 from repro.kernels.scratch import ScratchPool, csr_views
@@ -291,11 +294,14 @@ class TestWithoutTheHelper:
     def check_fallback(self, reason):
         library, detail = compiled.load()
         assert library is None and reason in detail
-        assert compiled.describe() == f"numpy ({detail})"
-        assert f"bidirectional search: numpy ({detail})" in format_kernel_table()
+        assert compiled.describe() == f"bidirectional search and BFS sweeps: numpy ({detail})"
+        assert format_kernel_table().endswith(compiled.describe())
         graph = grid_graph(8, 8)
         sampler = BatchPathSampler(graph, kernel="bidirectional")
         assert not sampler.compiled
+        assert sweep_path(graph) == "numpy"
+        assert bfs_distances(graph, 0).eccentricity == 14
+        assert connected_components(graph).num_components == 1
         indptr, _, indices = csr_views(graph)
         pool = ScratchPool(graph.num_vertices)
         rng, direct = np.random.default_rng(4), np.random.default_rng(4)
@@ -331,5 +337,19 @@ class TestWithoutTheHelper:
         self.check_fallback("self-check: weighted pick")
 
     @needs_helper
+    def test_a_sweep_that_disagrees_takes_the_search_with_it(self, reloading):
+        bind = compiled._bind
+
+        def bind_one_level_short(path):
+            library = bind(path)
+            sweep = library.repro_sweep
+            library.repro_sweep = lambda *args: max(sweep(*args) - 1, 1)
+            return library
+
+        reloading.setattr(compiled, "_bind", bind_one_level_short)
+        self.check_fallback("self-check: sweep from 0 differs")
+
+    @needs_helper
     def test_with_it_the_table_says_compiled(self):
-        assert "bidirectional search: compiled (" in format_kernel_table()
+        assert "bidirectional search and BFS sweeps: compiled (" in format_kernel_table()
+        assert sweep_path(grid_graph(8, 8)) == "compiled"
