@@ -13,7 +13,7 @@ import pytest
 from repro.baselines.brandes import _single_source_dependencies
 from repro.core.state_frame import StateFrame
 from repro.graph.traversal import bfs_distances, bfs_with_sigma
-from repro.sampling import BidirectionalBFSSampler, UnidirectionalBFSSampler
+from repro.kernels import BatchPathSampler
 
 pytestmark = pytest.mark.benchmark(group="sampling")
 
@@ -29,14 +29,14 @@ def test_bfs_with_sigma(benchmark, social_proxy_graph):
 
 
 def test_bidirectional_sample(benchmark, social_proxy_graph):
-    sampler = BidirectionalBFSSampler(social_proxy_graph)
+    sampler = BatchPathSampler(social_proxy_graph)
     rng = np.random.default_rng(1)
     sample = benchmark(lambda: sampler.sample(rng))
     assert sample.source != sample.target
 
 
 def test_unidirectional_sample(benchmark, social_proxy_graph):
-    sampler = UnidirectionalBFSSampler(social_proxy_graph)
+    sampler = BatchPathSampler(social_proxy_graph, kernel="unidirectional")
     rng = np.random.default_rng(1)
     sample = benchmark(lambda: sampler.sample(rng))
     assert sample.source != sample.target
@@ -46,15 +46,15 @@ def test_bidirectional_cheaper_than_unidirectional(social_proxy_graph):
     """KADABRA's claim: the bidirectional sampler touches fewer edges."""
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
-    bi = BidirectionalBFSSampler(social_proxy_graph)
-    uni = UnidirectionalBFSSampler(social_proxy_graph)
+    bi = BatchPathSampler(social_proxy_graph)
+    uni = BatchPathSampler(social_proxy_graph, kernel="unidirectional")
     bi_edges = sum(bi.sample(rng_a).edges_touched for _ in range(50))
     uni_edges = sum(uni.sample(rng_b).edges_touched for _ in range(50))
     assert bi_edges < uni_edges
 
 
 def test_bidirectional_sample_road(benchmark, road_proxy_graph):
-    sampler = BidirectionalBFSSampler(road_proxy_graph)
+    sampler = BatchPathSampler(road_proxy_graph)
     rng = np.random.default_rng(2)
     sample = benchmark(lambda: sampler.sample(rng))
     assert sample.edges_touched > 0

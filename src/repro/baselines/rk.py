@@ -16,13 +16,13 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kadabra import make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import OMEGA_CONSTANT
 from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
-from repro.core.kadabra import make_batch_sampler
 from repro.kernels import plan_batches, resolve_batch_size
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
@@ -70,9 +70,7 @@ class _RKBetweenness:
             return BetweennessResult(scores=np.zeros(graph.num_vertices), eps=options.eps, delta=options.delta)
         timer = PhaseTimer()
         rng = np.random.default_rng(options.seed)
-        sampler = make_batch_sampler(
-            graph, options, pair_strategy="vectorized", kernel=self.kernel
-        )
+        sampler = make_sampler(graph, options, kernel=self.kernel, pair_strategy="vectorized")
 
         with timer.phase("diameter"):
             if options.vertex_diameter_override is not None:

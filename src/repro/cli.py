@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="force a registered sampling kernel (see --list-kernels) instead "
-        "of automatic size/dtype routing; also settable via $REPRO_KERNEL",
+        "of automatic routing; also settable via $REPRO_KERNEL",
     )
     parser.add_argument("--top", type=int, default=10, help="number of top vertices to print")
     parser.add_argument("--output", default=None, help="write the full result as JSON")
@@ -799,12 +799,14 @@ def _cmd_convert(argv: list) -> int:
 
 
 def _cmd_info(argv: list) -> int:
-    from repro.store import GraphCatalog, StoreFormatError
+    from repro.kernels import compiled, describe_routing
+    from repro.store import GraphCatalog, StoreFormatError, open_rcsr
 
     args = build_info_parser().parse_args(argv)
     catalog = GraphCatalog()
     try:
         info = catalog.info(args.graph)
+        routing = None if args.json else describe_routing(open_rcsr(info.path))
     except (OSError, StoreFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -821,16 +823,10 @@ def _cmd_info(argv: list) -> int:
     print(f"components:        {info.num_components}")
     print(f"diameter estimate: {info.diameter_estimate}")
     print(f"checksum:          {info.checksum}")
-    from repro.kernels import describe_routing
-
-    # Undirected CSR stores each edge twice, so the adjacency has 2m entries.
-    routing = describe_routing(info.num_vertices, 2 * info.num_edges)
     line = f"kernel routing:    {routing['effective']}"
     if routing["effective"] != routing["auto"]:
         line += f" (auto would pick {routing['auto']}; $REPRO_KERNEL={routing['env']})"
     print(line)
-    from repro.kernels import compiled
-
     print(compiled.describe())
     from repro.store.partition import find_manifests, format_placement
 

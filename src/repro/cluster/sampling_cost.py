@@ -28,8 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.machine import MachineSpec
-from repro.graph.csr import CSRGraph
-from repro.sampling.base import PathSampler
+from repro.kernels import BatchPathSampler
 
 __all__ = [
     "measure_edges_per_sample",
@@ -45,7 +44,7 @@ ROAD_AVG_DEGREE_THRESHOLD = 8.0
 
 
 def measure_edges_per_sample(
-    sampler: PathSampler,
+    sampler: BatchPathSampler,
     *,
     num_probes: int = 64,
     seed: int | None = 0,
@@ -53,11 +52,8 @@ def measure_edges_per_sample(
     """Average adjacency entries touched per sample, measured empirically."""
     if num_probes <= 0:
         raise ValueError("num_probes must be positive")
-    rng = np.random.default_rng(seed)
-    total = 0
-    for _ in range(num_probes):
-        total += sampler.sample(rng).edges_touched
-    return total / float(num_probes)
+    batch = sampler.sample_batch(num_probes, np.random.default_rng(seed))
+    return batch.total_edges_touched / float(num_probes)
 
 
 def estimate_edges_per_sample(num_vertices: int, num_edges: int, diameter: int) -> float:

@@ -158,10 +158,11 @@ class InstanceProfile:
         estimate is used.
         """
         if measure_cost and graph.num_vertices >= 2 and graph.num_edges > 0:
-            from repro.sampling import BidirectionalBFSSampler
+            from repro.core.kadabra import make_sampler
+            from repro.core.options import KadabraOptions
 
             edges_per_sample = measure_edges_per_sample(
-                BidirectionalBFSSampler(graph), num_probes=32, seed=seed
+                make_sampler(graph, KadabraOptions()), num_probes=32, seed=seed
             )
             edges_per_sample = max(edges_per_sample, 1.0)
         else:

@@ -332,10 +332,8 @@ def _update_session_impl(
         k_cal = int(np.searchsorted(idx, cal_count))
 
         session._graph = graph
-        from repro.core.kadabra import make_sampler
-
+        session._sampler = None  # rebuilt over the child, with the session's kernel
         session._ensure_engine()
-        session._sampler = make_sampler(graph, session.options)
 
         if idx.size:
             stale = log.contributions_concat(idx)
@@ -346,7 +344,7 @@ def _update_session_impl(
                 if stale_cal.size:
                     np.add.at(calibration.counts, stale_cal, -1.0)
 
-            batch = session._sampler.batch_sampler().sample_pairs(
+            batch = session._sampler.sample_pairs(
                 log.sources[idx], log.targets[idx], session._rng
             )
             fresh = batch.contrib_vertices

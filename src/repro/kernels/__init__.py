@@ -8,32 +8,27 @@ make that true for the Python reproduction:
   generation-stamped visited marks (no O(n) allocation or clearing between
   samples); :class:`ScratchSlab` widens the same idea to K concurrent pairs;
 * :func:`bidirectional_sample` / :func:`unidirectional_sample` — pooled path
-  sampling kernels, bit-compatible with the legacy scalar samplers for a
-  fixed RNG state;
+  sampling kernels, bit-compatible with the reference samplers
+  (:mod:`repro.sampling._reference`) for a fixed RNG state;
 * :class:`WavefrontSampler` — the cross-sample vectorized wavefront kernel:
   K pairs' balanced-bidirectional searches advanced simultaneously in SoA
   form (statistically identical, different RNG stream);
-* :mod:`~repro.kernels.abi` — the kernel ABI: a capability-probed
-  :class:`~repro.kernels.abi.KernelSpec` registry with deterministic routing
-  from graph size/dtype, a ``REPRO_KERNEL`` override, and graceful
-  degradation when an optional backend's probe fails;
-* :class:`BatchPathSampler` / :class:`SampleBatch` — draw K pairs per call
-  and return flat contribution arrays for single-``np.add.at`` accumulation
-  into epoch frames;
+* :mod:`~repro.kernels.abi` — the name → :class:`~repro.kernels.abi
+  .KernelSpec` table and the one routing function, with its ``REPRO_KERNEL``
+  override;
+* :class:`BatchPathSampler` / :class:`SampleBatch` — the sampler every driver
+  holds: K pairs per call returned as flat contribution arrays for
+  single-``np.add.at`` accumulation into epoch frames, or one pair per call;
 * :mod:`~repro.kernels.policy` — adaptive batch sizing (small batches near
   stopping-condition checks, large batches mid-epoch).
 """
 
 from repro.kernels.abi import (
-    REPRO_KERNEL_ENV,
     KernelSpec,
-    KernelUnavailableError,
     describe_routing,
     format_kernel_table,
     get_kernel,
-    kernel_available,
     kernel_names,
-    list_kernels,
     register_kernel,
     resolve_kernel,
 )
@@ -58,10 +53,8 @@ __all__ = [
     "AUTO_BATCH",
     "BatchPathSampler",
     "KernelSpec",
-    "KernelUnavailableError",
     "MAX_AUTO_BATCH",
     "MIN_AUTO_BATCH",
-    "REPRO_KERNEL_ENV",
     "SampleBatch",
     "ScratchPool",
     "ScratchSlab",
@@ -72,10 +65,8 @@ __all__ = [
     "format_kernel_table",
     "gather_csr",
     "get_kernel",
-    "kernel_available",
     "kernel_batch_cap",
     "kernel_names",
-    "list_kernels",
     "plan_batches",
     "register_kernel",
     "resolve_batch_size",

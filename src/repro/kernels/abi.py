@@ -1,38 +1,22 @@
-"""Kernel ABI: capability-probed kernel registry and deterministic routing.
+"""Kernel table and routing: which search a sampler runs.
 
-Before this module, kernel choice was a hardcoded ``_KERNELS`` dict plus
-ad-hoc small-graph thresholds buried in ``kernels/batch.py``.  The ABI
-formalises that layer: every sampling kernel is one :class:`KernelSpec` in a
-process-global registry, carrying
-
-* **capabilities** — whether the kernel is batch-native (advances all pairs
-  of a batch at once), RNG-stream compatible with the legacy scalar
-  samplers, weighted/directed-ready;
-* an **availability probe** — run once per process and cached, so an
-  optional accelerated backend whose import or self-test fails degrades
-  gracefully to the portable kernels instead of erroring at sample time;
-* **cost hints** — a coarse cost-model tag plus a suitability window over
-  (graph size, adjacency entries, index dtype) that drives automatic
-  routing, and an ``auto_rank`` tie-break.
-
-Routing precedence (:func:`resolve_kernel`):
+Every sampling kernel is one :class:`KernelSpec` in a name → spec table, and
+:func:`resolve_kernel` is the only place a kernel is chosen:
 
 1. an **explicit request** (``Resources(kernel=...)``, the CLI ``--kernel``
-   flag, or ``BatchPathSampler(kernel=...)``) always wins; an unknown name
-   raises :class:`ValueError`, an unavailable kernel raises
-   :class:`KernelUnavailableError`;
-2. the ``REPRO_KERNEL`` environment variable; an unknown or unavailable
-   value *warns* and falls through to automatic routing (an env var must
-   never hard-fail a batch job);
-3. **automatic routing**: among available kernels of the requested family
-   whose suitability window matches the graph, the lowest ``auto_rank``
-   wins.  Only stream-compatible kernels participate, which keeps every
-   default code path bit-identical to the pre-ABI behaviour for a fixed
-   seed (the golden-digest tests pin this down); the batch-native wavefront
-   kernel — statistically identical but a different stream — is selected by
-   explicit request or ``REPRO_KERNEL`` only.
+   flag, ``make_sampler(kernel=...)``) always wins; an unknown name raises
+   :class:`ValueError`;
+2. the ``REPRO_KERNEL`` environment variable; an unknown value *warns* and
+   falls through (an env var must never hard-fail a batch job);
+3. otherwise ``bidirectional`` when the compiled search can read the graph's
+   arrays (:func:`repro.kernels.compiled.usable`), else ``smallgraph`` inside
+   the ``SMALL_GRAPH_*`` window, else ``bidirectional`` with its numpy search.
 
-See ``docs/kernels.md`` for the full design sketch.
+The three searches step 3 chooses between draw the same samples from the same
+generator state, so it decides speed only (``docs/kernels.md`` has the
+measurements).  Anything else in the table — ``unidirectional``, the
+batch-native ``wavefront`` with its different stream, a kernel added with
+:func:`register_kernel` — is reached by steps 1 and 2 only.
 """
 
 from __future__ import annotations
@@ -47,14 +31,9 @@ import numpy as np
 __all__ = [
     "REPRO_KERNEL_ENV",
     "KernelSpec",
-    "KernelUnavailableError",
     "register_kernel",
-    "unregister_kernel",
     "get_kernel",
     "kernel_names",
-    "list_kernels",
-    "kernel_available",
-    "clear_probe_cache",
     "resolve_kernel",
     "describe_routing",
     "format_kernel_table",
@@ -64,61 +43,26 @@ __all__ = [
 REPRO_KERNEL_ENV = "REPRO_KERNEL"
 
 
-class KernelUnavailableError(RuntimeError):
-    """An explicitly requested kernel failed its availability probe."""
-
-
-def _always(num_vertices: int, num_entries: int, dtype) -> bool:
-    return True
-
-
-def _probe_ok() -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Registry entry: one sampling kernel plus capability metadata.
+    """Table entry: one sampling kernel.
 
     Attributes
     ----------
     name:
-        Registry key; also the CLI ``--kernel`` choice and the valid values
-        of ``REPRO_KERNEL``.
+        Table key; also the CLI ``--kernel`` choice and the valid values of
+        ``REPRO_KERNEL``.
     description:
         One line for ``--list-kernels`` and the docs table.
-    family:
-        ``"bidirectional"`` or ``"unidirectional"`` — which search algorithm
-        the kernel implements.  Automatic routing only considers kernels of
-        the family selected by the driver's ``method``; explicit overrides
-        may cross families (both families sample uniform shortest paths, so
-        the estimator stays correct — only cost accounting and the RNG
-        stream change).
     batch_native:
         True when the kernel advances all pairs of a batch simultaneously
         (SoA wavefront) instead of being called once per pair.
     stream_compatible:
-        True when the kernel consumes the RNG bit-identically to the legacy
-        scalar samplers.  Automatic routing requires this; kernels without
-        it are opt-in only.
-    weighted / directed_ready:
-        Capability bits for future graph models (no registered kernel
-        supports either yet — the bits exist so accelerated backends can
-        declare them without an ABI change).
-    cost_hint:
-        Coarse cost-model tag (``"python-bfs"``, ``"numpy-bfs"``,
-        ``"vectorized-wavefront"``, ...).
-    auto_rank:
-        Tie-break for automatic routing: lowest wins among suitable kernels.
+        True when the kernel consumes the RNG bit-identically to the
+        reference samplers (:mod:`repro.sampling._reference`).
     preferred_batch:
         Batch-size hint for :func:`repro.kernels.policy.kernel_batch_cap`:
         batch-native kernels amortise best at whole-slab batches.
-    probe:
-        Availability check, run once per process and cached; exceptions
-        count as unavailable (graceful degradation).
-    suited:
-        ``suited(num_vertices, num_entries, dtype) -> bool`` — the automatic
-        routing window.  Explicit requests bypass it.
     make_per_pair:
         ``make_per_pair(indptr, indices) -> (kernel_fn, op_indptr,
         op_indices)`` for per-pair kernels: returns the callable with the
@@ -132,22 +76,13 @@ class KernelSpec:
 
     name: str
     description: str = ""
-    family: str = "bidirectional"
     batch_native: bool = False
     stream_compatible: bool = True
-    weighted: bool = False
-    directed_ready: bool = False
-    cost_hint: str = "numpy-bfs"
-    auto_rank: int = 100
     preferred_batch: Optional[int] = None
-    probe: Callable[[], bool] = field(repr=False, default=_probe_ok)
-    suited: Callable[[int, int, object], bool] = field(repr=False, default=_always)
     make_per_pair: Optional[Callable] = field(repr=False, default=None)
     make_batch: Optional[Callable] = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.family not in ("bidirectional", "unidirectional"):
-            raise ValueError(f"unknown kernel family {self.family!r}")
         if (self.make_per_pair is None) == (self.make_batch is None):
             raise ValueError(
                 "a kernel spec must define exactly one of make_per_pair / make_batch"
@@ -155,11 +90,14 @@ class KernelSpec:
 
 
 _REGISTRY: Dict[str, KernelSpec] = {}
-_PROBE_CACHE: Dict[str, bool] = {}
 
 
 def register_kernel(spec: KernelSpec, *, replace: bool = False) -> KernelSpec:
-    """Register a kernel spec; duplicate names require ``replace=True``."""
+    """Add a kernel to the table; duplicate names require ``replace=True``.
+
+    Routing never picks an added kernel by itself: it runs when asked for by
+    name (explicit request or ``REPRO_KERNEL``).
+    """
     if not spec.name or not isinstance(spec.name, str):
         raise ValueError("kernel name must be a non-empty string")
     if spec.name == "auto":
@@ -167,14 +105,7 @@ def register_kernel(spec: KernelSpec, *, replace: bool = False) -> KernelSpec:
     if spec.name in _REGISTRY and not replace:
         raise ValueError(f"kernel {spec.name!r} is already registered (pass replace=True)")
     _REGISTRY[spec.name] = spec
-    _PROBE_CACHE.pop(spec.name, None)
     return spec
-
-
-def unregister_kernel(name: str) -> None:
-    """Remove a kernel (mostly useful for tests of the registry itself)."""
-    _REGISTRY.pop(name, None)
-    _PROBE_CACHE.pop(name, None)
 
 
 def get_kernel(name: str) -> KernelSpec:
@@ -191,150 +122,90 @@ def kernel_names() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def list_kernels() -> Tuple[KernelSpec, ...]:
-    """All registered kernel specs in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def kernel_available(name_or_spec) -> bool:
-    """Whether a kernel's availability probe passes (run once, cached)."""
-    spec = get_kernel(name_or_spec) if isinstance(name_or_spec, str) else name_or_spec
-    cached = _PROBE_CACHE.get(spec.name)
-    if cached is None:
-        try:
-            cached = bool(spec.probe())
-        except Exception:  # degrade gracefully: a broken probe = unavailable
-            cached = False
-        _PROBE_CACHE[spec.name] = cached
-    return cached
-
-
-def clear_probe_cache() -> None:
-    """Forget cached probe results (tests that stub probes call this)."""
-    _PROBE_CACHE.clear()
-
-
 def resolve_kernel(
-    num_vertices: int,
-    num_entries: int,
-    dtype=None,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     *,
-    family: str = "bidirectional",
     requested: Optional[str] = None,
     env: Optional[str] = "<unset>",
 ) -> KernelSpec:
-    """Resolve which kernel a sampler should use (see the module docstring).
+    """The kernel a sampler over these CSR arrays runs (see the module docstring).
 
     ``env`` defaults to reading ``REPRO_KERNEL`` from the process
-    environment; pass ``None`` to disable the env lookup explicitly (the
-    routing-prediction report uses this to show both answers).
+    environment; pass ``None`` to leave it out (:func:`describe_routing`
+    shows both answers).
     """
     if requested is not None:
-        spec = get_kernel(requested)
-        if not kernel_available(spec):
-            raise KernelUnavailableError(
-                f"kernel {requested!r} was requested explicitly but its "
-                f"availability probe failed"
-            )
-        return spec
+        return get_kernel(requested)
     if env == "<unset>":
         env = os.environ.get(REPRO_KERNEL_ENV)
     if env:
         spec = _REGISTRY.get(env)
-        if spec is None:
-            warnings.warn(
-                f"{REPRO_KERNEL_ENV}={env!r} is not a registered kernel "
-                f"(known: {', '.join(kernel_names())}); using automatic routing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        elif not kernel_available(spec):
-            warnings.warn(
-                f"{REPRO_KERNEL_ENV}={env!r} failed its availability probe; "
-                f"using automatic routing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
+        if spec is not None:
             return spec
-    candidates = [
-        s
-        for s in _REGISTRY.values()
-        if s.family == family
-        and s.stream_compatible
-        and kernel_available(s)
-        and s.suited(int(num_vertices), int(num_entries), dtype)
-    ]
-    if not candidates:
-        raise KernelUnavailableError(
-            f"no available kernel of family {family!r} suits a graph of "
-            f"{num_vertices} vertices / {num_entries} adjacency entries"
+        warnings.warn(
+            f"{REPRO_KERNEL_ENV}={env!r} is not a registered kernel "
+            f"(known: {', '.join(kernel_names())}); using automatic routing",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    return min(candidates, key=lambda s: (s.auto_rank, s.name))
+    from repro.kernels import compiled
+    from repro.kernels.smallgraph import SMALL_GRAPH_ENTRY_LIMIT, SMALL_GRAPH_VERTEX_LIMIT
+
+    small = indptr.size - 1 <= SMALL_GRAPH_VERTEX_LIMIT and indices.size <= SMALL_GRAPH_ENTRY_LIMIT
+    if small and not compiled.usable(indptr, indices):
+        return _REGISTRY["smallgraph"]
+    return _REGISTRY["bidirectional"]
 
 
-def describe_routing(num_vertices: int, num_entries: int, dtype=None) -> Dict[str, Optional[str]]:
-    """What routing would pick for a graph — for ``repro.cli info``.
+def describe_routing(graph) -> Dict[str, Optional[str]]:
+    """What routing picks for a graph — for ``repro.cli info``.
 
     Returns ``{"auto": ..., "env": ..., "effective": ...}`` where ``auto``
-    is the pure size/dtype-based choice, ``env`` the current
-    ``REPRO_KERNEL`` value (or None) and ``effective`` what a sampler
-    constructed right now would actually use.
+    is the choice with ``REPRO_KERNEL`` left out, ``env`` its current value
+    (or None) and ``effective`` what a sampler constructed right now would
+    actually use.
     """
-    auto = resolve_kernel(num_vertices, num_entries, dtype, env=None).name
-    env = os.environ.get(REPRO_KERNEL_ENV) or None
+    from repro.kernels.scratch import csr_views
+
+    indptr, _, indices = csr_views(graph)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        effective = resolve_kernel(num_vertices, num_entries, dtype).name
-    return {"auto": auto, "env": env, "effective": effective}
+        effective = resolve_kernel(indptr, indices).name
+    return {
+        "auto": resolve_kernel(indptr, indices, env=None).name,
+        "env": os.environ.get(REPRO_KERNEL_ENV) or None,
+        "effective": effective,
+    }
 
 
 def format_kernel_table() -> str:
-    """A plain-text capability table of all registered kernels."""
-    headers = (
-        "name",
-        "family",
-        "kind",
-        "stream",
-        "weighted",
-        "directed",
-        "available",
-        "cost model",
-        "description",
-    )
+    """A plain-text table of all registered kernels, then what runs the search."""
+    from repro.kernels import compiled
+
+    headers = ("name", "kind", "stream", "description")
     rows = [
         (
             spec.name,
-            spec.family,
             "batch" if spec.batch_native else "per-pair",
             "yes" if spec.stream_compatible else "no",
-            "yes" if spec.weighted else "no",
-            "yes" if spec.directed_ready else "no",
-            "yes" if kernel_available(spec) else "no",
-            spec.cost_hint,
             spec.description,
         )
-        for spec in list_kernels()
+        for spec in _REGISTRY.values()
     ]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+        *("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows),
+        "",
+        compiled.describe(),
     ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    from repro.kernels import compiled
-
-    lines.append("")
-    lines.append(compiled.describe())
     return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------- #
-# Default registrations
+# The built-in kernels
 # --------------------------------------------------------------------------- #
 
 def _make_smallgraph(indptr: np.ndarray, indices: np.ndarray):
@@ -361,69 +232,35 @@ def _make_unidirectional(indptr: np.ndarray, indices: np.ndarray):
     return unidirectional_sample, indptr, indices
 
 
-def _smallgraph_window(num_vertices: int, num_entries: int, dtype) -> bool:
-    from repro.kernels.smallgraph import (
-        SMALL_GRAPH_ENTRY_LIMIT,
-        SMALL_GRAPH_VERTEX_LIMIT,
-    )
-
-    return num_vertices <= SMALL_GRAPH_VERTEX_LIMIT and num_entries <= SMALL_GRAPH_ENTRY_LIMIT
-
-
 def _make_wavefront(graph):
     from repro.kernels.wavefront import WavefrontSampler
 
     return WavefrontSampler(graph)
 
 
-def _register_default_kernels() -> None:
-    register_kernel(
-        KernelSpec(
-            name="smallgraph",
-            description="pure-Python bidirectional BFS over list adjacency",
-            family="bidirectional",
-            stream_compatible=True,
-            cost_hint="python-bfs",
-            auto_rank=10,
-            suited=_smallgraph_window,
-            make_per_pair=_make_smallgraph,
-        )
-    )
-    register_kernel(
-        KernelSpec(
-            name="bidirectional",
-            description="pooled balanced bidirectional sigma-BFS (compiled search, or numpy)",
-            family="bidirectional",
-            stream_compatible=True,
-            cost_hint="numpy-bfs",
-            auto_rank=20,
-            make_per_pair=_make_bidirectional,
-        )
-    )
-    register_kernel(
-        KernelSpec(
-            name="unidirectional",
-            description="pooled numpy truncated single-sided sigma-BFS",
-            family="unidirectional",
-            stream_compatible=True,
-            cost_hint="numpy-bfs",
-            auto_rank=20,
-            make_per_pair=_make_unidirectional,
-        )
-    )
-    register_kernel(
-        KernelSpec(
-            name="wavefront",
-            description="cross-sample SoA wavefront (K pairs per numpy call)",
-            family="bidirectional",
-            batch_native=True,
-            stream_compatible=False,
-            cost_hint="vectorized-wavefront",
-            auto_rank=50,
-            preferred_batch=2048,
-            make_batch=_make_wavefront,
-        )
-    )
-
-
-_register_default_kernels()
+for _spec in (
+    KernelSpec(
+        name="smallgraph",
+        description="pure-Python bidirectional BFS over list adjacency",
+        make_per_pair=_make_smallgraph,
+    ),
+    KernelSpec(
+        name="bidirectional",
+        description="pooled balanced bidirectional sigma-BFS (compiled search, or numpy)",
+        make_per_pair=_make_bidirectional,
+    ),
+    KernelSpec(
+        name="unidirectional",
+        description="pooled numpy truncated single-sided sigma-BFS",
+        make_per_pair=_make_unidirectional,
+    ),
+    KernelSpec(
+        name="wavefront",
+        description="cross-sample SoA wavefront (K pairs per numpy call)",
+        batch_native=True,
+        stream_compatible=False,
+        preferred_batch=2048,
+        make_batch=_make_wavefront,
+    ),
+):
+    register_kernel(_spec)

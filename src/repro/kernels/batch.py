@@ -1,21 +1,22 @@
-"""Batch-oriented sampler API: draw K paths per call, return flat arrays.
+"""The sampler every driver holds: draw K paths per call, return flat arrays.
 
-The legacy samplers returned one freshly allocated :class:`PathSample` object
-per call, which the drivers then fed one by one into
-``StateFrame.record_sample``.  :class:`BatchPathSampler` amortises all of
-that: one call draws ``k`` (s, t) pairs, runs the pooled kernel per pair, and
-returns a :class:`SampleBatch` whose path contributions are two flat arrays
-(vertex ids + CSR-style offsets) ready for a single ``np.add.at`` into an
-epoch frame.
+:class:`BatchPathSampler` is KADABRA's one per-sample primitive over a fixed
+graph.  ``sample_batch(k, rng)`` draws ``k`` (s, t) pairs, runs the routed
+kernel per pair, and returns a :class:`SampleBatch` whose path contributions
+are two flat arrays (vertex ids + CSR-style offsets) ready for a single
+``np.add.at`` into an epoch frame; ``sample(rng)`` is the same draw for one
+pair, returned as a :class:`~repro.sampling.base.PathSample`, for the loops
+that poll a request between samples.  Drivers get theirs from
+:func:`repro.core.kadabra.make_sampler`.
 
 Pair drawing strategies
 -----------------------
 ``interleaved`` (default)
-    Each pair is drawn immediately before its search with the same two scalar
-    draws the legacy ``sample_vertex_pair`` performed.  This keeps the RNG
-    stream *identical* to the pre-batch code for any batch size, which is what
-    lets the adaptive drivers switch to batching without changing a single
-    betweenness estimate for a fixed seed.
+    Each pair is drawn immediately before its search with the two scalar
+    draws of :func:`~repro.sampling.base.sample_vertex_pair`.  The RNG stream
+    is then the same for any batch size - ``k`` calls of ``sample`` and one
+    ``sample_batch(k)`` leave the generator in the same state - so how a
+    driver batches never changes a betweenness estimate for a fixed seed.
 ``vectorized``
     All pairs of the batch are rejection-sampled up front with one bulk
     ``rng.integers`` call per round (:func:`repro.sampling.rng
@@ -36,10 +37,10 @@ from repro.kernels import abi as _abi
 from repro.kernels.compiled import compiled_sample
 from repro.kernels.scratch import ScratchPool, csr_views
 from repro.obs import metrics as _metrics
+from repro.sampling.base import PathSample, sample_vertex_pair
+from repro.sampling.rng import draw_vertex_pairs
 
 __all__ = ["SampleBatch", "BatchPathSampler"]
-
-_METHODS = ("bidirectional", "unidirectional")
 
 _PAIR_STRATEGIES = ("interleaved", "vectorized")
 
@@ -110,10 +111,8 @@ class SampleBatch:
         """Internal vertices of sample ``i`` (a view, no copy)."""
         return self.contrib_vertices[self.contrib_indptr[i] : self.contrib_indptr[i + 1]]
 
-    def iter_samples(self) -> Iterator["PathSample"]:
-        """Materialise per-sample :class:`PathSample` objects (compat shim)."""
-        from repro.sampling.base import PathSample
-
+    def iter_samples(self) -> Iterator[PathSample]:
+        """Materialise per-sample :class:`PathSample` objects."""
         for i in range(self.num_samples):
             yield PathSample(
                 source=int(self.sources[i]),
@@ -163,38 +162,30 @@ class BatchPathSampler:
         The input :class:`~repro.graph.csr.CSRGraph`.  Memory-mapped CSR
         arrays are re-wrapped as plain ndarray views once, so the hot loops
         skip ``np.memmap``'s per-slice subclass overhead.
-    method:
-        ``"bidirectional"`` (KADABRA's default) or ``"unidirectional"``.
     pool:
         Optional :class:`ScratchPool` to reuse; one is created when omitted.
         A pool must not be shared between concurrently sampling workers.
     pair_strategy:
         ``"interleaved"`` or ``"vectorized"`` — see the module docstring.
     kernel:
-        Explicit kernel name (see :mod:`repro.kernels.abi`), overriding both
-        automatic routing and the ``REPRO_KERNEL`` environment variable.
-        ``None`` (default) resolves through the ABI: the registered
-        stream-compatible kernel whose suitability window matches the graph
-        (the pure-Python kernel below the small-graph limits, the numpy
-        per-pair kernel otherwise) — bit-identical to the pre-ABI routing.
-        Forcing a batch-native kernel (``"wavefront"``) makes ``sample_batch``
-        draw all pairs up front regardless of ``pair_strategy`` — the RNG
-        stream is no longer legacy-compatible, only the distribution is.
+        Explicit kernel name, overriding both automatic routing and the
+        ``REPRO_KERNEL`` environment variable; ``None`` (default) leaves the
+        choice to :func:`repro.kernels.abi.resolve_kernel`.  Forcing a
+        batch-native kernel (``"wavefront"``) makes ``sample_batch`` draw all
+        pairs up front regardless of ``pair_strategy`` — a different RNG
+        stream, the same distribution.
     """
 
     def __init__(
         self,
         graph,
         *,
-        method: str = "bidirectional",
         pool: Optional[ScratchPool] = None,
         pair_strategy: str = "interleaved",
         kernel: Optional[str] = None,
     ) -> None:
         if graph.num_vertices < 2:
             raise ValueError("BatchPathSampler requires a graph with at least 2 vertices")
-        if method not in _METHODS:
-            raise ValueError(f"unknown kernel method {method!r}; use one of {sorted(_METHODS)}")
         if pair_strategy not in _PAIR_STRATEGIES:
             raise ValueError(
                 f"unknown pair strategy {pair_strategy!r}; use one of {_PAIR_STRATEGIES}"
@@ -209,17 +200,9 @@ class BatchPathSampler:
         # kernel indexes with an entry that was not checked: ValueError here,
         # not a wild read in the search.
         validate_csr(self._indptr, self._indices)
-        self._method = method
         self._pool = pool if pool is not None else ScratchPool(graph.num_vertices)
         self._pair_strategy = pair_strategy
-        spec = _abi.resolve_kernel(
-            graph.num_vertices,
-            self._indices.size,
-            self._indices.dtype,
-            family=method,
-            requested=kernel,
-        )
-        self._spec = spec
+        spec = self._spec = _abi.resolve_kernel(self._indptr, self._indices, requested=kernel)
         self._delegate = None
         self._kernel = None
         self._kernel_indptr = self._indptr
@@ -237,16 +220,8 @@ class BatchPathSampler:
 
     # ------------------------------------------------------------------ #
     @property
-    def graph(self):
-        return self._graph
-
-    @property
-    def method(self) -> str:
-        return self._method
-
-    @property
     def kernel_name(self) -> str:
-        """Name of the kernel this sampler resolved to (see the ABI)."""
+        """Name of the kernel routing picked (:func:`repro.kernels.abi.resolve_kernel`)."""
         return self._spec.name
 
     @property
@@ -263,10 +238,6 @@ class BatchPathSampler:
     def pool(self) -> ScratchPool:
         return self._pool
 
-    @property
-    def pair_strategy(self) -> str:
-        return self._pair_strategy
-
     # ------------------------------------------------------------------ #
     def sample_batch(self, batch_size: int, rng: np.random.Generator) -> SampleBatch:
         """Draw ``batch_size`` uniform pairs and one shortest path per pair."""
@@ -280,8 +251,6 @@ class BatchPathSampler:
             self._count_samples(k)
             return batch
         if self._pair_strategy == "vectorized":
-            from repro.sampling.rng import draw_vertex_pairs
-
             pairs = draw_vertex_pairs(self._graph.num_vertices, k, rng)
             return self.sample_pairs(pairs[:, 0], pairs[:, 1], rng)
         return self._sample_interleaved(k, rng)
@@ -321,10 +290,13 @@ class BatchPathSampler:
         self._count_samples(k)
         return out.finish(sources, targets)
 
-    def sample_path(self, source: int, target: int, rng: np.random.Generator):
-        """Scalar compatibility shim: one pair, one :class:`PathSample`."""
-        from repro.sampling.base import PathSample
+    def sample(self, rng: np.random.Generator) -> PathSample:
+        """One uniform pair of distinct vertices and one shortest path between them."""
+        s, t = sample_vertex_pair(self._graph.num_vertices, rng)
+        return self.sample_path(s, t, rng)
 
+    def sample_path(self, source: int, target: int, rng: np.random.Generator) -> PathSample:
+        """One uniformly random shortest path between the given pair."""
         n = self._graph.num_vertices
         source = int(source)
         target = int(target)
@@ -355,8 +327,6 @@ class BatchPathSampler:
             _kernel_counter(self._spec.name).inc(k)
 
     def _sample_interleaved(self, k: int, rng: np.random.Generator) -> SampleBatch:
-        from repro.sampling.base import sample_vertex_pair
-
         n = self._graph.num_vertices
         sources = np.empty(k, dtype=np.int64)
         targets = np.empty(k, dtype=np.int64)

@@ -1,9 +1,19 @@
 """Pooled balanced bidirectional BFS sampling kernel.
 
-The algorithm is KADABRA's balanced bidirectional sigma-BFS (see
-:mod:`repro.sampling.bidirectional` for the cut decomposition that keeps the
-sampled path uniform).  This kernel is the zero-allocation implementation on
-top of :class:`~repro.kernels.scratch.ScratchPool`:
+KADABRA's key per-sample optimisation: instead of a full BFS from the source,
+two level-synchronous BFSs grow from both endpoints, and the side whose
+frontier has the smaller total degree is expanded next.  Uniformity of the
+sampled path is preserved by counting shortest paths on both sides
+(``sigma_s``, ``sigma_t``) and decomposing every shortest path at a canonical
+*cut*: when the searches meet, at depths ``level_s`` and ``level_t``, the
+distance is ``level_s + level_t + 1`` and every shortest path crosses exactly
+one edge ``(u, v)`` with ``dist_s[u] = level_s`` and ``dist_t[v] = level_t``;
+``sigma_s[u] * sigma_t[v]`` shortest paths run through it.  Sampling the cut
+edge proportionally to these weights and extending both ends by
+sigma-weighted backward walks yields a uniformly random shortest path.
+
+This kernel is the zero-allocation implementation on top of
+:class:`~repro.kernels.scratch.ScratchPool`:
 
 * visited/distance state lives in generation-stamped marks instead of freshly
   allocated O(n) arrays;

@@ -102,21 +102,19 @@ def plan_batches(
             size = min(size * 2, cap)
 
 
-def kernel_batch_cap(spec=None) -> int:
-    """The ``auto`` ramp cap suited to a kernel spec.
+def kernel_batch_cap(sampler=None) -> int:
+    """The ``auto`` ramp cap suited to a sampler's kernel.
 
     Per-pair kernels keep the default :data:`MAX_AUTO_BATCH` — their cost is
     linear in the batch, so a larger cap only delays stopping-condition
-    checks.  Batch-native kernels (``spec.batch_native``) amortise per-level
-    numpy dispatch across the whole batch and prefer whole-slab batches, so
-    the cap grows to the spec's ``preferred_batch`` hint.  ``None`` (no spec
-    resolved yet) keeps the default, which leaves every existing driver's
-    batch plan — and therefore its fixed-seed sample stream — unchanged.
+    checks.  Batch-native kernels (``wavefront``) amortise per-level numpy
+    dispatch across the whole batch and prefer whole-slab batches, so the cap
+    grows to the spec's ``preferred_batch`` hint.  A sampler without a
+    ``kernel_spec`` (none yet, or a sharded view's) keeps the default.
     """
-    if spec is not None and getattr(spec, "batch_native", False):
-        preferred = getattr(spec, "preferred_batch", None)
-        if preferred:
-            return max(MAX_AUTO_BATCH, int(preferred))
+    spec = getattr(sampler, "kernel_spec", None)
+    if spec is not None and spec.batch_native and spec.preferred_batch:
+        return max(MAX_AUTO_BATCH, int(spec.preferred_batch))
     return MAX_AUTO_BATCH
 
 

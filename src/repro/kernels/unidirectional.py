@@ -1,9 +1,13 @@
 """Pooled unidirectional (truncated sigma-BFS) sampling kernel.
 
-Zero-allocation port of :mod:`repro.sampling.bfs_sampler` onto the
-generation-stamped :class:`~repro.kernels.scratch.ScratchPool`; like the
-bidirectional kernel it reproduces the legacy sampler's output exactly for a
-fixed RNG state (same settle order, same weighted-pick stream).
+The "ordinary BFS" sampler the KADABRA paper contrasts against its
+bidirectional one: a forward BFS from the source with shortest-path counting
+(sigma), truncated once the target's level is complete, then a backward walk
+that picks each predecessor with probability proportional to its sigma.  Runs
+on the generation-stamped :class:`~repro.kernels.scratch.ScratchPool`; like
+the bidirectional kernel it reproduces the reference sampler
+(``sampling/_reference.py``) exactly for a fixed RNG state (same settle
+order, same weighted-pick stream).
 """
 
 from __future__ import annotations

@@ -52,16 +52,14 @@ from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import StoppingCondition, compute_omega
 from repro.diameter import vertex_diameter_upper_bound
-from repro.epoch.frames import FramePool
-from repro.epoch.framework import EpochManager
 from repro.graph.traversal import sweep_path
-from repro.kernels import plan_batches, resolve_batch_size, worker_batch_size
+from repro.kernels import BatchPathSampler, plan_batches, resolve_batch_size, worker_batch_size
 from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
 from repro.mpi.topology import NodeTopology, build_topology
 from repro.obs import trace as obs_trace
 from repro.parallel.epoch_length import thread_zero_samples_per_epoch
-from repro.sampling.base import PathSampler
+from repro.parallel.epochs import EpochManager, FramePool
 from repro.sampling.rng import derive_seed, rng_for_rank_thread
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
@@ -108,7 +106,7 @@ class EpochBoundary:
 
 def _worker_loop(
     thread_index: int,
-    sampler: PathSampler,
+    sampler: BatchPathSampler,
     rng: np.random.Generator,
     manager: EpochManager,
     pool: FramePool,
@@ -141,7 +139,7 @@ def _worker_loop(
 
 def adaptive_sampling_epochs(
     comm: Communicator,
-    sampler_factory: Callable[[int], PathSampler],
+    sampler_factory: Callable[[int], BatchPathSampler],
     condition: StoppingCondition,
     rngs: List[np.random.Generator],
     *,
@@ -406,7 +404,7 @@ def run_rank(
         if progress is not None:
             progress(ProgressEvent(phase=phase, omega=omega, **fields))
 
-    def sampler_for(_thread: int = 0) -> PathSampler:
+    def sampler_for(_thread: int = 0) -> BatchPathSampler:
         return make_sampler(graph, options, kernel=kernel)
 
     header = dataclasses.replace(resume, frame=None) if resume is not None else None

@@ -1,8 +1,8 @@
-"""The epoch-based framework (Section IV-A/IV-B of the paper).
+"""The epoch-based framework (Sections IV-A to IV-C of the paper).
 
 Sampling progress is divided into *epochs*.  Each thread owns one state frame
 per epoch and only ever writes to the frame of its current epoch.  Thread 0
-drives epoch transitions:
+drives epoch transitions (:class:`EpochManager`):
 
 * ``force_transition(e)`` — called only by thread 0 while in epoch ``e``;
   initiates a transition and immediately moves thread 0 to epoch ``e + 1``.
@@ -14,8 +14,15 @@ drives epoch transitions:
 
 Once every thread has advanced past ``e``, the epoch-``e`` frames are immutable
 and thread 0 may aggregate them to evaluate the stopping condition on a
-consistent snapshot.  Because at most two epochs are ever live, two reusable
-frames per thread suffice (:class:`~repro.epoch.frames.FramePool`).
+consistent snapshot.
+
+Because the MPI reduction acts as a non-blocking barrier, epoch numbers across
+threads/processes never differ by more than one, so no thread ever touches
+frames older than ``e - 1`` once epoch ``e`` starts.  Each thread therefore
+needs only **two** reusable frames, alternating by epoch parity
+(:class:`FramePool`); reusing a frame for epoch ``e + 2`` is safe because its
+epoch-``e`` content has been aggregated before the transition into ``e + 1``
+was even initiated.
 
 The original C++ implementation achieves this wait-free with memory fences;
 under CPython the GIL already serialises the individual reads/writes, so the
@@ -30,9 +37,10 @@ from __future__ import annotations
 import threading
 from typing import List
 
+from repro.core.state_frame import StateFrame
 from repro.mpi.requests import PolledRequest, Request
 
-__all__ = ["EpochManager"]
+__all__ = ["EpochManager", "FramePool"]
 
 
 class EpochManager:
@@ -120,3 +128,77 @@ class EpochManager:
         """Whether every thread has advanced past ``epoch``."""
         with self._lock:
             return all(e > epoch for e in self._thread_epoch)
+
+
+class FramePool:
+    """Two reusable state frames per thread, indexed by epoch parity."""
+
+    def __init__(self, num_threads: int, num_vertices: int) -> None:
+        if num_threads <= 0:
+            raise ValueError("num_threads must be positive")
+        if num_vertices < 0:
+            raise ValueError("num_vertices must be non-negative")
+        self._num_threads = num_threads
+        self._num_vertices = num_vertices
+        self._frames: List[List[StateFrame]] = [
+            [StateFrame.zeros(num_vertices), StateFrame.zeros(num_vertices)]
+            for _ in range(num_threads)
+        ]
+
+    @property
+    def num_threads(self) -> int:
+        return self._num_threads
+
+    @property
+    def num_vertices(self) -> int:
+        return self._num_vertices
+
+    def frame(self, thread: int, epoch: int) -> StateFrame:
+        """The frame thread ``thread`` writes to during ``epoch``."""
+        if not (0 <= thread < self._num_threads):
+            raise ValueError(f"thread index {thread} out of range")
+        if epoch < 0:
+            raise ValueError("epoch must be non-negative")
+        return self._frames[thread][epoch % 2]
+
+    def reset_for_epoch(self, thread: int, epoch: int) -> StateFrame:
+        """Zero and return the frame the thread will use for ``epoch``.
+
+        Must be called exactly when the thread enters ``epoch``; at that point
+        the frame's previous content (epoch ``epoch - 2``) has already been
+        aggregated by thread 0.
+        """
+        frame = self.frame(thread, epoch)
+        frame.reset()
+        return frame
+
+    def aggregate_epoch(
+        self,
+        epoch: int,
+        *,
+        exclude_thread_zero: bool = False,
+        out: StateFrame | None = None,
+    ) -> StateFrame:
+        """Sum the epoch-``epoch`` frames of all threads.
+
+        ``exclude_thread_zero`` mirrors line 17 of Algorithm 2, where thread 0
+        aggregates frames ``S_1^e .. S_T^e`` separately before adding its own.
+
+        ``out`` is a reusable accumulator frame: it is zeroed in place
+        (``ndarray.fill``) and returned, so per-epoch aggregation performs no
+        O(n) allocation.  Callers that pass ``out`` must be done with the
+        previous epoch's aggregate before the next call — the drivers are,
+        because the aggregate is reduced and folded before a new epoch
+        starts.  Without ``out`` a fresh frame is allocated (the legacy
+        behaviour).
+        """
+        if out is None:
+            out = StateFrame.zeros(self._num_vertices)
+        else:
+            if out.num_vertices != self._num_vertices:
+                raise ValueError("reusable aggregate frame has the wrong size")
+            out.reset()
+        start = 1 if exclude_thread_zero else 0
+        for thread in range(start, self._num_threads):
+            out.add_into(self.frame(thread, epoch))
+        return out

@@ -1,19 +1,11 @@
-"""Shortest-path sampling: the per-sample kernel of KADABRA.
+"""Shortest-path sampling: what a sample is, the pair draw and the RNG streams.
 
-The scalar samplers here are thin shims over the batch-oriented,
-zero-allocation kernels in :mod:`repro.kernels`; drivers that want the fast
-path use :meth:`PathSampler.sample_batch` (or a
-:class:`~repro.kernels.BatchPathSampler` directly).
+The sampler the drivers hold is :class:`repro.kernels.BatchPathSampler`, made
+by :func:`repro.core.kadabra.make_sampler`; ``_reference`` keeps the original
+allocating samplers as the tests' oracle.
 """
 
-from repro.sampling.base import (
-    KernelPathSampler,
-    PathSample,
-    PathSampler,
-    sample_vertex_pair,
-)
-from repro.sampling.bfs_sampler import UnidirectionalBFSSampler
-from repro.sampling.bidirectional import BidirectionalBFSSampler
+from repro.sampling.base import PathSample, sample_vertex_pair
 from repro.sampling.rng import (
     derive_seed,
     draw_vertex_pairs,
@@ -22,12 +14,8 @@ from repro.sampling.rng import (
 )
 
 __all__ = [
-    "KernelPathSampler",
     "PathSample",
-    "PathSampler",
     "sample_vertex_pair",
-    "UnidirectionalBFSSampler",
-    "BidirectionalBFSSampler",
     "spawn_rngs",
     "rng_for_rank_thread",
     "derive_seed",

@@ -56,6 +56,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.calibration import calibrate_deltas, calibration_sample_count
+from repro.core.kadabra import make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
@@ -64,7 +65,7 @@ from repro.core.topk import TopKResult, confidence_bounds, identify_top_k
 from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import sweep_path
-from repro.kernels import plan_batches, resolve_batch_size
+from repro.kernels import kernel_batch_cap, kernel_names, plan_batches, resolve_batch_size
 from repro.obs import trace as obs_trace
 from repro.session.sample_log import SampleLog
 from repro.session.snapshot import (
@@ -208,7 +209,9 @@ class EstimationSession:
         self._options = options if options is not None else KadabraOptions()
         self._progress = progress
         self._batch_size = resolve_batch_size(batch_size)
-        self._kernel = kernel
+        # Resolved once: what the sampler is built with, here and after a
+        # restore or a graph update, and what the checkpoint records.
+        self._kernel = kernel if kernel is not None else getattr(_resources, "kernel", None)
         self._spec = _spec
         self._resources = _resources
         self._native = _spec is None or getattr(_spec, "supports_refinement", False)
@@ -314,16 +317,11 @@ class EstimationSession:
             self._progress(ProgressEvent(**kwargs))
 
     def _ensure_engine(self) -> None:
-        """Lazily create the RNG and sampler (restore injects them instead)."""
+        """Create the RNG and the sampler if they are not there yet."""
         if self._rng is None:
             self._rng = np.random.default_rng(self._options.seed)
         if self._sampler is None:
-            from repro.core.kadabra import make_sampler
-
-            kernel = self._kernel
-            if kernel is None and self._resources is not None:
-                kernel = getattr(self._resources, "kernel", None)
-            self._sampler = make_sampler(self._graph, self._options, kernel=kernel)
+            self._sampler = make_sampler(self._graph, self._options, kernel=self._kernel)
 
     def _target_options(self, eps, delta) -> KadabraOptions:
         """Validate an (eps, delta) target through the options dataclass."""
@@ -348,12 +346,7 @@ class EstimationSession:
 
     def _draw(self, count: int, rng, *, into_calibration: Optional[StateFrame] = None) -> None:
         """Draw ``count`` samples from ``rng`` into the aggregate frame."""
-        from repro.kernels import kernel_batch_cap
-
-        # Batch-native kernels (wavefront) amortise over whole slabs, so the
-        # auto ramp may grow past the default cap; per-pair kernels resolve
-        # to the default cap, leaving the legacy batch plan untouched.
-        cap = kernel_batch_cap(getattr(self._sampler, "kernel_spec", None))
+        cap = kernel_batch_cap(self._sampler)
         for take in plan_batches(count, self._batch_size, cap=cap):
             batch = self._sampler.sample_batch(take, rng)
             self._frame.record_batch(batch)
@@ -806,12 +799,16 @@ class EstimationSession:
         except (TypeError, ValueError) as exc:
             raise SnapshotError(f"{path}: invalid options in snapshot: {exc}") from None
 
+        kernel = meta.get("kernel")
+        if kernel is not None and kernel not in kernel_names():
+            raise SnapshotError(f"{path}: snapshot names unknown kernel {kernel!r}")
+
         session = cls(
             graph,
             options,
             progress=progress,
             batch_size=meta.get("batch_size", "auto") if batch_size is None else batch_size,
-            kernel=meta.get("kernel"),
+            kernel=kernel,
         )
         session._ran = True
         achieved = meta["achieved"]
@@ -845,9 +842,7 @@ class EstimationSession:
             session._rng = _rng_from_state(meta["rng_state"])
         except (TypeError, ValueError, KeyError) as exc:
             raise SnapshotError(f"{path}: invalid RNG state: {exc}") from None
-        from repro.core.kadabra import make_sampler
-
-        session._sampler = make_sampler(graph, options)
+        session._ensure_engine()
         # Recompute the stopping state instead of storing 2n more floats: the
         # calibration is a deterministic function of the stored frame.
         if (

@@ -502,8 +502,8 @@ class ShardedPathSampler:
     path distribution as the kernel backends, with every adjacency read going
     through the view so only the touched shard pages fault in.
 
-    Implements the :class:`~repro.sampling.base.PathSampler` surface the
-    drivers use (``sample``, ``sample_path``, ``sample_batch``, ``graph``).
+    Implements the part of :class:`~repro.kernels.BatchPathSampler` the
+    drivers use (``sample``, ``sample_path``, ``sample_batch``).
     """
 
     def __init__(self, view: PartitionedGraphView) -> None:
@@ -513,10 +513,6 @@ class ShardedPathSampler:
         n = view.num_vertices
         self._dist = np.empty(n, dtype=np.int64)
         self._sigma = np.empty(n, dtype=np.float64)
-
-    @property
-    def graph(self) -> PartitionedGraphView:
-        return self._view
 
     # ------------------------------------------------------------------ #
     def sample_path(self, source: int, target: int, rng: np.random.Generator):
@@ -585,8 +581,7 @@ class ShardedPathSampler:
     def sample_batch(self, batch_size: int, rng: np.random.Generator):
         """Loop of :meth:`sample` packed as a flat-array ``SampleBatch``.
 
-        Same RNG consumption as ``batch_size`` scalar calls, mirroring the
-        generic :meth:`~repro.sampling.base.PathSampler.sample_batch`.
+        Same RNG consumption as ``batch_size`` scalar calls.
         """
         from repro.kernels.batch import _BatchAccumulator
 

@@ -2,9 +2,9 @@
 
 The facade in :mod:`repro.api` lets callers observe long runs through
 *progress callbacks*.  The event type and callback signature live here, below
-the driver layer, so that :mod:`repro.core`, :mod:`repro.epoch`,
-:mod:`repro.parallel` and :mod:`repro.baselines` can emit events without
-importing the facade (which imports them).
+the driver layer, so that :mod:`repro.core`, :mod:`repro.parallel` and
+:mod:`repro.baselines` can emit events without importing the facade (which
+imports them).
 """
 
 from __future__ import annotations

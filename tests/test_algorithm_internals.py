@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import StoppingCondition
+from repro.kernels import BatchPathSampler
 from repro.mpi import SelfComm, build_topology, run_threaded
 from repro.parallel import adaptive_sampling_epochs
-from repro.sampling import BidirectionalBFSSampler
 
 
 def algorithm1(comm, sampler, condition, rng, **kwargs):
@@ -41,7 +41,7 @@ class TestAlgorithm1Internals:
         condition = _loose_condition(small_social_graph.num_vertices)
         stats = algorithm1(
             SelfComm(),
-            BidirectionalBFSSampler(small_social_graph),
+            BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(0),
             samples_per_epoch=50,
@@ -58,7 +58,7 @@ class TestAlgorithm1Internals:
         seed_frame.num_samples = 99  # one sample away from omega
         stats = algorithm1(
             SelfComm(),
-            BidirectionalBFSSampler(small_social_graph),
+            BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(1),
             samples_per_epoch=10,
@@ -71,7 +71,7 @@ class TestAlgorithm1Internals:
         condition = _strict_condition(small_social_graph.num_vertices)
         stats = algorithm1(
             SelfComm(),
-            BidirectionalBFSSampler(small_social_graph),
+            BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(2),
             samples_per_epoch=5,
@@ -87,7 +87,7 @@ class TestAlgorithm1Internals:
         def body(comm, rank):
             return algorithm1(
                 comm,
-                BidirectionalBFSSampler(small_social_graph),
+                BatchPathSampler(small_social_graph),
                 condition,
                 np.random.default_rng(100 + rank),
                 samples_per_epoch=40,
@@ -109,7 +109,7 @@ class TestAlgorithm1Internals:
         with pytest.raises(ValueError):
             algorithm1(
                 SelfComm(),
-                BidirectionalBFSSampler(small_social_graph),
+                BatchPathSampler(small_social_graph),
                 condition,
                 np.random.default_rng(0),
                 samples_per_epoch=0,
@@ -125,7 +125,7 @@ class TestAlgorithm2Internals:
         condition = _loose_condition(n, omega=500)
         stats = adaptive_sampling_epochs(
             SelfComm(),
-            lambda _t: BidirectionalBFSSampler(small_social_graph),
+            lambda _t: BatchPathSampler(small_social_graph),
             condition,
             self._rngs(3),
             num_threads=3,
@@ -145,7 +145,7 @@ class TestAlgorithm2Internals:
             topology = build_topology(comm, processes_per_node=2)
             return adaptive_sampling_epochs(
                 comm,
-                lambda _t: BidirectionalBFSSampler(small_social_graph),
+                lambda _t: BatchPathSampler(small_social_graph),
                 condition,
                 self._rngs(2, seed=10 * rank),
                 num_threads=2,
@@ -162,7 +162,7 @@ class TestAlgorithm2Internals:
 
     def test_validation(self, small_social_graph):
         condition = _loose_condition(small_social_graph.num_vertices)
-        sampler_factory = lambda _t: BidirectionalBFSSampler(small_social_graph)  # noqa: E731
+        sampler_factory = lambda _t: BatchPathSampler(small_social_graph)  # noqa: E731
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=0,
@@ -187,7 +187,7 @@ class TestAlgorithm2Internals:
         condition = _loose_condition(n, omega=4000, eps=0.5)
         stats = adaptive_sampling_epochs(
             SelfComm(),
-            lambda _t: BidirectionalBFSSampler(small_social_graph),
+            lambda _t: BatchPathSampler(small_social_graph),
             condition,
             self._rngs(2, seed=5),
             num_threads=2,

@@ -22,7 +22,7 @@ from repro.cluster import (
     simulate_shared_memory,
 )
 from repro.cluster.trace import PHASE_ORDER, SimulatedRun
-from repro.sampling import BidirectionalBFSSampler
+from repro.kernels import BatchPathSampler
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ class TestSamplingCost:
         assert remote == pytest.approx(local * machine.numa_remote_penalty)
 
     def test_measured_cost_positive(self, small_social_graph):
-        sampler = BidirectionalBFSSampler(small_social_graph)
+        sampler = BatchPathSampler(small_social_graph)
         measured = measure_edges_per_sample(sampler, num_probes=16, seed=1)
         assert measured > 0.0
 

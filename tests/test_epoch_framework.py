@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.epoch import EpochManager, FramePool
+from repro.parallel import EpochManager, FramePool
 
 
 class TestEpochManagerProtocol:

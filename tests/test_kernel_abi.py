@@ -1,7 +1,8 @@
-"""Tests for the kernel ABI (:mod:`repro.kernels.abi`) and its satellites.
+"""Tests for the kernel table and routing (:mod:`repro.kernels.abi`) and their satellites.
 
-Covers the capability-probed registry and routing precedence, graceful
-degradation of failing probes, wavefront/per-pair statistical equivalence
+Covers the name -> spec table, the routing function as a table (what the
+compiled helper and the graph's size decide; explicit request over
+``REPRO_KERNEL`` over that), wavefront/per-pair statistical equivalence
 (exact expansion-schedule equality plus path-choice uniformity), the
 adjacency-list memoization of the small-graph kernel, the bounded
 rejection-sampling fallback of :func:`repro.sampling.rng.draw_vertex_pairs`,
@@ -25,11 +26,10 @@ from repro.kernels import (
     MIN_AUTO_BATCH,
     BatchPathSampler,
     KernelSpec,
-    KernelUnavailableError,
+    compiled,
     describe_routing,
     format_kernel_table,
     get_kernel,
-    kernel_available,
     kernel_batch_cap,
     kernel_names,
     plan_batches,
@@ -39,6 +39,7 @@ from repro.kernels import abi
 from repro.kernels.bidirectional import bidirectional_sample
 from repro.kernels.policy import MAX_AUTO_BATCH
 from repro.kernels.smallgraph import (
+    SMALL_GRAPH_ENTRY_LIMIT,
     SMALL_GRAPH_VERTEX_LIMIT,
     adjacency_cache_stats,
     adjacency_lists,
@@ -63,17 +64,11 @@ def _force_bidirectional(sampler: BatchPathSampler) -> BatchPathSampler:
 
 
 # --------------------------------------------------------------------------- #
-# Registry and routing
+# The table and the routing function
 # --------------------------------------------------------------------------- #
 class TestKernelRegistry:
     def test_default_kernels_registered(self):
-        names = kernel_names()
-        for expected in ("smallgraph", "bidirectional", "unidirectional", "wavefront"):
-            assert expected in names
-
-    def test_portable_kernels_available(self):
-        for name in ("smallgraph", "bidirectional", "unidirectional", "wavefront"):
-            assert kernel_available(name)
+        assert kernel_names() == ("smallgraph", "bidirectional", "unidirectional", "wavefront")
 
     def test_get_kernel_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -85,8 +80,6 @@ class TestKernelRegistry:
             assert name in table
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="family"):
-            KernelSpec(name="x", family="sideways", make_per_pair=lambda ip, ix: None)
         with pytest.raises(ValueError, match="exactly one"):
             KernelSpec(name="x")
         with pytest.raises(ValueError, match="exactly one"):
@@ -104,99 +97,104 @@ class TestKernelRegistry:
             abi.register_kernel(get_kernel("bidirectional"))
 
 
+def _csr(num_vertices: int, num_entries: int):
+    """Arrays of a graph's sizes; with ``compiled.usable`` patched, sizes are all routing reads."""
+    return np.zeros(num_vertices + 1, dtype=np.int64), np.zeros(num_entries, dtype=np.uint32)
+
+
+INSIDE = (100, 600)
+MANY_VERTICES = (SMALL_GRAPH_VERTEX_LIMIT + 1, 600)
+MANY_ENTRIES = (100, SMALL_GRAPH_ENTRY_LIMIT + 1)
+
+
+@pytest.fixture
+def compiled_usable(monkeypatch):
+    def patch(answer: bool) -> None:
+        monkeypatch.setattr(compiled, "usable", lambda indptr, indices: answer)
+
+    return patch
+
+
 class TestRouting:
-    def test_auto_reproduces_smallgraph_window(self):
-        # The pre-ABI switch: list-based kernel inside the window, numpy out.
-        assert resolve_kernel(100, 600).name == "smallgraph"
-        assert resolve_kernel(SMALL_GRAPH_VERTEX_LIMIT + 1, 600).name == "bidirectional"
-        assert resolve_kernel(100, 600, family="unidirectional").name == "unidirectional"
+    @pytest.mark.parametrize(
+        "usable, sizes, expected",
+        [
+            (True, INSIDE, "bidirectional"),
+            (True, MANY_VERTICES, "bidirectional"),
+            (True, MANY_ENTRIES, "bidirectional"),
+            (False, INSIDE, "smallgraph"),
+            (False, MANY_VERTICES, "bidirectional"),
+            (False, MANY_ENTRIES, "bidirectional"),
+        ],
+    )
+    def test_auto(self, compiled_usable, usable, sizes, expected):
+        compiled_usable(usable)
+        assert resolve_kernel(*_csr(*sizes)).name == expected
 
-    def test_auto_never_picks_stream_incompatible(self):
-        # Wavefront suits any size but is not stream compatible; automatic
-        # routing must ignore it so default runs stay bit-identical.
-        for n in (10, 10_000, 10_000_000):
-            assert resolve_kernel(n, 3 * n).name != "wavefront"
-
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv(abi.REPRO_KERNEL_ENV, "bidirectional")
-        assert resolve_kernel(100, 600, requested="wavefront").name == "wavefront"
+    @pytest.mark.parametrize(
+        "requested, env, expected",
+        [
+            ("wavefront", "unidirectional", "wavefront"),  # explicit beats env
+            ("smallgraph", None, "smallgraph"),  # ... and auto, compiled or not
+            (None, "unidirectional", "unidirectional"),  # env beats auto
+            (None, "wavefront", "wavefront"),
+            (None, "", "bidirectional"),  # an empty value is no value
+            (None, None, "bidirectional"),
+        ],
+    )
+    def test_explicit_beats_env_beats_auto(self, monkeypatch, compiled_usable, requested, env, expected):
+        compiled_usable(True)
+        if env is not None:
+            monkeypatch.setenv(abi.REPRO_KERNEL_ENV, env)
+        assert resolve_kernel(*_csr(*INSIDE), requested=requested).name == expected
 
     def test_explicit_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel(100, 600, requested="nope")
+            resolve_kernel(*_csr(*INSIDE), requested="nope")
 
-    def test_explicit_unavailable_raises(self):
-        spec = KernelSpec(
-            name="_abi_test_broken",
-            probe=lambda: (_ for _ in ()).throw(RuntimeError("boom")),
-            make_per_pair=lambda ip, ix: None,
-        )
-        abi.register_kernel(spec)
-        try:
-            assert not kernel_available(spec)
-            with pytest.raises(KernelUnavailableError):
-                resolve_kernel(100, 600, requested="_abi_test_broken")
-        finally:
-            abi.unregister_kernel("_abi_test_broken")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(abi.REPRO_KERNEL_ENV, "wavefront")
-        assert resolve_kernel(100, 600).name == "wavefront"
-
-    def test_env_unknown_warns_and_falls_back(self, monkeypatch):
+    def test_env_unknown_warns_and_falls_back(self, monkeypatch, compiled_usable):
+        compiled_usable(False)
         monkeypatch.setenv(abi.REPRO_KERNEL_ENV, "nope")
         with pytest.warns(RuntimeWarning, match="not a registered kernel"):
-            spec = resolve_kernel(100, 600)
+            spec = resolve_kernel(*_csr(*INSIDE))
         assert spec.name == "smallgraph"
 
-    def test_env_unavailable_warns_and_falls_back(self, monkeypatch):
-        spec = KernelSpec(
-            name="_abi_test_missing",
-            probe=lambda: False,
-            make_per_pair=lambda ip, ix: None,
+    def test_added_kernel_is_reached_by_name_only(self, monkeypatch, compiled_usable):
+        """How ``wavefront`` is reached too: explicit request or env, never auto."""
+        monkeypatch.setattr(abi, "_REGISTRY", dict(abi._REGISTRY))
+        spec = abi.register_kernel(
+            KernelSpec(name="_abi_test_added", make_per_pair=lambda ip, ix: None)
         )
-        abi.register_kernel(spec)
-        try:
-            monkeypatch.setenv(abi.REPRO_KERNEL_ENV, "_abi_test_missing")
-            with pytest.warns(RuntimeWarning, match="availability probe"):
-                assert resolve_kernel(100, 600).name == "smallgraph"
-        finally:
-            abi.unregister_kernel("_abi_test_missing")
+        for usable in (True, False):
+            compiled_usable(usable)
+            for sizes in (INSIDE, MANY_VERTICES, MANY_ENTRIES):
+                assert resolve_kernel(*_csr(*sizes)).name in ("bidirectional", "smallgraph")
+        assert resolve_kernel(*_csr(*INSIDE), requested="_abi_test_added") is spec
+        monkeypatch.setenv(abi.REPRO_KERNEL_ENV, "_abi_test_added")
+        assert resolve_kernel(*_csr(*INSIDE)) is spec
 
-    def test_probe_runs_once_and_is_cached(self):
-        calls = {"n": 0}
-
-        def probe():
-            calls["n"] += 1
-            return True
-
-        spec = KernelSpec(name="_abi_test_probe", probe=probe, make_per_pair=lambda ip, ix: None)
-        abi.register_kernel(spec)
-        try:
-            assert kernel_available(spec) and kernel_available(spec)
-            assert calls["n"] == 1
-            abi.clear_probe_cache()
-            assert kernel_available(spec)
-            assert calls["n"] == 2
-        finally:
-            abi.unregister_kernel("_abi_test_probe")
-
-    def test_describe_routing(self, monkeypatch):
+    def test_describe_routing(self, monkeypatch, compiled_usable, small_social_graph):
+        compiled_usable(False)
         monkeypatch.setenv(abi.REPRO_KERNEL_ENV, "wavefront")
-        routing = describe_routing(100, 600)
+        routing = describe_routing(small_social_graph)
         assert routing == {"auto": "smallgraph", "env": "wavefront", "effective": "wavefront"}
 
     def test_sampler_reports_resolved_kernel(self, small_social_graph):
+        # 80 vertices, in-window: the compiled search where there is one.
+        auto = "bidirectional" if compiled.load()[0] is not None else "smallgraph"
         sampler = BatchPathSampler(small_social_graph)
-        assert sampler.kernel_name == "smallgraph"  # 80 vertices: in-window
-        forced = BatchPathSampler(small_social_graph, kernel="bidirectional")
-        assert forced.kernel_name == "bidirectional"
+        assert sampler.kernel_name == auto
+        assert sampler.compiled == (auto == "bidirectional")
+        forced = BatchPathSampler(small_social_graph, kernel="smallgraph")
+        assert forced.kernel_name == "smallgraph"
 
-    def test_kernel_batch_cap(self):
+    def test_kernel_batch_cap(self, small_social_graph):
         assert kernel_batch_cap(None) == MAX_AUTO_BATCH
-        assert kernel_batch_cap(get_kernel("bidirectional")) == MAX_AUTO_BATCH
-        wavefront = get_kernel("wavefront")
-        assert kernel_batch_cap(wavefront) == max(MAX_AUTO_BATCH, wavefront.preferred_batch)
+        assert kernel_batch_cap(BatchPathSampler(small_social_graph)) == MAX_AUTO_BATCH
+        wavefront = BatchPathSampler(small_social_graph, kernel="wavefront")
+        assert kernel_batch_cap(wavefront) == max(
+            MAX_AUTO_BATCH, get_kernel("wavefront").preferred_batch
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -338,10 +336,12 @@ class TestAdjacencyMemoization:
 
     def test_no_rebuild_on_session_refine(self):
         """refine() must reuse the adjacency lists built by run()."""
-        graph = barabasi_albert(60, 2, seed=9)  # small: routes to smallgraph
-        session = EstimationSession(graph, KadabraOptions(eps=0.3, delta=0.1, seed=4))
+        graph = barabasi_albert(60, 2, seed=9)
+        session = EstimationSession(
+            graph, KadabraOptions(eps=0.3, delta=0.1, seed=4), kernel="smallgraph"
+        )
         session.run()
-        assert session._sampler.kernel_spec.name == "smallgraph"
+        assert session._sampler.kernel_name == "smallgraph"
         misses_after_run = adjacency_cache_stats()["misses"]
         session.refine(eps=0.25)
         assert adjacency_cache_stats()["misses"] == misses_after_run
@@ -412,10 +412,11 @@ class TestKernelOverridePlumbing:
         session = EstimationSession(
             small_social_graph,
             KadabraOptions(eps=0.3, delta=0.1, seed=4),
-            kernel="bidirectional",
+            kernel="unidirectional",  # one routing never picks
         )
         session.run()
         path = tmp_path / "ck.npz"
         session.checkpoint(path)
         restored = EstimationSession.restore(path, graph=small_social_graph)
-        assert restored._kernel == "bidirectional"
+        assert restored._kernel == "unidirectional"
+        assert restored._sampler.kernel_name == "unidirectional"

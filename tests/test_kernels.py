@@ -28,11 +28,7 @@ from repro.kernels import (
     weighted_index,
     worker_batch_size,
 )
-from repro.sampling import (
-    BidirectionalBFSSampler,
-    UnidirectionalBFSSampler,
-    draw_vertex_pairs,
-)
+from repro.sampling import draw_vertex_pairs
 from repro.sampling._reference import (
     ReferenceBidirectionalSampler,
     ReferenceUnidirectionalSampler,
@@ -229,14 +225,14 @@ class TestBatchScalarEquivalence:
 
     @given(graph_and_seed())
     @settings(max_examples=40, deadline=None)
-    def test_unidirectional_shim_matches_reference(self, data):
+    def test_unidirectional_sample_matches_reference(self, data):
         graph, seed = data
         r1 = np.random.default_rng(seed)
         r2 = np.random.default_rng(seed)
-        shim = UnidirectionalBFSSampler(graph)
+        sampler = BatchPathSampler(graph, kernel="unidirectional")
         reference = ReferenceUnidirectionalSampler(graph)
         for _ in range(15):
-            a = shim.sample(r1)
+            a = sampler.sample(r1)
             b = reference.sample(r2)
             assert (a.source, a.target, a.connected, a.length, a.edges_touched) == (
                 b.source,
@@ -255,7 +251,7 @@ class TestBatchScalarEquivalence:
         from repro.kernels.bidirectional import bidirectional_sample
 
         graph, seed = data
-        py_sampler = BatchPathSampler(graph)  # small graph -> Python kernel
+        py_sampler = BatchPathSampler(graph, kernel="smallgraph")
         pool = ScratchPool(graph.num_vertices)
         indptr = np.asarray(graph.indptr)
         indices = np.asarray(graph.indices)
@@ -316,34 +312,13 @@ class TestBatchScalarEquivalence:
         with pytest.raises(ValueError):
             sampler.sample_pairs([0], [0], rng)
         with pytest.raises(ValueError):
-            BatchPathSampler(small_social_graph, method="dijkstra")
+            BatchPathSampler(small_social_graph, kernel="dijkstra")
         with pytest.raises(ValueError):
             BatchPathSampler(small_social_graph, pair_strategy="sorted")
         with pytest.raises(ValueError):
             BatchPathSampler(CSRGraph.empty(1))
         with pytest.raises(ValueError):
             BatchPathSampler(small_social_graph, pool=ScratchPool(3))
-
-    def test_generic_sample_batch_fallback(self, small_social_graph):
-        """Third-party PathSampler subclasses get batching via the default."""
-        from repro.sampling import PathSampler
-        from repro.sampling._reference import ReferenceBidirectionalSampler
-
-        class ThirdPartySampler(PathSampler):
-            def sample_path(self, source, target, rng):
-                return ReferenceBidirectionalSampler(self._graph).sample_path(
-                    source, target, rng
-                )
-
-        r1 = np.random.default_rng(11)
-        r2 = np.random.default_rng(11)
-        batch = ThirdPartySampler(small_social_graph).sample_batch(10, r1)
-        reference = ReferenceBidirectionalSampler(small_social_graph)
-        assert batch.num_samples == 10
-        for sample in batch.iter_samples():
-            expected = reference.sample(r2)
-            assert sample.source == expected.source
-            assert np.array_equal(sample.internal_vertices, expected.internal_vertices)
 
     def test_vectorized_strategy_statistically_sound(self, small_social_graph):
         """Vectorized pair drawing yields an unbiased estimator too."""
@@ -374,9 +349,9 @@ class TestZeroAllocationRegression:
             sampler.sample_batch(64, rng)
         assert counts["large"] == 0
 
-    def test_scalar_shim_steady_state_no_large_allocations(self):
+    def test_scalar_sample_steady_state_no_large_allocations(self):
         graph = self._graph()
-        sampler = BidirectionalBFSSampler(graph)
+        sampler = BatchPathSampler(graph)
         rng = np.random.default_rng(0)
         sampler.sample(rng)
         with count_large_allocations(self.N) as counts:

@@ -130,7 +130,7 @@ class TestKernelsOnTheStep:
         reference = REFERENCES[family](road_pair[0])
         for graph in road_pair:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            sampler = BatchPathSampler(graph, method=family, kernel=family)
+            sampler = BatchPathSampler(graph, kernel=family)
             lengths = set()
             for sample in sampler.sample_batch(40, rng).iter_samples():
                 expected = reference.sample(ref_rng)
@@ -153,7 +153,7 @@ class TestKernelsOnTheStep:
 
     @pytest.mark.parametrize("family", sorted(REFERENCES))
     def test_no_unique_and_no_memmap_indexing_while_sampling(self, road_pair, family, monkeypatch):
-        sampler = BatchPathSampler(road_pair[1], method=family, kernel=family)
+        sampler = BatchPathSampler(road_pair[1], kernel=family)
         calls = {"unique": 0, "getitem": 0}
         unique, getitem = np.unique, np.memmap.__getitem__
 

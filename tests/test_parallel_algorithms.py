@@ -162,5 +162,12 @@ class TestDistributedKadabraAlgorithm1:
         mpi_only = distributed(
             medium_social_graph, accurate_options, algorithm="mpi-only", processes=2
         )
-        # Both approximate the same ground truth; their top vertex agrees.
-        assert epoch.ranking()[0] == mpi_only.ranking()[0]
+        # Both approximate the same ground truth to within eps, so their scores
+        # are within 2 eps of each other, and the vertex one run ranks first
+        # scores near the top in the other run.  (Not "the same top vertex":
+        # the two best vertices of this graph are 0.009 apart, eps cannot
+        # order them.)
+        eps = accurate_options.eps
+        assert max_abs_error(epoch.scores, mpi_only.scores) <= 2 * eps
+        assert epoch.scores[mpi_only.ranking()[0]] >= epoch.scores.max() - 2 * eps
+        assert mpi_only.scores[epoch.ranking()[0]] >= mpi_only.scores.max() - 2 * eps

@@ -11,7 +11,7 @@ from repro.core.stopping import compute_omega, f_function, g_function
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_gnm
 from repro.graph.traversal import bfs_distances
-from repro.sampling import BidirectionalBFSSampler, UnidirectionalBFSSampler
+from repro.kernels import BatchPathSampler
 
 
 @st.composite
@@ -44,7 +44,7 @@ class TestSamplerProperties:
     def test_bidirectional_sample_is_shortest_path(self, data):
         graph, source, target, seed = data
         rng = np.random.default_rng(seed)
-        sample = BidirectionalBFSSampler(graph).sample_path(source, target, rng)
+        sample = BatchPathSampler(graph).sample_path(source, target, rng)
         distances = bfs_distances(graph, source).distances
         assert sample.connected
         assert sample.length == distances[target]
@@ -60,8 +60,8 @@ class TestSamplerProperties:
         graph, source, target, seed = data
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed + 1)
-        bi = BidirectionalBFSSampler(graph).sample_path(source, target, rng_a)
-        uni = UnidirectionalBFSSampler(graph).sample_path(source, target, rng_b)
+        bi = BatchPathSampler(graph).sample_path(source, target, rng_a)
+        uni = BatchPathSampler(graph, kernel="unidirectional").sample_path(source, target, rng_b)
         assert bi.length == uni.length
         assert bi.internal_vertices.size == uni.internal_vertices.size
 

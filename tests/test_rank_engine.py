@@ -23,9 +23,9 @@ from repro.cli import main as cli_main
 from repro.core import KadabraOptions, StateFrame, StoppingCondition
 from repro.dist.launcher import launch_local
 from repro.graph.generators import barabasi_albert
+from repro.kernels import BatchPathSampler
 from repro.mpi import CommError, SelfComm, run_threaded
 from repro.parallel import adaptive_sampling_epochs, run_rank
-from repro.sampling import BidirectionalBFSSampler
 from repro.store import write_rcsr
 
 TARGET = dict(eps=0.02, delta=0.1, seed=5)
@@ -136,7 +136,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
         def body(comm, rank):
             return adaptive_sampling_epochs(
                 comm,
-                lambda _t: BidirectionalBFSSampler(graph),
+                lambda _t: BatchPathSampler(graph),
                 condition,
                 [np.random.default_rng(100 + rank)],
                 num_threads=1,
@@ -162,7 +162,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(),
-                lambda _t: BidirectionalBFSSampler(graph),
+                lambda _t: BatchPathSampler(graph),
                 condition,
                 [np.random.default_rng(t) for t in range(2)],
                 num_threads=2,
@@ -175,7 +175,7 @@ class Boom(RuntimeError):
     pass
 
 
-class FailingSampler(BidirectionalBFSSampler):
+class FailingSampler(BatchPathSampler):
     """Raises from ``sample_batch`` after ``healthy_batches`` good batches."""
 
     def __init__(self, graph, healthy_batches=3):
@@ -215,7 +215,7 @@ class TestFailuresEndTheRun:
         never = StoppingCondition(eps=1e-4, omega=10**9, delta_l=deltas, delta_u=deltas)
         return adaptive_sampling_epochs(
             comm,
-            lambda t: (FailingSampler if failing_worker and t == 1 else BidirectionalBFSSampler)(graph),
+            lambda t: (FailingSampler if failing_worker and t == 1 else BatchPathSampler)(graph),
             never,
             [np.random.default_rng(10 * comm.rank + t) for t in range(2)],
             num_threads=2,

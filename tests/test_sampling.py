@@ -1,24 +1,31 @@
-"""Unit tests for the shortest-path samplers and RNG helpers."""
+"""Unit tests for the shortest-path sampler, kernel by kernel, and RNG helpers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from test_scan_on_expand import make_sampler
+
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import cycle_graph, grid_graph, path_graph
 from repro.graph.traversal import bfs_distances
 from repro.sampling import (
-    BidirectionalBFSSampler,
     PathSample,
-    UnidirectionalBFSSampler,
     derive_seed,
     rng_for_rank_thread,
     sample_vertex_pair,
     spawn_rngs,
 )
 
-SAMPLERS = [UnidirectionalBFSSampler, BidirectionalBFSSampler]
+#: The four kernel names, ``bidirectional`` once per search: ``"compiled"``
+#: (skipped where no C compiler is) and ``"bidirectional"`` with it forced off.
+SEARCHES = ["compiled", "bidirectional", "smallgraph", "unidirectional", "wavefront"]
+
+
+@pytest.fixture
+def sampler_for(monkeypatch):
+    return lambda graph, search: make_sampler(graph, search, monkeypatch)
 
 
 class TestRng:
@@ -88,10 +95,10 @@ class TestPathSample:
         assert sample.path_vertices.size == 0
 
 
-@pytest.mark.parametrize("sampler_cls", SAMPLERS)
+@pytest.mark.parametrize("search", SEARCHES)
 class TestSamplers:
-    def test_sampled_path_is_shortest(self, sampler_cls, small_social_graph, rng):
-        sampler = sampler_cls(small_social_graph)
+    def test_sampled_path_is_shortest(self, search, sampler_for, small_social_graph, rng):
+        sampler = sampler_for(small_social_graph, search)
         for _ in range(40):
             sample = sampler.sample(rng)
             assert sample.connected
@@ -104,49 +111,49 @@ class TestSamplers:
                 assert small_social_graph.has_edge(int(path[i]), int(path[i + 1]))
                 assert distances[path[i + 1]] == distances[path[i]] + 1
 
-    def test_adjacent_pair_has_no_internal_vertices(self, sampler_cls, small_path_graph, rng):
-        sampler = sampler_cls(small_path_graph)
+    def test_adjacent_pair_has_no_internal_vertices(self, search, sampler_for, small_path_graph, rng):
+        sampler = sampler_for(small_path_graph, search)
         sample = sampler.sample_path(3, 4, rng)
         assert sample.connected and sample.length == 1
         assert sample.internal_vertices.size == 0
 
-    def test_path_graph_internal_vertices(self, sampler_cls, small_path_graph, rng):
-        sampler = sampler_cls(small_path_graph)
+    def test_path_graph_internal_vertices(self, search, sampler_for, small_path_graph, rng):
+        sampler = sampler_for(small_path_graph, search)
         sample = sampler.sample_path(2, 6, rng)
         assert list(sample.internal_vertices) == [3, 4, 5]
 
-    def test_disconnected_pair(self, sampler_cls, rng):
+    def test_disconnected_pair(self, search, sampler_for, rng):
         g = CSRGraph.from_edges([(0, 1), (2, 3)], num_vertices=4)
-        sampler = sampler_cls(g)
+        sampler = sampler_for(g, search)
         sample = sampler.sample_path(0, 3, rng)
         assert not sample.connected
         assert sample.internal_vertices.size == 0
 
-    def test_same_source_target_rejected(self, sampler_cls, small_path_graph, rng):
+    def test_same_source_target_rejected(self, search, sampler_for, small_path_graph, rng):
         with pytest.raises(ValueError):
-            sampler_cls(small_path_graph).sample_path(2, 2, rng)
+            sampler_for(small_path_graph, search).sample_path(2, 2, rng)
 
-    def test_out_of_range_rejected(self, sampler_cls, small_path_graph, rng):
+    def test_out_of_range_rejected(self, search, sampler_for, small_path_graph, rng):
         with pytest.raises(ValueError):
-            sampler_cls(small_path_graph).sample_path(0, 99, rng)
+            sampler_for(small_path_graph, search).sample_path(0, 99, rng)
 
-    def test_requires_two_vertices(self, sampler_cls):
+    def test_requires_two_vertices(self, search, sampler_for):
         with pytest.raises(ValueError):
-            sampler_cls(CSRGraph.empty(1))
+            sampler_for(CSRGraph.empty(1), search)
 
-    def test_edges_touched_accounted(self, sampler_cls, small_social_graph, rng):
-        sampler = sampler_cls(small_social_graph)
+    def test_edges_touched_accounted(self, search, sampler_for, small_social_graph, rng):
+        sampler = sampler_for(small_social_graph, search)
         sample = sampler.sample(rng)
         assert sample.edges_touched > 0
 
 
+@pytest.mark.parametrize("search", SEARCHES)
 class TestSamplerUniformity:
     """The sampled path must be uniform among all shortest paths."""
 
-    @pytest.mark.parametrize("sampler_cls", SAMPLERS)
-    def test_even_cycle_two_paths_balanced(self, sampler_cls, rng):
+    def test_even_cycle_two_paths_balanced(self, search, sampler_for, rng):
         g = cycle_graph(8)
-        sampler = sampler_cls(g)
+        sampler = sampler_for(g, search)
         # Antipodal pair 0-4: exactly two shortest paths (via 1,2,3 or 7,6,5).
         counts = {"upper": 0, "lower": 0}
         trials = 400
@@ -158,12 +165,11 @@ class TestSamplerUniformity:
                 counts["lower"] += 1
         assert abs(counts["upper"] - trials / 2) < 4 * np.sqrt(trials / 4)
 
-    @pytest.mark.parametrize("sampler_cls", SAMPLERS)
-    def test_grid_corner_paths_uniform_over_middle_vertex(self, sampler_cls, rng):
+    def test_grid_corner_paths_uniform_over_middle_vertex(self, search, sampler_for, rng):
         # 3x3 grid, corner to corner: 6 shortest paths; 2x2 = 4 of them pass
         # the centre vertex 4, so P(centre on path) = 2/3 under uniformity.
         g = grid_graph(3, 3)
-        sampler = sampler_cls(g)
+        sampler = sampler_for(g, search)
         trials = 900
         hits = 0
         for _ in range(trials):
@@ -173,18 +179,17 @@ class TestSamplerUniformity:
         expected = trials * 2 / 3
         assert abs(hits - expected) < 4 * np.sqrt(trials * (2 / 3) * (1 / 3))
 
-    def test_both_samplers_unbiased_estimators(self, small_social_graph):
+    def test_unbiased_estimator(self, search, sampler_for, small_social_graph):
         """Averaging indicator vectors approximates exact betweenness."""
         from repro.baselines import brandes_betweenness
         from repro.core.state_frame import StateFrame
 
         exact = brandes_betweenness(small_social_graph).scores
-        for sampler_cls in SAMPLERS:
-            rng = np.random.default_rng(3)
-            sampler = sampler_cls(small_social_graph)
-            frame = StateFrame.zeros(small_social_graph.num_vertices)
-            for _ in range(3000):
-                sample = sampler.sample(rng)
-                frame.record_sample(sample.internal_vertices)
-            estimate = frame.betweenness_estimates()
-            assert np.max(np.abs(estimate - exact)) < 0.05
+        rng = np.random.default_rng(3)
+        sampler = sampler_for(small_social_graph, search)
+        frame = StateFrame.zeros(small_social_graph.num_vertices)
+        for _ in range(3000):
+            sample = sampler.sample(rng)
+            frame.record_sample(sample.internal_vertices)
+        estimate = frame.betweenness_estimates()
+        assert np.max(np.abs(estimate - exact)) < 0.05

@@ -52,15 +52,16 @@ SEARCHES = ("compiled", "bidirectional", "smallgraph")
 
 
 def make_sampler(graph, search, monkeypatch):
-    """A sampler whose pairs go through ``search`` (see the module docstring)."""
-    if search == "smallgraph":
-        return BatchPathSampler(graph, method="bidirectional", kernel="smallgraph")
+    """A sampler whose pairs go through ``search`` (see the module docstring);
+    any other kernel name gives that kernel."""
+    if search not in ("compiled", "bidirectional"):
+        return BatchPathSampler(graph, kernel=search)
     if search == "compiled" and compiled.load()[0] is None:
         pytest.skip(f"no compiled search here: {compiled.load()[1]}")
     with monkeypatch.context() as patch:
         if search == "bidirectional":
             patch.setattr(compiled, "load", lambda: (None, "forced off by the test"))
-        sampler = BatchPathSampler(graph, method="bidirectional", kernel="bidirectional")
+        sampler = BatchPathSampler(graph, kernel="bidirectional")
     assert sampler.compiled == (search == "compiled")
     return sampler
 

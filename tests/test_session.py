@@ -27,6 +27,7 @@ import pytest
 
 from repro.api import Resources, estimate_betweenness, get_backend
 from repro.core.calibration import calibration_sample_count
+from repro.core.options import KadabraOptions
 from repro.core.stopping import CheckSchedule
 from repro.graph.generators import barabasi_albert
 from repro.graph.io import read_edge_list
@@ -36,6 +37,7 @@ from repro.session import (
     SessionStateError,
     SnapshotError,
     open_session,
+    read_snapshot,
     read_snapshot_meta,
     write_snapshot,
 )
@@ -246,6 +248,36 @@ class TestCheckpointRestore:
         assert_results_identical(refined, cold)
         assert refined.samples_reused == session.num_samples
 
+    def test_roundtrip_keeps_the_forced_kernel(self, example_graph, tmp_path):
+        """restore rebuilds the sampler the run used, not the routed one.
+
+        ``unidirectional`` draws another stream than the kernels routing picks:
+        a restore that fell back to routing would refine onto other samples.
+        """
+        session = EstimationSession(
+            example_graph, KadabraOptions(eps=0.1, delta=0.1, seed=42), kernel="unidirectional"
+        )
+        session.run()
+        snap = tmp_path / "run.snap"
+        session.checkpoint(snap)
+        assert read_snapshot_meta(snap)["kernel"] == "unidirectional"
+
+        restored = EstimationSession.restore(snap, graph=example_graph)
+        refined = restored.refine(0.05)
+        cold = EstimationSession(
+            example_graph, KadabraOptions(eps=0.05, delta=0.1, seed=42), kernel="unidirectional"
+        ).run()
+        assert_results_identical(refined, cold)
+
+    def test_checkpoint_records_the_resources_kernel(self, example_graph, tmp_path):
+        session = open_session(example_graph, seed=42, resources=Resources(kernel="bidirectional"))
+        session.run(0.1, 0.1)
+        snap = tmp_path / "run.snap"
+        session.checkpoint(snap)
+        assert read_snapshot_meta(snap)["kernel"] == "bidirectional"
+        restored = EstimationSession.restore(snap, graph=example_graph)
+        assert restored._sampler.kernel_name == "bidirectional"
+
     def test_restored_peek_matches_live(self, example_graph, tmp_path):
         session = open_session(example_graph, seed=9)
         session.run(0.1, 0.1)
@@ -429,6 +461,27 @@ class TestFacadeIntegration:
         """A bad checkpoint degrades to a cold run, it does not fail the call."""
         snap = tmp_path / "bad.snap"
         snap.write_bytes(b"definitely not a snapshot")
+        with pytest.warns(RuntimeWarning, match="running cold"):
+            result = estimate_betweenness(
+                example_graph, eps=0.1, delta=0.1, seed=21, resume_from=snap
+            )
+        cold = estimate_betweenness(
+            example_graph, algorithm="sequential", eps=0.1, delta=0.1, seed=21
+        )
+        assert np.array_equal(result.scores, cold.scores)
+        assert result.samples_reused == 0
+
+    def test_resume_from_unknown_kernel_falls_back_cold(self, example_graph, tmp_path):
+        """A snapshot naming a kernel this process lacks is a SnapshotError."""
+        snap = tmp_path / "facade.snap"
+        estimate_betweenness(
+            example_graph, algorithm="sequential", checkpoint_path=snap, **self.KW
+        )
+        meta, arrays = read_snapshot(snap)
+        meta["kernel"] = "nope"
+        write_snapshot(snap, meta, arrays)
+        with pytest.raises(SnapshotError, match="unknown kernel 'nope'"):
+            EstimationSession.restore(snap, graph=example_graph)
         with pytest.warns(RuntimeWarning, match="running cold"):
             result = estimate_betweenness(
                 example_graph, eps=0.1, delta=0.1, seed=21, resume_from=snap

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.state_frame import StateFrame
-from repro.epoch.frames import FramePool
+from repro.parallel import FramePool
 
 
 class TestStateFrame:

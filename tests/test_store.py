@@ -529,6 +529,24 @@ class TestCli:
         assert main(["info", "/no/such/file.rcsr"]) == 2
         assert capsys.readouterr().err.startswith("error")
 
+    def test_info_unreadable_sections_exit_cleanly(self, tmp_path, social_graph, capsys):
+        """The header reads; the arrays routing would look at do not."""
+        from repro.cli import main
+        from repro.store.format import read_header
+
+        src = tmp_path / "graph.txt"
+        write_edge_list(social_graph, src)
+        dest = tmp_path / "graph.rcsr"
+        assert main(["convert", str(src), str(dest)]) == 0
+        with open(dest, "r+b") as fh:
+            fh.seek(read_header(dest).indptr_offset)
+            fh.write(b"\x07" * 8)
+        capsys.readouterr()
+        assert main(["info", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error") and "indptr" in captured.err
+        assert captured.out == ""
+
     def test_estimate_on_rcsr_input(self, tmp_path, social_graph, capsys):
         from repro.cli import main
 
