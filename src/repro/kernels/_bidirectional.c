@@ -1,6 +1,6 @@
-/* Balanced bidirectional sigma-BFS path sampling, one pair per call, and the
- * whole-graph BFS of graph/traversal.py and graph/components.py (repro_sweep,
- * at the end of the file), one source per call.
+/* Balanced bidirectional sigma-BFS path sampling, one batch of pairs per call
+ * (repro_sample_batch), and the whole-graph BFS of graph/traversal.py and
+ * graph/components.py (repro_sweep, at the end of the file), one source per call.
  *
  * The search is kernels/smallgraph.py's, statement for statement: the side
  * whose frontier holds fewer adjacency entries is scanned, one pass over its
@@ -9,10 +9,13 @@
  * the target's side are put back into the order a forward scan lists them.
  * The cut pick and both backward walks replicate numpy's pairwise `sum` and
  * kernels/weighted.py's `weighted_index` bit for bit, so a sample is the
- * numpy kernel's sample for the same uniforms.  kernels/compiled.py builds
- * this file (with -ffp-contract=off: a fused multiply-add would round
- * differently), checks the replicas against numpy before first use, validates
- * the CSR arrays and owns every buffer named in `State`.
+ * numpy kernel's sample for the same uniforms.  Every random number comes from
+ * the caller's numpy generator through the function pointers numpy publishes
+ * (`bitgen_t`); the one thing re-implemented is the bounded integer draw of
+ * `Generator.integers` (`bounded`).  kernels/compiled.py builds this file
+ * (with -ffp-contract=off: a fused multiply-add would round differently),
+ * checks the replicas against numpy before first use, validates the CSR arrays
+ * and owns every buffer named in `State`.
  */
 #include <stdint.h>
 #include <string.h>
@@ -21,10 +24,23 @@ enum {
     ST_PATH = 0,         /* out = {level_s, level_t, edges_touched, cut edges} */
     ST_ADJACENT = 1,     /* out[2] = edges_touched */
     ST_DISCONNECTED = 2, /* out[2] = edges_touched */
-    ST_GROW = 3,         /* out[3] cut edges do not fit `capacity`: grow and retry */
+    /* What stops a batch, as out[4]: */
+    ST_GROW = 3,         /* out[3] cut edges do not fit `capacity`, or out[5]
+                          * path vertices `contrib_capacity`: grow and resume */
     ST_BROKEN_LEVEL = 4, /* a cut edge ends above the other side's deepest level */
-    ST_NO_PREDECESSOR = 5
+    ST_NO_PREDECESSOR = 5,
+    ST_BAD_PAIR = 6      /* a given pair is not two distinct vertices */
 };
+
+/* numpy/random/bitgen.h: what `Generator.bit_generator.ctypes.bit_generator`
+ * points to. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
 
 typedef struct {
     int64_t n;
@@ -38,9 +54,9 @@ typedef struct {
     int64_t *keys;    /* cut edge (u, v), u on the source's side, as u * n + v */
     int64_t *scratch;
     double *weights;
-    const double *uniforms; /* 1 + max(level_s - 1, 0) + max(level_t - 1, 0) of them */
-    int64_t *path;          /* level_s + level_t internal vertices */
-    int64_t *out;           /* 4 entries */
+    int64_t contrib_capacity;
+    int64_t *contrib; /* the internal vertices of a batch's paths, back to back */
+    int64_t *out;     /* 6 entries */
 } State;
 
 #if defined(__GNUC__)
@@ -232,8 +248,8 @@ FORCE_INLINE int search_pair(State *st, int64_t base, int64_t source, int64_t ta
 /* Sigma-weighted backward walk from `current` (at `depth`) towards the root of
  * `side`, one uniform per step; the vertices it passes go to path[at],
  * path[at + step], ... */
-FORCE_INLINE int walk_back(State *st, int side, int64_t base, int64_t current, int64_t depth,
-                           const double **uniform, int64_t at, int step, const int wide)
+FORCE_INLINE int walk_back(State *st, const bitgen_t *rng, int side, int64_t base, int64_t current,
+                           int64_t depth, int64_t *path, int64_t at, int step, const int wide)
 {
     const int64_t *mark = st->mark[side];
     const double *sigma = st->sigma[side];
@@ -249,52 +265,116 @@ FORCE_INLINE int walk_back(State *st, int side, int64_t base, int64_t current, i
                 weights[count++] = sigma[w];
             }
         }
-        int64_t pick = 0;
-        if (count != 1) {
-            const double total = pairwise_sum(weights, count);
-            if (count == 0 || total <= 0.0)
-                return ST_NO_PREDECESSOR;
-            pick = weighted_index(weights, count, total, **uniform);
-        }
-        ++*uniform;
-        current = preds[pick];
-        st->path[at] = current;
+        double total = 0.0;
+        if (count != 1 && (count == 0 || (total = pairwise_sum(weights, count)) <= 0.0))
+            return ST_NO_PREDECESSOR;
+        /* The draw a one-weight pick makes too, whatever it reads. */
+        const double uniform = rng->next_double(rng->state);
+        current = preds[count == 1 ? 0 : weighted_index(weights, count, total, uniform)];
+        path[at] = current;
         at += step;
     }
     return ST_PATH;
 }
 
-FORCE_INLINE int finish_pair(State *st, int64_t base, const int wide)
+/* After ST_PATH: pick the cut edge, walk back both ways; level_s + level_t
+ * internal vertices to `path`, 1 + max(level_s - 1, 0) + max(level_t - 1, 0)
+ * uniforms drawn. */
+FORCE_INLINE int finish_pair(State *st, const bitgen_t *rng, int64_t base, int64_t *path, const int wide)
 {
     const int64_t n = st->n, ls = st->out[0], lt = st->out[1], ncut = st->out[3];
-    const double *uniform = st->uniforms;
     for (int64_t i = 0; i < ncut; i++)
         st->weights[i] = st->sigma[0][st->keys[i] / n] * st->sigma[1][st->keys[i] % n];
-    const int64_t key = st->keys[weighted_index(st->weights, ncut, pairwise_sum(st->weights, ncut), *uniform++)];
+    const double total = pairwise_sum(st->weights, ncut);
+    const int64_t key = st->keys[weighted_index(st->weights, ncut, total, rng->next_double(rng->state))];
     const int64_t u = key / n, v = key % n;
     /* Internal vertices in path order: the forward walk reversed, u, v, the
      * backward walk; u (v) is the source (target) itself on level 0. */
     if (ls > 0)
-        st->path[ls - 1] = u;
+        path[ls - 1] = u;
     if (lt > 0)
-        st->path[ls] = v;
-    int status = walk_back(st, 0, base, u, ls, &uniform, ls - 2, -1, wide);
+        path[ls] = v;
+    int status = walk_back(st, rng, 0, base, u, ls, path, ls - 2, -1, wide);
     if (status == ST_PATH)
-        status = walk_back(st, 1, base, v, lt, &uniform, ls + 1, 1, wide);
+        status = walk_back(st, rng, 1, base, v, lt, path, ls + 1, 1, wide);
     return status;
 }
 
-/* One search; `base` is ScratchPool.begin_sample()'s, the endpoints are
- * distinct and below n. */
-int repro_search(State *st, int64_t base, int64_t source, int64_t target)
+/* `Generator.integers(0, bound + 1)` for one value and bound < 2^32 - 1:
+ * numpy's buffered_bounded_lemire_uint32 (distributions.c), which draws
+ * nothing when bound is 0.  The 32-bit half a PCG64 keeps between calls is
+ * next_uint32's business. */
+static int64_t bounded(const bitgen_t *rng, const uint32_t bound)
 {
-    return st->wide ? search_pair(st, base, source, target, 1) : search_pair(st, base, source, target, 0);
+    if (bound == 0)
+        return 0;
+    const uint32_t range = bound + 1;
+    uint64_t m = (uint64_t)rng->next_uint32(rng->state) * range;
+    if ((uint32_t)m < range) {
+        const uint32_t threshold = (UINT32_MAX - bound) % range;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)rng->next_uint32(rng->state) * range;
+    }
+    return (int64_t)(m >> 32);
 }
 
-/* After ST_PATH and with `uniforms` filled: pick the cut edge, walk back. */
-int repro_finish(State *st, int64_t base)
+/* `block` holds a batch's five int64 arrays back to back: sources, targets,
+ * lengths and edges_touched (k entries each), then contrib_indptr (k + 1). */
+FORCE_INLINE int64_t sample_batch(State *st, const bitgen_t *rng, const int64_t first, const int64_t stop,
+                                  const int64_t given, int64_t base, const int64_t span, int64_t *block,
+                                  const int64_t k, const int wide)
 {
-    return st->wide ? finish_pair(st, base, 1) : finish_pair(st, base, 0);
+    const int64_t n = st->n;
+    int64_t *out = st->out, *sources = block, *targets = block + k, *lengths = block + 2 * k;
+    int64_t *edges_touched = block + 3 * k, *contrib_indptr = block + 4 * k;
+    for (int64_t i = first; i < stop; i++, base += span) {
+        int64_t source, target, count = 0;
+        if (i < given) {
+            source = sources[i];
+            target = targets[i];
+            if ((uint64_t)source >= (uint64_t)n || (uint64_t)target >= (uint64_t)n || source == target) {
+                out[4] = ST_BAD_PAIR;
+                return i;
+            }
+        } else { /* sampling/base.py's sample_vertex_pair */
+            source = sources[i] = bounded(rng, (uint32_t)(n - 1));
+            target = bounded(rng, (uint32_t)(n - 2));
+            target = targets[i] = target + (target >= source);
+        }
+        int status = search_pair(st, base, source, target, wide);
+        if (status == ST_PATH || status == ST_GROW) {
+            count = out[0] + out[1];
+            out[5] = contrib_indptr[i] + count;
+            if (out[5] > st->contrib_capacity)
+                status = ST_GROW;
+        }
+        if (status == ST_PATH)
+            status = finish_pair(st, rng, base, st->contrib + contrib_indptr[i], wide);
+        if (status > ST_DISCONNECTED) {
+            out[4] = status;
+            return i;
+        }
+        lengths[i] = status == ST_DISCONNECTED ? 0 : count + 1;
+        edges_touched[i] = out[2];
+        contrib_indptr[i + 1] = contrib_indptr[i] + count;
+    }
+    return stop;
+}
+
+/* Samples first .. stop - 1 of a batch of k, into `block`: sample i searches on
+ * mark base `base + (i - first) * span`, takes its pair from sources[i],
+ * targets[i] when i < given and draws it there otherwise, and appends its
+ * path's internal vertices to st->contrib at contrib_indptr[i]
+ * (contrib_indptr[first] is the caller's); a sample is connected iff its
+ * length is positive.  Returns `stop`, or the index of the sample that did not
+ * finish, with the reason in out[4]: that sample's pair is in place and, after
+ * ST_GROW, nothing else of it was drawn, so the caller makes room and resumes
+ * at that index, the pair now given, on new mark bases. */
+int64_t repro_sample_batch(State *st, const bitgen_t *rng, int64_t first, int64_t stop, int64_t given,
+                           int64_t base, int64_t span, int64_t *block, int64_t k)
+{
+    return st->wide ? sample_batch(st, rng, first, stop, given, base, span, block, k, 1)
+                    : sample_batch(st, rng, first, stop, given, base, span, block, k, 0);
 }
 
 /* The numpy replicas, exported for the self-check. */
@@ -306,6 +386,11 @@ double repro_pairwise_sum(const double *a, int64_t n)
 int64_t repro_weighted_index(double *w, int64_t n, double total, double u)
 {
     return weighted_index(w, n, total, u);
+}
+
+int64_t repro_bounded(const bitgen_t *rng, uint32_t bound)
+{
+    return bounded(rng, bound);
 }
 
 /* Level-synchronous BFS of everything reachable from `source`.  A vertex is

@@ -2,12 +2,19 @@
 
 :class:`BatchPathSampler` is KADABRA's one per-sample primitive over a fixed
 graph.  ``sample_batch(k, rng)`` draws ``k`` (s, t) pairs, runs the routed
-kernel per pair, and returns a :class:`SampleBatch` whose path contributions
+kernel on each, and returns a :class:`SampleBatch` whose path contributions
 are two flat arrays (vertex ids + CSR-style offsets) ready for a single
 ``np.add.at`` into an epoch frame; ``sample(rng)`` is the same draw for one
 pair, returned as a :class:`~repro.sampling.base.PathSample`, for the loops
 that poll a request between samples.  Drivers get theirs from
 :func:`repro.core.kadabra.make_sampler`.
+
+Where the search is the compiled one (:attr:`BatchPathSampler.compiled`) a
+batch is one call into :mod:`repro.kernels.compiled`, which draws the pairs
+from ``rng`` and fills those arrays itself; everywhere else - the numpy and
+Python kernels, and any ``rng`` that is not a numpy ``Generator`` - the pairs
+are drawn and the kernel is called in a loop here.  Same samples, same
+generator state, either way and for any ``k``.
 
 Pair drawing strategies
 -----------------------
@@ -34,7 +41,7 @@ import numpy as np
 
 from repro.graph.csr import validate_csr
 from repro.kernels import abi as _abi
-from repro.kernels.compiled import compiled_sample
+from repro.kernels.compiled import compiled_sample, search_on
 from repro.kernels.scratch import ScratchPool, csr_views
 from repro.obs import metrics as _metrics
 from repro.sampling.base import PathSample, sample_vertex_pair
@@ -281,6 +288,8 @@ class BatchPathSampler:
             batch = self._delegate.sample_pairs(sources, targets, rng)
             self._count_samples(k)
             return batch
+        if self._one_call(rng):
+            return SampleBatch(*self._compiled(rng, k, sources, targets))
         out = _BatchAccumulator(k)
         kernel = self._kernel
         indptr, indices, pool = self._kernel_indptr, self._kernel_indices, self._pool
@@ -292,6 +301,8 @@ class BatchPathSampler:
 
     def sample(self, rng: np.random.Generator) -> PathSample:
         """One uniform pair of distinct vertices and one shortest path between them."""
+        if self._one_call(rng):
+            return self._compiled_one(rng)
         s, t = sample_vertex_pair(self._graph.num_vertices, rng)
         return self.sample_path(s, t, rng)
 
@@ -308,6 +319,8 @@ class BatchPathSampler:
             sample = self._delegate.sample_path(source, target, rng)
             self._count_samples(1)
             return sample
+        if self._one_call(rng):
+            return self._compiled_one(rng, source, target)
         connected, length, internal, edges = self._kernel(
             self._kernel_indptr, self._kernel_indices, self._pool, source, target, rng
         )
@@ -326,7 +339,32 @@ class BatchPathSampler:
         if _metrics.ENABLED:
             _kernel_counter(self._spec.name).inc(k)
 
+    def _one_call(self, rng) -> bool:
+        """Whether a batch is one compiled call: that search, and a generator C can draw from."""
+        return self.compiled and isinstance(rng, np.random.Generator)
+
+    def _compiled(self, rng: np.random.Generator, k: int, sources=None, targets=None):
+        """The fields of a :class:`SampleBatch` of ``k``: drawn pairs, or the given ones."""
+        search = search_on(self._pool, self._indptr, self._indices)
+        fields = search.sample_batch(self._pool, rng, k, sources, targets)
+        self._count_samples(k)
+        return fields
+
+    def _compiled_one(self, rng: np.random.Generator, source=None, target=None) -> PathSample:
+        sources, targets, _, lengths, edges, internal, _ = self._compiled(rng, 1, source, target)
+        length = int(lengths[0])
+        return PathSample(
+            source=int(sources[0]),
+            target=int(targets[0]),
+            connected=length > 0,
+            length=length,
+            internal_vertices=internal,
+            edges_touched=int(edges[0]),
+        )
+
     def _sample_interleaved(self, k: int, rng: np.random.Generator) -> SampleBatch:
+        if self._one_call(rng):
+            return SampleBatch(*self._compiled(rng, k))
         n = self._graph.num_vertices
         sources = np.empty(k, dtype=np.int64)
         targets = np.empty(k, dtype=np.int64)

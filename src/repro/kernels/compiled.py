@@ -1,18 +1,32 @@
-"""The ``bidirectional`` kernel's search and the whole-graph BFS sweeps, compiled.
+"""The ``bidirectional`` kernel's sampling loop and the whole-graph BFS sweeps, compiled.
 
 ``_bidirectional.c`` (beside this file) is the scan-on-expand search of
 :mod:`repro.kernels.smallgraph` plus the cut pick and both backward walks of
 :mod:`repro.kernels.bidirectional`, written so that every candidate set is
 enumerated in the same order and every sum is added in the same order as the
-numpy kernel: for one generator state the two return the same
-``(connected, length, internal_vertices, edges_touched)`` and leave the
-generator in the same state.  It is not a kernel of its own - the
-``bidirectional`` spec hands out :func:`compiled_sample` when :func:`load`
+numpy kernel, inside a loop over the samples of a batch: one call draws each
+pair, searches, draws the path's uniforms, walks back and appends to the flat
+arrays of a :class:`~repro.kernels.batch.SampleBatch`
+(:meth:`CompiledSearch.sample_batch`).  For one generator state the batch is
+what that many calls of the numpy kernel return, and the generator is left in
+the same state.  It is not a kernel of its own - the ``bidirectional`` spec
+hands out :func:`compiled_sample` (a batch of one given pair) when :func:`load`
 succeeds and the graph's arrays qualify (:func:`usable`), and the numpy search
 otherwise.  The same file holds the level-synchronous whole-graph BFS under
 :func:`repro.graph.traversal.bfs_distances` and
 :func:`repro.graph.components.connected_components` (:class:`Sweep`), used
 under the same condition and with the numpy level loop as the only other path.
+
+*Random numbers.*  The loop draws from the caller's generator: numpy publishes
+a bit generator's state address and its ``next_uint32`` / ``next_double``
+functions (``rng.bit_generator.ctypes``), so every BitGenerator - and the
+32-bit half a PCG64 keeps between calls - is numpy's code.  What is
+re-implemented is the bounded draw of ``Generator.integers`` for one value
+below 2^32 (Lemire's multiply-and-reject).  ``rng.bit_generator.lock`` is held
+for the call, as numpy's own methods hold it: the GIL is released for the
+whole batch, and two threads sharing one generator take whole batches in turn.
+An ``rng`` that is not a :class:`numpy.random.Generator` has no such functions
+and goes to the numpy search, pair by pair.
 
 *Build.*  On first use the source is compiled with ``$CC`` (default ``cc``)
 and ``-O2 -fPIC -shared -ffp-contract=off`` into
@@ -22,23 +36,29 @@ processes building at once both end with a loadable file), and a file owned by
 somebody else is refused.  A process that forks workers calls :func:`load`
 first, so that they inherit the library instead of each looking for it.
 
-*Self-check.*  The C side re-implements numpy's pairwise ``sum`` and
-:func:`~repro.kernels.weighted.weighted_index`; a loaded library is used only
-after both equal numpy bit for bit on a fixed battery, a small-graph search
-equals :func:`~repro.kernels.bidirectional.bidirectional_sample` and a sweep
-from every vertex of the same graph equals the numpy level loop.  No
-compiler, an unusable cache directory or a failed check each leave the numpy
-search and the numpy sweeps in place; :func:`describe` says which run and why.
+*Self-check.*  The C side re-implements numpy's pairwise ``sum``,
+:func:`~repro.kernels.weighted.weighted_index` and the bounded draw; a loaded
+library is used only after (a) the first two equal numpy bit for bit on a fixed
+battery, (b) the bounded draw equals ``rng.integers(0, n)`` for a battery of
+``n`` on every BitGenerator numpy ships, with and without a buffered 32-bit
+half, (c) a sweep from every vertex of a small graph equals the numpy level
+loop and (d) a batch on that graph equals
+:func:`~repro.sampling.base.sample_vertex_pair` and
+:func:`~repro.kernels.bidirectional.bidirectional_sample` pair by pair,
+generator state included.  No compiler, an unusable cache directory or a
+failed check each leave the numpy search and the numpy sweeps in place;
+:func:`describe` says which run and why.
 
 *What crosses the boundary.*  Pointers into arrays this module validated or
 allocated, never a Python object: the CSR arrays
 (:func:`repro.graph.csr.validate_csr` has run, in
 :class:`~repro.kernels.batch.BatchPathSampler`), the pool's mark and sigma
-arrays, and the buffers of :class:`CompiledSearch`.  A sweep runs before any
-sampler exists, possibly on a mapped file nobody has read yet, so the C loop
-itself checks every row extent and neighbour id it is about to index with and
-:class:`Sweep` turns its refusal into :class:`ValueError`.  ``ctypes`` releases
-the GIL for the call.
+arrays, the buffers of :class:`CompiledSearch`, the batch's output arrays and
+numpy's ``bitgen_t``.  Given pairs are checked by the loop itself before it
+indexes with them.  A sweep runs before any sampler exists, possibly on a
+mapped file nobody has read yet, so the C loop itself checks every row extent
+and neighbour id it is about to index with and :class:`Sweep` turns its
+refusal into :class:`ValueError`.  ``ctypes`` releases the GIL for the call.
 """
 
 from __future__ import annotations
@@ -55,15 +75,24 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.kernels.bidirectional import bidirectional_sample
 from repro.kernels.scratch import ScratchPool
 from repro.kernels.weighted import weighted_index
 
-__all__ = ["load", "describe", "usable", "compiled_sample", "CompiledSearch", "Sweep"]
+__all__ = [
+    "load",
+    "describe",
+    "usable",
+    "compiled_sample",
+    "search_on",
+    "CompiledSearch",
+    "Sweep",
+]
 
 _SOURCE = Path(__file__).with_name("_bidirectional.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# Status codes of repro_search / repro_finish.
-_PATH, _ADJACENT, _DISCONNECTED, _GROW, _BROKEN_LEVEL, _NO_PREDECESSOR = range(6)
+# What stops repro_sample_batch before the end of a batch (``out[4]``).
+_GROW, _BROKEN_LEVEL, _NO_PREDECESSOR, _BAD_PAIR = range(3, 7)
 # What repro_sweep returns in place of a level count.
 _SWEEP_REFUSALS = {-1: "a row extent outside indices", -2: "an out-of-range vertex id"}
 #: A cut edge travels as ``u * n + v`` in an int64.
@@ -90,8 +119,8 @@ class _State(ctypes.Structure):
         ("keys", ctypes.c_void_p),
         ("scratch", ctypes.c_void_p),
         ("weights", ctypes.c_void_p),
-        ("uniforms", ctypes.c_void_p),
-        ("path", ctypes.c_void_p),
+        ("contrib_capacity", ctypes.c_int64),
+        ("contrib", ctypes.c_void_p),
         ("out", ctypes.c_void_p),
     ]
 
@@ -145,10 +174,20 @@ def _bind(path: Path) -> ctypes.CDLL:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from None
-    lib.repro_search.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
-    lib.repro_search.restype = ctypes.c_int
-    lib.repro_finish.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-    lib.repro_finish.restype = ctypes.c_int
+    lib.repro_sample_batch.argtypes = [
+        ctypes.c_void_p,  # State
+        ctypes.c_void_p,  # numpy's bitgen_t
+        ctypes.c_int64,  # first
+        ctypes.c_int64,  # stop
+        ctypes.c_int64,  # given
+        ctypes.c_int64,  # base
+        ctypes.c_int64,  # span
+        ctypes.c_void_p,  # block: four arrays of k entries, then contrib_indptr (k + 1)
+        ctypes.c_int64,  # k
+    ]
+    lib.repro_sample_batch.restype = ctypes.c_int64
+    lib.repro_bounded.argtypes = [ctypes.c_void_p, ctypes.c_uint32]
+    lib.repro_bounded.restype = ctypes.c_int64
     lib.repro_pairwise_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     lib.repro_pairwise_sum.restype = ctypes.c_double
     lib.repro_weighted_index.argtypes = [
@@ -199,7 +238,7 @@ def describe() -> str:
 
 
 def usable(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """Whether :func:`compiled_sample` and :class:`Sweep` can run on these CSR arrays."""
+    """Whether :class:`CompiledSearch` and :class:`Sweep` can run on these CSR arrays."""
     return (
         indptr.dtype == np.int64
         and indices.dtype in _INDEX_DTYPES
@@ -252,22 +291,58 @@ def _self_check(lib: ctypes.CDLL) -> None:
             if lib.repro_weighted_index(weights.ctypes.data, size, total, uniform) != expected:
                 raise _Unavailable(f"self-check: weighted pick among {size} differs from numpy's")
 
-    from repro.kernels.bidirectional import bidirectional_sample
+    _check_bounded(lib)
+
+    from repro.sampling.base import sample_vertex_pair
 
     for dtype in _INDEX_DTYPES:
         indptr, indices = _check_graph(dtype)
-        n = indptr.size - 1
-        pool, theirs = ScratchPool(n), ScratchPool(n)
-        ours = CompiledSearch(lib, indptr, indices, pool)
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        for source, target in np.random.default_rng(11).integers(0, n, (24, 2)).tolist():
-            if source != target and ours.sample(pool, source, target, rng_a) != bidirectional_sample(
-                indptr, indices, theirs, source, target, rng_b
-            ):
-                raise _Unavailable(f"self-check: search {source}-{target} differs from numpy's")
-        if rng_a.random() != rng_b.random():
-            raise _Unavailable("self-check: the searches leave the generator in different states")
         _check_sweeps(lib, indptr, indices)
+        n, count = indptr.size - 1, 24
+        pool, theirs = ScratchPool(n), ScratchPool(n)
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        batch = CompiledSearch(lib, indptr, indices, pool).sample_batch(pool, rng_a, count)
+        sources, targets, connected, lengths, edges, contrib, offsets = (a.tolist() for a in batch)
+        for i in range(count):
+            pair = sample_vertex_pair(n, rng_b)
+            expected = bidirectional_sample(indptr, indices, theirs, *pair, rng_b)
+            path = contrib[offsets[i] : offsets[i + 1]]
+            ours = (sources[i], targets[i], connected[i], lengths[i], path, edges[i])
+            if (*pair, *expected) != ours:
+                raise _Unavailable(f"self-check: sample {i} of a batch differs from numpy's")
+        if not _same_state(rng_a, rng_b):
+            raise _Unavailable("self-check: a batch leaves the generator in another state than numpy")
+
+
+#: Two small ranges, powers of two and their neighbours, a bench graph's order,
+#: a range that rejects every third draw, and the largest two a graph can have.
+_BOUNDED_BATTERY = (2, 3, 2**8 - 1, 2**8 + 1, 2**16 - 1, 2**16, 2**16 + 1, 40_058, 1_431_655_766)
+_BOUNDED_BATTERY += (2**31 - 1, 2**31)
+
+
+def _same_state(rng_a: np.random.Generator, rng_b: np.random.Generator) -> bool:
+    """Whether both draw the same from here on, a buffered 32-bit half included."""
+    return rng_a.integers(0, 2**32, 3).tolist() == rng_b.integers(0, 2**32, 3).tolist()
+
+
+def _check_bounded(lib: ctypes.CDLL) -> None:
+    """The bounded draw against ``Generator.integers``, on every BitGenerator numpy ships."""
+    for name in ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"):
+        for pending in (False, True):
+            ours, theirs = (np.random.Generator(getattr(np.random, name)(24)) for _ in range(2))
+            if pending:  # one 32-bit draw: a generator that buffers the other half now holds it
+                ours.integers(0, 2**32), theirs.integers(0, 2**32)
+            bitgen = ours.bit_generator.ctypes.bit_generator
+            for n in _BOUNDED_BATTERY:
+                for _ in range(3):
+                    if lib.repro_bounded(bitgen, n - 1) != theirs.integers(0, n):
+                        raise _Unavailable(
+                            f"self-check: bounded draw below {n} from {name} differs from numpy's"
+                        )
+            if not _same_state(ours, theirs):
+                raise _Unavailable(
+                    f"self-check: bounded draw leaves {name} in another state than numpy's"
+                )
 
 
 def _check_sweeps(lib: ctypes.CDLL, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -293,11 +368,11 @@ def _check_sweeps(lib: ctypes.CDLL, indptr: np.ndarray, indices: np.ndarray) -> 
 
 
 # --------------------------------------------------------------------------- #
-# Per-sampler state and the per-pair entry point
+# Per-sampler state and the batch entry point
 # --------------------------------------------------------------------------- #
 
 class CompiledSearch:
-    """One sampler's compiled search: the C ``State`` and every buffer it names.
+    """One sampler's compiled sampling loop: the C ``State`` and every buffer it names.
 
     Holds a reference to each array whose address the C side keeps - the CSR
     arrays, the pool's mark and sigma arrays and the buffers allocated here -
@@ -312,11 +387,11 @@ class CompiledSearch:
         n = indptr.size - 1
         if pool.num_vertices != n:
             raise ValueError("scratch pool size does not match the graph")
-        self.indptr, self.indices, self._n = indptr, indices, n
+        self.indptr, self.indices = indptr, indices
         self._pool_arrays = (pool.mark_a, pool.mark_b, pool.sigma_a, pool.sigma_b)
-        self._search, self._finish = lib.repro_search, lib.repro_finish
+        self._batch = lib.repro_sample_batch
         self._buffers = [np.empty(n, dtype=np.int64) for _ in range(4)]
-        self._out = np.zeros(4, dtype=np.int64)
+        self._out = np.zeros(6, dtype=np.int64)
         state = self._state = _State()
         state.n = n
         state.indptr = indptr.ctypes.data
@@ -329,9 +404,10 @@ class CompiledSearch:
         state.out = self._out.ctypes.data
         self._address = ctypes.addressof(state)
         # A backward step weighs at most one row's worth of predecessors; the
-        # cut buffers grow on demand.
+        # cut buffers and the batch's path vertices grow on demand.
         self._reserve_cut(max(64, int(np.diff(indptr).max())))
-        self._reserve_path(256)
+        self._contrib = np.empty(0, dtype=np.int64)
+        self._reserve_contrib(256)
 
     def _reserve_cut(self, capacity: int) -> None:
         state = self._state
@@ -343,45 +419,90 @@ class CompiledSearch:
         state.scratch = self._scratch.ctypes.data
         state.weights = self._weights.ctypes.data
 
-    def _reserve_path(self, capacity: int) -> None:
-        self._path = np.empty(capacity, dtype=np.int64)
-        self._uniforms = np.empty(capacity + 1, dtype=np.float64)
-        self._state.path = self._path.ctypes.data
-        self._state.uniforms = self._uniforms.ctypes.data
+    def _reserve_contrib(self, capacity: int) -> None:
+        contrib = np.empty(capacity, dtype=np.int64)
+        contrib[: self._contrib.size] = self._contrib  # the batch in progress keeps its paths
+        self._contrib = contrib
+        self._state.contrib_capacity = capacity
+        self._state.contrib = contrib.ctypes.data
 
-    def sample(
-        self, pool: ScratchPool, source: int, target: int, rng: np.random.Generator
-    ) -> Tuple[bool, int, List[int], int]:
-        """Same contract as :func:`~repro.kernels.bidirectional.bidirectional_sample`.
+    def sample_batch(
+        self,
+        pool: ScratchPool,
+        rng: np.random.Generator,
+        k: int,
+        given_sources=None,
+        given_targets=None,
+    ) -> Tuple[np.ndarray, ...]:
+        """``k`` samples: the arrays of a :class:`~repro.kernels.batch.SampleBatch`, in field order.
 
-        ``pool`` is the pool this search was built on.
+        ``pool`` is the pool this search was built on.  With ``given_sources``
+        and ``given_targets`` (``k`` entries each) those pairs are sampled and
+        only the paths' uniforms are drawn; without, each pair is drawn right before
+        its search, as :func:`~repro.sampling.base.sample_vertex_pair` draws
+        it.  Either way the outcome and the state ``rng`` is left in are those
+        of ``k`` calls of the numpy kernel, whatever ``k``.
         """
-        if not (0 <= source < self._n and 0 <= target < self._n and source != target):
+        # One allocation, what repro_sample_batch calls `block`.
+        block = np.empty(5 * k + 1, dtype=np.int64)
+        sources, targets, lengths, edges_touched = block[: 4 * k].reshape(4, k)
+        offsets = block[4 * k :]
+        offsets[0] = 0
+        if given_sources is not None:
+            sources[:], targets[:] = given_sources, given_targets
+        given = 0 if given_sources is None else k
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            self._draw(pool, bit_generator.ctypes.bit_generator, block, k, given)
+        contrib = self._contrib[: offsets[k]].copy()
+        return sources, targets, lengths > 0, lengths, edges_touched, contrib, offsets
+
+    def _draw(self, pool: ScratchPool, bitgen, block: np.ndarray, k: int, given: int) -> None:
+        """Fill ``block``; ``bitgen`` is a numpy ``bitgen_t`` nobody else draws from meanwhile."""
+        if pool.mark_a is not self._pool_arrays[0]:
+            raise ValueError("not the scratch pool this search was built on")
+        # ndarray.ctypes.data costs more than a sample on a small-world graph.
+        address = ctypes.addressof(ctypes.c_char.from_buffer(block))
+        done = 0
+        while done < k:
+            # Mark bases for all that is left, or for as many as fit below the
+            # pool's reset limit.
+            base, started = pool.begin_samples(k - done)
+            stop = done + started
+            done = self._batch(
+                self._address, bitgen, done, stop, given, base, pool.span, address, k
+            )
+            if done < stop:
+                # Sample ``done`` has its pair and nothing else: with room made
+                # its search runs again, on a new generation of marks.
+                self._make_room()
+                given = max(given, done + 1)
+
+    def _make_room(self) -> None:
+        """After a batch stopped early: grow what was too small, or raise as the numpy kernel."""
+        _, _, _, cut_edges, status, path_vertices = self._out.tolist()
+        if status == _BAD_PAIR:
             raise ValueError("source and target must be distinct vertices of the graph")
-        while True:
-            base = pool.begin_sample()
-            status = self._search(self._address, base, source, target)
-            if status != _GROW:
-                break
-            # More cut edges than fit: nothing was drawn yet, so the same
-            # search simply runs again, on a new generation of marks.
-            self._reserve_cut(2 * int(self._out[3]))
-        level_s, level_t, edges_touched, _ = self._out.tolist()
-        if status == _ADJACENT:
-            return True, 1, [], edges_touched
-        if status == _DISCONNECTED:
-            return False, 0, [], edges_touched
         if status == _BROKEN_LEVEL:
             raise AssertionError("a cut edge ends above the other search's deepest level")
-        count = level_s + level_t
-        if count > self._path.size:
-            self._reserve_path(2 * count)
-        # One draw for the cut edge and one per backward step, taken as a
-        # block: the same doubles, in the same order, as scalar draws.
-        rng.random(out=self._uniforms[: 1 + max(level_s - 1, 0) + max(level_t - 1, 0)])
-        if self._finish(self._address, base) != _PATH:
+        if status == _NO_PREDECESSOR:
             raise RuntimeError("inconsistent sigma values during backtracking")
-        return True, count + 1, self._path[:count].tolist(), edges_touched
+        assert status == _GROW, status
+        if cut_edges > self._keys.size:
+            self._reserve_cut(2 * cut_edges)
+        if path_vertices > self._contrib.size:
+            self._reserve_contrib(2 * path_vertices)
+
+
+def search_on(pool: ScratchPool, indptr: np.ndarray, indices: np.ndarray) -> CompiledSearch:
+    """The :class:`CompiledSearch` for ``(indptr, indices)`` that hangs off ``pool``.
+
+    Created on the first call; :func:`usable` must hold for the arrays.
+    """
+    state = pool.compiled
+    if state is None or state.indices is not indices or state.indptr is not indptr:
+        state = pool.compiled = CompiledSearch(load()[0], indptr, indices, pool)
+    return state
 
 
 def compiled_sample(
@@ -392,15 +513,17 @@ def compiled_sample(
     target: int,
     rng: np.random.Generator,
 ) -> Tuple[bool, int, List[int], int]:
-    """:func:`~repro.kernels.bidirectional.bidirectional_sample`, compiled.
+    """:func:`~repro.kernels.bidirectional.bidirectional_sample`, as a compiled batch of one.
 
-    The :class:`CompiledSearch` for ``(indptr, indices)`` hangs off ``pool``,
-    created on the first call; :func:`usable` must hold for the arrays.
+    An ``rng`` that is not a numpy ``Generator`` has no functions C could call
+    and gets the numpy search itself.
     """
-    state = pool.compiled
-    if state is None or state.indices is not indices or state.indptr is not indptr:
-        state = pool.compiled = CompiledSearch(load()[0], indptr, indices, pool)
-    return state.sample(pool, source, target, rng)
+    if not isinstance(rng, np.random.Generator):
+        return bidirectional_sample(indptr, indices, pool, source, target, rng)
+    _, _, connected, lengths, edges_touched, internal, _ = search_on(
+        pool, indptr, indices
+    ).sample_batch(pool, rng, 1, source, target)
+    return bool(connected[0]), int(lengths[0]), internal.tolist(), int(edges_touched[0])
 
 
 # --------------------------------------------------------------------------- #

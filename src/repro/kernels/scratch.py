@@ -30,6 +30,8 @@ so drivers create one per sampling thread instead of sharing.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 __all__ = [
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 #: Re-zero the mark arrays once ``generation * span`` approaches int64 range.
-_RESET_LIMIT = np.int64(2) ** 62
+_RESET_LIMIT = 2**62
 
 
 class ScratchPool:
@@ -60,8 +62,8 @@ class ScratchPool:
         dependency accumulator.
     compiled:
         The :class:`~repro.kernels.compiled.CompiledSearch` working on these
-        arrays, set by :func:`~repro.kernels.compiled.compiled_sample` on its
-        first call; ``None`` until then.
+        arrays, set by :func:`~repro.kernels.compiled.search_on` on its first
+        call; ``None`` until then.
     """
 
     __slots__ = (
@@ -119,7 +121,7 @@ class ScratchPool:
         its BFS level is then ``mark[v] - base``.
         """
         gen = self._generation + 1
-        if gen * self.span >= _RESET_LIMIT:  # pragma: no cover - ~2^62 samples
+        if gen * self.span >= _RESET_LIMIT:  # once every ~2^62 / span samples
             self.mark_a.fill(0)
             self.mark_b.fill(0)
             if self._py_state is not None:
@@ -130,6 +132,20 @@ class ScratchPool:
         self._generation = gen
         self.generations_started += 1
         return gen * self.span
+
+    def begin_samples(self, count: int) -> Tuple[int, int]:
+        """Start up to ``count`` samples at once, for a search that loops in C.
+
+        Returns ``(base, started)``: sample ``i < started`` has the mark base
+        ``base + i * span``.  ``started`` is below ``count`` only where the
+        next base would cross the reset limit; the caller comes back for the
+        rest, and :meth:`begin_sample` wipes the marks then.
+        """
+        base = self.begin_sample()
+        extra = min(count - 1, (_RESET_LIMIT - 1 - base) // self.span)
+        self._generation += extra
+        self.generations_started += extra
+        return base, 1 + extra
 
 
 class ScratchSlab:

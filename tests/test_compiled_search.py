@@ -4,15 +4,18 @@
 kernel and the eager reference on sixteen graph families.  Here: the inputs
 that take its other branches (a mapped graph, ``int64`` indices, a pair in two
 components, adjacent and isolated endpoints, path counts beyond 2^53, more cut
-edges than the buffer holds), what never reaches C (a malformed CSR), the
-errors it reports as the numpy kernel's exceptions, how the helper is built,
-cached and inherited across a fork - and that each way of not having it
-leaves a working numpy search, working numpy sweeps (``tests/test_sweeps.py``
-holds the compiled ones to them) and a line saying why.
+edges than the buffer holds), what never reaches C (a malformed CSR, a
+generator that is not numpy's), the errors it reports as the numpy kernel's
+exceptions, how the helper is built, cached and inherited across a fork - and
+that each way of not having it leaves a working numpy search, working numpy
+sweeps (``tests/test_sweeps.py`` holds the compiled ones to them) and a line
+saying why.  ``tests/test_compiled_batch.py`` holds a whole batch to the
+per-sample stream.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import os
 import re
@@ -29,14 +32,18 @@ from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, path_graph, road_network_graph
 from repro.graph.traversal import bfs_distances, sweep_path
-from repro.kernels import BatchPathSampler, compiled, format_kernel_table
+from repro.kernels import BatchPathSampler, SampleBatch, compiled, format_kernel_table
 from repro.kernels.bidirectional import bidirectional_sample
 from repro.kernels.scratch import ScratchPool, csr_views
+from repro.sampling.base import sample_vertex_pair
 from repro.store.format import open_rcsr, write_rcsr
 
 needs_helper = pytest.mark.skipif(
     compiled.load()[0] is None, reason=f"no compiled search here: {compiled.load()[1]}"
 )
+
+
+BATCH_FIELDS = ("sources", "targets", "connected", "lengths", "edges_touched", "contrib_vertices")
 
 
 @pytest.fixture
@@ -60,9 +67,8 @@ def assert_same_samples(graph, monkeypatch, *, ours=None, pairs=None, count=200,
             source, target = pairs[i % len(pairs)]
             a = ours.sample_pairs([source], [target], rng_a)
             b = theirs.sample_pairs([source], [target], rng_b)
-        for field in ("sources", "targets", "connected", "lengths", "edges_touched"):
+        for field in BATCH_FIELDS:
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert np.array_equal(a.contrib_vertices, b.contrib_vertices)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         batches.append(a)
     return batches
@@ -198,16 +204,35 @@ class TestHostileInput:
         assert sampler.sample_path(0, 11, np.random.default_rng(0)).length == 11
 
 
-class PoisoningGenerator:
-    """Draws like the generator it wraps, and wipes marks of the source's search."""
+class StandInGenerator:
+    """Draws like the numpy generator it wraps, without being one."""
 
-    def __init__(self, pool):
-        self._rng = np.random.default_rng(0)
-        self._pool = pool
+    def __init__(self, seed, before_random=lambda: None):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+        self._before_random = before_random
 
     def random(self, size=None, out=None):
-        self._pool.mark_a[1:6] = 0
-        return self._rng.random(size, out=out)
+        self._before_random()
+        self.calls.append("random")
+        return self.rng.random(size, out=out)
+
+    def integers(self, low, high):
+        self.calls.append("integers")
+        return self.rng.integers(low, high)
+
+
+class BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t``, with a ``next_double`` that can be a Python function."""
+
+    NextDouble = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", ctypes.c_void_p),
+        ("next_uint32", ctypes.c_void_p),
+        ("next_double", NextDouble),
+        ("next_raw", ctypes.c_void_p),
+    ]
 
 
 class TestErrorsAreTheNumpyKernels:
@@ -224,10 +249,64 @@ class TestErrorsAreTheNumpyKernels:
     @pytest.mark.parametrize("search", ["compiled", "bidirectional"])
     def test_a_backward_step_without_predecessors(self, search, monkeypatch):
         # Ties go to the source's side: it walks 0 .. 7 and meets the target's
-        # search over (7, 8), so the walk back from 7 runs into the wiped marks.
+        # search over (7, 8), so the walk back from 7 runs into the marks that
+        # the draw for the cut edge wiped.
         sampler = make_sampler(path_graph(10), search, monkeypatch)
+        pool = sampler.pool
+
+        def wipe():
+            pool.mark_a[1:6] = 0
+
+        rng = StandInGenerator(0, before_random=wipe)
         with pytest.raises(RuntimeError, match="inconsistent sigma values"):
-            sampler.sample_path(0, 9, PoisoningGenerator(sampler.pool))
+            if search == "bidirectional":
+                sampler.sample_path(0, 9, rng)
+            else:
+                # A stand-in never reaches C; a bitgen_t whose next_double is
+                # the stand-in's does.  One given pair: (0, 9).
+                bitgen = BitGen(next_double=BitGen.NextDouble(lambda _state: rng.random()))
+                block = np.array([0, 9, 0, 0, 0, 0], dtype=np.int64)
+                search_state = compiled.search_on(pool, sampler._indptr, sampler._indices)
+                search_state._draw(pool, ctypes.addressof(bitgen), block, 1, 1)
+        assert rng.calls == ["random", "random"]  # the cut edge, the step from 7 to 6
+
+    @needs_helper
+    def test_a_stand_in_generator_gets_the_numpy_search(self, monkeypatch):
+        """C draws through numpy's function pointers; what has none is served
+        by the numpy search, pair by pair, and advanced exactly as it would be
+        without a compiler."""
+        graph = road_network_graph(10, 10, seed=5)
+        ours = make_sampler(graph, "compiled", monkeypatch)
+        theirs = make_sampler(graph, "bidirectional", monkeypatch)
+        real = np.random.default_rng(6)
+        stand_in, reference = StandInGenerator(6), StandInGenerator(6)
+        for draw in (
+            lambda sampler, rng: sampler.sample_batch(9, rng),
+            lambda sampler, rng: sampler.sample_pairs([0, 98, 5], [98, 0, 6], rng),
+            lambda sampler, rng: batch_of_one(sampler.sample(rng)),
+            lambda sampler, rng: batch_of_one(sampler.sample_path(3, 71, rng)),
+        ):
+            a, b, c = draw(ours, stand_in), draw(theirs, reference), draw(ours, real)
+            for field in BATCH_FIELDS:
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+                assert np.array_equal(getattr(a, field), getattr(c, field)), field
+            assert stand_in.calls == reference.calls
+            assert stand_in.rng.bit_generator.state == real.bit_generator.state
+        assert stand_in.calls.count("integers") == 2 * (9 + 1)
+        assert ours.pool.compiled is not None  # built for ``real``; the stand-in went past it
+
+
+def batch_of_one(sample):
+    """A ``PathSample`` with the field names of a batch."""
+    return SampleBatch(
+        sources=np.array([sample.source]),
+        targets=np.array([sample.target]),
+        connected=np.array([sample.connected]),
+        lengths=np.array([sample.length]),
+        edges_touched=np.array([sample.edges_touched]),
+        contrib_vertices=sample.internal_vertices,
+        contrib_indptr=np.array([0, sample.internal_vertices.size]),
+    )
 
 
 def _sample_digest(graph):
@@ -311,6 +390,21 @@ class TestWithoutTheHelper:
                 indptr, indices, pool, source, target, direct
             )
             assert (int(batch.lengths[i]), batch.contributions_of(i).tolist()) == (length, internal)
+        batch = sampler.sample_batch(12, rng)
+        for i in range(12):
+            source, target = sample_vertex_pair(graph.num_vertices, direct)
+            connected, length, internal, touched = bidirectional_sample(
+                indptr, indices, pool, source, target, direct
+            )
+            assert (source, target, connected, length, touched, internal) == (
+                int(batch.sources[i]),
+                int(batch.targets[i]),
+                bool(batch.connected[i]),
+                int(batch.lengths[i]),
+                int(batch.edges_touched[i]),
+                batch.contributions_of(i).tolist(),
+            )
+        assert rng.bit_generator.state == direct.bit_generator.state
 
     def test_no_compiler(self, tmp_path, reloading):
         reloading.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -335,6 +429,19 @@ class TestWithoutTheHelper:
     def test_failed_self_check(self, reloading):
         reloading.setattr(compiled, "weighted_index", lambda weights, total, rng: 0)
         self.check_fallback("self-check: weighted pick")
+
+    @needs_helper
+    def test_a_bounded_draw_off_by_one_takes_search_and_sweeps_with_it(self, reloading):
+        bind = compiled._bind
+
+        def bind_off_by_one(path):
+            library = bind(path)
+            bounded = library.repro_bounded
+            library.repro_bounded = lambda bitgen, bound: bounded(bitgen, bound) + 1
+            return library
+
+        reloading.setattr(compiled, "_bind", bind_off_by_one)
+        self.check_fallback("self-check: bounded draw below 2 from PCG64 differs from numpy's")
 
     @needs_helper
     def test_a_sweep_that_disagrees_takes_the_search_with_it(self, reloading):
