@@ -44,13 +44,7 @@ def _run_sequential(
 ) -> BetweennessResult:
     from repro.session import EstimationSession
 
-    return EstimationSession(
-        graph,
-        options,
-        progress=progress,
-        batch_size=resources.batch_size,
-        kernel=resources.kernel,
-    ).run()
+    return EstimationSession(graph, options, progress=progress, kernel=resources.kernel).run()
 
 
 def _run_ranks(
@@ -80,7 +74,6 @@ def _run_ranks(
             threads=threads,
             algorithm=algorithm,
             processes_per_node=resources.processes_per_node if algorithm == "epoch" else None,
-            batch_size=resources.batch_size,
             kernel=resources.kernel,
             progress=progress,
         )
@@ -132,13 +125,7 @@ def _run_rk(
     resources: Resources,
     progress: Optional[ProgressCallback],
 ) -> BetweennessResult:
-    return _RKBetweenness(
-        graph,
-        options,
-        progress=progress,
-        batch_size=resources.batch_size,
-        kernel=resources.kernel,
-    ).run()
+    return _RKBetweenness(graph, options, progress=progress, kernel=resources.kernel).run()
 
 
 def _run_exact(
@@ -187,7 +174,6 @@ def register_default_backends(*, replace: bool = False) -> None:
         "sequential",
         _run_sequential,
         description="Sequential KADABRA adaptive sampling (Section III)",
-        supports_batching=True,
         supports_kernels=True,
         supports_refinement=True,
         supports_updates=True,
@@ -200,7 +186,6 @@ def register_default_backends(*, replace: bool = False) -> None:
         _run_shared_memory,
         description="Epoch-based shared-memory KADABRA (state-of-the-art competitor)",
         supports_threads=True,
-        supports_batching=True,
         supports_kernels=True,
         cost_hint="adaptive-sampling",
         auto_rank=20,
@@ -212,7 +197,6 @@ def register_default_backends(*, replace: bool = False) -> None:
         description="Epoch-based MPI KADABRA, Algorithm 2 (optionally NUMA-aware)",
         supports_threads=True,
         supports_processes=True,
-        supports_batching=True,
         supports_kernels=True,
         cost_hint="adaptive-sampling",
         auto_rank=30,
@@ -223,7 +207,6 @@ def register_default_backends(*, replace: bool = False) -> None:
         _run_mpi_only,
         description="MPI-only KADABRA without multithreading, Algorithm 1",
         supports_processes=True,
-        supports_batching=True,
         supports_kernels=True,
         cost_hint="adaptive-sampling",
         auto_rank=40,
@@ -233,7 +216,6 @@ def register_default_backends(*, replace: bool = False) -> None:
         "rk",
         _run_rk,
         description="Riondato-Kornaropoulos fixed-sample-size approximation",
-        supports_batching=True,
         supports_kernels=True,
         cost_hint="fixed-sampling",
         auto_rank=50,

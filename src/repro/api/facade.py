@@ -130,12 +130,7 @@ def _resume_estimate(
     progress = tag_backend(combine_callbacks(callbacks), "sequential")
     start = time.perf_counter()
     try:
-        session = EstimationSession.restore(
-            resume_from,
-            graph=graph,
-            progress=progress,
-            batch_size=resources.batch_size if resources.batch_size != "auto" else None,
-        )
+        session = EstimationSession.restore(resume_from, graph=graph, progress=progress)
     except (SnapshotError, OSError) as exc:
         warnings.warn(
             f"cannot resume from {resume_from} ({exc}); running cold instead",
@@ -406,11 +401,7 @@ def _update_estimate(
     except LookupError as exc:
         return cold(str(exc))
     try:
-        session = EstimationSession.restore(
-            update_from,
-            progress=progress,
-            batch_size=resources.batch_size if resources.batch_size != "auto" else None,
-        )
+        session = EstimationSession.restore(update_from, progress=progress)
     except (SnapshotError, OSError) as exc:
         return cold(str(exc))
     if opts.seed is not None and session.seed is not None and opts.seed != session.seed:

@@ -58,9 +58,6 @@ class BackendSpec:
     supports_threads / supports_processes:
         Which dimensions of :class:`~repro.api.resources.Resources` the
         backend honours.
-    supports_batching:
-        Whether the backend honours ``Resources.batch_size`` (i.e. samples
-        through the batch-oriented kernels of :mod:`repro.kernels`).
     supports_kernels:
         Whether the backend honours ``Resources.kernel`` — a forced sampling
         kernel from the ABI registry (:mod:`repro.kernels.abi`).  Backends
@@ -99,7 +96,6 @@ class BackendSpec:
     exact: bool = False
     supports_threads: bool = False
     supports_processes: bool = False
-    supports_batching: bool = False
     supports_kernels: bool = False
     supports_refinement: bool = False
     supports_updates: bool = False
@@ -119,7 +115,6 @@ def register_backend(
     exact: bool = False,
     supports_threads: bool = False,
     supports_processes: bool = False,
-    supports_batching: bool = False,
     supports_kernels: bool = False,
     supports_refinement: bool = False,
     supports_updates: bool = False,
@@ -148,7 +143,6 @@ def register_backend(
         exact=exact,
         supports_threads=supports_threads,
         supports_processes=supports_processes,
-        supports_batching=supports_batching,
         supports_kernels=supports_kernels,
         supports_refinement=supports_refinement,
         supports_updates=supports_updates,
@@ -222,14 +216,13 @@ def select_backend(num_vertices: int, resources: Resources) -> BackendSpec:
 
 def format_backend_table() -> str:
     """A plain-text capability table of all registered backends."""
-    headers = ("name", "kind", "threads", "processes", "batching", "kernels", "refine", "updates", "cost", "description")
+    headers = ("name", "kind", "threads", "processes", "kernels", "refine", "updates", "cost", "description")
     rows = [
         (
             spec.name,
             "exact" if spec.exact else "approx",
             "yes" if spec.supports_threads else "no",
             "yes" if spec.supports_processes else "no",
-            "yes" if spec.supports_batching else "no",
             "yes" if spec.supports_kernels else "no",
             "yes" if spec.supports_refinement else "no",
             "yes" if spec.supports_updates else "no",

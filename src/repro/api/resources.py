@@ -25,16 +25,6 @@ class Resources:
     processes_per_node:
         If set, enables the NUMA-aware node-local pre-aggregation of
         Section IV-E for backends that support processes.
-    batch_size:
-        Sampling batch size for kernel-backed backends: ``"auto"`` (default,
-        adaptive ramp — small batches near stopping-condition checks, large
-        batches mid-epoch; see :mod:`repro.kernels.policy`) or a positive int
-        for a fixed batch size (``1`` reproduces per-sample driving).
-        Epoch-framework *worker threads* always clamp their batches to at
-        most :data:`repro.kernels.WORKER_BATCH` (16) so pending epoch
-        transitions are acknowledged promptly — an explicit larger value
-        only affects thread 0's bulk sampling and the non-epoch drivers.
-        Backends without batching support ignore it.
     kernel:
         Force a specific registered sampling kernel (see
         :mod:`repro.kernels.abi` and ``repro.cli --list-kernels``) instead of
@@ -46,7 +36,6 @@ class Resources:
     processes: int = 1
     threads: int = 1
     processes_per_node: Optional[int] = None
-    batch_size: Union[int, str] = "auto"
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -56,10 +45,6 @@ class Resources:
             raise ValueError("threads must be positive")
         if self.processes_per_node is not None and self.processes_per_node <= 0:
             raise ValueError("processes_per_node must be positive when given")
-        from repro.kernels import resolve_batch_size
-
-        # Validates and normalises (e.g. None -> "auto"); frozen dataclass.
-        object.__setattr__(self, "batch_size", resolve_batch_size(self.batch_size))
         if self.kernel is not None:
             from repro.kernels import get_kernel
 
@@ -78,8 +63,6 @@ class Resources:
         }
         if self.processes_per_node is not None:
             out["processes_per_node"] = self.processes_per_node
-        if self.batch_size != "auto":
-            out["batch_size"] = self.batch_size
         if self.kernel is not None:
             out["kernel"] = self.kernel
         return out

@@ -16,14 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.kadabra import make_sampler
+from repro.core.kadabra import capped_samples, diameter_bound, make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import OMEGA_CONSTANT
-from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
-from repro.kernels import plan_batches, resolve_batch_size
+from repro.kernels import plan_batches
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
 from repro.util.validation import check_positive, check_probability
@@ -58,14 +57,12 @@ class _RKBetweenness:
     graph: CSRGraph
     options: KadabraOptions = field(default_factory=KadabraOptions)
     progress: Optional[ProgressCallback] = None
-    batch_size: object = "auto"
     kernel: Optional[str] = None
 
     def run(self) -> BetweennessResult:
         graph = self.graph
         options = self.options
         progress = self.progress
-        batch_size = resolve_batch_size(self.batch_size)
         if graph.num_vertices < 2:
             return BetweennessResult(scores=np.zeros(graph.num_vertices), eps=options.eps, delta=options.delta)
         timer = PhaseTimer()
@@ -73,13 +70,8 @@ class _RKBetweenness:
         sampler = make_sampler(graph, options, kernel=self.kernel, pair_strategy="vectorized")
 
         with timer.phase("diameter"):
-            if options.vertex_diameter_override is not None:
-                vd = int(options.vertex_diameter_override)
-            else:
-                vd = max(vertex_diameter_upper_bound(graph, seed=options.seed), 2)
-        num_samples = rk_sample_size(options.eps, options.delta, vd)
-        if options.max_samples_override is not None:
-            num_samples = min(num_samples, int(options.max_samples_override))
+            vd = diameter_bound(graph, options)
+        num_samples = capped_samples(options, rk_sample_size(options.eps, options.delta, vd))
         if progress is not None:
             progress(ProgressEvent(phase="diameter", omega=num_samples))
 
@@ -87,7 +79,7 @@ class _RKBetweenness:
         block = max(1, options.samples_per_check)
         with timer.phase("sampling"):
             reported = 0
-            for take in plan_batches(num_samples, batch_size):
+            for take in plan_batches(num_samples):
                 frame.record_batch(sampler.sample_batch(take, rng))
                 done = frame.num_samples
                 if progress is not None and done // block > reported:

@@ -123,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help="threads per rank / shared-memory threads (default 1)"
     )
     parser.add_argument(
-        "--batch-size",
-        default="auto",
-        help="sampling batch size for kernel-backed backends: 'auto' (adaptive "
-        "ramp, default) or a positive integer (1 = per-sample driving)",
-    )
-    parser.add_argument(
         "--kernel",
         default=None,
         metavar="NAME",
@@ -356,11 +350,6 @@ def build_session_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint", required=True, help="where to write the session snapshot")
     run.add_argument("--top", type=int, default=10, help="number of top vertices to print")
     run.add_argument("--output", default=None, help="write the full result as JSON")
-    run.add_argument(
-        "--batch-size",
-        default="auto",
-        help="sampling batch size: 'auto' (default) or a positive integer",
-    )
     run.add_argument(
         "--no-cache",
         action="store_true",
@@ -1057,13 +1046,6 @@ def _cmd_session(argv: list) -> int:
         return 0
 
     if args.action == "run":
-        batch_size = args.batch_size
-        if batch_size != "auto":
-            try:
-                batch_size = int(batch_size)
-            except ValueError:
-                print(f"error: invalid --batch-size {batch_size!r}", file=sys.stderr)
-                return 2
         try:
             graph, num_components = _load_cli_graph(args.graph, use_cache=not args.no_cache)
         except (OSError, ValueError, StoreFormatError) as exc:
@@ -1072,10 +1054,7 @@ def _cmd_session(argv: list) -> int:
         if num_components is not None and num_components > 1:
             graph = largest_connected_component(graph)
         try:
-            session = open_session(
-                graph, algorithm="sequential", seed=args.seed,
-                resources=Resources(batch_size=batch_size),
-            )
+            session = open_session(graph, algorithm="sequential", seed=args.seed)
             start = time.perf_counter()
             result = session.run(args.eps, args.delta)
             elapsed = time.perf_counter() - start
@@ -1276,20 +1255,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         return 2
 
     # Validate the resource configuration before paying the graph-load cost.
-    batch_size = args.batch_size
-    if batch_size != "auto":
-        try:
-            batch_size = int(batch_size)
-        except ValueError:
-            print(f"error: invalid --batch-size {batch_size!r}", file=sys.stderr)
-            return 2
     try:
-        resources = Resources(
-            processes=args.processes,
-            threads=args.threads,
-            batch_size=batch_size,
-            kernel=args.kernel,
-        )
+        resources = Resources(processes=args.processes, threads=args.threads, kernel=args.kernel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

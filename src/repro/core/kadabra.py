@@ -1,9 +1,11 @@
-"""The one place a driver's path sampler is built.
+"""The one place a driver's path sampler and its sample bounds are built.
 
 The sequential session (:mod:`repro.session`), the rank engine
 (:mod:`repro.parallel.engine`), the RK baseline, :mod:`repro.evolve` and the
 cluster cost model all call :func:`make_sampler`; nothing else constructs a
-:class:`~repro.kernels.BatchPathSampler`.
+:class:`~repro.kernels.BatchPathSampler`.  The same drivers take their phase-1
+vertex-diameter bound from :func:`diameter_bound` and clamp their sample
+bound with :func:`capped_samples`.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.options import KadabraOptions
+from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
+from repro.graph.traversal import sweep_path
 from repro.kernels import BatchPathSampler
 
-__all__ = ["make_sampler"]
+__all__ = ["capped_samples", "diameter_bound", "make_sampler"]
 
 
 def make_sampler(
@@ -45,3 +49,22 @@ def make_sampler(
     if kernel is None and not options.use_bidirectional_bfs:
         kernel = "unidirectional"
     return BatchPathSampler(graph, kernel=kernel, pair_strategy=pair_strategy)
+
+
+def diameter_bound(graph: CSRGraph, options: KadabraOptions, span=None) -> int:
+    """Phase 1: ``options.vertex_diameter_override``, else the sweep bound (at least 2).
+
+    ``span``, when given, records which BFS sweep (compiled or numpy) ran.
+    """
+    if options.vertex_diameter_override is not None:
+        return int(options.vertex_diameter_override)
+    if span is not None:
+        span.set("sweep", sweep_path(graph))
+    return max(vertex_diameter_upper_bound(graph, seed=options.seed), 2)
+
+
+def capped_samples(options: KadabraOptions, bound: int) -> int:
+    """A sample bound (``omega``, or RK's fixed count) clamped by ``options.max_samples_override``."""
+    if options.max_samples_override is None:
+        return bound
+    return min(bound, int(options.max_samples_override))

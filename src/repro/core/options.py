@@ -31,8 +31,9 @@ class KadabraOptions:
         selects the default heuristic (a fraction of ``omega``).
     samples_per_check:
         Base number of samples taken between stopping-condition checks for a
-        single worker (the ``n0`` constant); the distributed drivers scale it
-        as ``n0 * (P*T)**1.33`` following Section IV-D.
+        single worker (the ``n0`` constant); the parallel drivers shorten it
+        to ``n0 / (P*T)**epoch_exponent`` following Section IV-D (see
+        :mod:`repro.parallel.epoch_length`).
     epoch_exponent:
         The exponent of the epoch-length rule (1.33 in the paper).
     max_samples_override:

@@ -55,8 +55,8 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.kadabra import diameter_bound
 from repro.core.result import BetweennessResult
-from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import UNREACHED, bfs_distances
 from repro.obs import trace as obs_trace
@@ -191,14 +191,10 @@ def _obtain_session(
     source: Union[EstimationSession, PathLike],
     parent_graph: Optional[CSRGraph],
     progress,
-    batch_size,
 ) -> EstimationSession:
     if isinstance(source, EstimationSession):
         return source
-    kwargs = {"graph": parent_graph, "progress": progress}
-    if batch_size is not None:
-        kwargs["batch_size"] = batch_size
-    return EstimationSession.restore(source, **kwargs)
+    return EstimationSession.restore(source, graph=parent_graph, progress=progress)
 
 
 def update_session(
@@ -211,7 +207,6 @@ def update_session(
     threshold: float = 0.5,
     parent_graph: Optional[CSRGraph] = None,
     progress=None,
-    batch_size=None,
 ) -> Tuple[EstimationSession, UpdateReport]:
     """Carry a parent session over an edge delta onto the mutated graph.
 
@@ -254,7 +249,6 @@ def update_session(
             threshold=threshold,
             parent_graph=parent_graph,
             progress=progress,
-            batch_size=batch_size,
         )
         if sp:
             sp.set("invalidated_fraction", report.invalidated_fraction)
@@ -272,11 +266,10 @@ def _update_session_impl(
     threshold: float = 0.5,
     parent_graph: Optional[CSRGraph] = None,
     progress=None,
-    batch_size=None,
 ) -> Tuple[EstimationSession, UpdateReport]:
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    session = _obtain_session(source, parent_graph, progress, batch_size)
+    session = _obtain_session(source, parent_graph, progress)
     if not session.supports_refinement:
         raise EvolveError(
             f"backend {session.algorithm!r} sessions are not update-refinable"
@@ -363,11 +356,7 @@ def _update_session_impl(
     # then the standard calibrate / align / check-draw loop.
     # -------------------------------------------------------------- #
     with timer.phase("diameter"):
-        if session.options.vertex_diameter_override is not None:
-            vd = int(session.options.vertex_diameter_override)
-        else:
-            vd = max(vertex_diameter_upper_bound(graph, seed=session.options.seed), 2)
-        session._vd = vd
+        vd = session._vd = diameter_bound(graph, session.options)
     schedule = session._schedule(eps, delta)
     session._omega = schedule.omega
     session._emit(phase="diameter", omega=schedule.omega)
@@ -389,10 +378,6 @@ def _update_session_impl(
     )
 
     with timer.phase("adaptive_sampling"):
-        tau = session.num_samples
-        aligned = schedule.next_boundary(tau)
-        if aligned > tau:
-            session._draw(aligned - tau, session._rng)
         session._advance_to_stop(schedule)
 
     session._eps, session._delta = eps, delta

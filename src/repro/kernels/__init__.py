@@ -39,10 +39,7 @@ from repro.kernels.policy import (
     MAX_AUTO_BATCH,
     MIN_AUTO_BATCH,
     WORKER_BATCH,
-    kernel_batch_cap,
     plan_batches,
-    resolve_batch_size,
-    worker_batch_size,
 )
 from repro.kernels.scratch import ScratchPool, ScratchSlab, gather_csr
 from repro.kernels.unidirectional import unidirectional_sample
@@ -65,13 +62,10 @@ __all__ = [
     "format_kernel_table",
     "gather_csr",
     "get_kernel",
-    "kernel_batch_cap",
     "kernel_names",
     "plan_batches",
     "register_kernel",
-    "resolve_batch_size",
     "resolve_kernel",
     "unidirectional_sample",
     "weighted_index",
-    "worker_batch_size",
 ]

@@ -60,9 +60,6 @@ class KernelSpec:
     stream_compatible:
         True when the kernel consumes the RNG bit-identically to the
         reference samplers (:mod:`repro.sampling._reference`).
-    preferred_batch:
-        Batch-size hint for :func:`repro.kernels.policy.kernel_batch_cap`:
-        batch-native kernels amortise best at whole-slab batches.
     make_per_pair:
         ``make_per_pair(indptr, indices) -> (kernel_fn, op_indptr,
         op_indices)`` for per-pair kernels: returns the callable with the
@@ -78,7 +75,6 @@ class KernelSpec:
     description: str = ""
     batch_native: bool = False
     stream_compatible: bool = True
-    preferred_batch: Optional[int] = None
     make_per_pair: Optional[Callable] = field(repr=False, default=None)
     make_batch: Optional[Callable] = field(repr=False, default=None)
 
@@ -259,7 +255,6 @@ for _spec in (
         description="cross-sample SoA wavefront (K pairs per numpy call)",
         batch_native=True,
         stream_compatible=False,
-        preferred_batch=2048,
         make_batch=_make_wavefront,
     ),
 ):

@@ -232,11 +232,6 @@ class BatchPathSampler:
         return self._spec.name
 
     @property
-    def kernel_spec(self):
-        """The resolved :class:`~repro.kernels.abi.KernelSpec`."""
-        return self._spec
-
-    @property
     def compiled(self) -> bool:
         """Whether the search runs in the compiled helper (:mod:`repro.kernels.compiled`)."""
         return self._kernel is compiled_sample

@@ -46,14 +46,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import calibrate_deltas, calibration_sample_count
-from repro.core.kadabra import make_sampler
+from repro.core.kadabra import capped_samples, diameter_bound, make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import StoppingCondition, compute_omega
-from repro.diameter import vertex_diameter_upper_bound
-from repro.graph.traversal import sweep_path
-from repro.kernels import BatchPathSampler, plan_batches, resolve_batch_size, worker_batch_size
+from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
 from repro.mpi.topology import NodeTopology, build_topology
@@ -111,25 +109,24 @@ def _worker_loop(
     manager: EpochManager,
     pool: FramePool,
     sample_counter: List[int],
-    batch: int,
     failures: List[BaseException],
 ) -> None:
     """Body of sampling threads ``t != 0`` (lines 5-9 of Algorithm 2).
 
-    Samples are drawn in small batches (:func:`repro.kernels.
-    worker_batch_size`): large enough to amortise per-sample overhead, small
-    enough that pending epoch transitions are acknowledged promptly —
-    ``check_transition`` runs between batches, so a frame is only ever
-    written by its owner inside one epoch, exactly as in the scalar protocol.
-    An exception ends the thread and is left in ``failures`` for thread 0,
-    which would otherwise wait forever for this thread's next transition.
+    Samples are drawn in small batches (:data:`repro.kernels.WORKER_BATCH`):
+    large enough to amortise per-sample overhead, small enough that pending
+    epoch transitions are acknowledged promptly — ``check_transition`` runs
+    between batches, so a frame is only ever written by its owner inside one
+    epoch, exactly as in the scalar protocol.  An exception ends the thread
+    and is left in ``failures`` for thread 0, which would otherwise wait
+    forever for this thread's next transition.
     """
     try:
         epoch = 0
         frame = pool.frame(thread_index, epoch)
         while not manager.terminated:
-            frame.record_batch(sampler.sample_batch(batch, rng))
-            sample_counter[thread_index] += batch
+            frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
+            sample_counter[thread_index] += WORKER_BATCH
             if manager.check_transition(thread_index, epoch):
                 epoch += 1
                 frame = pool.reset_for_epoch(thread_index, epoch)
@@ -151,7 +148,6 @@ def adaptive_sampling_epochs(
     max_epochs: Optional[int] = None,
     on_epoch: Optional[Callable[[int, int], None]] = None,
     on_aggregate: Optional[Callable[[int, StateFrame], None]] = None,
-    batch_size="auto",
 ) -> EpochStats:
     """Run the adaptive-sampling epoch loop on this rank.
 
@@ -192,13 +188,12 @@ def adaptive_sampling_epochs(
         aggregate ``S`` (before the stopping rule).  This is the epoch
         boundary the distributed runtime checkpoints at: the frame passed is
         the live aggregate, so the hook must copy what it keeps.
-    batch_size:
-        Sampling batch size (``"auto"`` or a positive int).  Thread 0 draws
-        its ``n0`` bulk samples in adaptively sized batches and keeps
-        single-sample batches in the overlap loops (where transitions,
-        barriers, reductions and broadcasts are polled between samples);
-        worker threads use the small constant worker batch so they
-        acknowledge epoch transitions promptly.
+
+    Thread 0 draws its ``n0`` bulk samples in :func:`repro.kernels.plan_batches`
+    batches and single samples in the overlap loops (where transitions,
+    barriers, reductions and broadcasts are polled between samples); worker
+    threads draw :data:`repro.kernels.WORKER_BATCH` at a time so they
+    acknowledge epoch transitions promptly.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError("algorithm must be 'epoch' or 'mpi-only'")
@@ -210,7 +205,6 @@ def adaptive_sampling_epochs(
         raise ValueError("samples_per_epoch must be positive")
     if len(rngs) < num_threads:
         raise ValueError("need one RNG per thread")
-    batch_size = resolve_batch_size(batch_size)
 
     num_vertices = condition.num_vertices
     timer = PhaseTimer()
@@ -228,11 +222,10 @@ def adaptive_sampling_epochs(
     local_comm = topology.local if topology is not None else None
     reduce_comm = topology.global_ if topology is not None else comm
 
-    worker_batch = worker_batch_size(batch_size)
     workers = [
         threading.Thread(
             target=_worker_loop,
-            args=(t, sampler_factory(t), rngs[t], manager, pool, sample_counter, worker_batch, failures),
+            args=(t, sampler_factory(t), rngs[t], manager, pool, sample_counter, failures),
             daemon=True,
         )
         for t in range(1, num_threads)
@@ -266,7 +259,7 @@ def adaptive_sampling_epochs(
             current_frame = pool.frame(0, epoch)
             # Lines 12-13: n0 samples by thread 0, in adaptive batches.
             with timer.phase("sampling"):
-                for take in plan_batches(samples_per_epoch, batch_size):
+                for take in plan_batches(samples_per_epoch):
                     current_frame.record_batch(sampler0.sample_batch(take, rng0))
                     sample_counter[0] += take
             # Lines 14-15: force the epoch transition, sampling while waiting.
@@ -341,7 +334,6 @@ def run_rank(
     threads: int = 1,
     algorithm: str = "epoch",
     processes_per_node: Optional[int] = None,
-    batch_size="auto",
     kernel: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
     max_epochs: Optional[int] = None,
@@ -368,8 +360,8 @@ def run_rank(
     processes_per_node:
         If set, enables the NUMA-aware split: ranks are grouped into compute
         nodes of this size and state frames are pre-aggregated node-locally.
-    batch_size, kernel:
-        Sampling batch size and forced kernel; see :mod:`repro.kernels`.
+    kernel:
+        Forced sampling kernel; see :mod:`repro.kernels`.
     progress:
         Optional progress callback, invoked at rank 0 after the diameter and
         calibration phases and after each aggregation epoch.
@@ -388,7 +380,6 @@ def run_rank(
         raise ValueError("algorithm must be 'epoch' or 'mpi-only'")
     if processes_per_node is not None and processes_per_node <= 0:
         raise ValueError("processes_per_node must be positive when given")
-    batch_size = resolve_batch_size(batch_size)
     rank = comm.rank
     sampling_threads = threads if algorithm == "epoch" else 1
     if graph.num_vertices < 2:
@@ -422,17 +413,9 @@ def run_rank(
         # non-root spans root their own per-rank trees; rank 0 nests beneath
         # the facade's "estimate" span as usual.
         with timer.phase("diameter"), obs_trace.span("diameter", rank=rank) as sp:
-            vd = None
-            if comm.is_root:
-                if options.vertex_diameter_override is not None:
-                    vd = int(options.vertex_diameter_override)
-                else:
-                    sp.set("sweep", sweep_path(graph))
-                    vd = max(vertex_diameter_upper_bound(graph, seed=options.seed), 2)
+            vd = diameter_bound(graph, options, sp) if comm.is_root else None
             vd = int(comm.bcast(vd, root=0))
-        omega = compute_omega(options.eps, options.delta, vd)
-        if options.max_samples_override is not None:
-            omega = min(omega, int(options.max_samples_override))
+        omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
         emit("diameter")
 
         # ---------------- Phase 2: calibration ---------------------------- #
@@ -448,7 +431,7 @@ def run_rank(
             # phase (slots 1..T) never replays the calibration sample stream.
             rng = rng_for_rank_thread(options.seed, rank, 0, num_threads=threads + 1)
             local_frame = StateFrame.zeros(graph.num_vertices)
-            for take in plan_batches(int(math.ceil(total_calibration / comm.size)), batch_size):
+            for take in plan_batches(int(math.ceil(total_calibration / comm.size))):
                 local_frame.record_batch(sampler.sample_batch(take, rng))
             initial_frame = comm.reduce(local_frame, op="sum", root=0)
             payload = None
@@ -500,7 +483,6 @@ def run_rank(
                 "adaptive_sampling", epoch=epoch, num_samples=num_samples
             ),
             on_aggregate=fold_hook,
-            batch_size=batch_size,
         )
     for phase, seconds in stats.phase_seconds.items():
         timer.add(f"ads_{phase}", seconds)

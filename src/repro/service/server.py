@@ -355,7 +355,6 @@ class BetweennessService:
                     "exact": spec.exact,
                     "supports_threads": spec.supports_threads,
                     "supports_processes": spec.supports_processes,
-                    "supports_batching": spec.supports_batching,
                     "supports_refinement": spec.supports_refinement,
                     "supports_updates": spec.supports_updates,
                     "cost_hint": spec.cost_hint,

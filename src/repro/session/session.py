@@ -56,16 +56,14 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.calibration import calibrate_deltas, calibration_sample_count
-from repro.core.kadabra import make_sampler
+from repro.core.kadabra import capped_samples, diameter_bound, make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import CheckSchedule, StoppingCondition, compute_omega
 from repro.core.topk import TopKResult, confidence_bounds, identify_top_k
-from repro.diameter import vertex_diameter_upper_bound
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import sweep_path
-from repro.kernels import kernel_batch_cap, kernel_names, plan_batches, resolve_batch_size
+from repro.kernels import kernel_names, plan_batches
 from repro.obs import trace as obs_trace
 from repro.session.sample_log import SampleLog
 from repro.session.snapshot import (
@@ -76,6 +74,7 @@ from repro.session.snapshot import (
 )
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
+from repro.util.validation import check_positive, check_probability
 
 __all__ = [
     "ConfidenceEstimate",
@@ -102,6 +101,10 @@ _REQUIRED_META = (
 )
 
 _SNAPSHOT_KIND = "repro-estimation-session"
+
+#: What a CRC-clean snapshot carrying a value of the wrong type or range
+#: raises while it is parsed; ``restore`` reports all of them as SnapshotError.
+_MALFORMED = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
 
 
 class SessionStateError(RuntimeError):
@@ -149,13 +152,26 @@ class ConfidenceEstimate:
 
 def _rng_from_state(state: Dict[str, object]) -> np.random.Generator:
     """Rebuild a :class:`numpy.random.Generator` from a saved state dict."""
-    name = state.get("bit_generator")
-    try:
-        bit_generator = getattr(np.random, str(name))()
-    except (AttributeError, TypeError):
-        raise SnapshotError(f"unknown bit generator {name!r} in snapshot") from None
+    name = state.get("bit_generator") if isinstance(state, dict) else None
+    kind = getattr(np.random, str(name), None)
+    concrete = isinstance(kind, type) and issubclass(kind, np.random.BitGenerator)
+    if not concrete or kind is np.random.BitGenerator:
+        raise ValueError(f"unknown bit generator {name!r}")
+    bit_generator = kind()
     bit_generator.state = state
     return np.random.Generator(bit_generator)
+
+
+def _json_object(meta: Dict[str, object], key: str) -> Dict[str, object]:
+    """``meta[key]``, which a snapshot writes as a JSON object."""
+    value = meta[key]
+    if not isinstance(value, dict):
+        raise TypeError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _optional_int(value) -> Optional[int]:
+    return None if value is None else int(value)
 
 
 def _jsonable_rng_state(rng: np.random.Generator) -> Dict[str, object]:
@@ -196,7 +212,6 @@ class EstimationSession:
         options: Optional[KadabraOptions] = None,
         *,
         progress: Optional[ProgressCallback] = None,
-        batch_size: object = "auto",
         kernel: Optional[str] = None,
         _spec=None,
         _resources=None,
@@ -208,7 +223,6 @@ class EstimationSession:
         self._graph = graph
         self._options = options if options is not None else KadabraOptions()
         self._progress = progress
-        self._batch_size = resolve_batch_size(batch_size)
         # Resolved once: what the sampler is built with, here and after a
         # restore or a graph update, and what the checkpoint records.
         self._kernel = kernel if kernel is not None else getattr(_resources, "kernel", None)
@@ -333,9 +347,7 @@ class EstimationSession:
         return self._options.with_(**changes) if changes else self._options
 
     def _schedule(self, eps: float, delta: float) -> CheckSchedule:
-        omega = compute_omega(eps, delta, self._vd)
-        if self._options.max_samples_override is not None:
-            omega = min(omega, int(self._options.max_samples_override))
+        omega = capped_samples(self._options, compute_omega(eps, delta, self._vd))
         return CheckSchedule(
             calibration_samples=calibration_sample_count(
                 self._options.calibration_samples, omega, self._graph.num_vertices
@@ -346,8 +358,7 @@ class EstimationSession:
 
     def _draw(self, count: int, rng, *, into_calibration: Optional[StateFrame] = None) -> None:
         """Draw ``count`` samples from ``rng`` into the aggregate frame."""
-        cap = kernel_batch_cap(self._sampler)
-        for take in plan_batches(count, self._batch_size, cap=cap):
+        for take in plan_batches(count):
             batch = self._sampler.sample_batch(take, rng)
             self._frame.record_batch(batch)
             if self._sample_log is not None:
@@ -429,14 +440,7 @@ class EstimationSession:
         timer = PhaseTimer()
 
         with timer.phase("diameter"), obs_trace.span("diameter") as sp:
-            if self._options.vertex_diameter_override is not None:
-                self._vd = int(self._options.vertex_diameter_override)
-            else:
-                sp.set("sweep", sweep_path(self._graph))
-                self._vd = max(
-                    vertex_diameter_upper_bound(self._graph, seed=self._options.seed),
-                    2,
-                )
+            self._vd = diameter_bound(self._graph, self._options, sp)
             sp.set("vertex_diameter", self._vd)
         schedule = self._schedule(target.eps, target.delta)
         self._omega = schedule.omega
@@ -473,12 +477,20 @@ class EstimationSession:
         )
 
     def _advance_to_stop(self, schedule: CheckSchedule) -> None:
-        """The check/draw loop shared by ``run`` and ``refine``.
+        """The check/draw loop shared by ``run``, ``refine`` and graph updates.
 
-        On entry the aggregate frame sits on a check boundary of
-        ``schedule``; each iteration evaluates the stopping rule and draws
+        First draws forward to the first check boundary of ``schedule`` at or
+        past the live position (a no-op in ``run``, whose calibration ends on
+        the first boundary).  Boundaries strictly before that position were
+        decided by the looser certificate already (monotone guarantees: the
+        tighter rule cannot fire before the looser one did), so skipping them
+        is safe.  Then each iteration evaluates the stopping rule and draws
         exactly one block — the same decisions a one-shot run makes.
         """
+        tau = self._frame.num_samples
+        aligned = schedule.next_boundary(tau)
+        if aligned > tau:
+            self._draw(aligned - tau, self._rng)
         while True:
             with obs_trace.span("stopping", epoch=self._checks) as sp:
                 stop = self._condition.should_stop(self._frame)
@@ -560,7 +572,7 @@ class EstimationSession:
             replay_until = min(new_c, reused)
             if replay_until > old_c:
                 replay_rng = _rng_from_state(self._calibration_rng_state)
-                for take in plan_batches(replay_until - old_c, self._batch_size):
+                for take in plan_batches(replay_until - old_c):
                     self._calibration_frame.record_batch(
                         self._sampler.sample_batch(take, replay_rng)
                     )
@@ -581,15 +593,6 @@ class EstimationSession:
         with timer.phase("adaptive_sampling"), obs_trace.span(
             "adaptive_sampling", omega=schedule.omega
         ):
-            # Realign with the cold run's check grid, then continue the
-            # standard loop.  Boundaries strictly before the current position
-            # were decided by the looser certificate already (monotone
-            # guarantees: the tighter rule cannot fire before the looser one
-            # did), so drawing straight to the next shared boundary is safe.
-            tau = self._frame.num_samples
-            aligned = schedule.next_boundary(tau)
-            if aligned > tau:
-                self._draw(aligned - tau, self._rng)
             self._advance_to_stop(schedule)
 
         self._eps, self._delta = target.eps, target.delta
@@ -694,7 +697,6 @@ class EstimationSession:
             "created_at": time.time(),
             "graph": self._graph_identity(),
             "options": asdict(self._options),
-            "batch_size": self._batch_size,
             "kernel": self._kernel,
             "achieved": {"eps": self._eps, "delta": self._delta},
             "omega": self._omega,
@@ -727,44 +729,48 @@ class EstimationSession:
         *,
         graph: Optional[CSRGraph] = None,
         progress: Optional[ProgressCallback] = None,
-        batch_size: object = None,
     ) -> "EstimationSession":
         """Rebuild a session from a :meth:`checkpoint` snapshot.
 
         ``graph`` may be passed explicitly (it is validated against the
         recorded identity); otherwise the graph is re-opened from the
         recorded ``source_path`` — which is how a refinement worker in
-        another process resumes against the shared ``.rcsr`` store.
+        another process resumes against the shared ``.rcsr`` store.  A file
+        that is not a complete, well-formed snapshot raises
+        :class:`SnapshotError`; keys this version does not read (such as the
+        batch size older versions recorded) are ignored.
         """
         with obs_trace.span("session.restore"):
-            return cls._restore_from(
-                path, graph=graph, progress=progress, batch_size=batch_size
-            )
+            meta, arrays = read_snapshot(path)
+            require_keys(meta, _REQUIRED_META, path)
+            if meta.get("kind") != _SNAPSHOT_KIND:
+                raise SnapshotError(f"{path}: not an estimation-session snapshot")
+            if graph is None:
+                identity = meta["graph"]
+                source = identity.get("source_path") if isinstance(identity, dict) else None
+                if not source or not isinstance(source, str):
+                    raise SnapshotError(
+                        f"{path}: snapshot records no graph source path; pass the "
+                        "graph explicitly to restore()"
+                    )
+                from repro.store import load_graph
+
+                graph = load_graph(source)
+            try:
+                session = cls._from_meta(path, meta, arrays, graph, progress)
+            except SnapshotError:
+                raise
+            except _MALFORMED as exc:
+                raise SnapshotError(f"{path}: malformed snapshot metadata: {exc}") from None
+            session._ensure_engine()
+            return session
 
     @classmethod
-    def _restore_from(
-        cls,
-        path: PathLike,
-        *,
-        graph: Optional[CSRGraph] = None,
-        progress: Optional[ProgressCallback] = None,
-        batch_size: object = None,
+    def _from_meta(
+        cls, path: PathLike, meta: dict, arrays: dict, graph: CSRGraph, progress
     ) -> "EstimationSession":
-        meta, arrays = read_snapshot(path)
-        require_keys(meta, _REQUIRED_META, path)
-        if meta.get("kind") != _SNAPSHOT_KIND:
-            raise SnapshotError(f"{path}: not an estimation-session snapshot")
-        identity = meta["graph"]
-        if graph is None:
-            source = identity.get("source_path")
-            if not source:
-                raise SnapshotError(
-                    f"{path}: snapshot records no graph source path; pass the "
-                    "graph explicitly to restore()"
-                )
-            from repro.store import load_graph
-
-            graph = load_graph(source)
+        """The session a snapshot's metadata and arrays describe, over ``graph``."""
+        identity = _json_object(meta, "graph")
         if int(graph.num_vertices) != int(identity["num_vertices"]):
             raise SnapshotError(
                 f"{path}: graph mismatch (snapshot has {identity['num_vertices']} "
@@ -794,55 +800,40 @@ class EstimationSession:
                     f"the graph ({graph.num_vertices} vertices)"
                 )
 
-        try:
-            options = KadabraOptions(**meta["options"])
-        except (TypeError, ValueError) as exc:
-            raise SnapshotError(f"{path}: invalid options in snapshot: {exc}") from None
-
         kernel = meta.get("kernel")
         if kernel is not None and kernel not in kernel_names():
             raise SnapshotError(f"{path}: snapshot names unknown kernel {kernel!r}")
 
-        session = cls(
-            graph,
-            options,
-            progress=progress,
-            batch_size=meta.get("batch_size", "auto") if batch_size is None else batch_size,
-            kernel=kernel,
-        )
+        options = KadabraOptions(**_json_object(meta, "options"))
+        session = cls(graph, options, progress=progress, kernel=kernel)
         session._ran = True
-        achieved = meta["achieved"]
-        session._eps = achieved.get("eps")
-        session._delta = achieved.get("delta")
-        session._omega = None if meta["omega"] is None else int(meta["omega"])
-        session._vd = (
-            None if meta["vertex_diameter"] is None else int(meta["vertex_diameter"])
-        )
+        achieved = _json_object(meta, "achieved")
+        eps, delta = achieved.get("eps"), achieved.get("delta")
+        session._eps = None if eps is None else check_positive(eps, "eps")
+        session._delta = None if delta is None else check_probability(delta, "delta")
+        session._omega = _optional_int(meta["omega"])
+        session._vd = _optional_int(meta["vertex_diameter"])
         session._checks = int(meta["checks"])
-        session._frame = StateFrame.from_scalar_state(meta["frame"], arrays["counts"])
+        session._frame = StateFrame.from_scalar_state(_json_object(meta, "frame"), arrays["counts"])
+        calibration = _json_object(meta, "calibration")
         session._calibration_frame = StateFrame.from_scalar_state(
-            meta["calibration"], arrays["calibration_counts"]
+            calibration, arrays["calibration_counts"]
         )
-        session._calibration_rng_state = meta["calibration"].get("rng_state")
+        session._calibration_rng_state = calibration.get("rng_state")
+        if session._calibration_rng_state is not None:
+            _rng_from_state(session._calibration_rng_state)  # refine replays from it
         # Pre-log snapshots restore fine; the session just is not
         # update-refinable (repro.evolve requires the per-sample log).
         session._sample_log = None
         if isinstance(meta.get("sample_log"), dict):
-            try:
-                log = SampleLog.from_snapshot_arrays(arrays)
-            except (KeyError, ValueError) as exc:
-                raise SnapshotError(f"{path}: invalid sample log: {exc}") from None
+            log = SampleLog.from_snapshot_arrays(arrays)
             if log.num_samples != session._frame.num_samples:
                 raise SnapshotError(
                     f"{path}: sample log holds {log.num_samples} samples but the "
                     f"frame holds {session._frame.num_samples}"
                 )
             session._sample_log = log
-        try:
-            session._rng = _rng_from_state(meta["rng_state"])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise SnapshotError(f"{path}: invalid RNG state: {exc}") from None
-        session._ensure_engine()
+        session._rng = _rng_from_state(meta["rng_state"])
         # Recompute the stopping state instead of storing 2n more floats: the
         # calibration is a deterministic function of the stored frame.
         if (
@@ -911,7 +902,6 @@ def open_session(
         graph,
         opts,
         progress=progress,
-        batch_size=resources.batch_size,
         _spec=spec,
         _resources=resources,
     )

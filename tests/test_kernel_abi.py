@@ -30,14 +30,12 @@ from repro.kernels import (
     describe_routing,
     format_kernel_table,
     get_kernel,
-    kernel_batch_cap,
     kernel_names,
     plan_batches,
     resolve_kernel,
 )
 from repro.kernels import abi
 from repro.kernels.bidirectional import bidirectional_sample
-from repro.kernels.policy import MAX_AUTO_BATCH
 from repro.kernels.smallgraph import (
     SMALL_GRAPH_ENTRY_LIMIT,
     SMALL_GRAPH_VERTEX_LIMIT,
@@ -187,14 +185,6 @@ class TestRouting:
         assert sampler.compiled == (auto == "bidirectional")
         forced = BatchPathSampler(small_social_graph, kernel="smallgraph")
         assert forced.kernel_name == "smallgraph"
-
-    def test_kernel_batch_cap(self, small_social_graph):
-        assert kernel_batch_cap(None) == MAX_AUTO_BATCH
-        assert kernel_batch_cap(BatchPathSampler(small_social_graph)) == MAX_AUTO_BATCH
-        wavefront = BatchPathSampler(small_social_graph, kernel="wavefront")
-        assert kernel_batch_cap(wavefront) == max(
-            MAX_AUTO_BATCH, get_kernel("wavefront").preferred_batch
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -357,9 +347,6 @@ class TestPlanBatchesEdgeCases:
     def test_total_smaller_than_first_batch(self):
         assert list(plan_batches(10)) == [10]
         assert list(plan_batches(1)) == [1]
-
-    def test_explicit_batch_size_one(self):
-        assert list(plan_batches(5, 1)) == [1, 1, 1, 1, 1]
 
     def test_zero_total_yields_nothing(self):
         assert list(plan_batches(0)) == []

@@ -24,9 +24,7 @@ from repro.kernels import (
     ScratchPool,
     gather_csr,
     plan_batches,
-    resolve_batch_size,
     weighted_index,
-    worker_batch_size,
 )
 from repro.sampling import draw_vertex_pairs
 from repro.sampling._reference import (
@@ -131,13 +129,10 @@ class TestScratchPool:
 
 
 class TestBatchPolicy:
-    def test_resolve(self):
-        assert resolve_batch_size("auto") == "auto"
-        assert resolve_batch_size(None) == "auto"
-        assert resolve_batch_size(5) == 5
-        for bad in (0, -1, 1.5, "big", True):
+    def test_invalid_batch_size_rejected(self):
+        for bad in (0, -1, 1.5, "big", True, None):
             with pytest.raises(ValueError):
-                resolve_batch_size(bad)
+                list(plan_batches(10, bad))
 
     def test_plan_batches_sums_exactly(self):
         for total in (0, 1, 31, 32, 33, 1000, 12345):
@@ -153,11 +148,6 @@ class TestBatchPolicy:
 
     def test_fixed_batch_size(self):
         assert list(plan_batches(10, 4)) == [4, 4, 2]
-
-    def test_worker_batch_small(self):
-        assert worker_batch_size("auto") == 16
-        assert worker_batch_size(4) == 4
-        assert worker_batch_size(1024) == 16
 
 
 class TestWeightedIndexBitCompat:
@@ -374,7 +364,7 @@ class TestFacadeEquivalence:
 
     The digests below were captured at the pre-kernel commit (PR 2 head) by
     running exactly these calls; the refactored pipeline must reproduce them
-    bit for bit, and must be invariant under the batch size.
+    bit for bit.
     """
 
     KW = dict(eps=0.1, delta=0.1, seed=42, calibration_samples=200, max_samples_override=4000)
@@ -409,32 +399,3 @@ class TestFacadeEquivalence:
         )
         assert result.num_samples == 1200
         assert self._digest(result.scores) == self.SM_DIGEST
-
-    @pytest.mark.parametrize("batch_size", [1, 7, 256, "auto"])
-    def test_estimates_invariant_under_batch_size(self, example_graph, batch_size):
-        result = estimate_betweenness(
-            example_graph,
-            algorithm="sequential",
-            resources=Resources(batch_size=batch_size),
-            **self.KW,
-        )
-        assert self._digest(result.scores) == self.SEQ_DIGEST
-
-    def test_batch_size_echoed_in_resources(self, small_social_graph):
-        result = estimate_betweenness(
-            small_social_graph,
-            algorithm="sequential",
-            resources=Resources(batch_size=64),
-            eps=0.3,
-            seed=1,
-            max_samples_override=200,
-            calibration_samples=50,
-        )
-        assert result.resources["batch_size"] == 64
-
-    def test_registry_exposes_batching_capability(self):
-        from repro.api import get_backend
-
-        for name in ("sequential", "shared-memory", "distributed", "mpi-only", "rk"):
-            assert get_backend(name).supports_batching
-        assert not get_backend("exact").supports_batching

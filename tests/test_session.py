@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Resources, estimate_betweenness, get_backend
 from repro.core.calibration import calibration_sample_count
@@ -326,6 +327,20 @@ class TestCheckpointRestore:
         with pytest.raises(SessionStateError, match="checkpoint"):
             session.checkpoint(tmp_path / "early.snap")
 
+    def test_older_snapshot_with_batch_size_refines_bit_identically(self, example_graph, tmp_path):
+        """Older versions recorded a ``batch_size`` meta key; restore ignores it."""
+        session = open_session(example_graph, seed=42)
+        session.run(0.1, 0.1)
+        snap = tmp_path / "older.snap"
+        session.checkpoint(snap)
+        meta, arrays = read_snapshot(snap)
+        assert "batch_size" not in meta
+        write_snapshot(snap, {**meta, "batch_size": 64}, arrays)
+
+        refined = EstimationSession.restore(snap, graph=example_graph).refine(0.05)
+        cold = open_session(example_graph, seed=42).run(0.05, 0.1)
+        assert_results_identical(refined, cold)
+
     def test_restore_wrong_graph_rejected(self, example_graph, tmp_path):
         session = open_session(example_graph, seed=1, max_samples_override=300)
         session.run(0.2, 0.2)
@@ -416,6 +431,72 @@ class TestSnapshotIntegrity:
         )
         with pytest.raises(SnapshotError):
             EstimationSession.restore(path, graph=small_social_graph)
+
+
+#: Any JSON value a hostile or buggy writer could put in a metadata field.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+REQUIRED_META = (
+    "kind", "graph", "options", "achieved", "omega", "vertex_diameter",
+    "checks", "frame", "calibration", "rng_state",
+)
+
+
+class TestMalformedMeta:
+    """A CRC-clean snapshot with bad metadata values raises SnapshotError, never another type."""
+
+    @pytest.fixture(scope="class")
+    def intact(self, small_social_graph, tmp_path_factory):
+        session = open_session(
+            small_social_graph, seed=5, max_samples_override=300, calibration_samples=50
+        )
+        session.run(0.2, 0.2)
+        directory = tmp_path_factory.mktemp("malformed")
+        session.checkpoint(directory / "intact.snap")
+        meta, arrays = read_snapshot(directory / "intact.snap")
+        return meta, arrays, directory
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("checks", "x"),
+            ("omega", "abc"),
+            ("omega", float("inf")),
+            ("achieved", []),
+            ("achieved", {"eps": "x", "delta": 0.2}),
+            ("rng_state", 3),
+            ("rng_state", {"bit_generator": "BitGenerator"}),
+            ("frame", 5),
+            ("calibration", []),
+            ("calibration", {"num_samples": 50, "rng_state": {"bit_generator": "PCG64"}}),
+            ("graph", {"num_vertices": "many"}),
+            ("options", {"eps": -1}),
+        ],
+    )
+    def test_malformed_value_rejected(self, intact, small_social_graph, key, value):
+        meta, arrays, directory = intact
+        path = directory / "bad.snap"
+        write_snapshot(path, {**meta, key: value}, arrays)
+        with pytest.raises(SnapshotError, match="malformed"):
+            EstimationSession.restore(path, graph=small_social_graph)
+
+    @pytest.mark.parametrize("key", REQUIRED_META)
+    @settings(max_examples=40, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_fuzzed_value_restores_or_raises_snapshot_error(
+        self, intact, small_social_graph, key, value
+    ):
+        meta, arrays, directory = intact
+        path = directory / f"fuzzed-{key}.snap"
+        write_snapshot(path, {**meta, key: value}, arrays)
+        try:
+            EstimationSession.restore(path, graph=small_social_graph)
+        except SnapshotError:
+            pass
 
 
 class TestFacadeIntegration:
@@ -511,19 +592,6 @@ class TestFacadeIntegration:
         )
         assert result.eps == 0.1  # kept the checkpoint's tighter eps
         assert result.delta == 0.05
-
-    def test_batch_size_invariance_of_refine(self, example_graph):
-        """Refinement exactness is independent of the batch partitioning."""
-        baseline = open_session(example_graph, seed=42)
-        baseline.run(0.1, 0.1)
-        expected = baseline.refine(0.05)
-        for batch_size in (1, 7, 256):
-            session = open_session(
-                example_graph, seed=42, resources=Resources(batch_size=batch_size)
-            )
-            session.run(0.1, 0.1)
-            refined = session.refine(0.05)
-            assert np.array_equal(refined.scores, expected.scores)
 
 
 class TestSourceSamplingEntryPoint:
