@@ -538,30 +538,7 @@ def _cmd_dist(argv: list) -> int:
     if args.action == "worker":
         from repro.dist.driver import DistWorkerConfig, run_worker
 
-        config = DistWorkerConfig(
-            graph=args.graph,
-            rank=args.rank,
-            size=args.size,
-            port=args.port,
-            host=args.host,
-            connect=args.connect,
-            parts=args.parts,
-            algorithm=args.algorithm,
-            threads=args.threads,
-            eps=args.eps,
-            delta=args.delta,
-            seed=args.seed,
-            samples_per_check=args.samples_per_check,
-            calibration_samples=args.calibration_samples,
-            max_samples=args.max_samples,
-            max_epochs=args.max_epochs,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            result_path=args.output,
-            timeout=args.timeout,
-        )
-        return run_worker(config)
+        return run_worker(DistWorkerConfig.from_args(args))
 
     # ---- dist run --------------------------------------------------------- #
     if args.transport != "socket":
@@ -1008,6 +985,7 @@ def _samples_line(result) -> str:
 def _cmd_session(argv: list) -> int:
     from repro.session import (
         EstimationSession,
+        SessionCapabilityError,
         SnapshotError,
         open_session,
         read_snapshot_meta,
@@ -1088,7 +1066,7 @@ def _cmd_session(argv: list) -> int:
         start = time.perf_counter()
         result = session.refine(args.eps, args.delta)
         elapsed = time.perf_counter() - start
-    except ValueError as exc:
+    except (ValueError, SessionCapabilityError) as exc:  # a parallel checkpoint refuses refine
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.checkpoint is not None:

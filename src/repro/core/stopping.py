@@ -212,3 +212,14 @@ class CheckSchedule:
         if tau >= self.omega:
             return 0
         return min(self.samples_per_check, self.omega - tau)
+
+    def epoch_samples(self, epoch: int, tau: int) -> int:
+        """Samples the epoch loop draws in its epoch ``epoch`` before checking.
+
+        Epoch 0 only aligns ``tau`` with the grid (nothing to draw in a cold
+        run, whose calibration ends on the first boundary); every later epoch
+        draws one block.
+        """
+        if epoch == 0:
+            return max(0, self.next_boundary(tau) - tau)
+        return self.advance(tau)

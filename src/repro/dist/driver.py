@@ -2,19 +2,19 @@
 
 One OS process per rank.  Rank 0's process hosts the rendezvous hub (unless
 ``connect`` points at a remote hub), every rank joins the world communicator
-over TCP and runs :func:`repro.parallel.engine.run_rank` — the same function
-every parallel backend runs — on its own view of the graph.
-What this module adds around the engine:
+over TCP and runs :func:`repro.parallel.engine.run_rank` on its own view of
+the graph.  What this module adds around the engine:
 
 * **Sharded adjacency** — with ``parts`` set, each rank opens a
   :class:`~repro.store.partition.PartitionedGraphView` of only its shard
   (``rank % parts``); the manifest's precomputed diameter bound makes the
   sequential diameter phase a no-op.
-* **Epoch checkpoints** — rank 0 snapshots the engine's
-  :class:`~repro.parallel.engine.EpochBoundary` through the ``on_aggregate``
-  hook into a ``.snap`` container and hands the loaded boundary back as
-  ``resume``, so a SIGKILLed run continues from the last completed epoch with
-  zero lost aggregated samples (see :func:`repro.dist.launcher.launch_local`).
+* **Epoch checkpoints** — rank 0's state reaches the engine's
+  ``on_aggregate`` hook as a session and is checkpointed in the session
+  snapshot format; ``--resume`` restores it through the session's restore
+  (a bad checkpoint is a :class:`~repro.session.SnapshotError`, exit code 2)
+  and hands it back as ``resume``, so a SIGKILLed run continues from the last
+  completed epoch with zero lost aggregated samples.
 * **Merged observability** — every rank ships its metrics-registry snapshot
   to rank 0 with the final ``gather``; rank 0 merges them so one
   ``/metrics`` exposition covers the whole world.
@@ -26,32 +26,33 @@ crash recovery with real processes, never set in normal operation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.options import KadabraOptions
-from repro.core.state_frame import StateFrame
 from repro.dist.socketcomm import SocketComm, SocketHub
 from repro.mpi.interface import Communicator
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.parallel.engine import EpochBoundary, run_rank
-from repro.session.snapshot import read_snapshot, require_keys, write_snapshot
-from repro.store.format import open_rcsr, read_header
+from repro.parallel.engine import run_rank
+from repro.session import EstimationSession, SnapshotError
+from repro.store.format import open_rcsr
 from repro.store.partition import PartitionManifest, PartitionedGraphView, manifest_path_for
 
-__all__ = ["DistWorkerConfig", "run_worker", "FAULT_RANK_ENV", "CHECKPOINT_KIND"]
+__all__ = ["DistWorkerConfig", "run_worker", "FAULT_RANK_ENV"]
 
 FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
-CHECKPOINT_KIND = "dist-epoch"
+
+#: Config fields whose ``dist worker`` flag has another name.
+_FLAGS = {"result_path": "output"}
 
 
 @dataclass
@@ -88,53 +89,20 @@ class DistWorkerConfig:
 
     def to_argv(self) -> List[str]:
         """The ``repro.cli dist worker`` argument vector for this config."""
-        argv = [
-            "dist",
-            "worker",
-            "--graph",
-            self.graph,
-            "--rank",
-            str(self.rank),
-            "--size",
-            str(self.size),
-            "--host",
-            self.host,
-            "--port",
-            str(self.port),
-            "--algorithm",
-            self.algorithm,
-            "--threads",
-            str(self.threads),
-            "--eps",
-            str(self.eps),
-            "--delta",
-            str(self.delta),
-            "--samples-per-check",
-            str(self.samples_per_check),
-            "--checkpoint-every",
-            str(self.checkpoint_every),
-            "--timeout",
-            str(self.timeout),
-        ]
-        if self.connect:
-            argv += ["--connect", self.connect]
-        if self.parts is not None:
-            argv += ["--parts", str(self.parts)]
-        if self.seed is not None:
-            argv += ["--seed", str(self.seed)]
-        if self.calibration_samples is not None:
-            argv += ["--calibration-samples", str(self.calibration_samples)]
-        if self.max_samples is not None:
-            argv += ["--max-samples", str(self.max_samples)]
-        if self.max_epochs is not None:
-            argv += ["--max-epochs", str(self.max_epochs)]
-        if self.checkpoint:
-            argv += ["--checkpoint", self.checkpoint]
-        if self.resume:
-            argv += ["--resume"]
-        if self.result_path:
-            argv += ["--output", self.result_path]
+        argv = ["dist", "worker"]
+        for name, value in asdict(self).items():
+            flag = "--" + _FLAGS.get(name, name).replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif value is not None and value is not False:
+                argv += [flag, str(value)]
         return argv
+
+    @classmethod
+    def from_args(cls, args) -> "DistWorkerConfig":
+        """The config a parsed ``dist worker`` command line describes."""
+        names = cls.__dataclass_fields__
+        return cls(**{name: getattr(args, _FLAGS.get(name, name)) for name in names})
 
 
 # --------------------------------------------------------------------------- #
@@ -144,10 +112,9 @@ class DistWorkerConfig:
 def _arm_fault_injection(config: DistWorkerConfig) -> None:
     """SIGKILL this process shortly after the first checkpoint appears.
 
-    Waiting for the checkpoint file guarantees the kill lands *after* at
-    least one epoch boundary was persisted — the scenario the resume path
-    must survive — rather than during startup where a restart would simply
-    rerun from scratch.
+    Waiting for the file makes the kill land *after* an epoch boundary was
+    persisted — the scenario resume must survive — not during start-up,
+    where a restart would simply rerun from scratch.
     """
     if os.environ.get(FAULT_RANK_ENV) != str(config.rank) or not config.checkpoint:
         return
@@ -163,76 +130,37 @@ def _arm_fault_injection(config: DistWorkerConfig) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# checkpointing
-
-
-def _write_checkpoint(
-    path: str, boundary: EpochBoundary, *, config: DistWorkerConfig, graph_checksum: str
-) -> None:
-    aggregated = boundary.frame
-    meta = {
-        "kind": CHECKPOINT_KIND,
-        "epoch": int(boundary.epoch),
-        "num_samples": int(aggregated.num_samples),
-        "eps": float(config.eps),
-        "delta": float(config.delta),
-        "seed": config.seed,
-        "omega": int(boundary.omega),
-        "vertex_diameter": int(boundary.vertex_diameter),
-        "size": int(config.size),
-        "parts": config.parts,
-        "algorithm": config.algorithm,
-        "frame": {k: int(v) for k, v in aggregated.scalar_state().items()},
-        "graph_checksum": graph_checksum,
-    }
-    arrays = {
-        "counts": aggregated.counts.copy(),
-        "delta_l": np.asarray(boundary.delta_l, dtype=np.float64),
-        "delta_u": np.asarray(boundary.delta_u, dtype=np.float64),
-    }
-    write_snapshot(Path(path), meta, arrays)
-
-
-def _load_checkpoint(path: str, *, graph_checksum: str, config: DistWorkerConfig) -> EpochBoundary:
-    meta, arrays = read_snapshot(Path(path))
-    require_keys(
-        meta,
-        ["kind", "epoch", "num_samples", "eps", "delta", "omega", "vertex_diameter", "frame", "graph_checksum"],
-        Path(path),
-    )
-    if meta["kind"] != CHECKPOINT_KIND:
-        raise ValueError(f"{path}: not a distributed epoch checkpoint ({meta['kind']!r})")
-    if meta["graph_checksum"] != graph_checksum:
-        raise ValueError(
-            f"{path}: checkpoint belongs to a different graph "
-            f"({meta['graph_checksum']} != {graph_checksum})"
-        )
-    if float(meta["eps"]) != float(config.eps) or float(meta["delta"]) != float(config.delta):
-        raise ValueError(f"{path}: checkpoint (eps, delta) differ from this run's")
-    return EpochBoundary(
-        epoch=int(meta["epoch"]),
-        frame=StateFrame.from_scalar_state(meta["frame"], arrays["counts"]),
-        omega=int(meta["omega"]),
-        vertex_diameter=int(meta["vertex_diameter"]),
-        delta_l=arrays["delta_l"],
-        delta_u=arrays["delta_u"],
-    )
-
-
-# --------------------------------------------------------------------------- #
 # the worker body
 
 
 def _open_graph(config: DistWorkerConfig):
-    """Returns (graph-shaped object, graph content checksum, vd override)."""
+    """Returns (graph-shaped object, vd override)."""
     path = Path(config.graph)
     if config.parts:
         manifest = PartitionManifest.load(manifest_path_for(path, config.parts))
-        view = PartitionedGraphView(manifest, config.rank % config.parts)
-        return view, manifest.source_checksum, manifest.vertex_diameter
-    header = read_header(path)
-    checksum = f"crc32:{header.crc_indptr:08x}{header.crc_indices:08x}"
-    return open_rcsr(path), checksum, None
+        return PartitionedGraphView(manifest, config.rank % config.parts), manifest.vertex_diameter
+    return open_rcsr(path), None
+
+
+def _restore_checkpoint(config: DistWorkerConfig, graph) -> Optional[EstimationSession]:
+    """Rank 0's state from ``config.checkpoint``, when resuming from one.
+
+    The session restore validates the container and the graph; this adds
+    what makes it *this run's* checkpoint.  Raises :class:`SnapshotError`.
+    """
+    path = config.checkpoint
+    if config.rank != 0 or not (config.resume and path and Path(path).exists()):
+        return None
+    state = EstimationSession.restore(path, graph=graph)
+    if state.supports_refinement:
+        raise SnapshotError(f"{path}: a sequential session, not a parallel checkpoint")
+    target = (state.options.eps, state.options.delta)
+    if target != (float(config.eps), float(config.delta)):
+        raise SnapshotError(
+            f"{path}: checkpoint (eps, delta) = {target} differ from this run's "
+            f"({config.eps}, {config.delta})"
+        )
+    return state
 
 
 def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = None) -> int:
@@ -241,16 +169,24 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
     Rank 0 (without ``connect``) hosts the hub — on ``listener`` when the
     launcher that forked it bound one, else on ``config.host:config.port`` —
     writes checkpoints, and emits the merged result JSON to
-    ``config.result_path``.
+    ``config.result_path``.  A checkpoint that cannot be resumed ends rank 0
+    with exit code 2 and one ``error:`` line, before it joins the world.
     """
     _arm_fault_injection(config)
+    graph, vd_hint = _open_graph(config)
+    try:
+        resume = _restore_checkpoint(config, graph)
+    except SnapshotError as exc:
+        print(f"error: cannot resume: {exc}", file=sys.stderr)
+        return 2
     hub: Optional[SocketHub] = None
+    host, port = config.hub_address()
     if config.rank == 0 and config.connect is None:
         hub = SocketHub(config.size, host=config.host, port=config.port, listener=listener).start()
-    host, port = config.hub_address()
+        port = hub.port  # the port actually bound (config.port may be 0)
     comm = SocketComm.connect(host, port, config.rank, config.size, timeout=config.timeout)
     try:
-        result = _worker_body(comm, config)
+        result = _worker_body(comm, config, graph, vd_hint, resume)
         if comm.is_root and result is not None and config.result_path:
             out = Path(config.result_path)
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -267,8 +203,13 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
             hub.close()
 
 
-def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[str, Any]]:
-    graph, graph_checksum, vd_hint = _open_graph(config)
+def _worker_body(
+    comm: Communicator,
+    config: DistWorkerConfig,
+    graph,
+    vd_hint: Optional[int],
+    resume: Optional[EstimationSession],
+) -> Optional[Dict[str, Any]]:
     num_threads = max(int(config.threads), 1)
     options = KadabraOptions(
         eps=config.eps,
@@ -281,23 +222,17 @@ def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[
     )
 
     # Rank 0 alone reads and writes checkpoints; the engine broadcasts what
-    # the other ranks need of a restored boundary.
-    checkpointing = bool(config.checkpoint) and comm.is_root
-    resume: Optional[EpochBoundary] = None
-    if checkpointing and config.resume and Path(config.checkpoint).exists():
-        resume = _load_checkpoint(config.checkpoint, graph_checksum=graph_checksum, config=config)
-    base_epoch = resume.epoch if resume is not None else 0
-    resumed_from_samples = resume.frame.num_samples if resume is not None else 0
-
+    # the other ranks need of a restored state.
+    resumed_epoch = resume._checks if resume is not None else 0
+    resumed_samples = resume.num_samples if resume is not None else 0
     on_aggregate = None
-    if checkpointing:
+    if config.checkpoint and comm.is_root:
         checkpoint_every = max(int(config.checkpoint_every), 1)
+        epochs = itertools.count(1)
 
-        def on_aggregate(boundary: EpochBoundary) -> None:
-            if (boundary.epoch - base_epoch) % checkpoint_every == 0:
-                _write_checkpoint(
-                    config.checkpoint, boundary, config=config, graph_checksum=graph_checksum
-                )
+        def on_aggregate(state: EstimationSession) -> None:
+            if next(epochs) % checkpoint_every == 0:
+                state.checkpoint(config.checkpoint)
 
     result, stats = run_rank(
         comm,
@@ -332,9 +267,7 @@ def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[
         for report in reports:
             if report["rank"] != 0 and report["metrics"]:
                 registry.merge(report["metrics"])
-    per_rank = [
-        {k: v for k, v in report.items() if k != "metrics"} for report in reports
-    ]
+    per_rank = [{k: v for k, v in report.items() if k != "metrics"} for report in reports]
     total_adaptive_samples = sum(r["local_samples"] for r in per_rank)
     slowest = max(r["adaptive_seconds"] for r in per_rank)
     return {
@@ -350,8 +283,8 @@ def _worker_body(comm: Communicator, config: DistWorkerConfig) -> Optional[Dict[
         "threads_per_process": int(num_threads),
         "parts": config.parts,
         "samples_per_epoch_n0": result.extra["samples_per_epoch_n0"],
-        "resumed_from_samples": int(resumed_from_samples),
-        "resumed_from_epoch": int(base_epoch),
+        "resumed_from_samples": int(resumed_samples),
+        "resumed_from_epoch": int(resumed_epoch),
         "communication_bytes": int(sum(r["communication_bytes"] for r in per_rank)),
         "aggregate_samples_per_sec": (total_adaptive_samples / slowest) if slowest > 0 else 0.0,
         "phase_seconds": result.phase_seconds,

@@ -373,16 +373,8 @@ def _update_session_impl(
             session._draw(new_c - cal_count, session._rng, into_calibration=calibration)
             session._calibration_rng_state = _jsonable_rng_state(session._rng)
         session._recalibrate(eps, delta, schedule.omega)
-    session._emit(
-        phase="calibration", num_samples=session.num_samples, omega=schedule.omega
-    )
-
-    with timer.phase("adaptive_sampling"):
-        session._advance_to_stop(schedule)
-
-    session._eps, session._delta = eps, delta
     samples_reused = tau_parent - invalid_count
-    result = session._build_result(timer, samples_reused=samples_reused)
+    result = session._certify(timer, schedule, eps, delta, samples_reused=samples_reused)
     result.samples_invalidated = invalid_count
     result.extra["invalidated_fraction"] = float(fraction)
     result.extra["update_bfs"] = float(num_bfs)

@@ -1,43 +1,35 @@
 """The rank engine: diameter → calibration → adaptive-sampling epochs.
 
-Every parallel execution mode runs :func:`run_rank` once per rank; the modes
-differ only in the :class:`~repro.mpi.interface.Communicator` and the graph
-view they hand in (``SelfComm`` + the caller's graph for shared memory,
-``SocketComm`` + the graph inherited from the caller for the facade's forked
-ranks, ``SocketComm`` + a mapped ``.rcsr`` or shard view for ``dist``
-workers).  The function mirrors the paper's phase structure:
+This module holds the only calibration phase and the only check/draw loop of
+the adaptive algorithm.  Every parallel mode runs :func:`run_rank` once per
+rank; the modes differ only in the :class:`~repro.mpi.interface.Communicator`
+and graph view they hand in (``SelfComm`` for shared memory, ``SocketComm``
+for forked ranks and ``dist`` workers, on the caller's graph, a mapped
+``.rcsr`` or a shard view).  The sequential
+:class:`~repro.session.EstimationSession` is the ``P = T = 1`` case: it calls
+:func:`calibration_phase` and :func:`adaptive_sampling_epochs` on a
+``SelfComm`` with one thread, its own RNG stream and its own check grid.
 
-1. *Diameter* — computed sequentially at rank 0 (the paper uses a sequential
-   algorithm as well) and broadcast.
-2. *Calibration* — the fixed number of non-adaptive samples is split evenly
-   across all ranks ("pleasingly parallel"), aggregated with a blocking
-   reduction, and rank 0 derives ``delta_L``/``delta_U`` which are then
+1. *Diameter* — computed sequentially at rank 0, as in the paper, and
    broadcast.
+2. *Calibration* — :func:`calibration_phase` splits the non-adaptive samples
+   evenly across the ranks, reduces them, and rank 0 derives
+   ``delta_L``/``delta_U`` (:func:`stopping_condition`) for everyone.
 3. *Adaptive sampling* — :func:`adaptive_sampling_epochs`, the epoch loop of
-   Section IV-C.  Inside every rank the epoch-based framework aggregates the
-   state frames of the sampling threads; across ranks ``algorithm="epoch"``
-   (Algorithm 2) aggregates with a non-blocking barrier followed by a
-   blocking reduction (the paper found this faster than ``MPI_Ireduce``),
-   while ``algorithm="mpi-only"`` (Algorithm 1) is the loop's single-thread
-   case with a plain ``Ireduce``.  Either way thread 0 overlaps every wait
-   with sampling.
-
-Structure of one rank's adaptive phase:
-
-* threads ``1 .. T-1`` sample continuously into the frame of their current
-  epoch, calling ``check_transition`` between batches and exiting when the
-  termination flag is raised;
-* thread 0 (the caller) executes the per-epoch protocol: sample ``n0`` times,
-  force the epoch transition (overlapping further samples into the next
-  epoch's frame), aggregate the epoch's frames, reduce them to rank 0
-  (optionally pre-aggregating over a node-local communicator, Section IV-E),
-  evaluate the stopping condition at rank 0 and broadcast the termination
-  flag.
+   Section IV-C.  Threads ``1 .. T-1`` sample continuously into the frame of
+   their current epoch; thread 0 samples what the check grid asks, forces the
+   epoch transition, aggregates the epoch's frames, reduces them to rank 0
+   (``algorithm="epoch"``, Algorithm 2: a non-blocking barrier then a
+   blocking reduction, which the paper found faster than ``MPI_Ireduce``;
+   ``"mpi-only"``, Algorithm 1: one thread and a plain ``Ireduce``), where
+   the stopping rule is evaluated, and broadcasts the termination flag —
+   sampling into the next epoch's frame while each request is in flight.
+   On ``SelfComm`` with one thread every request completes at once, so each
+   epoch draws exactly what the grid says.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 from dataclasses import dataclass, field
@@ -56,16 +48,22 @@ from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
 from repro.mpi.topology import NodeTopology, build_topology
 from repro.obs import trace as obs_trace
-from repro.parallel.epoch_length import thread_zero_samples_per_epoch
+from repro.parallel.epoch_length import EpochLength, thread_zero_samples_per_epoch
 from repro.parallel.epochs import EpochManager, FramePool
 from repro.sampling.rng import derive_seed, rng_for_rank_thread
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
 
-__all__ = ["ALGORITHMS", "EpochBoundary", "EpochStats", "adaptive_sampling_epochs", "run_rank"]
+__all__ = [
+    "ALGORITHMS", "EpochStats", "adaptive_sampling_epochs", "calibration_phase", "run_rank",
+    "stopping_condition",
+]
 
 #: ``"epoch"`` is Algorithm 2, ``"mpi-only"`` Algorithm 1.
 ALGORITHMS = ("epoch", "mpi-only")
+
+#: The registry backend each algorithm's checkpoints are recorded under.
+_BACKEND = {"epoch": "distributed", "mpi-only": "mpi-only"}
 
 #: Salt tag separating post-resume RNG streams from the original run's.
 _RESUME_SEED_TAG = 7701
@@ -85,21 +83,50 @@ class EpochStats:
     communication_bytes: int = 0
 
 
-@dataclass
-class EpochBoundary:
-    """What an epoch boundary persists and a resumed run restores.
+def _draw(sampler, rng, count: int, frame: StateFrame, on_batch=None) -> None:
+    """Draw ``count`` samples into ``frame`` in planned batches."""
+    for take in plan_batches(count):
+        batch = sampler.sample_batch(take, rng)
+        frame.record_batch(batch)
+        if on_batch is not None:
+            on_batch(batch)
 
-    Handed to ``on_aggregate`` at rank 0 after every fold (``frame`` is the
-    live aggregate then, so the hook must copy what it keeps) and accepted
-    back as ``resume``.
+
+def stopping_condition(
+    frame: StateFrame, *, eps: float, delta: float, omega: int
+) -> StoppingCondition:
+    """Phase 2's decision: ``delta_L``/``delta_U`` from a calibration frame."""
+    calibration = calibrate_deltas(frame, delta, eps=eps)
+    return StoppingCondition(
+        eps=eps, omega=omega, delta_l=calibration.delta_l, delta_u=calibration.delta_u
+    )
+
+
+def calibration_phase(
+    comm: Communicator,
+    sampler: BatchPathSampler,
+    rng: np.random.Generator,
+    total: int,
+    *,
+    num_vertices: int,
+    eps: float,
+    delta: float,
+    omega: int,
+    on_batch: Optional[Callable] = None,
+) -> Tuple[Optional[StateFrame], StoppingCondition]:
+    """Phase 2 on every rank: ``total`` samples split evenly across the ranks.
+
+    Returns ``(frame, condition)``: the reduced calibration frame at rank 0
+    (``None`` elsewhere) and, at every rank, the stopping condition rank 0
+    derived from it.  ``on_batch`` sees each batch this rank draws.
     """
-
-    epoch: int
-    frame: Optional[StateFrame]
-    omega: int
-    vertex_diameter: int
-    delta_l: np.ndarray
-    delta_u: np.ndarray
+    local = StateFrame.zeros(num_vertices)
+    _draw(sampler, rng, int(math.ceil(total / comm.size)), local, on_batch)
+    frame = comm.reduce(local, op="sum", root=0)
+    condition = None
+    if comm.is_root:
+        condition = stopping_condition(frame, eps=eps, delta=delta, omega=omega)
+    return frame, comm.bcast(condition, root=0)
 
 
 def _worker_loop(
@@ -113,13 +140,11 @@ def _worker_loop(
 ) -> None:
     """Body of sampling threads ``t != 0`` (lines 5-9 of Algorithm 2).
 
-    Samples are drawn in small batches (:data:`repro.kernels.WORKER_BATCH`):
-    large enough to amortise per-sample overhead, small enough that pending
-    epoch transitions are acknowledged promptly — ``check_transition`` runs
-    between batches, so a frame is only ever written by its owner inside one
-    epoch, exactly as in the scalar protocol.  An exception ends the thread
-    and is left in ``failures`` for thread 0, which would otherwise wait
-    forever for this thread's next transition.
+    Batches of :data:`repro.kernels.WORKER_BATCH` amortise per-sample
+    overhead yet acknowledge transitions promptly (``check_transition`` runs
+    between batches, so a frame is only written by its owner inside one
+    epoch).  An exception ends the thread and is left in ``failures`` for
+    thread 0, which would otherwise wait forever for its next transition.
     """
     try:
         epoch = 0
@@ -141,59 +166,38 @@ def adaptive_sampling_epochs(
     rngs: List[np.random.Generator],
     *,
     num_threads: int,
-    samples_per_epoch: int,
+    grid,
     algorithm: str = "epoch",
     initial_frame: Optional[StateFrame] = None,
     topology: Optional[NodeTopology] = None,
     max_epochs: Optional[int] = None,
+    on_batch: Optional[Callable] = None,
     on_epoch: Optional[Callable[[int, int], None]] = None,
     on_aggregate: Optional[Callable[[int, StateFrame], None]] = None,
 ) -> EpochStats:
     """Run the adaptive-sampling epoch loop on this rank.
 
-    Parameters
-    ----------
-    comm:
-        World communicator spanning all ranks.
-    sampler_factory:
-        Called once per thread index to create that thread's sampler (the
-        sampler may share the read-only graph between threads).
-    condition:
-        Stopping condition, evaluated only at world rank 0.
-    rngs:
-        One independent generator per thread.
-    num_threads:
-        Number of sampling threads ``T`` in this process (including thread 0).
-    samples_per_epoch:
-        The constant ``n0`` for thread 0.
-    algorithm:
-        ``"epoch"`` reduces with the paper's ``Ibarrier`` + blocking
-        ``Reduce``; ``"mpi-only"`` is Algorithm 1: one thread and a plain
-        ``Ireduce``.
-    initial_frame:
-        Calibration samples folded into the aggregate at rank 0.
-    topology:
-        Optional NUMA topology; when given, frames are pre-aggregated over the
-        node-local communicator and only node leaders join the global
-        reduction (Section IV-E).
-    max_epochs:
-        Safety bound for tests.
-    on_epoch:
-        Optional progress hook ``on_epoch(epochs_done, samples_aggregated)``,
-        invoked at the reduce root (world rank 0) after each stopping-rule
-        evaluation.
-    on_aggregate:
-        Optional hook ``on_aggregate(epochs_done, aggregated)`` invoked at
-        the reduce root right after the epoch frame is folded into the
-        aggregate ``S`` (before the stopping rule).  This is the epoch
-        boundary the distributed runtime checkpoints at: the frame passed is
-        the live aggregate, so the hook must copy what it keeps.
+    ``sampler_factory(t)`` makes thread ``t``'s sampler and ``rngs[t]`` is its
+    generator; ``condition`` is evaluated at world rank 0 only.  ``grid``
+    is the check grid: ``grid.epoch_samples(epoch, tau)`` samples are drawn
+    by thread 0 in loop epoch ``epoch`` (0-based) before its check, ``tau``
+    being the aggregate's count at rank 0 (0 elsewhere) —
+    :class:`~repro.parallel.epoch_length.EpochLength` for the parallel rule,
+    the session's :class:`~repro.core.stopping.CheckSchedule` at ``P = T =
+    1``.  ``algorithm`` picks Algorithm 2 (``"epoch"``) or 1 (``"mpi-only"``,
+    one thread).  ``initial_frame`` (calibration, a resumed aggregate) is
+    folded into the aggregate at rank 0 without being modified; with
+    ``topology`` frames are pre-aggregated node-locally and only node leaders
+    join the global reduction (Section IV-E); ``max_epochs`` is a safety
+    bound for tests.
 
-    Thread 0 draws its ``n0`` bulk samples in :func:`repro.kernels.plan_batches`
-    batches and single samples in the overlap loops (where transitions,
-    barriers, reductions and broadcasts are polled between samples); worker
-    threads draw :data:`repro.kernels.WORKER_BATCH` at a time so they
-    acknowledge epoch transitions promptly.
+    Hooks: ``on_batch(batch)`` sees every batch thread 0 draws for the grid
+    (not the single overlap samples taken while a request is in flight —
+    there are none on ``SelfComm`` with one thread); at rank 0,
+    ``on_aggregate(epochs_done, aggregated)`` fires right after each fold,
+    before the rule (the boundary checkpoints are taken at; ``aggregated``
+    is the live aggregate), and ``on_epoch(epochs_done, num_samples)`` after
+    each evaluation of the rule.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError("algorithm must be 'epoch' or 'mpi-only'")
@@ -201,8 +205,6 @@ def adaptive_sampling_epochs(
         raise ValueError("num_threads must be positive")
     if algorithm == "mpi-only" and num_threads != 1:
         raise ValueError("the mpi-only algorithm samples on one thread per rank")
-    if samples_per_epoch <= 0:
-        raise ValueError("samples_per_epoch must be positive")
     if len(rngs) < num_threads:
         raise ValueError("need one RNG per thread")
 
@@ -214,9 +216,8 @@ def adaptive_sampling_epochs(
     failures: List[BaseException] = []
     stats = EpochStats(rank=comm.rank, num_threads=num_threads)
 
-    aggregated = StateFrame.zeros(num_vertices)  # S at world rank 0
-    if comm.is_root and initial_frame is not None:
-        aggregated.add_into(initial_frame)
+    seeded = comm.is_root and initial_frame is not None
+    aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
 
     # The communicators taking part in the reduction tree.
     local_comm = topology.local if topology is not None else None
@@ -249,26 +250,28 @@ def adaptive_sampling_epochs(
     # Reused every epoch by aggregate_epoch (zeroed in place, never
     # reallocated); safe because the aggregate is reduced and folded before
     # the next epoch's aggregation starts, and overlapped sampling only ever
-    # writes the next epoch's frame.
-    aggregate_scratch = StateFrame.zeros(num_vertices)
+    # writes the next epoch's frame.  One thread's frame is its own aggregate.
+    aggregate_scratch = StateFrame.zeros(num_vertices) if num_threads > 1 else None
 
     epoch = 0
     terminated = False
     try:
         while not terminated:
             current_frame = pool.frame(0, epoch)
-            # Lines 12-13: n0 samples by thread 0, in adaptive batches.
-            with timer.phase("sampling"):
-                for take in plan_batches(samples_per_epoch):
-                    current_frame.record_batch(sampler0.sample_batch(take, rng0))
-                    sample_counter[0] += take
+            # Lines 12-13: thread 0 samples up to the grid's next check.
+            count = grid.epoch_samples(epoch, aggregated.num_samples)
+            with timer.phase("sampling"), obs_trace.span("sampling", epoch=epoch):
+                _draw(sampler0, rng0, count, current_frame, on_batch)
+                sample_counter[0] += count
             # Lines 14-15: force the epoch transition, sampling while waiting.
             next_frame = pool.reset_for_epoch(0, epoch + 1)
             with timer.phase("epoch_transition"):
                 overlap(manager.force_transition(epoch), next_frame)
             # Lines 16-18: aggregate this process' epoch frames.
             with timer.phase("local_aggregation"):
-                epoch_frame = pool.aggregate_epoch(epoch, out=aggregate_scratch)
+                epoch_frame = current_frame
+                if aggregate_scratch is not None:
+                    epoch_frame = pool.aggregate_epoch(epoch, out=aggregate_scratch)
                 if local_comm is not None and local_comm.size > 1:
                     epoch_frame = local_comm.reduce(epoch_frame, op="sum", root=0)
 
@@ -289,12 +292,13 @@ def adaptive_sampling_epochs(
             # Lines 22-24: rank 0 folds the epoch frame and checks the rule.
             decision = False
             if comm.is_root:
-                with timer.phase("check"):
+                with timer.phase("check"), obs_trace.span("stopping", epoch=epoch) as sp:
                     if reduced_frame is not None:
                         aggregated.add_into(reduced_frame)
                     if on_aggregate is not None:
                         on_aggregate(stats.num_epochs + 1, aggregated)
                     decision = condition.should_stop(aggregated)
+                    sp.set("stop", bool(decision))
                     if aggregated.num_samples >= condition.omega:
                         stats.stopped_by_omega = True
                     if on_epoch is not None:
@@ -337,42 +341,29 @@ def run_rank(
     kernel: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
     max_epochs: Optional[int] = None,
-    on_aggregate: Optional[Callable[[EpochBoundary], None]] = None,
-    resume: Optional[EpochBoundary] = None,
+    on_aggregate: Optional[Callable] = None,
+    resume=None,
 ) -> Tuple[Optional[BetweennessResult], EpochStats]:
     """Run one rank of parallel KADABRA; every rank of ``comm`` calls this.
 
     Returns ``(result, stats)``: the result at rank 0 (``None`` elsewhere) and
     this rank's statistics, whose ``phase_seconds`` carry the whole breakdown
     (``diameter``, ``calibration``, ``adaptive_sampling`` and the loop's
-    phases as ``ads_*``).
+    phases as ``ads_*``).  ``graph`` is this rank's (replicated or sharded)
+    view; ``threads`` is ``T`` per rank (``"mpi-only"`` samples on one but
+    keeps the RNG slot layout of ``T``); ``processes_per_node`` enables the
+    NUMA-aware node-local pre-aggregation; ``kernel`` forces a sampling
+    kernel; ``progress`` fires at rank 0 after each phase and epoch;
+    ``max_epochs`` bounds the loop (tests).
 
-    Parameters
-    ----------
-    graph:
-        The graph view this rank samples from (replicated or sharded).
-    threads:
-        Sampling threads ``T`` per rank (the mpi-only algorithm samples on
-        one, but keeps the RNG slot layout of ``T``).
-    algorithm:
-        ``"epoch"`` for Algorithm 2 (default) or ``"mpi-only"`` for
-        Algorithm 1.
-    processes_per_node:
-        If set, enables the NUMA-aware split: ranks are grouped into compute
-        nodes of this size and state frames are pre-aggregated node-locally.
-    kernel:
-        Forced sampling kernel; see :mod:`repro.kernels`.
-    progress:
-        Optional progress callback, invoked at rank 0 after the diameter and
-        calibration phases and after each aggregation epoch.
-    max_epochs:
-        Optional safety bound on the number of epochs (used by tests).
-    on_aggregate:
-        Rank 0's checkpoint hook, called with the :class:`EpochBoundary` of
-        every completed epoch.
-    resume:
-        At rank 0, a boundary to continue from: the engine broadcasts it
-        instead of running phases 1-2 and samples from fresh RNG streams.
+    ``on_aggregate(state)`` is rank 0's checkpoint hook, called after every
+    fold with rank 0's state as an :class:`~repro.session.EstimationSession`
+    (``state.checkpoint(path)`` writes the session snapshot format; the
+    state is not refinable, its samples come from per-rank streams).
+    ``resume`` is, at rank 0, such a state restored with
+    :meth:`~repro.session.EstimationSession.restore`: its diameter bound and
+    stopping condition are broadcast instead of running phases 1-2, and the
+    loop samples from fresh RNG streams.
     """
     if threads <= 0:
         raise ValueError("threads must be positive")
@@ -383,9 +374,8 @@ def run_rank(
     rank = comm.rank
     sampling_threads = threads if algorithm == "epoch" else 1
     if graph.num_vertices < 2:
-        trivial = BetweennessResult(
-            scores=np.zeros(graph.num_vertices), eps=options.eps, delta=options.delta
-        )
+        n = graph.num_vertices
+        trivial = BetweennessResult(scores=np.zeros(n), eps=options.eps, delta=options.delta)
         return (trivial if comm.is_root else None), EpochStats(rank, sampling_threads)
     timer = PhaseTimer()
     if not comm.is_root:
@@ -398,13 +388,13 @@ def run_rank(
     def sampler_for(_thread: int = 0) -> BatchPathSampler:
         return make_sampler(graph, options, kernel=kernel)
 
-    header = dataclasses.replace(resume, frame=None) if resume is not None else None
-    restored: Optional[EpochBoundary] = comm.bcast(header, root=0)
+    state = resume if comm.is_root else None
+    header = None if state is None else (state._vd, state._checks, state._condition)
+    restored = comm.bcast(header, root=0)
     if restored is not None:
-        vd, omega = restored.vertex_diameter, restored.omega
-        delta_l, delta_u = restored.delta_l, restored.delta_u
-        initial_frame = resume.frame if comm.is_root else None
-        base_epoch = restored.epoch
+        vd, base_epoch, condition = restored
+        omega = condition.omega
+        initial_frame = state._frame if comm.is_root else None
         # Fresh, independent streams: never replay the pre-crash samples.
         stream_seed = derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch)
     else:
@@ -420,44 +410,40 @@ def run_rank(
 
         # ---------------- Phase 2: calibration ---------------------------- #
         with timer.phase("calibration"), obs_trace.span("calibration", rank=rank):
-            # Same deterministic count as the sequential session engine, so
-            # the phase structure (and the cost model built on it) agrees
-            # across execution modes.
-            total_calibration = calibration_sample_count(
-                options.calibration_samples, omega, graph.num_vertices
+            # The session's sample count, so the phase structure (and the cost
+            # model built on it) agrees across modes; RNG slot 0, so the
+            # adaptive phase (slots 1..T) never replays the calibration stream.
+            initial_frame, condition = calibration_phase(
+                comm,
+                sampler_for(),
+                rng_for_rank_thread(options.seed, rank, 0, num_threads=threads + 1),
+                calibration_sample_count(options.calibration_samples, omega, graph.num_vertices),
+                num_vertices=graph.num_vertices,
+                eps=options.eps,
+                delta=options.delta,
+                omega=omega,
             )
-            sampler = sampler_for()
-            # Thread slot 0 is reserved for calibration so that the adaptive
-            # phase (slots 1..T) never replays the calibration sample stream.
-            rng = rng_for_rank_thread(options.seed, rank, 0, num_threads=threads + 1)
-            local_frame = StateFrame.zeros(graph.num_vertices)
-            for take in plan_batches(int(math.ceil(total_calibration / comm.size))):
-                local_frame.record_batch(sampler.sample_batch(take, rng))
-            initial_frame = comm.reduce(local_frame, op="sum", root=0)
-            payload = None
-            if comm.is_root:
-                calibration = calibrate_deltas(initial_frame, options.delta, eps=options.eps)
-                payload = (calibration.delta_l, calibration.delta_u)
-            delta_l, delta_u = comm.bcast(payload, root=0)
         if progress is not None:
             emit("calibration", num_samples=initial_frame.num_samples)
         base_epoch = 0
         stream_seed = options.seed
-    condition = StoppingCondition(eps=options.eps, omega=omega, delta_l=delta_l, delta_u=delta_u)
+        if comm.is_root and on_aggregate is not None:
+            from repro.session.session import EstimationSession
 
-    fold_hook = None
-    if on_aggregate is not None:
-        def fold_hook(epochs_done: int, aggregated: StateFrame) -> None:
-            on_aggregate(
-                EpochBoundary(base_epoch + epochs_done, aggregated, omega, vd, delta_l, delta_u)
+            state = EstimationSession._rank_state(
+                graph, options, kernel, _BACKEND[algorithm], vd, initial_frame, condition
             )
 
+    fold_hook = None
+    if state is not None and on_aggregate is not None:
+        def fold_hook(epochs_done: int, aggregated: StateFrame) -> None:
+            state._frame, state._checks = aggregated, base_epoch + epochs_done
+            on_aggregate(state)
+
     # ---------------- Phase 3: adaptive sampling -------------------------- #
-    samples_per_epoch = thread_zero_samples_per_epoch(
-        comm.size,
-        sampling_threads,
-        base=float(options.samples_per_check),
-        exponent=options.epoch_exponent,
+    n0 = thread_zero_samples_per_epoch(
+        comm.size, sampling_threads,
+        base=float(options.samples_per_check), exponent=options.epoch_exponent,
     )
     with timer.phase("adaptive_sampling"), obs_trace.span(
         "adaptive_sampling", rank=rank, omega=omega
@@ -474,7 +460,7 @@ def run_rank(
                 for t in range(sampling_threads)
             ],
             num_threads=sampling_threads,
-            samples_per_epoch=samples_per_epoch,
+            grid=EpochLength(n0),
             algorithm=algorithm,
             initial_frame=initial_frame,
             topology=topology,
@@ -504,7 +490,7 @@ def run_rank(
             "communication_bytes": float(stats.communication_bytes),
             "num_processes": float(comm.size),
             "threads_per_process": float(threads),
-            "samples_per_epoch_n0": float(samples_per_epoch),
+            "samples_per_epoch_n0": float(n0),
         },
     )
     return result, stats

@@ -18,7 +18,9 @@ short ones (Table II).
 
 from __future__ import annotations
 
-__all__ = ["thread_zero_samples_per_epoch", "DEFAULT_BASE", "DEFAULT_EXPONENT"]
+from dataclasses import dataclass
+
+__all__ = ["EpochLength", "thread_zero_samples_per_epoch", "DEFAULT_BASE", "DEFAULT_EXPONENT"]
 
 DEFAULT_BASE = 1000.0
 DEFAULT_EXPONENT = 1.33
@@ -48,3 +50,22 @@ def thread_zero_samples_per_epoch(
     workers = float(num_processes * num_threads)
     value = base * (float(reference_workers) / workers) ** exponent
     return max(1, int(round(value)))
+
+
+@dataclass(frozen=True)
+class EpochLength:
+    """The parallel check grid: thread 0 draws ``n0`` samples every epoch.
+
+    The epoch loop's other grid is the sequential session's
+    :class:`~repro.core.stopping.CheckSchedule`; both answer
+    ``epoch_samples(epoch, tau)``.
+    """
+
+    n0: int
+
+    def __post_init__(self) -> None:
+        if self.n0 <= 0:
+            raise ValueError("samples per epoch must be positive")
+
+    def epoch_samples(self, epoch: int, tau: int) -> int:
+        return self.n0

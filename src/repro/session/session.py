@@ -1,49 +1,34 @@
 """Resumable estimation sessions: incremental refinement over live state.
 
 The one-shot :func:`repro.estimate_betweenness` facade answers a single
-``(eps, delta)`` request and throws the sampling state away.  This module
-keeps that state alive: an :class:`EstimationSession` owns the RNG stream, the
-kernel :class:`~repro.kernels.ScratchPool` (via its batch sampler), the
-per-vertex sample accumulators and the stopping-condition state, and exposes
+``(eps, delta)`` request and throws the sampling state away.  An
+:class:`EstimationSession` keeps it alive — the RNG stream, the sampler, the
+per-vertex accumulators and the stopping state — and exposes ``run`` (the
+classic adaptive run), ``refine`` (tighten ``eps``/``delta`` drawing *only*
+the additional samples), ``checkpoint``/``restore`` (CRC-checked ``.snap``
+files, :mod:`repro.session.snapshot`) and ``peek``/``top_k``
+(confidence-aware queries on the same f/g bounds as the stopping rule).
 
-* :meth:`EstimationSession.run` — the classic adaptive run (bit-identical to
-  the pre-session sequential driver for a fixed seed),
-* :meth:`EstimationSession.refine` — tighten ``eps``/``delta`` by drawing
-  *only the additional samples* the tighter guarantee needs, reusing every
-  accumulated contribution,
-* :meth:`EstimationSession.checkpoint` / :meth:`EstimationSession.restore` —
-  CRC-checked on-disk snapshots (see :mod:`repro.session.snapshot`) that
-  round-trip across processes,
-* :meth:`EstimationSession.peek` / :meth:`EstimationSession.top_k` —
-  confidence-aware queries against the live accumulators, using the same
-  per-vertex f/g bounds that drive the stopping rule.
+A native session is the rank engine's ``P = T = 1`` rank: its calibration is
+:func:`repro.parallel.engine.calibration_phase` and its check/draw loop is
+:func:`repro.parallel.engine.adaptive_sampling_epochs`, both on a
+``SelfComm`` with one thread, drawing from the session's single RNG stream
+and checking on its :class:`~repro.core.stopping.CheckSchedule`.  A parallel
+run's rank 0 keeps its state in a (non-refinable) session too, so
+``dist --checkpoint`` writes this module's snapshot format.
 
-Why refinement is *exact*
--------------------------
-The sequential driver's sample stream is a pure function of ``(graph, seed,
-sampler kind)`` — the interleaved pair strategy of the batch kernels draws it
-identically for any batch partitioning, and the per-vertex counters are
-integer-valued, so accumulation order cannot perturb them.  A fresh run at a
-tighter target consumes a *longer prefix* of the same stream; the only
-position-dependent decisions are (a) where the calibration phase ends and (b)
-where the stopping rule is evaluated.  Both are deterministic grids
-(:func:`~repro.core.calibration.calibration_sample_count`,
-:class:`~repro.core.stopping.CheckSchedule`), and both are monotone in the
-target: tighter ``(eps, delta)`` never shrinks ``omega``, the calibration
-count, or the check boundaries.  ``refine`` therefore
-
-1. extends the stored calibration frame to the tighter target's calibration
-   count — replaying already-drawn samples from the saved calibration RNG
-   state where the prefix overlaps, drawing genuinely new samples past the
-   live position — and recalibrates ``delta_L``/``delta_U`` exactly as the
-   cold run would,
-2. draws forward to the first check boundary of the tighter target's
-   schedule at or past the live position, and
-3. continues the standard check/draw loop until the tighter rule fires.
-
-The result is bit-identical to a fresh session run at the tighter target
-(asserted by ``tests/test_session.py``), at the cost of only the sample-count
-difference plus a calibration-gap replay.
+Why refinement is *exact*: the sample stream is a pure function of ``(graph,
+seed, sampler kind)`` — the batch kernels draw it identically for any batch
+partitioning, and the integer-valued counters make accumulation order
+irrelevant.  A fresh run at a tighter target consumes a *longer prefix* of
+the same stream; its only position-dependent decisions — where calibration
+ends (:func:`~repro.core.calibration.calibration_sample_count`) and where the
+rule is checked (the :class:`~repro.core.stopping.CheckSchedule`) — are
+deterministic grids, monotone in the target.  ``refine`` therefore extends
+the calibration frame to the tighter count (replaying already-drawn samples
+from the saved calibration RNG state, drawing new ones past the live
+position), recalibrates, aligns with the tighter grid and runs the loop —
+bit-identical to a fresh run at that target (``tests/test_session.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +40,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.calibration import calibrate_deltas, calibration_sample_count
+from repro.core.calibration import calibration_sample_count
 from repro.core.kadabra import capped_samples, diameter_bound, make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
@@ -64,14 +49,11 @@ from repro.core.stopping import CheckSchedule, StoppingCondition, compute_omega
 from repro.core.topk import TopKResult, confidence_bounds, identify_top_k
 from repro.graph.csr import CSRGraph
 from repro.kernels import kernel_names, plan_batches
+from repro.mpi.interface import SelfComm
 from repro.obs import trace as obs_trace
+from repro.parallel.engine import adaptive_sampling_epochs, calibration_phase, stopping_condition
 from repro.session.sample_log import SampleLog
-from repro.session.snapshot import (
-    SnapshotError,
-    read_snapshot,
-    require_keys,
-    write_snapshot,
-)
+from repro.session.snapshot import SnapshotError, read_snapshot, require_keys, write_snapshot
 from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.util.timer import PhaseTimer
 from repro.util.validation import check_positive, check_probability
@@ -88,16 +70,8 @@ PathLike = Union[str, Path]
 
 #: Session metadata keys every snapshot must carry (format enforcement).
 _REQUIRED_META = (
-    "kind",
-    "graph",
-    "options",
-    "achieved",
-    "omega",
-    "vertex_diameter",
-    "checks",
-    "frame",
-    "calibration",
-    "rng_state",
+    "kind", "graph", "options", "achieved", "omega", "vertex_diameter", "checks", "frame",
+    "calibration", "rng_state",
 )
 
 _SNAPSHOT_KIND = "repro-estimation-session"
@@ -119,11 +93,9 @@ class SessionCapabilityError(RuntimeError):
 class ConfidenceEstimate:
     """A :meth:`EstimationSession.peek`: point estimates plus ADS bounds.
 
-    ``lower_bounds``/``upper_bounds`` are the per-vertex confidence interval
-    endpoints derived from the f/g deviation bounds at the current sample
-    count (infinite-width before any sampling happened); the half-widths are
-    exposed separately because the interval is asymmetric (``f`` bounds
-    overshoot, ``g`` bounds undershoot).
+    The per-vertex interval comes from the f/g deviation bounds at the
+    current sample count (infinite before any sampling) and is asymmetric,
+    hence the two half-widths.
     """
 
     scores: np.ndarray
@@ -145,9 +117,7 @@ class ConfidenceEstimate:
     def max_half_width(self) -> float:
         if self.scores.size == 0:
             return 0.0
-        return float(
-            max(np.max(self.half_width_lower), np.max(self.half_width_upper))
-        )
+        return float(max(np.max(self.half_width_lower), np.max(self.half_width_upper)))
 
 
 def _rng_from_state(state: Dict[str, object]) -> np.random.Generator:
@@ -174,6 +144,23 @@ def _optional_int(value) -> Optional[int]:
     return None if value is None else int(value)
 
 
+def _graph_checksum(graph) -> Optional[str]:
+    """The content checksum of a stored graph or shard view (None in memory)."""
+    manifest = getattr(graph, "manifest", None)
+    if manifest is not None:
+        return manifest.source_checksum
+    source = getattr(graph, "source_path", None)
+    if source is None:
+        return None
+    try:
+        from repro.store.catalog import _header_checksum
+        from repro.store.format import read_header
+
+        return _header_checksum(read_header(source))
+    except Exception:  # noqa: BLE001 - non-.rcsr sources have no checksum
+        return None
+
+
 def _jsonable_rng_state(rng: np.random.Generator) -> Dict[str, object]:
     """The generator's state as a JSON-serializable dict (ints stay exact)."""
 
@@ -193,17 +180,15 @@ class EstimationSession:
     """A resumable betweenness estimation over one graph and one RNG stream.
 
     Create sessions with :func:`open_session` (registry-aware, used by the
-    facade) or :meth:`restore` (from a checkpoint).  Sessions come in two
-    flavours:
-
-    * **native** (``algorithm="sequential"`` or any backend registered with
-      ``supports_refinement=True``): the session drives the incremental
-      sequential engine itself and supports the full surface —
-      ``run``/``refine``/``checkpoint``/``restore``/``peek``/``top_k``.
-    * **delegated** (every other backend): ``run`` executes the registered
-      runner once; ``refine`` and ``checkpoint`` raise
-      :class:`SessionCapabilityError`, while ``peek``/``top_k`` fall back to
-      the uniform-split confidence bounds of :mod:`repro.core.topk`.
+    facade) or :meth:`restore` (from a checkpoint).  **Native** sessions
+    (``algorithm="sequential"`` or a backend registered with
+    ``supports_refinement=True``) drive the engine themselves and support the
+    full surface.  **Delegated** ones (every other backend) execute the
+    registered runner once in ``run``; ``refine`` and ``checkpoint`` raise
+    :class:`SessionCapabilityError` and ``peek``/``top_k`` fall back to the
+    uniform-split bounds of :mod:`repro.core.topk`.  A parallel run's rank 0
+    state is a delegated session that checkpoints and restores but still
+    refuses ``refine``: its samples came from the ranks' streams.
     """
 
     def __init__(
@@ -217,9 +202,7 @@ class EstimationSession:
         _resources=None,
     ) -> None:
         if not hasattr(graph, "num_vertices"):
-            raise TypeError(
-                f"graph must be a CSRGraph-like object, got {type(graph).__name__}"
-            )
+            raise TypeError(f"graph must be a CSRGraph-like object, got {type(graph).__name__}")
         self._graph = graph
         self._options = options if options is not None else KadabraOptions()
         self._progress = progress
@@ -229,6 +212,7 @@ class EstimationSession:
         self._spec = _spec
         self._resources = _resources
         self._native = _spec is None or getattr(_spec, "supports_refinement", False)
+        self._algorithm = _spec.name if _spec is not None else "sequential"
 
         # Progress events carry ts = monotonic seconds since session creation
         # (see ProgressEvent.ts); monotonic, so producer/consumer clock skew
@@ -243,16 +227,14 @@ class EstimationSession:
         self._frame = StateFrame.zeros(graph.num_vertices)
         self._calibration_frame: Optional[StateFrame] = None
         self._calibration_rng_state: Optional[Dict[str, object]] = None
-        self._delta_l: Optional[np.ndarray] = None
-        self._delta_u: Optional[np.ndarray] = None
         self._condition: Optional[StoppingCondition] = None
         self._rng: Optional[np.random.Generator] = None
         self._sampler = None
         self._last_result: Optional[BetweennessResult] = None
         # Native sessions log every sample's (pair, distance, interior path):
         # the extra state that makes their checkpoints update-refinable when
-        # the graph mutates (see repro.evolve).  Delegated backends never go
-        # through _draw, so their sessions carry no log.
+        # the graph mutates (see repro.evolve).  Delegated backends never
+        # draw through the session, so their sessions carry no log.
         self._sample_log: Optional[SampleLog] = SampleLog.empty() if self._native else None
 
     # ------------------------------------------------------------------ #
@@ -272,7 +254,7 @@ class EstimationSession:
 
     @property
     def algorithm(self) -> str:
-        return self._spec.name if self._spec is not None else "sequential"
+        return self._algorithm
 
     @property
     def supports_refinement(self) -> bool:
@@ -368,9 +350,7 @@ class EstimationSession:
             if into_calibration is not None:
                 into_calibration.record_batch(batch)
 
-    def _build_result(
-        self, timer: PhaseTimer, *, samples_reused: int
-    ) -> BetweennessResult:
+    def _build_result(self, timer: PhaseTimer, *, samples_reused: int) -> BetweennessResult:
         tau = self._frame.num_samples
         result = BetweennessResult(
             scores=self._frame.betweenness_estimates(),
@@ -391,9 +371,7 @@ class EstimationSession:
     def _trivial_result(self, eps: float, delta: float) -> BetweennessResult:
         self._ran = True
         self._eps, self._delta = eps, delta
-        result = BetweennessResult(
-            scores=np.zeros(self._graph.num_vertices), eps=eps, delta=delta
-        )
+        result = BetweennessResult(scores=np.zeros(self._graph.num_vertices), eps=eps, delta=delta)
         self._last_result = result
         return result
 
@@ -411,9 +389,7 @@ class EstimationSession:
         with obs_trace.span("session.run", algorithm=self.algorithm):
             return self._run_to_target(eps, delta)
 
-    def _run_to_target(
-        self, eps: Optional[float], delta: Optional[float]
-    ) -> BetweennessResult:
+    def _run_to_target(self, eps: Optional[float], delta: Optional[float]) -> BetweennessResult:
         if self._ran:
             raise SessionStateError(
                 "session has already run; use refine(eps, delta) to tighten "
@@ -421,14 +397,11 @@ class EstimationSession:
             )
         target = self._target_options(eps, delta)
         if not self._native:
-            opts = target
             start = time.perf_counter()
-            result = self._spec.runner(
-                self._graph, opts, self._resources, self._progress
-            )
+            result = self._spec.runner(self._graph, target, self._resources, self._progress)
             result.phase_seconds.setdefault("total", time.perf_counter() - start)
             self._ran = True
-            self._eps, self._delta = opts.eps, opts.delta
+            self._eps, self._delta = target.eps, target.delta
             self._frame.num_samples = int(result.num_samples)
             self._last_result = result
             return result
@@ -447,65 +420,71 @@ class EstimationSession:
         self._emit(phase="diameter", omega=schedule.omega)
 
         with timer.phase("calibration"), obs_trace.span("calibration") as sp:
-            self._draw(schedule.calibration_samples, self._rng)
+            self._frame, self._condition = calibration_phase(
+                SelfComm(),
+                self._sampler,
+                self._rng,
+                schedule.calibration_samples,
+                num_vertices=self._graph.num_vertices,
+                eps=target.eps,
+                delta=target.delta,
+                omega=schedule.omega,
+                on_batch=self._sample_log.append_batch,
+            )
             self._calibration_frame = self._frame.copy()
             self._calibration_rng_state = _jsonable_rng_state(self._rng)
-            self._recalibrate(target.eps, target.delta, schedule.omega)
             sp.set("num_samples", int(self._frame.num_samples))
-        self._emit(
-            phase="calibration",
-            num_samples=self._frame.num_samples,
-            omega=schedule.omega,
-        )
-
-        with timer.phase("adaptive_sampling"), obs_trace.span(
-            "adaptive_sampling", omega=schedule.omega
-        ):
-            self._advance_to_stop(schedule)
-
-        self._ran = True
-        self._eps, self._delta = target.eps, target.delta
-        return self._build_result(timer, samples_reused=0)
+        return self._certify(timer, schedule, target.eps, target.delta, samples_reused=0)
 
     def _recalibrate(self, eps: float, delta: float, omega: int) -> None:
-        """Derive delta_L/delta_U and the stopping condition for a target."""
-        calibration = calibrate_deltas(self._calibration_frame, delta, eps=eps)
-        self._delta_l = calibration.delta_l
-        self._delta_u = calibration.delta_u
-        self._condition = StoppingCondition(
-            eps=eps, omega=omega, delta_l=calibration.delta_l, delta_u=calibration.delta_u
-        )
+        """Derive the stopping condition for a target from the calibration frame."""
+        frame = self._calibration_frame
+        self._condition = stopping_condition(frame, eps=eps, delta=delta, omega=omega)
 
-    def _advance_to_stop(self, schedule: CheckSchedule) -> None:
-        """The check/draw loop shared by ``run``, ``refine`` and graph updates.
+    def _certify(
+        self, timer: PhaseTimer, schedule: CheckSchedule, eps: float, delta: float,
+        *, samples_reused: int,
+    ) -> BetweennessResult:
+        """Phase 3 of ``run``, ``refine`` and graph updates, to an ``(eps, delta)`` certificate.
 
-        First draws forward to the first check boundary of ``schedule`` at or
-        past the live position (a no-op in ``run``, whose calibration ends on
-        the first boundary).  Boundaries strictly before that position were
-        decided by the looser certificate already (monotone guarantees: the
-        tighter rule cannot fire before the looser one did), so skipping them
-        is safe.  Then each iteration evaluates the stopping rule and draws
-        exactly one block — the same decisions a one-shot run makes.
+        The engine's epoch loop at ``P = T = 1``, on ``schedule``: its first
+        epoch draws forward to the first check boundary at or past the live
+        position (nothing in ``run``, whose calibration ends on the first
+        boundary).  Boundaries strictly before that position were decided by
+        the looser certificate already (monotone guarantees: the tighter rule
+        cannot fire before the looser one did), so skipping them is safe.
+        Every later epoch draws exactly one block — the same decisions a
+        one-shot run makes.
         """
-        tau = self._frame.num_samples
-        aligned = schedule.next_boundary(tau)
-        if aligned > tau:
-            self._draw(aligned - tau, self._rng)
-        while True:
-            with obs_trace.span("stopping", epoch=self._checks) as sp:
-                stop = self._condition.should_stop(self._frame)
-                sp.set("stop", bool(stop))
-            if stop:
-                return
-            with obs_trace.span("sampling", epoch=self._checks):
-                self._draw(schedule.advance(self._frame.num_samples), self._rng)
-            self._checks += 1
+        self._emit(phase="calibration", num_samples=self._frame.num_samples, omega=schedule.omega)
+        checks = self._checks
+
+        def on_epoch(epochs_done: int, num_samples: int) -> None:
             self._emit(
                 phase="adaptive_sampling",
-                epoch=self._checks,
-                num_samples=self._frame.num_samples,
+                epoch=checks + epochs_done,
+                num_samples=num_samples,
                 omega=schedule.omega,
             )
+
+        span = obs_trace.span("adaptive_sampling", omega=schedule.omega)
+        with timer.phase("adaptive_sampling"), span:
+            stats = adaptive_sampling_epochs(
+                SelfComm(),
+                lambda _thread: self._sampler,
+                self._condition,
+                [self._rng],
+                num_threads=1,
+                grid=schedule,
+                initial_frame=self._frame,
+                on_batch=None if self._sample_log is None else self._sample_log.append_batch,
+                on_epoch=on_epoch,
+            )
+        self._frame = stats.aggregated_frame
+        self._checks += stats.num_epochs
+        self._ran = True
+        self._eps, self._delta, self._omega = eps, delta, schedule.omega
+        return self._build_result(timer, samples_reused=samples_reused)
 
     # ------------------------------------------------------------------ #
     # refine
@@ -516,19 +495,15 @@ class EstimationSession:
         """Tighten the guarantee to ``(eps, delta)``, reusing all samples.
 
         The target must be at least as tight as the current certificate in
-        both dimensions (``eps <= session.eps`` and ``delta <=
-        session.delta``); a no-op target returns the current estimate without
-        sampling.  The refined result is bit-identical to a fresh session run
-        at the same target with the same seed, while drawing only
-        ``omega_new - omega_old``-ish new samples plus a calibration-gap
-        replay (see the module docstring for why this is exact).
+        both dimensions; a no-op target returns the current estimate without
+        sampling.  The result is bit-identical to a fresh session run at the
+        same target and seed, while drawing only the sample-count difference
+        plus a calibration-gap replay (see the module docstring).
         """
         with obs_trace.span("session.refine", algorithm=self.algorithm):
             return self._refine_to_target(eps, delta)
 
-    def _refine_to_target(
-        self, eps: Optional[float], delta: Optional[float]
-    ) -> BetweennessResult:
+    def _refine_to_target(self, eps: Optional[float], delta: Optional[float]) -> BetweennessResult:
         if not self._native:
             raise SessionCapabilityError(
                 f"backend {self.algorithm!r} does not support refinement; "
@@ -547,8 +522,7 @@ class EstimationSession:
             )
         reused = self._frame.num_samples
         if target.eps == self._eps and target.delta == self._delta:
-            timer = PhaseTimer()
-            return self._build_result(timer, samples_reused=reused)
+            return self._build_result(PhaseTimer(), samples_reused=reused)
         if self._graph.num_vertices < 2:
             return self._trivial_result(target.eps, target.delta)
 
@@ -578,28 +552,12 @@ class EstimationSession:
                     )
                 self._calibration_rng_state = _jsonable_rng_state(replay_rng)
             if new_c > reused:
-                self._draw(
-                    new_c - reused, self._rng, into_calibration=self._calibration_frame
-                )
+                self._draw(new_c - reused, self._rng, into_calibration=self._calibration_frame)
                 self._calibration_rng_state = _jsonable_rng_state(self._rng)
             self._recalibrate(target.eps, target.delta, schedule.omega)
-        replayed = replay_until - old_c if replay_until > old_c else 0
-        self._emit(
-            phase="calibration",
-            num_samples=self._frame.num_samples,
-            omega=schedule.omega,
-        )
-
-        with timer.phase("adaptive_sampling"), obs_trace.span(
-            "adaptive_sampling", omega=schedule.omega
-        ):
-            self._advance_to_stop(schedule)
-
-        self._eps, self._delta = target.eps, target.delta
-        self._omega = schedule.omega
-        result = self._build_result(timer, samples_reused=reused)
-        if replayed:
-            result.extra["samples_replayed"] = float(replayed)
+        result = self._certify(timer, schedule, target.eps, target.delta, samples_reused=reused)
+        if replay_until > old_c:
+            result.extra["samples_replayed"] = float(replay_until - old_c)
         return result
 
     # ------------------------------------------------------------------ #
@@ -620,12 +578,11 @@ class EstimationSession:
     def peek(self) -> ConfidenceEstimate:
         """The current point estimate with per-vertex confidence bounds.
 
-        Valid at any epoch boundary — before ``run`` the bounds are infinite,
-        mid-session they reflect exactly the f/g deviation bounds of the
-        samples accumulated so far.  ``peek`` never draws samples.
+        Before ``run`` the bounds are infinite; afterwards they are the f/g
+        deviation bounds of the samples so far.  ``peek`` never draws.
         """
         result = self._result_for_bounds()
-        lower, upper = confidence_bounds(result, self._delta_l, self._delta_u)
+        lower, upper = confidence_bounds(result, *self._deltas())
         return ConfidenceEstimate(
             scores=result.scores,
             lower_bounds=lower,
@@ -638,53 +595,47 @@ class EstimationSession:
     def top_k(self, k: int) -> TopKResult:
         """Certified top-k against the session state (see :mod:`repro.core.topk`).
 
-        Uses the session's live calibration vectors when available, so the
-        separation test runs at exactly the confidence level the stopping
-        rule certified.
+        Uses the live calibration vectors when available, so the separation
+        test runs at exactly the confidence level the stopping rule certified.
         """
-        return identify_top_k(
-            self._result_for_bounds(), k, delta_l=self._delta_l, delta_u=self._delta_u
-        )
+        delta_l, delta_u = self._deltas()
+        return identify_top_k(self._result_for_bounds(), k, delta_l=delta_l, delta_u=delta_u)
+
+    def _deltas(self):
+        """``(delta_L, delta_U)`` of the live stopping condition, or ``(None, None)``."""
+        condition = self._condition
+        return (None, None) if condition is None else (condition.delta_l, condition.delta_u)
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore
     # ------------------------------------------------------------------ #
     def _graph_identity(self) -> Dict[str, object]:
         source = getattr(self._graph, "source_path", None)
-        checksum = None
-        if source is not None:
-            try:
-                from repro.store.catalog import _header_checksum
-                from repro.store.format import read_header
-
-                checksum = _header_checksum(read_header(source))
-            except Exception:  # noqa: BLE001 - identity is best-effort metadata
-                checksum = None
         return {
             "num_vertices": int(self._graph.num_vertices),
             "num_edges": int(self._graph.num_edges),
             "source_path": None if source is None else str(source),
-            "checksum": checksum,
+            "checksum": _graph_checksum(self._graph),
         }
 
     def checkpoint(self, path: PathLike) -> Path:
         """Snapshot the session to ``path`` (atomically, CRC-checked).
 
-        The snapshot captures everything :meth:`restore` needs to continue
-        the exact sample stream: accumulators, calibration frame, both RNG
-        states and the scalar run state.  Returns the path written.
+        The snapshot holds everything :meth:`restore` needs to continue the
+        exact sample stream: accumulators, calibration frame, both RNG states
+        and the scalar run state.  Returns the path written.
         """
         with obs_trace.span("session.checkpoint"):
             return self._checkpoint_to(path)
 
     def _checkpoint_to(self, path: PathLike) -> Path:
-        if not self._native:
+        if not self._native and self._calibration_frame is None:
             raise SessionCapabilityError(
                 f"backend {self.algorithm!r} does not support checkpointing"
             )
         if not self._ran:
             raise SessionStateError("nothing to checkpoint: run() has not completed")
-        if self._rng is None:  # trivial (< 2 vertices) sessions have no engine
+        if self._native and self._rng is None:  # trivial (< 2 vertices) sessions
             self._ensure_engine()
             self._calibration_frame = self._calibration_frame or StateFrame.zeros(
                 self._graph.num_vertices
@@ -694,6 +645,8 @@ class EstimationSession:
             )
         meta = {
             "kind": _SNAPSHOT_KIND,
+            # "sequential" marks the session's own, refinable stream.
+            "algorithm": "sequential" if self._native else self._algorithm,
             "created_at": time.time(),
             "graph": self._graph_identity(),
             "options": asdict(self._options),
@@ -707,16 +660,13 @@ class EstimationSession:
                 **self._calibration_frame.scalar_state(),
                 "rng_state": self._calibration_rng_state,
             },
-            "rng_state": _jsonable_rng_state(self._rng),
+            "rng_state": None if self._rng is None else _jsonable_rng_state(self._rng),
         }
         arrays = {
             "counts": self._frame.counts,
             "calibration_counts": self._calibration_frame.counts,
         }
-        if (
-            self._sample_log is not None
-            and self._sample_log.num_samples == self._frame.num_samples
-        ):
+        if self._sample_log is not None and self._sample_log.num_samples == self._frame.num_samples:
             meta["sample_log"] = {"num_samples": self._sample_log.num_samples}
             arrays.update(self._sample_log.snapshot_arrays())
         write_snapshot(path, meta, arrays)
@@ -733,12 +683,12 @@ class EstimationSession:
         """Rebuild a session from a :meth:`checkpoint` snapshot.
 
         ``graph`` may be passed explicitly (it is validated against the
-        recorded identity); otherwise the graph is re-opened from the
-        recorded ``source_path`` — which is how a refinement worker in
-        another process resumes against the shared ``.rcsr`` store.  A file
-        that is not a complete, well-formed snapshot raises
-        :class:`SnapshotError`; keys this version does not read (such as the
-        batch size older versions recorded) are ignored.
+        recorded identity); otherwise it is re-opened from the recorded
+        ``source_path``, which is how a worker in another process resumes
+        against the shared ``.rcsr`` store.  A file that is not a complete,
+        well-formed snapshot raises :class:`SnapshotError`; keys this version
+        does not read are ignored.  A parallel rank's checkpoint restores as
+        a session whose ``refine`` raises :class:`SessionCapabilityError`.
         """
         with obs_trace.span("session.restore"):
             meta, arrays = read_snapshot(path)
@@ -750,8 +700,7 @@ class EstimationSession:
                 source = identity.get("source_path") if isinstance(identity, dict) else None
                 if not source or not isinstance(source, str):
                     raise SnapshotError(
-                        f"{path}: snapshot records no graph source path; pass the "
-                        "graph explicitly to restore()"
+                        f"{path}: snapshot records no graph source path; pass the graph explicitly"
                     )
                 from repro.store import load_graph
 
@@ -762,7 +711,8 @@ class EstimationSession:
                 raise
             except _MALFORMED as exc:
                 raise SnapshotError(f"{path}: malformed snapshot metadata: {exc}") from None
-            session._ensure_engine()
+            if session._native:
+                session._ensure_engine()
             return session
 
     @classmethod
@@ -776,20 +726,12 @@ class EstimationSession:
                 f"{path}: graph mismatch (snapshot has {identity['num_vertices']} "
                 f"vertices, provided graph has {graph.num_vertices})"
             )
-        recorded_checksum = identity.get("checksum")
-        if recorded_checksum is not None and getattr(graph, "source_path", None):
-            try:
-                from repro.store.catalog import _header_checksum
-                from repro.store.format import read_header
-
-                current = _header_checksum(read_header(graph.source_path))
-            except Exception:  # noqa: BLE001 - non-.rcsr sources have no checksum
-                current = None
-            if current is not None and current != recorded_checksum:
-                raise SnapshotError(
-                    f"{path}: graph contents changed since the snapshot "
-                    f"(checksum {current} != {recorded_checksum})"
-                )
+        recorded, current = identity.get("checksum"), _graph_checksum(graph)
+        if recorded is not None and current is not None and current != recorded:
+            raise SnapshotError(
+                f"{path}: graph contents changed since the snapshot "
+                f"(checksum {current} != {recorded})"
+            )
 
         for name in ("counts", "calibration_counts"):
             if name not in arrays:
@@ -804,8 +746,14 @@ class EstimationSession:
         if kernel is not None and kernel not in kernel_names():
             raise SnapshotError(f"{path}: snapshot names unknown kernel {kernel!r}")
 
+        algorithm = meta.get("algorithm", "sequential")
+        if not isinstance(algorithm, str):
+            raise TypeError(f"'algorithm' must be a string, got {algorithm!r}")
         options = KadabraOptions(**_json_object(meta, "options"))
         session = cls(graph, options, progress=progress, kernel=kernel)
+        # Only the session's own stream can be refined or extended.
+        session._native = algorithm == "sequential"
+        session._algorithm = algorithm
         session._ran = True
         achieved = _json_object(meta, "achieved")
         eps, delta = achieved.get("eps"), achieved.get("delta")
@@ -825,7 +773,7 @@ class EstimationSession:
         # Pre-log snapshots restore fine; the session just is not
         # update-refinable (repro.evolve requires the per-sample log).
         session._sample_log = None
-        if isinstance(meta.get("sample_log"), dict):
+        if session._native and isinstance(meta.get("sample_log"), dict):
             log = SampleLog.from_snapshot_arrays(arrays)
             if log.num_samples != session._frame.num_samples:
                 raise SnapshotError(
@@ -833,16 +781,34 @@ class EstimationSession:
                     f"frame holds {session._frame.num_samples}"
                 )
             session._sample_log = log
-        session._rng = _rng_from_state(meta["rng_state"])
+        session._rng = _rng_from_state(meta["rng_state"]) if session._native else None
         # Recompute the stopping state instead of storing 2n more floats: the
-        # calibration is a deterministic function of the stored frame.
-        if (
-            session._eps is not None
-            and session._delta is not None
-            and session._omega is not None
-            and session._calibration_frame.num_samples > 0
-        ):
-            session._recalibrate(session._eps, session._delta, session._omega)
+        # calibration is a deterministic function of the stored frame.  A
+        # rank's mid-run checkpoint certifies nothing yet and is calibrated
+        # for the target of its options.
+        if session._omega is not None and session._calibration_frame.num_samples > 0:
+            session._recalibrate(
+                options.eps if session._eps is None else session._eps,
+                options.delta if session._delta is None else session._delta,
+                session._omega,
+            )
+        elif not session._native:
+            raise SnapshotError(f"{path}: {algorithm!r} checkpoint carries no calibration")
+        return session
+
+    @classmethod
+    def _rank_state(
+        cls, graph, options: KadabraOptions, kernel: Optional[str], algorithm: str,
+        vertex_diameter: int, calibration_frame: StateFrame, condition: StoppingCondition,
+    ) -> "EstimationSession":
+        """Rank 0's state in a parallel run; the engine keeps its frame and
+        check count current at every epoch boundary.  Checkpointable and
+        restorable, not refinable: it holds no session RNG stream."""
+        session = cls(graph, options, kernel=kernel)
+        session._native, session._algorithm, session._sample_log = False, algorithm, None
+        session._ran = True
+        session._vd, session._omega = vertex_diameter, condition.omega
+        session._calibration_frame, session._condition = calibration_frame, condition
         return session
 
 
@@ -861,14 +827,10 @@ def open_session(
     Parameters mirror :func:`repro.estimate_betweenness`: ``graph`` may be a
     :class:`~repro.graph.csr.CSRGraph`, a path or a catalog name;
     ``algorithm`` is a backend registry name or ``"auto"``; ``options`` plus
-    ``seed``/keyword overrides configure the run.  ``eps``/``delta`` may be
-    set here as defaults but are typically passed to
-    :meth:`EstimationSession.run` / :meth:`EstimationSession.refine`.
-
-    Only backends registered with ``supports_refinement=True`` (the
-    sequential adaptive engine) return fully resumable sessions; the rest are
-    delegated (``run`` works, ``refine``/``checkpoint`` raise
-    :class:`SessionCapabilityError`).
+    ``seed``/keyword overrides configure the run (``eps``/``delta`` are
+    usually passed to ``run``/``refine``).  Only backends registered with
+    ``supports_refinement=True`` return fully resumable sessions; the rest
+    are delegated.
     """
     from repro.api import backends as _backends  # noqa: F401  (populate registry)
     from repro.api.registry import AUTO, get_backend, select_backend
@@ -880,9 +842,7 @@ def open_session(
 
         graph = load_graph(graph)
     if not hasattr(graph, "num_vertices"):
-        raise TypeError(
-            f"graph must be a CSRGraph-like object, got {type(graph).__name__}"
-        )
+        raise TypeError(f"graph must be a CSRGraph-like object, got {type(graph).__name__}")
     resources = resources if resources is not None else Resources()
     if not isinstance(resources, Resources):
         raise TypeError("resources must be a repro.api.Resources instance")
@@ -898,10 +858,4 @@ def open_session(
     opts = base.with_(**changes) if changes else base
 
     progress = tag_backend(combine_callbacks(callbacks), spec.name)
-    return EstimationSession(
-        graph,
-        opts,
-        progress=progress,
-        _spec=spec,
-        _resources=resources,
-    )
+    return EstimationSession(graph, opts, progress=progress, _spec=spec, _resources=resources)

@@ -16,7 +16,7 @@ from repro.core.state_frame import StateFrame
 from repro.core.stopping import StoppingCondition
 from repro.kernels import BatchPathSampler
 from repro.mpi import SelfComm, build_topology, run_threaded
-from repro.parallel import adaptive_sampling_epochs
+from repro.parallel import EpochLength, adaptive_sampling_epochs
 
 
 def algorithm1(comm, sampler, condition, rng, **kwargs):
@@ -44,7 +44,7 @@ class TestAlgorithm1Internals:
             BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(0),
-            samples_per_epoch=50,
+            grid=EpochLength(50),
         )
         assert stats.aggregated_frame is not None
         assert stats.aggregated_frame.num_samples >= 50
@@ -61,7 +61,7 @@ class TestAlgorithm1Internals:
             BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(1),
-            samples_per_epoch=10,
+            grid=EpochLength(10),
             initial_frame=seed_frame,
         )
         assert stats.stopped_by_omega
@@ -74,7 +74,7 @@ class TestAlgorithm1Internals:
             BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(2),
-            samples_per_epoch=5,
+            grid=EpochLength(5),
             max_epochs=2,
         )
         assert stats.num_epochs == 2
@@ -90,7 +90,7 @@ class TestAlgorithm1Internals:
                 BatchPathSampler(small_social_graph),
                 condition,
                 np.random.default_rng(100 + rank),
-                samples_per_epoch=40,
+                grid=EpochLength(40),
             )
 
         stats = run_threaded(3, body)
@@ -112,7 +112,7 @@ class TestAlgorithm1Internals:
                 BatchPathSampler(small_social_graph),
                 condition,
                 np.random.default_rng(0),
-                samples_per_epoch=0,
+                grid=EpochLength(0),
             )
 
 
@@ -129,7 +129,7 @@ class TestAlgorithm2Internals:
             condition,
             self._rngs(3),
             num_threads=3,
-            samples_per_epoch=30,
+            grid=EpochLength(30),
         )
         assert stats.aggregated_frame is not None
         assert stats.aggregated_frame.num_samples > 0
@@ -149,7 +149,7 @@ class TestAlgorithm2Internals:
                 condition,
                 self._rngs(2, seed=10 * rank),
                 num_threads=2,
-                samples_per_epoch=20,
+                grid=EpochLength(20),
                 topology=topology,
             )
 
@@ -166,17 +166,17 @@ class TestAlgorithm2Internals:
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=0,
-                samples_per_epoch=10,
+                grid=EpochLength(10),
             )
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(2), num_threads=2,
-                samples_per_epoch=0,
+                grid=EpochLength(0),
             )
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=2,
-                samples_per_epoch=10,
+                grid=EpochLength(10),
             )
 
     def test_estimates_converge_to_exact(self, small_social_graph):
@@ -191,7 +191,7 @@ class TestAlgorithm2Internals:
             condition,
             self._rngs(2, seed=5),
             num_threads=2,
-            samples_per_epoch=2000,
+            grid=EpochLength(2000),
         )
         estimates = stats.aggregated_frame.betweenness_estimates()
         assert np.max(np.abs(estimates - exact)) < 0.08

@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import brandes_betweenness
+from repro.cli import main as cli_main
 from repro.dist.driver import DistWorkerConfig
 from repro.dist.launcher import LaunchError, launch_local, pick_free_port
 from repro.graph import read_edge_list
+from repro.graph.generators import barabasi_albert
+from repro.session import EstimationSession, SessionCapabilityError, open_session
 from repro.session.snapshot import read_snapshot
-from repro.store import GraphCatalog
+from repro.store import GraphCatalog, open_rcsr, write_rcsr
 
 EXAMPLE_EDGE_LIST = Path(__file__).resolve().parents[1] / "examples" / "data" / "example-social.txt"
 
@@ -154,40 +157,53 @@ class TestFourProcessEndToEnd:
 
 
 class TestFaultToleranceResume:
+    # The tighter target of the second case runs enough epochs that the
+    # kill still lands mid-run after its later first checkpoint.
+    @pytest.mark.parametrize("checkpoint_every, eps", [(1, 0.08), (2, 0.05)])
     def test_sigkilled_worker_resumes_from_checkpoint(
-        self, tmp_path, social_rcsr, exact_scores
+        self, tmp_path, social_rcsr, exact_scores, checkpoint_every, eps
     ):
         checkpoint = tmp_path / "dist.snap"
         result = launch_local(
             str(social_rcsr),
             processes=2,
             parts=2,
-            eps=0.08,
+            eps=eps,
             delta=0.1,
             seed=11,
             samples_per_check=150,
             max_samples=6000,
             checkpoint=str(checkpoint),
-            checkpoint_every=1,
+            checkpoint_every=checkpoint_every,
             fault_rank=1,
             timeout=300.0,
         )
         # One worker was SIGKILLed right after the first checkpoint landed;
-        # the world restarted exactly once and resumed past the boundary.
+        # the world restarted exactly once and resumed past that boundary,
+        # which with checkpoint_every=2 is a later one than the first.
         assert result["restarts"] == 1
-        assert result["resumed_from_epoch"] >= 1
+        assert result["resumed_from_epoch"] >= checkpoint_every
+        assert result["resumed_from_epoch"] % checkpoint_every == 0
         assert result["resumed_from_samples"] > 0
         # Zero lost samples: the final count includes everything aggregated
         # before the fault.
         assert result["num_samples"] >= result["resumed_from_samples"]
         scores = np.asarray(result["scores"])
         assert float(np.max(np.abs(scores - exact_scores))) <= result["eps"]
-        # The checkpoint is a well-formed .snap container of the dist kind.
-        assert checkpoint.exists()
+        # The checkpoint is a session snapshot of rank 0's state.
         meta, arrays = read_snapshot(checkpoint)
-        assert meta["kind"] == "dist-epoch"
-        assert meta["size"] == 2
-        assert set(arrays) >= {"counts", "delta_l", "delta_u"}
+        assert meta["kind"] == "repro-estimation-session"
+        assert meta["algorithm"] == "distributed"
+        assert meta["achieved"] == {"eps": None, "delta": None}
+        assert meta["rng_state"] is None
+        assert set(arrays) >= {"counts", "calibration_counts"}
+        # It restores through the session code, and refuses to refine: its
+        # samples come from the ranks' streams, not a session stream.
+        state = EstimationSession.restore(checkpoint, graph=open_rcsr(social_rcsr))
+        assert state.algorithm == "distributed" and not state.supports_refinement
+        assert state.num_samples == meta["frame"]["num_samples"]
+        with pytest.raises(SessionCapabilityError):
+            state.refine(0.05, 0.1)
 
     def test_restart_budget_exhaustion_raises(self, tmp_path, social_rcsr):
         # With a zero restart budget the launcher must surface the failure
@@ -206,6 +222,69 @@ class TestFaultToleranceResume:
                 fault_rank=1,
                 timeout=300.0,
             )
+
+
+class TestWorkerCommand:
+    """``repro.cli dist worker``: one rank per command."""
+
+    @staticmethod
+    def worker(graph, *extra):
+        return cli_main(
+            ["dist", "worker", "--graph", str(graph), "--rank", "0", "--size", "1",
+             "--eps", "0.2", "--seed", "3", "--samples-per-check", "100", "--timeout", "20",
+             *extra]
+        )
+
+    def test_rank_zero_connects_to_the_port_its_hub_bound(self, social_rcsr, tmp_path):
+        out = tmp_path / "result.json"
+        assert self.worker(social_rcsr, "--output", str(out)) == 0  # default --port 0
+        assert json.loads(out.read_text())["num_processes"] == 1
+
+    @pytest.fixture()
+    def checkpoint(self, social_rcsr, tmp_path):
+        path = tmp_path / "rank0.snap"
+        assert self.worker(social_rcsr, "--checkpoint", str(path), "--max-epochs", "2") == 0
+        return path
+
+    def resume_fails(self, capsys, graph, checkpoint, *extra):
+        code = self.worker(graph, "--checkpoint", str(checkpoint), "--resume", *extra)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        return err[0]
+
+    def test_resume_continues_from_the_checkpoint(self, social_rcsr, checkpoint, tmp_path):
+        out = tmp_path / "result.json"
+        saved = read_snapshot(checkpoint)[0]
+        assert self.worker(social_rcsr, "--checkpoint", str(checkpoint), "--resume", "--output", str(out)) == 0
+        result = json.loads(out.read_text())
+        assert result["resumed_from_epoch"] == saved["checks"] >= 1
+        assert result["resumed_from_samples"] == saved["frame"]["num_samples"]
+        assert result["num_samples"] >= result["resumed_from_samples"]
+
+    def test_session_refine_refuses_the_checkpoint(self, capsys, checkpoint):
+        # Without --graph the restore re-opens the .rcsr the snapshot records.
+        assert cli_main(["session", "refine", str(checkpoint), "--eps", "0.1"]) == 2
+        assert "does not support refinement" in capsys.readouterr().err
+
+    def test_resume_on_another_graph(self, capsys, checkpoint, tmp_path):
+        other = tmp_path / "other.rcsr"
+        write_rcsr(barabasi_albert(120, 2, seed=1), other)
+        assert "graph mismatch" in self.resume_fails(capsys, other, checkpoint)
+
+    def test_resume_with_another_target(self, capsys, social_rcsr, checkpoint):
+        assert "(eps, delta)" in self.resume_fails(capsys, social_rcsr, checkpoint, "--eps", "0.1")
+
+    def test_resume_from_a_truncated_checkpoint(self, capsys, social_rcsr, checkpoint):
+        checkpoint.write_bytes(checkpoint.read_bytes()[:100])
+        assert "truncated" in self.resume_fails(capsys, social_rcsr, checkpoint)
+
+    def test_resume_from_a_sequential_session(self, capsys, social_rcsr, tmp_path):
+        snap = tmp_path / "seq.snap"
+        session = open_session(open_rcsr(social_rcsr), seed=3)
+        session.run(0.2, 0.1)
+        session.checkpoint(snap)
+        assert "sequential session" in self.resume_fails(capsys, social_rcsr, snap)
 
 
 class TestResultArtifact:

@@ -230,8 +230,8 @@ class TestMetricsCountOnlyTheRun:
         real = driver._worker_body
         seen = tmp_path / "world-metrics.json"
 
-        def worker_body(comm, config):
-            result = real(comm, config)
+        def worker_body(comm, *args):
+            result = real(comm, *args)
             if comm.is_root:
                 seen.write_text(json.dumps(get_registry().snapshot()))
             return result

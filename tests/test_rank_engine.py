@@ -5,6 +5,8 @@
   computation, pinned by sha256 digests recorded at the commit *before* the
   four drivers were merged into :func:`repro.parallel.run_rank`.
 * Algorithm 1's invariants through the merged epoch loop on threaded ranks.
+* The session is the engine's ``P = T = 1`` rank, and rank 0's checkpoint
+  state is a session.
 * Failure propagation: a sampling thread or a rank that raises ends the run
   in that exception instead of leaving its peers spinning forever.
 """
@@ -25,7 +27,8 @@ from repro.dist.launcher import launch_local
 from repro.graph.generators import barabasi_albert
 from repro.kernels import BatchPathSampler
 from repro.mpi import CommError, SelfComm, run_threaded
-from repro.parallel import adaptive_sampling_epochs, run_rank
+from repro.parallel import EpochLength, adaptive_sampling_epochs, run_rank
+from repro.session import EstimationSession, SessionCapabilityError, open_session
 from repro.store import write_rcsr
 
 TARGET = dict(eps=0.02, delta=0.1, seed=5)
@@ -140,7 +143,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
                 condition,
                 [np.random.default_rng(100 + rank)],
                 num_threads=1,
-                samples_per_epoch=40,
+                grid=EpochLength(40),
                 algorithm="mpi-only",
                 # Only rank 0's calibration frame enters the aggregate.
                 initial_frame=calibration,
@@ -166,9 +169,53 @@ class TestAlgorithm1ThroughTheMergedLoop:
                 condition,
                 [np.random.default_rng(t) for t in range(2)],
                 num_threads=2,
-                samples_per_epoch=10,
+                grid=EpochLength(10),
                 algorithm="mpi-only",
             )
+
+
+class TestOneLoop:
+    def test_the_session_runs_the_engine_loop_on_one_thread(self, graph, monkeypatch):
+        import repro.session.session as session_module
+
+        calls = []
+
+        def spy(comm, sampler_factory, condition, rngs, **kwargs):
+            calls.append((comm, kwargs["num_threads"], kwargs["grid"]))
+            return adaptive_sampling_epochs(comm, sampler_factory, condition, rngs, **kwargs)
+
+        monkeypatch.setattr(session_module, "adaptive_sampling_epochs", spy)
+        threads_before = threading.active_count()
+        session = open_session(graph, seed=5)
+        result = session.run(0.1, 0.1)
+        session.refine(0.05, 0.1)
+        assert threading.active_count() == threads_before
+        assert [(type(comm), threads) for comm, threads, _grid in calls] == [(SelfComm, 1)] * 2
+        assert calls[0][2].omega == result.omega
+        # Thread 0's batches fed the sample log, sample for sample.
+        assert session.sample_log.num_samples == session.num_samples
+
+    def test_rank_state_checkpoints_as_a_session(self, graph, tmp_path):
+        path = tmp_path / "rank0.snap"
+        seen = []
+
+        def on_aggregate(state):
+            seen.append(state.num_samples)
+            state.checkpoint(path)
+
+        options = KadabraOptions(**TARGET)
+        result, _ = run_rank(SelfComm(), graph, options, max_epochs=3, on_aggregate=on_aggregate)
+        assert len(seen) == 3 and seen[-1] == result.num_samples
+        state = EstimationSession.restore(path, graph=graph)
+        assert (state.algorithm, state.num_samples, state.omega) == ("distributed", result.num_samples, result.omega)
+        assert state.eps is None  # a mid-run state certifies nothing
+        assert state.peek().num_samples == result.num_samples
+        with pytest.raises(SessionCapabilityError):
+            state.refine(0.01, 0.1)
+        # Resuming continues from the aggregate, on fresh streams.
+        resumed, stats = run_rank(SelfComm(), graph, options, resume=state, max_epochs=1)
+        assert resumed.num_samples == result.num_samples + stats.local_samples
+        assert resumed.vertex_diameter == result.vertex_diameter
 
 
 class Boom(RuntimeError):
@@ -219,7 +266,7 @@ class TestFailuresEndTheRun:
             never,
             [np.random.default_rng(10 * comm.rank + t) for t in range(2)],
             num_threads=2,
-            samples_per_epoch=5,
+            grid=EpochLength(5),
         )
 
     def test_sampling_thread_exception_reaches_thread_zero(self, graph):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import (
+    CheckSchedule,
     StoppingCondition,
     compute_omega,
     f_function,
@@ -150,3 +151,20 @@ class TestStoppingCondition:
 
     def test_num_vertices(self):
         assert self._condition(n=7).num_vertices == 7
+
+
+class TestCheckGrids:
+    def test_schedule_aligns_in_epoch_zero_then_draws_blocks(self):
+        schedule = CheckSchedule(calibration_samples=200, samples_per_check=1000, omega=4797)
+        assert schedule.epoch_samples(0, 200) == 0  # a cold run checks right after calibration
+        assert schedule.epoch_samples(0, 1300) == 900  # a refine aligns with the grid first
+        assert schedule.epoch_samples(1, 2200) == 1000
+        assert schedule.epoch_samples(5, 4200) == 597  # never past omega
+        assert schedule.epoch_samples(0, 5000) == 0
+
+    def test_parallel_rule_is_constant(self):
+        from repro.parallel import EpochLength
+
+        assert EpochLength(40).epoch_samples(0, 0) == EpochLength(40).epoch_samples(7, 123) == 40
+        with pytest.raises(ValueError):
+            EpochLength(0)
