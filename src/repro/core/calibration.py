@@ -123,35 +123,40 @@ def calibrate_deltas(
     # Budget distributed proportionally to exp(-c * sqrt(b~)); the square root
     # compresses the dynamic range so that the search is well-conditioned even
     # when a handful of vertices dominate.
-    adaptive_budget = delta * (1.0 - balancing_factor) / 2.0  # per side (L/U)
+    adaptive_budget = delta * (1.0 - balancing_factor) / 2.0  # per side (L/U), below 1/2
     weights = np.sqrt(np.maximum(estimates, 0.0)) / max(eps, 1e-12)
 
     # Binary search for c such that sum(exp(-c * w)) == adaptive_budget.  The
-    # left end c=0 gives n (too much mass, unless n <= budget); larger c only
-    # decreases the sum.
-    if adaptive_budget >= n:
-        shares = np.full(n, adaptive_budget / n, dtype=np.float64)
-    else:
+    # left end c=0 gives n (too much mass); larger c only decreases the sum.
+    # A vertex of weight 0 holds exp(-c * 0) = 1 of it at every c, more than
+    # the budget: then no c exists (``min`` is NaN if a weight is, and such
+    # weights take the search as before).
+    uniform = weights.min() == 0.0
+    if not uniform:
         lo, hi = 0.0, 1.0
         while float(np.sum(np.exp(-hi * weights - np.log(n)))) * n > adaptive_budget and hi < 1e12:
             hi *= 2.0
-        # If even a huge c cannot push the mass below the budget (all weights
-        # zero), fall back to the uniform split.
-        if float(np.sum(np.exp(-hi * weights))) > adaptive_budget:
-            shares = np.full(n, adaptive_budget / n, dtype=np.float64)
-        else:
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                total = float(np.sum(np.exp(-mid * weights)))
-                if total > adaptive_budget:
-                    lo = mid
-                else:
-                    hi = mid
-            shares = np.exp(-hi * weights)
-            # Normalise any residual slack so the full adaptive budget is used.
-            total = float(np.sum(shares))
-            if total > 0:
-                shares *= adaptive_budget / total
+        # Even a huge c may not push the mass below the budget.
+        uniform = float(np.sum(np.exp(-hi * weights))) > adaptive_budget
+    if uniform:
+        shares = np.full(n, adaptive_budget / n, dtype=np.float64)
+    else:
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            # The mass at lo is above the budget and the mass at hi is not, so
+            # once mid is one of them every later step recomputes this mid.
+            if mid == lo or mid == hi:
+                break
+            total = float(np.sum(np.exp(-mid * weights)))
+            if total > adaptive_budget:
+                lo = mid
+            else:
+                hi = mid
+        shares = np.exp(-hi * weights)
+        # Normalise any residual slack so the full adaptive budget is used.
+        total = float(np.sum(shares))
+        if total > 0:
+            shares *= adaptive_budget / total
 
     delta_l = np.clip(shares + floor, 1e-300, 0.4999999)
     delta_u = delta_l.copy()

@@ -52,8 +52,10 @@ def connected_components(graph: CSRGraph) -> ConnectedComponents:
     """Label all connected components in O(n + m).
 
     Every BFS stamps its component id into the one shared ``labels`` array,
-    so a component costs only its own vertices and edges; vertices without
-    neighbours never start a BFS.
+    so a component costs its own vertices and edges, plus an O(n + m) scan for
+    each level the compiled sweep runs bottom-up: only a frontier of n / 24
+    vertices does, so at most 24 levels of the whole labelling.  Vertices
+    without neighbours never start a BFS.
     """
     n = graph.num_vertices
     csr = indptr, indptr_hi, _ = csr_views(graph)

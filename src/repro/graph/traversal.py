@@ -135,9 +135,12 @@ def level_sweeper(
     ``[source]``.  One call here serves any number of sweeps of the graph.
 
     The graph may be a memory-mapped file that nothing has validated.  The
-    compiled sweep checks what it indexes with as it goes; before the numpy
-    loop :func:`~repro.graph.csr.validate_csr` reads the arrays once.  Either
-    way malformed arrays end in :class:`ValueError`.
+    compiled sweep checks every entry before it indexes with it and raises
+    :class:`ValueError` on the first malformed one it reads (its bottom-up
+    levels skip the rest of a row after a hit, so it may not read them all);
+    before the numpy loop :func:`~repro.graph.csr.validate_csr` reads the
+    arrays once and raises the same.  The sampler validates the arrays before
+    the first sample either way.
     """
     indptr, _, indices = csr
     if compiled.usable(indptr, indices):

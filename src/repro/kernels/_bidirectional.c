@@ -398,14 +398,32 @@ int64_t repro_bounded(const bitgen_t *rng, uint32_t bound)
  * with step 1 writes hop distances and step 0 writes one component id.  The
  * vertices reached go to `order` level after level, each level in increasing
  * id order, level k being order[offsets[k] .. offsets[k + 1]).  `order` and
- * `offsets` hold n + 1 entries, `scratch` n; only the vertices and rows the
- * search reaches are touched.
+ * `offsets` hold n + 1 entries, `scratch` n.
+ *
+ * Direction-optimizing (Beamer, Asanovic & Patterson, SC 2012): a level whose
+ * frontier holds at least n / BOTTOM_UP_VERTICES vertices and more than
+ * 1 / BOTTOM_UP_ENTRIES of the adjacency entries not yet settled (len(indices)
+ * minus the rows of the levels already expanded) runs bottom-up: every
+ * unvisited vertex, in id order, scans its own row up to the first neighbour
+ * stamped with the frontier's stamp.  The hits are stamped after the scan (with
+ * step 0 the frontier and the next level share a stamp), and the level comes
+ * out in id order.  Every other level runs top-down, reading every row of its
+ * frontier.  Both give the same marks and levels when the rows are symmetric
+ * (an undirected graph) and every vertex marked on entry belongs to a
+ * component marked whole, which holds for a fresh `mark` and for the labelling
+ * of graph/components.py.  At most BOTTOM_UP_VERTICES levels of all the
+ * searches on one `mark` run bottom-up, each reading O(n + m), so a whole
+ * component labelling stays O(n + m).
  *
  * Returns the number of levels, or one of the codes below.  The arrays may
  * come straight from a file nobody validated (the diameter phase runs before
  * any sampler exists), so every row extent is checked against `num_entries`
- * and every neighbour id against n before it is used as an index. */
+ * and every neighbour id against n before it is used as an index.  A bottom-up
+ * level reads the rows of unvisited vertices, reached or not, and stops a row
+ * at its first hit, so which malformed entries a search meets depends on the
+ * direction its levels take; it never reads outside the arrays. */
 enum { SWEEP_BAD_ROW = -1, SWEEP_BAD_NEIGHBOUR = -2 };
+enum { BOTTOM_UP_VERTICES = 24, BOTTOM_UP_ENTRIES = 14 };
 
 FORCE_INLINE int64_t sweep(const int64_t n, const int64_t *indptr, const void *indices,
                            const int64_t num_entries, const int64_t source, int64_t *mark,
@@ -413,16 +431,55 @@ FORCE_INLINE int64_t sweep(const int64_t n, const int64_t *indptr, const void *i
                            int64_t *scratch, int64_t *offsets, const int wide)
 {
     int64_t head = 0, tail = 1, level = 0;
+    /* Entry counts are unsigned: on malformed rows they only steer the
+     * direction, and they must not overflow. */
+    uint64_t unexplored = (uint64_t)num_entries, entries = 0;
+    int counted = 0; /* whether `entries` holds the frontier's count */
     order[0] = source;
     mark[source] = stamp;
     offsets[0] = 0;
     while (head < tail) {
-        const int64_t end = tail, next = stamp + (level + 1) * step;
+        const int64_t end = tail, current = stamp + level * step, next = current + step;
         offsets[++level] = end;
+        int bottom_up = 0;
+        if ((end - head) * BOTTOM_UP_VERTICES >= n) {
+            if (!counted) /* only a frontier this large needs its entry count */
+                for (int64_t i = head; i < end; i++)
+                    entries += (uint64_t)indptr[order[i] + 1] - (uint64_t)indptr[order[i]];
+            bottom_up = entries * BOTTOM_UP_ENTRIES > unexplored;
+        }
+        if (bottom_up) {
+            unexplored = entries < unexplored ? unexplored - entries : 0;
+            entries = 0;
+            for (int64_t v = 0; v < n; v++) {
+                if (mark[v] >= 0)
+                    continue;
+                const int64_t lo = indptr[v], hi = indptr[v + 1];
+                if (lo < 0 || hi < lo || hi > num_entries)
+                    return SWEEP_BAD_ROW;
+                for (int64_t j = lo; j < hi; j++) {
+                    const int64_t u = ENTRY(indices, j);
+                    if ((uint64_t)u >= (uint64_t)n)
+                        return SWEEP_BAD_NEIGHBOUR;
+                    if (mark[u] == current) {
+                        order[tail++] = v;
+                        entries += (uint64_t)(hi - lo);
+                        break;
+                    }
+                }
+            }
+            for (int64_t i = end; i < tail; i++)
+                mark[order[i]] = next;
+            head = end;
+            counted = 1;
+            continue;
+        }
+        uint64_t settled = 0;
         for (; head < end; head++) {
             const int64_t u = order[head], lo = indptr[u], hi = indptr[u + 1];
             if (lo < 0 || hi < lo || hi > num_entries)
                 return SWEEP_BAD_ROW;
+            settled += (uint64_t)(hi - lo);
             for (int64_t j = lo; j < hi; j++) {
                 const int64_t v = ENTRY(indices, j);
                 if ((uint64_t)v >= (uint64_t)n)
@@ -437,6 +494,9 @@ FORCE_INLINE int64_t sweep(const int64_t n, const int64_t *indptr, const void *i
                 mark[v] = mv < 0 ? next : mv;
             }
         }
+        unexplored = settled < unexplored ? unexplored - settled : 0;
+        entries = 0;
+        counted = 0;
         sort_below(order + end, scratch, tail - end, n);
     }
     return level;

@@ -12,7 +12,7 @@ what that many calls of the numpy kernel return, and the generator is left in
 the same state.  It is not a kernel of its own - the ``bidirectional`` spec
 hands out :func:`compiled_sample` (a batch of one given pair) when :func:`load`
 succeeds and the graph's arrays qualify (:func:`usable`), and the numpy search
-otherwise.  The same file holds the level-synchronous whole-graph BFS under
+otherwise.  The same file holds the direction-optimizing whole-graph BFS under
 :func:`repro.graph.traversal.bfs_distances` and
 :func:`repro.graph.components.connected_components` (:class:`Sweep`), used
 under the same condition and with the numpy level loop as the only other path.
@@ -41,8 +41,8 @@ first, so that they inherit the library instead of each looking for it.
 library is used only after (a) the first two equal numpy bit for bit on a fixed
 battery, (b) the bounded draw equals ``rng.integers(0, n)`` for a battery of
 ``n`` on every BitGenerator numpy ships, with and without a buffered 32-bit
-half, (c) a sweep from every vertex of a small graph equals the numpy level
-loop and (d) a batch on that graph equals
+half, (c) a sweep from every vertex of a small graph, top-down and bottom-up
+levels both, equals the numpy level loop and (d) a batch on that graph equals
 :func:`~repro.sampling.base.sample_vertex_pair` and
 :func:`~repro.kernels.bidirectional.bidirectional_sample` pair by pair,
 generator state included.  No compiler, an unusable cache directory or a
@@ -346,7 +346,13 @@ def _check_bounded(lib: ctypes.CDLL) -> None:
 
 
 def _check_sweeps(lib: ctypes.CDLL, indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Distances from every vertex, then one id per component, against numpy."""
+    """Distances from every vertex, then one id per component, against numpy.
+
+    Both halves of the direction-optimizing sweep run here: on 33 vertices a
+    frontier of two is large enough, so the distances from vertex 1 take
+    level 0 top-down, levels 1-5 bottom-up and level 6 top-down again, and
+    the labelling's first search (from vertex 0) levels 1-5 bottom-up.
+    """
     from repro.graph.traversal import numpy_sweep
 
     n = indptr.size - 1
@@ -535,7 +541,10 @@ class Sweep:
 
     One object serves one caller at a time (a traversal creates its own; the
     component labelling reuses one for all its searches, so that a component
-    costs its own vertices and not an ``n``-sized allocation).
+    costs its own vertices and not an ``n``-sized allocation).  A level whose
+    frontier holds at least ``n / 24`` vertices and more than 1/14 of the
+    adjacency entries not yet settled runs bottom-up and reads O(n + m); at
+    most 24 levels on one ``marks`` array do, so a labelling stays O(n + m).
     :func:`usable` must hold for the arrays.
     """
 
@@ -562,9 +571,14 @@ class Sweep:
         ``stamp + k * step`` (``0, 1`` writes hop distances, ``step=0`` one
         component id).  The levels are ``int64`` arrays in increasing id order,
         level 0 being ``[source]``, cut from one new array: nothing returned
-        refers to this object's buffers.  A row extent outside
-        ``indices`` or a neighbour id outside the graph raises
-        :class:`ValueError`, with ``marks`` partly stamped.
+        refers to this object's buffers.  Every vertex marked on entry must
+        belong to a component marked whole (a fresh array, or a labelling),
+        because a level with a large frontier runs bottom-up: each unvisited
+        vertex reads its own row up to its first neighbour on the frontier.
+        A row extent outside ``indices`` or a neighbour id outside the graph
+        that the search reads raises :class:`ValueError`, with ``marks``
+        partly stamped; a bottom-up level also reads rows the search never
+        reaches and skips the rest of a row after its first hit.
         """
         if not (0 <= source < self._n and stamp >= 0 and step >= 0):
             raise ValueError("source must be a vertex of the graph, stamp and step non-negative")
