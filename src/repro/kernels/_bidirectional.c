@@ -2,11 +2,21 @@
  * (repro_sample_batch), and the whole-graph BFS of graph/traversal.py and
  * graph/components.py (repro_sweep, at the end of the file), one source per call.
  *
- * The search is kernels/smallgraph.py's, statement for statement: the side
- * whose frontier holds fewer adjacency entries is scanned, one pass over its
- * rows settles the next level (sigma added in scan order) and lists the edges
- * into the other search, the settled level is sorted, and cut edges found from
- * the target's side are put back into the order a forward scan lists them.
+ * The search is kernels/smallgraph.py's: the side whose frontier holds fewer
+ * adjacency entries is scanned, one pass over its rows settles the next level
+ * (sigma added in scan order) and lists the edges into the other search, and
+ * the cut edges are sorted into the order a forward scan of a sorted frontier
+ * lists them.  The numpy search sorts every level; this one keeps a level in
+ * the order the scan found it, which only changes the order in which a
+ * vertex's sigma is summed.  That order cannot change a bit while the path
+ * counts are exact integers: a sum of non-negative integers is exact while
+ * every partial sum stays below 2^53, and a partial sum of 2^53 or more rounds
+ * to a final value of 2^53 or more, so a level whose largest sigma is below
+ * 2^53 holds the exact sums, which are numpy's.  The first level of a side
+ * whose largest sigma reaches 2^53 is summed again, its parents sorted, and
+ * that side's levels are sorted from then on, as numpy's are.  Equivalence
+ * with numpy's cut-edge order holds for CSR rows in increasing order, as the
+ * adjacent-endpoints check and settle_level's one-row case assume.
  * The cut pick and both backward walks replicate numpy's pairwise `sum` and
  * kernels/weighted.py's `weighted_index` bit for bit, so a sample is the
  * numpy kernel's sample for the same uniforms.  Every random number comes from
@@ -177,6 +187,7 @@ FORCE_INLINE int search_pair(State *st, int64_t base, int64_t source, int64_t ta
     int64_t count[2] = {1, 1}, level[2] = {0, 0};
     int64_t ncut = 0;
     int side, broken = 0;
+    int sorted[2] = {0, 0}; /* a level of this side reached 2^53: its levels are sorted */
     frontier[0][0] = source;
     frontier[1][0] = target;
     st->mark[0][source] = st->mark[1][target] = base;
@@ -199,9 +210,10 @@ FORCE_INLINE int search_pair(State *st, int64_t base, int64_t source, int64_t ta
             const double su = sigma[u];
             for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) {
                 const int64_t v = IDX(j), mv = mark[v];
-                if (mv == stamp) {
-                    sigma[v] += su;
-                } else if (mv < base) {
+                if (mv >= base) {
+                    /* Visited: a select, not a branch (adding 0.0 is exact). */
+                    sigma[v] += mv == stamp ? su : 0.0;
+                } else {
                     /* No vertex carries both marks, so only an unvisited
                      * neighbour is looked up on the other side. */
                     const int64_t om = other[v];
@@ -222,15 +234,37 @@ FORCE_INLINE int search_pair(State *st, int64_t base, int64_t source, int64_t ta
             break;
         if (!nfresh) /* this side's component is exhausted */
             return ST_DISCONNECTED;
-        sort_below(fresh, st->buf[3], nfresh, n);
+        if (sorted[side])
+            sort_below(fresh, st->buf[3], nfresh, n);
+        double top = 0.0;
+        volume[side] = 0;
+        for (int64_t i = 0; i < nfresh; i++) {
+            const int64_t v = fresh[i];
+            volume[side] += indptr[v + 1] - indptr[v];
+            top = sigma[v] > top ? sigma[v] : top;
+        }
+        if (top >= 0x1p53 && !sorted[side]) {
+            /* The sums may be rounded: add them again in numpy's order. */
+            sorted[side] = 1;
+            for (int64_t i = 0; i < nfresh; i++)
+                sigma[fresh[i]] = 0.0;
+            sort_below(frontier[side], st->buf[3], count[side], n);
+            for (int64_t i = 0; i < count[side]; i++) {
+                const int64_t u = frontier[side][i];
+                const double su = sigma[u];
+                for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) {
+                    const int64_t v = IDX(j);
+                    if (mark[v] == stamp)
+                        sigma[v] += su;
+                }
+            }
+            sort_below(fresh, st->buf[3], nfresh, n);
+        }
         int64_t *swap = frontier[side];
         frontier[side] = fresh;
         fresh = swap;
         count[side] = nfresh;
         level[side]++;
-        volume[side] = 0;
-        for (int64_t i = 0; i < nfresh; i++)
-            volume[side] += indptr[frontier[side][i] + 1] - indptr[frontier[side][i]];
     }
 
     out[0] = level[0];
@@ -240,8 +274,8 @@ FORCE_INLINE int search_pair(State *st, int64_t base, int64_t source, int64_t ta
         return ST_BROKEN_LEVEL;
     if (ncut > st->capacity)
         return ST_GROW;
-    if (side == 1) /* the cut edges in the order a forward scan lists them */
-        sort_below(st->keys, st->scratch, ncut, n * n);
+    /* The cut edges in the order a forward scan of a sorted frontier lists them. */
+    sort_below(st->keys, st->scratch, ncut, n * n);
     return ST_PATH;
 }
 

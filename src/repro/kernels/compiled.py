@@ -3,8 +3,8 @@
 ``_bidirectional.c`` (beside this file) is the scan-on-expand search of
 :mod:`repro.kernels.smallgraph` plus the cut pick and both backward walks of
 :mod:`repro.kernels.bidirectional`, written so that every candidate set is
-enumerated in the same order and every sum is added in the same order as the
-numpy kernel, inside a loop over the samples of a batch: one call draws each
+enumerated in the same order and every sum comes out bit for bit as the
+numpy kernel's, inside a loop over the samples of a batch: one call draws each
 pair, searches, draws the path's uniforms, walks back and appends to the flat
 arrays of a :class:`~repro.kernels.batch.SampleBatch`
 (:meth:`CompiledSearch.sample_batch`).  For one generator state the batch is
@@ -16,6 +16,19 @@ otherwise.  The same file holds the direction-optimizing whole-graph BFS under
 :func:`repro.graph.traversal.bfs_distances` and
 :func:`repro.graph.components.connected_components` (:class:`Sweep`), used
 under the same condition and with the numpy level loop as the only other path.
+
+*Level order.*  The numpy search sorts every level it settles; the C search
+keeps a level in the order its scan found it, and sorts the cut edges once.
+The order of a level only decides the order in which each vertex's ``sigma``
+(its path count) is summed, and that cannot change a bit while the counts are
+exact integers: a sum of non-negative integers is exact while every partial
+sum stays below 2^53, and a partial sum of 2^53 or more rounds to a final
+value of 2^53 or more, so a level whose largest ``sigma`` is below 2^53 holds
+the exact sums - numpy's.  The first level of a side to reach 2^53 is summed
+again with its parents sorted, and that side's levels are sorted for the rest
+of the sample, as numpy's are.  Both hold for CSR rows in increasing order,
+which the adjacent-endpoints search and
+:func:`~repro.kernels.scratch.settle_level`'s one-row case assume as well.
 
 *Random numbers.*  The loop draws from the caller's generator: numpy publishes
 a bit generator's state address and its ``next_uint32`` / ``next_double``
@@ -41,8 +54,11 @@ first, so that they inherit the library instead of each looking for it.
 library is used only after (a) the first two equal numpy bit for bit on a fixed
 battery, (b) the bounded draw equals ``rng.integers(0, n)`` for a battery of
 ``n`` on every BitGenerator numpy ships, with and without a buffered 32-bit
-half, (c) a sweep from every vertex of a small graph, top-down and bottom-up
-levels both, equals the numpy level loop and (d) a batch on that graph equals
+half, (c) on a layered graph whose path counts reach about 1e21, one search
+leaves every settled level's marks and ``sigma`` equal to numpy's (a library
+whose fallback past 2^53 is missing or wrong fails here), (d) a sweep from
+every vertex of a small graph, top-down and bottom-up levels both, equals the
+numpy level loop and (e) a batch on that graph equals
 :func:`~repro.sampling.base.sample_vertex_pair` and
 :func:`~repro.kernels.bidirectional.bidirectional_sample` pair by pair,
 generator state included.  No compiler, an unusable cache directory or a
@@ -277,6 +293,41 @@ def _check_graph(dtype) -> Tuple[np.ndarray, np.ndarray]:
     return np.asarray(graph.indptr), np.asarray(graph.indices).astype(dtype)
 
 
+def _layered_graph(dtype, layers: int = 60) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertex 0, ``layers`` layers of three vertices, vertex 1; the layers' ids shuffled.
+
+    From ``{a, b, c}`` to the next layer ``{A, B, C}``: a-A, a-B, b-B, a-C, b-C,
+    c-C and c-A.  A search from 0 to 1 settles almost every layer from 0's side, and
+    its path counts pass 2^53 at the 45th layer (about 1e21 at the 60th), from
+    where the order in which C's three parents are summed shows.
+    """
+    from repro.graph.csr import CSRGraph
+
+    layer = (np.random.default_rng(29).permutation(3 * layers) + 2).reshape(layers, 3)
+    (a, b, c), (up_a, up_b, up_c) = layer[:-1].T, layer[1:].T
+    pairs = [(0, layer[0]), (layer[-1], 1)]
+    pairs += [(a, up_a), (a, up_b), (b, up_b), (a, up_c), (b, up_c), (c, up_c), (c, up_a)]
+    edges = np.concatenate([np.stack(np.broadcast_arrays(u, v), axis=1) for u, v in pairs])
+    graph = CSRGraph.from_edges(edges, num_vertices=3 * layers + 2)
+    return np.asarray(graph.indptr), np.asarray(graph.indices).astype(dtype)
+
+
+def _check_path_counts(lib: ctypes.CDLL, indptr: np.ndarray, indices: np.ndarray) -> None:
+    """One search from 0 to 1: each side's settled marks and sigma against numpy's."""
+    n = indptr.size - 1
+    pool, theirs = ScratchPool(n), ScratchPool(n)
+    CompiledSearch(lib, indptr, indices, pool).sample_batch(
+        pool, np.random.default_rng(0), 1, [0], [1]
+    )
+    bidirectional_sample(indptr, indices, theirs, 0, 1, np.random.default_rng(0))
+    base = theirs.generation * theirs.span
+    for side in "ab":
+        settled = getattr(theirs, f"mark_{side}") >= base
+        for name in (f"mark_{side}", f"sigma_{side}"):
+            if not np.array_equal(getattr(pool, name)[settled], getattr(theirs, name)[settled]):
+                raise _Unavailable("self-check: path counts past 2^53 differ from numpy's")
+
+
 def _self_check(lib: ctypes.CDLL) -> None:
     """Raise :class:`_Unavailable` unless ``lib`` computes what numpy computes."""
     rng = np.random.default_rng(20200518)
@@ -296,6 +347,7 @@ def _self_check(lib: ctypes.CDLL) -> None:
     from repro.sampling.base import sample_vertex_pair
 
     for dtype in _INDEX_DTYPES:
+        _check_path_counts(lib, *_layered_graph(dtype))
         indptr, indices = _check_graph(dtype)
         _check_sweeps(lib, indptr, indices)
         n, count = indptr.size - 1, 24

@@ -119,6 +119,29 @@ class TestSameAsTheNumpySearch:
         # C(118, 59) paths in all: the sums are no longer sums of exact integers.
         assert float(ours.pool.sigma_a.max()) > 2.0**53
 
+    def test_sigma_equal_to_numpys_past_2_to_the_53(self, monkeypatch):
+        """In a grid no vertex has three predecessors, and a sample survives a
+        sigma one ulp off; here a layer's third vertex sums three parents and
+        the counts reach about 1e21, so every settled level of both sides is
+        compared with numpy's, entry for entry."""
+        graph = CSRGraph.from_validated_arrays(*compiled._layered_graph(np.uint32))
+        assert graph.num_vertices == 182
+        ours = make_sampler(graph, "compiled", monkeypatch)
+        theirs = make_sampler(graph, "bidirectional", monkeypatch)
+        for source, target in ((0, 1), (1, 0)):
+            a = ours.sample_pairs([source], [target], np.random.default_rng(2))
+            b = theirs.sample_pairs([source], [target], np.random.default_rng(2))
+            for field in BATCH_FIELDS:
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert ours.pool.generation == theirs.pool.generation
+            base = theirs.pool.generation * theirs.pool.span
+            for side in "ab":
+                settled = getattr(theirs.pool, f"mark_{side}") >= base
+                for name in (f"mark_{side}", f"sigma_{side}"):
+                    mine, numpys = getattr(ours.pool, name), getattr(theirs.pool, name)
+                    assert np.array_equal(mine[settled], numpys[settled]), name
+            assert max(theirs.pool.sigma_a.max(), theirs.pool.sigma_b.max()) > 2.0**66
+
     def test_more_cut_edges_than_the_buffer_holds(self, monkeypatch):
         graph = biclique_graph(12)
         ours = BatchPathSampler(graph, kernel="bidirectional")
@@ -359,9 +382,13 @@ class TestBuildCacheAndFork:
         _, first = compiled.load()
         modified = os.stat(first).st_mtime_ns
         compiled.load.cache_clear()
+        caller = os.environ.get("CC")
         reloading.setenv("CC", "false")  # same file name needs the same command...
         assert compiled.load()[0] is None
-        reloading.delenv("CC")
+        if caller is None:
+            reloading.delenv("CC")
+        else:
+            reloading.setenv("CC", caller)
         compiled.load.cache_clear()
         assert compiled.load()[1] == first  # ...and with it, nothing is compiled again
         assert os.stat(first).st_mtime_ns == modified
