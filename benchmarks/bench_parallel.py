@@ -1,10 +1,9 @@
 """Benchmarks of the functional parallel drivers (threaded MPI substrate).
 
-These complement the cluster model: they execute Algorithms 1 and 2 for real
-(ranks as threads) on proxy graphs, which is what a user of the library runs
-on a workstation.  All drivers are invoked through the
-:func:`repro.estimate_betweenness` facade, so the benchmark also covers the
-registry dispatch path.
+These execute Algorithms 1 and 2 for real (ranks as threads) on proxy graphs,
+which is what a user of the library runs on a workstation.  All drivers are
+invoked through the :func:`repro.estimate_betweenness` facade, so the
+benchmark also covers the registry dispatch path.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates (part of) one table or figure of the paper; the
-fixtures keep the proxy graphs and workload profiles cached across benchmark
-rounds so that pytest-benchmark timing loops measure the experiment itself and
-not repeated graph generation.
+The fixtures keep the proxy graphs cached across benchmark rounds so that
+pytest-benchmark timing loops measure the algorithm itself and not repeated
+graph generation.
 """
 
 from __future__ import annotations
@@ -38,14 +37,6 @@ def graph_catalog(tmp_path_factory):
     from repro.store import GraphCatalog
 
     return GraphCatalog(tmp_path_factory.mktemp("graph-cache"))
-
-
-@pytest.fixture(scope="session")
-def orkut_proxy_graph(graph_catalog):
-    """Proxy of the orkut-links instance, served from the binary graph store."""
-    from repro.experiments.instances import cached_proxy_graph
-
-    return cached_proxy_graph("orkut-links", scale=1.0 / 4000.0, seed=3, catalog=graph_catalog)
 
 
 @pytest.fixture(scope="session")

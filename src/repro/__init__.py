@@ -3,9 +3,8 @@
 A from-scratch Python reproduction of *"Scaling Betweenness Approximation to
 Billions of Edges by MPI-based Adaptive Sampling"* (van der Grinten &
 Meyerhenke, IPDPS 2020): the KADABRA adaptive-sampling algorithm, its
-epoch-based shared-memory parallelization, the MPI-style distributed
-algorithms, and a discrete-event cluster model that regenerates the paper's
-evaluation figures and tables.
+epoch-based shared-memory parallelization and the MPI-style distributed
+algorithms.
 
 Quickstart
 ----------

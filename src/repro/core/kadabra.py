@@ -1,8 +1,8 @@
 """The one place a driver's path sampler and its sample bounds are built.
 
 The sequential session (:mod:`repro.session`), the rank engine
-(:mod:`repro.parallel.engine`), the RK baseline, :mod:`repro.evolve` and the
-cluster cost model all call :func:`make_sampler`; nothing else constructs a
+(:mod:`repro.parallel.engine`), the RK baseline and :mod:`repro.evolve` all
+call :func:`make_sampler`; nothing else constructs a
 :class:`~repro.kernels.BatchPathSampler`.  The same drivers take their phase-1
 vertex-diameter bound from :func:`diameter_bound` and clamp their sample
 bound with :func:`capped_samples`.

@@ -147,11 +147,7 @@ class CSRGraph:
         return 2.0 * self.num_edges / (n * (n - 1))
 
     def memory_bytes(self) -> int:
-        """Approximate memory footprint of the CSR arrays in bytes.
-
-        Used by the cluster model to estimate whether a graph fits into the
-        96 GiB available per NUMA node on the paper's machines.
-        """
+        """Approximate memory footprint of the CSR arrays in bytes."""
         return int(self._indptr.nbytes + self._indices.nbytes)
 
     # ------------------------------------------------------------------ #

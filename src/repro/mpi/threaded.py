@@ -18,9 +18,9 @@ benchmark ladder compare the socket transport against:
 
 The runtime also accounts the framed wire bytes of every reduce/bcast/gather
 (:func:`framed_payload_bytes`: the structural payload size plus the 8-byte
-length prefix a socket transport would frame it with), which the experiment
-harness uses for the communication-volume statistics of Table II and which
-keeps byte totals comparable across the threaded and socket transports.
+length prefix a socket transport would frame it with), which feeds the
+communication-volume statistics (Table II's column) and keeps byte totals
+comparable across the threaded and socket transports.
 """
 
 from __future__ import annotations

@@ -32,23 +32,18 @@ def thread_zero_samples_per_epoch(
     *,
     base: float = DEFAULT_BASE,
     exponent: float = DEFAULT_EXPONENT,
-    reference_workers: int = 1,
 ) -> int:
     """Number of samples thread 0 takes per epoch before forcing a transition.
 
-    ``reference_workers`` sets the worker count at which ``n0 == base``; the
-    functional drivers use 1 (a single worker checks every ``base`` samples),
-    while the cluster performance model uses 24 (one full compute node of the
-    paper's machines) so that epoch counts land in the regime of Table II.
+    A single worker (``P * T == 1``) checks every ``base`` samples; more
+    workers shorten the epoch by ``(P * T) ** -exponent``, never below one.
     """
     if num_processes <= 0 or num_threads <= 0:
         raise ValueError("num_processes and num_threads must be positive")
     if base <= 0 or exponent <= 0:
         raise ValueError("base and exponent must be positive")
-    if reference_workers <= 0:
-        raise ValueError("reference_workers must be positive")
     workers = float(num_processes * num_threads)
-    value = base * (float(reference_workers) / workers) ** exponent
+    value = base * (1.0 / workers) ** exponent
     return max(1, int(round(value)))
 
 

@@ -34,7 +34,7 @@ class PathSample:
         vertices whose betweenness counter is incremented.
     edges_touched:
         Adjacency entries of the frontiers the search expanded, each row
-        counted once; the cluster model calibrates the per-sample cost on it.
+        counted once: the per-sample work the kernel benchmarks report.
     """
 
     source: int

@@ -73,6 +73,21 @@ def _canonical_edges(edges, *, kind: str) -> np.ndarray:
     return np.ascontiguousarray(array[keep])
 
 
+def _json_edges(value: object, *, kind: str) -> list:
+    """A JSON edge list, checked before numpy sees it: a list of ``[u, v]``
+    lists of non-bool integers in ``[0, 2^63)``."""
+    if not isinstance(value, list):
+        raise DeltaError(f"{kind} must be a list of [u, v] pairs, got {type(value).__name__}")
+    for index, edge in enumerate(value):
+        if not (
+            isinstance(edge, list)
+            and len(edge) == 2
+            and all(type(x) is int and 0 <= x < 2**63 for x in edge)
+        ):
+            raise DeltaError(f"{kind}[{index}] is not a [u, v] pair of vertex ids in [0, 2^63)")
+    return value
+
+
 def _edge_keys(edges: np.ndarray, num_vertices: int) -> np.ndarray:
     """Collision-free int64 key per canonical edge (``u * n + v``)."""
     return edges[:, 0] * np.int64(num_vertices) + edges[:, 1]
@@ -189,7 +204,8 @@ class GraphDelta:
         if unknown:
             raise DeltaError(f"unknown delta keys {sorted(unknown)}")
         return cls(
-            insertions=payload.get("insert", []), deletions=payload.get("delete", [])
+            insertions=_json_edges(payload.get("insert", []), kind="insert"),
+            deletions=_json_edges(payload.get("delete", []), kind="delete"),
         )
 
     def save(self, path: PathLike) -> Path:

@@ -2,7 +2,6 @@
 
 from repro.util.timer import Timer, PhaseTimer
 from repro.util.stats import (
-    geometric_mean,
     max_abs_error,
     mean_abs_error,
     relative_rank_overlap,
@@ -18,7 +17,6 @@ from repro.util.validation import (
 __all__ = [
     "Timer",
     "PhaseTimer",
-    "geometric_mean",
     "max_abs_error",
     "mean_abs_error",
     "relative_rank_overlap",

@@ -1,23 +1,10 @@
-"""Statistics helpers used by the experiment harness and tests."""
+"""Statistics helpers for comparing score vectors (examples and tests)."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values.
-
-    The paper reports speedups as geometric means over the instance set.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geometric_mean() of empty sequence")
-    if np.any(arr <= 0.0):
-        raise ValueError("geometric_mean() requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))
 
 
 def max_abs_error(approx: Sequence[float], exact: Sequence[float]) -> float:

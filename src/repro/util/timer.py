@@ -1,4 +1,4 @@
-"""Lightweight wall-clock timers used by drivers and the experiment harness."""
+"""Lightweight wall-clock timers used by the drivers."""
 
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ def _isolated_graph_cache(monkeypatch, tmp_path):
     """Point the graph-store cache at a per-test directory.
 
     Anything resolving graphs through :class:`repro.store.GraphCatalog` (the
-    facade with path inputs, the CLI, instance resolution) writes converted
+    facade with path inputs, the CLI) writes converted
     ``.rcsr`` files to the cache; tests must never touch ``~/.cache``.
     """
     monkeypatch.setenv("REPRO_GRAPH_CACHE", str(tmp_path / "graph-cache"))

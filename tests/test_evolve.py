@@ -21,8 +21,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.brandes import brandes_betweenness
+from repro.cli import main as cli_main
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.evolve import (
@@ -32,10 +34,19 @@ from repro.evolve import (
     update_session,
 )
 from repro.graph.csr import CSRGraph
+from repro.graph.io import write_edge_list
 from repro.graph.traversal import bfs_distances
 from repro.session import EstimationSession, SnapshotError
 from repro.session.sample_log import SampleLog
 from repro.store import DeltaError, GraphCatalog, GraphDelta, apply_delta
+
+
+#: Any JSON value a hostile or buggy writer could put in a delta file.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 def edge_set(graph):
@@ -120,6 +131,52 @@ class TestGraphDelta:
             GraphDelta.from_dict({"insert": [], "extra": 1})
         with pytest.raises(DeltaError, match="object"):
             GraphDelta.from_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            5,
+            None,
+            "",
+            {"0": [1, 2]},
+            [[1, 2], [3]],
+            [[1, [2]]],
+            [[2**70, 1]],
+            [[2**63, 1]],
+            [[-2**70, 1]],
+            [["a", "b"]],
+            [[None, 1]],
+            [[True, 2]],
+            [[1.0, 2]],
+        ],
+    )
+    @pytest.mark.parametrize("key", ["insert", "delete"])
+    def test_from_dict_rejects_malformed_edge_lists(self, key, edges):
+        with pytest.raises(DeltaError, match=key):
+            GraphDelta.from_dict({key: edges})
+
+    def test_from_dict_accepts_the_largest_vertex_id(self):
+        delta = GraphDelta.from_dict({"insert": [[2**63 - 1, 0]], "delete": []})
+        assert delta.insertions.tolist() == [[0, 2**63 - 1]]
+
+    @pytest.mark.parametrize("key", ["insert", "delete"])
+    @settings(max_examples=60, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_fuzzed_edge_list_loads_or_raises_delta_error(self, key, value):
+        try:
+            GraphDelta.from_dict({key: value})
+        except DeltaError:
+            pass
+
+    def test_cli_apply_rejects_malformed_delta_file(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        write_edge_list(CSRGraph.from_edges([(0, 1), (1, 2)], num_vertices=3), graph)
+        delta_file = tmp_path / "d.json"
+        delta_file.write_text(json.dumps({"insert": [[1, 2], [3]]}))
+        assert cli_main(["evolve", "apply", str(graph), "--delta-file", str(delta_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "insert[1]" in err
 
     def test_validate_against_checks_applicability(self):
         graph = CSRGraph.from_edges([(0, 1), (1, 2)], num_vertices=3)

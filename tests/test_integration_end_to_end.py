@@ -12,9 +12,13 @@ import pytest
 
 from repro import KadabraOptions, Resources, brandes_betweenness, estimate_betweenness
 from repro.core import identify_top_k
-from repro.experiments.instances import build_proxy_graph
 from repro.graph import largest_connected_component, read_edge_list, write_edge_list
-from repro.graph.generators import hyperbolic_graph, rmat_graph
+from repro.graph.generators import (
+    barabasi_albert,
+    hyperbolic_graph,
+    rmat_graph,
+    road_network_graph,
+)
 from repro.io_utils import load_result, save_result
 from repro.util.stats import max_abs_error, relative_rank_overlap
 
@@ -107,14 +111,16 @@ class TestTopKWorkflow:
 
 
 class TestProxyInstanceWorkflow:
+    """Scaled-down stand-ins for roadNet-PA (1/8000) and dbpedia-link (1/20000)."""
+
     def test_road_proxy_full_run(self, quick_options):
-        graph = build_proxy_graph("roadNet-PA", scale=1 / 8000, seed=2)
+        graph = road_network_graph(12, 12, seed=2)
         result = parallel(graph, quick_options, "distributed", processes=2, threads=1)
         exact = brandes_betweenness(graph).scores
         assert max_abs_error(result.scores, exact) <= 2 * quick_options.eps
 
     def test_social_proxy_full_run(self, quick_options):
-        graph = build_proxy_graph("dbpedia-link", scale=1 / 20000, seed=2)
+        graph = barabasi_albert(913, 7, seed=2)
         result = parallel(graph, quick_options, "shared-memory", threads=2)
         exact = brandes_betweenness(graph).scores
         assert max_abs_error(result.scores, exact) <= 2 * quick_options.eps

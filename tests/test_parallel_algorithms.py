@@ -36,17 +36,11 @@ class TestEpochLengthRule:
     def test_never_below_one(self):
         assert thread_zero_samples_per_epoch(32, 12, base=1000) >= 1
 
-    def test_reference_workers_shift(self):
-        assert thread_zero_samples_per_epoch(1, 24, base=1000, reference_workers=24) == 1000
-        assert thread_zero_samples_per_epoch(2, 24, base=1000, reference_workers=24) < 1000
-
     def test_validation(self):
         with pytest.raises(ValueError):
             thread_zero_samples_per_epoch(0, 1)
         with pytest.raises(ValueError):
             thread_zero_samples_per_epoch(1, 1, base=-5)
-        with pytest.raises(ValueError):
-            thread_zero_samples_per_epoch(1, 1, reference_workers=0)
 
 
 class TestSharedMemoryKadabra:

@@ -577,35 +577,6 @@ class TestCli:
         assert not list(default_cache_dir().glob("*.rcsr"))
 
 
-class TestInstances:
-    def test_cached_proxy_graph_round_trip(self, tmp_path):
-        from repro.experiments.instances import build_proxy_graph, cached_proxy_graph
-
-        catalog = GraphCatalog(tmp_path / "cache")
-        first = cached_proxy_graph("roadNet-PA", scale=1.0 / 20000.0, seed=1, catalog=catalog)
-        assert first.is_memory_mapped
-        assert first == build_proxy_graph("roadNet-PA", scale=1.0 / 20000.0, seed=1)
-        again = cached_proxy_graph("roadNet-PA", scale=1.0 / 20000.0, seed=1, catalog=catalog)
-        assert again == first
-
-    def test_resolve_instance_graph_by_name_and_path(self, tmp_path, social_graph):
-        from repro.experiments.instances import resolve_instance_graph
-
-        catalog = GraphCatalog(tmp_path / "cache")
-        by_name = resolve_instance_graph("roadNet-PA", scale=1.0 / 20000.0, catalog=catalog)
-        assert by_name.num_vertices > 0
-        src = tmp_path / "graph.txt"
-        write_edge_list(social_graph, src)
-        by_path = resolve_instance_graph(src, catalog=catalog)
-        assert by_path == social_graph
-
-    def test_unknown_instance_rejected(self, tmp_path):
-        from repro.experiments.instances import cached_proxy_graph
-
-        with pytest.raises(KeyError):
-            cached_proxy_graph("not-a-paper-instance", catalog=GraphCatalog(tmp_path / "c"))
-
-
 class TestPayloadSizing:
     def test_arrays_and_containers_never_pickled(self, monkeypatch):
         import repro.mpi.threaded as threaded

@@ -15,7 +15,6 @@ from repro.util import (
     check_positive,
     check_probability,
     check_vertex,
-    geometric_mean,
     kendall_tau_top_k,
     max_abs_error,
     mean_abs_error,
@@ -110,14 +109,6 @@ class TestPhaseTimer:
 
 
 class TestStats:
-    def test_geometric_mean(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-        assert geometric_mean([3]) == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
     def test_errors(self):
         assert max_abs_error([1, 2], [1, 4]) == 2.0
         assert mean_abs_error([1, 2], [1, 4]) == 1.0
