@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Resources(threads=-1)
         assert Resources(processes=3, threads=2).total_workers == 6
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("package", ["cluster", "experiments"])
+    def test_simulated_cluster_packages_are_gone(self, package):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.{package}")
 
 
 class TestCliPolish:

@@ -100,6 +100,10 @@ class TestAccessors:
     def test_memory_bytes_positive(self, triangle_plus_leaf):
         assert triangle_plus_leaf.memory_bytes() > 0
 
+    def test_memory_bytes_counts_both_arrays(self, triangle_plus_leaf):
+        g = triangle_plus_leaf
+        assert g.memory_bytes() == g.indptr.nbytes + g.indices.nbytes
+
     def test_arrays_are_read_only(self, triangle_plus_leaf):
         with pytest.raises(ValueError):
             triangle_plus_leaf.indices[0] = 3

@@ -149,6 +149,16 @@ class TestRoadNetwork:
     def test_deterministic(self):
         assert road_network_graph(10, 10, seed=5) == road_network_graph(10, 10, seed=5)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_lattice_connected_and_sparse(self, seed):
+        g = road_network_graph(12, 12, seed=seed)
+        assert is_connected(g)
+        assert 2.0 * g.num_edges / g.num_vertices < 4.0
+
+    def test_integration_instance_size(self):
+        # The roadNet-PA stand-in of the end-to-end tests.
+        assert road_network_graph(12, 12, seed=2).num_vertices == 131
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             road_network_graph(5, 5, deletion_probability=1.5)
@@ -179,6 +189,13 @@ class TestRandomModels:
         g = barabasi_albert(150, 3, seed=2)
         assert is_connected(g)
         assert g.num_edges >= 3 * (150 - 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_barabasi_albert_dense_and_connected(self, seed):
+        g = barabasi_albert(913, 7, seed=seed)
+        assert g.num_vertices == 913
+        assert is_connected(g)
+        assert 2.0 * g.num_edges / g.num_vertices > 8.0
 
     def test_barabasi_albert_invalid(self):
         with pytest.raises(ValueError):

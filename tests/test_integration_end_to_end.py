@@ -124,3 +124,23 @@ class TestProxyInstanceWorkflow:
         result = parallel(graph, quick_options, "shared-memory", threads=2)
         exact = brandes_betweenness(graph).scores
         assert max_abs_error(result.scores, exact) <= 2 * quick_options.eps
+
+
+class TestSyntheticFamilies:
+    """Adaptive runs on the two synthetic families of the paper's Fig. 4."""
+
+    @pytest.mark.parametrize("family", ["rmat", "hyperbolic"])
+    @pytest.mark.parametrize("scale", [7, 8])
+    def test_adaptive_run_within_eps(self, family, scale):
+        if family == "rmat":
+            graph = rmat_graph(scale, edge_factor=6, seed=0)
+        else:
+            graph = hyperbolic_graph(2**scale, avg_degree=12, seed=0)
+        options = KadabraOptions(
+            eps=0.2, delta=0.1, seed=0, calibration_samples=200, max_samples_override=400
+        )
+        result = sequential_kadabra(graph, options)
+        assert 0 < result.num_samples <= 400 + options.samples_per_check
+        assert result.phase_seconds["adaptive_sampling"] >= 0.0
+        exact = brandes_betweenness(graph).scores
+        assert max_abs_error(result.scores, exact) <= options.eps

@@ -42,6 +42,60 @@ class TestEpochLengthRule:
         with pytest.raises(ValueError):
             thread_zero_samples_per_epoch(1, 1, base=-5)
 
+    @pytest.mark.parametrize(
+        "processes, threads, expected",
+        [(1, 1, 1000), (1, 2, 398), (2, 1, 398), (2, 12, 15), (4, 6, 15), (16, 24, 1)],
+    )
+    def test_closed_form(self, processes, threads, expected):
+        assert thread_zero_samples_per_epoch(processes, threads, base=1000) == expected
+        assert expected == max(1, round(1000 * (processes * threads) ** -1.33))
+
+    @pytest.mark.parametrize("workers", [2, 6, 24])
+    def test_depends_only_on_worker_count(self, workers):
+        values = {
+            thread_zero_samples_per_epoch(p, workers // p)
+            for p in range(1, workers + 1)
+            if workers % p == 0
+        }
+        assert len(values) == 1
+
+    def test_base_and_exponent_scale_the_rule(self):
+        assert thread_zero_samples_per_epoch(4, 1, base=800, exponent=1.0) == 200
+        assert thread_zero_samples_per_epoch(4, 1, base=800, exponent=0.5) == 400
+
+    def test_exponent_validation(self):
+        with pytest.raises(ValueError):
+            thread_zero_samples_per_epoch(1, 1, exponent=0.0)
+
+    def test_only_base_and_exponent_are_tunable(self):
+        import inspect
+
+        parameters = inspect.signature(thread_zero_samples_per_epoch).parameters
+        assert list(parameters) == ["num_processes", "num_threads", "base", "exponent"]
+
+    @pytest.mark.parametrize(
+        "algorithm, resources, workers",
+        [("shared-memory", dict(threads=3), (1, 3)), ("distributed", dict(processes=2), (2, 1))],
+    )
+    def test_engine_epoch_length_follows_the_rule(
+        self, monkeypatch, small_social_graph, quick_options, algorithm, resources, workers
+    ):
+        import repro.parallel.engine as engine
+
+        calls = []
+
+        def spy(num_processes, num_threads, **kwargs):
+            calls.append((num_processes, num_threads, kwargs))
+            return thread_zero_samples_per_epoch(num_processes, num_threads, **kwargs)
+
+        monkeypatch.setattr(engine, "thread_zero_samples_per_epoch", spy)
+        distributed(small_social_graph, quick_options, algorithm=algorithm, **resources)
+        assert calls
+        expected_kwargs = dict(
+            base=float(quick_options.samples_per_check), exponent=quick_options.epoch_exponent
+        )
+        assert all(call == (*workers, expected_kwargs) for call in calls)
+
 
 class TestSharedMemoryKadabra:
     def test_accuracy(self, medium_social_graph, accurate_options):

@@ -146,6 +146,19 @@ class TestSamplers:
         sample = sampler.sample(rng)
         assert sample.edges_touched > 0
 
+    def test_edges_touched_within_adjacency(self, search, sampler_for, small_social_graph, rng):
+        # Each expanded row is counted once, so the search never reads more
+        # adjacency entries than the graph holds; the single-BFS kernel also
+        # counts the rows its backward walk reads (target and path vertices).
+        sampler = sampler_for(small_social_graph, search)
+        degrees = small_social_graph.degrees
+        total = small_social_graph.indices.size
+        for _ in range(50):
+            sample = sampler.sample(rng)
+            walk = [sample.target, *sample.internal_vertices] if sample.connected else []
+            bound = total + (int(degrees[walk].sum()) if search == "unidirectional" else 0)
+            assert 0 <= sample.edges_touched <= bound
+
 
 @pytest.mark.parametrize("search", SEARCHES)
 class TestSamplerUniformity:

@@ -577,6 +577,30 @@ class TestCli:
         assert not list(default_cache_dir().glob("*.rcsr"))
 
 
+class TestStoredGeneratedGraphs:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: road_network_graph(12, 12, seed=2), lambda: barabasi_albert(913, 7, seed=2)],
+        ids=["road", "social"],
+    )
+    def test_store_graph_round_trip_is_memory_mapped(self, tmp_path, build):
+        graph = build()
+        catalog = GraphCatalog(tmp_path / "cache")
+        path = catalog.store_graph(graph, "generated")
+        first = open_rcsr(path)
+        assert first.is_memory_mapped
+        assert first == graph
+        assert catalog.load("generated") == first
+
+    def test_load_by_name_and_by_path(self, tmp_path, social_graph):
+        catalog = GraphCatalog(tmp_path / "cache")
+        catalog.store_graph(road_network_graph(8, 8, seed=1), "road")
+        assert catalog.load("road").num_vertices > 0
+        src = tmp_path / "graph.txt"
+        write_edge_list(social_graph, src)
+        assert catalog.load(src) == social_graph
+
+
 class TestPayloadSizing:
     def test_arrays_and_containers_never_pickled(self, monkeypatch):
         import repro.mpi.threaded as threaded
