@@ -27,9 +27,9 @@ from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
 from repro.mpi.interface import Communicator, SelfComm
+from repro.obs.trace import PhaseRecorder
 from repro.parallel.engine import run_rank
 from repro.util.progress import ProgressCallback, ProgressEvent
-from repro.util.timer import PhaseTimer
 
 from repro.api.resources import Resources
 
@@ -139,10 +139,10 @@ def _run_exact(
         def on_source(done: int, total: int) -> None:
             progress(ProgressEvent(phase="sssp", num_samples=done, omega=total))
 
-    timer = PhaseTimer()
-    with timer.phase("sssp"):
+    phases = PhaseRecorder()
+    with phases("sssp"):
         result = brandes_betweenness(graph, progress=on_source)
-    result.phase_seconds = timer.as_dict()
+    result.phase_seconds = phases.seconds
     return result
 
 

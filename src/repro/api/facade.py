@@ -291,7 +291,7 @@ def estimate_betweenness(
         raise ValueError("update_from and resume_from are mutually exclusive")
     # One root span per facade call; the session/driver/store spans nest
     # under it, so a traced run exports a single tree covering
-    # diameter -> calibration -> sampling -> stopping.
+    # diameter -> calibration -> sampling -> check.
     with obs_trace.span("estimate") as root:
         if update_from is not None:
             root.set("mode", "update")

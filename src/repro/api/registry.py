@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.api.resources import Resources
 from repro.core.result import BetweennessResult
+from repro.util.table import format_table
 
 __all__ = [
     "AUTO",
@@ -231,11 +232,4 @@ def format_backend_table() -> str:
         )
         for spec in list_backends()
     ]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]) for i in range(len(headers))]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    return format_table(headers, rows)

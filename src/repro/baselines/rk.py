@@ -23,8 +23,8 @@ from repro.core.state_frame import StateFrame
 from repro.core.stopping import OMEGA_CONSTANT
 from repro.graph.csr import CSRGraph
 from repro.kernels import plan_batches
+from repro.obs.trace import PhaseRecorder
 from repro.util.progress import ProgressCallback, ProgressEvent
-from repro.util.timer import PhaseTimer
 from repro.util.validation import check_positive, check_probability
 
 __all__ = ["rk_sample_size"]
@@ -65,19 +65,19 @@ class _RKBetweenness:
         progress = self.progress
         if graph.num_vertices < 2:
             return BetweennessResult(scores=np.zeros(graph.num_vertices), eps=options.eps, delta=options.delta)
-        timer = PhaseTimer()
+        phases = PhaseRecorder()
         rng = np.random.default_rng(options.seed)
         sampler = make_sampler(graph, options, kernel=self.kernel, pair_strategy="vectorized")
 
-        with timer.phase("diameter"):
-            vd = diameter_bound(graph, options)
+        with phases("diameter") as sp:
+            vd = diameter_bound(graph, options, sp)
         num_samples = capped_samples(options, rk_sample_size(options.eps, options.delta, vd))
         if progress is not None:
             progress(ProgressEvent(phase="diameter", omega=num_samples))
 
         frame = StateFrame.zeros(graph.num_vertices)
         block = max(1, options.samples_per_check)
-        with timer.phase("sampling"):
+        with phases("sampling"):
             reported = 0
             for take in plan_batches(num_samples):
                 frame.record_batch(sampler.sample_batch(take, rng))
@@ -100,6 +100,6 @@ class _RKBetweenness:
             delta=options.delta,
             omega=num_samples,
             vertex_diameter=vd,
-            phase_seconds=timer.as_dict(),
+            phase_seconds=phases.seconds,
             extra={"edges_touched": float(frame.edges_touched)},
         )

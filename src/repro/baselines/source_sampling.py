@@ -21,8 +21,8 @@ from repro.baselines.brandes import _accumulate_source_dependencies
 from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
 from repro.kernels import ScratchPool
+from repro.obs.trace import PhaseRecorder
 from repro.util.progress import ProgressCallback, ProgressEvent
-from repro.util.timer import PhaseTimer
 from repro.util.validation import check_positive, check_probability
 
 __all__ = ["source_sample_size"]
@@ -62,7 +62,7 @@ class _SourceSamplingBetweenness:
         n = graph.num_vertices
         if n < 2:
             return BetweennessResult(scores=np.zeros(n), eps=self.eps, delta=self.delta)
-        timer = PhaseTimer()
+        phases = PhaseRecorder()
         rng = np.random.default_rng(self.seed)
         k = self.num_sources if self.num_sources is not None else source_sample_size(
             self.eps, self.delta, n
@@ -71,7 +71,7 @@ class _SourceSamplingBetweenness:
         sources = rng.choice(n, size=k, replace=False)
         scores = np.zeros(n, dtype=np.float64)
         pool = ScratchPool(n)
-        with timer.phase("sampling"):
+        with phases("sampling"):
             for i, source in enumerate(sources):
                 _accumulate_source_dependencies(graph, int(source), scores, pool)
                 done = i + 1
@@ -90,6 +90,6 @@ class _SourceSamplingBetweenness:
             num_samples=int(k),
             eps=self.eps,
             delta=self.delta,
-            phase_seconds=timer.as_dict(),
+            phase_seconds=phases.seconds,
             extra={"num_sources": float(k)},
         )

@@ -483,12 +483,6 @@ def build_dist_parser() -> argparse.ArgumentParser:
         help="partition the graph into K shards; each rank maps only shard rank%%K "
         "(default: no partitioning, every rank maps the full graph)",
     )
-    run.add_argument(
-        "--transport",
-        default="socket",
-        help="transport to run on (see --list-backends); only 'socket' is "
-        "launchable here, mpi4py worlds start under mpirun",
-    )
     run.add_argument("--algorithm", choices=("epoch", "mpi-only"), default="epoch")
     run.add_argument("--threads", type=int, default=1, help="sampling threads per process")
     run.add_argument("--eps", type=float, default=0.05)
@@ -541,29 +535,6 @@ def _cmd_dist(argv: list) -> int:
         return run_worker(DistWorkerConfig.from_args(args))
 
     # ---- dist run --------------------------------------------------------- #
-    if args.transport != "socket":
-        from repro.dist.transports import list_transports
-
-        known = {spec.name for spec in list_transports()}
-        if args.transport not in known:
-            print(f"error: unknown transport {args.transport!r} (known: {sorted(known)})", file=sys.stderr)
-            return 2
-        if args.transport == "mpi4py":
-            print(
-                "error: mpi4py worlds are launched by the MPI runtime, e.g.\n"
-                "  mpirun -n 4 python -m repro.cli dist worker --graph g.rcsr ...",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "error: the threaded transport (ranks as threads of one process) is a "
-                "test fixture, not a way to run an estimation; 'dist run' forks real "
-                "rank processes over the socket transport, and so does the plain "
-                "estimation CLI with --algorithm distributed --processes N",
-                file=sys.stderr,
-            )
-        return 2
-
     from repro.dist.launcher import LaunchError, launch_local
     from repro.store import GraphCatalog, StoreFormatError
 
@@ -636,26 +607,15 @@ def _cmd_dist(argv: list) -> int:
     return 0
 
 
-def _span_phases(node: dict, prefix: str, phases: dict, counter: list) -> None:
-    """Accumulate ``{dotted path: seconds}`` over one span-tree dict."""
-    path = f"{prefix}.{node.get('name', '?')}" if prefix else str(node.get("name", "?"))
-    phases[path] = phases.get(path, 0.0) + float(node.get("seconds", 0.0))
-    counter[0] += 1
-    for child in node.get("children", ()):
-        if isinstance(child, dict):
-            _span_phases(child, path, phases, counter)
-
-
 def _load_trace_breakdown(path: Path) -> Tuple[dict, int, float]:
     """Parse a trace file into ``(phases, num_spans, total_seconds)``.
 
     ``total_seconds`` sums the root spans only (children are contained in
     their roots); a result JSON contributes its recorded summary instead.
     """
+    from repro.obs.trace import summarize
+
     text = path.read_text()
-    phases: dict = {}
-    counter = [0]
-    total = 0.0
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
@@ -663,35 +623,41 @@ def _load_trace_breakdown(path: Path) -> Tuple[dict, int, float]:
     if isinstance(payload, dict) and "children" not in payload and (
         "extra" in payload or "trace" in payload
     ):
-        # A result JSON (or a bare summary): the flat summary the facade
-        # stores — phases are relative to the root span.
+        # A result JSON (or a bare summary): the summary the facade stores.
         summary = payload.get("trace") or payload.get("extra", {}).get("trace")
         if not isinstance(summary, dict):
             raise ValueError(f"{path} carries no extra.trace summary (traced run?)")
+        summaries = [summary]
+    else:
+        # JSONL: one span tree per line (a single span dict is one-line JSONL).
+        summaries = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                node = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
+            if not isinstance(node, dict) or "name" not in node:
+                raise ValueError(f"{path}:{lineno}: not a span object")
+            summaries.append(summarize(node))
+        if not summaries:
+            raise ValueError(f"{path} contains no spans")
+    phases: dict = {}
+    num_spans = 0
+    total = 0.0
+    for summary in summaries:
         root = str(summary.get("name", "estimate"))
-        total = float(summary.get("seconds", 0.0))
-        phases[root] = total
-        for sub, seconds in (summary.get("phases") or {}).items():
-            phases[f"{root}.{sub}"] = float(seconds)
-        return phases, int(summary.get("num_spans", len(phases))), total
-    # JSONL: one span tree per line (a single span dict is one-line JSONL).
-    roots = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            node = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
-        if not isinstance(node, dict) or "name" not in node:
-            raise ValueError(f"{path}:{lineno}: not a span object")
-        roots += 1
-        total += float(node.get("seconds", 0.0))
-        _span_phases(node, "", phases, counter)
-    if roots == 0:
-        raise ValueError(f"{path} contains no spans")
-    return phases, counter[0], total
+        seconds = float(summary.get("seconds", 0.0))
+        sub_phases = summary.get("phases") or {}
+        total += seconds
+        num_spans += int(summary.get("num_spans", 1 + len(sub_phases)))
+        phases[root] = phases.get(root, 0.0) + seconds
+        for sub, value in sub_phases.items():
+            key = f"{root}.{sub}"
+            phases[key] = phases.get(key, 0.0) + float(value)
+    return phases, num_spans, total
 
 
 def _cmd_obs(argv: list) -> int:

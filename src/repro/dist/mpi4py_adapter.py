@@ -6,11 +6,10 @@ hard dependency — containers without an MPI stack (like the default test
 image) simply report the transport as unavailable and the socket transport
 carries distributed runs.
 
-When available, launch workers under ``mpirun``/``srun`` with::
-
-    mpirun -n 4 python -m repro.cli dist worker --graph g.rcsr --transport mpi4py ...
-
-and each rank wraps ``COMM_WORLD`` via :func:`world_communicator`.
+When available, a program started under ``mpirun``/``srun`` wraps
+``COMM_WORLD`` via :func:`world_communicator` on each rank and hands it to
+:func:`~repro.parallel.engine.run_rank`; the CLI's ``dist`` commands always
+run over the socket transport.
 
 Reductions deliberately go through object-mode ``gather`` + the repository's
 own :func:`~repro.mpi.reduce_ops.reduce_op` fold rather than ``MPI.SUM``:

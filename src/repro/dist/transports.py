@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
+from repro.util.table import format_table
+
 __all__ = ["TransportSpec", "list_transports", "format_transport_table"]
 
 
@@ -76,11 +78,4 @@ def format_transport_table() -> str:
                 spec.description,
             )
         )
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]) for i in range(len(headers))]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    return format_table(headers, rows)

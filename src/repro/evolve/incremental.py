@@ -63,7 +63,6 @@ from repro.obs import trace as obs_trace
 from repro.session.sample_log import SampleLog
 from repro.session.session import EstimationSession, _jsonable_rng_state
 from repro.store.delta import GraphDelta
-from repro.util.timer import PhaseTimer
 
 __all__ = [
     "EvolveError",
@@ -300,9 +299,9 @@ def _update_session_impl(
 
     eps = float(session.eps if eps is None else eps)
     delta = float(session.delta if delta is None else delta)
-    timer = PhaseTimer()
+    phases = obs_trace.PhaseRecorder()
 
-    with timer.phase("invalidation"), obs_trace.span("invalidation"):
+    with phases("invalidation"):
         mask, num_bfs = invalidated_samples(parent, graph, graph_delta, log)
     tau_parent = log.num_samples
     invalid_count = int(np.count_nonzero(mask))
@@ -317,7 +316,7 @@ def _update_session_impl(
     # prefix of the first C samples, so the invalidated indices below C
     # get the same subtract/add treatment there.
     # -------------------------------------------------------------- #
-    with timer.phase("resample"), obs_trace.span("resample"):
+    with phases("resample"):
         frame = session._frame
         calibration = session._calibration_frame
         idx = np.flatnonzero(mask)
@@ -355,13 +354,13 @@ def _update_session_impl(
     # Re-certify on the child: its own diameter bound, its own omega,
     # then the standard calibrate / align / check-draw loop.
     # -------------------------------------------------------------- #
-    with timer.phase("diameter"):
-        vd = session._vd = diameter_bound(graph, session.options)
+    with phases("diameter") as sp:
+        vd = session._vd = diameter_bound(graph, session.options, sp)
     schedule = session._schedule(eps, delta)
     session._omega = schedule.omega
     session._emit(phase="diameter", omega=schedule.omega)
 
-    with timer.phase("calibration"):
+    with phases("calibration"):
         new_c = schedule.calibration_samples
         if new_c > cal_count:
             # The child schedule wants a larger calibration set than the
@@ -374,7 +373,7 @@ def _update_session_impl(
             session._calibration_rng_state = _jsonable_rng_state(session._rng)
         session._recalibrate(eps, delta, schedule.omega)
     samples_reused = tau_parent - invalid_count
-    result = session._certify(timer, schedule, eps, delta, samples_reused=samples_reused)
+    result = session._certify(phases, schedule, eps, delta, samples_reused=samples_reused)
     result.samples_invalidated = invalid_count
     result.extra["invalidated_fraction"] = float(fraction)
     result.extra["update_bfs"] = float(num_bfs)

@@ -28,6 +28,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.util.table import format_table
+
 __all__ = [
     "REPRO_KERNEL_ENV",
     "KernelSpec",
@@ -189,15 +191,7 @@ def format_kernel_table() -> str:
         )
         for spec in _REGISTRY.values()
     ]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-        *("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows),
-        "",
-        compiled.describe(),
-    ]
-    return "\n".join(lines)
+    return f"{format_table(headers, rows)}\n\n{compiled.describe()}"
 
 
 # --------------------------------------------------------------------------- #

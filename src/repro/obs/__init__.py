@@ -39,6 +39,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     NOOP_SPAN,
+    PhaseRecorder,
     Span,
     current_span,
     disable_tracing,
@@ -56,6 +57,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",
+    "PhaseRecorder",
     "Span",
     "current_span",
     "disable_metrics",

@@ -3,11 +3,13 @@
 A :class:`Span` is a context manager timing one phase of a run; spans nest
 through a thread-local stack, so the facade's root ``estimate`` span collects
 the session's ``diameter``/``calibration``/``adaptive_sampling`` children
-(and their ``sampling``/``stopping`` grandchildren) without any explicit
-plumbing.  When the outermost span of a thread closes, the finished tree is
-flushed to every registered sink — by default one ``json.dumps`` line per
-tree appended to the ``$REPRO_TRACE`` path, which is how a whole run becomes
-a greppable JSONL trace file.
+(and the epoch loop's ``sampling`` ... ``check`` grandchildren) without any
+explicit plumbing.  A :class:`PhaseRecorder` is how the drivers time a
+phase: one call adds the phase's seconds to their ``phase_seconds`` and
+opens the span of the same name.  When the outermost span of a thread
+closes, the finished tree is flushed to every registered sink — by default
+one ``json.dumps`` line per tree appended to the ``$REPRO_TRACE`` path,
+which is how a whole run becomes a greppable JSONL trace file.
 
 Tracing is **off by default** and :func:`span` then returns a shared no-op
 singleton: the disabled cost of an instrumentation point is one attribute
@@ -28,14 +30,17 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = [
+    "PhaseRecorder",
     "Span",
     "current_span",
     "disable_tracing",
     "enable_tracing",
     "span",
+    "summarize",
     "trace_path",
     "tracing_enabled",
 ]
@@ -118,32 +123,41 @@ class Span:
         return out
 
     def summary(self) -> dict:
-        """A flat per-phase time breakdown of the tree rooted here.
+        """:func:`summarize` of the tree rooted here."""
+        return summarize(self.as_dict())
 
-        ``phases`` maps dotted paths (relative to this span, e.g.
-        ``"session.run.diameter"``) to accumulated seconds — repeated spans
-        on the same path add up, so a loop of ``stopping`` spans becomes one
-        aggregate entry.  This is what the facade stores in
-        ``result.extra["trace"]`` and what ``repro-betweenness obs``
-        pretty-prints.
-        """
-        phases: Dict[str, float] = {}
-        count = [1]
 
-        def walk(node: "Span", prefix: str) -> None:
-            for child in node.children:
-                path = f"{prefix}.{child.name}" if prefix else child.name
-                phases[path] = phases.get(path, 0.0) + child.seconds
-                count[0] += 1
-                walk(child, path)
+def summarize(tree: dict) -> dict:
+    """A flat per-phase time breakdown of one span-tree dict.
 
-        walk(self, "")
-        return {
-            "name": self.name,
-            "seconds": round(self.seconds, 9),
-            "num_spans": count[0],
-            "phases": {path: round(s, 9) for path, s in phases.items()},
-        }
+    ``phases`` maps dotted paths (relative to the root, e.g.
+    ``"session.run.diameter"``) to accumulated seconds — repeated spans on
+    the same path add up, so a loop of ``check`` spans becomes one aggregate
+    entry.  This is what the facade stores in ``result.extra["trace"]`` and
+    what ``repro-betweenness obs`` pretty-prints; it tolerates trees read
+    back from a trace file (missing keys, non-dict children).
+    """
+    phases: Dict[str, float] = {}
+    count = 1
+
+    def walk(node: dict, prefix: str) -> None:
+        nonlocal count
+        for child in node.get("children", ()):
+            if not isinstance(child, dict):
+                continue
+            name = str(child.get("name", "?"))
+            path = f"{prefix}.{name}" if prefix else name
+            phases[path] = phases.get(path, 0.0) + float(child.get("seconds", 0.0))
+            count += 1
+            walk(child, path)
+
+    walk(tree, "")
+    return {
+        "name": str(tree.get("name", "?")),
+        "seconds": round(float(tree.get("seconds", 0.0)), 9),
+        "num_spans": count,
+        "phases": {path: round(s, 9) for path, s in phases.items()},
+    }
 
 
 class _NoopSpan:
@@ -178,6 +192,31 @@ def span(name: str, **attrs: Any):
     if not _enabled:
         return NOOP_SPAN
     return Span(name, attrs)
+
+
+class PhaseRecorder:
+    """Wall-clock seconds per named phase, each phase also traced as a span.
+
+    ``with phases("name", **attrs) as sp:`` adds the block's elapsed seconds
+    to ``phases.seconds["name"]`` (repeated phases add up) and opens
+    :func:`span` ``("name", **attrs)``, so ``sp`` is :data:`NOOP_SPAN` when
+    tracing is off.  ``seconds`` becomes a run's ``phase_seconds``: every
+    phase it names is a span of the same name in the run's trace.
+    """
+
+    __slots__ = ("seconds",)
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = {}
+
+    @contextmanager
+    def __call__(self, name: str, **attrs: Any) -> Iterator[Any]:
+        start = time.perf_counter()
+        try:
+            with span(name, **attrs) as sp:
+                yield sp
+        finally:
+            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
 
 
 def current_span():

@@ -52,7 +52,6 @@ from repro.parallel.epoch_length import EpochLength, thread_zero_samples_per_epo
 from repro.parallel.epochs import EpochManager, FramePool
 from repro.sampling.rng import derive_seed, rng_for_rank_thread
 from repro.util.progress import ProgressCallback, ProgressEvent
-from repro.util.timer import PhaseTimer
 
 __all__ = [
     "ALGORITHMS", "EpochStats", "adaptive_sampling_epochs", "calibration_phase", "run_rank",
@@ -209,7 +208,7 @@ def adaptive_sampling_epochs(
         raise ValueError("need one RNG per thread")
 
     num_vertices = condition.num_vertices
-    timer = PhaseTimer()
+    phases = obs_trace.PhaseRecorder()
     manager = EpochManager(num_threads)
     pool = FramePool(num_threads, num_vertices)
     sample_counter = [0] * num_threads
@@ -260,15 +259,15 @@ def adaptive_sampling_epochs(
             current_frame = pool.frame(0, epoch)
             # Lines 12-13: thread 0 samples up to the grid's next check.
             count = grid.epoch_samples(epoch, aggregated.num_samples)
-            with timer.phase("sampling"), obs_trace.span("sampling", epoch=epoch):
+            with phases("sampling", epoch=epoch):
                 _draw(sampler0, rng0, count, current_frame, on_batch)
                 sample_counter[0] += count
             # Lines 14-15: force the epoch transition, sampling while waiting.
             next_frame = pool.reset_for_epoch(0, epoch + 1)
-            with timer.phase("epoch_transition"):
+            with phases("epoch_transition"):
                 overlap(manager.force_transition(epoch), next_frame)
             # Lines 16-18: aggregate this process' epoch frames.
-            with timer.phase("local_aggregation"):
+            with phases("local_aggregation"):
                 epoch_frame = current_frame
                 if aggregate_scratch is not None:
                     epoch_frame = pool.aggregate_epoch(epoch, out=aggregate_scratch)
@@ -279,12 +278,12 @@ def adaptive_sampling_epochs(
             reduced_frame: Optional[StateFrame] = None
             if reduce_comm is not None and epoch_frame is not None:
                 if algorithm == "epoch":
-                    with timer.phase("ibarrier"):
+                    with phases("ibarrier"):
                         overlap(reduce_comm.ibarrier(), next_frame)
-                    with timer.phase("reduce"):
+                    with phases("reduce"):
                         reduced_frame = reduce_comm.reduce(epoch_frame, op="sum", root=0)
                 else:
-                    with timer.phase("reduce"):
+                    with phases("reduce"):
                         reduced_frame = overlap(
                             reduce_comm.ireduce(epoch_frame, op="sum", root=0), next_frame
                         )
@@ -292,7 +291,7 @@ def adaptive_sampling_epochs(
             # Lines 22-24: rank 0 folds the epoch frame and checks the rule.
             decision = False
             if comm.is_root:
-                with timer.phase("check"), obs_trace.span("stopping", epoch=epoch) as sp:
+                with phases("check", epoch=epoch) as sp:
                     if reduced_frame is not None:
                         aggregated.add_into(reduced_frame)
                     if on_aggregate is not None:
@@ -306,7 +305,7 @@ def adaptive_sampling_epochs(
 
             # Lines 25-27: broadcast the termination flag over the world
             # communicator, overlapped with sampling.
-            with timer.phase("broadcast"):
+            with phases("broadcast"):
                 terminated = bool(
                     overlap(comm.ibcast(decision if comm.is_root else None, root=0), next_frame)
                 )
@@ -325,7 +324,7 @@ def adaptive_sampling_epochs(
 
     stats.local_samples = int(sum(sample_counter))
     stats.aggregated_frame = aggregated if comm.is_root else None
-    stats.phase_seconds = timer.as_dict()
+    stats.phase_seconds = phases.seconds
     stats.communication_bytes = comm.communication_bytes()
     return stats
 
@@ -377,7 +376,7 @@ def run_rank(
         n = graph.num_vertices
         trivial = BetweennessResult(scores=np.zeros(n), eps=options.eps, delta=options.delta)
         return (trivial if comm.is_root else None), EpochStats(rank, sampling_threads)
-    timer = PhaseTimer()
+    phases = obs_trace.PhaseRecorder()
     if not comm.is_root:
         progress = None
 
@@ -402,14 +401,14 @@ def run_rank(
         # Ranks run in their own processes (or, in tests, threads), so
         # non-root spans root their own per-rank trees; rank 0 nests beneath
         # the facade's "estimate" span as usual.
-        with timer.phase("diameter"), obs_trace.span("diameter", rank=rank) as sp:
+        with phases("diameter", rank=rank) as sp:
             vd = diameter_bound(graph, options, sp) if comm.is_root else None
             vd = int(comm.bcast(vd, root=0))
         omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
         emit("diameter")
 
         # ---------------- Phase 2: calibration ---------------------------- #
-        with timer.phase("calibration"), obs_trace.span("calibration", rank=rank):
+        with phases("calibration", rank=rank):
             # The session's sample count, so the phase structure (and the cost
             # model built on it) agrees across modes; RNG slot 0, so the
             # adaptive phase (slots 1..T) never replays the calibration stream.
@@ -445,9 +444,7 @@ def run_rank(
         comm.size, sampling_threads,
         base=float(options.samples_per_check), exponent=options.epoch_exponent,
     )
-    with timer.phase("adaptive_sampling"), obs_trace.span(
-        "adaptive_sampling", rank=rank, omega=omega
-    ):
+    with phases("adaptive_sampling", rank=rank, omega=omega):
         topology = None
         if processes_per_node is not None and comm.size > 1:
             topology = build_topology(comm, processes_per_node)
@@ -471,8 +468,8 @@ def run_rank(
             on_aggregate=fold_hook,
         )
     for phase, seconds in stats.phase_seconds.items():
-        timer.add(f"ads_{phase}", seconds)
-    stats.phase_seconds = timer.as_dict()
+        phases.seconds[f"ads_{phase}"] = seconds
+    stats.phase_seconds = phases.seconds
 
     aggregated = stats.aggregated_frame
     if aggregated is None:

@@ -55,7 +55,6 @@ from repro.parallel.engine import adaptive_sampling_epochs, calibration_phase, s
 from repro.session.sample_log import SampleLog
 from repro.session.snapshot import SnapshotError, read_snapshot, require_keys, write_snapshot
 from repro.util.progress import ProgressCallback, ProgressEvent
-from repro.util.timer import PhaseTimer
 from repro.util.validation import check_positive, check_probability
 
 __all__ = [
@@ -350,7 +349,7 @@ class EstimationSession:
             if into_calibration is not None:
                 into_calibration.record_batch(batch)
 
-    def _build_result(self, timer: PhaseTimer, *, samples_reused: int) -> BetweennessResult:
+    def _build_result(self, phase_seconds: Dict[str, float], *, samples_reused: int) -> BetweennessResult:
         tau = self._frame.num_samples
         result = BetweennessResult(
             scores=self._frame.betweenness_estimates(),
@@ -360,7 +359,7 @@ class EstimationSession:
             omega=self._omega,
             vertex_diameter=self._vd,
             num_epochs=self._checks,
-            phase_seconds=timer.as_dict(),
+            phase_seconds=phase_seconds,
             extra={"edges_touched": float(self._frame.edges_touched)},
             samples_drawn=tau - samples_reused,
             samples_reused=samples_reused,
@@ -410,16 +409,16 @@ class EstimationSession:
             return self._trivial_result(target.eps, target.delta)
 
         self._ensure_engine()
-        timer = PhaseTimer()
+        phases = obs_trace.PhaseRecorder()
 
-        with timer.phase("diameter"), obs_trace.span("diameter") as sp:
+        with phases("diameter") as sp:
             self._vd = diameter_bound(self._graph, self._options, sp)
             sp.set("vertex_diameter", self._vd)
         schedule = self._schedule(target.eps, target.delta)
         self._omega = schedule.omega
         self._emit(phase="diameter", omega=schedule.omega)
 
-        with timer.phase("calibration"), obs_trace.span("calibration") as sp:
+        with phases("calibration") as sp:
             self._frame, self._condition = calibration_phase(
                 SelfComm(),
                 self._sampler,
@@ -434,7 +433,7 @@ class EstimationSession:
             self._calibration_frame = self._frame.copy()
             self._calibration_rng_state = _jsonable_rng_state(self._rng)
             sp.set("num_samples", int(self._frame.num_samples))
-        return self._certify(timer, schedule, target.eps, target.delta, samples_reused=0)
+        return self._certify(phases, schedule, target.eps, target.delta, samples_reused=0)
 
     def _recalibrate(self, eps: float, delta: float, omega: int) -> None:
         """Derive the stopping condition for a target from the calibration frame."""
@@ -442,7 +441,7 @@ class EstimationSession:
         self._condition = stopping_condition(frame, eps=eps, delta=delta, omega=omega)
 
     def _certify(
-        self, timer: PhaseTimer, schedule: CheckSchedule, eps: float, delta: float,
+        self, phases: obs_trace.PhaseRecorder, schedule: CheckSchedule, eps: float, delta: float,
         *, samples_reused: int,
     ) -> BetweennessResult:
         """Phase 3 of ``run``, ``refine`` and graph updates, to an ``(eps, delta)`` certificate.
@@ -467,8 +466,7 @@ class EstimationSession:
                 omega=schedule.omega,
             )
 
-        span = obs_trace.span("adaptive_sampling", omega=schedule.omega)
-        with timer.phase("adaptive_sampling"), span:
+        with phases("adaptive_sampling", omega=schedule.omega):
             stats = adaptive_sampling_epochs(
                 SelfComm(),
                 lambda _thread: self._sampler,
@@ -484,7 +482,7 @@ class EstimationSession:
         self._checks += stats.num_epochs
         self._ran = True
         self._eps, self._delta, self._omega = eps, delta, schedule.omega
-        return self._build_result(timer, samples_reused=samples_reused)
+        return self._build_result(phases.seconds, samples_reused=samples_reused)
 
     # ------------------------------------------------------------------ #
     # refine
@@ -522,12 +520,12 @@ class EstimationSession:
             )
         reused = self._frame.num_samples
         if target.eps == self._eps and target.delta == self._delta:
-            return self._build_result(PhaseTimer(), samples_reused=reused)
+            return self._build_result({}, samples_reused=reused)
         if self._graph.num_vertices < 2:
             return self._trivial_result(target.eps, target.delta)
 
         self._ensure_engine()
-        timer = PhaseTimer()
+        phases = obs_trace.PhaseRecorder()
         schedule = self._schedule(target.eps, target.delta)
         old_c = self._calibration_frame.num_samples
         new_c = schedule.calibration_samples
@@ -537,7 +535,7 @@ class EstimationSession:
                 "refinement requires a monotone schedule"
             )
 
-        with timer.phase("calibration"), obs_trace.span("calibration"):
+        with phases("calibration"):
             # Extend the calibration frame to the tighter target's count: the
             # overlap with already-drawn samples is *replayed* from the saved
             # calibration RNG state (same stream positions, so identical
@@ -555,7 +553,7 @@ class EstimationSession:
                 self._draw(new_c - reused, self._rng, into_calibration=self._calibration_frame)
                 self._calibration_rng_state = _jsonable_rng_state(self._rng)
             self._recalibrate(target.eps, target.delta, schedule.omega)
-        result = self._certify(timer, schedule, target.eps, target.delta, samples_reused=reused)
+        result = self._certify(phases, schedule, target.eps, target.delta, samples_reused=reused)
         if replay_until > old_c:
             result.extra["samples_replayed"] = float(replay_until - old_c)
         return result

@@ -1,6 +1,5 @@
-"""Shared utilities: timers, statistics helpers, validation, logging."""
+"""Shared utilities: statistics helpers, validation, logging."""
 
-from repro.util.timer import Timer, PhaseTimer
 from repro.util.stats import (
     max_abs_error,
     mean_abs_error,
@@ -15,8 +14,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "Timer",
-    "PhaseTimer",
     "max_abs_error",
     "mean_abs_error",
     "relative_rank_overlap",

@@ -462,6 +462,114 @@ class TestFacadeTrace:
 
 
 # --------------------------------------------------------------------- #
+# One phase recorder: phase_seconds and the trace name the same phases
+# --------------------------------------------------------------------- #
+def _phases_without_spans(phase_seconds: dict, tree: dict) -> list:
+    """``phase_seconds`` keys (but ``total``) with no same-named span under ``tree``.
+
+    The loop's ``ads_X`` phases map to ``X`` spans whose parent is
+    ``adaptive_sampling``.
+    """
+    paths = obs_trace.summarize(tree)["phases"]
+    missing = []
+    for key in phase_seconds:
+        if key == "total":
+            continue
+        suffix = f"adaptive_sampling.{key[4:]}" if key.startswith("ads_") else key
+        if not any(path == suffix or path.endswith(f".{suffix}") for path in paths):
+            missing.append(key)
+    return missing
+
+
+class TestPhasesAreSpans:
+    @pytest.mark.parametrize(
+        "name, resources",
+        [
+            ("sequential", {}),
+            ("shared-memory", {"threads": 2}),
+            ("distributed", {"processes": 2}),
+            ("mpi-only", {"processes": 2}),
+            ("rk", {}),
+            ("source-sampling", {}),
+            ("exact", {}),
+        ],
+    )
+    def test_every_backend_phase_is_a_span(self, name, resources):
+        from repro.api import Resources, estimate_betweenness
+        from repro.graph.generators import barabasi_albert
+
+        trees = []
+        enable_tracing(sink=trees.append)
+        result = estimate_betweenness(
+            barabasi_albert(80, 2, seed=4), algorithm=name, eps=0.2, delta=0.2, seed=4,
+            resources=Resources(**resources),
+        )
+        (tree,) = [t for t in trees if t["name"] == "estimate"]
+        assert set(result.phase_seconds) - {"total"}
+        assert _phases_without_spans(result.phase_seconds, tree) == []
+
+    def test_update_session_phases_are_spans(self):
+        from repro.core.options import KadabraOptions
+        from repro.evolve import update_session
+        from repro.graph.generators import barabasi_albert
+        from repro.session import EstimationSession
+        from repro.store import GraphDelta, apply_delta
+
+        graph = barabasi_albert(80, 2, seed=4)
+        session = EstimationSession(graph, KadabraOptions(eps=0.2, delta=0.2, seed=4))
+        session.run()
+        new_edges = [(u, v) for u, v in [(0, 79), (1, 78)] if not graph.has_edge(u, v)]
+        graph_delta = GraphDelta(insertions=new_edges)
+        trees = []
+        enable_tracing(sink=trees.append)
+        _, report = update_session(session, apply_delta(graph, graph_delta), graph_delta)
+        (tree,) = [t for t in trees if t["name"] == "evolve.update"]
+        assert {"invalidation", "resample", "adaptive_sampling"} <= set(report.result.phase_seconds)
+        assert _phases_without_spans(report.result.phase_seconds, tree) == []
+
+    @pytest.mark.parametrize("source", ["jsonl", "result-json"])
+    def test_obs_command_uses_the_summary_walker(self, tmp_path, capsys, source):
+        from repro.api import Resources, estimate_betweenness
+        from repro.cli import main as cli_main
+        from repro.graph.generators import barabasi_albert
+
+        trace_file = tmp_path / "trace.jsonl"
+        enable_tracing(path=str(trace_file))
+        result = estimate_betweenness(
+            barabasi_albert(80, 2, seed=4), algorithm="shared-memory", eps=0.2, delta=0.2,
+            seed=4, resources=Resources(threads=2),
+        )
+        disable_tracing()
+        summary = result.extra["trace"]
+        path = trace_file
+        if source == "result-json":
+            path = tmp_path / "result.json"
+            path.write_text(json.dumps({"extra": {"trace": summary}}))
+        assert cli_main(["obs", str(path), "--json"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["num_spans"] == summary["num_spans"]
+        expected = {"estimate": summary["seconds"]}
+        expected.update({f"estimate.{p}": s for p, s in summary["phases"].items()})
+        assert shown["phases"].keys() == expected.keys()
+        assert "estimate.session.run.adaptive_sampling.check" in expected
+        for key, seconds in expected.items():
+            assert shown["phases"][key] == pytest.approx(seconds, abs=1e-8)
+
+    def test_recorder_adds_up_and_traces_only_when_enabled(self):
+        disable_tracing()
+        phases = obs_trace.PhaseRecorder()
+        for _ in range(2):
+            with phases("step", k=1) as sp:
+                assert sp is NOOP_SPAN
+        enable_tracing()
+        with span("root") as root:
+            with phases("step") as sp:
+                sp.set("k", 2)
+        assert set(phases.seconds) == {"step"} and phases.seconds["step"] > 0
+        assert [(c.name, c.attrs) for c in root.children] == [("step", {"k": 2})]
+
+
+# --------------------------------------------------------------------- #
 # /metrics endpoint
 # --------------------------------------------------------------------- #
 def _instant_estimator(graph, callbacks=None, **kwargs):

@@ -1,16 +1,13 @@
-"""Unit tests for the utility helpers (timers, statistics, validation, logging)."""
+"""Unit tests for the utility helpers (statistics, validation, logging, tables)."""
 
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 import pytest
 
 from repro.util import (
-    PhaseTimer,
-    Timer,
     check_non_negative,
     check_positive,
     check_probability,
@@ -23,89 +20,21 @@ from repro.util import (
 from repro.util.logging import enable_console_logging, get_logger
 from repro.util.progress import ProgressEvent, combine_callbacks, tag_backend
 from repro.util.stats import harmonic_number
+from repro.util.table import format_table
 
 
-class TestTimer:
-    def test_basic_usage(self):
-        timer = Timer()
-        timer.start()
-        time.sleep(0.01)
-        elapsed = timer.stop()
-        assert elapsed >= 0.005
-        assert not timer.running
+class TestFormatTable:
+    def test_columns_align_and_lines_carry_no_trailing_blanks(self):
+        table = format_table(("name", "description"), [("a", "first"), ("longer", "")])
+        assert table.splitlines() == [
+            "name    description",
+            "------  -----------",
+            "a       first",
+            "longer",
+        ]
 
-    def test_context_manager(self):
-        with Timer() as timer:
-            time.sleep(0.005)
-        assert timer.elapsed > 0.0
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        timer = Timer()
-        timer.start()
-        timer.stop()
-        timer.reset()
-        assert timer.elapsed == 0.0
-
-    def test_elapsed_while_running(self):
-        timer = Timer().start()
-        assert timer.running
-        assert timer.elapsed >= 0.0
-        timer.stop()
-
-    def test_start_while_running_rejected(self):
-        timer = Timer().start()
-        with pytest.raises(RuntimeError, match="already running"):
-            timer.start()
-        # The rejected re-entry must not clobber the running measurement.
-        assert timer.running
-        assert timer.stop() >= 0.0
-
-    def test_restart_after_stop_allowed(self):
-        timer = Timer()
-        timer.start()
-        timer.stop()
-        timer.start()
-        assert timer.running
-        timer.stop()
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate(self):
-        timer = PhaseTimer()
-        timer.add("a", 1.0)
-        timer.add("a", 0.5)
-        timer.add("b", 0.5)
-        assert timer.get("a") == pytest.approx(1.5)
-        assert timer.total == pytest.approx(2.0)
-        assert timer.fractions()["a"] == pytest.approx(0.75)
-
-    def test_phase_context_manager(self):
-        timer = PhaseTimer()
-        with timer.phase("work"):
-            time.sleep(0.005)
-        assert timer.get("work") > 0.0
-
-    def test_merge(self):
-        a = PhaseTimer({"x": 1.0})
-        b = PhaseTimer({"x": 2.0, "y": 1.0})
-        merged = a.merge(b)
-        assert merged.get("x") == pytest.approx(3.0)
-        assert merged.get("y") == pytest.approx(1.0)
-        assert a.get("x") == pytest.approx(1.0)
-
-    def test_fractions_empty(self):
-        assert PhaseTimer().fractions() == {}
-        assert PhaseTimer({"a": 0.0}).fractions() == {"a": 0.0}
-
-    def test_as_dict_copy(self):
-        timer = PhaseTimer({"a": 1.0})
-        d = timer.as_dict()
-        d["a"] = 5.0
-        assert timer.get("a") == 1.0
+    def test_no_rows_is_header_and_rule(self):
+        assert format_table(("x", "yy"), []) == "x  yy\n-  --"
 
 
 class TestStats:
