@@ -38,6 +38,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.options import KadabraOptions
 from repro.dist.socketcomm import SocketComm, SocketHub
 from repro.mpi.interface import Communicator
@@ -47,7 +49,7 @@ from repro.session import EstimationSession, SnapshotError
 from repro.store.format import open_rcsr
 from repro.store.partition import PartitionManifest, PartitionedGraphView, manifest_path_for
 
-__all__ = ["DistWorkerConfig", "run_worker", "FAULT_RANK_ENV"]
+__all__ = ["DistWorkerConfig", "run_worker", "write_result", "receive_result", "FAULT_RANK_ENV"]
 
 FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
 
@@ -129,6 +131,42 @@ def _arm_fault_injection(config: DistWorkerConfig) -> None:
     threading.Thread(target=watch, name="fault-arm", daemon=True).start()
 
 
+def write_result(path, result: Dict[str, Any]) -> List[float]:
+    """Write ``result`` (scores: float64 array) to ``path`` as ``json.dumps`` would; returns the scores as a list.
+
+    An estimate is n floats, a few hundred distinct: each distinct one is
+    formatted once and is one float object in the list, a quarter of its size.
+    """
+    scores = np.ascontiguousarray(result["scores"], dtype=np.float64)
+    if np.isfinite(scores).all():
+        distinct, inverse = np.unique(scores.view(np.int64), return_inverse=True)  # 0.0, -0.0 print apart
+        values = np.array(distinct.view(np.float64).tolist(), dtype=object)
+        listed = values[inverse].tolist()
+        body = ", ".join(np.array([repr(value) for value in values], dtype=object)[inverse])
+    else:  # json spells nan and inf its own way
+        listed = scores.tolist()
+        body = json.dumps(listed)[1:-1]
+    text = json.dumps({**result, "scores": []}).replace('"scores": []', f'"scores": [{body}]', 1)
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(out.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, out)
+    return listed
+
+
+def receive_result(reader) -> Optional[Dict[str, Any]]:
+    """Rank 0's hand-off (JSON header, then the scores' bytes), scores as an array; None if cut short."""
+    try:
+        result, buffer = json.loads(reader.recv_bytes()), reader.recv_bytes()
+    except EOFError:
+        return None
+    if len(buffer) == 8 * result["scores"]:
+        result["scores"] = np.frombuffer(buffer, dtype=np.float64)
+        return result
+    return None
+
+
 # --------------------------------------------------------------------------- #
 # the worker body
 
@@ -163,14 +201,15 @@ def _restore_checkpoint(config: DistWorkerConfig, graph) -> Optional[EstimationS
     return state
 
 
-def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = None) -> int:
+def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = None, handoff=None) -> int:
     """Run one rank of a distributed estimation; returns a process exit code.
 
     Rank 0 (without ``connect``) hosts the hub — on ``listener`` when the
     launcher that forked it bound one, else on ``config.host:config.port`` —
-    writes checkpoints, and emits the merged result JSON to
-    ``config.result_path``.  A checkpoint that cannot be resumed ends rank 0
-    with exit code 2 and one ``error:`` line, before it joins the world.
+    writes checkpoints, and sends the merged result down the ``handoff`` pipe
+    end when it has one, else writes it to ``config.result_path``.  A
+    checkpoint that cannot be resumed ends rank 0 with exit code 2 and one
+    ``error:`` line, before it joins the world.
     """
     _arm_fault_injection(config)
     graph, vd_hint = _open_graph(config)
@@ -187,12 +226,12 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
     comm = SocketComm.connect(host, port, config.rank, config.size, timeout=config.timeout)
     try:
         result = _worker_body(comm, config, graph, vd_hint, resume)
-        if comm.is_root and result is not None and config.result_path:
-            out = Path(config.result_path)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            tmp = out.with_name(out.name + ".tmp")
-            tmp.write_text(json.dumps(result))
-            os.replace(tmp, out)
+        if comm.is_root and result is not None:
+            if handoff is not None:  # the vertex count in place of the scores, whose bytes follow
+                handoff.send_bytes(json.dumps({**result, "scores": result["scores"].size}).encode())
+                handoff.send_bytes(result["scores"])
+            elif config.result_path:
+                write_result(config.result_path, result)
         return 0
     finally:
         comm.close()
@@ -271,18 +310,18 @@ def _worker_body(
     total_adaptive_samples = sum(r["local_samples"] for r in per_rank)
     slowest = max(r["adaptive_seconds"] for r in per_rank)
     return {
-        "scores": result.scores.tolist(),
+        "scores": result.scores,
         "num_samples": int(result.num_samples),
         "num_epochs": int(result.num_epochs),
         "eps": float(options.eps),
         "delta": float(options.delta),
-        "omega": int(result.omega),
-        "vertex_diameter": int(result.vertex_diameter),
+        "omega": int(result.omega or 0),  # None on a graph of fewer than 2 vertices
+        "vertex_diameter": int(result.vertex_diameter or 0),
         "algorithm": config.algorithm,
         "num_processes": int(comm.size),
         "threads_per_process": int(num_threads),
         "parts": config.parts,
-        "samples_per_epoch_n0": result.extra["samples_per_epoch_n0"],
+        "samples_per_epoch_n0": result.extra.get("samples_per_epoch_n0", 0.0),
         "resumed_from_samples": int(resumed_samples),
         "resumed_from_epoch": int(resumed_epoch),
         "communication_bytes": int(sum(r["communication_bytes"] for r in per_rank)),

@@ -20,8 +20,8 @@
    workers are torn down and — when a checkpoint exists and restarts
    remain — the whole world is forked again with ``resume`` set, continuing
    from the last persisted epoch boundary with zero lost aggregated samples;
-4. returns rank 0's merged result JSON, annotated with the restart count.
-   However it ends, no rank outlives the call.
+4. receives rank 0's merged result over a pipe, writes it to ``result_path``
+   and returns it with the restart count.  However it ends, no rank outlives the call.
 
 Fault-injection (``fault_rank``) sets :data:`~repro.dist.driver.FAULT_RANK_ENV`
 inside exactly one worker of the *first* generation; later generations never
@@ -30,20 +30,19 @@ see it, mirroring a real transient fault.
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
 import socket
 import time
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.dist.driver import FAULT_RANK_ENV, DistWorkerConfig, run_worker
+from repro.dist.driver import FAULT_RANK_ENV, DistWorkerConfig, receive_result, run_worker, write_result
 from repro.dist.socketcomm import bind_listener, fork_rank, reap
 from repro.store.partition import partition_rcsr
 
 __all__ = ["LaunchError", "pick_free_port", "launch_local"]
-
-_POLL_SECONDS = 0.05
 
 
 class LaunchError(RuntimeError):
@@ -62,14 +61,17 @@ def pick_free_port(host: str = "127.0.0.1") -> int:
         return probe.getsockname()[1]
 
 
-def _rank_process(config: DistWorkerConfig, listener: socket.socket, fault: bool) -> None:
+def _rank_process(config: DistWorkerConfig, listener: socket.socket, reader, writer, fault: bool) -> None:
     """Body of one forked rank: the launcher's state, minus what is not this rank's."""
     os.environ.pop(FAULT_RANK_ENV, None)
     if fault:
         os.environ[FAULT_RANK_ENV] = str(config.rank)
+    reader.close()
     if config.rank != 0:
         listener.close()
-    run_worker(config, listener=listener if config.rank == 0 else None)
+        writer.close()
+        listener = writer = None
+    run_worker(config, listener=listener, handoff=writer)
 
 
 def launch_local(
@@ -111,9 +113,7 @@ def launch_local(
 
     if result_path is None:
         result_path = str(graph_path.with_name(f"{graph_path.stem}.dist-result.json"))
-    result_file = Path(result_path)
-    if result_file.exists():
-        result_file.unlink()
+    Path(result_path).unlink(missing_ok=True)
 
     restarts = 0
     resume = False
@@ -144,45 +144,46 @@ def launch_local(
                 checkpoint=checkpoint,
                 checkpoint_every=checkpoint_every,
                 resume=resume,
-                result_path=result_path if rank == 0 else None,
                 timeout=min(timeout, 120.0),
             )
             for rank in range(processes)
         ]
+        reader, writer = multiprocessing.Pipe(duplex=False)
         procs = []
-        failed_rank: Optional[int] = None
+        result = failed_rank = None
         try:
             for config in configs:
                 fault = fault_rank == config.rank and restarts == 0
-                procs.append(fork_rank(_rank_process, config, listener, fault, rank=config.rank))
-            while True:
-                codes = [proc.exitcode for proc in procs]
-                if any(code not in (None, 0) for code in codes):
-                    failed_rank = next(i for i, code in enumerate(codes) if code not in (None, 0))
-                    break
-                if all(code == 0 for code in codes):
-                    break
-                if time.monotonic() > deadline:
+                procs.append(fork_rank(_rank_process, config, listener, reader, writer, fault, rank=config.rank))
+            writer.close()  # rank 0 holds the only write end now: its exit is the reader's EOF
+            # Until the result arrives or a rank fails; the reader leaves the list
+            # only once read, so a result sent by ranks that all exited is drained.
+            waiting = [reader, *(proc.sentinel for proc in procs)]
+            while result is None and failed_rank is None and waiting:
+                ready = wait(waiting, timeout=max(deadline - time.monotonic(), 0.0))
+                if not ready:
                     raise LaunchError(f"distributed run exceeded {timeout}s")
-                # Wait on a live rank instead of sleeping, so the launch returns as
-                # that rank exits (rank 0 hosts the hub and exits last); the other
-                # ranks are still polled once per interval.
-                procs[codes.index(None)].join(_POLL_SECONDS)
+                if reader in ready:
+                    waiting.remove(reader)
+                    result = receive_result(reader)  # None: rank 0 ended without a whole result
+                for proc in procs:
+                    if proc.sentinel in ready:
+                        waiting.remove(proc.sentinel)
+                        proc.join()
+                failed_rank = next((rank for rank, proc in enumerate(procs) if proc.exitcode), None)
+            if result is not None:  # written while the ranks say goodbye
+                result["scores"] = write_result(result_path, result)
         finally:
             listener.close()
-            reap(procs)
+            reader.close()
+            writer.close()
+            reap(procs, grace=10.0 if result is not None else 0.0)
 
-        if failed_rank is None:
-            if not result_file.exists():
-                raise LaunchError("workers exited cleanly but produced no result")
-            result = json.loads(result_file.read_text())
-            # An estimate is a count over the sample total: n floats, a few
-            # hundred distinct values.  Sharing the equal ones leaves the list a
-            # quarter of its parsed size, for a caller that keeps results.
-            shared: Dict[float, float] = {}
-            result["scores"] = [shared.setdefault(score, score) for score in result["scores"]]
+        if result is not None:
             result["restarts"] = restarts
             return result
+        if failed_rank is None:
+            raise LaunchError("workers exited cleanly but produced no result")
 
         can_resume = checkpoint is not None and Path(checkpoint).exists()
         if restarts >= max_restarts:

@@ -12,16 +12,18 @@ resumed from the last epoch-boundary checkpoint with zero lost samples.
 from __future__ import annotations
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.dist.driver as driver
 from repro.baselines import brandes_betweenness
 from repro.cli import main as cli_main
-from repro.dist.driver import DistWorkerConfig
+from repro.dist.driver import DistWorkerConfig, receive_result, write_result
 from repro.dist.launcher import LaunchError, launch_local, pick_free_port
-from repro.graph import read_edge_list
+from repro.graph import CSRGraph, read_edge_list
 from repro.graph.generators import barabasi_albert
 from repro.session import EstimationSession, SessionCapabilityError, open_session
 from repro.session.snapshot import read_snapshot
@@ -205,6 +207,31 @@ class TestFaultToleranceResume:
         with pytest.raises(SessionCapabilityError):
             state.refine(0.05, 0.1)
 
+    def test_sigkilled_rank_zero_delivers_after_the_restart(self, tmp_path, social_rcsr, exact_scores):
+        # Rank 0 holds the result's pipe end; the second generation's rank 0
+        # must deliver through the fresh pipe of its own generation.
+        checkpoint = tmp_path / "dist.snap"
+        out = tmp_path / "result.json"
+        result = launch_local(
+            str(social_rcsr),
+            processes=2,
+            parts=2,
+            eps=0.08,
+            delta=0.1,
+            seed=11,
+            samples_per_check=150,
+            max_samples=6000,
+            checkpoint=str(checkpoint),
+            fault_rank=0,
+            result_path=str(out),
+            timeout=300.0,
+        )
+        assert result["restarts"] == 1
+        assert result["resumed_from_samples"] > 0
+        assert json.loads(out.read_text()) == {k: v for k, v in result.items() if k != "restarts"}
+        scores = np.asarray(result["scores"])
+        assert float(np.max(np.abs(scores - exact_scores))) <= result["eps"]
+
     def test_restart_budget_exhaustion_raises(self, tmp_path, social_rcsr):
         # With a zero restart budget the launcher must surface the failure
         # instead of resuming.
@@ -309,3 +336,101 @@ class TestResultArtifact:
         # pointers, not a float per vertex.
         scores = result["scores"]
         assert len({id(score) for score in scores}) == len(set(scores)) < len(scores)
+
+
+class TestResultHandOff:
+    """Rank 0's result reaches the file and the caller unchanged."""
+
+    @staticmethod
+    def record_rank_zero_dict(monkeypatch, seen: Path):
+        """Make rank 0 write ``json.dumps`` of the dict it built (scores as a list) to ``seen``."""
+        real = driver._worker_body
+
+        def worker_body(comm, *args):
+            result = real(comm, *args)
+            if result is not None:
+                seen.write_text(json.dumps({**result, "scores": result["scores"].tolist()}))
+            return result
+
+        monkeypatch.setattr(driver, "_worker_body", worker_body)
+
+    def test_launch_file_is_json_dumps_of_rank_zero_dict(self, tmp_path, social_rcsr, monkeypatch):
+        seen, out = tmp_path / "seen.json", tmp_path / "result.json"
+        self.record_rank_zero_dict(monkeypatch, seen)
+        result = launch_local(
+            str(social_rcsr), processes=2, eps=0.2, seed=7, samples_per_check=200,
+            max_samples=2000, result_path=str(out), timeout=300.0,
+        )
+        assert out.read_text() == seen.read_text()
+        assert json.loads(seen.read_text()) == {k: v for k, v in result.items() if k != "restarts"}
+
+    def test_worker_output_is_json_dumps_of_rank_zero_dict(self, tmp_path, social_rcsr, monkeypatch):
+        seen, out = tmp_path / "seen.json", tmp_path / "result.json"
+        self.record_rank_zero_dict(monkeypatch, seen)
+        assert TestWorkerCommand.worker(social_rcsr, "--output", str(out)) == 0
+        assert out.read_text() == seen.read_text()
+
+    @pytest.mark.parametrize("num_vertices", [0, 1])
+    def test_graph_of_fewer_than_two_vertices(self, tmp_path, num_vertices, capsys):
+        rcsr = tmp_path / "tiny.rcsr"
+        write_rcsr(CSRGraph.empty(num_vertices), rcsr)
+        out = tmp_path / "result.json"
+        result = launch_local(str(rcsr), processes=2, max_restarts=0, result_path=str(out), timeout=60.0)
+        assert result["scores"] == [0.0] * num_vertices
+        assert result["num_samples"] == 0 and result["restarts"] == 0
+        assert json.loads(out.read_text())["scores"] == result["scores"]
+        assert cli_main(["dist", "run", str(rcsr), "--processes", "2", "--max-restarts", "0"]) == 0
+        assert "samples: 0 in 0 epochs" in capsys.readouterr().out
+
+
+class TestWriteResult:
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.zeros(5),
+            np.full(4, 0.125),
+            np.array([0.0, -0.0, 0.5, 0.0]),  # equal, yet not the same text
+            np.array([0.25, np.nan, np.inf, 0.25]),  # json spells these its own way
+            np.zeros(0),
+        ],
+        ids=["all-zero", "one-distinct", "signed-zero", "non-finite", "empty"],
+    )
+    def test_text_is_json_dumps(self, tmp_path, scores):
+        result = {"scores": scores, "num_samples": 3, "per_rank": [{"rank": 0, "loaded_parts": None}]}
+        out = tmp_path / "sub" / "result.json"
+        listed = write_result(out, result)
+        expected = {**result, "scores": scores.tolist()}
+        assert out.read_text() == json.dumps(expected)
+        assert not out.with_name("result.json.tmp").exists()
+        assert [repr(x) for x in listed] == [repr(x) for x in scores.tolist()]
+
+    def test_equal_scores_share_one_float(self, tmp_path):
+        listed = write_result(tmp_path / "r.json", {"scores": np.array([0.5, 0.0, 0.5, 0.0, 0.5])})
+        assert listed == [0.5, 0.0, 0.5, 0.0, 0.5]
+        assert len({id(score) for score in listed}) == 2
+
+
+class TestReceiveResult:
+    @staticmethod
+    def sent(*messages):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        for message in messages:
+            writer.send_bytes(message)
+        writer.close()
+        try:
+            return receive_result(reader)
+        finally:
+            reader.close()
+
+    def test_round_trip(self):
+        scores = np.array([0.0, 0.25, 0.5])
+        received = self.sent(json.dumps({"scores": 3, "num_samples": 8}).encode(), scores.tobytes())
+        assert received["num_samples"] == 8
+        assert received["scores"].tolist() == scores.tolist()
+
+    def test_short_buffer_is_no_result(self):
+        assert self.sent(json.dumps({"scores": 3}).encode(), np.zeros(2).tobytes()) is None
+
+    def test_missing_buffer_is_no_result(self):
+        assert self.sent(json.dumps({"scores": 3}).encode()) is None
+        assert self.sent() is None
