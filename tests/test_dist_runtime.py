@@ -390,7 +390,7 @@ class TestWriteResult:
             np.zeros(5),
             np.full(4, 0.125),
             np.array([0.0, -0.0, 0.5, 0.0]),  # equal, yet not the same text
-            np.array([0.25, np.nan, np.inf, 0.25]),  # json spells these its own way
+            np.array([0.25, np.nan, np.inf, -np.inf, 0.25]),  # json spells these its own way
             np.zeros(0),
         ],
         ids=["all-zero", "one-distinct", "signed-zero", "non-finite", "empty"],
@@ -403,6 +403,21 @@ class TestWriteResult:
         assert out.read_text() == json.dumps(expected)
         assert not out.with_name("result.json.tmp").exists()
         assert [repr(x) for x in listed] == [repr(x) for x in scores.tolist()]
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"per_rank": [{"scores": []}], "scores": np.array([0.5, 0.25])},  # an empty nested "scores" first
+            {"num_samples": 3, "scores": np.array([0.5]), "extra": {"scores": [], "note": '"scores": []'}},
+            {"scores": np.array([0.5]), "num_samples": 3},
+            {"scores": np.array([0.5])},
+        ],
+        ids=["nested-before", "nested-after", "first", "only"],
+    )
+    def test_scores_land_at_the_top_level(self, tmp_path, result):
+        out = tmp_path / "result.json"
+        write_result(out, result)
+        assert out.read_text() == json.dumps({**result, "scores": result["scores"].tolist()})
 
     def test_equal_scores_share_one_float(self, tmp_path):
         listed = write_result(tmp_path / "r.json", {"scores": np.array([0.5, 0.0, 0.5, 0.0, 0.5])})
