@@ -106,66 +106,6 @@ def _finalize_result(
     return result
 
 
-def _resume_estimate(
-    graph,
-    opts: KadabraOptions,
-    resources: Resources,
-    callbacks,
-    resume_from,
-    checkpoint_path,
-) -> BetweennessResult:
-    """Serve the request by restoring a session checkpoint and refining it.
-
-    A checkpoint that cannot be restored (truncated, corrupted, or written
-    against different graph contents) degrades to a cold run at the requested
-    target instead of failing the call: resuming is an optimization, and a
-    bad snapshot on disk must not turn a correctly answerable request into an
-    error.  A *seed mismatch* after a successful restore still raises — that
-    is a contract violation by the caller, not bad cache state.
-    """
-    import warnings
-
-    from repro.session import EstimationSession, SnapshotError
-
-    progress = tag_backend(combine_callbacks(callbacks), "sequential")
-    start = time.perf_counter()
-    try:
-        session = EstimationSession.restore(resume_from, graph=graph, progress=progress)
-    except (SnapshotError, OSError) as exc:
-        warnings.warn(
-            f"cannot resume from {resume_from} ({exc}); running cold instead",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return _cold_estimate(
-            graph, "sequential", opts, resources, callbacks, checkpoint_path
-        )
-    if opts.seed is not None and session.seed is not None and opts.seed != session.seed:
-        raise ValueError(
-            f"seed mismatch: requested seed {opts.seed} but the checkpoint was "
-            f"produced with seed {session.seed}"
-        )
-    # Refine to the tightest of (request, checkpoint) per dimension: the
-    # result then dominates the request, and monotonicity keeps the refine
-    # sound even when the request is tighter in only one dimension.
-    eff_eps = min(opts.eps, session.eps) if session.eps is not None else opts.eps
-    eff_delta = (
-        min(opts.delta, session.delta) if session.delta is not None else opts.delta
-    )
-    result = session.refine(eff_eps, eff_delta)
-    if checkpoint_path is not None:
-        session.checkpoint(checkpoint_path)
-    return _finalize_result(
-        result,
-        backend=session.algorithm,
-        resources=resources,
-        eps=eff_eps,
-        delta=eff_delta,
-        elapsed=time.perf_counter() - start,
-        progress=progress,
-    )
-
-
 def estimate_betweenness(
     graph: Union[CSRGraph, str, Path],
     *,
@@ -247,8 +187,9 @@ def estimate_betweenness(
         untouched sample.  Mutually exclusive with ``resume_from``.  Like
         resuming, updating is an optimization: an unusable checkpoint, a
         delta that invalidates more than ``update_threshold`` of the
-        samples, or a missing lineage record degrades to a cold run with a
-        ``RuntimeWarning``; a *seed mismatch* still raises.
+        samples, or a missing or malformed lineage record or delta degrades
+        to a cold run with a ``RuntimeWarning``; a *seed mismatch* still
+        raises.
     graph_delta:
         The edge delta connecting the parent to ``graph``: a
         :class:`~repro.store.GraphDelta`, its ``as_dict()`` payload, or the
@@ -293,22 +234,19 @@ def estimate_betweenness(
     # under it, so a traced run exports a single tree covering
     # diameter -> calibration -> sampling -> check.
     with obs_trace.span("estimate") as root:
-        if update_from is not None:
-            root.set("mode", "update")
-            result = _update_estimate(
+        if update_from is not None or resume_from is not None:
+            update = update_from is not None
+            root.set("mode", "update" if update else "resume")
+            result = _warm_estimate(
                 graph,
                 opts,
                 resources,
                 callbacks,
-                update_from,
-                graph_delta,
-                update_threshold,
                 checkpoint_path,
-            )
-        elif resume_from is not None:
-            root.set("mode", "resume")
-            result = _resume_estimate(
-                graph, opts, resources, callbacks, resume_from, checkpoint_path
+                update_from if update else resume_from,
+                update=update,
+                graph_delta=graph_delta,
+                update_threshold=update_threshold,
             )
         else:
             result = _cold_estimate(
@@ -326,11 +264,11 @@ def _resolve_graph_delta(graph, graph_delta):
     """Normalise the ``graph_delta`` keyword to a :class:`GraphDelta`.
 
     Accepts a ``GraphDelta``, an ``as_dict()`` payload, a delta JSON path, or
-    ``None`` — the last resolved through the catalog lineage sidecar by the
-    child graph's content checksum.  Raises :class:`LookupError` when no
-    delta can be determined (the caller degrades to a cold run).
+    ``None`` — the last read from the catalog lineage by the child graph's
+    content checksum.  Raises :class:`LookupError` or
+    :class:`~repro.store.DeltaError` when no usable delta can be determined.
     """
-    from repro.store import GraphDelta
+    from repro.store import GraphCatalog, GraphDelta
 
     if isinstance(graph_delta, GraphDelta):
         return graph_delta
@@ -349,31 +287,35 @@ def _resolve_graph_delta(graph, graph_delta):
             "graph_delta omitted and the graph has no source path to look "
             "lineage up by"
         )
-    from repro.store import GraphCatalog
-
     catalog = GraphCatalog()
-    lineage = catalog.lineage(catalog.checksum(source))
-    if lineage is None or not isinstance(lineage.get("delta"), dict):
-        raise LookupError(f"no lineage record for {source}")
-    return GraphDelta.from_dict(lineage["delta"])
+    return catalog.parent_delta(catalog.checksum(source))[1]
 
 
-def _update_estimate(
+def _warm_estimate(
     graph,
     opts: KadabraOptions,
     resources: Resources,
     callbacks,
-    update_from,
+    checkpoint_path,
+    snapshot,
+    *,
+    update: bool,
     graph_delta,
     update_threshold: float,
-    checkpoint_path,
 ) -> BetweennessResult:
-    """Serve a mutated-graph request from a parent checkpoint (repro.evolve).
+    """Serve the request from a session checkpoint instead of from zero.
 
-    Degrades to a cold run (with a ``RuntimeWarning``) for everything that
-    makes the *optimization* unavailable — unreadable checkpoint, missing
-    lineage, delta/graph mismatch, threshold exceeded — but still raises for
-    caller contract violations (seed mismatch, bad ``update_threshold``).
+    Without ``update`` the checkpoint is of ``graph`` itself and is refined;
+    with it the checkpoint is of a *parent* of ``graph`` and is carried
+    across the edge delta (:func:`repro.evolve.update_session`).  Either way
+    the target is the tightest of (request, checkpoint) per dimension, so
+    the result dominates the request.
+
+    Warm starting is an optimization: everything that makes it unavailable —
+    an unreadable snapshot, a missing or malformed lineage record or delta, a
+    delta that does not connect the two graphs, the threshold exceeded —
+    degrades to a cold run with a ``RuntimeWarning``.  Caller contract
+    violations (seed mismatch, bad ``update_threshold``) still raise.
     """
     import warnings
 
@@ -381,56 +323,49 @@ def _update_estimate(
     from repro.session import EstimationSession, SnapshotError
     from repro.store import DeltaError
 
-    if not 0.0 < update_threshold <= 1.0:
+    if update and not 0.0 < update_threshold <= 1.0:
         raise ValueError(f"update_threshold must be in (0, 1], got {update_threshold}")
     progress = tag_backend(combine_callbacks(callbacks), "sequential")
     start = time.perf_counter()
-
-    def cold(reason: str) -> BetweennessResult:
+    try:
+        delta_obj = _resolve_graph_delta(graph, graph_delta) if update else None
+        # A parent checkpoint re-opens the graph it records.
+        session = EstimationSession.restore(
+            snapshot, graph=None if update else graph, progress=progress
+        )
+        if opts.seed is not None and session.seed is not None and opts.seed != session.seed:
+            raise ValueError(
+                f"seed mismatch: requested seed {opts.seed} but the checkpoint was "
+                f"produced with seed {session.seed}"
+            )
+        eff_eps = min(opts.eps, session.eps) if session.eps is not None else opts.eps
+        eff_delta = (
+            min(opts.delta, session.delta) if session.delta is not None else opts.delta
+        )
+        if update:
+            session, report = update_session(
+                session,
+                graph,
+                delta_obj,
+                eps=eff_eps,
+                delta=eff_delta,
+                threshold=update_threshold,
+            )
+    except (SnapshotError, OSError, LookupError, DeltaError, EvolveError) as exc:
         warnings.warn(
-            f"cannot update from {update_from} ({reason}); running cold instead",
+            f"cannot {'update' if update else 'resume'} from {snapshot} ({exc}); "
+            "running cold instead",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
         return _cold_estimate(
             graph, "sequential", opts, resources, callbacks, checkpoint_path
         )
-
-    try:
-        delta_obj = _resolve_graph_delta(graph, graph_delta)
-    except LookupError as exc:
-        return cold(str(exc))
-    try:
-        session = EstimationSession.restore(update_from, progress=progress)
-    except (SnapshotError, OSError) as exc:
-        return cold(str(exc))
-    if opts.seed is not None and session.seed is not None and opts.seed != session.seed:
-        raise ValueError(
-            f"seed mismatch: requested seed {opts.seed} but the checkpoint was "
-            f"produced with seed {session.seed}"
-        )
-    # Re-certify at the tightest of (request, parent) per dimension, so the
-    # result dominates the request and the cache entry it becomes is at
-    # least as valuable as the parent's.
-    eff_eps = min(opts.eps, session.eps) if session.eps is not None else opts.eps
-    eff_delta = (
-        min(opts.delta, session.delta) if session.delta is not None else opts.delta
-    )
-    try:
-        session, report = update_session(
-            session,
-            graph,
-            delta_obj,
-            eps=eff_eps,
-            delta=eff_delta,
-            threshold=update_threshold,
-        )
-    except (EvolveError, DeltaError) as exc:
-        return cold(str(exc))
+    result = report.result if update else session.refine(eff_eps, eff_delta)
     if checkpoint_path is not None:
         session.checkpoint(checkpoint_path)
     return _finalize_result(
-        report.result,
+        result,
         backend=session.algorithm,
         resources=resources,
         eps=eff_eps,

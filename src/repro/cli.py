@@ -1074,11 +1074,9 @@ def _cmd_evolve(argv: list) -> int:
         except (OSError, DeltaError, StoreFormatError, FileNotFoundError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        child_checksum = catalog.checksum(child_path)
-        record = catalog.lineage(child_checksum) or {}
         print(f"child graph:     {child_path}")
-        print(f"child checksum:  {child_checksum}")
-        print(f"parent checksum: {record.get('parent_checksum')}")
+        print(f"child checksum:  {catalog.checksum(child_path)}")
+        print(f"parent checksum: {catalog.checksum(args.graph)}")
         print(
             f"delta:           +{graph_delta.num_insertions} edge(s), "
             f"-{graph_delta.num_deletions} edge(s)"
@@ -1101,15 +1099,15 @@ def _cmd_evolve(argv: list) -> int:
             print(f"error: cannot read delta {args.delta_file}: {exc}", file=sys.stderr)
             return 2
     else:
-        record = catalog.lineage(catalog.checksum(child_path))
-        if record is None:
+        try:
+            _, graph_delta = catalog.parent_delta(catalog.checksum(child_path))
+        except LookupError as exc:
             print(
-                f"error: no lineage record for {args.graph}; pass --delta-file "
+                f"error: {args.graph}: {exc}; pass --delta-file "
                 f"(or derive the graph via 'evolve apply')",
                 file=sys.stderr,
             )
             return 2
-        graph_delta = GraphDelta.from_dict(record["delta"])
     try:
         start = time.perf_counter()
         session, report = update_session(

@@ -400,6 +400,30 @@ class ResultCache:
             return found
         return None
 
+    def _most_samples(
+        self, checksum: str, verdict: str, *, usable=None, same_graph=True, **request
+    ) -> Optional[Tuple[CacheEntry, Path]]:
+        """The one warm-start source scan: classify verdict, then snapshot
+        present (and ``usable``, when given), then most samples wins."""
+        best: Optional[Tuple[CacheEntry, Path]] = None
+        for entry in self.entries(checksum):
+            found = classify(
+                entry.family,
+                entry.eps,
+                entry.delta,
+                entry.seed,
+                same_graph=same_graph,
+                **request,
+            )
+            if found != verdict:
+                continue
+            path = self.snapshot_path(entry)
+            if path is None or (usable is not None and not usable(path)):
+                continue
+            if best is None or entry.num_samples > best[0].num_samples:
+                best = (entry, path)
+        return best
+
     def find_refinable(
         self,
         checksum: str,
@@ -418,26 +442,9 @@ class ResultCache:
         accumulated samples wins — it leaves the least to draw.  Returns
         ``(entry, snapshot_path)`` or ``None``.
         """
-        best: Optional[Tuple[CacheEntry, Path]] = None
-        for entry in self.entries(checksum):
-            verdict = classify(
-                entry.family,
-                entry.eps,
-                entry.delta,
-                entry.seed,
-                family=family,
-                eps=eps,
-                delta=delta,
-                seed=seed,
-            )
-            if verdict != REFINABLE:
-                continue
-            path = self.snapshot_path(entry)
-            if path is None:
-                continue
-            if best is None or entry.num_samples > best[0].num_samples:
-                best = (entry, path)
-        return best
+        return self._most_samples(
+            checksum, REFINABLE, family=family, eps=eps, delta=delta, seed=seed
+        )
 
     def find_update_refinable(
         self,
@@ -462,32 +469,22 @@ class ResultCache:
         """
         from repro.session.snapshot import read_snapshot_meta
 
-        best: Optional[Tuple[CacheEntry, Path]] = None
-        for entry in self.entries(parent_checksum):
-            verdict = classify(
-                entry.family,
-                entry.eps,
-                entry.delta,
-                entry.seed,
-                family=family,
-                eps=eps,
-                delta=delta,
-                seed=seed,
-                same_graph=False,
-            )
-            if verdict != UPDATE_REFINABLE:
-                continue
-            path = self.snapshot_path(entry)
-            if path is None:
-                continue
+        def has_log(path: Path) -> bool:
             try:
-                if not read_snapshot_meta(path).get("sample_log"):
-                    continue
+                return bool(read_snapshot_meta(path).get("sample_log"))
             except (OSError, ValueError, KeyError):
-                continue
-            if best is None or entry.num_samples > best[0].num_samples:
-                best = (entry, path)
-        return best
+                return False
+
+        return self._most_samples(
+            parent_checksum,
+            UPDATE_REFINABLE,
+            usable=has_log,
+            same_graph=False,
+            family=family,
+            eps=eps,
+            delta=delta,
+            seed=seed,
+        )
 
     # ------------------------------------------------------------------ #
     # Eviction

@@ -656,14 +656,12 @@ class JobManager:
         Returns ``(parent_checksum, entry, snapshot_path, delta_payload)``
         when the requested graph descends from a cached parent whose entry is
         update-refinable (adaptive family, matching seed, checkpoint with a
-        sample log), else ``None``.
+        sample log), else ``None`` — a missing or malformed lineage record
+        included: the query then runs cold.
         """
-        lineage = self.catalog.lineage(checksum)
-        if lineage is None:
-            return None
-        parent_checksum = lineage.get("parent_checksum")
-        delta_payload = lineage.get("delta")
-        if not parent_checksum or not isinstance(delta_payload, dict):
+        try:
+            parent_checksum, graph_delta = self.catalog.parent_delta(checksum)
+        except LookupError:
             return None
         found = self.cache.find_update_refinable(
             parent_checksum,
@@ -675,7 +673,7 @@ class JobManager:
         if found is None:
             return None
         entry, snapshot_path = found
-        return parent_checksum, entry, str(snapshot_path), delta_payload
+        return parent_checksum, entry, str(snapshot_path), graph_delta.as_dict()
 
     def _ensure_workers(self):
         if self._executor is not None:

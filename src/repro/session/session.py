@@ -152,10 +152,9 @@ def _graph_checksum(graph) -> Optional[str]:
     if source is None:
         return None
     try:
-        from repro.store.catalog import _header_checksum
-        from repro.store.format import read_header
+        from repro.store.format import header_checksum, read_header
 
-        return _header_checksum(read_header(source))
+        return header_checksum(read_header(source))
     except Exception:  # noqa: BLE001 - non-.rcsr sources have no checksum
         return None
 

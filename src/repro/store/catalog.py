@@ -31,18 +31,18 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.obs import trace as obs_trace
 from repro.store.convert import ConversionReport, convert_any
-from repro.store.delta import GraphDelta, apply_delta
+from repro.store.delta import DeltaError, GraphDelta, apply_delta
 from repro.store.format import (
-    RcsrHeader,
     StoreFormatError,
     atomic_replace,
+    header_checksum,
     open_rcsr,
     read_header,
     write_rcsr,
@@ -121,10 +121,6 @@ def _sidecar_path(rcsr_path: Path) -> Path:
     return rcsr_path.with_name(rcsr_path.name + ".json")
 
 
-def _header_checksum(header: RcsrHeader) -> str:
-    return f"crc32:{header.crc_indptr:08x}{header.crc_indices:08x}"
-
-
 def _read_valid_sidecar(rcsr_path: Path) -> Optional[GraphInfo]:
     """The sidecar of ``rcsr_path`` — only if it describes the current file.
 
@@ -140,7 +136,7 @@ def _read_valid_sidecar(rcsr_path: Path) -> Optional[GraphInfo]:
         header = read_header(rcsr_path)
     except (OSError, StoreFormatError):
         return None
-    if info.checksum != _header_checksum(header):
+    if info.checksum != header_checksum(header):
         return None
     return info
 
@@ -173,7 +169,7 @@ def _compute_info(rcsr_path: Path, *, name: str, source: Optional[Path]) -> Grap
         max_degree=max_degree,
         num_components=num_components,
         diameter_estimate=diameter_estimate,
-        checksum=_header_checksum(header),
+        checksum=header_checksum(header),
     )
     if source is not None:
         stat = source.stat()
@@ -509,6 +505,27 @@ class GraphCatalog:
         """
         return self._read_lineage().get(child_checksum)
 
+    def parent_delta(self, child_checksum: str) -> Tuple[str, GraphDelta]:
+        """The parent checksum and parsed delta a graph was derived by.
+
+        The one reader of a lineage record's contents.  Raises
+        :class:`LookupError` both when the checksum has no record (a root
+        graph) and when its record is malformed: either way the graph cannot
+        be served from its parent, so every caller treats the two alike.
+        """
+        record = self.lineage(child_checksum)
+        if record is None:
+            raise LookupError(f"no lineage record for {child_checksum}")
+        malformed = f"malformed lineage record for {child_checksum}"
+        try:
+            delta = GraphDelta.from_dict(record.get("delta"))
+        except DeltaError as exc:
+            raise LookupError(f"{malformed}: {exc}") from None
+        parent = record.get("parent_checksum")
+        if not isinstance(parent, str) or not parent:
+            raise LookupError(f"{malformed}: parent_checksum is {parent!r}")
+        return parent, delta
+
     def apply_delta(
         self,
         spec: PathLike,
@@ -529,7 +546,7 @@ class GraphCatalog:
         parent_path = self.resolve(spec)
         parent = open_rcsr(parent_path)
         child = apply_delta(parent, delta)
-        parent_checksum = _header_checksum(read_header(parent_path))
+        parent_checksum = header_checksum(read_header(parent_path))
         if output is None:
             digest = hashlib.sha1(
                 (parent_checksum + json.dumps(delta.as_dict(), sort_keys=True)).encode()
@@ -541,7 +558,7 @@ class GraphCatalog:
         if name is not None:
             self.register(name, output)
         self.record_lineage(
-            child_checksum=_header_checksum(read_header(output)),
+            child_checksum=header_checksum(read_header(output)),
             parent_checksum=parent_checksum,
             parent_path=parent_path,
             child_path=output,
@@ -602,7 +619,7 @@ class GraphCatalog:
         to tie cached betweenness scores to exact graph contents: re-convert a
         changed source file and the checksum (hence the cache key) changes.
         """
-        return _header_checksum(read_header(self.resolve(spec)))
+        return header_checksum(read_header(self.resolve(spec)))
 
     def cached_checksum(self, spec: PathLike) -> Optional[str]:
         """Like :meth:`checksum`, but **never converts** — ``None`` instead.
@@ -624,7 +641,7 @@ class GraphCatalog:
         for candidate in candidates:
             if candidate.exists():
                 try:
-                    return _header_checksum(read_header(candidate))
+                    return header_checksum(read_header(candidate))
                 except (OSError, StoreFormatError):
                     return None
         return None

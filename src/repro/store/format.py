@@ -52,6 +52,7 @@ __all__ = [
     "PAGE_SIZE",
     "RcsrHeader",
     "StoreFormatError",
+    "header_checksum",
     "open_rcsr",
     "read_header",
     "write_rcsr",
@@ -105,6 +106,13 @@ class RcsrHeader:
     @property
     def indices_nbytes(self) -> int:
         return self.num_arcs * self.indices_dtype.itemsize
+
+
+def header_checksum(header: RcsrHeader) -> str:
+    """The content checksum of a container (``"crc32:<16 hex>"``): both section
+    CRCs.  The key catalog sidecars, lineage records, partition manifests and
+    session snapshots record a graph by."""
+    return f"crc32:{header.crc_indptr:08x}{header.crc_indices:08x}"
 
 
 def _align_up(offset: int, alignment: int = PAGE_SIZE) -> int:

@@ -39,9 +39,9 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.store.format import (
-    RcsrHeader,
     StoreFormatError,
     atomic_replace,
+    header_checksum,
     open_rcsr,
     read_header,
     write_rcsr,
@@ -68,11 +68,6 @@ PARTITION_MANIFEST_VERSION = 1
 
 class PartitionError(StoreFormatError):
     """Raised for invalid, corrupt or missing partition shards/manifests."""
-
-
-def _header_checksum(header: RcsrHeader) -> str:
-    # Same content key as GraphCatalog sidecars: both section CRCs.
-    return f"crc32:{header.crc_indptr:08x}{header.crc_indices:08x}"
 
 
 def _rcsr_stem(path: Path) -> str:
@@ -261,10 +256,10 @@ class PartitionManifest:
                 header = read_header(path)
             except StoreFormatError as exc:
                 raise PartitionError(f"corrupt partition shard {path}: {exc}") from None
-            if _header_checksum(header) != shard.checksum:
+            if header_checksum(header) != shard.checksum:
                 raise PartitionError(
                     f"partition shard {path} fails its manifest checksum "
-                    f"({_header_checksum(header)} != {shard.checksum})"
+                    f"({header_checksum(header)} != {shard.checksum})"
                 )
             if header.num_vertices != shard.num_vertices or header.num_arcs != shard.num_arcs:
                 raise PartitionError(
@@ -280,7 +275,7 @@ class PartitionManifest:
     def matches_source(self, rcsr_path: PathLike) -> bool:
         """Whether this manifest describes the current contents of ``rcsr_path``."""
         try:
-            return _header_checksum(read_header(Path(rcsr_path))) == self.source_checksum
+            return header_checksum(read_header(Path(rcsr_path))) == self.source_checksum
         except (OSError, StoreFormatError):
             return False
 
@@ -340,7 +335,7 @@ def partition_rcsr(
                 vertex_lo=lo,
                 vertex_hi=hi,
                 num_arcs=int(shard_indices.size),
-                checksum=_header_checksum(read_header(path)),
+                checksum=header_checksum(read_header(path)),
             )
         )
 
@@ -349,7 +344,7 @@ def partition_rcsr(
         num_parts=num_parts,
         num_vertices=graph.num_vertices,
         num_arcs=header.num_arcs,
-        source_checksum=_header_checksum(header),
+        source_checksum=header_checksum(header),
         vertex_diameter=int(vertex_diameter),
         shards=shards,
         directory=rcsr_path.parent,
@@ -460,7 +455,7 @@ class PartitionedGraphView:
                 header = read_header(path)
             except StoreFormatError as exc:
                 raise PartitionError(f"corrupt partition shard {path}: {exc}") from None
-            if _header_checksum(header) != info.checksum:
+            if header_checksum(header) != info.checksum:
                 raise PartitionError(
                     f"partition shard {path} fails its manifest checksum"
                 )

@@ -578,6 +578,110 @@ class TestFacadeUpdate:
 
 
 # --------------------------------------------------------------------- #
+# A corrupt lineage record: every caller runs the child cold
+# --------------------------------------------------------------------- #
+CORRUPTIONS = {
+    "bad-delta": lambda record: record.update(delta={"insert": "x"}),
+    "no-delta": lambda record: record.pop("delta"),
+}
+
+
+class TestCorruptLineage:
+    """A malformed lineage record makes a child graph unservable from its
+    parent, never unanswerable: the facade, the service and the CLI treat it
+    like a missing record."""
+
+    def setup_child(self, tmp_path, monkeypatch, corrupt):
+        cache_dir = tmp_path / "graph-cache"
+        monkeypatch.setenv("REPRO_GRAPH_CACHE", str(cache_dir))
+        src = tmp_path / "g.txt"
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 2), (0, 5)]
+        src.write_text("\n".join(f"{u} {v}" for u, v in edges) + "\n")
+        catalog = GraphCatalog()
+        parent = catalog.resolve(src)
+        child = catalog.apply_delta(
+            parent, GraphDelta(insertions=[(1, 4)], deletions=[(0, 1)])
+        )
+        lineage = cache_dir / "lineage.json"
+        payload = json.loads(lineage.read_text())
+        corrupt(payload["children"][catalog.checksum(child)])
+        lineage.write_text(json.dumps(payload))
+        return catalog, parent, child
+
+    def test_catalog_reader_raises_lookup_error_for_every_bad_record(
+        self, tmp_path, monkeypatch
+    ):
+        no_parent = {"no-parent": lambda record: record.pop("parent_checksum")}
+        for corrupt in {**CORRUPTIONS, **no_parent}.values():
+            catalog, _, child = self.setup_child(tmp_path, monkeypatch, corrupt)
+            with pytest.raises(LookupError, match="malformed lineage record"):
+                catalog.parent_delta(catalog.checksum(child))
+        with pytest.raises(LookupError, match="no lineage record"):
+            catalog.parent_delta("crc32:0000000000000000")
+
+    def test_facade_runs_cold(self, tmp_path, monkeypatch):
+        from repro.api import estimate_betweenness
+
+        _, parent, child = self.setup_child(
+            tmp_path, monkeypatch, CORRUPTIONS["bad-delta"]
+        )
+        snap = tmp_path / "parent.snap"
+        kw = dict(eps=0.2, delta=0.1, seed=3)
+        estimate_betweenness(
+            str(parent), algorithm="sequential", checkpoint_path=snap, **kw
+        )
+        with pytest.warns(RuntimeWarning, match="running cold instead"):
+            got = estimate_betweenness(str(child), update_from=snap, **kw)
+        cold = estimate_betweenness(str(child), algorithm="sequential", **kw)
+        assert np.array_equal(got.scores, cold.scores)
+        assert got.samples_reused == 0 and got.samples_invalidated == 0
+
+    def test_service_runs_cold(self, tmp_path, monkeypatch):
+        import asyncio
+
+        from repro.service import JobManager, QueryRequest, ResultCache
+
+        catalog, parent, child = self.setup_child(
+            tmp_path, monkeypatch, CORRUPTIONS["bad-delta"]
+        )
+        manager = JobManager(
+            cache=ResultCache(tmp_path / "results"),
+            catalog=catalog,
+            worker_mode="thread",
+        )
+
+        async def scenario():
+            jobs = []
+            for graph in (parent, child):
+                outcome = await manager.submit(QueryRequest(
+                    graph=str(graph), eps=0.2, delta=0.2, seed=1,
+                    algorithm="sequential"))
+                await outcome.job.future
+                jobs.append(outcome.job)
+            return jobs[1]
+
+        try:
+            job = asyncio.run(scenario())
+        finally:
+            manager.close()
+        assert job.status == "done" and job.error is None
+        assert job.updated_from is None
+        assert manager.counters["cache_updates"] == 0
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_cli_evolve_run_exits_2(self, tmp_path, monkeypatch, capsys, corruption):
+        catalog, parent, child = self.setup_child(
+            tmp_path, monkeypatch, CORRUPTIONS[corruption]
+        )
+        snap = tmp_path / "parent.snap"
+        run_parent(catalog.load(parent), eps=0.2, seed=9)[0].checkpoint(snap)
+        assert cli_main(["evolve", "run", str(child), "--snapshot", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "malformed lineage record" in err
+
+
+# --------------------------------------------------------------------- #
 # Registry: the supports_updates capability
 # --------------------------------------------------------------------- #
 class TestRegistryUpdates:
