@@ -18,8 +18,8 @@ for three consumers:
   duplicating metric families.
 
 All mutation goes through one :class:`threading.RLock` per registry, so the
-service's progress-drain thread and its request handlers cannot lose
-increments to each other (the bug the old ad-hoc ``JobManager.counters`` dict
+service's pool threads and its request handlers cannot lose increments to
+each other (the bug the old ad-hoc ``JobManager.counters`` dict
 had).
 """
 

@@ -20,10 +20,11 @@ sampling.  The pieces:
   per-tenant admission errors (:class:`QuotaExceeded`);
 * :mod:`repro.service.jobs` — the asyncio :class:`JobManager` coordinator:
   in-flight deduplication, tenant quotas (:class:`TenantQuota`),
-  process/thread worker pools or external dispatch, progress streaming;
-* :mod:`repro.service.worker` — :class:`StoreWorker`, the one job executor:
-  the pool runs it per row, and as a pull-loop process
-  (``python -m repro.service.worker``) N of them drain one store;
+  process/thread worker pools or external dispatch;
+* :mod:`repro.service.worker` — :class:`StoreWorker`, the one job executor
+  (it writes each job's progress into its row): the pool runs it per row,
+  and as a pull-loop process (``python -m repro.service.worker``) N of them
+  drain one store;
 * :mod:`repro.service.server` — :class:`BetweennessService`, the minimal
   JSON-over-HTTP front end (``repro-betweenness serve``);
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking

@@ -31,17 +31,22 @@ is a thin translation.  One query flows through it as:
    (:meth:`JobManager.resume_pending`) or picked up by external workers.
 6. **Execute** — one executor for both dispatch modes:
    :class:`~repro.service.worker.StoreWorker` claims the row, heartbeats its
-   lease, runs the estimation and finishes the row.  With ``dispatch="pool"``
-   (default) the manager hands the row id to its worker pool (process pool by
-   default; thread pool for tests), whose worker claims that row *by id* and
-   streams progress back; with ``dispatch="external"`` N worker processes
+   lease, runs the estimation and finishes the row; its heartbeat thread
+   writes the progress events into the row as they arrive.  With
+   ``dispatch="pool"`` (default) the manager hands the row id to its worker
+   pool (process pool by default; thread pool for tests), whose worker claims
+   that row *by id*; with ``dispatch="external"`` N worker processes
    (``python -m repro.service.worker``) drain the store.
 7. **Store** — the worker writes the finished result to the result cache
    (with the session checkpoint when the backend supports refinement) and
    the full result JSON to the job row — the durable copy that answers polls
-   after every process restarts.  Every job then ends in
-   :meth:`JobManager._settle`, which reads the row: ``done`` resolves the
-   waiting future with the row's result, ``failed``/``cancelled`` raise.
+   after every process restarts.
+
+The row is the job.  This process keeps, per live job, only what a row
+cannot hold — a :class:`Job` handle with the awaitable future and the
+waiter count — and one loop per job (:meth:`JobManager._drive`) reads the
+row until it is terminal, then :meth:`JobManager._settle` resolves the
+future from it and drops the handle.
 """
 
 from __future__ import annotations
@@ -51,12 +56,9 @@ import functools
 import os
 import socket
 import sqlite3
-import threading
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.result import BetweennessResult
 from repro.obs import metrics as obs_metrics
@@ -65,15 +67,12 @@ from repro.service.cache import CacheEntry, ResultCache
 from repro.service.dominance import algorithm_family
 from repro.service.schema import QueryRequest
 from repro.service.store import FINISHED_STATES, JobRecord, JobStore, QuotaExceeded
-from repro.service.worker import StoreWorker
+from repro.service.worker import MAX_EVENTS, StoreWorker
 from repro.store import GraphCatalog
 
-__all__ = ["Job", "JobManager", "SubmitOutcome", "TenantQuota"]
+__all__ = ["Job", "JobManager", "MAX_EVENTS", "SubmitOutcome", "TenantQuota"]
 
-#: Default progress events kept per job (ring buffer; clients poll the tail).
-MAX_EVENTS = 64
-
-#: Default finished jobs kept in memory for status polling before pruning.
+#: How many of the newest finished rows ``GET /v1/jobs`` lists next to the live ones.
 MAX_FINISHED_JOBS = 256
 
 #: Default finished rows kept in the durable store.
@@ -145,11 +144,8 @@ def _pool_init(store_path, cache_dir, options) -> None:
     _POOL_WORKER = StoreWorker(store_path, cache=ResultCache(cache_dir), **options)
 
 
-def _pool_execute(row_id: int, job_id: str, queue, collect_metrics: bool):
-    """Pool-process entry point: run one row, stream progress back.
-
-    ``queue`` is a ``multiprocessing.Manager`` queue proxy; events that fail
-    to enqueue are dropped (progress is best-effort, results are not).
+def _pool_execute(row_id: int, collect_metrics: bool):
+    """Pool-process entry point: run one row (its progress goes into the row).
 
     Returns ``(StoreWorker.execute's outcome, metrics_snapshot)``.  When
     ``collect_metrics`` the worker's process-global registry is cleared before
@@ -163,78 +159,27 @@ def _pool_execute(row_id: int, job_id: str, queue, collect_metrics: bool):
     if collect_metrics:
         obs_metrics.REGISTRY.clear()
         obs_metrics.enable_metrics()
-
-    def on_event(event) -> None:
-        try:
-            queue.put_nowait((job_id, event.as_dict()))
-        except Exception:
-            pass
-
-    outcome = _POOL_WORKER.execute(row_id, on_event)
+    outcome = _POOL_WORKER.execute(row_id)
     return outcome, obs_metrics.REGISTRY.snapshot() if collect_metrics else None
 
 
 @dataclass
 class Job:
-    """One enqueued/running/finished estimation (the in-memory view).
+    """The live handle of one store row: only what the row cannot hold.
 
-    Every job is also a row in the durable :class:`JobStore`
-    (:attr:`store_id`); this object adds what only this process has — the
-    awaitable future, the progress-event ring, waiter counts.
+    State, attempts, timestamps, progress, result, error and the refine/update
+    source are all read from the row (:attr:`store_id`); this adds the
+    awaitable future and the waiter count, and leaves the manager once the
+    job settles.
     """
 
     id: str
     key: str
-    request: QueryRequest
     checksum: str
-    future: "asyncio.Future[BetweennessResult]" = field(repr=False)
-    status: str = "queued"  # queued | running | done | error
     #: Row id in the durable store (``id`` is ``job-<store_id>``).
-    store_id: Optional[int] = None
-    #: How many times the store has handed this job to a worker.
-    attempts: int = 0
-    #: Cache-entry key of the session checkpoint this job resumes from
-    #: (``None`` for cold runs); the snapshot path itself is in the row's kwargs.
-    refined_from: Optional[str] = None
-    #: Parent-graph checksum this job incrementally updates from (``None``
-    #: outside the evolving-graph path).
-    updated_from: Optional[str] = None
-    events: Deque[dict] = field(default_factory=lambda: deque(maxlen=MAX_EVENTS))
-    #: Monotonic count of events ever emitted (the deque only keeps the tail);
-    #: clients use it to detect new events across a full ring buffer.
-    num_events: int = 0
-    result: Optional[BetweennessResult] = None
-    error: Optional[str] = None
+    store_id: int
+    future: "asyncio.Future[BetweennessResult]" = field(repr=False)
     num_waiters: int = 1
-    created_at: float = field(default_factory=time.time)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-
-    def add_event(self, event: dict) -> None:
-        self.events.append(event)
-        self.num_events += 1
-
-    def status_dict(self) -> Dict[str, object]:
-        """This process's view of the job (``GET /v1/jobs``), without scores."""
-        out: Dict[str, object] = {
-            "job_id": self.id,
-            "status": self.status,
-            "request": self.request.as_dict(),
-            "tenant": self.request.tenant,
-            "graph_checksum": self.checksum,
-            "num_waiters": self.num_waiters,
-            "attempts": self.attempts,
-            "created_at": self.created_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "progress": list(self.events),
-            "num_events": self.num_events,
-            "refined_from": self.refined_from,
-            "updated_from": self.updated_from,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
 
 
 @dataclass(frozen=True)
@@ -280,9 +225,8 @@ class JobManager:
         Claim lifetime for pool-dispatched jobs (heartbeated while running).
     poll_seconds:
         Store poll interval for watched (external/foreign) jobs.
-    max_finished_jobs, max_events_per_job, store_retention:
-        Retention clamps: finished jobs kept in memory, progress events kept
-        per job, finished rows kept in the store.
+    store_retention:
+        Finished rows kept in the store.
     estimator:
         Thread-mode only: the :class:`StoreWorker` ``estimator`` seam tests
         use to count sampling runs.
@@ -301,8 +245,6 @@ class JobManager:
         quota: Optional[TenantQuota] = None,
         lease_seconds: float = POOL_LEASE_SECONDS,
         poll_seconds: float = 0.25,
-        max_finished_jobs: int = MAX_FINISHED_JOBS,
-        max_events_per_job: int = MAX_EVENTS,
         store_retention: int = STORE_RETENTION,
         estimator: Optional[Callable[..., BetweennessResult]] = None,
     ) -> None:
@@ -316,10 +258,6 @@ class JobManager:
             raise ValueError("a custom estimator requires worker_mode='thread'")
         if estimator is not None and dispatch == "external":
             raise ValueError("a custom estimator requires dispatch='pool'")
-        if max_finished_jobs < 0:
-            raise ValueError("max_finished_jobs must be >= 0")
-        if max_events_per_job <= 0:
-            raise ValueError("max_events_per_job must be positive")
         self.cache = cache if cache is not None else ResultCache()
         self.catalog = catalog if catalog is not None else GraphCatalog()
         if isinstance(store, JobStore):
@@ -348,15 +286,10 @@ class JobManager:
         self._quota = quota if quota is not None else TenantQuota()
         self._lease_seconds = float(lease_seconds)
         self._poll_seconds = float(poll_seconds)
-        self._max_finished_jobs = int(max_finished_jobs)
-        self._max_events_per_job = int(max_events_per_job)
         self._store_retention = int(store_retention)
         self._executor = None
-        self._manager = None
-        self._event_queue = None
-        self._drain_thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._jobs: Dict[str, Job] = {}
+        #: The live jobs' handles, by job key (the in-process dedup index).
         self._inflight: Dict[str, Job] = {}
         #: Lease identity of this coordinator's pool claims; encodes host and
         #: pid so :meth:`resume_pending` can recognise (and reclaim) rows a
@@ -434,11 +367,11 @@ class JobManager:
         """The service counters as the historical ``{name: int}`` mapping."""
         return {key: int(metric.value) for key, metric in self._counter_metrics.items()}
 
-    def _observe_finished(self, job: Job, result: BetweennessResult) -> None:
+    def _observe_finished(self, record: JobRecord, result: BetweennessResult) -> None:
         """Record duration/throughput metrics of one finished job."""
-        if job.started_at is None or job.finished_at is None:
+        if record.started_at is None or record.finished_at is None:
             return
-        seconds = max(0.0, job.finished_at - job.started_at)
+        seconds = max(0.0, record.finished_at - record.started_at)
         self._job_seconds.observe(seconds)
         num_samples = int(result.num_samples)
         if num_samples > 0:
@@ -585,14 +518,16 @@ class JobManager:
         # job is registered in _inflight.
         self._admit(request.tenant)
 
+        # refined_from / updated_from only describe the job to pollers; the
+        # worker forwards resume_from, update_from and graph_delta alone.
         kwargs: Dict[str, object] = {}
-        refined_from = updated_from = None
         if refinable is not None:
             entry, snapshot_path = refinable
-            refined_from = entry.key
+            kwargs["refined_from"] = entry.key
             kwargs["resume_from"] = str(snapshot_path)
         elif update is not None:
-            updated_from, entry, snapshot_path, delta_payload = update
+            parent_checksum, _entry, snapshot_path, delta_payload = update
+            kwargs["updated_from"] = parent_checksum
             kwargs["update_from"] = snapshot_path
             kwargs["graph_delta"] = delta_payload
 
@@ -612,37 +547,26 @@ class JobManager:
             self._count("deduplicated")
         # A row another coordinator already owns (dedup across processes) is
         # watched, like every row under external dispatch.
-        job = self._track(
-            record,
-            request,
-            run_here=created and self._dispatch == "pool",
-            refined_from=refined_from,
-            updated_from=updated_from,
-        )
-        self._prune_finished()
+        job = self._track(record, run_here=created and self._dispatch == "pool")
         return SubmitOutcome(checksum=checksum, job=job)
 
-    def _track(self, record: JobRecord, request: QueryRequest, *, run_here: bool, **extra) -> Job:
+    def _track(self, record: JobRecord, *, run_here: bool, num_waiters: int = 1) -> Job:
         """Register a live store row in this process and drive it to its end."""
         job = Job(
             id=record.job_id,
             key=record.key,
-            request=request,
             checksum=record.checksum,
-            future=self._loop.create_future(),
             store_id=record.id,
-            attempts=record.attempts,
-            events=deque(maxlen=self._max_events_per_job),
-            **extra,
+            future=self._loop.create_future(),
+            num_waiters=num_waiters,
         )
         # Errors must reach pollers even when no submitter awaits the future.
         job.future.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None
         )
-        self._jobs[job.id] = job
         self._inflight[job.key] = job
         self._inflight_gauge.set(len(self._inflight))
-        asyncio.ensure_future(self._run(job) if run_here else self._watch(job))
+        asyncio.ensure_future(self._drive(job, run_here))
         return job
 
     # ------------------------------------------------------------------ #
@@ -679,18 +603,11 @@ class JobManager:
         if self._executor is not None:
             return self._executor
         if self._worker_mode == "process":
-            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             from repro.kernels import compiled
 
             compiled.load()  # before the first fork: pool workers inherit the library
-            self._manager = multiprocessing.Manager()
-            self._event_queue = self._manager.Queue()
-            self._drain_thread = threading.Thread(
-                target=self._drain_events, name="repro-service-progress", daemon=True
-            )
-            self._drain_thread.start()
             options = {
                 "worker_id": self.worker_id,
                 "lease_seconds": self._lease_seconds,
@@ -709,42 +626,22 @@ class JobManager:
             )
         return self._executor
 
-    def _drain_events(self) -> None:
-        """Daemon thread: fan worker-process progress into job buffers."""
-        while True:
-            item = self._event_queue.get()
-            if item is None:
-                return
-            job_id, event = item
-            loop = self._loop
-            if loop is not None and not loop.is_closed():
-                loop.call_soon_threadsafe(self._post_event, job_id, event)
-
-    def _post_event(self, job_id: str, event: dict) -> None:
-        job = self._jobs.get(job_id)
-        if job is not None:
-            job.add_event(event)
-
     def _settle(self, job: Job, record: Optional[JobRecord]) -> None:
         """Finish a job from its terminal store row — the one way a job ends."""
-        job.finished_at = time.time()
         self._inflight.pop(job.key, None)
         self._inflight_gauge.set(len(self._inflight))
+        self.store.prune_finished(keep=self._store_retention)
         error = None
         if record is None:
             error = "RuntimeError: job row vanished from the store"
         elif record.state != "done":
             error = record.error or f"job {record.state}"
         else:
-            job.attempts = record.attempts
-            job.started_at = record.started_at
             try:
-                job.result = BetweennessResult.from_json(record.result)
+                result = BetweennessResult.from_json(record.result)
             except Exception as exc:  # noqa: BLE001 - corrupt row payload
                 error = f"{type(exc).__name__}: {exc}"
         if error is not None:
-            job.status = "error"
-            job.error = error
             self._count("failed")
             if not job.future.cancelled():
                 job.future.set_exception(RuntimeError(error))
@@ -753,85 +650,64 @@ class JobManager:
         # change which entry wins for requests on this graph, so this
         # process's hot-tier verdicts are dropped.
         self.cache.hot.invalidate(job.checksum)
-        job.status = "done"
         self._count("completed")
-        self._observe_finished(job, job.result)
-        self._prune_finished()
+        self._observe_finished(record, result)
         if not job.future.cancelled():
-            job.future.set_result(job.result)
+            job.future.set_result(result)
 
-    async def _run(self, job: Job) -> None:
-        """Pool dispatch: execute our row here for as long as it is queued.
+    async def _drive(self, job: Job, run_here: bool) -> None:
+        """The one loop per job: read the row, act on it, until it settles.
 
-        The pool worker claims the row by id and finishes it in the store;
-        the executor future only says when to look at the row again.  A row
-        ``queued`` once more (its lease was lost mid-run) goes back to the
-        pool, one somebody else holds is watched, a terminal one is settled.
-        """
-        loop = asyncio.get_running_loop()
-        executor = self._ensure_workers()
-        if self._worker_mode == "process":
-            call = functools.partial(
-                _pool_execute,
-                job.store_id,
-                job.id,
-                self._event_queue,
-                obs_metrics.metrics_enabled(),
-            )
-        else:
-
-            def on_event(event) -> None:
-                loop.call_soon_threadsafe(job.add_event, event.as_dict())
-
-            def call():  # pool threads count into this process's registry
-                return self._worker.execute(job.store_id, on_event), None
-
-        while (record := self.store.get_by_rowid(job.store_id)) and record.state == "queued":
-            job.status = "running"
-            try:
-                outcome, worker_metrics = await loop.run_in_executor(executor, call)
-            except Exception as exc:  # noqa: BLE001 - the pool itself broke
-                # No worker will finish this row: fail it if a dead pool
-                # process held it, else take it out of the queue — left
-                # queued it would go straight back to the broken pool.
-                error = f"{type(exc).__name__}: {exc}"
-                if not self.store.fail(job.store_id, self.worker_id, error):
-                    self.store.cancel(job.store_id)
-                continue
-            if worker_metrics:
-                # Fold the worker's kernel counters (samples/batches) into
-                # this process's global registry — it is what /metrics
-                # renders; worker registries die with their processes.
-                obs_metrics.REGISTRY.merge(worker_metrics)
-            if outcome is not None and outcome[1] is not None:  # (completed, cache_error)
-                self._count("cache_write_failures")
-                job.add_event({"phase": "cache-write-failed", "error": outcome[1]})
-        if record is not None and record.state == "running":
-            await self._watch(job)  # someone else holds the row
-        else:
-            self._settle(job, record)
-
-    async def _watch(self, job: Job) -> None:
-        """External dispatch (or a foreign live row): poll the store row.
-
-        The watcher is also the janitor: every poll re-queues expired leases,
-        so a coordinator with no external workers of its own still recovers
-        crashed workers' jobs for the survivors.
+        A terminal row settles the job.  A queued row this coordinator runs
+        (pool dispatch) goes to the pool, whose worker claims it by id and
+        finishes it in the store — queued again afterwards means its lease
+        was lost mid-run, so it goes back.  Anything else (a row for external
+        workers, or one somebody else holds) is watched; the watcher is also
+        the janitor, so a coordinator with no workers of its own still
+        recovers crashed workers' jobs for the survivors.
         """
         loop = asyncio.get_running_loop()
         while True:
-            record = await loop.run_in_executor(
-                None, self.store.get_by_rowid, job.store_id
-            )
+            record = self.store.get_by_rowid(job.store_id)
             if record is None or record.state in FINISHED_STATES:
-                self._settle(job, record)
-                return
-            job.attempts = record.attempts
-            if record.state == "running" and job.status == "queued":
-                job.status = "running"
-                job.started_at = record.started_at
+                return self._settle(job, record)
+            if run_here and record.state == "queued":
+                await self._execute(job)
+                continue
             await loop.run_in_executor(None, self.store.requeue_expired)
             await asyncio.sleep(self._poll_seconds)
+
+    async def _execute(self, job: Job) -> None:
+        """Run one attempt of our row on the pool."""
+        executor = self._ensure_workers()
+        if self._worker_mode == "process":
+            call = functools.partial(
+                _pool_execute, job.store_id, obs_metrics.metrics_enabled()
+            )
+        else:
+
+            def call():  # pool threads count into this process's registry
+                return self._worker.execute(job.store_id), None
+
+        try:
+            outcome, worker_metrics = await asyncio.get_running_loop().run_in_executor(
+                executor, call
+            )
+        except Exception as exc:  # noqa: BLE001 - the pool itself broke
+            # No worker will finish this row: fail it if a dead pool process
+            # held it, else take it out of the queue — left queued it would
+            # go straight back to the broken pool.
+            error = f"{type(exc).__name__}: {exc}"
+            if not self.store.fail(job.store_id, self.worker_id, error):
+                self.store.cancel(job.store_id)
+            return
+        if worker_metrics:
+            # Fold the worker's kernel counters (samples/batches) into this
+            # process's global registry — it is what /metrics renders;
+            # worker registries die with their processes.
+            obs_metrics.REGISTRY.merge(worker_metrics)
+        if outcome is not None and outcome[1] is not None:  # (completed, cache_error)
+            self._count("cache_write_failures")
 
     # ------------------------------------------------------------------ #
     # Recovery
@@ -872,18 +748,16 @@ class JobManager:
         self._loop = asyncio.get_running_loop()
         self.store.requeue_expired()
         self._requeue_dead_local()
-        tracked = {job.store_id for job in self._jobs.values()}
+        tracked = {job.store_id for job in self._inflight.values()}
         adopted = 0
         for record in self.store.list(states=("queued",)):
             if record.id in tracked:
                 continue
             try:
-                request = QueryRequest.from_dict(record.request)
+                QueryRequest.from_dict(record.request)
             except Exception:  # noqa: BLE001 - unparseable legacy row
                 continue
-            self._track(
-                record, request, run_here=self._dispatch == "pool", num_waiters=0
-            )
+            self._track(record, run_here=self._dispatch == "pool", num_waiters=0)
             adopted += 1
         return adopted
 
@@ -891,22 +765,12 @@ class JobManager:
     # Introspection / lifecycle
     # ------------------------------------------------------------------ #
     def get_job(self, job_id: str) -> Optional[Job]:
-        return self._jobs.get(job_id)
+        """The live handle of ``job_id`` (``None`` once the job settled)."""
+        return next((job for job in self._inflight.values() if job.id == job_id), None)
 
     def jobs(self) -> Tuple[Job, ...]:
-        return tuple(self._jobs.values())
-
-    def _prune_finished(self) -> None:
-        """Clamp in-memory and store retention of finished jobs.
-
-        Finished jobs pin their full result (score vectors!) in memory, so
-        an unclamped history is a slow leak under serving load — the same
-        reason the store keeps only ``store_retention`` finished rows.
-        """
-        finished = [j for j in self._jobs.values() if j.status in ("done", "error")]
-        for job in finished[: max(0, len(finished) - self._max_finished_jobs)]:
-            self._jobs.pop(job.id, None)
-        self.store.prune_finished(keep=self._store_retention)
+        """The live handles; settled jobs live on in the store alone."""
+        return tuple(self._inflight.values())
 
     def stats(self) -> Dict[str, object]:
         self.refresh_metrics()
@@ -927,21 +791,9 @@ class JobManager:
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        if self._event_queue is not None:
-            try:
-                self._event_queue.put(None)
-            except Exception:
-                pass
-        if self._drain_thread is not None:
-            self._drain_thread.join(timeout=2.0)
-            self._drain_thread = None
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-        self._event_queue = None
         self.store.close()
 
 

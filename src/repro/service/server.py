@@ -11,8 +11,8 @@ schemas in ``docs/serving.md``):
 ``GET  /v1/backends``       the backend registry as JSON
 ``POST /v1/query``          submit a query; cache hit -> 200 immediately,
                             ``wait=true`` -> 200 when done, else 202 + job id
-``GET  /v1/jobs``           all tracked jobs (status only)
-``GET  /v1/jobs/<id>``      one job: status, streamed progress events, result
+``GET  /v1/jobs``           live and recent job rows (no result payloads)
+``GET  /v1/jobs/<id>``      one job row: status, progress events, result
 ``GET  /v1/cache``          cached result entries (metadata only)
 ``POST /v1/cache/evict``    evict by checksum / key / everything
 ``GET  /v1/stats``          counters: hits, misses, dedups, inflight
@@ -23,9 +23,10 @@ schemas in ``docs/serving.md``):
 
 The long-run story is the almost-asynchronous epoch design of the paper
 carried to the serving layer: a slow estimation never blocks the event loop
-(it runs in the job manager's worker pool), and clients that did not ask to
-wait poll ``/v1/jobs/<id>``, seeing the progress events the sampler emits
-epoch by epoch.
+(it runs in the job manager's worker pool or in external workers), and
+clients that did not ask to wait poll ``/v1/jobs/<id>``, seeing the progress
+events the sampler emits epoch by epoch — the worker writes them into the
+job's store row, so every job endpoint answers from the row alone.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from urllib.parse import parse_qs
 from repro.core.result import BetweennessResult
 from repro.obs import metrics as obs_metrics
 from repro.service.cache import ResultCache
-from repro.service.jobs import JobManager, TenantQuota
+from repro.service.jobs import MAX_FINISHED_JOBS, JobManager, TenantQuota
 from repro.service.schema import QueryRequest, SchemaError, result_payload
-from repro.service.store import QuotaExceeded
+from repro.service.store import FINISHED_STATES, LIVE_STATES, QuotaExceeded
 from repro.store import GraphCatalog, StoreFormatError
 
 __all__ = ["BetweennessService", "run_server"]
@@ -314,9 +315,13 @@ class BetweennessService:
                 raise _HttpError(405, "use POST /v1/query")
             return await self._query(self._json_body(body))
         if path == "/v1/jobs" and method == "GET":
+            store = self.jobs.store
+            rows = store.list(states=LIVE_STATES) + store.list(
+                states=FINISHED_STATES, limit=MAX_FINISHED_JOBS
+            )
             return 200, {
-                "jobs": [job.status_dict() for job in self.jobs.jobs()],
-                "store": self.jobs.store.counts(),
+                "jobs": [record.as_dict() for record in rows],
+                "store": store.counts(),
             }
         if path.startswith("/v1/jobs/") and method == "GET":
             return self._job_status(path[len("/v1/jobs/") :], query)
@@ -398,7 +403,7 @@ class BetweennessService:
         job = outcome.job
         if not request.wait:
             return 202, {
-                "status": job.status,
+                "status": self.jobs.store.get_by_rowid(job.store_id).status,
                 "served_from_cache": False,
                 "deduplicated": outcome.deduplicated,
                 "graph_checksum": outcome.checksum,
@@ -409,11 +414,13 @@ class BetweennessService:
             result = await asyncio.shield(job.future)
         except Exception as exc:  # noqa: BLE001 - job failure -> structured error
             raise _HttpError(500, f"job {job.id} failed: {exc}") from None
+        record = self.jobs.store.get_by_rowid(job.store_id)
+        kwargs = record.kwargs if record is not None else {}
         return 200, {
             "status": "done",
             "served_from_cache": False,
-            "refined_from": job.refined_from,
-            "updated_from": job.updated_from,
+            "refined_from": kwargs.get("refined_from"),
+            "updated_from": kwargs.get("updated_from"),
             "deduplicated": outcome.deduplicated,
             "graph_checksum": outcome.checksum,
             "job_id": job.id,
@@ -423,11 +430,13 @@ class BetweennessService:
         }
 
     def _job_status(self, job_id: str, query: str = "") -> Tuple[int, dict]:
-        """One job's polling payload, built from its durable store row.
+        """One job's polling payload: its durable store row.
 
-        The row answers for state, result, timestamps and attempts whether or
-        not this process ever tracked the job (it may have finished before a
-        restart, or belong to another coordinator sharing the store).
+        The row answers for everything — state, progress, result, timestamps,
+        attempts, refine/update source — whether or not this process ever
+        tracked the job (it may have finished before a restart, or belong to
+        another coordinator or an external worker); a live job of this
+        process adds its ``num_waiters``.
         """
         record = self.jobs.store.get(job_id)
         if record is None:
@@ -448,15 +457,10 @@ class BetweennessService:
         include_scores = request.include_scores
         if "include_scores" in params:
             include_scores = params["include_scores"][-1].lower() in ("1", "true", "yes")
-        # The in-memory job, when there is one, adds only what lives in this
-        # process (progress, waiters, refine/update source); the row wins on
-        # every key both have.
-        job = self.jobs.get_job(job_id)
-        payload = {**(job.status_dict() if job is not None else {}), **record.as_dict()}
-        # "status" is the polling key clients wait on (done | error end it).
-        payload["status"] = (
-            "error" if record.state in ("failed", "cancelled") else record.state
-        )
+        payload = record.as_dict()
+        job = self.jobs.get_job(record.job_id)
+        if job is not None:
+            payload["num_waiters"] = job.num_waiters
         if record.state == "done" and record.result is not None:
             payload["result"] = result_payload(
                 BetweennessResult.from_json(record.result),

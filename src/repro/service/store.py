@@ -29,8 +29,9 @@ the worker pool for everyone.  :class:`JobStore` moves the queue onto disk:
   poisoned into ``failed`` once ``attempts`` reaches the requeue cap, so one
   bad request cannot live-lock the fleet.
 
-The store holds the *request* and, once finished, the full result JSON — the
-row alone can answer a poll after every process restarts.  Results are also
+The store holds the *request*, the running attempt's progress events (written
+by the worker's heartbeat thread) and, once finished, the full result JSON —
+the row alone can answer a poll after every process restarts.  Results are also
 persisted to the dominance-aware :class:`~repro.service.cache.ResultCache` by
 whoever completes the job, so the cache tier stays the fast path.
 
@@ -62,6 +63,9 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+#: One attempt's progress as the worker hands it over: ``(events, num_events)``.
+Progress = Tuple[Sequence[dict], int]
 
 #: Every state a stored job can be in.
 STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -98,7 +102,9 @@ CREATE TABLE IF NOT EXISTS jobs (
     started_at     REAL,
     finished_at    REAL,
     result         TEXT,
-    error          TEXT
+    error          TEXT,
+    progress       TEXT NOT NULL DEFAULT '[]',
+    num_events     INTEGER NOT NULL DEFAULT 0
 );
 CREATE UNIQUE INDEX IF NOT EXISTS jobs_live_key
     ON jobs(key) WHERE state IN ('queued', 'running');
@@ -109,7 +115,14 @@ CREATE INDEX IF NOT EXISTS jobs_tenant ON jobs(tenant, state);
 _COLUMNS = (
     "id", "key", "tenant", "state", "request", "checksum", "graph_path",
     "kwargs", "attempts", "lease_owner", "lease_deadline", "created_at",
-    "started_at", "finished_at", "result", "error",
+    "started_at", "finished_at", "result", "error", "progress", "num_events",
+)
+
+#: Columns added after the first schema, as ``ALTER TABLE`` clauses: a store
+#: file an older version created gains them when it is opened.
+_ADDED_COLUMNS = (
+    "progress TEXT NOT NULL DEFAULT '[]'",
+    "num_events INTEGER NOT NULL DEFAULT 0",
 )
 
 
@@ -157,11 +170,20 @@ class JobRecord:
     finished_at: Optional[float]
     result: Optional[str]
     error: Optional[str]
+    #: The current attempt's newest progress events (at most ``MAX_EVENTS``).
+    progress: List[Dict[str, object]]
+    #: How many events the current attempt emitted (the ring keeps the tail).
+    num_events: int
 
     @property
     def job_id(self) -> str:
         """The external job id (``job-<row>``), stable across restarts."""
         return f"job-{self.id}"
+
+    @property
+    def status(self) -> str:
+        """The polling key clients wait on: ``failed``/``cancelled`` read ``error``."""
+        return "error" if self.state in ("failed", "cancelled") else self.state
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe summary for ``/v1/jobs`` (the result payload is elided)."""
@@ -170,6 +192,7 @@ class JobRecord:
             "key": self.key,
             "tenant": self.tenant,
             "state": self.state,
+            "status": self.status,
             "request": dict(self.request),
             "graph_checksum": self.checksum,
             "attempts": self.attempts,
@@ -180,6 +203,10 @@ class JobRecord:
             "finished_at": self.finished_at,
             "has_result": self.result is not None,
             "error": self.error,
+            "progress": list(self.progress),
+            "num_events": self.num_events,
+            "refined_from": self.kwargs.get("refined_from"),
+            "updated_from": self.kwargs.get("updated_from"),
         }
 
 
@@ -187,7 +214,16 @@ def _row_to_record(row: Sequence) -> JobRecord:
     data = dict(zip(_COLUMNS, row))
     data["request"] = json.loads(data["request"])
     data["kwargs"] = json.loads(data["kwargs"])
+    data["progress"] = json.loads(data["progress"])
     return JobRecord(**data)
+
+
+def _progress_params(progress: Optional[Progress]) -> Tuple:
+    """``(events, num_events)`` as the two column values; ``None`` keeps both."""
+    if progress is None:
+        return None, None
+    events, num_events = progress
+    return json.dumps(list(events)), int(num_events)
 
 
 class JobStore:
@@ -225,8 +261,16 @@ class JobStore:
         self._connections: List[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._conn() as conn:
-            conn.executescript(_SCHEMA)
+        conn = self._conn()
+        conn.executescript(_SCHEMA)
+        have = {row[1] for row in conn.execute("PRAGMA table_info(jobs)")}
+        for clause in _ADDED_COLUMNS:
+            if clause.split()[0] not in have:
+                try:
+                    conn.execute(f"ALTER TABLE jobs ADD COLUMN {clause}")
+                except sqlite3.OperationalError as exc:
+                    if "duplicate column" not in str(exc):  # another opener won
+                        raise
 
     # ------------------------------------------------------------------ #
     # Connections
@@ -334,8 +378,9 @@ class JobStore:
         """Atomically take the oldest queued job (or ``job_id`` specifically).
 
         Sets ``state='running'``, stamps ``worker_id`` as the lease owner,
-        bumps ``attempts``, and returns the claimed record — or ``None`` when
-        nothing is queued (or the requested job is no longer claimable).
+        bumps ``attempts``, empties the progress columns for the new attempt,
+        and returns the claimed record — or ``None`` when nothing is queued
+        (or the requested job is no longer claimable).
         """
         lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         conn = self._conn()
@@ -356,7 +401,8 @@ class JobStore:
                 return None
             conn.execute(
                 "UPDATE jobs SET state='running', lease_owner=?, lease_deadline=?,"
-                " attempts=attempts+1, started_at=COALESCE(started_at, ?)"
+                " attempts=attempts+1, started_at=COALESCE(started_at, ?),"
+                " progress='[]', num_events=0"
                 " WHERE id=?",
                 (worker_id, now + lease, now, row[0]),
             )
@@ -370,46 +416,65 @@ class JobStore:
         return self.get_by_rowid(row[0])
 
     def heartbeat(
-        self, job_id: int, worker_id: str, *, lease_seconds: Optional[float] = None
+        self,
+        job_id: int,
+        worker_id: str,
+        *,
+        lease_seconds: Optional[float] = None,
+        progress: Optional[Progress] = None,
     ) -> bool:
         """Extend a claim's lease; ``False`` means the lease was lost.
 
-        A ``False`` return tells the worker its job was re-queued (it stalled
-        past the deadline); its :meth:`complete` is rejected unless it wins
-        the row back.
+        ``progress`` — ``(events, num_events)`` — is written in the same
+        UPDATE (``None`` leaves the columns alone).  A ``False`` return tells
+        the worker its job was re-queued (it stalled past the deadline); its
+        :meth:`complete` is rejected unless it wins the row back.
         """
         lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         cursor = self._conn().execute(
-            "UPDATE jobs SET lease_deadline=? WHERE id=? AND lease_owner=?"
-            " AND state='running'",
-            (self.clock() + lease, job_id, worker_id),
+            "UPDATE jobs SET lease_deadline=?, progress=COALESCE(?, progress),"
+            " num_events=COALESCE(?, num_events)"
+            " WHERE id=? AND lease_owner=? AND state='running'",
+            (self.clock() + lease, *_progress_params(progress), job_id, worker_id),
         )
         return cursor.rowcount == 1
 
-    def complete(self, job_id: int, worker_id: str, result_json: str) -> bool:
-        """Mark a claimed job ``done``, storing the full result JSON.
+    def complete(
+        self,
+        job_id: int,
+        worker_id: str,
+        result_json: str,
+        progress: Optional[Progress] = None,
+    ) -> bool:
+        """Mark a claimed job ``done``, storing the full result JSON (and the
+        final ``progress``, as in :meth:`heartbeat`).
 
         Guarded by the lease owner: a worker that lost its lease cannot
         overwrite whatever the successor produced.  Returns whether the
         completion was accepted.
         """
-        cursor = self._conn().execute(
-            "UPDATE jobs SET state='done', result=?, error=NULL, finished_at=?,"
-            " lease_owner=NULL, lease_deadline=NULL"
-            " WHERE id=? AND lease_owner=? AND state='running'",
-            (result_json, self.clock(), job_id, worker_id),
-        )
-        return cursor.rowcount == 1
+        return self._finish(job_id, worker_id, "done", result_json, None, progress)
 
-    def fail(self, job_id: int, worker_id: str, error: str) -> bool:
+    def fail(
+        self,
+        job_id: int,
+        worker_id: str,
+        error: str,
+        progress: Optional[Progress] = None,
+    ) -> bool:
         """Mark a claimed job ``failed`` (estimation raised; deterministic
         errors would fail again, so there is no automatic retry — crashes are
         retried via lease expiry instead)."""
+        return self._finish(job_id, worker_id, "failed", None, error, progress)
+
+    def _finish(self, job_id, worker_id, state, result_json, error, progress) -> bool:
         cursor = self._conn().execute(
-            "UPDATE jobs SET state='failed', error=?, finished_at=?,"
-            " lease_owner=NULL, lease_deadline=NULL"
+            "UPDATE jobs SET state=?, result=?, error=?, finished_at=?,"
+            " lease_owner=NULL, lease_deadline=NULL,"
+            " progress=COALESCE(?, progress), num_events=COALESCE(?, num_events)"
             " WHERE id=? AND lease_owner=? AND state='running'",
-            (error, self.clock(), job_id, worker_id),
+            (state, result_json, error, self.clock(), *_progress_params(progress),
+             job_id, worker_id),
         )
         return cursor.rowcount == 1
 
@@ -499,7 +564,8 @@ class JobStore:
         tenant: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> List[JobRecord]:
-        """Records filtered by state/tenant, oldest first."""
+        """Records filtered by state/tenant, oldest first (the newest
+        ``limit`` of them when ``limit`` is given)."""
         sql = "SELECT * FROM jobs"
         clauses, params = [], []
         if states:
@@ -510,12 +576,12 @@ class JobStore:
             params.append(tenant)
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY created_at, id"
+        sql += " ORDER BY created_at DESC, id DESC"
         if limit is not None:
             sql += " LIMIT ?"
             params.append(int(limit))
         rows = self._conn().execute(sql, tuple(params)).fetchall()
-        return [_row_to_record(row) for row in rows]
+        return [_row_to_record(row) for row in reversed(rows)]
 
     def counts(self) -> Dict[str, int]:
         """``{state: count}`` over every state (zero-filled)."""
@@ -551,8 +617,7 @@ class JobStore:
         """Drop all but the newest ``keep`` finished rows; returns how many.
 
         Finished rows carry full result JSON, so an immortal store would grow
-        without bound — the same class of leak
-        :meth:`~repro.service.jobs.JobManager` clamps in memory.
+        without bound.
         """
         cursor = self._conn().execute(
             "DELETE FROM jobs WHERE state IN ('done','failed','cancelled')"

