@@ -842,7 +842,6 @@ def _cmd_query(argv: list) -> int:
     from repro.service import ServiceClient, ServiceError
 
     args = build_query_parser().parse_args(argv)
-    client = ServiceClient(args.host, args.port, timeout=args.timeout)
     fields = {
         "graph": args.graph,
         "eps": args.eps,
@@ -854,25 +853,26 @@ def _cmd_query(argv: list) -> int:
     if args.seed is not None:
         fields["seed"] = args.seed
     try:
-        payload = client.query(**fields)
-        if args.no_wait and payload.get("job_id") and payload.get("status") != "done":
-            print(f"job {payload['job_id']} submitted; polling...", file=sys.stderr)
+        with ServiceClient(args.host, args.port, timeout=args.timeout) as client:
+            payload = client.query(**fields)
+            if args.no_wait and payload.get("job_id") and payload.get("status") != "done":
+                print(f"job {payload['job_id']} submitted; polling...", file=sys.stderr)
 
-            def on_progress(event: dict) -> None:
-                budget = f"/{event['omega']}" if event.get("omega") is not None else ""
-                print(
-                    f"[{event.get('backend')}] {event.get('phase')}: "
-                    f"epoch {event.get('epoch')}, samples {event.get('num_samples')}{budget}",
-                    file=sys.stderr,
+                def on_progress(event: dict) -> None:
+                    budget = f"/{event['omega']}" if event.get("omega") is not None else ""
+                    print(
+                        f"[{event.get('backend')}] {event.get('phase')}: "
+                        f"epoch {event.get('epoch')}, samples {event.get('num_samples')}{budget}",
+                        file=sys.stderr,
+                    )
+
+                status = client.wait_for_job(
+                    payload["job_id"], timeout=args.timeout, on_progress=on_progress
                 )
-
-            status = client.wait_for_job(
-                payload["job_id"], timeout=args.timeout, on_progress=on_progress
-            )
-            if status.get("status") == "error":
-                print(f"error: job failed: {status.get('error')}", file=sys.stderr)
-                return 1
-            payload = status
+                if status.get("status") == "error":
+                    print(f"error: job failed: {status.get('error')}", file=sys.stderr)
+                    return 1
+                payload = status
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

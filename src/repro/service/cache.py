@@ -248,18 +248,20 @@ class ResultCache:
         result: BetweennessResult,
         *,
         snapshot: Optional[PathLike] = None,
+        text: Optional[str] = None,
     ) -> CacheEntry:
         """Store a finished run; returns the entry that now serves it.
 
         The entry records the *achieved* guarantee (the eps/delta echoed in
         the result, which the facade always populates) and the family of the
-        backend that actually ran — not the request's ``"auto"``.
+        backend that actually ran — not the request's ``"auto"``.  ``text``
+        is ``result.to_json()`` when the caller already has it.
 
         ``snapshot`` optionally names a session checkpoint file produced by
-        the run; it is copied next to the result as ``<key>.session.snap``
-        and the entry is marked refinable.  Write order is snapshot, result,
-        meta — so a meta file claiming ``has_snapshot`` always points at
-        complete files.
+        the run; it is moved (``os.replace``: it must be on the cache's file
+        system) next to the result as ``<key>.session.snap`` and the entry is
+        marked refinable.  Write order is snapshot, result, meta — so a meta
+        file claiming ``has_snapshot`` always points at complete files.
         """
         algorithm = result.backend or request.algorithm
         eps = result.eps if result.eps is not None else request.eps
@@ -285,8 +287,7 @@ class ResultCache:
         # Snapshot and payload first, meta last: a meta file implies complete
         # companion files.
         if snapshot is not None:
-            with atomic_replace(self._snapshot_path(entry_dir, entry.key)) as tmp:
-                tmp.write_bytes(Path(snapshot).read_bytes())
+            os.replace(snapshot, self._snapshot_path(entry_dir, entry.key))
         else:
             # Overwriting a snapshot-carrying entry with a snapshot-less run
             # must drop the old checkpoint, or it leaks on disk forever (the
@@ -297,7 +298,7 @@ class ResultCache:
             except OSError:
                 pass
         with atomic_replace(self._result_path(entry_dir, entry.key)) as tmp:
-            tmp.write_text(result.to_json())
+            tmp.write_text(result.to_json() if text is None else text)
         with atomic_replace(self._meta_path(entry_dir, entry.key)) as tmp:
             tmp.write_text(json.dumps(entry.as_dict(), indent=2, sort_keys=True))
         # A new entry may change which on-disk entry *wins* for requests on

@@ -5,14 +5,19 @@ query`` / ``cache``) and scripts can talk to a running service without any
 third-party HTTP dependency.  Every method returns the decoded JSON payload;
 non-2xx responses raise :class:`ServiceError` carrying the server's
 ``error`` message and status code.
+
+Connections persist: each thread using a :class:`ServiceClient` gets its own
+HTTP/1.1 connection, opened by its first request and reused by the next ones.
+:meth:`ServiceClient.close` (or leaving a ``with`` block) closes them all.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set, Tuple
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -26,7 +31,14 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Talks JSON-over-HTTP to one :class:`~repro.service.BetweennessService`."""
+    """Talks JSON-over-HTTP to one :class:`~repro.service.BetweennessService`.
+
+    Safe to share between threads: each thread has its own connection.  A
+    request on a *reused* connection that fails before the response's status
+    line arrives (the server closed the idle connection, or restarted) is sent
+    once more on a fresh connection; every other transport failure raises
+    :class:`ServiceError`.
+    """
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8321, *, timeout: float = 600.0
@@ -34,8 +46,57 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: Set[http.client.HTTPConnection] = set()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every connection this client opened; a later request reconnects."""
+        with self._lock:
+            connections, self._connections = self._connections, set()
+        for conn in connections:
+            conn.close()
 
     # ------------------------------------------------------------------ #
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (a new one after :meth:`close`)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None or conn not in self._connections:
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+            with self._lock:
+                self._connections.add(conn)
+            self._local.conn = conn
+        return conn
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[str] = None, headers=None
+    ) -> Tuple[int, bytes]:
+        """One HTTP exchange on this thread's connection: ``(status, raw body)``."""
+        while True:
+            conn = self._connection()
+            reused = conn.sock is not None
+            try:
+                try:
+                    conn.request(method, path, body=body, headers=headers or {})
+                    response = conn.getresponse()
+                except ConnectionError:
+                    conn.close()
+                    if reused:
+                        continue  # a stale connection: no response byte arrived
+                    raise
+                return response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise ServiceError(
+                    f"cannot reach service at http://{self.host}:{self.port}: {exc}"
+                ) from None
+
     def request(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> Dict[str, object]:
@@ -45,30 +106,16 @@ class ServiceClient:
         if payload is not None:
             body = json.dumps(payload)
             headers["Content-Type"] = "application/json"
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise ServiceError(
-                    f"cannot reach service at http://{self.host}:{self.port}: {exc}"
-                ) from None
-        finally:
-            conn.close()
+        status, raw = self._exchange(method, path, body, headers)
         try:
             decoded = json.loads(raw) if raw else {}
         except json.JSONDecodeError:
             raise ServiceError(
-                f"non-JSON response from service (HTTP {response.status})",
-                status=response.status,
+                f"non-JSON response from service (HTTP {status})", status=status
             ) from None
-        if response.status >= 400:
+        if status >= 400:
             message = decoded.get("error") if isinstance(decoded, dict) else None
-            raise ServiceError(
-                message or f"HTTP {response.status}", status=response.status
-            )
+            raise ServiceError(message or f"HTTP {status}", status=status)
         return decoded
 
     def request_text(self, method: str, path: str) -> str:
@@ -77,20 +124,9 @@ class ServiceClient:
         The path for non-JSON endpoints — ``/metrics`` is Prometheus text,
         which :meth:`request` would reject as malformed JSON.
         """
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            try:
-                conn.request(method, path)
-                response = conn.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise ServiceError(
-                    f"cannot reach service at http://{self.host}:{self.port}: {exc}"
-                ) from None
-        finally:
-            conn.close()
-        if response.status >= 400:
-            raise ServiceError(f"HTTP {response.status}", status=response.status)
+        status, raw = self._exchange(method, path)
+        if status >= 400:
+            raise ServiceError(f"HTTP {status}", status=status)
         return raw.decode("utf-8", errors="replace")
 
     # ------------------------------------------------------------------ #

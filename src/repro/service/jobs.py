@@ -5,9 +5,9 @@ is a thin translation.  One query flows through it as:
 
 1. **Resolve** — the graph spec goes through the shared
    :class:`~repro.store.GraphCatalog` (text inputs convert into the graph
-   cache on first touch) and comes back as an ``.rcsr`` path plus its content
-   checksum.  This runs in a thread so a first-touch conversion never stalls
-   the event loop.
+   cache on first touch; a repeated spec whose files have not changed is
+   answered from the catalog's stat-checked memo) and comes back as an
+   ``.rcsr`` path plus its content checksum.
 2. **Cache probe** — the :class:`~repro.service.cache.ResultCache` is scanned
    for an entry that *dominates* the request (same graph checksum, same
    algorithm family, eps'/delta' at least as tight; exact entries dominate
@@ -17,6 +17,8 @@ is a thin translation.  One query flows through it as:
    whose entry carries a session checkpoint becomes a *refine* job instead of
    a cold one, and a graph recorded as a *mutation* of a cached parent
    becomes an *update* job (:mod:`repro.evolve`), exactly as before.
+   Resolve and probe are one blocking call (:meth:`JobManager._probe`) in
+   one executor hop, so a first-touch conversion never stalls the event loop.
 3. **Dedup** — an identical request (same
    :meth:`~repro.service.schema.QueryRequest.job_key`) already in flight is
    joined, not re-run — whether it is in flight in *this* process or, via the
@@ -403,10 +405,32 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def _resolve(self, spec: str) -> Tuple[str, str]:
-        """Blocking: graph spec -> (.rcsr path, content checksum)."""
-        path = self.catalog.resolve(spec)
-        return str(path), self.catalog.checksum(path)
+    def _probe(self, request: QueryRequest) -> tuple:
+        """Blocking: every disk read a submission needs, in one executor hop.
+
+        Returns ``(graph_path, checksum, hit, refinable, update)``: the graph
+        spec resolved through the catalog, the cache entry that dominates the
+        request (``None`` on a miss) and, on a miss, the sources a new job may
+        start from.  *refinable* is a cached adaptive run with the same seed,
+        too loose for the request but carrying a session checkpoint, so it is
+        refined instead of recomputed from zero.  *update* is found only when
+        there is nothing to refine: the catalog's lineage says the graph is a
+        recorded mutation of a cached parent, whose update-refinable
+        checkpoint then serves via restore + invalidate + re-sample
+        (:mod:`repro.evolve`).  Custom-estimator seams have a pinned keyword
+        signature, so the update probe is skipped for them.
+        """
+        path = self.catalog.resolve(request.graph)
+        checksum = self.catalog.checksum(path)
+        family = algorithm_family(request.algorithm)
+        bounds = {"family": family, "eps": request.eps, "delta": request.delta}
+        hit = self.cache.find(checksum, **bounds)
+        refinable = update = None
+        if hit is None and family == "adaptive-sampling":
+            refinable = self.cache.find_refinable(checksum, seed=request.seed, **bounds)
+            if refinable is None and self._worker.estimator is None:
+                update = self._find_update(checksum, request)
+        return str(path), checksum, hit, refinable, update
 
     def _admit(self, tenant: str) -> None:
         """Per-tenant admission control; raises :class:`QuotaExceeded`.
@@ -443,22 +467,10 @@ class JobManager:
 
     async def submit(self, request: QueryRequest) -> SubmitOutcome:
         """Decide how a request is served: cache, an existing job, or a new one."""
-        loop = asyncio.get_running_loop()
-        self._loop = loop
+        self._loop = asyncio.get_running_loop()
         self._count("queries")
-        graph_path, checksum = await loop.run_in_executor(
-            None, self._resolve, request.graph
-        )
-        family = algorithm_family(request.algorithm)
-        hit = await loop.run_in_executor(
-            None,
-            functools.partial(
-                self.cache.find,
-                checksum,
-                family=family,
-                eps=request.eps,
-                delta=request.delta,
-            ),
+        graph_path, checksum, hit, refinable, update = await self._loop.run_in_executor(
+            None, self._probe, request
         )
         if hit is not None:
             entry, result = hit
@@ -471,41 +483,9 @@ class JobManager:
             )
         self._count("cache_misses")
 
-        # Near-miss: a cached adaptive run with the same seed, too loose for
-        # the request, but carrying a session checkpoint — refine it instead
-        # of recomputing from zero.  Probed *before* the in-flight check: the
-        # dedup decision, the quota check and the store insertion below must
-        # share one event-loop step (no awaits between them), or two
-        # identical concurrent requests both pass the check and sample twice.
-        refinable = None
-        if family == "adaptive-sampling":
-            refinable = await loop.run_in_executor(
-                None,
-                functools.partial(
-                    self.cache.find_refinable,
-                    checksum,
-                    family=family,
-                    eps=request.eps,
-                    delta=request.delta,
-                    seed=request.seed,
-                ),
-            )
-
-        # Still nothing for this graph — but if the catalog's lineage says it
-        # is a recorded mutation of a cached parent, an update-refinable
-        # parent checkpoint serves via restore + invalidate + re-sample
-        # (repro.evolve).  Custom-estimator seams have a pinned keyword
-        # signature, so the probe is skipped for them.
-        update = None
-        if (
-            refinable is None
-            and family == "adaptive-sampling"
-            and self._worker.estimator is None
-        ):
-            update = await loop.run_in_executor(
-                None, functools.partial(self._find_update, checksum, request)
-            )
-
+        # The dedup decision, the quota check and the store insertion below
+        # share one event-loop step (no awaits between them), or two identical
+        # concurrent requests both pass the check and sample twice.
         key = request.job_key(checksum)
         existing = self._inflight.get(key)
         if existing is not None:

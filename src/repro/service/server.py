@@ -2,9 +2,8 @@
 
 Built directly on :func:`asyncio.start_server` — no ``http.server``, no
 third-party framework — because the protocol surface is tiny: every endpoint
-speaks one JSON object per request/response over short-lived HTTP/1.1
-connections (``Connection: close``).  The endpoints (full request/response
-schemas in ``docs/serving.md``):
+speaks one JSON object per request/response.  The endpoints (full
+request/response schemas in ``docs/serving.md``):
 
 ==========================  ====================================================
 ``GET  /healthz``           liveness + version
@@ -27,6 +26,17 @@ carried to the serving layer: a slow estimation never blocks the event loop
 clients that did not ask to wait poll ``/v1/jobs/<id>``, seeing the progress
 events the sampler emits epoch by epoch — the worker writes them into the
 job's store row, so every job endpoint answers from the row alone.
+
+Connections are persistent.  One connection serves HTTP/1.1 requests one
+after another until the client sends ``Connection: close`` (or speaks
+HTTP/1.0 without ``Connection: keep-alive``), a response is an error (4xx or
+5xx: the rest of the client's input is then read and discarded for a moment,
+so the client sees the response rather than a reset), or it sits idle for
+:data:`KEEPALIVE_IDLE_SECONDS`.  :meth:`BetweennessService.stop` closes idle
+connections itself; a busy one closes after its response.  A request with
+more than :data:`MAX_HEADER_COUNT` header lines or :data:`MAX_HEADER_BYTES`
+header bytes gets 431.  ``repro_http_connections_total`` on ``/metrics``
+counts accepted connections, so reuse is observable.
 """
 
 from __future__ import annotations
@@ -51,6 +61,23 @@ __all__ = ["BetweennessService", "run_server"]
 #: a client bug (or abuse) and gets 413.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines, and most header bytes, one request may send; more is
+#: abuse (queries carry a handful of headers) and gets 431.
+MAX_HEADER_COUNT = 100
+MAX_HEADER_BYTES = 1 << 16
+_HEADERS_TOO_LARGE = (
+    f"request headers over {MAX_HEADER_COUNT} lines or {MAX_HEADER_BYTES} bytes"
+)
+
+#: Seconds a persistent connection may wait for its next request line before
+#: the server closes it.
+KEEPALIVE_IDLE_SECONDS = 30.0
+
+#: After an error response the server half-closes and discards the client's
+#: unread input for at most this long: closing with unread input would send a
+#: TCP reset that can destroy the response before the client reads it.
+_LINGER_SECONDS = 1.0
+
 _STATUS_TEXT = {
     200: "OK",
     202: "Accepted",
@@ -59,6 +86,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -163,6 +191,13 @@ class BetweennessService:
         self._http_inflight = self.jobs.metrics.gauge(
             "repro_http_requests_inflight", "HTTP requests currently being handled"
         )
+        self._http_connections = self.jobs.metrics.counter(
+            "repro_http_connections_total", "TCP connections accepted"
+        )
+        #: Connections waiting for their next request, with their handler
+        #: tasks: the ones :meth:`stop` closes itself.
+        self._idle: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._stopping = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -179,19 +214,37 @@ class BetweennessService:
         are adopted and re-dispatched before the first request lands.
         """
         obs_metrics.enable_metrics()
+        self._stopping = False
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         await self.jobs.resume_pending()
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled; the caller then calls :meth:`stop`.
+
+        Not ``Server.serve_forever``: cancelled, that waits for every
+        connection to close (Python >= 3.12) before :meth:`stop` could close
+        the idle ones.
+        """
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def stop(self) -> None:
+        """Stop accepting, close idle connections, shut the job manager down.
+
+        A connection in the middle of a request closes after its response.
+        Idle ones are closed here: on Python >= 3.12 ``wait_closed`` waits for
+        every connection, so an idle keep-alive client would hold it forever.
+        """
+        self._stopping = True
         if self._server is not None:
             self._server.close()
+            idle = list(self._idle.items())
+            for writer, _task in idle:
+                writer.close()
+            if idle:
+                await asyncio.wait([task for _writer, task in idle], timeout=1.0)
             await self._server.wait_closed()
             self._server = None
         self.jobs.close()
@@ -202,33 +255,13 @@ class BetweennessService:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection: requests one after another until it closes."""
+        self._http_connections.inc()
         try:
-            try:
-                status, payload = await self._handle_request(reader)
-            except _HttpError as exc:
-                status, payload = exc.status, {"error": exc.message}
-            except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-                return
-            except Exception as exc:  # noqa: BLE001 - never kill the acceptor
-                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            if isinstance(payload, _PlainText):
-                body = payload.text.encode()
-                content_type = payload.content_type
-            else:
-                body = json.dumps(payload).encode()
-                content_type = "application/json"
-            head = (
-                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode()
-            try:
-                writer.write(head + body)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # The client hung up before the response flushed; their loss.
-                return
+            while not self._stopping and await self._exchange(reader, writer):
+                pass
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            pass  # the client hung up mid-exchange; their loss
         finally:
             writer.close()
             try:
@@ -236,21 +269,93 @@ class BetweennessService:
             except (ConnectionError, OSError):
                 pass
 
-    async def _handle_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Union[dict, _PlainText]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+    async def _exchange(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read one request and answer it; returns whether the connection stays open."""
+        keep_alive = False
+        try:
+            request = await self._read_request(reader, writer)
+            if request is None:
+                return False  # closed by the client, the idle limit or stop()
+            method, target, body, keep_alive = request
+            status, payload = await self._handle_request(method, target, body)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise
+        except _HttpError as exc:
+            status, payload = exc.status, {"error": exc.message}
+        except Exception as exc:  # noqa: BLE001 - never kill the acceptor
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        keep_alive = keep_alive and status < 400
+        if isinstance(payload, _PlainText):
+            body = payload.text.encode()
+            content_type = payload.content_type
+        else:
+            body = json.dumps(payload).encode()
+            content_type = "application/json"
+        head = (
+            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+        ).encode()
+        writer.write(head + body)
+        await writer.drain()
+        if status >= 400:
+            await self._linger(reader, writer)
+        return keep_alive
+
+    async def _await_closable(self, writer: asyncio.StreamWriter, awaitable, seconds: float):
+        """Await a read that :meth:`stop`, or ``seconds`` passing, may end by closing."""
+        timer = asyncio.get_running_loop().call_later(seconds, writer.close)
+        self._idle[writer] = asyncio.current_task()
+        try:
+            return await awaitable
+        finally:
+            timer.cancel()
+            self._idle.pop(writer, None)
+
+    async def _linger(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close after an error, then discard input until the client closes."""
+        writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        await self._await_closable(writer, discard(), _LINGER_SECONDS)
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """``(method, target, body, keep_alive)`` of the next request, ``None`` at EOF."""
+        line = await self._await_closable(
+            writer, reader.readline(), KEEPALIVE_IDLE_SECONDS
+        )
+        if not line:
+            return None
+        request_line = line.decode("latin-1").strip()
         if not request_line:
             raise _HttpError(400, "empty request")
         parts = request_line.split()
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
-        method, target, _version = parts
+        method, target, version = parts
         headers: Dict[str, str] = {}
+        count = size = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # one line longer than the stream limit
+                raise _HttpError(431, _HEADERS_TOO_LARGE) from None
             if line in (b"\r\n", b"\n", b""):
                 break
+            count += 1
+            size += len(line)
+            if count > MAX_HEADER_COUNT or size > MAX_HEADER_BYTES:
+                raise _HttpError(431, _HEADERS_TOO_LARGE)
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
@@ -262,6 +367,17 @@ class BetweennessService:
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
+        tokens = {t.strip() for t in headers.get("connection", "").lower().split(",")}
+        version = version.upper()
+        if version == "HTTP/1.1":
+            keep_alive = "close" not in tokens
+        else:
+            keep_alive = version == "HTTP/1.0" and "keep-alive" in tokens
+        return method, target, body, keep_alive
+
+    async def _handle_request(
+        self, method: str, target: str, body: bytes
+    ) -> Tuple[int, Union[dict, _PlainText]]:
         path, _, query = target.partition("?")
         method = method.upper()
         # Per-endpoint request metrics.  Timing starts after the request is

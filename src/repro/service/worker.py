@@ -239,14 +239,17 @@ class StoreWorker:
             # The cache write is best-effort: an unwritable cache must not
             # fail a correctly computed job — the durable copy is the row.
             cache_error = None
+            text = result.to_json()
             try:
                 snapshot = checkpoint if checkpoint.is_file() else None
-                self.cache.put(record.checksum, request, result, snapshot=snapshot)
+                self.cache.put(
+                    record.checksum, request, result, snapshot=snapshot, text=text
+                )
             except Exception as exc:  # noqa: BLE001
                 cache_error = f"{type(exc).__name__}: {exc}"
                 ring.add({"phase": "cache-write-failed", "error": cache_error})
             completed = self.store.complete(
-                record.id, self.worker_id, result.to_json(), ring.snapshot()
+                record.id, self.worker_id, text, ring.snapshot()
             )
             return completed, cache_error
         except Exception as exc:  # noqa: BLE001 - job errors become row state
@@ -257,7 +260,7 @@ class StoreWorker:
             done.set()
             ring.wake.set()
             beat.join(timeout=2.0)
-            try:
+            try:  # a cached checkpoint was moved away; this is for failures
                 checkpoint.unlink(missing_ok=True)
             except OSError:
                 pass

@@ -19,6 +19,13 @@ graph traversals.
 
 The cache directory defaults to ``$REPRO_GRAPH_CACHE`` or
 ``~/.cache/repro/graphs``.
+
+A catalog remembers what it resolved: a repeated file-path spec is answered
+from a bounded in-memory memo while ``os.stat`` shows its files — the source
+and, for a text source, the ``.rcsr`` and its sidecar — with the inode, size
+and mtime they had when the answer was proven fresh.  Any change, or a
+missing file, re-runs the full resolution, so the memo never trusts more than
+the catalog's own size+mtime freshness rule.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ import difflib
 import hashlib
 import json
 import os
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -65,6 +74,9 @@ CACHE_ENV_VAR = "REPRO_GRAPH_CACHE"
 RESULT_CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 
 _SIDECAR_VERSION = 1
+
+#: Resolved file-path specs one catalog remembers (least recently used goes first).
+_MEMO_ENTRIES = 256
 
 
 def default_cache_dir() -> Path:
@@ -141,6 +153,16 @@ def _read_valid_sidecar(rcsr_path: Path) -> Optional[GraphInfo]:
     return info
 
 
+def _stamps(files: Tuple[Path, ...]) -> Optional[tuple]:
+    """``(st_ino, st_size, st_mtime_ns)`` of each file; ``None`` if one is missing."""
+    try:
+        return tuple(
+            (st.st_ino, st.st_size, st.st_mtime_ns) for st in map(os.stat, files)
+        )
+    except (OSError, ValueError):  # ValueError: a spec no file can have
+        return None
+
+
 def _compute_info(rcsr_path: Path, *, name: str, source: Optional[Path]) -> GraphInfo:
     """Derive the sidecar statistics from a stored graph (one-off, at convert
     time; opens the graph memory-mapped so peak memory stays O(n))."""
@@ -210,6 +232,9 @@ class GraphCatalog:
 
     def __init__(self, cache_dir: Optional[PathLike] = None) -> None:
         self._cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+        #: (cwd, spec) -> (rcsr path, checksum, stamped files, their stamps).
+        self._memo: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     @property
@@ -415,9 +440,48 @@ class GraphCatalog:
         return path
 
     def resolve(self, spec: PathLike) -> Path:
-        """Resolve a name or path to an ``.rcsr`` file, converting on first touch."""
+        """Resolve a name or path to an ``.rcsr`` file, converting on first touch.
+
+        A repeated file-path spec whose files have not changed is answered
+        from the memo (see the module docs).
+        """
         with obs_trace.span("store.resolve", spec=str(spec)):
-            return self._resolve_impl(spec)
+            return self._resolved(spec)[0]
+
+    def _resolved(self, spec: PathLike) -> Tuple[Path, Optional[str]]:
+        """``(rcsr path, checksum)`` of ``spec``; the checksum is ``None`` when
+        a file was missing up front (a registered name, a first conversion)."""
+        key = (os.getcwd(), str(spec))
+        with self._memo_lock:
+            entry = self._memo.get(key)
+            if entry is not None:
+                self._memo.move_to_end(key)
+        if entry is not None:
+            path, checksum, files, stamps = entry
+            if _stamps(files) == stamps:
+                return path, checksum
+        # Stamped before and after: an answer is remembered only if no file
+        # changed while it was being proven.
+        source = Path(spec)
+        files: Tuple[Path, ...] = (source,)
+        before = _stamps(files)
+        if before is not None and source.suffix != ".rcsr":
+            rcsr = self.rcsr_path_for(source)
+            files = (source, rcsr, _sidecar_path(rcsr))
+            before = _stamps(files)
+        path = self._resolve_impl(spec)
+        checksum = None
+        if before is not None:
+            checksum = header_checksum(read_header(path))
+        unchanged = checksum is not None and _stamps(files) == before
+        with self._memo_lock:
+            if unchanged:
+                self._memo[key] = (path, checksum, files, before)
+                if len(self._memo) > _MEMO_ENTRIES:
+                    self._memo.popitem(last=False)
+            else:
+                self._memo.pop(key, None)
+        return path, checksum
 
     def _resolve_impl(self, spec: PathLike) -> Path:
         path = Path(spec)
@@ -615,11 +679,13 @@ class GraphCatalog:
         """The content checksum of a stored graph (``"crc32:<16 hex>"``).
 
         One header read of the resolved ``.rcsr`` container — no sidecar, no
-        graph traversal.  This is the key the query-service result cache uses
-        to tie cached betweenness scores to exact graph contents: re-convert a
-        changed source file and the checksum (hence the cache key) changes.
+        graph traversal, and none at all for a memoized spec.  This is the key
+        the query-service result cache uses to tie cached betweenness scores
+        to exact graph contents: re-convert a changed source file and the
+        checksum (hence the cache key) changes.
         """
-        return header_checksum(read_header(self.resolve(spec)))
+        path, checksum = self._resolved(spec)
+        return checksum if checksum is not None else header_checksum(read_header(path))
 
     def cached_checksum(self, spec: PathLike) -> Optional[str]:
         """Like :meth:`checksum`, but **never converts** — ``None`` instead.

@@ -1174,6 +1174,7 @@ def run_service(tmp_path, estimator, scenario):
         try:
             return await scenario(client, service)
         finally:
+            client.close()
             await service.stop()
 
     return asyncio.run(main())
