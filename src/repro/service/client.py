@@ -8,6 +8,7 @@ non-2xx responses raise :class:`ServiceError` carrying the server's
 
 Connections persist: each thread using a :class:`ServiceClient` gets its own
 HTTP/1.1 connection, opened by its first request and reused by the next ones.
+Opening one closes those of threads that have finished;
 :meth:`ServiceClient.close` (or leaving a ``with`` block) closes them all.
 """
 
@@ -17,7 +18,7 @@ import http.client
 import json
 import threading
 import time
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -46,9 +47,8 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: Set[http.client.HTTPConnection] = set()
+        self._connections: Dict[threading.Thread, http.client.HTTPConnection] = {}
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -59,19 +59,23 @@ class ServiceClient:
     def close(self) -> None:
         """Close every connection this client opened; a later request reconnects."""
         with self._lock:
-            connections, self._connections = self._connections, set()
-        for conn in connections:
+            connections, self._connections = self._connections, {}
+        for conn in connections.values():
             conn.close()
 
     # ------------------------------------------------------------------ #
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's connection (a new one after :meth:`close`)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None or conn not in self._connections:
+        thread = threading.current_thread()
+        conn = self._connections.get(thread)
+        if conn is None:
             conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
             with self._lock:
-                self._connections.add(conn)
-            self._local.conn = conn
+                finished = [t for t in self._connections if not t.is_alive()]
+                stale = [self._connections.pop(t) for t in finished]
+                self._connections[thread] = conn
+            for old in stale:
+                old.close()
         return conn
 
     def _exchange(

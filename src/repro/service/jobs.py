@@ -420,8 +420,7 @@ class JobManager:
         (:mod:`repro.evolve`).  Custom-estimator seams have a pinned keyword
         signature, so the update probe is skipped for them.
         """
-        path = self.catalog.resolve(request.graph)
-        checksum = self.catalog.checksum(path)
+        path, checksum = self.catalog.resolve_checksum(request.graph)
         family = algorithm_family(request.algorithm)
         bounds = {"family": family, "eps": request.eps, "delta": request.delta}
         hit = self.cache.find(checksum, **bounds)

@@ -33,7 +33,8 @@ HTTP/1.0 without ``Connection: keep-alive``), a response is an error (4xx or
 5xx: the rest of the client's input is then read and discarded for a moment,
 so the client sees the response rather than a reset), or it sits idle for
 :data:`KEEPALIVE_IDLE_SECONDS`.  :meth:`BetweennessService.stop` closes idle
-connections itself; a busy one closes after its response.  A request with
+connections itself; a busy one closes after its response.  Every close is
+a socket shutdown first (see :func:`_hang_up`).  A request with
 more than :data:`MAX_HEADER_COUNT` header lines or :data:`MAX_HEADER_BYTES`
 header bytes gets 431.  ``repro_http_connections_total`` on ``/metrics``
 counts accepted connections, so reuse is observable.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import time
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs
@@ -124,6 +126,25 @@ _KNOWN_ENDPOINTS = (
     "/v1/cache/evict",
     "/v1/stats",
 )
+
+
+def _hang_up(writer: asyncio.StreamWriter) -> None:
+    """Close a connection so that the client sees EOF.
+
+    The socket is shut down before it is closed: a process-pool worker forked
+    while the connection was open holds a copy of its descriptor, and closing
+    only ours would send no FIN, so the client's next request on the
+    connection would wait for an answer that never comes.  A shutdown drops
+    unsent bytes, which is why :meth:`BetweennessService._handle` makes every
+    ``drain()`` wait for the whole response.
+    """
+    sock = writer.get_extra_info("socket")
+    if sock is not None:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already reset by the client, or closed
+    writer.close()
 
 
 def _endpoint_label(path: str) -> str:
@@ -242,7 +263,7 @@ class BetweennessService:
             self._server.close()
             idle = list(self._idle.items())
             for writer, _task in idle:
-                writer.close()
+                _hang_up(writer)
             if idle:
                 await asyncio.wait([task for _writer, task in idle], timeout=1.0)
             await self._server.wait_closed()
@@ -257,13 +278,16 @@ class BetweennessService:
     ) -> None:
         """Serve one connection: requests one after another until it closes."""
         self._http_connections.inc()
+        # drain() then returns only once the whole response has reached the
+        # kernel, so a hang-up between requests never cuts one short.
+        writer.transport.set_write_buffer_limits(0)
         try:
             while not self._stopping and await self._exchange(reader, writer):
                 pass
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass  # the client hung up mid-exchange; their loss
         finally:
-            writer.close()
+            _hang_up(writer)
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
@@ -307,7 +331,7 @@ class BetweennessService:
 
     async def _await_closable(self, writer: asyncio.StreamWriter, awaitable, seconds: float):
         """Await a read that :meth:`stop`, or ``seconds`` passing, may end by closing."""
-        timer = asyncio.get_running_loop().call_later(seconds, writer.close)
+        timer = asyncio.get_running_loop().call_later(seconds, _hang_up, writer)
         self._idle[writer] = asyncio.current_task()
         try:
             return await awaitable

@@ -22,10 +22,13 @@ The cache directory defaults to ``$REPRO_GRAPH_CACHE`` or
 
 A catalog remembers what it resolved: a repeated file-path spec is answered
 from a bounded in-memory memo while ``os.stat`` shows its files — the source
-and, for a text source, the ``.rcsr`` and its sidecar — with the inode, size
-and mtime they had when the answer was proven fresh.  Any change, or a
-missing file, re-runs the full resolution, so the memo never trusts more than
-the catalog's own size+mtime freshness rule.
+and, for a text source, the sidecar of its ``.rcsr`` — with the inode, size
+and mtime they had when the answer was proven fresh, and the ``.rcsr``
+header still carries the remembered checksum.  Any change, or a missing
+file, re-runs the full resolution.  The memo so checks what a full
+resolution checks — the source against the size+mtime the sidecar records,
+the container against the sidecar's checksum — and saves only the sidecar
+read and the repeated header reads.
 """
 
 from __future__ import annotations
@@ -160,6 +163,14 @@ def _stamps(files: Tuple[Path, ...]) -> Optional[tuple]:
             (st.st_ino, st.st_size, st.st_mtime_ns) for st in map(os.stat, files)
         )
     except (OSError, ValueError):  # ValueError: a spec no file can have
+        return None
+
+
+def _container_checksum(rcsr_path: Path) -> Optional[str]:
+    """The checksum in ``rcsr_path``'s header; ``None`` if it cannot be read."""
+    try:
+        return header_checksum(read_header(rcsr_path))
+    except (OSError, StoreFormatError):
         return None
 
 
@@ -448,6 +459,14 @@ class GraphCatalog:
         with obs_trace.span("store.resolve", spec=str(spec)):
             return self._resolved(spec)[0]
 
+    def resolve_checksum(self, spec: PathLike) -> Tuple[Path, str]:
+        """:meth:`resolve` and :meth:`checksum` in one call: ``(rcsr path, checksum)``."""
+        with obs_trace.span("store.resolve", spec=str(spec)):
+            path, checksum = self._resolved(spec)
+        if checksum is None:
+            checksum = header_checksum(read_header(path))
+        return path, checksum
+
     def _resolved(self, spec: PathLike) -> Tuple[Path, Optional[str]]:
         """``(rcsr path, checksum)`` of ``spec``; the checksum is ``None`` when
         a file was missing up front (a registered name, a first conversion)."""
@@ -458,7 +477,7 @@ class GraphCatalog:
                 self._memo.move_to_end(key)
         if entry is not None:
             path, checksum, files, stamps = entry
-            if _stamps(files) == stamps:
+            if _stamps(files) == stamps and _container_checksum(path) == checksum:
                 return path, checksum
         # Stamped before and after: an answer is remembered only if no file
         # changed while it was being proven.
@@ -466,8 +485,7 @@ class GraphCatalog:
         files: Tuple[Path, ...] = (source,)
         before = _stamps(files)
         if before is not None and source.suffix != ".rcsr":
-            rcsr = self.rcsr_path_for(source)
-            files = (source, rcsr, _sidecar_path(rcsr))
+            files = (source, _sidecar_path(self.rcsr_path_for(source)))
             before = _stamps(files)
         path = self._resolve_impl(spec)
         checksum = None
@@ -679,13 +697,11 @@ class GraphCatalog:
         """The content checksum of a stored graph (``"crc32:<16 hex>"``).
 
         One header read of the resolved ``.rcsr`` container — no sidecar, no
-        graph traversal, and none at all for a memoized spec.  This is the key
-        the query-service result cache uses to tie cached betweenness scores
-        to exact graph contents: re-convert a changed source file and the
-        checksum (hence the cache key) changes.
+        graph traversal.  This is the key the query-service result cache uses
+        to tie cached betweenness scores to exact graph contents: re-convert a
+        changed source file and the checksum (hence the cache key) changes.
         """
-        path, checksum = self._resolved(spec)
-        return checksum if checksum is not None else header_checksum(read_header(path))
+        return self.resolve_checksum(spec)[1]
 
     def cached_checksum(self, spec: PathLike) -> Optional[str]:
         """Like :meth:`checksum`, but **never converts** — ``None`` instead.

@@ -42,8 +42,9 @@ from repro.service import (
 from repro.service import server as server_module
 from repro.store import GraphCatalog
 from repro.store import catalog as catalog_module
-from repro.store import write_rcsr
-from repro.graph.generators import path_graph
+from repro.store import read_header, write_rcsr
+from repro.store.format import header_checksum
+from repro.graph.generators import path_graph, star_graph
 
 EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n"
 
@@ -69,7 +70,7 @@ def fake_estimator(graph, *, callbacks=None, **kwargs):
 class Running:
     """A service on its own event-loop thread, driven by blocking clients."""
 
-    def __init__(self, tmp_path, port: int = 0) -> None:
+    def __init__(self, tmp_path, port: int = 0, worker_mode: str = "thread") -> None:
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
         self.thread.start()
@@ -77,8 +78,8 @@ class Running:
             port=port,
             cache=ResultCache(tmp_path / "results"),
             catalog=GraphCatalog(tmp_path / "graph-cache"),
-            worker_mode="thread",
-            estimator=fake_estimator,
+            worker_mode=worker_mode,
+            estimator=fake_estimator if worker_mode == "thread" else None,
         )
         self.call(self.service.start())
         self.port = self.service.port
@@ -182,6 +183,17 @@ class TestPersistentConnections:
         # One connection per thread: the main thread's plus eight.
         assert running.connections() == 9
 
+    def test_a_finished_threads_connection_closes_when_another_opens(self, running):
+        with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
+            first = threading.Thread(target=client.health)
+            first.start()
+            first.join(timeout=30.0)
+            (finished,) = client._connections.values()
+            assert finished.sock is not None
+            client.health()
+            assert finished.sock is None
+            assert list(client._connections) == [threading.current_thread()]
+
     def test_request_after_server_restart_succeeds(self, tmp_path):
         first = Running(tmp_path)
         port = first.port
@@ -207,6 +219,29 @@ class TestPersistentConnections:
             assert not running.service._idle  # the server closed it
             assert client.health()["ok"] is True
         assert running.connections() == 2
+
+    def test_idle_close_reaches_the_client_after_the_pool_forked(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker forked while a connection was open shares its socket; the
+        idle close must still reach the client, or its next request hangs."""
+        monkeypatch.setattr(server_module, "KEEPALIVE_IDLE_SECONDS", 0.1)
+        graph = write_graph(tmp_path / "g.txt")
+        handle = Running(tmp_path, worker_mode="process")
+        try:
+            with ServiceClient(handle.service.host, handle.port, timeout=5.0) as client:
+                # The cold query starts the process pool while its connection is open.
+                answer = client.query(
+                    graph=str(graph), eps=0.2, seed=1, algorithm="sequential", wait=True
+                )
+                assert answer["served_from_cache"] is False
+                time.sleep(0.5)
+                started = time.monotonic()
+                assert client.health()["ok"] is True
+                assert time.monotonic() - started < 1.0
+            assert handle.connections() == 2
+        finally:
+            handle.stop()
 
     def test_stop_returns_promptly_while_a_connection_idles(self, running):
         with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
@@ -340,6 +375,8 @@ class TestOneProbeHop:
             manager.close()
         assert not miss.served_from_cache and miss_hops == 1
         assert hit.served_from_cache and hit_hops == 1
+        # Resolve and checksum share one memo entry per graph spec.
+        assert list(manager.catalog._memo) == [(os.getcwd(), str(graph))]
 
 
 # --------------------------------------------------------------------- #
@@ -350,18 +387,27 @@ class TestResolveMemo:
     def catalog(self, tmp_path):
         return GraphCatalog(tmp_path / "graph-cache")
 
-    def test_repeat_reads_no_file(self, catalog, tmp_path, monkeypatch):
+    def test_repeat_reads_one_header_and_no_sidecar(
+        self, catalog, tmp_path, monkeypatch
+    ):
         graph = write_graph(tmp_path / "g.txt")
         first = catalog.checksum(str(graph))  # converts
         assert catalog.checksum(str(graph)) == first  # proves fresh, remembers
-        reads = []
-        real = catalog_module.read_header
+        headers, sidecars = [], []
+        real_header, real_sidecar = catalog_module.read_header, catalog_module._read_sidecar
         monkeypatch.setattr(
-            catalog_module, "read_header", lambda path: reads.append(path) or real(path)
+            catalog_module,
+            "read_header",
+            lambda path: headers.append(path) or real_header(path),
         )
-        assert catalog.checksum(str(graph)) == first
-        assert catalog.resolve(str(graph)) == catalog.rcsr_path_for(graph)
-        assert reads == []
+        monkeypatch.setattr(
+            catalog_module,
+            "_read_sidecar",
+            lambda path: sidecars.append(path) or real_sidecar(path),
+        )
+        assert catalog.resolve_checksum(str(graph)) == (catalog.rcsr_path_for(graph), first)
+        assert headers == [catalog.rcsr_path_for(graph)]
+        assert sidecars == []
 
     def remembered(self, catalog, graph):
         catalog.checksum(str(graph))
@@ -403,6 +449,35 @@ class TestResolveMemo:
         before = self.remembered(catalog, path)
         write_rcsr(path_graph(6), path)
         assert catalog.checksum(str(path)) != before
+
+    def test_rcsr_spec_rewritten_in_place_same_size_and_mtime(self, catalog, tmp_path):
+        path = write_rcsr(path_graph(5), tmp_path / "p.rcsr")
+        other = write_rcsr(star_graph(5), tmp_path / "s.rcsr").read_bytes()
+        assert len(other) == path.stat().st_size
+        before = self.remembered(catalog, path)
+        stat = path.stat()
+        with open(path, "r+b") as handle:  # same inode, same size
+            handle.write(other)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        after = catalog.checksum(str(path))
+        assert after != before
+        assert after == GraphCatalog(tmp_path / "fresh-cache").checksum(str(path))
+
+    def test_container_of_a_text_spec_rewritten_in_place(self, catalog, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        before = self.remembered(catalog, graph)
+        rcsr = catalog.rcsr_path_for(graph)
+        cycle = write_graph(tmp_path / "c.txt", "0 1\n1 2\n2 3\n3 4\n4 0\n")
+        other = GraphCatalog(tmp_path / "other-cache").resolve(str(cycle)).read_bytes()
+        assert len(other) == rcsr.stat().st_size
+        stat = rcsr.stat()
+        with open(rcsr, "r+b") as handle:  # same inode, same size
+            handle.write(other)
+        os.utime(rcsr, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert header_checksum(read_header(rcsr)) != before
+        # The sidecar no longer matches the container: the catalog re-converts.
+        assert catalog.checksum(str(graph)) == before
+        assert header_checksum(read_header(rcsr)) == before
 
     def test_deleted_source_raises(self, catalog, tmp_path):
         graph = write_graph(tmp_path / "g.txt")
