@@ -228,8 +228,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--worker-mode",
         choices=("process", "thread"),
         default="process",
-        help="run estimations in a process pool (default; sampling is CPU-bound) "
-        "or a thread pool",
+        help="local workers are forked processes (default; sampling is CPU-bound) "
+        "or threads",
     )
     parser.add_argument(
         "--threads",
@@ -253,7 +253,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--dispatch",
         choices=("pool", "external"),
         default="pool",
-        help="run estimations in this process's worker pool (default) or only "
+        help="run estimations in this service's local workers (default) or only "
         "enqueue them for separate 'repro-betweenness worker' processes",
     )
     parser.add_argument(

@@ -7,10 +7,11 @@ for three consumers:
   counters behind the :func:`metrics_enabled` gate so a disabled process pays
   one attribute load per batch and nothing else — ``benchmarks/bench_obs.py``
   holds the enabled path to <= 5% samples/sec overhead;
-* **worker processes** (the service's ``ProcessPoolExecutor`` jobs) call
-  :meth:`MetricsRegistry.snapshot` and ship the plain-dict result back with
-  their estimation result, where the parent :meth:`MetricsRegistry.merge`\\ s
-  it — counters and histograms add, gauges overwrite;
+* **worker processes** (the service's local and external workers) call
+  :meth:`MetricsRegistry.snapshot` after each job and write the plain-dict
+  result into the job's store row, where the coordinator
+  :meth:`MetricsRegistry.merge`\\ s it — counters and histograms add,
+  gauges overwrite;
 * **exposition** — :meth:`MetricsRegistry.render` emits the Prometheus text
   format (``# HELP``/``# TYPE``, ``_bucket{le=...}``/``_sum``/``_count``)
   that ``GET /metrics`` on the query service serves, and
@@ -18,7 +19,7 @@ for three consumers:
   duplicating metric families.
 
 All mutation goes through one :class:`threading.RLock` per registry, so the
-service's pool threads and its request handlers cannot lose increments to
+service's worker threads and its request handlers cannot lose increments to
 each other (the bug the old ad-hoc ``JobManager.counters`` dict
 had).
 """

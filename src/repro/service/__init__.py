@@ -16,15 +16,14 @@ sampling.  The pieces:
 * :mod:`repro.service.cache` — the persistent on-disk
   :class:`ResultCache` next to the graph cache;
 * :mod:`repro.service.store` — the durable SQLite-backed :class:`JobStore`
-  (lease-based claiming, heartbeat expiry, crash requeue) and the
-  per-tenant admission errors (:class:`QuotaExceeded`);
+  (leases, heartbeat expiry, crash requeue, doorbells) and the per-tenant
+  admission errors (:class:`QuotaExceeded`);
 * :mod:`repro.service.jobs` — the asyncio :class:`JobManager` coordinator:
-  in-flight deduplication, tenant quotas (:class:`TenantQuota`),
-  process/thread worker pools or external dispatch;
-* :mod:`repro.service.worker` — :class:`StoreWorker`, the one job executor
-  (it writes each job's progress into its row): the pool runs it per row,
-  and as a pull-loop process (``python -m repro.service.worker``) N of them
-  drain one store;
+  in-flight deduplication, tenant quotas (:class:`TenantQuota`), local
+  workers (or none, for external ones);
+* :mod:`repro.service.worker` — :class:`StoreWorker`, whose claim loop runs
+  every job: in local workers and in ``python -m repro.service.worker``
+  processes;
 * :mod:`repro.service.server` — :class:`BetweennessService`, the minimal
   JSON-over-HTTP front end (``repro-betweenness serve``);
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking

@@ -4,19 +4,16 @@ The :class:`JobManager` is the service's brain; the HTTP layer on top of it
 is a thin translation.  One query flows through it as:
 
 1. **Resolve** — the graph spec goes through the shared
-   :class:`~repro.store.GraphCatalog` (text inputs convert into the graph
-   cache on first touch; a repeated spec whose files have not changed is
-   answered from the catalog's stat-checked memo) and comes back as an
-   ``.rcsr`` path plus its content checksum.
-2. **Cache probe** — the :class:`~repro.service.cache.ResultCache` is scanned
-   for an entry that *dominates* the request (same graph checksum, same
-   algorithm family, eps'/delta' at least as tight; exact entries dominate
-   everything).  Repeated probes short-circuit in the cache's in-memory
-   TTL+LRU hot tier; either way a hit answers with zero sampling.  A
-   near-miss (same adaptive family and seed, tighter-than-cached eps/delta)
-   whose entry carries a session checkpoint becomes a *refine* job instead of
-   a cold one, and a graph recorded as a *mutation* of a cached parent
-   becomes an *update* job (:mod:`repro.evolve`), exactly as before.
+   :class:`~repro.store.GraphCatalog` (text converts into the graph cache on
+   first touch; an unchanged repeated spec hits its stat-checked memo) and
+   comes back as an ``.rcsr`` path plus its content checksum.
+2. **Cache probe** — the :class:`~repro.service.cache.ResultCache` (behind
+   its in-memory hot tier) is scanned for an entry that *dominates* the
+   request (same graph checksum and algorithm family, eps'/delta' at least
+   as tight; exact entries dominate everything): a hit answers with zero
+   sampling.  A near-miss (same adaptive family and seed) whose entry
+   carries a session checkpoint becomes a *refine* job, and a graph recorded
+   as a *mutation* of a cached parent an *update* job (:mod:`repro.evolve`).
    Resolve and probe are one blocking call (:meth:`JobManager._probe`) in
    one executor hop, so a first-touch conversion never stalls the event loop.
 3. **Dedup** — an identical request (same
@@ -28,39 +25,36 @@ is a thin translation.  One query flows through it as:
    :class:`~repro.service.store.QuotaExceeded` (HTTP 429) *before* the job
    exists, so one hot tenant cannot starve the queue for everyone.
 5. **Enqueue** — the job becomes a row in the SQLite-backed
-   :class:`~repro.service.store.JobStore`.  From here on it survives this
-   process: a crashed coordinator's jobs are re-run on restart
-   (:meth:`JobManager.resume_pending`) or picked up by external workers.
-6. **Execute** — one executor for both dispatch modes:
-   :class:`~repro.service.worker.StoreWorker` claims the row, heartbeats its
-   lease, runs the estimation and finishes the row; its heartbeat thread
-   writes the progress events into the row as they arrive.  With
-   ``dispatch="pool"`` (default) the manager hands the row id to its worker
-   pool (process pool by default; thread pool for tests), whose worker claims
-   that row *by id*; with ``dispatch="external"`` N worker processes
-   (``python -m repro.service.worker``) drain the store.
-7. **Store** — the worker writes the finished result to the result cache
-   (with the session checkpoint when the backend supports refinement) and
-   the full result JSON to the job row — the durable copy that answers polls
-   after every process restarts.
+   :class:`~repro.service.store.JobStore` and survives this process
+   (:meth:`JobManager.resume_pending` adopts it after a restart).
+6. **Execute** — one way for every job: a
+   :class:`~repro.service.worker.StoreWorker` claim loop, woken by the
+   store's doorbell, claims the row and runs it (progress goes into the
+   row).  ``dispatch="pool"`` (default) starts ``max_workers`` such loops
+   once — forked processes, or threads for the custom-estimator seam;
+   ``dispatch="external"`` starts none and leaves the store to
+   ``python -m repro.service.worker`` processes.
+7. **Store** — the worker writes the result to the result cache (with the
+   session checkpoint when the backend supports refinement) and its full
+   JSON to the job row, the durable copy that answers polls.
 
 The row is the job.  This process keeps, per live job, only what a row
 cannot hold — a :class:`Job` handle with the awaitable future and the
-waiter count — and one loop per job (:meth:`JobManager._drive`) reads the
-row until it is terminal, then :meth:`JobManager._settle` resolves the
-future from it and drops the handle.
+waiter count — and one loop per job (:meth:`JobManager._drive`), woken by
+the doorbell, reads the row until it is terminal; then
+:meth:`JobManager._settle` resolves the future from it and drops the handle.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
-import os
-import socket
+import multiprocessing
+import signal
 import sqlite3
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.result import BetweennessResult
 from repro.obs import metrics as obs_metrics
@@ -68,8 +62,16 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.dominance import algorithm_family
 from repro.service.schema import QueryRequest
-from repro.service.store import FINISHED_STATES, JobRecord, JobStore, QuotaExceeded
-from repro.service.worker import MAX_EVENTS, StoreWorker
+from repro.service.store import (
+    DEFAULT_LEASE_SECONDS,
+    FINISHED_STATES,
+    Doorbell,
+    JobRecord,
+    JobStore,
+    QuotaExceeded,
+    default_worker_id,
+)
+from repro.service.worker import MAX_EVENTS, StoreWorker, serve
 from repro.store import GraphCatalog
 
 __all__ = ["Job", "JobManager", "MAX_EVENTS", "SubmitOutcome", "TenantQuota"]
@@ -83,12 +85,8 @@ STORE_RETENTION = 1000
 WORKER_MODES = ("process", "thread")
 DISPATCH_MODES = ("pool", "external")
 
-#: Lease given to pool-claimed jobs.  The pool worker heartbeats every
-#: ``lease/3`` while the estimation runs, so the lease only expires when the
-#: coordinator actually died — at which point a restart's
-#: :meth:`JobManager.resume_pending` (or any external worker's
-#: ``requeue_expired``) recovers the job.
-POOL_LEASE_SECONDS = 15.0
+#: Seconds :meth:`JobManager.close` gives a local worker to finish its job.
+_JOIN_SECONDS = 5.0
 
 #: The service counters, in the order ``stats()`` reports them.  Each becomes
 #: a ``repro_service_<key>_total`` counter on the manager's registry; the
@@ -136,33 +134,12 @@ class TenantQuota:
         return {"max_inflight": self.max_inflight, "max_queued": self.max_queued}
 
 
-#: The pool process's :class:`StoreWorker`, built once by :func:`_pool_init`.
-_POOL_WORKER: Optional[StoreWorker] = None
-
-
-def _pool_init(store_path, cache_dir, options) -> None:
-    """Pool-process initializer: open the store and the cache once per process."""
-    global _POOL_WORKER
-    _POOL_WORKER = StoreWorker(store_path, cache=ResultCache(cache_dir), **options)
-
-
-def _pool_execute(row_id: int, collect_metrics: bool):
-    """Pool-process entry point: run one row (its progress goes into the row).
-
-    Returns ``(StoreWorker.execute's outcome, metrics_snapshot)``.  When
-    ``collect_metrics`` the worker's process-global registry is cleared before
-    the run and its snapshot shipped back, so the parent can ``merge()`` the
-    kernel counters (samples, batches) of every worker into its own registry
-    — worker processes have no other channel back to ``/metrics``.  The
-    registry is a pure transport buffer here: nothing else in the worker reads
-    it, so clearing per job keeps the snapshot equal to this job's delta even
-    when the pool reuses the process.
-    """
-    if collect_metrics:
-        obs_metrics.REGISTRY.clear()
-        obs_metrics.enable_metrics()
-    outcome = _POOL_WORKER.execute(row_id)
-    return outcome, obs_metrics.REGISTRY.snapshot() if collect_metrics else None
+def _local_worker(store_path, cache_dir, options) -> None:
+    """A forked local worker: :func:`serve` on its own store and cache (never
+    the inherited connections), stopped by the coordinator, not Ctrl-C."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    cache = ResultCache(cache_dir)
+    serve(StoreWorker(store_path, cache=cache, worker_id=default_worker_id("local"), **options))
 
 
 @dataclass
@@ -192,12 +169,14 @@ class SubmitOutcome:
     served_from_cache: bool = False
     deduplicated: bool = False
     job: Optional[Job] = None
+    #: The job row's status when the request joined it (a worker may be done by now).
+    status: Optional[str] = None
     result: Optional[BetweennessResult] = None
     cache_entry: Optional[CacheEntry] = None
 
 
 class JobManager:
-    """Owns the cache, the durable store and the worker pool (see module docs).
+    """Owns the cache, the durable store and the local workers (see module docs).
 
     Parameters
     ----------
@@ -210,23 +189,23 @@ class JobManager:
         Defaults to ``jobs.sqlite3`` inside the result-cache directory, so
         every coordinator and worker sharing the cache shares the queue.
     dispatch:
-        ``"pool"`` (default): this manager's worker pool claims and executes
-        its jobs.  ``"external"``: jobs are only enqueued; separate
-        ``python -m repro.service.worker`` processes drain the store and the
-        manager watches the rows.
+        ``"pool"`` (default): this manager starts ``max_workers`` local
+        workers that drain the store.  ``"external"``: it starts none;
+        separate ``python -m repro.service.worker`` processes drain it.
     resources:
         :class:`~repro.api.Resources` handed to every estimation.
     worker_mode:
-        ``"process"`` (default; one estimation per pool process) or
-        ``"thread"``.  Pool dispatch only.
+        ``"process"`` (default; forked local workers) or ``"thread"``.  Pool
+        dispatch only.
     max_workers:
-        Concurrent estimations in pool dispatch.
+        Local workers, i.e. concurrent estimations, in pool dispatch.
     quota:
         Per-tenant :class:`TenantQuota` admission limits (default: none).
     lease_seconds:
-        Claim lifetime for pool-dispatched jobs (heartbeated while running).
+        Claim lifetime of the local workers (heartbeated while running).
     poll_seconds:
-        Store poll interval for watched (external/foreign) jobs.
+        Longest wait for a doorbell before the job loops and idle local
+        workers re-read the store, and the janitor's period.
     store_retention:
         Finished rows kept in the store.
     estimator:
@@ -245,7 +224,7 @@ class JobManager:
         worker_mode: str = "process",
         max_workers: int = 1,
         quota: Optional[TenantQuota] = None,
-        lease_seconds: float = POOL_LEASE_SECONDS,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_seconds: float = 0.25,
         store_retention: int = STORE_RETENTION,
         estimator: Optional[Callable[..., BetweennessResult]] = None,
@@ -286,27 +265,24 @@ class JobManager:
         self._worker_mode = worker_mode
         self._max_workers = max_workers
         self._quota = quota if quota is not None else TenantQuota()
-        self._lease_seconds = float(lease_seconds)
         self._poll_seconds = float(poll_seconds)
         self._store_retention = int(store_retention)
-        self._executor = None
+        self._estimator = estimator
+        #: What every local worker is built with.
+        self._options = {
+            "lease_seconds": float(lease_seconds),
+            "poll_seconds": self._poll_seconds,
+            "resources": resources,
+        }
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: The live jobs' handles, by job key (the in-process dedup index).
         self._inflight: Dict[str, Job] = {}
-        #: Lease identity of this coordinator's pool claims; encodes host and
-        #: pid so :meth:`resume_pending` can recognise (and reclaim) rows a
-        #: dead local coordinator left behind.
-        self.worker_id = f"pool:{socket.gethostname()}:{os.getpid()}"
-        #: The executor of thread-mode pool jobs (pool processes build their
-        #: own from the same arguments, see :func:`_pool_init`).
-        self._worker = StoreWorker(
-            self.store,
-            cache=self.cache,
-            worker_id=self.worker_id,
-            lease_seconds=self._lease_seconds,
-            resources=resources,
-            estimator=estimator,
-        )
+        #: The local workers: ``(process or thread, its stop callable)``.
+        self._workers: List[Tuple[object, Callable[[], None]]] = []
+        #: This coordinator's doorbell and the future its next ring resolves.
+        self._bell: Optional[Doorbell] = None
+        self._rung: Optional[asyncio.Future] = None
+        self._janitor_due = 0.0
         #: Per-manager metrics registry: the counters below plus the job
         #: latency histogram and in-flight gauge.  The server renders it next
         #: to the process-global :data:`repro.obs.metrics.REGISTRY` on
@@ -427,7 +403,7 @@ class JobManager:
         refinable = update = None
         if hit is None and family == "adaptive-sampling":
             refinable = self.cache.find_refinable(checksum, seed=request.seed, **bounds)
-            if refinable is None and self._worker.estimator is None:
+            if refinable is None and self._estimator is None:
                 update = self._find_update(checksum, request)
         return str(path), checksum, hit, refinable, update
 
@@ -443,30 +419,24 @@ class JobManager:
         if self._quota.unlimited:
             return
         queued = self.store.live_count(tenant, "queued")
-        if self._quota.max_queued is not None and queued >= self._quota.max_queued:
-            self._count("quota_rejected")
-            raise QuotaExceeded(
-                f"tenant {tenant!r} has {queued} queued jobs"
-                f" (max_queued={self._quota.max_queued}); retry later",
-                tenant=tenant,
-                limit=self._quota.max_queued,
-                current=queued,
-            )
+        limits = [("max_queued", self._quota.max_queued, queued, "queued jobs")]
         if self._quota.max_inflight is not None:
             live = queued + self.store.live_count(tenant, "running")
-            if live >= self._quota.max_inflight:
+            limits.append(("max_inflight", self._quota.max_inflight, live, "jobs in flight"))
+        for name, limit, current, what in limits:
+            if limit is not None and current >= limit:
                 self._count("quota_rejected")
                 raise QuotaExceeded(
-                    f"tenant {tenant!r} has {live} jobs in flight"
-                    f" (max_inflight={self._quota.max_inflight}); retry later",
+                    f"tenant {tenant!r} has {current} {what} ({name}={limit}); retry later",
                     tenant=tenant,
-                    limit=self._quota.max_inflight,
-                    current=live,
+                    limit=limit,
+                    current=current,
                 )
 
     async def submit(self, request: QueryRequest) -> SubmitOutcome:
         """Decide how a request is served: cache, an existing job, or a new one."""
         self._loop = asyncio.get_running_loop()
+        self.start_workers()
         self._count("queries")
         graph_path, checksum, hit, refinable, update = await self._loop.run_in_executor(
             None, self._probe, request
@@ -490,7 +460,8 @@ class JobManager:
         if existing is not None:
             existing.num_waiters += 1
             self._count("deduplicated")
-            return SubmitOutcome(checksum=checksum, deduplicated=True, job=existing)
+            status = self.store.get_by_rowid(existing.store_id).status
+            return SubmitOutcome(checksum, deduplicated=True, job=existing, status=status)
 
         # New work for this process: admission control, then the atomic
         # enqueue.  Both are synchronous (see _admit) — no awaits until the
@@ -524,12 +495,10 @@ class JobManager:
             self._count("cache_updates")
         if not created:
             self._count("deduplicated")
-        # A row another coordinator already owns (dedup across processes) is
-        # watched, like every row under external dispatch.
-        job = self._track(record, run_here=created and self._dispatch == "pool")
-        return SubmitOutcome(checksum=checksum, job=job)
+        job = self._track(record)
+        return SubmitOutcome(checksum=checksum, job=job, status=record.status)
 
-    def _track(self, record: JobRecord, *, run_here: bool, num_waiters: int = 1) -> Job:
+    def _track(self, record: JobRecord, *, num_waiters: int = 1) -> Job:
         """Register a live store row in this process and drive it to its end."""
         job = Job(
             id=record.job_id,
@@ -545,7 +514,8 @@ class JobManager:
         )
         self._inflight[job.key] = job
         self._inflight_gauge.set(len(self._inflight))
-        asyncio.ensure_future(self._drive(job, run_here))
+        self._listen()
+        asyncio.ensure_future(self._drive(job))
         return job
 
     # ------------------------------------------------------------------ #
@@ -578,32 +548,48 @@ class JobManager:
         entry, snapshot_path = found
         return parent_checksum, entry, str(snapshot_path), graph_delta.as_dict()
 
-    def _ensure_workers(self):
-        if self._executor is not None:
-            return self._executor
+    def start_workers(self) -> None:
+        """Start the local workers once (none under external dispatch).  The
+        service starts them (in :meth:`resume_pending`) before it binds, so
+        no fork inherits its sockets."""
+        if self._dispatch == "pool" and not self._workers:
+            if self._worker_mode == "process":
+                from repro.kernels import compiled
+
+                compiled.load()  # before the first fork: the workers inherit it
+            self._workers = [self._start_worker() for _ in range(self._max_workers)]
+
+    def _start_worker(self) -> Tuple[object, Callable[[], None]]:
+        """One local worker running :meth:`StoreWorker.run`, and its stop callable."""
         if self._worker_mode == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.kernels import compiled
-
-            compiled.load()  # before the first fork: pool workers inherit the library
-            options = {
-                "worker_id": self.worker_id,
-                "lease_seconds": self._lease_seconds,
-                "resources": self._worker.resources,
-            }
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_pool_init,
-                initargs=(self.store.path, self.cache.cache_dir, options),
+            # Fork, not spawn: a spawned interpreter re-imports numpy and the
+            # package (~0.7 s); a fork costs milliseconds.
+            process = multiprocessing.get_context("fork").Process(
+                target=_local_worker,
+                args=(self.store.path, self.cache.cache_dir, self._options),
+                daemon=True,
             )
-        else:
-            from concurrent.futures import ThreadPoolExecutor
+            process.start()
+            return process, process.terminate
+        worker_id = default_worker_id("local")
+        worker = StoreWorker(
+            self.store, cache=self.cache, worker_id=worker_id, estimator=self._estimator, **self._options
+        )
+        thread = threading.Thread(target=worker.run, name="repro-service-worker", daemon=True)
+        thread.start()
+        return thread, worker.stop
 
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._max_workers, thread_name_prefix="repro-service-worker"
-            )
-        return self._executor
+    def _listen(self) -> None:
+        """Have each ring of this coordinator's doorbell wake the job loops."""
+        if self._bell is None or self._rung.get_loop() is not self._loop:
+            self._bell = self._bell or Doorbell(self.store)
+            self._rung = self._loop.create_future()
+            self._loop.add_reader(self._bell.socket, self._on_ring)
+
+    def _on_ring(self) -> None:
+        self._bell.wait(0)  # discard the rings that arrived
+        rung, self._rung = self._rung, self._rung.get_loop().create_future()
+        rung.set_result(None)
 
     def _settle(self, job: Job, record: Optional[JobRecord]) -> None:
         """Finish a job from its terminal store row — the one way a job ends."""
@@ -613,13 +599,20 @@ class JobManager:
         error = None
         if record is None:
             error = "RuntimeError: job row vanished from the store"
-        elif record.state != "done":
-            error = record.error or f"job {record.state}"
         else:
-            try:
-                result = BetweennessResult.from_json(record.result)
-            except Exception as exc:  # noqa: BLE001 - corrupt row payload
-                error = f"{type(exc).__name__}: {exc}"
+            if record.metrics:
+                # A worker process's kernel counters (samples, batches) for
+                # this job; thread workers counted into this registry directly.
+                obs_metrics.REGISTRY.merge(record.metrics)
+            if any(event.get("phase") == "cache-write-failed" for event in record.progress):
+                self._count("cache_write_failures")
+            if record.state != "done":
+                error = record.error or f"job {record.state}"
+            else:
+                try:
+                    result = BetweennessResult.from_json(record.result)
+                except Exception as exc:  # noqa: BLE001 - corrupt row payload
+                    error = f"{type(exc).__name__}: {exc}"
         if error is not None:
             self._count("failed")
             if not job.future.cancelled():
@@ -634,99 +627,47 @@ class JobManager:
         if not job.future.cancelled():
             job.future.set_result(result)
 
-    async def _drive(self, job: Job, run_here: bool) -> None:
-        """The one loop per job: read the row, act on it, until it settles.
-
-        A terminal row settles the job.  A queued row this coordinator runs
-        (pool dispatch) goes to the pool, whose worker claims it by id and
-        finishes it in the store — queued again afterwards means its lease
-        was lost mid-run, so it goes back.  Anything else (a row for external
-        workers, or one somebody else holds) is watched; the watcher is also
-        the janitor, so a coordinator with no workers of its own still
-        recovers crashed workers' jobs for the survivors.
+    async def _drive(self, job: Job) -> None:
+        """The one loop per job: read the row, at each doorbell ring or
+        ``poll_seconds``, until it settles.  The loops are also the janitor,
+        so even a coordinator without workers recovers crashed workers' jobs.
         """
         loop = asyncio.get_running_loop()
         while True:
+            # No await between this read and the wait: no ring falls between.
             record = self.store.get_by_rowid(job.store_id)
             if record is None or record.state in FINISHED_STATES:
                 return self._settle(job, record)
-            if run_here and record.state == "queued":
-                await self._execute(job)
+            if loop.time() >= self._janitor_due:
+                self._janitor_due = loop.time() + self._poll_seconds
+                await self._janitor()
                 continue
-            await loop.run_in_executor(None, self.store.requeue_expired)
-            await asyncio.sleep(self._poll_seconds)
+            try:
+                await asyncio.wait_for(asyncio.shield(self._rung), self._poll_seconds)
+            except asyncio.TimeoutError:
+                pass
 
-    async def _execute(self, job: Job) -> None:
-        """Run one attempt of our row on the pool."""
-        executor = self._ensure_workers()
-        if self._worker_mode == "process":
-            call = functools.partial(
-                _pool_execute, job.store_id, obs_metrics.metrics_enabled()
-            )
-        else:
-
-            def call():  # pool threads count into this process's registry
-                return self._worker.execute(job.store_id), None
-
-        try:
-            outcome, worker_metrics = await asyncio.get_running_loop().run_in_executor(
-                executor, call
-            )
-        except Exception as exc:  # noqa: BLE001 - the pool itself broke
-            # No worker will finish this row: fail it if a dead pool process
-            # held it, else take it out of the queue — left queued it would
-            # go straight back to the broken pool.
-            error = f"{type(exc).__name__}: {exc}"
-            if not self.store.fail(job.store_id, self.worker_id, error):
-                self.store.cancel(job.store_id)
-            return
-        if worker_metrics:
-            # Fold the worker's kernel counters (samples/batches) into this
-            # process's global registry — it is what /metrics renders;
-            # worker registries die with their processes.
-            obs_metrics.REGISTRY.merge(worker_metrics)
-        if outcome is not None and outcome[1] is not None:  # (completed, cache_error)
-            self._count("cache_write_failures")
+    async def _janitor(self) -> None:
+        """Re-fork dead local workers; requeue dead workers' rows."""
+        for index, (worker, _stop) in enumerate(self._workers):
+            if not worker.is_alive():  # reaps a dead process: its pid reads dead
+                self._workers[index] = self._start_worker()
+        await asyncio.get_running_loop().run_in_executor(None, self.store.requeue_expired)
 
     # ------------------------------------------------------------------ #
     # Recovery
     # ------------------------------------------------------------------ #
-    def _requeue_dead_local(self) -> int:
-        """Re-queue rows claimed by pool coordinators that died on this host.
-
-        Pool claims encode ``pool:<host>:<pid>``; a row whose owner names
-        this host but a dead pid will otherwise sit until its lease expires.
-        Returns how many rows were released.
-        """
-        released = 0
-        host = socket.gethostname()
-        for record in self.store.list(states=("running",)):
-            owner = record.lease_owner or ""
-            parts = owner.split(":")
-            if len(parts) < 3 or parts[0] != "pool" or parts[1] != host:
-                continue
-            try:
-                pid = int(parts[2])
-            except ValueError:
-                continue
-            if pid == os.getpid() or _pid_alive(pid):
-                continue
-            released += self.store.release(record.id, owner)
-        return released
-
     async def resume_pending(self) -> int:
         """Adopt jobs a previous (crashed/restarted) process left behind.
 
-        Re-queues expired leases and dead local pool claims, then dispatches
-        every queued row this process is not already tracking: pool dispatch
-        re-runs them here, external dispatch watches them for the workers.
-        Recovered jobs have ``num_waiters == 0`` — their original clients are
-        gone — but their results still land in the store and the cache.
-        Returns how many jobs were adopted.
+        Re-queues expired leases and dead workers' claims, tracks every
+        queued row this process is not already tracking, then starts the
+        local workers.  Recovered jobs have ``num_waiters == 0`` — their
+        original clients are gone — but their results still land in the store
+        and the cache.  Returns how many jobs were adopted.
         """
         self._loop = asyncio.get_running_loop()
         self.store.requeue_expired()
-        self._requeue_dead_local()
         tracked = {job.store_id for job in self._inflight.values()}
         adopted = 0
         for record in self.store.list(states=("queued",)):
@@ -736,8 +677,9 @@ class JobManager:
                 QueryRequest.from_dict(record.request)
             except Exception:  # noqa: BLE001 - unparseable legacy row
                 continue
-            self._track(record, run_here=self._dispatch == "pool", num_waiters=0)
+            self._track(record, num_waiters=0)
             adopted += 1
+        self.start_workers()
         return adopted
 
     # ------------------------------------------------------------------ #
@@ -769,18 +711,21 @@ class JobManager:
         }
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Stop and join the local workers, then close the store (idempotent).
+
+        A worker finishes its current job first; a process still busy after
+        :data:`_JOIN_SECONDS` is killed (the dead-pid rule hands its row on).
+        """
+        workers, self._workers = self._workers, []
+        for _worker, stop in workers:
+            stop()
+        for worker, _stop in workers:
+            worker.join(_JOIN_SECONDS)
+            if worker.is_alive() and hasattr(worker, "kill"):
+                worker.kill()
+                worker.join()
+        if self._bell is not None:
+            self._rung.get_loop().remove_reader(self._bell.socket)
+            self._bell.close()
+            self._bell = None  # job loops still pending fall back to polling
         self.store.close()
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True

@@ -22,7 +22,7 @@ request/response schemas in ``docs/serving.md``):
 
 The long-run story is the almost-asynchronous epoch design of the paper
 carried to the serving layer: a slow estimation never blocks the event loop
-(it runs in the job manager's worker pool or in external workers), and
+(it runs in the job manager's local workers or in external workers), and
 clients that did not ask to wait poll ``/v1/jobs/<id>``, seeing the progress
 events the sampler emits epoch by epoch — the worker writes them into the
 job's store row, so every job endpoint answers from the row alone.
@@ -52,10 +52,10 @@ from urllib.parse import parse_qs
 from repro.core.result import BetweennessResult
 from repro.obs import metrics as obs_metrics
 from repro.service.cache import ResultCache
-from repro.service.jobs import MAX_FINISHED_JOBS, JobManager, TenantQuota
+from repro.service.jobs import MAX_FINISHED_JOBS, JobManager
 from repro.service.schema import QueryRequest, SchemaError, result_payload
 from repro.service.store import FINISHED_STATES, LIVE_STATES, QuotaExceeded
-from repro.store import GraphCatalog, StoreFormatError
+from repro.store import StoreFormatError
 
 __all__ = ["BetweennessService", "run_server"]
 
@@ -131,7 +131,7 @@ _KNOWN_ENDPOINTS = (
 def _hang_up(writer: asyncio.StreamWriter) -> None:
     """Close a connection so that the client sees EOF.
 
-    The socket is shut down before it is closed: a process-pool worker forked
+    The socket is shut down before it is closed: a local worker re-forked
     while the connection was open holds a copy of its descriptor, and closing
     only ours would send no FIN, so the client's next request on the
     connection would wait for an answer that never comes.  A shutdown drops
@@ -159,10 +159,11 @@ class BetweennessService:
     """The query service: one :class:`JobManager` behind an asyncio socket.
 
     Construction is cheap and does not bind the port; :meth:`start` does.
-    Keyword arguments mirror :class:`~repro.service.jobs.JobManager` (cache,
-    catalog, resources, worker pool) plus ``host``/``port`` (``port=0`` binds
-    an ephemeral port, reported via :attr:`port` — how tests and the smoke
-    script avoid collisions).
+    Keyword arguments are :class:`~repro.service.jobs.JobManager`'s (cache,
+    catalog, store, dispatch, quota, resources, local workers), plus
+    ``cache_dir`` (a :class:`ResultCache` there) and ``host``/``port``
+    (``port=0`` binds an ephemeral port, reported via :attr:`port` — how
+    tests and the smoke script avoid collisions).
     """
 
     def __init__(
@@ -172,32 +173,13 @@ class BetweennessService:
         port: int = 8321,
         cache: Optional[ResultCache] = None,
         cache_dir=None,
-        catalog: Optional[GraphCatalog] = None,
-        store=None,
-        dispatch: str = "pool",
-        quota: Optional[TenantQuota] = None,
-        resources=None,
-        worker_mode: str = "process",
-        max_workers: int = 1,
-        estimator=None,
         **manager_kwargs,
     ) -> None:
         self.host = host
         self.port = port
         if cache is None:
             cache = ResultCache(cache_dir) if cache_dir is not None else ResultCache()
-        self.jobs = JobManager(
-            cache=cache,
-            catalog=catalog,
-            store=store,
-            dispatch=dispatch,
-            quota=quota,
-            resources=resources,
-            worker_mode=worker_mode,
-            max_workers=max_workers,
-            estimator=estimator,
-            **manager_kwargs,
-        )
+        self.jobs = JobManager(cache=cache, **manager_kwargs)
         self._server: Optional[asyncio.AbstractServer] = None
         self._http_seconds = self.jobs.metrics.histogram(
             "repro_http_request_duration_seconds",
@@ -230,15 +212,16 @@ class BetweennessService:
         exposes ``/metrics`` wants the kernel counters behind it, and the
         ~ns-per-batch cost is noise next to socket handling.
 
-        Binding also runs crash recovery: jobs a previous coordinator left
-        queued (or holding an expired/dead-pid lease) in the durable store
-        are adopted and re-dispatched before the first request lands.
+        Crash recovery runs first: jobs a previous coordinator left queued
+        (or holding an expired/dead-pid lease) in the durable store are
+        adopted, and the local workers are forked — before the socket is
+        bound, so none of them holds a copy of it.
         """
         obs_metrics.enable_metrics()
         self._stopping = False
+        await self.jobs.resume_pending()
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        await self.jobs.resume_pending()
 
     async def serve_forever(self) -> None:
         """Serve until cancelled; the caller then calls :meth:`stop`.
@@ -493,19 +476,13 @@ class BetweennessService:
     def _backends_payload() -> dict:
         from repro.api import list_backends
 
+        fields = (
+            "name", "exact", "supports_threads", "supports_processes",
+            "supports_refinement", "supports_updates", "cost_hint", "description",
+        )
         return {
             "backends": [
-                {
-                    "name": spec.name,
-                    "exact": spec.exact,
-                    "supports_threads": spec.supports_threads,
-                    "supports_processes": spec.supports_processes,
-                    "supports_refinement": spec.supports_refinement,
-                    "supports_updates": spec.supports_updates,
-                    "cost_hint": spec.cost_hint,
-                    "description": spec.description,
-                }
-                for spec in list_backends()
+                {field: getattr(spec, field) for field in fields} for spec in list_backends()
             ]
         }
 
@@ -543,7 +520,7 @@ class BetweennessService:
         job = outcome.job
         if not request.wait:
             return 202, {
-                "status": self.jobs.store.get_by_rowid(job.store_id).status,
+                "status": outcome.status,
                 "served_from_cache": False,
                 "deduplicated": outcome.deduplicated,
                 "graph_checksum": outcome.checksum,
@@ -620,48 +597,26 @@ class BetweennessService:
         return 200, {"evicted": removed}
 
 
-def run_server(
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8321,
-    cache_dir=None,
-    store=None,
-    dispatch: str = "pool",
-    quota: Optional[TenantQuota] = None,
-    worker_mode: str = "process",
-    max_workers: int = 1,
-    resources=None,
-    announce=print,
-) -> None:
+def run_server(*, announce=print, **service_kwargs) -> None:
     """Blocking entry point used by ``repro-betweenness serve``.
 
-    Runs until interrupted (Ctrl-C); ``announce`` receives one line with the
-    bound address once the socket is listening.  ``dispatch="external"``
-    turns this process into a pure coordinator: it enqueues into ``store``
-    and separate ``python -m repro.service.worker`` processes do the
-    sampling.
+    Runs a :class:`BetweennessService` built from ``service_kwargs`` until
+    interrupted (Ctrl-C); ``announce`` receives one line with the bound
+    address once the socket is listening.  ``dispatch="external"`` turns
+    this process into a pure coordinator: it enqueues into ``store`` and
+    separate ``python -m repro.service.worker`` processes do the sampling.
     """
 
     async def _main() -> None:
-        service = BetweennessService(
-            host=host,
-            port=port,
-            cache_dir=cache_dir,
-            store=store,
-            dispatch=dispatch,
-            quota=quota,
-            worker_mode=worker_mode,
-            max_workers=max_workers,
-            resources=resources,
-        )
+        service = BetweennessService(**service_kwargs)
         await service.start()
+        stats = service.jobs.stats()
         announce(
             f"repro betweenness service listening on "
             f"http://{service.host}:{service.port} "
-            f"(dispatch={dispatch}, worker_mode={worker_mode}, "
-            f"max_workers={max_workers}, "
-            f"store: {service.jobs.store.path}, "
-            f"result cache: {service.jobs.cache.cache_dir})"
+            f"(dispatch={stats['dispatch']}, worker_mode={stats['worker_mode']}, "
+            f"max_workers={stats['max_workers']}, "
+            f"store: {stats['store_path']}, result cache: {stats['cache_dir']})"
         )
         try:
             await service.serve_forever()

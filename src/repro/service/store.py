@@ -1,9 +1,5 @@
 """Durable SQLite-backed job store: queries survive the process that took them.
 
-The :class:`~repro.service.jobs.JobManager` of PR 4 kept every job in one
-asyncio process — a crash lost the queue, and a single hot tenant could fill
-the worker pool for everyone.  :class:`JobStore` moves the queue onto disk:
-
 * **One SQLite file, WAL mode.**  Any number of coordinator and worker
   *processes* (or hosts sharing a filesystem that supports POSIX locks) open
   the same store; SQLite's locking plus ``BEGIN IMMEDIATE`` claim
@@ -19,7 +15,9 @@ the worker pool for everyone.  :class:`JobStore` moves the queue onto disk:
   lease deadline; while it computes it keeps extending the lease
   (:meth:`JobStore.heartbeat`).  A SIGKILLed worker stops heartbeating, the
   lease expires, and :meth:`JobStore.requeue_expired` flips the job back to
-  ``queued`` for the next worker — no job is ever lost to a crash.
+  ``queued`` for the next worker — no job is ever lost to a crash.  An owner
+  on this host whose pid is dead (:func:`default_worker_id` encodes host and
+  pid) counts as expired at once, so a killed local worker costs no lease.
   Completion and failure are guarded by the owner id, so a worker that lost
   its lease (it stalled past the deadline and someone else took over) cannot
   clobber the successor's result.
@@ -28,22 +26,25 @@ the worker pool for everyone.  :class:`JobStore` moves the queue onto disk:
   ``attempts`` counter survives).  Jobs that crash workers repeatedly are
   poisoned into ``failed`` once ``attempts`` reaches the requeue cap, so one
   bad request cannot live-lock the fleet.
+* **Doorbells.**  After every commit that changes a row's state (enqueue,
+  complete, fail, requeue, cancel) the store sends a datagram to each
+  :class:`Doorbell` registered on this host, so idle workers and the
+  coordinator re-read rows at once.  A ring carries nothing (the rows stay
+  the only source of truth); polling remains the fallback across hosts.
 
 The store holds the *request*, the running attempt's progress events (written
-by the worker's heartbeat thread) and, once finished, the full result JSON —
-the row alone can answer a poll after every process restarts.  Results are also
-persisted to the dominance-aware :class:`~repro.service.cache.ResultCache` by
-whoever completes the job, so the cache tier stays the fast path.
-
-Fault-injection tests in ``tests/test_service_durability.py`` drive all of
-this with real SIGKILLed worker processes; ``scripts/load_smoke.py`` gates
-multi-worker throughput in CI.
+by the worker's heartbeat thread), the kernel counters a worker process
+counted for the job and, once finished, the full result JSON — the row alone
+can answer a poll after every process restarts.  Results are also persisted
+to the :class:`~repro.service.cache.ResultCache` by whoever completes the job.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import select
 import socket
 import sqlite3
 import threading
@@ -59,6 +60,7 @@ __all__ = [
     "STATES",
     "LIVE_STATES",
     "FINISHED_STATES",
+    "Doorbell",
     "default_worker_id",
 ]
 
@@ -104,18 +106,26 @@ CREATE TABLE IF NOT EXISTS jobs (
     result         TEXT,
     error          TEXT,
     progress       TEXT NOT NULL DEFAULT '[]',
-    num_events     INTEGER NOT NULL DEFAULT 0
+    num_events     INTEGER NOT NULL DEFAULT 0,
+    metrics        TEXT
 );
 CREATE UNIQUE INDEX IF NOT EXISTS jobs_live_key
     ON jobs(key) WHERE state IN ('queued', 'running');
 CREATE INDEX IF NOT EXISTS jobs_state ON jobs(state, created_at, id);
 CREATE INDEX IF NOT EXISTS jobs_tenant ON jobs(tenant, state);
+CREATE TABLE IF NOT EXISTS doorbells (
+    host TEXT NOT NULL,
+    port INTEGER NOT NULL,
+    pid  INTEGER NOT NULL,
+    PRIMARY KEY (host, port)
+);
 """
 
 _COLUMNS = (
     "id", "key", "tenant", "state", "request", "checksum", "graph_path",
     "kwargs", "attempts", "lease_owner", "lease_deadline", "created_at",
     "started_at", "finished_at", "result", "error", "progress", "num_events",
+    "metrics",
 )
 
 #: Columns added after the first schema, as ``ALTER TABLE`` clauses: a store
@@ -123,7 +133,10 @@ _COLUMNS = (
 _ADDED_COLUMNS = (
     "progress TEXT NOT NULL DEFAULT '[]'",
     "num_events INTEGER NOT NULL DEFAULT 0",
+    "metrics TEXT",
 )
+
+_HOST = socket.gethostname()
 
 
 class QuotaExceeded(RuntimeError):
@@ -147,7 +160,64 @@ def default_worker_id(prefix: str = "worker") -> str:
     host + pid + a monotonic-ish suffix keeps ids distinct even when pids
     recycle between a crash and its replacement.
     """
-    return f"{prefix}:{socket.gethostname()}:{os.getpid()}:{os.urandom(2).hex()}"
+    return f"{prefix}:{_HOST}:{os.getpid()}:{os.urandom(2).hex()}"
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass
+    return True
+
+
+def _owner_dead(owner: str) -> bool:
+    """Whether a :func:`default_worker_id` owner names this host and a dead pid."""
+    parts = owner.split(":")
+    return (
+        len(parts) == 4 and parts[1] == _HOST and parts[2].isdigit()
+        and not _pid_alive(int(parts[2]))
+    )
+
+
+class Doorbell:
+    """A loopback UDP socket registered in a :class:`JobStore`, which rings it
+    after every commit that changes a row's state (UDP, because an
+    ``AF_UNIX`` path under a deep temporary directory can exceed 108 bytes)."""
+
+    def __init__(self, store: "JobStore") -> None:
+        self._store = store
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.socket.bind(("127.0.0.1", 0))
+        self.port = self.socket.getsockname()[1]
+        store._conn().execute(
+            "INSERT OR REPLACE INTO doorbells VALUES (?, ?, ?)",
+            (_HOST, self.port, os.getpid()),
+        )
+
+    def wait(self, timeout: float) -> None:
+        """Return at a ring (one that came already counts) or after
+        ``timeout`` seconds, discarding every ring so far."""
+        select.select([self.socket], [], [], timeout)
+        with contextlib.suppress(OSError):  # BlockingIOError: all discarded
+            while True:
+                self.socket.recv(16, socket.MSG_DONTWAIT)
+
+    def ring(self) -> None:
+        """Wake this doorbell's own waiter (a worker asked to stop)."""
+        with contextlib.suppress(OSError):  # closed already
+            self.socket.sendto(b"\0", ("127.0.0.1", self.port))
+
+    def close(self) -> None:
+        """Unregister, then close: the port stays ours until the row is gone."""
+        try:
+            self._store._conn().execute(
+                "DELETE FROM doorbells WHERE host = ? AND port = ?", (_HOST, self.port)
+            )
+        finally:
+            self.socket.close()
 
 
 @dataclass(frozen=True)
@@ -174,6 +244,9 @@ class JobRecord:
     progress: List[Dict[str, object]]
     #: How many events the current attempt emitted (the ring keeps the tail).
     num_events: int
+    #: The kernel counters a worker process counted for the finished attempt
+    #: (a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`), else ``None``.
+    metrics: Optional[Dict[str, dict]] = None
 
     @property
     def job_id(self) -> str:
@@ -212,9 +285,8 @@ class JobRecord:
 
 def _row_to_record(row: Sequence) -> JobRecord:
     data = dict(zip(_COLUMNS, row))
-    data["request"] = json.loads(data["request"])
-    data["kwargs"] = json.loads(data["kwargs"])
-    data["progress"] = json.loads(data["progress"])
+    for column in ("request", "kwargs", "progress", "metrics"):
+        data[column] = json.loads(data[column]) if data[column] else data[column]
     return JobRecord(**data)
 
 
@@ -289,6 +361,19 @@ class JobStore:
                 self._connections.append(conn)
         return conn
 
+    @contextlib.contextmanager
+    def _immediate(self):
+        """One ``BEGIN IMMEDIATE`` transaction on this thread's connection."""
+        conn = self._conn()
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield conn
+        except BaseException:
+            with contextlib.suppress(sqlite3.Error):
+                conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
+
     def close_thread(self) -> None:
         """Close the calling thread's connection, if it opened one.
 
@@ -315,6 +400,19 @@ class JobStore:
             except sqlite3.Error:
                 pass
         self._local = threading.local()
+
+    def _ring(self, changed: int = 1) -> int:
+        """Ring every :class:`Doorbell` on this host if a write ``changed`` a
+        row's state; returns ``changed``."""
+        if changed:
+            ports = self._conn().execute(
+                "SELECT port FROM doorbells WHERE host = ?", (_HOST,)
+            ).fetchall()
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as bell:
+                for (port,) in ports:
+                    with contextlib.suppress(OSError):
+                        bell.sendto(b"\0", ("127.0.0.1", port))
+        return changed
 
     # ------------------------------------------------------------------ #
     # Enqueue / claim / heartbeat / finish
@@ -364,55 +462,39 @@ class JobStore:
             if existing is not None:
                 return existing, False
             raise
+        self._ring()
         record = self.get_by_rowid(cursor.lastrowid)
         assert record is not None
         return record, True
 
     def claim(
-        self,
-        worker_id: str,
-        *,
-        job_id: Optional[int] = None,
-        lease_seconds: Optional[float] = None,
+        self, worker_id: str, *, lease_seconds: Optional[float] = None
     ) -> Optional[JobRecord]:
-        """Atomically take the oldest queued job (or ``job_id`` specifically).
+        """Atomically take the oldest queued job.
 
         Sets ``state='running'``, stamps ``worker_id`` as the lease owner,
-        bumps ``attempts``, empties the progress columns for the new attempt,
-        and returns the claimed record — or ``None`` when nothing is queued
-        (or the requested job is no longer claimable).
+        bumps ``attempts``, empties the progress and metrics columns for the
+        new attempt, and returns the claimed record — or ``None`` when nothing
+        is queued.
         """
         lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
-        conn = self._conn()
         now = self.clock()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            if job_id is not None:
-                row = conn.execute(
-                    "SELECT id FROM jobs WHERE id = ? AND state = 'queued'", (job_id,)
-                ).fetchone()
-            else:
-                row = conn.execute(
-                    "SELECT id FROM jobs WHERE state = 'queued'"
-                    " ORDER BY created_at, id LIMIT 1"
-                ).fetchone()
+        if not self._conn().execute("SELECT 1 FROM jobs WHERE state = 'queued'").fetchone():
+            return None  # a miss takes no write lock: idle workers woken at once stay out of the way
+        with self._immediate() as conn:
+            row = conn.execute(
+                "SELECT id FROM jobs WHERE state = 'queued'"
+                " ORDER BY created_at, id LIMIT 1"
+            ).fetchone()
             if row is None:
-                conn.execute("ROLLBACK")
                 return None
             conn.execute(
                 "UPDATE jobs SET state='running', lease_owner=?, lease_deadline=?,"
                 " attempts=attempts+1, started_at=COALESCE(started_at, ?),"
-                " progress='[]', num_events=0"
+                " progress='[]', num_events=0, metrics=NULL"
                 " WHERE id=?",
                 (worker_id, now + lease, now, row[0]),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.Error:
-                pass
-            raise
         return self.get_by_rowid(row[0])
 
     def heartbeat(
@@ -445,15 +527,19 @@ class JobStore:
         worker_id: str,
         result_json: str,
         progress: Optional[Progress] = None,
+        metrics: Optional[Dict[str, dict]] = None,
     ) -> bool:
         """Mark a claimed job ``done``, storing the full result JSON (and the
-        final ``progress``, as in :meth:`heartbeat`).
+        final ``progress``, as in :meth:`heartbeat`, and the worker process's
+        kernel ``metrics`` for the job, if it ships them).
 
         Guarded by the lease owner: a worker that lost its lease cannot
         overwrite whatever the successor produced.  Returns whether the
         completion was accepted.
         """
-        return self._finish(job_id, worker_id, "done", result_json, None, progress)
+        return self._finish(
+            job_id, worker_id, "done", result_json, None, progress, metrics
+        )
 
     def fail(
         self,
@@ -461,32 +547,24 @@ class JobStore:
         worker_id: str,
         error: str,
         progress: Optional[Progress] = None,
+        metrics: Optional[Dict[str, dict]] = None,
     ) -> bool:
         """Mark a claimed job ``failed`` (estimation raised; deterministic
         errors would fail again, so there is no automatic retry — crashes are
         retried via lease expiry instead)."""
-        return self._finish(job_id, worker_id, "failed", None, error, progress)
+        return self._finish(job_id, worker_id, "failed", None, error, progress, metrics)
 
-    def _finish(self, job_id, worker_id, state, result_json, error, progress) -> bool:
+    def _finish(self, job_id, worker_id, state, result_json, error, progress, metrics) -> bool:
         cursor = self._conn().execute(
             "UPDATE jobs SET state=?, result=?, error=?, finished_at=?,"
             " lease_owner=NULL, lease_deadline=NULL,"
-            " progress=COALESCE(?, progress), num_events=COALESCE(?, num_events)"
+            " progress=COALESCE(?, progress), num_events=COALESCE(?, num_events),"
+            " metrics=?"
             " WHERE id=? AND lease_owner=? AND state='running'",
             (state, result_json, error, self.clock(), *_progress_params(progress),
-             job_id, worker_id),
+             None if metrics is None else json.dumps(metrics), job_id, worker_id),
         )
-        return cursor.rowcount == 1
-
-    def release(self, job_id: int, worker_id: str) -> bool:
-        """Re-queue a job whose owner is known to be dead, without waiting out
-        its lease; owner-guarded like :meth:`complete`."""
-        cursor = self._conn().execute(
-            "UPDATE jobs SET state='queued', lease_owner=NULL, lease_deadline=NULL"
-            " WHERE id=? AND lease_owner=?",
-            (job_id, worker_id),
-        )
-        return cursor.rowcount == 1
+        return self._ring(cursor.rowcount) == 1
 
     def cancel(self, job_id: int) -> bool:
         """Cancel a job that has not started; running jobs cannot be recalled
@@ -496,44 +574,49 @@ class JobStore:
             " WHERE id=? AND state='queued'",
             (self.clock(), job_id),
         )
-        return cursor.rowcount == 1
+        return self._ring(cursor.rowcount) == 1
 
     def requeue_expired(
         self, *, max_attempts: int = DEFAULT_MAX_ATTEMPTS
     ) -> Tuple[int, int]:
         """Crash recovery: flip expired-lease running jobs back to ``queued``.
 
-        Jobs already claimed ``max_attempts`` times are poisoned into
-        ``failed`` instead (every claim bumped ``attempts``, so repeated
-        worker deaths converge).  Returns ``(requeued, poisoned)``.  Every
-        worker and coordinator calls this in its poll loop — recovery needs
+        A lease has expired when its deadline passed or its owner is a dead
+        process on this host (one dead-pid rule, for local and external
+        workers alike; dead processes' doorbells are dropped too).  Jobs
+        claimed ``max_attempts`` times are poisoned into ``failed`` instead,
+        so repeated worker deaths converge.  Returns ``(requeued, poisoned)``.
+        Every worker and coordinator calls this in its loop — recovery needs
         any *one* survivor, not a dedicated janitor.
         """
-        conn = self._conn()
-        now = self.clock()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        now, conn = self.clock(), self._conn()
+        # Read first: a pass with nothing to do takes no write lock.
+        leases = conn.execute(
+            "SELECT lease_owner, lease_deadline < ? FROM jobs WHERE state='running'", (now,)
+        ).fetchall()
+        dead = sorted({owner for owner, _ in leases if owner and _owner_dead(owner)})
+        pids = conn.execute("SELECT pid FROM doorbells WHERE host = ?", (_HOST,)).fetchall()
+        gone = [(_HOST, pid) for (pid,) in pids if not _pid_alive(pid)]
+        if not (dead or gone or any(expired for _, expired in leases)):
+            return 0, 0
+        expired = "state='running' AND (lease_deadline < ? OR lease_owner IN ({}))"
+        expired = expired.format(",".join("?" * len(dead)))
+        with self._immediate() as conn:
             poisoned = conn.execute(
                 "UPDATE jobs SET state='failed', finished_at=?,"
                 " error=COALESCE(error, 'lease expired after ' || attempts ||"
                 " ' attempts (worker crash loop?)'),"
                 " lease_owner=NULL, lease_deadline=NULL"
-                " WHERE state='running' AND lease_deadline < ? AND attempts >= ?",
-                (now, now, max_attempts),
+                f" WHERE {expired} AND attempts >= ?",
+                (now, now, *dead, max_attempts),
             ).rowcount
             requeued = conn.execute(
                 "UPDATE jobs SET state='queued', lease_owner=NULL,"
-                " lease_deadline=NULL"
-                " WHERE state='running' AND lease_deadline < ?",
-                (now,),
+                f" lease_deadline=NULL WHERE {expired}",
+                (now, *dead),
             ).rowcount
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.Error:
-                pass
-            raise
+            conn.executemany("DELETE FROM doorbells WHERE host = ? AND pid = ?", gone)
+        self._ring(requeued + poisoned)
         return requeued, poisoned
 
     # ------------------------------------------------------------------ #
@@ -549,12 +632,10 @@ class JobStore:
     def get(self, job_id: Union[int, str]) -> Optional[JobRecord]:
         """Look a job up by row id or external ``job-<row>`` id."""
         if isinstance(job_id, str):
-            if not job_id.startswith("job-"):
+            prefix, _, number = job_id.partition("job-")
+            if prefix or not number.isdigit():
                 return None
-            try:
-                job_id = int(job_id[len("job-"):])
-            except ValueError:
-                return None
+            job_id = int(number)
         return self.get_by_rowid(job_id)
 
     def list(

@@ -1,45 +1,42 @@
-"""The one job executor: a claimed store row in, a finished row out.
+"""The one way a job runs: a worker's claim loop over the durable store.
 
-:class:`StoreWorker` is the only code in the service that turns a claimed
-:class:`~repro.service.store.JobStore` row into a finished one: keep the
-lease alive from a heartbeat thread, build the estimator's arguments from the
-row, run the one ``estimate_betweenness`` call of ``repro.service``, persist
-the result to the shared :class:`~repro.service.cache.ResultCache` (with a
-session checkpoint, so the cache entry is refinable), and mark the row
-``done`` or ``failed`` under the owner guard.  :meth:`StoreWorker.execute`
-does that for one row; two callers reach it:
+:meth:`StoreWorker.run` is the only code in the service that claims a
+:class:`~repro.service.store.JobStore` row and finishes it: claim the oldest
+queued row, keep the lease alive from a heartbeat thread, run the one
+``estimate_betweenness`` call of ``repro.service`` with arguments from the
+row, persist the result to the shared
+:class:`~repro.service.cache.ResultCache` (with a session checkpoint, so the
+entry is refinable), and mark the row ``done`` or ``failed`` under the owner
+guard.  Idle, it waits on a store :class:`~repro.service.store.Doorbell`
+(``poll_seconds`` at most).  Every worker runs this loop — standalone
+processes (scaling out is starting more of them)::
 
-* :meth:`StoreWorker.run`, the pull loop of a standalone worker process.
-  Workers are stateless — all coordination is rows in the store — so scaling
-  out is starting more processes::
+    python -m repro.service.worker --store /path/to/jobs.sqlite3 &
 
-      python -m repro.service.worker --store /path/to/jobs.sqlite3 &
-      python -m repro.service.worker --store /path/to/jobs.sqlite3 &
+and a coordinator's local workers (:mod:`repro.service.jobs`): forked
+processes running :func:`serve` as a standalone worker does, or threads.
 
-* the coordinator's worker pool (``dispatch="pool"``,
-  :mod:`repro.service.jobs`), which claims each row *by id*: one
-  ``StoreWorker`` per pool process, or the coordinator's own instance on its
-  pool threads.
-
-Progress reaches pollers the same way in every mode: the estimator's events
-go into the attempt's ring (the newest :data:`MAX_EVENTS` plus a total
-count), and the job's heartbeat thread — woken by each event — writes the
-ring into the row with the lease extension; ``complete``/``fail`` write the
-final ring.  The sampling thread only appends; it never waits on SQLite.
+The estimator's progress events go into the attempt's ring (the newest
+:data:`MAX_EVENTS` plus a total count); the job's heartbeat thread, woken by
+each event, writes the ring into the row with the lease extension, and
+``complete``/``fail`` write the final ring — the sampling thread never waits
+on SQLite.  A worker that is its process's only one (:func:`serve`) also
+writes the job's kernel counters into the row, for the coordinator's
+``/metrics``.
 
 Crash safety falls out of the lease protocol: a SIGKILLed worker stops
-heartbeating, its lease expires, and any survivor's ``requeue_expired`` poll
-hands the job to someone else.  Because estimations are deterministic in the
-request's seed, the replacement run is bit-identical to what the dead worker
-would have produced (``tests/test_service_durability.py``) — and a worker
-that merely *stalled* past its lease needs one rule: finish, persist (a
-second cache write of the same bytes is idempotent) and let the owner-guarded
-``complete`` decide whose row it is.
+heartbeating, its lease expires (at once on the survivor's host: its pid is
+dead), and any survivor's ``requeue_expired`` hands the job on.  Estimations
+are deterministic in the request's seed, so the replacement run is
+bit-identical (``tests/test_service_durability.py``); a worker that merely
+*stalled* past its lease finishes, persists (a second cache write of the
+same bytes is idempotent) and lets the owner-guarded ``complete`` decide
+whose row it is.
 
 Fault injection: ``hold_seconds`` (CLI ``--hold-seconds``, env
 ``$REPRO_WORKER_HOLD_SECONDS``) makes the worker sleep *after claiming* a job
 while heartbeats keep the lease alive — a deterministic window for tests to
-SIGKILL it mid-job.  It exists only for the durability harness.
+SIGKILL it mid-job.
 """
 
 from __future__ import annotations
@@ -53,12 +50,13 @@ import time
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
+from repro.obs import metrics as obs_metrics
 from repro.service.cache import ResultCache
 from repro.service.schema import QueryRequest
-from repro.service.store import JobRecord, JobStore, default_worker_id
+from repro.service.store import Doorbell, JobRecord, JobStore, default_worker_id
 from repro.store.format import unique_tmp_path
 
-__all__ = ["MAX_EVENTS", "StoreWorker", "main"]
+__all__ = ["MAX_EVENTS", "StoreWorker", "main", "serve"]
 
 _HOLD_ENV = "REPRO_WORKER_HOLD_SECONDS"
 
@@ -117,6 +115,10 @@ class StoreWorker:
         never asked for a session checkpoint.
     """
 
+    #: Set by :func:`serve`: the process-global metrics registry counts this
+    #: worker's jobs alone, so each job's counters can travel in its row.
+    ships_metrics = False
+
     def __init__(
         self,
         store,
@@ -143,10 +145,14 @@ class StoreWorker:
         self.jobs_done = 0
         self.jobs_failed = 0
         self._stop = threading.Event()
+        self._bell = None
 
     def stop(self) -> None:
-        """Ask the pull loop to exit after the current job."""
+        """Ask the pull loop to exit after the current job (safe from a signal handler)."""
         self._stop.set()
+        bell = self._bell  # run() may drop it meanwhile
+        if bell is not None:
+            bell.ring()
 
     # ------------------------------------------------------------------ #
     def run(
@@ -162,43 +168,50 @@ class StoreWorker:
         stays empty that long (CI harnesses that should not hang forever).
         """
         idle_since: Optional[float] = None
-        while not self._stop.is_set():
-            if max_jobs is not None and self.jobs_done + self.jobs_failed >= max_jobs:
-                break
-            self.store.requeue_expired()
-            outcome = self.execute()
-            if outcome is None:
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif (
-                    max_idle_seconds is not None
-                    and now - idle_since >= max_idle_seconds
-                ):
+        # Registered before the first claim: no ring falls between a miss and its wait.
+        self._bell = Doorbell(self.store)
+        try:
+            while not self._stop.is_set():
+                if max_jobs is not None and self.jobs_done + self.jobs_failed >= max_jobs:
                     break
-                self._stop.wait(self.poll_seconds)
-                continue
-            idle_since = None
-            if outcome[0]:
-                self.jobs_done += 1
-            else:
-                self.jobs_failed += 1
+                self.store.requeue_expired()
+                record = self.store.claim(self.worker_id, lease_seconds=self.lease_seconds)
+                if record is None:
+                    now = time.monotonic()
+                    if idle_since is None:
+                        idle_since = now
+                    elif (
+                        max_idle_seconds is not None
+                        and now - idle_since >= max_idle_seconds
+                    ):
+                        break
+                    self._bell.wait(self.poll_seconds)
+                    continue
+                idle_since = None
+                if self._execute(record):
+                    self.jobs_done += 1
+                else:
+                    self.jobs_failed += 1
+        finally:
+            bell, self._bell = self._bell, None
+            bell.close()
         return self.jobs_done
 
     # ------------------------------------------------------------------ #
-    def execute(self, row_id: Optional[int] = None) -> Optional[Tuple[bool, Optional[str]]]:
-        """Claim the oldest queued row (or ``row_id``) and run it under a live lease.
+    def _execute(self, record: JobRecord) -> bool:
+        """Run one claimed row under a live lease; returns whether this
+        worker's ``complete`` was the one the store accepted.
 
-        Returns ``None`` when there was nothing to claim, else ``(completed,
-        cache_error)``: whether this worker's ``complete`` was the one the
-        store accepted, and the error text of a failed cache write (also
-        recorded as a ``cache-write-failed`` progress event).
+        A failed cache write is recorded as a ``cache-write-failed`` progress
+        event, which the coordinator counts.
         """
-        record = self.store.claim(
-            self.worker_id, job_id=row_id, lease_seconds=self.lease_seconds
-        )
-        if record is None:
-            return None
+        ships = self.ships_metrics and obs_metrics.metrics_enabled()
+        if ships:
+            obs_metrics.REGISTRY.clear()  # the registry is this job's transport buffer
+
+        def metrics():
+            return obs_metrics.REGISTRY.snapshot() if ships else None
+
         done = threading.Event()
         ring = _EventRing()
 
@@ -238,7 +251,6 @@ class StoreWorker:
             result = self._estimate(record, request, ring, checkpoint)
             # The cache write is best-effort: an unwritable cache must not
             # fail a correctly computed job — the durable copy is the row.
-            cache_error = None
             text = result.to_json()
             try:
                 snapshot = checkpoint if checkpoint.is_file() else None
@@ -246,16 +258,15 @@ class StoreWorker:
                     record.checksum, request, result, snapshot=snapshot, text=text
                 )
             except Exception as exc:  # noqa: BLE001
-                cache_error = f"{type(exc).__name__}: {exc}"
-                ring.add({"phase": "cache-write-failed", "error": cache_error})
-            completed = self.store.complete(
-                record.id, self.worker_id, text, ring.snapshot()
+                error = f"{type(exc).__name__}: {exc}"
+                ring.add({"phase": "cache-write-failed", "error": error})
+            return self.store.complete(
+                record.id, self.worker_id, text, ring.snapshot(), metrics()
             )
-            return completed, cache_error
         except Exception as exc:  # noqa: BLE001 - job errors become row state
             error = f"{type(exc).__name__}: {exc}"
-            self.store.fail(record.id, self.worker_id, error, ring.snapshot())
-            return False, None
+            self.store.fail(record.id, self.worker_id, error, ring.snapshot(), metrics())
+            return False
         finally:
             done.set()
             ring.wake.set()
@@ -289,6 +300,18 @@ class StoreWorker:
         return estimate(record.graph_path, callbacks=callbacks, **kwargs)
 
 
+def serve(worker: StoreWorker, **run_kwargs) -> int:
+    """Run ``worker``'s loop as the whole of this process; returns its jobs done.
+
+    What a standalone worker (:func:`main`) and each of a coordinator's
+    forked local workers run: SIGTERM stops the loop after the current job,
+    and every job's kernel counters travel in its row.
+    """
+    signal.signal(signal.SIGTERM, lambda *_: worker.stop())
+    worker.ships_metrics = True
+    return worker.run(**run_kwargs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.worker",
@@ -298,28 +321,23 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--store", required=True, help="path to the jobs.sqlite3 store")
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory (default: the store's directory)",
+        "--cache-dir", help="result-cache directory (default: the store's directory)"
     )
-    parser.add_argument("--worker-id", default=None, help="lease identity (default: auto)")
+    parser.add_argument("--worker-id", help="lease identity (default: auto)")
     parser.add_argument(
         "--lease-seconds",
         type=float,
-        default=None,
         help="claim lifetime between heartbeats (default: the store's)",
     )
     parser.add_argument(
-        "--poll-seconds", type=float, default=0.2, help="idle back-off (default 0.2)"
-    )
-    parser.add_argument(
-        "--max-jobs", type=int, default=None, help="exit after this many jobs"
-    )
-    parser.add_argument(
-        "--max-idle-seconds",
+        "--poll-seconds",
         type=float,
-        default=None,
-        help="exit after the queue stays empty this long",
+        default=0.2,
+        help="longest idle wait for a doorbell before re-reading the store (default 0.2)",
+    )
+    parser.add_argument("--max-jobs", type=int, help="exit after this many jobs")
+    parser.add_argument(
+        "--max-idle-seconds", type=float, help="exit after the queue stays empty this long"
     )
     parser.add_argument(
         "--threads",
@@ -350,13 +368,14 @@ def main(argv=None) -> int:
         resources=resources,
         hold_seconds=args.hold_seconds,
     )
-    signal.signal(signal.SIGTERM, lambda *_: worker.stop())
+    # The coordinator renders these workers' kernel counters on /metrics.
+    obs_metrics.enable_metrics()
     print(
         f"repro worker {worker.worker_id} draining {worker.store.path}"
         f" (lease {worker.lease_seconds}s)",
         flush=True,
     )
-    done = worker.run(max_jobs=args.max_jobs, max_idle_seconds=args.max_idle_seconds)
+    done = serve(worker, max_jobs=args.max_jobs, max_idle_seconds=args.max_idle_seconds)
     print(f"repro worker {worker.worker_id} exiting after {done} job(s)", flush=True)
     return 0
 

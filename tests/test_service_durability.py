@@ -22,6 +22,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -43,6 +44,7 @@ from repro.service import (
     StoreWorker,
     TenantQuota,
 )
+from repro.service.store import DEFAULT_MAX_ATTEMPTS
 from repro.store import GraphCatalog
 
 TRIANGLE_PLUS_TAIL = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
@@ -128,6 +130,11 @@ def store(tmp_path, clock):
     store = JobStore(tmp_path / "jobs.sqlite3", lease_seconds=10.0, clock=clock)
     yield store
     store.close()
+
+
+def dead_worker_id(prefix: str) -> str:
+    """A :func:`default_worker_id`-shaped owner on this host whose pid is dead."""
+    return f"{prefix}:{socket.gethostname()}:999999999:beef"
 
 
 def fake_job(store, key="k1", tenant="default", **kwargs):
@@ -308,7 +315,7 @@ class TestJobStore:
         store = JobStore(store_path)
         try:
             (opened,) = store._conn().execute("SELECT * FROM jobs").fetchall()
-            assert opened == before + ("[]", 0)  # new columns last, defaulted
+            assert opened == before + ("[]", 0, None)  # new columns last, defaulted
             worker = StoreWorker(store, cache=ResultCache(tmp_path / "results"))
             assert worker.run(max_jobs=1) == 1
             row = store.get_by_rowid(before[0])
@@ -397,8 +404,7 @@ def _spawn_worker(store_path, cache_dir, *extra):
          "--store", str(store_path), "--cache-dir", str(cache_dir),
          "--poll-seconds", "0.05", *extra],
         env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
+        stdout=subprocess.DEVNULL,
     )
 
 
@@ -515,19 +521,18 @@ class TestCrashRecovery:
         row = JobStore(tmp_path / "jobs.sqlite3").get_by_rowid(record.id)
         assert row.state == "done" and row.result is not None
 
-    def test_dead_local_pool_claim_is_reclaimed(self, tmp_path, clock):
-        """A row still 'running' under a pool:<host>:<dead-pid> lease (the
-        coordinator crashed before the lease expired) is re-queued on
-        restart without waiting out the lease."""
-        import socket as socket_mod
-
+    @pytest.mark.parametrize("prefix", ["local", "worker"])
+    def test_dead_local_pool_claim_is_reclaimed(self, tmp_path, clock, prefix):
+        """A row still 'running' under a dead process's lease on this host —
+        a coordinator's local worker or an external worker, killed before its
+        lease expired — is re-queued on restart without waiting out the lease."""
         graph = write_graph(tmp_path / "g.txt")
         catalog = GraphCatalog(tmp_path / "graph-cache")
         store = JobStore(tmp_path / "jobs.sqlite3")
         record, _ = enqueue_request(store, catalog, make_request(graph, seed=3))
-        # Forge the dead coordinator's claim: pid 0 is never a worker of
-        # ours, and the lease deadline is far in the future.
-        dead_owner = f"pool:{socket_mod.gethostname()}:999999999"
+        # Forge the dead worker's claim: no process has pid 999999999, and
+        # the lease deadline is far in the future.
+        dead_owner = dead_worker_id(prefix)
         store._conn().execute(
             "UPDATE jobs SET state='running', lease_owner=?, lease_deadline=?"
             " WHERE id=?",
@@ -561,6 +566,19 @@ class TestCrashRecovery:
         assert adopted == 1
         final = JobStore(tmp_path / "jobs.sqlite3").get_by_rowid(record.id)
         assert final.state == "done"
+
+    def test_job_that_keeps_killing_workers_is_poisoned(self, store, clock):
+        """A job whose every worker dies does not spin or sit queued: each
+        dead claim is released at once (no lease runs out on the fake clock),
+        and the attempts cap fails the job."""
+        record, _ = fake_job(store)
+        for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
+            assert store.claim(dead_worker_id("local")).attempts == attempt
+            expected = (0, 1) if attempt == DEFAULT_MAX_ATTEMPTS else (1, 0)
+            assert store.requeue_expired() == expected
+        row = store.get_by_rowid(record.id)
+        assert row.state == "failed" and str(DEFAULT_MAX_ATTEMPTS) in row.error
+        assert store.claim("w") is None
 
 
 # --------------------------------------------------------------------- #
@@ -620,6 +638,7 @@ class TestExternalDispatch:
                 return status, again, stats, foreign
             finally:
                 thread.join(timeout=30.0)
+                client.close()
                 await service.stop()
 
         status, again, stats, foreign = asyncio.run(main())
@@ -755,6 +774,7 @@ class TestTenantQuota:
                 return excinfo.value
             finally:
                 hold.set()
+                client.close()
                 await service.stop()
 
         error = asyncio.run(main())

@@ -1,31 +1,42 @@
-"""One executor behind both dispatch modes, and every job settled from its row.
+"""One way to run a job in every dispatch mode, and every job settled from its row.
 
-``dispatch="pool"`` hands a row id to its worker pool, whose worker runs
-:meth:`repro.service.worker.StoreWorker.execute`; ``dispatch="external"``
-lets ``StoreWorker.run`` processes drain the store.  These tests pin what
-that sharing promises: the two modes are the same computation with the same
-artifacts; progress is written into the job row by every worker — pool
-process, pool thread or external — so the first poll after a job settles
-holds all of it, and a restarted service serves it too; cache-write failures
-and kernel counters still reach the coordinator from a pool worker; a pool
-job whose lease is lost ends ``done`` in the *store*; the per-job heartbeat
-thread leaks no connection; and a poll answered from the row honours ``?k=``
-/ ``include_scores=``.
+Every job is claimed and run by :meth:`repro.service.worker.StoreWorker.run`:
+``dispatch="pool"`` starts that loop in forked local worker processes (or
+threads), ``dispatch="external"`` leaves it to ``repro.service.worker``
+processes.  These tests pin what that promises: the modes are the same
+computation with the same artifacts; progress is written into the job row by
+every worker — local process, local thread or external — so the first poll
+after a job settles holds all of it, and a restarted service serves it too;
+cache-write failures and kernel counters reach the coordinator through the
+row, each sample counted once; a SIGKILLed local worker is replaced and its
+job still ends ``done``; a job whose lease is lost ends ``done`` in the
+*store*; the per-job heartbeat thread leaks no connection; and a poll
+answered from the row honours ``?k=`` / ``include_scores=``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.api import estimate_betweenness
 from repro.core.result import BetweennessResult
 from repro.graph.generators import barabasi_albert
 from repro.graph.io import write_edge_list
+from repro.obs import metrics as obs_metrics
 from repro.service import (
     BetweennessService,
     JobManager,
@@ -141,6 +152,7 @@ class TestOneExecutor:
                 metrics = await asyncio.to_thread(client.metrics)
                 return status, metrics
             finally:
+                client.close()
                 await service.stop()
 
         status, metrics = asyncio.run(main())
@@ -173,32 +185,180 @@ class TestOneExecutor:
         assert row.progress[-1]["phase"] == "cache-write-failed"
         assert not list(manager.cache.cache_dir.glob(".job-*"))
 
-    def test_broken_pool_fails_the_job_instead_of_spinning(self, tmp_path, graph):
-        manager = JobManager(
-            cache=ResultCache(tmp_path / "results"),
-            catalog=GraphCatalog(tmp_path / "graph-cache"),
-            worker_mode="thread",
-            estimator=lambda *a, **k: fake_result(**k),
-        )
+    def test_sigkilled_local_worker_is_replaced(self, tmp_path, graph, monkeypatch):
+        """A forked local worker dies to SIGKILL mid-job.  The coordinator
+        forks a replacement, the dead pid hands the row on at once, and that
+        job and the next cold query both end ``done``, bit-identical to
+        undisturbed runs."""
+        estimate = StoreWorker._estimate
 
-        def broken(row_id):
-            raise OSError("pool is gone")
+        def hold_first_attempt(self, record, *args):
+            if record.attempts == 1 and record.request["seed"] == QUERY["seed"]:
+                time.sleep(60.0)  # the window to kill the worker in
+            return estimate(self, record, *args)
 
-        manager._worker.execute = broken
+        # Patched before the fork, so the local workers inherit it.
+        monkeypatch.setattr(StoreWorker, "_estimate", hold_first_attempt)
+        older = {child.pid for child in multiprocessing.active_children()}
 
-        async def scenario():
-            outcome = await manager.submit(QueryRequest(graph=str(graph), **QUERY))
-            with pytest.raises(RuntimeError):
-                await asyncio.wait_for(outcome.job.future, timeout=10.0)
-            return outcome.job
+        async def main():
+            service = BetweennessService(
+                port=0,
+                cache=ResultCache(tmp_path / "results"),
+                catalog=GraphCatalog(tmp_path / "graph-cache"),
+                store=JobStore(tmp_path / "jobs.sqlite3"),
+                worker_mode="process",
+                poll_seconds=0.05,
+            )
+            await service.start()
+            client = ServiceClient(service.host, service.port, timeout=60.0)
+            try:
+                submitted = await asyncio.to_thread(
+                    client.query, graph=str(graph), **QUERY, wait=False
+                )
+                job_id = submitted["job_id"]
+                for _ in range(600):
+                    if service.jobs.store.get(job_id).state == "running":
+                        break
+                    await asyncio.sleep(0.05)
+                (victim,) = [
+                    child for child in multiprocessing.active_children()
+                    if child.pid not in older
+                ]
+                os.kill(victim.pid, signal.SIGKILL)
+                first = await asyncio.to_thread(
+                    client.wait_for_job, job_id, poll_seconds=0.05, timeout=60.0
+                )
+                await asyncio.to_thread(client.cache_evict, all=True)
+                second = await asyncio.to_thread(
+                    client.query, graph=str(graph), **{**QUERY, "seed": 6},
+                    include_scores=True,
+                )
+                return first, second, service.jobs.store.get(job_id)
+            finally:
+                client.close()
+                await service.stop()
 
-        try:
-            job = asyncio.run(scenario())
-            row = manager.store.get(job.id)
-        finally:
-            manager.close()
-        assert row.status == "error"
-        assert row.state == "cancelled"  # never claimed, so not left queued
+        first, second, row = asyncio.run(main())
+        assert first["status"] == "done" and row.attempts == 2
+        assert second["status"] == "done" and second["served_from_cache"] is False
+        recovered = BetweennessResult.from_json(row.result)
+        for seed, scores in ((5, recovered.scores), (6, second["result"]["scores"])):
+            direct = estimate_betweenness(
+                row.graph_path, algorithm=QUERY["algorithm"], eps=QUERY["eps"],
+                delta=QUERY["delta"], seed=seed,
+            )
+            assert np.array_equal(np.asarray(scores), direct.scores)
+
+
+def spawn_worker(store_path, cache_dir):
+    """A ``python -m repro.service.worker`` process draining ``store_path``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.service.worker", "--store", str(store_path),
+         "--cache-dir", str(cache_dir), "--poll-seconds", "0.05"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+    )
+
+
+class TestKernelCountersInTheRow:
+    @pytest.mark.parametrize("mode", ["process", "thread", "external"])
+    def test_every_sample_is_counted_once(self, tmp_path, graph, mode):
+        """``repro_kernel_samples_total`` equals the finished jobs' samples,
+        whether a worker process wrote its counters into the row or a thread
+        worker counted into the coordinator's registry itself."""
+        obs_metrics.REGISTRY.clear()
+        store_path, cache_dir = tmp_path / "jobs.sqlite3", tmp_path / "results"
+        if mode == "external":
+            kwargs = {"dispatch": "external"}
+        else:
+            kwargs = {"worker_mode": mode}
+
+        async def main():
+            service = BetweennessService(
+                port=0,
+                cache=ResultCache(cache_dir),
+                catalog=GraphCatalog(tmp_path / "graph-cache"),
+                store=JobStore(store_path),
+                poll_seconds=0.05,
+                **kwargs,
+            )
+            await service.start()
+            worker = spawn_worker(store_path, cache_dir) if mode == "external" else None
+            client = ServiceClient(service.host, service.port, timeout=60.0)
+            try:
+                samples = 0
+                for seed in (1, 2, 3):
+                    await asyncio.to_thread(client.cache_evict, all=True)
+                    answer = await asyncio.to_thread(
+                        client.query, graph=str(graph), **{**QUERY, "seed": seed}
+                    )
+                    assert answer["served_from_cache"] is False
+                    samples += answer["result"]["num_samples"]
+                return samples, await asyncio.to_thread(client.metrics)
+            finally:
+                if worker is not None:
+                    worker.terminate()
+                    worker.wait(timeout=30.0)
+                client.close()
+                await service.stop()
+
+        samples, metrics = asyncio.run(main())
+        assert kernel_samples(metrics) == samples > 0
+
+    def test_workers_outnumbering_cores_run_each_job_once(self, tmp_path, graph):
+        """More forked workers than cores race for every enqueue (each ring
+        wakes them all): every job is claimed once and its samples counted
+        once, whichever queries the cache answers meanwhile."""
+        obs_metrics.REGISTRY.clear()
+        queries = [{**QUERY, "seed": seed, "eps": 0.3 - 0.01 * seed} for seed in range(12)]
+
+        async def main():
+            service = BetweennessService(
+                port=0,
+                cache=ResultCache(tmp_path / "results"),
+                catalog=GraphCatalog(tmp_path / "graph-cache"),
+                store=JobStore(tmp_path / "jobs.sqlite3"),
+                max_workers=(os.cpu_count() or 1) + 2,
+                poll_seconds=0.05,
+            )
+            await service.start()
+            client = ServiceClient(service.host, service.port, timeout=60.0)
+            loop = asyncio.get_running_loop()
+            try:
+                # The clients' own threads: the service's executor stays free.
+                with ThreadPoolExecutor(6) as clients:
+                    answers = await asyncio.wait_for(asyncio.gather(*(
+                        loop.run_in_executor(
+                            clients, functools.partial(client.query, graph=str(graph), **query)
+                        )
+                        for query in queries
+                    )), timeout=120.0)
+                metrics = await asyncio.to_thread(client.metrics)
+                return answers, service.jobs.store.list(), metrics
+            finally:
+                client.close()
+                await service.stop()
+
+        answers, rows, metrics = asyncio.run(main())
+        assert all(answer["status"] == "done" for answer in answers)
+        assert {(row.state, row.attempts) for row in rows} == {("done", 1)}
+        assert len(rows) == sum(not answer["served_from_cache"] for answer in answers)
+        samples = sum(json.loads(row.result)["num_samples"] for row in rows)
+        assert kernel_samples(metrics) == samples > 0
+
+
+def kernel_samples(metrics: str) -> float:
+    """``repro_kernel_samples_total`` of a ``/metrics`` page."""
+    (counted,) = [
+        float(line.rpartition(" ")[2])
+        for line in metrics.splitlines()
+        if line.startswith("repro_kernel_samples_total ")
+    ]
+    return counted
 
 
 class TestProgressInTheRow:
@@ -223,6 +383,7 @@ class TestProgressInTheRow:
             try:
                 return await scenario(client, service)
             finally:
+                client.close()
                 await service.stop()
 
         return asyncio.run(main())
@@ -385,6 +546,7 @@ class TestSettleFromTheRow:
                 )
                 return plain, shaped
             finally:
+                client.close()
                 await service.stop()
 
         plain, shaped = asyncio.run(main())
