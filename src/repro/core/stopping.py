@@ -12,6 +12,17 @@ taken, empirical betweenness ``b~(v)``, per-vertex failure probabilities
 ``g`` the probability that it undershoots; both shrink as ``tau`` grows.  The
 functions are not monotone in ``c~``/``tau`` jointly, which is why the parallel
 algorithms must always evaluate them on a *consistent* aggregated state frame.
+
+A check costs O(touched + distinct zero-class deltas) plus one cheap O(n) scan
+of the counts (``flatnonzero(counts != 0)``).  ``f`` and ``g`` of a vertex
+depend only on its count and its ``(delta_L, delta_U)`` pair, so all
+zero-count vertices that hold one pair give one row.
+:class:`StoppingCondition` groups the vertices by pair once, when it is
+built; a check then evaluates the vertices with a nonzero count plus one
+``b~ = 0`` row per pair that some zero-count vertex holds.  Each row is the
+same elementwise float computation as in a whole-frame evaluation, so the
+maxima are bit-identical to it.  Today's calibration gives every vertex the
+same pair whenever some count is 0, so the zero class is one extra row.
 """
 
 from __future__ import annotations
@@ -130,10 +141,25 @@ class StoppingCondition:
         self.delta_u = np.asarray(self.delta_u, dtype=np.float64)
         if self.delta_l.shape != self.delta_u.shape:
             raise ValueError("delta_l and delta_u must have the same shape")
-        if np.any(self.delta_l <= 0) or np.any(self.delta_l >= 1):
-            raise ValueError("delta_l values must lie in (0, 1)")
-        if np.any(self.delta_u <= 0) or np.any(self.delta_u >= 1):
-            raise ValueError("delta_u values must lie in (0, 1)")
+        uniform = True
+        for name, deltas in (("delta_l", self.delta_l), ("delta_u", self.delta_u)):
+            if deltas.size == 0:
+                continue
+            low, high = deltas.min(), deltas.max()
+            # A NaN makes both NaN, which fails this test too.
+            if not (0 < low and high < 1):
+                raise ValueError(f"{name} values must lie in (0, 1)")
+            uniform = uniform and low == high
+        # The distinct (delta_L, delta_U) pairs and, when there are several,
+        # each vertex's pair index and each pair's vertex count.
+        self._pair_of = self._pair_sizes = None
+        if uniform:
+            self._pairs = np.stack([self.delta_l.ravel()[:1], self.delta_u.ravel()[:1]], axis=-1)
+        else:
+            pairs = np.stack([self.delta_l.ravel(), self.delta_u.ravel()], axis=-1)
+            self._pairs, pair_of = np.unique(pairs, axis=0, return_inverse=True)
+            self._pair_of = pair_of.reshape(-1)
+            self._pair_sizes = np.bincount(self._pair_of, minlength=len(self._pairs))
 
     @property
     def num_vertices(self) -> int:
@@ -141,12 +167,26 @@ class StoppingCondition:
 
     # ------------------------------------------------------------------ #
     def max_error_bounds(self, frame: StateFrame) -> tuple[float, float]:
-        """Return ``(max_v f, max_v g)`` for the aggregated frame."""
+        """Return ``(max_v f, max_v g)`` for the aggregated frame.
+
+        Evaluates the vertices with a nonzero count plus one ``b~ = 0`` row
+        per ``(delta_L, delta_U)`` pair that a zero-count vertex holds.
+        """
         if frame.num_samples <= 0:
             return float("inf"), float("inf")
-        b_tilde = frame.betweenness_estimates()
-        f_vals = f_function(b_tilde, self.delta_l, self.omega, frame.num_samples)
-        g_vals = g_function(b_tilde, self.delta_u, self.omega, frame.num_samples)
+        # Comparing first: flatnonzero of a bool array is several times faster.
+        touched = np.flatnonzero(frame.counts != 0)
+        if self._pair_of is None:
+            zero_rows = self._pairs[: int(touched.size < self.num_vertices)]
+        else:
+            held = np.bincount(self._pair_of[touched], minlength=len(self._pairs))
+            zero_rows = self._pairs[held < self._pair_sizes]
+        b_tilde = np.zeros(touched.size + len(zero_rows))
+        b_tilde[: touched.size] = frame.counts[touched] / float(frame.num_samples)
+        delta_l = np.concatenate([self.delta_l[touched], zero_rows[:, 0]])
+        delta_u = np.concatenate([self.delta_u[touched], zero_rows[:, 1]])
+        f_vals = f_function(b_tilde, delta_l, self.omega, frame.num_samples)
+        g_vals = g_function(b_tilde, delta_u, self.omega, frame.num_samples)
         return float(np.max(f_vals)), float(np.max(g_vals))
 
     def should_stop(self, frame: StateFrame) -> bool:

@@ -20,6 +20,12 @@ contributions, re-sample the same pairs on the mutated graph, and
 :meth:`replace` the log rows in place — keeping the log consistent with the
 frame at all times.
 
+Appending is O(1) per batch: the log keeps appended batches as chunks in a
+pending list and joins them onto its arrays on the first read, so a run's
+logging cost is linear in its samples.  :meth:`replace` rebuilds the
+contribution layout with per-element segment masks (two ``bincount`` and one
+XOR scan each), not a per-segment gather.
+
 The log serializes into the session snapshot as five extra float64 arrays
 (``log_*``; exact for values below 2**53), so old snapshots restore fine
 without one — they are simply not update-refinable.
@@ -27,7 +33,7 @@ without one — they are simply not update-refinable.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -58,10 +64,34 @@ def _segment_gather(values: np.ndarray, indptr: np.ndarray, sample_idx: np.ndarr
     return values[starts + ramp]
 
 
-class SampleLog:
-    """Append-only per-sample record of one session's sampled paths."""
+def _segment_mask(indptr: np.ndarray, sample_idx: np.ndarray) -> np.ndarray:
+    """Per element of the CSR values: does it lie in a segment of ``sample_idx``?
 
-    __slots__ = ("sources", "targets", "lengths", "indptr", "vertices")
+    ``sample_idx`` must be distinct, so the chosen segments are disjoint.  Each
+    one toggles the mask at its start and again at its end; an empty segment,
+    or the end of one chosen segment that is the start of the next, toggles
+    twice and so not at all.
+    """
+    size = int(indptr[-1]) + 1
+    bounds = np.bincount(indptr[sample_idx], minlength=size) + np.bincount(
+        indptr[sample_idx + 1], minlength=size
+    )
+    return np.logical_xor.accumulate((bounds[:-1] & 1).astype(bool))
+
+
+class SampleLog:
+    """Append-only per-sample record of one session's sampled paths.
+
+    :meth:`append_batch` is O(1): it keeps the batch's arrays in a pending
+    list.  The first read after appends (an array attribute,
+    :meth:`contributions_of`, :meth:`replace`, :meth:`snapshot_arrays`) joins
+    the pending batches onto the log once; :attr:`num_samples` sums the
+    pending counts without joining.
+    """
+
+    __slots__ = (
+        "_sources", "_targets", "_lengths", "_indptr", "_vertices", "_pending", "_pending_samples",
+    )
 
     def __init__(
         self,
@@ -71,15 +101,17 @@ class SampleLog:
         indptr: np.ndarray,
         vertices: np.ndarray,
     ) -> None:
-        self.sources = np.asarray(sources, dtype=np.int64)
-        self.targets = np.asarray(targets, dtype=np.int64)
-        self.lengths = np.asarray(lengths, dtype=np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.vertices = np.asarray(vertices, dtype=np.int64)
-        k = self.sources.size
-        if self.targets.size != k or self.lengths.size != k:
+        self._sources = np.asarray(sources, dtype=np.int64)
+        self._targets = np.asarray(targets, dtype=np.int64)
+        self._lengths = np.asarray(lengths, dtype=np.int64)
+        self._indptr = np.asarray(indptr, dtype=np.int64)
+        self._vertices = np.asarray(vertices, dtype=np.int64)
+        self._pending: List[tuple] = []
+        self._pending_samples = 0
+        k = self._sources.size
+        if self._targets.size != k or self._lengths.size != k:
             raise ValueError("sample log arrays disagree on the sample count")
-        if self.indptr.size != k + 1 or int(self.indptr[-1]) != self.vertices.size:
+        if self._indptr.size != k + 1 or int(self._indptr[-1]) != self._vertices.size:
             raise ValueError("sample log contribution layout is inconsistent")
 
     @classmethod
@@ -94,8 +126,33 @@ class SampleLog:
 
     # ------------------------------------------------------------------ #
     @property
+    def sources(self) -> np.ndarray:
+        self._join()
+        return self._sources
+
+    @property
+    def targets(self) -> np.ndarray:
+        self._join()
+        return self._targets
+
+    @property
+    def lengths(self) -> np.ndarray:
+        self._join()
+        return self._lengths
+
+    @property
+    def indptr(self) -> np.ndarray:
+        self._join()
+        return self._indptr
+
+    @property
+    def vertices(self) -> np.ndarray:
+        self._join()
+        return self._vertices
+
+    @property
     def num_samples(self) -> int:
-        return int(self.sources.size)
+        return int(self._sources.size) + self._pending_samples
 
     def contributions_of(self, i: int) -> np.ndarray:
         """Interior path vertices of sample ``i`` (a view)."""
@@ -107,75 +164,99 @@ class SampleLog:
 
     # ------------------------------------------------------------------ #
     def append_batch(self, batch) -> None:
-        """Log one :class:`~repro.kernels.batch.SampleBatch` of fresh samples."""
-        lengths = np.where(
-            np.asarray(batch.connected, dtype=bool),
-            np.asarray(batch.lengths, dtype=np.int64),
-            np.int64(-1),
+        """Log one :class:`~repro.kernels.batch.SampleBatch` of fresh samples.
+
+        The batch's arrays are kept, not copied, until the next read joins
+        them; a batch must not change after it is logged (samplers return
+        fresh arrays per batch).
+        """
+        self._pending.append(
+            (
+                batch.sources,
+                batch.targets,
+                batch.connected,
+                batch.lengths,
+                batch.contrib_indptr,
+                batch.contrib_vertices,
+            )
         )
-        self.sources = np.concatenate([self.sources, np.asarray(batch.sources, np.int64)])
-        self.targets = np.concatenate([self.targets, np.asarray(batch.targets, np.int64)])
-        self.lengths = np.concatenate([self.lengths, lengths])
-        offset = self.indptr[-1]
-        self.indptr = np.concatenate(
-            [self.indptr, np.asarray(batch.contrib_indptr[1:], np.int64) + offset]
+        self._pending_samples += batch.num_samples
+
+    def _join(self) -> None:
+        """Concatenate the pending batches onto the log arrays, once."""
+        if not self._pending:
+            return
+        sources, targets, connected, lengths, indptrs, vertices = zip(*self._pending)
+        tails, offset = [], int(self._indptr[-1])
+        for indptr in indptrs:
+            tails.append(np.asarray(indptr[1:], np.int64) + offset)
+            offset += int(indptr[-1])
+        self._sources = np.concatenate([self._sources, *sources], dtype=np.int64)
+        self._targets = np.concatenate([self._targets, *targets], dtype=np.int64)
+        fresh_lengths = np.where(
+            np.concatenate(connected, dtype=bool), np.concatenate(lengths, dtype=np.int64), -1
         )
-        self.vertices = np.concatenate(
-            [self.vertices, np.asarray(batch.contrib_vertices, np.int64)]
-        )
+        self._lengths = np.concatenate([self._lengths, fresh_lengths])
+        self._indptr = np.concatenate([self._indptr, *tails])
+        self._vertices = np.concatenate([self._vertices, *vertices], dtype=np.int64)
+        self._pending, self._pending_samples = [], 0
 
     def replace(self, sample_idx: np.ndarray, batch) -> None:
         """Overwrite the logged rows ``sample_idx`` with re-sampled paths.
 
         ``batch`` must hold one sample per index, in the same order and for
         the same (source, target) pairs — the incremental estimator re-samples
-        the *pair*, never swaps it, so only lengths and interiors change.
+        the *pair*, never swaps it, so only lengths and interiors change.  The
+        indices must be distinct.
         """
         sample_idx = np.asarray(sample_idx, dtype=np.int64)
         if sample_idx.size != batch.num_samples:
             raise ValueError("replacement batch size does not match the index set")
         if sample_idx.size == 0:
             return
+        order = np.argsort(sample_idx, kind="stable")
+        if np.any(sample_idx[order[1:]] == sample_idx[order[:-1]]):
+            raise ValueError("replacement indices must be distinct")
+        self._join()
         if not (
-            np.array_equal(self.sources[sample_idx], np.asarray(batch.sources, np.int64))
-            and np.array_equal(self.targets[sample_idx], np.asarray(batch.targets, np.int64))
+            np.array_equal(self._sources[sample_idx], np.asarray(batch.sources, np.int64))
+            and np.array_equal(self._targets[sample_idx], np.asarray(batch.targets, np.int64))
         ):
             raise ValueError("replacement batch pairs do not match the logged pairs")
-        self.lengths[sample_idx] = np.where(
+        self._lengths[sample_idx] = np.where(
             np.asarray(batch.connected, dtype=bool),
             np.asarray(batch.lengths, dtype=np.int64),
             np.int64(-1),
         )
-        counts = np.diff(self.indptr)
-        counts[sample_idx] = np.diff(np.asarray(batch.contrib_indptr, np.int64))
+        batch_indptr = np.asarray(batch.contrib_indptr, np.int64)
+        fresh = np.asarray(batch.contrib_vertices, np.int64)
+        sample_idx = sample_idx[order]
+        if np.any(order[1:] < order[:-1]):
+            # The batch's paths in index order, as the new layout holds them.
+            fresh = _segment_gather(fresh, batch_indptr, order)
+        counts = np.diff(self._indptr)
+        counts[sample_idx] = np.diff(batch_indptr)[order]
         new_indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=new_indptr[1:])
         new_vertices = np.empty(int(new_indptr[-1]), dtype=np.int64)
-        keep = np.ones(self.num_samples, dtype=bool)
-        keep[sample_idx] = False
-        kept_idx = np.flatnonzero(keep)
-        kept_positions = _segment_gather(
-            np.arange(new_vertices.size, dtype=np.int64), new_indptr, kept_idx
-        )
-        new_vertices[kept_positions] = _segment_gather(self.vertices, self.indptr, kept_idx)
-        replaced_positions = _segment_gather(
-            np.arange(new_vertices.size, dtype=np.int64), new_indptr, sample_idx
-        )
-        new_vertices[replaced_positions] = np.asarray(batch.contrib_vertices, np.int64)
-        self.indptr = new_indptr
-        self.vertices = new_vertices
+        replaced = _segment_mask(new_indptr, sample_idx)
+        new_vertices[replaced] = fresh
+        new_vertices[~replaced] = self._vertices[~_segment_mask(self._indptr, sample_idx)]
+        self._indptr = new_indptr
+        self._vertices = new_vertices
 
     # ------------------------------------------------------------------ #
     # Snapshot round-trip
     # ------------------------------------------------------------------ #
     def snapshot_arrays(self) -> Dict[str, np.ndarray]:
         """The log as the named snapshot arrays (float64-coerced on write)."""
+        self._join()
         return {
-            "log_sources": self.sources,
-            "log_targets": self.targets,
-            "log_lengths": self.lengths,
-            "log_indptr": self.indptr,
-            "log_vertices": self.vertices,
+            "log_sources": self._sources,
+            "log_targets": self._targets,
+            "log_lengths": self._lengths,
+            "log_indptr": self._indptr,
+            "log_vertices": self._vertices,
         }
 
     @classmethod

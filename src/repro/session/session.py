@@ -477,6 +477,8 @@ class EstimationSession:
                 on_batch=None if self._sample_log is None else self._sample_log.append_batch,
                 on_epoch=on_epoch,
             )
+        for phase, seconds in stats.phase_seconds.items():
+            phases.seconds[f"ads_{phase}"] = seconds
         self._frame = stats.aggregated_frame
         self._checks += stats.num_epochs
         self._ran = True
@@ -764,6 +766,21 @@ class EstimationSession:
         session._calibration_frame = StateFrame.from_scalar_state(
             calibration, arrays["calibration_counts"]
         )
+        for name, frame in (
+            ("counts", session._frame), ("calibration_counts", session._calibration_frame)
+        ):
+            # A sample adds at most 1 to a vertex.  A NaN makes min and max
+            # NaN, which fails these tests too.
+            counts = frame.counts
+            if counts.size and not (
+                counts.min() >= 0
+                and counts.max() <= frame.num_samples
+                and np.array_equal(np.floor(counts), counts)
+            ):
+                raise SnapshotError(
+                    f"{path}: {name!r} holds values that are not whole sample counts "
+                    f"between 0 and the frame's {frame.num_samples} samples"
+                )
         session._calibration_rng_state = calibration.get("rng_state")
         if session._calibration_rng_state is not None:
             _rng_from_state(session._calibration_rng_state)  # refine replays from it

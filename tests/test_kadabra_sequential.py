@@ -84,7 +84,9 @@ class TestSequentialKadabra:
         assert result.omega is not None and result.omega > 0
         assert result.num_samples <= result.omega
         assert result.vertex_diameter >= 2
-        assert set(result.phase_seconds) >= {"diameter", "calibration", "adaptive_sampling"}
+        assert set(result.phase_seconds) >= {
+            "diameter", "calibration", "adaptive_sampling", "ads_sampling", "ads_check",
+        }
         assert result.eps == quick_options.eps
 
     def test_scores_are_probabilities(self, small_social_graph, quick_options):

@@ -498,6 +498,22 @@ class TestMalformedMeta:
         except SnapshotError:
             pass
 
+    @pytest.mark.parametrize("name", ["counts", "calibration_counts"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "negative", "fraction", "above_tau"])
+    def test_counts_that_are_not_sample_counts_rejected(self, intact, small_social_graph, name, bad):
+        # A CRC-valid file restored NaN counts (NaN scores after refine) or
+        # NaN calibration counts (NaN deltas: refine could only stop at omega).
+        meta, arrays, directory = intact
+        tau = meta["frame" if name == "counts" else "calibration"]["num_samples"]
+        counts = arrays[name].copy()
+        counts[3] = {
+            "nan": np.nan, "inf": np.inf, "negative": -1.0, "fraction": 0.5, "above_tau": tau + 1,
+        }[bad]
+        path = directory / f"bad-{name}-{bad}.snap"
+        write_snapshot(path, meta, {**arrays, name: counts})
+        with pytest.raises(SnapshotError, match="sample counts"):
+            EstimationSession.restore(path, graph=small_social_graph)
+
 
 class TestFacadeIntegration:
     KW = dict(eps=0.1, delta=0.1, seed=21)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import (
@@ -149,8 +151,98 @@ class TestStoppingCondition:
         with pytest.raises(ValueError):
             StoppingCondition(eps=0.1, omega=10, delta_l=deltas, delta_u=np.full(4, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_deltas_rejected(self, bad):
+        deltas = np.full(4, 0.01)
+        broken = deltas.copy()
+        broken[2] = bad
+        with pytest.raises(ValueError, match="delta_l"):
+            StoppingCondition(eps=0.1, omega=10, delta_l=broken, delta_u=deltas)
+        with pytest.raises(ValueError, match="delta_u"):
+            StoppingCondition(eps=0.1, omega=10, delta_l=deltas, delta_u=broken)
+
     def test_num_vertices(self):
         assert self._condition(n=7).num_vertices == 7
+
+
+def dense_max_error_bounds(condition: StoppingCondition, frame: StateFrame) -> tuple:
+    """Oracle: f and g over every vertex, the evaluation the sparse check replaces."""
+    if frame.num_samples <= 0:
+        return float("inf"), float("inf")
+    b_tilde = frame.betweenness_estimates()
+    f_vals = f_function(b_tilde, condition.delta_l, condition.omega, frame.num_samples)
+    g_vals = g_function(b_tilde, condition.delta_u, condition.omega, frame.num_samples)
+    return float(np.max(f_vals)), float(np.max(g_vals))
+
+
+DELTAS = st.floats(min_value=1e-300, max_value=0.4999999, allow_subnormal=False)
+
+
+@st.composite
+def condition_and_frame(draw):
+    n = draw(st.integers(1, 40))
+    omega = draw(st.integers(1, 10**6))
+    tau = draw(st.sampled_from([0, omega]) | st.integers(0, omega))
+    # How many vertices keep count 0: none, some or all (a zero class absent
+    # or present).
+    zeros = draw(st.sampled_from(["none", "some", "all"]))
+    counts = np.array(draw(st.lists(st.integers(1, max(tau, 1)), min_size=n, max_size=n)), float)
+    if zeros == "all" or tau == 0:
+        counts[:] = 0.0
+    elif zeros == "some":
+        counts[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    # Uniform deltas (today's calibration), a few shared values (zero-count
+    # vertices with different deltas), or one per vertex.
+    shape = draw(st.sampled_from(["uniform", "few", "each"]))
+    if shape == "uniform":
+        delta_l = np.full(n, draw(DELTAS))
+        delta_u = np.full(n, draw(DELTAS))
+    else:
+        pool = draw(st.lists(st.tuples(DELTAS, DELTAS), min_size=1, max_size=3 if shape == "few" else n))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        delta_l = np.array([pool[i][0] for i in picks])
+        delta_u = np.array([pool[i][1] for i in picks])
+    eps = draw(st.floats(min_value=1e-4, max_value=1.0))
+    condition = StoppingCondition(eps=eps, omega=omega, delta_l=delta_l, delta_u=delta_u)
+    return condition, StateFrame(num_samples=tau, counts=counts)
+
+
+class TestSparseCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(case=condition_and_frame())
+    def test_matches_the_dense_oracle_bit_for_bit(self, case):
+        condition, frame = case
+        sparse = condition.max_error_bounds(frame)
+        dense = dense_max_error_bounds(condition, frame)
+        assert np.array(sparse).tobytes() == np.array(dense).tobytes()
+        assert condition.should_stop(frame) == (
+            frame.num_samples >= condition.omega
+            or (frame.num_samples > 0 and max(dense) <= condition.eps)
+        )
+
+    def test_zero_class_is_one_row_per_distinct_delta_pair(self, monkeypatch):
+        import repro.core.stopping as stopping
+
+        rows = []
+        real_f = stopping.f_function
+
+        def counting_f(b_tilde, delta_l, omega, tau):
+            rows.append(len(b_tilde))
+            return real_f(b_tilde, delta_l, omega, tau)
+
+        monkeypatch.setattr(stopping, "f_function", counting_f)
+        n = 1000
+        frame = StateFrame.zeros(n)
+        frame.num_samples = 50
+        frame.counts[:5] = 3.0
+        uniform = StoppingCondition(eps=0.1, omega=100, delta_l=np.full(n, 1e-3), delta_u=np.full(n, 2e-3))
+        uniform.max_error_bounds(frame)
+        two_pairs = np.where(np.arange(n) % 2 == 0, 1e-3, 4e-3)
+        split = StoppingCondition(eps=0.1, omega=100, delta_l=two_pairs, delta_u=two_pairs)
+        split.max_error_bounds(frame)
+        frame.counts[:] = 1.0
+        uniform.max_error_bounds(frame)
+        assert rows == [5 + 1, 5 + 2, n]
 
 
 class TestCheckGrids:
