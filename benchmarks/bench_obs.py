@@ -4,10 +4,10 @@ The instrumentation contract of :mod:`repro.obs`: when nothing is collecting,
 metrics and tracing must be *provably* cheap — the sampling pipeline's
 samples/sec with metrics enabled must stay within **5%** of the fully
 disabled run, and a disabled-tracing span entry must stay a shared no-op.
-The gate drives the same batched pipeline the drivers use (``plan_batches``
-carries the only hot-path instrumentation point) so a regression that puts
-work on the per-batch path fails CI rather than surfacing in a paper-scale
-run::
+The gate drives the same batched pipeline the drivers use (the sampler's
+batch call carries the only hot-path instrumentation point) so a regression
+that puts work on the per-batch path fails CI rather than surfacing in a
+paper-scale run::
 
     python benchmarks/bench_obs.py [output.json]
     python -m pytest benchmarks/bench_obs.py
@@ -43,9 +43,9 @@ def _load_example_graph():
 def _pipeline_samples_per_sec(graph, num_samples: int, *, seed: int = 1) -> float:
     """Samples/sec of the batched pipeline as the drivers run it.
 
-    Batches come from ``plan_batches`` — the instrumented call — so the
-    measured rate includes whatever cost the metrics gate leaves on the
-    per-batch path.
+    Batches are sized by ``plan_batches`` and drawn by ``sample_batch`` —
+    the instrumented call — so the measured rate includes whatever cost the
+    metrics gate leaves on the per-batch path.
     """
     sampler = BatchPathSampler(graph)
     rng = np.random.default_rng(seed)
@@ -114,8 +114,8 @@ def test_enabled_run_counts_samples():
         (tuple(labels), value)
         for labels, value in snapshot["repro_kernel_samples_total"]["series"]
     )
-    # Warm-up samples bypass plan_batches; exactly the planned 500 count.
-    assert series[()] == 500.0
+    # Every drawn sample counts: the 50 of the warm-up and the planned 500.
+    assert series[()] == 550.0
 
 
 def main(argv: list[str]) -> int:

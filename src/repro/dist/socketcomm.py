@@ -69,6 +69,12 @@ COMM_BYTES_METRIC = "repro_dist_comm_bytes_total"
 
 WORLD_COMM_ID = 0
 
+# SocketComm.connect: the bounds of one TCP connect attempt, and the pause
+# between attempts.
+_MAX_ATTEMPT_S = 5.0
+_MIN_ATTEMPT_S = 1.0
+_RETRY_S = 0.05
+
 
 # --------------------------------------------------------------------------- #
 # framing
@@ -574,25 +580,29 @@ class SocketComm(Communicator):
     ) -> "SocketComm":
         """Join the world communicator via the rank-0 hub.
 
-        Retries the TCP connect until ``timeout``: a ``dist worker`` started
-        by hand or by ``mpirun`` races the rank-0 process's hub startup, so
-        its first connects may be refused.  Forked ranks never are — their
-        hub's listener is bound before the fork.
+        Retries the TCP connect until ``timeout`` seconds have passed: a
+        ``dist worker`` started by hand or by ``mpirun`` races the rank-0
+        process's hub startup, so its first connects may be refused.  Forked
+        ranks never are — their hub's listener is bound before the fork.  An
+        attempt is cut at what is left of ``timeout`` (but gets at least a
+        second), so a hub that drops SYNs costs ``timeout`` plus at most one
+        attempt.
         """
-        deadline = threading.Event()
-        waited = 0.0
-        sock: Optional[socket.socket] = None
+        deadline = time.monotonic() + timeout
         while True:
+            left = deadline - time.monotonic()
             try:
-                sock = socket.create_connection((host, port), timeout=5.0)
+                sock = socket.create_connection(
+                    (host, port), timeout=min(_MAX_ATTEMPT_S, max(left, _MIN_ATTEMPT_S))
+                )
                 break
             except OSError:
-                if waited >= timeout:
+                left = deadline - time.monotonic()
+                if left <= 0:
                     raise CommError(
                         f"could not reach rendezvous hub at {host}:{port} after {timeout}s"
                     ) from None
-                deadline.wait(0.05)
-                waited += 0.05
+                time.sleep(min(_RETRY_S, left))
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         _send_frame(sock, ("hello", int(rank)))

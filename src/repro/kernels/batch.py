@@ -5,8 +5,8 @@ graph.  ``sample_batch(k, rng)`` draws ``k`` (s, t) pairs, runs the routed
 kernel on each, and returns a :class:`SampleBatch` whose path contributions
 are two flat arrays (vertex ids + CSR-style offsets) ready for a single
 ``np.add.at`` into an epoch frame; ``sample(rng)`` is the same draw for one
-pair, returned as a :class:`~repro.sampling.base.PathSample`, for the loops
-that poll a request between samples.  Drivers get theirs from
+pair, returned as a :class:`~repro.sampling.base.PathSample`.  Every driver
+draws with ``sample_batch`` and gets its sampler from
 :func:`repro.core.kadabra.make_sampler`.
 
 Where the search is the compiled one (:attr:`BatchPathSampler.compiled`) a
@@ -51,9 +51,19 @@ __all__ = ["SampleBatch", "BatchPathSampler"]
 
 _PAIR_STRATEGIES = ("interleaved", "vectorized")
 
+# Hot-path instrumentation (gated on repro.obs.metrics.ENABLED): every draw of
+# every driver - planned batches, worker-thread and overlap batches, single
+# samples - ends in one count_samples call per batch, so these counters are
+# the per-process samples/sec source of truth for /metrics without touching
+# any kernel inner loop.
+_BATCHES_TOTAL = _metrics.REGISTRY.counter(
+    "repro_kernel_batches_total", "Sampling batches drawn by the samplers"
+)
+_SAMPLES_TOTAL = _metrics.REGISTRY.counter(
+    "repro_kernel_samples_total", "Samples drawn by the samplers"
+)
 # Per-kernel sample counters (created lazily, one per kernel name ever used
-# in this process); incremented on the batch path only when metrics are
-# enabled, so the kernel inner loops stay untouched.
+# in this process).
 _KERNEL_COUNTERS: dict = {}
 
 
@@ -66,6 +76,15 @@ def _kernel_counter(name: str):
         )
         _KERNEL_COUNTERS[name] = counter
     return counter
+
+
+def count_samples(k: int, kernel: Optional[str] = None) -> None:
+    """Count one batch of ``k`` samples (and, given ``kernel``, its kernel's) while metrics are on."""
+    if _metrics.ENABLED:
+        _BATCHES_TOTAL.inc()
+        _SAMPLES_TOTAL.inc(k)
+        if kernel is not None:
+            _kernel_counter(kernel).inc(k)
 
 
 @dataclass
@@ -331,8 +350,7 @@ class BatchPathSampler:
 
     # ------------------------------------------------------------------ #
     def _count_samples(self, k: int) -> None:
-        if _metrics.ENABLED:
-            _kernel_counter(self._spec.name).inc(k)
+        count_samples(k, self._spec.name)
 
     def _one_call(self, rng) -> bool:
         """Whether a batch is one compiled call: that search, and a generator C can draw from."""

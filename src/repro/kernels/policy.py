@@ -17,9 +17,10 @@ the final batch exactly to the stopping-condition boundary, so
   as many samples per check as the scalar code did, which keeps fixed-seed
   runs bit-identical.
 
-Worker threads of the epoch framework use the small constant
-:data:`WORKER_BATCH`: they must poll ``check_transition`` frequently or epoch
-transitions (and thus stopping-rule evaluations) stall behind bulk sampling.
+Worker threads of the epoch framework, and thread 0 while a request is in
+flight, use the small constant :data:`WORKER_BATCH`: they must poll
+``check_transition`` or the request frequently, or epoch transitions (and
+thus stopping-rule evaluations) stall behind bulk sampling.
 
 The batch partition never changes a sample of the per-pair kernels (their
 stream is the same for any partition), so the drivers own their batch sizes
@@ -29,8 +30,6 @@ and no layer above them exposes one.
 from __future__ import annotations
 
 from typing import Iterator, Union
-
-from repro.obs import metrics as _metrics
 
 __all__ = [
     "AUTO_BATCH",
@@ -45,20 +44,11 @@ AUTO_BATCH = "auto"
 MIN_AUTO_BATCH = 32
 #: Largest batch of an ``auto`` ramp.
 MAX_AUTO_BATCH = 1024
-#: Batch size of epoch-framework worker threads (kept small so transitions
-#: are acknowledged promptly).
+#: Batch size of epoch-framework worker threads, and of thread 0's compiled
+#: draws while a request is in flight (kept small so transitions and
+#: completed requests are acknowledged promptly).  Samples are counted where
+#: they are drawn, in :func:`repro.kernels.batch.count_samples`.
 WORKER_BATCH = 16
-
-# Hot-path instrumentation (gated on repro.obs.metrics.ENABLED): every driver
-# funnels its sampling through plan_batches, so these two counters are the
-# per-process samples/sec source of truth for /metrics without touching any
-# kernel inner loop.
-_BATCHES_TOTAL = _metrics.REGISTRY.counter(
-    "repro_kernel_batches_total", "Sampling batches planned by the batch policy"
-)
-_SAMPLES_TOTAL = _metrics.REGISTRY.counter(
-    "repro_kernel_samples_total", "Samples scheduled through plan_batches"
-)
 
 
 def plan_batches(total: int, batch_size: Union[int, str] = AUTO_BATCH) -> Iterator[int]:
@@ -75,9 +65,6 @@ def plan_batches(total: int, batch_size: Union[int, str] = AUTO_BATCH) -> Iterat
     remaining = int(total)
     while remaining > 0:
         take = min(size, remaining)
-        if _metrics.ENABLED:
-            _BATCHES_TOTAL.inc()
-            _SAMPLES_TOTAL.inc(take)
         yield take
         remaining -= take
         if auto:

@@ -23,8 +23,11 @@ for forked ranks and ``dist`` workers, on the caller's graph, a mapped
    blocking reduction, which the paper found faster than ``MPI_Ireduce``;
    ``"mpi-only"``, Algorithm 1: one thread and a plain ``Ireduce``), where
    the stopping rule is evaluated, and broadcasts the termination flag —
-   sampling into the next epoch's frame while each request is in flight.
-   On ``SelfComm`` with one thread every request completes at once, so each
+   sampling into the next epoch's frame while each request is in flight,
+   between polls of the request: a :data:`~repro.kernels.WORKER_BATCH` per
+   poll when the search is compiled (that call releases the GIL the
+   communicator's threads need), one sample per poll otherwise.  On
+   ``SelfComm`` with one thread every request completes at once, so each
    epoch draws exactly what the grid says.
 """
 
@@ -191,8 +194,8 @@ def adaptive_sampling_epochs(
     bound for tests.
 
     Hooks: ``on_batch(batch)`` sees every batch thread 0 draws for the grid
-    (not the single overlap samples taken while a request is in flight —
-    there are none on ``SelfComm`` with one thread); at rank 0,
+    (not the overlap batches drawn while a request is in flight — there are
+    none on ``SelfComm`` with one thread); at rank 0,
     ``on_aggregate(epochs_done, aggregated)`` fires right after each fold,
     before the rule (the boundary checkpoints are taken at; ``aggregated``
     is the live aggregate), and ``on_epoch(epochs_done, num_samples)`` after
@@ -236,14 +239,18 @@ def adaptive_sampling_epochs(
     sampler0 = sampler_factory(0)
     rng0 = rngs[0]
 
+    # A compiled batch runs without the GIL, so the communicator's threads
+    # progress while thread 0 draws a whole worker batch; any other search
+    # holds the GIL for the batch, so it draws one sample per poll.
+    overlap_batch = WORKER_BATCH if sampler0.compiled else 1
+
     def overlap(request: Request, frame: StateFrame):
         """Sample into ``frame`` until ``request`` completes; return its result."""
         while not request.test():
             if failures:
                 raise failures[0]
-            sample = sampler0.sample(rng0)
-            frame.record_sample(sample.internal_vertices, edges_touched=sample.edges_touched)
-            sample_counter[0] += 1
+            frame.record_batch(sampler0.sample_batch(overlap_batch, rng0))
+            sample_counter[0] += overlap_batch
         return request.result()
 
     # Reused every epoch by aggregate_epoch (zeroed in place, never

@@ -498,8 +498,11 @@ class ShardedPathSampler:
     through the view so only the touched shard pages fault in.
 
     Implements the part of :class:`~repro.kernels.BatchPathSampler` the
-    drivers use (``sample``, ``sample_path``, ``sample_batch``).
+    drivers use (``compiled``, ``sample``, ``sample_path``, ``sample_batch``).
     """
+
+    #: The search is numpy over the view, never the compiled helper.
+    compiled = False
 
     def __init__(self, view: PartitionedGraphView) -> None:
         if view.num_vertices < 2:
@@ -578,7 +581,7 @@ class ShardedPathSampler:
 
         Same RNG consumption as ``batch_size`` scalar calls.
         """
-        from repro.kernels.batch import _BatchAccumulator
+        from repro.kernels.batch import _BatchAccumulator, count_samples
 
         k = int(batch_size)
         if k <= 0:
@@ -591,4 +594,5 @@ class ShardedPathSampler:
             sources[i] = s.source
             targets[i] = s.target
             out.record(i, (s.connected, s.length, s.internal_vertices, s.edges_touched))
+        count_samples(k)
         return out.finish(sources, targets)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from repro.dist.socketcomm import (
     run_forked,
 )
 from repro.graph.generators import barabasi_albert
+from repro.kernels import BatchPathSampler
 from repro.obs import disable_metrics, enable_metrics, get_registry
 from repro.obs import trace as obs_trace
 from repro.store import write_rcsr
@@ -222,8 +225,12 @@ class TestMetricsCountOnlyTheRun:
         assert snapshot["test_forked_ranks_before_total"]["series"] == [[[], 7.0]]
         traffic = {tuple(labels): value for labels, value in snapshot[COMM_BYTES_METRIC]["series"]}
         assert traffic[("0",)] > 0 and traffic[("1",)] > 0  # rank 1's came home
+        # Every sample either rank drew is counted once, under its kernel too:
+        # the planned batches, the overlap batches and the discarded ones.
         drawn = dirty_registry.counter("repro_kernel_samples_total").value
-        assert result.num_samples <= drawn <= 3 * result.num_samples
+        kernel = BatchPathSampler(graph).kernel_name
+        assert drawn == dirty_registry.counter(f"repro_kernel_{kernel}_samples_total").value
+        assert drawn >= result.num_samples
 
     def test_launch(self, rcsr, tmp_path, dirty_registry, monkeypatch):
         # Rank 0 is a child here; have it write down the registry it merged.
@@ -260,6 +267,24 @@ class TestListenerHandOff:
             assert hub.wait_closed(timeout=10.0)
         finally:
             hub.close()
+
+    def test_connect_gives_up_at_its_timeout(self, monkeypatch):
+        """A hub that drops SYNs: each attempt hangs, and the deadline counts
+        that time too, not only the pauses between attempts."""
+        attempt, timeout = 0.3, 0.5
+        attempts = []
+
+        def dropped_syn(address, timeout=None):
+            attempts.append(timeout)
+            time.sleep(attempt)
+            raise socket.timeout("timed out")
+
+        monkeypatch.setattr(socket, "create_connection", dropped_syn)
+        start = time.monotonic()
+        with pytest.raises(CommError, match="could not reach rendezvous hub"):
+            SocketComm.connect("127.0.0.1", 9, 1, 2, timeout=timeout)
+        assert time.monotonic() - start < timeout + attempt
+        assert len(attempts) == 2
 
     def test_run_forked_returns_rank_zero_and_reaps(self):
         assert run_forked(3, lambda comm, rank: (rank, comm.allreduce(rank))) == (0, 3)

@@ -9,8 +9,8 @@ The observability acceptance properties live here:
   ``le`` buckets, escaped label values, one ``# TYPE`` per family);
 * spans nest through a thread-local stack, export JSONL trees via
   ``enable_tracing``, and cost nothing when tracing is off;
-* the gated hot-path counters in ``plan_batches`` record if and only if
-  metrics are enabled;
+* the gated hot-path counters in the sampler record every drawn batch if
+  and only if metrics are enabled;
 * ``GET /metrics`` on the query service serves the manager's counters and
   per-endpoint latency histograms as Prometheus text.
 """
@@ -409,21 +409,37 @@ class TestSpans:
 # Hot-path gating
 # --------------------------------------------------------------------- #
 class TestKernelCounters:
-    def test_plan_batches_counts_only_when_enabled(self):
-        from repro.kernels import plan_batches
+    def test_sampler_counts_only_when_enabled(self, small_social_graph):
+        import numpy as np
 
+        from repro.kernels import BatchPathSampler, plan_batches
+
+        sampler = BatchPathSampler(small_social_graph)
+        rng = np.random.default_rng(3)
         reg = obs_metrics.REGISTRY
         samples = reg.counter("repro_kernel_samples_total")
         batches = reg.counter("repro_kernel_batches_total")
-        disable_metrics()
-        before = samples.value
-        assert sum(plan_batches(100, 32)) == 100
-        assert samples.value == before
-        enable_metrics()
-        before_s, before_b = samples.value, batches.value
-        assert sum(plan_batches(100, 32)) == 100
-        assert samples.value - before_s == 100
-        assert batches.value - before_b == 4  # ceil(100 / 32)
+        per_kernel = reg.counter(f"repro_kernel_{sampler.kernel_name}_samples_total")
+
+        def draw():
+            for take in plan_batches(100, 32):
+                sampler.sample_batch(take, rng)
+            sampler.sample(rng)
+
+        was_enabled = obs_metrics.ENABLED
+        try:
+            disable_metrics()
+            before = (samples.value, batches.value, per_kernel.value)
+            draw()
+            assert (samples.value, batches.value, per_kernel.value) == before
+            enable_metrics()
+            before_s, before_b, before_k = samples.value, batches.value, per_kernel.value
+            draw()
+            assert samples.value - before_s == 101
+            assert per_kernel.value - before_k == 101
+            assert batches.value - before_b == 5  # ceil(100 / 32) batches and one sample
+        finally:
+            (enable_metrics if was_enabled else disable_metrics)()
 
 
 # --------------------------------------------------------------------- #

@@ -7,6 +7,8 @@
 * Algorithm 1's invariants through the merged epoch loop on threaded ranks.
 * The session is the engine's ``P = T = 1`` rank, and rank 0's checkpoint
   state is a session.
+* Thread 0's overlap loop: whole worker batches per poll with the compiled
+  search, one sample per poll otherwise, never seen by ``on_batch``.
 * Failure propagation: a sampling thread or a rank that raises ends the run
   in that exception instead of leaving its peers spinning forever.
 """
@@ -20,13 +22,16 @@ import threading
 import numpy as np
 import pytest
 
+from test_scan_on_expand import make_sampler
+
 from repro import Resources, estimate_betweenness
 from repro.cli import main as cli_main
 from repro.core import KadabraOptions, StateFrame, StoppingCondition
 from repro.dist.launcher import launch_local
 from repro.graph.generators import barabasi_albert
-from repro.kernels import BatchPathSampler
+from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi import CommError, SelfComm, run_threaded
+from repro.mpi.requests import PolledRequest
 from repro.parallel import EpochLength, adaptive_sampling_epochs, run_rank
 from repro.session import EstimationSession, SessionCapabilityError, open_session
 from repro.store import write_rcsr
@@ -216,6 +221,82 @@ class TestOneLoop:
         resumed, stats = run_rank(SelfComm(), graph, options, resume=state, max_epochs=1)
         assert resumed.num_samples == result.num_samples + stats.local_samples
         assert resumed.vertex_diameter == result.vertex_diameter
+
+
+class PendingComm(SelfComm):
+    """``SelfComm`` whose non-blocking requests stay pending for ``polls`` tests."""
+
+    def __init__(self, polls):
+        super().__init__()
+        self.polls = polls
+
+    def _pending(self, value=None):
+        left = [self.polls]
+
+        def poll():
+            left[0] -= 1
+            return left[0] < 0
+
+        return PolledRequest(poll, lambda: value)
+
+    def ibarrier(self):
+        return self._pending()
+
+    def ireduce(self, value, op="sum", root=0):
+        return self._pending(self.reduce(value, op, root))
+
+    def ibcast(self, value, root=0):
+        return self._pending(self.bcast(value, root))
+
+
+class RecordingSampler:
+    """A sampler that remembers the size of every batch it draws."""
+
+    def __init__(self, sampler):
+        self.inner = sampler
+        self.compiled = sampler.compiled
+        self.sizes = []
+
+    def sample_batch(self, count, rng):
+        self.sizes.append(count)
+        return self.inner.sample_batch(count, rng)
+
+
+class TestOverlapLoop:
+    N0, POLLS, EPOCHS = 40, 3, 3
+
+    @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
+    @pytest.mark.parametrize(
+        "search, batch", [("compiled", WORKER_BATCH), ("bidirectional", 1)],
+        ids=["compiled", "numpy"],
+    )
+    def test_batches_per_poll(self, graph, monkeypatch, search, batch, algorithm):
+        sampler = RecordingSampler(make_sampler(graph, search, monkeypatch))
+        deltas = np.full(graph.num_vertices, 0.001)
+        never = StoppingCondition(eps=1e-4, omega=10**9, delta_l=deltas, delta_u=deltas)
+        seen, folded = [], []
+        stats = adaptive_sampling_epochs(
+            PendingComm(self.POLLS),
+            lambda _t: sampler,
+            never,
+            [np.random.default_rng(7)],
+            num_threads=1,
+            grid=EpochLength(self.N0),
+            algorithm=algorithm,
+            max_epochs=self.EPOCHS,
+            on_batch=lambda b: seen.append(b.num_samples),
+            on_aggregate=lambda _epochs, aggregated: folded.append(aggregated.num_samples),
+        )
+        grid = list(plan_batches(self.N0))
+        # Two requests per epoch wait POLLS polls each (ibarrier or ireduce,
+        # then ibcast); thread 0 draws one batch per poll into the next frame.
+        overlap = 2 * self.POLLS * batch
+        assert sampler.sizes == (grid + [batch] * (2 * self.POLLS)) * self.EPOCHS
+        assert seen == grid * self.EPOCHS  # on_batch never sees an overlap batch
+        # Each frame after the first starts with the previous epoch's overlap.
+        assert np.diff([0] + folded).tolist() == [self.N0] + [self.N0 + overlap] * (self.EPOCHS - 1)
+        # Every sample recorded in a frame, the discarded last overlap included.
+        assert stats.local_samples == sum(sampler.sizes) == folded[-1] + overlap
 
 
 class Boom(RuntimeError):
