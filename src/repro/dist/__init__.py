@@ -1,15 +1,17 @@
 """``repro.dist`` — the real multi-process distributed runtime.
 
 Everything below :mod:`repro.parallel` was written against the
-:class:`~repro.mpi.interface.Communicator` ABC precisely so the threaded
-simulation could be swapped for real transport.  This package performs the
-swap, and starts every local rank the same way — by fork from the process
-that asked for it (:func:`~repro.dist.socketcomm.fork_rank`):
+:class:`~repro.mpi.interface.Communicator` ABC, whose multi-rank semantics
+live once in :mod:`repro.mpi.hub` (one matcher, one client).  This package
+carries them across processes and hosts, and starts every local rank the same
+way — by fork from the process that asked for it
+(:func:`~repro.dist.socketcomm.fork_rank`):
 
-* :mod:`repro.dist.socketcomm` — :class:`SocketComm`, the ABC over TCP with a
-  rank-0 rendezvous hub, length-prefixed stdlib framing and a background
-  receive thread giving ``ThreadedComm``-equivalent non-blocking semantics;
-  :func:`run_forked`, which the facade's ``processes > 1`` runs on.
+* :mod:`repro.dist.socketcomm` — :class:`SocketComm`, the hub's client over
+  TCP: a rank-0 :class:`SocketHub` that frames contributions into the matcher
+  with length-prefixed stdlib framing, and a background receive thread that
+  completes the client's requests; :func:`run_forked`, which the facade's
+  ``processes > 1`` runs on.
 * :mod:`repro.dist.mpi4py_adapter` — the same ABC over ``mpi4py`` when the
   container has it, behind a capability probe (never a hard dependency).
 * :mod:`repro.dist.transports` — the probe-backed transport registry shown by

@@ -1,26 +1,19 @@
 """``SocketComm``: the :class:`~repro.mpi.interface.Communicator` ABC over TCP.
 
-The threaded runtime simulates ranks as threads sharing one address space;
-this module provides the same collectives across real OS processes (and,
-transparently, real hosts) with nothing but the standard library:
+The collectives themselves live in :mod:`repro.mpi.hub` - one matcher, one
+client - and this module is their TCP link, built on the standard library only:
 
 * **Framing** — every message is an 8-byte big-endian length prefix followed
   by a pickled tuple.  No third-party serialization; numpy arrays and
   :class:`~repro.core.state_frame.StateFrame` payloads ride through pickle.
 * **Rendezvous** — rank 0's process hosts a :class:`SocketHub`; every rank
-  (including rank 0 itself) connects to it and says hello with its rank.
-  The hub is a *matcher*, not a coordinator: it pairs contributions of the
-  same collective and sends results back; all reduction arithmetic reuses
-  :func:`repro.mpi.reduce_ops.reduce_op`.
-* **Matching** — collectives match by per-communicator per-kind call order,
-  exactly like ``ThreadedComm``: the caller assigns a sequence number from a
-  local counter, so interleaved non-blocking operations of different kinds
-  (``ibarrier`` + ``ireduce``) pair correctly without tags.
-* **Non-blocking semantics** — a background receive thread completes
-  :class:`_EventRequest` handles as results arrive, giving the same overlap
-  behaviour the epoch framework exploits on ``ThreadedComm`` (non-root
-  ``ireduce`` completes immediately; root completes on arrival of the
-  aggregate).  Blocking waits use events, not spinning.
+  (including rank 0 itself) connects to it and says hello with its rank.  The
+  hub greets each connection with a bounded wait, seats only a free rank in
+  ``[0, size)``, and feeds the seated ranks' contributions to its
+  :class:`~repro.mpi.hub.Matcher`, which sends the results back.
+* **Client** — :class:`SocketComm` is :class:`~repro.mpi.hub.HubComm` over a
+  :class:`_Conn`, whose background receive thread fills the result slots as
+  results arrive.
 * **Failure** — a peer that disappears without an orderly goodbye fails every
   outstanding and future collective on all surviving ranks with
   :class:`CommError` naming the lost rank.  The distributed launcher turns
@@ -46,9 +39,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.mpi.interface import CommError, Communicator
-from repro.mpi.reduce_ops import reduce_op
-from repro.mpi.requests import PolledRequest, Request
+from repro.mpi.hub import WORLD_COMM_ID, HubComm, Link, Matcher
+from repro.mpi.interface import CommError
 from repro.obs.metrics import get_registry, metrics_enabled
 
 __all__ = [
@@ -67,7 +59,8 @@ _LEN = struct.Struct(">Q")
 
 COMM_BYTES_METRIC = "repro_dist_comm_bytes_total"
 
-WORLD_COMM_ID = 0
+# SocketHub: how long a new connection has to say hello.
+_HELLO_S = 10.0
 
 # SocketComm.connect: the bounds of one TCP connect attempt, and the pause
 # between attempts.
@@ -112,23 +105,6 @@ def _recv_frame(sock: socket.socket) -> Optional[Tuple[Tuple[Any, ...], int]]:
 # hub (lives in rank 0's process)
 
 
-class _HubCollective:
-    """Matching state of one in-flight collective at the hub."""
-
-    __slots__ = ("kind", "op", "root", "count", "accumulator", "contributions", "waiters", "value", "has_value")
-
-    def __init__(self, kind: str, op: str, root: int) -> None:
-        self.kind = kind
-        self.op = op
-        self.root = root
-        self.count = 0
-        self.accumulator: Any = None
-        self.contributions: Dict[int, Any] = {}
-        self.waiters: List[int] = []  # member ranks awaiting a bcast value
-        self.value: Any = None
-        self.has_value = False
-
-
 def bind_listener(host: str = "127.0.0.1", port: int = 0, *, backlog: int) -> socket.socket:
     """A bound, listening TCP socket for a :class:`SocketHub` to accept on.
 
@@ -148,14 +124,15 @@ def bind_listener(host: str = "127.0.0.1", port: int = 0, *, backlog: int) -> so
 
 
 class SocketHub:
-    """Rank-0 rendezvous listener and collective matcher.
+    """Rank-0 rendezvous listener and framing around the world's :class:`Matcher`.
 
-    Accepts exactly ``size`` connections, then matches ``("coll", ...)``
-    messages by ``(comm_id, kind, seq)`` and replies with ``("result", ...)``
-    frames.  ``split`` creates child communicator ids here, so sub-communicator
-    collectives route through the same connections.  ``listener`` is a socket
-    from :func:`bind_listener` to accept on (the hub owns it from then on);
-    without one the hub binds ``(host, port)`` itself.
+    Every accepted connection gets a thread that waits at most ``_HELLO_S``
+    for a ``("hello", rank)`` frame naming a free seat in ``[0, size)`` and
+    closes anything else uncounted; a greeted connection's thread then feeds
+    its ``("coll", ...)`` frames to the matcher until the rank says goodbye.
+    Accepting stops once all ``size`` seats are taken.  ``listener`` is a
+    socket from :func:`bind_listener` to accept on (the hub owns it from then
+    on); without one the hub binds ``(host, port)`` itself.
     """
 
     def __init__(
@@ -173,14 +150,9 @@ class SocketHub:
         self._listener.settimeout(0.2)
         self._lock = threading.Lock()
         self._conns: Dict[int, Tuple[socket.socket, threading.Lock]] = {}
-        self._table: Dict[Tuple[int, str, int], _HubCollective] = {}
-        # comm_id -> world ranks indexed by communicator rank
-        self._comms: Dict[int, List[int]] = {WORLD_COMM_ID: list(range(size))}
-        self._next_comm_id = WORLD_COMM_ID + 1
+        self._matcher = Matcher(size, self._send_to)
         self._departed: set = set()
-        self._failed: Optional[str] = None
         self._closing = threading.Event()
-        self._threads: List[threading.Thread] = []
 
     @property
     def host(self) -> str:
@@ -191,46 +163,28 @@ class SocketHub:
         return self._listener.getsockname()[1]
 
     def start(self) -> "SocketHub":
-        accept = threading.Thread(target=self._accept_loop, name="hub-accept", daemon=True)
-        accept.start()
-        self._threads.append(accept)
+        threading.Thread(target=self._accept_loop, name="hub-accept", daemon=True).start()
         return self
 
     # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
-        accepted = 0
-        while accepted < self._size and not self._closing.is_set():
+        while not self._closing.is_set():
+            with self._lock:
+                if len(self._conns) >= self._size:
+                    return
             try:
                 conn, _addr = self._listener.accept()
             except socket.timeout:
                 continue
             except OSError:
                 return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            frame = _recv_frame(conn)
-            if frame is None:
-                conn.close()
-                continue
-            (msg, _nbytes) = frame
-            if not (isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "hello"):
-                conn.close()
-                continue
-            rank = int(msg[1])
-            with self._lock:
-                self._conns[rank] = (conn, threading.Lock())
-                failed = self._failed
-            if failed is not None:
-                # The world already failed before this rank finished joining;
-                # it would otherwise wait forever for an error it never got.
-                self._send_to(rank, ("error", failed))
-            reader = threading.Thread(
-                target=self._reader_loop, args=(rank, conn), name=f"hub-read-{rank}", daemon=True
-            )
-            reader.start()
-            self._threads.append(reader)
-            accepted += 1
+            threading.Thread(target=self._serve, args=(conn,), name="hub-conn", daemon=True).start()
 
-    def _reader_loop(self, rank: int, conn: socket.socket) -> None:
+    def _serve(self, conn: socket.socket) -> None:
+        rank = self._greet(conn)
+        if rank is None:
+            conn.close()
+            return
         orderly = False
         while True:
             try:
@@ -244,11 +198,7 @@ class SocketHub:
                 orderly = True
                 break
             if msg[0] == "coll":
-                try:
-                    self._on_contribution(*msg[1:])
-                except CommError as exc:
-                    self._fail_all(str(exc))
-                    return
+                self._matcher.contribute(msg[1:])
         if orderly:
             with self._lock:
                 self._departed.add(rank)
@@ -256,9 +206,34 @@ class SocketHub:
             if done:
                 self.close()
         elif not self._closing.is_set():
-            self._fail_all(f"rank {rank} connection lost")
+            self._matcher.fail(f"rank {rank} connection lost")
 
-    # ------------------------------------------------------------------ #
+    def _greet(self, conn: socket.socket) -> Optional[int]:
+        """The rank of a timely, well-formed hello for a free seat; ``None`` for anything else."""
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(_HELLO_S)
+            frame = _recv_frame(conn)
+            conn.settimeout(None)
+        except Exception:  # noqa: BLE001 - silence, a reset or garbage: not a rank
+            return None
+        msg = frame[0] if frame is not None else None
+        if not (isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "hello"):
+            return None
+        rank = msg[1]
+        if type(rank) is not int or not 0 <= rank < self._size:
+            return None
+        with self._lock:
+            if rank in self._conns or self._closing.is_set():
+                return None
+            self._conns[rank] = (conn, threading.Lock())
+        failed = self._matcher.failed
+        if failed is not None:
+            # The world already failed before this rank finished joining;
+            # it would otherwise wait forever for an error it never got.
+            self._send_to(rank, ("error", failed))
+        return rank
+
     def _send_to(self, world_rank: int, payload: Tuple[Any, ...]) -> None:
         with self._lock:
             entry = self._conns.get(world_rank)
@@ -270,107 +245,6 @@ class SocketHub:
                 _send_frame(conn, payload)
         except OSError:
             pass
-
-    def _fail_all(self, message: str) -> None:
-        with self._lock:
-            if self._failed is not None:
-                return
-            self._failed = message
-            ranks = list(self._conns)
-        for rank in ranks:
-            self._send_to(rank, ("error", message))
-
-    def _on_contribution(
-        self,
-        comm_id: int,
-        kind: str,
-        seq: int,
-        op: str,
-        root: int,
-        member_rank: int,
-        value: Any,
-    ) -> None:
-        key = (comm_id, kind, seq)
-        with self._lock:
-            failed = self._failed
-            members = self._comms.get(comm_id)
-        if failed is not None:
-            # Contributions arriving after the world failed (e.g. from ranks
-            # that had not yet joined when _fail_all ran) get the error too.
-            if members is not None:
-                self._send_to(members[member_rank], ("error", failed))
-            return
-        with self._lock:
-            if members is None:
-                raise CommError(f"unknown communicator id {comm_id}")
-            entry = self._table.get(key)
-            if entry is None:
-                entry = self._table[key] = _HubCollective(kind, op, root)
-            if entry.op != op or entry.root != root:
-                raise CommError(
-                    f"collective mismatch at {key}: "
-                    f"({entry.kind},{entry.op},{entry.root}) vs ({kind},{op},{root})"
-                )
-            size = len(members)
-            entry.count += 1
-            done = entry.count >= size
-
-            if kind in ("reduce", "allreduce"):
-                if entry.accumulator is None:
-                    entry.accumulator = value
-                else:
-                    entry.accumulator = reduce_op(op)(entry.accumulator, value)
-            elif kind == "bcast":
-                if member_rank == root:
-                    entry.value = value
-                    entry.has_value = True
-                else:
-                    entry.waiters.append(member_rank)
-            elif kind == "gather":
-                entry.contributions[member_rank] = value
-            elif kind == "split":
-                entry.contributions[member_rank] = value
-            # barrier carries no payload
-
-            to_send: List[Tuple[int, Tuple[Any, ...]]] = []
-            if kind == "bcast" and entry.has_value:
-                for waiter in entry.waiters:
-                    to_send.append((members[waiter], ("result", comm_id, kind, seq, entry.value)))
-                entry.waiters.clear()
-            if done:
-                del self._table[key]
-                if kind == "reduce":
-                    to_send.append((members[root], ("result", comm_id, kind, seq, entry.accumulator)))
-                elif kind == "allreduce":
-                    for r, world in enumerate(members):
-                        to_send.append((world, ("result", comm_id, kind, seq, entry.accumulator)))
-                elif kind == "gather":
-                    ordered = [entry.contributions[r] for r in range(size)]
-                    for r, world in enumerate(members):
-                        result = ordered if r == root else None
-                        to_send.append((world, ("result", comm_id, kind, seq, result)))
-                elif kind == "barrier":
-                    for world in members:
-                        to_send.append((world, ("result", comm_id, kind, seq, None)))
-                elif kind == "split":
-                    groups: Dict[Any, List[Tuple[Any, int]]] = {}
-                    for r in range(size):
-                        color, sort_key = entry.contributions[r]
-                        groups.setdefault(color, []).append((sort_key, r))
-                    for color in sorted(groups, key=repr):
-                        group = sorted(groups[color])
-                        new_id = self._next_comm_id
-                        self._next_comm_id += 1
-                        self._comms[new_id] = [members[r] for (_k, r) in group]
-                        for new_rank, (_k, r) in enumerate(group):
-                            to_send.append(
-                                (
-                                    members[r],
-                                    ("result", comm_id, kind, seq, (new_id, new_rank, len(group))),
-                                )
-                            )
-        for world_rank, payload in to_send:
-            self._send_to(world_rank, payload)
 
     # ------------------------------------------------------------------ #
     def wait_closed(self, timeout: Optional[float] = None) -> bool:
@@ -402,26 +276,14 @@ class SocketHub:
 # client side
 
 
-class _Pending:
-    __slots__ = ("event", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Any = None
-        self.has_value = False
-
-
-class _Conn:
+class _Conn(Link):
     """One process's connection to the hub, shared by all its communicators."""
 
     def __init__(self, sock: socket.socket, rank: int) -> None:
+        super().__init__()
+        self.world_rank = rank
         self._sock = sock
         self._send_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._pending: Dict[Tuple[int, str, int], _Pending] = {}
-        self.world_rank = rank
-        self.bytes_total = 0
-        self.error: Optional[str] = None
         self._closed = False
         self._counter = None
         if metrics_enabled():
@@ -435,19 +297,10 @@ class _Conn:
         )
         self._recv_thread.start()
 
-    # ------------------------------------------------------------------ #
     def _account(self, nbytes: int) -> None:
-        with self._lock:
-            self.bytes_total += nbytes
+        super()._account(nbytes)
         if self._counter is not None:
             self._counter.inc(nbytes)
-
-    def _pending_for(self, key: Tuple[int, str, int]) -> _Pending:
-        with self._lock:
-            entry = self._pending.get(key)
-            if entry is None:
-                entry = self._pending[key] = _Pending()
-            return entry
 
     def _recv_loop(self) -> None:
         while True:
@@ -461,28 +314,12 @@ class _Conn:
                 return
             msg, nbytes = frame
             self._account(nbytes)
-            if msg[0] == "result":
-                _tag, comm_id, kind, seq, value = msg
-                entry = self._pending_for((comm_id, kind, seq))
-                entry.value = value
-                entry.has_value = True
-                entry.event.set()
-            elif msg[0] == "error":
-                self._set_error(str(msg[1]))
+            self.deliver(msg)
+            if msg[0] == "error":
                 return
 
-    def _set_error(self, message: str) -> None:
-        with self._lock:
-            if self.error is None:
-                self.error = message
-            pending = list(self._pending.values())
-        for entry in pending:
-            entry.event.set()
-
-    # ------------------------------------------------------------------ #
     def send(self, payload: Tuple[Any, ...]) -> None:
-        if self.error is not None:
-            raise CommError(self.error)
+        self.raise_if_failed()
         try:
             with self._send_lock:
                 nbytes = _send_frame(self._sock, payload)
@@ -511,69 +348,9 @@ class _Conn:
         self._recv_thread.join(timeout=2.0)
 
 
-class _EventRequest(Request):
-    """Request completed by the receive thread (no spinning while waiting)."""
+class SocketComm(HubComm):
+    """The shared :class:`~repro.mpi.hub.HubComm` client over a TCP connection to the hub."""
 
-    def __init__(self, conn: _Conn, pending: _Pending, fetch: Optional[Callable[[Any], Any]] = None) -> None:
-        self._conn = conn
-        self._pending = pending
-        self._fetch = fetch
-        self._value: Any = None
-        self._done = False
-
-    def _raise_if_failed(self) -> None:
-        if self._conn.error is not None:
-            raise CommError(self._conn.error)
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        self._raise_if_failed()
-        if self._pending.event.is_set():
-            self._finish()
-            return True
-        return False
-
-    def wait(self, poll_interval: float = 0.0) -> Any:
-        del poll_interval  # event-driven; no polling needed
-        if not self._done:
-            self._pending.event.wait()
-            self._raise_if_failed()
-            self._finish()
-        return self._value
-
-    def _finish(self) -> None:
-        value = self._pending.value
-        self._value = self._fetch(value) if self._fetch is not None else value
-        self._done = True
-
-    def result(self) -> Any:
-        if not self._done:
-            raise RuntimeError("request has not completed; call wait() or test() first")
-        return self._value
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-
-class SocketComm(Communicator):
-    """TCP implementation of the communicator ABC (see module docstring).
-
-    Collectives match by per-communicator per-kind call order like
-    ``ThreadedComm``; all ranks of a communicator must therefore issue the
-    same sequence of collectives, which the MPI usage model already requires.
-    """
-
-    def __init__(self, conn: _Conn, comm_id: int, rank: int, size: int) -> None:
-        self._conn = conn
-        self._comm_id = comm_id
-        self._rank = rank
-        self._size = size
-        self._seq: Dict[str, int] = {}
-        self._seq_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
     @classmethod
     def connect(
         cls, host: str, port: int, rank: int, size: int, *, timeout: float = 30.0
@@ -609,83 +386,9 @@ class SocketComm(Communicator):
         conn = _Conn(sock, int(rank))
         return cls(conn, WORLD_COMM_ID, int(rank), int(size))
 
-    # ------------------------------------------------------------------ #
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def _next_seq(self, kind: str) -> int:
-        with self._seq_lock:
-            seq = self._seq.get(kind, 0)
-            self._seq[kind] = seq + 1
-            return seq
-
-    def _post(self, kind: str, *, op: str = "", root: int = 0, value: Any = None) -> _Pending:
-        """Register the pending slot, then send the contribution."""
-        seq = self._next_seq(kind)
-        pending = self._conn._pending_for((self._comm_id, kind, seq))
-        self._conn.send(("coll", self._comm_id, kind, seq, op, root, self._rank, value))
-        return pending
-
-    def _post_fire_and_forget(self, kind: str, *, op: str, root: int, value: Any) -> None:
-        seq = self._next_seq(kind)
-        self._conn.send(("coll", self._comm_id, kind, seq, op, root, self._rank, value))
-
-    # ------------------------------------------------------------------ #
-    def barrier(self) -> None:
-        self.ibarrier().wait()
-
-    def ibarrier(self) -> Request:
-        pending = self._post("barrier")
-        return _EventRequest(self._conn, pending)
-
-    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Optional[Any]:
-        return self.ireduce(value, op=op, root=root).wait()
-
-    def ireduce(self, value: Any, op: str = "sum", root: int = 0) -> Request:
-        if self._rank == root:
-            pending = self._post("reduce", op=op, root=root, value=value)
-            return _EventRequest(self._conn, pending)
-        # Non-root contributions complete immediately, like ThreadedComm:
-        # the epoch loop keeps sampling while the wire does its work.
-        self._post_fire_and_forget("reduce", op=op, root=root, value=value)
-        return PolledRequest(lambda: True)
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        pending = self._post("allreduce", op=op, value=value)
-        return _EventRequest(self._conn, pending).wait()
-
-    def bcast(self, value: Any = None, root: int = 0) -> Any:
-        return self.ibcast(value, root=root).wait()
-
-    def ibcast(self, value: Any = None, root: int = 0) -> Request:
-        if self._rank == root:
-            self._post_fire_and_forget("bcast", op="bcast", root=root, value=value)
-            return PolledRequest(lambda: True, lambda: value)
-        pending = self._post("bcast", op="bcast", root=root)
-        return _EventRequest(self._conn, pending)
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        pending = self._post("gather", op="gather", root=root, value=value)
-        return _EventRequest(self._conn, pending).wait()
-
-    def split(self, color: Any, key: int = 0) -> "SocketComm":
-        pending = self._post("split", op="split", value=(color, int(key)))
-        new_id, new_rank, new_size = _EventRequest(self._conn, pending).wait()
-        return SocketComm(self._conn, new_id, new_rank, new_size)
-
-    # ------------------------------------------------------------------ #
-    def communication_bytes(self) -> int:
-        """Actual framed bytes sent + received by this process."""
-        return self._conn.bytes_total
-
     def close(self) -> None:
         """Orderly goodbye; after this no collective may be issued."""
-        self._conn.close()
+        self._link.close()
 
     def __repr__(self) -> str:
         return f"SocketComm(rank={self._rank}, size={self._size}, comm_id={self._comm_id})"
@@ -833,7 +536,7 @@ def run_socket(
             results[rank] = target(comm, rank)
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
             errors.append(exc)
-            hub._fail_all(f"rank {rank} raised {exc!r}")
+            hub._matcher.fail(f"rank {rank} raised {exc!r}")
         finally:
             if comm is not None:
                 comm.close()

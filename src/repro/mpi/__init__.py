@@ -1,4 +1,5 @@
-"""MPI substrate: communicator interface, threaded runtime and topology split."""
+"""MPI substrate: communicator interface, the one collective matcher and its
+client (:mod:`repro.mpi.hub`), the threaded runtime and the topology split."""
 
 from repro.mpi.interface import CommError, Communicator, SelfComm
 from repro.mpi.requests import Request, CompletedRequest, PolledRequest

@@ -1,0 +1,340 @@
+"""The one collective matcher, and the communicator every multi-rank transport runs.
+
+Algorithms 1 and 2 need ``ireduce``, ``ibarrier``, ``ibcast`` and ``split``
+with one set of semantics; they are defined once, here:
+
+* :class:`Matcher` pairs the contributions of one world's collectives.  A
+  contribution is ``(comm_id, kind, seq, op, root, member_rank, value)`` and
+  matches by ``(comm_id, kind, seq)``: the caller numbers its collectives per
+  communicator and per kind, so interleaved non-blocking operations of
+  different kinds (``ibarrier`` + ``ireduce``) pair correctly without tags.
+  ``split`` allocates the child communicator ids here.  Results leave as
+  ``("result", comm_id, kind, seq, value)``, failures as ``("error",
+  message)``, through the transport's ``deliver(world_rank, message)``.  Any
+  fault while matching - ranks that disagree on op or root, an unknown
+  communicator - fails the whole world with :class:`CommError`.
+* :class:`HubComm` is the :class:`~repro.mpi.interface.Communicator` each
+  rank holds.  It posts contributions over a :class:`Link` and waits on
+  requests the link resolves: a non-root ``ireduce`` and the root's
+  ``ibcast`` complete at once (the epoch loop keeps sampling while the link
+  does its work), everything else when its result arrives.  Blocking waits
+  use events, not spinning.
+
+A transport is a link between the two: :mod:`repro.dist.socketcomm` frames
+contributions over TCP to a hub in rank 0's process, :mod:`repro.mpi.threaded`
+calls the matcher in the contributing thread.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.mpi.interface import CommError, Communicator
+from repro.mpi.reduce_ops import reduce_op
+from repro.mpi.requests import CompletedRequest, Request
+
+__all__ = ["WORLD_COMM_ID", "HubComm", "Link", "Matcher"]
+
+WORLD_COMM_ID = 0
+
+Key = Tuple[int, str, int]
+Message = Tuple[Any, ...]
+
+
+class _HubCollective:
+    """Matching state of one in-flight collective."""
+
+    __slots__ = ("kind", "op", "root", "count", "accumulator", "contributions", "waiters", "value", "has_value")
+
+    def __init__(self, kind: str, op: str, root: int) -> None:
+        self.kind = kind
+        self.op = op
+        self.root = root
+        self.count = 0
+        self.accumulator: Any = None
+        self.contributions: Dict[int, Any] = {}
+        self.waiters: List[int] = []  # member ranks awaiting a bcast value
+        self.value: Any = None
+        self.has_value = False
+
+
+class Matcher:
+    """Matches the collectives of one world of ``size`` ranks (see module docstring)."""
+
+    def __init__(self, size: int, deliver: Callable[[int, Message], None]) -> None:
+        self._deliver = deliver
+        self._lock = threading.Lock()
+        self._table: Dict[Key, _HubCollective] = {}
+        # comm_id -> world ranks indexed by communicator rank
+        self._comms: Dict[int, List[int]] = {WORLD_COMM_ID: list(range(size))}
+        self._next_comm_id = WORLD_COMM_ID + 1
+        self.failed: Optional[str] = None
+
+    def fail(self, message: str) -> None:
+        """Fail the world: every rank gets ``("error", message)``; the first failure wins."""
+        with self._lock:
+            if self.failed is not None:
+                return
+            self.failed = message
+        for world_rank in self._comms[WORLD_COMM_ID]:
+            self._deliver(world_rank, ("error", message))
+
+    def contribute(self, contribution: Tuple[Any, ...]) -> None:
+        """Match one contribution and deliver what it completes; never raises."""
+        try:
+            to_send = self._match(*contribution)
+        except CommError as exc:
+            self.fail(str(exc))
+            return
+        except Exception as exc:  # noqa: BLE001 - a fault fails the world, not the caller's thread
+            self.fail(f"contribution {contribution[:3]!r} failed: {exc!r}")
+            return
+        for world_rank, message in to_send:
+            self._deliver(world_rank, message)
+
+    def _match(
+        self, comm_id: int, kind: str, seq: int, op: str, root: int, member_rank: int, value: Any
+    ) -> List[Tuple[int, Message]]:
+        key = (comm_id, kind, seq)
+        head = ("result", comm_id, kind, seq)
+        with self._lock:
+            members = self._comms.get(comm_id)
+            if members is None:
+                raise CommError(f"unknown communicator id {comm_id}")
+            if self.failed is not None:
+                # Contributions arriving after the world failed (e.g. from ranks
+                # that had not yet joined when it failed) get the error too.
+                return [(members[member_rank], ("error", self.failed))]
+            entry = self._table.get(key)
+            if entry is None:
+                entry = self._table[key] = _HubCollective(kind, op, root)
+            if entry.op != op or entry.root != root:
+                raise CommError(
+                    f"collective mismatch at {key}: "
+                    f"({entry.kind},{entry.op},{entry.root}) vs ({kind},{op},{root})"
+                )
+            size = len(members)
+            entry.count += 1
+            if kind in ("reduce", "allreduce"):
+                entry.accumulator = value if entry.count == 1 else reduce_op(op)(entry.accumulator, value)
+            elif kind == "bcast":
+                if member_rank == root:
+                    entry.value = value
+                    entry.has_value = True
+                else:
+                    entry.waiters.append(member_rank)
+            elif kind in ("gather", "split"):
+                entry.contributions[member_rank] = value
+            # barrier carries no payload
+
+            to_send: List[Tuple[int, Message]] = []
+            if kind == "bcast" and entry.has_value:
+                to_send += [(members[waiter], head + (entry.value,)) for waiter in entry.waiters]
+                entry.waiters.clear()
+            if entry.count < size:
+                return to_send
+            del self._table[key]
+            if kind == "reduce":
+                to_send.append((members[root], head + (entry.accumulator,)))
+            elif kind in ("allreduce", "barrier"):
+                to_send += [(world, head + (entry.accumulator,)) for world in members]
+            elif kind == "gather":
+                ordered = [entry.contributions[r] for r in range(size)]
+                to_send += [(world, head + (ordered if r == root else None,)) for r, world in enumerate(members)]
+            elif kind == "split":
+                groups: Dict[Any, List[Tuple[Any, int]]] = {}
+                for r in range(size):
+                    color, sort_key = entry.contributions[r]
+                    groups.setdefault(color, []).append((sort_key, r))
+                for color in sorted(groups, key=repr):
+                    group = sorted(groups[color])
+                    new_id = self._next_comm_id
+                    self._next_comm_id += 1
+                    self._comms[new_id] = [members[r] for (_k, r) in group]
+                    for new_rank, (_k, r) in enumerate(group):
+                        to_send.append((members[r], head + ((new_id, new_rank, len(group)),)))
+            return to_send
+
+
+# --------------------------------------------------------------------------- #
+# client side
+
+
+class _Pending:
+    """One result slot, set when its result (or the world's failure) arrives."""
+
+    __slots__ = ("event", "value")
+
+    def __init__(self) -> None:
+        self.event = threading.Event()
+        self.value: Any = None
+
+
+class Link:
+    """One rank's end of a transport: result slots keyed by ``(comm_id, kind, seq)``.
+
+    A slot is registered before its contribution is sent and leaves the table
+    when its result arrives, so a finished collective's result lives only as
+    long as the caller holds it.  Transports implement :meth:`send`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pending: Dict[Key, _Pending] = {}
+        self.bytes_total = 0
+        self.error: Optional[str] = None
+
+    def send(self, message: Message) -> None:
+        """Hand ``("coll", *contribution)`` to the matcher."""
+        raise NotImplementedError
+
+    def raise_if_failed(self) -> None:
+        if self.error is not None:
+            raise CommError(self.error)
+
+    def expect(self, key: Key) -> _Pending:
+        pending = _Pending()
+        with self._lock:
+            self._pending[key] = pending
+        return pending
+
+    def deliver(self, message: Message) -> None:
+        """Fill the slot of a ``("result", ...)``, or fail every slot on ``("error", text)``."""
+        if message[0] == "error":
+            self._set_error(str(message[1]))
+            return
+        _tag, comm_id, kind, seq, value = message
+        with self._lock:
+            pending = self._pending.pop((comm_id, kind, seq), None)
+        if pending is not None:
+            pending.value = value
+            pending.event.set()
+
+    def _set_error(self, message: str) -> None:
+        with self._lock:
+            if self.error is None:
+                self.error = message
+            pending = list(self._pending.values())
+        for entry in pending:
+            entry.event.set()
+
+    def _account(self, nbytes: int) -> None:
+        with self._lock:
+            self.bytes_total += nbytes
+
+
+class _EventRequest(Request):
+    """Request completed by its link (no spinning while waiting)."""
+
+    def __init__(self, link: Link, pending: _Pending) -> None:
+        self._link = link
+        self._pending = pending
+        self._value: Any = None
+        self._done = False
+
+    def test(self) -> bool:
+        if self._done:
+            return True
+        self._link.raise_if_failed()
+        if self._pending.event.is_set():
+            self._finish()
+            return True
+        return False
+
+    def wait(self, poll_interval: float = 0.0) -> Any:
+        del poll_interval  # event-driven; no polling needed
+        if not self._done:
+            self._pending.event.wait()
+            self._link.raise_if_failed()
+            self._finish()
+        return self._value
+
+    def _finish(self) -> None:
+        self._value = self._pending.value
+        self._done = True
+
+    def result(self) -> Any:
+        if not self._done:
+            raise RuntimeError("request has not completed; call wait() or test() first")
+        return self._value
+
+    @property
+    def done(self) -> bool:
+        return self._done
+
+
+class HubComm(Communicator):
+    """One rank's communicator over a :class:`Link` (see module docstring).
+
+    All ranks of a communicator must issue the same sequence of collectives,
+    which the MPI usage model already requires.
+    """
+
+    def __init__(self, link: Link, comm_id: int, rank: int, size: int) -> None:
+        self._link = link
+        self._comm_id = comm_id
+        self._rank = rank
+        self._size = size
+        self._seq: Dict[str, int] = {}
+        self._seq_lock = threading.Lock()
+
+    @property
+    def rank(self) -> int:
+        return self._rank
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def _post(self, kind: str, *, op: str = "", root: int = 0, value: Any = None, reply: bool = True) -> Any:
+        """Send this rank's contribution; with ``reply``, the request of its result slot."""
+        with self._seq_lock:
+            seq = self._seq.get(kind, 0)
+            self._seq[kind] = seq + 1
+        request = _EventRequest(self._link, self._link.expect((self._comm_id, kind, seq))) if reply else None
+        self._link.send(("coll", self._comm_id, kind, seq, op, root, self._rank, value))
+        return request
+
+    # ------------------------------------------------------------------ #
+    def barrier(self) -> None:
+        self.ibarrier().wait()
+
+    def ibarrier(self) -> Request:
+        return self._post("barrier")
+
+    def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Optional[Any]:
+        return self.ireduce(value, op=op, root=root).wait()
+
+    def ireduce(self, value: Any, op: str = "sum", root: int = 0) -> Request:
+        self._check(root, op)
+        if self._rank == root:
+            return self._post("reduce", op=op, root=root, value=value)
+        self._post("reduce", op=op, root=root, value=value, reply=False)
+        return CompletedRequest()
+
+    def allreduce(self, value: Any, op: str = "sum") -> Any:
+        self._check(0, op)
+        return self._post("allreduce", op=op, value=value).wait()
+
+    def bcast(self, value: Any = None, root: int = 0) -> Any:
+        return self.ibcast(value, root=root).wait()
+
+    def ibcast(self, value: Any = None, root: int = 0) -> Request:
+        self._check(root)
+        if self._rank == root:
+            self._post("bcast", op="bcast", root=root, value=value, reply=False)
+            return CompletedRequest(value)
+        return self._post("bcast", op="bcast", root=root)
+
+    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
+        self._check(root)
+        return self._post("gather", op="gather", root=root, value=value).wait()
+
+    def split(self, color: Any, key: int = 0) -> "HubComm":
+        new_id, new_rank, new_size = self._post("split", op="split", value=(color, int(key))).wait()
+        return type(self)(self._link, new_id, new_rank, new_size)
+
+    def communication_bytes(self) -> int:
+        """Bytes this rank's link moved, over all of its communicators."""
+        return self._link.bytes_total

@@ -8,12 +8,14 @@ The algorithms in Section IV need exactly these primitives:
 * non-blocking ``ibcast`` for distributing the termination flag;
 * communicator ``split`` for the NUMA-aware node-local/global topology.
 
-Two implementations exist: :class:`~repro.mpi.threaded.ThreadedComm`, which
-runs each rank in a Python thread of the current process (mpi4py and a real
-cluster are unavailable in this environment), and
-:class:`~repro.mpi.interface.SelfComm` for single-rank execution.  The
-interface mirrors mpi4py closely enough that swapping in a real
-``mpi4py.MPI.Comm`` adapter only requires implementing this class.
+Three implementations live in this repository.  :class:`SelfComm` (below)
+is the single rank.  Every multi-rank transport runs one client,
+:class:`~repro.mpi.hub.HubComm`, over a link to one collective matcher,
+:class:`~repro.mpi.hub.Matcher`: ``SocketComm`` frames it over TCP
+(:mod:`repro.dist.socketcomm`), ``ThreadedComm`` calls it in-process with
+ranks as threads (:mod:`repro.mpi.threaded`, the conformance suite's
+fixture).  ``Mpi4pyComm`` (:mod:`repro.dist.mpi4py_adapter`) maps the
+interface onto a real ``mpi4py`` communicator when one is available.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import abc
 from typing import Any, List, Optional
 
+from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import CompletedRequest, Request
 
 __all__ = ["CommError", "Communicator", "SelfComm"]
@@ -86,11 +89,18 @@ class Communicator(abc.ABC):
         """Partition the communicator by ``color`` (MPI_Comm_split semantics)."""
 
     # -- convenience ------------------------------------------------------ #
+    def _check(self, root: int, op: Optional[str] = None) -> None:
+        """Reject an unknown reduction ``op`` or a ``root`` outside ``[0, size)``, before posting."""
+        if op is not None:
+            reduce_op(op)
+        if not 0 <= root < self.size:
+            raise ValueError(f"root {root} is not a rank of a size-{self.size} communicator")
+
     def communication_bytes(self) -> int:
         """Total payload bytes moved through this communicator so far.
 
-        Implementations that do not track traffic return 0; the threaded
-        communicator accounts every reduce/bcast/gather payload, which feeds
+        Implementations that do not track traffic return 0; the multi-rank
+        transports count the framed bytes of their rank's link, which feeds
         the communication-volume column of Table II.
         """
         return 0
@@ -102,9 +112,6 @@ class SelfComm(Communicator):
     Used for sequential runs of the distributed drivers and as the base case
     of communicator splits.
     """
-
-    def __init__(self) -> None:
-        self._bytes = 0
 
     @property
     def rank(self) -> int:
@@ -121,27 +128,24 @@ class SelfComm(Communicator):
         return CompletedRequest()
 
     def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Optional[Any]:
-        if root != 0:
-            raise ValueError("SelfComm only has rank 0")
+        self._check(root, op)
         return value
 
     def ireduce(self, value: Any, op: str = "sum", root: int = 0) -> Request:
         return CompletedRequest(self.reduce(value, op, root))
 
     def allreduce(self, value: Any, op: str = "sum") -> Any:
-        return value
+        return self.reduce(value, op)
 
     def bcast(self, value: Any, root: int = 0) -> Any:
-        if root != 0:
-            raise ValueError("SelfComm only has rank 0")
+        self._check(root)
         return value
 
     def ibcast(self, value: Any, root: int = 0) -> Request:
         return CompletedRequest(self.bcast(value, root))
 
     def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        if root != 0:
-            raise ValueError("SelfComm only has rank 0")
+        self._check(root)
         return [value]
 
     def split(self, color: int, key: int = 0) -> "Communicator":

@@ -12,6 +12,7 @@ Not named ``test_*`` on purpose: pytest does not collect it, tests import it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, List
 
 import numpy as np
@@ -248,6 +249,80 @@ def check_rank_exception_fails_the_world(runner: CommRunner, n: int) -> None:
     assert sorted(failed_peers) == list(range(1, n))
 
 
+def check_ireduce_buffer_reusable_after_return(runner: CommRunner, n: int) -> None:
+    """A non-root rank may overwrite its contribution once ``ireduce`` returns
+    (the engine zeroes its aggregate scratch in place); the root folds the
+    value as it was at the call."""
+
+    def body(comm, rank):
+        buffer = np.full(4, float(rank + 1))
+        if rank == 0:
+            comm.barrier()  # every other rank has contributed and overwritten its buffer
+            return comm.ireduce(buffer, op="sum", root=0).wait()
+        comm.ireduce(buffer, op="sum", root=0).wait()
+        buffer[:] = -100.0
+        comm.barrier()
+        return None
+
+    results = runner.run(n, body)
+    assert list(results[0]) == [n * (n + 1) / 2] * 4
+
+
+def check_reduce_results_are_not_retained(runner: CommRunner, n: int) -> None:
+    """A finished reduction's result lives only as long as its caller holds it."""
+
+    def body(comm, rank):
+        refs = []
+        for _ in range(3):
+            frame = StateFrame.zeros(64)
+            frame.record_sample(np.asarray([rank]))
+            result = comm.reduce(frame, op="sum", root=0)
+            del frame
+            if result is not None:
+                refs.append(weakref.ref(result))
+                del result
+            comm.barrier()
+        return [ref() is None for ref in refs]
+
+    results = runner.run(n, body)
+    assert results[0] == [True] * 3
+    assert all(r == [] for r in results[1:])
+
+
+def check_bad_root_raises_value_error(runner: CommRunner, n: int) -> None:
+    """A root outside ``[0, size)`` raises in the calling rank and posts nothing."""
+
+    def body(comm, rank):
+        for call in (
+            lambda: comm.reduce(1, root=n),
+            lambda: comm.ireduce(1, root=-1),
+            lambda: comm.bcast(1, root=n + 3),
+            lambda: comm.gather(1, root=n),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        comm.barrier()
+        return comm.allreduce(1, op="sum")
+
+    assert runner.run(n, body) == [n] * n
+
+
+def check_bad_op_raises_value_error(runner: CommRunner, n: int) -> None:
+    """An unknown reduction op raises in the calling rank and posts nothing."""
+
+    def body(comm, rank):
+        for call in (
+            lambda: comm.allreduce(1, op="bogus"),
+            lambda: comm.reduce(1, op="bogus"),
+            lambda: comm.ireduce(1, op="bogus", root=n - 1),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        return comm.allreduce(rank, op="max")
+
+    assert runner.run(n, body) == [n - 1] * n
+
+
 #: name -> (check, min_ranks_required)
 CHECKS = {
     "reduce_sum_root0": (check_reduce_sum_root0, 1),
@@ -269,4 +344,8 @@ CHECKS = {
     "split_key_reverses_order": (check_split_key_reverses_order, 3),
     "communication_bytes_positive": (check_communication_bytes_positive, 2),
     "rank_exception_fails_the_world": (check_rank_exception_fails_the_world, 2),
+    "ireduce_buffer_reusable_after_return": (check_ireduce_buffer_reusable_after_return, 2),
+    "reduce_results_are_not_retained": (check_reduce_results_are_not_retained, 1),
+    "bad_root_raises_value_error": (check_bad_root_raises_value_error, 1),
+    "bad_op_raises_value_error": (check_bad_op_raises_value_error, 1),
 }

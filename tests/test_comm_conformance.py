@@ -8,11 +8,13 @@ cannot observe a mismatch (a single rank cannot disagree with itself).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from comm_conformance import CHECKS, RUNNERS
 
-from repro.dist.socketcomm import CommError, run_socket
+from repro.dist.socketcomm import CommError, SocketComm, SocketHub, run_socket
 from repro.mpi.threaded import ThreadedCommWorld
 
 DEFAULT_RANKS = 4
@@ -35,10 +37,9 @@ def test_conformance(runner, check_name):
 
 
 # --------------------------------------------------------------------------- #
-# Mismatch detection is transport-specific: the threaded world raises
-# synchronously in the offending rank's call (other ranks would block, so it
-# is exercised with direct sequential calls), while the socket hub fails
-# *every* rank of the world with CommError.
+# Mismatch detection: every transport fails *every* rank of the world with
+# CommError.  The threaded world also raises in the offending rank's call, so
+# it is exercised with direct sequential calls from one thread.
 
 
 def test_threaded_mismatch_raises_in_offending_call():
@@ -54,6 +55,46 @@ def test_socket_mismatch_fails_all_ranks():
 
     with pytest.raises(CommError, match="mismatch"):
         run_socket(4, body, timeout=30.0)
+
+
+# A contribution the matcher cannot handle - here a root past the world, posted
+# below the client's own check as a foreign client could send it - fails the
+# world with CommError on every transport.
+
+
+def test_threaded_matcher_fault_fails_the_world():
+    world = ThreadedCommWorld(2)
+    pending = world.comm_for_rank(0)._post("reduce", op="sum", root=5, value=1)
+    with pytest.raises(CommError, match="failed"):
+        world.comm_for_rank(1)._post("reduce", op="sum", root=5, value=1)
+    with pytest.raises(CommError, match="failed"):
+        pending.wait()
+
+
+def test_socket_matcher_fault_fails_the_world_and_keeps_reading():
+    hub = SocketHub(2).start()
+    errors = []
+
+    def body(rank):
+        comm = SocketComm.connect(hub.host, hub.port, rank, 2)
+        try:
+            comm._post("reduce", op="sum", root=5, value=1).wait()
+        except CommError as exc:
+            errors.append(str(exc))
+        finally:
+            comm.close()
+
+    threads = [threading.Thread(target=body, args=(rank,), daemon=True) for rank in range(2)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+        assert len(errors) == 2 and all("failed" in error for error in errors)
+        # Both readers lived on to read their rank's goodbye.
+        assert hub.wait_closed(timeout=10.0)
+    finally:
+        hub.close()
 
 
 def test_socket_comm_bytes_counter_when_metrics_enabled():

@@ -32,6 +32,7 @@ from repro.dist.socketcomm import (
     CommError,
     SocketComm,
     SocketHub,
+    _send_frame,
     bind_listener,
     run_forked,
 )
@@ -266,6 +267,42 @@ class TestListenerHandOff:
             root.close()
             assert hub.wait_closed(timeout=10.0)
         finally:
+            hub.close()
+
+    def test_strays_take_no_seat(self):
+        """An idle connection, a hello for no rank and a second hello for a
+        seated rank are closed uncounted; the world still completes."""
+        hub = SocketHub(2).start()
+        address = (hub.host, hub.port)
+        strays = [socket.create_connection(address) for _ in range(3)]
+        idle, bogus, duplicate = strays
+        comms = []
+        try:
+            _send_frame(bogus, ("hello", 7))
+            comms.append(SocketComm.connect(*address, 0, 2, timeout=5.0))
+            deadline = time.monotonic() + 20.0
+            while 0 not in hub._conns and time.monotonic() < deadline:
+                time.sleep(0.01)
+            _send_frame(duplicate, ("hello", 0))
+            comms.append(SocketComm.connect(*address, 1, 2, timeout=5.0))
+            results = []
+            threads = [
+                threading.Thread(target=lambda c=c: results.append(c.allreduce(1)), daemon=True)
+                for c in comms
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20.0)
+            assert results == [2, 2]
+            for stray in (bogus, duplicate):
+                stray.settimeout(20.0)
+                assert stray.recv(1) == b""  # closed by the hub
+        finally:
+            for stray in strays:
+                stray.close()
+            for comm in comms:
+                comm.close()
             hub.close()
 
     def test_connect_gives_up_at_its_timeout(self, monkeypatch):

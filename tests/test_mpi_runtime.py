@@ -10,6 +10,8 @@ world's own lifecycle (validation, exception propagation)."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,34 @@ class TestThreadedComm:
 
         with pytest.raises(RuntimeError, match="boom"):
             run_threaded(2, body)
+
+    def test_interleaved_collectives_under_fast_switching(self):
+        """More ranks than cores race through interleaved collectives on the
+        one matcher, switching threads every microsecond: every result adds up."""
+        size, rounds = 8, 40
+
+        def body(comm, rank):
+            seen = []
+            for i in range(rounds):
+                barrier = comm.ibarrier()
+                request = comm.ireduce(np.full(4, float(rank + i)), op="sum", root=i % size)
+                seen.append(comm.allreduce(1))
+                value = request.wait()
+                barrier.wait()
+                if value is not None:
+                    seen.append(float(value.sum()))
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_threaded(size, body, timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        for rank, seen in enumerate(results):
+            expected = []
+            for i in range(rounds):
+                expected.append(size)
+                if i % size == rank:
+                    expected.append(4.0 * sum(r + i for r in range(size)))
+            assert seen == expected
