@@ -26,10 +26,11 @@ The ``--algorithm`` choices are derived from the backend registry in
 is a whitespace-separated edge list (KONECT/SNAP style, ``.gz`` supported) or
 a binary ``.rcsr`` container (see :mod:`repro.store`): text inputs are
 converted into the graph cache on first touch and every later run opens the
-binary form zero-copy; ``--no-cache`` forces a plain text parse.  Disconnected
-inputs are reduced to their largest connected component, exactly as in the
-paper's evaluation (skipped without a copy when the catalog metadata already
-proves the graph connected).
+binary form zero-copy; ``--no-cache`` forces a plain text parse.  The
+estimation command alone reduces a disconnected input to its largest connected
+component, exactly as in the paper's evaluation (skipped without a copy when
+the catalog metadata already proves the graph connected); ``session``,
+``evolve`` and ``dist`` estimate the graph as it is stored.
 
 ``serve`` starts the cached query service of :mod:`repro.service` (see
 ``docs/serving.md``), ``worker`` starts a store-draining estimation worker
@@ -461,6 +462,8 @@ def build_obs_parser() -> argparse.ArgumentParser:
 
 
 def build_dist_parser() -> argparse.ArgumentParser:
+    from repro.dist.driver import add_run_flags
+
     parser = argparse.ArgumentParser(
         prog="repro-betweenness dist",
         description="Real multi-process distributed estimation over the socket "
@@ -476,24 +479,7 @@ def build_dist_parser() -> argparse.ArgumentParser:
     run = actions.add_parser("run", help="fork and monitor a local worker world")
     run.add_argument("graph", help=".rcsr file, text graph file, or registered dataset name")
     run.add_argument("--processes", type=int, default=2, help="worker processes (default 2)")
-    run.add_argument(
-        "--parts",
-        type=int,
-        default=None,
-        help="partition the graph into K shards; each rank maps only shard rank%%K "
-        "(default: no partitioning, every rank maps the full graph)",
-    )
-    run.add_argument("--algorithm", choices=("epoch", "mpi-only"), default="epoch")
-    run.add_argument("--threads", type=int, default=1, help="sampling threads per process")
-    run.add_argument("--eps", type=float, default=0.05)
-    run.add_argument("--delta", type=float, default=0.1)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--samples-per-check", type=int, default=1000)
-    run.add_argument("--calibration-samples", type=int, default=None)
-    run.add_argument("--max-samples", type=int, default=None)
-    run.add_argument("--max-epochs", type=int, default=None)
-    run.add_argument("--checkpoint", default=None, help="epoch-boundary checkpoint file (.snap)")
-    run.add_argument("--checkpoint-every", type=int, default=1, help="epochs between checkpoints")
+    add_run_flags(run)
     run.add_argument("--max-restarts", type=int, default=2, help="crash-resume budget")
     run.add_argument("--host", default="127.0.0.1")
     run.add_argument("--port", type=int, default=None, help="hub port (default: ephemeral)")
@@ -508,18 +494,7 @@ def build_dist_parser() -> argparse.ArgumentParser:
     worker.add_argument("--host", default="127.0.0.1")
     worker.add_argument("--port", type=int, default=0, help="rank-0 hub port")
     worker.add_argument("--connect", default=None, help="host:port of a remote hub")
-    worker.add_argument("--parts", type=int, default=None)
-    worker.add_argument("--algorithm", choices=("epoch", "mpi-only"), default="epoch")
-    worker.add_argument("--threads", type=int, default=1)
-    worker.add_argument("--eps", type=float, default=0.05)
-    worker.add_argument("--delta", type=float, default=0.1)
-    worker.add_argument("--seed", type=int, default=None)
-    worker.add_argument("--samples-per-check", type=int, default=1000)
-    worker.add_argument("--calibration-samples", type=int, default=None)
-    worker.add_argument("--max-samples", type=int, default=None)
-    worker.add_argument("--max-epochs", type=int, default=None)
-    worker.add_argument("--checkpoint", default=None)
-    worker.add_argument("--checkpoint-every", type=int, default=1)
+    add_run_flags(worker)
     worker.add_argument("--resume", action="store_true")
     worker.add_argument("--timeout", type=float, default=60.0)
     worker.add_argument("--output", default=None, help="rank-0 result JSON path")
@@ -527,46 +502,30 @@ def build_dist_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dist(argv: list) -> int:
-    args = build_dist_parser().parse_args(argv)
-
-    if args.action == "worker":
-        from repro.dist.driver import DistWorkerConfig, run_worker
-
-        return run_worker(DistWorkerConfig.from_args(args))
-
-    # ---- dist run --------------------------------------------------------- #
+    from repro.dist.driver import RUN_FIELDS, DistWorkerConfig, run_worker
     from repro.dist.launcher import LaunchError, launch_local
     from repro.store import GraphCatalog, StoreFormatError
 
+    args = build_dist_parser().parse_args(argv)
+    if args.action == "worker":
+        try:
+            config = DistWorkerConfig.from_args(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return run_worker(config)
+
     try:
         rcsr_path = GraphCatalog().resolve(args.graph)
-    except (OSError, StoreFormatError, ValueError) as exc:
+        started = time.perf_counter()
+        result = launch_local(
+            str(rcsr_path), processes=args.processes, max_restarts=args.max_restarts, host=args.host,
+            port=args.port, result_path=args.output, timeout=args.timeout,
+            **{name: getattr(args, name) for name in RUN_FIELDS},
+        )
+    except (OSError, StoreFormatError, ValueError) as exc:  # no graph, or a run that cannot start
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    started = time.perf_counter()
-    try:
-        result = launch_local(
-            str(rcsr_path),
-            processes=args.processes,
-            parts=args.parts,
-            algorithm=args.algorithm,
-            threads=args.threads,
-            eps=args.eps,
-            delta=args.delta,
-            seed=args.seed,
-            samples_per_check=args.samples_per_check,
-            calibration_samples=args.calibration_samples,
-            max_samples=args.max_samples,
-            max_epochs=args.max_epochs,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            max_restarts=args.max_restarts,
-            host=args.host,
-            port=args.port,
-            result_path=args.output,
-            timeout=args.timeout,
-        )
     except LaunchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -990,13 +949,9 @@ def _cmd_session(argv: list) -> int:
         return 0
 
     if args.action == "run":
-        try:
-            graph, num_components = _load_cli_graph(args.graph, use_cache=not args.no_cache)
-        except (OSError, ValueError, StoreFormatError) as exc:
-            print(f"error: cannot read graph {args.graph}: {exc}", file=sys.stderr)
+        graph = _load_cli_graph(args.graph, use_cache=not args.no_cache, largest_component=False)
+        if graph is None:
             return 2
-        if num_components is not None and num_components > 1:
-            graph = largest_connected_component(graph)
         try:
             session = open_session(graph, algorithm="sequential", seed=args.seed)
             start = time.perf_counter()
@@ -1018,10 +973,8 @@ def _cmd_session(argv: list) -> int:
     # action == "refine"
     graph = None
     if args.graph is not None:
-        try:
-            graph, _ = _load_cli_graph(args.graph, use_cache=True)
-        except (OSError, ValueError, StoreFormatError) as exc:
-            print(f"error: cannot read graph {args.graph}: {exc}", file=sys.stderr)
+        graph = _load_cli_graph(args.graph, use_cache=True, largest_component=False)
+        if graph is None:
             return 2
     try:
         session = EstimationSession.restore(args.snapshot, graph=graph)
@@ -1050,13 +1003,7 @@ def _cmd_session(argv: list) -> int:
 def _cmd_evolve(argv: list) -> int:
     from repro.evolve import EvolveError, update_session
     from repro.session import SnapshotError
-    from repro.store import (
-        DeltaError,
-        GraphCatalog,
-        GraphDelta,
-        StoreFormatError,
-        open_rcsr,
-    )
+    from repro.store import DeltaError, GraphCatalog, GraphDelta, StoreFormatError
 
     args = build_evolve_parser().parse_args(argv)
     catalog = GraphCatalog()
@@ -1086,11 +1033,8 @@ def _cmd_evolve(argv: list) -> int:
         return 0
 
     # action == "run"
-    try:
-        child_path = catalog.resolve(args.graph)
-        graph = open_rcsr(child_path)
-    except (OSError, StoreFormatError, FileNotFoundError) as exc:
-        print(f"error: cannot read graph {args.graph}: {exc}", file=sys.stderr)
+    graph = _load_cli_graph(args.graph, use_cache=True, largest_component=False)
+    if graph is None:
         return 2
     if args.delta_file is not None:
         try:
@@ -1100,7 +1044,7 @@ def _cmd_evolve(argv: list) -> int:
             return 2
     else:
         try:
-            _, graph_delta = catalog.parent_delta(catalog.checksum(child_path))
+            _, graph_delta = catalog.parent_delta(catalog.checksum(args.graph))
         except LookupError as exc:
             print(
                 f"error: {args.graph}: {exc}; pass --delta-file "
@@ -1140,24 +1084,33 @@ def _cmd_evolve(argv: list) -> int:
     return 0
 
 
-def _load_cli_graph(spec: str, *, use_cache: bool) -> Tuple[CSRGraph, Optional[int]]:
-    """Load the graph for the estimation command.
+def _load_cli_graph(spec: str, *, use_cache: bool, largest_component: bool) -> Optional[CSRGraph]:
+    """Load a graph argument: an edge-list file, an ``.rcsr`` store or a dataset name.
 
-    Returns the graph and, when known from catalog metadata, its component
-    count (so a connected stored graph skips the largest-component copy and
-    stays memory-mapped).
+    Only the estimation command asks for ``largest_component``: a disconnected
+    graph is then reduced to its largest connected component, and a stored
+    graph whose catalog metadata proves it connected skips the copy and stays
+    memory-mapped.  Every other command estimates the stored graph as is.
+    Returns None, after one ``error:`` line, when the graph cannot be read.
     """
-    from repro.store import GraphCatalog, open_rcsr
+    from repro.store import GraphCatalog, StoreFormatError, open_rcsr
 
     path = Path(spec)
-    if path.exists() and path.suffix != ".rcsr" and not use_cache:
-        return read_edge_list(path), None
-    catalog = GraphCatalog()
-    rcsr_path = catalog.resolve(spec)
-    # Only read an existing, still-valid sidecar: an .rcsr without one must
-    # not pay for whole-graph statistics just to maybe skip the LCC pass.
-    info = catalog.cached_info(rcsr_path)
-    return open_rcsr(rcsr_path), info.num_components if info is not None else None
+    try:
+        if path.exists() and path.suffix != ".rcsr" and not use_cache:
+            graph, info = read_edge_list(path), None
+        else:
+            catalog = GraphCatalog()
+            rcsr_path = catalog.resolve(spec)
+            # Only read an existing, still-valid sidecar: an .rcsr without one must
+            # not pay for whole-graph statistics just to maybe skip the LCC pass.
+            graph, info = open_rcsr(rcsr_path), catalog.cached_info(rcsr_path)
+    except (OSError, ValueError, StoreFormatError) as exc:
+        print(f"error: cannot read graph {spec}: {exc}", file=sys.stderr)
+        return None
+    if largest_component and (info is None or not info.is_connected):
+        graph = largest_connected_component(graph)
+    return graph
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
@@ -1203,15 +1156,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    from repro.store import StoreFormatError
-
-    try:
-        graph, num_components = _load_cli_graph(args.graph, use_cache=not args.no_cache)
-    except (OSError, ValueError, StoreFormatError) as exc:
-        print(f"error: cannot read graph {args.graph}: {exc}", file=sys.stderr)
+    graph = _load_cli_graph(args.graph, use_cache=not args.no_cache, largest_component=True)
+    if graph is None:
         return 2
-    if num_components is None or num_components > 1:
-        graph = largest_connected_component(graph)
 
     start = time.perf_counter()
     result = estimate_betweenness(

@@ -34,7 +34,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -44,12 +44,15 @@ from repro.core.options import KadabraOptions
 from repro.dist.socketcomm import SocketComm, SocketHub
 from repro.mpi.interface import Communicator
 from repro.obs.metrics import get_registry, metrics_enabled
-from repro.parallel.engine import run_rank
+from repro.parallel.engine import ALGORITHMS, run_rank
 from repro.session import EstimationSession, SnapshotError
 from repro.store.format import open_rcsr
 from repro.store.partition import PartitionManifest, PartitionedGraphView, manifest_path_for
 
-__all__ = ["DistWorkerConfig", "run_worker", "write_result", "receive_result", "FAULT_RANK_ENV"]
+__all__ = [
+    "DistWorkerConfig", "RUN_FIELDS", "add_run_flags", "run_worker", "write_result", "receive_result",
+    "FAULT_RANK_ENV",
+]
 
 FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
 
@@ -57,9 +60,20 @@ FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
 _FLAGS = {"result_path": "output"}
 
 
+def _run_field(default, kind, help=None, **flag):
+    """A run parameter: its default and its ``dist run``/``dist worker`` flag (type, help)."""
+    return field(default=default, metadata={"flag": dict(type=kind, help=help, **flag)})
+
+
 @dataclass
 class DistWorkerConfig:
-    """Everything one worker process needs; mirrored by ``dist worker`` flags."""
+    """Everything one worker process needs; mirrored by ``dist worker`` flags.
+
+    The fields from ``parts`` to ``checkpoint_every`` are a run's parameters
+    (:data:`RUN_FIELDS`): ``dist run`` and ``dist worker`` take them as the
+    flags :func:`add_run_flags` adds, and ``launch_local`` as keywords.  A
+    config that could not run raises ``ValueError`` when it is built.
+    """
 
     graph: str
     rank: int
@@ -67,21 +81,40 @@ class DistWorkerConfig:
     port: int
     host: str = "127.0.0.1"
     connect: Optional[str] = None  # "host:port" of a remote hub
-    parts: Optional[int] = None
-    algorithm: str = "epoch"  # or "mpi-only"
-    threads: int = 1
-    eps: float = 0.05
-    delta: float = 0.1
-    seed: Optional[int] = 0
-    samples_per_check: int = 1000
-    calibration_samples: Optional[int] = None
-    max_samples: Optional[int] = None
-    max_epochs: Optional[int] = None
-    checkpoint: Optional[str] = None
-    checkpoint_every: int = 1
+    parts: Optional[int] = _run_field(None, int, "partition the graph into K shards; each rank maps only shard "
+                                      "rank%%K (default: no partitioning, every rank maps the full graph)")
+    algorithm: str = _run_field("epoch", str, choices=ALGORITHMS)
+    threads: int = _run_field(1, int, "sampling threads per process")
+    eps: float = _run_field(0.05, float)
+    delta: float = _run_field(0.1, float)
+    seed: Optional[int] = _run_field(0, int)
+    samples_per_check: int = _run_field(1000, int)
+    calibration_samples: Optional[int] = _run_field(None, int)
+    max_samples: Optional[int] = _run_field(None, int)
+    max_epochs: Optional[int] = _run_field(None, int)
+    checkpoint: Optional[str] = _run_field(None, str, "epoch-boundary checkpoint file (.snap)")
+    checkpoint_every: int = _run_field(1, int, "epochs between checkpoints")
     resume: bool = False
     result_path: Optional[str] = None
     timeout: float = 60.0
+
+    def __post_init__(self) -> None:
+        self.options()  # KadabraOptions checks eps, delta and the sample counts
+        for name in ("size", "threads", "checkpoint_every", "timeout", "parts"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0 <= self.rank < self.size:
+            raise ValueError(f"rank must be in [0, size), got rank {self.rank} of size {self.size}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+
+    def options(self, vertex_diameter: Optional[int] = None) -> KadabraOptions:
+        """This run's options; ``vertex_diameter`` is a shard manifest's precomputed bound."""
+        return KadabraOptions(
+            eps=self.eps, delta=self.delta, seed=self.seed, samples_per_check=self.samples_per_check,
+            calibration_samples=self.calibration_samples, max_samples_override=self.max_samples,
+            vertex_diameter_override=vertex_diameter,
+        )
 
     def hub_address(self) -> tuple:
         if self.connect:
@@ -105,6 +138,17 @@ class DistWorkerConfig:
         """The config a parsed ``dist worker`` command line describes."""
         names = cls.__dataclass_fields__
         return cls(**{name: getattr(args, _FLAGS.get(name, name)) for name in names})
+
+
+#: The run parameters: the fields every rank of one run shares.
+RUN_FIELDS = tuple(f.name for f in fields(DistWorkerConfig) if "flag" in f.metadata)
+
+
+def add_run_flags(parser) -> None:
+    """Add one flag per run parameter to an ``argparse`` parser, with its default and help."""
+    for spec in fields(DistWorkerConfig):
+        if "flag" in spec.metadata:
+            parser.add_argument("--" + spec.name.replace("_", "-"), default=spec.default, **spec.metadata["flag"])
 
 
 # --------------------------------------------------------------------------- #
@@ -247,16 +291,7 @@ def _worker_body(
     vd_hint: Optional[int],
     resume: Optional[EstimationSession],
 ) -> Optional[Dict[str, Any]]:
-    num_threads = max(int(config.threads), 1)
-    options = KadabraOptions(
-        eps=config.eps,
-        delta=config.delta,
-        seed=config.seed,
-        samples_per_check=config.samples_per_check,
-        calibration_samples=config.calibration_samples,
-        max_samples_override=config.max_samples,
-        vertex_diameter_override=vd_hint,
-    )
+    options = config.options(vd_hint)
 
     # Rank 0 alone reads and writes checkpoints; the engine broadcasts what
     # the other ranks need of a restored state.
@@ -264,18 +299,17 @@ def _worker_body(
     resumed_samples = resume.num_samples if resume is not None else 0
     on_aggregate = None
     if config.checkpoint and comm.is_root:
-        checkpoint_every = max(int(config.checkpoint_every), 1)
         epochs = itertools.count(1)
 
         def on_aggregate(state: EstimationSession) -> None:
-            if next(epochs) % checkpoint_every == 0:
+            if next(epochs) % config.checkpoint_every == 0:
                 state.checkpoint(config.checkpoint)
 
     result, stats = run_rank(
         comm,
         graph,
         options,
-        threads=num_threads,
+        threads=config.threads,
         algorithm=config.algorithm,
         max_epochs=config.max_epochs,
         on_aggregate=on_aggregate,
@@ -317,7 +351,7 @@ def _worker_body(
         "vertex_diameter": int(result.vertex_diameter or 0),
         "algorithm": config.algorithm,
         "num_processes": int(comm.size),
-        "threads_per_process": int(num_threads),
+        "threads_per_process": int(config.threads),
         "parts": config.parts,
         "samples_per_epoch_n0": result.extra.get("samples_per_epoch_n0", 0.0),
         "resumed_from_samples": int(resumed_samples),

@@ -34,11 +34,14 @@ import multiprocessing
 import os
 import socket
 import time
+from dataclasses import replace
 from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.dist.driver import FAULT_RANK_ENV, DistWorkerConfig, receive_result, run_worker, write_result
+from repro.dist.driver import (
+    FAULT_RANK_ENV, RUN_FIELDS, DistWorkerConfig, receive_result, run_worker, write_result,
+)
 from repro.dist.socketcomm import bind_listener, fork_rank, reap
 from repro.store.partition import partition_rcsr
 
@@ -78,38 +81,36 @@ def launch_local(
     graph: str,
     *,
     processes: int,
-    parts: Optional[int] = None,
-    algorithm: str = "epoch",
-    threads: int = 1,
-    eps: float = 0.05,
-    delta: float = 0.1,
-    seed: Optional[int] = 0,
-    samples_per_check: int = 1000,
-    calibration_samples: Optional[int] = None,
-    max_samples: Optional[int] = None,
-    max_epochs: Optional[int] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
     max_restarts: int = 2,
     host: str = "127.0.0.1",
     port: Optional[int] = None,
     result_path: Optional[str] = None,
     timeout: float = 600.0,
     fault_rank: Optional[int] = None,
+    **run,
 ) -> Dict:
     """Run a distributed estimation with ``processes`` local worker processes.
 
+    ``run`` holds the run parameters, :data:`~repro.dist.driver.RUN_FIELDS`
+    with :class:`~repro.dist.driver.DistWorkerConfig`'s defaults; a run that
+    could not start raises ``ValueError`` before anything is bound or forked.
     Returns rank 0's merged result dict plus ``{"restarts": k}``.  ``graph``
     must be a ``.rcsr`` path (callers resolve catalog names first); with
     ``parts`` the shards are built here before any worker starts.
     """
     if processes <= 0:
         raise LaunchError("processes must be positive")
+    unknown = sorted(set(run) - set(RUN_FIELDS))
+    if unknown:
+        raise TypeError(f"launch_local() got unexpected keyword arguments {unknown}")
     graph_path = Path(graph)
     if not graph_path.exists():
         raise LaunchError(f"graph container not found: {graph_path}")
-    if parts:
-        partition_rcsr(graph_path, parts)
+    base = DistWorkerConfig(
+        graph=str(graph_path), rank=0, size=processes, port=0, host=host, timeout=min(timeout, 120.0), **run
+    )
+    if base.parts:
+        partition_rcsr(graph_path, base.parts)
 
     if result_path is None:
         result_path = str(graph_path.with_name(f"{graph_path.stem}.dist-result.json"))
@@ -124,30 +125,7 @@ def launch_local(
         except OSError as exc:
             raise LaunchError(f"cannot listen on {host}:{port or 0}: {exc}") from None
         world_port = listener.getsockname()[1]
-        configs = [
-            DistWorkerConfig(
-                graph=str(graph_path),
-                rank=rank,
-                size=processes,
-                port=world_port,
-                host=host,
-                parts=parts,
-                algorithm=algorithm,
-                threads=threads,
-                eps=eps,
-                delta=delta,
-                seed=seed,
-                samples_per_check=samples_per_check,
-                calibration_samples=calibration_samples,
-                max_samples=max_samples,
-                max_epochs=max_epochs,
-                checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every,
-                resume=resume,
-                timeout=min(timeout, 120.0),
-            )
-            for rank in range(processes)
-        ]
+        configs = [replace(base, rank=rank, port=world_port, resume=resume) for rank in range(processes)]
         reader, writer = multiprocessing.Pipe(duplex=False)
         procs = []
         result = failed_rank = None
@@ -185,7 +163,7 @@ def launch_local(
         if failed_rank is None:
             raise LaunchError("workers exited cleanly but produced no result")
 
-        can_resume = checkpoint is not None and Path(checkpoint).exists()
+        can_resume = base.checkpoint is not None and Path(base.checkpoint).exists()
         if restarts >= max_restarts:
             raise LaunchError(
                 f"rank {failed_rank} died (exit {procs[failed_rank].exitcode}) "

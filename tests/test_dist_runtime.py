@@ -83,6 +83,90 @@ class TestLauncherBasics:
             launch_local(str(social_rcsr), processes=0)
 
 
+#: A run's parameters: every rank of one run shares them.
+RUN_PARAMETERS = (
+    "parts", "algorithm", "threads", "eps", "delta", "seed", "samples_per_check",
+    "calibration_samples", "max_samples", "max_epochs", "checkpoint", "checkpoint_every",
+)
+
+
+class TestRunParameters:
+    """``DistWorkerConfig`` alone names a run's parameters, defaults and checks."""
+
+    @staticmethod
+    def parse(argv):
+        from repro.cli import build_dist_parser
+
+        return build_dist_parser().parse_args(argv)
+
+    def test_the_launcher_and_the_commands_share_one_field_list(self):
+        assert driver.RUN_FIELDS == RUN_PARAMETERS
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "g.rcsr"], ["worker", "--graph", "g.rcsr", "--rank", "0", "--size", "1"]]
+    )
+    def test_both_commands_default_to_the_config_defaults(self, argv):
+        args = self.parse(argv)
+        defaults = DistWorkerConfig.__dataclass_fields__
+        assert {name: getattr(args, name) for name in RUN_PARAMETERS} == {
+            name: defaults[name].default for name in RUN_PARAMETERS
+        }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DistWorkerConfig(graph="g.rcsr", rank=0, size=1, port=0),
+            DistWorkerConfig(
+                graph="g.rcsr", rank=2, size=3, port=4321, host="10.0.0.2", connect="10.0.0.1:999",
+                parts=3, algorithm="mpi-only", threads=2, eps=0.07, delta=0.2, seed=5,
+                samples_per_check=300, calibration_samples=40, max_samples=900, max_epochs=4,
+                checkpoint="c.snap", checkpoint_every=2, resume=True, result_path="r.json", timeout=9.5,
+            ),
+        ],
+        ids=["defaults", "every-field-set"],
+    )
+    def test_to_argv_and_from_args_are_inverses(self, config):
+        assert DistWorkerConfig.from_args(self.parse(config.to_argv()[1:])) == config
+
+    @pytest.fixture()
+    def no_fork(self, monkeypatch):
+        """Fail the test if the launcher binds a port or forks a rank."""
+        import repro.dist.launcher as launcher
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad run reached the fork")
+
+        monkeypatch.setattr(launcher, "fork_rank", refuse)
+        monkeypatch.setattr(launcher, "bind_listener", refuse)
+
+    @pytest.mark.parametrize("bad", [{"eps": -1}, {"threads": 0}, {"checkpoint_every": 0}])
+    def test_a_bad_run_is_refused_before_the_fork(self, social_rcsr, no_fork, bad):
+        with pytest.raises(ValueError):
+            launch_local(str(social_rcsr), processes=2, **bad)
+
+    @pytest.mark.parametrize("field", ["rank", "resume", "connect"])
+    def test_fields_the_launcher_sets_are_not_run_parameters(self, social_rcsr, no_fork, field):
+        with pytest.raises(TypeError):
+            launch_local(str(social_rcsr), processes=2, **{field: 1})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{graph}", "--processes", "2", "--eps", "-1"],
+            ["run", "{graph}", "--threads", "0"],
+            ["run", "{graph}", "--checkpoint-every", "0"],
+            ["worker", "--graph", "{graph}", "--rank", "0", "--size", "1", "--eps", "-1"],
+            ["worker", "--graph", "{graph}", "--rank", "0", "--size", "1", "--threads", "0"],
+            ["worker", "--graph", "{graph}", "--rank", "2", "--size", "2", "--timeout", "1"],
+        ],
+    )
+    def test_the_commands_refuse_a_bad_run_with_one_error_line(self, social_rcsr, no_fork, capsys, argv):
+        code = cli_main(["dist", *(arg.format(graph=social_rcsr) for arg in argv)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 class TestFourProcessEndToEnd:
     def test_partitioned_run_meets_guarantee(self, social_rcsr, exact_scores):
         result = launch_local(

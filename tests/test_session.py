@@ -628,3 +628,41 @@ class TestSourceSamplingEntryPoint:
             seed=0,
         )
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+
+
+class TestCliStoredGraph:
+    """``session run`` estimates the stored graph as is, so ``session refine`` restores it."""
+
+    @pytest.fixture()
+    def disconnected(self, tmp_path):
+        """A 40-vertex path and a 20-cycle, converted (with a sidecar) and as a bare copy."""
+        import shutil
+
+        from repro.cli import main as cli_main
+        from repro.graph import CSRGraph
+        from repro.graph.io import write_edge_list
+
+        edges = [(v, v + 1) for v in range(39)] + [(40 + v, 40 + (v + 1) % 20) for v in range(20)]
+        write_edge_list(CSRGraph.from_edges(edges, 60), tmp_path / "disc.txt")
+        assert cli_main(["convert", str(tmp_path / "disc.txt"), str(tmp_path / "disc.rcsr")]) == 0
+        shutil.copyfile(tmp_path / "disc.rcsr", tmp_path / "bare.rcsr")
+        return tmp_path
+
+    @pytest.mark.parametrize("name", ["disc.rcsr", "bare.rcsr"], ids=["sidecar", "no-sidecar"])
+    def test_session_run_then_refine_without_graph(self, disconnected, name, capsys):
+        from repro.cli import main as cli_main
+
+        snap, first, second = (disconnected / f for f in ("s1.snap", "r1.json", "r2.json"))
+        run = ["session", "run", str(disconnected / name), "--eps", "0.2", "--seed", "1"]
+        assert cli_main([*run, "--checkpoint", str(snap), "--output", str(first)]) == 0
+        assert "graph: 60 vertices" in capsys.readouterr().out
+        assert cli_main(["session", "refine", str(snap), "--eps", "0.1", "--output", str(second)]) == 0
+        for path in (first, second):
+            assert len(json.loads(path.read_text())["scores"]) == 60
+
+    @pytest.mark.parametrize("name", ["disc.rcsr", "bare.rcsr"], ids=["sidecar", "no-sidecar"])
+    def test_only_the_estimation_command_reduces(self, disconnected, name, capsys):
+        from repro.cli import main as cli_main
+
+        assert cli_main([str(disconnected / name), "--algorithm", "exact", "--top", "1"]) == 0
+        assert "graph: 40 vertices, 39 edges (largest component)" in capsys.readouterr().out
