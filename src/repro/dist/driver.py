@@ -1,9 +1,10 @@
 """Per-worker driver of the distributed runtime.
 
 One OS process per rank.  Rank 0's process hosts the rendezvous hub (unless
-``connect`` points at a remote hub), every rank joins the world communicator
-over TCP and runs :func:`repro.parallel.engine.run_rank` on its own view of
-the graph.  What this module adds around the engine:
+``connect`` points at a remote hub) and joins the world communicator on the
+hub's in-process seat, every other rank over TCP; each rank runs
+:func:`repro.parallel.engine.run_rank` on its own view of the graph.  What
+this module adds around the engine:
 
 * **Sharded adjacency** — with ``parts`` set, each rank opens a
   :class:`~repro.store.partition.PartitionedGraphView` of only its shard
@@ -248,10 +249,11 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
 
     Rank 0 (without ``connect``) hosts the hub — on ``listener`` when the
     launcher that forked it bound one, else on ``config.host:config.port`` —
-    writes checkpoints, and sends the merged result down the ``handoff`` pipe
-    end when it has one, else writes it to ``config.result_path``.  A
-    checkpoint that cannot be resumed ends rank 0 with exit code 2 and one
-    ``error:`` line, before it joins the world.
+    and takes its seat on it in process; it writes checkpoints, and sends
+    the merged result down the ``handoff`` pipe end when it has one, else
+    writes it to ``config.result_path``.  A checkpoint that cannot be resumed
+    ends rank 0 with exit code 2 and one ``error:`` line, before it joins the
+    world.
     """
     _arm_fault_injection(config)
     graph, vd_hint = _open_graph(config)
@@ -261,11 +263,12 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
         print(f"error: cannot resume: {exc}", file=sys.stderr)
         return 2
     hub: Optional[SocketHub] = None
-    host, port = config.hub_address()
     if config.rank == 0 and config.connect is None:
-        hub = SocketHub(config.size, host=config.host, port=config.port, listener=listener).start()
-        port = hub.port  # the port actually bound (config.port may be 0)
-    comm = SocketComm.connect(host, port, config.rank, config.size, timeout=config.timeout)
+        hub = SocketHub(config.size, host=config.host, port=config.port, listener=listener)
+        comm = hub.seat()
+        hub.start()
+    else:
+        comm = SocketComm.connect(*config.hub_address(), config.rank, config.size, timeout=config.timeout)
     try:
         result = _worker_body(comm, config, graph, vd_hint, resume)
         if comm.is_root and result is not None:
@@ -279,7 +282,7 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
         comm.close()
         if hub is not None:
             # Drain: the hub closes itself once every rank (including this
-            # one, whose bye was just sent) departed; force-close as backstop.
+            # one, which just left its seat) departed; force-close as backstop.
             hub.wait_closed(timeout=10.0)
             hub.close()
 

@@ -25,7 +25,7 @@ from typing import Any, List, Optional, Tuple
 from repro.mpi.interface import Communicator
 from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import CompletedRequest, PolledRequest, Request
-from repro.mpi.threaded import framed_payload_bytes
+from repro.mpi.hub import framed_payload_bytes
 
 __all__ = ["Mpi4pyComm", "probe_mpi4py", "world_communicator"]
 
@@ -122,7 +122,7 @@ class Mpi4pyComm(Communicator):  # pragma: no cover - requires an MPI stack
         """Framed-size estimate of this rank's sent payloads.
 
         MPI does not expose per-message wire sizes portably, so this uses
-        :func:`~repro.mpi.threaded.framed_payload_bytes` per contribution —
+        :func:`~repro.mpi.hub.framed_payload_bytes` per contribution —
         comparable with the socket transport's actual accounting.
         """
         return self._bytes

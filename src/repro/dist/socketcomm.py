@@ -6,14 +6,15 @@ client - and this module is their TCP link, built on the standard library only:
 * **Framing** — every message is an 8-byte big-endian length prefix followed
   by a pickled tuple.  No third-party serialization; numpy arrays and
   :class:`~repro.core.state_frame.StateFrame` payloads ride through pickle.
-* **Rendezvous** — rank 0's process hosts a :class:`SocketHub`; every rank
-  (including rank 0 itself) connects to it and says hello with its rank.  The
-  hub greets each connection with a bounded wait, seats only a free rank in
-  ``[0, size)``, and feeds the seated ranks' contributions to its
+* **Rendezvous** — rank 0's process hosts a :class:`SocketHub` and takes its
+  seat in process (:meth:`SocketHub.seat`, a :class:`~repro.mpi.hub.LocalLink`).
+  Every other rank connects and says hello with its rank; the hub greets each
+  connection with a bounded wait, seats only a free rank in ``[0, size)``,
+  and feeds the seated ranks' contributions to its
   :class:`~repro.mpi.hub.Matcher`, which sends the results back.
-* **Client** — :class:`SocketComm` is :class:`~repro.mpi.hub.HubComm` over a
-  :class:`_Conn`, whose background receive thread fills the result slots as
-  results arrive.
+* **Client** — :class:`SocketComm` is :class:`~repro.mpi.hub.HubComm` over the
+  host's seat or a :class:`_Conn`, whose background receive thread fills the
+  result slots as results arrive.
 * **Failure** — a peer that disappears without an orderly goodbye fails every
   outstanding and future collective on all surviving ranks with
   :class:`CommError` naming the lost rank.  The distributed launcher turns
@@ -37,9 +38,10 @@ import socket
 import struct
 import threading
 import time
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.mpi.hub import WORLD_COMM_ID, HubComm, Link, Matcher
+from repro.mpi.hub import WORLD_COMM_ID, HubComm, Link, LocalLink, Matcher, run_in_threads
 from repro.mpi.interface import CommError
 from repro.obs.metrics import get_registry, metrics_enabled
 
@@ -126,10 +128,11 @@ def bind_listener(host: str = "127.0.0.1", port: int = 0, *, backlog: int) -> so
 class SocketHub:
     """Rank-0 rendezvous listener and framing around the world's :class:`Matcher`.
 
-    Every accepted connection gets a thread that waits at most ``_HELLO_S``
-    for a ``("hello", rank)`` frame naming a free seat in ``[0, size)`` and
-    closes anything else uncounted; a greeted connection's thread then feeds
-    its ``("coll", ...)`` frames to the matcher until the rank says goodbye.
+    The hosting process takes rank 0's seat with :meth:`seat`.  Every
+    accepted connection gets a thread that waits at most ``_HELLO_S`` for a
+    ``("hello", rank)`` frame naming a free seat in ``[0, size)`` and closes
+    anything else uncounted; a greeted connection's thread then feeds its
+    ``("coll", ...)`` frames to the matcher until the rank says goodbye.
     Accepting stops once all ``size`` seats are taken.  ``listener`` is a
     socket from :func:`bind_listener` to accept on (the hub owns it from then
     on); without one the hub binds ``(host, port)`` itself.
@@ -149,7 +152,8 @@ class SocketHub:
         self._listener = listener if listener is not None else bind_listener(host, port, backlog=size)
         self._listener.settimeout(0.2)
         self._lock = threading.Lock()
-        self._conns: Dict[int, Tuple[socket.socket, threading.Lock]] = {}
+        self._conns: Dict[int, Callable[[Tuple[Any, ...]], None]] = {}  # seated rank -> its delivery
+        self._socks: List[socket.socket] = []
         self._matcher = Matcher(size, self._send_to)
         self._departed: set = set()
         self._closing = threading.Event()
@@ -165,6 +169,16 @@ class SocketHub:
     def start(self) -> "SocketHub":
         threading.Thread(target=self._accept_loop, name="hub-accept", daemon=True).start()
         return self
+
+    def seat(self) -> "SocketComm":
+        """Rank 0, the hosting process, on a link that owns no socket; take it before :meth:`start`."""
+        link = LocalLink(self._matcher.contribute, on_close=lambda: self._depart(0))
+        link.counter = _bytes_counter(0)
+        with self._lock:
+            if 0 in self._conns:
+                raise ValueError("seat 0 is taken")
+            self._conns[0] = link.deliver
+        return SocketComm(link, WORLD_COMM_ID, 0, self._size)
 
     # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
@@ -200,13 +214,17 @@ class SocketHub:
             if msg[0] == "coll":
                 self._matcher.contribute(msg[1:])
         if orderly:
-            with self._lock:
-                self._departed.add(rank)
-                done = len(self._departed) >= self._size
-            if done:
-                self.close()
+            self._depart(rank)
         elif not self._closing.is_set():
             self._matcher.fail(f"rank {rank} connection lost")
+
+    def _depart(self, rank: int) -> None:
+        """``rank`` said goodbye; the hub closes itself after the last one."""
+        with self._lock:
+            self._departed.add(rank)
+            done = len(self._departed) >= self._size
+        if done:
+            self.close()
 
     def _greet(self, conn: socket.socket) -> Optional[int]:
         """The rank of a timely, well-formed hello for a free seat; ``None`` for anything else."""
@@ -223,28 +241,32 @@ class SocketHub:
         rank = msg[1]
         if type(rank) is not int or not 0 <= rank < self._size:
             return None
+        send_lock = threading.Lock()
+
+        def send(payload: Tuple[Any, ...]) -> None:
+            try:
+                with send_lock:
+                    _send_frame(conn, payload)
+            except OSError:
+                pass
+
         with self._lock:
             if rank in self._conns or self._closing.is_set():
                 return None
-            self._conns[rank] = (conn, threading.Lock())
+            self._conns[rank] = send
+            self._socks.append(conn)
         failed = self._matcher.failed
         if failed is not None:
             # The world already failed before this rank finished joining;
             # it would otherwise wait forever for an error it never got.
-            self._send_to(rank, ("error", failed))
+            send(("error", failed))
         return rank
 
     def _send_to(self, world_rank: int, payload: Tuple[Any, ...]) -> None:
         with self._lock:
-            entry = self._conns.get(world_rank)
-        if entry is None:
-            return
-        conn, send_lock = entry
-        try:
-            with send_lock:
-                _send_frame(conn, payload)
-        except OSError:
-            pass
+            send = self._conns.get(world_rank)
+        if send is not None:
+            send(payload)
 
     # ------------------------------------------------------------------ #
     def wait_closed(self, timeout: Optional[float] = None) -> bool:
@@ -263,9 +285,10 @@ class SocketHub:
         except OSError:
             pass
         with self._lock:
-            conns = list(self._conns.values())
+            socks = list(self._socks)
             self._conns.clear()
-        for conn, _lock in conns:
+            self._socks.clear()
+        for conn in socks:
             try:
                 conn.close()
             except OSError:
@@ -274,6 +297,17 @@ class SocketHub:
 
 # --------------------------------------------------------------------------- #
 # client side
+
+
+def _bytes_counter(rank: int):
+    """Rank ``rank``'s :data:`COMM_BYTES_METRIC` series, when metrics are on."""
+    if not metrics_enabled():
+        return None
+    return get_registry().counter(
+        COMM_BYTES_METRIC,
+        "Framed bytes sent+received on the distributed socket transport.",
+        labelnames=("rank",),
+    ).labels(rank=str(rank))
 
 
 class _Conn(Link):
@@ -285,22 +319,11 @@ class _Conn(Link):
         self._sock = sock
         self._send_lock = threading.Lock()
         self._closed = False
-        self._counter = None
-        if metrics_enabled():
-            self._counter = get_registry().counter(
-                COMM_BYTES_METRIC,
-                "Framed bytes sent+received on the distributed socket transport.",
-                labelnames=("rank",),
-            ).labels(rank=str(rank))
+        self.counter = _bytes_counter(rank)
         self._recv_thread = threading.Thread(
             target=self._recv_loop, name=f"comm-recv-{rank}", daemon=True
         )
         self._recv_thread.start()
-
-    def _account(self, nbytes: int) -> None:
-        super()._account(nbytes)
-        if self._counter is not None:
-            self._counter.inc(nbytes)
 
     def _recv_loop(self) -> None:
         while True:
@@ -349,7 +372,7 @@ class _Conn(Link):
 
 
 class SocketComm(HubComm):
-    """The shared :class:`~repro.mpi.hub.HubComm` client over a TCP connection to the hub."""
+    """The shared :class:`~repro.mpi.hub.HubComm` client over a TCP connection to the hub, or its seat."""
 
     @classmethod
     def connect(
@@ -385,10 +408,6 @@ class SocketComm(HubComm):
         _send_frame(sock, ("hello", int(rank)))
         conn = _Conn(sock, int(rank))
         return cls(conn, WORLD_COMM_ID, int(rank), int(size))
-
-    def close(self) -> None:
-        """Orderly goodbye; after this no collective may be issued."""
-        self._link.close()
 
     def __repr__(self) -> str:
         return f"SocketComm(rank={self._rank}, size={self._size}, comm_id={self._comm_id})"
@@ -474,9 +493,9 @@ def _forked_rank(
 def run_forked(num_ranks: int, target: Callable[[SocketComm, int], Any]) -> Any:
     """Run ``target(comm, rank)`` on ``num_ranks`` processes; returns rank 0's result.
 
-    Rank 0 and the hub run here, in the caller, so whatever ``target`` closes
-    over (progress callbacks, open spans) and its result never cross a process
-    edge; ranks ``1 .. num_ranks-1`` are children from :func:`fork_rank`,
+    The hub and rank 0, on its in-process seat, run here, in the caller, so
+    whatever ``target`` closes over (progress callbacks, open spans) and its
+    result never cross a process edge; ranks ``1 .. num_ranks-1`` are children from :func:`fork_rank`,
     whose metrics are merged into this process's registry at the end.  A rank
     that raises or is killed fails the world — the survivors' pending and
     later collectives raise :class:`CommError` naming it — and every child is
@@ -488,11 +507,11 @@ def run_forked(num_ranks: int, target: Callable[[SocketComm, int], Any]) -> Any:
     try:
         for rank in range(1, num_ranks):
             procs.append(fork_rank(_forked_rank, hub.host, hub.port, rank, num_ranks, target, rank=rank))
-        # Accepting only now keeps the hub's threads and connections out of
-        # the children.
+        # Seating and accepting only now keeps the hub's threads and
+        # connections out of the children.
+        comm = hub.seat()
         hub.start()
         _start_on_own_cpu(0)
-        comm = SocketComm.connect(hub.host, hub.port, 0, num_ranks)
         try:
             result = target(comm, 0)
             for snapshot in comm.gather(None, root=0)[1:]:
@@ -526,34 +545,8 @@ def run_socket(
     instead of waiting for it — and the first exception is re-raised.
     """
     hub = SocketHub(num_ranks).start()
-    results: List[Any] = [None] * num_ranks
-    errors: List[BaseException] = []  # in order of occurrence
-
-    def body(rank: int) -> None:
-        comm = None
-        try:
-            comm = SocketComm.connect(hub.host, hub.port, rank, num_ranks)
-            results[rank] = target(comm, rank)
-        except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            errors.append(exc)
-            hub._matcher.fail(f"rank {rank} raised {exc!r}")
-        finally:
-            if comm is not None:
-                comm.close()
-
-    threads = [
-        threading.Thread(target=body, args=(r,), name=f"sock-rank-{r}", daemon=True)
-        for r in range(num_ranks)
-    ]
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout)
-            if t.is_alive():
-                raise TimeoutError(f"socket rank {t.name} did not finish within {timeout}s")
+        join = partial(SocketComm.connect, hub.host, hub.port, size=num_ranks)
+        return run_in_threads(num_ranks, target, join, hub._matcher.fail, timeout)
     finally:
         hub.close()
-    if errors:
-        raise errors[0]
-    return results

@@ -20,26 +20,84 @@ with one set of semantics; they are defined once, here:
   does its work), everything else when its result arrives.  Blocking waits
   use events, not spinning.
 
-A transport is a link between the two: :mod:`repro.dist.socketcomm` frames
-contributions over TCP to a hub in rank 0's process, :mod:`repro.mpi.threaded`
-calls the matcher in the contributing thread.
+A transport is a link between the two.  :class:`LocalLink`, the one
+in-process link, calls the matcher in the contributing thread and has its
+results delivered directly: every rank of :mod:`repro.mpi.threaded` holds
+one, and so does rank 0, seated in the process hosting a
+:class:`~repro.dist.socketcomm.SocketHub`, whose other ranks frame over TCP.
+It counts :func:`framed_payload_bytes` per contribution and per result, as
+a socket would frame them.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.state_frame import StateFrame
 from repro.mpi.interface import CommError, Communicator
 from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import CompletedRequest, Request
 
-__all__ = ["WORLD_COMM_ID", "HubComm", "Link", "Matcher"]
+__all__ = [
+    "FRAME_HEADER_BYTES", "WORLD_COMM_ID", "HubComm", "Link", "LocalLink", "Matcher", "framed_payload_bytes",
+    "run_in_threads",
+]
 
 WORLD_COMM_ID = 0
 
+#: Length prefix of one socket-transport frame (see ``repro.dist.socketcomm``).
+FRAME_HEADER_BYTES = 8
+
 Key = Tuple[int, str, int]
 Message = Tuple[Any, ...]
+
+
+def _payload_bytes(value: Any) -> int:
+    """Approximate wire size of a collective payload.
+
+    Sizes are derived structurally — ``nbytes`` for arrays (and anything
+    array-like that exposes it), buffer lengths for bytes, recursion for
+    containers — so that accounting the traffic of a reduction never
+    serializes a multi-gigabyte array just to measure it.  ``pickle.dumps``
+    remains only as the last resort for exotic scalar payloads.
+    """
+    if isinstance(value, StateFrame):
+        return value.serialized_bytes()
+    nbytes = getattr(value, "nbytes", None)
+    if nbytes is not None:
+        return int(nbytes)
+    if isinstance(value, (bool, int, float)) or value is None:
+        return 8
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return len(value)
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(_payload_bytes(item) for item in value)
+    if isinstance(value, dict):
+        return sum(_payload_bytes(k) + _payload_bytes(v) for k, v in value.items())
+    try:
+        return len(pickle.dumps(value))
+    except Exception:  # pragma: no cover - exotic payloads
+        return 64
+
+
+def framed_payload_bytes(value: Any) -> int:
+    """Framed wire size of one collective payload on the socket path.
+
+    The in-process transport frames nothing, so :func:`_payload_bytes`
+    deliberately ignores framing.  Real transports don't: every message the
+    socket communicator puts on a TCP stream carries a
+    :data:`FRAME_HEADER_BYTES` length prefix in front of the payload.  Byte
+    accounting that compares the in-process link against real transport
+    (or estimates for an mpi4py run) must use this framed figure, or the
+    in-process link under-reports every message by the header.
+    """
+    return FRAME_HEADER_BYTES + _payload_bytes(value)
 
 
 class _HubCollective:
@@ -183,11 +241,15 @@ class Link:
         self._lock = threading.Lock()
         self._pending: Dict[Key, _Pending] = {}
         self.bytes_total = 0
+        self.counter: Any = None  # a metrics counter that sees every byte counted
         self.error: Optional[str] = None
 
     def send(self, message: Message) -> None:
         """Hand ``("coll", *contribution)`` to the matcher."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """The rank's goodbye."""
 
     def raise_if_failed(self) -> None:
         if self.error is not None:
@@ -222,6 +284,33 @@ class Link:
     def _account(self, nbytes: int) -> None:
         with self._lock:
             self.bytes_total += nbytes
+        if self.counter is not None:
+            self.counter.inc(nbytes)
+
+
+class LocalLink(Link):
+    """A rank's link to the matcher ``contribute`` of its own process; ``on_close`` is its goodbye."""
+
+    def __init__(self, contribute: Callable[[Message], None], on_close: Callable[[], None] = lambda: None) -> None:
+        super().__init__()
+        self._contribute = contribute
+        self.close = on_close
+
+    def send(self, message: Message) -> None:
+        self.raise_if_failed()
+        value = message[-1]
+        # A non-root ireduce returns before the root folds its contribution, and
+        # the engine then zeroes that frame in place: deposit a copy.
+        if isinstance(value, (StateFrame, np.ndarray)):
+            value = value.copy()
+        self._account(framed_payload_bytes(value))
+        self._contribute(message[1:-1] + (value,))
+        self.raise_if_failed()  # a mismatch fails the world, this call included
+
+    def deliver(self, message: Message) -> None:
+        if message[0] == "result":
+            self._account(framed_payload_bytes(message[-1]))
+        super().deliver(message)
 
 
 class _EventRequest(Request):
@@ -338,3 +427,48 @@ class HubComm(Communicator):
     def communication_bytes(self) -> int:
         """Bytes this rank's link moved, over all of its communicators."""
         return self._link.bytes_total
+
+    def close(self) -> None:
+        """Orderly goodbye; after this no collective may be issued."""
+        self._link.close()
+
+
+def run_in_threads(
+    num_ranks: int,
+    target: Callable[[Communicator, int], Any],
+    join: Callable[[int], HubComm],
+    fail: Callable[[str], None],
+    timeout: Optional[float],
+) -> List[Any]:
+    """Run ``target(join(rank), rank)`` in ``num_ranks`` threads and collect results.
+
+    A rank that raises fails the world through ``fail`` — the other ranks'
+    pending and later collectives raise :class:`CommError` instead of waiting
+    for it — and the first exception is re-raised in the caller after all
+    threads have been joined.  Each rank closes its communicator at the end.
+    """
+    results: List[Any] = [None] * num_ranks
+    errors: List[BaseException] = []  # in order of occurrence
+
+    def body(rank: int) -> None:
+        comm = None
+        try:
+            comm = join(rank)
+            results[rank] = target(comm, rank)
+        except BaseException as exc:  # noqa: BLE001 - reported to the caller
+            errors.append(exc)
+            fail(f"rank {rank} raised {exc!r}")
+        finally:
+            if comm is not None:
+                comm.close()
+
+    threads = [threading.Thread(target=body, args=(r,), name=f"rank-{r}", daemon=True) for r in range(num_ranks)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        if thread.is_alive():
+            raise TimeoutError(f"{thread.name} did not finish within {timeout}s")
+    if errors:
+        raise errors[0]
+    return results

@@ -12,9 +12,9 @@ Three implementations live in this repository.  :class:`SelfComm` (below)
 is the single rank.  Every multi-rank transport runs one client,
 :class:`~repro.mpi.hub.HubComm`, over a link to one collective matcher,
 :class:`~repro.mpi.hub.Matcher`: ``SocketComm`` frames it over TCP
-(:mod:`repro.dist.socketcomm`), ``ThreadedComm`` calls it in-process with
-ranks as threads (:mod:`repro.mpi.threaded`, the conformance suite's
-fixture).  ``Mpi4pyComm`` (:mod:`repro.dist.mpi4py_adapter`) maps the
+(:mod:`repro.dist.socketcomm`; the hub's host rank calls it in process),
+``ThreadedComm`` calls it in-process with ranks as threads
+(:mod:`repro.mpi.threaded`, the conformance suite's fixture).  ``Mpi4pyComm`` (:mod:`repro.dist.mpi4py_adapter`) maps the
 interface onto a real ``mpi4py`` communicator when one is available.
 """
 

@@ -13,8 +13,9 @@ for forked ranks and ``dist`` workers, on the caller's graph, a mapped
 1. *Diameter* — computed sequentially at rank 0, as in the paper, and
    broadcast.
 2. *Calibration* — :func:`calibration_phase` splits the non-adaptive samples
-   evenly across the ranks, reduces them, and rank 0 derives
-   ``delta_L``/``delta_U`` (:func:`stopping_condition`) for everyone.
+   evenly across the ranks and reduces them; rank 0 derives
+   ``delta_L``/``delta_U`` (:func:`stopping_condition`) and keeps them, as
+   it alone evaluates the stopping rule.  The other ranks go straight on.
 3. *Adaptive sampling* — :func:`adaptive_sampling_epochs`, the epoch loop of
    Section IV-C.  Threads ``1 .. T-1`` sample continuously into the frame of
    their current epoch; thread 0 samples what the check grid asks, forces the
@@ -115,20 +116,20 @@ def calibration_phase(
     delta: float,
     omega: int,
     on_batch: Optional[Callable] = None,
-) -> Tuple[Optional[StateFrame], StoppingCondition]:
+) -> Tuple[Optional[StateFrame], Optional[StoppingCondition]]:
     """Phase 2 on every rank: ``total`` samples split evenly across the ranks.
 
-    Returns ``(frame, condition)``: the reduced calibration frame at rank 0
-    (``None`` elsewhere) and, at every rank, the stopping condition rank 0
-    derived from it.  ``on_batch`` sees each batch this rank draws.
+    Returns ``(frame, condition)`` at rank 0: the reduced calibration frame
+    and the stopping condition derived from it; ``(None, None)`` elsewhere,
+    after the reduce, this phase's one collective.  ``on_batch`` sees each
+    batch this rank draws.
     """
     local = StateFrame.zeros(num_vertices)
     _draw(sampler, rng, int(math.ceil(total / comm.size)), local, on_batch)
     frame = comm.reduce(local, op="sum", root=0)
-    condition = None
-    if comm.is_root:
-        condition = stopping_condition(frame, eps=eps, delta=delta, omega=omega)
-    return frame, comm.bcast(condition, root=0)
+    if not comm.is_root:
+        return None, None
+    return frame, stopping_condition(frame, eps=eps, delta=delta, omega=omega)
 
 
 def _worker_loop(
@@ -164,10 +165,11 @@ def _worker_loop(
 def adaptive_sampling_epochs(
     comm: Communicator,
     sampler_factory: Callable[[int], BatchPathSampler],
-    condition: StoppingCondition,
+    condition: Optional[StoppingCondition],
     rngs: List[np.random.Generator],
     *,
     num_threads: int,
+    num_vertices: int,
     grid,
     algorithm: str = "epoch",
     initial_frame: Optional[StateFrame] = None,
@@ -180,7 +182,8 @@ def adaptive_sampling_epochs(
     """Run the adaptive-sampling epoch loop on this rank.
 
     ``sampler_factory(t)`` makes thread ``t``'s sampler and ``rngs[t]`` is its
-    generator; ``condition`` is evaluated at world rank 0 only.  ``grid``
+    generator; ``num_vertices`` sizes the frames; ``condition`` is evaluated
+    at world rank 0 only (the other ranks may pass ``None``).  ``grid``
     is the check grid: ``grid.epoch_samples(epoch, tau)`` samples are drawn
     by thread 0 in loop epoch ``epoch`` (0-based) before its check, ``tau``
     being the aggregate's count at rank 0 (0 elsewhere) —
@@ -210,7 +213,6 @@ def adaptive_sampling_epochs(
     if len(rngs) < num_threads:
         raise ValueError("need one RNG per thread")
 
-    num_vertices = condition.num_vertices
     phases = obs_trace.PhaseRecorder()
     manager = EpochManager(num_threads)
     pool = FramePool(num_threads, num_vertices)
@@ -367,9 +369,10 @@ def run_rank(
     (``state.checkpoint(path)`` writes the session snapshot format; the
     state is not refinable, its samples come from per-rank streams).
     ``resume`` is, at rank 0, such a state restored with
-    :meth:`~repro.session.EstimationSession.restore`: its diameter bound and
-    stopping condition are broadcast instead of running phases 1-2, and the
-    loop samples from fresh RNG streams.
+    :meth:`~repro.session.EstimationSession.restore`: its diameter bound,
+    epoch count and ``omega`` are broadcast instead of running phases 1-2
+    (its stopping condition stays at rank 0), and the loop samples from
+    fresh RNG streams.
     """
     if threads <= 0:
         raise ValueError("threads must be positive")
@@ -391,16 +394,19 @@ def run_rank(
         if progress is not None:
             progress(ProgressEvent(phase=phase, omega=omega, **fields))
 
-    def sampler_for(_thread: int = 0) -> BatchPathSampler:
-        return make_sampler(graph, options, kernel=kernel)
+    # Thread 0's sampler, for calibration and the loop alike, is built before
+    # the first collective: the other ranks build theirs while rank 0 sweeps.
+    sampler0 = make_sampler(graph, options, kernel=kernel)
+
+    def sampler_for(thread: int) -> BatchPathSampler:
+        return sampler0 if thread == 0 else make_sampler(graph, options, kernel=kernel)
 
     state = resume if comm.is_root else None
-    header = None if state is None else (state._vd, state._checks, state._condition)
+    header = None if state is None else (state._vd, state._checks, state._condition.omega)
     restored = comm.bcast(header, root=0)
     if restored is not None:
-        vd, base_epoch, condition = restored
-        omega = condition.omega
-        initial_frame = state._frame if comm.is_root else None
+        vd, base_epoch, omega = restored
+        initial_frame, condition = (state._frame, state._condition) if comm.is_root else (None, None)
         # Fresh, independent streams: never replay the pre-crash samples.
         stream_seed = derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch)
     else:
@@ -421,7 +427,7 @@ def run_rank(
             # adaptive phase (slots 1..T) never replays the calibration stream.
             initial_frame, condition = calibration_phase(
                 comm,
-                sampler_for(),
+                sampler0,
                 rng_for_rank_thread(options.seed, rank, 0, num_threads=threads + 1),
                 calibration_sample_count(options.calibration_samples, omega, graph.num_vertices),
                 num_vertices=graph.num_vertices,
@@ -464,6 +470,7 @@ def run_rank(
                 for t in range(sampling_threads)
             ],
             num_threads=sampling_threads,
+            num_vertices=graph.num_vertices,
             grid=EpochLength(n0),
             algorithm=algorithm,
             initial_frame=initial_frame,

@@ -472,6 +472,7 @@ class EstimationSession:
                 self._condition,
                 [self._rng],
                 num_threads=1,
+                num_vertices=self._graph.num_vertices,
                 grid=schedule,
                 initial_frame=self._frame,
                 on_batch=None if self._sample_log is None else self._sample_log.append_batch,

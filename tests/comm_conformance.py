@@ -2,8 +2,9 @@
 
 Every implementation of :class:`repro.mpi.interface.Communicator` must behave
 identically under the collectives the epoch framework issues — the threaded
-simulation, the distributed socket transport, and the degenerate single-rank
-``SelfComm``.  This module defines *runners* (how to execute an N-rank body
+simulation, the distributed socket transport (every rank over TCP, or rank 0
+seated in the hub's own process and the others over TCP, as forked worlds
+run), and the degenerate single-rank ``SelfComm``.  This module defines *runners* (how to execute an N-rank body
 on a given transport) and the *checks* (the shared semantics); the pytest
 parametrization lives in ``test_comm_conformance.py``.
 
@@ -20,11 +21,14 @@ import pytest
 
 from repro.core.state_frame import StateFrame
 from repro.mpi import CommError, SelfComm, run_threaded
-from repro.dist.socketcomm import run_socket
+from repro.dist.socketcomm import SocketComm, SocketHub, run_socket
+from repro.mpi.hub import run_in_threads
 
 Body = Callable[[Any, int], Any]
 
-__all__ = ["RUNNERS", "CommRunner", "SelfRunner", "ThreadedRunner", "SocketRunner", "CHECKS"]
+__all__ = [
+    "RUNNERS", "CommRunner", "SelfRunner", "ThreadedRunner", "SocketRunner", "HostedRunner", "CHECKS", "run_hosted",
+]
 
 
 class CommRunner:
@@ -65,7 +69,30 @@ class SocketRunner(CommRunner):
         return run_socket(num_ranks, body, timeout=60.0)
 
 
-RUNNERS = (SelfRunner(), ThreadedRunner(), SocketRunner())
+def run_hosted(num_ranks: int, body: Body, timeout: float = 60.0) -> List[Any]:
+    """``run_socket`` with rank 0 on the hub's in-process seat, ranks as threads."""
+    hub = SocketHub(num_ranks)
+    seat = hub.seat()
+    hub.start()
+
+    def join(rank):
+        return seat if rank == 0 else SocketComm.connect(hub.host, hub.port, rank, num_ranks)
+
+    try:
+        return run_in_threads(num_ranks, body, join, hub._matcher.fail, timeout)
+    finally:
+        hub.close()
+
+
+class HostedRunner(CommRunner):
+    name = "hosted"
+    max_ranks = 16
+
+    def run(self, num_ranks: int, body: Body) -> List[Any]:
+        return run_hosted(num_ranks, body)
+
+
+RUNNERS = (SelfRunner(), ThreadedRunner(), SocketRunner(), HostedRunner())
 
 
 # --------------------------------------------------------------------------- #

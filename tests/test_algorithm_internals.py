@@ -22,7 +22,8 @@ from repro.parallel import EpochLength, adaptive_sampling_epochs
 def algorithm1(comm, sampler, condition, rng, **kwargs):
     """Algorithm 1 on this rank: the epoch loop's mpi-only case."""
     return adaptive_sampling_epochs(
-        comm, lambda _t: sampler, condition, [rng], num_threads=1, algorithm="mpi-only", **kwargs
+        comm, lambda _t: sampler, condition, [rng], num_threads=1, num_vertices=condition.num_vertices,
+        algorithm="mpi-only", **kwargs
     )
 
 
@@ -129,6 +130,7 @@ class TestAlgorithm2Internals:
             condition,
             self._rngs(3),
             num_threads=3,
+            num_vertices=condition.num_vertices,
             grid=EpochLength(30),
         )
         assert stats.aggregated_frame is not None
@@ -149,6 +151,7 @@ class TestAlgorithm2Internals:
                 condition,
                 self._rngs(2, seed=10 * rank),
                 num_threads=2,
+                num_vertices=condition.num_vertices,
                 grid=EpochLength(20),
                 topology=topology,
             )
@@ -166,16 +169,19 @@ class TestAlgorithm2Internals:
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=0,
+                num_vertices=condition.num_vertices,
                 grid=EpochLength(10),
             )
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(2), num_threads=2,
+                num_vertices=condition.num_vertices,
                 grid=EpochLength(0),
             )
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=2,
+                num_vertices=condition.num_vertices,
                 grid=EpochLength(10),
             )
 
@@ -191,6 +197,7 @@ class TestAlgorithm2Internals:
             condition,
             self._rngs(2, seed=5),
             num_threads=2,
+            num_vertices=condition.num_vertices,
             grid=EpochLength(2000),
         )
         estimates = stats.aggregated_frame.betweenness_estimates()

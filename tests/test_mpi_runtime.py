@@ -24,12 +24,8 @@ from repro.mpi import (
     reduce_op,
     run_threaded,
 )
-from repro.mpi.threaded import (
-    FRAME_HEADER_BYTES,
-    ThreadedCommWorld,
-    _payload_bytes,
-    framed_payload_bytes,
-)
+from repro.mpi.hub import FRAME_HEADER_BYTES, _payload_bytes, framed_payload_bytes
+from repro.mpi.threaded import ThreadedCommWorld
 
 
 class TestRequests:

@@ -11,6 +11,8 @@
   search, one sample per poll otherwise, never seen by ``on_batch``.
 * Failure propagation: a sampling thread or a rank that raises ends the run
   in that exception instead of leaving its peers spinning forever.
+* The stopping condition stays at rank 0: calibration posts only its reduce,
+  and no other rank receives the condition, fresh or resumed.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from repro.core import KadabraOptions, StateFrame, StoppingCondition
 from repro.dist.launcher import launch_local
 from repro.graph.generators import barabasi_albert
 from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
-from repro.mpi import CommError, SelfComm, run_threaded
-from repro.mpi.requests import PolledRequest
+from repro.mpi import CommError, Communicator, SelfComm, run_threaded
+from repro.mpi.requests import PolledRequest, Request
 from repro.parallel import EpochLength, adaptive_sampling_epochs, run_rank
+from repro.parallel.engine import calibration_phase
 from repro.session import EstimationSession, SessionCapabilityError, open_session
 from repro.store import write_rcsr
 
@@ -148,6 +151,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
                 condition,
                 [np.random.default_rng(100 + rank)],
                 num_threads=1,
+                num_vertices=condition.num_vertices,
                 grid=EpochLength(40),
                 algorithm="mpi-only",
                 # Only rank 0's calibration frame enters the aggregate.
@@ -174,6 +178,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
                 condition,
                 [np.random.default_rng(t) for t in range(2)],
                 num_threads=2,
+                num_vertices=condition.num_vertices,
                 grid=EpochLength(10),
                 algorithm="mpi-only",
             )
@@ -281,6 +286,7 @@ class TestOverlapLoop:
             never,
             [np.random.default_rng(7)],
             num_threads=1,
+            num_vertices=never.num_vertices,
             grid=EpochLength(self.N0),
             algorithm=algorithm,
             max_epochs=self.EPOCHS,
@@ -347,6 +353,7 @@ class TestFailuresEndTheRun:
             never,
             [np.random.default_rng(10 * comm.rank + t) for t in range(2)],
             num_threads=2,
+            num_vertices=never.num_vertices,
             grid=EpochLength(5),
         )
 
@@ -391,3 +398,117 @@ class TestFailuresEndTheRun:
 
         raised = finishes(lambda: run_threaded(2, body))
         assert isinstance(raised, AttributeError)
+
+
+class SpyComm(Communicator):
+    """Delegates to ``inner``; records the kind of every collective this rank
+    posts and every value it gets back."""
+
+    def __init__(self, inner):
+        self.inner, self.posted, self.received = inner, [], []
+
+    rank = property(lambda self: self.inner.rank)
+    size = property(lambda self: self.inner.size)
+
+    def _call(self, kind, *args):
+        self.posted.append(kind)
+        out = getattr(self.inner, kind)(*args)
+        if kind.startswith("i"):
+            return SpyRequest(out, self.received)
+        self.received.append(out)
+        return out
+
+    def barrier(self):
+        return self._call("barrier")
+
+    def ibarrier(self):
+        return self._call("ibarrier")
+
+    def reduce(self, value, op="sum", root=0):
+        return self._call("reduce", value, op, root)
+
+    def ireduce(self, value, op="sum", root=0):
+        return self._call("ireduce", value, op, root)
+
+    def allreduce(self, value, op="sum"):
+        return self._call("allreduce", value, op)
+
+    def bcast(self, value=None, root=0):
+        return self._call("bcast", value, root)
+
+    def ibcast(self, value=None, root=0):
+        return self._call("ibcast", value, root)
+
+    def gather(self, value, root=0):
+        return self._call("gather", value, root)
+
+    def split(self, color, key=0):
+        return self._call("split", color, key)
+
+    def communication_bytes(self):
+        return self.inner.communication_bytes()
+
+
+class SpyRequest(Request):
+    def __init__(self, inner, received):
+        self.inner, self.received = inner, received
+
+    def test(self):
+        return self.inner.test()
+
+    def wait(self, poll_interval=0.0):
+        self.inner.wait()
+        return self.result()
+
+    def result(self):
+        value = self.inner.result()
+        self.received.append(value)
+        return value
+
+
+def holds_condition(value) -> bool:
+    if isinstance(value, StoppingCondition):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (tuple, list)) and any(holds_condition(item) for item in value)
+
+
+class TestTheConditionStaysAtRankZero:
+    def test_calibration_posts_only_its_reduce(self, graph):
+        def body(comm, rank):
+            spy = SpyComm(comm)
+            frame, condition = calibration_phase(
+                spy, BatchPathSampler(graph), np.random.default_rng(rank), 100,
+                num_vertices=graph.num_vertices, eps=0.1, delta=0.1, omega=1000,
+            )
+            return spy.posted, frame, condition
+
+        (posted0, frame, condition), (posted1, no_frame, no_condition) = run_threaded(
+            2, body, timeout=HANG_TIMEOUT
+        )
+        assert posted0 == posted1 == ["reduce"]
+        assert frame.num_samples == 100 and isinstance(condition, StoppingCondition)
+        assert no_frame is None and no_condition is None
+
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+    def test_no_other_rank_receives_it(self, graph, tmp_path, resumed):
+        options = KadabraOptions(**TARGET)
+        state = None
+        if resumed:
+            path = tmp_path / "rank0.snap"
+            run_rank(SelfComm(), graph, options, max_epochs=2, on_aggregate=lambda s: s.checkpoint(path))
+            state = EstimationSession.restore(path, graph=graph)
+
+        def body(comm, rank):
+            spy = SpyComm(comm)
+            result, _ = run_rank(spy, graph, options, max_epochs=2, resume=state if rank == 0 else None)
+            return spy, result
+
+        (root, result), (other, _) = run_threaded(2, body, timeout=HANG_TIMEOUT)
+        # The resume header, or the diameter broadcast then calibration's
+        # reduce; then the loop's first barrier.
+        head = ["bcast", "ibarrier"] if resumed else ["bcast", "bcast", "reduce", "ibarrier"]
+        assert root.posted[: len(head)] == other.posted[: len(head)] == head
+        assert other.received and not any(holds_condition(value) for value in other.received)
+        assert result.num_epochs == 2 and result.num_samples > (state.num_samples if resumed else 0)

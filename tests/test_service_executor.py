@@ -491,11 +491,24 @@ class TestSettleFromTheRow:
             worker_mode="thread",
             estimator=estimator,
             lease_seconds=60.0,  # first heartbeat after 20 s: none during the test
+            poll_seconds=3600.0,  # the job loop's janitor passes once, at its start
         )
+        # The test owns the janitor: a pass of it in its executor thread between
+        # the clock jump and the test's own requeue_expired would take the row.
+        janitor_passes = []
+        real_janitor = manager._janitor
+
+        async def janitor():
+            await real_janitor()
+            janitor_passes.append(now[0])
+
+        manager._janitor = janitor
 
         async def scenario():
             outcome = await manager.submit(QueryRequest(graph=str(graph), **QUERY))
             assert await asyncio.to_thread(started.wait, 30.0)
+            while not janitor_passes:
+                await asyncio.sleep(0.005)
             now[0] += 61.0  # past the lease
             assert store.requeue_expired() == (1, 0)
             assert store.get(outcome.job.id).state == "queued"
@@ -510,6 +523,7 @@ class TestSettleFromTheRow:
             manager.close()
         assert row.state == "done" and row.attempts == 2
         assert calls == [5, 5]
+        assert janitor_passes == [1000.0]  # before the lease ran out, and only then
         assert result.scores.tolist() == json.loads(row.result)["scores"]
         assert manager.counters["completed"] == 1 and manager.counters["failed"] == 0
 

@@ -603,25 +603,25 @@ class TestStoredGeneratedGraphs:
 
 class TestPayloadSizing:
     def test_arrays_and_containers_never_pickled(self, monkeypatch):
-        import repro.mpi.threaded as threaded
+        import repro.mpi.hub as hub
 
         def boom(*args, **kwargs):
             raise AssertionError("pickle.dumps called for a sizeable payload")
 
-        monkeypatch.setattr(threaded.pickle, "dumps", boom)
+        monkeypatch.setattr(hub.pickle, "dumps", boom)
         arr = np.zeros(1000, dtype=np.float64)
-        assert threaded._payload_bytes(arr) == arr.nbytes
-        assert threaded._payload_bytes([arr, arr]) == 2 * arr.nbytes
-        assert threaded._payload_bytes((1, 2.5, None)) == 24
-        assert threaded._payload_bytes({"a": arr}) == 1 + arr.nbytes
-        assert threaded._payload_bytes(b"xyz") == 3
-        assert threaded._payload_bytes("hello") == 5
+        assert hub._payload_bytes(arr) == arr.nbytes
+        assert hub._payload_bytes([arr, arr]) == 2 * arr.nbytes
+        assert hub._payload_bytes((1, 2.5, None)) == 24
+        assert hub._payload_bytes({"a": arr}) == 1 + arr.nbytes
+        assert hub._payload_bytes(b"xyz") == 3
+        assert hub._payload_bytes("hello") == 5
 
     def test_memmap_payload_uses_nbytes(self, stored_path, monkeypatch):
-        import repro.mpi.threaded as threaded
+        import repro.mpi.hub as hub
 
         monkeypatch.setattr(
-            threaded.pickle, "dumps", lambda *a, **k: pytest.fail("pickled a memmap")
+            hub.pickle, "dumps", lambda *a, **k: pytest.fail("pickled a memmap")
         )
         graph = open_rcsr(stored_path)
-        assert threaded._payload_bytes(graph.indices) == graph.indices.nbytes
+        assert hub._payload_bytes(graph.indices) == graph.indices.nbytes
