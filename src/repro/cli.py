@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.cli INPUT_GRAPH [--eps 0.01] [--delta 0.1]
+    python -m repro.cli INPUT_GRAPH [--eps E] [--delta D] [--seed S]
         [--algorithm auto|sequential|shared-memory|distributed|...]
         [--processes P] [--threads T] [--top 10] [--output scores.json]
     python -m repro.cli convert INPUT [OUTPUT] [--format auto|edgelist|metis]
@@ -11,7 +11,7 @@ Usage::
         [--store JOBS.sqlite3] [--dispatch pool|external]
         [--max-inflight N] [--max-queued N]
     python -m repro.cli worker --store JOBS.sqlite3 [--max-jobs N] [...]
-    python -m repro.cli query GRAPH [--eps 0.01] [--delta 0.1] [--port P]
+    python -m repro.cli query GRAPH [--eps E] [--delta D] [--seed S] [--port P]
     python -m repro.cli cache ls|evict [...]
     python -m repro.cli session run GRAPH --checkpoint S [--eps E] [...]
     python -m repro.cli session refine SNAPSHOT --eps E [--delta D] [...]
@@ -22,15 +22,18 @@ Usage::
     python -m repro.cli --list-backends
 
 The ``--algorithm`` choices are derived from the backend registry in
-:mod:`repro.api`; ``--list-backends`` prints the capability table.  The input
-is a whitespace-separated edge list (KONECT/SNAP style, ``.gz`` supported) or
-a binary ``.rcsr`` container (see :mod:`repro.store`): text inputs are
-converted into the graph cache on first touch and every later run opens the
-binary form zero-copy; ``--no-cache`` forces a plain text parse.  The
-estimation command alone reduces a disconnected input to its largest connected
-component, exactly as in the paper's evaluation (skipped without a copy when
-the catalog metadata already proves the graph connected); ``session``,
-``evolve`` and ``dist`` estimate the graph as it is stored.
+:mod:`repro.api`; ``--list-backends`` prints the capability table.  Every
+estimating command takes its estimation flags (``--eps``, ``--delta``,
+``--seed``; ``dist`` also the sample counts) and their defaults from
+:class:`repro.core.options.KadabraOptions`.  The input is a
+whitespace-separated edge list (KONECT/SNAP style, ``.gz`` supported) or a
+binary ``.rcsr`` container (see :mod:`repro.store`): text inputs are converted
+into the graph cache on first touch and every later run opens the binary form
+zero-copy; ``--no-cache`` forces a plain text parse.  The estimation command
+alone reduces a disconnected input to its largest connected component, exactly
+as in the paper's evaluation (skipped without a copy when the catalog metadata
+already proves the graph connected); ``session``, ``evolve`` and ``dist``
+estimate the graph as it is stored.
 
 ``serve`` starts the cached query service of :mod:`repro.service` (see
 ``docs/serving.md``), ``worker`` starts a store-draining estimation worker
@@ -64,6 +67,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Tuple
 
 from repro.api import AUTO, Resources, backend_names, estimate_betweenness, format_backend_table
+from repro.core.options import ACCURACY_FLAGS, KadabraOptions, add_option_flags
 from repro.graph import CSRGraph, largest_connected_component, read_edge_list
 from repro.io_utils import save_result, save_scores_csv
 
@@ -80,11 +84,6 @@ __all__ = [
     "build_obs_parser",
     "build_dist_parser",
 ]
-
-SUBCOMMANDS = (
-    "convert", "info", "serve", "worker", "query", "cache", "session", "evolve", "obs", "dist",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -107,9 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph input: edge-list file (whitespace separated, optionally .gz), "
         "an .rcsr store file, or a dataset name registered in the graph catalog",
     )
-    parser.add_argument("--eps", type=float, default=0.01, help="absolute error bound (default 0.01)")
-    parser.add_argument("--delta", type=float, default=0.1, help="failure probability (default 0.1)")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    add_option_flags(parser, ACCURACY_FLAGS)
     parser.add_argument(
         "--algorithm",
         choices=[AUTO, *backend_names()],
@@ -281,9 +278,7 @@ def build_query_parser() -> argparse.ArgumentParser:
         epilog="The JSON request/response schema is documented in docs/serving.md.",
     )
     parser.add_argument("graph", help="graph name or path, resolved by the *service*")
-    parser.add_argument("--eps", type=float, default=0.01, help="absolute error bound (default 0.01)")
-    parser.add_argument("--delta", type=float, default=0.1, help="failure probability (default 0.1)")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    add_option_flags(parser, ACCURACY_FLAGS)
     parser.add_argument(
         "--algorithm",
         choices=[AUTO, *backend_names()],
@@ -345,9 +340,7 @@ def build_session_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="estimate and write a session checkpoint")
     run.add_argument("graph", help="edge-list file, .rcsr store, or dataset name")
-    run.add_argument("--eps", type=float, default=0.01, help="absolute error bound (default 0.01)")
-    run.add_argument("--delta", type=float, default=0.1, help="failure probability (default 0.1)")
-    run.add_argument("--seed", type=int, default=None, help="RNG seed (pin it to make later refines deterministic)")
+    add_option_flags(run, ACCURACY_FLAGS)
     run.add_argument("--checkpoint", required=True, help="where to write the session snapshot")
     run.add_argument("--top", type=int, default=10, help="number of top vertices to print")
     run.add_argument("--output", default=None, help="write the full result as JSON")
@@ -509,7 +502,7 @@ def _cmd_dist(argv: list) -> int:
     args = build_dist_parser().parse_args(argv)
     if args.action == "worker":
         try:
-            config = DistWorkerConfig.from_args(args)
+            config = DistWorkerConfig.from_flags(vars(args))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -801,16 +794,8 @@ def _cmd_query(argv: list) -> int:
     from repro.service import ServiceClient, ServiceError
 
     args = build_query_parser().parse_args(argv)
-    fields = {
-        "graph": args.graph,
-        "eps": args.eps,
-        "delta": args.delta,
-        "k": args.top,
-        "algorithm": args.algorithm,
-        "wait": not args.no_wait,
-    }
-    if args.seed is not None:
-        fields["seed"] = args.seed
+    fields = {name: getattr(args, name) for name in ACCURACY_FLAGS}
+    fields.update(graph=args.graph, k=args.top, algorithm=args.algorithm, wait=not args.no_wait)
     try:
         with ServiceClient(args.host, args.port, timeout=args.timeout) as client:
             payload = client.query(**fields)
@@ -1007,13 +992,15 @@ def _cmd_evolve(argv: list) -> int:
 
     args = build_evolve_parser().parse_args(argv)
     catalog = GraphCatalog()
-
-    if args.action == "apply":
+    graph_delta = None
+    if args.delta_file is not None:  # required by 'apply'; 'run' falls back to the lineage record
         try:
             graph_delta = GraphDelta.load(args.delta_file)
         except (OSError, DeltaError) as exc:
             print(f"error: cannot read delta {args.delta_file}: {exc}", file=sys.stderr)
             return 2
+
+    if args.action == "apply":
         try:
             child_path = catalog.apply_delta(
                 args.graph, graph_delta, name=args.name, output=args.output
@@ -1036,13 +1023,7 @@ def _cmd_evolve(argv: list) -> int:
     graph = _load_cli_graph(args.graph, use_cache=True, largest_component=False)
     if graph is None:
         return 2
-    if args.delta_file is not None:
-        try:
-            graph_delta = GraphDelta.load(args.delta_file)
-        except (OSError, DeltaError) as exc:
-            print(f"error: cannot read delta {args.delta_file}: {exc}", file=sys.stderr)
-            return 2
-    else:
+    if graph_delta is None:
         try:
             _, graph_delta = catalog.parent_delta(catalog.checksum(args.graph))
         except LookupError as exc:
@@ -1115,23 +1096,22 @@ def _load_cli_graph(spec: str, *, use_cache: bool, largest_component: bool) -> O
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
-    if raw and raw[0] in SUBCOMMANDS:
-        dispatch = {
-            "convert": _cmd_convert,
-            "info": _cmd_info,
-            "serve": _cmd_serve,
-            "worker": _cmd_worker,
-            "query": _cmd_query,
-            "cache": _cmd_cache,
-            "session": _cmd_session,
-            "evolve": _cmd_evolve,
-            "obs": _cmd_obs,
-            "dist": _cmd_dist,
-        }
-        return dispatch[raw[0]](raw[1:])
+    subcommands = {
+        "convert": _cmd_convert,
+        "info": _cmd_info,
+        "serve": _cmd_serve,
+        "worker": _cmd_worker,
+        "query": _cmd_query,
+        "cache": _cmd_cache,
+        "session": _cmd_session,
+        "evolve": _cmd_evolve,
+        "obs": _cmd_obs,
+        "dist": _cmd_dist,
+    }
+    if raw and raw[0] in subcommands:
+        return subcommands[raw[0]](raw[1:])
 
-    parser = build_parser()
-    args = parser.parse_args(raw)
+    args = build_parser().parse_args(raw)
 
     if args.list_backends:
         from repro.dist.transports import format_transport_table
@@ -1149,8 +1129,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         print("error: the graph argument is required (or use --list-backends)", file=sys.stderr)
         return 2
 
-    # Validate the resource configuration before paying the graph-load cost.
+    # Validate the options and resources before paying the graph-load cost.
     try:
+        options = KadabraOptions.from_flags(vars(args))
         resources = Resources(processes=args.processes, threads=args.threads, kernel=args.kernel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1164,9 +1145,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     result = estimate_betweenness(
         graph,
         algorithm=args.algorithm,
-        eps=args.eps,
-        delta=args.delta,
-        seed=args.seed,
+        options=options,
         resources=resources,
         callbacks=_progress_printer if args.progress else None,
     )

@@ -1,18 +1,28 @@
-"""User-facing configuration for the KADABRA drivers."""
+"""User-facing configuration for the KADABRA drivers, and its command-line flags."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 from repro.util.validation import check_positive, check_probability
 
-__all__ = ["KadabraOptions"]
+__all__ = ["ACCURACY_FLAGS", "OPTION_FLAGS", "KadabraOptions", "add_option_flags", "flag_field"]
+
+
+def flag_field(default, kind, help=None, name=None, **flag):
+    """A field a command line sets: its default, its flag's ``argparse`` keywords and name (default: the field's)."""
+    return field(default=default, metadata={"flag": dict(type=kind, help=help, **flag), "name": name})
 
 
 @dataclass(frozen=True)
 class KadabraOptions:
     """Options shared by the sequential, shared-memory and MPI drivers.
+
+    The fields a command line sets declare their flag's type, default and
+    help here, once: every estimating command adds them with
+    :func:`add_option_flags`, and :meth:`from_flags` reads them back
+    (``max_samples_override`` is ``--max-samples``).
 
     Attributes
     ----------
@@ -42,14 +52,14 @@ class KadabraOptions:
         If set, skips the diameter phase and uses the given upper bound.
     """
 
-    eps: float = 0.01
-    delta: float = 0.1
-    seed: Optional[int] = None
+    eps: float = flag_field(0.01, float, "absolute error bound (default %(default)s)")
+    delta: float = flag_field(0.1, float, "failure probability (default %(default)s)")
+    seed: Optional[int] = flag_field(None, int, "RNG seed (default: none; pin it for repeatable runs and refines)")
     use_bidirectional_bfs: bool = True
-    calibration_samples: Optional[int] = None
-    samples_per_check: int = 1000
+    calibration_samples: Optional[int] = flag_field(None, int, "calibration samples (default: a fraction of omega)")
+    samples_per_check: int = flag_field(1000, int, "samples per stopping check of one worker (default %(default)s)")
     epoch_exponent: float = 1.33
-    max_samples_override: Optional[int] = None
+    max_samples_override: Optional[int] = flag_field(None, int, "cap on omega (default: none)", name="max_samples")
     vertex_diameter_override: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -69,3 +79,30 @@ class KadabraOptions:
     def with_(self, **changes) -> "KadabraOptions":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+    def flags(self) -> Dict[str, Any]:
+        """These options by flag name (each flag's ``dest``)."""
+        return {flag: getattr(self, spec.name) for flag, spec in _FLAGS.items()}
+
+    @classmethod
+    def from_flags(cls, values: Mapping[str, Any]) -> "KadabraOptions":
+        """The options a mapping by flag name describes: ``vars()`` of a parsed command line, or
+        ``launch_local``'s keywords.  A flag it lacks keeps its default; other keys are ignored."""
+        return cls(**{spec.name: values[flag] for flag, spec in _FLAGS.items() if flag in values})
+
+
+#: The fields a command line sets, by flag name.
+_FLAGS = {spec.metadata["name"] or spec.name: spec for spec in fields(KadabraOptions) if "flag" in spec.metadata}
+
+#: Every option flag: what ``dist run`` and ``dist worker`` take.
+OPTION_FLAGS = tuple(_FLAGS)
+
+#: The accuracy flags: what the estimation command, ``session run`` and ``query`` take.
+ACCURACY_FLAGS = ("eps", "delta", "seed")
+
+
+def add_option_flags(parser, names: Iterable[str] = OPTION_FLAGS) -> None:
+    """Add the option flags ``names`` to an ``argparse`` parser, with their defaults and help."""
+    for name in names:
+        spec = _FLAGS[name]
+        parser.add_argument("--" + name.replace("_", "-"), default=spec.default, **spec.metadata["flag"])

@@ -35,13 +35,13 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.options import KadabraOptions
+from repro.core.options import OPTION_FLAGS, KadabraOptions, add_option_flags, flag_field
 from repro.dist.socketcomm import SocketComm, SocketHub
 from repro.mpi.interface import Communicator
 from repro.obs.metrics import get_registry, metrics_enabled
@@ -57,23 +57,17 @@ __all__ = [
 
 FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
 
-#: Config fields whose ``dist worker`` flag has another name.
-_FLAGS = {"result_path": "output"}
-
-
-def _run_field(default, kind, help=None, **flag):
-    """A run parameter: its default and its ``dist run``/``dist worker`` flag (type, help)."""
-    return field(default=default, metadata={"flag": dict(type=kind, help=help, **flag)})
-
 
 @dataclass
 class DistWorkerConfig:
     """Everything one worker process needs; mirrored by ``dist worker`` flags.
 
-    The fields from ``parts`` to ``checkpoint_every`` are a run's parameters
-    (:data:`RUN_FIELDS`): ``dist run`` and ``dist worker`` take them as the
-    flags :func:`add_run_flags` adds, and ``launch_local`` as keywords.  A
-    config that could not run raises ``ValueError`` when it is built.
+    The fields from ``parts`` to ``options`` are a run's parameters
+    (:data:`RUN_FIELDS`; ``options`` stands for the flags
+    :class:`~repro.core.options.KadabraOptions` declares): ``dist run`` and
+    ``dist worker`` take them as the flags :func:`add_run_flags` adds, and
+    ``launch_local`` as keywords.  A config that could not run raises
+    ``ValueError`` when it is built.
     """
 
     graph: str
@@ -82,25 +76,19 @@ class DistWorkerConfig:
     port: int
     host: str = "127.0.0.1"
     connect: Optional[str] = None  # "host:port" of a remote hub
-    parts: Optional[int] = _run_field(None, int, "partition the graph into K shards; each rank maps only shard "
+    parts: Optional[int] = flag_field(None, int, "partition the graph into K shards; each rank maps only shard "
                                       "rank%%K (default: no partitioning, every rank maps the full graph)")
-    algorithm: str = _run_field("epoch", str, choices=ALGORITHMS)
-    threads: int = _run_field(1, int, "sampling threads per process")
-    eps: float = _run_field(0.05, float)
-    delta: float = _run_field(0.1, float)
-    seed: Optional[int] = _run_field(0, int)
-    samples_per_check: int = _run_field(1000, int)
-    calibration_samples: Optional[int] = _run_field(None, int)
-    max_samples: Optional[int] = _run_field(None, int)
-    max_epochs: Optional[int] = _run_field(None, int)
-    checkpoint: Optional[str] = _run_field(None, str, "epoch-boundary checkpoint file (.snap)")
-    checkpoint_every: int = _run_field(1, int, "epochs between checkpoints")
+    algorithm: str = flag_field("epoch", str, choices=ALGORITHMS)
+    threads: int = flag_field(1, int, "sampling threads per process")
+    max_epochs: Optional[int] = flag_field(None, int)
+    checkpoint: Optional[str] = flag_field(None, str, "epoch-boundary checkpoint file (.snap)")
+    checkpoint_every: int = flag_field(1, int, "epochs between checkpoints")
+    options: KadabraOptions = field(default_factory=KadabraOptions)
     resume: bool = False
-    result_path: Optional[str] = None
+    result_path: Optional[str] = field(default=None, metadata={"name": "output"})
     timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        self.options()  # KadabraOptions checks eps, delta and the sample counts
         for name in ("size", "threads", "checkpoint_every", "timeout", "parts"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -108,14 +96,6 @@ class DistWorkerConfig:
             raise ValueError(f"rank must be in [0, size), got rank {self.rank} of size {self.size}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-
-    def options(self, vertex_diameter: Optional[int] = None) -> KadabraOptions:
-        """This run's options; ``vertex_diameter`` is a shard manifest's precomputed bound."""
-        return KadabraOptions(
-            eps=self.eps, delta=self.delta, seed=self.seed, samples_per_check=self.samples_per_check,
-            calibration_samples=self.calibration_samples, max_samples_override=self.max_samples,
-            vertex_diameter_override=vertex_diameter,
-        )
 
     def hub_address(self) -> tuple:
         if self.connect:
@@ -126,8 +106,9 @@ class DistWorkerConfig:
     def to_argv(self) -> List[str]:
         """The ``repro.cli dist worker`` argument vector for this config."""
         argv = ["dist", "worker"]
-        for name, value in asdict(self).items():
-            flag = "--" + _FLAGS.get(name, name).replace("_", "-")
+        own = {flag: getattr(self, name) for flag, name in _OWN_FLAGS.items()}
+        for name, value in {**own, **self.options.flags()}.items():
+            flag = "--" + name.replace("_", "-")
             if value is True:
                 argv.append(flag)
             elif value is not None and value is not False:
@@ -135,14 +116,21 @@ class DistWorkerConfig:
         return argv
 
     @classmethod
-    def from_args(cls, args) -> "DistWorkerConfig":
-        """The config a parsed ``dist worker`` command line describes."""
-        names = cls.__dataclass_fields__
-        return cls(**{name: getattr(args, _FLAGS.get(name, name)) for name in names})
+    def from_flags(cls, values: Mapping[str, Any]) -> "DistWorkerConfig":
+        """The config a mapping by flag name describes: ``vars()`` of a parsed ``dist worker``
+        command line, or ``launch_local``'s keywords.  Other keys are ignored."""
+        given = {name: values[flag] for flag, name in _OWN_FLAGS.items() if flag in values}
+        return cls(options=KadabraOptions.from_flags(values), **given)
 
 
-#: The run parameters: the fields every rank of one run shares.
-RUN_FIELDS = tuple(f.name for f in fields(DistWorkerConfig) if "flag" in f.metadata)
+#: The ``dist worker`` flag of each of the config's own fields (``options`` has its own flags).
+_OWN_FLAGS = {
+    spec.metadata.get("name") or spec.name: spec.name for spec in fields(DistWorkerConfig) if spec.name != "options"
+}
+
+
+#: The run parameters: the flags every rank of one run shares.
+RUN_FIELDS = tuple(spec.name for spec in fields(DistWorkerConfig) if "flag" in spec.metadata) + OPTION_FLAGS
 
 
 def add_run_flags(parser) -> None:
@@ -150,6 +138,7 @@ def add_run_flags(parser) -> None:
     for spec in fields(DistWorkerConfig):
         if "flag" in spec.metadata:
             parser.add_argument("--" + spec.name.replace("_", "-"), default=spec.default, **spec.metadata["flag"])
+    add_option_flags(parser)
 
 
 # --------------------------------------------------------------------------- #
@@ -235,12 +224,9 @@ def _restore_checkpoint(config: DistWorkerConfig, graph) -> Optional[EstimationS
     state = EstimationSession.restore(path, graph=graph)
     if state.supports_refinement:
         raise SnapshotError(f"{path}: a sequential session, not a parallel checkpoint")
-    target = (state.options.eps, state.options.delta)
-    if target != (float(config.eps), float(config.delta)):
-        raise SnapshotError(
-            f"{path}: checkpoint (eps, delta) = {target} differ from this run's "
-            f"({config.eps}, {config.delta})"
-        )
+    target, run = (state.options.eps, state.options.delta), (config.options.eps, config.options.delta)
+    if target != run:
+        raise SnapshotError(f"{path}: checkpoint (eps, delta) = {target} differ from this run's {run}")
     return state
 
 
@@ -294,7 +280,7 @@ def _worker_body(
     vd_hint: Optional[int],
     resume: Optional[EstimationSession],
 ) -> Optional[Dict[str, Any]]:
-    options = config.options(vd_hint)
+    options = config.options if vd_hint is None else config.options.with_(vertex_diameter_override=vd_hint)
 
     # Rank 0 alone reads and writes checkpoints; the engine broadcasts what
     # the other ranks need of a restored state.

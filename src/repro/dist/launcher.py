@@ -106,8 +106,8 @@ def launch_local(
     graph_path = Path(graph)
     if not graph_path.exists():
         raise LaunchError(f"graph container not found: {graph_path}")
-    base = DistWorkerConfig(
-        graph=str(graph_path), rank=0, size=processes, port=0, host=host, timeout=min(timeout, 120.0), **run
+    base = DistWorkerConfig.from_flags(
+        dict(run, graph=str(graph_path), rank=0, size=processes, port=0, host=host, timeout=min(timeout, 120.0))
     )
     if base.parts:
         partition_rcsr(graph_path, base.parts)

@@ -418,11 +418,13 @@ class JobManager:
         """
         if self._quota.unlimited:
             return
-        queued = self.store.live_count(tenant, "queued")
-        limits = [("max_queued", self._quota.max_queued, queued, "queued jobs")]
-        if self._quota.max_inflight is not None:
-            live = queued + self.store.live_count(tenant, "running")
-            limits.append(("max_inflight", self._quota.max_inflight, live, "jobs in flight"))
+        # Both live states in one statement: a worker claiming a job between
+        # two reads would move it from the queued count into the running one.
+        live = self.store.tenant_counts().get(tenant, {})
+        limits = [
+            ("max_queued", self._quota.max_queued, live.get("queued", 0), "queued jobs"),
+            ("max_inflight", self._quota.max_inflight, sum(live.values()), "jobs in flight"),
+        ]
         for name, limit, current, what in limits:
             if limit is not None and current >= limit:
                 self._count("quota_rejected")

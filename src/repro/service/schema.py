@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from repro.api.registry import AUTO, backend_names
+from repro.core.options import KadabraOptions
 
 __all__ = ["DEFAULT_TENANT", "QueryRequest", "SchemaError", "result_payload"]
 
@@ -81,11 +82,11 @@ class QueryRequest:
     """
 
     graph: str
-    eps: float = 0.01
-    delta: float = 0.1
+    eps: float = KadabraOptions.eps
+    delta: float = KadabraOptions.delta
     k: int = 10
     algorithm: str = AUTO
-    seed: Optional[int] = None
+    seed: Optional[int] = KadabraOptions.seed
     include_scores: bool = False
     wait: bool = True
     tenant: str = DEFAULT_TENANT
@@ -119,11 +120,6 @@ class QueryRequest:
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "delta", float(self.delta))
 
-    _FIELDS = (
-        "graph", "eps", "delta", "k", "algorithm", "seed", "include_scores",
-        "wait", "tenant",
-    )
-
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "QueryRequest":
         """Build and validate a request from decoded JSON.
@@ -133,11 +129,12 @@ class QueryRequest:
         """
         if not isinstance(payload, dict):
             raise SchemaError("request body must be a JSON object")
-        unknown = set(payload) - set(cls._FIELDS)
+        names = [spec.name for spec in fields(cls)]
+        unknown = set(payload) - set(names)
         if unknown:
             raise SchemaError(
                 f"unknown request field(s) {sorted(unknown)}; "
-                f"valid fields: {list(cls._FIELDS)}"
+                f"valid fields: {names}"
             )
         if "graph" not in payload:
             raise SchemaError("request is missing the required 'graph' field")
@@ -151,7 +148,7 @@ class QueryRequest:
 
     def as_dict(self) -> Dict[str, object]:
         """The request back as a JSON-serializable dict (echoed in job status)."""
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     def job_key(self, checksum: str) -> str:
         """Canonical identity of the *work* this request asks for.

@@ -462,8 +462,10 @@ class JobStore:
             if existing is not None:
                 return existing, False
             raise
-        self._ring()
+        # Read the row before ringing: a worker the ring wakes may claim and
+        # finish it first, and the caller is owed the row it enqueued.
         record = self.get_by_rowid(cursor.lastrowid)
+        self._ring()
         assert record is not None
         return record, True
 
@@ -682,14 +684,6 @@ class JobStore:
         ):
             out.setdefault(tenant, {s: 0 for s in LIVE_STATES})[state] = count
         return out
-
-    def live_count(self, tenant: str, state: str) -> int:
-        """How many jobs a tenant has in one live state (admission check)."""
-        (count,) = self._conn().execute(
-            "SELECT COUNT(*) FROM jobs WHERE tenant = ? AND state = ?",
-            (tenant, state),
-        ).fetchone()
-        return count
 
     # ------------------------------------------------------------------ #
     # Retention

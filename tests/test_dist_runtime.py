@@ -21,6 +21,7 @@ import pytest
 import repro.dist.driver as driver
 from repro.baselines import brandes_betweenness
 from repro.cli import main as cli_main
+from repro.core.options import KadabraOptions
 from repro.dist.driver import DistWorkerConfig, receive_result, write_result
 from repro.dist.launcher import LaunchError, launch_local, pick_free_port
 from repro.graph import CSRGraph, read_edge_list
@@ -63,8 +64,7 @@ class TestLauncherBasics:
             size=4,
             port=1234,
             parts=4,
-            eps=0.07,
-            seed=5,
+            options=KadabraOptions(eps=0.07, seed=5),
             checkpoint="c.snap",
             resume=True,
         )
@@ -85,8 +85,8 @@ class TestLauncherBasics:
 
 #: A run's parameters: every rank of one run shares them.
 RUN_PARAMETERS = (
-    "parts", "algorithm", "threads", "eps", "delta", "seed", "samples_per_check",
-    "calibration_samples", "max_samples", "max_epochs", "checkpoint", "checkpoint_every",
+    "parts", "algorithm", "threads", "max_epochs", "checkpoint", "checkpoint_every",
+    "eps", "delta", "seed", "calibration_samples", "samples_per_check", "max_samples",
 )
 
 
@@ -103,30 +103,23 @@ class TestRunParameters:
         assert driver.RUN_FIELDS == RUN_PARAMETERS
 
     @pytest.mark.parametrize(
-        "argv", [["run", "g.rcsr"], ["worker", "--graph", "g.rcsr", "--rank", "0", "--size", "1"]]
-    )
-    def test_both_commands_default_to_the_config_defaults(self, argv):
-        args = self.parse(argv)
-        defaults = DistWorkerConfig.__dataclass_fields__
-        assert {name: getattr(args, name) for name in RUN_PARAMETERS} == {
-            name: defaults[name].default for name in RUN_PARAMETERS
-        }
-
-    @pytest.mark.parametrize(
         "config",
         [
             DistWorkerConfig(graph="g.rcsr", rank=0, size=1, port=0),
             DistWorkerConfig(
                 graph="g.rcsr", rank=2, size=3, port=4321, host="10.0.0.2", connect="10.0.0.1:999",
-                parts=3, algorithm="mpi-only", threads=2, eps=0.07, delta=0.2, seed=5,
-                samples_per_check=300, calibration_samples=40, max_samples=900, max_epochs=4,
+                parts=3, algorithm="mpi-only", threads=2, max_epochs=4,
+                options=KadabraOptions(
+                    eps=0.07, delta=0.2, seed=5, samples_per_check=300, calibration_samples=40,
+                    max_samples_override=900,
+                ),
                 checkpoint="c.snap", checkpoint_every=2, resume=True, result_path="r.json", timeout=9.5,
             ),
         ],
         ids=["defaults", "every-field-set"],
     )
     def test_to_argv_and_from_args_are_inverses(self, config):
-        assert DistWorkerConfig.from_args(self.parse(config.to_argv()[1:])) == config
+        assert DistWorkerConfig.from_flags(vars(self.parse(config.to_argv()[1:]))) == config
 
     @pytest.fixture()
     def no_fork(self, monkeypatch):

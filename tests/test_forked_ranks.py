@@ -25,6 +25,7 @@ import pytest
 import repro.api.backends as backends
 import repro.dist.driver as driver
 from repro import Resources, estimate_betweenness
+from repro.core.options import KadabraOptions
 from repro.dist.driver import DistWorkerConfig
 from repro.dist.launcher import LaunchError, launch_local, pick_free_port
 from repro.dist.socketcomm import (
@@ -341,7 +342,9 @@ class TestRemoteWorkerEntry:
                     sys.executable, "-m", "repro.cli",
                     *DistWorkerConfig(
                         graph=rcsr, rank=rank, size=2, port=port, result_path=str(out) if rank == 0 else None,
-                        eps=TARGET["eps"], seed=TARGET["seed"], samples_per_check=100, max_samples=1500,
+                        options=KadabraOptions(
+                            eps=TARGET["eps"], seed=TARGET["seed"], samples_per_check=100, max_samples_override=1500
+                        ),
                     ).to_argv(),
                 ],
                 env=env,

@@ -271,9 +271,6 @@ class TestJobStore:
         tenants = store.tenant_counts()
         assert tenants["alice"]["queued"] + tenants["alice"]["running"] == 2
         assert tenants["bob"] == {"queued": 1, "running": 0}
-        assert store.live_count("alice", "queued") + store.live_count(
-            "alice", "running"
-        ) == 2
 
     def test_prune_finished_keeps_newest(self, store, clock):
         for i in range(5):
@@ -729,6 +726,67 @@ class TestTenantQuota:
         assert joined.deduplicated
         assert manager.counters["quota_rejected"] == 1
         assert manager.counters["completed"] == 3
+
+    def test_a_job_claimed_while_admission_counts_is_counted_once(self, tmp_path):
+        """A worker claims the tenant's queued job right after admission's
+        first read of the store: the job moves from queued to running, and
+        must still count as one live job, not as one of each."""
+        graph = write_graph(tmp_path / "g.txt")
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        racer = JobStore(tmp_path / "jobs.sqlite3")  # another worker's connection
+        manager = JobManager(
+            cache=ResultCache(tmp_path / "results"),
+            catalog=GraphCatalog(tmp_path / "graph-cache"),
+            store=store,
+            dispatch="external",  # no local worker: the racer is the only one
+            quota=TenantQuota(max_inflight=2),
+        )
+        claimed = []
+
+        class Rows(list):
+            def fetchone(self):
+                return self[0] if self else None
+
+        class ClaimAfterFirstCount:
+            """This thread's store connection; the racer claims right after the first count it reads."""
+
+            def __init__(self, conn):
+                self.conn = conn
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+            def execute(self, sql, *params):
+                cursor = self.conn.execute(sql, *params)
+                if "COUNT(*)" not in sql or claimed:
+                    return cursor
+                rows = Rows(cursor.fetchall())
+                claimed.append(racer.claim("racer"))
+                return rows
+
+        async def scenario():
+            first = await manager.submit(QueryRequest(graph=str(graph), eps=0.1, seed=1, tenant="alice"))
+            store._local.conn = ClaimAfterFirstCount(store._conn())
+            try:
+                # One live job, so under max_inflight=2 the second is admitted.
+                second = await manager.submit(QueryRequest(graph=str(graph), eps=0.1, seed=2, tenant="alice"))
+            finally:
+                store._local.conn = store._local.conn.conn
+            counts = store.counts()
+            # End both jobs, so that no job loop outlives the event loop.
+            racer.fail(first.job.store_id, "racer", "released")
+            store.cancel(second.job.store_id)
+            await asyncio.gather(first.job.future, second.job.future, return_exceptions=True)
+            return first.job.store_id, counts
+
+        try:
+            first_id, counts = asyncio.run(scenario())
+        finally:
+            manager.close()
+            racer.close()
+        assert [record.id for record in claimed] == [first_id]  # the race did happen
+        assert (counts["queued"], counts["running"]) == (1, 1)
+        assert manager.counters["quota_rejected"] == 0
 
     def test_http_429(self, tmp_path):
         graph = write_graph(tmp_path / "g.txt")
