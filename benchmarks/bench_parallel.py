@@ -56,15 +56,3 @@ def test_distributed_algorithm1(benchmark, social_proxy_graph, fast_options):
         )
     )
     assert result.num_samples > 0
-
-
-def test_distributed_numa_split(benchmark, social_proxy_graph, fast_options):
-    result = benchmark(
-        lambda: estimate_betweenness(
-            social_proxy_graph,
-            algorithm="distributed",
-            options=fast_options,
-            resources=Resources(processes=4, threads=1, processes_per_node=2),
-        )
-    )
-    assert result.num_samples > 0

@@ -33,11 +33,7 @@ def run_with_eps(graph, eps: float, *, seed: int = 7):
         eps=eps,
         delta=0.1,
         seed=seed,
-        resources=Resources(
-            processes=2,
-            threads=2,
-            processes_per_node=2,  # one rank per NUMA socket, as in the paper
-        ),
+        resources=Resources(processes=2, threads=2),
     )
 
 

@@ -73,7 +73,6 @@ def _run_ranks(
             options,
             threads=threads,
             algorithm=algorithm,
-            processes_per_node=resources.processes_per_node if algorithm == "epoch" else None,
             kernel=resources.kernel,
             progress=progress,
         )
@@ -194,7 +193,7 @@ def register_default_backends(*, replace: bool = False) -> None:
     register_backend(
         "distributed",
         _run_distributed,
-        description="Epoch-based MPI KADABRA, Algorithm 2 (optionally NUMA-aware)",
+        description="Epoch-based MPI KADABRA, Algorithm 2",
         supports_threads=True,
         supports_processes=True,
         supports_kernels=True,

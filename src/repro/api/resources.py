@@ -22,9 +22,6 @@ class Resources:
         MPI-style ranks ``P`` (the paper's distributed dimension).
     threads:
         Sampling threads ``T`` per rank / shared-memory threads.
-    processes_per_node:
-        If set, enables the NUMA-aware node-local pre-aggregation of
-        Section IV-E for backends that support processes.
     kernel:
         Force a specific registered sampling kernel (see
         :mod:`repro.kernels.abi` and ``repro.cli --list-kernels``) instead of
@@ -35,7 +32,6 @@ class Resources:
 
     processes: int = 1
     threads: int = 1
-    processes_per_node: Optional[int] = None
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -43,8 +39,6 @@ class Resources:
             raise ValueError("processes must be positive")
         if self.threads <= 0:
             raise ValueError("threads must be positive")
-        if self.processes_per_node is not None and self.processes_per_node <= 0:
-            raise ValueError("processes_per_node must be positive when given")
         if self.kernel is not None:
             from repro.kernels import get_kernel
 
@@ -61,8 +55,6 @@ class Resources:
             "processes": self.processes,
             "threads": self.threads,
         }
-        if self.processes_per_node is not None:
-            out["processes_per_node"] = self.processes_per_node
         if self.kernel is not None:
             out["kernel"] = self.kernel
         return out

@@ -481,16 +481,7 @@ def build_dist_parser() -> argparse.ArgumentParser:
     run.add_argument("--top", type=int, default=5, help="print the top-K vertices (0 = none)")
 
     worker = actions.add_parser("worker", help="run one rank (on another host, or under mpirun)")
-    worker.add_argument("--graph", required=True, help=".rcsr container path")
-    worker.add_argument("--rank", type=int, required=True)
-    worker.add_argument("--size", type=int, required=True)
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=0, help="rank-0 hub port")
-    worker.add_argument("--connect", default=None, help="host:port of a remote hub")
-    add_run_flags(worker)
-    worker.add_argument("--resume", action="store_true")
-    worker.add_argument("--timeout", type=float, default=60.0)
-    worker.add_argument("--output", default=None, help="rank-0 result JSON path")
+    add_run_flags(worker, worker=True)
     return parser
 
 

@@ -11,8 +11,13 @@ __all__ = ["ACCURACY_FLAGS", "OPTION_FLAGS", "KadabraOptions", "add_option_flags
 
 
 def flag_field(default, kind, help=None, name=None, **flag):
-    """A field a command line sets: its default, its flag's ``argparse`` keywords and name (default: the field's)."""
-    return field(default=default, metadata={"flag": dict(type=kind, help=help, **flag), "name": name})
+    """A field a command line sets: its default, its flag's ``argparse`` keywords and name (default: the field's).
+
+    ``default`` may be ``dataclasses.MISSING`` (a required field, ``required=True``), ``kind`` ``None``
+    (an ``action`` that takes no value)."""
+    if kind is not None:
+        flag["type"] = kind
+    return field(default=default, metadata={"flag": dict(help=help, **flag), "name": name})
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Per-worker driver of the distributed runtime.
 
-One OS process per rank.  Rank 0's process hosts the rendezvous hub (unless
-``connect`` points at a remote hub) and joins the world communicator on the
-hub's in-process seat, every other rank over TCP; each rank runs
+One OS process per rank.  Rank 0's process hosts the rendezvous hub and
+joins the world communicator on the hub's in-process seat, every other rank
+over TCP to ``(host, port)``; each rank runs
 :func:`repro.parallel.engine.run_rank` on its own view of the graph.  What
 this module adds around the engine:
 
@@ -35,7 +35,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -51,8 +51,8 @@ from repro.store.format import open_rcsr
 from repro.store.partition import PartitionManifest, PartitionedGraphView, manifest_path_for
 
 __all__ = [
-    "DistWorkerConfig", "RUN_FIELDS", "add_run_flags", "run_worker", "write_result", "receive_result",
-    "FAULT_RANK_ENV",
+    "DistWorkerConfig", "RUN_FIELDS", "WORKER_FIELDS", "add_run_flags", "run_worker", "write_result",
+    "receive_result", "FAULT_RANK_ENV",
 ]
 
 FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
@@ -60,22 +60,23 @@ FAULT_RANK_ENV = "REPRO_DIST_FAULT_RANK"
 
 @dataclass
 class DistWorkerConfig:
-    """Everything one worker process needs; mirrored by ``dist worker`` flags.
+    """Everything one worker process needs; each field declares its ``dist worker`` flag.
 
     The fields from ``parts`` to ``options`` are a run's parameters
     (:data:`RUN_FIELDS`; ``options`` stands for the flags
     :class:`~repro.core.options.KadabraOptions` declares): ``dist run`` and
     ``dist worker`` take them as the flags :func:`add_run_flags` adds, and
-    ``launch_local`` as keywords.  A config that could not run raises
-    ``ValueError`` when it is built.
+    ``launch_local`` as keywords.  The others (:data:`WORKER_FIELDS`) say
+    which rank this is and where its hub listens: only ``dist worker`` takes
+    them as flags.  A config that could not run raises ``ValueError`` when
+    it is built.
     """
 
-    graph: str
-    rank: int
-    size: int
-    port: int
-    host: str = "127.0.0.1"
-    connect: Optional[str] = None  # "host:port" of a remote hub
+    graph: str = flag_field(MISSING, str, ".rcsr container path", required=True)
+    rank: int = flag_field(MISSING, int, required=True)
+    size: int = flag_field(MISSING, int, required=True)
+    host: str = flag_field("127.0.0.1", str, "hub address: rank 0 listens on it, the other ranks dial it")
+    port: int = flag_field(0, int, "hub port (rank 0: 0 picks a free one)")
     parts: Optional[int] = flag_field(None, int, "partition the graph into K shards; each rank maps only shard "
                                       "rank%%K (default: no partitioning, every rank maps the full graph)")
     algorithm: str = flag_field("epoch", str, choices=ALGORITHMS)
@@ -84,9 +85,9 @@ class DistWorkerConfig:
     checkpoint: Optional[str] = flag_field(None, str, "epoch-boundary checkpoint file (.snap)")
     checkpoint_every: int = flag_field(1, int, "epochs between checkpoints")
     options: KadabraOptions = field(default_factory=KadabraOptions)
-    resume: bool = False
-    result_path: Optional[str] = field(default=None, metadata={"name": "output"})
-    timeout: float = 60.0
+    resume: bool = flag_field(False, None, "continue from --checkpoint when it exists", action="store_true")
+    result_path: Optional[str] = flag_field(None, str, "rank-0 result JSON path", name="output")
+    timeout: float = flag_field(60.0, float, "seconds a rank other than 0 keeps dialling the hub")
 
     def __post_init__(self) -> None:
         for name in ("size", "threads", "checkpoint_every", "timeout", "parts"):
@@ -96,12 +97,6 @@ class DistWorkerConfig:
             raise ValueError(f"rank must be in [0, size), got rank {self.rank} of size {self.size}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-
-    def hub_address(self) -> tuple:
-        if self.connect:
-            host, _, port = self.connect.rpartition(":")
-            return host, int(port)
-        return self.host, int(self.port)
 
     def to_argv(self) -> List[str]:
         """The ``repro.cli dist worker`` argument vector for this config."""
@@ -125,20 +120,25 @@ class DistWorkerConfig:
 
 #: The ``dist worker`` flag of each of the config's own fields (``options`` has its own flags).
 _OWN_FLAGS = {
-    spec.metadata.get("name") or spec.name: spec.name for spec in fields(DistWorkerConfig) if spec.name != "options"
+    spec.metadata["name"] or spec.name: spec.name for spec in fields(DistWorkerConfig) if spec.name != "options"
 }
 
+#: The fields that tell one worker apart: the launcher sets them, not the caller.
+WORKER_FIELDS = ("graph", "rank", "size", "host", "port", "resume", "result_path", "timeout")
 
 #: The run parameters: the flags every rank of one run shares.
-RUN_FIELDS = tuple(spec.name for spec in fields(DistWorkerConfig) if "flag" in spec.metadata) + OPTION_FLAGS
+RUN_FIELDS = tuple(name for name in _OWN_FLAGS.values() if name not in WORKER_FIELDS) + OPTION_FLAGS
 
 
-def add_run_flags(parser) -> None:
-    """Add one flag per run parameter to an ``argparse`` parser, with its default and help."""
+def add_run_flags(parser, *, worker: bool = False) -> None:
+    """Add one flag per run parameter (``dist run``) to an ``argparse`` parser, with its default
+    and help; with ``worker``, one per field of the config (``dist worker``)."""
     for spec in fields(DistWorkerConfig):
-        if "flag" in spec.metadata:
-            parser.add_argument("--" + spec.name.replace("_", "-"), default=spec.default, **spec.metadata["flag"])
-    add_option_flags(parser)
+        if spec.name == "options":
+            add_option_flags(parser)
+        elif worker or spec.name in RUN_FIELDS:
+            flag = "--" + (spec.metadata["name"] or spec.name).replace("_", "-")
+            parser.add_argument(flag, default=spec.default, **spec.metadata["flag"])
 
 
 # --------------------------------------------------------------------------- #
@@ -233,13 +233,13 @@ def _restore_checkpoint(config: DistWorkerConfig, graph) -> Optional[EstimationS
 def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = None, handoff=None) -> int:
     """Run one rank of a distributed estimation; returns a process exit code.
 
-    Rank 0 (without ``connect``) hosts the hub — on ``listener`` when the
-    launcher that forked it bound one, else on ``config.host:config.port`` —
-    and takes its seat on it in process; it writes checkpoints, and sends
-    the merged result down the ``handoff`` pipe end when it has one, else
-    writes it to ``config.result_path``.  A checkpoint that cannot be resumed
-    ends rank 0 with exit code 2 and one ``error:`` line, before it joins the
-    world.
+    Rank 0 hosts the hub — on ``listener`` when the launcher that forked it
+    bound one, else on ``config.host:config.port`` — and takes its seat on
+    it in process; the other ranks dial ``config.host:config.port``.  Rank 0
+    writes checkpoints, and sends the merged result down the ``handoff``
+    pipe end when it has one, else writes it to ``config.result_path``.  A
+    checkpoint that cannot be resumed ends rank 0 with exit code 2 and one
+    ``error:`` line, before it joins the world.
     """
     _arm_fault_injection(config)
     graph, vd_hint = _open_graph(config)
@@ -249,12 +249,12 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
         print(f"error: cannot resume: {exc}", file=sys.stderr)
         return 2
     hub: Optional[SocketHub] = None
-    if config.rank == 0 and config.connect is None:
+    if config.rank == 0:
         hub = SocketHub(config.size, host=config.host, port=config.port, listener=listener)
         comm = hub.seat()
         hub.start()
     else:
-        comm = SocketComm.connect(*config.hub_address(), config.rank, config.size, timeout=config.timeout)
+        comm = SocketComm.connect(config.host, config.port, config.rank, config.size, timeout=config.timeout)
     try:
         result = _worker_body(comm, config, graph, vd_hint, resume)
         if comm.is_root and result is not None:

@@ -113,11 +113,6 @@ class Mpi4pyComm(Communicator):  # pragma: no cover - requires an MPI stack
         self._account(value)
         return self._comm.gather(value, root=root)
 
-    def split(self, color: Any, key: int = 0) -> "Mpi4pyComm":
-        # MPI requires integer colors; hash anything else stably via repr.
-        int_color = color if isinstance(color, int) else abs(hash(repr(color))) % (1 << 30)
-        return Mpi4pyComm(self._comm.Split(int_color, int(key)))
-
     def communication_bytes(self) -> int:
         """Framed-size estimate of this rank's sent payloads.
 

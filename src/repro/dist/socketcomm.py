@@ -25,8 +25,9 @@ client - and this module is their TCP link, built on the standard library only:
 inherits the caller's state — graph included — copy-on-write.  :func:`fork_rank`
 and :func:`reap`, the two primitives under it, are also how
 :func:`repro.dist.launcher.launch_local` starts and stops its ranks.
-``run_socket(num_ranks, target)`` mirrors ``run_threaded`` for tests: real
-sockets over loopback, ranks as threads of the calling process.
+``run_socket(num_ranks, target)`` mirrors ``run_threaded`` for tests: the
+same hosted world, rank 0 on the seat and every other rank over loopback TCP,
+with ranks as threads of the calling process.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import socket
 import struct
 import threading
 import time
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.mpi.hub import WORLD_COMM_ID, HubComm, Link, LocalLink, Matcher, run_in_threads
+from repro.mpi.hub import HubComm, Link, LocalLink, Matcher, run_in_threads
 from repro.mpi.interface import CommError
 from repro.obs.metrics import get_registry, metrics_enabled
 
@@ -178,7 +178,7 @@ class SocketHub:
             if 0 in self._conns:
                 raise ValueError("seat 0 is taken")
             self._conns[0] = link.deliver
-        return SocketComm(link, WORLD_COMM_ID, 0, self._size)
+        return SocketComm(link, 0, self._size)
 
     # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
@@ -407,10 +407,10 @@ class SocketComm(HubComm):
         sock.settimeout(None)
         _send_frame(sock, ("hello", int(rank)))
         conn = _Conn(sock, int(rank))
-        return cls(conn, WORLD_COMM_ID, int(rank), int(size))
+        return cls(conn, int(rank), int(size))
 
     def __repr__(self) -> str:
-        return f"SocketComm(rank={self._rank}, size={self._size}, comm_id={self._comm_id})"
+        return f"SocketComm(rank={self._rank}, size={self._size})"
 
 
 # --------------------------------------------------------------------------- #
@@ -536,17 +536,23 @@ def run_socket(
     *,
     timeout: Optional[float] = None,
 ) -> List[Any]:
-    """Run ``target(comm, rank)`` on ``num_ranks`` ranks over real sockets.
+    """Run ``target(comm, rank)`` on ``num_ranks`` ranks of a hosted socket world.
 
-    Mirrors :func:`repro.mpi.threaded.run_threaded`: ranks are threads of the
-    calling process, but every collective crosses the loopback TCP stack
-    through a real :class:`SocketHub`.  A rank that raises fails the world —
-    the other ranks' pending and later collectives raise :class:`CommError`
-    instead of waiting for it — and the first exception is re-raised.
+    Mirrors :func:`repro.mpi.threaded.run_threaded` with ranks as threads of
+    the calling process, wired as :func:`run_forked` wires processes: rank 0
+    takes the hub's in-process seat and every other rank's collectives cross
+    the loopback TCP stack.  A rank that raises fails the world — the other
+    ranks' pending and later collectives raise :class:`CommError` instead of
+    waiting for it — and the first exception is re-raised.
     """
-    hub = SocketHub(num_ranks).start()
+    hub = SocketHub(num_ranks)
+    seat = hub.seat()
+    hub.start()
+
+    def join(rank: int) -> SocketComm:
+        return seat if rank == 0 else SocketComm.connect(hub.host, hub.port, rank, num_ranks)
+
     try:
-        join = partial(SocketComm.connect, hub.host, hub.port, size=num_ranks)
         return run_in_threads(num_ranks, target, join, hub._matcher.fail, timeout)
     finally:
         hub.close()

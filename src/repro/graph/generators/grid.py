@@ -11,7 +11,7 @@ connected) plus a few random "highway" shortcuts, yielding average degree
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

@@ -12,7 +12,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 
 __all__ = ["erdos_renyi_gnm", "erdos_renyi_gnp", "barabasi_albert", "watts_strogatz"]

@@ -1,11 +1,10 @@
 """MPI substrate: communicator interface, the one collective matcher and its
-client (:mod:`repro.mpi.hub`), the threaded runtime and the topology split."""
+client (:mod:`repro.mpi.hub`) and the threaded runtime."""
 
 from repro.mpi.interface import CommError, Communicator, SelfComm
 from repro.mpi.requests import Request, CompletedRequest, PolledRequest
 from repro.mpi.reduce_ops import REDUCE_OPS, reduce_op, combine
 from repro.mpi.threaded import ThreadedComm, ThreadedCommWorld, run_threaded
-from repro.mpi.topology import NodeTopology, build_topology
 
 __all__ = [
     "CommError",
@@ -20,6 +19,4 @@ __all__ = [
     "ThreadedComm",
     "ThreadedCommWorld",
     "run_threaded",
-    "NodeTopology",
-    "build_topology",
 ]

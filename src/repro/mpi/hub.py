@@ -1,18 +1,17 @@
 """The one collective matcher, and the communicator every multi-rank transport runs.
 
-Algorithms 1 and 2 need ``ireduce``, ``ibarrier``, ``ibcast`` and ``split``
-with one set of semantics; they are defined once, here:
+Algorithms 1 and 2 need ``ireduce``, ``ibarrier`` and ``ibcast`` on the one
+world communicator, with one set of semantics; they are defined once, here:
 
 * :class:`Matcher` pairs the contributions of one world's collectives.  A
-  contribution is ``(comm_id, kind, seq, op, root, member_rank, value)`` and
-  matches by ``(comm_id, kind, seq)``: the caller numbers its collectives per
-  communicator and per kind, so interleaved non-blocking operations of
-  different kinds (``ibarrier`` + ``ireduce``) pair correctly without tags.
-  ``split`` allocates the child communicator ids here.  Results leave as
-  ``("result", comm_id, kind, seq, value)``, failures as ``("error",
-  message)``, through the transport's ``deliver(world_rank, message)``.  Any
-  fault while matching - ranks that disagree on op or root, an unknown
-  communicator - fails the whole world with :class:`CommError`.
+  contribution is ``(kind, seq, op, root, rank, value)`` and matches by
+  ``(kind, seq)``: the caller numbers its collectives per kind, so
+  interleaved non-blocking operations of different kinds (``ibarrier`` +
+  ``ireduce``) pair correctly without tags.  Results leave as ``("result",
+  kind, seq, value)``, failures as ``("error", message)``, through the
+  transport's ``deliver(rank, message)``.  Any fault while matching - ranks
+  that disagree on op or root, a rank or root outside the world - fails the
+  whole world with :class:`CommError`.
 * :class:`HubComm` is the :class:`~repro.mpi.interface.Communicator` each
   rank holds.  It posts contributions over a :class:`Link` and waits on
   requests the link resolves: a non-root ``ireduce`` and the root's
@@ -43,16 +42,14 @@ from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import CompletedRequest, Request
 
 __all__ = [
-    "FRAME_HEADER_BYTES", "WORLD_COMM_ID", "HubComm", "Link", "LocalLink", "Matcher", "framed_payload_bytes",
+    "FRAME_HEADER_BYTES", "HubComm", "Link", "LocalLink", "Matcher", "framed_payload_bytes",
     "run_in_threads",
 ]
-
-WORLD_COMM_ID = 0
 
 #: Length prefix of one socket-transport frame (see ``repro.dist.socketcomm``).
 FRAME_HEADER_BYTES = 8
 
-Key = Tuple[int, str, int]
+Key = Tuple[str, int]
 Message = Tuple[Any, ...]
 
 
@@ -123,10 +120,8 @@ class Matcher:
     def __init__(self, size: int, deliver: Callable[[int, Message], None]) -> None:
         self._deliver = deliver
         self._lock = threading.Lock()
+        self._size = size
         self._table: Dict[Key, _HubCollective] = {}
-        # comm_id -> world ranks indexed by communicator rank
-        self._comms: Dict[int, List[int]] = {WORLD_COMM_ID: list(range(size))}
-        self._next_comm_id = WORLD_COMM_ID + 1
         self.failed: Optional[str] = None
 
     def fail(self, message: str) -> None:
@@ -135,8 +130,8 @@ class Matcher:
             if self.failed is not None:
                 return
             self.failed = message
-        for world_rank in self._comms[WORLD_COMM_ID]:
-            self._deliver(world_rank, ("error", message))
+        for rank in range(self._size):
+            self._deliver(rank, ("error", message))
 
     def contribute(self, contribution: Tuple[Any, ...]) -> None:
         """Match one contribution and deliver what it completes; never raises."""
@@ -146,24 +141,21 @@ class Matcher:
             self.fail(str(exc))
             return
         except Exception as exc:  # noqa: BLE001 - a fault fails the world, not the caller's thread
-            self.fail(f"contribution {contribution[:3]!r} failed: {exc!r}")
+            self.fail(f"contribution {contribution[:2]!r} failed: {exc!r}")
             return
-        for world_rank, message in to_send:
-            self._deliver(world_rank, message)
+        for rank, message in to_send:
+            self._deliver(rank, message)
 
-    def _match(
-        self, comm_id: int, kind: str, seq: int, op: str, root: int, member_rank: int, value: Any
-    ) -> List[Tuple[int, Message]]:
-        key = (comm_id, kind, seq)
-        head = ("result", comm_id, kind, seq)
+    def _match(self, kind: str, seq: int, op: str, root: int, rank: int, value: Any) -> List[Tuple[int, Message]]:
+        key = (kind, seq)
+        head = ("result", kind, seq)
+        if not 0 <= rank < self._size:
+            raise ValueError(f"rank {rank} is outside a world of {self._size}")
         with self._lock:
-            members = self._comms.get(comm_id)
-            if members is None:
-                raise CommError(f"unknown communicator id {comm_id}")
             if self.failed is not None:
                 # Contributions arriving after the world failed (e.g. from ranks
                 # that had not yet joined when it failed) get the error too.
-                return [(members[member_rank], ("error", self.failed))]
+                return [(rank, ("error", self.failed))]
             entry = self._table.get(key)
             if entry is None:
                 entry = self._table[key] = _HubCollective(kind, op, root)
@@ -172,46 +164,35 @@ class Matcher:
                     f"collective mismatch at {key}: "
                     f"({entry.kind},{entry.op},{entry.root}) vs ({kind},{op},{root})"
                 )
-            size = len(members)
             entry.count += 1
             if kind in ("reduce", "allreduce"):
                 entry.accumulator = value if entry.count == 1 else reduce_op(op)(entry.accumulator, value)
             elif kind == "bcast":
-                if member_rank == root:
+                if rank == root:
                     entry.value = value
                     entry.has_value = True
                 else:
-                    entry.waiters.append(member_rank)
-            elif kind in ("gather", "split"):
-                entry.contributions[member_rank] = value
+                    entry.waiters.append(rank)
+            elif kind == "gather":
+                entry.contributions[rank] = value
             # barrier carries no payload
 
             to_send: List[Tuple[int, Message]] = []
             if kind == "bcast" and entry.has_value:
-                to_send += [(members[waiter], head + (entry.value,)) for waiter in entry.waiters]
+                to_send += [(waiter, head + (entry.value,)) for waiter in entry.waiters]
                 entry.waiters.clear()
-            if entry.count < size:
+            if entry.count < self._size:
                 return to_send
             del self._table[key]
+            if not 0 <= root < self._size:
+                raise ValueError(f"root {root} is outside a world of {self._size}")
             if kind == "reduce":
-                to_send.append((members[root], head + (entry.accumulator,)))
+                to_send.append((root, head + (entry.accumulator,)))
             elif kind in ("allreduce", "barrier"):
-                to_send += [(world, head + (entry.accumulator,)) for world in members]
+                to_send += [(r, head + (entry.accumulator,)) for r in range(self._size)]
             elif kind == "gather":
-                ordered = [entry.contributions[r] for r in range(size)]
-                to_send += [(world, head + (ordered if r == root else None,)) for r, world in enumerate(members)]
-            elif kind == "split":
-                groups: Dict[Any, List[Tuple[Any, int]]] = {}
-                for r in range(size):
-                    color, sort_key = entry.contributions[r]
-                    groups.setdefault(color, []).append((sort_key, r))
-                for color in sorted(groups, key=repr):
-                    group = sorted(groups[color])
-                    new_id = self._next_comm_id
-                    self._next_comm_id += 1
-                    self._comms[new_id] = [members[r] for (_k, r) in group]
-                    for new_rank, (_k, r) in enumerate(group):
-                        to_send.append((members[r], head + ((new_id, new_rank, len(group)),)))
+                ordered = [entry.contributions[r] for r in range(self._size)]
+                to_send += [(r, head + (ordered if r == root else None,)) for r in range(self._size)]
             return to_send
 
 
@@ -230,7 +211,7 @@ class _Pending:
 
 
 class Link:
-    """One rank's end of a transport: result slots keyed by ``(comm_id, kind, seq)``.
+    """One rank's end of a transport: result slots keyed by ``(kind, seq)``.
 
     A slot is registered before its contribution is sent and leaves the table
     when its result arrives, so a finished collective's result lives only as
@@ -266,9 +247,9 @@ class Link:
         if message[0] == "error":
             self._set_error(str(message[1]))
             return
-        _tag, comm_id, kind, seq, value = message
+        _tag, kind, seq, value = message
         with self._lock:
-            pending = self._pending.pop((comm_id, kind, seq), None)
+            pending = self._pending.pop((kind, seq), None)
         if pending is not None:
             pending.value = value
             pending.event.set()
@@ -360,9 +341,8 @@ class HubComm(Communicator):
     which the MPI usage model already requires.
     """
 
-    def __init__(self, link: Link, comm_id: int, rank: int, size: int) -> None:
+    def __init__(self, link: Link, rank: int, size: int) -> None:
         self._link = link
-        self._comm_id = comm_id
         self._rank = rank
         self._size = size
         self._seq: Dict[str, int] = {}
@@ -381,8 +361,8 @@ class HubComm(Communicator):
         with self._seq_lock:
             seq = self._seq.get(kind, 0)
             self._seq[kind] = seq + 1
-        request = _EventRequest(self._link, self._link.expect((self._comm_id, kind, seq))) if reply else None
-        self._link.send(("coll", self._comm_id, kind, seq, op, root, self._rank, value))
+        request = _EventRequest(self._link, self._link.expect((kind, seq))) if reply else None
+        self._link.send(("coll", kind, seq, op, root, self._rank, value))
         return request
 
     # ------------------------------------------------------------------ #
@@ -420,12 +400,8 @@ class HubComm(Communicator):
         self._check(root)
         return self._post("gather", op="gather", root=root, value=value).wait()
 
-    def split(self, color: Any, key: int = 0) -> "HubComm":
-        new_id, new_rank, new_size = self._post("split", op="split", value=(color, int(key))).wait()
-        return type(self)(self._link, new_id, new_rank, new_size)
-
     def communication_bytes(self) -> int:
-        """Bytes this rank's link moved, over all of its communicators."""
+        """Bytes this rank's link moved."""
         return self._link.bytes_total
 
     def close(self) -> None:

@@ -5,8 +5,13 @@ The algorithms in Section IV need exactly these primitives:
 * blocking ``reduce`` (calibration phase aggregation) and ``bcast``;
 * non-blocking ``ibarrier`` + blocking ``reduce`` (the paper's replacement for
   a slow ``MPI_Ireduce``), plus ``ireduce`` itself for Algorithm 1;
-* non-blocking ``ibcast`` for distributing the termination flag;
-* communicator ``split`` for the NUMA-aware node-local/global topology.
+* non-blocking ``ibcast`` for distributing the termination flag.
+
+Every collective runs on the one world communicator.  The paper's
+node-local/leader split (Section IV-E) pre-aggregates over shared memory;
+every multi-rank transport here is a star through rank 0's process, where a
+node-local reduction is one more pass through the same hub, so there is no
+``split``.
 
 Three implementations live in this repository.  :class:`SelfComm` (below)
 is the single rank.  Every multi-rank transport runs one client,
@@ -84,10 +89,6 @@ class Communicator(abc.ABC):
     def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
         """Blocking gather; returns the list of per-rank values at ``root``."""
 
-    @abc.abstractmethod
-    def split(self, color: int, key: int = 0) -> "Communicator":
-        """Partition the communicator by ``color`` (MPI_Comm_split semantics)."""
-
     # -- convenience ------------------------------------------------------ #
     def _check(self, root: int, op: Optional[str] = None) -> None:
         """Reject an unknown reduction ``op`` or a ``root`` outside ``[0, size)``, before posting."""
@@ -109,8 +110,7 @@ class Communicator(abc.ABC):
 class SelfComm(Communicator):
     """The trivial single-rank communicator (``MPI_COMM_SELF``).
 
-    Used for sequential runs of the distributed drivers and as the base case
-    of communicator splits.
+    Used for sequential and shared-memory runs of the rank engine.
     """
 
     @property
@@ -147,6 +147,3 @@ class SelfComm(Communicator):
     def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
         self._check(root)
         return [value]
-
-    def split(self, color: int, key: int = 0) -> "Communicator":
-        return SelfComm()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from repro.mpi.hub import WORLD_COMM_ID, HubComm, LocalLink, Matcher, run_in_threads
+from repro.mpi.hub import HubComm, LocalLink, Matcher, run_in_threads
 from repro.mpi.interface import Communicator
 
 __all__ = ["ThreadedCommWorld", "ThreadedComm", "run_threaded"]
@@ -41,7 +41,7 @@ class ThreadedCommWorld:
     def comm_for_rank(self, rank: int) -> ThreadedComm:
         if not (0 <= rank < self.size):
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
-        return ThreadedComm(self._links[rank], WORLD_COMM_ID, rank, self.size)
+        return ThreadedComm(self._links[rank], rank, self.size)
 
     def fail(self, message: str) -> None:
         """Mark the world failed: collectives that cannot complete raise ``CommError``."""

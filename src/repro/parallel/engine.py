@@ -50,7 +50,6 @@ from repro.core.stopping import StoppingCondition, compute_omega
 from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
-from repro.mpi.topology import NodeTopology, build_topology
 from repro.obs import trace as obs_trace
 from repro.parallel.epoch_length import EpochLength, thread_zero_samples_per_epoch
 from repro.parallel.epochs import EpochManager, FramePool
@@ -173,7 +172,6 @@ def adaptive_sampling_epochs(
     grid,
     algorithm: str = "epoch",
     initial_frame: Optional[StateFrame] = None,
-    topology: Optional[NodeTopology] = None,
     max_epochs: Optional[int] = None,
     on_batch: Optional[Callable] = None,
     on_epoch: Optional[Callable[[int, int], None]] = None,
@@ -191,10 +189,8 @@ def adaptive_sampling_epochs(
     the session's :class:`~repro.core.stopping.CheckSchedule` at ``P = T =
     1``.  ``algorithm`` picks Algorithm 2 (``"epoch"``) or 1 (``"mpi-only"``,
     one thread).  ``initial_frame`` (calibration, a resumed aggregate) is
-    folded into the aggregate at rank 0 without being modified; with
-    ``topology`` frames are pre-aggregated node-locally and only node leaders
-    join the global reduction (Section IV-E); ``max_epochs`` is a safety
-    bound for tests.
+    folded into the aggregate at rank 0 without being modified;
+    ``max_epochs`` is a safety bound for tests.
 
     Hooks: ``on_batch(batch)`` sees every batch thread 0 draws for the grid
     (not the overlap batches drawn while a request is in flight — there are
@@ -222,10 +218,6 @@ def adaptive_sampling_epochs(
 
     seeded = comm.is_root and initial_frame is not None
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
-
-    # The communicators taking part in the reduction tree.
-    local_comm = topology.local if topology is not None else None
-    reduce_comm = topology.global_ if topology is not None else comm
 
     workers = [
         threading.Thread(
@@ -280,22 +272,16 @@ def adaptive_sampling_epochs(
                 epoch_frame = current_frame
                 if aggregate_scratch is not None:
                     epoch_frame = pool.aggregate_epoch(epoch, out=aggregate_scratch)
-                if local_comm is not None and local_comm.size > 1:
-                    epoch_frame = local_comm.reduce(epoch_frame, op="sum", root=0)
 
             # Lines 19-21: reduce across processes, overlapped with sampling.
-            reduced_frame: Optional[StateFrame] = None
-            if reduce_comm is not None and epoch_frame is not None:
-                if algorithm == "epoch":
-                    with phases("ibarrier"):
-                        overlap(reduce_comm.ibarrier(), next_frame)
-                    with phases("reduce"):
-                        reduced_frame = reduce_comm.reduce(epoch_frame, op="sum", root=0)
-                else:
-                    with phases("reduce"):
-                        reduced_frame = overlap(
-                            reduce_comm.ireduce(epoch_frame, op="sum", root=0), next_frame
-                        )
+            if algorithm == "epoch":
+                with phases("ibarrier"):
+                    overlap(comm.ibarrier(), next_frame)
+                with phases("reduce"):
+                    reduced_frame = comm.reduce(epoch_frame, op="sum", root=0)
+            else:
+                with phases("reduce"):
+                    reduced_frame = overlap(comm.ireduce(epoch_frame, op="sum", root=0), next_frame)
 
             # Lines 22-24: rank 0 folds the epoch frame and checks the rule.
             decision = False
@@ -312,8 +298,7 @@ def adaptive_sampling_epochs(
                     if on_epoch is not None:
                         on_epoch(stats.num_epochs + 1, aggregated.num_samples)
 
-            # Lines 25-27: broadcast the termination flag over the world
-            # communicator, overlapped with sampling.
+            # Lines 25-27: broadcast the termination flag, overlapped with sampling.
             with phases("broadcast"):
                 terminated = bool(
                     overlap(comm.ibcast(decision if comm.is_root else None, root=0), next_frame)
@@ -345,7 +330,6 @@ def run_rank(
     *,
     threads: int = 1,
     algorithm: str = "epoch",
-    processes_per_node: Optional[int] = None,
     kernel: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
     max_epochs: Optional[int] = None,
@@ -359,8 +343,7 @@ def run_rank(
     (``diameter``, ``calibration``, ``adaptive_sampling`` and the loop's
     phases as ``ads_*``).  ``graph`` is this rank's (replicated or sharded)
     view; ``threads`` is ``T`` per rank (``"mpi-only"`` samples on one but
-    keeps the RNG slot layout of ``T``); ``processes_per_node`` enables the
-    NUMA-aware node-local pre-aggregation; ``kernel`` forces a sampling
+    keeps the RNG slot layout of ``T``); ``kernel`` forces a sampling
     kernel; ``progress`` fires at rank 0 after each phase and epoch;
     ``max_epochs`` bounds the loop (tests).
 
@@ -378,8 +361,6 @@ def run_rank(
         raise ValueError("threads must be positive")
     if algorithm not in ALGORITHMS:
         raise ValueError("algorithm must be 'epoch' or 'mpi-only'")
-    if processes_per_node is not None and processes_per_node <= 0:
-        raise ValueError("processes_per_node must be positive when given")
     rank = comm.rank
     sampling_threads = threads if algorithm == "epoch" else 1
     if graph.num_vertices < 2:
@@ -458,9 +439,6 @@ def run_rank(
         base=float(options.samples_per_check), exponent=options.epoch_exponent,
     )
     with phases("adaptive_sampling", rank=rank, omega=omega):
-        topology = None
-        if processes_per_node is not None and comm.size > 1:
-            topology = build_topology(comm, processes_per_node)
         stats = adaptive_sampling_epochs(
             comm,
             sampler_for,
@@ -474,7 +452,6 @@ def run_rank(
             grid=EpochLength(n0),
             algorithm=algorithm,
             initial_frame=initial_frame,
-            topology=topology,
             max_epochs=max_epochs,
             on_epoch=lambda epoch, num_samples: emit(
                 "adaptive_sampling", epoch=epoch, num_samples=num_samples

@@ -8,7 +8,7 @@ keeps runs reproducible regardless of the number of processes/threads.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

@@ -2,9 +2,9 @@
 
 Every implementation of :class:`repro.mpi.interface.Communicator` must behave
 identically under the collectives the epoch framework issues — the threaded
-simulation, the distributed socket transport (every rank over TCP, or rank 0
-seated in the hub's own process and the others over TCP, as forked worlds
-run), and the degenerate single-rank ``SelfComm``.  This module defines *runners* (how to execute an N-rank body
+simulation, the distributed socket transport (rank 0 seated in the hub's own
+process and the others over TCP, as forked worlds run) with its ranks as
+threads and as forked processes, and the degenerate single-rank ``SelfComm``.  This module defines *runners* (how to execute an N-rank body
 on a given transport) and the *checks* (the shared semantics); the pytest
 parametrization lives in ``test_comm_conformance.py``.
 
@@ -13,7 +13,9 @@ Not named ``test_*`` on purpose: pytest does not collect it, tests import it.
 
 from __future__ import annotations
 
+import signal
 import weakref
+from contextlib import contextmanager
 from typing import Any, Callable, List
 
 import numpy as np
@@ -21,14 +23,11 @@ import pytest
 
 from repro.core.state_frame import StateFrame
 from repro.mpi import CommError, SelfComm, run_threaded
-from repro.dist.socketcomm import SocketComm, SocketHub, run_socket
-from repro.mpi.hub import run_in_threads
+from repro.dist.socketcomm import run_forked, run_socket
 
 Body = Callable[[Any, int], Any]
 
-__all__ = [
-    "RUNNERS", "CommRunner", "SelfRunner", "ThreadedRunner", "SocketRunner", "HostedRunner", "CHECKS", "run_hosted",
-]
+__all__ = ["RUNNERS", "CommRunner", "SelfRunner", "ThreadedRunner", "SocketRunner", "ForkedRunner", "CHECKS", "SHARED_MEMORY_CHECKS"]
 
 
 class CommRunner:
@@ -38,6 +37,9 @@ class CommRunner:
     max_ranks = 0
     #: Whether the transport counts communication volume.
     counts_bytes = True
+    #: Whether every rank runs in the caller's process, so a body's side
+    #: effects on what it closes over are seen by the check.
+    shares_memory = True
 
     def run(self, num_ranks: int, body: Body) -> List[Any]:
         raise NotImplementedError
@@ -69,30 +71,40 @@ class SocketRunner(CommRunner):
         return run_socket(num_ranks, body, timeout=60.0)
 
 
-def run_hosted(num_ranks: int, body: Body, timeout: float = 60.0) -> List[Any]:
-    """``run_socket`` with rank 0 on the hub's in-process seat, ranks as threads."""
-    hub = SocketHub(num_ranks)
-    seat = hub.seat()
-    hub.start()
+@contextmanager
+def _time_limit(seconds: int):
+    """Raise ``TimeoutError`` in the main thread after ``seconds``: a world
+    that hangs fails its test instead of the whole run."""
 
-    def join(rank):
-        return seat if rank == 0 else SocketComm.connect(hub.host, hub.port, rank, num_ranks)
+    def expire(signum, frame):
+        raise TimeoutError(f"world still running after {seconds}s")
 
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
     try:
-        return run_in_threads(num_ranks, body, join, hub._matcher.fail, timeout)
+        yield
     finally:
-        hub.close()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-class HostedRunner(CommRunner):
-    name = "hosted"
+class ForkedRunner(CommRunner):
+    """Ranks 1..n-1 are forked processes, as ``run_rank`` runs a local world;
+    every rank's result reaches rank 0, in the caller, by one last gather."""
+
+    name = "forked"
     max_ranks = 16
+    shares_memory = False
 
     def run(self, num_ranks: int, body: Body) -> List[Any]:
-        return run_hosted(num_ranks, body)
+        def target(comm, rank):
+            return comm.gather(body(comm, rank), root=0)
+
+        with _time_limit(60):
+            return run_forked(num_ranks, target)
 
 
-RUNNERS = (SelfRunner(), ThreadedRunner(), SocketRunner(), HostedRunner())
+RUNNERS = (SelfRunner(), ThreadedRunner(), SocketRunner(), ForkedRunner())
 
 
 # --------------------------------------------------------------------------- #
@@ -113,9 +125,15 @@ def check_reduce_nonzero_root(runner: CommRunner, n: int) -> None:
     assert all(r is None for i, r in enumerate(results) if i != root)
 
 
-def check_allreduce_max(runner: CommRunner, n: int) -> None:
-    results = runner.run(n, lambda comm, rank: comm.allreduce(rank, op="max"))
-    assert results == [n - 1] * n
+def check_allreduce_ops(runner: CommRunner, n: int) -> None:
+    """Every op reaches every rank; ``lor`` is the engine's ``max_epochs`` vote."""
+
+    def body(comm, rank):
+        last = rank == n - 1
+        ops = (("max", rank), ("min", rank), ("lor", last), ("land", last))
+        return [comm.allreduce(value, op=op) for op, value in ops]
+
+    assert runner.run(n, body) == [[n - 1, 0, True, n == 1]] * n
 
 
 def check_bcast(runner: CommRunner, n: int) -> None:
@@ -207,36 +225,38 @@ def check_state_frame_reduction(runner: CommRunner, n: int) -> None:
     assert list(results[0].counts) == [1.0] * n
 
 
-def check_split_subcommunicator_collectives(runner: CommRunner, n: int) -> None:
-    """Collectives on a split child only involve the child's members."""
+def check_kinds_match_by_their_own_order(runner: CommRunner, n: int) -> None:
+    """Collectives pair by (kind, call order of that kind): several of each
+    kind in flight at once, waited on in another order, each get their own result."""
 
     def body(comm, rank):
-        color = rank % 2
-        child = comm.split(color=color, key=rank)
-        total = child.allreduce(rank, op="sum")
-        gathered = child.gather(rank, root=0)
-        return (color, child.rank, child.size, total, gathered)
+        requests = [
+            comm.ibarrier(),
+            comm.ireduce(rank, op="sum"),
+            comm.ibcast("first" if rank == 0 else None),
+            comm.ibarrier(),
+            comm.ireduce(10 * rank, op="sum"),
+            comm.ibcast("second" if rank == 0 else None),
+        ]
+        order = reversed(requests) if rank % 2 else requests
+        for request in order:
+            request.wait()
+        return [request.result() for request in requests[1:3] + requests[4:]]
 
+    total = n * (n - 1) // 2
     results = runner.run(n, body)
-    for rank, (color, child_rank, child_size, total, gathered) in enumerate(results):
-        members = [r for r in range(n) if r % 2 == color]
-        assert color == rank % 2
-        assert child_size == len(members)
-        assert child_rank == members.index(rank)
-        assert total == sum(members)
-        if child_rank == 0:
-            assert gathered == members
-        else:
-            assert gathered is None
+    assert results[0] == [total, "first", 10 * total, "second"]
+    assert all(r == [None, "first", None, "second"] for r in results[1:])
 
 
-def check_split_key_reverses_order(runner: CommRunner, n: int) -> None:
+def check_array_payloads(runner: CommRunner, n: int) -> None:
     def body(comm, rank):
-        child = comm.split(color=0, key=comm.size - rank)
-        return child.rank
+        summed = comm.allreduce(np.arange(5, dtype=np.float64) * rank, op="sum")
+        sent = comm.bcast(np.full(3, 7.5) if rank == 0 else None)
+        return summed.tolist(), sent.tolist()
 
-    results = runner.run(n, body)
-    assert results == list(range(n - 1, -1, -1))
+    expected = ([float(i * n * (n - 1) // 2) for i in range(5)], [7.5] * 3)
+    assert runner.run(n, body) == [expected] * n
 
 
 def check_communication_bytes_positive(runner: CommRunner, n: int) -> None:
@@ -350,11 +370,14 @@ def check_bad_op_raises_value_error(runner: CommRunner, n: int) -> None:
     assert runner.run(n, body) == [n - 1] * n
 
 
+#: The checks that read what a body changed in the caller's memory.
+SHARED_MEMORY_CHECKS = {"rank_exception_fails_the_world"}
+
 #: name -> (check, min_ranks_required)
 CHECKS = {
     "reduce_sum_root0": (check_reduce_sum_root0, 1),
     "reduce_nonzero_root": (check_reduce_nonzero_root, 2),
-    "allreduce_max": (check_allreduce_max, 1),
+    "allreduce_ops": (check_allreduce_ops, 1),
     "bcast": (check_bcast, 1),
     "bcast_false_value": (check_bcast_false_value, 1),
     "bcast_nonzero_root": (check_bcast_nonzero_root, 2),
@@ -367,8 +390,8 @@ CHECKS = {
         2,
     ),
     "state_frame_reduction": (check_state_frame_reduction, 2),
-    "split_subcommunicator_collectives": (check_split_subcommunicator_collectives, 4),
-    "split_key_reverses_order": (check_split_key_reverses_order, 3),
+    "kinds_match_by_their_own_order": (check_kinds_match_by_their_own_order, 2),
+    "array_payloads": (check_array_payloads, 2),
     "communication_bytes_positive": (check_communication_bytes_positive, 2),
     "rank_exception_fails_the_world": (check_rank_exception_fails_the_world, 2),
     "ireduce_buffer_reusable_after_return": (check_ireduce_buffer_reusable_after_return, 2),

@@ -2,7 +2,7 @@
 
 These exercise the loop function directly (not through the rank engine) so
 that failure modes — inconsistent aggregation, missing calibration carry-over,
-omega exhaustion, topology wiring — are pinned down at the right layer.
+omega exhaustion, agreement across ranks — are pinned down at the right layer.
 Algorithm 1 is the loop's ``algorithm="mpi-only"`` case: one thread per rank
 and an overlapped ``ireduce``.
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import StoppingCondition
 from repro.kernels import BatchPathSampler
-from repro.mpi import SelfComm, build_topology, run_threaded
+from repro.mpi import SelfComm, run_threaded
 from repro.parallel import EpochLength, adaptive_sampling_epochs
 
 
@@ -139,12 +139,11 @@ class TestAlgorithm2Internals:
         assert stats.num_epochs >= 1
         assert set(stats.phase_seconds) >= {"sampling", "epoch_transition", "check"}
 
-    def test_with_topology_across_ranks(self, small_social_graph):
+    def test_across_four_ranks(self, small_social_graph):
         n = small_social_graph.num_vertices
         condition = _loose_condition(n, omega=600)
 
         def body(comm, rank):
-            topology = build_topology(comm, processes_per_node=2)
             return adaptive_sampling_epochs(
                 comm,
                 lambda _t: BatchPathSampler(small_social_graph),
@@ -153,7 +152,6 @@ class TestAlgorithm2Internals:
                 num_threads=2,
                 num_vertices=condition.num_vertices,
                 grid=EpochLength(20),
-                topology=topology,
             )
 
         stats = run_threaded(4, body)

@@ -22,7 +22,7 @@ from repro.api import (
     unregister_backend,
 )
 from repro.core import KadabraOptions
-from repro.graph.generators import barabasi_albert, star_graph
+from repro.graph.generators import barabasi_albert
 
 FAST = dict(
     eps=0.2,

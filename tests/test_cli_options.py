@@ -47,7 +47,7 @@ OPTION_STRINGS = {
         "--checkpoint-every", "--max-restarts", "--host", "--port", "--timeout", "--output", "--top",
     },
     "dist worker": {
-        "-h", "--help", "--graph", "--rank", "--size", "--host", "--port", "--connect", "--parts", "--algorithm",
+        "-h", "--help", "--graph", "--rank", "--size", "--host", "--port", "--parts", "--algorithm",
         "--threads", "--eps", "--delta", "--seed", "--samples-per-check", "--calibration-samples",
         "--max-samples", "--max-epochs", "--checkpoint", "--checkpoint-every", "--resume", "--timeout", "--output",
     },

@@ -3,7 +3,9 @@
 One parametrized matrix: (transport runner) x (semantic check).  Checks that
 need more ranks than a runner can host (``SelfComm`` is single-rank) are
 skipped for that runner; mismatch detection is skipped where a transport
-cannot observe a mismatch (a single rank cannot disagree with itself).
+cannot observe a mismatch (a single rank cannot disagree with itself).  A
+check that reads what the ranks changed in the caller's memory is skipped
+where ranks are processes of their own.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import threading
 
 import pytest
 
-from comm_conformance import CHECKS, RUNNERS
+from comm_conformance import CHECKS, RUNNERS, SHARED_MEMORY_CHECKS, ForkedRunner
 
 from repro.dist.socketcomm import CommError, SocketComm, SocketHub, run_socket
 from repro.mpi.threaded import ThreadedCommWorld
@@ -32,6 +34,8 @@ def test_conformance(runner, check_name):
         pytest.skip(f"{runner.name} hosts at most {runner.max_ranks} rank(s)")
     if check_name == "communication_bytes_positive" and not runner.counts_bytes:
         pytest.skip(f"{runner.name} does not count communication")
+    if check_name in SHARED_MEMORY_CHECKS and not runner.shares_memory:
+        pytest.skip(f"{runner.name} runs ranks in processes of their own")
     num_ranks = max(min_ranks, min(DEFAULT_RANKS, runner.max_ranks))
     check(runner, num_ranks)
 
@@ -57,6 +61,14 @@ def test_socket_mismatch_fails_all_ranks():
         run_socket(4, body, timeout=30.0)
 
 
+def test_forked_mismatch_fails_the_world():
+    def body(comm, rank):
+        return comm.allreduce(1, op="sum" if rank == 0 else "max")
+
+    with pytest.raises(CommError, match="mismatch"):
+        ForkedRunner().run(4, body)
+
+
 # A contribution the matcher cannot handle - here a root past the world, posted
 # below the client's own check as a foreign client could send it - fails the
 # world with CommError on every transport.
@@ -68,6 +80,26 @@ def test_threaded_matcher_fault_fails_the_world():
     with pytest.raises(CommError, match="failed"):
         world.comm_for_rank(1)._post("reduce", op="sum", root=5, value=1)
     with pytest.raises(CommError, match="failed"):
+        pending.wait()
+
+
+def test_threaded_contribution_from_outside_the_world_fails_it():
+    world = ThreadedCommWorld(2)
+    stray, other = world.comm_for_rank(1), world.comm_for_rank(0)
+    stray._rank = 2  # a rank no seat of the world holds
+    with pytest.raises(CommError, match="outside a world of 2"):
+        stray.barrier()
+    with pytest.raises(CommError, match="outside a world of 2"):
+        other.barrier()
+
+
+def test_threaded_bcast_from_a_root_outside_the_world_fails_it():
+    """Every rank waits for a value no rank can send: the world fails instead of hanging."""
+    world = ThreadedCommWorld(2)
+    pending = world.comm_for_rank(0)._post("bcast", op="bcast", root=5)
+    with pytest.raises(CommError, match="root 5"):
+        world.comm_for_rank(1)._post("bcast", op="bcast", root=5)
+    with pytest.raises(CommError, match="root 5"):
         pending.wait()
 
 
@@ -95,22 +127,3 @@ def test_socket_matcher_fault_fails_the_world_and_keeps_reading():
         assert hub.wait_closed(timeout=10.0)
     finally:
         hub.close()
-
-
-def test_socket_comm_bytes_counter_when_metrics_enabled():
-    """Framed wire traffic lands on repro_dist_comm_bytes_total{rank}."""
-    from repro.dist.socketcomm import COMM_BYTES_METRIC
-    from repro.obs import disable_metrics, enable_metrics
-    from repro.obs.metrics import get_registry
-
-    enable_metrics()
-    try:
-        results = run_socket(2, lambda comm, rank: comm.allreduce(rank + 1), timeout=30.0)
-        assert results == [3, 3]
-        family = get_registry().snapshot()[COMM_BYTES_METRIC]
-        assert family["labelnames"] == ["rank"]
-        series = {tuple(labels): value for labels, value in family["series"]}
-        for rank in ("0", "1"):
-            assert series.get((rank,), 0) > 0
-    finally:
-        disable_metrics()

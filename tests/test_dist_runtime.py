@@ -107,7 +107,7 @@ class TestRunParameters:
         [
             DistWorkerConfig(graph="g.rcsr", rank=0, size=1, port=0),
             DistWorkerConfig(
-                graph="g.rcsr", rank=2, size=3, port=4321, host="10.0.0.2", connect="10.0.0.1:999",
+                graph="g.rcsr", rank=2, size=3, port=4321, host="10.0.0.2",
                 parts=3, algorithm="mpi-only", threads=2, max_epochs=4,
                 options=KadabraOptions(
                     eps=0.07, delta=0.2, seed=5, samples_per_check=300, calibration_samples=40,
@@ -120,6 +120,34 @@ class TestRunParameters:
     )
     def test_to_argv_and_from_args_are_inverses(self, config):
         assert DistWorkerConfig.from_flags(vars(self.parse(config.to_argv()[1:]))) == config
+
+    def test_dist_worker_requires_its_rank_and_graph(self, capsys):
+        for argv in (["worker", "--rank", "0", "--size", "1"], ["worker", "--graph", "g.rcsr", "--size", "1"]):
+            with pytest.raises(SystemExit) as exit_info:
+                self.parse(argv)
+            assert exit_info.value.code == 2
+        assert "required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["host", "port", "resume", "result_path", "timeout"])
+    def test_dist_worker_defaults_are_the_configs(self, field):
+        args = self.parse(["worker", "--graph", "g.rcsr", "--rank", "0", "--size", "1"])
+        assert getattr(DistWorkerConfig.from_flags(vars(args)), field) == getattr(
+            DistWorkerConfig(graph="g.rcsr", rank=0, size=1), field
+        )
+
+    def test_a_rank_other_than_zero_dials_host_and_port(self, social_rcsr, monkeypatch):
+        dialled = []
+
+        def refuse(cls, host, port, rank, size, *, timeout):
+            dialled.append((host, port, rank, size, timeout))
+            raise ConnectionRefusedError("no hub")
+
+        monkeypatch.setattr(driver.SocketComm, "connect", classmethod(refuse))
+        argv = ["worker", "--graph", str(social_rcsr), "--rank", "1", "--size", "2",
+                "--host", "10.0.0.7", "--port", "4321", "--timeout", "2.5"]
+        with pytest.raises(ConnectionRefusedError):
+            driver.run_worker(DistWorkerConfig.from_flags(vars(self.parse(argv))))
+        assert dialled == [("10.0.0.7", 4321, 1, 2, 2.5)]
 
     @pytest.fixture()
     def no_fork(self, monkeypatch):
@@ -137,7 +165,7 @@ class TestRunParameters:
         with pytest.raises(ValueError):
             launch_local(str(social_rcsr), processes=2, **bad)
 
-    @pytest.mark.parametrize("field", ["rank", "resume", "connect"])
+    @pytest.mark.parametrize("field", ["rank", "resume", "size"])
     def test_fields_the_launcher_sets_are_not_run_parameters(self, social_rcsr, no_fork, field):
         with pytest.raises(TypeError):
             launch_local(str(social_rcsr), processes=2, **{field: 1})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.parallel import EpochManager, FramePool

@@ -123,7 +123,7 @@ class TestExport:
         assert sorted(map(tuple, arr.tolist())) == sorted(small_social_graph.iter_edges())
 
     def test_to_networkx(self):
-        nx = pytest.importorskip("networkx")
+        pytest.importorskip("networkx")
         g = CSRGraph.from_edges([(0, 1), (1, 2)])
         nxg = g.to_networkx()
         assert nxg.number_of_nodes() == 3

@@ -8,7 +8,7 @@ import pytest
 networkx = pytest.importorskip("networkx")
 
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import barabasi_albert, grid_graph, path_graph, star_graph
+from repro.graph.generators import grid_graph
 from repro.graph.traversal import (
     UNREACHED,
     bfs_distances,

@@ -1,8 +1,9 @@
 """The hub's host seat: rank 0, in the hub's own process, joins without a socket.
 
 ``SocketHub.seat`` gives rank 0 a communicator over the
-in-process :class:`~repro.mpi.hub.LocalLink`; ``run_forked`` and rank 0 of
-``launch_local``/``dist worker`` take it instead of dialling their own port.
+in-process :class:`~repro.mpi.hub.LocalLink`; ``run_socket``, ``run_forked``
+and rank 0 of ``launch_local``/``dist worker`` take it instead of dialling
+their own port.
 The seat is a seat like any other: a hello for it is refused, it counts its
 traffic on its own series, and leaving it is the rank's goodbye.
 """
@@ -16,10 +17,8 @@ import threading
 import numpy as np
 import pytest
 
-from comm_conformance import run_hosted
-
 from repro.dist.launcher import launch_local
-from repro.dist.socketcomm import COMM_BYTES_METRIC, SocketComm, SocketHub, _send_frame, run_forked
+from repro.dist.socketcomm import COMM_BYTES_METRIC, SocketComm, SocketHub, _send_frame, run_forked, run_socket
 from repro.graph.generators import barabasi_albert
 from repro.mpi.hub import LocalLink
 from repro.obs import disable_metrics, enable_metrics, get_registry
@@ -81,8 +80,10 @@ class TestTheSeat:
         registry = get_registry()
         registry.clear()
         try:
-            assert run_hosted(2, lambda comm, rank: comm.allreduce(rank + 1), timeout=30.0) == [3, 3]
-            series = {tuple(labels): value for labels, value in registry.snapshot()[COMM_BYTES_METRIC]["series"]}
+            assert run_socket(2, lambda comm, rank: comm.allreduce(rank + 1), timeout=30.0) == [3, 3]
+            family = registry.snapshot()[COMM_BYTES_METRIC]
+            assert family["labelnames"] == ["rank"]
+            series = {tuple(labels): value for labels, value in family["series"]}
             assert series[("0",)] > 0 and series[("1",)] > 0
         finally:
             disable_metrics()
@@ -94,8 +95,7 @@ class TestTheSeat:
             return comm.communication_bytes()
 
         # One 8-byte int posted, one delivered, each behind an 8-byte prefix.
-        assert run_hosted(2, body, timeout=30.0)[0] == 2 * (8 + 8)
-
+        assert run_socket(2, body, timeout=30.0)[0] == 2 * (8 + 8)
 
     def test_many_collectives_under_a_short_switch_interval(self):
         """The seat's thread and the hub's connection threads share the
@@ -114,7 +114,7 @@ class TestTheSeat:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            results = run_hosted(n, body, timeout=120.0)
+            results = run_socket(n, body, timeout=120.0)
         finally:
             sys.setswitchinterval(interval)
         assert results == [sum(r + i for r in range(n) for i in range(rounds))] * n
@@ -137,6 +137,13 @@ class TestForkedWorldsSeatRankZero:
 
         monkeypatch.setattr(SocketComm, "connect", classmethod(recording))
         return lambda: log.read_text().split()
+
+    def test_run_socket(self, dialled):
+        def target(comm, rank):
+            return owns_no_socket(comm), comm.allreduce(rank)
+
+        assert run_socket(2, target, timeout=30.0) == [(True, 1), (False, 1)]
+        assert dialled() == ["1"]
 
     def test_run_forked(self, dialled):
         def target(comm, rank):

@@ -9,7 +9,7 @@ from repro.baselines import brandes_betweenness
 from repro import estimate_betweenness
 from repro.core import BetweennessResult, KadabraOptions
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import barabasi_albert, path_graph, star_graph
+from repro.graph.generators import path_graph, star_graph
 from repro.util.stats import max_abs_error, relative_rank_overlap
 
 

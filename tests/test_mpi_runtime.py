@@ -106,9 +106,6 @@ class TestSelfComm:
         comm.barrier()
         assert comm.ibarrier().test()
 
-    def test_split_returns_self_comm(self):
-        assert isinstance(SelfComm().split(0), SelfComm)
-
     def test_invalid_root_rejected(self):
         with pytest.raises(ValueError):
             SelfComm().reduce(1, root=1)

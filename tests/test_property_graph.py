@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 networkx = pytest.importorskip("networkx")
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.components import connected_components, is_connected
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import UNREACHED, bfs_distances, bfs_with_sigma

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.state_frame import StateFrame
 from repro.core.stopping import compute_omega, f_function, g_function
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import erdos_renyi_gnm
 from repro.graph.traversal import bfs_distances
 from repro.kernels import BatchPathSampler
 

@@ -442,9 +442,6 @@ class SpyComm(Communicator):
     def gather(self, value, root=0):
         return self._call("gather", value, root)
 
-    def split(self, color, key=0):
-        return self._call("split", color, key)
-
     def communication_bytes(self):
         return self.inner.communication_bytes()
 

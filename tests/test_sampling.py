@@ -8,7 +8,7 @@ import pytest
 from test_scan_on_expand import make_sampler
 
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import cycle_graph, grid_graph, path_graph
+from repro.graph.generators import cycle_graph, grid_graph
 from repro.graph.traversal import bfs_distances
 from repro.sampling import (
     PathSample,
