@@ -12,7 +12,9 @@ concurrent mixed-tenant traffic, and gates the properties CI must hold:
    while two workers race claims on one store.
 3. **Cached-query latency** — once results are cached, repeated queries are
    all served from cache; their p99 must stay under ``P99_GATE_SECONDS``
-   (generous: CI boxes are small) and p50/p99/QPS are recorded.
+   (generous: CI boxes are small) and p50/p99/QPS are recorded.  Every one
+   after the first (which fills the coordinator's hot tier) must be answered
+   from memory on the event loop (the ``loop_hits`` service counter).
 4. **Hot tier** — in-process microbench: a warm TTL+LRU hot-tier lookup must
    be at least ``HOT_SPEEDUP_GATE``x faster than the same lookup served from
    the on-disk cache.
@@ -198,6 +200,7 @@ async def run_load(scratch: Path) -> dict:
         # ------------------------------------------------------------- #
         # 4. Cached-query latency under the gate.
         # ------------------------------------------------------------- #
+        loop_hits = (await asyncio.to_thread(client.stats))["loop_hits"]
         latencies = []
         for _ in range(CACHED_QUERIES):
             start = time.perf_counter()
@@ -217,6 +220,12 @@ async def run_load(scratch: Path) -> dict:
         report["gates"]["cached_p99_under_gate"] = p99 < P99_GATE_SECONDS
 
         stats = await asyncio.to_thread(client.stats)
+        # The first cached query fills this process's hot tier from the disk;
+        # every later one must be answered on the event loop.
+        report["cached_loop_hits"] = stats["loop_hits"] - loop_hits
+        report["gates"]["warm_queries_on_the_loop"] = (
+            report["cached_loop_hits"] >= CACHED_QUERIES - 1
+        )
         report["hot_cache_service"] = stats["hot_cache"]
         report["quota_rejected"] = stats["quota_rejected"]
 

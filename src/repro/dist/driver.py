@@ -234,8 +234,10 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
     """Run one rank of a distributed estimation; returns a process exit code.
 
     Rank 0 hosts the hub — on ``listener`` when the launcher that forked it
-    bound one, else on ``config.host:config.port`` — and takes its seat on
-    it in process; the other ranks dial ``config.host:config.port``.  Rank 0
+    bound one, else on ``config.host:config.port``, whose bound address it
+    then prints as one ``hub listening on HOST:PORT`` stdout line (port 0
+    picks a free one) — and takes its seat on it in process; the other
+    ranks dial that address.  Rank 0
     writes checkpoints, and sends the merged result down the ``handoff``
     pipe end when it has one, else writes it to ``config.result_path``.  A
     checkpoint that cannot be resumed ends rank 0 with exit code 2 and one
@@ -253,6 +255,8 @@ def run_worker(config: DistWorkerConfig, *, listener: Optional[socket.socket] = 
         hub = SocketHub(config.size, host=config.host, port=config.port, listener=listener)
         comm = hub.seat()
         hub.start()
+        if listener is None:  # the other ranks' only way to learn an ephemeral port
+            print(f"hub listening on {hub.host}:{hub.port}", flush=True)
     else:
         comm = SocketComm.connect(config.host, config.port, config.rank, config.size, timeout=config.timeout)
     try:

@@ -201,6 +201,10 @@ def _checksum_dirname(checksum: str) -> str:
     return checksum.replace(":", "-")
 
 
+def _hot_key(checksum: str, family: str, eps: float, delta: float) -> tuple:
+    return (checksum, family, float(eps), float(delta))
+
+
 def _entry_key(algorithm: str, eps: float, delta: float, seed: Optional[int]) -> str:
     material = f"{algorithm}|{eps!r}|{delta!r}|{seed!r}"
     return hashlib.sha1(material.encode()).hexdigest()[:16]
@@ -372,20 +376,26 @@ class ResultCache:
             self._result_path(entry_dir, entry.key).read_text()
         )
 
-    def find(
+    def find_hot(
         self, checksum: str, *, family: str, eps: float, delta: float
+    ) -> Optional[Tuple[CacheEntry, BetweennessResult]]:
+        """:meth:`find`'s answer from the in-memory :class:`HotTier` alone
+        (keyed by the request tuple), or ``None``; never touches the disk."""
+        return self.hot.get(_hot_key(checksum, family, eps, delta))
+
+    def find(
+        self, checksum: str, *, family: str, eps: float, delta: float, hot: bool = True
     ) -> Optional[Tuple[CacheEntry, BetweennessResult]]:
         """The best cached result dominating ``(family, eps, delta)``, or None.
 
-        Consults the in-memory :class:`HotTier` first (keyed by the request
-        tuple); a hot hit skips the disk scan entirely.  An entry whose
+        Consults :meth:`find_hot` first (unless the caller just did: ``hot``
+        false); a hot hit skips the disk scan entirely.  An entry whose
         payload turns out unreadable (corruption, concurrent eviction) is
         skipped and the next-best dominating entry is tried.
         """
-        hot_key = (checksum, family, float(eps), float(delta))
-        hot = self.hot.get(hot_key)
-        if hot is not None:
-            return hot
+        found = self.find_hot(checksum, family=family, eps=eps, delta=delta) if hot else None
+        if found is not None:
+            return found
         candidates = self.entries(checksum)
         while candidates:
             rows = [(e.family, e.eps, e.delta) for e in candidates]
@@ -397,7 +407,7 @@ class ResultCache:
                 found = entry, self.load(entry)
             except (OSError, ValueError, KeyError):
                 continue
-            self.hot.put(hot_key, found)
+            self.hot.put(_hot_key(checksum, family, eps, delta), found)
             return found
         return None
 

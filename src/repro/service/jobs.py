@@ -14,8 +14,9 @@ is a thin translation.  One query flows through it as:
    sampling.  A near-miss (same adaptive family and seed) whose entry
    carries a session checkpoint becomes a *refine* job, and a graph recorded
    as a *mutation* of a cached parent an *update* job (:mod:`repro.evolve`).
-   Resolve and probe are one blocking call (:meth:`JobManager._probe`) in
-   one executor hop, so a first-touch conversion never stalls the event loop.
+   A warm query (memo and hot tier hits) is answered on the event loop;
+   anything else is one blocking call (:meth:`JobManager._probe`) in one
+   executor hop, so a conversion or a disk scan never stalls the loop.
 3. **Dedup** — an identical request (same
    :meth:`~repro.service.schema.QueryRequest.job_key`) already in flight is
    joined, not re-run — whether it is in flight in *this* process or, via the
@@ -95,6 +96,7 @@ _JOIN_SECONDS = 5.0
 _COUNTER_KEYS = (
     ("queries", "Queries received by the job manager"),
     ("cache_hits", "Queries answered straight from the result cache"),
+    ("loop_hits", "Queries answered from memory on the event loop"),
     ("cache_misses", "Queries that required sampling"),
     ("cache_refines", "Jobs that refined a cached session checkpoint"),
     ("cache_updates", "Jobs that incrementally updated a cached parent session"),
@@ -132,6 +134,11 @@ class TenantQuota:
 
     def as_dict(self) -> Dict[str, Optional[int]]:
         return {"max_inflight": self.max_inflight, "max_queued": self.max_queued}
+
+
+def _bounds(request: QueryRequest) -> Dict[str, object]:
+    """The result-cache lookup keys of a request: family, eps and delta."""
+    return {"family": algorithm_family(request.algorithm), "eps": request.eps, "delta": request.delta}
 
 
 def _local_worker(store_path, cache_dir, options) -> None:
@@ -381,11 +388,12 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def _probe(self, request: QueryRequest) -> tuple:
+    def _probe(self, request: QueryRequest, resolved: Optional[Tuple[Path, str]] = None) -> tuple:
         """Blocking: every disk read a submission needs, in one executor hop.
 
         Returns ``(graph_path, checksum, hit, refinable, update)``: the graph
-        spec resolved through the catalog, the cache entry that dominates the
+        spec resolved through the catalog (or the memo's answer ``resolved``,
+        whose hot lookup just missed), the cache entry that dominates the
         request (``None`` on a miss) and, on a miss, the sources a new job may
         start from.  *refinable* is a cached adaptive run with the same seed,
         too loose for the request but carrying a session checkpoint, so it is
@@ -396,12 +404,11 @@ class JobManager:
         (:mod:`repro.evolve`).  Custom-estimator seams have a pinned keyword
         signature, so the update probe is skipped for them.
         """
-        path, checksum = self.catalog.resolve_checksum(request.graph)
-        family = algorithm_family(request.algorithm)
-        bounds = {"family": family, "eps": request.eps, "delta": request.delta}
-        hit = self.cache.find(checksum, **bounds)
+        path, checksum = resolved or self.catalog.resolve_checksum(request.graph)
+        bounds = _bounds(request)
+        hit = self.cache.find(checksum, hot=resolved is None, **bounds)
         refinable = update = None
-        if hit is None and family == "adaptive-sampling":
+        if hit is None and bounds["family"] == "adaptive-sampling":
             refinable = self.cache.find_refinable(checksum, seed=request.seed, **bounds)
             if refinable is None and self._estimator is None:
                 update = self._find_update(checksum, request)
@@ -440,9 +447,16 @@ class JobManager:
         self._loop = asyncio.get_running_loop()
         self.start_workers()
         self._count("queries")
-        graph_path, checksum, hit, refinable, update = await self._loop.run_in_executor(
-            None, self._probe, request
-        )
+        # A few stat calls and a dict lookup: a warm query never leaves the loop.
+        resolved = self.catalog.memoized(request.graph)
+        hit = resolved and self.cache.find_hot(resolved[1], **_bounds(request))
+        if hit:
+            self._count("loop_hits")
+            checksum = resolved[1]
+        else:
+            graph_path, checksum, hit, refinable, update = await self._loop.run_in_executor(
+                None, self._probe, request, resolved
+            )
         if hit is not None:
             entry, result = hit
             self._count("cache_hits")

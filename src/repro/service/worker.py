@@ -17,10 +17,10 @@ and a coordinator's local workers (:mod:`repro.service.jobs`): forked
 processes running :func:`serve` as a standalone worker does, or threads.
 
 The estimator's progress events go into the attempt's ring (the newest
-:data:`MAX_EVENTS` plus a total count); the job's heartbeat thread, woken by
-each event, writes the ring into the row with the lease extension, and
-``complete``/``fail`` write the final ring — the sampling thread never waits
-on SQLite.  A worker that is its process's only one (:func:`serve`) also
+:data:`MAX_EVENTS` plus a total count); the job's heartbeat thread writes the
+ring into the row with the lease extension at its tick, when there are new
+events or the lease is due, and ``complete``/``fail`` write the final ring —
+the sampling thread never waits on SQLite.  A worker that is its process's only one (:func:`serve`) also
 writes the job's kernel counters into the row, for the coordinator's
 ``/metrics``.
 
@@ -66,14 +66,13 @@ MAX_EVENTS = 64
 
 class _EventRing:
     """One attempt's progress: the newest :data:`MAX_EVENTS` events and their
-    total count.  Called with each event by the estimator; wakes the
-    heartbeat thread, which reads :meth:`snapshot` into the row."""
+    total count.  Called with each event by the estimator; the heartbeat
+    thread reads :meth:`snapshot` into the row at its next tick."""
 
     def __init__(self) -> None:
         self._events: deque = deque(maxlen=MAX_EVENTS)
         self._count = 0
         self._lock = threading.Lock()
-        self.wake = threading.Event()
 
     def __call__(self, event) -> None:
         self.add(event.as_dict())
@@ -82,7 +81,6 @@ class _EventRing:
         with self._lock:
             self._events.append(event)
             self._count += 1
-        self.wake.set()
 
     def snapshot(self) -> Tuple[List[dict], int]:
         with self._lock:
@@ -103,8 +101,8 @@ class StoreWorker:
     worker_id:
         Lease identity; defaults to a host/pid-unique id.
     lease_seconds, poll_seconds:
-        Claim lifetime and idle back-off between claim attempts.  Heartbeats
-        fire every ``lease_seconds / 3``.
+        Claim lifetime and idle back-off between claim attempts.  A job's
+        heartbeat ticks every ``min(poll_seconds, lease_seconds / 3)``.
     resources:
         Optional :class:`~repro.api.Resources` for every estimation.
     hold_seconds:
@@ -216,20 +214,21 @@ class StoreWorker:
         ring = _EventRing()
 
         def _heartbeat() -> None:
-            interval = max(0.05, self.lease_seconds / 3.0)
+            renew = self.lease_seconds / 3.0
+            tick = max(0.05, min(self.poll_seconds, renew))
+            written, last = 0, time.monotonic()  # the claim wrote the row
             try:
-                # Every lease/3, or sooner when an event arrives.  A lost
-                # lease ends the beat, not the run (see module docs).
-                while True:
-                    ring.wake.wait(interval)
-                    ring.wake.clear()
-                    if done.is_set() or not self.store.heartbeat(
-                        record.id,
-                        self.worker_id,
-                        lease_seconds=self.lease_seconds,
-                        progress=ring.snapshot(),
+                # Write new events, or renew a lease due within the next
+                # tick.  A lost lease ends the beat, not the run (see module docs).
+                while not done.wait(tick):
+                    progress = ring.snapshot()
+                    if progress[1] == written and time.monotonic() - last < renew:
+                        continue
+                    if not self.store.heartbeat(
+                        record.id, self.worker_id, lease_seconds=self.lease_seconds, progress=progress
                     ):
                         return
+                    written, last = progress[1], time.monotonic()
             finally:
                 self.store.close_thread()
 
@@ -269,7 +268,6 @@ class StoreWorker:
             return False
         finally:
             done.set()
-            ring.wake.set()
             beat.join(timeout=2.0)
             try:  # a cached checkpoint was moved away; this is for failures
                 checkpoint.unlink(missing_ok=True)

@@ -22,13 +22,13 @@ The cache directory defaults to ``$REPRO_GRAPH_CACHE`` or
 
 A catalog remembers what it resolved: a repeated file-path spec is answered
 from a bounded in-memory memo while ``os.stat`` shows its files — the source
-and, for a text source, the sidecar of its ``.rcsr`` — with the inode, size
-and mtime they had when the answer was proven fresh, and the ``.rcsr``
-header still carries the remembered checksum.  Any change, or a missing
-file, re-runs the full resolution.  The memo so checks what a full
-resolution checks — the source against the size+mtime the sidecar records,
-the container against the sidecar's checksum — and saves only the sidecar
-read and the repeated header reads.
+and, for a text source, its ``.rcsr`` and that container's sidecar — with the
+inode, size and mtime they had when the answer was proven fresh.  Any change,
+or a missing file, re-runs the full resolution.  Every container writer
+(``write_rcsr``, conversion, partitioning) replaces the file through
+``atomic_replace``, so a rewritten container always has a new inode: the
+stamp stands in for the header read.  A memo hit (:meth:`GraphCatalog.memoized`)
+is so a few ``stat`` calls; it never converts, scans or opens a file.
 """
 
 from __future__ import annotations
@@ -163,14 +163,6 @@ def _stamps(files: Tuple[Path, ...]) -> Optional[tuple]:
             (st.st_ino, st.st_size, st.st_mtime_ns) for st in map(os.stat, files)
         )
     except (OSError, ValueError):  # ValueError: a spec no file can have
-        return None
-
-
-def _container_checksum(rcsr_path: Path) -> Optional[str]:
-    """The checksum in ``rcsr_path``'s header; ``None`` if it cannot be read."""
-    try:
-        return header_checksum(read_header(rcsr_path))
-    except (OSError, StoreFormatError):
         return None
 
 
@@ -467,9 +459,13 @@ class GraphCatalog:
             checksum = header_checksum(read_header(path))
         return path, checksum
 
-    def _resolved(self, spec: PathLike) -> Tuple[Path, Optional[str]]:
-        """``(rcsr path, checksum)`` of ``spec``; the checksum is ``None`` when
-        a file was missing up front (a registered name, a first conversion)."""
+    def memoized(self, spec: PathLike) -> Optional[Tuple[Path, str]]:
+        """``(rcsr path, checksum)`` of ``spec`` from the memo alone, or ``None``.
+
+        Answers only while every remembered file still has its stamp (see
+        the module docs); never converts, scans the registry or opens a
+        container, so it is cheap enough for an event loop.
+        """
         key = (os.getcwd(), str(spec))
         with self._memo_lock:
             entry = self._memo.get(key)
@@ -477,21 +473,31 @@ class GraphCatalog:
                 self._memo.move_to_end(key)
         if entry is not None:
             path, checksum, files, stamps = entry
-            if _stamps(files) == stamps and _container_checksum(path) == checksum:
+            if _stamps(files) == stamps:
                 return path, checksum
+        return None
+
+    def _resolved(self, spec: PathLike) -> Tuple[Path, Optional[str]]:
+        """``(rcsr path, checksum)`` of ``spec``; the checksum is ``None`` when
+        a file was missing up front (a registered name, a first conversion)."""
+        remembered = self.memoized(spec)
+        if remembered is not None:
+            return remembered
         # Stamped before and after: an answer is remembered only if no file
         # changed while it was being proven.
         source = Path(spec)
         files: Tuple[Path, ...] = (source,)
         before = _stamps(files)
         if before is not None and source.suffix != ".rcsr":
-            files = (source, _sidecar_path(self.rcsr_path_for(source)))
+            container = self.rcsr_path_for(source)
+            files = (source, container, _sidecar_path(container))
             before = _stamps(files)
         path = self._resolve_impl(spec)
         checksum = None
         if before is not None:
             checksum = header_checksum(read_header(path))
         unchanged = checksum is not None and _stamps(files) == before
+        key = (os.getcwd(), str(spec))
         with self._memo_lock:
             if unchanged:
                 self._memo[key] = (path, checksum, files, before)

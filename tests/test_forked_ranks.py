@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -362,3 +363,35 @@ class TestRemoteWorkerEntry:
         assert result["num_processes"] == 2
         assert np.asarray(result["scores"]).shape == (graph.num_vertices,)
         assert all(report["local_samples"] > 0 for report in result["per_rank"])
+
+    def test_rank_zero_prints_the_port_it_bound(self, rcsr, tmp_path, graph):
+        # The default --port 0: rank 0's hub takes a free port and says which.
+        out = tmp_path / "result.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env.pop(driver.FAULT_RANK_ENV, None)
+
+        def argv(rank, port):
+            config = DistWorkerConfig(
+                graph=rcsr, rank=rank, size=2, port=port, result_path=str(out) if rank == 0 else None,
+                options=KadabraOptions(eps=TARGET["eps"], seed=TARGET["seed"], samples_per_check=100,
+                                       max_samples_override=1500),
+            )
+            return [sys.executable, "-m", "repro.cli", *config.to_argv()]
+
+        workers = [subprocess.Popen(argv(0, 0), env=env, stdout=subprocess.PIPE, text=True)]
+        try:
+            ready, _, _ = select.select([workers[0].stdout], [], [], 60.0)
+            assert ready, "rank 0 printed no address within 60 s"
+            line = workers[0].stdout.readline()
+            assert line.startswith("hub listening on "), line
+            host, port = line.split()[-1].rsplit(":", 1)
+            assert host == "127.0.0.1" and int(port) > 0
+            workers.append(subprocess.Popen(argv(1, int(port)), env=env))
+            assert [worker.wait(timeout=120.0) for worker in workers] == [0, 0]
+        finally:
+            for worker in workers:
+                if worker.poll() is None:
+                    worker.kill()
+                    worker.wait()
+            workers[0].stdout.close()
+        assert json.loads(out.read_text())["num_processes"] == 2

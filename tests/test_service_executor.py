@@ -10,7 +10,8 @@ after a job settles holds all of it, and a restarted service serves it too;
 cache-write failures and kernel counters reach the coordinator through the
 row, each sample counted once; a SIGKILLed local worker is replaced and its
 job still ends ``done``; a job whose lease is lost ends ``done`` in the
-*store*; the per-job heartbeat thread leaks no connection; and a poll
+*store*; the per-job heartbeat thread leaks no connection and writes the
+row at its tick, not at every event; and a poll
 answered from the row honours ``?k=`` / ``include_scores=``.
 """
 
@@ -606,3 +607,89 @@ class TestHeartbeatConnections:
         assert len(store._connections) == connections
         assert len(os.listdir("/proc/self/fd")) <= descriptors
         store.close()
+
+
+class TestHeartbeatCadence:
+    """The beat thread ticks every ``min(poll_seconds, lease/3)`` and writes
+    only when the ring holds unwritten events or the lease is due: a job
+    shorter than a tick touches its row at claim and complete alone, and a
+    longer one streams its progress at the tick."""
+
+    @staticmethod
+    def enqueue(store, tmp_path, graph, seed=5):
+        catalog = GraphCatalog(tmp_path / "graph-cache")
+        path = catalog.resolve(str(graph))
+        checksum = catalog.checksum(path)
+        request = QueryRequest(graph=str(graph), **{**QUERY, "seed": seed})
+        record, _ = store.enqueue(
+            key=request.job_key(checksum), tenant="default",
+            request=request.as_dict(), checksum=checksum, graph_path=str(path),
+        )
+        return record
+
+    @staticmethod
+    def counting(store):
+        beats = []
+        heartbeat = store.heartbeat
+        store.heartbeat = lambda *args, **kwargs: beats.append(kwargs["progress"]) or heartbeat(*args, **kwargs)
+        return beats
+
+    def test_a_job_shorter_than_a_tick_never_beats(self, tmp_path, graph):
+        from repro.util.progress import ProgressEvent
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        record = self.enqueue(store, tmp_path, graph)
+        beats = self.counting(store)
+
+        def estimator(graph_path, *, callbacks=None, **kwargs):
+            for epoch in range(5):  # about 0.1 s in all, well inside one 2 s tick
+                callbacks(ProgressEvent("adaptive_sampling", epoch=epoch, num_samples=10 * epoch))
+                time.sleep(0.02)
+            return fake_result(**kwargs)
+
+        worker = StoreWorker(
+            store, cache=ResultCache(tmp_path / "results"), poll_seconds=2.0, estimator=estimator
+        )
+        try:
+            assert worker.run(max_jobs=1) == 1
+            row = store.get(record.job_id)
+        finally:
+            store.close()
+        assert beats == []
+        # The events still reach the row, with the completion.
+        assert row.state == "done" and row.num_events == 5
+
+    def test_a_longer_job_streams_progress_at_the_tick(self, tmp_path, graph):
+        from repro.util.progress import ProgressEvent
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        record = self.enqueue(store, tmp_path, graph)
+        beats = self.counting(store)
+        seen = []
+
+        def estimator(graph_path, *, callbacks=None, **kwargs):
+            # One event per step, then wait (at most 10 s) until the row shows
+            # it: about one tick (50 ms) per step, about three ticks in all.
+            for epoch in range(1, 4):
+                callbacks(ProgressEvent("adaptive_sampling", epoch=epoch, num_samples=10 * epoch))
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    row = store.get(record.job_id)
+                    if row.num_events >= epoch:
+                        seen.append((row.state, row.num_events))
+                        break
+                    time.sleep(0.01)
+            return fake_result(**kwargs)
+
+        worker = StoreWorker(
+            store, cache=ResultCache(tmp_path / "results"), poll_seconds=0.05, estimator=estimator
+        )
+        try:
+            assert worker.run(max_jobs=1) == 1
+            row = store.get(record.job_id)
+        finally:
+            store.close()
+        assert seen == [("running", 1), ("running", 2), ("running", 3)]
+        # The beats carried the events as they came (a renewal, due after 5 s, adds none).
+        assert sorted({progress[1] for progress in beats}) == [1, 2, 3]
+        assert row.state == "done" and row.num_events == 3

@@ -10,7 +10,9 @@ the rules that keep them correct:
   ``stop()`` does not wait for idle clients.  ``Connection: close``, HTTP/1.0
   without keep-alive and every error response end the connection; a request
   with too many header lines gets 431.
-* **One probe hop.**  A submission reads the disk in one executor call.
+* **Warm queries on the loop.**  A query whose spec is in the catalog's
+  memo and whose answer is in the hot tier makes no executor call; any other
+  submission reads the disk in exactly one.
 * **A stat-checked resolve.**  A repeated graph spec is answered from the
   catalog's memo, and every kind of change to its files gives today's
   answer, never the remembered one.
@@ -43,7 +45,7 @@ from repro.service import server as server_module
 from repro.store import GraphCatalog
 from repro.store import catalog as catalog_module
 from repro.store import read_header, write_rcsr
-from repro.store.format import header_checksum
+from repro.store.format import atomic_replace, header_checksum
 from repro.graph.generators import path_graph, star_graph
 
 EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n"
@@ -338,20 +340,26 @@ class TestConnectionClose:
 
 
 # --------------------------------------------------------------------- #
-# One probe hop
+# Warm queries on the loop, everything else in one hop
 # --------------------------------------------------------------------- #
-class TestOneProbeHop:
-    def test_submit_reads_the_disk_in_one_executor_call(self, tmp_path):
-        graph = write_graph(tmp_path / "g.txt")
+class TestWarmQueriesOnTheLoop:
+    @pytest.fixture()
+    def manager(self, tmp_path):
         manager = JobManager(
             cache=ResultCache(tmp_path / "results"),
             catalog=GraphCatalog(tmp_path / "graph-cache"),
             worker_mode="thread",
             estimator=fake_estimator,
         )
-        request = QueryRequest(graph=str(graph), eps=0.1, seed=1, algorithm="sequential")
+        yield manager
+        manager.close()
 
-        async def scenario():
+    @staticmethod
+    def drive(manager, scenario):
+        """Run ``scenario(ask)``; ``ask(spec)`` submits a query, awaits its
+        job, and returns the outcome and the executor calls ``submit`` made."""
+
+        async def main():
             loop = asyncio.get_running_loop()
             hops = []
             run_in_executor = loop.run_in_executor
@@ -362,21 +370,132 @@ class TestOneProbeHop:
                 return run_in_executor(executor, func, *args)
 
             loop.run_in_executor = counting
-            miss = await manager.submit(request)
-            miss_hops = len(hops)
-            await miss.job.future
-            hops.clear()
-            hit = await manager.submit(request)
-            return miss, miss_hops, hit, len(hops)
 
-        try:
-            miss, miss_hops, hit, hit_hops = asyncio.run(scenario())
-        finally:
-            manager.close()
-        assert not miss.served_from_cache and miss_hops == 1
-        assert hit.served_from_cache and hit_hops == 1
+            async def ask(spec, eps=0.1):
+                hops.clear()
+                request = QueryRequest(graph=str(spec), eps=eps, seed=1, algorithm="sequential")
+                outcome = await manager.submit(request)
+                made = list(hops)
+                if outcome.job is not None:
+                    await outcome.job.future
+                assert all(hop == manager._probe for hop in made)
+                return outcome, len(made)
+
+            return await scenario(ask)
+
+        return asyncio.run(main())
+
+    @staticmethod
+    async def warm(ask, spec):
+        """Run the first query and the one that remembers its spec and answer."""
+        first, hops = await ask(spec)
+        assert not first.served_from_cache and hops == 1
+        second, hops = await ask(spec)
+        assert second.served_from_cache and hops == 1
+        return first.checksum
+
+    def test_a_warm_hit_makes_no_executor_call(self, manager, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+
+        async def scenario(ask):
+            checksum = await self.warm(ask, graph)
+            return checksum, [await ask(graph) for _ in range(3)]
+
+        checksum, hits = self.drive(manager, scenario)
+        assert [(outcome.served_from_cache, hops) for outcome, hops in hits] == [(True, 0)] * 3
+        assert all(outcome.checksum == checksum for outcome, _ in hits)
+        assert hits[0][0].result.num_samples == 40
+        counters = manager.counters
+        assert counters["loop_hits"] == 3 and counters["cache_hits"] == 4
+        assert counters["queries"] == 5 and counters["cache_misses"] == 1
+        assert manager.stats()["loop_hits"] == 3
         # Resolve and checksum share one memo entry per graph spec.
         assert list(manager.catalog._memo) == [(os.getcwd(), str(graph))]
+
+    def test_a_changed_source_file(self, manager, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+
+        async def scenario(ask):
+            before = await self.warm(ask, graph)
+            write_graph(graph, EDGES + "4 5\n")
+            return before, await ask(graph)
+
+        before, (outcome, hops) = self.drive(manager, scenario)
+        assert hops == 1 and not outcome.served_from_cache
+        assert outcome.checksum != before
+        assert outcome.checksum == GraphCatalog(tmp_path / "fresh-cache").checksum(str(graph))
+
+    def test_an_atomically_replaced_container(self, manager, tmp_path):
+        path = write_rcsr(path_graph(5), tmp_path / "p.rcsr")
+
+        async def scenario(ask):
+            before = await self.warm(ask, path)
+            write_rcsr(star_graph(5), path)  # same size, a new inode
+            return before, await ask(path)
+
+        before, (outcome, hops) = self.drive(manager, scenario)
+        assert hops == 1 and not outcome.served_from_cache
+        assert outcome.checksum != before
+        assert outcome.checksum == header_checksum(read_header(path))
+
+    def test_an_expired_hot_entry(self, manager, tmp_path):
+        from repro.service import HotTier
+
+        graph = write_graph(tmp_path / "g.txt")
+        clock = {"now": 0.0}
+        manager.cache.hot = HotTier(8, 10.0, clock=lambda: clock["now"])
+
+        async def scenario(ask):
+            await self.warm(ask, graph)
+            clock["now"] = 11.0
+            return [await ask(graph) for _ in range(2)]
+
+        (expired, hops), (again, again_hops) = self.drive(manager, scenario)
+        assert expired.served_from_cache and hops == 1  # from the disk, in the hop
+        assert again.served_from_cache and again_hops == 0
+        assert expired.result.num_samples == again.result.num_samples == 40
+
+    def test_an_evicted_cache(self, manager, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+
+        async def scenario(ask):
+            await self.warm(ask, graph)
+            manager.cache.evict()
+            return await ask(graph)
+
+        outcome, hops = self.drive(manager, scenario)
+        assert hops == 1 and not outcome.served_from_cache
+        assert outcome.job is not None and manager.counters["completed"] == 2
+
+    def test_a_registered_name_and_an_unseen_spec(self, manager, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        other = write_graph(tmp_path / "h.txt", EDGES + "4 5\n")
+
+        async def scenario(ask):
+            await self.warm(ask, graph)
+            manager.catalog.register("social", manager.catalog.resolve(str(graph)))
+            return [await ask("social") for _ in range(3)], await ask(other)
+
+        named, (unseen, unseen_hops) = self.drive(manager, scenario)
+        # A name is never remembered: every query on it resolves in the hop.
+        assert [(outcome.served_from_cache, hops) for outcome, hops in named] == [(True, 1)] * 3
+        assert unseen_hops == 1 and not unseen.served_from_cache
+        assert manager.counters["loop_hits"] == 0
+
+    def test_a_first_touch_conversion_never_runs_on_the_loop(self, manager, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        threads = []
+        convert = manager.catalog.convert
+        manager.catalog.convert = lambda *a, **k: threads.append(threading.get_ident()) or convert(*a, **k)
+
+        async def scenario(ask):
+            loop_thread = threading.get_ident()
+            await self.warm(ask, graph)
+            await ask(graph)
+            return loop_thread
+
+        loop_thread = self.drive(manager, scenario)
+        assert threads and loop_thread not in threads
 
 
 # --------------------------------------------------------------------- #
@@ -387,7 +506,7 @@ class TestResolveMemo:
     def catalog(self, tmp_path):
         return GraphCatalog(tmp_path / "graph-cache")
 
-    def test_repeat_reads_one_header_and_no_sidecar(
+    def test_repeat_reads_no_header_and_no_sidecar(
         self, catalog, tmp_path, monkeypatch
     ):
         graph = write_graph(tmp_path / "g.txt")
@@ -406,8 +525,8 @@ class TestResolveMemo:
             lambda path: sidecars.append(path) or real_sidecar(path),
         )
         assert catalog.resolve_checksum(str(graph)) == (catalog.rcsr_path_for(graph), first)
-        assert headers == [catalog.rcsr_path_for(graph)]
-        assert sidecars == []
+        assert catalog.memoized(str(graph)) == (catalog.rcsr_path_for(graph), first)
+        assert headers == [] and sidecars == []  # the container's stamp stands in
 
     def remembered(self, catalog, graph):
         catalog.checksum(str(graph))
@@ -450,31 +569,36 @@ class TestResolveMemo:
         write_rcsr(path_graph(6), path)
         assert catalog.checksum(str(path)) != before
 
-    def test_rcsr_spec_rewritten_in_place_same_size_and_mtime(self, catalog, tmp_path):
+    @staticmethod
+    def replace_keeping_size_and_mtime(path, data):
+        """Replace ``path`` as every container writer does (``atomic_replace``),
+        then give it the old mtime back: only the inode tells the files apart."""
+        stat = path.stat()
+        assert len(data) == stat.st_size
+        with atomic_replace(path) as tmp:
+            tmp.write_bytes(data)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_ino != stat.st_ino
+
+    def test_rcsr_spec_replaced_with_the_same_size_and_mtime(self, catalog, tmp_path):
         path = write_rcsr(path_graph(5), tmp_path / "p.rcsr")
         other = write_rcsr(star_graph(5), tmp_path / "s.rcsr").read_bytes()
-        assert len(other) == path.stat().st_size
         before = self.remembered(catalog, path)
-        stat = path.stat()
-        with open(path, "r+b") as handle:  # same inode, same size
-            handle.write(other)
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        self.replace_keeping_size_and_mtime(path, other)
+        assert catalog.memoized(str(path)) is None
         after = catalog.checksum(str(path))
         assert after != before
         assert after == GraphCatalog(tmp_path / "fresh-cache").checksum(str(path))
 
-    def test_container_of_a_text_spec_rewritten_in_place(self, catalog, tmp_path):
+    def test_container_of_a_text_spec_replaced(self, catalog, tmp_path):
         graph = write_graph(tmp_path / "g.txt")
         before = self.remembered(catalog, graph)
         rcsr = catalog.rcsr_path_for(graph)
         cycle = write_graph(tmp_path / "c.txt", "0 1\n1 2\n2 3\n3 4\n4 0\n")
         other = GraphCatalog(tmp_path / "other-cache").resolve(str(cycle)).read_bytes()
-        assert len(other) == rcsr.stat().st_size
-        stat = rcsr.stat()
-        with open(rcsr, "r+b") as handle:  # same inode, same size
-            handle.write(other)
-        os.utime(rcsr, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        self.replace_keeping_size_and_mtime(rcsr, other)
         assert header_checksum(read_header(rcsr)) != before
+        assert catalog.memoized(str(graph)) is None
         # The sidecar no longer matches the container: the catalog re-converts.
         assert catalog.checksum(str(graph)) == before
         assert header_checksum(read_header(rcsr)) == before
