@@ -2,7 +2,8 @@
 
 Not tied to a specific table/figure, but these kernels determine every
 running-time result in the paper: BFS, bidirectional vs. unidirectional
-sampling, Brandes iterations and state-frame aggregation.
+sampling, Brandes iterations and state-frame aggregation.  A sampler draws
+only in batches, so the sampling benchmarks time a batch of one.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ def test_bfs_with_sigma(benchmark, social_proxy_graph):
 def test_bidirectional_sample(benchmark, social_proxy_graph):
     sampler = BatchPathSampler(social_proxy_graph)
     rng = np.random.default_rng(1)
-    sample = benchmark(lambda: sampler.sample(rng))
-    assert sample.source != sample.target
+    batch = benchmark(lambda: sampler.sample_batch(1, rng))
+    assert batch.sources[0] != batch.targets[0]
 
 
 def test_unidirectional_sample(benchmark, social_proxy_graph):
     sampler = BatchPathSampler(social_proxy_graph, kernel="unidirectional")
     rng = np.random.default_rng(1)
-    sample = benchmark(lambda: sampler.sample(rng))
-    assert sample.source != sample.target
+    batch = benchmark(lambda: sampler.sample_batch(1, rng))
+    assert batch.sources[0] != batch.targets[0]
 
 
 def test_bidirectional_cheaper_than_unidirectional(social_proxy_graph):
@@ -48,16 +49,16 @@ def test_bidirectional_cheaper_than_unidirectional(social_proxy_graph):
     rng_b = np.random.default_rng(7)
     bi = BatchPathSampler(social_proxy_graph)
     uni = BatchPathSampler(social_proxy_graph, kernel="unidirectional")
-    bi_edges = sum(bi.sample(rng_a).edges_touched for _ in range(50))
-    uni_edges = sum(uni.sample(rng_b).edges_touched for _ in range(50))
+    bi_edges = sum(bi.sample_batch(1, rng_a).total_edges_touched for _ in range(50))
+    uni_edges = sum(uni.sample_batch(1, rng_b).total_edges_touched for _ in range(50))
     assert bi_edges < uni_edges
 
 
 def test_bidirectional_sample_road(benchmark, road_proxy_graph):
     sampler = BatchPathSampler(road_proxy_graph)
     rng = np.random.default_rng(2)
-    sample = benchmark(lambda: sampler.sample(rng))
-    assert sample.edges_touched > 0
+    batch = benchmark(lambda: sampler.sample_batch(1, rng))
+    assert batch.total_edges_touched > 0
 
 
 def test_brandes_single_source(benchmark, social_proxy_graph):

@@ -3,9 +3,12 @@
 The sequential session (:mod:`repro.session`), the rank engine
 (:mod:`repro.parallel.engine`), the RK baseline and :mod:`repro.evolve` all
 call :func:`make_sampler`; nothing else constructs a
-:class:`~repro.kernels.BatchPathSampler`.  The same drivers take their phase-1
-vertex-diameter bound from :func:`diameter_bound` and clamp their sample
-bound with :func:`capped_samples`.
+:class:`~repro.kernels.BatchPathSampler`, and its kernel is what
+:func:`repro.kernels.abi.resolve_kernel` picks (a name asked for through
+``Resources(kernel=...)``, ``--kernel`` or ``REPRO_KERNEL``, else routing).
+The same drivers take their phase-1 vertex-diameter bound from
+:func:`diameter_bound` and clamp their sample bound with
+:func:`capped_samples`.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ def make_sampler(
     """A new sampler (and scratch pool) over ``graph``, one per sampling thread.
 
     ``kernel`` forces a registered kernel; ``None`` leaves the choice to
-    :func:`repro.kernels.abi.resolve_kernel`, except that
-    ``options.use_bidirectional_bfs=False`` asks for ``"unidirectional"``.
+    :func:`repro.kernels.abi.resolve_kernel`, the only place a kernel is chosen.
     ``pair_strategy="interleaved"`` (default) draws each pair right before its
     search, the stream every adaptive driver shares; ``"vectorized"`` draws
     all pairs of a batch with bulk ``rng.integers`` calls (the non-adaptive
@@ -46,8 +48,6 @@ def make_sampler(
     native = getattr(graph, "native_sampler", None)
     if native is not None:
         return native(options, kernel=kernel)
-    if kernel is None and not options.use_bidirectional_bfs:
-        kernel = "unidirectional"
     return BatchPathSampler(graph, kernel=kernel, pair_strategy=pair_strategy)
 
 

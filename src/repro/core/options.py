@@ -38,19 +38,14 @@ class KadabraOptions:
         Failure probability (paper: 0.1).
     seed:
         Master RNG seed; per-thread streams are derived deterministically.
-    use_bidirectional_bfs:
-        Sample paths with the balanced bidirectional BFS (KADABRA's default)
-        or with a plain unidirectional BFS.
     calibration_samples:
         Number of non-adaptive samples in the calibration phase; ``None``
         selects the default heuristic (a fraction of ``omega``).
     samples_per_check:
         Base number of samples taken between stopping-condition checks for a
         single worker (the ``n0`` constant); the parallel drivers shorten it
-        to ``n0 / (P*T)**epoch_exponent`` following Section IV-D (see
+        to ``n0 / (P*T)**1.33`` following Section IV-D (see
         :mod:`repro.parallel.epoch_length`).
-    epoch_exponent:
-        The exponent of the epoch-length rule (1.33 in the paper).
     max_samples_override:
         If set, caps ``omega`` (useful in tests and small experiments).
     vertex_diameter_override:
@@ -60,10 +55,8 @@ class KadabraOptions:
     eps: float = flag_field(0.01, float, "absolute error bound (default %(default)s)")
     delta: float = flag_field(0.1, float, "failure probability (default %(default)s)")
     seed: Optional[int] = flag_field(None, int, "RNG seed (default: none; pin it for repeatable runs and refines)")
-    use_bidirectional_bfs: bool = True
     calibration_samples: Optional[int] = flag_field(None, int, "calibration samples (default: a fraction of omega)")
     samples_per_check: int = flag_field(1000, int, "samples per stopping check of one worker (default %(default)s)")
-    epoch_exponent: float = 1.33
     max_samples_override: Optional[int] = flag_field(None, int, "cap on omega (default: none)", name="max_samples")
     vertex_diameter_override: Optional[int] = None
 
@@ -72,8 +65,6 @@ class KadabraOptions:
         check_probability(self.delta, "delta")
         if self.samples_per_check <= 0:
             raise ValueError("samples_per_check must be positive")
-        if self.epoch_exponent <= 0:
-            raise ValueError("epoch_exponent must be positive")
         if self.calibration_samples is not None and self.calibration_samples <= 0:
             raise ValueError("calibration_samples must be positive when given")
         if self.max_samples_override is not None and self.max_samples_override <= 0:

@@ -17,8 +17,9 @@ make that true for the Python reproduction:
   .KernelSpec` table and the one routing function, with its ``REPRO_KERNEL``
   override;
 * :class:`BatchPathSampler` / :class:`SampleBatch` — the sampler every driver
-  holds: K pairs per call returned as flat contribution arrays for
-  single-``np.add.at`` accumulation into epoch frames, or one pair per call;
+  holds: K pairs per call (``sample_batch``, or ``sample_pairs`` for given
+  pairs) returned as flat contribution arrays for single-``np.add.at``
+  accumulation into epoch frames;
 * :mod:`~repro.kernels.policy` — adaptive batch sizing (small batches near
   stopping-condition checks, large batches mid-epoch).
 """

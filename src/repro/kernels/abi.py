@@ -68,9 +68,8 @@ class KernelSpec:
         operand representation it wants (ndarray CSR, Python lists, ...).
     make_batch:
         ``make_batch(graph) -> sampler`` for batch-native kernels: returns
-        an object with the ``sample_batch`` / ``sample_pairs`` /
-        ``sample_path`` surface of :class:`~repro.kernels.batch
-        .BatchPathSampler`.
+        an object with the ``sample_batch`` / ``sample_pairs`` surface of
+        :class:`~repro.kernels.batch.BatchPathSampler`.
     """
 
     name: str
@@ -206,13 +205,10 @@ def _make_smallgraph(indptr: np.ndarray, indices: np.ndarray):
 
 
 def _make_bidirectional(indptr: np.ndarray, indices: np.ndarray):
-    # One kernel, two searches that return the same samples: the compiled one
-    # where it was built, passed its self-check and can read these arrays.
-    from repro.kernels import compiled
+    # The numpy search; a sampler whose arrays the compiled helper can read
+    # runs its batches there instead (BatchPathSampler.compiled), same samples.
     from repro.kernels.bidirectional import bidirectional_sample
 
-    if compiled.usable(indptr, indices):
-        return compiled.compiled_sample, indptr, indices
     return bidirectional_sample, indptr, indices
 
 

@@ -4,9 +4,9 @@
 graph.  ``sample_batch(k, rng)`` draws ``k`` (s, t) pairs, runs the routed
 kernel on each, and returns a :class:`SampleBatch` whose path contributions
 are two flat arrays (vertex ids + CSR-style offsets) ready for a single
-``np.add.at`` into an epoch frame; ``sample(rng)`` is the same draw for one
-pair, returned as a :class:`~repro.sampling.base.PathSample`.  Every driver
-draws with ``sample_batch`` and gets its sampler from
+``np.add.at`` into an epoch frame; ``sample_pairs`` does the same for given
+pairs.  These two are the only ways to draw: a single sample is a batch of
+one.  Every driver draws with ``sample_batch`` and gets its sampler from
 :func:`repro.core.kadabra.make_sampler`.
 
 Where the search is the compiled one (:attr:`BatchPathSampler.compiled`) a
@@ -21,9 +21,10 @@ Pair drawing strategies
 ``interleaved`` (default)
     Each pair is drawn immediately before its search with the two scalar
     draws of :func:`~repro.sampling.base.sample_vertex_pair`.  The RNG stream
-    is then the same for any batch size - ``k`` calls of ``sample`` and one
-    ``sample_batch(k)`` leave the generator in the same state - so how a
-    driver batches never changes a betweenness estimate for a fixed seed.
+    is then the same for any batch size - ``k`` calls of ``sample_batch(1)``
+    and one ``sample_batch(k)`` leave the generator in the same state - so
+    how a driver batches never changes a betweenness estimate for a fixed
+    seed.
 ``vectorized``
     All pairs of the batch are rejection-sampled up front with one bulk
     ``rng.integers`` call per round (:func:`repro.sampling.rng
@@ -41,7 +42,8 @@ import numpy as np
 
 from repro.graph.csr import validate_csr
 from repro.kernels import abi as _abi
-from repro.kernels.compiled import compiled_sample, search_on
+from repro.kernels.bidirectional import bidirectional_sample
+from repro.kernels.compiled import search_on, usable
 from repro.kernels.scratch import ScratchPool, csr_views
 from repro.obs import metrics as _metrics
 from repro.sampling.base import PathSample, sample_vertex_pair
@@ -243,6 +245,9 @@ class BatchPathSampler:
             self._kernel, self._kernel_indptr, self._kernel_indices = spec.make_per_pair(
                 self._indptr, self._indices
             )
+        # Decided once: the bidirectional search runs in the compiled helper
+        # wherever it was built, passed its self-check and can read these arrays.
+        self._in_c = self._kernel is bidirectional_sample and usable(self._indptr, self._indices)
 
     # ------------------------------------------------------------------ #
     @property
@@ -253,7 +258,7 @@ class BatchPathSampler:
     @property
     def compiled(self) -> bool:
         """Whether the search runs in the compiled helper (:mod:`repro.kernels.compiled`)."""
-        return self._kernel is compiled_sample
+        return self._in_c
 
     @property
     def pool(self) -> ScratchPool:
@@ -313,48 +318,13 @@ class BatchPathSampler:
         self._count_samples(k)
         return out.finish(sources, targets)
 
-    def sample(self, rng: np.random.Generator) -> PathSample:
-        """One uniform pair of distinct vertices and one shortest path between them."""
-        if self._one_call(rng):
-            return self._compiled_one(rng)
-        s, t = sample_vertex_pair(self._graph.num_vertices, rng)
-        return self.sample_path(s, t, rng)
-
-    def sample_path(self, source: int, target: int, rng: np.random.Generator) -> PathSample:
-        """One uniformly random shortest path between the given pair."""
-        n = self._graph.num_vertices
-        source = int(source)
-        target = int(target)
-        if not (0 <= source < n) or not (0 <= target < n):
-            raise ValueError("source/target out of range")
-        if source == target:
-            raise ValueError("source and target must be distinct")
-        if self._delegate is not None:
-            sample = self._delegate.sample_path(source, target, rng)
-            self._count_samples(1)
-            return sample
-        if self._one_call(rng):
-            return self._compiled_one(rng, source, target)
-        connected, length, internal, edges = self._kernel(
-            self._kernel_indptr, self._kernel_indices, self._pool, source, target, rng
-        )
-        self._count_samples(1)
-        return PathSample(
-            source=source,
-            target=target,
-            connected=connected,
-            length=length,
-            internal_vertices=np.asarray(internal, dtype=np.int64),
-            edges_touched=edges,
-        )
-
     # ------------------------------------------------------------------ #
     def _count_samples(self, k: int) -> None:
         count_samples(k, self._spec.name)
 
     def _one_call(self, rng) -> bool:
         """Whether a batch is one compiled call: that search, and a generator C can draw from."""
-        return self.compiled and isinstance(rng, np.random.Generator)
+        return self._in_c and isinstance(rng, np.random.Generator)
 
     def _compiled(self, rng: np.random.Generator, k: int, sources=None, targets=None):
         """The fields of a :class:`SampleBatch` of ``k``: drawn pairs, or the given ones."""
@@ -362,18 +332,6 @@ class BatchPathSampler:
         fields = search.sample_batch(self._pool, rng, k, sources, targets)
         self._count_samples(k)
         return fields
-
-    def _compiled_one(self, rng: np.random.Generator, source=None, target=None) -> PathSample:
-        sources, targets, _, lengths, edges, internal, _ = self._compiled(rng, 1, source, target)
-        length = int(lengths[0])
-        return PathSample(
-            source=int(sources[0]),
-            target=int(targets[0]),
-            connected=length > 0,
-            length=length,
-            internal_vertices=internal,
-            edges_touched=int(edges[0]),
-        )
 
     def _sample_interleaved(self, k: int, rng: np.random.Generator) -> SampleBatch:
         if self._one_call(rng):

@@ -9,11 +9,12 @@ pair, searches, draws the path's uniforms, walks back and appends to the flat
 arrays of a :class:`~repro.kernels.batch.SampleBatch`
 (:meth:`CompiledSearch.sample_batch`).  For one generator state the batch is
 what that many calls of the numpy kernel return, and the generator is left in
-the same state.  It is not a kernel of its own - the ``bidirectional`` spec
-hands out :func:`compiled_sample` (a batch of one given pair) when :func:`load`
-succeeds and the graph's arrays qualify (:func:`usable`), and the numpy search
-otherwise.  The same file holds the direction-optimizing whole-graph BFS under
-:func:`repro.graph.traversal.bfs_distances` and
+the same state.  It is not a kernel of its own - a
+:class:`~repro.kernels.batch.BatchPathSampler` running the ``bidirectional``
+kernel decides at construction to draw its batches here when :func:`load`
+succeeds and the graph's arrays qualify (:func:`usable`), and with the numpy
+search otherwise.  The same file holds the direction-optimizing whole-graph
+BFS under :func:`repro.graph.traversal.bfs_distances` and
 :func:`repro.graph.components.connected_components` (:class:`Sweep`), used
 under the same condition and with the numpy level loop as the only other path.
 
@@ -99,7 +100,6 @@ __all__ = [
     "load",
     "describe",
     "usable",
-    "compiled_sample",
     "search_on",
     "CompiledSearch",
     "Sweep",
@@ -561,27 +561,6 @@ def search_on(pool: ScratchPool, indptr: np.ndarray, indices: np.ndarray) -> Com
     if state is None or state.indices is not indices or state.indptr is not indptr:
         state = pool.compiled = CompiledSearch(load()[0], indptr, indices, pool)
     return state
-
-
-def compiled_sample(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    pool: ScratchPool,
-    source: int,
-    target: int,
-    rng: np.random.Generator,
-) -> Tuple[bool, int, List[int], int]:
-    """:func:`~repro.kernels.bidirectional.bidirectional_sample`, as a compiled batch of one.
-
-    An ``rng`` that is not a numpy ``Generator`` has no functions C could call
-    and gets the numpy search itself.
-    """
-    if not isinstance(rng, np.random.Generator):
-        return bidirectional_sample(indptr, indices, pool, source, target, rng)
-    _, _, connected, lengths, edges_touched, internal, _ = search_on(
-        pool, indptr, indices
-    ).sample_batch(pool, rng, 1, source, target)
-    return bool(connected[0]), int(lengths[0]), internal.tolist(), int(edges_touched[0])
 
 
 # --------------------------------------------------------------------------- #

@@ -205,22 +205,6 @@ class WavefrontSampler:
                 out.record(lo + i, result)
         return out.finish(sources, targets)
 
-    def sample_path(self, source: int, target: int, rng: np.random.Generator):
-        """Scalar compatibility shim: one pair, one :class:`PathSample`."""
-        from repro.sampling.base import PathSample
-
-        batch = self.sample_pairs(
-            np.asarray([source], dtype=np.int64), np.asarray([target], dtype=np.int64), rng
-        )
-        return PathSample(
-            source=int(source),
-            target=int(target),
-            connected=bool(batch.connected[0]),
-            length=int(batch.lengths[0]),
-            internal_vertices=batch.contributions_of(0).copy(),
-            edges_touched=int(batch.edges_touched[0]),
-        )
-
     # ------------------------------------------------------------------ #
     def _run_chunk(self, src: np.ndarray, dst: np.ndarray, rng: np.random.Generator):
         """Advance one chunk of K <= lanes pairs to completion.

@@ -435,8 +435,7 @@ def run_rank(
 
     # ---------------- Phase 3: adaptive sampling -------------------------- #
     n0 = thread_zero_samples_per_epoch(
-        comm.size, sampling_threads,
-        base=float(options.samples_per_check), exponent=options.epoch_exponent,
+        comm.size, sampling_threads, base=float(options.samples_per_check)
     )
     with phases("adaptive_sampling", rank=rank, omega=omega):
         stats = adaptive_sampling_epochs(

@@ -1,8 +1,9 @@
 """Shortest-path sampling: what a sample is, the pair draw and the RNG streams.
 
 The sampler the drivers hold is :class:`repro.kernels.BatchPathSampler`, made
-by :func:`repro.core.kadabra.make_sampler`; ``_reference`` keeps the original
-allocating samplers as the tests' oracle.
+by :func:`repro.core.kadabra.make_sampler`, and it draws only in batches
+(``sample_batch``, ``sample_pairs``); ``_reference`` keeps the original
+allocating per-sample samplers as the tests' oracle.
 """
 
 from repro.sampling.base import PathSample, sample_vertex_pair

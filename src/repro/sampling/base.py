@@ -4,7 +4,8 @@ KADABRA samples a pair ``(s, t)`` of distinct vertices uniformly at random and
 then a *uniformly random shortest s-t path*; the betweenness estimate of a
 vertex is the fraction of sampled paths that contain it as an internal vertex.
 The sampler itself is :class:`repro.kernels.BatchPathSampler`; this module
-holds the pair draw it starts from and the record a scalar draw returns.
+holds the pair draw it starts from and the per-sample record that
+:meth:`~repro.kernels.SampleBatch.iter_samples` yields.
 """
 
 from __future__ import annotations

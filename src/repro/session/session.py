@@ -75,6 +75,11 @@ _REQUIRED_META = (
 
 _SNAPSHOT_KIND = "repro-estimation-session"
 
+#: Options older snapshots record and this version no longer has, with the
+#: one value every run used: a snapshot holding it restores, any other value
+#: describes a run this version cannot continue.
+_RETIRED_OPTIONS = {"epoch_exponent": 1.33, "use_bidirectional_bfs": True}
+
 #: What a CRC-clean snapshot carrying a value of the wrong type or range
 #: raises while it is parsed; ``restore`` reports all of them as SnapshotError.
 _MALFORMED = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
@@ -749,7 +754,14 @@ class EstimationSession:
         algorithm = meta.get("algorithm", "sequential")
         if not isinstance(algorithm, str):
             raise TypeError(f"'algorithm' must be a string, got {algorithm!r}")
-        options = KadabraOptions(**_json_object(meta, "options"))
+        options = dict(_json_object(meta, "options"))
+        for key, value in _RETIRED_OPTIONS.items():
+            recorded = options.pop(key, value)
+            if recorded != value:
+                raise SnapshotError(
+                    f"{path}: snapshot records option {key}={recorded!r}; this version runs only {value!r}"
+                )
+        options = KadabraOptions(**options)
         session = cls(graph, options, progress=progress, kernel=kernel)
         # Only the session's own stream can be refined or extended.
         session._native = algorithm == "sequential"

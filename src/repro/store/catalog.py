@@ -20,10 +20,11 @@ graph traversals.
 The cache directory defaults to ``$REPRO_GRAPH_CACHE`` or
 ``~/.cache/repro/graphs``.
 
-A catalog remembers what it resolved: a repeated file-path spec is answered
-from a bounded in-memory memo while ``os.stat`` shows its files — the source
-and, for a text source, its ``.rcsr`` and that container's sidecar — with the
-inode, size and mtime they had when the answer was proven fresh.  Any change,
+A catalog remembers what it resolved, a first-touch conversion included: a
+repeated file-path spec is answered from a bounded in-memory memo while
+``os.stat`` shows its files — the source and, for a text source, its
+``.rcsr`` and that container's sidecar — with the inode, size and mtime they
+had when the answer was proven fresh.  Any change,
 or a missing file, re-runs the full resolution.  Every container writer
 (``write_rcsr``, conversion, partitioning) replaces the file through
 ``atomic_replace``, so a rewritten container always has a new inode: the
@@ -483,20 +484,23 @@ class GraphCatalog:
         remembered = self.memoized(spec)
         if remembered is not None:
             return remembered
-        # Stamped before and after: an answer is remembered only if no file
-        # changed while it was being proven.
+        # An answer is remembered only if the source kept its stamp through
+        # the resolution (a first conversion included) and no file changed
+        # across the checksum read.
         source = Path(spec)
         files: Tuple[Path, ...] = (source,)
-        before = _stamps(files)
-        if before is not None and source.suffix != ".rcsr":
+        source_stamp = _stamps(files)
+        if source_stamp is not None and source.suffix != ".rcsr":
             container = self.rcsr_path_for(source)
             files = (source, container, _sidecar_path(container))
-            before = _stamps(files)
         path = self._resolve_impl(spec)
-        checksum = None
-        if before is not None:
+        checksum = before = None
+        if source_stamp is not None:
+            before = _stamps(files)
             checksum = header_checksum(read_header(path))
-        unchanged = checksum is not None and _stamps(files) == before
+        unchanged = (
+            before is not None and before[:1] == source_stamp and _stamps(files) == before
+        )
         key = (os.getcwd(), str(spec))
         with self._memo_lock:
             if unchanged:

@@ -498,7 +498,7 @@ class ShardedPathSampler:
     through the view so only the touched shard pages fault in.
 
     Implements the part of :class:`~repro.kernels.BatchPathSampler` the
-    drivers use (``compiled``, ``sample``, ``sample_path``, ``sample_batch``).
+    drivers use (``compiled``, ``sample_batch``).
     """
 
     #: The search is numpy over the view, never the compiled helper.
@@ -513,9 +513,32 @@ class ShardedPathSampler:
         self._sigma = np.empty(n, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
-    def sample_path(self, source: int, target: int, rng: np.random.Generator):
+    def sample_batch(self, batch_size: int, rng: np.random.Generator):
+        """Draw ``batch_size`` uniform pairs, one shortest path each, as a flat-array ``SampleBatch``.
+
+        Each pair is drawn right before its search, so the RNG stream is the
+        same for any batch size.
+        """
+        from repro.kernels.batch import _BatchAccumulator, count_samples
+        from repro.sampling.base import sample_vertex_pair
+
+        k = int(batch_size)
+        if k <= 0:
+            raise ValueError("batch_size must be positive")
+        n = self._view.num_vertices
+        sources = np.empty(k, dtype=np.int64)
+        targets = np.empty(k, dtype=np.int64)
+        out = _BatchAccumulator(k)
+        for i in range(k):
+            s, t = sample_vertex_pair(n, rng)
+            sources[i], targets[i] = s, t
+            out.record(i, self._search(s, t, rng))
+        count_samples(k)
+        return out.finish(sources, targets)
+
+    def _search(self, source: int, target: int, rng: np.random.Generator):
+        """``(connected, length, internal vertices, edges touched)`` of one pair, as a kernel returns."""
         from repro.kernels.weighted import weighted_index
-        from repro.sampling.base import PathSample
 
         view = self._view
         dist = self._dist
@@ -548,9 +571,7 @@ class ShardedPathSampler:
                 else np.empty(0, dtype=np.int64)
             )
         if dist[target] < 0:
-            return PathSample(
-                source=source, target=target, connected=False, edges_touched=edges
-            )
+            return False, 0, [], edges
         length = int(dist[target])
         internal: List[int] = []
         current = int(target)
@@ -561,38 +582,4 @@ class ShardedPathSampler:
             current = int(preds[weighted_index(weights, float(weights.sum()), rng)])
             internal.append(current)
         internal.reverse()
-        return PathSample(
-            source=source,
-            target=target,
-            connected=True,
-            length=length,
-            internal_vertices=np.asarray(internal, dtype=np.int64),
-            edges_touched=edges,
-        )
-
-    def sample(self, rng: np.random.Generator):
-        from repro.sampling.base import sample_vertex_pair
-
-        s, t = sample_vertex_pair(self._view.num_vertices, rng)
-        return self.sample_path(s, t, rng)
-
-    def sample_batch(self, batch_size: int, rng: np.random.Generator):
-        """Loop of :meth:`sample` packed as a flat-array ``SampleBatch``.
-
-        Same RNG consumption as ``batch_size`` scalar calls.
-        """
-        from repro.kernels.batch import _BatchAccumulator, count_samples
-
-        k = int(batch_size)
-        if k <= 0:
-            raise ValueError("batch_size must be positive")
-        sources = np.empty(k, dtype=np.int64)
-        targets = np.empty(k, dtype=np.int64)
-        out = _BatchAccumulator(k)
-        for i in range(k):
-            s = self.sample(rng)
-            sources[i] = s.source
-            targets[i] = s.target
-            out.record(i, (s.connected, s.length, s.internal_vertices, s.edges_touched))
-        count_samples(k)
-        return out.finish(sources, targets)
+        return True, length, internal, edges

@@ -2,7 +2,7 @@
 
 ``repro_sample_batch`` draws the pairs from the caller's numpy generator,
 searches, walks back and fills the flat arrays of a ``SampleBatch`` for K
-samples in one call.  Held here to the per-sample path and to the numpy search
+samples in one call.  Held here to batches of one and to the numpy search
 at every boundary a batch can end or stop on: every batch size, both index
 widths, every buffer that grows in the middle of a batch, the two-vertex graph
 whose second bounded draw draws nothing, every BitGenerator numpy ships, a
@@ -53,8 +53,8 @@ def assert_same_state(rng_a, rng_b):
 
 
 def batch_of_single_samples(sampler, k, rng):
-    """What ``k`` calls of ``sample()`` return, as the fields of a batch."""
-    samples = [sampler.sample(rng) for _ in range(k)]
+    """What ``k`` batches of one return, as the fields of one batch."""
+    samples = [next(sampler.sample_batch(1, rng).iter_samples()) for _ in range(k)]
     internal = [s.internal_vertices for s in samples]
     return {
         "sources": [s.source for s in samples],
@@ -105,7 +105,7 @@ class TestEveryBatchSizeIsTheSameStream:
         assert_same_batch(batch, theirs.sample_pairs(pairs[:, 0], pairs[:, 1], rngs[2]))
         assert_same_state(rngs[0], rngs[2])
         for i, (source, target) in enumerate(pairs.tolist()):
-            sample = per_pair.sample_path(source, target, rngs[1])
+            sample = next(per_pair.sample_pairs([source], [target], rngs[1]).iter_samples())
             assert (sample.source, sample.target) == (source, target)
             assert (sample.connected, sample.length, sample.edges_touched) == (
                 bool(batch.connected[i]),
@@ -250,7 +250,8 @@ def test_a_batch_that_straddles_the_reset_limit(search, monkeypatch):
     never); a batch in C stops short of it and lets the pool do the wipe."""
     graph = grid_graph(7, 8)
     fresh, rng = make_sampler(graph, search, monkeypatch), np.random.default_rng(3)
-    batch, singles = fresh.sample_batch(40, rng), [fresh.sample(rng) for _ in range(7)]
+    batch = fresh.sample_batch(40, rng)
+    singles = [next(fresh.sample_batch(1, rng).iter_samples()) for _ in range(7)]
 
     sampler, rng = make_sampler(graph, search, monkeypatch), np.random.default_rng(3)
     pool = sampler.pool
@@ -258,7 +259,7 @@ def test_a_batch_that_straddles_the_reset_limit(search, monkeypatch):
     assert_same_batch(sampler.sample_batch(40, rng), batch)
     assert (pool.generations_started, pool.generation) == (40, 5)
     for expected in singles:
-        assert_same_sample(sampler.sample(rng), expected)
+        assert_same_sample(next(sampler.sample_batch(1, rng).iter_samples()), expected)
     assert (pool.generations_started, pool.generation) == (47, 2)
     assert max(int(pool.mark_a.max()), int(pool.mark_b.max())) < 6 * pool.span
 

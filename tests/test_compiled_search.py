@@ -32,7 +32,7 @@ from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, path_graph, road_network_graph
 from repro.graph.traversal import bfs_distances, sweep_path
-from repro.kernels import BatchPathSampler, SampleBatch, compiled, format_kernel_table
+from repro.kernels import BatchPathSampler, compiled, format_kernel_table
 from repro.kernels.bidirectional import bidirectional_sample
 from repro.kernels.scratch import ScratchPool, csr_views
 from repro.sampling.base import sample_vertex_pair
@@ -210,9 +210,10 @@ class TestHostileInput:
     @pytest.mark.parametrize("source, target", [(0, 12), (-1, 3), (4, 4), (2**40, 1)])
     def test_endpoints_are_checked_before_the_call(self, source, target):
         indptr, _, indices = csr_views(path_graph(12))
+        pool = ScratchPool(12)
         with pytest.raises(ValueError, match="distinct vertices of the graph"):
-            compiled.compiled_sample(
-                indptr, indices, ScratchPool(12), source, target, np.random.default_rng(0)
+            compiled.search_on(pool, indptr, indices).sample_batch(
+                pool, np.random.default_rng(0), 1, source, target
             )
 
     @needs_helper
@@ -224,7 +225,7 @@ class TestHostileInput:
         sampler = BatchPathSampler(odd, kernel="bidirectional")
         assert not sampler.compiled
         assert BatchPathSampler(graph, kernel="bidirectional").compiled
-        assert sampler.sample_path(0, 11, np.random.default_rng(0)).length == 11
+        assert sampler.sample_pairs([0], [11], np.random.default_rng(0)).lengths.tolist() == [11]
 
 
 class StandInGenerator:
@@ -267,7 +268,7 @@ class TestErrorsAreTheNumpyKernels:
         # only its root.
         pool.mark_b[1] = (pool.generation + 1) * pool.span + 5
         with pytest.raises(AssertionError):
-            sampler.sample_path(0, 9, np.random.default_rng(0))
+            sampler.sample_pairs([0], [9], np.random.default_rng(0))
 
     @pytest.mark.parametrize("search", ["compiled", "bidirectional"])
     def test_a_backward_step_without_predecessors(self, search, monkeypatch):
@@ -283,7 +284,7 @@ class TestErrorsAreTheNumpyKernels:
         rng = StandInGenerator(0, before_random=wipe)
         with pytest.raises(RuntimeError, match="inconsistent sigma values"):
             if search == "bidirectional":
-                sampler.sample_path(0, 9, rng)
+                sampler.sample_pairs([0], [9], rng)
             else:
                 # A stand-in never reaches C; a bitgen_t whose next_double is
                 # the stand-in's does.  One given pair: (0, 9).
@@ -306,8 +307,8 @@ class TestErrorsAreTheNumpyKernels:
         for draw in (
             lambda sampler, rng: sampler.sample_batch(9, rng),
             lambda sampler, rng: sampler.sample_pairs([0, 98, 5], [98, 0, 6], rng),
-            lambda sampler, rng: batch_of_one(sampler.sample(rng)),
-            lambda sampler, rng: batch_of_one(sampler.sample_path(3, 71, rng)),
+            lambda sampler, rng: sampler.sample_batch(1, rng),
+            lambda sampler, rng: sampler.sample_pairs([3], [71], rng),
         ):
             a, b, c = draw(ours, stand_in), draw(theirs, reference), draw(ours, real)
             for field in BATCH_FIELDS:
@@ -317,19 +318,6 @@ class TestErrorsAreTheNumpyKernels:
             assert stand_in.rng.bit_generator.state == real.bit_generator.state
         assert stand_in.calls.count("integers") == 2 * (9 + 1)
         assert ours.pool.compiled is not None  # built for ``real``; the stand-in went past it
-
-
-def batch_of_one(sample):
-    """A ``PathSample`` with the field names of a batch."""
-    return SampleBatch(
-        sources=np.array([sample.source]),
-        targets=np.array([sample.target]),
-        connected=np.array([sample.connected]),
-        lengths=np.array([sample.length]),
-        edges_touched=np.array([sample.edges_touched]),
-        contrib_vertices=sample.internal_vertices,
-        contrib_indptr=np.array([0, sample.internal_vertices.size]),
-    )
 
 
 def _sample_digest(graph):

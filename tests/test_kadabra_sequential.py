@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import brandes_betweenness
-from repro import estimate_betweenness
+from repro import Resources, estimate_betweenness
 from repro.core import BetweennessResult, KadabraOptions
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import path_graph, star_graph
@@ -30,8 +30,6 @@ class TestOptions:
             KadabraOptions(delta=1.0)
         with pytest.raises(ValueError):
             KadabraOptions(samples_per_check=0)
-        with pytest.raises(ValueError):
-            KadabraOptions(epoch_exponent=-1)
         with pytest.raises(ValueError):
             KadabraOptions(calibration_samples=0)
         with pytest.raises(ValueError):
@@ -120,7 +118,12 @@ class TestSequentialKadabra:
         assert result.vertex_diameter == 5
 
     def test_unidirectional_sampler_option(self, small_social_graph, quick_options):
-        result = sequential(small_social_graph, quick_options.with_(use_bidirectional_bfs=False))
+        result = estimate_betweenness(
+            small_social_graph,
+            algorithm="sequential",
+            options=quick_options,
+            resources=Resources(kernel="unidirectional"),
+        )
         assert result.num_samples > 0
 
     def test_tiny_graphs(self, quick_options):

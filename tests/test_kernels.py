@@ -222,7 +222,7 @@ class TestBatchScalarEquivalence:
         sampler = BatchPathSampler(graph, kernel="unidirectional")
         reference = ReferenceUnidirectionalSampler(graph)
         for _ in range(15):
-            a = sampler.sample(r1)
+            a = next(sampler.sample_batch(1, r1).iter_samples())
             b = reference.sample(r2)
             assert (a.source, a.target, a.connected, a.length, a.edges_touched) == (
                 b.source,
@@ -250,7 +250,7 @@ class TestBatchScalarEquivalence:
         for s, t in pairs:
             r1 = np.random.default_rng(seed + int(s))
             r2 = np.random.default_rng(seed + int(s))
-            a = py_sampler.sample_path(int(s), int(t), r1)
+            a = next(py_sampler.sample_pairs([s], [t], r1).iter_samples())
             connected, length, internal, edges = bidirectional_sample(
                 indptr, indices, pool, int(s), int(t), r2
             )
@@ -296,9 +296,7 @@ class TestBatchScalarEquivalence:
         with pytest.raises(ValueError):
             sampler.sample_batch(0, rng)
         with pytest.raises(ValueError):
-            sampler.sample_path(0, 0, rng)
-        with pytest.raises(ValueError):
-            sampler.sample_path(0, 10**9, rng)
+            sampler.sample_pairs([0], [10**9], rng)
         with pytest.raises(ValueError):
             sampler.sample_pairs([0], [0], rng)
         with pytest.raises(ValueError):
@@ -343,10 +341,10 @@ class TestZeroAllocationRegression:
         graph = self._graph()
         sampler = BatchPathSampler(graph)
         rng = np.random.default_rng(0)
-        sampler.sample(rng)
+        sampler.sample_batch(1, rng)
         with count_large_allocations(self.N) as counts:
             for _ in range(32):
-                sampler.sample(rng)
+                sampler.sample_batch(1, rng)
         assert counts["large"] == 0
 
     def test_reference_sampler_does_allocate(self):

@@ -424,7 +424,7 @@ class TestKernelCounters:
         def draw():
             for take in plan_batches(100, 32):
                 sampler.sample_batch(take, rng)
-            sampler.sample(rng)
+            sampler.sample_batch(1, rng)
 
         was_enabled = obs_metrics.ENABLED
         try:
@@ -437,7 +437,7 @@ class TestKernelCounters:
             draw()
             assert samples.value - before_s == 101
             assert per_kernel.value - before_k == 101
-            assert batches.value - before_b == 5  # ceil(100 / 32) batches and one sample
+            assert batches.value - before_b == 5  # ceil(100 / 32) batches and a batch of one
         finally:
             (enable_metrics if was_enabled else disable_metrics)()
 

@@ -91,9 +91,7 @@ class TestEpochLengthRule:
         monkeypatch.setattr(engine, "thread_zero_samples_per_epoch", spy)
         distributed(small_social_graph, quick_options, algorithm=algorithm, **resources)
         assert calls
-        expected_kwargs = dict(
-            base=float(quick_options.samples_per_check), exponent=quick_options.epoch_exponent
-        )
+        expected_kwargs = dict(base=float(quick_options.samples_per_check))
         assert all(call == (*workers, expected_kwargs) for call in calls)
 
 

@@ -183,9 +183,7 @@ class TestShardedSampler:
         manifest = partition_rcsr(stored_social, 2)
         view = PartitionedGraphView(manifest, own_part=1)
         sampler = ShardedPathSampler(view)
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            sample = sampler.sample(rng)
+        for sample in sampler.sample_batch(30, np.random.default_rng(5)).iter_samples():
             if not sample.connected:
                 continue
             src, dst = sample.source, sample.target
@@ -209,12 +207,24 @@ class TestShardedSampler:
         assert int(batch.connected.sum()) > 0
         assert batch.contrib_indptr.shape == (65,)
 
+    def test_a_batch_of_k_is_k_batches_of_one(self, stored_social):
+        view = PartitionedGraphView(partition_rcsr(stored_social, 2), own_part=1)
+        sampler = ShardedPathSampler(view)
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        batch = sampler.sample_batch(20, rng_a)
+        for expected in batch.iter_samples():
+            (sample,) = sampler.sample_batch(1, rng_b).iter_samples()
+            assert (sample.source, sample.target, sample.length, sample.edges_touched) == (
+                expected.source, expected.target, expected.length, expected.edges_touched
+            )
+            assert np.array_equal(sample.internal_vertices, expected.internal_vertices)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_kadabra_options_accept_view(self, stored_social, quick_options):
         # The epoch framework only needs num_vertices + a sampler; smoke one
         # calibration-sized run through the exact sequential baseline inputs.
         manifest = partition_rcsr(stored_social, 2)
         view = PartitionedGraphView(manifest, own_part=0)
         sampler = make_sampler(view, quick_options)
-        rng = np.random.default_rng(2)
-        frame_samples = [sampler.sample(rng) for _ in range(50)]
-        assert sum(1 for s in frame_samples if s.connected) > 0
+        batch = sampler.sample_batch(50, np.random.default_rng(2))
+        assert int(batch.connected.sum()) > 0

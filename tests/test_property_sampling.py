@@ -42,7 +42,7 @@ class TestSamplerProperties:
     def test_bidirectional_sample_is_shortest_path(self, data):
         graph, source, target, seed = data
         rng = np.random.default_rng(seed)
-        sample = BatchPathSampler(graph).sample_path(source, target, rng)
+        sample = next(BatchPathSampler(graph).sample_pairs([source], [target], rng).iter_samples())
         distances = bfs_distances(graph, source).distances
         assert sample.connected
         assert sample.length == distances[target]
@@ -58,10 +58,10 @@ class TestSamplerProperties:
         graph, source, target, seed = data
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed + 1)
-        bi = BatchPathSampler(graph).sample_path(source, target, rng_a)
-        uni = BatchPathSampler(graph, kernel="unidirectional").sample_path(source, target, rng_b)
-        assert bi.length == uni.length
-        assert bi.internal_vertices.size == uni.internal_vertices.size
+        bi = BatchPathSampler(graph).sample_pairs([source], [target], rng_a)
+        uni = BatchPathSampler(graph, kernel="unidirectional").sample_pairs([source], [target], rng_b)
+        assert bi.lengths.tolist() == uni.lengths.tolist()
+        assert bi.contrib_vertices.size == uni.contrib_vertices.size
 
 
 class TestStateFrameProperties:

@@ -100,7 +100,7 @@ class TestSamplers:
     def test_sampled_path_is_shortest(self, search, sampler_for, small_social_graph, rng):
         sampler = sampler_for(small_social_graph, search)
         for _ in range(40):
-            sample = sampler.sample(rng)
+            sample = next(sampler.sample_batch(1, rng).iter_samples())
             assert sample.connected
             distances = bfs_distances(small_social_graph, sample.source).distances
             assert sample.length == distances[sample.target]
@@ -113,29 +113,29 @@ class TestSamplers:
 
     def test_adjacent_pair_has_no_internal_vertices(self, search, sampler_for, small_path_graph, rng):
         sampler = sampler_for(small_path_graph, search)
-        sample = sampler.sample_path(3, 4, rng)
+        sample = next(sampler.sample_pairs([3], [4], rng).iter_samples())
         assert sample.connected and sample.length == 1
         assert sample.internal_vertices.size == 0
 
     def test_path_graph_internal_vertices(self, search, sampler_for, small_path_graph, rng):
         sampler = sampler_for(small_path_graph, search)
-        sample = sampler.sample_path(2, 6, rng)
+        sample = next(sampler.sample_pairs([2], [6], rng).iter_samples())
         assert list(sample.internal_vertices) == [3, 4, 5]
 
     def test_disconnected_pair(self, search, sampler_for, rng):
         g = CSRGraph.from_edges([(0, 1), (2, 3)], num_vertices=4)
         sampler = sampler_for(g, search)
-        sample = sampler.sample_path(0, 3, rng)
+        sample = next(sampler.sample_pairs([0], [3], rng).iter_samples())
         assert not sample.connected
         assert sample.internal_vertices.size == 0
 
     def test_same_source_target_rejected(self, search, sampler_for, small_path_graph, rng):
         with pytest.raises(ValueError):
-            sampler_for(small_path_graph, search).sample_path(2, 2, rng)
+            sampler_for(small_path_graph, search).sample_pairs([2], [2], rng)
 
     def test_out_of_range_rejected(self, search, sampler_for, small_path_graph, rng):
         with pytest.raises(ValueError):
-            sampler_for(small_path_graph, search).sample_path(0, 99, rng)
+            sampler_for(small_path_graph, search).sample_pairs([0], [99], rng)
 
     def test_requires_two_vertices(self, search, sampler_for):
         with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ class TestSamplers:
 
     def test_edges_touched_accounted(self, search, sampler_for, small_social_graph, rng):
         sampler = sampler_for(small_social_graph, search)
-        sample = sampler.sample(rng)
+        sample = next(sampler.sample_batch(1, rng).iter_samples())
         assert sample.edges_touched > 0
 
     def test_edges_touched_within_adjacency(self, search, sampler_for, small_social_graph, rng):
@@ -154,7 +154,7 @@ class TestSamplers:
         degrees = small_social_graph.degrees
         total = small_social_graph.indices.size
         for _ in range(50):
-            sample = sampler.sample(rng)
+            sample = next(sampler.sample_batch(1, rng).iter_samples())
             walk = [sample.target, *sample.internal_vertices] if sample.connected else []
             bound = total + (int(degrees[walk].sum()) if search == "unidirectional" else 0)
             assert 0 <= sample.edges_touched <= bound
@@ -171,7 +171,7 @@ class TestSamplerUniformity:
         counts = {"upper": 0, "lower": 0}
         trials = 400
         for _ in range(trials):
-            sample = sampler.sample_path(0, 4, rng)
+            sample = next(sampler.sample_pairs([0], [4], rng).iter_samples())
             if 2 in sample.internal_vertices:
                 counts["upper"] += 1
             else:
@@ -186,7 +186,7 @@ class TestSamplerUniformity:
         trials = 900
         hits = 0
         for _ in range(trials):
-            sample = sampler.sample_path(0, 8, rng)
+            sample = next(sampler.sample_pairs([0], [8], rng).iter_samples())
             if 4 in sample.internal_vertices:
                 hits += 1
         expected = trials * 2 / 3
@@ -202,7 +202,7 @@ class TestSamplerUniformity:
         sampler = sampler_for(small_social_graph, search)
         frame = StateFrame.zeros(small_social_graph.num_vertices)
         for _ in range(3000):
-            sample = sampler.sample(rng)
+            sample = next(sampler.sample_batch(1, rng).iter_samples())
             frame.record_sample(sample.internal_vertices)
         estimate = frame.betweenness_estimates()
         assert np.max(np.abs(estimate - exact)) < 0.05

@@ -482,6 +482,30 @@ class TestWarmQueriesOnTheLoop:
         assert unseen_hops == 1 and not unseen.served_from_cache
         assert manager.counters["loop_hits"] == 0
 
+    def test_the_second_query_reads_no_header_and_no_sidecar(self, manager, tmp_path, monkeypatch):
+        """The first query's conversion is remembered: the second one's hop
+        (which fills the hot tier) skips the resolution's file reads."""
+        graph = write_graph(tmp_path / "g.txt")
+        reads = []
+        for name in ("read_header", "_read_sidecar"):
+            real = getattr(catalog_module, name)
+            monkeypatch.setattr(
+                catalog_module, name, lambda path, name=name, real=real: reads.append(name) or real(path)
+            )
+
+        async def scenario(ask):
+            first, first_hops = await ask(graph)
+            assert reads and not first.served_from_cache and first_hops == 1
+            assert manager.catalog.memoized(str(graph)) == (
+                manager.catalog.rcsr_path_for(graph), first.checksum
+            )
+            reads.clear()
+            return await ask(graph)
+
+        second, hops = self.drive(manager, scenario)
+        assert second.served_from_cache and hops == 1
+        assert reads == []
+
     def test_a_first_touch_conversion_never_runs_on_the_loop(self, manager, tmp_path):
         graph = write_graph(tmp_path / "g.txt")
         threads = []
@@ -510,8 +534,7 @@ class TestResolveMemo:
         self, catalog, tmp_path, monkeypatch
     ):
         graph = write_graph(tmp_path / "g.txt")
-        first = catalog.checksum(str(graph))  # converts
-        assert catalog.checksum(str(graph)) == first  # proves fresh, remembers
+        first = catalog.checksum(str(graph))  # converts and remembers
         headers, sidecars = [], []
         real_header, real_sidecar = catalog_module.read_header, catalog_module._read_sidecar
         monkeypatch.setattr(
@@ -527,6 +550,30 @@ class TestResolveMemo:
         assert catalog.resolve_checksum(str(graph)) == (catalog.rcsr_path_for(graph), first)
         assert catalog.memoized(str(graph)) == (catalog.rcsr_path_for(graph), first)
         assert headers == [] and sidecars == []  # the container's stamp stands in
+
+    def test_a_first_conversion_is_remembered(self, catalog, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        assert catalog.memoized(str(graph)) is None
+        path, checksum = catalog.resolve_checksum(str(graph))
+        assert path == catalog.rcsr_path_for(graph)
+        assert catalog.memoized(str(graph)) == (path, checksum)
+
+    def test_a_source_touched_during_its_conversion_is_not_remembered(
+        self, catalog, tmp_path, monkeypatch
+    ):
+        graph = write_graph(tmp_path / "g.txt")
+        convert = catalog.convert
+
+        def touching(*args, **kwargs):
+            report = convert(*args, **kwargs)
+            mtime = graph.stat().st_mtime_ns
+            os.utime(graph, ns=(mtime + 10**9, mtime + 10**9))  # rewritten meanwhile
+            return report
+
+        monkeypatch.setattr(catalog, "convert", touching)
+        catalog.resolve_checksum(str(graph))
+        assert catalog.memoized(str(graph)) is None
+        assert catalog._memo == {}
 
     def remembered(self, catalog, graph):
         catalog.checksum(str(graph))

@@ -249,6 +249,34 @@ class TestCheckpointRestore:
         assert_results_identical(refined, cold)
         assert refined.samples_reused == session.num_samples
 
+    @staticmethod
+    def with_options(snap, **options):
+        """Rewrite ``snap`` with ``options`` added to its recorded options."""
+        meta, arrays = read_snapshot(snap)
+        write_snapshot(snap, {**meta, "options": {**meta["options"], **options}}, arrays)
+
+    def test_the_retired_options_at_their_only_value_restore(self, example_graph, tmp_path):
+        """Snapshots written while ``KadabraOptions`` had ``epoch_exponent`` and
+        ``use_bidirectional_bfs`` record both; every run used 1.33 and true."""
+        session = open_session(example_graph, seed=42)
+        session.run(0.05, 0.1)
+        snap = tmp_path / "run.snap"
+        session.checkpoint(snap)
+        self.with_options(snap, epoch_exponent=1.33, use_bidirectional_bfs=True)
+
+        refined = EstimationSession.restore(snap, graph=example_graph).refine(0.025)
+        assert_results_identical(refined, open_session(example_graph, seed=42).run(0.025, 0.1))
+
+    @pytest.mark.parametrize("key, value", [("use_bidirectional_bfs", False), ("epoch_exponent", 2.0)])
+    def test_a_retired_option_at_another_value_is_refused(self, example_graph, tmp_path, key, value):
+        session = open_session(example_graph, seed=42)
+        session.run(0.1, 0.1)
+        snap = tmp_path / "run.snap"
+        session.checkpoint(snap)
+        self.with_options(snap, **{key: value})
+        with pytest.raises(SnapshotError, match=key):
+            EstimationSession.restore(snap, graph=example_graph)
+
     def test_roundtrip_keeps_the_forced_kernel(self, example_graph, tmp_path):
         """restore rebuilds the sampler the run used, not the routed one.
 
