@@ -20,7 +20,8 @@
    workers are torn down and — when a checkpoint exists and restarts
    remain — the whole world is forked again with ``resume`` set, continuing
    from the last persisted epoch boundary with zero lost aggregated samples;
-4. receives rank 0's merged result over a pipe, writes it to ``result_path``
+4. receives rank 0's merged result over a pipe, grown (on Linux, when it
+   may) to hold the scores at once, writes it to ``result_path``
    and returns it with the restart count.  However it ends, no rank outlives the call.
 
 Fault-injection (``fault_rank``) sets :data:`~repro.dist.driver.FAULT_RANK_ENV`
@@ -30,6 +31,7 @@ see it, mirroring a real transient fault.
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing
 import os
 import socket
@@ -43,6 +45,7 @@ from repro.dist.driver import (
     FAULT_RANK_ENV, RUN_FIELDS, DistWorkerConfig, receive_result, run_worker, write_result,
 )
 from repro.dist.socketcomm import bind_listener, fork_rank, reap
+from repro.store.format import read_header
 from repro.store.partition import partition_rcsr
 
 __all__ = ["LaunchError", "pick_free_port", "launch_local"]
@@ -62,6 +65,21 @@ def pick_free_port(host: str = "127.0.0.1") -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
         probe.bind((host, 0))
         return probe.getsockname()[1]
+
+
+def _grow_pipe(writer, graph_path: Path) -> None:
+    """Size the hand-off pipe to the scores plus room for the header, so rank 0
+    writes its result without waiting for the launcher to drain 64 KiB chunks.
+
+    Best effort: capped by ``/proc/sys/fs/pipe-max-size``, Linux only, and any
+    failure keeps the default size.
+    """
+    try:
+        want = 8 * read_header(graph_path).num_vertices + (1 << 16)
+        cap = int(Path("/proc/sys/fs/pipe-max-size").read_text())
+        fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, min(want, cap))
+    except (OSError, ValueError, AttributeError):
+        pass
 
 
 def _rank_process(config: DistWorkerConfig, listener: socket.socket, reader, writer, fault: bool) -> None:
@@ -127,6 +145,7 @@ def launch_local(
         world_port = listener.getsockname()[1]
         configs = [replace(base, rank=rank, port=world_port, resume=resume) for rank in range(processes)]
         reader, writer = multiprocessing.Pipe(duplex=False)
+        _grow_pipe(writer, graph_path)
         procs = []
         result = failed_rank = None
         try:

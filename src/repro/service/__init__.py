@@ -32,7 +32,7 @@ sampling.  The pieces:
 See ``docs/serving.md`` for the HTTP API and the reuse semantics.
 """
 
-from repro.service.cache import CacheEntry, ResultCache
+from repro.service.cache import CacheEntry, CachedAnswer, HotTier, ResultCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.dominance import (
     HIT,
@@ -44,7 +44,6 @@ from repro.service.dominance import (
     dominates,
     select_dominating,
 )
-from repro.service.cache import HotTier
 from repro.service.jobs import Job, JobManager, SubmitOutcome, TenantQuota
 from repro.service.schema import DEFAULT_TENANT, QueryRequest, SchemaError, result_payload
 from repro.service.server import BetweennessService, run_server
@@ -54,6 +53,7 @@ from repro.service.worker import StoreWorker
 __all__ = [
     "BetweennessService",
     "CacheEntry",
+    "CachedAnswer",
     "DEFAULT_TENANT",
     "HotTier",
     "Job",

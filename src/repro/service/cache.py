@@ -39,7 +39,7 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.result import BetweennessResult
 from repro.service.dominance import (
@@ -53,7 +53,7 @@ from repro.service.schema import QueryRequest
 from repro.store.catalog import default_result_cache_dir
 from repro.store.format import atomic_replace
 
-__all__ = ["CacheEntry", "HotTier", "ResultCache"]
+__all__ = ["CacheEntry", "CachedAnswer", "HotTier", "ResultCache"]
 
 PathLike = Union[str, Path]
 
@@ -64,6 +64,9 @@ _CACHE_VERSION = 1
 #: disables the tier).
 DEFAULT_HOT_ENTRIES = 256
 DEFAULT_HOT_TTL_SECONDS = 60.0
+
+#: Response bytes one answer keeps: a client cycling through large ``k`` cannot pin memory.
+SLOT_BODY_BYTES = 1 << 18
 
 
 def _env_float(name: str, default: float) -> float:
@@ -96,7 +99,8 @@ class HotTier:
       other processes (workers!) write, for a full TTL.
 
     Thread-safe; shared results are returned by reference and must be
-    treated as read-only (every consumer in the service tier does).
+    treated as read-only (every consumer in the service tier does).  A value
+    (:class:`CachedAnswer`) takes its encoded response bodies along when dropped.
     """
 
     def __init__(
@@ -114,6 +118,7 @@ class HotTier:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.encoded_bodies = 0
 
     @property
     def enabled(self) -> bool:
@@ -149,11 +154,7 @@ class HotTier:
     def invalidate(self, checksum: Optional[str] = None) -> None:
         """Drop entries of one graph checksum (key[0]), or everything."""
         with self._lock:
-            if checksum is None:
-                self.evictions += len(self._entries)
-                self._entries.clear()
-                return
-            stale = [key for key in self._entries if key[0] == checksum]
+            stale = [key for key in self._entries if checksum in (None, key[0])]
             for key in stale:
                 del self._entries[key]
             self.evictions += len(stale)
@@ -167,7 +168,29 @@ class HotTier:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "encoded_bodies": self.encoded_bodies,
             }
+
+
+class CachedAnswer(tuple):
+    """``(entry, result)`` as :meth:`ResultCache.find` returns it and a hot slot holds
+    it, plus its cache-hit response bodies by ``k`` (up to :data:`SLOT_BODY_BYTES`)."""
+
+    def __new__(cls, entry: CacheEntry, result: BetweennessResult, tier: HotTier):
+        answer = super().__new__(cls, (entry, result))
+        answer.tier, answer.bodies = tier, {}
+        return answer
+
+    def body(self, k: int, build: Callable[[], bytes]) -> bytes:
+        """The body ``build()`` encodes for ``k``, built by the first hit for ``k``."""
+        body = self.bodies.get(k)
+        if body is None:
+            body = build()
+            with self.tier._lock:  # threads sharing the answer: count and keep atomically
+                self.tier.encoded_bodies += 1
+                if sum(map(len, self.bodies.values())) + len(body) <= SLOT_BODY_BYTES:
+                    self.bodies[k] = body
+        return body
 
 
 @dataclass(frozen=True)
@@ -237,10 +260,6 @@ class ResultCache:
     @property
     def cache_dir(self) -> Path:
         return self._cache_dir
-
-    def hot_stats(self) -> Dict[str, object]:
-        """Hit/miss/occupancy counters of the in-memory hot tier."""
-        return self.hot.stats()
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -378,14 +397,14 @@ class ResultCache:
 
     def find_hot(
         self, checksum: str, *, family: str, eps: float, delta: float
-    ) -> Optional[Tuple[CacheEntry, BetweennessResult]]:
+    ) -> Optional[CachedAnswer]:
         """:meth:`find`'s answer from the in-memory :class:`HotTier` alone
         (keyed by the request tuple), or ``None``; never touches the disk."""
         return self.hot.get(_hot_key(checksum, family, eps, delta))
 
     def find(
         self, checksum: str, *, family: str, eps: float, delta: float, hot: bool = True
-    ) -> Optional[Tuple[CacheEntry, BetweennessResult]]:
+    ) -> Optional[CachedAnswer]:
         """The best cached result dominating ``(family, eps, delta)``, or None.
 
         Consults :meth:`find_hot` first (unless the caller just did: ``hot``
@@ -404,7 +423,7 @@ class ResultCache:
                 return None
             entry = candidates.pop(index)
             try:
-                found = entry, self.load(entry)
+                found = CachedAnswer(entry, self.load(entry), self.hot)
             except (OSError, ValueError, KeyError):
                 continue
             self.hot.put(_hot_key(checksum, family, eps, delta), found)

@@ -10,6 +10,8 @@ Connections persist: each thread using a :class:`ServiceClient` gets its own
 HTTP/1.1 connection, opened by its first request and reused by the next ones.
 Opening one closes those of threads that have finished;
 :meth:`ServiceClient.close` (or leaving a ``with`` block) closes them all.
+A request leaves in one write (``HTTPConnection.request`` makes two, waking
+the server twice); ``http.client.HTTPResponse`` reads the answer.
 """
 
 from __future__ import annotations
@@ -78,23 +80,31 @@ class ServiceClient:
                 old.close()
         return conn
 
-    def _exchange(
-        self, method: str, path: str, body: Optional[str] = None, headers=None
-    ) -> Tuple[int, bytes]:
+    def _exchange(self, method: str, path: str, body: Optional[bytes] = None) -> Tuple[int, bytes]:
         """One HTTP exchange on this thread's connection: ``(status, raw body)``."""
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        message = (head + "\r\n").encode("latin-1") + (body or b"")
         while True:
             conn = self._connection()
             reused = conn.sock is not None
             try:
                 try:
-                    conn.request(method, path, body=body, headers=headers or {})
-                    response = conn.getresponse()
+                    if not reused:
+                        conn.connect()  # sets TCP_NODELAY
+                    conn.sock.sendall(message)
+                    response = http.client.HTTPResponse(conn.sock, method=method)
+                    response.begin()
                 except ConnectionError:
                     conn.close()
                     if reused:
                         continue  # a stale connection: no response byte arrived
                     raise
-                return response.status, response.read()
+                raw = response.read()
+                if response.will_close:
+                    conn.close()
+                return response.status, raw
             except (OSError, http.client.HTTPException) as exc:
                 conn.close()
                 raise ServiceError(
@@ -105,12 +115,8 @@ class ServiceClient:
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> Dict[str, object]:
         """One HTTP exchange; returns the decoded JSON body."""
-        body = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            body = json.dumps(payload)
-            headers["Content-Type"] = "application/json"
-        status, raw = self._exchange(method, path, body, headers)
+        body = None if payload is None else json.dumps(payload).encode()
+        status, raw = self._exchange(method, path, body)
         try:
             decoded = json.loads(raw) if raw else {}
         except json.JSONDecodeError:

@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.result import BetweennessResult
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.service.cache import CacheEntry, ResultCache
+from repro.service.cache import CachedAnswer, ResultCache
 from repro.service.dominance import algorithm_family
 from repro.service.schema import QueryRequest
 from repro.service.store import (
@@ -178,8 +178,8 @@ class SubmitOutcome:
     job: Optional[Job] = None
     #: The job row's status when the request joined it (a worker may be done by now).
     status: Optional[str] = None
-    result: Optional[BetweennessResult] = None
-    cache_entry: Optional[CacheEntry] = None
+    #: A cache hit's ``(entry, result)``, with its encoded response bodies.
+    answer: Optional[CachedAnswer] = None
 
 
 class JobManager:
@@ -377,7 +377,7 @@ class JobManager:
         for tenant, states in live.items():
             self._tenant_live_gauge.labels(tenant=tenant).set(sum(states.values()))
         self._tenants_seen.update(live)
-        hot = self.cache.hot_stats()
+        hot = self.cache.hot.stats()
         for key, counter in self._hot_counters.items():
             delta = int(hot[key]) - self._hot_seen[key]
             if delta > 0:
@@ -458,14 +458,8 @@ class JobManager:
                 None, self._probe, request, resolved
             )
         if hit is not None:
-            entry, result = hit
             self._count("cache_hits")
-            return SubmitOutcome(
-                checksum=checksum,
-                served_from_cache=True,
-                result=result,
-                cache_entry=entry,
-            )
+            return SubmitOutcome(checksum=checksum, served_from_cache=True, answer=hit)
         self._count("cache_misses")
 
         # The dedup decision, the quota check and the store insertion below
@@ -492,7 +486,7 @@ class JobManager:
             kwargs["refined_from"] = entry.key
             kwargs["resume_from"] = str(snapshot_path)
         elif update is not None:
-            parent_checksum, _entry, snapshot_path, delta_payload = update
+            parent_checksum, snapshot_path, delta_payload = update
             kwargs["updated_from"] = parent_checksum
             kwargs["update_from"] = snapshot_path
             kwargs["graph_delta"] = delta_payload
@@ -539,10 +533,10 @@ class JobManager:
     # ------------------------------------------------------------------ #
     def _find_update(
         self, checksum: str, request: QueryRequest
-    ) -> Optional[Tuple[str, CacheEntry, str, dict]]:
+    ) -> Optional[Tuple[str, str, dict]]:
         """Blocking: lineage probe + parent-cache scan for an update source.
 
-        Returns ``(parent_checksum, entry, snapshot_path, delta_payload)``
+        Returns ``(parent_checksum, snapshot_path, delta_payload)``
         when the requested graph descends from a cached parent whose entry is
         update-refinable (adaptive family, matching seed, checkpoint with a
         sample log), else ``None`` — a missing or malformed lineage record
@@ -561,8 +555,7 @@ class JobManager:
         )
         if found is None:
             return None
-        entry, snapshot_path = found
-        return parent_checksum, entry, str(snapshot_path), graph_delta.as_dict()
+        return parent_checksum, str(found[1]), graph_delta.as_dict()
 
     def start_workers(self) -> None:
         """Start the local workers once (none under external dispatch).  The
@@ -723,7 +716,7 @@ class JobManager:
             "store": self.store.counts(),
             "tenants": self.store.tenant_counts(),
             "quota": self._quota.as_dict(),
-            "hot_cache": self.cache.hot_stats(),
+            "hot_cache": self.cache.hot.stats(),
         }
 
     def close(self) -> None:

@@ -100,13 +100,13 @@ class _HttpError(Exception):
         self.message = message
 
 
-class _PlainText:
-    """A non-JSON response payload (``/metrics`` is the only producer)."""
+class _Encoded:
+    """A response body already encoded: ``/metrics`` text, a cache hit's JSON."""
 
-    __slots__ = ("text", "content_type")
+    __slots__ = ("body", "content_type")
 
-    def __init__(self, text: str, content_type: str) -> None:
-        self.text = text
+    def __init__(self, body: bytes, content_type: str = "application/json") -> None:
+        self.body = body
         self.content_type = content_type
 
 
@@ -294,19 +294,15 @@ class BetweennessService:
         except Exception as exc:  # noqa: BLE001 - never kill the acceptor
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         keep_alive = keep_alive and status < 400
-        if isinstance(payload, _PlainText):
-            body = payload.text.encode()
-            content_type = payload.content_type
-        else:
-            body = json.dumps(payload).encode()
-            content_type = "application/json"
+        if not isinstance(payload, _Encoded):
+            payload = _Encoded(json.dumps(payload).encode())
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
+            f"Content-Type: {payload.content_type}\r\n"
+            f"Content-Length: {len(payload.body)}\r\n"
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         ).encode()
-        writer.write(head + body)
+        writer.write(head + payload.body)
         await writer.drain()
         if status >= 400:
             await self._linger(reader, writer)
@@ -384,7 +380,7 @@ class BetweennessService:
 
     async def _handle_request(
         self, method: str, target: str, body: bytes
-    ) -> Tuple[int, Union[dict, _PlainText]]:
+    ) -> Tuple[int, Union[dict, _Encoded]]:
         path, _, query = target.partition("?")
         method = method.upper()
         # Per-endpoint request metrics.  Timing starts after the request is
@@ -426,7 +422,7 @@ class BetweennessService:
     # ------------------------------------------------------------------ #
     async def _route(
         self, method: str, path: str, body: bytes, query: str = ""
-    ) -> Tuple[int, Union[dict, _PlainText]]:
+    ) -> Tuple[int, Union[dict, _Encoded]]:
         if path == "/healthz" and method == "GET":
             from repro import __version__
 
@@ -469,7 +465,7 @@ class BetweennessService:
             # sampled right before the render, not kept live.
             self.jobs.refresh_metrics()
             text = render_metrics(self.jobs.metrics, obs_metrics.REGISTRY)
-            return 200, _PlainText(text, _PROMETHEUS_CONTENT_TYPE)
+            return 200, _Encoded(text.encode(), _PROMETHEUS_CONTENT_TYPE)
         raise _HttpError(404, f"no route for {method} {path}")
 
     @staticmethod
@@ -486,7 +482,7 @@ class BetweennessService:
             ]
         }
 
-    async def _query(self, payload: dict) -> Tuple[int, dict]:
+    async def _query(self, payload: dict) -> Tuple[int, Union[dict, _Encoded]]:
         try:
             request = QueryRequest.from_dict(payload)
         except SchemaError as exc:
@@ -503,19 +499,22 @@ class BetweennessService:
             raise _HttpError(400, f"{type(exc).__name__}: {exc}") from None
 
         if outcome.served_from_cache:
-            entry = outcome.cache_entry
-            return 200, {
-                "status": "done",
-                "served_from_cache": True,
-                "graph_checksum": outcome.checksum,
-                "cache_entry": entry.key if entry is not None else None,
-                "cached_eps": entry.eps if entry is not None else None,
-                "cached_delta": entry.delta if entry is not None else None,
-                "job_id": None,
-                "result": result_payload(
-                    outcome.result, request.k, include_scores=request.include_scores
-                ),
-            }
+            (entry, result), k, scores = outcome.answer, request.k, request.include_scores
+
+            def build() -> bytes:
+                return json.dumps({
+                    "status": "done",
+                    "served_from_cache": True,
+                    "graph_checksum": outcome.checksum,
+                    "cache_entry": entry.key,
+                    "cached_eps": entry.eps,
+                    "cached_delta": entry.delta,
+                    "job_id": None,
+                    "result": result_payload(result, k, include_scores=scores),
+                }).encode()
+
+            # The answer keeps the body for its next hit, unless it carries the scores.
+            return 200, _Encoded(build() if scores else outcome.answer.body(k, build))
 
         job = outcome.job
         if not request.wait:

@@ -113,6 +113,8 @@ CREATE UNIQUE INDEX IF NOT EXISTS jobs_live_key
     ON jobs(key) WHERE state IN ('queued', 'running');
 CREATE INDEX IF NOT EXISTS jobs_state ON jobs(state, created_at, id);
 CREATE INDEX IF NOT EXISTS jobs_tenant ON jobs(tenant, state);
+CREATE INDEX IF NOT EXISTS jobs_finished ON jobs(finished_at, id)
+    WHERE state IN ('done', 'failed', 'cancelled');
 CREATE TABLE IF NOT EXISTS doorbells (
     host TEXT NOT NULL,
     port INTEGER NOT NULL,
@@ -692,13 +694,14 @@ class JobStore:
         """Drop all but the newest ``keep`` finished rows; returns how many.
 
         Finished rows carry full result JSON, so an immortal store would grow
-        without bound.
+        without bound.  Both statements walk the ``jobs_finished`` index alone
+        up to the newest row past ``keep``, then delete from it down.
         """
-        cursor = self._conn().execute(
-            "DELETE FROM jobs WHERE state IN ('done','failed','cancelled')"
-            " AND id NOT IN (SELECT id FROM jobs"
-            "   WHERE state IN ('done','failed','cancelled')"
-            "   ORDER BY finished_at DESC, id DESC LIMIT ?)",
+        finished = "FROM jobs INDEXED BY jobs_finished WHERE state IN ('done', 'failed', 'cancelled')"
+        edge = self._conn().execute(
+            f"SELECT finished_at, id {finished} ORDER BY finished_at DESC, id DESC LIMIT 1 OFFSET ?",
             (int(keep),),
-        )
-        return cursor.rowcount
+        ).fetchone()
+        if edge is None:
+            return 0
+        return self._conn().execute(f"DELETE {finished} AND (finished_at, id) <= (?, ?)", edge).rowcount

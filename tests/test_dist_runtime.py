@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.dist.driver as driver
+import repro.dist.launcher as launcher
 from repro.baselines import brandes_betweenness
 from repro.cli import main as cli_main
 from repro.core.options import KadabraOptions
@@ -528,6 +529,43 @@ class TestWriteResult:
         listed = write_result(tmp_path / "r.json", {"scores": np.array([0.5, 0.0, 0.5, 0.0, 0.5])})
         assert listed == [0.5, 0.0, 0.5, 0.0, 0.5]
         assert len({id(score) for score in listed}) == 2
+
+
+class TestHandOffPipe:
+    """The launcher grows rank 0's hand-off pipe to hold the scores, best effort."""
+
+    @staticmethod
+    def pipe_size(rcsr) -> int:
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("pipe sizes are Linux only")
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        try:
+            launcher._grow_pipe(writer, rcsr)
+            return fcntl.fcntl(writer.fileno(), fcntl.F_GETPIPE_SZ)
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_grown_to_the_scores(self, tmp_path):
+        rcsr = tmp_path / "g.rcsr"
+        write_rcsr(CSRGraph.empty(40_000), rcsr)
+        cap = int(Path("/proc/sys/fs/pipe-max-size").read_text())
+        assert self.pipe_size(rcsr) >= min(8 * 40_000, cap)
+
+    def test_a_refused_resize_keeps_the_default(self, tmp_path, monkeypatch):
+        untouched = self.pipe_size(tmp_path / "missing.rcsr")  # no header to size by
+        rcsr = tmp_path / "g.rcsr"
+        write_rcsr(CSRGraph.empty(40_000), rcsr)
+        fcntl = launcher.fcntl.fcntl
+
+        def refusing(fd, command, *args):
+            if command == launcher.fcntl.F_SETPIPE_SZ:
+                raise PermissionError("over the user's pipe quota")
+            return fcntl(fd, command, *args)
+
+        monkeypatch.setattr(launcher.fcntl, "fcntl", refusing)
+        assert self.pipe_size(rcsr) == untouched
 
 
 class TestReceiveResult:

@@ -457,10 +457,10 @@ class TestHotTier:
         probe = dict(family="adaptive-sampling", eps=0.1, delta=0.2)
         first = cache.find("crc32:aa", **probe)
         assert first is not None
-        assert cache.hot_stats()["misses"] == 1  # cold: served from disk
+        assert cache.hot.stats()["misses"] == 1  # cold: served from disk
         second = cache.find("crc32:aa", **probe)
         assert second is not None
-        assert cache.hot_stats()["hits"] == 1
+        assert cache.hot.stats()["hits"] == 1
         assert second[0].key == first[0].key
         # A write to the same graph must eagerly drop its hot entries: the
         # next lookup may now be dominated by the fresh tighter result.
@@ -468,7 +468,7 @@ class TestHotTier:
                   QueryRequest(graph="g", eps=0.01, delta=0.05,
                                algorithm="sequential", seed=2),
                   make_result(eps=0.01, delta=0.05))
-        assert cache.hot_stats()["entries"] == 0
+        assert cache.hot.stats()["entries"] == 0
 
 
 class TestCacheRaces:
@@ -628,7 +628,7 @@ class TestJobManager:
         loose = asyncio.run(scenario())
         manager.close()
         assert loose.served_from_cache is True
-        assert loose.cache_entry.eps == 0.05
+        assert loose.answer[0].eps == 0.05
         assert estimator.num_calls == 1
 
     def test_changed_graph_is_a_cache_miss(self, tmp_path):

@@ -286,6 +286,32 @@ class TestJobStore:
         assert {r.key for r in finished} == {"k3", "k4"}  # newest survive
         assert store.get_by_rowid(live.id).state == "queued"
 
+    def test_prune_finished_is_exact_past_a_thousand_rows(self, store, clock):
+        """Done, failed and cancelled rows share one retention order: newest
+        ``finished_at`` first, equal stamps broken by the newer id."""
+        for i in range(1_010):
+            record, _ = fake_job(store, key=f"k{i}")
+            if i % 7 == 0:
+                store.cancel(record.id)
+            else:
+                store.claim("w")
+                if i % 5 == 0:
+                    store.fail(record.id, "w", "boom")
+                else:
+                    store.complete(record.id, "w", "{}")
+            if i % 2:
+                clock.advance(1.0)  # pairs of rows share a finished_at
+        live, _ = fake_job(store, key="live")
+        finished = [r for r in store.list() if r.state != "queued"]
+        newest = sorted(finished, key=lambda r: (r.finished_at, r.id))[-1_001:]
+        assert store.prune_finished(keep=1_001) == 9
+        assert store.prune_finished(keep=1_001) == 0
+        kept = [r for r in store.list() if r.state != "queued"]
+        assert [r.id for r in kept] == sorted(r.id for r in newest)
+        assert store.get_by_rowid(live.id).state == "queued"
+        assert store.prune_finished(keep=0) == 1_001
+        assert store.counts()["queued"] == 1
+
     def test_store_from_the_first_schema_gains_progress_columns(self, tmp_path):
         """A store file created before the progress columns existed: opening
         it adds them, keeps every existing value, and its row runs to done."""

@@ -16,6 +16,10 @@ the rules that keep them correct:
 * **A stat-checked resolve.**  A repeated graph spec is answered from the
   catalog's memo, and every kind of change to its files gives today's
   answer, never the remembered one.
+* **Warm bodies.**  A cache hit's response is encoded once per hot slot and
+  ``k`` and is byte for byte the JSON of the response dict; whatever drops
+  the slot (a settle, an eviction, the TTL) drops the body with it.  The
+  client sends each request in one write on a ``TCP_NODELAY`` socket.
 
 Plus the worker's artifacts: the checkpoint is moved (not copied) into the
 cache and the result JSON is built once.
@@ -24,6 +28,7 @@ cache and the result JSON is built once.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import socket
 import threading
@@ -35,6 +40,7 @@ import pytest
 from repro.core.result import BetweennessResult
 from repro.service import (
     BetweennessService,
+    HotTier,
     JobManager,
     QueryRequest,
     ResultCache,
@@ -42,6 +48,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.service import server as server_module
+from repro.service.schema import result_payload
 from repro.store import GraphCatalog
 from repro.store import catalog as catalog_module
 from repro.store import read_header, write_rcsr
@@ -297,6 +304,48 @@ class TestPersistentConnections:
                 conn.close()
         assert len(accepted) == 1
 
+    def test_a_request_is_one_write_on_a_nodelay_socket(self, running, tmp_path, monkeypatch):
+        graph = write_graph(tmp_path / "g.txt")
+        writes, sockets = [], []
+        create_connection = socket.create_connection
+
+        class Recording:
+            """A socket that records each call that writes to it."""
+
+            def __init__(self, sock):
+                self._sock = sock
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+            def send(self, data, *args):
+                writes.append(bytes(data))
+                return self._sock.send(data, *args)
+
+            def sendall(self, data, *args):
+                writes.append(bytes(data))
+                return self._sock.sendall(data, *args)
+
+        def recording(*args, **kwargs):
+            sockets.append(create_connection(*args, **kwargs))
+            return Recording(sockets[-1])
+
+        monkeypatch.setattr(socket, "create_connection", recording)
+        with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
+            for _ in range(3):
+                client.query(graph=str(graph), eps=0.1, seed=1)
+            client.health()
+            assert len(sockets) == 1
+            assert sockets[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        assert len(writes) == 4  # one per request, head and body together
+        for write in writes[:3]:
+            head, _, body = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"POST /v1/query HTTP/1.1\r\n")
+            assert json.loads(body)["graph"] == str(graph)
+            assert b"Content-Length: %d" % len(body) in head
+        assert writes[3].startswith(b"GET /healthz HTTP/1.1\r\n")
+        assert writes[3].endswith(b"\r\n\r\n")
+
 
 class TestConnectionClose:
     def test_connection_close_request_gets_close_and_eof(self, running):
@@ -337,6 +386,160 @@ class TestConnectionClose:
         assert b"\r\nConnection: close\r\n" in response
         with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
             assert client.health()["ok"] is True
+
+
+# --------------------------------------------------------------------- #
+# Warm bodies: a hit's encoded response, kept in its hot slot
+# --------------------------------------------------------------------- #
+class TestWarmBodies:
+    @pytest.fixture()
+    def clock(self, running):
+        """Drive the service's hot tier by hand: TTL 10 s."""
+        now = {"now": 0.0}
+        running.service.jobs.cache.hot = HotTier(8, 10.0, clock=lambda: now["now"])
+        return now
+
+    @staticmethod
+    def ask(client, graph, *, k=5, include_scores=False, **accuracy):
+        """A query's raw response body (it must be a cache hit unless ``wait``)."""
+        payload = {"graph": str(graph), "k": k, "include_scores": include_scores, **accuracy}
+        status, body = client._exchange("POST", "/v1/query", json.dumps(payload).encode())
+        assert status == 200, body
+        return body
+
+    @staticmethod
+    def expected(running, checksum, entry_eps, k, include_scores):
+        """``json.dumps`` of the response dict a cache hit on the entry at ``entry_eps`` had."""
+        cache = ResultCache(running.service.jobs.cache.cache_dir, hot_entries=0)
+        entry = next(e for e in cache.entries(checksum) if e.eps == entry_eps)
+        return json.dumps({
+            "status": "done",
+            "served_from_cache": True,
+            "graph_checksum": checksum,
+            "cache_entry": entry.key,
+            "cached_eps": entry.eps,
+            "cached_delta": entry.delta,
+            "job_id": None,
+            "result": result_payload(cache.load(entry), k, include_scores=include_scores),
+        }).encode()
+
+    def encoded(self, running):
+        return running.service.jobs.cache.hot.stats()["encoded_bodies"]
+
+    def test_hit_bytes_are_the_response_json(self, running, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
+            cold = json.loads(self.ask(client, graph, eps=0.1, seed=1, wait=True))
+            assert cold["served_from_cache"] is False
+            checksum = cold["graph_checksum"]
+            for k in (0, 5, 5 + 3):
+                for include_scores in (False, True):
+                    expected = self.expected(running, checksum, 0.1, k, include_scores)
+                    for _ in range(2):  # the first hit encodes, the second reads the slot
+                        body = self.ask(client, graph, k=k, include_scores=include_scores, eps=0.1)
+                        assert body == expected
+        # One encode per slot and k; bodies with the scores are never kept.
+        assert self.encoded(running) == 3
+        ((_stamp, answer),) = running.service.jobs.cache.hot._entries.values()
+        assert sorted(answer.bodies) == [0, 5, 8]
+
+    def test_primed_and_dominated_queries_each_get_their_entry(self, running, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
+            checksum = json.loads(self.ask(client, graph, eps=0.05, seed=1, wait=True))["graph_checksum"]
+            self.ask(client, graph, eps=0.1, delta=0.05, seed=2, wait=True)
+            for _ in range(3):
+                primed = self.ask(client, graph, eps=0.05, seed=1)
+                dominated = self.ask(client, graph, eps=0.2, delta=0.3)
+                assert primed == self.expected(running, checksum, 0.05, 5, False)
+                assert dominated == self.expected(running, checksum, 0.1, 5, False)
+        assert self.encoded(running) == 2
+
+    def test_a_settle_drops_the_body_with_its_answer(self, running, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
+            checksum = json.loads(self.ask(client, graph, eps=0.05, seed=1, wait=True))["graph_checksum"]
+            loose = dict(eps=0.3, delta=0.5)
+            assert self.ask(client, graph, **loose) == self.expected(running, checksum, 0.05, 5, False)
+            # Not dominated by the first entry (its delta 0.1 is too loose), and
+            # looser in eps: once settled, it wins for the loose query.
+            self.ask(client, graph, eps=0.3, delta=0.05, seed=2, wait=True)
+            assert self.ask(client, graph, **loose) == self.expected(running, checksum, 0.3, 5, False)
+        assert self.encoded(running) == 2
+
+    def test_an_eviction_drops_the_body_with_its_answer(self, running, tmp_path):
+        graph = write_graph(tmp_path / "g.txt")
+        with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
+            checksum = json.loads(self.ask(client, graph, eps=0.05, seed=1, wait=True))["graph_checksum"]
+            self.ask(client, graph, eps=0.3, delta=0.05, seed=2, wait=True)
+            loose = dict(eps=0.3, delta=0.5)
+            assert self.ask(client, graph, **loose) == self.expected(running, checksum, 0.3, 5, False)
+            expected = self.expected(running, checksum, 0.05, 5, False)
+            key = next(e.key for e in running.service.jobs.cache.entries(checksum) if e.eps == 0.3)
+            assert client.cache_evict(checksum, key=key) == {"evicted": 1}
+            assert self.ask(client, graph, **loose) == expected
+
+    def test_an_expired_slot_drops_the_body_with_its_answer(self, running, tmp_path, clock):
+        graph = write_graph(tmp_path / "g.txt")
+        with ServiceClient(running.service.host, running.port, timeout=30.0) as client:
+            checksum = json.loads(self.ask(client, graph, eps=0.05, seed=1, wait=True))["graph_checksum"]
+            loose = dict(eps=0.3, delta=0.5)
+            first = self.expected(running, checksum, 0.05, 5, False)
+            assert self.ask(client, graph, **loose) == first
+            # Another process writes an entry that wins for the loose query:
+            # this process's slot (and its body) stays until the TTL ends.
+            other = ResultCache(running.service.jobs.cache.cache_dir)
+            request = QueryRequest(graph=str(graph), eps=0.3, delta=0.05, seed=2)
+            other.put(checksum, request, fake_estimator(None, eps=0.3, delta=0.05))
+            clock["now"] = 5.0
+            assert self.ask(client, graph, **loose) == first
+            clock["now"] = 11.0
+            assert self.ask(client, graph, **loose) == self.expected(running, checksum, 0.3, 5, False)
+        assert self.encoded(running) == 2
+
+    def test_a_body_past_the_slot_budget_is_not_kept(self, tmp_path, monkeypatch):
+        from repro.service import cache as cache_module
+
+        cache = ResultCache(tmp_path / "results")
+        cache.put("crc32:aa", QueryRequest(graph="g", eps=0.1), fake_estimator(None, eps=0.1, delta=0.1))
+        answer = cache.find("crc32:aa", family="adaptive-sampling", eps=0.1, delta=0.1)
+        monkeypatch.setattr(cache_module, "SLOT_BODY_BYTES", 10)
+        assert answer.body(1, lambda: b"0123456789") == b"0123456789"
+        assert answer.body(2, lambda: b"x") == b"x"  # over the budget: built per call
+        assert answer.body(2, lambda: b"y") == b"y"
+        assert answer.bodies == {1: b"0123456789"}
+        assert cache.hot.stats()["encoded_bodies"] == 3
+
+    def test_threads_sharing_an_answer_count_every_encode(self, tmp_path):
+        import sys
+
+        cache = ResultCache(tmp_path / "results")
+        cache.put("crc32:aa", QueryRequest(graph="g", eps=0.1), fake_estimator(None, eps=0.1, delta=0.1))
+        answer = cache.find("crc32:aa", family="adaptive-sampling", eps=0.1, delta=0.1)
+        builds, lock = [], threading.Lock()
+
+        def build(k):
+            with lock:
+                builds.append(k)
+            return b"%d" % k
+
+        def work():
+            for k in range(300):
+                assert answer.body(k, lambda: build(k)) == b"%d" % k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answer.bodies) == list(range(300))
+        assert cache.hot.stats()["encoded_bodies"] == len(builds) >= 300
 
 
 # --------------------------------------------------------------------- #
@@ -404,7 +607,7 @@ class TestWarmQueriesOnTheLoop:
         checksum, hits = self.drive(manager, scenario)
         assert [(outcome.served_from_cache, hops) for outcome, hops in hits] == [(True, 0)] * 3
         assert all(outcome.checksum == checksum for outcome, _ in hits)
-        assert hits[0][0].result.num_samples == 40
+        assert hits[0][0].answer[1].num_samples == 40
         counters = manager.counters
         assert counters["loop_hits"] == 3 and counters["cache_hits"] == 4
         assert counters["queries"] == 5 and counters["cache_misses"] == 1
@@ -453,7 +656,7 @@ class TestWarmQueriesOnTheLoop:
         (expired, hops), (again, again_hops) = self.drive(manager, scenario)
         assert expired.served_from_cache and hops == 1  # from the disk, in the hop
         assert again.served_from_cache and again_hops == 0
-        assert expired.result.num_samples == again.result.num_samples == 40
+        assert expired.answer[1].num_samples == again.answer[1].num_samples == 40
 
     def test_an_evicted_cache(self, manager, tmp_path):
         graph = write_graph(tmp_path / "g.txt")
