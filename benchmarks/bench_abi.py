@@ -13,7 +13,7 @@ kernel has since got 1.3-1.7x faster on this graph (the shared level step,
 move, which takes the ratio to ~1.6 without the wavefront being any worse.  So
 the floor is now on the wavefront's own rate, in units of a yardstick no
 kernel change touches — the pre-kernel scalar pipeline of
-``bench_kernels.py`` (``sampling/_reference.py``): at least **2.5x** (3.0-4.3x
+``bench_kernels.py`` (``tests/reference_samplers.py``): at least **2.5x** (3.0-4.3x
 measured over six runs at the commit that set it, on both sides of the
 per-pair change; the old gate had the same headroom).  The ratio over the
 per-pair kernel is still reported.
@@ -61,16 +61,14 @@ def _load_rmat_graph():
     return rmat_graph(RMAT_SCALE, RMAT_EDGE_FACTOR, seed=42)
 
 
-def _samples_per_sec(
-    graph, kernel: str, num_samples: int, *, pair_strategy: str = "interleaved", seed: int = 1
-) -> float:
+def _samples_per_sec(graph, kernel: str, num_samples: int, *, seed: int = 1) -> float:
     """Samples/sec of one registered kernel through the batch pipeline.
 
-    The per-pair reference runs with the interleaved pair strategy — the
-    stream-compatible driving every adaptive driver uses — so the ratio is
-    the speedup a caller actually gains by opting into the wavefront.
+    The per-pair kernel draws each pair right before its search, as every
+    driver does, so the ratio is the speedup a caller actually gains by
+    opting into the wavefront.
     """
-    sampler = BatchPathSampler(graph, pair_strategy=pair_strategy, kernel=kernel)
+    sampler = BatchPathSampler(graph, kernel=kernel)
     rng = np.random.default_rng(seed)
     frame = StateFrame.zeros(graph.num_vertices)
     sampler.sample_batch(BATCH_SIZE, rng)  # warm-up
@@ -123,7 +121,7 @@ def test_wavefront_rate_over_reference():
 
 def test_per_pair_pipeline(benchmark):
     graph = _load_rmat_graph()
-    sampler = BatchPathSampler(graph, pair_strategy="vectorized", kernel="bidirectional")
+    sampler = BatchPathSampler(graph, kernel="bidirectional")
     rng = np.random.default_rng(3)
     frame = StateFrame.zeros(graph.num_vertices)
 
@@ -138,7 +136,7 @@ def test_per_pair_pipeline(benchmark):
 
 def test_wavefront_pipeline(benchmark):
     graph = _load_rmat_graph()
-    sampler = BatchPathSampler(graph, pair_strategy="vectorized", kernel="wavefront")
+    sampler = BatchPathSampler(graph, kernel="wavefront")
     rng = np.random.default_rng(3)
     frame = StateFrame.zeros(graph.num_vertices)
 

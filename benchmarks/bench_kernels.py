@@ -27,7 +27,10 @@ import pytest
 from repro.core.state_frame import StateFrame
 from repro.graph.io import read_edge_list
 from repro.kernels import BatchPathSampler
-from repro.sampling._reference import ReferenceBidirectionalSampler
+
+# The legacy sampler is the tests' oracle and lives with them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_samplers import ReferenceBidirectionalSampler  # noqa: E402
 
 pytestmark = pytest.mark.benchmark(group="kernels")
 

@@ -112,22 +112,16 @@ def register_backend(
     name: str,
     runner: Callable[..., BetweennessResult],
     *,
-    description: str = "",
-    exact: bool = False,
-    supports_threads: bool = False,
-    supports_processes: bool = False,
-    supports_kernels: bool = False,
-    supports_refinement: bool = False,
-    supports_updates: bool = False,
-    cost_hint: str = "adaptive-sampling",
-    auto_rank: int = 100,
-    max_auto_vertices: Optional[int] = None,
     replace: bool = False,
+    **capabilities,
 ) -> BackendSpec:
     """Register a betweenness backend and return its spec.
 
-    Raises :class:`ValueError` for the reserved name ``"auto"`` and for
-    duplicate registrations unless ``replace=True``.
+    ``capabilities`` are the other :class:`BackendSpec` fields (``description``,
+    ``exact``, ``supports_threads``, ...), each defaulting as the spec does; an
+    unknown one raises :class:`TypeError`.  Raises :class:`ValueError` for the
+    reserved name ``"auto"`` and for duplicate registrations unless
+    ``replace=True``.
     """
     if not name or not isinstance(name, str):
         raise ValueError("backend name must be a non-empty string")
@@ -137,20 +131,7 @@ def register_backend(
         raise TypeError("runner must be callable")
     if name in _REGISTRY and not replace:
         raise ValueError(f"backend {name!r} is already registered (pass replace=True)")
-    spec = BackendSpec(
-        name=name,
-        runner=runner,
-        description=description,
-        exact=exact,
-        supports_threads=supports_threads,
-        supports_processes=supports_processes,
-        supports_kernels=supports_kernels,
-        supports_refinement=supports_refinement,
-        supports_updates=supports_updates,
-        cost_hint=cost_hint,
-        auto_rank=auto_rank,
-        max_auto_vertices=max_auto_vertices,
-    )
+    spec = BackendSpec(name=name, runner=runner, **capabilities)
     _REGISTRY[name] = spec
     return spec
 

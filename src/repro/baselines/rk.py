@@ -47,11 +47,8 @@ def rk_sample_size(eps: float, delta: float, vertex_diameter: int, *, constant: 
 class _RKBetweenness:
     """Fixed-sample-size betweenness approximation (RK algorithm).
 
-    Because the sample count is fixed a priori there is no adaptivity to
-    stay stream-compatible with, so the driver uses the batch sampler's
-    *vectorized* pair strategy: all pairs of a batch are rejection-sampled
-    with bulk ``rng.integers`` calls (one call per round) instead of two
-    scalar draws per sample.
+    It draws its samples as every adaptive driver does, each pair right
+    before its search, so its scores do not depend on how it batches.
     """
 
     graph: CSRGraph
@@ -67,7 +64,7 @@ class _RKBetweenness:
             return BetweennessResult(scores=np.zeros(graph.num_vertices), eps=options.eps, delta=options.delta)
         phases = PhaseRecorder()
         rng = np.random.default_rng(options.seed)
-        sampler = make_sampler(graph, options, kernel=self.kernel, pair_strategy="vectorized")
+        sampler = make_sampler(graph, options, kernel=self.kernel)
 
         with phases("diameter") as sp:
             vd = diameter_bound(graph, options, sp)

@@ -29,16 +29,13 @@ def make_sampler(
     options: KadabraOptions,
     *,
     kernel: Optional[str] = None,
-    pair_strategy: str = "interleaved",
 ) -> BatchPathSampler:
     """A new sampler (and scratch pool) over ``graph``, one per sampling thread.
 
     ``kernel`` forces a registered kernel; ``None`` leaves the choice to
     :func:`repro.kernels.abi.resolve_kernel`, the only place a kernel is chosen.
-    ``pair_strategy="interleaved"`` (default) draws each pair right before its
-    search, the stream every adaptive driver shares; ``"vectorized"`` draws
-    all pairs of a batch with bulk ``rng.integers`` calls (the non-adaptive
-    RK baseline).
+    Every driver draws each pair right before its search, so how it batches
+    never changes its samples.
 
     Graph-shaped objects that cannot expose contiguous CSR arrays (a
     :class:`~repro.store.partition.PartitionedGraphView`) advertise a
@@ -48,7 +45,7 @@ def make_sampler(
     native = getattr(graph, "native_sampler", None)
     if native is not None:
         return native(options, kernel=kernel)
-    return BatchPathSampler(graph, kernel=kernel, pair_strategy=pair_strategy)
+    return BatchPathSampler(graph, kernel=kernel)
 
 
 def diameter_bound(graph: CSRGraph, options: KadabraOptions, span=None) -> int:

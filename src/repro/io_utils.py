@@ -15,11 +15,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.core.result import BetweennessResult
 
-__all__ = ["save_result", "load_result", "save_scores_csv", "load_scores_csv"]
+__all__ = ["save_result", "load_result", "save_scores_csv"]
 
 PathLike = Union[str, Path]
 
@@ -44,21 +42,3 @@ def save_scores_csv(result: BetweennessResult, path: PathLike, *, header: bool =
         lines.append("vertex,betweenness")
     lines.extend(f"{v},{score!r}" for v, score in enumerate(result.scores.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_scores_csv(path: PathLike) -> np.ndarray:
-    """Read a score vector written by :func:`save_scores_csv`."""
-    scores = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("vertex"):
-            continue
-        vertex_str, score_str = line.split(",")
-        scores[int(vertex_str)] = float(score_str)
-    if not scores:
-        return np.zeros(0, dtype=np.float64)
-    n = max(scores) + 1
-    out = np.zeros(n, dtype=np.float64)
-    for vertex, score in scores.items():
-        out[vertex] = score
-    return out

@@ -8,8 +8,9 @@ make that true for the Python reproduction:
   generation-stamped visited marks (no O(n) allocation or clearing between
   samples); :class:`ScratchSlab` widens the same idea to K concurrent pairs;
 * :func:`bidirectional_sample` / :func:`unidirectional_sample` — pooled path
-  sampling kernels, bit-compatible with the reference samplers
-  (:mod:`repro.sampling._reference`) for a fixed RNG state;
+  sampling kernels, bit-compatible with the reference samplers the tests
+  keep as their oracle (``tests/reference_samplers.py``) for a fixed RNG
+  state;
 * :class:`WavefrontSampler` — the cross-sample vectorized wavefront kernel:
   K pairs' balanced-bidirectional searches advanced simultaneously in SoA
   form (statistically identical, different RNG stream);

@@ -61,7 +61,7 @@ class KernelSpec:
         (SoA wavefront) instead of being called once per pair.
     stream_compatible:
         True when the kernel consumes the RNG bit-identically to the
-        reference samplers (:mod:`repro.sampling._reference`).
+        reference samplers (``tests/reference_samplers.py``).
     make_per_pair:
         ``make_per_pair(indptr, indices) -> (kernel_fn, op_indptr,
         op_indices)`` for per-pair kernels: returns the callable with the

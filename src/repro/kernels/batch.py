@@ -16,21 +16,11 @@ Python kernels, and any ``rng`` that is not a numpy ``Generator`` - the pairs
 are drawn and the kernel is called in a loop here.  Same samples, same
 generator state, either way and for any ``k``.
 
-Pair drawing strategies
------------------------
-``interleaved`` (default)
-    Each pair is drawn immediately before its search with the two scalar
-    draws of :func:`~repro.sampling.base.sample_vertex_pair`.  The RNG stream
-    is then the same for any batch size - ``k`` calls of ``sample_batch(1)``
-    and one ``sample_batch(k)`` leave the generator in the same state - so
-    how a driver batches never changes a betweenness estimate for a fixed
-    seed.
-``vectorized``
-    All pairs of the batch are rejection-sampled up front with one bulk
-    ``rng.integers`` call per round (:func:`repro.sampling.rng
-    .draw_vertex_pairs`).  Statistically identical, faster, but a different
-    stream — used by the non-adaptive RK driver where no legacy stream
-    compatibility is required.
+Each pair is drawn immediately before its search with the two scalar draws of
+:func:`~repro.sampling.base.sample_vertex_pair`.  The RNG stream is then the
+same for any batch size - ``k`` calls of ``sample_batch(1)`` and one
+``sample_batch(k)`` leave the generator in the same state - so how a driver
+batches never changes a betweenness estimate for a fixed seed.
 """
 
 from __future__ import annotations
@@ -47,11 +37,8 @@ from repro.kernels.compiled import search_on, usable
 from repro.kernels.scratch import ScratchPool, csr_views
 from repro.obs import metrics as _metrics
 from repro.sampling.base import PathSample, sample_vertex_pair
-from repro.sampling.rng import draw_vertex_pairs
 
 __all__ = ["SampleBatch", "BatchPathSampler"]
-
-_PAIR_STRATEGIES = ("interleaved", "vectorized")
 
 # Hot-path instrumentation (gated on repro.obs.metrics.ENABLED): every draw of
 # every driver - planned batches, worker-thread and overlap batches, single
@@ -193,15 +180,12 @@ class BatchPathSampler:
     pool:
         Optional :class:`ScratchPool` to reuse; one is created when omitted.
         A pool must not be shared between concurrently sampling workers.
-    pair_strategy:
-        ``"interleaved"`` or ``"vectorized"`` — see the module docstring.
     kernel:
         Explicit kernel name, overriding both automatic routing and the
         ``REPRO_KERNEL`` environment variable; ``None`` (default) leaves the
         choice to :func:`repro.kernels.abi.resolve_kernel`.  Forcing a
         batch-native kernel (``"wavefront"``) makes ``sample_batch`` draw all
-        pairs up front regardless of ``pair_strategy`` — a different RNG
-        stream, the same distribution.
+        pairs up front — a different RNG stream, the same distribution.
     """
 
     def __init__(
@@ -209,15 +193,10 @@ class BatchPathSampler:
         graph,
         *,
         pool: Optional[ScratchPool] = None,
-        pair_strategy: str = "interleaved",
         kernel: Optional[str] = None,
     ) -> None:
         if graph.num_vertices < 2:
             raise ValueError("BatchPathSampler requires a graph with at least 2 vertices")
-        if pair_strategy not in _PAIR_STRATEGIES:
-            raise ValueError(
-                f"unknown pair strategy {pair_strategy!r}; use one of {_PAIR_STRATEGIES}"
-            )
         if pool is not None and pool.num_vertices != graph.num_vertices:
             raise ValueError("scratch pool size does not match the graph")
         self._graph = graph
@@ -229,7 +208,6 @@ class BatchPathSampler:
         # not a wild read in the search.
         validate_csr(self._indptr, self._indices)
         self._pool = pool if pool is not None else ScratchPool(graph.num_vertices)
-        self._pair_strategy = pair_strategy
         spec = self._spec = _abi.resolve_kernel(self._indptr, self._indices, requested=kernel)
         self._delegate = None
         self._kernel = None
@@ -271,15 +249,26 @@ class BatchPathSampler:
         if k <= 0:
             raise ValueError("batch_size must be positive")
         if self._delegate is not None:
-            # Batch-native kernels draw all pairs up front by construction;
-            # the interleaved (stream-compatible) strategy cannot apply.
+            # Batch-native kernels draw all pairs up front by construction,
+            # so their stream depends on the batch size.
             batch = self._delegate.sample_batch(k, rng)
             self._count_samples(k)
             return batch
-        if self._pair_strategy == "vectorized":
-            pairs = draw_vertex_pairs(self._graph.num_vertices, k, rng)
-            return self.sample_pairs(pairs[:, 0], pairs[:, 1], rng)
-        return self._sample_interleaved(k, rng)
+        if self._one_call(rng):
+            return SampleBatch(*self._compiled(rng, k))
+        n = self._graph.num_vertices
+        sources = np.empty(k, dtype=np.int64)
+        targets = np.empty(k, dtype=np.int64)
+        out = _BatchAccumulator(k)
+        kernel = self._kernel
+        indptr, indices, pool = self._kernel_indptr, self._kernel_indices, self._pool
+        for i in range(k):
+            s, t = sample_vertex_pair(n, rng)
+            sources[i] = s
+            targets[i] = t
+            out.record(i, kernel(indptr, indices, pool, s, t, rng))
+        self._count_samples(k)
+        return out.finish(sources, targets)
 
     def sample_pairs(
         self,
@@ -332,23 +321,6 @@ class BatchPathSampler:
         fields = search.sample_batch(self._pool, rng, k, sources, targets)
         self._count_samples(k)
         return fields
-
-    def _sample_interleaved(self, k: int, rng: np.random.Generator) -> SampleBatch:
-        if self._one_call(rng):
-            return SampleBatch(*self._compiled(rng, k))
-        n = self._graph.num_vertices
-        sources = np.empty(k, dtype=np.int64)
-        targets = np.empty(k, dtype=np.int64)
-        out = _BatchAccumulator(k)
-        kernel = self._kernel
-        indptr, indices, pool = self._kernel_indptr, self._kernel_indices, self._pool
-        for i in range(k):
-            s, t = sample_vertex_pair(n, rng)
-            sources[i] = s
-            targets[i] = t
-            out.record(i, kernel(indptr, indices, pool, s, t, rng))
-        self._count_samples(k)
-        return out.finish(sources, targets)
 
 
 class _BatchAccumulator:

@@ -39,7 +39,7 @@ other side expanded the level of that neighbour, its own scan would have
 found this edge, or stamped this side's endpoint.  The second is an
 ``assert`` in both kernels, exercised by ``tests/test_scan_on_expand.py``.
 
-The legacy sampler (``sampling/_reference.py``) looks for the same edges
+The legacy sampler (``tests/reference_samplers.py``) looks for the same edges
 eagerly, on the rows of every level as soon as it is settled, and so ends in
 the same state ``(level_s, level_t)``.  When the closing scan ran from the
 target's side its cut edges are put back into the order a forward scan lists

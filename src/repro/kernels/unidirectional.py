@@ -6,7 +6,7 @@ bidirectional one: a forward BFS from the source with shortest-path counting
 that picks each predecessor with probability proportional to its sigma.  Runs
 on the generation-stamped :class:`~repro.kernels.scratch.ScratchPool`; like
 the bidirectional kernel it reproduces the reference sampler
-(``sampling/_reference.py``) exactly for a fixed RNG state (same settle
+(``tests/reference_samplers.py``) exactly for a fixed RNG state (same settle
 order, same weighted-pick stream).
 """
 

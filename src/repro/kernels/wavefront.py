@@ -30,10 +30,10 @@ deterministic function of the graph and the pair, so ``connected`` and
 last, which the per-pair kernel never reads); the random picks consume the
 generator differently (bulk draws instead of scalar draws).  The sampled path is still a uniformly random shortest
 path — the estimator is statistically identical, which the distributional
-tests against :mod:`repro.sampling._reference` pin down — but the RNG stream
-differs from the interleaved per-pair kernels, so routing only selects this
-kernel when stream compatibility is not required (vectorized pair strategy or
-an explicit override; see :mod:`repro.kernels.abi`).
+tests against the reference samplers (``tests/reference_samplers.py``) pin
+down — but the RNG stream differs from the per-pair kernels, so routing never
+picks this kernel: only an explicit request or ``REPRO_KERNEL`` reaches it
+(see :mod:`repro.kernels.abi`).
 """
 
 from __future__ import annotations

@@ -41,11 +41,9 @@ from repro.obs.trace import (
     NOOP_SPAN,
     PhaseRecorder,
     Span,
-    current_span,
     disable_tracing,
     enable_tracing,
     span,
-    trace_path,
     tracing_enabled,
 )
 
@@ -59,7 +57,6 @@ __all__ = [
     "NOOP_SPAN",
     "PhaseRecorder",
     "Span",
-    "current_span",
     "disable_metrics",
     "disable_tracing",
     "enable_metrics",
@@ -68,6 +65,5 @@ __all__ = [
     "metrics_enabled",
     "render_metrics",
     "span",
-    "trace_path",
     "tracing_enabled",
 ]

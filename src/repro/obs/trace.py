@@ -36,12 +36,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 __all__ = [
     "PhaseRecorder",
     "Span",
-    "current_span",
     "disable_tracing",
     "enable_tracing",
     "span",
     "summarize",
-    "trace_path",
     "tracing_enabled",
 ]
 
@@ -219,12 +217,6 @@ class PhaseRecorder:
             self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
 
 
-def current_span():
-    """The innermost open :class:`Span` on this thread, or ``None``."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
 def _reset_after_fork() -> None:
     """Give a forked child its own tracing state.
 
@@ -242,11 +234,6 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 
 def tracing_enabled() -> bool:
     return _enabled
-
-
-def trace_path() -> Optional[str]:
-    """The JSONL file finished trees append to, or ``None``."""
-    return _path
 
 
 def enable_tracing(

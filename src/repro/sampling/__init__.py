@@ -2,8 +2,8 @@
 
 The sampler the drivers hold is :class:`repro.kernels.BatchPathSampler`, made
 by :func:`repro.core.kadabra.make_sampler`, and it draws only in batches
-(``sample_batch``, ``sample_pairs``); ``_reference`` keeps the original
-allocating per-sample samplers as the tests' oracle.
+(``sample_batch``, ``sample_pairs``).  The original allocating per-sample
+samplers are the tests' oracle, in ``tests/reference_samplers.py``.
 """
 
 from repro.sampling.base import PathSample, sample_vertex_pair
@@ -11,13 +11,11 @@ from repro.sampling.rng import (
     derive_seed,
     draw_vertex_pairs,
     rng_for_rank_thread,
-    spawn_rngs,
 )
 
 __all__ = [
     "PathSample",
     "sample_vertex_pair",
-    "spawn_rngs",
     "rng_for_rank_thread",
     "derive_seed",
     "draw_vertex_pairs",

@@ -8,11 +8,9 @@ keeps runs reproducible regardless of the number of processes/threads.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-__all__ = ["spawn_rngs", "rng_for_rank_thread", "derive_seed", "draw_vertex_pairs"]
+__all__ = ["rng_for_rank_thread", "derive_seed", "draw_vertex_pairs"]
 
 #: Rejection rounds before :func:`draw_vertex_pairs` switches to direct
 #: enumeration.  With uniform candidates the probability of even one retry
@@ -39,8 +37,8 @@ def draw_vertex_pairs(
 
     Note the RNG stream differs from ``count`` scalar
     :func:`~repro.sampling.base.sample_vertex_pair` calls (the distribution
-    is identical); stream-compatible drivers use the interleaved strategy of
-    :class:`~repro.kernels.BatchPathSampler` instead.
+    is identical); only the batch-native wavefront kernel draws this way, and
+    every other sampler draws each pair right before its search.
     """
     if num_vertices < 2:
         raise ValueError("need at least two vertices to sample a pair")
@@ -64,14 +62,6 @@ def draw_vertex_pairs(
         out[filled:, 0] = s
         out[filled:, 1] = t
     return out
-
-
-def spawn_rngs(seed: int | None, count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` independent generators from a master seed."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 def rng_for_rank_thread(

@@ -286,10 +286,6 @@ class EstimationSession:
         return self._omega
 
     @property
-    def last_result(self) -> Optional[BetweennessResult]:
-        return self._last_result
-
-    @property
     def sample_log(self) -> Optional[SampleLog]:
         """The per-sample path log, or ``None`` (delegated backends, or a
         session restored from a pre-log snapshot)."""

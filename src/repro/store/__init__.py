@@ -22,7 +22,6 @@ from repro.store.catalog import (
     GraphInfo,
     default_cache_dir,
     default_result_cache_dir,
-    graph_info,
     load_graph,
 )
 from repro.store.convert import (
@@ -88,7 +87,6 @@ __all__ = [
     "default_cache_dir",
     "default_result_cache_dir",
     "find_manifests",
-    "graph_info",
     "load_graph",
     "manifest_path_for",
     "open_rcsr",

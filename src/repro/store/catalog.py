@@ -69,7 +69,6 @@ __all__ = [
     "default_cache_dir",
     "default_result_cache_dir",
     "load_graph",
-    "graph_info",
 ]
 
 PathLike = Union[str, Path]
@@ -755,8 +754,3 @@ def load_graph(
 ) -> CSRGraph:
     """Module-level convenience: load a graph through a (default) catalog."""
     return (catalog or GraphCatalog()).load(spec, mmap=mmap)
-
-
-def graph_info(spec: PathLike, *, catalog: Optional[GraphCatalog] = None) -> GraphInfo:
-    """Module-level convenience: sidecar metadata through a (default) catalog."""
-    return (catalog or GraphCatalog()).info(spec)

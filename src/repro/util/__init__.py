@@ -1,25 +1,11 @@
-"""Shared utilities: statistics helpers, validation, logging."""
+"""Shared utilities: statistics helpers and validation."""
 
-from repro.util.stats import (
-    max_abs_error,
-    mean_abs_error,
-    relative_rank_overlap,
-    kendall_tau_top_k,
-)
-from repro.util.validation import (
-    check_probability,
-    check_positive,
-    check_non_negative,
-    check_vertex,
-)
+from repro.util.stats import max_abs_error, relative_rank_overlap
+from repro.util.validation import check_positive, check_probability
 
 __all__ = [
     "max_abs_error",
-    "mean_abs_error",
     "relative_rank_overlap",
-    "kendall_tau_top_k",
     "check_probability",
     "check_positive",
-    "check_non_negative",
-    "check_vertex",
 ]

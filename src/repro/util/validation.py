@@ -17,19 +17,3 @@ def check_positive(value: float, name: str) -> float:
     if not value > 0.0:
         raise ValueError(f"{name} must be > 0; got {value!r}")
     return value
-
-
-def check_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is non-negative."""
-    value = float(value)
-    if value < 0.0:
-        raise ValueError(f"{name} must be >= 0; got {value!r}")
-    return value
-
-
-def check_vertex(v: int, n: int) -> int:
-    """Validate that ``v`` is a vertex id of a graph with ``n`` vertices."""
-    v = int(v)
-    if not (0 <= v < n):
-        raise ValueError(f"vertex id {v} out of range [0, {n})")
-    return v

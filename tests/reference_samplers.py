@@ -3,8 +3,8 @@
 These are the original allocating implementations the pooled kernels in
 :mod:`repro.kernels` replaced: every call allocates fresh O(n)
 ``distances``/``sigma`` arrays and walks adjacency rows with per-vertex
-Python slicing.  They are intentionally *not* exported from
-:mod:`repro.sampling`; they exist so that
+Python slicing.  They live with the tests, not in the package; they exist
+so that
 
 * the batch/scalar equivalence property tests can check the kernels against
   an independent implementation (same RNG stream, same sampled paths), and

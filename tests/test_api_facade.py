@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -172,6 +173,40 @@ class TestRegistry:
         with pytest.raises(ValueError, match="reserved"):
             register_backend(AUTO, lambda *a: None)
 
+    def test_unknown_capability_rejected(self):
+        with pytest.raises(TypeError):
+            register_backend("typo-test", lambda *a: None, supports_thread=True)
+        assert "typo-test" not in backend_names()
+
+    def test_capabilities_reach_the_spec(self):
+        try:
+            spec = register_backend(
+                "caps-test", lambda *a: None, exact=True, supports_threads=True, auto_rank=7
+            )
+            default = BackendSpec(name="caps-test", runner=spec.runner)
+            assert spec == dataclasses.replace(
+                default, exact=True, supports_threads=True, auto_rank=7
+            )
+            assert get_backend("caps-test") is spec
+        finally:
+            unregister_backend("caps-test")
+
+    def test_replace_and_runner_checks(self):
+        try:
+            register_backend("replace-test", lambda *a: None, description="first")
+            spec = register_backend(
+                "replace-test", lambda *a: None, replace=True, description="second"
+            )
+            assert get_backend("replace-test") is spec
+            assert spec.description == "second"
+        finally:
+            unregister_backend("replace-test")
+        with pytest.raises(TypeError, match="callable"):
+            register_backend("not-callable-test", "runner")
+        with pytest.raises(ValueError, match="non-empty"):
+            register_backend("", lambda *a: None)
+        assert "not-callable-test" not in backend_names()
+
     def test_custom_backend_roundtrip(self, graph):
         def constant_runner(g, options, resources, progress):
             from repro.core import BetweennessResult
@@ -205,6 +240,11 @@ class TestPublicSurface:
     def test_simulated_cluster_packages_are_gone(self, package):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(f"repro.{package}")
+
+    @pytest.mark.parametrize("module", ["sampling._reference", "util.logging"])
+    def test_test_only_modules_do_not_ship(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.{module}")
 
 
 class TestCliPolish:

@@ -10,6 +10,8 @@ networkx = pytest.importorskip("networkx")
 from repro import estimate_betweenness
 from repro.baselines import brandes_betweenness, brandes_from_sources, rk_sample_size
 from repro.core import KadabraOptions
+from repro.core.kadabra import make_sampler
+from repro.core.state_frame import StateFrame
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import cycle_graph, path_graph, star_graph
 from repro.util.stats import max_abs_error
@@ -113,6 +115,18 @@ class TestRK:
         result = estimate_betweenness(medium_social_graph, algorithm="rk", options=options)
         assert result.num_samples == result.omega
         assert max_abs_error(result.scores, exact) <= 0.05
+
+    def test_rk_scores_do_not_depend_on_batching(self, small_social_graph):
+        """RK draws each pair right before its search, as the adaptive drivers do."""
+        options = KadabraOptions(eps=0.05, delta=0.1, seed=5, max_samples_override=700)
+        result = estimate_betweenness(small_social_graph, algorithm="rk", options=options)
+        sampler = make_sampler(small_social_graph, options)
+        rng = np.random.default_rng(5)
+        frame = StateFrame.zeros(small_social_graph.num_vertices)
+        for _ in range(result.num_samples):
+            frame.record_batch(sampler.sample_batch(1, rng))
+        assert result.num_samples == 700
+        assert np.array_equal(result.scores, frame.betweenness_estimates())
 
     def test_rk_respects_max_samples_override(self, small_social_graph):
         options = KadabraOptions(eps=0.001, seed=1, max_samples_override=300)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_samplers import ReferenceBidirectionalSampler, ReferenceUnidirectionalSampler
+
 from repro.api import Resources, estimate_betweenness
 from repro.core.state_frame import StateFrame
 from repro.graph.csr import CSRGraph
@@ -27,10 +29,6 @@ from repro.kernels import (
     weighted_index,
 )
 from repro.sampling import draw_vertex_pairs
-from repro.sampling._reference import (
-    ReferenceBidirectionalSampler,
-    ReferenceUnidirectionalSampler,
-)
 
 
 # --------------------------------------------------------------------------- #
@@ -302,22 +300,24 @@ class TestBatchScalarEquivalence:
         with pytest.raises(ValueError):
             BatchPathSampler(small_social_graph, kernel="dijkstra")
         with pytest.raises(ValueError):
-            BatchPathSampler(small_social_graph, pair_strategy="sorted")
-        with pytest.raises(ValueError):
             BatchPathSampler(CSRGraph.empty(1))
         with pytest.raises(ValueError):
             BatchPathSampler(small_social_graph, pool=ScratchPool(3))
 
-    def test_vectorized_strategy_statistically_sound(self, small_social_graph):
-        """Vectorized pair drawing yields an unbiased estimator too."""
+    def test_interleaved_draw_statistically_sound(self, small_social_graph):
+        """Drawing each pair right before its search yields an unbiased estimator."""
         from repro.baselines import brandes_betweenness
 
         exact = brandes_betweenness(small_social_graph).scores
-        sampler = BatchPathSampler(small_social_graph, pair_strategy="vectorized")
+        sampler = BatchPathSampler(small_social_graph)
         frame = StateFrame.zeros(small_social_graph.num_vertices)
         rng = np.random.default_rng(7)
         frame.record_batch(sampler.sample_batch(3000, rng))
         assert np.max(np.abs(frame.betweenness_estimates() - exact)) < 0.06
+
+    def test_one_pair_draw_only(self, small_social_graph):
+        with pytest.raises(TypeError):
+            BatchPathSampler(small_social_graph, pair_strategy="vectorized")
 
 
 class TestZeroAllocationRegression:

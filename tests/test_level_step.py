@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_samplers import ReferenceBidirectionalSampler, ReferenceUnidirectionalSampler
 from test_traversal_layer import adjacency_lists, oracle_bfs, sparse_graphs
 
 import repro.kernels.bidirectional as bidirectional
@@ -27,10 +28,6 @@ from repro.kernels import BatchPathSampler, ScratchPool
 from repro.kernels.scratch import csr_views, gather_csr, gather_rows, settle_level
 from repro.kernels.weighted import weighted_index
 from repro.sampling.base import sample_vertex_pair
-from repro.sampling._reference import (
-    ReferenceBidirectionalSampler,
-    ReferenceUnidirectionalSampler,
-)
 from repro.store.format import open_rcsr, write_rcsr
 
 

@@ -15,7 +15,6 @@ from repro.sampling import (
     derive_seed,
     rng_for_rank_thread,
     sample_vertex_pair,
-    spawn_rngs,
 )
 
 #: The four kernel names, ``bidirectional`` once per search: ``"compiled"``
@@ -29,16 +28,6 @@ def sampler_for(monkeypatch):
 
 
 class TestRng:
-    def test_spawn_rngs_independent_streams(self):
-        rngs = spawn_rngs(7, 4)
-        values = [rng.integers(0, 2**30) for rng in rngs]
-        assert len(set(values)) == 4
-
-    def test_spawn_count_validation(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-        assert spawn_rngs(0, 0) == []
-
     def test_rank_thread_streams_deterministic(self):
         a = rng_for_rank_thread(1, rank=2, thread=3, num_threads=8)
         b = rng_for_rank_thread(1, rank=2, thread=3, num_threads=8)
@@ -62,6 +51,16 @@ class TestRng:
     def test_derive_seed_deterministic(self):
         assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
         assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+    def test_derive_seed_fits_63_bits(self):
+        for tags in [(), (0,), (1, 2), (2**40, 7)]:
+            assert 0 <= derive_seed(11, *tags) < 2**63
+        assert derive_seed(None, 1) >= 0
+
+    def test_rank_thread_stream_ignores_thread_count(self):
+        a = rng_for_rank_thread(3, rank=1, thread=2, num_threads=4)
+        b = rng_for_rank_thread(3, rank=1, thread=2, num_threads=16)
+        assert np.array_equal(a.integers(0, 2**62, size=8), b.integers(0, 2**62, size=8))
 
 
 class TestPairSampling:

@@ -8,7 +8,7 @@ otherwise (``bidirectional``, with the helper forced off) and the Python
 kernel (``smallgraph``):
 
 * **identity** - on every graph family the searches and
-  ``sampling/_reference.py`` (the eager legacy sampler, kept as the oracle)
+  ``tests/reference_samplers.py`` (the eager legacy sampler, kept as the oracle)
   return the same pairs, lengths and internal vertices from one stream and
   leave the generator in the same state after every sample, the kernels reading
   no more adjacency entries than the reference;
@@ -28,6 +28,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from reference_samplers import ReferenceBidirectionalSampler
 from test_traversal_layer import adjacency_lists, oracle_bfs
 
 from repro.graph.csr import CSRGraph
@@ -46,7 +47,6 @@ from repro.graph.generators import (
     watts_strogatz,
 )
 from repro.kernels import BatchPathSampler, compiled
-from repro.sampling._reference import ReferenceBidirectionalSampler
 
 SEARCHES = ("compiled", "bidirectional", "smallgraph")
 

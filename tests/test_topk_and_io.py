@@ -12,7 +12,7 @@ from repro.core import BetweennessResult, detectable_vertices, identify_top_k
 from repro.cli import build_parser, main as cli_main
 from repro.graph.generators import star_graph
 from repro.graph.io import write_edge_list
-from repro.io_utils import load_result, load_scores_csv, save_result, save_scores_csv
+from repro.io_utils import load_result, save_result, save_scores_csv
 from repro.util.stats import max_abs_error
 
 
@@ -139,13 +139,23 @@ class TestResultIO:
         path = tmp_path / "scores.csv"
         original = self._result()
         save_scores_csv(original, path)
-        scores = load_scores_csv(path)
-        assert np.allclose(scores, original.scores)
+        assert path.read_text().splitlines()[0] == "vertex,betweenness"
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(rows[:, 0], np.arange(original.scores.size))
+        assert np.array_equal(rows[:, 1], original.scores)
 
     def test_csv_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("vertex,betweenness\n")
-        assert load_scores_csv(path).size == 0
+        save_scores_csv(BetweennessResult(scores=np.zeros(0), num_samples=0), path)
+        assert path.read_text() == "vertex,betweenness\n"
+
+    def test_csv_without_header(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        original = self._result()
+        save_scores_csv(original, path, header=False)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert rows.shape == (original.scores.size, 2)
+        assert np.array_equal(rows[:, 1], original.scores)
 
 
 class TestCli:

@@ -1,25 +1,17 @@
-"""Unit tests for the utility helpers (statistics, validation, logging, tables)."""
+"""Unit tests for the utility helpers (statistics, validation, tables)."""
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import pytest
 
 from repro.util import (
-    check_non_negative,
     check_positive,
     check_probability,
-    check_vertex,
-    kendall_tau_top_k,
     max_abs_error,
-    mean_abs_error,
     relative_rank_overlap,
 )
-from repro.util.logging import enable_console_logging, get_logger
 from repro.util.progress import ProgressEvent, combine_callbacks, tag_backend
-from repro.util.stats import harmonic_number
 from repro.util.table import format_table
 
 
@@ -40,12 +32,9 @@ class TestFormatTable:
 class TestStats:
     def test_errors(self):
         assert max_abs_error([1, 2], [1, 4]) == 2.0
-        assert mean_abs_error([1, 2], [1, 4]) == 1.0
         assert max_abs_error([], []) == 0.0
         with pytest.raises(ValueError):
             max_abs_error([1], [1, 2])
-        with pytest.raises(ValueError):
-            mean_abs_error([1], [1, 2])
 
     def test_rank_overlap(self):
         exact = np.array([0.9, 0.5, 0.1, 0.0])
@@ -56,19 +45,12 @@ class TestStats:
         with pytest.raises(ValueError):
             relative_rank_overlap(approx, exact, 0)
 
-    def test_kendall_tau(self):
-        exact = np.array([0.9, 0.5, 0.1, 0.0])
-        assert kendall_tau_top_k(exact, exact, 3) == 1.0
-        reversed_scores = exact[::-1].copy()
-        assert kendall_tau_top_k(reversed_scores, exact, 4) == 0.0
-        assert kendall_tau_top_k(exact, exact, 1) == 1.0
-
-    def test_harmonic_number(self):
-        assert harmonic_number(0) == 0.0
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(3) == pytest.approx(1.0 + 0.5 + 1 / 3)
+    def test_rank_overlap_clamps_k_and_checks_shape(self):
+        exact = np.array([0.9, 0.5, 0.1])
+        assert relative_rank_overlap(exact[::-1].copy(), exact, 10) == 1.0
+        assert relative_rank_overlap([], [], 3) == 1.0
         with pytest.raises(ValueError):
-            harmonic_number(-1)
+            relative_rank_overlap([0.1, 0.2], exact, 1)
 
 
 class TestValidation:
@@ -83,17 +65,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_positive(0.0, "x")
 
-    def test_check_non_negative(self):
-        assert check_non_negative(0.0, "x") == 0.0
+    def test_checks_return_floats_and_reject_nan(self):
+        assert type(check_positive(3, "x")) is float
+        assert type(check_probability(np.float32(0.25), "p")) is float
         with pytest.raises(ValueError):
-            check_non_negative(-1.0, "x")
-
-    def test_check_vertex(self):
-        assert check_vertex(3, 5) == 3
+            check_positive(float("nan"), "x")
         with pytest.raises(ValueError):
-            check_vertex(5, 5)
-        with pytest.raises(ValueError):
-            check_vertex(-1, 5)
+            check_probability(float("nan"), "p")
 
 
 class TestProgressEvent:
@@ -166,16 +144,3 @@ class TestTagBackend:
         assert first[0].backend == "epoch"
         assert second[0].backend == "epoch"
         assert first[0] is second[0]
-
-
-class TestLogging:
-    def test_get_logger_namespacing(self):
-        assert get_logger().name == "repro"
-        assert get_logger("graph").name == "repro.graph"
-        assert get_logger("repro.core").name == "repro.core"
-
-    def test_enable_console_logging_idempotent(self):
-        logger = enable_console_logging(logging.DEBUG)
-        handlers_before = len(logger.handlers)
-        enable_console_logging(logging.DEBUG)
-        assert len(logger.handlers) == handlers_before
