@@ -3,9 +3,10 @@
 The regime the cross-sample vectorized wavefront backend targets is a tiny
 sparse RMAT graph sampled in whole-slab batches, where the per-pair kernels
 are all numpy dispatch.  Routed through the ABI (``kernel="wavefront"``) it is
-timed there against the per-pair numpy bidirectional kernel (``kernel=
-"bidirectional"``), both through :class:`repro.kernels.BatchPathSampler`, so
-the measured difference is the kernel, not the driver.
+timed there against the default search (``kernel="bidirectional"``: the
+compiled search wherever the C helper builds, the per-pair numpy search
+otherwise), both through :class:`repro.kernels.BatchPathSampler`, so the
+measured difference is the kernel, not the driver.
 
 The gate used to be that ratio (>= 2x; 2.2-2.7x measured).  The per-pair
 kernel has since got 1.3-1.7x faster on this graph (the shared level step,
@@ -16,7 +17,8 @@ kernel change touches — the pre-kernel scalar pipeline of
 ``bench_kernels.py`` (``tests/reference_samplers.py``): at least **2.5x** (3.0-4.3x
 measured over six runs at the commit that set it, on both sides of the
 per-pair change; the old gate had the same headroom).  The ratio over the
-per-pair kernel is still reported.
+default search is still reported, as ``speedup_over_default``: ~1.6 over the
+numpy search, ~0.01 over the compiled one.
 ``test_wavefront_rate_over_reference`` asserts the floor outright; running the
 module as a script records the numbers into a ``BENCH_abi.json`` artifact for
 CI::
@@ -103,7 +105,7 @@ def measure(num_samples: int = NUM_SAMPLES, *, repeats: int = 4) -> dict:
         "bidirectional_samples_per_sec": round(per_pair, 1),
         "wavefront_samples_per_sec": round(wavefront, 1),
         "reference_samples_per_sec": round(reference, 1),
-        "speedup": round(wavefront / per_pair, 2),
+        "speedup_over_default": round(wavefront / per_pair, 2),
         "speedup_over_reference": round(wavefront / reference, 2),
         "required_over_reference": REQUIRED_OVER_REFERENCE,
     }
@@ -163,7 +165,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(
         f"OK: the wavefront kernel is {report['speedup_over_reference']}x the scalar "
-        f"reference and {report['speedup']}x the per-pair kernel"
+        f"reference and {report['speedup_over_default']}x the default search"
     )
     return 0
 

@@ -10,13 +10,17 @@ optional :data:`~repro.util.progress.ProgressCallback`.  Importing this module
 (which :mod:`repro.api` does) populates the registry with the paper's five
 execution modes plus the older source-sampling baseline.
 
-Every parallel mode runs :func:`repro.parallel.engine.run_rank`; asking for
+Every adaptive mode runs :func:`repro.parallel.engine.run_rank`; asking for
 ``processes > 1`` gets that many OS processes, forked from the caller and
-joined over loopback TCP, not threads taking turns under the GIL.
+joined over loopback TCP, not threads taking turns under the GIL.  One rank
+with one thread is sequential KADABRA whichever backend asks for it, so
+``sequential`` registers the one-rank runner; the facade's sequential
+sessions hand their own state to the same engine.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.api.registry import EXACT_AUTO_VERTEX_LIMIT, register_backend
@@ -34,17 +38,6 @@ from repro.util.progress import ProgressCallback, ProgressEvent
 from repro.api.resources import Resources
 
 __all__ = ["register_default_backends"]
-
-
-def _run_sequential(
-    graph: CSRGraph,
-    options: KadabraOptions,
-    resources: Resources,
-    progress: Optional[ProgressCallback],
-) -> BetweennessResult:
-    from repro.session import EstimationSession
-
-    return EstimationSession(graph, options, progress=progress, kernel=resources.kernel).run()
 
 
 def _run_ranks(
@@ -171,7 +164,7 @@ def register_default_backends(*, replace: bool = False) -> None:
     """Register the built-in backends (idempotent when ``replace=True``)."""
     register_backend(
         "sequential",
-        _run_sequential,
+        partial(_run_ranks, processes=1, threads=1),
         description="Sequential KADABRA adaptive sampling (Section III)",
         supports_kernels=True,
         supports_refinement=True,

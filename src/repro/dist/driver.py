@@ -334,6 +334,11 @@ def _worker_body(
     per_rank = [{k: v for k, v in report.items() if k != "metrics"} for report in reports]
     total_adaptive_samples = sum(r["local_samples"] for r in per_rank)
     slowest = max(r["adaptive_seconds"] for r in per_rank)
+    if total_adaptive_samples == 0:
+        # One worker stops at omega, so a run whose calibration reached it
+        # drew every sample there: report that phase's rate instead of 0.
+        total_adaptive_samples = int(result.num_samples) - int(resumed_samples)
+        slowest = result.phase_seconds.get("calibration", 0.0)
     return {
         "scores": result.scores,
         "num_samples": int(result.num_samples),

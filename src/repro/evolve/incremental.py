@@ -30,8 +30,9 @@ that observation into an update operator over checkpointed sessions:
    it — and the fresh ones added, keeping frame and log consistent.
 
 3. **Re-certify** — the child graph has its own vertex-diameter bound and
-   hence its own ``omega``; the update rebuilds the schedule at the target
-   ``(eps, delta)``, extends the calibration frame with fresh draws if the
+   hence its own ``omega``; the session hands its state to the rank engine's
+   one worker (:func:`~repro.parallel.engine.run_rank`, as ``refine`` does),
+   which bounds the child's diameter, extends the calibration frame if the
    child schedule asks for more, recalibrates ``delta_L``/``delta_U``, and
    runs the standard check/draw loop to a fresh stopping certificate.  The
    certificate is the same KADABRA guarantee a cold run on the child would
@@ -55,13 +56,12 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.kadabra import diameter_bound
 from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import UNREACHED, bfs_distances
 from repro.obs import trace as obs_trace
 from repro.session.sample_log import SampleLog
-from repro.session.session import EstimationSession, _jsonable_rng_state
+from repro.session.session import EstimationSession
 from repro.store.delta import GraphDelta
 
 __all__ = [
@@ -351,29 +351,13 @@ def _update_session_impl(
     session._emit(phase="resample", num_samples=tau_parent)
 
     # -------------------------------------------------------------- #
-    # Re-certify on the child: its own diameter bound, its own omega,
-    # then the standard calibrate / align / check-draw loop.
+    # Re-certify on the child: the engine bounds its diameter (the state
+    # holds none for it), then calibrates and checks as refine does.
     # -------------------------------------------------------------- #
-    with phases("diameter") as sp:
-        vd = session._vd = diameter_bound(graph, session.options, sp)
-    schedule = session._schedule(eps, delta)
-    session._omega = schedule.omega
-    session._emit(phase="diameter", omega=schedule.omega)
-
-    with phases("calibration"):
-        new_c = schedule.calibration_samples
-        if new_c > cal_count:
-            # The child schedule wants a larger calibration set than the
-            # parent's prefix provides.  Fresh child draws, charged to both
-            # frames, are sound (any iid child sample calibrates), though the
-            # calibration frame stops being a stream prefix — so this update
-            # is not bit-identical to a cold child run.  It never is anyway:
-            # the retained samples came from the parent stream.
-            session._draw(new_c - cal_count, session._rng, into_calibration=calibration)
-            session._calibration_rng_state = _jsonable_rng_state(session._rng)
-        session._recalibrate(eps, delta, schedule.omega)
+    session._vd = None
     samples_reused = tau_parent - invalid_count
-    result = session._certify(phases, schedule, eps, delta, samples_reused=samples_reused)
+    result = session._advance(session._target_options(eps, delta), samples_reused=samples_reused)
+    result.phase_seconds = {**phases.seconds, **result.phase_seconds}
     result.samples_invalidated = invalid_count
     result.extra["invalidated_fraction"] = float(fraction)
     result.extra["update_bfs"] = float(num_bfs)
@@ -385,6 +369,6 @@ def _update_session_impl(
         samples_reused=samples_reused,
         num_bfs=num_bfs,
         threshold=float(threshold),
-        vertex_diameter=vd,
+        vertex_diameter=session._vd,
     )
     return session, report

@@ -1,14 +1,18 @@
 """The rank engine: diameter → calibration → adaptive-sampling epochs.
 
 This module holds the only calibration phase and the only check/draw loop of
-the adaptive algorithm.  Every parallel mode runs :func:`run_rank` once per
+the adaptive algorithm.  Every adaptive mode runs :func:`run_rank` once per
 rank; the modes differ only in the :class:`~repro.mpi.interface.Communicator`
 and graph view they hand in (``SelfComm`` for shared memory, ``SocketComm``
 for forked ranks and ``dist`` workers, on the caller's graph, a mapped
-``.rcsr`` or a shard view).  The sequential
-:class:`~repro.session.EstimationSession` is the ``P = T = 1`` case: it calls
-:func:`calibration_phase` and :func:`adaptive_sampling_epochs` on a
-``SelfComm`` with one thread, its own RNG stream and its own check grid.
+``.rcsr`` or a shard view).  One worker (one rank, one thread) is one
+computation, Algorithm 2 at ``P = T = 1``: sequential KADABRA, drawing
+calibration and sampling from one stream, checking on the
+:class:`~repro.core.stopping.CheckSchedule` and stopping at ``omega`` at the
+latest, whichever backend asks for it.  The sequential
+:class:`~repro.session.EstimationSession` holds that worker's state (frames,
+stream, sample log) and hands it to :func:`run_rank` for ``run``, ``refine``
+and graph updates; it runs no phase of its own.
 
 1. *Diameter* — computed sequentially at rank 0, as in the paper, and
    broadcast.
@@ -16,6 +20,9 @@ for forked ranks and ``dist`` workers, on the caller's graph, a mapped
    evenly across the ranks and reduces them; rank 0 derives
    ``delta_L``/``delta_U`` (:func:`stopping_condition`) and keeps them, as
    it alone evaluates the stopping rule.  The other ranks go straight on.
+   One worker draws it from its one stream instead, extending a state's
+   frame to the target's count (positions the stream already drew are
+   replayed), which is what makes ``refine`` exact.
 3. *Adaptive sampling* — :func:`adaptive_sampling_epochs`, the epoch loop of
    Section IV-C.  Threads ``1 .. T-1`` sample continuously into the frame of
    their current epoch; thread 0 samples what the check grid asks, forces the
@@ -29,7 +36,10 @@ for forked ranks and ``dist`` workers, on the caller's graph, a mapped
    poll when the search is compiled (that call releases the GIL the
    communicator's threads need), one sample per poll otherwise.  On
    ``SelfComm`` with one thread every request completes at once, so each
-   epoch draws exactly what the grid says.
+   epoch draws exactly what the grid says.  With several workers thread 0
+   draws ``n0`` per epoch (:class:`~repro.parallel.epoch_length.EpochLength`)
+   from its (rank, thread) slot; one worker draws to the next
+   :class:`~repro.core.stopping.CheckSchedule` boundary.
 """
 
 from __future__ import annotations
@@ -46,14 +56,14 @@ from repro.core.kadabra import capped_samples, diameter_bound, make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
-from repro.core.stopping import StoppingCondition, compute_omega
+from repro.core.stopping import CheckSchedule, StoppingCondition, compute_omega
 from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
 from repro.obs import trace as obs_trace
 from repro.parallel.epoch_length import EpochLength, thread_zero_samples_per_epoch
 from repro.parallel.epochs import EpochManager, FramePool
-from repro.sampling.rng import derive_seed, rng_for_rank_thread
+from repro.sampling.rng import derive_seed, generator_from_state, generator_state, rng_for_rank_thread
 from repro.util.progress import ProgressCallback, ProgressEvent
 
 __all__ = [
@@ -114,17 +124,15 @@ def calibration_phase(
     eps: float,
     delta: float,
     omega: int,
-    on_batch: Optional[Callable] = None,
 ) -> Tuple[Optional[StateFrame], Optional[StoppingCondition]]:
-    """Phase 2 on every rank: ``total`` samples split evenly across the ranks.
+    """Phase 2 with several workers: ``total`` samples split evenly across the ranks.
 
     Returns ``(frame, condition)`` at rank 0: the reduced calibration frame
     and the stopping condition derived from it; ``(None, None)`` elsewhere,
-    after the reduce, this phase's one collective.  ``on_batch`` sees each
-    batch this rank draws.
+    after the reduce, this phase's one collective.
     """
     local = StateFrame.zeros(num_vertices)
-    _draw(sampler, rng, int(math.ceil(total / comm.size)), local, on_batch)
+    _draw(sampler, rng, int(math.ceil(total / comm.size)), local)
     frame = comm.reduce(local, op="sum", root=0)
     if not comm.is_root:
         return None, None
@@ -185,10 +193,10 @@ def adaptive_sampling_epochs(
     is the check grid: ``grid.epoch_samples(epoch, tau)`` samples are drawn
     by thread 0 in loop epoch ``epoch`` (0-based) before its check, ``tau``
     being the aggregate's count at rank 0 (0 elsewhere) —
-    :class:`~repro.parallel.epoch_length.EpochLength` for the parallel rule,
-    the session's :class:`~repro.core.stopping.CheckSchedule` at ``P = T =
-    1``.  ``algorithm`` picks Algorithm 2 (``"epoch"``) or 1 (``"mpi-only"``,
-    one thread).  ``initial_frame`` (calibration, a resumed aggregate) is
+    :class:`~repro.parallel.epoch_length.EpochLength` for several workers,
+    the :class:`~repro.core.stopping.CheckSchedule` for one.  ``algorithm``
+    picks Algorithm 2 (``"epoch"``) or 1 (``"mpi-only"``, one thread).
+    ``initial_frame`` (calibration, a resumed aggregate) is
     folded into the aggregate at rank 0 without being modified;
     ``max_epochs`` is a safety bound for tests.
 
@@ -347,15 +355,25 @@ def run_rank(
     kernel; ``progress`` fires at rank 0 after each phase and epoch;
     ``max_epochs`` bounds the loop (tests).
 
+    One rank with one thread is one worker: sequential KADABRA, drawing
+    calibration and sampling from one stream and checking on the
+    :class:`~repro.core.stopping.CheckSchedule`, which stops at ``omega`` at
+    the latest.  More workers draw from their (rank, thread) slots and check
+    on the :class:`~repro.parallel.epoch_length.EpochLength` grid.
+
     ``on_aggregate(state)`` is rank 0's checkpoint hook, called after every
     fold with rank 0's state as an :class:`~repro.session.EstimationSession`
     (``state.checkpoint(path)`` writes the session snapshot format; the
-    state is not refinable, its samples come from per-rank streams).
-    ``resume`` is, at rank 0, such a state restored with
-    :meth:`~repro.session.EstimationSession.restore`: its diameter bound,
-    epoch count and ``omega`` are broadcast instead of running phases 1-2
-    (its stopping condition stays at rank 0), and the loop samples from
-    fresh RNG streams.
+    state is not refinable, it holds no stream of its own).  ``resume`` is,
+    at rank 0, such a session: the run continues from its aggregate, epoch
+    count and diameter bound.  With several workers, those are broadcast
+    instead of running phases 1-2, its stopping condition stays at rank 0,
+    and the loop samples from fresh, salted slots.  One worker continues the
+    session's own stream when it carries one (``run``, ``refine`` and graph
+    updates: the session holds the state, this function runs the phases),
+    else a fresh, salted one; it runs phase 1 when the state holds no
+    diameter bound, extends the calibration frame to the target's count and
+    recalibrates.
     """
     if threads <= 0:
         raise ValueError("threads must be positive")
@@ -363,69 +381,139 @@ def run_rank(
         raise ValueError("algorithm must be 'epoch' or 'mpi-only'")
     rank = comm.rank
     sampling_threads = threads if algorithm == "epoch" else 1
-    if graph.num_vertices < 2:
-        n = graph.num_vertices
+    n = graph.num_vertices
+    if n < 2:
         trivial = BetweennessResult(scores=np.zeros(n), eps=options.eps, delta=options.delta)
         return (trivial if comm.is_root else None), EpochStats(rank, sampling_threads)
     phases = obs_trace.PhaseRecorder()
     if not comm.is_root:
         progress = None
+    state = resume if comm.is_root else None
+    base_epoch = 0 if state is None else state._checks
 
     def emit(phase: str, **fields) -> None:
         if progress is not None:
             progress(ProgressEvent(phase=phase, omega=omega, **fields))
 
-    # Thread 0's sampler, for calibration and the loop alike, is built before
-    # the first collective: the other ranks build theirs while rank 0 sweeps.
-    sampler0 = make_sampler(graph, options, kernel=kernel)
+    def diameter_phase() -> int:
+        # Sequential at rank 0.  Ranks run in their own processes (or, in
+        # tests, threads), so non-root spans root their own per-rank trees;
+        # rank 0 nests beneath its caller's span as usual.
+        with phases("diameter", rank=rank) as sp:
+            vd = diameter_bound(graph, options, sp) if comm.is_root else None
+            vd = int(comm.bcast(vd, root=0))
+            sp.set("vertex_diameter", vd)
+        return vd
+
+    # Thread 0's sampler, for calibration and the loop alike (a session's
+    # own, when it has one), is built before the first collective: the other
+    # ranks build theirs while rank 0 sweeps.
+    sampler0 = getattr(state, "_sampler", None)
+    if sampler0 is None:
+        sampler0 = make_sampler(graph, options, kernel=kernel)
 
     def sampler_for(thread: int) -> BatchPathSampler:
         return sampler0 if thread == 0 else make_sampler(graph, options, kernel=kernel)
 
-    state = resume if comm.is_root else None
-    header = None if state is None else (state._vd, state._checks, state._condition.omega)
-    restored = comm.bcast(header, root=0)
-    if restored is not None:
-        vd, base_epoch, omega = restored
-        initial_frame, condition = (state._frame, state._condition) if comm.is_root else (None, None)
-        # Fresh, independent streams: never replay the pre-crash samples.
-        stream_seed = derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch)
-    else:
-        # ---------------- Phase 1: diameter (sequential at rank 0) -------- #
-        # Ranks run in their own processes (or, in tests, threads), so
-        # non-root spans root their own per-rank trees; rank 0 nests beneath
-        # the facade's "estimate" span as usual.
-        with phases("diameter", rank=rank) as sp:
-            vd = diameter_bound(graph, options, sp) if comm.is_root else None
-            vd = int(comm.bcast(vd, root=0))
+    replayed = 0
+    one_worker = comm.size == 1 and threads == 1
+    if one_worker:
+        # ---------------- One worker: sequential KADABRA ----------------- #
+        stream = getattr(state, "_rng", None)
+        if stream is None:
+            seed = options.seed if state is None else derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch)
+            stream = np.random.default_rng(seed)
+        vd = None if state is None else state._vd
+        computed = vd is None
+        if computed:
+            vd = diameter_phase()
         omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
-        emit("diameter")
-
-        # ---------------- Phase 2: calibration ---------------------------- #
+        if computed:
+            emit("diameter")
+        grid = CheckSchedule(
+            calibration_samples=calibration_sample_count(options.calibration_samples, omega, n),
+            samples_per_check=max(1, options.samples_per_check),
+            omega=omega,
+        )
+        log = getattr(state, "_sample_log", None)
+        on_batch = None if log is None else log.append_batch
         with phases("calibration", rank=rank):
-            # The session's sample count, so the phase structure (and the cost
-            # model built on it) agrees across modes; RNG slot 0, so the
-            # adaptive phase (slots 1..T) never replays the calibration stream.
-            initial_frame, condition = calibration_phase(
-                comm,
-                sampler0,
-                rng_for_rank_thread(options.seed, rank, 0, num_threads=threads + 1),
-                calibration_sample_count(options.calibration_samples, omega, graph.num_vertices),
-                num_vertices=graph.num_vertices,
-                eps=options.eps,
-                delta=options.delta,
-                omega=omega,
-            )
-        if progress is not None:
-            emit("calibration", num_samples=initial_frame.num_samples)
-        base_epoch = 0
-        stream_seed = options.seed
-        if comm.is_root and on_aggregate is not None:
-            from repro.session.session import EstimationSession
+            initial_frame = StateFrame.zeros(n) if state is None else state._frame
+            calibration = getattr(state, "_calibration_frame", None)
+            if calibration is None:
+                calibration = StateFrame.zeros(n)
+            # The calibration frame is the first C samples of the stream.  To
+            # extend it, positions the stream already drew are replayed from
+            # where calibration stopped (into this frame only), later ones
+            # are drawn live (into both frames).
+            tau, target = initial_frame.num_samples, grid.calibration_samples
+            replayed = min(target, tau) - calibration.num_samples
+            if replayed > 0:
+                replay = generator_from_state(state._calibration_rng_state)
+                _draw(sampler0, replay, replayed, calibration)
+                state._calibration_rng_state = generator_state(replay)
+            if target > tau:
+                def into_both(batch) -> None:
+                    initial_frame.record_batch(batch)
+                    if on_batch is not None:
+                        on_batch(batch)
 
-            state = EstimationSession._rank_state(
-                graph, options, kernel, _BACKEND[algorithm], vd, initial_frame, condition
-            )
+                _draw(sampler0, stream, target - tau, calibration, into_both)
+                if state is not None:
+                    state._calibration_rng_state = generator_state(stream)
+            condition = stopping_condition(calibration, eps=options.eps, delta=options.delta, omega=omega)
+        emit("calibration", num_samples=initial_frame.num_samples)
+        rngs, n0 = [stream], grid.samples_per_check
+    else:
+        on_batch = None
+        header = None if state is None else (state._vd, state._checks, state._condition.omega)
+        restored = comm.bcast(header, root=0)
+        if restored is not None:
+            vd, base_epoch, omega = restored
+            calibration = condition = initial_frame = None
+            if state is not None:  # rank 0
+                calibration, condition, initial_frame = state._calibration_frame, state._condition, state._frame
+            # Fresh, independent streams: never replay the pre-crash samples.
+            stream_seed = derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch)
+        else:
+            vd = diameter_phase()
+            omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
+            emit("diameter")
+            with phases("calibration", rank=rank):
+                # RNG slot 0, so the adaptive phase (slots 1..T) never replays
+                # the calibration stream.
+                calibration, condition = calibration_phase(
+                    comm,
+                    sampler0,
+                    rng_for_rank_thread(options.seed, rank, 0, num_threads=threads + 1),
+                    calibration_sample_count(options.calibration_samples, omega, n),
+                    num_vertices=n,
+                    eps=options.eps,
+                    delta=options.delta,
+                    omega=omega,
+                )
+            initial_frame = calibration
+            if progress is not None:
+                emit("calibration", num_samples=calibration.num_samples)
+            stream_seed = options.seed
+        rngs = [
+            rng_for_rank_thread(stream_seed, rank, t + 1, num_threads=threads + 1)
+            for t in range(sampling_threads)
+        ]
+        n0 = thread_zero_samples_per_epoch(comm.size, sampling_threads, base=float(options.samples_per_check))
+        grid = EpochLength(n0)
+
+    if comm.is_root and state is None and on_aggregate is not None:
+        from repro.session.session import EstimationSession
+
+        # Rank 0's checkpointable state: a session without a stream of its
+        # own, so it restores as this backend's and refuses refine.
+        state = EstimationSession(graph, options, kernel=kernel)
+        state._native, state._algorithm, state._sample_log = False, _BACKEND[algorithm], None
+        state._ran = True
+    if state is not None:
+        state._vd, state._omega = vd, omega
+        state._condition, state._calibration_frame = condition, calibration
 
     fold_hook = None
     if state is not None and on_aggregate is not None:
@@ -434,26 +522,21 @@ def run_rank(
             on_aggregate(state)
 
     # ---------------- Phase 3: adaptive sampling -------------------------- #
-    n0 = thread_zero_samples_per_epoch(
-        comm.size, sampling_threads, base=float(options.samples_per_check)
-    )
     with phases("adaptive_sampling", rank=rank, omega=omega):
         stats = adaptive_sampling_epochs(
             comm,
             sampler_for,
             condition,
-            [
-                rng_for_rank_thread(stream_seed, rank, t + 1, num_threads=threads + 1)
-                for t in range(sampling_threads)
-            ],
+            rngs,
             num_threads=sampling_threads,
-            num_vertices=graph.num_vertices,
-            grid=EpochLength(n0),
+            num_vertices=n,
+            grid=grid,
             algorithm=algorithm,
             initial_frame=initial_frame,
             max_epochs=max_epochs,
+            on_batch=on_batch,
             on_epoch=lambda epoch, num_samples: emit(
-                "adaptive_sampling", epoch=epoch, num_samples=num_samples
+                "adaptive_sampling", epoch=base_epoch + epoch, num_samples=num_samples
             ),
             on_aggregate=fold_hook,
         )
@@ -464,6 +547,16 @@ def run_rank(
     aggregated = stats.aggregated_frame
     if aggregated is None:
         return None, stats
+    if state is not None and one_worker:  # the state one worker continues
+        state._frame, state._checks = aggregated, base_epoch + stats.num_epochs
+    extra = {
+        "communication_bytes": float(stats.communication_bytes),
+        "num_processes": float(comm.size),
+        "threads_per_process": float(threads),
+        "samples_per_epoch_n0": float(n0),
+    }
+    if replayed > 0:
+        extra["samples_replayed"] = float(replayed)
     result = BetweennessResult(
         scores=aggregated.betweenness_estimates(),
         num_samples=aggregated.num_samples,
@@ -473,11 +566,6 @@ def run_rank(
         vertex_diameter=vd,
         num_epochs=stats.num_epochs,
         phase_seconds=dict(stats.phase_seconds),
-        extra={
-            "communication_bytes": float(stats.communication_bytes),
-            "num_processes": float(comm.size),
-            "threads_per_process": float(threads),
-            "samples_per_epoch_n0": float(n0),
-        },
+        extra=extra,
     )
     return result, stats

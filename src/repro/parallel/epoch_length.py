@@ -6,10 +6,13 @@ condition).  Adding processes/threads increases the number of samples taken
 per unit of time, so the rule *decreases* the epoch length with the total
 thread count::
 
-    n0 = base / (P * T) ** exponent          (base = 1000, exponent = 1.33)
+    n0 = base / (P * T) ** 1.33          (base = 1000)
 
 matching the shared-memory rule ``1000 / T^1.33`` of Ref. [24] generalised to
-``P * T`` workers.  Note that ``n0`` only bounds the *minimum* epoch length:
+``P * T`` workers.  It applies only when ``P * T > 1``: one worker is
+sequential KADABRA, which checks on the
+:class:`~repro.core.stopping.CheckSchedule` and stops at ``omega`` at the
+latest.  Note that ``n0`` only bounds the *minimum* epoch length:
 all sampling performed while the epoch's aggregation and broadcast are in
 flight is also credited to the epoch, which is why large graphs (large
 communication volume) show few, long epochs and road networks show hundreds of
@@ -27,31 +30,25 @@ DEFAULT_EXPONENT = 1.33
 
 
 def thread_zero_samples_per_epoch(
-    num_processes: int,
-    num_threads: int,
-    *,
-    base: float = DEFAULT_BASE,
-    exponent: float = DEFAULT_EXPONENT,
+    num_processes: int, num_threads: int, *, base: float = DEFAULT_BASE
 ) -> int:
     """Number of samples thread 0 takes per epoch before forcing a transition.
 
-    A single worker (``P * T == 1``) checks every ``base`` samples; more
-    workers shorten the epoch by ``(P * T) ** -exponent``, never below one.
+    ``base`` shortened by ``(P * T) ** -DEFAULT_EXPONENT``, never below one.
     """
     if num_processes <= 0 or num_threads <= 0:
         raise ValueError("num_processes and num_threads must be positive")
-    if base <= 0 or exponent <= 0:
-        raise ValueError("base and exponent must be positive")
+    if base <= 0:
+        raise ValueError("base must be positive")
     workers = float(num_processes * num_threads)
-    value = base * (1.0 / workers) ** exponent
-    return max(1, int(round(value)))
+    return max(1, int(round(base * (1.0 / workers) ** DEFAULT_EXPONENT)))
 
 
 @dataclass(frozen=True)
 class EpochLength:
-    """The parallel check grid: thread 0 draws ``n0`` samples every epoch.
+    """The ``P * T > 1`` check grid: thread 0 draws ``n0`` samples every epoch.
 
-    The epoch loop's other grid is the sequential session's
+    The epoch loop's other grid is one worker's
     :class:`~repro.core.stopping.CheckSchedule`; both answer
     ``epoch_samples(epoch, tau)``.
     """

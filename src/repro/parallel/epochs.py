@@ -172,17 +172,8 @@ class FramePool:
         frame.reset()
         return frame
 
-    def aggregate_epoch(
-        self,
-        epoch: int,
-        *,
-        exclude_thread_zero: bool = False,
-        out: StateFrame | None = None,
-    ) -> StateFrame:
-        """Sum the epoch-``epoch`` frames of all threads.
-
-        ``exclude_thread_zero`` mirrors line 17 of Algorithm 2, where thread 0
-        aggregates frames ``S_1^e .. S_T^e`` separately before adding its own.
+    def aggregate_epoch(self, epoch: int, *, out: StateFrame | None = None) -> StateFrame:
+        """Sum the epoch-``epoch`` frames of all threads (lines 16-18 of Algorithm 2).
 
         ``out`` is a reusable accumulator frame: it is zeroed in place
         (``ndarray.fill``) and returned, so per-epoch aggregation performs no
@@ -198,7 +189,6 @@ class FramePool:
             if out.num_vertices != self._num_vertices:
                 raise ValueError("reusable aggregate frame has the wrong size")
             out.reset()
-        start = 1 if exclude_thread_zero else 0
-        for thread in range(start, self._num_threads):
+        for thread in range(self._num_threads):
             out.add_into(self.frame(thread, epoch))
         return out

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_for_rank_thread", "derive_seed", "draw_vertex_pairs"]
+__all__ = [
+    "rng_for_rank_thread", "derive_seed", "draw_vertex_pairs", "generator_from_state", "generator_state",
+]
 
 #: Rejection rounds before :func:`draw_vertex_pairs` switches to direct
 #: enumeration.  With uniform candidates the probability of even one retry
@@ -87,3 +89,30 @@ def derive_seed(seed: int | None, *tags: int) -> int:
     """Derive a 63-bit integer seed from a master seed and integer tags."""
     seq = np.random.SeedSequence(seed, spawn_key=tuple(int(t) for t in tags))
     return int(seq.generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+def generator_state(rng: np.random.Generator) -> dict:
+    """The generator's state as a JSON-serializable dict (ints stay exact)."""
+
+    def convert(value):
+        if isinstance(value, dict):
+            return {k: convert(v) for k, v in value.items()}
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.ndarray):
+            return [int(v) for v in value]
+        return value
+
+    return convert(dict(rng.bit_generator.state))
+
+
+def generator_from_state(state: dict) -> np.random.Generator:
+    """Rebuild a :class:`numpy.random.Generator` from :func:`generator_state`."""
+    name = state.get("bit_generator") if isinstance(state, dict) else None
+    kind = getattr(np.random, str(name), None)
+    concrete = isinstance(kind, type) and issubclass(kind, np.random.BitGenerator)
+    if not concrete or kind is np.random.BitGenerator:
+        raise ValueError(f"unknown bit generator {name!r}")
+    bit_generator = kind()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)

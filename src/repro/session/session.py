@@ -9,13 +9,14 @@ the additional samples), ``checkpoint``/``restore`` (CRC-checked ``.snap``
 files, :mod:`repro.session.snapshot`) and ``peek``/``top_k``
 (confidence-aware queries on the same f/g bounds as the stopping rule).
 
-A native session is the rank engine's ``P = T = 1`` rank: its calibration is
-:func:`repro.parallel.engine.calibration_phase` and its check/draw loop is
-:func:`repro.parallel.engine.adaptive_sampling_epochs`, both on a
-``SelfComm`` with one thread, drawing from the session's single RNG stream
-and checking on its :class:`~repro.core.stopping.CheckSchedule`.  A parallel
-run's rank 0 keeps its state in a (non-refinable) session too, so
-``dist --checkpoint`` writes this module's snapshot format.
+A session holds state: the frames, the RNG stream, the sample log and the
+snapshot.  It runs no phase of its own: ``run``, ``refine`` and graph updates
+(:mod:`repro.evolve`) hand the state to :func:`repro.parallel.engine.run_rank`
+on a ``SelfComm`` with one thread.  One worker is one computation, the same
+as every one-worker backend: sequential KADABRA on one stream, checked on the
+:class:`~repro.core.stopping.CheckSchedule` and stopped at ``omega`` at the
+latest.  A parallel run's rank 0 keeps its state in a (non-refinable) session
+too, so ``dist --checkpoint`` writes this module's snapshot format.
 
 Why refinement is *exact*: the sample stream is a pure function of ``(graph,
 seed, sampler kind)`` — the batch kernels draw it identically for any batch
@@ -34,24 +35,24 @@ bit-identical to a fresh run at that target (``tests/test_session.py``).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.calibration import calibration_sample_count
-from repro.core.kadabra import capped_samples, diameter_bound, make_sampler
+from repro.core.kadabra import make_sampler
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.state_frame import StateFrame
-from repro.core.stopping import CheckSchedule, StoppingCondition, compute_omega
+from repro.core.stopping import StoppingCondition
 from repro.core.topk import TopKResult, confidence_bounds, identify_top_k
 from repro.graph.csr import CSRGraph
-from repro.kernels import kernel_names, plan_batches
+from repro.kernels import kernel_names
 from repro.mpi.interface import SelfComm
 from repro.obs import trace as obs_trace
-from repro.parallel.engine import adaptive_sampling_epochs, calibration_phase, stopping_condition
+from repro.parallel.engine import run_rank, stopping_condition
+from repro.sampling.rng import generator_from_state, generator_state
 from repro.session.sample_log import SampleLog
 from repro.session.snapshot import SnapshotError, read_snapshot, require_keys, write_snapshot
 from repro.util.progress import ProgressCallback, ProgressEvent
@@ -124,18 +125,6 @@ class ConfidenceEstimate:
         return float(max(np.max(self.half_width_lower), np.max(self.half_width_upper)))
 
 
-def _rng_from_state(state: Dict[str, object]) -> np.random.Generator:
-    """Rebuild a :class:`numpy.random.Generator` from a saved state dict."""
-    name = state.get("bit_generator") if isinstance(state, dict) else None
-    kind = getattr(np.random, str(name), None)
-    concrete = isinstance(kind, type) and issubclass(kind, np.random.BitGenerator)
-    if not concrete or kind is np.random.BitGenerator:
-        raise ValueError(f"unknown bit generator {name!r}")
-    bit_generator = kind()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
 def _json_object(meta: Dict[str, object], key: str) -> Dict[str, object]:
     """``meta[key]``, which a snapshot writes as a JSON object."""
     value = meta[key]
@@ -164,32 +153,18 @@ def _graph_checksum(graph) -> Optional[str]:
         return None
 
 
-def _jsonable_rng_state(rng: np.random.Generator) -> Dict[str, object]:
-    """The generator's state as a JSON-serializable dict (ints stay exact)."""
-
-    def convert(value):
-        if isinstance(value, dict):
-            return {k: convert(v) for k, v in value.items()}
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.ndarray):
-            return [int(v) for v in value]
-        return value
-
-    return convert(dict(rng.bit_generator.state))
-
-
 class EstimationSession:
     """A resumable betweenness estimation over one graph and one RNG stream.
 
     Create sessions with :func:`open_session` (registry-aware, used by the
     facade) or :meth:`restore` (from a checkpoint).  **Native** sessions
     (``algorithm="sequential"`` or a backend registered with
-    ``supports_refinement=True``) drive the engine themselves and support the
-    full surface.  **Delegated** ones (every other backend) execute the
-    registered runner once in ``run``; ``refine`` and ``checkpoint`` raise
-    :class:`SessionCapabilityError` and ``peek``/``top_k`` fall back to the
-    uniform-split bounds of :mod:`repro.core.topk`.  A parallel run's rank 0
+    ``supports_refinement=True``) hand their state to the rank engine's one
+    worker and support the full surface.  **Delegated** ones (every other
+    backend) execute the registered runner once in ``run``; ``refine`` and
+    ``checkpoint`` raise :class:`SessionCapabilityError` and
+    ``peek``/``top_k`` fall back to the uniform-split bounds of
+    :mod:`repro.core.topk`.  A parallel run's rank 0
     state is a delegated session that checkpoints and restores but still
     refuses ``refine``: its samples came from the ranks' streams.
     """
@@ -308,8 +283,11 @@ class EstimationSession:
     # ------------------------------------------------------------------ #
     def _emit(self, **kwargs) -> None:
         if self._progress is not None:
-            kwargs.setdefault("ts", time.monotonic() - self._start_monotonic)
-            self._progress(ProgressEvent(**kwargs))
+            self._stamp(ProgressEvent(**kwargs))
+
+    def _stamp(self, event: ProgressEvent) -> None:
+        """Emit ``event`` timestamped since the session's creation."""
+        self._progress(replace(event, ts=time.monotonic() - self._start_monotonic))
 
     def _ensure_engine(self) -> None:
         """Create the RNG and the sampler if they are not there yet."""
@@ -327,27 +305,25 @@ class EstimationSession:
             changes["delta"] = float(delta)
         return self._options.with_(**changes) if changes else self._options
 
-    def _schedule(self, eps: float, delta: float) -> CheckSchedule:
-        omega = capped_samples(self._options, compute_omega(eps, delta, self._vd))
-        return CheckSchedule(
-            calibration_samples=calibration_sample_count(
-                self._options.calibration_samples, omega, self._graph.num_vertices
-            ),
-            samples_per_check=max(1, self._options.samples_per_check),
-            omega=omega,
-        )
+    def _advance(self, target: KadabraOptions, *, samples_reused: int) -> BetweennessResult:
+        """Certify ``target``: the rank engine's one worker on this state.
 
-    def _draw(self, count: int, rng, *, into_calibration: Optional[StateFrame] = None) -> None:
-        """Draw ``count`` samples from ``rng`` into the aggregate frame."""
-        for take in plan_batches(count):
-            batch = self._sampler.sample_batch(take, rng)
-            self._frame.record_batch(batch)
-            if self._sample_log is not None:
-                # Calibration *replays* in refine() bypass _draw on purpose:
-                # their stream positions are already logged.
-                self._sample_log.append_batch(batch)
-            if into_calibration is not None:
-                into_calibration.record_batch(batch)
+        The engine runs phase 1 when the state holds no diameter bound,
+        extends the calibration frame to the target's count, recalibrates
+        and checks on the target's grid from the live position on, drawing
+        from this session's stream; the state is updated in place.
+        """
+        self._ensure_engine()
+        progress = None if self._progress is None else self._stamp
+        ran, _stats = run_rank(
+            SelfComm(), self._graph, target, kernel=self._kernel, progress=progress, resume=self
+        )
+        self._ran = True
+        self._eps, self._delta = target.eps, target.delta
+        result = self._build_result(ran.phase_seconds, samples_reused=samples_reused)
+        if "samples_replayed" in ran.extra:
+            result.extra["samples_replayed"] = ran.extra["samples_replayed"]
+        return result
 
     def _build_result(self, phase_seconds: Dict[str, float], *, samples_reused: int) -> BetweennessResult:
         tau = self._frame.num_samples
@@ -407,85 +383,7 @@ class EstimationSession:
 
         if self._graph.num_vertices < 2:
             return self._trivial_result(target.eps, target.delta)
-
-        self._ensure_engine()
-        phases = obs_trace.PhaseRecorder()
-
-        with phases("diameter") as sp:
-            self._vd = diameter_bound(self._graph, self._options, sp)
-            sp.set("vertex_diameter", self._vd)
-        schedule = self._schedule(target.eps, target.delta)
-        self._omega = schedule.omega
-        self._emit(phase="diameter", omega=schedule.omega)
-
-        with phases("calibration") as sp:
-            self._frame, self._condition = calibration_phase(
-                SelfComm(),
-                self._sampler,
-                self._rng,
-                schedule.calibration_samples,
-                num_vertices=self._graph.num_vertices,
-                eps=target.eps,
-                delta=target.delta,
-                omega=schedule.omega,
-                on_batch=self._sample_log.append_batch,
-            )
-            self._calibration_frame = self._frame.copy()
-            self._calibration_rng_state = _jsonable_rng_state(self._rng)
-            sp.set("num_samples", int(self._frame.num_samples))
-        return self._certify(phases, schedule, target.eps, target.delta, samples_reused=0)
-
-    def _recalibrate(self, eps: float, delta: float, omega: int) -> None:
-        """Derive the stopping condition for a target from the calibration frame."""
-        frame = self._calibration_frame
-        self._condition = stopping_condition(frame, eps=eps, delta=delta, omega=omega)
-
-    def _certify(
-        self, phases: obs_trace.PhaseRecorder, schedule: CheckSchedule, eps: float, delta: float,
-        *, samples_reused: int,
-    ) -> BetweennessResult:
-        """Phase 3 of ``run``, ``refine`` and graph updates, to an ``(eps, delta)`` certificate.
-
-        The engine's epoch loop at ``P = T = 1``, on ``schedule``: its first
-        epoch draws forward to the first check boundary at or past the live
-        position (nothing in ``run``, whose calibration ends on the first
-        boundary).  Boundaries strictly before that position were decided by
-        the looser certificate already (monotone guarantees: the tighter rule
-        cannot fire before the looser one did), so skipping them is safe.
-        Every later epoch draws exactly one block — the same decisions a
-        one-shot run makes.
-        """
-        self._emit(phase="calibration", num_samples=self._frame.num_samples, omega=schedule.omega)
-        checks = self._checks
-
-        def on_epoch(epochs_done: int, num_samples: int) -> None:
-            self._emit(
-                phase="adaptive_sampling",
-                epoch=checks + epochs_done,
-                num_samples=num_samples,
-                omega=schedule.omega,
-            )
-
-        with phases("adaptive_sampling", omega=schedule.omega):
-            stats = adaptive_sampling_epochs(
-                SelfComm(),
-                lambda _thread: self._sampler,
-                self._condition,
-                [self._rng],
-                num_threads=1,
-                num_vertices=self._graph.num_vertices,
-                grid=schedule,
-                initial_frame=self._frame,
-                on_batch=None if self._sample_log is None else self._sample_log.append_batch,
-                on_epoch=on_epoch,
-            )
-        for phase, seconds in stats.phase_seconds.items():
-            phases.seconds[f"ads_{phase}"] = seconds
-        self._frame = stats.aggregated_frame
-        self._checks += stats.num_epochs
-        self._ran = True
-        self._eps, self._delta, self._omega = eps, delta, schedule.omega
-        return self._build_result(phases.seconds, samples_reused=samples_reused)
+        return self._advance(target, samples_reused=0)
 
     # ------------------------------------------------------------------ #
     # refine
@@ -526,40 +424,7 @@ class EstimationSession:
             return self._build_result({}, samples_reused=reused)
         if self._graph.num_vertices < 2:
             return self._trivial_result(target.eps, target.delta)
-
-        self._ensure_engine()
-        phases = obs_trace.PhaseRecorder()
-        schedule = self._schedule(target.eps, target.delta)
-        old_c = self._calibration_frame.num_samples
-        new_c = schedule.calibration_samples
-        if new_c < old_c:  # impossible by monotonicity; guard the invariant
-            raise SessionStateError(
-                f"calibration count shrank ({old_c} -> {new_c}); "
-                "refinement requires a monotone schedule"
-            )
-
-        with phases("calibration"):
-            # Extend the calibration frame to the tighter target's count: the
-            # overlap with already-drawn samples is *replayed* from the saved
-            # calibration RNG state (same stream positions, so identical
-            # contributions, charged only to the calibration frame), anything
-            # past the live position is drawn fresh and charged to both.
-            replay_until = min(new_c, reused)
-            if replay_until > old_c:
-                replay_rng = _rng_from_state(self._calibration_rng_state)
-                for take in plan_batches(replay_until - old_c):
-                    self._calibration_frame.record_batch(
-                        self._sampler.sample_batch(take, replay_rng)
-                    )
-                self._calibration_rng_state = _jsonable_rng_state(replay_rng)
-            if new_c > reused:
-                self._draw(new_c - reused, self._rng, into_calibration=self._calibration_frame)
-                self._calibration_rng_state = _jsonable_rng_state(self._rng)
-            self._recalibrate(target.eps, target.delta, schedule.omega)
-        result = self._certify(phases, schedule, target.eps, target.delta, samples_reused=reused)
-        if replay_until > old_c:
-            result.extra["samples_replayed"] = float(replay_until - old_c)
-        return result
+        return self._advance(target, samples_reused=reused)
 
     # ------------------------------------------------------------------ #
     # Confidence-aware queries
@@ -642,7 +507,7 @@ class EstimationSession:
                 self._graph.num_vertices
             )
             self._calibration_rng_state = (
-                self._calibration_rng_state or _jsonable_rng_state(self._rng)
+                self._calibration_rng_state or generator_state(self._rng)
             )
         meta = {
             "kind": _SNAPSHOT_KIND,
@@ -661,7 +526,7 @@ class EstimationSession:
                 **self._calibration_frame.scalar_state(),
                 "rng_state": self._calibration_rng_state,
             },
-            "rng_state": None if self._rng is None else _jsonable_rng_state(self._rng),
+            "rng_state": None if self._rng is None else generator_state(self._rng),
         }
         arrays = {
             "counts": self._frame.counts,
@@ -792,7 +657,7 @@ class EstimationSession:
                 )
         session._calibration_rng_state = calibration.get("rng_state")
         if session._calibration_rng_state is not None:
-            _rng_from_state(session._calibration_rng_state)  # refine replays from it
+            generator_from_state(session._calibration_rng_state)  # refine replays from it
         # Pre-log snapshots restore fine; the session just is not
         # update-refinable (repro.evolve requires the per-sample log).
         session._sample_log = None
@@ -804,34 +669,20 @@ class EstimationSession:
                     f"frame holds {session._frame.num_samples}"
                 )
             session._sample_log = log
-        session._rng = _rng_from_state(meta["rng_state"]) if session._native else None
+        session._rng = generator_from_state(meta["rng_state"]) if session._native else None
         # Recompute the stopping state instead of storing 2n more floats: the
         # calibration is a deterministic function of the stored frame.  A
         # rank's mid-run checkpoint certifies nothing yet and is calibrated
         # for the target of its options.
         if session._omega is not None and session._calibration_frame.num_samples > 0:
-            session._recalibrate(
-                options.eps if session._eps is None else session._eps,
-                options.delta if session._delta is None else session._delta,
-                session._omega,
+            session._condition = stopping_condition(
+                session._calibration_frame,
+                eps=options.eps if session._eps is None else session._eps,
+                delta=options.delta if session._delta is None else session._delta,
+                omega=session._omega,
             )
         elif not session._native:
             raise SnapshotError(f"{path}: {algorithm!r} checkpoint carries no calibration")
-        return session
-
-    @classmethod
-    def _rank_state(
-        cls, graph, options: KadabraOptions, kernel: Optional[str], algorithm: str,
-        vertex_diameter: int, calibration_frame: StateFrame, condition: StoppingCondition,
-    ) -> "EstimationSession":
-        """Rank 0's state in a parallel run; the engine keeps its frame and
-        check count current at every epoch boundary.  Checkpointable and
-        restorable, not refinable: it holds no session RNG stream."""
-        session = cls(graph, options, kernel=kernel)
-        session._native, session._algorithm, session._sample_log = False, algorithm, None
-        session._ran = True
-        session._vd, session._omega = vertex_diameter, condition.omega
-        session._calibration_frame, session._condition = calibration_frame, condition
         return session
 
 

@@ -373,6 +373,17 @@ class TestWorkerCommand:
         assert self.worker(social_rcsr, "--output", str(out)) == 0  # default --port 0
         assert json.loads(out.read_text())["num_processes"] == 1
 
+    def test_a_run_stopped_by_calibration_reports_its_rate(self, social_rcsr, tmp_path):
+        """One worker stops at omega: at eps 0.2 omega is below the default
+        200 calibration samples, so the adaptive phase draws nothing, and the
+        rate is calibration's."""
+        out = tmp_path / "result.json"
+        assert self.worker(social_rcsr, "--output", str(out)) == 0
+        result = json.loads(out.read_text())
+        assert result["num_samples"] == result["omega"] < 200
+        assert result["per_rank"][0]["local_samples"] == 0
+        assert result["aggregate_samples_per_sec"] > 0
+
     @pytest.fixture()
     def checkpoint(self, social_rcsr, tmp_path):
         path = tmp_path / "rank0.snap"

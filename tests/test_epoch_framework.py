@@ -134,8 +134,6 @@ class TestFramePool:
         total = pool.aggregate_epoch(0)
         assert total.num_samples == 3
         assert list(total.counts) == [1, 1, 1, 0]
-        without_zero = pool.aggregate_epoch(0, exclude_thread_zero=True)
-        assert without_zero.num_samples == 2
 
     def test_aggregate_does_not_mutate_frames(self):
         pool = FramePool(2, 3)

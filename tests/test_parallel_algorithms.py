@@ -59,19 +59,14 @@ class TestEpochLengthRule:
         }
         assert len(values) == 1
 
-    def test_base_and_exponent_scale_the_rule(self):
-        assert thread_zero_samples_per_epoch(4, 1, base=800, exponent=1.0) == 200
-        assert thread_zero_samples_per_epoch(4, 1, base=800, exponent=0.5) == 400
+    def test_base_scales_the_rule(self):
+        assert thread_zero_samples_per_epoch(4, 1, base=600) == round(600 * 4 ** -1.33) == 95
 
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            thread_zero_samples_per_epoch(1, 1, exponent=0.0)
-
-    def test_only_base_and_exponent_are_tunable(self):
+    def test_only_base_is_tunable(self):
         import inspect
 
         parameters = inspect.signature(thread_zero_samples_per_epoch).parameters
-        assert list(parameters) == ["num_processes", "num_threads", "base", "exponent"]
+        assert list(parameters) == ["num_processes", "num_threads", "base"]
 
     @pytest.mark.parametrize(
         "algorithm, resources, workers",

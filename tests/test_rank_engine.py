@@ -1,12 +1,13 @@
 """The one rank engine (``repro.parallel.engine``) behind every parallel path.
 
-* Bit-identity: at ``P = 1, T = 1`` the shared-memory, distributed and
-  mpi-only backends and the socket workers (both algorithms) are the same
-  computation, pinned by sha256 digests recorded at the commit *before* the
-  four drivers were merged into :func:`repro.parallel.run_rank`.
+* Bit-identity: one worker (``P = 1, T = 1``) is one computation.  The
+  sequential facade and registry runner, the shared-memory, distributed and
+  mpi-only backends, ``run_rank`` on ``SelfComm`` and the socket workers
+  (both algorithms) give the sequential session's result, stopped at omega,
+  pinned by sha256 digests.
 * Algorithm 1's invariants through the merged epoch loop on threaded ranks.
-* The session is the engine's ``P = T = 1`` rank, and rank 0's checkpoint
-  state is a session.
+* The session runs the engine's one worker, and rank 0's checkpoint state is
+  a session.
 * Thread 0's overlap loop: whole worker batches per poll with the compiled
   search, one sample per poll otherwise, never seen by ``on_batch``.
 * Failure propagation: a sampling thread or a rank that raises ends the run
@@ -27,8 +28,10 @@ import pytest
 from test_scan_on_expand import make_sampler
 
 from repro import Resources, estimate_betweenness
+from repro.api import get_backend
 from repro.cli import main as cli_main
 from repro.core import KadabraOptions, StateFrame, StoppingCondition
+from repro.core.stopping import CheckSchedule
 from repro.dist.launcher import launch_local
 from repro.graph.generators import barabasi_albert
 from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
@@ -41,13 +44,15 @@ from repro.store import write_rcsr
 
 TARGET = dict(eps=0.02, delta=0.1, seed=5)
 
-#: sha256(scores as float64 bytes + "num_samples:num_epochs") at the parent
-#: commit, identical for all five paths: 8200 samples in 8 epochs.
-FULL_RUN = ("a74300038d3f883dfae0ff2fb64b0ab098205b813c8e46b9a228dfeda20586eb", 8200, 8)
-#: ... stopped by ``max_epochs=3``: 3200 samples.
-THREE_EPOCHS = ("690cf0424984efdf8f1b425471f179803ea41a37319f61e6ab098220485a11b9", 3200, 3)
-#: ... stopped by ``max_epochs=1``: 1200 samples.
-ONE_EPOCH = ("c2e95cfdac20abb2685a0238657a29922ba7d3565cc4e3e0240c93f52e061421", 1200, 1)
+#: sha256(scores as float64 bytes + "num_samples:num_epochs") of the
+#: sequential session's run, identical for every one-worker path: 7495
+#: samples (= omega) in 9 epochs.
+FULL_RUN = ("4f0083eb6bfdb641254c73019eecb3a65ab7fa64527c087d1a1acb1fd9cb6b17", 7495, 9)
+#: ... stopped by ``max_epochs=3``: the 200 calibration samples and two blocks.
+THREE_EPOCHS = ("6b5da301453bbb43d5d9eca76990282ece7dc13db573a0502028d8784c136ba1", 2200, 3)
+#: ... stopped by ``max_epochs=1``: the check at the end of calibration.
+ONE_EPOCH = ("686af0603477e1e4f3ac8ff8926ec3c8a1845e3523347d2e6bc057190eb5fffc", 200, 1)
+OMEGA = 7495
 
 HANG_TIMEOUT = 30.0
 
@@ -71,18 +76,36 @@ def rcsr(graph, tmp_path_factory):
     return str(path)
 
 
-class TestOneComputationFivePaths:
-    @pytest.mark.parametrize(
-        "algorithm, resources",
-        [
-            ("shared-memory", Resources(threads=1)),
-            ("distributed", Resources(processes=1)),
-            ("mpi-only", Resources(processes=1)),
-        ],
+def facade(algorithm, **resources):
+    return lambda graph: estimate_betweenness(
+        graph, algorithm=algorithm, resources=Resources(**resources), **TARGET
     )
-    def test_in_process_backends(self, graph, algorithm, resources):
-        result = estimate_betweenness(graph, algorithm=algorithm, resources=resources, **TARGET)
+
+
+def self_comm_rank(algorithm):
+    return lambda graph: run_rank(SelfComm(), graph, KadabraOptions(**TARGET), algorithm=algorithm)[0]
+
+
+#: Every in-process way to run one worker.
+ONE_WORKER = {
+    "sequential": facade("sequential"),
+    "sequential-runner": lambda graph: get_backend("sequential").runner(
+        graph, KadabraOptions(**TARGET), Resources(), None
+    ),
+    "shared-memory": facade("shared-memory", threads=1),
+    "distributed": facade("distributed", processes=1),
+    "mpi-only": facade("mpi-only", processes=1),
+    "run_rank-epoch": self_comm_rank("epoch"),
+    "run_rank-mpi-only": self_comm_rank("mpi-only"),
+}
+
+
+class TestOneComputationFivePaths:
+    @pytest.mark.parametrize("path", list(ONE_WORKER))
+    def test_in_process_paths(self, graph, path):
+        result = ONE_WORKER[path](graph)
         assert fingerprint(result.scores, result.num_samples, result.num_epochs) == FULL_RUN
+        assert result.num_samples <= result.omega == OMEGA
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
     def test_three_epoch_run(self, graph, algorithm):
@@ -90,7 +113,7 @@ class TestOneComputationFivePaths:
             SelfComm(), graph, KadabraOptions(**TARGET), algorithm=algorithm, max_epochs=3
         )
         assert fingerprint(result.scores, result.num_samples, result.num_epochs) == THREE_EPOCHS
-        assert stats.local_samples == 3000 and stats.num_epochs == 3
+        assert stats.local_samples == 2000 and stats.num_epochs == 3
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
     def test_socket_worker_one_epoch(self, rcsr, algorithm):
@@ -99,12 +122,13 @@ class TestOneComputationFivePaths:
         one-epoch run never aggregates."""
         result = launch_local(rcsr, processes=1, algorithm=algorithm, max_epochs=1, **TARGET)
         assert fingerprint(result["scores"], result["num_samples"], result["num_epochs"]) == ONE_EPOCH
+        assert result["num_samples"] <= result["omega"] == OMEGA
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
     def test_socket_worker_full_run(self, rcsr, algorithm):
         """Socket requests complete asynchronously, so thread 0 sometimes takes
         overlap samples (at the parent commit just the same, and on a loaded
-        machine nearly always); such a run has more than 8200 samples and says
+        machine nearly always); such a run has more than 7495 samples and says
         nothing about the RNG streams, so it is repeated a few times.  A run
         without overlap must match bit for bit."""
         for _attempt in range(3):
@@ -114,6 +138,7 @@ class TestOneComputationFivePaths:
         else:
             pytest.skip("every attempt overlapped sampling with a socket collective")
         assert fingerprint(result["scores"], result["num_samples"], result["num_epochs"]) == FULL_RUN
+        assert result["num_samples"] <= result["omega"] == OMEGA
         assert result["restarts"] == 0 and result["resumed_from_samples"] == 0
 
 
@@ -186,7 +211,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
 
 class TestOneLoop:
     def test_the_session_runs_the_engine_loop_on_one_thread(self, graph, monkeypatch):
-        import repro.session.session as session_module
+        import repro.parallel.engine as engine
 
         calls = []
 
@@ -194,13 +219,14 @@ class TestOneLoop:
             calls.append((comm, kwargs["num_threads"], kwargs["grid"]))
             return adaptive_sampling_epochs(comm, sampler_factory, condition, rngs, **kwargs)
 
-        monkeypatch.setattr(session_module, "adaptive_sampling_epochs", spy)
+        monkeypatch.setattr(engine, "adaptive_sampling_epochs", spy)
         threads_before = threading.active_count()
         session = open_session(graph, seed=5)
         result = session.run(0.1, 0.1)
         session.refine(0.05, 0.1)
         assert threading.active_count() == threads_before
         assert [(type(comm), threads) for comm, threads, _grid in calls] == [(SelfComm, 1)] * 2
+        assert all(isinstance(grid, CheckSchedule) for _comm, _threads, grid in calls)
         assert calls[0][2].omega == result.omega
         # Thread 0's batches fed the sample log, sample for sample.
         assert session.sample_log.num_samples == session.num_samples
