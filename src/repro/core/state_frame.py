@@ -4,6 +4,12 @@ A *state frame* (SF) is the pair ``S = (tau, c~)`` of the number of samples
 taken and the per-vertex path counters (Section III-B of the paper).  State
 frames form a commutative monoid under element-wise addition, which is exactly
 the property the MPI reduction and the epoch-based aggregation rely on.
+
+Between ranks a frame travels in the smaller of two forms
+(:meth:`StateFrame.for_wire`): dense, one float64 per vertex, or — when fewer
+than a third of its counters are nonzero — as a :class:`SparseFrame` of
+``(index, count)`` arrays.  The counters are integers, so every sum of either
+form is the dense sum bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StateFrame"]
+__all__ = ["SparseFrame", "StateFrame"]
 
 
 @dataclass
@@ -89,14 +95,26 @@ class StateFrame:
         if vertices.size > 0:
             np.add.at(self.counts, vertices, 1.0)
 
-    def add_into(self, other: "StateFrame") -> "StateFrame":
-        """In-place accumulate ``other`` into ``self`` and return ``self``."""
-        if other.counts.size != self.counts.size:
+    def add_into(self, other: "StateFrame | SparseFrame") -> "StateFrame":
+        """In-place accumulate ``other`` (dense or sparse) into ``self`` and return ``self``."""
+        if other.num_vertices != self.num_vertices:
             raise ValueError("cannot aggregate state frames of different sizes")
         self.num_samples += other.num_samples
         self.edges_touched += other.edges_touched
-        self.counts += other.counts
+        if isinstance(other, SparseFrame):
+            np.add.at(self.counts, other.index, other.count)
+        else:
+            self.counts += other.counts
         return self
+
+    def for_wire(self) -> "StateFrame | SparseFrame":
+        """The form this frame travels in: a :class:`SparseFrame` of its
+        nonzero counters when they are fewer than a third of the vertices,
+        else the frame itself."""
+        index = np.flatnonzero(self.counts)
+        if 3 * index.size >= self.counts.size:
+            return self
+        return SparseFrame(self.num_vertices, self.num_samples, index, self.counts[index], self.edges_touched)
 
     def __add__(self, other: "StateFrame") -> "StateFrame":
         result = self.copy()
@@ -135,10 +153,11 @@ class StateFrame:
         return self.counts / float(self.num_samples)
 
     def serialized_bytes(self) -> int:
-        """Number of bytes an MPI reduction of this frame would transfer.
+        """Number of bytes an MPI reduction of this frame transfers in dense form.
 
         This drives the communication-volume column of Table II: one float64
-        per vertex plus the 8-byte sample counter.
+        per vertex plus the 8-byte sample counter.  A frame that travels
+        sparse counts :meth:`SparseFrame.serialized_bytes` instead.
         """
         return int(self.counts.nbytes + 8)
 
@@ -147,3 +166,37 @@ class StateFrame:
             f"StateFrame(tau={self.num_samples}, n={self.counts.size}, "
             f"mass={float(self.counts.sum()):.1f})"
         )
+
+
+@dataclass
+class SparseFrame:
+    """A state frame on the wire as its nonzero counters: ``count[i]`` paths through ``index[i]``.
+
+    :meth:`StateFrame.for_wire` makes one; two sum by concatenation
+    (:meth:`__add__`, an index may then repeat) while that holds fewer
+    entries than a third of the vertices, else into a dense frame; one folds
+    into a dense frame with ``np.add.at`` (:meth:`StateFrame.add_into`).
+    """
+
+    num_vertices: int
+    num_samples: int
+    index: np.ndarray
+    count: np.ndarray
+    edges_touched: int = 0
+
+    def __add__(self, other: "SparseFrame") -> "SparseFrame | StateFrame":
+        if other.num_vertices != self.num_vertices:
+            raise ValueError("cannot aggregate state frames of different sizes")
+        if 3 * (self.index.size + other.index.size) >= self.num_vertices:
+            return StateFrame.zeros(self.num_vertices).add_into(self).add_into(other)
+        return SparseFrame(
+            self.num_vertices,
+            self.num_samples + other.num_samples,
+            np.concatenate([self.index, other.index]),
+            np.concatenate([self.count, other.count]),
+            self.edges_touched + other.edges_touched,
+        )
+
+    def serialized_bytes(self) -> int:
+        """Bytes this frame transfers: both arrays plus the sample counter and the vertex count."""
+        return int(self.index.nbytes + self.count.nbytes + 16)

@@ -169,20 +169,29 @@ def write_result(path, result: Dict[str, Any]) -> List[float]:
     """Write ``result`` (scores: float64 array) to ``path`` as ``json.dumps`` would; returns the scores as a list.
 
     An estimate is n floats, well under 1 % of them distinct: each distinct
-    one is formatted once and is one float object in the list.
+    one is formatted once and is one float object in the list.  The distinct
+    bit patterns come from a sort (0.0 and -0.0 print apart, so equal floats
+    are not enough), each score's from a binary search among them.
     """
-    scores = np.ascontiguousarray(result["scores"], dtype=np.float64)
-    distinct, inverse = np.unique(scores.view(np.int64), return_inverse=True)  # 0.0, -0.0 print apart
+    bits = np.ascontiguousarray(result["scores"], dtype=np.float64).view(np.int64)
+    ordered = np.sort(bits)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    inverse = np.searchsorted(distinct, bits)
     values = np.array(distinct.view(np.float64).tolist(), dtype=object)
     listed = values[inverse].tolist()
-    body = ", ".join(np.array([json.dumps(value) for value in values], dtype=object)[inverse])
+    body = ", ".join(np.array([json.dumps(value) for value in values], dtype=object)[inverse].tolist())
     items, at = list(result.items()), list(result).index("scores")  # the other keys, dumped on either side
     head = json.dumps(dict(items[:at]))[:-1] + (", " if at else "")
     tail = (", " if at + 1 < len(items) else "") + json.dumps(dict(items[at + 1 :]))[1:]
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
-    tmp.write_text(f'{head}"scores": [{body}]{tail}')
+    with open(tmp, "w") as file:  # in pieces: the body is not copied into one string
+        file.write(f'{head}"scores": [')
+        file.write(body)
+        file.write(f"]{tail}")
     os.replace(tmp, out)
     return listed
 

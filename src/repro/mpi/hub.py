@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.state_frame import StateFrame
+from repro.core.state_frame import SparseFrame, StateFrame
 from repro.mpi.interface import CommError, Communicator
 from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.requests import CompletedRequest, Request
@@ -62,7 +62,7 @@ def _payload_bytes(value: Any) -> int:
     serializes a multi-gigabyte array just to measure it.  ``pickle.dumps``
     remains only as the last resort for exotic scalar payloads.
     """
-    if isinstance(value, StateFrame):
+    if isinstance(value, (StateFrame, SparseFrame)):
         return value.serialized_bytes()
     nbytes = getattr(value, "nbytes", None)
     if nbytes is not None:

@@ -2,10 +2,13 @@
 
 The algorithms in Section IV need exactly these primitives:
 
-* blocking ``reduce`` (calibration phase aggregation) and ``bcast``;
+* blocking ``bcast`` (a resumed run's header) and ``reduce`` (the last
+  epoch);
+* non-blocking ``ibcast`` (the diameter bound, the budget left after each
+  check) and ``ireduce`` (calibration, Algorithm 1's epochs), thread 0
+  sampling while they are in flight;
 * non-blocking ``ibarrier`` + blocking ``reduce`` (the paper's replacement for
-  a slow ``MPI_Ireduce``), plus ``ireduce`` itself for Algorithm 1;
-* non-blocking ``ibcast`` for distributing the termination flag.
+  a slow ``MPI_Ireduce``) for Algorithm 2's epochs.
 
 Every collective runs on the one world communicator.  The paper's
 node-local/leader split (Section IV-E) pre-aggregates over shared memory;

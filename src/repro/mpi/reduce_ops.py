@@ -3,7 +3,10 @@
 MPI reductions require associative (and here also commutative) operators.  The
 operators below cover everything the betweenness drivers need: summation of
 state frames, elementwise numpy sums, and scalar sum/min/max/logical-or
-reductions used for control values such as the termination flag.
+reductions used for control values.  Two sparse frames sum by concatenation
+(dense once that reaches a third of the vertices); a sparse frame meets a
+dense one by ``np.add.at`` into a copy of the dense one.  The counters are
+integers, so any mix in any order sums to the dense sum bit for bit.
 """
 
 from __future__ import annotations
@@ -12,18 +15,16 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.state_frame import StateFrame
+from repro.core.state_frame import SparseFrame, StateFrame
 
 __all__ = ["REDUCE_OPS", "reduce_op", "combine"]
 
 
 def _sum(a: Any, b: Any) -> Any:
+    if isinstance(a, SparseFrame) and isinstance(b, StateFrame):
+        a, b = b, a
     if isinstance(a, StateFrame):
-        result = a.copy()
-        result.add_into(b)
-        return result
-    if isinstance(a, np.ndarray):
-        return a + b
+        return a.copy().add_into(b)
     return a + b
 
 

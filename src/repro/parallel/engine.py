@@ -15,14 +15,19 @@ stream, sample log) and hands it to :func:`run_rank` for ``run``, ``refine``
 and graph updates; it runs no phase of its own.
 
 1. *Diameter* — computed sequentially at rank 0, as in the paper, and
-   broadcast.
+   broadcast (``ibcast``).  With several workers the other ranks' thread 0
+   samples from its adaptive (rank, thread 1) stream while the broadcast is
+   in flight, into its epoch-0 frame.
 2. *Calibration* — :func:`calibration_phase` splits the non-adaptive samples
-   evenly across the ranks and reduces them; rank 0 derives
+   evenly across the ranks and reduces them (``ireduce``, rank 0's thread 0
+   sampling into that same frame while it is in flight); rank 0 derives
    ``delta_L``/``delta_U`` (:func:`stopping_condition`) and keeps them, as
    it alone evaluates the stopping rule.  The other ranks go straight on.
-   One worker draws it from its one stream instead, extending a state's
-   frame to the target's count (positions the stream already drew are
-   replayed), which is what makes ``refine`` exact.
+   The samples taken during both collectives count toward epoch 0's ``n0``
+   and stop at it; the calibration stream, frame and deltas are what they
+   would be without them.  One worker draws calibration from its one stream
+   instead, extending a state's frame to the target's count (positions the
+   stream already drew are replayed), which is what makes ``refine`` exact.
 3. *Adaptive sampling* — :func:`adaptive_sampling_epochs`, the epoch loop of
    Section IV-C.  Threads ``1 .. T-1`` sample continuously into the frame of
    their current epoch; thread 0 samples what the check grid asks, forces the
@@ -30,24 +35,34 @@ and graph updates; it runs no phase of its own.
    (``algorithm="epoch"``, Algorithm 2: a non-blocking barrier then a
    blocking reduction, which the paper found faster than ``MPI_Ireduce``;
    ``"mpi-only"``, Algorithm 1: one thread and a plain ``Ireduce``), where
-   the stopping rule is evaluated, and broadcasts the termination flag —
-   sampling into the next epoch's frame while each request is in flight,
-   between polls of the request: a :data:`~repro.kernels.WORKER_BATCH` per
-   poll when the search is compiled (that call releases the GIL the
-   communicator's threads need), one sample per poll otherwise.  On
-   ``SelfComm`` with one thread every request completes at once, so each
-   epoch draws exactly what the grid says.  With several workers thread 0
-   draws ``n0`` per epoch (:class:`~repro.parallel.epoch_length.EpochLength`)
-   from its (rank, thread) slot; one worker draws to the next
-   :class:`~repro.core.stopping.CheckSchedule` boundary.
+   the stopping rule is evaluated, and broadcasts the budget left,
+   ``omega - tau`` (0 stops) — sampling into the next epoch's frame while
+   each request is in flight, between polls of the request: a
+   :data:`~repro.kernels.WORKER_BATCH` per poll when the search is compiled
+   (that call releases the GIL the communicator's threads need), one sample
+   per poll otherwise.  On ``SelfComm`` with one thread every request
+   completes at once, so each epoch draws exactly what the grid says.  With
+   several workers thread 0 draws ``n0`` per epoch
+   (:class:`~repro.parallel.epoch_length.EpochLength`) from its (rank,
+   thread) slot, and the run stops at ``omega`` as well: once one more epoch
+   could exhaust the budget, the next one is the last (``_Budget``), in
+   which every thread draws its share, thread 0 waits for the transition
+   without sampling, tops its rank up to ``ceil(R / P)`` and reduces without
+   the barrier, and every rank ends after rank 0's fold.  One worker draws
+   to the next :class:`~repro.core.stopping.CheckSchedule` boundary.
+
+A frame that crosses ranks travels in :meth:`~repro.core.state_frame.StateFrame.for_wire`
+form: its nonzero counters as ``(index, count)`` arrays when they are fewer
+than a third of the vertices, dense otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +95,9 @@ _BACKEND = {"epoch": "distributed", "mpi-only": "mpi-only"}
 #: Salt tag separating post-resume RNG streams from the original run's.
 _RESUME_SEED_TAG = 7701
 
+#: Seconds thread 0 sleeps between polls of a request it waits on without sampling.
+_IDLE_POLL_S = 1e-4
+
 
 @dataclass
 class EpochStats:
@@ -88,9 +106,17 @@ class EpochStats:
     rank: int
     num_threads: int
     num_epochs: int = 0
+    #: Samples this rank's threads drew from their adaptive streams, the
+    #: opening's (drawn before the loop, while the diameter and calibration
+    #: collectives were in flight) and the discarded last overlap included.
     local_samples: int = 0
     aggregated_frame: Optional[StateFrame] = None  # only at world rank 0
     stopped_by_omega: bool = False
+    #: Samples this rank's frames held past its share ``ceil(R / P)`` of the
+    #: budget when the run ended in its budgeted last epoch (else ``None``):
+    #: the run's overshoot of ``omega`` is then their sum over the ranks plus
+    #: the rounding, ``P * ceil(R / P) - R < P``.
+    final_surplus: Optional[int] = None
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     communication_bytes: int = 0
 
@@ -104,6 +130,36 @@ def _draw(sampler, rng, count: int, frame: StateFrame, on_batch=None) -> None:
             on_batch(batch)
 
 
+def _sample_while(
+    request: Request,
+    sampler: BatchPathSampler,
+    rng: np.random.Generator,
+    frame: Optional[StateFrame],
+    failures: Sequence[BaseException] = (),
+    limit: float = math.inf,
+) -> Tuple[object, int]:
+    """Sample into ``frame`` until ``request`` completes; return its result and the samples drawn.
+
+    A compiled batch runs without the GIL, so the communicator's threads
+    progress while thread 0 draws a whole worker batch; any other search
+    holds the GIL for the batch, so it draws one sample per poll.  Without a
+    ``frame``, or once it holds ``limit`` samples, it only waits.  A sampling
+    thread's exception in ``failures`` ends the wait, which that thread's
+    epoch transition would never end.
+    """
+    batch = WORKER_BATCH if sampler.compiled else 1
+    drawn = 0
+    while not request.test():
+        if failures:
+            raise failures[0]
+        if frame is None or frame.num_samples >= limit:
+            time.sleep(_IDLE_POLL_S)
+            continue
+        frame.record_batch(sampler.sample_batch(batch, rng))
+        drawn += batch
+    return request.result(), drawn
+
+
 def stopping_condition(
     frame: StateFrame, *, eps: float, delta: float, omega: int
 ) -> StoppingCondition:
@@ -112,6 +168,11 @@ def stopping_condition(
     return StoppingCondition(
         eps=eps, omega=omega, delta_l=calibration.delta_l, delta_u=calibration.delta_u
     )
+
+
+def _wire(frame: StateFrame, comm: Communicator):
+    """``frame`` as it travels: in :meth:`~StateFrame.for_wire` form when there is another rank."""
+    return frame.for_wire() if comm.size > 1 else frame
 
 
 def calibration_phase(
@@ -124,18 +185,21 @@ def calibration_phase(
     eps: float,
     delta: float,
     omega: int,
+    wait: Callable[[Request], object] = Request.wait,
 ) -> Tuple[Optional[StateFrame], Optional[StoppingCondition]]:
     """Phase 2 with several workers: ``total`` samples split evenly across the ranks.
 
     Returns ``(frame, condition)`` at rank 0: the reduced calibration frame
     and the stopping condition derived from it; ``(None, None)`` elsewhere,
-    after the reduce, this phase's one collective.
+    after the reduce, this phase's one collective (an ``ireduce``, which
+    ``wait(request)`` completes: the engine samples meanwhile).
     """
     local = StateFrame.zeros(num_vertices)
     _draw(sampler, rng, int(math.ceil(total / comm.size)), local)
-    frame = comm.reduce(local, op="sum", root=0)
+    reduced = wait(comm.ireduce(_wire(local, comm), op="sum", root=0))
     if not comm.is_root:
         return None, None
+    frame = StateFrame.zeros(num_vertices).add_into(reduced)
     return frame, stopping_condition(frame, eps=eps, delta=delta, omega=omega)
 
 
@@ -153,20 +217,70 @@ def _worker_loop(
     Batches of :data:`repro.kernels.WORKER_BATCH` amortise per-sample
     overhead yet acknowledge transitions promptly (``check_transition`` runs
     between batches, so a frame is only written by its owner inside one
-    epoch).  An exception ends the thread and is left in ``failures`` for
-    thread 0, which would otherwise wait forever for its next transition.
+    epoch); a frame that holds ``manager.cap`` samples gets no more.  An
+    exception ends the thread and is left in ``failures`` for thread 0,
+    which would otherwise wait forever for its next transition.
     """
     try:
         epoch = 0
         frame = pool.frame(thread_index, epoch)
         while not manager.terminated:
-            frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
-            sample_counter[thread_index] += WORKER_BATCH
+            if frame.num_samples < manager.cap:
+                frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
+                sample_counter[thread_index] += WORKER_BATCH
+            else:
+                time.sleep(_IDLE_POLL_S)
             if manager.check_transition(thread_index, epoch):
                 epoch += 1
                 frame = pool.reset_for_epoch(thread_index, epoch)
     except BaseException as exc:  # noqa: BLE001 - re-raised by thread 0
         failures.append(exc)
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+class _Budget:
+    """The sample budget of a run with several workers, as every rank sees it.
+
+    Rank 0 broadcasts ``R = omega - tau`` after each check.  Everything here
+    derives from those values, ``n0``, ``P`` and ``T``, so every rank takes
+    each decision in the same epoch: ranks that disagreed on which epoch is
+    the last would post different collectives and deadlock.
+
+    * With one thread per rank, an epoch that is not the last adds at most
+      ``n0`` plus its frame's overlap plus a batch less one per rank, the
+      overlap being capped (``cap``).  The next epoch is the last once that
+      much could exhaust ``R`` — or once the epoch before added ``R`` or more,
+      which is what covers worker threads, who sample freely until then.
+    * Overlap into a frame is capped at ``n0``, and near the end at each
+      worker's share of the least ``R`` can be after the running epoch, so a
+      rank's last frame holds at most its share plus a batch less one — from
+      the third epoch on: epoch 1's frame fills before any ``R`` is known.
+    """
+
+    def __init__(self, n0: int, ranks: int, threads: int) -> None:
+        self.n0, self.ranks, self.workers = n0, ranks, ranks * threads
+        self.remaining: Optional[int] = None  # R as broadcast last
+        self.growth = 0  # what the epoch before that broadcast added
+        self.cap = n0  # the overlap cap that filled the coming epoch's frames
+
+    def next_epoch(self) -> Tuple[bool, Optional[int], float]:
+        """``(final, share, cap)`` for the coming epoch: whether it is the
+        last, each thread's share of ``R`` if it is, and the cap on its overlap
+        into the frame after it."""
+        if self.remaining is None:
+            return False, None, self.cap
+        bound = max(self.ranks * (self.n0 + self.cap + WORKER_BATCH - 1), self.growth)
+        final = self.remaining <= bound
+        self.cap = min(self.n0, max(0, _ceil_div(self.remaining - bound, self.workers)))
+        return final, (_ceil_div(self.remaining, self.workers) if final else None), self.cap
+
+    def received(self, remaining: int) -> None:
+        if self.remaining is not None:
+            self.growth = self.remaining - remaining
+        self.remaining = remaining
 
 
 def adaptive_sampling_epochs(
@@ -180,6 +294,7 @@ def adaptive_sampling_epochs(
     grid,
     algorithm: str = "epoch",
     initial_frame: Optional[StateFrame] = None,
+    opening: Optional[StateFrame] = None,
     max_epochs: Optional[int] = None,
     on_batch: Optional[Callable] = None,
     on_epoch: Optional[Callable[[int, int], None]] = None,
@@ -198,7 +313,16 @@ def adaptive_sampling_epochs(
     picks Algorithm 2 (``"epoch"``) or 1 (``"mpi-only"``, one thread).
     ``initial_frame`` (calibration, a resumed aggregate) is
     folded into the aggregate at rank 0 without being modified;
+    ``opening`` holds samples thread 0 drew from ``rngs[0]`` before the loop:
+    they open its epoch-0 frame and count toward that epoch's draw;
     ``max_epochs`` is a safety bound for tests.
+
+    Rank 0 broadcasts the budget left, ``R = omega - tau``, after each check
+    (0 stops the run).  On the ``EpochLength`` grid the last epoch follows
+    from it (``_Budget``): every thread draws its share of ``R``, thread 0
+    tops its rank up to ``ceil(R / P)`` and reduces without the barrier, and
+    every rank ends after rank 0's fold, past ``omega`` by what the frames
+    held over their shares (``EpochStats.final_surplus``) and the rounding.
 
     Hooks: ``on_batch(batch)`` sees every batch thread 0 draws for the grid
     (not the overlap batches drawn while a request is in flight — there are
@@ -223,6 +347,9 @@ def adaptive_sampling_epochs(
     sample_counter = [0] * num_threads
     failures: List[BaseException] = []
     stats = EpochStats(rank=comm.rank, num_threads=num_threads)
+    if opening is not None:
+        pool.frame(0, 0).add_into(opening)
+        sample_counter[0] = opening.num_samples
 
     seeded = comm.is_root and initial_frame is not None
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
@@ -241,19 +368,19 @@ def adaptive_sampling_epochs(
     sampler0 = sampler_factory(0)
     rng0 = rngs[0]
 
-    # A compiled batch runs without the GIL, so the communicator's threads
-    # progress while thread 0 draws a whole worker batch; any other search
-    # holds the GIL for the batch, so it draws one sample per poll.
-    overlap_batch = WORKER_BATCH if sampler0.compiled else 1
+    def draw(count: int, frame: StateFrame) -> None:
+        if count > 0:
+            _draw(sampler0, rng0, count, frame, on_batch)
+            sample_counter[0] += count
 
-    def overlap(request: Request, frame: StateFrame):
-        """Sample into ``frame`` until ``request`` completes; return its result."""
-        while not request.test():
-            if failures:
-                raise failures[0]
-            frame.record_batch(sampler0.sample_batch(overlap_batch, rng0))
-            sample_counter[0] += overlap_batch
-        return request.result()
+    budget = _Budget(grid.n0, comm.size, num_threads) if isinstance(grid, EpochLength) else None
+    limit = math.inf  # the cap on thread 0's overlap into its next frame
+
+    def overlap(request: Request, frame: Optional[StateFrame]):
+        """Sample into ``frame`` (``None``: only wait) until ``request`` completes; return its result."""
+        value, drawn = _sample_while(request, sampler0, rng0, frame, failures, limit)
+        sample_counter[0] += drawn
+        return value
 
     # Reused every epoch by aggregate_epoch (zeroed in place, never
     # reallocated); safe because the aggregate is reduced and folded before
@@ -266,51 +393,74 @@ def adaptive_sampling_epochs(
     try:
         while not terminated:
             current_frame = pool.frame(0, epoch)
+            final, share, limit = budget.next_epoch() if budget is not None else (False, None, math.inf)
+            # In the last epoch every thread draws its share, no more.
+            manager.cap = share if final else math.inf
+            count = share if final else grid.epoch_samples(epoch, aggregated.num_samples)
+            if final or epoch == 0:
+                count -= current_frame.num_samples  # what overlap or the opening put there
             # Lines 12-13: thread 0 samples up to the grid's next check.
-            count = grid.epoch_samples(epoch, aggregated.num_samples)
             with phases("sampling", epoch=epoch):
-                _draw(sampler0, rng0, count, current_frame, on_batch)
-                sample_counter[0] += count
-            # Lines 14-15: force the epoch transition, sampling while waiting.
+                draw(count, current_frame)
+            # Lines 14-15: force the epoch transition, sampling while waiting
+            # unless this epoch is the last.
             next_frame = pool.reset_for_epoch(0, epoch + 1)
+            if budget is not None and not final and limit < budget.n0:  # near the end, worker overlap too
+                manager.cap = limit
             with phases("epoch_transition"):
-                overlap(manager.force_transition(epoch), next_frame)
+                overlap(manager.force_transition(epoch), None if final else next_frame)
+            if final:  # the epoch's frames are immutable now: top the rank's share up
+                rank_share = _ceil_div(budget.remaining, comm.size)
+                held = sum(pool.frame(t, epoch).num_samples for t in range(num_threads))
+                with phases("sampling", epoch=epoch):
+                    draw(rank_share - held, current_frame)
+                stats.final_surplus = max(0, held - rank_share)
             # Lines 16-18: aggregate this process' epoch frames.
             with phases("local_aggregation"):
                 epoch_frame = current_frame
                 if aggregate_scratch is not None:
                     epoch_frame = pool.aggregate_epoch(epoch, out=aggregate_scratch)
+                wire = _wire(epoch_frame, comm)
 
             # Lines 19-21: reduce across processes, overlapped with sampling.
-            if algorithm == "epoch":
+            if final:
+                with phases("reduce"):
+                    reduced_frame = comm.reduce(wire, op="sum", root=0)
+            elif algorithm == "epoch":
                 with phases("ibarrier"):
                     overlap(comm.ibarrier(), next_frame)
                 with phases("reduce"):
-                    reduced_frame = comm.reduce(epoch_frame, op="sum", root=0)
+                    reduced_frame = comm.reduce(wire, op="sum", root=0)
             else:
                 with phases("reduce"):
-                    reduced_frame = overlap(comm.ireduce(epoch_frame, op="sum", root=0), next_frame)
+                    reduced_frame = overlap(comm.ireduce(wire, op="sum", root=0), next_frame)
 
-            # Lines 22-24: rank 0 folds the epoch frame and checks the rule.
-            decision = False
+            # Lines 22-24: rank 0 folds the epoch frame and checks the rule
+            # (the last epoch ends at omega, so it folds only).
+            left = None
             if comm.is_root:
                 with phases("check", epoch=epoch) as sp:
                     if reduced_frame is not None:
                         aggregated.add_into(reduced_frame)
                     if on_aggregate is not None:
                         on_aggregate(stats.num_epochs + 1, aggregated)
-                    decision = condition.should_stop(aggregated)
+                    decision = final or condition.should_stop(aggregated)
                     sp.set("stop", bool(decision))
                     if aggregated.num_samples >= condition.omega:
                         stats.stopped_by_omega = True
                     if on_epoch is not None:
                         on_epoch(stats.num_epochs + 1, aggregated.num_samples)
+                    left = 0 if decision else condition.omega - aggregated.num_samples
 
-            # Lines 25-27: broadcast the termination flag, overlapped with sampling.
-            with phases("broadcast"):
-                terminated = bool(
-                    overlap(comm.ibcast(decision if comm.is_root else None, root=0), next_frame)
-                )
+            # Lines 25-27: broadcast the budget left, overlapped with sampling.
+            if final:
+                terminated = True
+            else:
+                with phases("broadcast"):
+                    left = int(overlap(comm.ibcast(left, root=0), next_frame))
+                if budget is not None:
+                    budget.received(left)
+                terminated = left == 0
 
             stats.num_epochs += 1
             epoch += 1
@@ -358,8 +508,10 @@ def run_rank(
     One rank with one thread is one worker: sequential KADABRA, drawing
     calibration and sampling from one stream and checking on the
     :class:`~repro.core.stopping.CheckSchedule`, which stops at ``omega`` at
-    the latest.  More workers draw from their (rank, thread) slots and check
-    on the :class:`~repro.parallel.epoch_length.EpochLength` grid.
+    the latest.  More workers draw from their (rank, thread) slots, check
+    on the :class:`~repro.parallel.epoch_length.EpochLength` grid and stop at
+    ``omega`` too; a fresh run's thread 0 samples while the diameter
+    broadcast and the calibration reduce are in flight.
 
     ``on_aggregate(state)`` is rank 0's checkpoint hook, called after every
     fold with rank 0's state as an :class:`~repro.session.EstimationSession`
@@ -395,13 +547,13 @@ def run_rank(
         if progress is not None:
             progress(ProgressEvent(phase=phase, omega=omega, **fields))
 
-    def diameter_phase() -> int:
+    def diameter_phase(wait: Callable[[Request], object] = Request.wait) -> int:
         # Sequential at rank 0.  Ranks run in their own processes (or, in
         # tests, threads), so non-root spans root their own per-rank trees;
         # rank 0 nests beneath its caller's span as usual.
         with phases("diameter", rank=rank) as sp:
             vd = diameter_bound(graph, options, sp) if comm.is_root else None
-            vd = int(comm.bcast(vd, root=0))
+            vd = int(wait(comm.ibcast(vd, root=0)))
             sp.set("vertex_diameter", vd)
         return vd
 
@@ -463,9 +615,15 @@ def run_rank(
                     state._calibration_rng_state = generator_state(stream)
             condition = stopping_condition(calibration, eps=options.eps, delta=options.delta, omega=omega)
         emit("calibration", num_samples=initial_frame.num_samples)
-        rngs, n0 = [stream], grid.samples_per_check
+        rngs, n0, opening = [stream], grid.samples_per_check, None
     else:
         on_batch = None
+        opening = None
+
+        def streams(seed: int) -> List[np.random.Generator]:
+            return [rng_for_rank_thread(seed, rank, t + 1, num_threads=threads + 1) for t in range(sampling_threads)]
+
+        n0 = thread_zero_samples_per_epoch(comm.size, sampling_threads, base=float(options.samples_per_check))
         header = None if state is None else (state._vd, state._checks, state._condition.omega)
         restored = comm.bcast(header, root=0)
         if restored is not None:
@@ -474,9 +632,19 @@ def run_rank(
             if state is not None:  # rank 0
                 calibration, condition, initial_frame = state._calibration_frame, state._condition, state._frame
             # Fresh, independent streams: never replay the pre-crash samples.
-            stream_seed = derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch)
+            rngs = streams(derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch))
         else:
-            vd = diameter_phase()
+            rngs = streams(options.seed)
+            # While the diameter broadcast (ranks != 0) or the calibration
+            # reduce (rank 0) is in flight, thread 0 samples from its
+            # adaptive stream: those samples open its epoch-0 frame.
+            # At most the epoch's n0 of them: they count toward it.
+            opening = StateFrame.zeros(n)
+
+            def sample_while(request: Request):
+                return _sample_while(request, sampler0, rngs[0], opening, limit=n0)[0]
+
+            vd = diameter_phase(sample_while)
             omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
             emit("diameter")
             with phases("calibration", rank=rank):
@@ -491,16 +659,11 @@ def run_rank(
                     eps=options.eps,
                     delta=options.delta,
                     omega=omega,
+                    wait=sample_while,
                 )
             initial_frame = calibration
             if progress is not None:
                 emit("calibration", num_samples=calibration.num_samples)
-            stream_seed = options.seed
-        rngs = [
-            rng_for_rank_thread(stream_seed, rank, t + 1, num_threads=threads + 1)
-            for t in range(sampling_threads)
-        ]
-        n0 = thread_zero_samples_per_epoch(comm.size, sampling_threads, base=float(options.samples_per_check))
         grid = EpochLength(n0)
 
     if comm.is_root and state is None and on_aggregate is not None:
@@ -533,6 +696,7 @@ def run_rank(
             grid=grid,
             algorithm=algorithm,
             initial_frame=initial_frame,
+            opening=opening,
             max_epochs=max_epochs,
             on_batch=on_batch,
             on_epoch=lambda epoch, num_samples: emit(

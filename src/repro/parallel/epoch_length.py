@@ -12,11 +12,17 @@ matching the shared-memory rule ``1000 / T^1.33`` of Ref. [24] generalised to
 ``P * T`` workers.  It applies only when ``P * T > 1``: one worker is
 sequential KADABRA, which checks on the
 :class:`~repro.core.stopping.CheckSchedule` and stops at ``omega`` at the
-latest.  Note that ``n0`` only bounds the *minimum* epoch length:
-all sampling performed while the epoch's aggregation and broadcast are in
-flight is also credited to the epoch, which is why large graphs (large
-communication volume) show few, long epochs and road networks show hundreds of
-short ones (Table II).
+latest.
+
+Between the first and the last epoch, ``n0`` only bounds the *minimum*
+epoch length: the samples thread 0 takes while the previous epoch's
+aggregation and broadcast are in flight (at most ``n0``) are credited to the
+epoch too, which is why large graphs (large communication volume) show few,
+long epochs and road networks show hundreds of short ones (Table II).
+Epoch 0 draws ``n0`` in all: the samples thread 0 took while the diameter
+broadcast or the calibration reduce was in flight count toward it.  The
+last epoch draws the budget left, ``omega - tau``, split over the workers
+(:func:`repro.parallel.engine.adaptive_sampling_epochs`).
 """
 
 from __future__ import annotations

@@ -536,6 +536,24 @@ class TestWriteResult:
         write_result(out, result)
         assert out.read_text() == json.dumps({**result, "scores": result["scores"].tolist()})
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["counts", "signed-zeros", "no-repeats"])
+    def test_random_scores_are_json_dumps(self, tmp_path, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        if kind == "counts":  # an estimate: path counts over the sample count
+            scores = rng.integers(0, 40, size=n) / float(rng.integers(1, 5000))
+        elif kind == "signed-zeros":
+            scores = rng.choice([0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300], size=n)
+        else:
+            scores = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+            assert len(set(scores.view(np.int64).tolist())) == n
+        result = {"num_samples": n, "scores": scores, "per_rank": [{"rank": 0}]}
+        out = tmp_path / "result.json"
+        listed = write_result(out, result)
+        assert out.read_text() == json.dumps({**result, "scores": scores.tolist()})
+        assert np.array_equal(np.array(listed).view(np.int64), scores.view(np.int64))
+
     def test_equal_scores_share_one_float(self, tmp_path):
         listed = write_result(tmp_path / "r.json", {"scores": np.array([0.5, 0.0, 0.5, 0.0, 0.5])})
         assert listed == [0.5, 0.0, 0.5, 0.0, 0.5]

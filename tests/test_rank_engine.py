@@ -14,16 +14,23 @@
   in that exception instead of leaving its peers spinning forever.
 * The stopping condition stays at rank 0: calibration posts only its reduce,
   and no other rank receives the condition, fresh or resumed.
+* Two ranks stop at omega: the budget broadcast ends a P = 2 run within 5 %
+  of omega, thread 0 samples while the pre-loop collectives are in flight
+  without moving the calibration frame, and a frame travels sparse when few
+  of its counters are nonzero, summing to the dense sum bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import pickle
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_scan_on_expand import make_sampler
 
@@ -31,11 +38,13 @@ from repro import Resources, estimate_betweenness
 from repro.api import get_backend
 from repro.cli import main as cli_main
 from repro.core import KadabraOptions, StateFrame, StoppingCondition
+from repro.core.state_frame import SparseFrame
 from repro.core.stopping import CheckSchedule
 from repro.dist.launcher import launch_local
 from repro.graph.generators import barabasi_albert
 from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi import CommError, Communicator, SelfComm, run_threaded
+from repro.mpi.hub import FRAME_HEADER_BYTES, LocalLink, Matcher
 from repro.mpi.requests import PolledRequest, Request
 from repro.parallel import EpochLength, adaptive_sampling_epochs, run_rank
 from repro.parallel.engine import calibration_phase
@@ -189,8 +198,10 @@ class TestAlgorithm1ThroughTheMergedLoop:
         assert len({s.num_epochs for s in stats}) == 1
         assert stats[0].stopped_by_omega and aggregated.num_samples >= condition.omega
         sampled = aggregated.num_samples - calibration.num_samples
-        # Samples of the final epoch's overlap never reach the aggregate.
-        assert 3 * 40 * stats[0].num_epochs <= sampled <= sum(s.local_samples for s in stats)
+        # Every epoch before the last draws n0 per rank; the last one draws
+        # only the budget left.  Samples of the final epoch's overlap never
+        # reach the aggregate.
+        assert 3 * 40 * (stats[0].num_epochs - 1) <= sampled <= sum(s.local_samples for s in stats)
         assert "ibarrier" not in stats[0].phase_seconds and "reduce" in stats[0].phase_seconds
 
     def test_mpi_only_takes_one_thread(self, graph):
@@ -294,7 +305,9 @@ class RecordingSampler:
 
 
 class TestOverlapLoop:
-    N0, POLLS, EPOCHS = 40, 3, 3
+    # N0 exceeds an epoch's overlap (two requests of POLLS polls, a worker
+    # batch each), so the overlap never reaches its cap of N0.
+    N0, POLLS, EPOCHS = 100, 3, 3
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
     @pytest.mark.parametrize(
@@ -329,6 +342,33 @@ class TestOverlapLoop:
         assert np.diff([0] + folded).tolist() == [self.N0] + [self.N0 + overlap] * (self.EPOCHS - 1)
         # Every sample recorded in a frame, the discarded last overlap included.
         assert stats.local_samples == sum(sampler.sizes) == folded[-1] + overlap
+
+    @pytest.mark.parametrize(
+        "search, batch", [("compiled", WORKER_BATCH), ("bidirectional", 1)],
+        ids=["compiled", "numpy"],
+    )
+    def test_overlap_fills_the_next_frame_up_to_n0(self, graph, monkeypatch, search, batch):
+        """Past ``n0`` thread 0 only waits: an epoch holds n0 plus at most
+        n0 and a batch of overlap, which bounds what an epoch can add."""
+        n0 = 2 * batch + 1  # three batches reach it, the six polls would draw six
+        sampler = RecordingSampler(make_sampler(graph, search, monkeypatch))
+        deltas = np.full(graph.num_vertices, 0.001)
+        never = StoppingCondition(eps=1e-4, omega=10**9, delta_l=deltas, delta_u=deltas)
+        folded = []
+        adaptive_sampling_epochs(
+            PendingComm(self.POLLS),
+            lambda _t: sampler,
+            never,
+            [np.random.default_rng(7)],
+            num_threads=1,
+            num_vertices=never.num_vertices,
+            grid=EpochLength(n0),
+            max_epochs=self.EPOCHS,
+            on_aggregate=lambda _epochs, aggregated: folded.append(aggregated.num_samples),
+        )
+        grid = list(plan_batches(n0))
+        assert sampler.sizes == (grid + [batch] * 3) * self.EPOCHS
+        assert np.diff([0] + folded).tolist() == [n0] + [n0 + 3 * batch] * (self.EPOCHS - 1)
 
 
 class Boom(RuntimeError):
@@ -510,7 +550,7 @@ class TestTheConditionStaysAtRankZero:
         (posted0, frame, condition), (posted1, no_frame, no_condition) = run_threaded(
             2, body, timeout=HANG_TIMEOUT
         )
-        assert posted0 == posted1 == ["reduce"]
+        assert posted0 == posted1 == ["ireduce"]
         assert frame.num_samples == 100 and isinstance(condition, StoppingCondition)
         assert no_frame is None and no_condition is None
 
@@ -530,8 +570,182 @@ class TestTheConditionStaysAtRankZero:
 
         (root, result), (other, _) = run_threaded(2, body, timeout=HANG_TIMEOUT)
         # The resume header, or the diameter broadcast then calibration's
-        # reduce; then the loop's first barrier.
-        head = ["bcast", "ibarrier"] if resumed else ["bcast", "bcast", "reduce", "ibarrier"]
+        # reduce, both non-blocking so thread 0 samples while they are in
+        # flight; then the loop's first barrier.
+        head = ["bcast", "ibarrier"] if resumed else ["bcast", "ibcast", "ireduce", "ibarrier"]
         assert root.posted[: len(head)] == other.posted[: len(head)] == head
         assert other.received and not any(holds_condition(value) for value in other.received)
         assert result.num_epochs == 2 and result.num_samples > (state.num_samples if resumed else 0)
+
+
+#: sha256(counts, delta_l, delta_u as float64 bytes + "num_samples:edges_touched")
+#: of rank 0's reduced calibration frame and stopping condition at P = 2,
+#: recorded before thread 0 sampled through the pre-loop collectives and
+#: before frames travelled sparse.
+P2_CALIBRATION = "190d69a66076ebd10b15788a8e81844fe744be44487cb9b8d96bb011135b3af9"
+
+
+def two_ranks(graph, **kwargs):
+    """``run_rank`` on two threaded ranks: (rank 0's result, both ranks' stats)."""
+    results = run_threaded(
+        2, lambda comm, rank: run_rank(comm, graph, KadabraOptions(**TARGET), **kwargs), timeout=HANG_TIMEOUT
+    )
+    return results[0][0], [stats for _result, stats in results]
+
+
+class TestTwoRanksStopAtOmega:
+    """The rule does not stop this graph before omega (``FULL_RUN`` draws
+    exactly omega), so a run ends where the budget broadcast ends it."""
+
+    #: With one thread a rank's last frame holds at most its share plus a
+    #: batch less one (the overlap cap is a lower bound of the share) once the
+    #: run needs more than two epochs, as this one does, so two ranks pass
+    #: omega by at most 2 * (WORKER_BATCH - 1) plus the rounding.
+    BOUND = OMEGA + 2 * WORKER_BATCH - 1
+
+    def test_threaded_ranks(self, graph):
+        result, stats = two_ranks(graph)
+        assert stats[0].stopped_by_omega
+        assert OMEGA <= result.num_samples <= min(1.05 * OMEGA, self.BOUND)
+
+    def test_forked_ranks(self, graph):
+        result = facade("distributed", processes=2)(graph)
+        assert result.omega == OMEGA
+        assert OMEGA <= result.num_samples <= min(1.05 * OMEGA, self.BOUND)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_several_threads_per_rank(self, graph, threads):
+        """The last epoch gives every rank at least its share ``ceil(R / P)``
+        (thread 0 tops up what the worker threads left short), so a run
+        reaches omega; it passes omega by the rounding, less than P, plus
+        what the ranks' last frames held past their share.  Worker threads
+        sample freely before the last epoch, so an epoch before it may pass
+        omega by any amount: such a run is repeated.  A short switch interval
+        keeps the worker threads (more of them than cores at T = 4) from
+        starving thread 0 of the GIL for whole epochs."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _attempt in range(3):
+                result, stats = two_ranks(graph, threads=threads)
+                assert stats[0].stopped_by_omega and result.num_samples >= OMEGA
+                if all(s.final_surplus is not None for s in stats):
+                    break
+            else:
+                pytest.skip("every attempt passed omega before its last epoch")
+        finally:
+            sys.setswitchinterval(interval)
+        surplus = sum(s.final_surplus for s in stats)
+        assert 0 <= result.num_samples - OMEGA - surplus < 2
+
+    def test_calibration_is_unchanged(self, graph):
+        seen = []
+
+        def body(comm, rank):
+            hook = (lambda state: seen.append((state._calibration_frame, state._condition))) if rank == 0 else None
+            return run_rank(comm, graph, KadabraOptions(**TARGET), max_epochs=1, on_aggregate=hook)
+
+        run_threaded(2, body, timeout=HANG_TIMEOUT)
+        frame, condition = seen[0]
+        digest = hashlib.sha256()
+        for values in (frame.counts, condition.delta_l, condition.delta_u):
+            digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+        digest.update(f"{frame.num_samples}:{frame.edges_touched}".encode())
+        assert digest.hexdigest() == P2_CALIBRATION
+
+    def test_pre_loop_samples_count_toward_epoch_zero(self, graph, monkeypatch):
+        """With the diameter broadcast and the calibration reduce pending for
+        ``POLLS`` polls each, thread 0 draws one overlap batch per poll before
+        the loop, and epoch 0 draws only what ``n0`` leaves over."""
+        import repro.parallel.engine as engine
+
+        polls, samplers, folded = 3, [], []
+        real = engine.make_sampler
+
+        def recording(*args, **kwargs):
+            samplers.append(RecordingSampler(real(*args, **kwargs)))
+            return samplers[-1]
+
+        monkeypatch.setattr(engine, "make_sampler", recording)
+        options = KadabraOptions(**TARGET)
+        # mpi-only on two threads: one sampling thread on the rank-thread slots.
+        result, stats = run_rank(
+            PendingComm(polls), graph, options, threads=2, algorithm="mpi-only", max_epochs=1,
+            on_aggregate=lambda state: folded.append(state.num_samples),
+        )
+        sampler = samplers[0]
+        batch = WORKER_BATCH if sampler.compiled else 1
+        calibration = list(plan_batches(200))
+        assert sampler.sizes[: polls + len(calibration) + polls] == (
+            [batch] * polls + calibration + [batch] * polls
+        )
+        n0 = options.samples_per_check
+        epoch_zero = list(plan_batches(n0 - 2 * polls * batch))
+        assert sampler.sizes[2 * polls + len(calibration):][: len(epoch_zero)] == epoch_zero
+        assert folded == [200 + n0] and result.num_samples == 200 + n0
+
+
+def random_frame(rng, n, touched):
+    frame = StateFrame.zeros(n)
+    frame.num_samples = int(rng.integers(0, 1000))
+    frame.edges_touched = int(rng.integers(0, 10**6))
+    frame.counts[rng.choice(n, size=touched, replace=False)] = rng.integers(1, 1000, size=touched)
+    return frame
+
+
+class TestSparseFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        ranks=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_mix_sums_to_the_dense_sum(self, n, ranks, seed):
+        rng = np.random.default_rng(seed)
+        frames = [random_frame(rng, n, int(rng.integers(0, n + 1))) for _ in range(ranks)]
+        dense = StateFrame.zeros(n)
+        for frame in frames:
+            dense.add_into(frame)
+        wire = [frame.for_wire() for frame in frames]
+        for frame, sent in zip(frames, wire):
+            sparse = 3 * np.count_nonzero(frame.counts) < n
+            assert isinstance(sent, SparseFrame if sparse else StateFrame)
+
+        delivered = []
+        matcher = Matcher(ranks, lambda rank, message: delivered.append((rank, message)))
+        links = [LocalLink(matcher.contribute) for _ in range(ranks)]
+        for rank in rng.permutation(ranks):
+            links[rank].send(("coll", "reduce", 0, "sum", 0, int(rank), wire[rank]))
+        ((to, (_tag, _kind, _seq, total)),) = delivered
+        links[0].deliver(("result", "reduce", 0, total))
+
+        folded = StateFrame.zeros(n).add_into(total)
+        assert to == 0 and folded.counts.tobytes() == dense.counts.tobytes()
+        assert (folded.num_samples, folded.edges_touched) == (dense.num_samples, dense.edges_touched)
+        # Every link counted what it framed: its contribution, and the sum at the root.
+        framed = [FRAME_HEADER_BYTES + sent.serialized_bytes() for sent in wire]
+        assert [link.bytes_total for link in links] == [
+            framed[0] + FRAME_HEADER_BYTES + total.serialized_bytes()
+        ] + framed[1:]
+
+    def test_a_sparse_frame_counts_what_it_pickles_to(self, graph):
+        frame = StateFrame.zeros(graph.num_vertices)
+        frame.record_batch(BatchPathSampler(graph).sample_batch(20, np.random.default_rng(1)))
+        sent = frame.for_wire()
+        assert isinstance(sent, SparseFrame)
+        assert sent.serialized_bytes() == sent.index.nbytes + sent.count.nbytes + 16
+        pickled = len(pickle.dumps(sent, protocol=pickle.HIGHEST_PROTOCOL))
+        assert sent.serialized_bytes() <= pickled < sent.serialized_bytes() + 512
+        assert sent.serialized_bytes() < frame.serialized_bytes()
+
+    def test_two_ranks_ship_sparse_frames(self):
+        """Rank 1's traffic: its calibration and epoch frames, each a few
+        hundred samples on 3,000 vertices, and the broadcasts it receives."""
+        sparse_graph = barabasi_albert(3000, 2, seed=1)
+        options = KadabraOptions(eps=0.05, delta=0.1, seed=5)
+        results = run_threaded(
+            2, lambda comm, rank: run_rank(comm, sparse_graph, options, max_epochs=2), timeout=HANG_TIMEOUT
+        )
+        other = results[1][1]
+        dense = StateFrame.zeros(sparse_graph.num_vertices).serialized_bytes()
+        assert other.communication_bytes < (1 + other.num_epochs) * dense / 2
