@@ -169,16 +169,10 @@ def write_result(path, result: Dict[str, Any]) -> List[float]:
     """Write ``result`` (scores: float64 array) to ``path`` as ``json.dumps`` would; returns the scores as a list.
 
     An estimate is n floats, well under 1 % of them distinct: each distinct
-    one is formatted once and is one float object in the list.  The distinct
-    bit patterns come from a sort (0.0 and -0.0 print apart, so equal floats
-    are not enough), each score's from a binary search among them.
+    one is formatted once and is one float object in the list.
     """
-    bits = np.ascontiguousarray(result["scores"], dtype=np.float64).view(np.int64)
-    ordered = np.sort(bits)
-    first = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    inverse = np.searchsorted(distinct, bits)
+    scores = np.ascontiguousarray(result["scores"], dtype=np.float64)
+    distinct, inverse = np.unique(scores.view(np.int64), return_inverse=True)  # 0.0, -0.0 print apart
     values = np.array(distinct.view(np.float64).tolist(), dtype=object)
     listed = values[inverse].tolist()
     body = ", ".join(np.array([json.dumps(value) for value in values], dtype=object)[inverse].tolist())
@@ -188,10 +182,7 @@ def write_result(path, result: Dict[str, Any]) -> List[float]:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
-    with open(tmp, "w") as file:  # in pieces: the body is not copied into one string
-        file.write(f'{head}"scores": [')
-        file.write(body)
-        file.write(f"]{tail}")
+    tmp.write_text(f'{head}"scores": [{body}]{tail}')
     os.replace(tmp, out)
     return listed
 
@@ -326,6 +317,7 @@ def _worker_body(
         "local_samples": int(stats.local_samples),
         "communication_bytes": int(comm.communication_bytes()),
         "adaptive_seconds": float(stats.phase_seconds.get("adaptive_sampling", 0.0)),
+        "opening_samples": int(stats.opening_samples),
         "eager_parts": list(eager) if eager is not None else None,
         "loaded_parts": list(loaded) if loaded is not None else None,
         "metrics": get_registry().snapshot() if metrics_enabled() else None,
@@ -341,7 +333,8 @@ def _worker_body(
             if report["rank"] != 0 and report["metrics"]:
                 registry.merge(report["metrics"])
     per_rank = [{k: v for k, v in report.items() if k != "metrics"} for report in reports]
-    total_adaptive_samples = sum(r["local_samples"] for r in per_rank)
+    # The loop's samples over the loop's clock: the opening's are drawn outside it.
+    total_adaptive_samples = sum(r["local_samples"] - r["opening_samples"] for r in per_rank)
     slowest = max(r["adaptive_seconds"] for r in per_rank)
     if total_adaptive_samples == 0:
         # One worker stops at omega, so a run whose calibration reached it

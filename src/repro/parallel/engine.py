@@ -110,6 +110,9 @@ class EpochStats:
     #: opening's (drawn before the loop, while the diameter and calibration
     #: collectives were in flight) and the discarded last overlap included.
     local_samples: int = 0
+    #: The opening's part of ``local_samples``, drawn outside the loop's
+    #: ``phase_seconds``: a rate over the loop's clock leaves it out.
+    opening_samples: int = 0
     aggregated_frame: Optional[StateFrame] = None  # only at world rank 0
     stopped_by_omega: bool = False
     #: Samples this rank's frames held past its share ``ceil(R / P)`` of the
@@ -217,19 +220,15 @@ def _worker_loop(
     Batches of :data:`repro.kernels.WORKER_BATCH` amortise per-sample
     overhead yet acknowledge transitions promptly (``check_transition`` runs
     between batches, so a frame is only written by its owner inside one
-    epoch); a frame that holds ``manager.cap`` samples gets no more.  An
-    exception ends the thread and is left in ``failures`` for thread 0,
-    which would otherwise wait forever for its next transition.
+    epoch).  An exception ends the thread and is left in ``failures`` for
+    thread 0, which would otherwise wait forever for its next transition.
     """
     try:
         epoch = 0
         frame = pool.frame(thread_index, epoch)
         while not manager.terminated:
-            if frame.num_samples < manager.cap:
-                frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
-                sample_counter[thread_index] += WORKER_BATCH
-            else:
-                time.sleep(_IDLE_POLL_S)
+            frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
+            sample_counter[thread_index] += WORKER_BATCH
             if manager.check_transition(thread_index, epoch):
                 epoch += 1
                 frame = pool.reset_for_epoch(thread_index, epoch)
@@ -253,11 +252,15 @@ class _Budget:
       ``n0`` plus its frame's overlap plus a batch less one per rank, the
       overlap being capped (``cap``).  The next epoch is the last once that
       much could exhaust ``R`` — or once the epoch before added ``R`` or more,
-      which is what covers worker threads, who sample freely until then.
-    * Overlap into a frame is capped at ``n0``, and near the end at each
-      worker's share of the least ``R`` can be after the running epoch, so a
-      rank's last frame holds at most its share plus a batch less one — from
-      the third epoch on: epoch 1's frame fills before any ``R`` is known.
+      which is what covers worker threads, who sample freely.
+    * Overlap into the frame after the coming epoch is capped at each
+      worker's share of what is surely left of ``R`` after it, so a rank's
+      last frame holds at most its share plus a batch less one; and, since
+      the cap enters the next ``reach``, at ``n0`` or half that share if
+      more, lest a cap near ``R`` make the next epoch the last with most of
+      ``R`` unchecked.  Far from ``omega`` that is more than a collective
+      lasts.  Epoch 1's frame fills before any ``R`` is known: that overlap
+      is capped at ``n0``.
     """
 
     def __init__(self, n0: int, ranks: int, threads: int) -> None:
@@ -272,9 +275,10 @@ class _Budget:
         into the frame after it."""
         if self.remaining is None:
             return False, None, self.cap
-        bound = max(self.ranks * (self.n0 + self.cap + WORKER_BATCH - 1), self.growth)
-        final = self.remaining <= bound
-        self.cap = min(self.n0, max(0, _ceil_div(self.remaining - bound, self.workers)))
+        reach = max(self.ranks * (self.n0 + self.cap + WORKER_BATCH - 1), self.growth)
+        final = self.remaining <= reach
+        left = max(0, self.remaining - reach) // self.workers
+        self.cap = min(left, max(self.n0, left // 2))
         return final, (_ceil_div(self.remaining, self.workers) if final else None), self.cap
 
     def received(self, remaining: int) -> None:
@@ -349,7 +353,7 @@ def adaptive_sampling_epochs(
     stats = EpochStats(rank=comm.rank, num_threads=num_threads)
     if opening is not None:
         pool.frame(0, 0).add_into(opening)
-        sample_counter[0] = opening.num_samples
+        sample_counter[0] = stats.opening_samples = opening.num_samples
 
     seeded = comm.is_root and initial_frame is not None
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
@@ -394,8 +398,6 @@ def adaptive_sampling_epochs(
         while not terminated:
             current_frame = pool.frame(0, epoch)
             final, share, limit = budget.next_epoch() if budget is not None else (False, None, math.inf)
-            # In the last epoch every thread draws its share, no more.
-            manager.cap = share if final else math.inf
             count = share if final else grid.epoch_samples(epoch, aggregated.num_samples)
             if final or epoch == 0:
                 count -= current_frame.num_samples  # what overlap or the opening put there
@@ -405,8 +407,6 @@ def adaptive_sampling_epochs(
             # Lines 14-15: force the epoch transition, sampling while waiting
             # unless this epoch is the last.
             next_frame = pool.reset_for_epoch(0, epoch + 1)
-            if budget is not None and not final and limit < budget.n0:  # near the end, worker overlap too
-                manager.cap = limit
             with phases("epoch_transition"):
                 overlap(manager.force_transition(epoch), None if final else next_frame)
             if final:  # the epoch's frames are immutable now: top the rank's share up

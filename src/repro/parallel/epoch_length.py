@@ -16,9 +16,10 @@ latest.
 
 Between the first and the last epoch, ``n0`` only bounds the *minimum*
 epoch length: the samples thread 0 takes while the previous epoch's
-aggregation and broadcast are in flight (at most ``n0``) are credited to the
-epoch too, which is why large graphs (large communication volume) show few,
-long epochs and road networks show hundreds of short ones (Table II).
+aggregation and broadcast are in flight (at most ``n0`` in epoch 1, later
+capped only near ``omega``, by the budget left) are credited to the epoch
+too, which is why large graphs (large communication volume) show few, long
+epochs and road networks show hundreds of short ones (Table II).
 Epoch 0 draws ``n0`` in all: the samples thread 0 took while the diameter
 broadcast or the calibration reduce was in flight count toward it.  The
 last epoch draws the budget left, ``omega - tau``, split over the workers

@@ -57,9 +57,6 @@ class EpochManager:
         # other threads should advance to _target_epoch).
         self._target_epoch = 0
         self._terminated = False
-        #: Samples a thread ``t != 0`` may hold in its current frame; thread 0
-        #: lowers it near the end of a run with a sample budget.
-        self.cap: float = float("inf")
 
     # ------------------------------------------------------------------ #
     @property

@@ -454,6 +454,18 @@ class TestResultArtifact:
         scores = result["scores"]
         assert len({id(score) for score in scores}) == len(set(scores)) < len(scores)
 
+    def test_the_rate_counts_what_its_clock_timed(self, social_rcsr):
+        """``local_samples`` include what thread 0 drew while the pre-loop
+        collectives were in flight, before the loop's clock starts, so the
+        rate leaves those out."""
+        result = launch_local(str(social_rcsr), processes=2, eps=0.1, seed=3, timeout=300.0)
+        per_rank = result["per_rank"]
+        assert all(0 <= r["opening_samples"] <= r["local_samples"] for r in per_rank)
+        loop_samples = sum(r["local_samples"] - r["opening_samples"] for r in per_rank)
+        assert result["aggregate_samples_per_sec"] == pytest.approx(
+            loop_samples / max(r["adaptive_seconds"] for r in per_rank)
+        )
+
 
 class TestResultHandOff:
     """Rank 0's result reaches the file and the caller unchanged."""

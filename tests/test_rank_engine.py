@@ -25,8 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +292,17 @@ class PendingComm(SelfComm):
         return self._pending(self.bcast(value, root))
 
 
+class IdleSampler:
+    """A worker thread's sampler that draws nothing: every batch is empty."""
+
+    compiled = False
+
+    def sample_batch(self, count, rng):
+        time.sleep(1e-4)
+        empty = np.zeros(0, dtype=np.int64)
+        return SimpleNamespace(num_samples=0, edges_touched=empty, contrib_vertices=empty)
+
+
 class RecordingSampler:
     """A sampler that remembers the size of every batch it draws."""
 
@@ -306,7 +318,8 @@ class RecordingSampler:
 
 class TestOverlapLoop:
     # N0 exceeds an epoch's overlap (two requests of POLLS polls, a worker
-    # batch each), so the overlap never reaches its cap of N0.
+    # batch each), so the overlap into epoch 1's frame never reaches its cap
+    # of N0; later caps follow the budget, which omega = 10**9 keeps far off.
     N0, POLLS, EPOCHS = 100, 3, 3
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
@@ -347,9 +360,10 @@ class TestOverlapLoop:
         "search, batch", [("compiled", WORKER_BATCH), ("bidirectional", 1)],
         ids=["compiled", "numpy"],
     )
-    def test_overlap_fills_the_next_frame_up_to_n0(self, graph, monkeypatch, search, batch):
-        """Past ``n0`` thread 0 only waits: an epoch holds n0 plus at most
-        n0 and a batch of overlap, which bounds what an epoch can add."""
+    def test_only_epoch_one_overlap_stops_at_n0(self, graph, monkeypatch, search, batch):
+        """No budget is known while epoch 0's requests are in flight, so that
+        overlap stops at n0; far from omega the later ones sample through
+        every poll."""
         n0 = 2 * batch + 1  # three batches reach it, the six polls would draw six
         sampler = RecordingSampler(make_sampler(graph, search, monkeypatch))
         deltas = np.full(graph.num_vertices, 0.001)
@@ -367,8 +381,42 @@ class TestOverlapLoop:
             on_aggregate=lambda _epochs, aggregated: folded.append(aggregated.num_samples),
         )
         grid = list(plan_batches(n0))
-        assert sampler.sizes == (grid + [batch] * 3) * self.EPOCHS
-        assert np.diff([0] + folded).tolist() == [n0] + [n0 + 3 * batch] * (self.EPOCHS - 1)
+        overlap = [batch] * 2 * self.POLLS
+        assert sampler.sizes == grid + [batch] * 3 + (grid + overlap) * (self.EPOCHS - 1)
+        assert np.diff([0] + folded).tolist() == [n0, n0 + 3 * batch] + [n0 + len(overlap) * batch] * (
+            self.EPOCHS - 2
+        )
+
+    @pytest.mark.parametrize(
+        "search, batch", [("compiled", WORKER_BATCH), ("bidirectional", 1)],
+        ids=["compiled", "numpy"],
+    )
+    def test_overlap_shrinks_with_the_budget(self, graph, monkeypatch, search, batch):
+        """Near omega the overlap stops at the budget's cap, so no epoch but
+        the last reaches omega, and the last one passes it by less than a
+        batch: one rank draws all of the budget left."""
+        n0, polls = batch + 4, 10
+        per_epoch = n0 + 2 * polls * batch  # n0 and an overlap batch per poll
+        omega = 10 * per_epoch
+        sampler = RecordingSampler(make_sampler(graph, search, monkeypatch))
+        deltas = np.full(graph.num_vertices, 0.001)
+        never = StoppingCondition(eps=1e-4, omega=omega, delta_l=deltas, delta_u=deltas)
+        folded = []
+        stats = adaptive_sampling_epochs(
+            PendingComm(polls),
+            lambda _t: sampler,
+            never,
+            [np.random.default_rng(7)],
+            num_threads=1,
+            num_vertices=never.num_vertices,
+            grid=EpochLength(n0),
+            on_aggregate=lambda _epochs, aggregated: folded.append(aggregated.num_samples),
+        )
+        added = np.diff([0] + folded).tolist()
+        assert max(added) == per_epoch  # far from omega: every poll drew
+        assert min(added[2:-1]) < per_epoch  # near it: capped
+        assert folded[-2] < omega <= folded[-1] < omega + batch
+        assert stats.final_surplus == folded[-1] - omega
 
 
 class Boom(RuntimeError):
@@ -598,7 +646,7 @@ class TestTwoRanksStopAtOmega:
     exactly omega), so a run ends where the budget broadcast ends it."""
 
     #: With one thread a rank's last frame holds at most its share plus a
-    #: batch less one (the overlap cap is a lower bound of the share) once the
+    #: batch less one (the overlap cap never exceeds the share) once the
     #: run needs more than two epochs, as this one does, so two ranks pass
     #: omega by at most 2 * (WORKER_BATCH - 1) plus the rounding.
     BOUND = OMEGA + 2 * WORKER_BATCH - 1
@@ -615,28 +663,43 @@ class TestTwoRanksStopAtOmega:
 
     @pytest.mark.parametrize("threads", [2, 4])
     def test_several_threads_per_rank(self, graph, threads):
-        """The last epoch gives every rank at least its share ``ceil(R / P)``
-        (thread 0 tops up what the worker threads left short), so a run
-        reaches omega; it passes omega by the rounding, less than P, plus
-        what the ranks' last frames held past their share.  Worker threads
-        sample freely before the last epoch, so an epoch before it may pass
-        omega by any amount: such a run is repeated.  A short switch interval
-        keeps the worker threads (more of them than cores at T = 4) from
-        starving thread 0 of the GIL for whole epochs."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _attempt in range(3):
-                result, stats = two_ranks(graph, threads=threads)
-                assert stats[0].stopped_by_omega and result.num_samples >= OMEGA
-                if all(s.final_surplus is not None for s in stats):
-                    break
-            else:
-                pytest.skip("every attempt passed omega before its last epoch")
-        finally:
-            sys.setswitchinterval(interval)
-        surplus = sum(s.final_surplus for s in stats)
-        assert 0 <= result.num_samples - OMEGA - surplus < 2
+        """Worker threads sample freely, so an epoch before the last may pass
+        omega; a run that ends in its last epoch passes it by the rounding,
+        less than P, plus what the ranks' last frames held past their share
+        ``ceil(R / P)``."""
+        result, stats = two_ranks(graph, threads=threads)
+        assert stats[0].stopped_by_omega and result.num_samples >= OMEGA
+        if all(s.final_surplus is not None for s in stats):
+            assert 0 <= result.num_samples - OMEGA - sum(s.final_surplus for s in stats) < 2
+
+    def test_thread_zero_tops_its_rank_up(self, graph):
+        """With worker threads that draw nothing, thread 0 alone is bounded
+        by the budget, so the run always ends in its last epoch: thread 0
+        draws its share ``ceil(R / (P T))``, then tops its rank up to
+        ``ceil(R / P)``."""
+        deltas = np.full(graph.num_vertices, 0.01)
+        condition = StoppingCondition(eps=1e-4, omega=OMEGA, delta_l=deltas, delta_u=deltas)
+        calibration = StateFrame.zeros(graph.num_vertices)
+        calibration.num_samples = 200
+
+        def body(comm, rank):
+            return adaptive_sampling_epochs(
+                comm,
+                lambda t: BatchPathSampler(graph) if t == 0 else IdleSampler(),
+                condition,
+                [np.random.default_rng(10 * rank + t) for t in range(2)],
+                num_threads=2,
+                num_vertices=graph.num_vertices,
+                grid=EpochLength(300),
+                initial_frame=calibration,
+            )
+
+        stats = run_threaded(2, body, timeout=HANG_TIMEOUT)
+        num_samples = stats[0].aggregated_frame.num_samples
+        surplus = [s.final_surplus for s in stats]
+        assert stats[0].stopped_by_omega and None not in surplus
+        assert 0 <= num_samples - OMEGA - sum(surplus) < 2
+        assert sum(surplus) <= 2 * (WORKER_BATCH - 1)
 
     def test_calibration_is_unchanged(self, graph):
         seen = []
