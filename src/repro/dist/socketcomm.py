@@ -459,6 +459,7 @@ def fork_rank(
     (traceback on stderr), ``-N`` signal ``N``.  Pair every call with
     :func:`reap`.
     """
+    import encodings.idna  # noqa: F401 - connect's getaddrinfo imports it, once here, not per rank
     from repro.kernels import compiled
 
     compiled.load()  # built and checked once, here: every rank inherits the library

@@ -25,7 +25,9 @@ and graph updates; it runs no phase of its own.
    it alone evaluates the stopping rule.  The other ranks go straight on.
    The samples taken during both collectives count toward epoch 0's ``n0``
    and stop at it; the calibration stream, frame and deltas are what they
-   would be without them.  One worker draws calibration from its one stream
+   would be without them.  A calibration count that reaches ``omega`` ends
+   the run there, on every rank: rank 0 returns the calibration frame and
+   those samples are dropped.  One worker draws calibration from its one stream
    instead, extending a state's frame to the target's count (positions the
    stream already drew are replayed), which is what makes ``refine`` exact.
 3. *Adaptive sampling* — :func:`adaptive_sampling_epochs`, the epoch loop of
@@ -567,7 +569,7 @@ def run_rank(
     def sampler_for(thread: int) -> BatchPathSampler:
         return sampler0 if thread == 0 else make_sampler(graph, options, kernel=kernel)
 
-    replayed = 0
+    replayed = calibrated = 0  # calibrated: the fresh calibration's count, on every rank
     one_worker = comm.size == 1 and threads == 1
     if one_worker:
         # ---------------- One worker: sequential KADABRA ----------------- #
@@ -647,6 +649,8 @@ def run_rank(
             vd = diameter_phase(sample_while)
             omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
             emit("diameter")
+            total = calibration_sample_count(options.calibration_samples, omega, n)
+            calibrated = comm.size * _ceil_div(total, comm.size)
             with phases("calibration", rank=rank):
                 # RNG slot 0, so the adaptive phase (slots 1..T) never replays
                 # the calibration stream.
@@ -654,7 +658,7 @@ def run_rank(
                     comm,
                     sampler0,
                     rng_for_rank_thread(options.seed, rank, 0, num_threads=threads + 1),
-                    calibration_sample_count(options.calibration_samples, omega, n),
+                    total,
                     num_vertices=n,
                     eps=options.eps,
                     delta=options.delta,
@@ -686,24 +690,41 @@ def run_rank(
 
     # ---------------- Phase 3: adaptive sampling -------------------------- #
     with phases("adaptive_sampling", rank=rank, omega=omega):
-        stats = adaptive_sampling_epochs(
-            comm,
-            sampler_for,
-            condition,
-            rngs,
-            num_threads=sampling_threads,
-            num_vertices=n,
-            grid=grid,
-            algorithm=algorithm,
-            initial_frame=initial_frame,
-            opening=opening,
-            max_epochs=max_epochs,
-            on_batch=on_batch,
-            on_epoch=lambda epoch, num_samples: emit(
-                "adaptive_sampling", epoch=base_epoch + epoch, num_samples=num_samples
-            ),
-            on_aggregate=fold_hook,
-        )
+        if calibrated >= omega:
+            # Calibration reached omega, as every rank knows: none enters the
+            # loop, rank 0 returns the calibration frame, the opening is
+            # dropped.  The loop's breakdown keeps its phases, each empty.
+            loop = obs_trace.PhaseRecorder()
+            barrier = ("ibarrier",) if algorithm == "epoch" else ()  # Algorithm 1 has none
+            for phase in ("sampling", *barrier, "reduce", "check"):
+                with loop(phase, epoch=0, skipped=True):
+                    pass
+            drawn = opening.num_samples
+            stats = EpochStats(
+                rank, sampling_threads, local_samples=drawn, opening_samples=drawn,
+                aggregated_frame=initial_frame, stopped_by_omega=comm.is_root,
+                phase_seconds=loop.seconds, communication_bytes=comm.communication_bytes(),
+            )
+            emit("adaptive_sampling", epoch=base_epoch, num_samples=calibrated)
+        else:
+            stats = adaptive_sampling_epochs(
+                comm,
+                sampler_for,
+                condition,
+                rngs,
+                num_threads=sampling_threads,
+                num_vertices=n,
+                grid=grid,
+                algorithm=algorithm,
+                initial_frame=initial_frame,
+                opening=opening,
+                max_epochs=max_epochs,
+                on_batch=on_batch,
+                on_epoch=lambda epoch, num_samples: emit(
+                    "adaptive_sampling", epoch=base_epoch + epoch, num_samples=num_samples
+                ),
+                on_aggregate=fold_hook,
+            )
     for phase, seconds in stats.phase_seconds.items():
         phases.seconds[f"ads_{phase}"] = seconds
     stats.phase_seconds = phases.seconds

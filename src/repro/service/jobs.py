@@ -153,10 +153,9 @@ def _local_worker(store_path, cache_dir, options) -> None:
 class Job:
     """The live handle of one store row: only what the row cannot hold.
 
-    State, attempts, timestamps, progress, result, error and the refine/update
-    source are all read from the row (:attr:`store_id`); this adds the
-    awaitable future and the waiter count, and leaves the manager once the
-    job settles.
+    State, attempts, timestamps, progress, result and error are all read
+    from the row (:attr:`store_id`); this adds the awaitable future and the
+    waiter count, and leaves the manager once the job settles.
     """
 
     id: str
@@ -164,6 +163,7 @@ class Job:
     checksum: str
     #: Row id in the durable store (``id`` is ``job-<store_id>``).
     store_id: int
+    kwargs: Dict[str, object] = field(repr=False)  # the row's, fixed at enqueue
     future: "asyncio.Future[BetweennessResult]" = field(repr=False)
     num_waiters: int = 1
 
@@ -515,6 +515,7 @@ class JobManager:
             key=record.key,
             checksum=record.checksum,
             store_id=record.id,
+            kwargs=record.kwargs,
             future=self._loop.create_future(),
             num_waiters=num_waiters,
         )

@@ -530,13 +530,11 @@ class BetweennessService:
             result = await asyncio.shield(job.future)
         except Exception as exc:  # noqa: BLE001 - job failure -> structured error
             raise _HttpError(500, f"job {job.id} failed: {exc}") from None
-        record = self.jobs.store.get_by_rowid(job.store_id)
-        kwargs = record.kwargs if record is not None else {}
         return 200, {
             "status": "done",
             "served_from_cache": False,
-            "refined_from": kwargs.get("refined_from"),
-            "updated_from": kwargs.get("updated_from"),
+            "refined_from": job.kwargs.get("refined_from"),
+            "updated_from": job.kwargs.get("updated_from"),
             "deduplicated": outcome.deduplicated,
             "graph_checksum": outcome.checksum,
             "job_id": job.id,

@@ -334,6 +334,7 @@ class JobStore:
         self._local = threading.local()
         self._connections: List[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
+        self._ringer: Optional[socket.socket] = None  # the datagram socket _ring sends from
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = self._conn()
         conn.executescript(_SCHEMA)
@@ -379,8 +380,8 @@ class JobStore:
     def close_thread(self) -> None:
         """Close the calling thread's connection, if it opened one.
 
-        Short-lived threads (a job's lease heartbeat) call this on their way
-        out; otherwise each would pin a connection until :meth:`close`.
+        A thread that ends before the store (a worker's heartbeat) calls this
+        on its way out; otherwise it would pin a connection until :meth:`close`.
         """
         conn = getattr(self._local, "conn", None)
         if conn is None:
@@ -393,9 +394,12 @@ class JobStore:
         conn.close()
 
     def close(self) -> None:
-        """Close every connection this store opened (idempotent)."""
+        """Close every connection and socket this store opened (idempotent)."""
         with self._connections_lock:
             conns, self._connections = self._connections, []
+            ringer, self._ringer = self._ringer, None
+        if ringer is not None:
+            ringer.close()
         for conn in conns:
             try:
                 conn.close()
@@ -410,10 +414,11 @@ class JobStore:
             ports = self._conn().execute(
                 "SELECT port FROM doorbells WHERE host = ?", (_HOST,)
             ).fetchall()
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as bell:
-                for (port,) in ports:
-                    with contextlib.suppress(OSError):
-                        bell.sendto(b"\0", ("127.0.0.1", port))
+            with self._connections_lock:
+                ringer = self._ringer = self._ringer or socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for (port,) in ports:
+                with contextlib.suppress(OSError):
+                    ringer.sendto(b"\0", ("127.0.0.1", port))
         return changed
 
     # ------------------------------------------------------------------ #

@@ -7,7 +7,8 @@ queued row, keep the lease alive from a heartbeat thread, run the one
 row, persist the result to the shared
 :class:`~repro.service.cache.ResultCache` (with a session checkpoint, so the
 entry is refinable), and mark the row ``done`` or ``failed`` under the owner
-guard.  Idle, it waits on a store :class:`~repro.service.store.Doorbell`
+guard.  A missed claim runs ``requeue_expired`` (else once a ``poll_seconds``)
+and waits on a store :class:`~repro.service.store.Doorbell`
 (``poll_seconds`` at most).  Every worker runs this loop — standalone
 processes (scaling out is starting more of them)::
 
@@ -17,12 +18,14 @@ and a coordinator's local workers (:mod:`repro.service.jobs`): forked
 processes running :func:`serve` as a standalone worker does, or threads.
 
 The estimator's progress events go into the attempt's ring (the newest
-:data:`MAX_EVENTS` plus a total count); the job's heartbeat thread writes the
-ring into the row with the lease extension at its tick, when there are new
-events or the lease is due, and ``complete``/``fail`` write the final ring —
-the sampling thread never waits on SQLite.  A worker that is its process's only one (:func:`serve`) also
-writes the job's kernel counters into the row, for the coordinator's
-``/metrics``.
+:data:`MAX_EVENTS` plus a total count).  :meth:`StoreWorker.run` starts one
+heartbeat thread for its whole life, with which each job only registers: at
+its tick it writes the ring into the row with the lease extension once the
+job is a tick old and there are new events or the lease is due (a job
+shorter than a tick never beats), and ``complete``/``fail`` write the final
+ring — the sampling thread never waits on SQLite.  A worker that is its
+process's only one (:func:`serve`) also writes the job's kernel counters into
+the row, for the coordinator's ``/metrics``.
 
 Crash safety falls out of the lease protocol: a SIGKILLed worker stops
 heartbeating, its lease expires (at once on the survivor's host: its pid is
@@ -66,13 +69,16 @@ MAX_EVENTS = 64
 
 class _EventRing:
     """One attempt's progress: the newest :data:`MAX_EVENTS` events and their
-    total count.  Called with each event by the estimator; the heartbeat
-    thread reads :meth:`snapshot` into the row at its next tick."""
+    total count, called with each event by the estimator.  The heartbeat
+    thread writes :meth:`snapshot` into the row and keeps the count and time
+    of its last write here (at first the claim's; ``None``: lease lost)."""
 
     def __init__(self) -> None:
         self._events: deque = deque(maxlen=MAX_EVENTS)
         self._count = 0
         self._lock = threading.Lock()
+        self.claimed = self.written_at = time.monotonic()
+        self.written: Optional[int] = 0
 
     def __call__(self, event) -> None:
         self.add(event.as_dict())
@@ -101,7 +107,7 @@ class StoreWorker:
     worker_id:
         Lease identity; defaults to a host/pid-unique id.
     lease_seconds, poll_seconds:
-        Claim lifetime and idle back-off between claim attempts.  A job's
+        Claim lifetime and idle back-off between claim attempts.  The
         heartbeat ticks every ``min(poll_seconds, lease_seconds / 3)``.
     resources:
         Optional :class:`~repro.api.Resources` for every estimation.
@@ -130,10 +136,7 @@ class StoreWorker:
         estimator: Optional[Callable] = None,
     ) -> None:
         self.store = store if isinstance(store, JobStore) else JobStore(store)
-        if lease_seconds is not None:
-            self.lease_seconds = float(lease_seconds)
-        else:
-            self.lease_seconds = self.store.lease_seconds
+        self.lease_seconds = float(self.store.lease_seconds if lease_seconds is None else lease_seconds)
         self.cache = cache if cache is not None else ResultCache(self.store.path.parent)
         self.worker_id = worker_id or default_worker_id()
         self.poll_seconds = float(poll_seconds)
@@ -144,6 +147,7 @@ class StoreWorker:
         self.jobs_failed = 0
         self._stop = threading.Event()
         self._bell = None
+        self._job: Optional[Tuple[int, _EventRing]] = None  # what the heartbeat beats
 
     def stop(self) -> None:
         """Ask the pull loop to exit after the current job (safe from a signal handler)."""
@@ -153,12 +157,7 @@ class StoreWorker:
             bell.ring()
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        *,
-        max_jobs: Optional[int] = None,
-        max_idle_seconds: Optional[float] = None,
-    ) -> int:
+    def run(self, *, max_jobs: Optional[int] = None, max_idle_seconds: Optional[float] = None) -> int:
         """The pull loop; returns how many jobs this worker completed.
 
         ``max_jobs`` bounds the number of completed/failed jobs (tests,
@@ -168,20 +167,26 @@ class StoreWorker:
         idle_since: Optional[float] = None
         # Registered before the first claim: no ring falls between a miss and its wait.
         self._bell = Doorbell(self.store)
+        ended = threading.Event()
+        beat = threading.Thread(
+            target=self._heartbeat, args=(ended,), name="repro-worker-heartbeat", daemon=True
+        )
+        beat.start()
+        requeue_due = 0.0
         try:
             while not self._stop.is_set():
                 if max_jobs is not None and self.jobs_done + self.jobs_failed >= max_jobs:
                     break
-                self.store.requeue_expired()
                 record = self.store.claim(self.worker_id, lease_seconds=self.lease_seconds)
+                if record is None or time.monotonic() >= requeue_due:
+                    # Off the claim path: requeued rows ring the doorbell waited on below.
+                    requeue_due = time.monotonic() + self.poll_seconds
+                    self.store.requeue_expired()
                 if record is None:
                     now = time.monotonic()
                     if idle_since is None:
                         idle_since = now
-                    elif (
-                        max_idle_seconds is not None
-                        and now - idle_since >= max_idle_seconds
-                    ):
+                    elif max_idle_seconds is not None and now - idle_since >= max_idle_seconds:
                         break
                     self._bell.wait(self.poll_seconds)
                     continue
@@ -193,7 +198,30 @@ class StoreWorker:
         finally:
             bell, self._bell = self._bell, None
             bell.close()
+            ended.set()
+            beat.join()
         return self.jobs_done
+
+    def _heartbeat(self, ended: threading.Event) -> None:
+        """The worker's one beat thread, until ``ended``: at each tick it writes
+        the registered job's new events, or renews its lease when due.  A lost
+        lease ends that job's beat, not its run (see module docs)."""
+        renew = self.lease_seconds / 3.0
+        tick = max(0.05, min(self.poll_seconds, renew))
+        try:
+            while not ended.wait(tick):
+                job_id, ring = self._job or (None, None)
+                if ring is None or ring.written is None or time.monotonic() - ring.claimed < tick:
+                    continue
+                progress = ring.snapshot()
+                if progress[1] == ring.written and time.monotonic() - ring.written_at < renew:
+                    continue
+                alive = self.store.heartbeat(
+                    job_id, self.worker_id, lease_seconds=self.lease_seconds, progress=progress
+                )
+                ring.written, ring.written_at = (progress[1] if alive else None), time.monotonic()
+        finally:
+            self.store.close_thread()
 
     # ------------------------------------------------------------------ #
     def _execute(self, record: JobRecord) -> bool:
@@ -210,32 +238,8 @@ class StoreWorker:
         def metrics():
             return obs_metrics.REGISTRY.snapshot() if ships else None
 
-        done = threading.Event()
         ring = _EventRing()
-
-        def _heartbeat() -> None:
-            renew = self.lease_seconds / 3.0
-            tick = max(0.05, min(self.poll_seconds, renew))
-            written, last = 0, time.monotonic()  # the claim wrote the row
-            try:
-                # Write new events, or renew a lease due within the next
-                # tick.  A lost lease ends the beat, not the run (see module docs).
-                while not done.wait(tick):
-                    progress = ring.snapshot()
-                    if progress[1] == written and time.monotonic() - last < renew:
-                        continue
-                    if not self.store.heartbeat(
-                        record.id, self.worker_id, lease_seconds=self.lease_seconds, progress=progress
-                    ):
-                        return
-                    written, last = progress[1], time.monotonic()
-            finally:
-                self.store.close_thread()
-
-        beat = threading.Thread(
-            target=_heartbeat, name=f"repro-worker-heartbeat-{record.id}", daemon=True
-        )
-        beat.start()
+        self._job = (record.id, ring)
         # Writer-unique name: the cache directory is shared across processes —
         # a plain ".job-N.snap.tmp" would let two services clobber each
         # other's snapshots and cache one under the other's (seed-keyed!) entry.
@@ -253,22 +257,17 @@ class StoreWorker:
             text = result.to_json()
             try:
                 snapshot = checkpoint if checkpoint.is_file() else None
-                self.cache.put(
-                    record.checksum, request, result, snapshot=snapshot, text=text
-                )
+                self.cache.put(record.checksum, request, result, snapshot=snapshot, text=text)
             except Exception as exc:  # noqa: BLE001
                 error = f"{type(exc).__name__}: {exc}"
                 ring.add({"phase": "cache-write-failed", "error": error})
-            return self.store.complete(
-                record.id, self.worker_id, text, ring.snapshot(), metrics()
-            )
+            return self.store.complete(record.id, self.worker_id, text, ring.snapshot(), metrics())
         except Exception as exc:  # noqa: BLE001 - job errors become row state
             error = f"{type(exc).__name__}: {exc}"
             self.store.fail(record.id, self.worker_id, error, ring.snapshot(), metrics())
             return False
         finally:
-            done.set()
-            beat.join(timeout=2.0)
+            self._job = None
             try:  # a cached checkpoint was moved away; this is for failures
                 checkpoint.unlink(missing_ok=True)
             except OSError:
@@ -276,11 +275,7 @@ class StoreWorker:
 
     def _estimate(self, record: JobRecord, request: QueryRequest, callbacks, checkpoint):
         """The service's one estimator call: keyword arguments from the job row."""
-        kwargs = {
-            "algorithm": request.algorithm,
-            "eps": request.eps,
-            "delta": request.delta,
-        }
+        kwargs = {"algorithm": request.algorithm, "eps": request.eps, "delta": request.delta}
         if request.seed is not None:
             kwargs["seed"] = request.seed
         if self.resources is not None:

@@ -30,6 +30,13 @@ or a missing file, re-runs the full resolution.  Every container writer
 ``atomic_replace``, so a rewritten container always has a new inode: the
 stamp stands in for the header read.  A memo hit (:meth:`GraphCatalog.memoized`)
 is so a few ``stat`` calls; it never converts, scans or opens a file.
+
+The same stamp keeps the containers :meth:`GraphCatalog.load` (and
+:func:`load_graph`) opened memory-mapped: a bounded, process-wide memo hands
+back the graph already mapped while its file keeps its stamp, so a worker
+that runs job after job on one graph maps and checks it once per version.  A
+:class:`~repro.graph.csr.CSRGraph` is immutable (read-only arrays, fixed
+slots), so every thread may share the one object.
 """
 
 from __future__ import annotations
@@ -80,6 +87,11 @@ _SIDECAR_VERSION = 1
 
 #: Resolved file-path specs one catalog remembers (least recently used goes first).
 _MEMO_ENTRIES = 256
+
+#: Containers the process keeps mapped: absolute path -> (stamp, graph).
+_MAPPED: "OrderedDict[str, tuple]" = OrderedDict()
+_MAPPED_ENTRIES = 8
+_mapped_lock = threading.Lock()
 
 
 def default_cache_dir() -> Path:
@@ -164,6 +176,27 @@ def _stamps(files: Tuple[Path, ...]) -> Optional[tuple]:
         )
     except (OSError, ValueError):  # ValueError: a spec no file can have
         return None
+
+
+def _open_mapped(path: Path) -> CSRGraph:
+    """``open_rcsr(path)`` memory-mapped, or the graph already opened from
+    ``path`` while the file keeps its stamp (see the module docs)."""
+    key, stamp = os.path.abspath(path), _stamps((path,))
+    with _mapped_lock:
+        entry = _MAPPED.get(key)
+        if entry is not None and entry[0] == stamp:
+            _MAPPED.move_to_end(key)
+            return entry[1]
+    graph = open_rcsr(path)
+    with _mapped_lock:
+        if stamp is not None and _stamps((path,)) == stamp:
+            _MAPPED[key] = (stamp, graph)
+            _MAPPED.move_to_end(key)
+            if len(_MAPPED) > _MAPPED_ENTRIES:
+                _MAPPED.popitem(last=False)
+        else:
+            _MAPPED.pop(key, None)
+    return graph
 
 
 def _compute_info(rcsr_path: Path, *, name: str, source: Optional[Path]) -> GraphInfo:
@@ -661,8 +694,10 @@ class GraphCatalog:
     # Loading / metadata
     # ------------------------------------------------------------------ #
     def load(self, spec: PathLike, *, mmap: bool = True) -> CSRGraph:
-        """Open a graph by name or path (memory-mapped by default)."""
-        return open_rcsr(self.resolve(spec), mmap=mmap)
+        """Open a graph by name or path (memory-mapped by default: the graph
+        mapped from an unchanged file before is returned, see the module docs)."""
+        path = self.resolve(spec)
+        return _open_mapped(path) if mmap else open_rcsr(path, mmap=False)
 
     def partition(self, spec: PathLike, num_parts: int, *, force: bool = False):
         """Partition a stored graph into ``num_parts`` shards (idempotent).
@@ -752,5 +787,10 @@ class GraphCatalog:
 def load_graph(
     spec: PathLike, *, catalog: Optional[GraphCatalog] = None, mmap: bool = True
 ) -> CSRGraph:
-    """Module-level convenience: load a graph through a (default) catalog."""
+    """Module-level convenience: load a graph through a (default) catalog.
+
+    Memory-mapped (the default), a file loaded before and unchanged since
+    (same inode, size and mtime) comes back as the same, shared
+    :class:`~repro.graph.csr.CSRGraph` object, not mapped again.
+    """
     return (catalog or GraphCatalog()).load(spec, mmap=mmap)

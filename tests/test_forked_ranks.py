@@ -181,6 +181,28 @@ class TestForkFromAThreadedProcess:
         assert not thread.is_alive()
 
 
+class TestConnectImportsNothing:
+    def test_the_idna_codec_is_imported_before_the_fork(self):
+        """``SocketComm.connect`` resolves its host with ``getaddrinfo``, which
+        imports ``encodings.idna`` on first use: ``fork_rank`` imports it once
+        in the launcher, so a rank forked from a process that never resolved
+        a host does not import it again."""
+        script = (
+            "import sys\n"
+            "from repro.dist.socketcomm import fork_rank, reap\n"
+            "assert 'encodings.idna' not in sys.modules\n"
+            "def rank():\n"
+            "    if 'encodings.idna' not in sys.modules:\n"
+            "        raise SystemExit(3)\n"
+            "proc = fork_rank(rank, rank=1)\n"
+            "reap([proc], grace=30.0)\n"
+            "sys.exit(proc.exitcode)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        completed = subprocess.run([sys.executable, "-c", script], env=env, timeout=120, capture_output=True, text=True)
+        assert completed.returncode == 0, completed.stderr
+
+
 class TestWhatTheFacadeStillReports:
     LADDER_KEYS = {"diameter", "calibration", "adaptive_sampling", "ads_sampling", "ads_reduce", "ads_check"}
 
@@ -343,8 +365,10 @@ class TestRemoteWorkerEntry:
                     sys.executable, "-m", "repro.cli",
                     *DistWorkerConfig(
                         graph=rcsr, rank=rank, size=2, port=port, result_path=str(out) if rank == 0 else None,
+                        # eps 0.1, not TARGET's 0.2: calibration alone reaches
+                        # omega at 0.2, and then no rank samples in the loop.
                         options=KadabraOptions(
-                            eps=TARGET["eps"], seed=TARGET["seed"], samples_per_check=100, max_samples_override=1500
+                            eps=0.1, seed=TARGET["seed"], samples_per_check=100, max_samples_override=1500
                         ),
                     ).to_argv(),
                 ],

@@ -17,7 +17,8 @@
 * Two ranks stop at omega: the budget broadcast ends a P = 2 run within 5 %
   of omega, thread 0 samples while the pre-loop collectives are in flight
   without moving the calibration frame, and a frame travels sparse when few
-  of its counters are nonzero, summing to the dense sum bit for bit.
+  of its counters are nonzero, summing to the dense sum bit for bit; a run
+  whose calibration count reaches omega ends there without an epoch.
 """
 
 from __future__ import annotations
@@ -746,6 +747,34 @@ class TestTwoRanksStopAtOmega:
         epoch_zero = list(plan_batches(n0 - 2 * polls * batch))
         assert sampler.sizes[2 * polls + len(calibration):][: len(epoch_zero)] == epoch_zero
         assert folded == [200 + n0] and result.num_samples == 200 + n0
+
+
+class TestCalibrationAtOmega:
+    """With eps 0.15 this graph's calibration count is omega (134): a run
+    with several workers ends there, on every rank, without an epoch."""
+
+    OPTIONS = dict(eps=0.15, seed=2)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return barabasi_albert(300, 3, seed=9)
+
+    def test_forked_ranks(self, small, tmp_path):
+        path = tmp_path / "ba300.rcsr"
+        write_rcsr(small, path)
+        result = launch_local(str(path), processes=2, **self.OPTIONS)
+        assert result["num_samples"] == result["omega"] == 134
+        assert result["num_epochs"] == 0
+
+    def test_threaded_ranks_with_two_threads(self, small):
+        results = run_threaded(
+            2, lambda comm, rank: run_rank(comm, small, KadabraOptions(**self.OPTIONS), threads=2),
+            timeout=HANG_TIMEOUT,
+        )
+        result = results[0][0]
+        assert result.num_samples == result.omega == 134
+        assert [stats.num_epochs for _result, stats in results] == [0, 0]
+        assert results[0][1].stopped_by_omega
 
 
 def random_frame(rng, n, touched):

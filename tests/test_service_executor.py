@@ -10,8 +10,10 @@ after a job settles holds all of it, and a restarted service serves it too;
 cache-write failures and kernel counters reach the coordinator through the
 row, each sample counted once; a SIGKILLed local worker is replaced and its
 job still ends ``done``; a job whose lease is lost ends ``done`` in the
-*store*; the per-job heartbeat thread leaks no connection and writes the
-row at its tick, not at every event; and a poll
+*store*; a worker's one heartbeat thread beats every job, leaks no
+connection, keeps a held job's lease and writes the row at its tick, not at
+every event; a job starts no thread; thread workers share one mapped graph;
+and a poll
 answered from the row honours ``?k=`` / ``include_scores=``.
 """
 
@@ -571,42 +573,163 @@ class TestSettleFromTheRow:
         assert len(shaped["result"]["scores"]) == 60
 
 
+def enqueue_seeds(store, tmp_path, graph, seeds):
+    """One QUERY job per seed on ``graph``; returns the converted ``.rcsr`` path."""
+    catalog = GraphCatalog(tmp_path / "graph-cache")
+    path = catalog.resolve(str(graph))
+    checksum = catalog.checksum(path)
+    for seed in seeds:
+        request = QueryRequest(graph=str(graph), **{**QUERY, "seed": seed})
+        store.enqueue(
+            key=request.job_key(checksum), tenant="default",
+            request=request.as_dict(), checksum=checksum, graph_path=str(path),
+        )
+    return path
+
+
+def quick_estimator(graph_path, *, callbacks=None, **kwargs):
+    return fake_result(**kwargs)
+
+
 class TestHeartbeatConnections:
-    def test_long_jobs_do_not_leak_store_connections(self, tmp_path, graph):
-        """Every job runs its own heartbeat thread, and a thread that beats
-        opens a thread-local SQLite connection: it must close on the way out."""
+    def test_long_jobs_share_one_beat_thread_and_leak_nothing(self, tmp_path, graph):
+        """A worker's one heartbeat thread beats every job longer than a tick;
+        its SQLite connection closes when ``run`` returns, and the store's
+        connections and this process's descriptors stay bounded across jobs."""
         store = JobStore(tmp_path / "jobs.sqlite3")
-        catalog = GraphCatalog(tmp_path / "graph-cache")
-        path = catalog.resolve(str(graph))
-        checksum = catalog.checksum(path)
-        for seed in range(6):
-            request = QueryRequest(graph=str(graph), **{**QUERY, "seed": seed})
-            store.enqueue(
-                key=request.job_key(checksum), tenant="default",
-                request=request.as_dict(), checksum=checksum, graph_path=str(path),
-            )
+        enqueue_seeds(store, tmp_path, graph, range(6))
         beats = set()
         heartbeat = store.heartbeat
 
-        def counting_heartbeat(*args, **kwargs):
-            beats.add(threading.current_thread().name)
-            return heartbeat(*args, **kwargs)
+        def counting_heartbeat(job_id, *args, **kwargs):
+            beats.add((threading.current_thread(), job_id))
+            return heartbeat(job_id, *args, **kwargs)
 
         store.heartbeat = counting_heartbeat
         worker = StoreWorker(
             store,
             cache=ResultCache(tmp_path / "results"),
             lease_seconds=0.15,
-            hold_seconds=0.2,  # longer than lease/3: every job beats at least once
+            hold_seconds=0.2,  # longer than two ticks (lease/3): every job beats
         )
-        worker.run(max_jobs=1)  # warm-up: this thread's connection, imports
+        worker.run(max_jobs=1)  # warm-up: this thread's connection, imports, the mapped graph
         connections = len(store._connections)
         descriptors = len(os.listdir("/proc/self/fd"))
-        assert worker.run(max_jobs=6) == 6
-        assert len(beats) >= 5  # the beats really came from per-job threads
+        beats.clear()
+        assert worker.run(max_jobs=6) == 6  # the warm-up's job counts: five more ran
+        threads = {thread for thread, _job in beats}
+        assert len(threads) == 1 and len({job for _thread, job in beats}) == 5
+        assert not threads.pop().is_alive()
         assert len(store._connections) == connections
         assert len(os.listdir("/proc/self/fd")) <= descriptors
         store.close()
+
+
+class TestOneBeatThread:
+    """``run`` starts the worker's heartbeat thread and joins it; jobs only
+    register with it."""
+
+    def test_jobs_start_no_thread(self, tmp_path, graph, monkeypatch):
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        enqueue_seeds(store, tmp_path, graph, range(5))
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        worker = StoreWorker(store, cache=ResultCache(tmp_path / "results"), estimator=quick_estimator)
+        try:
+            assert worker.run(max_jobs=5) == 5
+        finally:
+            store.close()
+        assert started == ["repro-worker-heartbeat"]
+
+    def test_a_held_job_keeps_its_lease(self, tmp_path, graph):
+        """Held past its lease several times over, a job is renewed at the
+        tick: no ``requeue_expired`` meanwhile takes it, and it ends ``done``
+        on its first attempt."""
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        enqueue_seeds(store, tmp_path, graph, [5])
+        worker = StoreWorker(
+            store, cache=ResultCache(tmp_path / "results"), lease_seconds=0.3,
+            poll_seconds=0.05, hold_seconds=1.0, estimator=quick_estimator,
+        )
+        janitor = JobStore(store.path)
+        requeued, done = [], threading.Event()
+
+        def sweep():
+            while not done.is_set():
+                requeued.append(janitor.requeue_expired())
+                time.sleep(0.02)
+
+        sweeper = threading.Thread(target=sweep, daemon=True)
+        sweeper.start()
+        try:
+            assert worker.run(max_jobs=1) == 1
+        finally:
+            done.set()
+            sweeper.join(timeout=10.0)
+            janitor.close()
+        (row,) = store.list()
+        store.close()
+        assert row.state == "done" and row.attempts == 1
+        assert len(requeued) > 10 and set(requeued) == {(0, 0)}
+
+    def test_stop_ends_the_beat_thread(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        worker = StoreWorker(store, cache=ResultCache(tmp_path / "results"), poll_seconds=0.05)
+        before = set(threading.enumerate())
+        runner = threading.Thread(target=worker.run, daemon=True)
+        runner.start()
+        deadline = time.monotonic() + 10.0
+        beat = None
+        while beat is None and time.monotonic() < deadline:
+            beat = next(
+                (t for t in set(threading.enumerate()) - before if t.name == "repro-worker-heartbeat"), None
+            )
+            time.sleep(0.01)
+        assert beat is not None and beat.is_alive()
+        worker.stop()
+        runner.join(timeout=10.0)
+        store.close()
+        assert not runner.is_alive() and not beat.is_alive()
+
+
+class TestThreadWorkersShareTheMappedGraph:
+    def test_two_thread_workers_on_one_mapped_graph(self, tmp_path, graph, monkeypatch):
+        """Two thread workers run six jobs on one graph, mapped once and
+        shared: each result is the one a lone facade call computes."""
+        import repro.store.catalog as catalog_module
+        from repro.store import load_graph
+
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        path = enqueue_seeds(store, tmp_path, graph, range(6))
+        shared = load_graph(path)
+        opened = []
+        real_open = catalog_module.open_rcsr
+        monkeypatch.setattr(
+            catalog_module, "open_rcsr", lambda *a, **k: opened.append(a) or real_open(*a, **k)
+        )
+        cache = ResultCache(tmp_path / "results")
+        workers = [StoreWorker(store, cache=cache, poll_seconds=0.05) for _ in range(2)]
+        runners = [
+            threading.Thread(target=w.run, kwargs={"max_idle_seconds": 0.5}, daemon=True) for w in workers
+        ]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=120.0)
+        rows = store.list()
+        store.close()
+        assert sum(w.jobs_done for w in workers) == 6 and opened == []
+        assert load_graph(path) is shared
+        for row in rows:
+            expected = estimate_betweenness(str(path), **{**QUERY, "seed": row.request["seed"]})
+            assert row.state == "done"
+            assert json.loads(row.result)["scores"] == expected.scores.tolist()
 
 
 class TestHeartbeatCadence:

@@ -435,6 +435,43 @@ class TestCatalog:
         assert graph.is_memory_mapped
 
 
+class TestMappedGraphMemo:
+    """A container is mapped once per version: its ``(inode, size, mtime)``."""
+
+    def test_an_unchanged_file_is_the_same_graph(self, tmp_path, stored_path, social_graph):
+        first = GraphCatalog(tmp_path / "cache").load(stored_path)
+        assert first == social_graph and first.is_memory_mapped
+        assert GraphCatalog(tmp_path / "other-cache").load(stored_path) is first
+        assert load_graph(stored_path) is first
+        # Read into memory, a load is always a fresh copy.
+        copy = load_graph(stored_path, mmap=False)
+        assert copy == first and not copy.is_memory_mapped
+        assert load_graph(stored_path, mmap=False) is not copy
+
+    def test_a_replaced_file_is_mapped_again(self, stored_path, social_graph):
+        import os
+
+        first = load_graph(stored_path)
+        before = os.stat(stored_path)
+        changed = barabasi_albert(400, 3, seed=14)
+        write_rcsr(changed, stored_path)  # through atomic_replace: a new inode
+        os.utime(stored_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(stored_path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        again = load_graph(stored_path)
+        assert again is not first and again == changed
+        assert first == social_graph  # the old mapping still reads the old version
+        assert load_graph(stored_path) is again
+
+    def test_a_loaded_graph_holds_no_state_to_share(self, stored_path):
+        """What makes one object safe for every thread: fixed slots, read-only arrays."""
+        graph = load_graph(stored_path)
+        assert not hasattr(graph, "__dict__")
+        with pytest.raises(AttributeError):
+            graph.cached = 1
+        assert not graph.indptr.flags.writeable and not graph.indices.flags.writeable
+
+
 class TestFacadeAndDriverIntegration:
     def test_facade_accepts_path(self, tmp_path, social_graph):
         src = tmp_path / "graph.txt"
