@@ -45,7 +45,7 @@ class KadabraOptions:
         Base number of samples taken between stopping-condition checks for a
         single worker (the ``n0`` constant); the parallel drivers shorten it
         to ``n0 / (P*T)**1.33`` following Section IV-D (see
-        :mod:`repro.parallel.epoch_length`).
+        :class:`repro.parallel.engine.EpochGrid`).
     max_samples_override:
         If set, caps ``omega`` (useful in tests and small experiments).
     vertex_diameter_override:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -253,13 +254,16 @@ class CheckSchedule:
             return 0
         return min(self.samples_per_check, self.omega - tau)
 
-    def epoch_samples(self, epoch: int, tau: int) -> int:
-        """Samples the epoch loop draws in its epoch ``epoch`` before checking.
+    def next_epoch(self, epoch: int, tau: int, left: int) -> Optional[Tuple[int, int, float]]:
+        """The epoch loop's plan for its epoch ``epoch`` (see
+        :func:`repro.parallel.engine.adaptive_sampling_epochs`).
 
         Epoch 0 only aligns ``tau`` with the grid (nothing to draw in a cold
-        run, whose calibration ends on the first boundary); every later epoch
-        draws one block.
+        run, whose calibration ends on the first boundary), and a run always
+        makes that check; every later epoch draws one block, until a check
+        stopped the run (``left == 0``).  One worker has no last epoch to
+        plan and no overlap to cap.
         """
         if epoch == 0:
-            return max(0, self.next_boundary(tau) - tau)
-        return self.advance(tau)
+            return max(0, self.next_boundary(tau) - tau), 0, math.inf
+        return (self.advance(tau), 0, math.inf) if left else None

@@ -25,33 +25,27 @@ and graph updates; it runs no phase of its own.
    it alone evaluates the stopping rule.  The other ranks go straight on.
    The samples taken during both collectives count toward epoch 0's ``n0``
    and stop at it; the calibration stream, frame and deltas are what they
-   would be without them.  A calibration count that reaches ``omega`` ends
-   the run there, on every rank: rank 0 returns the calibration frame and
-   those samples are dropped.  One worker draws calibration from its one stream
+   would be without them.  One worker draws calibration from its one stream
    instead, extending a state's frame to the target's count (positions the
    stream already drew are replayed), which is what makes ``refine`` exact.
 3. *Adaptive sampling* — :func:`adaptive_sampling_epochs`, the epoch loop of
-   Section IV-C.  Threads ``1 .. T-1`` sample continuously into the frame of
-   their current epoch; thread 0 samples what the check grid asks, forces the
-   epoch transition, aggregates the epoch's frames, reduces them to rank 0
+   Section IV-C, from the budget every rank knows after phase 2,
+   ``R0 = omega - tau`` (``tau`` the calibration count, or the resumed
+   aggregate's, which the resume header carries).  Threads ``1 .. T-1``
+   sample continuously into the frame of their current epoch; thread 0
+   samples what the check grid plans, forces the epoch transition,
+   aggregates the epoch's frames, reduces them to rank 0
    (``algorithm="epoch"``, Algorithm 2: a non-blocking barrier then a
    blocking reduction, which the paper found faster than ``MPI_Ireduce``;
    ``"mpi-only"``, Algorithm 1: one thread and a plain ``Ireduce``), where
-   the stopping rule is evaluated, and broadcasts the budget left,
-   ``omega - tau`` (0 stops) — sampling into the next epoch's frame while
-   each request is in flight, between polls of the request: a
-   :data:`~repro.kernels.WORKER_BATCH` per poll when the search is compiled
-   (that call releases the GIL the communicator's threads need), one sample
-   per poll otherwise.  On ``SelfComm`` with one thread every request
-   completes at once, so each epoch draws exactly what the grid says.  With
-   several workers thread 0 draws ``n0`` per epoch
-   (:class:`~repro.parallel.epoch_length.EpochLength`) from its (rank,
-   thread) slot, and the run stops at ``omega`` as well: once one more epoch
-   could exhaust the budget, the next one is the last (``_Budget``), in
-   which every thread draws its share, thread 0 waits for the transition
-   without sampling, tops its rank up to ``ceil(R / P)`` and reduces without
-   the barrier, and every rank ends after rank 0's fold.  One worker draws
-   to the next :class:`~repro.core.stopping.CheckSchedule` boundary.
+   the stopping rule is evaluated, and broadcasts the budget left, ``R``
+   (0 stops) — sampling into the next epoch's frame while each request is
+   in flight, between polls: a :data:`~repro.kernels.WORKER_BATCH` per poll
+   when the search is compiled (that call releases the GIL the
+   communicator's threads need), one sample otherwise.  One worker checks on
+   the :class:`~repro.core.stopping.CheckSchedule`.  Several check on the
+   :class:`EpochGrid`, which plans every epoch from ``R`` alike and so stops
+   the run at ``omega``, planning none at all when ``R0 <= 0``.
 
 A frame that crosses ranks travels in :meth:`~repro.core.state_frame.StateFrame.for_wire`
 form: its nonzero counters as ``(index, count)`` arrays when they are fewer
@@ -78,13 +72,12 @@ from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
 from repro.obs import trace as obs_trace
-from repro.parallel.epoch_length import EpochLength, thread_zero_samples_per_epoch
 from repro.parallel.epochs import EpochManager, FramePool
 from repro.sampling.rng import derive_seed, generator_from_state, generator_state, rng_for_rank_thread
 from repro.util.progress import ProgressCallback, ProgressEvent
 
 __all__ = [
-    "ALGORITHMS", "EpochStats", "adaptive_sampling_epochs", "calibration_phase", "run_rank",
+    "ALGORITHMS", "EpochGrid", "EpochStats", "adaptive_sampling_epochs", "calibration_phase", "run_rank",
     "stopping_condition",
 ]
 
@@ -139,7 +132,7 @@ def _sample_while(
     request: Request,
     sampler: BatchPathSampler,
     rng: np.random.Generator,
-    frame: Optional[StateFrame],
+    frame: StateFrame,
     failures: Sequence[BaseException] = (),
     limit: float = math.inf,
 ) -> Tuple[object, int]:
@@ -147,8 +140,8 @@ def _sample_while(
 
     A compiled batch runs without the GIL, so the communicator's threads
     progress while thread 0 draws a whole worker batch; any other search
-    holds the GIL for the batch, so it draws one sample per poll.  Without a
-    ``frame``, or once it holds ``limit`` samples, it only waits.  A sampling
+    holds the GIL for the batch, so it draws one sample per poll.  Once
+    ``frame`` holds ``limit`` samples it only waits.  A sampling
     thread's exception in ``failures`` ends the wait, which that thread's
     epoch transition would never end.
     """
@@ -157,7 +150,7 @@ def _sample_while(
     while not request.test():
         if failures:
             raise failures[0]
-        if frame is None or frame.num_samples >= limit:
+        if frame.num_samples >= limit:
             time.sleep(_IDLE_POLL_S)
             continue
         frame.record_batch(sampler.sample_batch(batch, rng))
@@ -242,51 +235,51 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-class _Budget:
-    """The sample budget of a run with several workers, as every rank sees it.
+class EpochGrid:
+    """The check grid of a run with several workers (``P * T > 1``).
 
-    Rank 0 broadcasts ``R = omega - tau`` after each check.  Everything here
-    derives from those values, ``n0``, ``P`` and ``T``, so every rank takes
-    each decision in the same epoch: ranks that disagreed on which epoch is
-    the last would post different collectives and deadlock.
+    Thread 0 draws ``n0 = samples_per_check / (P * T) ** 1.33`` per epoch, at
+    least one (Section IV-D: Ref. [24]'s ``1000 / T^1.33`` for ``P * T``
+    workers), plus what it samples while the previous epoch's collectives
+    are in flight (few, long epochs on large graphs, hundreds of short ones
+    on road networks: Table II); the opening counts toward epoch 0's ``n0``.
 
-    * With one thread per rank, an epoch that is not the last adds at most
-      ``n0`` plus its frame's overlap plus a batch less one per rank, the
-      overlap being capped (``cap``).  The next epoch is the last once that
-      much could exhaust ``R`` — or once the epoch before added ``R`` or more,
-      which is what covers worker threads, who sample freely.
-    * Overlap into the frame after the coming epoch is capped at each
-      worker's share of what is surely left of ``R`` after it, so a rank's
-      last frame holds at most its share plus a batch less one; and, since
-      the cap enters the next ``reach``, at ``n0`` or half that share if
-      more, lest a cap near ``R`` make the next epoch the last with most of
-      ``R`` unchecked.  Far from ``omega`` that is more than a collective
-      lasts.  Epoch 1's frame fills before any ``R`` is known: that overlap
-      is capped at ``n0``.
+    Each epoch is planned from the budget left ``R``, which every rank knows
+    (``R0``, then rank 0's broadcasts), so every rank takes each decision in
+    the same epoch.  With one thread per rank an epoch adds at most
+    ``reach = P * (n0 + cap + WORKER_BATCH - 1)``, ``cap`` being the cap on
+    the overlap that filled its frames.  The epoch is the last once ``R <=
+    reach``, or once the epoch before added ``R`` or more (worker threads
+    sample freely): every thread draws ``ceil(R / (P T))`` and thread 0 tops
+    its rank up to ``ceil(R / P)``.  Otherwise the overlap into the next
+    frame is capped at ``min(s, max(n0, s // 2))``, ``s`` being each
+    worker's share of ``R - reach``: a last frame holds at most its share
+    plus a batch less one, and no cap near ``R`` makes the next epoch the
+    last with most of ``R`` unchecked.
     """
 
-    def __init__(self, n0: int, ranks: int, threads: int) -> None:
-        self.n0, self.ranks, self.workers = n0, ranks, ranks * threads
-        self.remaining: Optional[int] = None  # R as broadcast last
-        self.growth = 0  # what the epoch before that broadcast added
-        self.cap = n0  # the overlap cap that filled the coming epoch's frames
+    def __init__(self, ranks: int, threads: int, *, samples_per_check: int = 1000) -> None:
+        if ranks <= 0 or threads <= 0:
+            raise ValueError("ranks and threads must be positive")
+        if samples_per_check <= 0:
+            raise ValueError("samples_per_check must be positive")
+        self.ranks, self.workers = ranks, ranks * threads
+        self.n0 = max(1, int(round(float(samples_per_check) * (1.0 / self.workers) ** 1.33)))
+        self.remaining = 0  # R at the last call; the first sees no growth
+        self.cap = 0  # the overlap cap that filled the coming epoch's frames
 
-    def next_epoch(self) -> Tuple[bool, Optional[int], float]:
-        """``(final, share, cap)`` for the coming epoch: whether it is the
-        last, each thread's share of ``R`` if it is, and the cap on its overlap
-        into the frame after it."""
-        if self.remaining is None:
-            return False, None, self.cap
-        reach = max(self.ranks * (self.n0 + self.cap + WORKER_BATCH - 1), self.growth)
-        final = self.remaining <= reach
-        left = max(0, self.remaining - reach) // self.workers
-        self.cap = min(left, max(self.n0, left // 2))
-        return final, (_ceil_div(self.remaining, self.workers) if final else None), self.cap
-
-    def received(self, remaining: int) -> None:
-        if self.remaining is not None:
-            self.growth = self.remaining - remaining
-        self.remaining = remaining
+    def next_epoch(self, epoch: int, tau: int, left: int) -> Optional[Tuple[int, int, float]]:
+        """``(count, rank_share, cap)`` of epoch ``epoch`` with ``left`` the budget
+        left, or ``None`` once it is spent; ``tau`` is unused (only rank 0 has it)."""
+        growth, self.remaining = self.remaining - left, left
+        if left <= 0:
+            return None
+        reach = max(self.ranks * (self.n0 + self.cap + WORKER_BATCH - 1), growth)
+        if left <= reach:
+            return _ceil_div(left, self.workers), _ceil_div(left, self.ranks), 0
+        share = (left - reach) // self.workers
+        self.cap = min(share, max(self.n0, share // 2))
+        return self.n0, 0, self.cap
 
 
 def adaptive_sampling_epochs(
@@ -298,6 +291,7 @@ def adaptive_sampling_epochs(
     num_threads: int,
     num_vertices: int,
     grid,
+    budget: int,
     algorithm: str = "epoch",
     initial_frame: Optional[StateFrame] = None,
     opening: Optional[StateFrame] = None,
@@ -310,25 +304,25 @@ def adaptive_sampling_epochs(
 
     ``sampler_factory(t)`` makes thread ``t``'s sampler and ``rngs[t]`` is its
     generator; ``num_vertices`` sizes the frames; ``condition`` is evaluated
-    at world rank 0 only (the other ranks may pass ``None``).  ``grid``
-    is the check grid: ``grid.epoch_samples(epoch, tau)`` samples are drawn
-    by thread 0 in loop epoch ``epoch`` (0-based) before its check, ``tau``
-    being the aggregate's count at rank 0 (0 elsewhere) —
-    :class:`~repro.parallel.epoch_length.EpochLength` for several workers,
-    the :class:`~repro.core.stopping.CheckSchedule` for one.  ``algorithm``
-    picks Algorithm 2 (``"epoch"``) or 1 (``"mpi-only"``, one thread).
-    ``initial_frame`` (calibration, a resumed aggregate) is
-    folded into the aggregate at rank 0 without being modified;
-    ``opening`` holds samples thread 0 drew from ``rngs[0]`` before the loop:
-    they open its epoch-0 frame and count toward that epoch's draw;
-    ``max_epochs`` is a safety bound for tests.
+    at world rank 0 only (the other ranks may pass ``None``).  ``grid`` plans
+    each epoch — :class:`EpochGrid` for several workers, the
+    :class:`~repro.core.stopping.CheckSchedule` for one: ``grid.next_epoch(
+    epoch, tau, R)`` (``tau`` the aggregate's count at rank 0, 0 elsewhere;
+    ``R`` the budget left, ``budget`` before the first check, then rank 0's
+    broadcast) is ``(count, rank_share, cap)`` — thread 0 draws ``count``
+    (epoch 0 less the opening), a ``rank_share`` makes the epoch the last,
+    ``cap`` bounds thread 0's overlap into its next frame — or ``None``: no
+    more epochs.  ``algorithm`` picks Algorithm 2 (``"epoch"``) or 1
+    (``"mpi-only"``, one thread).  ``initial_frame`` (calibration, a resumed
+    aggregate) is folded into the aggregate at rank 0 without being
+    modified; ``opening`` holds samples thread 0 drew from ``rngs[0]`` before
+    the loop, which open its epoch-0 frame; ``max_epochs`` is a safety bound
+    for tests.
 
-    Rank 0 broadcasts the budget left, ``R = omega - tau``, after each check
-    (0 stops the run).  On the ``EpochLength`` grid the last epoch follows
-    from it (``_Budget``): every thread draws its share of ``R``, thread 0
-    tops its rank up to ``ceil(R / P)`` and reduces without the barrier, and
-    every rank ends after rank 0's fold, past ``omega`` by what the frames
-    held over their shares (``EpochStats.final_surplus``) and the rounding.
+    In the last epoch every thread draws its share and thread 0, sampling no
+    overlap, tops its rank up to ``rank_share``: the run passes ``omega`` by
+    what frames held over their shares (``EpochStats.final_surplus``) and the
+    rounding.  A run with no epoch starts no thread and posts no collective.
 
     Hooks: ``on_batch(batch)`` sees every batch thread 0 draws for the grid
     (not the overlap batches drawn while a request is in flight — there are
@@ -340,8 +334,6 @@ def adaptive_sampling_epochs(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError("algorithm must be 'epoch' or 'mpi-only'")
-    if num_threads <= 0:
-        raise ValueError("num_threads must be positive")
     if algorithm == "mpi-only" and num_threads != 1:
         raise ValueError("the mpi-only algorithm samples on one thread per rank")
     if len(rngs) < num_threads:
@@ -360,13 +352,23 @@ def adaptive_sampling_epochs(
     seeded = comm.is_root and initial_frame is not None
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
 
+    epoch, left = 0, budget
+    plan = grid.next_epoch(epoch, aggregated.num_samples, left)
+    if plan is None:
+        # The breakdown keeps the loop's phases, each empty, because the
+        # bench reads them unguarded; ROADMAP direction 1(e) removes them.
+        barrier = ("ibarrier",) if algorithm == "epoch" else ()  # Algorithm 1 has none
+        for phase in ("sampling", *barrier, "reduce", "check"):
+            with phases(phase, epoch=0, skipped=True):
+                pass
+
     workers = [
         threading.Thread(
             target=_worker_loop,
             args=(t, sampler_factory(t), rngs[t], manager, pool, sample_counter, failures),
             daemon=True,
         )
-        for t in range(1, num_threads)
+        for t in range(1, num_threads if plan is not None else 1)
     ]
     for worker in workers:
         worker.start()
@@ -379,11 +381,8 @@ def adaptive_sampling_epochs(
             _draw(sampler0, rng0, count, frame, on_batch)
             sample_counter[0] += count
 
-    budget = _Budget(grid.n0, comm.size, num_threads) if isinstance(grid, EpochLength) else None
-    limit = math.inf  # the cap on thread 0's overlap into its next frame
-
-    def overlap(request: Request, frame: Optional[StateFrame]):
-        """Sample into ``frame`` (``None``: only wait) until ``request`` completes; return its result."""
+    def overlap(request: Request, frame: StateFrame):
+        """Sample into ``frame``, up to the plan's cap, until ``request`` completes; return its result."""
         value, drawn = _sample_while(request, sampler0, rng0, frame, failures, limit)
         sample_counter[0] += drawn
         return value
@@ -394,25 +393,21 @@ def adaptive_sampling_epochs(
     # writes the next epoch's frame.  One thread's frame is its own aggregate.
     aggregate_scratch = StateFrame.zeros(num_vertices) if num_threads > 1 else None
 
-    epoch = 0
-    terminated = False
     try:
-        while not terminated:
+        while plan is not None:
+            count, rank_share, limit = plan
             current_frame = pool.frame(0, epoch)
-            final, share, limit = budget.next_epoch() if budget is not None else (False, None, math.inf)
-            count = share if final else grid.epoch_samples(epoch, aggregated.num_samples)
-            if final or epoch == 0:
+            if rank_share or epoch == 0:
                 count -= current_frame.num_samples  # what overlap or the opening put there
             # Lines 12-13: thread 0 samples up to the grid's next check.
             with phases("sampling", epoch=epoch):
                 draw(count, current_frame)
             # Lines 14-15: force the epoch transition, sampling while waiting
-            # unless this epoch is the last.
+            # (the last epoch's cap is 0: it only waits, here and below).
             next_frame = pool.reset_for_epoch(0, epoch + 1)
             with phases("epoch_transition"):
-                overlap(manager.force_transition(epoch), None if final else next_frame)
-            if final:  # the epoch's frames are immutable now: top the rank's share up
-                rank_share = _ceil_div(budget.remaining, comm.size)
+                overlap(manager.force_transition(epoch), next_frame)
+            if rank_share:  # the last epoch's frames are immutable now: top the rank's share up
                 held = sum(pool.frame(t, epoch).num_samples for t in range(num_threads))
                 with phases("sampling", epoch=epoch):
                     draw(rank_share - held, current_frame)
@@ -425,10 +420,7 @@ def adaptive_sampling_epochs(
                 wire = _wire(epoch_frame, comm)
 
             # Lines 19-21: reduce across processes, overlapped with sampling.
-            if final:
-                with phases("reduce"):
-                    reduced_frame = comm.reduce(wire, op="sum", root=0)
-            elif algorithm == "epoch":
+            if algorithm == "epoch":
                 with phases("ibarrier"):
                     overlap(comm.ibarrier(), next_frame)
                 with phases("reduce"):
@@ -438,36 +430,28 @@ def adaptive_sampling_epochs(
                     reduced_frame = overlap(comm.ireduce(wire, op="sum", root=0), next_frame)
 
             # Lines 22-24: rank 0 folds the epoch frame and checks the rule
-            # (the last epoch ends at omega, so it folds only).
-            left = None
+            # (the last epoch ends at omega, which stops it).
             if comm.is_root:
                 with phases("check", epoch=epoch) as sp:
                     if reduced_frame is not None:
                         aggregated.add_into(reduced_frame)
                     if on_aggregate is not None:
                         on_aggregate(stats.num_epochs + 1, aggregated)
-                    decision = final or condition.should_stop(aggregated)
+                    decision = condition.should_stop(aggregated)
                     sp.set("stop", bool(decision))
-                    if aggregated.num_samples >= condition.omega:
-                        stats.stopped_by_omega = True
                     if on_epoch is not None:
                         on_epoch(stats.num_epochs + 1, aggregated.num_samples)
                     left = 0 if decision else condition.omega - aggregated.num_samples
 
             # Lines 25-27: broadcast the budget left, overlapped with sampling.
-            if final:
-                terminated = True
-            else:
-                with phases("broadcast"):
-                    left = int(overlap(comm.ibcast(left, root=0), next_frame))
-                if budget is not None:
-                    budget.received(left)
-                terminated = left == 0
+            with phases("broadcast"):
+                left = int(overlap(comm.ibcast(left, root=0), next_frame))
 
             stats.num_epochs += 1
             epoch += 1
-            if max_epochs is not None and stats.num_epochs >= max_epochs and not terminated:
-                terminated = bool(comm.allreduce(True, op="lor"))
+            if max_epochs is not None and stats.num_epochs >= max_epochs:
+                left = 0
+            plan = grid.next_epoch(epoch, aggregated.num_samples, left)
     finally:
         # Lines 28-30: stop the sampling threads.
         manager.signal_termination()
@@ -477,6 +461,7 @@ def adaptive_sampling_epochs(
         raise failures[0]
 
     stats.local_samples = int(sum(sample_counter))
+    stats.stopped_by_omega = comm.is_root and aggregated.num_samples >= condition.omega
     stats.aggregated_frame = aggregated if comm.is_root else None
     stats.phase_seconds = phases.seconds
     stats.communication_bytes = comm.communication_bytes()
@@ -510,9 +495,10 @@ def run_rank(
     One rank with one thread is one worker: sequential KADABRA, drawing
     calibration and sampling from one stream and checking on the
     :class:`~repro.core.stopping.CheckSchedule`, which stops at ``omega`` at
-    the latest.  More workers draw from their (rank, thread) slots, check
-    on the :class:`~repro.parallel.epoch_length.EpochLength` grid and stop at
-    ``omega`` too; a fresh run's thread 0 samples while the diameter
+    the latest.  More workers draw from their (rank, thread) slots and check
+    on the :class:`EpochGrid` from ``R0 = omega - tau``, which every rank
+    knows after phase 2, so they stop at ``omega`` too (with no epoch when
+    ``R0 <= 0``); a fresh run's thread 0 samples while the diameter
     broadcast and the calibration reduce are in flight.
 
     ``on_aggregate(state)`` is rank 0's checkpoint hook, called after every
@@ -520,9 +506,9 @@ def run_rank(
     (``state.checkpoint(path)`` writes the session snapshot format; the
     state is not refinable, it holds no stream of its own).  ``resume`` is,
     at rank 0, such a session: the run continues from its aggregate, epoch
-    count and diameter bound.  With several workers, those are broadcast
-    instead of running phases 1-2, its stopping condition stays at rank 0,
-    and the loop samples from fresh, salted slots.  One worker continues the
+    count and diameter bound.  With several workers, those and ``tau`` are
+    broadcast instead of running phases 1-2, its stopping condition stays at
+    rank 0, and the loop samples from fresh, salted slots.  One worker continues the
     session's own stream when it carries one (``run``, ``refine`` and graph
     updates: the session holds the state, this function runs the phases),
     else a fresh, salted one; it runs phase 1 when the state holds no
@@ -569,7 +555,7 @@ def run_rank(
     def sampler_for(thread: int) -> BatchPathSampler:
         return sampler0 if thread == 0 else make_sampler(graph, options, kernel=kernel)
 
-    replayed = calibrated = 0  # calibrated: the fresh calibration's count, on every rank
+    replayed = 0
     one_worker = comm.size == 1 and threads == 1
     if one_worker:
         # ---------------- One worker: sequential KADABRA ----------------- #
@@ -617,7 +603,7 @@ def run_rank(
                     state._calibration_rng_state = generator_state(stream)
             condition = stopping_condition(calibration, eps=options.eps, delta=options.delta, omega=omega)
         emit("calibration", num_samples=initial_frame.num_samples)
-        rngs, n0, opening = [stream], grid.samples_per_check, None
+        rngs, n0, opening, tau = [stream], grid.samples_per_check, None, initial_frame.num_samples
     else:
         on_batch = None
         opening = None
@@ -625,11 +611,12 @@ def run_rank(
         def streams(seed: int) -> List[np.random.Generator]:
             return [rng_for_rank_thread(seed, rank, t + 1, num_threads=threads + 1) for t in range(sampling_threads)]
 
-        n0 = thread_zero_samples_per_epoch(comm.size, sampling_threads, base=float(options.samples_per_check))
-        header = None if state is None else (state._vd, state._checks, state._condition.omega)
+        grid = EpochGrid(comm.size, sampling_threads, samples_per_check=options.samples_per_check)
+        n0 = grid.n0
+        header = None if state is None else (state._vd, state._checks, state._condition.omega, state._frame.num_samples)
         restored = comm.bcast(header, root=0)
         if restored is not None:
-            vd, base_epoch, omega = restored
+            vd, base_epoch, omega, tau = restored
             calibration = condition = initial_frame = None
             if state is not None:  # rank 0
                 calibration, condition, initial_frame = state._calibration_frame, state._condition, state._frame
@@ -650,7 +637,7 @@ def run_rank(
             omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
             emit("diameter")
             total = calibration_sample_count(options.calibration_samples, omega, n)
-            calibrated = comm.size * _ceil_div(total, comm.size)
+            tau = comm.size * _ceil_div(total, comm.size)  # what calibration_phase reduces
             with phases("calibration", rank=rank):
                 # RNG slot 0, so the adaptive phase (slots 1..T) never replays
                 # the calibration stream.
@@ -666,9 +653,7 @@ def run_rank(
                     wait=sample_while,
                 )
             initial_frame = calibration
-            if progress is not None:
-                emit("calibration", num_samples=calibration.num_samples)
-        grid = EpochLength(n0)
+            emit("calibration", num_samples=tau)
 
     if comm.is_root and state is None and on_aggregate is not None:
         from repro.session.session import EstimationSession
@@ -690,41 +675,27 @@ def run_rank(
 
     # ---------------- Phase 3: adaptive sampling -------------------------- #
     with phases("adaptive_sampling", rank=rank, omega=omega):
-        if calibrated >= omega:
-            # Calibration reached omega, as every rank knows: none enters the
-            # loop, rank 0 returns the calibration frame, the opening is
-            # dropped.  The loop's breakdown keeps its phases, each empty.
-            loop = obs_trace.PhaseRecorder()
-            barrier = ("ibarrier",) if algorithm == "epoch" else ()  # Algorithm 1 has none
-            for phase in ("sampling", *barrier, "reduce", "check"):
-                with loop(phase, epoch=0, skipped=True):
-                    pass
-            drawn = opening.num_samples
-            stats = EpochStats(
-                rank, sampling_threads, local_samples=drawn, opening_samples=drawn,
-                aggregated_frame=initial_frame, stopped_by_omega=comm.is_root,
-                phase_seconds=loop.seconds, communication_bytes=comm.communication_bytes(),
-            )
-            emit("adaptive_sampling", epoch=base_epoch, num_samples=calibrated)
-        else:
-            stats = adaptive_sampling_epochs(
-                comm,
-                sampler_for,
-                condition,
-                rngs,
-                num_threads=sampling_threads,
-                num_vertices=n,
-                grid=grid,
-                algorithm=algorithm,
-                initial_frame=initial_frame,
-                opening=opening,
-                max_epochs=max_epochs,
-                on_batch=on_batch,
-                on_epoch=lambda epoch, num_samples: emit(
-                    "adaptive_sampling", epoch=base_epoch + epoch, num_samples=num_samples
-                ),
-                on_aggregate=fold_hook,
-            )
+        stats = adaptive_sampling_epochs(
+            comm,
+            sampler_for,
+            condition,
+            rngs,
+            num_threads=sampling_threads,
+            num_vertices=n,
+            grid=grid,
+            budget=omega - tau,
+            algorithm=algorithm,
+            initial_frame=initial_frame,
+            opening=opening,
+            max_epochs=max_epochs,
+            on_batch=on_batch,
+            on_epoch=lambda epoch, num_samples: emit(
+                "adaptive_sampling", epoch=base_epoch + epoch, num_samples=num_samples
+            ),
+            on_aggregate=fold_hook,
+        )
+        if stats.num_epochs == 0:  # R0 <= 0: the phase ends where it started
+            emit("adaptive_sampling", epoch=base_epoch, num_samples=tau)
     for phase, seconds in stats.phase_seconds.items():
         phases.seconds[f"ads_{phase}"] = seconds
     stats.phase_seconds = phases.seconds

@@ -2,8 +2,11 @@
 
 Every sampling thread of every (simulated) MPI rank must draw from an
 independent stream; numpy's :class:`~numpy.random.SeedSequence` spawning
-provides statistically independent child streams from one master seed, which
-keeps runs reproducible regardless of the number of processes/threads.
+provides statistically independent child streams from one master seed.  A
+stream is fixed by ``(seed, rank, thread)`` whatever the number of
+processes/threads.  A parallel result is not fixed by the seed alone: it also
+depends on how many samples each thread drew before the run stopped, which
+timing decides and nothing records yet.
 """
 
 from __future__ import annotations
@@ -73,7 +76,9 @@ def rng_for_rank_thread(
 
     The stream only depends on ``(seed, rank, thread)`` — not on how many
     ranks exist — so the same thread of the same rank always sees the same
-    stream, which makes distributed runs reproducible and debuggable.
+    stream.  That does not make a distributed run reproducible: its result
+    also depends on how many samples each thread drew from its stream, and
+    no result or snapshot records those counts.
     """
     if rank < 0 or thread < 0:
         raise ValueError("rank and thread must be non-negative")

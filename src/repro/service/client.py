@@ -160,9 +160,6 @@ class ServiceClient:
     def job(self, job_id: str) -> Dict[str, object]:
         return self.request("GET", f"/v1/jobs/{job_id}")
 
-    def cache_entries(self) -> Dict[str, object]:
-        return self.request("GET", "/v1/cache")
-
     def cache_evict(
         self,
         checksum: Optional[str] = None,

@@ -715,19 +715,6 @@ class GraphCatalog:
         ):
             return partition_rcsr(rcsr_path, num_parts, force=force)
 
-    def partitioned_view(
-        self, spec: PathLike, num_parts: int, own_part: int, *, mmap: bool = True
-    ):
-        """A rank's :class:`~repro.store.partition.PartitionedGraphView`.
-
-        Partitions on demand (no-op when the shards already exist), then maps
-        only shard ``own_part`` eagerly.
-        """
-        from repro.store.partition import PartitionedGraphView
-
-        manifest = self.partition(spec, num_parts)
-        return PartitionedGraphView(manifest, own_part, mmap=mmap)
-
     def info(self, spec: PathLike) -> GraphInfo:
         """Sidecar metadata for a graph, computing (and caching) it if absent
         or stale (checksum mismatch with the container)."""

@@ -161,12 +161,6 @@ class PartitionManifest:
             raise PartitionError("manifest has no directory; load it from disk first")
         return self.directory / self.shards[part].path
 
-    def part_of_vertex(self, v: int) -> int:
-        """Which partition owns global vertex ``v``."""
-        if not (0 <= v < self.num_vertices):
-            raise PartitionError(f"vertex {v} out of range [0, {self.num_vertices})")
-        return int(np.searchsorted(self.boundaries, v, side="right") - 1)
-
     # ------------------------------------------------------------------ #
     def as_dict(self) -> Dict[str, object]:
         return {

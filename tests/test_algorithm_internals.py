@@ -16,14 +16,16 @@ from repro.core.state_frame import StateFrame
 from repro.core.stopping import StoppingCondition
 from repro.kernels import BatchPathSampler
 from repro.mpi import SelfComm, run_threaded
-from repro.parallel import EpochLength, adaptive_sampling_epochs
+from repro.parallel import EpochGrid, adaptive_sampling_epochs
 
 
-def algorithm1(comm, sampler, condition, rng, **kwargs):
+def algorithm1(comm, sampler, condition, rng, *, samples_per_check, initial_frame=None, **kwargs):
     """Algorithm 1 on this rank: the epoch loop's mpi-only case."""
     return adaptive_sampling_epochs(
         comm, lambda _t: sampler, condition, [rng], num_threads=1, num_vertices=condition.num_vertices,
-        algorithm="mpi-only", **kwargs
+        grid=EpochGrid(comm.size, 1, samples_per_check=samples_per_check),
+        budget=condition.omega - (0 if initial_frame is None else initial_frame.num_samples),
+        algorithm="mpi-only", initial_frame=initial_frame, **kwargs
     )
 
 
@@ -45,7 +47,7 @@ class TestAlgorithm1Internals:
             BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(0),
-            grid=EpochLength(50),
+            samples_per_check=50,
         )
         assert stats.aggregated_frame is not None
         assert stats.aggregated_frame.num_samples >= 50
@@ -62,7 +64,7 @@ class TestAlgorithm1Internals:
             BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(1),
-            grid=EpochLength(10),
+            samples_per_check=10,
             initial_frame=seed_frame,
         )
         assert stats.stopped_by_omega
@@ -75,7 +77,7 @@ class TestAlgorithm1Internals:
             BatchPathSampler(small_social_graph),
             condition,
             np.random.default_rng(2),
-            grid=EpochLength(5),
+            samples_per_check=5,
             max_epochs=2,
         )
         assert stats.num_epochs == 2
@@ -91,7 +93,7 @@ class TestAlgorithm1Internals:
                 BatchPathSampler(small_social_graph),
                 condition,
                 np.random.default_rng(100 + rank),
-                grid=EpochLength(40),
+                samples_per_check=40,
             )
 
         stats = run_threaded(3, body)
@@ -113,7 +115,7 @@ class TestAlgorithm1Internals:
                 BatchPathSampler(small_social_graph),
                 condition,
                 np.random.default_rng(0),
-                grid=EpochLength(0),
+                samples_per_check=0,
             )
 
 
@@ -131,7 +133,8 @@ class TestAlgorithm2Internals:
             self._rngs(3),
             num_threads=3,
             num_vertices=condition.num_vertices,
-            grid=EpochLength(30),
+            grid=EpochGrid(1, 3, samples_per_check=30),
+            budget=condition.omega,
         )
         assert stats.aggregated_frame is not None
         assert stats.aggregated_frame.num_samples > 0
@@ -151,7 +154,8 @@ class TestAlgorithm2Internals:
                 self._rngs(2, seed=10 * rank),
                 num_threads=2,
                 num_vertices=condition.num_vertices,
-                grid=EpochLength(20),
+                grid=EpochGrid(comm.size, 2, samples_per_check=20),
+                budget=condition.omega,
             )
 
         stats = run_threaded(4, body)
@@ -168,19 +172,19 @@ class TestAlgorithm2Internals:
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=0,
                 num_vertices=condition.num_vertices,
-                grid=EpochLength(10),
+                grid=EpochGrid(1, 1, samples_per_check=10), budget=condition.omega,
             )
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(2), num_threads=2,
                 num_vertices=condition.num_vertices,
-                grid=EpochLength(0),
+                grid=EpochGrid(1, 2, samples_per_check=0), budget=condition.omega,
             )
         with pytest.raises(ValueError):
             adaptive_sampling_epochs(
                 SelfComm(), sampler_factory, condition, self._rngs(1), num_threads=2,
                 num_vertices=condition.num_vertices,
-                grid=EpochLength(10),
+                grid=EpochGrid(1, 1, samples_per_check=10), budget=condition.omega,
             )
 
     def test_estimates_converge_to_exact(self, small_social_graph):
@@ -196,7 +200,8 @@ class TestAlgorithm2Internals:
             self._rngs(2, seed=5),
             num_threads=2,
             num_vertices=condition.num_vertices,
-            grid=EpochLength(2000),
+            grid=EpochGrid(1, 2, samples_per_check=5000),  # n0 = 1988
+            budget=condition.omega,
         )
         estimates = stats.aggregated_frame.betweenness_estimates()
         assert np.max(np.abs(estimates - exact)) < 0.08

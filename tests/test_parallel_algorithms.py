@@ -9,7 +9,7 @@ from repro import Resources, estimate_betweenness
 from repro.baselines import brandes_betweenness
 from repro.core import KadabraOptions
 from repro.mpi import SelfComm, run_threaded
-from repro.parallel import run_rank, thread_zero_samples_per_epoch
+from repro.parallel import EpochGrid, run_rank
 from repro.util.stats import max_abs_error
 
 
@@ -25,48 +25,49 @@ def distributed(graph, options, *, algorithm="distributed", **resources):
     )
 
 
+def n0(processes, threads, **kwargs):
+    """The epoch length thread 0 draws on a ``processes`` x ``threads`` grid."""
+    return EpochGrid(processes, threads, **kwargs).n0
+
+
 class TestEpochLengthRule:
     def test_single_worker_gets_base(self):
-        assert thread_zero_samples_per_epoch(1, 1, base=1000) == 1000
+        assert n0(1, 1, samples_per_check=1000) == 1000
 
     def test_decreases_with_workers(self):
-        values = [thread_zero_samples_per_epoch(p, 12, base=1000) for p in (1, 2, 4, 8, 16)]
+        values = [n0(p, 12, samples_per_check=1000) for p in (1, 2, 4, 8, 16)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_never_below_one(self):
-        assert thread_zero_samples_per_epoch(32, 12, base=1000) >= 1
+        assert n0(32, 12, samples_per_check=1000) >= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            thread_zero_samples_per_epoch(0, 1)
+            n0(0, 1)
         with pytest.raises(ValueError):
-            thread_zero_samples_per_epoch(1, 1, base=-5)
+            n0(1, 1, samples_per_check=-5)
 
     @pytest.mark.parametrize(
         "processes, threads, expected",
         [(1, 1, 1000), (1, 2, 398), (2, 1, 398), (2, 12, 15), (4, 6, 15), (16, 24, 1)],
     )
     def test_closed_form(self, processes, threads, expected):
-        assert thread_zero_samples_per_epoch(processes, threads, base=1000) == expected
+        assert n0(processes, threads, samples_per_check=1000) == expected
         assert expected == max(1, round(1000 * (processes * threads) ** -1.33))
 
     @pytest.mark.parametrize("workers", [2, 6, 24])
     def test_depends_only_on_worker_count(self, workers):
-        values = {
-            thread_zero_samples_per_epoch(p, workers // p)
-            for p in range(1, workers + 1)
-            if workers % p == 0
-        }
+        values = {n0(p, workers // p) for p in range(1, workers + 1) if workers % p == 0}
         assert len(values) == 1
 
     def test_base_scales_the_rule(self):
-        assert thread_zero_samples_per_epoch(4, 1, base=600) == round(600 * 4 ** -1.33) == 95
+        assert n0(4, 1, samples_per_check=600) == round(600 * 4 ** -1.33) == 95
 
     def test_only_base_is_tunable(self):
         import inspect
 
-        parameters = inspect.signature(thread_zero_samples_per_epoch).parameters
-        assert list(parameters) == ["num_processes", "num_threads", "base"]
+        parameters = inspect.signature(EpochGrid).parameters
+        assert list(parameters) == ["ranks", "threads", "samples_per_check"]
 
     @pytest.mark.parametrize(
         "algorithm, resources, workers",
@@ -79,14 +80,15 @@ class TestEpochLengthRule:
 
         calls = []
 
-        def spy(num_processes, num_threads, **kwargs):
-            calls.append((num_processes, num_threads, kwargs))
-            return thread_zero_samples_per_epoch(num_processes, num_threads, **kwargs)
+        class Spy(EpochGrid):
+            def __init__(self, ranks, threads, **kwargs):
+                calls.append((ranks, threads, kwargs))
+                super().__init__(ranks, threads, **kwargs)
 
-        monkeypatch.setattr(engine, "thread_zero_samples_per_epoch", spy)
+        monkeypatch.setattr(engine, "EpochGrid", Spy)
         distributed(small_social_graph, quick_options, algorithm=algorithm, **resources)
         assert calls
-        expected_kwargs = dict(base=float(quick_options.samples_per_check))
+        expected_kwargs = dict(samples_per_check=quick_options.samples_per_check)
         assert all(call == (*workers, expected_kwargs) for call in calls)
 
 

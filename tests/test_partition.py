@@ -96,13 +96,6 @@ class TestPartitionRoundTrip:
         view.neighbors(0)
         assert 0 in view.loaded_parts()
 
-    def test_part_of_vertex_matches_boundaries(self, stored_social):
-        manifest = partition_rcsr(stored_social, 3)
-        bounds = manifest.boundaries
-        for v in (0, int(bounds[1]) - 1, int(bounds[1]), manifest.num_vertices - 1):
-            part = manifest.part_of_vertex(v)
-            assert bounds[part] <= v < bounds[part + 1]
-
 
 class TestShardValidation:
     def test_missing_shard_rejected(self, stored_social):
@@ -158,7 +151,7 @@ class TestIdempotency:
         catalog = GraphCatalog()
         manifest = catalog.partition(str(stored_social), 2)
         assert manifest.num_parts == 2
-        view = catalog.partitioned_view(str(stored_social), 2, own_part=1)
+        view = PartitionedGraphView(catalog.partition(str(stored_social), 2), 1)
         assert view.eager_parts() == (1,)
 
     def test_find_manifests_sorted(self, stored_social):

@@ -14,11 +14,13 @@
   in that exception instead of leaving its peers spinning forever.
 * The stopping condition stays at rank 0: calibration posts only its reduce,
   and no other rank receives the condition, fresh or resumed.
-* Two ranks stop at omega: the budget broadcast ends a P = 2 run within 5 %
-  of omega, thread 0 samples while the pre-loop collectives are in flight
-  without moving the calibration frame, and a frame travels sparse when few
-  of its counters are nonzero, summing to the dense sum bit for bit; a run
-  whose calibration count reaches omega ends there without an epoch.
+* Two ranks stop at omega: every rank knows the budget before the loop, so
+  a P = 2 run ends within a batch per rank of omega and every overlap cap,
+  the first included, follows one formula; thread 0 samples while the
+  pre-loop collectives are in flight without moving the calibration frame,
+  and a frame travels sparse when few of its counters are nonzero, summing
+  to the dense sum bit for bit; a run whose calibration count, or resumed
+  aggregate, reaches omega ends there without an epoch or a loop collective.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi import CommError, Communicator, SelfComm, run_threaded
 from repro.mpi.hub import FRAME_HEADER_BYTES, LocalLink, Matcher
 from repro.mpi.requests import PolledRequest, Request
-from repro.parallel import EpochLength, adaptive_sampling_epochs, run_rank
+from repro.parallel import EpochGrid, adaptive_sampling_epochs, run_rank
 from repro.parallel.engine import calibration_phase
 from repro.session import EstimationSession, SessionCapabilityError, open_session
 from repro.store import write_rcsr
@@ -179,6 +181,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
         condition = StoppingCondition(eps=1e-4, omega=900, delta_l=deltas, delta_u=deltas)
         calibration = StateFrame.zeros(n)
         calibration.num_samples = 100
+        n0 = EpochGrid(3, 1, samples_per_check=172).n0
 
         def body(comm, rank):
             return adaptive_sampling_epochs(
@@ -188,7 +191,8 @@ class TestAlgorithm1ThroughTheMergedLoop:
                 [np.random.default_rng(100 + rank)],
                 num_threads=1,
                 num_vertices=condition.num_vertices,
-                grid=EpochLength(40),
+                grid=EpochGrid(comm.size, 1, samples_per_check=172),
+                budget=condition.omega - calibration.num_samples,
                 algorithm="mpi-only",
                 # Only rank 0's calibration frame enters the aggregate.
                 initial_frame=calibration,
@@ -203,7 +207,7 @@ class TestAlgorithm1ThroughTheMergedLoop:
         # Every epoch before the last draws n0 per rank; the last one draws
         # only the budget left.  Samples of the final epoch's overlap never
         # reach the aggregate.
-        assert 3 * 40 * (stats[0].num_epochs - 1) <= sampled <= sum(s.local_samples for s in stats)
+        assert n0 == 40 and 3 * n0 * (stats[0].num_epochs - 1) <= sampled <= sum(s.local_samples for s in stats)
         assert "ibarrier" not in stats[0].phase_seconds and "reduce" in stats[0].phase_seconds
 
     def test_mpi_only_takes_one_thread(self, graph):
@@ -217,7 +221,8 @@ class TestAlgorithm1ThroughTheMergedLoop:
                 [np.random.default_rng(t) for t in range(2)],
                 num_threads=2,
                 num_vertices=condition.num_vertices,
-                grid=EpochLength(10),
+                grid=EpochGrid(1, 2, samples_per_check=10),
+                budget=condition.omega,
                 algorithm="mpi-only",
             )
 
@@ -318,9 +323,8 @@ class RecordingSampler:
 
 
 class TestOverlapLoop:
-    # N0 exceeds an epoch's overlap (two requests of POLLS polls, a worker
-    # batch each), so the overlap into epoch 1's frame never reaches its cap
-    # of N0; later caps follow the budget, which omega = 10**9 keeps far off.
+    # Every overlap cap follows the budget, which omega = 10**9 keeps far off:
+    # thread 0 samples through every poll of both requests of every epoch.
     N0, POLLS, EPOCHS = 100, 3, 3
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
@@ -340,7 +344,8 @@ class TestOverlapLoop:
             [np.random.default_rng(7)],
             num_threads=1,
             num_vertices=never.num_vertices,
-            grid=EpochLength(self.N0),
+            grid=EpochGrid(1, 1, samples_per_check=self.N0),
+            budget=never.omega,
             algorithm=algorithm,
             max_epochs=self.EPOCHS,
             on_batch=lambda b: seen.append(b.num_samples),
@@ -361,11 +366,11 @@ class TestOverlapLoop:
         "search, batch", [("compiled", WORKER_BATCH), ("bidirectional", 1)],
         ids=["compiled", "numpy"],
     )
-    def test_only_epoch_one_overlap_stops_at_n0(self, graph, monkeypatch, search, batch):
-        """No budget is known while epoch 0's requests are in flight, so that
-        overlap stops at n0; far from omega the later ones sample through
-        every poll."""
-        n0 = 2 * batch + 1  # three batches reach it, the six polls would draw six
+    def test_first_cap_follows_the_formula_of_every_cap(self, graph, monkeypatch, search, batch):
+        """Every rank knows the budget before the loop, so the overlap into
+        epoch 1's frame is capped as every later one is: far from omega not
+        at n0, but by the budget, and it samples through every poll."""
+        n0 = 2 * batch + 1  # three batches reach it, the six polls draw six
         sampler = RecordingSampler(make_sampler(graph, search, monkeypatch))
         deltas = np.full(graph.num_vertices, 0.001)
         never = StoppingCondition(eps=1e-4, omega=10**9, delta_l=deltas, delta_u=deltas)
@@ -377,16 +382,21 @@ class TestOverlapLoop:
             [np.random.default_rng(7)],
             num_threads=1,
             num_vertices=never.num_vertices,
-            grid=EpochLength(n0),
+            grid=EpochGrid(1, 1, samples_per_check=n0),
+            budget=never.omega,
             max_epochs=self.EPOCHS,
             on_aggregate=lambda _epochs, aggregated: folded.append(aggregated.num_samples),
         )
-        grid = list(plan_batches(n0))
         overlap = [batch] * 2 * self.POLLS
-        assert sampler.sizes == grid + [batch] * 3 + (grid + overlap) * (self.EPOCHS - 1)
-        assert np.diff([0] + folded).tolist() == [n0, n0 + 3 * batch] + [n0 + len(overlap) * batch] * (
-            self.EPOCHS - 2
-        )
+        assert sampler.sizes == (list(plan_batches(n0)) + overlap) * self.EPOCHS
+        assert np.diff([0] + folded).tolist() == [n0] + [n0 + len(overlap) * batch] * (self.EPOCHS - 1)
+        # Near omega: each cap, the first included, is min(share, max(n0, share // 2)),
+        # share being each worker's part of R less the coming epoch's reach,
+        # P * (n0 + the cap that filled its frames + WORKER_BATCH - 1).
+        grid = EpochGrid(2, 1, samples_per_check=1000)  # n0 = 398
+        plans = [grid.next_epoch(epoch, 0, left) for epoch, left in enumerate((5000, 4000, 3000, 2000, 1000))]
+        assert [cap for _count, _share, cap in plans[:-1]] == [1043, 398, 398, 189]
+        assert plans[-1] == (500, 500, 0)  # 2 * (398 + 189 + 15) >= 1000: the last epoch
 
     @pytest.mark.parametrize(
         "search, batch", [("compiled", WORKER_BATCH), ("bidirectional", 1)],
@@ -410,7 +420,8 @@ class TestOverlapLoop:
             [np.random.default_rng(7)],
             num_threads=1,
             num_vertices=never.num_vertices,
-            grid=EpochLength(n0),
+            grid=EpochGrid(1, 1, samples_per_check=n0),
+            budget=omega,
             on_aggregate=lambda _epochs, aggregated: folded.append(aggregated.num_samples),
         )
         added = np.diff([0] + folded).tolist()
@@ -469,7 +480,8 @@ class TestFailuresEndTheRun:
             [np.random.default_rng(10 * comm.rank + t) for t in range(2)],
             num_threads=2,
             num_vertices=never.num_vertices,
-            grid=EpochLength(5),
+            grid=EpochGrid(comm.size, 2, samples_per_check=5),
+            budget=never.omega,
         )
 
     def test_sampling_thread_exception_reaches_thread_zero(self, graph):
@@ -647,9 +659,8 @@ class TestTwoRanksStopAtOmega:
     exactly omega), so a run ends where the budget broadcast ends it."""
 
     #: With one thread a rank's last frame holds at most its share plus a
-    #: batch less one (the overlap cap never exceeds the share) once the
-    #: run needs more than two epochs, as this one does, so two ranks pass
-    #: omega by at most 2 * (WORKER_BATCH - 1) plus the rounding.
+    #: batch less one (the overlap cap never exceeds the share), so two
+    #: ranks pass omega by at most 2 * (WORKER_BATCH - 1) plus the rounding.
     BOUND = OMEGA + 2 * WORKER_BATCH - 1
 
     def test_threaded_ranks(self, graph):
@@ -691,7 +702,8 @@ class TestTwoRanksStopAtOmega:
                 [np.random.default_rng(10 * rank + t) for t in range(2)],
                 num_threads=2,
                 num_vertices=graph.num_vertices,
-                grid=EpochLength(300),
+                grid=EpochGrid(comm.size, 2, samples_per_check=300),
+                budget=OMEGA - calibration.num_samples,
                 initial_frame=calibration,
             )
 
@@ -775,6 +787,68 @@ class TestCalibrationAtOmega:
         assert result.num_samples == result.omega == 134
         assert [stats.num_epochs for _result, stats in results] == [0, 0]
         assert results[0][1].stopped_by_omega
+
+
+class TestTheBudgetIsKnownBeforeTheLoop:
+    """Every rank derives ``R0 = omega - tau`` after phase 2, so the first
+    epoch is planned from the budget like every later one."""
+
+    #: At eps 0.05 this graph's omega is 1,200 and two workers' n0 is 398.
+    OPTIONS = dict(eps=0.05, delta=0.1)
+    OMEGA = 1200
+
+    @pytest.fixture(scope="class")
+    def ba3000(self):
+        return barabasi_albert(3000, 3, seed=3)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_two_forked_ranks_stop_within_a_batch_per_rank(self, ba3000, seed):
+        """Before the budget was known before the loop, epoch 1's frames
+        filled by up to n0 per rank unchecked and these runs ended at
+        1,451-1,499 samples."""
+        result = estimate_betweenness(
+            ba3000, algorithm="distributed", resources=Resources(processes=2), seed=seed, **self.OPTIONS
+        )
+        assert result.omega == self.OMEGA and result.extra["samples_per_epoch_n0"] == 398
+        assert self.OMEGA <= result.num_samples <= self.OMEGA + 2 * WORKER_BATCH
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_two_threads_end_at_omega(self, ba3000, monkeypatch, seed):
+        """Thread 0 lands its rank on omega exactly; only the worker thread,
+        which samples uncapped, can pass it, by what it drew over its share
+        (timing decides how much, so a worker that draws nothing pins the
+        end)."""
+        import repro.parallel.engine as engine
+
+        options = KadabraOptions(seed=seed, **self.OPTIONS)
+        result, stats = run_rank(SelfComm(), ba3000, options, threads=2)
+        assert result.omega == self.OMEGA and result.num_samples >= self.OMEGA
+        if stats.final_surplus is not None:
+            assert result.num_samples == self.OMEGA + stats.final_surplus
+        real = engine.make_sampler
+        samplers = iter([real, lambda *_args, **_kwargs: IdleSampler()])
+        monkeypatch.setattr(engine, "make_sampler", lambda *args, **kwargs: next(samplers)(*args, **kwargs))
+        result, stats = run_rank(SelfComm(), ba3000, options, threads=2)
+        assert result.num_samples == self.OMEGA and stats.final_surplus == 0
+
+    @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
+    def test_a_resumed_run_at_omega_posts_no_loop_collective(self, graph, tmp_path, algorithm):
+        path = tmp_path / "done.snap"
+        options = KadabraOptions(**TARGET)
+        run_rank(SelfComm(), graph, options, on_aggregate=lambda state: state.checkpoint(path))
+        state = EstimationSession.restore(path, graph=graph)
+        assert state.num_samples >= state.omega == OMEGA
+
+        def body(comm, rank):
+            spy = SpyComm(comm)
+            result, stats = run_rank(spy, graph, options, algorithm=algorithm, resume=state if rank == 0 else None)
+            return spy.posted, result, stats
+
+        (posted0, result, stats0), (posted1, _, stats1) = run_threaded(2, body, timeout=HANG_TIMEOUT)
+        assert posted0 == posted1 == ["bcast"]  # the resume header only
+        assert stats0.local_samples == stats1.local_samples == 0
+        assert stats0.num_epochs == stats1.num_epochs == 0 and stats0.stopped_by_omega
+        assert result.num_samples == state.num_samples and result.num_epochs == 0
 
 
 def random_frame(rng, n, touched):

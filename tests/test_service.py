@@ -1264,14 +1264,14 @@ class TestServiceHTTP:
 
         async def scenario(client, service):
             await asyncio.to_thread(client.query, graph=str(graph), eps=0.1)
-            listing = await asyncio.to_thread(client.cache_entries)
+            listing = await asyncio.to_thread(client.request, "GET", "/v1/cache")
             assert len(listing["entries"]) == 1
             with pytest.raises(ServiceError) as excinfo:
                 await asyncio.to_thread(client.cache_evict)  # no selector
             assert excinfo.value.status == 400
             evicted = await asyncio.to_thread(client.cache_evict, all=True)
             assert evicted["evicted"] == 1
-            listing = await asyncio.to_thread(client.cache_entries)
+            listing = await asyncio.to_thread(client.request, "GET", "/v1/cache")
             assert listing["entries"] == []
             return True
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,15 +250,25 @@ class TestSparseCheck:
 class TestCheckGrids:
     def test_schedule_aligns_in_epoch_zero_then_draws_blocks(self):
         schedule = CheckSchedule(calibration_samples=200, samples_per_check=1000, omega=4797)
-        assert schedule.epoch_samples(0, 200) == 0  # a cold run checks right after calibration
-        assert schedule.epoch_samples(0, 1300) == 900  # a refine aligns with the grid first
-        assert schedule.epoch_samples(1, 2200) == 1000
-        assert schedule.epoch_samples(5, 4200) == 597  # never past omega
-        assert schedule.epoch_samples(0, 5000) == 0
+        draws = lambda epoch, tau: schedule.next_epoch(epoch, tau, 4797 - tau)[0]  # noqa: E731
+        assert draws(0, 200) == 0  # a cold run checks right after calibration
+        assert draws(0, 1300) == 900  # a refine aligns with the grid first
+        assert draws(1, 2200) == 1000
+        assert draws(5, 4200) == 597  # never past omega
+        assert draws(0, 5000) == 0
+        # One worker has no last epoch and no cap; a stopped run plans no epoch
+        # after the check at calibration, which it always makes.
+        assert schedule.next_epoch(1, 2200, 2597) == (1000, 0, math.inf)
+        assert schedule.next_epoch(0, 4797, 0) == (0, 0, math.inf)
+        assert schedule.next_epoch(3, 3200, 0) is None
 
-    def test_parallel_rule_is_constant(self):
-        from repro.parallel import EpochLength
+    def test_parallel_grid_draws_n0_until_its_last_epoch(self):
+        from repro.parallel import EpochGrid
 
-        assert EpochLength(40).epoch_samples(0, 0) == EpochLength(40).epoch_samples(7, 123) == 40
+        grid = EpochGrid(2, 2, samples_per_check=1000)
+        assert grid.n0 == 158
+        assert grid.next_epoch(0, 0, 10**6)[:2] == grid.next_epoch(1, 123, 10**6 - 900)[:2] == (158, 0)
+        assert grid.next_epoch(2, 0, 11) == (3, 6, 0)  # the last: ceil(R / P T), ceil(R / P)
+        assert grid.next_epoch(3, 0, 0) is None
         with pytest.raises(ValueError):
-            EpochLength(0)
+            EpochGrid(1, 1, samples_per_check=0)
