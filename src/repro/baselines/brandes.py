@@ -9,7 +9,7 @@ motivates the paper.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
 from repro.kernels.scratch import ScratchPool, csr_views, gather_csr, settle_level
 
-__all__ = ["brandes_betweenness", "brandes_from_sources"]
+__all__ = ["brandes_betweenness"]
 
 #: How many SSSP sources between two ``progress`` invocations.
 _PROGRESS_STRIDE = 64
@@ -121,27 +121,3 @@ def brandes_betweenness(
     if normalized and n > 2:
         scores /= float(n * (n - 1))
     return BetweennessResult(scores=scores, num_samples=0)
-
-
-def brandes_from_sources(
-    graph: CSRGraph, sources: Iterable[int], *, normalized: bool = True
-) -> BetweennessResult:
-    """Brandes restricted to a subset of sources (a common exact-algorithm
-    compromise on massive graphs, cf. Section II of the paper).
-
-    The result is rescaled by ``n / |sources|`` so that it is an unbiased
-    estimate of the full betweenness when the sources are sampled uniformly.
-    """
-    n = graph.num_vertices
-    sources = [int(s) for s in sources]
-    if any(s < 0 or s >= n for s in sources):
-        raise ValueError("source id out of range")
-    scores = np.zeros(n, dtype=np.float64)
-    pool = ScratchPool(n)
-    for source in sources:
-        _accumulate_source_dependencies(graph, source, scores, pool)
-    if sources:
-        scores *= n / float(len(sources))
-    if normalized and n > 2:
-        scores /= float(n * (n - 1))
-    return BetweennessResult(scores=scores, num_samples=len(sources))

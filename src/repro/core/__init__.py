@@ -6,12 +6,11 @@ from repro.core.calibration import CalibrationResult, calibrate_deltas, default_
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.core.kadabra import make_sampler
-from repro.core.topk import TopKResult, identify_top_k, detectable_vertices
+from repro.core.topk import TopKResult, identify_top_k
 
 __all__ = [
     "TopKResult",
     "identify_top_k",
-    "detectable_vertices",
     "StateFrame",
     "StoppingCondition",
     "compute_omega",

@@ -6,8 +6,9 @@ probability ``delta`` over the vertices.  Vertices that look important (large
 preliminary estimate) receive a larger share so that their stopping-condition
 terms shrink faster; the remaining vertices share a uniform floor.  Footnote 2
 of the paper notes that the exact choice only influences the running time,
-never the correctness — any assignment with ``sum_v delta_L(v) + delta_U(v)
-<= delta`` is sound.
+never the correctness; every assignment here has ``sum_v delta_L(v) +
+delta_U(v) <= delta``, and ``docs/guarantee.md`` adds that sum to omega's
+``delta / 2`` in the union bound.
 
 The assignment below follows the reference implementation's scheme: a binary
 search on a concentration parameter ``c`` such that the total probability mass

@@ -54,7 +54,8 @@ def compute_omega(eps: float, delta: float, vertex_diameter: int, *, constant: f
 
     ``omega = (c / eps^2) * (floor(log2(VD - 2)) + 1 + log(2 / delta))`` where
     ``VD`` is an upper bound on the vertex diameter.  For degenerate inputs
-    (``VD <= 2``, e.g. a single edge) the log term is taken as zero.
+    (``VD <= 2``, e.g. a single edge) ``floor(log2(VD - 2)) + 1`` is taken
+    as 1, its value at ``VD = 3``.  ``docs/guarantee.md`` states the bound.
     """
     check_positive(eps, "eps")
     check_probability(delta, "delta")

@@ -12,14 +12,14 @@ the same per-vertex confidence bounds f/g that drive the stopping rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.result import BetweennessResult
 from repro.core.stopping import f_function, g_function
 
-__all__ = ["TopKResult", "confidence_bounds", "identify_top_k", "detectable_vertices"]
+__all__ = ["TopKResult", "confidence_bounds", "identify_top_k"]
 
 
 @dataclass
@@ -117,19 +117,3 @@ def identify_top_k(
         lower_bounds=lower,
         upper_bounds=upper,
     )
-
-
-def detectable_vertices(result: BetweennessResult, *, margin: float = 2.0) -> List[int]:
-    """Vertices whose estimate exceeds ``margin * eps``.
-
-    This is the paper's notion of "reliably detectable" vertices: with an
-    additive guarantee of eps, only scores comfortably above eps can be
-    distinguished from zero.  Returns vertex ids in decreasing score order.
-    """
-    if result.eps is None:
-        raise ValueError("result carries no eps (exact algorithms have none)")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    threshold = margin * result.eps
-    candidates = np.flatnonzero(result.scores > threshold)
-    return sorted((int(v) for v in candidates), key=lambda v: -result.scores[v])

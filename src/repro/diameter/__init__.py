@@ -1,18 +1,13 @@
-"""Diameter computation: exact algorithms and cheap bounds for KADABRA's ω."""
+"""Diameter bounds for KADABRA's ω: a few BFS sweeps per connected component."""
 
-from repro.diameter.exact import exact_diameter, ifub_diameter
 from repro.diameter.two_sweep import (
     DiameterEstimate,
-    two_sweep_lower_bound,
     double_sweep_estimate,
     vertex_diameter_upper_bound,
 )
 
 __all__ = [
-    "exact_diameter",
-    "ifub_diameter",
     "DiameterEstimate",
-    "two_sweep_lower_bound",
     "double_sweep_estimate",
     "vertex_diameter_upper_bound",
 ]

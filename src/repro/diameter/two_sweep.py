@@ -17,9 +17,9 @@ import numpy as np
 
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import bfs_distances, farthest_vertex
+from repro.graph.traversal import bfs_distances
 
-__all__ = ["DiameterEstimate", "two_sweep_lower_bound", "double_sweep_estimate", "vertex_diameter_upper_bound"]
+__all__ = ["DiameterEstimate", "double_sweep_estimate", "vertex_diameter_upper_bound"]
 
 
 @dataclass
@@ -36,20 +36,6 @@ class DiameterEstimate:
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
-
-
-def two_sweep_lower_bound(graph: CSRGraph, *, seed: int | None = None) -> int:
-    """Classic double-sweep lower bound: BFS from a random vertex, then BFS
-    from the farthest vertex found; the second eccentricity is a lower bound
-    on the diameter (and is exact on trees)."""
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(0, n))
-    far, _ = farthest_vertex(graph, start)
-    _, dist = farthest_vertex(graph, far)
-    return int(dist)
 
 
 def _sweep_component(graph: CSRGraph, start: int, sweeps: int) -> Tuple[int, int, int]:

@@ -48,23 +48,11 @@ from repro.dist.socketcomm import bind_listener, fork_rank, reap
 from repro.store.format import read_header
 from repro.store.partition import partition_rcsr
 
-__all__ = ["LaunchError", "pick_free_port", "launch_local"]
+__all__ = ["LaunchError", "launch_local"]
 
 
 class LaunchError(RuntimeError):
     """The distributed run could not be completed (even after restarts)."""
-
-
-def pick_free_port(host: str = "127.0.0.1") -> int:
-    """An ephemeral TCP port that was free at probe time.
-
-    For callers that must name a port before anything listens on it
-    (``launch_local(port=...)``, a hub address handed to remote workers);
-    :func:`launch_local` itself binds port 0 and keeps the socket.
-    """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
 
 
 def _grow_pipe(writer, graph_path: Path) -> None:

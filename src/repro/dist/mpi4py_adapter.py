@@ -13,9 +13,10 @@ run over the socket transport.
 
 Reductions deliberately go through object-mode ``gather`` + the repository's
 own :func:`~repro.mpi.reduce_ops.reduce_op` fold rather than ``MPI.SUM``:
-payloads here are :class:`~repro.core.state_frame.StateFrame` objects and
-heterogeneous tuples, and folding them with the same operator table as every
-other transport keeps the semantics (and the tests) identical.
+payloads here are :class:`~repro.core.state_frame.StateFrame` and
+:class:`~repro.core.state_frame.SparseFrame` objects, and folding them with
+the same ``sum`` as every other transport keeps the semantics (and the
+tests) identical.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ class Mpi4pyComm(Communicator):  # pragma: no cover - requires an MPI stack
         return PolledRequest(lambda: bool(req.Test()))
 
     def reduce(self, value: Any, op: str = "sum", root: int = 0) -> Optional[Any]:
+        self._check(root, op)
         self._account(value)
         gathered = self._comm.gather(value, root=root)
         if gathered is None:
@@ -91,15 +93,6 @@ class Mpi4pyComm(Communicator):  # pragma: no cover - requires an MPI stack
 
     def ireduce(self, value: Any, op: str = "sum", root: int = 0) -> Request:
         return CompletedRequest(self.reduce(value, op=op, root=root))
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        self._account(value)
-        gathered = self._comm.allgather(value)
-        fold = reduce_op(op)
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = fold(acc, item)
-        return acc
 
     def bcast(self, value: Any = None, root: int = 0) -> Any:
         if self.rank == root:

@@ -12,16 +12,13 @@ from repro.graph.traversal import (
     BFSResult,
     bfs_distances,
     bfs_with_sigma,
-    bfs_tree_parents,
     eccentricity,
-    farthest_vertex,
 )
 from repro.graph.io import (
     iter_edge_chunks,
     read_edge_list,
     write_edge_list,
     read_metis,
-    write_metis,
 )
 
 __all__ = [
@@ -34,12 +31,9 @@ __all__ = [
     "BFSResult",
     "bfs_distances",
     "bfs_with_sigma",
-    "bfs_tree_parents",
     "eccentricity",
-    "farthest_vertex",
     "iter_edge_chunks",
     "read_edge_list",
     "write_edge_list",
     "read_metis",
-    "write_metis",
 ]

@@ -171,15 +171,6 @@ class CSRGraph:
         mask = sources <= targets
         return np.column_stack((sources[mask], targets[mask]))
 
-    def to_networkx(self):
-        """Export to a :class:`networkx.Graph` (requires networkx)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_vertices))
-        g.add_edges_from(map(tuple, self.edge_array().tolist()))
-        return g
-
     # ------------------------------------------------------------------ #
     # Dunder methods
     # ------------------------------------------------------------------ #

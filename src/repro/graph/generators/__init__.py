@@ -1,35 +1,18 @@
-"""Synthetic graph generators used by experiments and tests."""
+"""Synthetic graph generators: the paper's instance families as proxies.
+
+R-MAT (Graph500 parameters) for the complex networks, perturbed lattices for
+the road networks, Barabási–Albert for the social and hyperlink networks; the
+examples, the benchmarks and the CLI build their graphs here.
+"""
 
 from repro.graph.generators.rmat import rmat_graph, GRAPH500_PARAMS
-from repro.graph.generators.hyperbolic import hyperbolic_graph, estimate_disk_radius
-from repro.graph.generators.grid import (
-    grid_graph,
-    road_network_graph,
-    path_graph,
-    cycle_graph,
-    star_graph,
-    complete_graph,
-)
-from repro.graph.generators.random_models import (
-    erdos_renyi_gnm,
-    erdos_renyi_gnp,
-    barabasi_albert,
-    watts_strogatz,
-)
+from repro.graph.generators.grid import grid_graph, road_network_graph
+from repro.graph.generators.random_models import barabasi_albert
 
 __all__ = [
     "rmat_graph",
     "GRAPH500_PARAMS",
-    "hyperbolic_graph",
-    "estimate_disk_radius",
     "grid_graph",
     "road_network_graph",
-    "path_graph",
-    "cycle_graph",
-    "star_graph",
-    "complete_graph",
-    "erdos_renyi_gnm",
-    "erdos_renyi_gnp",
     "barabasi_albert",
-    "watts_strogatz",
 ]

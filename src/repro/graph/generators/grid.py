@@ -19,7 +19,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.components import largest_connected_component
 from repro.graph.csr import CSRGraph
 
-__all__ = ["grid_graph", "road_network_graph", "path_graph", "cycle_graph", "star_graph", "complete_graph"]
+__all__ = ["grid_graph", "road_network_graph"]
 
 
 def grid_graph(rows: int, cols: int, *, periodic: bool = False) -> CSRGraph:
@@ -91,44 +91,3 @@ def road_network_graph(
     builder = GraphBuilder(num_vertices=n)
     builder.add_edges(edges)
     return largest_connected_component(builder.build())
-
-
-def path_graph(n: int) -> CSRGraph:
-    """A simple path on ``n`` vertices (diameter ``n - 1``)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n <= 1:
-        return CSRGraph.empty(max(n, 0))
-    v = np.arange(n - 1, dtype=np.int64)
-    return CSRGraph.from_edges(np.column_stack((v, v + 1)), num_vertices=n)
-
-
-def cycle_graph(n: int) -> CSRGraph:
-    """A cycle on ``n`` vertices."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n <= 2:
-        return path_graph(n)
-    v = np.arange(n, dtype=np.int64)
-    return CSRGraph.from_edges(np.column_stack((v, (v + 1) % n)), num_vertices=n)
-
-
-def star_graph(n: int) -> CSRGraph:
-    """A star with one centre (vertex 0) and ``n - 1`` leaves."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n <= 1:
-        return CSRGraph.empty(max(n, 0))
-    leaves = np.arange(1, n, dtype=np.int64)
-    centre = np.zeros(n - 1, dtype=np.int64)
-    return CSRGraph.from_edges(np.column_stack((centre, leaves)), num_vertices=n)
-
-
-def complete_graph(n: int) -> CSRGraph:
-    """The complete graph on ``n`` vertices."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n <= 1:
-        return CSRGraph.empty(max(n, 0))
-    u, v = np.triu_indices(n, k=1)
-    return CSRGraph.from_edges(np.column_stack((u, v)), num_vertices=n)

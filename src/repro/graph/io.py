@@ -9,7 +9,6 @@ and unweighted (extra columns such as weights or timestamps are ignored).
 from __future__ import annotations
 
 import gzip
-import io
 import warnings
 from pathlib import Path
 from typing import List, Tuple, Union
@@ -24,7 +23,6 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "read_metis",
-    "write_metis",
 ]
 
 PathLike = Union[str, Path]
@@ -307,15 +305,3 @@ def read_metis(path: PathLike) -> CSRGraph:
         # only when the discrepancy is small is not knowable here, so accept.
         pass
     return graph
-
-
-def write_metis(graph: CSRGraph, path: PathLike) -> None:
-    """Write the graph in METIS adjacency format (unweighted)."""
-    path = Path(path)
-    buf = io.StringIO()
-    buf.write(f"{graph.num_vertices} {graph.num_edges}\n")
-    for u in range(graph.num_vertices):
-        buf.write(" ".join(str(int(v) + 1) for v in graph.neighbors(u)))
-        buf.write("\n")
-    with _open_text(path, "wt") as handle:
-        handle.write(buf.getvalue())

@@ -1,10 +1,10 @@
-"""Whole-graph breadth-first search: distances, sigma counts, BFS trees.
+"""Whole-graph breadth-first search: distances and sigma counts.
 
 The diameter phase, connected components and the incremental updater all sit
 on these level-synchronous sweeps.  The plain sweep - :func:`bfs_distances`
 and the component labelling, through :func:`level_sweeper` - is one compiled
 call per source where :func:`repro.kernels.compiled.usable` holds for the
-graph's arrays.  Everywhere else, and for the sigma and parent sweeps, every
+graph's arrays.  Everywhere else, and for the sigma sweep, every
 level is one :func:`~repro.kernels.scratch.gather_csr` and one
 :func:`~repro.kernels.scratch.settle_level` - the step the sampling kernels
 and Brandes use - over base-``ndarray`` views of the CSR arrays taken once per
@@ -33,8 +33,6 @@ __all__ = [
     "bfs_distances",
     "bfs_with_sigma",
     "eccentricity",
-    "farthest_vertex",
-    "bfs_tree_parents",
 ]
 
 UNREACHED = -1
@@ -209,36 +207,6 @@ def bfs_with_sigma(graph: CSRGraph, source: int) -> BFSResult:
     )
 
 
-def bfs_tree_parents(graph: CSRGraph, source: int) -> Tuple[np.ndarray, np.ndarray]:
-    """BFS returning ``(distances, parents)`` for one arbitrary BFS tree.
-
-    ``parents[source] == source`` and ``parents[v] == -1`` for unreachable
-    vertices.  Used by diameter heuristics and tests.
-    """
-    csr, distances, frontier = _begin(graph, source)
-    parents = np.full(graph.num_vertices, -1, dtype=np.int64)
-    parents[source] = source
-    level = 0
-    while True:
-        level += 1
-        fresh, neighbors, degs = expand_frontier(csr, frontier, distances, level)
-        if fresh.size == 0:
-            break
-        # First parent in frontier order, i.e. the smallest id (levels are
-        # sorted), over the edges into the new level.
-        edges = np.flatnonzero(distances[neighbors] == level)
-        parents[fresh] = graph.num_vertices
-        np.minimum.at(parents, neighbors[edges], frontier.repeat(degs)[edges])
-        frontier = fresh
-    return distances, parents
-
-
 def eccentricity(graph: CSRGraph, v: int) -> int:
     """Eccentricity of ``v`` within its connected component."""
     return bfs_distances(graph, v).eccentricity
-
-
-def farthest_vertex(graph: CSRGraph, source: int) -> Tuple[int, int]:
-    """Return ``(vertex, distance)`` of the smallest-id vertex farthest from ``source``."""
-    result = bfs_distances(graph, source)
-    return int(result.deepest[0]), result.eccentricity

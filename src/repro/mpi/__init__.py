@@ -1,9 +1,13 @@
 """MPI substrate: communicator interface, the one collective matcher and its
-client (:mod:`repro.mpi.hub`) and the threaded runtime."""
+client (:mod:`repro.mpi.hub`) and the threaded runtime.
+
+A :class:`Communicator` carries what Algorithms 1 and 2 post (``ibcast``,
+``ireduce``, ``ibarrier`` + ``reduce``, ``bcast``), plus ``gather`` and
+``barrier``; reductions sum, the one operator (:func:`reduce_op`)."""
 
 from repro.mpi.interface import CommError, Communicator, SelfComm
 from repro.mpi.requests import Request, CompletedRequest, PolledRequest
-from repro.mpi.reduce_ops import REDUCE_OPS, reduce_op, combine
+from repro.mpi.reduce_ops import reduce_op
 from repro.mpi.threaded import ThreadedComm, ThreadedCommWorld, run_threaded
 
 __all__ = [
@@ -13,9 +17,7 @@ __all__ = [
     "Request",
     "CompletedRequest",
     "PolledRequest",
-    "REDUCE_OPS",
     "reduce_op",
-    "combine",
     "ThreadedComm",
     "ThreadedCommWorld",
     "run_threaded",

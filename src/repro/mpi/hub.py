@@ -165,7 +165,7 @@ class Matcher:
                     f"({entry.kind},{entry.op},{entry.root}) vs ({kind},{op},{root})"
                 )
             entry.count += 1
-            if kind in ("reduce", "allreduce"):
+            if kind == "reduce":
                 entry.accumulator = value if entry.count == 1 else reduce_op(op)(entry.accumulator, value)
             elif kind == "bcast":
                 if rank == root:
@@ -188,8 +188,8 @@ class Matcher:
                 raise ValueError(f"root {root} is outside a world of {self._size}")
             if kind == "reduce":
                 to_send.append((root, head + (entry.accumulator,)))
-            elif kind in ("allreduce", "barrier"):
-                to_send += [(r, head + (entry.accumulator,)) for r in range(self._size)]
+            elif kind == "barrier":
+                to_send += [(r, head + (None,)) for r in range(self._size)]
             elif kind == "gather":
                 ordered = [entry.contributions[r] for r in range(self._size)]
                 to_send += [(r, head + (ordered if r == root else None,)) for r in range(self._size)]
@@ -381,10 +381,6 @@ class HubComm(Communicator):
             return self._post("reduce", op=op, root=root, value=value)
         self._post("reduce", op=op, root=root, value=value, reply=False)
         return CompletedRequest()
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        self._check(0, op)
-        return self._post("allreduce", op=op, value=value).wait()
 
     def bcast(self, value: Any = None, root: int = 0) -> Any:
         return self.ibcast(value, root=root).wait()

@@ -2,13 +2,18 @@
 
 The algorithms in Section IV need exactly these primitives:
 
-* blocking ``bcast`` (a resumed run's header) and ``reduce`` (the last
-  epoch);
+* blocking ``bcast`` (a resumed run's header);
 * non-blocking ``ibcast`` (the diameter bound, the budget left after each
   check) and ``ireduce`` (calibration, Algorithm 1's epochs), thread 0
   sampling while they are in flight;
 * non-blocking ``ibarrier`` + blocking ``reduce`` (the paper's replacement for
   a slow ``MPI_Ireduce``) for Algorithm 2's epochs.
+
+Besides them, ``gather`` collects the per-rank reports and metrics at the
+end of a distributed run, and a blocking ``barrier`` lines ranks up for a
+timing.  Every reduction sums (``op="sum"``, the one operator of
+:func:`~repro.mpi.reduce_ops.reduce_op`), and a value every rank needs
+travels by ``reduce`` to rank 0 and ``bcast`` back.
 
 Every collective runs on the one world communicator.  The paper's
 node-local/leader split (Section IV-E) pre-aggregates over shared memory;
@@ -42,7 +47,11 @@ class CommError(RuntimeError):
 
 
 class Communicator(abc.ABC):
-    """Minimal MPI-style communicator."""
+    """Minimal MPI-style communicator (the collectives in the module docstring).
+
+    An unknown reduction ``op`` or a ``root`` outside the world raises
+    ``ValueError`` in the calling rank before anything is posted.
+    """
 
     # -- identity ------------------------------------------------------- #
     @property
@@ -75,10 +84,6 @@ class Communicator(abc.ABC):
     @abc.abstractmethod
     def ireduce(self, value: Any, op: str = "sum", root: int = 0) -> Request:
         """Non-blocking reduction; the request's result follows :meth:`reduce`."""
-
-    @abc.abstractmethod
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        """Blocking reduction delivering the aggregate to every rank."""
 
     @abc.abstractmethod
     def bcast(self, value: Any, root: int = 0) -> Any:
@@ -136,9 +141,6 @@ class SelfComm(Communicator):
 
     def ireduce(self, value: Any, op: str = "sum", root: int = 0) -> Request:
         return CompletedRequest(self.reduce(value, op, root))
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        return self.reduce(value, op)
 
     def bcast(self, value: Any, root: int = 0) -> Any:
         self._check(root)

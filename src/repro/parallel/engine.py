@@ -32,9 +32,10 @@ and graph updates; it runs no phase of its own.
    Section IV-C, from the budget every rank knows after phase 2,
    ``R0 = omega - tau`` (``tau`` the calibration count, or the resumed
    aggregate's, which the resume header carries).  Threads ``1 .. T-1``
-   sample continuously into the frame of their current epoch; thread 0
-   samples what the check grid plans, forces the epoch transition,
-   aggregates the epoch's frames, reduces them to rank 0
+   sample into the frame of their current epoch until it holds their share
+   ``ceil(R / (P T))`` of the budget left, which thread 0 publishes with
+   each plan; thread 0 samples what the check grid plans, forces the epoch
+   transition, aggregates the epoch's frames, reduces them to rank 0
    (``algorithm="epoch"``, Algorithm 2: a non-blocking barrier then a
    blocking reduction, which the paper found faster than ``MPI_Ireduce``;
    ``"mpi-only"``, Algorithm 1: one thread and a plain ``Ireduce``), where
@@ -215,15 +216,21 @@ def _worker_loop(
     Batches of :data:`repro.kernels.WORKER_BATCH` amortise per-sample
     overhead yet acknowledge transitions promptly (``check_transition`` runs
     between batches, so a frame is only written by its owner inside one
-    epoch).  An exception ends the thread and is left in ``failures`` for
-    thread 0, which would otherwise wait forever for its next transition.
+    epoch).  Once the frame holds the share thread 0 published, the thread
+    only polls for its transition, as thread 0 idles past its overlap cap,
+    so a frame holds at most its share plus a batch less one.  An exception
+    ends the thread and is left in ``failures`` for thread 0, which would
+    otherwise wait forever for its next transition.
     """
     try:
         epoch = 0
         frame = pool.frame(thread_index, epoch)
         while not manager.terminated:
-            frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
-            sample_counter[thread_index] += WORKER_BATCH
+            if frame.num_samples < manager.share:
+                frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
+                sample_counter[thread_index] += WORKER_BATCH
+            else:
+                time.sleep(_IDLE_POLL_S)
             if manager.check_transition(thread_index, epoch):
                 epoch += 1
                 frame = pool.reset_for_epoch(thread_index, epoch)
@@ -250,8 +257,8 @@ class EpochGrid:
     ``reach = P * (n0 + cap + WORKER_BATCH - 1)``, ``cap`` being the cap on
     the overlap that filled its frames.  The epoch is the last once ``R <=
     reach``, or once the epoch before added ``R`` or more (worker threads
-    sample freely): every thread draws ``ceil(R / (P T))`` and thread 0 tops
-    its rank up to ``ceil(R / P)``.  Otherwise the overlap into the next
+    sample up to their share of the ``R`` before): every thread draws
+    ``ceil(R / (P T))`` and thread 0 tops its rank up to ``ceil(R / P)``.  Otherwise the overlap into the next
     frame is capped at ``min(s, max(n0, s // 2))``, ``s`` being each
     worker's share of ``R - reach``: a last frame holds at most its share
     plus a batch less one, and no cap near ``R`` makes the next epoch the
@@ -352,8 +359,13 @@ def adaptive_sampling_epochs(
     seeded = comm.is_root and initial_frame is not None
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
 
+    def plan_epoch() -> Optional[Tuple[int, int, float]]:
+        """The grid's plan of ``epoch``; each worker thread's share of ``left`` goes to the manager."""
+        manager.publish_share(_ceil_div(left, comm.size * num_threads))
+        return grid.next_epoch(epoch, aggregated.num_samples, left)
+
     epoch, left = 0, budget
-    plan = grid.next_epoch(epoch, aggregated.num_samples, left)
+    plan = plan_epoch()
     if plan is None:
         # The breakdown keeps the loop's phases, each empty, because the
         # bench reads them unguarded; ROADMAP direction 1(e) removes them.
@@ -451,7 +463,7 @@ def adaptive_sampling_epochs(
             epoch += 1
             if max_epochs is not None and stats.num_epochs >= max_epochs:
                 left = 0
-            plan = grid.next_epoch(epoch, aggregated.num_samples, left)
+            plan = plan_epoch()
     finally:
         # Lines 28-30: stop the sampling threads.
         manager.signal_termination()

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fixture_graphs import path_graph, star_graph
+
 from repro.core import KadabraOptions
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert,
     grid_graph,
-    path_graph,
     road_network_graph,
-    star_graph,
 )
 
 collect_ignore_glob = []

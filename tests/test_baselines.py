@@ -7,20 +7,22 @@ import pytest
 
 networkx = pytest.importorskip("networkx")
 
+from fixture_graphs import cycle_graph, path_graph, star_graph
+from oracles import brandes_from_sources, to_networkx
+
 from repro import estimate_betweenness
-from repro.baselines import brandes_betweenness, brandes_from_sources, rk_sample_size
+from repro.baselines import brandes_betweenness, rk_sample_size
 from repro.core import KadabraOptions
 from repro.core.kadabra import make_sampler
 from repro.core.state_frame import StateFrame
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import cycle_graph, path_graph, star_graph
 from repro.util.stats import max_abs_error
 
 
 def _networkx_betweenness(graph: CSRGraph) -> np.ndarray:
     """networkx betweenness converted to the paper's 1/(n(n-1)) normalisation."""
     n = graph.num_vertices
-    raw = networkx.betweenness_centrality(graph.to_networkx(), normalized=False)
+    raw = networkx.betweenness_centrality(to_networkx(graph), normalized=False)
     return np.array([raw[v] for v in range(n)]) * 2.0 / (n * (n - 1))
 
 

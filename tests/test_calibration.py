@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fixture_graphs import cycle_graph
+
 from repro.core.calibration import (
     BALANCING_FACTOR,
     calibrate_deltas,
@@ -12,7 +14,7 @@ from repro.core.calibration import (
 )
 from repro.core.state_frame import StateFrame
 from repro.graph.components import largest_connected_component
-from repro.graph.generators import cycle_graph, rmat_graph, road_network_graph
+from repro.graph.generators import rmat_graph, road_network_graph
 from repro.kernels.batch import BatchPathSampler
 
 

@@ -50,12 +50,12 @@ def test_threaded_mismatch_raises_in_offending_call():
     world = ThreadedCommWorld(2)
     world.comm_for_rank(0).ireduce(1, op="sum", root=0)
     with pytest.raises(RuntimeError, match="mismatch"):
-        world.comm_for_rank(1).ireduce(1, op="max", root=0)
+        world.comm_for_rank(1).ireduce(1, op="sum", root=1)
 
 
 def test_socket_mismatch_fails_all_ranks():
     def body(comm, rank):
-        return comm.allreduce(1, op="sum" if rank == 0 else "max")
+        return comm.gather(rank, root=0 if rank == 0 else 1)
 
     with pytest.raises(CommError, match="mismatch"):
         run_socket(4, body, timeout=30.0)
@@ -63,7 +63,7 @@ def test_socket_mismatch_fails_all_ranks():
 
 def test_forked_mismatch_fails_the_world():
     def body(comm, rank):
-        return comm.allreduce(1, op="sum" if rank == 0 else "max")
+        return comm.gather(rank, root=0 if rank == 0 else 1)
 
     with pytest.raises(CommError, match="mismatch"):
         ForkedRunner().run(4, body)

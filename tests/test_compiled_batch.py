@@ -20,9 +20,10 @@ import pytest
 
 from test_compiled_search import biclique_graph
 from test_scan_on_expand import FAMILIES, make_sampler
+from fixture_graphs import path_graph
 
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, path_graph, road_network_graph
+from repro.graph.generators import grid_graph, road_network_graph
 from repro.kernels import BatchPathSampler, compiled, scratch
 
 # ``make_sampler(graph, "compiled", ...)`` skips where there is no helper.

@@ -26,11 +26,12 @@ import numpy as np
 import pytest
 
 from test_scan_on_expand import make_sampler
+from fixture_graphs import path_graph
 
 from repro.dist.socketcomm import fork_rank, reap
 from repro.graph.components import connected_components
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, path_graph, road_network_graph
+from repro.graph.generators import grid_graph, road_network_graph
 from repro.graph.traversal import bfs_distances, sweep_path
 from repro.kernels import BatchPathSampler, compiled, format_kernel_table
 from repro.kernels.bidirectional import bidirectional_sample

@@ -6,27 +6,24 @@ import pytest
 
 networkx = pytest.importorskip("networkx")
 
+from fixture_graphs import cycle_graph, path_graph, star_graph
+from oracles import exact_diameter, ifub_diameter, to_networkx, two_sweep_lower_bound
+
 from repro.diameter import (
     DiameterEstimate,
     double_sweep_estimate,
-    exact_diameter,
-    ifub_diameter,
-    two_sweep_lower_bound,
     vertex_diameter_upper_bound,
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert,
-    cycle_graph,
     grid_graph,
-    path_graph,
     road_network_graph,
-    star_graph,
 )
 
 
 def _nx_diameter(graph: CSRGraph) -> int:
-    return networkx.diameter(graph.to_networkx())
+    return networkx.diameter(to_networkx(graph))
 
 
 class TestExactDiameter:

@@ -18,13 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+
+from comm_conformance import pick_free_port
+
 import repro.dist.driver as driver
 import repro.dist.launcher as launcher
 from repro.baselines import brandes_betweenness
 from repro.cli import main as cli_main
 from repro.core.options import KadabraOptions
 from repro.dist.driver import DistWorkerConfig, receive_result, write_result
-from repro.dist.launcher import LaunchError, launch_local, pick_free_port
+from repro.dist.launcher import LaunchError, launch_local
 from repro.graph import CSRGraph, read_edge_list
 from repro.graph.generators import barabasi_albert
 from repro.session import EstimationSession, SessionCapabilityError, open_session

@@ -23,12 +23,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from comm_conformance import allsum, pick_free_port
+
 import repro.api.backends as backends
 import repro.dist.driver as driver
 from repro import Resources, estimate_betweenness
 from repro.core.options import KadabraOptions
 from repro.dist.driver import DistWorkerConfig
-from repro.dist.launcher import LaunchError, launch_local, pick_free_port
+from repro.dist.launcher import LaunchError, launch_local
 from repro.dist.socketcomm import (
     COMM_BYTES_METRIC,
     CommError,
@@ -311,7 +313,7 @@ class TestListenerHandOff:
             comms.append(SocketComm.connect(*address, 1, 2, timeout=5.0))
             results = []
             threads = [
-                threading.Thread(target=lambda c=c: results.append(c.allreduce(1)), daemon=True)
+                threading.Thread(target=lambda c=c: results.append(allsum(c, 1)), daemon=True)
                 for c in comms
             ]
             for thread in threads:
@@ -348,7 +350,7 @@ class TestListenerHandOff:
         assert len(attempts) == 2
 
     def test_run_forked_returns_rank_zero_and_reaps(self):
-        assert run_forked(3, lambda comm, rank: (rank, comm.allreduce(rank))) == (0, 3)
+        assert run_forked(3, lambda comm, rank: (rank, allsum(comm, rank))) == (0, 3)
 
 
 class TestRemoteWorkerEntry:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import to_networkx
+
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 
@@ -125,7 +127,7 @@ class TestExport:
     def test_to_networkx(self):
         pytest.importorskip("networkx")
         g = CSRGraph.from_edges([(0, 1), (1, 2)])
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert nxg.number_of_nodes() == 3
         assert nxg.number_of_edges() == 2
 

@@ -5,21 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph.components import is_connected
-from repro.graph.generators import (
-    barabasi_albert,
+from fixture_graphs import (
     complete_graph,
     cycle_graph,
     erdos_renyi_gnm,
     erdos_renyi_gnp,
     estimate_disk_radius,
-    grid_graph,
     hyperbolic_graph,
     path_graph,
-    rmat_graph,
-    road_network_graph,
     star_graph,
     watts_strogatz,
+)
+
+from repro.graph.components import is_connected
+from repro.graph.generators import (
+    barabasi_albert,
+    grid_graph,
+    rmat_graph,
+    road_network_graph,
 )
 from repro.graph.traversal import bfs_distances
 

@@ -6,8 +6,10 @@ import gzip
 
 import pytest
 
+from fixture_graphs import write_metis
+
 from repro.graph.csr import CSRGraph
-from repro.graph.io import read_edge_list, read_metis, write_edge_list, write_metis
+from repro.graph.io import read_edge_list, read_metis, write_edge_list
 
 
 @pytest.fixture()

@@ -7,20 +7,20 @@ import pytest
 
 networkx = pytest.importorskip("networkx")
 
+from oracles import bfs_tree_parents, farthest_vertex, to_networkx
+
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph
 from repro.graph.traversal import (
     UNREACHED,
     bfs_distances,
-    bfs_tree_parents,
     bfs_with_sigma,
     eccentricity,
-    farthest_vertex,
 )
 
 
 def _nx_distances(graph: CSRGraph, source: int) -> np.ndarray:
-    lengths = networkx.single_source_shortest_path_length(graph.to_networkx(), source)
+    lengths = networkx.single_source_shortest_path_length(to_networkx(graph), source)
     out = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
     for v, d in lengths.items():
         out[v] = d
@@ -76,7 +76,7 @@ class TestBFSSigma:
         assert result.sigma[0] == 1.0
 
     def test_sigma_counts_match_networkx(self, small_social_graph):
-        nxg = small_social_graph.to_networkx()
+        nxg = to_networkx(small_social_graph)
         for source in (0, 5):
             result = bfs_with_sigma(small_social_graph, source)
             # networkx: count shortest paths via all_shortest_paths on a few targets.
@@ -87,7 +87,7 @@ class TestBFSSigma:
                 assert result.sigma[target] == pytest.approx(expected)
 
     def test_sigma_on_cycle(self):
-        from repro.graph.generators import cycle_graph
+        from fixture_graphs import cycle_graph
 
         g = cycle_graph(6)
         result = bfs_with_sigma(g, 0)

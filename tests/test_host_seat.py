@@ -17,6 +17,8 @@ import threading
 import numpy as np
 import pytest
 
+from comm_conformance import allsum
+
 from repro.dist.launcher import launch_local
 from repro.dist.socketcomm import COMM_BYTES_METRIC, SocketComm, SocketHub, _send_frame, run_forked, run_socket
 from repro.graph.generators import barabasi_albert
@@ -54,9 +56,9 @@ class TestTheSeat:
             assert stray.recv(1) == b""  # closed by the hub: seat 0 is taken
             other = SocketComm.connect(hub.host, hub.port, 1, 2, timeout=5.0)
             results = []
-            thread = threading.Thread(target=lambda: results.append(other.allreduce(2)), daemon=True)
+            thread = threading.Thread(target=lambda: results.append(allsum(other, 2)), daemon=True)
             thread.start()
-            results.append(root.allreduce(1))
+            results.append(allsum(root, 1))
             thread.join(timeout=20.0)
             assert results == [3, 3]
             other.close()
@@ -80,7 +82,7 @@ class TestTheSeat:
         registry = get_registry()
         registry.clear()
         try:
-            assert run_socket(2, lambda comm, rank: comm.allreduce(rank + 1), timeout=30.0) == [3, 3]
+            assert run_socket(2, lambda comm, rank: allsum(comm, rank + 1), timeout=30.0) == [3, 3]
             family = registry.snapshot()[COMM_BYTES_METRIC]
             assert family["labelnames"] == ["rank"]
             series = {tuple(labels): value for labels, value in family["series"]}
@@ -91,10 +93,10 @@ class TestTheSeat:
 
     def test_posted_and_delivered_bytes_are_counted_as_framed(self):
         def body(comm, rank):
-            comm.allreduce(rank)
+            comm.reduce(rank)
             return comm.communication_bytes()
 
-        # One 8-byte int posted, one delivered, each behind an 8-byte prefix.
+        # Rank 0 posts one 8-byte int and is delivered the sum, each behind an 8-byte prefix.
         assert run_socket(2, body, timeout=30.0)[0] == 2 * (8 + 8)
 
     def test_many_collectives_under_a_short_switch_interval(self):
@@ -106,7 +108,7 @@ class TestTheSeat:
             total = 0
             for i in range(rounds):
                 comm.ibarrier().wait()
-                total += comm.allreduce(rank + i)
+                total += allsum(comm, rank + i)
                 summed = comm.reduce(np.full(3, float(rank)), root=0)
                 assert comm.bcast(None if rank else summed.tolist()) == [n * (n - 1) / 2] * 3
             return total
@@ -140,14 +142,14 @@ class TestForkedWorldsSeatRankZero:
 
     def test_run_socket(self, dialled):
         def target(comm, rank):
-            return owns_no_socket(comm), comm.allreduce(rank)
+            return owns_no_socket(comm), allsum(comm, rank)
 
         assert run_socket(2, target, timeout=30.0) == [(True, 1), (False, 1)]
         assert dialled() == ["1"]
 
     def test_run_forked(self, dialled):
         def target(comm, rank):
-            return owns_no_socket(comm), comm.allreduce(rank)
+            return owns_no_socket(comm), allsum(comm, rank)
 
         assert run_forked(2, target) == (True, 1)
         assert dialled() == ["1"]

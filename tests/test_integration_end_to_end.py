@@ -10,12 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fixture_graphs import hyperbolic_graph
+
 from repro import KadabraOptions, Resources, brandes_betweenness, estimate_betweenness
 from repro.core import identify_top_k
 from repro.graph import largest_connected_component, read_edge_list, write_edge_list
 from repro.graph.generators import (
     barabasi_albert,
-    hyperbolic_graph,
     rmat_graph,
     road_network_graph,
 )

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fixture_graphs import path_graph, star_graph
+
 from repro.baselines import brandes_betweenness
 from repro import Resources, estimate_betweenness
 from repro.core import BetweennessResult, KadabraOptions
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import path_graph, star_graph
 from repro.util.stats import max_abs_error, relative_rank_overlap
 
 

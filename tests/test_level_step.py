@@ -19,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from reference_samplers import ReferenceBidirectionalSampler, ReferenceUnidirectionalSampler
 from test_traversal_layer import adjacency_lists, oracle_bfs, sparse_graphs
+from fixture_graphs import path_graph, star_graph
 
 import repro.kernels.bidirectional as bidirectional
 import repro.kernels.unidirectional as unidirectional
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, path_graph, road_network_graph, star_graph
+from repro.graph.generators import grid_graph, road_network_graph
 from repro.kernels import BatchPathSampler, ScratchPool
 from repro.kernels.scratch import csr_views, gather_csr, gather_rows, settle_level
 from repro.kernels.weighted import weighted_index

@@ -5,7 +5,7 @@ barrier matching, splits, non-blocking interleavings) live in the
 parametrized conformance suite (``comm_conformance.py`` via
 ``test_comm_conformance.py``), which runs them against ``SelfComm``,
 ``ThreadedComm`` *and* ``SocketComm``.  What remains here: request handles,
-reduction operators, ``SelfComm``'s single-rank contract, and the threaded
+the reduction operator, ``SelfComm``'s single-rank contract, and the threaded
 world's own lifecycle (validation, exception propagation)."""
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import sys
 import numpy as np
 import pytest
 
+from comm_conformance import allsum
+
 from repro.core.state_frame import StateFrame
 from repro.mpi import (
     CompletedRequest,
     PolledRequest,
     SelfComm,
-    combine,
     reduce_op,
     run_threaded,
 )
@@ -61,21 +62,9 @@ class TestReduceOps:
         assert result.num_samples == 2
         assert a.num_samples == 1
 
-    def test_min_max_lor_land(self):
-        assert reduce_op("max")(2, 5) == 5
-        assert reduce_op("min")(2, 5) == 2
-        assert reduce_op("lor")(False, True) is True
-        assert reduce_op("land")(True, False) is False
-
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             reduce_op("product")
-
-    def test_combine(self):
-        assert combine("sum", [1, 2, 3]) == 6
-        assert combine("max", [4, 1, 9, 2]) == 9
-        with pytest.raises(ValueError):
-            combine("sum", [])
 
 
 class TestPayloadBytes:
@@ -98,7 +87,6 @@ class TestSelfComm:
     def test_collectives_are_identity(self):
         comm = SelfComm()
         assert comm.reduce(5) == 5
-        assert comm.allreduce(7) == 7
         assert comm.bcast("x") == "x"
         assert comm.gather(3) == [3]
         assert comm.ireduce(1).wait() == 1
@@ -140,7 +128,7 @@ class TestThreadedComm:
             for i in range(rounds):
                 barrier = comm.ibarrier()
                 request = comm.ireduce(np.full(4, float(rank + i)), op="sum", root=i % size)
-                seen.append(comm.allreduce(1))
+                seen.append(allsum(comm, 1))
                 value = request.wait()
                 barrier.wait()
                 if value is not None:

@@ -13,8 +13,10 @@ import json
 import numpy as np
 import pytest
 
+from fixture_graphs import path_graph, star_graph
+
 from repro.core.kadabra import make_sampler
-from repro.graph.generators import barabasi_albert, path_graph, star_graph
+from repro.graph.generators import barabasi_albert
 from repro.store import (
     GraphCatalog,
     PartitionError,

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 networkx = pytest.importorskip("networkx")
 
+from oracles import to_networkx
+
 from repro.graph.components import connected_components, is_connected
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import UNREACHED, bfs_distances, bfs_with_sigma
@@ -72,7 +74,7 @@ class TestTraversalProperties:
         graph = CSRGraph.from_edges(edges, num_vertices=n)
         source = 0
         ours = bfs_distances(graph, source).distances
-        lengths = networkx.single_source_shortest_path_length(graph.to_networkx(), source)
+        lengths = networkx.single_source_shortest_path_length(to_networkx(graph), source)
         for v in range(n):
             expected = lengths.get(v, UNREACHED)
             assert ours[v] == expected

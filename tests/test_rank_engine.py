@@ -322,6 +322,16 @@ class RecordingSampler:
         return self.inner.sample_batch(count, rng)
 
 
+class SlowSampler(RecordingSampler):
+    """A sampler that sleeps before every batch it draws."""
+
+    SLEEP_S = 0.02
+
+    def sample_batch(self, count, rng):
+        time.sleep(self.SLEEP_S)
+        return super().sample_batch(count, rng)
+
+
 class TestOverlapLoop:
     # Every overlap cap follows the budget, which omega = 10**9 keeps far off:
     # thread 0 samples through every poll of both requests of every epoch.
@@ -557,9 +567,6 @@ class SpyComm(Communicator):
     def ireduce(self, value, op="sum", root=0):
         return self._call("ireduce", value, op, root)
 
-    def allreduce(self, value, op="sum"):
-        return self._call("allreduce", value, op)
-
     def bcast(self, value=None, root=0):
         return self._call("bcast", value, root)
 
@@ -675,10 +682,10 @@ class TestTwoRanksStopAtOmega:
 
     @pytest.mark.parametrize("threads", [2, 4])
     def test_several_threads_per_rank(self, graph, threads):
-        """Worker threads sample freely, so an epoch before the last may pass
-        omega; a run that ends in its last epoch passes it by the rounding,
-        less than P, plus what the ranks' last frames held past their share
-        ``ceil(R / P)``."""
+        """Worker threads sample up to their share of the budget, so an epoch
+        before the last may pass omega by their batches; a run that ends in
+        its last epoch passes it by the rounding, less than P, plus what the
+        ranks' last frames held past their share ``ceil(R / P)``."""
         result, stats = two_ranks(graph, threads=threads)
         assert stats[0].stopped_by_omega and result.num_samples >= OMEGA
         if all(s.final_surplus is not None for s in stats):
@@ -815,9 +822,9 @@ class TestTheBudgetIsKnownBeforeTheLoop:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_two_threads_end_at_omega(self, ba3000, monkeypatch, seed):
         """Thread 0 lands its rank on omega exactly; only the worker thread,
-        which samples uncapped, can pass it, by what it drew over its share
-        (timing decides how much, so a worker that draws nothing pins the
-        end)."""
+        which stops once its frame holds its share, can pass it, by what it
+        drew over that share (timing decides how much, so a worker that
+        draws nothing pins the end)."""
         import repro.parallel.engine as engine
 
         options = KadabraOptions(seed=seed, **self.OPTIONS)
@@ -830,6 +837,33 @@ class TestTheBudgetIsKnownBeforeTheLoop:
         monkeypatch.setattr(engine, "make_sampler", lambda *args, **kwargs: next(samplers)(*args, **kwargs))
         result, stats = run_rank(SelfComm(), ba3000, options, threads=2)
         assert result.num_samples == self.OMEGA and stats.final_surplus == 0
+
+    def test_worker_threads_stop_at_their_share(self, ba3000, monkeypatch):
+        """A worker thread idles once its frame holds its share ``ceil(R /
+        (P T))`` of the budget thread 0 planned from: with thread 0 slowed by
+        a sleep per batch, epoch 0 still folds at most ``R0 + T *
+        WORKER_BATCH`` samples (uncapped workers folded 3,128 of R0 = 1,000
+        in one epoch here)."""
+        import repro.parallel.engine as engine
+
+        real = engine.make_sampler
+        samplers = iter([lambda *args, **kwargs: SlowSampler(real(*args, **kwargs))])
+        monkeypatch.setattr(engine, "make_sampler", lambda *args, **kwargs: next(samplers, real)(*args, **kwargs))
+        calibrated, folds = [], []
+
+        def progress(event):
+            if event.phase == "calibration":
+                calibrated.append(event.num_samples)
+
+        options = KadabraOptions(seed=11, **self.OPTIONS)
+        result, _ = run_rank(
+            SelfComm(), ba3000, options, threads=3, progress=progress,
+            on_aggregate=lambda state: folds.append(state.num_samples),
+        )
+        (tau,) = calibrated
+        budget = self.OMEGA - tau
+        assert result.omega == self.OMEGA and budget == 1000
+        assert folds[0] - tau <= budget + 3 * WORKER_BATCH
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
     def test_a_resumed_run_at_omega_posts_no_loop_collective(self, graph, tmp_path, algorithm):

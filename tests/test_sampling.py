@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from test_scan_on_expand import make_sampler
+from fixture_graphs import cycle_graph
 
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import cycle_graph, grid_graph
+from repro.graph.generators import grid_graph
 from repro.graph.traversal import bfs_distances
 from repro.sampling import (
     PathSample,

@@ -30,21 +30,23 @@ import pytest
 
 from reference_samplers import ReferenceBidirectionalSampler
 from test_traversal_layer import adjacency_lists, oracle_bfs
-
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import (
-    barabasi_albert,
+from fixture_graphs import (
     complete_graph,
     cycle_graph,
     erdos_renyi_gnm,
     erdos_renyi_gnp,
-    grid_graph,
     hyperbolic_graph,
     path_graph,
-    rmat_graph,
-    road_network_graph,
     star_graph,
     watts_strogatz,
+)
+
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import (
+    barabasi_albert,
+    grid_graph,
+    rmat_graph,
+    road_network_graph,
 )
 from repro.kernels import BatchPathSampler, compiled
 

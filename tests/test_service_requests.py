@@ -37,6 +37,8 @@ import time
 import numpy as np
 import pytest
 
+from fixture_graphs import path_graph, star_graph
+
 from repro.core.result import BetweennessResult
 from repro.service import (
     BetweennessService,
@@ -53,7 +55,6 @@ from repro.store import GraphCatalog
 from repro.store import catalog as catalog_module
 from repro.store import read_header, write_rcsr
 from repro.store.format import atomic_replace, header_checksum
-from repro.graph.generators import path_graph, star_graph
 
 EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n"
 

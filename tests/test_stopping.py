@@ -37,6 +37,12 @@ class TestOmega:
         assert compute_omega(0.01, 0.1, 2) > 0
         assert compute_omega(0.01, 0.1, 0) > 0
 
+    def test_formula(self):
+        """``ceil(0.5 / eps^2 * (floor(log2(VD - 2)) + 1 + ln(2 / delta)))``,
+        the log term 1 for ``VD <= 2`` as at ``VD = 3``."""
+        assert compute_omega(0.01, 0.1, 10) == math.ceil(5000 * (4 + math.log(20)))
+        assert compute_omega(0.01, 0.1, 2) == compute_omega(0.01, 0.1, 3) == math.ceil(5000 * (1 + math.log(20)))
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             compute_omega(0.0, 0.1, 10)

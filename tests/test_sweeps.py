@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_compiled_search import needs_helper
 from test_traversal_layer import SWEEPS, forced, path_plus_triangle, retyped
+from fixture_graphs import complete_graph, erdos_renyi_gnp, star_graph
 
 import repro
 from repro.diameter import double_sweep_estimate, vertex_diameter_upper_bound
@@ -30,11 +31,8 @@ from repro.graph.components import (
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     barabasi_albert,
-    complete_graph,
-    erdos_renyi_gnp,
     rmat_graph,
     road_network_graph,
-    star_graph,
 )
 from repro.graph.traversal import bfs_distances, numpy_sweep, sweep_path
 from repro.kernels import compiled

@@ -6,11 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fixture_graphs import star_graph
+
 from repro import estimate_betweenness
 from repro.baselines import brandes_betweenness, source_sample_size
-from repro.core import BetweennessResult, detectable_vertices, identify_top_k
+from repro.core import BetweennessResult, identify_top_k
 from repro.cli import build_parser, main as cli_main
-from repro.graph.generators import star_graph
 from repro.graph.io import write_edge_list
 from repro.io_utils import load_result, save_result, save_scores_csv
 from repro.util.stats import max_abs_error
@@ -62,17 +63,6 @@ class TestTopK:
         result = BetweennessResult(scores=np.array([0.3, 0.1]), eps=0.1, delta=0.1)
         topk = identify_top_k(result, 1)
         assert not topk.confirmed[0]
-
-    def test_detectable_vertices(self):
-        result = BetweennessResult(
-            scores=np.array([0.5, 0.05, 0.25, 0.0]), num_samples=100, eps=0.1, delta=0.1
-        )
-        assert detectable_vertices(result) == [0, 2]
-        assert detectable_vertices(result, margin=4.0) == [0]
-        with pytest.raises(ValueError):
-            detectable_vertices(result, margin=0.0)
-        with pytest.raises(ValueError):
-            detectable_vertices(BetweennessResult(scores=np.zeros(2)))
 
 
 class TestSourceSampling:

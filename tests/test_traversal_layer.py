@@ -23,17 +23,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_kernels import count_large_allocations
+from fixture_graphs import path_graph
+from oracles import bfs_tree_parents, farthest_vertex
 
 from repro.diameter import double_sweep_estimate, vertex_diameter_upper_bound
 from repro.graph.components import connected_components, is_connected
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import barabasi_albert, path_graph, road_network_graph
+from repro.graph.generators import barabasi_albert, road_network_graph
 from repro.graph.traversal import (
     UNREACHED,
     bfs_distances,
-    bfs_tree_parents,
     bfs_with_sigma,
-    farthest_vertex,
     sweep_path,
 )
 from repro.kernels import compiled
