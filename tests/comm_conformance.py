@@ -22,7 +22,7 @@ from typing import Any, Callable, List
 import numpy as np
 import pytest
 
-from repro.core.state_frame import StateFrame
+from repro.core.state_frame import SparseFrame, StateFrame
 from repro.mpi import CommError, SelfComm, run_threaded
 from repro.dist.socketcomm import run_forked, run_socket
 
@@ -231,6 +231,31 @@ def check_state_frame_reduction(runner: CommRunner, n: int) -> None:
     assert list(results[0].counts) == [1.0] * n
 
 
+def check_sparse_and_dense_frames_sum(runner: CommRunner, n: int) -> None:
+    """Frames travel as ``for_wire`` sends them: even ranks touch one counter
+    (sparse), odd ranks every counter (dense); the mix reduces to the dense sum."""
+    size = 6 * n
+
+    def frame_of(rank: int) -> StateFrame:
+        frame = StateFrame.zeros(size)
+        frame.record_sample(np.arange(size) if rank % 2 else np.asarray([rank]))
+        return frame
+
+    def body(comm, rank):
+        sent = frame_of(rank).for_wire()
+        return isinstance(sent, SparseFrame), comm.reduce(sent, op="sum", root=0)
+
+    results = runner.run(n, body)
+    assert [sparse for sparse, _ in results] == [rank % 2 == 0 for rank in range(n)]
+    assert all(total is None for _, total in results[1:])
+    dense = StateFrame.zeros(size)
+    for rank in range(n):
+        dense.add_into(frame_of(rank))
+    folded = StateFrame.zeros(size).add_into(results[0][1])
+    assert folded.counts.tobytes() == dense.counts.tobytes()
+    assert folded.num_samples == dense.num_samples == n
+
+
 def check_kinds_match_by_their_own_order(runner: CommRunner, n: int) -> None:
     """Collectives pair by (kind, call order of that kind): several of each
     kind in flight at once, waited on in another order, each get their own result."""
@@ -395,6 +420,7 @@ CHECKS = {
         2,
     ),
     "state_frame_reduction": (check_state_frame_reduction, 2),
+    "sparse_and_dense_frames_sum": (check_sparse_and_dense_frames_sum, 1),
     "kinds_match_by_their_own_order": (check_kinds_match_by_their_own_order, 2),
     "array_payloads": (check_array_payloads, 2),
     "communication_bytes_positive": (check_communication_bytes_positive, 2),

@@ -17,7 +17,7 @@ import pytest
 
 from comm_conformance import allsum
 
-from repro.core.state_frame import StateFrame
+from repro.core.state_frame import SparseFrame, StateFrame
 from repro.mpi import (
     CompletedRequest,
     PolledRequest,
@@ -61,6 +61,19 @@ class TestReduceOps:
         result = reduce_op("sum")(a, b)
         assert result.num_samples == 2
         assert a.num_samples == 1
+
+    def test_sparse_meets_dense_in_either_order(self):
+        dense = StateFrame.zeros(6)
+        dense.record_sample(np.arange(6))
+        one = StateFrame.zeros(6)
+        one.record_sample(np.asarray([2]))
+        sparse = one.for_wire()
+        assert isinstance(sparse, SparseFrame)
+        for a, b in ((sparse, dense), (dense, sparse)):
+            total = reduce_op("sum")(a, b)
+            assert isinstance(total, StateFrame) and total is not dense
+            assert list(total.counts) == [1, 1, 2, 1, 1, 1] and total.num_samples == 2
+        assert list(dense.counts) == [1] * 6 and dense.num_samples == 1
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
