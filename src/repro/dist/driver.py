@@ -336,9 +336,11 @@ def _worker_body(
     # The loop's samples over the loop's clock: the opening's are drawn outside it.
     total_adaptive_samples = sum(r["local_samples"] - r["opening_samples"] for r in per_rank)
     slowest = max(r["adaptive_seconds"] for r in per_rank)
-    if total_adaptive_samples == 0:
-        # One worker stops at omega, so a run whose calibration reached it
-        # drew every sample there: report that phase's rate instead of 0.
+    if total_adaptive_samples == 0 and (result.num_epochs == 0 or comm.size * config.threads == 1):
+        # Calibration reached omega, so it drew every sample (several workers
+        # run no epoch and drop their openings; one worker's only epoch
+        # checks and draws nothing): report that phase's rate instead of 0.
+        # An epoch whose openings held every rank's share reports the loop's 0.
         total_adaptive_samples = int(result.num_samples) - int(resumed_samples)
         slowest = result.phase_seconds.get("calibration", 0.0)
     return {

@@ -32,13 +32,15 @@ and graph updates; it runs no phase of its own.
    Section IV-C, from the budget every rank knows after phase 2,
    ``R0 = omega - tau`` (``tau`` the calibration count, or the resumed
    aggregate's, which the resume header carries).  Threads ``1 .. T-1``
-   sample into the frame of their current epoch until it holds their share
-   ``ceil(R / (P T))`` of the budget left, which thread 0 publishes with
-   each plan; thread 0 samples what the check grid plans, forces the epoch
-   transition, aggregates the epoch's frames, reduces them to rank 0
-   (``algorithm="epoch"``, Algorithm 2: a non-blocking barrier then a
-   blocking reduction, which the paper found faster than ``MPI_Ireduce``;
-   ``"mpi-only"``, Algorithm 1: one thread and a plain ``Ireduce``), where
+   sample into the frame of their current epoch until it holds their share,
+   which thread 0 publishes: ``ceil(R / (P T))`` of the budget left with each
+   plan, then, as it forces the transition, its own overlap cap for the
+   next frame (0 after the last); thread 0 samples what the check grid
+   plans, forces the epoch transition, aggregates the epoch's frames,
+   reduces them to rank 0 (``algorithm="epoch"``, Algorithm 2: a
+   non-blocking barrier then a blocking reduction, which the paper found
+   faster than ``MPI_Ireduce``; ``"mpi-only"``, Algorithm 1: one thread and
+   a plain ``Ireduce``), where
    the stopping rule is evaluated, and broadcasts the budget left, ``R``
    (0 stops) — sampling into the next epoch's frame while each request is
    in flight, between polls: a :data:`~repro.kernels.WORKER_BATCH` per poll
@@ -218,9 +220,10 @@ def _worker_loop(
     between batches, so a frame is only written by its owner inside one
     epoch).  Once the frame holds the share thread 0 published, the thread
     only polls for its transition, as thread 0 idles past its overlap cap,
-    so a frame holds at most its share plus a batch less one.  An exception
-    ends the thread and is left in ``failures`` for thread 0, which would
-    otherwise wait forever for its next transition.
+    so a frame holds at most the largest share published while it was
+    current plus a batch less one.  An exception ends the thread and is left
+    in ``failures`` for thread 0, which would otherwise wait forever for its
+    next transition.
     """
     try:
         epoch = 0
@@ -258,11 +261,12 @@ class EpochGrid:
     the overlap that filled its frames.  The epoch is the last once ``R <=
     reach``, or once the epoch before added ``R`` or more (worker threads
     sample up to their share of the ``R`` before): every thread draws
-    ``ceil(R / (P T))`` and thread 0 tops its rank up to ``ceil(R / P)``.  Otherwise the overlap into the next
-    frame is capped at ``min(s, max(n0, s // 2))``, ``s`` being each
-    worker's share of ``R - reach``: a last frame holds at most its share
-    plus a batch less one, and no cap near ``R`` makes the next epoch the
-    last with most of ``R`` unchecked.
+    ``ceil(R / (P T))`` and thread 0 tops its rank up to ``ceil(R / P)``.
+    Otherwise every thread's overlap into the next frame is capped at
+    ``min(s, max(n0, s // 2))``, ``s`` being each worker's share of ``R -
+    reach``: a last frame holds at most its share, or that cap, plus a batch
+    less one, and no cap near ``R`` makes the next epoch the last with most
+    of ``R`` unchecked.
     """
 
     def __init__(self, ranks: int, threads: int, *, samples_per_check: int = 1000) -> None:
@@ -360,8 +364,7 @@ def adaptive_sampling_epochs(
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
 
     def plan_epoch() -> Optional[Tuple[int, int, float]]:
-        """The grid's plan of ``epoch``; each worker thread's share of ``left`` goes to the manager."""
-        manager.publish_share(_ceil_div(left, comm.size * num_threads))
+        manager.share = _ceil_div(left, comm.size * num_threads)  # each worker thread's share of R
         return grid.next_epoch(epoch, aggregated.num_samples, left)
 
     epoch, left = 0, budget
@@ -415,8 +418,10 @@ def adaptive_sampling_epochs(
             with phases("sampling", epoch=epoch):
                 draw(count, current_frame)
             # Lines 14-15: force the epoch transition, sampling while waiting
-            # (the last epoch's cap is 0: it only waits, here and below).
+            # (the last epoch's cap is 0: it only waits, here and below); the
+            # worker threads' next frames fill up to the same cap.
             next_frame = pool.reset_for_epoch(0, epoch + 1)
+            manager.share = limit
             with phases("epoch_transition"):
                 overlap(manager.force_transition(epoch), next_frame)
             if rank_share:  # the last epoch's frames are immutable now: top the rank's share up

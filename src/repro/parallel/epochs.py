@@ -11,9 +11,10 @@ drives epoch transitions (:class:`EpochManager`):
 * ``check_transition(e)`` — called by threads ``t != 0`` between samples; if a
   transition past ``e`` has been initiated the thread advances to ``e + 1``
   and the call returns ``True``, otherwise it does nothing.
-* ``publish_share(s)`` — called by thread 0 whenever it plans an epoch; a
-  thread ``t != 0`` stops sampling once the frame of its current epoch holds
-  ``share`` samples, so no thread outruns the budget thread 0 plans from.
+* ``share`` — a plain attribute, unbounded at first, that only thread 0
+  writes: a thread ``t != 0`` stops sampling once the frame of its current
+  epoch holds ``share`` samples, so no thread outruns the budget thread 0
+  plans from.
 
 Once every thread has advanced past ``e``, the epoch-``e`` frames are immutable
 and thread 0 may aggregate them to evaluate the stopping condition on a
@@ -61,7 +62,7 @@ class EpochManager:
         # other threads should advance to _target_epoch).
         self._target_epoch = 0
         self._terminated = False
-        self._share = math.inf
+        self.share = math.inf
 
     # ------------------------------------------------------------------ #
     @property
@@ -82,18 +83,6 @@ class EpochManager:
     @property
     def terminated(self) -> bool:
         return self._terminated
-
-    # ------------------------------------------------------------------ #
-    # Each thread's share of the budget left.
-    # ------------------------------------------------------------------ #
-    def publish_share(self, samples: int) -> None:
-        """Set the samples a thread ``t != 0`` draws into one epoch's frame at most (thread 0 only)."""
-        self._share = samples
-
-    @property
-    def share(self) -> float:
-        """The last published share; unbounded until thread 0 publishes one."""
-        return self._share
 
     # ------------------------------------------------------------------ #
     # Transition protocol

@@ -460,15 +460,23 @@ class TestResultArtifact:
     def test_the_rate_counts_what_its_clock_timed(self, social_rcsr):
         """``local_samples`` include what thread 0 drew while the pre-loop
         collectives were in flight, before the loop's clock starts, so the
-        rate leaves those out.
+        rate leaves those out."""
+        result = launch_local(str(social_rcsr), processes=2, eps=0.1, seed=3, timeout=300.0)
+        per_rank = result["per_rank"]
+        assert all(0 <= r["opening_samples"] <= r["local_samples"] for r in per_rank)
+        loop_samples = sum(r["local_samples"] - r["opening_samples"] for r in per_rank)
+        assert result["aggregate_samples_per_sec"] == pytest.approx(
+            loop_samples / max(r["adaptive_seconds"] for r in per_rank)
+        )
 
-        At eps 0.04 omega (2,187) less calibration's 200 is more than epoch
-        0 can add, so the run has a second epoch, and every rank samples in
-        the loop: that epoch draws n0 or tops its frame up to the rank's
-        share, and its frame holds only what the loop overlapped.  (At eps
-        0.1 one epoch is the last, and an opening of n0 plus a batch can
-        hold a rank's whole share: see the calibration-rate case below.)
-        """
+    def test_every_rank_samples_in_a_loop_of_two_epochs(self, social_rcsr):
+        """At eps 0.1 the one epoch is the last, and an opening of n0 plus a
+        batch can hold a rank's whole share, so the loop may draw nothing
+        (its rate is then 0).  At eps 0.04 omega (2,187) less calibration's
+        200 is more than epoch 0 can add, so the run has a second epoch, and
+        every rank samples in the loop: that epoch draws n0 or tops its frame
+        up to the rank's share, and its frame holds only what the loop
+        overlapped."""
         result = launch_local(str(social_rcsr), processes=2, eps=0.04, seed=3, timeout=300.0)
         per_rank = result["per_rank"]
         assert result["num_epochs"] >= 2
@@ -478,7 +486,7 @@ class TestResultArtifact:
             loop_samples / max(r["adaptive_seconds"] for r in per_rank)
         )
 
-    def test_a_loop_that_draws_nothing_reports_the_calibration_rate(self, social_rcsr):
+    def test_a_run_with_no_epoch_reports_the_calibration_rate(self, social_rcsr):
         """``max_samples`` 100 caps omega at calibration's count, so no epoch
         runs and the openings are dropped: the rate is the run's samples over
         the calibration phase's clock, not 0."""

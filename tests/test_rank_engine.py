@@ -865,6 +865,53 @@ class TestTheBudgetIsKnownBeforeTheLoop:
         assert result.omega == self.OMEGA and budget == 1000
         assert folds[0] - tau <= budget + 3 * WORKER_BATCH
 
+    def test_every_frame_holds_at_most_the_share_published_for_it(self, ba3000, monkeypatch):
+        """Thread 0 publishes each plan's share ``ceil(R / (P T))`` and, as it
+        forces a transition, its own overlap cap as the share of the next
+        frame (0 after the last epoch).  With thread 0 slowed and every fold
+        held up, the worker threads fill each frame as far as they may, yet
+        no worker frame of any epoch holds more than the largest share
+        published while it was current plus a batch less one, and no sample
+        goes into a frame that is never folded.  (Workers that kept the last
+        plan's share filled the next frame up to it: a later epoch held the
+        epoch before's share, and the frame after the last was discarded.)"""
+        import repro.parallel.engine as engine
+
+        real_sampler, real_plan = engine.make_sampler, engine.EpochGrid.next_epoch
+        real_aggregate = engine.FramePool.aggregate_epoch
+        samplers = iter([lambda *args, **kwargs: SlowSampler(real_sampler(*args, **kwargs))])
+        monkeypatch.setattr(
+            engine, "make_sampler", lambda *args, **kwargs: next(samplers, real_sampler)(*args, **kwargs)
+        )
+        plans, held, calibrated = [], [], []
+
+        def next_epoch(grid, epoch, tau, left):
+            plans.append((left, real_plan(grid, epoch, tau, left)))
+            return plans[-1][1]
+
+        def aggregate_epoch(pool, epoch, **kwargs):
+            held.append([pool.frame(t, epoch).num_samples for t in (1, 2)])
+            return real_aggregate(pool, epoch, **kwargs)
+
+        def progress(event):
+            if event.phase == "calibration":
+                calibrated.append(event.num_samples)
+
+        monkeypatch.setattr(engine.EpochGrid, "next_epoch", next_epoch)
+        monkeypatch.setattr(engine.FramePool, "aggregate_epoch", aggregate_epoch)
+        options = KadabraOptions(seed=11, **self.OPTIONS)
+        result, stats = run_rank(
+            SelfComm(), ba3000, options, threads=3, progress=progress,
+            on_aggregate=lambda state: time.sleep(0.1),
+        )
+        (tau,) = calibrated
+        assert len(held) >= 2 and stats.final_surplus is not None
+        cap = 0  # the share the frames of epoch 0 start with is that of its plan
+        for (left, (_, _, next_cap)), frames in zip(plans, held):
+            assert max(frames) <= max(cap, -(-left // 3)) + WORKER_BATCH - 1
+            cap = next_cap
+        assert stats.local_samples == result.num_samples - tau
+
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
     def test_a_resumed_run_at_omega_posts_no_loop_collective(self, graph, tmp_path, algorithm):
         path = tmp_path / "done.snap"
