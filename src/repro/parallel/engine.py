@@ -23,32 +23,32 @@ and graph updates; it runs no phase of its own.
    sampling into that same frame while it is in flight); rank 0 derives
    ``delta_L``/``delta_U`` (:func:`stopping_condition`) and keeps them, as
    it alone evaluates the stopping rule.  The other ranks go straight on.
-   The samples taken during both collectives count toward epoch 0's ``n0``
-   and stop at it; the calibration stream, frame and deltas are what they
-   would be without them.  One worker draws calibration from its one stream
-   instead, extending a state's frame to the target's count (positions the
-   stream already drew are replayed), which is what makes ``refine`` exact.
+   The samples taken during both collectives are claimed from epoch 0's
+   counter, up to ``n0`` and the rank's share of ``R0`` (of the least ``R0``
+   any diameter gives, before it is known); the calibration stream, frame
+   and deltas are what they would be without them.  One worker draws
+   calibration from its one stream instead, extending a state's frame to the
+   target's count (positions the stream already drew are replayed), which
+   is what makes ``refine`` exact.
 3. *Adaptive sampling* — :func:`adaptive_sampling_epochs`, the epoch loop of
-   Section IV-C, from the budget every rank knows after phase 2,
-   ``R0 = omega - tau`` (``tau`` the calibration count, or the resumed
-   aggregate's, which the resume header carries).  Threads ``1 .. T-1``
-   sample into the frame of their current epoch until it holds their share,
-   which thread 0 publishes: ``ceil(R / (P T))`` of the budget left with each
-   plan, then, as it forces the transition, its own overlap cap for the
-   next frame (0 after the last); thread 0 samples what the check grid
+   Section IV-C, from the budget every rank knows after phase 2, ``R0 =
+   omega - tau`` (``tau`` the calibration count, or the resumed aggregate's,
+   which the resume header carries).  Threads ``1 .. T-1`` sample into the
+   frame of their current epoch; thread 0 samples what the check grid
    plans, forces the epoch transition, aggregates the epoch's frames,
    reduces them to rank 0 (``algorithm="epoch"``, Algorithm 2: a
    non-blocking barrier then a blocking reduction, which the paper found
    faster than ``MPI_Ireduce``; ``"mpi-only"``, Algorithm 1: one thread and
-   a plain ``Ireduce``), where
-   the stopping rule is evaluated, and broadcasts the budget left, ``R``
-   (0 stops) — sampling into the next epoch's frame while each request is
-   in flight, between polls: a :data:`~repro.kernels.WORKER_BATCH` per poll
-   when the search is compiled (that call releases the GIL the
-   communicator's threads need), one sample otherwise.  One worker checks on
-   the :class:`~repro.core.stopping.CheckSchedule`.  Several check on the
-   :class:`EpochGrid`, which plans every epoch from ``R`` alike and so stops
-   the run at ``omega``, planning none at all when ``R0 <= 0``.
+   a plain ``Ireduce``), where the stopping rule is evaluated, and
+   broadcasts the budget left, ``R`` (0 stops) — sampling into the next
+   epoch's frame while each request is in flight, between polls: a
+   :data:`~repro.kernels.WORKER_BATCH` per poll when the search is compiled
+   (that call releases the GIL the communicator's threads need), one sample
+   otherwise.  Every draw into a frame first takes its count from the
+   rank's claim counter for that epoch, which each plan sets.  One worker
+   checks on the :class:`~repro.core.stopping.CheckSchedule`.  Several check
+   on the :class:`EpochGrid`, which plans every epoch from ``R`` alike (none
+   when ``R0 <= 0``) and ends the run within ``P - 1`` of ``omega``.
 
 A frame that crosses ranks travels in :meth:`~repro.core.state_frame.StateFrame.for_wire`
 form: its nonzero counters as ``(index, count)`` arrays when they are fewer
@@ -57,7 +57,6 @@ than a third of the vertices, dense otherwise.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -75,7 +74,7 @@ from repro.kernels import WORKER_BATCH, BatchPathSampler, plan_batches
 from repro.mpi.interface import Communicator
 from repro.mpi.requests import Request
 from repro.obs import trace as obs_trace
-from repro.parallel.epochs import EpochManager, FramePool
+from repro.parallel.epochs import ClaimCounter, EpochManager, FramePool
 from repro.sampling.rng import derive_seed, generator_from_state, generator_state, rng_for_rank_thread
 from repro.util.progress import ProgressCallback, ProgressEvent
 
@@ -105,26 +104,26 @@ class EpochStats:
     num_threads: int
     num_epochs: int = 0
     #: Samples this rank's threads drew from their adaptive streams, the
-    #: opening's (drawn before the loop, while the diameter and calibration
-    #: collectives were in flight) and the discarded last overlap included.
+    #: opening's (drawn while the pre-loop collectives were in flight) and an
+    #: overlap the run never folded included.
     local_samples: int = 0
     #: The opening's part of ``local_samples``, drawn outside the loop's
     #: ``phase_seconds``: a rate over the loop's clock leaves it out.
     opening_samples: int = 0
     aggregated_frame: Optional[StateFrame] = None  # only at world rank 0
     stopped_by_omega: bool = False
-    #: Samples this rank's frames held past its share ``ceil(R / P)`` of the
-    #: budget when the run ended in its budgeted last epoch (else ``None``):
-    #: the run's overshoot of ``omega`` is then their sum over the ranks plus
-    #: the rounding, ``P * ceil(R / P) - R < P``.
-    final_surplus: Optional[int] = None
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     communication_bytes: int = 0
 
 
-def _draw(sampler, rng, count: int, frame: StateFrame, on_batch=None) -> None:
-    """Draw ``count`` samples into ``frame`` in planned batches."""
+def _draw(sampler, rng, count: int, frame: StateFrame, on_batch=None, claims: Optional[ClaimCounter] = None) -> None:
+    """Draw ``count`` samples into ``frame`` in planned batches, each first
+    claimed from ``claims`` when given: the draw ends once that is spent."""
     for take in plan_batches(count):
+        if claims is not None:
+            take = claims.take(take)
+            if not take:
+                return
         batch = sampler.sample_batch(take, rng)
         frame.record_batch(batch)
         if on_batch is not None:
@@ -136,29 +135,27 @@ def _sample_while(
     sampler: BatchPathSampler,
     rng: np.random.Generator,
     frame: StateFrame,
+    claims: ClaimCounter,
     failures: Sequence[BaseException] = (),
-    limit: float = math.inf,
-) -> Tuple[object, int]:
-    """Sample into ``frame`` until ``request`` completes; return its result and the samples drawn.
+) -> object:
+    """Sample into ``frame``, a batch per poll claimed from ``claims``, until ``request`` completes; return its result.
 
     A compiled batch runs without the GIL, so the communicator's threads
     progress while thread 0 draws a whole worker batch; any other search
-    holds the GIL for the batch, so it draws one sample per poll.  Once
-    ``frame`` holds ``limit`` samples it only waits.  A sampling
+    holds the GIL for the batch, so it draws one sample per poll.  A sampling
     thread's exception in ``failures`` ends the wait, which that thread's
     epoch transition would never end.
     """
     batch = WORKER_BATCH if sampler.compiled else 1
-    drawn = 0
     while not request.test():
         if failures:
             raise failures[0]
-        if frame.num_samples >= limit:
+        take = claims.take(batch)
+        if take:
+            frame.record_batch(sampler.sample_batch(take, rng))
+        else:
             time.sleep(_IDLE_POLL_S)
-            continue
-        frame.record_batch(sampler.sample_batch(batch, rng))
-        drawn += batch
-    return request.result(), drawn
+    return request.result()
 
 
 def stopping_condition(
@@ -196,7 +193,7 @@ def calibration_phase(
     ``wait(request)`` completes: the engine samples meanwhile).
     """
     local = StateFrame.zeros(num_vertices)
-    _draw(sampler, rng, int(math.ceil(total / comm.size)), local)
+    _draw(sampler, rng, _ceil_div(total, comm.size), local)
     reduced = wait(comm.ireduce(_wire(local, comm), op="sum", root=0))
     if not comm.is_root:
         return None, None
@@ -210,28 +207,23 @@ def _worker_loop(
     rng: np.random.Generator,
     manager: EpochManager,
     pool: FramePool,
-    sample_counter: List[int],
     failures: List[BaseException],
 ) -> None:
     """Body of sampling threads ``t != 0`` (lines 5-9 of Algorithm 2).
 
-    Batches of :data:`repro.kernels.WORKER_BATCH` amortise per-sample
-    overhead yet acknowledge transitions promptly (``check_transition`` runs
-    between batches, so a frame is only written by its owner inside one
-    epoch).  Once the frame holds the share thread 0 published, the thread
-    only polls for its transition, as thread 0 idles past its overlap cap,
-    so a frame holds at most the largest share published while it was
-    current plus a batch less one.  An exception ends the thread and is left
-    in ``failures`` for thread 0, which would otherwise wait forever for its
-    next transition.
+    Batches of :data:`repro.kernels.WORKER_BATCH`, each claimed from the
+    counter of the thread's epoch first, amortise per-sample overhead yet
+    acknowledge transitions promptly (``check_transition`` runs between
+    batches); once the counter is spent the thread only polls.  An exception
+    ends the thread and is left in ``failures`` for thread 0, which would
+    otherwise wait forever for its next transition.
     """
     try:
-        epoch = 0
-        frame = pool.frame(thread_index, epoch)
+        epoch, frame = 0, pool.frame(thread_index, 0)
         while not manager.terminated:
-            if frame.num_samples < manager.share:
-                frame.record_batch(sampler.sample_batch(WORKER_BATCH, rng))
-                sample_counter[thread_index] += WORKER_BATCH
+            take = pool.claims(epoch).take(WORKER_BATCH)
+            if take:
+                frame.record_batch(sampler.sample_batch(take, rng))
             else:
                 time.sleep(_IDLE_POLL_S)
             if manager.check_transition(thread_index, epoch):
@@ -250,23 +242,19 @@ class EpochGrid:
 
     Thread 0 draws ``n0 = samples_per_check / (P * T) ** 1.33`` per epoch, at
     least one (Section IV-D: Ref. [24]'s ``1000 / T^1.33`` for ``P * T``
-    workers), plus what it samples while the previous epoch's collectives
-    are in flight (few, long epochs on large graphs, hundreds of short ones
-    on road networks: Table II); the opening counts toward epoch 0's ``n0``.
-
-    Each epoch is planned from the budget left ``R``, which every rank knows
-    (``R0``, then rank 0's broadcasts), so every rank takes each decision in
-    the same epoch.  With one thread per rank an epoch adds at most
-    ``reach = P * (n0 + cap + WORKER_BATCH - 1)``, ``cap`` being the cap on
-    the overlap that filled its frames.  The epoch is the last once ``R <=
-    reach``, or once the epoch before added ``R`` or more (worker threads
-    sample up to their share of the ``R`` before): every thread draws
-    ``ceil(R / (P T))`` and thread 0 tops its rank up to ``ceil(R / P)``.
-    Otherwise every thread's overlap into the next frame is capped at
-    ``min(s, max(n0, s // 2))``, ``s`` being each worker's share of ``R -
-    reach``: a last frame holds at most its share, or that cap, plus a batch
-    less one, and no cap near ``R`` makes the next epoch the last with most
-    of ``R`` unchecked.
+    workers).  Each epoch is planned from the budget left ``R``, which every
+    rank knows (``R0``, then rank 0's broadcasts), so the ranks take each
+    decision in the same epoch, and the plan sets each rank's claim counters
+    (:class:`~repro.parallel.epochs.ClaimCounter`).  A middle epoch's frames
+    take ``T * n0`` more than they hold (epoch 0's hold ``T * n0``, the
+    opening included), so an epoch adds at most ``reach = P * (cap + T *
+    n0)``, ``cap`` bounding the overlap in each rank's frames.  The epoch is
+    the last once ``R <= reach``: each rank's frames hold ``ceil(R / P)``, so
+    the run passes ``omega`` by the rounding, less than ``P``, and nothing
+    goes into the next frames.  Otherwise the overlap into them is capped at
+    ``min(s, max(T * n0, s // 2))``, ``s`` being each rank's share of ``R -
+    reach``: far from ``omega`` no collective lasts that long, and no cap
+    near ``R`` makes the next epoch the last with most of ``R`` unchecked.
     """
 
     def __init__(self, ranks: int, threads: int, *, samples_per_check: int = 1000) -> None:
@@ -274,23 +262,24 @@ class EpochGrid:
             raise ValueError("ranks and threads must be positive")
         if samples_per_check <= 0:
             raise ValueError("samples_per_check must be positive")
-        self.ranks, self.workers = ranks, ranks * threads
-        self.n0 = max(1, int(round(float(samples_per_check) * (1.0 / self.workers) ** 1.33)))
-        self.remaining = 0  # R at the last call; the first sees no growth
+        self.ranks = ranks
+        self.n0 = max(1, int(round(float(samples_per_check) * (1.0 / (ranks * threads)) ** 1.33)))
+        self.quota = threads * self.n0  # what a middle epoch adds to a rank's frames
         self.cap = 0  # the overlap cap that filled the coming epoch's frames
 
-    def next_epoch(self, epoch: int, tau: int, left: int) -> Optional[Tuple[int, int, float]]:
-        """``(count, rank_share, cap)`` of epoch ``epoch`` with ``left`` the budget
-        left, or ``None`` once it is spent; ``tau`` is unused (only rank 0 has it)."""
-        growth, self.remaining = self.remaining - left, left
+    def next_epoch(self, epoch: int, tau: int, left: int) -> Optional[Tuple[int, int, int]]:
+        """``(count, total, cap)`` of epoch ``epoch`` (see
+        :func:`adaptive_sampling_epochs`) with ``left`` the budget left, or
+        ``None`` once it is spent; ``tau`` is unused (only rank 0 has it)."""
         if left <= 0:
             return None
-        reach = max(self.ranks * (self.n0 + self.cap + WORKER_BATCH - 1), growth)
+        reach = self.ranks * (self.cap + self.quota)
         if left <= reach:
-            return _ceil_div(left, self.workers), _ceil_div(left, self.ranks), 0
-        share = (left - reach) // self.workers
-        self.cap = min(share, max(self.n0, share // 2))
-        return self.n0, 0, self.cap
+            self.cap, total = 0, _ceil_div(left, self.ranks)
+            return total, total, 0  # thread 0 draws until the counter is spent
+        spare = (left - reach) // self.ranks
+        self.cap = min(spare, max(self.quota, spare // 2))
+        return self.n0, 0 if epoch else self.quota, self.cap
 
 
 def adaptive_sampling_epochs(
@@ -305,7 +294,7 @@ def adaptive_sampling_epochs(
     budget: int,
     algorithm: str = "epoch",
     initial_frame: Optional[StateFrame] = None,
-    opening: Optional[StateFrame] = None,
+    pool: Optional[FramePool] = None,
     max_epochs: Optional[int] = None,
     on_batch: Optional[Callable] = None,
     on_epoch: Optional[Callable[[int, int], None]] = None,
@@ -320,20 +309,18 @@ def adaptive_sampling_epochs(
     :class:`~repro.core.stopping.CheckSchedule` for one: ``grid.next_epoch(
     epoch, tau, R)`` (``tau`` the aggregate's count at rank 0, 0 elsewhere;
     ``R`` the budget left, ``budget`` before the first check, then rank 0's
-    broadcast) is ``(count, rank_share, cap)`` — thread 0 draws ``count``
-    (epoch 0 less the opening), a ``rank_share`` makes the epoch the last,
-    ``cap`` bounds thread 0's overlap into its next frame — or ``None``: no
-    more epochs.  ``algorithm`` picks Algorithm 2 (``"epoch"``) or 1
-    (``"mpi-only"``, one thread).  ``initial_frame`` (calibration, a resumed
-    aggregate) is folded into the aggregate at rank 0 without being
-    modified; ``opening`` holds samples thread 0 drew from ``rngs[0]`` before
-    the loop, which open its epoch-0 frame; ``max_epochs`` is a safety bound
-    for tests.
-
-    In the last epoch every thread draws its share and thread 0, sampling no
-    overlap, tops its rank up to ``rank_share``: the run passes ``omega`` by
-    what frames held over their shares (``EpochStats.final_surplus``) and the
-    rounding.  A run with no epoch starts no thread and posts no collective.
+    broadcast) is ``(count, total, cap)`` or ``None``: no more epochs.  It
+    sets the claim counters every draw into a frame takes its count from:
+    the epoch's frames hold ``total`` (else take ``T * count`` more than they
+    hold), the next epoch's at most ``cap``.  Thread 0 draws ``count`` (epoch
+    0 less the opening) unless the counter is spent first, the workers until
+    it is.  ``algorithm`` picks Algorithm 2 (``"epoch"``) or 1 (``"mpi-only"``,
+    one thread).  ``initial_frame`` (calibration, a resumed aggregate) is
+    folded into the aggregate at rank 0 without being modified; ``pool`` is
+    this rank's when thread 0 opened its epoch-0 frame from ``rngs[0]``
+    before the loop (else the loop makes its own); ``max_epochs`` is a
+    safety bound for tests.  A run with no epoch starts no thread and posts
+    no collective.
 
     Hooks: ``on_batch(batch)`` sees every batch thread 0 draws for the grid
     (not the overlap batches drawn while a request is in flight — there are
@@ -352,20 +339,21 @@ def adaptive_sampling_epochs(
 
     phases = obs_trace.PhaseRecorder()
     manager = EpochManager(num_threads)
-    pool = FramePool(num_threads, num_vertices)
-    sample_counter = [0] * num_threads
+    if pool is None:
+        pool = FramePool(num_threads, num_vertices)
     failures: List[BaseException] = []
-    stats = EpochStats(rank=comm.rank, num_threads=num_threads)
-    if opening is not None:
-        pool.frame(0, 0).add_into(opening)
-        sample_counter[0] = stats.opening_samples = opening.num_samples
+    stats = EpochStats(rank=comm.rank, num_threads=num_threads, opening_samples=pool.claims(0).claimed)
 
     seeded = comm.is_root and initial_frame is not None
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
 
     def plan_epoch() -> Optional[Tuple[int, int, float]]:
-        manager.share = _ceil_div(left, comm.size * num_threads)  # each worker thread's share of R
-        return grid.next_epoch(epoch, aggregated.num_samples, left)
+        plan = grid.next_epoch(epoch, aggregated.num_samples, left)
+        if plan is not None:
+            count, total, cap = plan
+            pool.claims(epoch).allow(total, more=num_threads * count)
+            pool.claims(epoch + 1).reset(cap)
+        return plan
 
     epoch, left = 0, budget
     plan = plan_epoch()
@@ -380,7 +368,7 @@ def adaptive_sampling_epochs(
     workers = [
         threading.Thread(
             target=_worker_loop,
-            args=(t, sampler_factory(t), rngs[t], manager, pool, sample_counter, failures),
+            args=(t, sampler_factory(t), rngs[t], manager, pool, failures),
             daemon=True,
         )
         for t in range(1, num_threads if plan is not None else 1)
@@ -388,47 +376,30 @@ def adaptive_sampling_epochs(
     for worker in workers:
         worker.start()
 
-    sampler0 = sampler_factory(0)
-    rng0 = rngs[0]
+    sampler0, rng0 = sampler_factory(0), rngs[0]
 
-    def draw(count: int, frame: StateFrame) -> None:
-        if count > 0:
-            _draw(sampler0, rng0, count, frame, on_batch)
-            sample_counter[0] += count
+    def overlap(request: Request, frame: StateFrame):  # into the next epoch's frame, through its counter
+        return _sample_while(request, sampler0, rng0, frame, pool.claims(epoch + 1), failures)
 
-    def overlap(request: Request, frame: StateFrame):
-        """Sample into ``frame``, up to the plan's cap, until ``request`` completes; return its result."""
-        value, drawn = _sample_while(request, sampler0, rng0, frame, failures, limit)
-        sample_counter[0] += drawn
-        return value
-
-    # Reused every epoch by aggregate_epoch (zeroed in place, never
-    # reallocated); safe because the aggregate is reduced and folded before
-    # the next epoch's aggregation starts, and overlapped sampling only ever
-    # writes the next epoch's frame.  One thread's frame is its own aggregate.
+    # Reused by aggregate_epoch every epoch: the aggregate is reduced and folded
+    # before the next aggregation starts, and overlap only ever writes the next
+    # epoch's frames.  One thread's frame is its own aggregate.
     aggregate_scratch = StateFrame.zeros(num_vertices) if num_threads > 1 else None
 
     try:
         while plan is not None:
-            count, rank_share, limit = plan
-            current_frame = pool.frame(0, epoch)
-            if rank_share or epoch == 0:
-                count -= current_frame.num_samples  # what overlap or the opening put there
+            count, current_frame = plan[0], pool.frame(0, epoch)
+            if epoch == 0:
+                count -= current_frame.num_samples  # the opening's
             # Lines 12-13: thread 0 samples up to the grid's next check.
             with phases("sampling", epoch=epoch):
-                draw(count, current_frame)
-            # Lines 14-15: force the epoch transition, sampling while waiting
-            # (the last epoch's cap is 0: it only waits, here and below); the
-            # worker threads' next frames fill up to the same cap.
+                _draw(sampler0, rng0, count, current_frame, on_batch, pool.claims(epoch))
+            # Lines 14-15: force the epoch transition, sampling into the next
+            # frame while waiting (after the last epoch its counter allows
+            # nothing: thread 0 only waits, here and below).
             next_frame = pool.reset_for_epoch(0, epoch + 1)
-            manager.share = limit
             with phases("epoch_transition"):
                 overlap(manager.force_transition(epoch), next_frame)
-            if rank_share:  # the last epoch's frames are immutable now: top the rank's share up
-                held = sum(pool.frame(t, epoch).num_samples for t in range(num_threads))
-                with phases("sampling", epoch=epoch):
-                    draw(rank_share - held, current_frame)
-                stats.final_surplus = max(0, held - rank_share)
             # Lines 16-18: aggregate this process' epoch frames.
             with phases("local_aggregation"):
                 epoch_frame = current_frame
@@ -477,7 +448,7 @@ def adaptive_sampling_epochs(
     if failures:
         raise failures[0]
 
-    stats.local_samples = int(sum(sample_counter))
+    stats.local_samples = pool.claims(0).drawn + pool.claims(1).drawn
     stats.stopped_by_omega = comm.is_root and aggregated.num_samples >= condition.omega
     stats.aggregated_frame = aggregated if comm.is_root else None
     stats.phase_seconds = phases.seconds
@@ -514,9 +485,9 @@ def run_rank(
     :class:`~repro.core.stopping.CheckSchedule`, which stops at ``omega`` at
     the latest.  More workers draw from their (rank, thread) slots and check
     on the :class:`EpochGrid` from ``R0 = omega - tau``, which every rank
-    knows after phase 2, so they stop at ``omega`` too (with no epoch when
-    ``R0 <= 0``); a fresh run's thread 0 samples while the diameter
-    broadcast and the calibration reduce are in flight.
+    knows after phase 2 (no epoch when ``R0 <= 0``); a fresh run's thread 0
+    samples while the diameter broadcast and the calibration reduce are in
+    flight.
 
     ``on_aggregate(state)`` is rank 0's checkpoint hook, called after every
     fold with rank 0's state as an :class:`~repro.session.EstimationSession`
@@ -620,10 +591,9 @@ def run_rank(
                     state._calibration_rng_state = generator_state(stream)
             condition = stopping_condition(calibration, eps=options.eps, delta=options.delta, omega=omega)
         emit("calibration", num_samples=initial_frame.num_samples)
-        rngs, n0, opening, tau = [stream], grid.samples_per_check, None, initial_frame.num_samples
+        rngs, n0, pool, tau = [stream], grid.samples_per_check, None, initial_frame.num_samples
     else:
-        on_batch = None
-        opening = None
+        on_batch = pool = None
 
         def streams(seed: int) -> List[np.random.Generator]:
             return [rng_for_rank_thread(seed, rank, t + 1, num_threads=threads + 1) for t in range(sampling_threads)]
@@ -641,20 +611,29 @@ def run_rank(
             rngs = streams(derive_seed(options.seed, _RESUME_SEED_TAG, base_epoch))
         else:
             rngs = streams(options.seed)
+
+            def budget(vd: int) -> Tuple[int, int, int]:
+                """``(omega, calibration count, R0)`` for the vertex diameter bound ``vd``."""
+                omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
+                total = calibration_sample_count(options.calibration_samples, omega, n)
+                return omega, total, omega - comm.size * _ceil_div(total, comm.size)  # tau: what calibration reduces
+
             # While the diameter broadcast (ranks != 0) or the calibration
-            # reduce (rank 0) is in flight, thread 0 samples from its
-            # adaptive stream: those samples open its epoch-0 frame.
-            # At most the epoch's n0 of them: they count toward it.
-            opening = StateFrame.zeros(n)
+            # reduce (rank 0) is in flight, thread 0 samples into its epoch-0
+            # frame through epoch 0's counter: up to n0 and the rank's share of
+            # R0 (before the broadcast, of VD = 2's, the least; less one for rounding).
+            pool = FramePool(sampling_threads, n)
+            opening = pool.claims(0)
+            opening.allow(min(n0, _ceil_div(budget(2)[2], comm.size) - 1))
 
             def sample_while(request: Request):
-                return _sample_while(request, sampler0, rngs[0], opening, limit=n0)[0]
+                return _sample_while(request, sampler0, rngs[0], pool.frame(0, 0), opening)
 
             vd = diameter_phase(sample_while)
-            omega = capped_samples(options, compute_omega(options.eps, options.delta, vd))
+            omega, total, r0 = budget(vd)
+            opening.allow(min(n0, _ceil_div(r0, comm.size)))
+            tau = omega - r0
             emit("diameter")
-            total = calibration_sample_count(options.calibration_samples, omega, n)
-            tau = comm.size * _ceil_div(total, comm.size)  # what calibration_phase reduces
             with phases("calibration", rank=rank):
                 # RNG slot 0, so the adaptive phase (slots 1..T) never replays
                 # the calibration stream.
@@ -703,7 +682,7 @@ def run_rank(
             budget=omega - tau,
             algorithm=algorithm,
             initial_frame=initial_frame,
-            opening=opening,
+            pool=pool,
             max_epochs=max_epochs,
             on_batch=on_batch,
             on_epoch=lambda epoch, num_samples: emit(

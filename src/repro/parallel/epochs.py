@@ -11,10 +11,6 @@ drives epoch transitions (:class:`EpochManager`):
 * ``check_transition(e)`` — called by threads ``t != 0`` between samples; if a
   transition past ``e`` has been initiated the thread advances to ``e + 1``
   and the call returns ``True``, otherwise it does nothing.
-* ``share`` — a plain attribute, unbounded at first, that only thread 0
-  writes: a thread ``t != 0`` stops sampling once the frame of its current
-  epoch holds ``share`` samples, so no thread outruns the budget thread 0
-  plans from.
 
 Once every thread has advanced past ``e``, the epoch-``e`` frames are immutable
 and thread 0 may aggregate them to evaluate the stopping condition on a
@@ -26,7 +22,8 @@ frames older than ``e - 1`` once epoch ``e`` starts.  Each thread therefore
 needs only **two** reusable frames, alternating by epoch parity
 (:class:`FramePool`); reusing a frame for epoch ``e + 2`` is safe because its
 epoch-``e`` content has been aggregated before the transition into ``e + 1``
-was even initiated.
+was even initiated.  Beside them the pool keeps one :class:`ClaimCounter`
+per parity for the whole rank, which bounds the rank's frames of an epoch.
 
 The original C++ implementation achieves this wait-free with memory fences;
 under CPython the GIL already serialises the individual reads/writes, so the
@@ -45,7 +42,7 @@ from typing import List
 from repro.core.state_frame import StateFrame
 from repro.mpi.requests import PolledRequest, Request
 
-__all__ = ["EpochManager", "FramePool"]
+__all__ = ["ClaimCounter", "EpochManager", "FramePool"]
 
 
 class EpochManager:
@@ -56,15 +53,10 @@ class EpochManager:
             raise ValueError("num_threads must be positive")
         self._num_threads = num_threads
         self._lock = threading.Lock()
-        # Epoch each thread is currently sampling into.
-        self._thread_epoch: List[int] = [0] * num_threads
-        # Highest epoch for which thread 0 initiated a transition (i.e. all
-        # other threads should advance to _target_epoch).
-        self._target_epoch = 0
+        self._thread_epoch: List[int] = [0] * num_threads  # the epoch each thread samples into
+        self._target_epoch = 0  # thread 0 initiated the transition into it: the others advance to it
         self._terminated = False
-        self.share = math.inf
 
-    # ------------------------------------------------------------------ #
     @property
     def num_threads(self) -> int:
         return self._num_threads
@@ -73,10 +65,7 @@ class EpochManager:
         """Current epoch of ``thread``."""
         return self._thread_epoch[thread]
 
-    # ------------------------------------------------------------------ #
-    # Termination flag (the atomic ``d`` of Algorithm 2).
-    # ------------------------------------------------------------------ #
-    def signal_termination(self) -> None:
+    def signal_termination(self) -> None:  # the atomic ``d`` of Algorithm 2
         """Atomically set the global termination flag (thread 0 only)."""
         self._terminated = True
 
@@ -84,9 +73,6 @@ class EpochManager:
     def terminated(self) -> bool:
         return self._terminated
 
-    # ------------------------------------------------------------------ #
-    # Transition protocol
-    # ------------------------------------------------------------------ #
     def force_transition(self, epoch: int) -> Request:
         """Initiate the transition out of ``epoch`` (thread 0 only).
 
@@ -136,8 +122,40 @@ class EpochManager:
             return all(e > epoch for e in self._thread_epoch)
 
 
+class ClaimCounter:
+    """The samples one rank's frames of an epoch may take, between its threads.
+
+    Every draw into such a frame first claims its count (:meth:`take`) and
+    draws only what it got, so the frames hold ``claimed <= limit`` samples;
+    ``drawn`` sums ``claimed`` over every epoch the counter served.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.claimed = self.drawn = 0
+        self.limit: float = math.inf
+
+    def take(self, count: int) -> int:
+        """Claim up to ``count`` samples; return how many the caller may draw."""
+        with self._lock:
+            taken = int(max(0, min(count, self.limit - self.claimed)))
+            self.claimed += taken
+            self.drawn += taken
+        return taken
+
+    def allow(self, total: float, more: int = 0) -> None:
+        """Let the frames hold ``total`` samples, or, when it is 0, ``more`` than they were given so far."""
+        with self._lock:
+            self.limit = total or self.claimed + more
+
+    def reset(self, limit: float) -> None:
+        """Serve a new epoch whose frames may hold ``limit`` samples."""
+        with self._lock:
+            self.claimed, self.limit = 0, limit
+
+
 class FramePool:
-    """Two reusable state frames per thread, indexed by epoch parity."""
+    """Two reusable state frames per thread and one :class:`ClaimCounter` per rank, indexed by epoch parity."""
 
     def __init__(self, num_threads: int, num_vertices: int) -> None:
         if num_threads <= 0:
@@ -150,6 +168,7 @@ class FramePool:
             [StateFrame.zeros(num_vertices), StateFrame.zeros(num_vertices)]
             for _ in range(num_threads)
         ]
+        self._claims = (ClaimCounter(), ClaimCounter())
 
     @property
     def num_threads(self) -> int:
@@ -167,6 +186,10 @@ class FramePool:
             raise ValueError("epoch must be non-negative")
         return self._frames[thread][epoch % 2]
 
+    def claims(self, epoch: int) -> ClaimCounter:
+        """The counter every draw into an epoch-``epoch`` frame takes its count from."""
+        return self._claims[epoch % 2]
+
     def reset_for_epoch(self, thread: int, epoch: int) -> StateFrame:
         """Zero and return the frame the thread will use for ``epoch``.
 
@@ -181,13 +204,10 @@ class FramePool:
     def aggregate_epoch(self, epoch: int, *, out: StateFrame | None = None) -> StateFrame:
         """Sum the epoch-``epoch`` frames of all threads (lines 16-18 of Algorithm 2).
 
-        ``out`` is a reusable accumulator frame: it is zeroed in place
-        (``ndarray.fill``) and returned, so per-epoch aggregation performs no
-        O(n) allocation.  Callers that pass ``out`` must be done with the
-        previous epoch's aggregate before the next call — the drivers are,
-        because the aggregate is reduced and folded before a new epoch
-        starts.  Without ``out`` a fresh frame is allocated (the legacy
-        behaviour).
+        ``out``, a reusable accumulator, is zeroed in place and returned, so
+        aggregation allocates nothing; callers that pass it are done with the
+        previous epoch's aggregate (the engine reduces and folds it before a
+        new epoch starts).  Without ``out`` a fresh frame is allocated.
         """
         if out is None:
             out = StateFrame.zeros(self._num_vertices)

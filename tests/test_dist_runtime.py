@@ -500,6 +500,22 @@ class TestResultArtifact:
         )
 
 
+class TestTheOpeningFitsTheBudget:
+    """Thread 0 samples while the pre-loop collectives are in flight, into
+    its epoch-0 frame through epoch 0's counter: at most its rank's share of
+    ``R0``, and before the diameter broadcast at most its share of the least
+    ``R0`` any diameter gives, less one.  Openings of up to ``n0`` plus a
+    batch each ended these runs at up to 1,000 samples of omega 300."""
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_two_ranks_end_at_omega(self, social_rcsr, seed):
+        result = launch_local(str(social_rcsr), processes=2, eps=0.1, seed=seed, timeout=300.0)
+        omega = result["omega"]  # 300 or 350, with the diameter bound
+        assert result["num_samples"] == omega
+        share = -(-(omega - 200) // 2)  # ceil(R0 / P), calibration drawing 200
+        assert all(r["opening_samples"] <= share for r in result["per_rank"])
+
+
 class TestResultHandOff:
     """Rank 0's result reaches the file and the caller unchanged."""
 

@@ -151,3 +151,41 @@ class TestFramePool:
             pool.frame(5, 0)
         with pytest.raises(ValueError):
             pool.frame(0, -1)
+
+
+class TestClaimCounter:
+    def test_one_counter_per_parity_for_the_whole_rank(self):
+        pool = FramePool(num_threads=3, num_vertices=5)
+        assert pool.claims(0) is pool.claims(2) is not pool.claims(1)
+        assert pool.claims(0).limit == pool.claims(1).limit == float("inf")
+
+    def test_takes_stop_at_the_limit(self):
+        claims = FramePool(num_threads=1, num_vertices=1).claims(0)
+        claims.allow(20)
+        assert [claims.take(16), claims.take(16), claims.take(16)] == [16, 4, 0]
+        claims.allow(0, more=5)  # 0: five more than the frames were given
+        assert claims.take(16) == 5 and claims.claimed == 25
+        claims.reset(3)
+        assert claims.take(16) == 3 and claims.claimed == 3
+        assert claims.drawn == 28  # every sample claimed, across epochs
+        claims.allow(-1)
+        assert claims.take(1) == 0
+
+    def test_concurrent_takes_never_pass_the_limit(self):
+        claims = FramePool(num_threads=4, num_vertices=1).claims(1)
+        claims.allow(1000)
+        got = [[] for _ in range(4)]
+
+        def take(mine):
+            while True:
+                taken = claims.take(7)
+                if not taken:
+                    return
+                mine.append(taken)
+
+        threads = [threading.Thread(target=take, args=(mine,)) for mine in got]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sum(map(sum, got)) == claims.claimed == claims.drawn == 1000

@@ -14,9 +14,11 @@
   in that exception instead of leaving its peers spinning forever.
 * The stopping condition stays at rank 0: calibration posts only its reduce,
   and no other rank receives the condition, fresh or resumed.
-* Two ranks stop at omega: every rank knows the budget before the loop, so
-  a P = 2 run ends within a batch per rank of omega and every overlap cap,
-  the first included, follows one formula; thread 0 samples while the
+* Two ranks stop at omega: every rank knows the budget before the loop and
+  every draw into a frame takes its count from the rank's counter for that
+  epoch, so a P = 2 run ends within P - 1 of omega, a P = 1 run with
+  several threads exactly on it, and every overlap cap, the first included,
+  follows one formula; thread 0 samples while the
   pre-loop collectives are in flight without moving the calibration frame,
   and a frame travels sparse when few of its counters are nonzero, summing
   to the dense sum bit for bit; a run whose calibration count, or resumed
@@ -30,7 +32,6 @@ import json
 import pickle
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,17 +299,6 @@ class PendingComm(SelfComm):
         return self._pending(self.bcast(value, root))
 
 
-class IdleSampler:
-    """A worker thread's sampler that draws nothing: every batch is empty."""
-
-    compiled = False
-
-    def sample_batch(self, count, rng):
-        time.sleep(1e-4)
-        empty = np.zeros(0, dtype=np.int64)
-        return SimpleNamespace(num_samples=0, edges_touched=empty, contrib_vertices=empty)
-
-
 class RecordingSampler:
     """A sampler that remembers the size of every batch it draws."""
 
@@ -400,13 +390,13 @@ class TestOverlapLoop:
         overlap = [batch] * 2 * self.POLLS
         assert sampler.sizes == (list(plan_batches(n0)) + overlap) * self.EPOCHS
         assert np.diff([0] + folded).tolist() == [n0] + [n0 + len(overlap) * batch] * (self.EPOCHS - 1)
-        # Near omega: each cap, the first included, is min(share, max(n0, share // 2)),
-        # share being each worker's part of R less the coming epoch's reach,
-        # P * (n0 + the cap that filled its frames + WORKER_BATCH - 1).
+        # Near omega: each cap, the first included, is min(s, max(T * n0, s // 2)),
+        # s being each rank's part of R less the coming epoch's reach,
+        # P * (the cap that filled its frames + T * n0).
         grid = EpochGrid(2, 1, samples_per_check=1000)  # n0 = 398
         plans = [grid.next_epoch(epoch, 0, left) for epoch, left in enumerate((5000, 4000, 3000, 2000, 1000))]
-        assert [cap for _count, _share, cap in plans[:-1]] == [1043, 398, 398, 189]
-        assert plans[-1] == (500, 500, 0)  # 2 * (398 + 189 + 15) >= 1000: the last epoch
+        assert [cap for _count, _total, cap in plans[:-1]] == [1051, 398, 398, 204]
+        assert plans[-1] == (500, 500, 0)  # 2 * (204 + 398) >= 1000: the last epoch
 
     @pytest.mark.parametrize(
         "search, batch", [("compiled", WORKER_BATCH), ("bidirectional", 1)],
@@ -414,8 +404,8 @@ class TestOverlapLoop:
     )
     def test_overlap_shrinks_with_the_budget(self, graph, monkeypatch, search, batch):
         """Near omega the overlap stops at the budget's cap, so no epoch but
-        the last reaches omega, and the last one passes it by less than a
-        batch: one rank draws all of the budget left."""
+        the last reaches omega, and the last one ends on it: one rank's
+        counter holds all of the budget left."""
         n0, polls = batch + 4, 10
         per_epoch = n0 + 2 * polls * batch  # n0 and an overlap batch per poll
         omega = 10 * per_epoch
@@ -438,7 +428,7 @@ class TestOverlapLoop:
         assert max(added) == per_epoch  # far from omega: every poll drew
         assert min(added[2:-1]) < per_epoch  # near it: capped
         assert folded[-2] < omega <= folded[-1] < omega + batch
-        assert stats.final_surplus == folded[-1] - omega
+        assert folded[-1] == omega
 
 
 class Boom(RuntimeError):
@@ -665,10 +655,10 @@ class TestTwoRanksStopAtOmega:
     """The rule does not stop this graph before omega (``FULL_RUN`` draws
     exactly omega), so a run ends where the budget broadcast ends it."""
 
-    #: With one thread a rank's last frame holds at most its share plus a
-    #: batch less one (the overlap cap never exceeds the share), so two
-    #: ranks pass omega by at most 2 * (WORKER_BATCH - 1) plus the rounding.
-    BOUND = OMEGA + 2 * WORKER_BATCH - 1
+    #: Each rank's frames of the last epoch hold its share ``ceil(R / P)``
+    #: of the budget left, so two ranks pass omega by the rounding, at most
+    #: ``P - 1``.
+    BOUND = OMEGA + 1
 
     def test_threaded_ranks(self, graph):
         result, stats = two_ranks(graph)
@@ -681,21 +671,33 @@ class TestTwoRanksStopAtOmega:
         assert OMEGA <= result.num_samples <= min(1.05 * OMEGA, self.BOUND)
 
     @pytest.mark.parametrize("threads", [2, 4])
+    def test_forked_ranks_with_worker_threads(self, graph, threads):
+        result = facade("distributed", processes=2, threads=threads)(graph)
+        assert result.omega == OMEGA
+        assert OMEGA <= result.num_samples <= self.BOUND
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["threaded", "forked"])
+    def test_mpi_only_ranks(self, graph, forked):
+        if forked:
+            result = facade("mpi-only", processes=2)(graph)
+        else:
+            result, _stats = two_ranks(graph, algorithm="mpi-only")
+        assert OMEGA <= result.num_samples <= self.BOUND
+
+    @pytest.mark.parametrize("threads", [2, 4])
     def test_several_threads_per_rank(self, graph, threads):
-        """Worker threads sample up to their share of the budget, so an epoch
-        before the last may pass omega by their batches; a run that ends in
-        its last epoch passes it by the rounding, less than P, plus what the
-        ranks' last frames held past their share ``ceil(R / P)``."""
-        result, stats = two_ranks(graph, threads=threads)
-        assert stats[0].stopped_by_omega and result.num_samples >= OMEGA
-        if all(s.final_surplus is not None for s in stats):
-            assert 0 <= result.num_samples - OMEGA - sum(s.final_surplus for s in stats) < 2
+        """Worker threads take their batches from the rank's counter as
+        thread 0 does, so however fast they sample, the last epoch's frames
+        hold the rank's share and the run passes omega by the rounding."""
+        for _run in range(3):
+            result, stats = two_ranks(graph, threads=threads)
+            assert stats[0].stopped_by_omega
+            assert OMEGA <= result.num_samples <= self.BOUND
 
     def test_thread_zero_tops_its_rank_up(self, graph):
-        """With worker threads that draw nothing, thread 0 alone is bounded
-        by the budget, so the run always ends in its last epoch: thread 0
-        draws its share ``ceil(R / (P T))``, then tops its rank up to
-        ``ceil(R / P)``."""
+        """With worker threads that sleep before every batch, thread 0 draws
+        nearly all of each epoch: in the last one it draws until its rank's
+        counter is spent, so each rank's frames hold ``ceil(R / P)``."""
         deltas = np.full(graph.num_vertices, 0.01)
         condition = StoppingCondition(eps=1e-4, omega=OMEGA, delta_l=deltas, delta_u=deltas)
         calibration = StateFrame.zeros(graph.num_vertices)
@@ -704,7 +706,7 @@ class TestTwoRanksStopAtOmega:
         def body(comm, rank):
             return adaptive_sampling_epochs(
                 comm,
-                lambda t: BatchPathSampler(graph) if t == 0 else IdleSampler(),
+                lambda t: BatchPathSampler(graph) if t == 0 else SlowSampler(BatchPathSampler(graph)),
                 condition,
                 [np.random.default_rng(10 * rank + t) for t in range(2)],
                 num_threads=2,
@@ -714,12 +716,10 @@ class TestTwoRanksStopAtOmega:
                 initial_frame=calibration,
             )
 
-        stats = run_threaded(2, body, timeout=HANG_TIMEOUT)
-        num_samples = stats[0].aggregated_frame.num_samples
-        surplus = [s.final_surplus for s in stats]
-        assert stats[0].stopped_by_omega and None not in surplus
-        assert 0 <= num_samples - OMEGA - sum(surplus) < 2
-        assert sum(surplus) <= 2 * (WORKER_BATCH - 1)
+        for _run in range(3):
+            stats = run_threaded(2, body, timeout=HANG_TIMEOUT)
+            assert stats[0].stopped_by_omega
+            assert OMEGA <= stats[0].aggregated_frame.num_samples <= self.BOUND
 
     def test_calibration_is_unchanged(self, graph):
         seen = []
@@ -820,30 +820,28 @@ class TestTheBudgetIsKnownBeforeTheLoop:
         assert self.OMEGA <= result.num_samples <= self.OMEGA + 2 * WORKER_BATCH
 
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_two_threads_end_at_omega(self, ba3000, monkeypatch, seed):
-        """Thread 0 lands its rank on omega exactly; only the worker thread,
-        which stops once its frame holds its share, can pass it, by what it
-        drew over that share (timing decides how much, so a worker that
-        draws nothing pins the end)."""
-        import repro.parallel.engine as engine
-
+    def test_two_threads_end_at_omega(self, ba3000, seed):
+        """Both threads take their batches from the one counter of their
+        epoch, and the last epoch's holds the budget left: the run lands on
+        omega exactly, whatever the timing."""
         options = KadabraOptions(seed=seed, **self.OPTIONS)
-        result, stats = run_rank(SelfComm(), ba3000, options, threads=2)
-        assert result.omega == self.OMEGA and result.num_samples >= self.OMEGA
-        if stats.final_surplus is not None:
-            assert result.num_samples == self.OMEGA + stats.final_surplus
-        real = engine.make_sampler
-        samplers = iter([real, lambda *_args, **_kwargs: IdleSampler()])
-        monkeypatch.setattr(engine, "make_sampler", lambda *args, **kwargs: next(samplers)(*args, **kwargs))
-        result, stats = run_rank(SelfComm(), ba3000, options, threads=2)
-        assert result.num_samples == self.OMEGA and stats.final_surplus == 0
+        result, _stats = run_rank(SelfComm(), ba3000, options, threads=2)
+        assert result.omega == self.OMEGA and result.num_samples == self.OMEGA
+
+    @pytest.mark.parametrize("seed", range(11, 23))
+    def test_three_threads_end_at_omega(self, ba3000, seed):
+        """Worker threads that drew up to a share of their own ended these
+        runs 304-624 samples past omega."""
+        result = estimate_betweenness(
+            ba3000, algorithm="shared-memory", resources=Resources(threads=3), seed=seed, **self.OPTIONS
+        )
+        assert result.omega == self.OMEGA and result.num_samples == self.OMEGA
 
     def test_worker_threads_stop_at_their_share(self, ba3000, monkeypatch):
-        """A worker thread idles once its frame holds its share ``ceil(R /
-        (P T))`` of the budget thread 0 planned from: with thread 0 slowed by
-        a sleep per batch, epoch 0 still folds at most ``R0 + T *
-        WORKER_BATCH`` samples (uncapped workers folded 3,128 of R0 = 1,000
-        in one epoch here)."""
+        """A worker thread idles once its epoch's counter is spent: with
+        thread 0 slowed by a sleep per batch, epoch 0 still folds at most
+        ``R0 + T * WORKER_BATCH`` samples (uncapped workers folded 3,128 of
+        R0 = 1,000 in one epoch here)."""
         import repro.parallel.engine as engine
 
         real = engine.make_sampler
@@ -865,16 +863,16 @@ class TestTheBudgetIsKnownBeforeTheLoop:
         assert result.omega == self.OMEGA and budget == 1000
         assert folds[0] - tau <= budget + 3 * WORKER_BATCH
 
-    def test_every_frame_holds_at_most_the_share_published_for_it(self, ba3000, monkeypatch):
-        """Thread 0 publishes each plan's share ``ceil(R / (P T))`` and, as it
-        forces a transition, its own overlap cap as the share of the next
-        frame (0 after the last epoch).  With thread 0 slowed and every fold
-        held up, the worker threads fill each frame as far as they may, yet
-        no worker frame of any epoch holds more than the largest share
-        published while it was current plus a batch less one, and no sample
-        goes into a frame that is never folded.  (Workers that kept the last
-        plan's share filled the next frame up to it: a later epoch held the
-        epoch before's share, and the frame after the last was discarded.)"""
+    def test_every_frame_holds_at_most_its_allowance(self, ba3000, monkeypatch):
+        """Each plan sets what the rank's frames of its epoch may hold: ``T *
+        n0`` in epoch 0, the overlap cap carried in plus ``T * n0`` after it,
+        the rank's share of the budget left in the last, which thread 0
+        spends.  With thread 0 slowed and every fold held up, the worker
+        threads fill each frame as far as they may, yet no epoch's frames
+        hold more than that allowance, the run ends at omega, and no sample
+        goes into a frame that is never folded.  (With a share per worker
+        thread instead, epoch 0's frames held 904 samples here, against ``T *
+        n0`` = 696.)"""
         import repro.parallel.engine as engine
 
         real_sampler, real_plan = engine.make_sampler, engine.EpochGrid.next_epoch
@@ -886,11 +884,11 @@ class TestTheBudgetIsKnownBeforeTheLoop:
         plans, held, calibrated = [], [], []
 
         def next_epoch(grid, epoch, tau, left):
-            plans.append((left, real_plan(grid, epoch, tau, left)))
-            return plans[-1][1]
+            plans.append(real_plan(grid, epoch, tau, left))
+            return plans[-1]
 
         def aggregate_epoch(pool, epoch, **kwargs):
-            held.append([pool.frame(t, epoch).num_samples for t in (1, 2)])
+            held.append(sum(pool.frame(t, epoch).num_samples for t in range(3)))
             return real_aggregate(pool, epoch, **kwargs)
 
         def progress(event):
@@ -905,11 +903,13 @@ class TestTheBudgetIsKnownBeforeTheLoop:
             on_aggregate=lambda state: time.sleep(0.1),
         )
         (tau,) = calibrated
-        assert len(held) >= 2 and stats.final_surplus is not None
-        cap = 0  # the share the frames of epoch 0 start with is that of its plan
-        for (left, (_, _, next_cap)), frames in zip(plans, held):
-            assert max(frames) <= max(cap, -(-left // 3)) + WORKER_BATCH - 1
+        assert len(held) >= 2 and len(plans) == len(held) + 1 and plans[-1] is None
+        cap = 0  # what the overlap may put in epoch 0's frames: the opening counts toward n0
+        for (count, total, next_cap), frames in zip(plans, held):
+            assert frames <= (total or cap + 3 * count)
             cap = next_cap
+        assert held[-1] == plans[-2][1] and cap == 0  # the last epoch: its counter spent, no overlap after
+        assert result.num_samples == self.OMEGA
         assert stats.local_samples == result.num_samples - tau
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])

@@ -273,8 +273,13 @@ class TestCheckGrids:
 
         grid = EpochGrid(2, 2, samples_per_check=1000)
         assert grid.n0 == 158
-        assert grid.next_epoch(0, 0, 10**6)[:2] == grid.next_epoch(1, 123, 10**6 - 900)[:2] == (158, 0)
-        assert grid.next_epoch(2, 0, 11) == (3, 6, 0)  # the last: ceil(R / P T), ceil(R / P)
+        # Epoch 0's frames hold T * n0 in all, the opening included; a later
+        # epoch's take T * n0 more than the overlap put there.
+        assert grid.next_epoch(0, 0, 10**6)[:2] == (158, 316)
+        assert grid.next_epoch(1, 123, 10**6 - 900)[:2] == (158, 0)
+        # The last: each rank's frames hold ceil(R / P), which thread 0 draws
+        # until the counter is spent, and nothing overlaps into the next.
+        assert grid.next_epoch(2, 0, 11) == (6, 6, 0)
         assert grid.next_epoch(3, 0, 0) is None
         with pytest.raises(ValueError):
             EpochGrid(1, 1, samples_per_check=0)
