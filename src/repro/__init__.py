@@ -42,9 +42,9 @@ New backends are added with :func:`repro.api.register_backend`.
 
 Sessions
 --------
-``estimate_betweenness`` is a one-shot shim over the session layer
-(:mod:`repro.session`).  Keeping the session instead unlocks incremental
-refinement, checkpoint/resume and confidence-aware queries:
+``estimate_betweenness`` runs a backend once and keeps nothing; a session
+(:mod:`repro.session`) keeps the sequential run's state, which unlocks
+incremental refinement, checkpoint/resume and confidence-aware queries:
 
 >>> from repro import open_session
 >>> session = open_session(graph, seed=0)

@@ -12,10 +12,11 @@ execution modes plus the older source-sampling baseline.
 
 Every adaptive mode runs :func:`repro.parallel.engine.run_rank`; asking for
 ``processes > 1`` gets that many OS processes, forked from the caller and
-joined over loopback TCP, not threads taking turns under the GIL.  One rank
-with one thread is sequential KADABRA whichever backend asks for it, so
-``sequential`` registers the one-rank runner; the facade's sequential
-sessions hand their own state to the same engine.
+joined over loopback TCP, not threads taking turns under the GIL.  The four
+adaptive backends register one runner, :func:`_run_ranks`, each pinning what
+it does not take from the resources; one rank with one thread is sequential
+KADABRA whichever backend asks for it.  A kept sequential run (a session)
+hands its own state to the same engine.
 """
 
 from __future__ import annotations
@@ -46,18 +47,21 @@ def _run_ranks(
     resources: Resources,
     progress: Optional[ProgressCallback],
     *,
-    processes: int,
-    threads: int,
+    processes: Optional[int] = None,
+    threads: Optional[int] = None,
     algorithm: str = "epoch",
 ) -> BetweennessResult:
     """The rank engine on ``processes`` ranks: ``SelfComm`` here, or real processes.
 
-    With several ranks the caller is rank 0 and the others are forked from it
+    ``processes`` and ``threads`` default to the resources'.  With several
+    ranks the caller is rank 0 and the others are forked from it
     (:func:`repro.dist.socketcomm.run_forked`): they inherit ``graph`` —
     in memory or mapped — copy-on-write, the paper's "one replicated
     read-only CSR per rank" at near-zero per-rank cost, and ``progress``
     fires only here.
     """
+    processes = resources.processes if processes is None else processes
+    threads = resources.threads if threads is None else threads
 
     def body(comm: Communicator, rank: int) -> Optional[BetweennessResult]:
         result, _stats = run_rank(
@@ -76,39 +80,6 @@ def _run_ranks(
     from repro.dist.socketcomm import run_forked
 
     return run_forked(processes, body)
-
-
-def _run_shared_memory(
-    graph: CSRGraph,
-    options: KadabraOptions,
-    resources: Resources,
-    progress: Optional[ProgressCallback],
-) -> BetweennessResult:
-    return _run_ranks(graph, options, resources, progress, processes=1, threads=resources.threads)
-
-
-def _run_distributed(
-    graph: CSRGraph,
-    options: KadabraOptions,
-    resources: Resources,
-    progress: Optional[ProgressCallback],
-) -> BetweennessResult:
-    return _run_ranks(
-        graph, options, resources, progress,
-        processes=resources.processes, threads=resources.threads,
-    )
-
-
-def _run_mpi_only(
-    graph: CSRGraph,
-    options: KadabraOptions,
-    resources: Resources,
-    progress: Optional[ProgressCallback],
-) -> BetweennessResult:
-    return _run_ranks(
-        graph, options, resources, progress,
-        processes=resources.processes, threads=1, algorithm="mpi-only",
-    )
 
 
 def _run_rk(
@@ -175,7 +146,7 @@ def register_default_backends(*, replace: bool = False) -> None:
     )
     register_backend(
         "shared-memory",
-        _run_shared_memory,
+        partial(_run_ranks, processes=1),
         description="Epoch-based shared-memory KADABRA (state-of-the-art competitor)",
         supports_threads=True,
         supports_kernels=True,
@@ -185,7 +156,7 @@ def register_default_backends(*, replace: bool = False) -> None:
     )
     register_backend(
         "distributed",
-        _run_distributed,
+        _run_ranks,
         description="Epoch-based MPI KADABRA, Algorithm 2",
         supports_threads=True,
         supports_processes=True,
@@ -196,7 +167,7 @@ def register_default_backends(*, replace: bool = False) -> None:
     )
     register_backend(
         "mpi-only",
-        _run_mpi_only,
+        partial(_run_ranks, threads=1, algorithm="mpi-only"),
         description="MPI-only KADABRA without multithreading, Algorithm 1",
         supports_processes=True,
         supports_kernels=True,

@@ -6,17 +6,19 @@ source-sampling baselines or exact Brandes — behind a uniform signature and a
 uniform :class:`~repro.core.result.BetweennessResult` schema (backend name,
 resource configuration and phase timings are always populated).
 
-Since the session redesign this function is a thin compatibility shim over
-:func:`repro.session.open_session`: it opens a single-use
-:class:`~repro.session.EstimationSession`, runs it to the requested target
-and stamps the uniform schema.  Callers that keep the session instead gain
-incremental refinement, checkpoint/resume and confidence-aware queries; the
-``checkpoint_path``/``resume_from`` keywords below expose the two
-session capabilities that make sense for one-shot calls (producing a
-refinable checkpoint, and serving a tighter request from one).  A third
-keyword family (``update_from``/``graph_delta``/``update_threshold``) serves
-requests on a *mutated* graph from a parent checkpoint via the incremental
-estimator of :mod:`repro.evolve`.
+Every backend runs one way: the call resolves the backend once, calls its
+registered runner (``spec.runner(graph, options, resources, progress)``) and
+stamps the uniform schema.  It opens an
+:class:`~repro.session.EstimationSession` only to keep the run —
+``checkpoint_path`` on a backend registered with ``supports_refinement=True``
+— and the session runs the same engine, so a kept run returns the same
+result.  The ``checkpoint_path``/``resume_from`` keywords below expose the two
+session capabilities that make sense for one call (producing a refinable
+checkpoint, and serving a tighter request from one).  A third keyword family
+(``update_from``/``graph_delta``/``update_threshold``) serves requests on a
+*mutated* graph from a parent checkpoint via the incremental estimator of
+:mod:`repro.evolve`.  Callers that want to refine, query or checkpoint
+repeatedly keep a session themselves (:func:`repro.session.open_session`).
 """
 
 from __future__ import annotations
@@ -27,18 +29,13 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.api import backends as _backends  # noqa: F401  (populates the registry)
-from repro.api.registry import AUTO
+from repro.api.registry import AUTO, get_backend, select_backend
 from repro.api.resources import Resources
 from repro.core.options import KadabraOptions
 from repro.core.result import BetweennessResult
 from repro.graph.csr import CSRGraph
 from repro.obs import trace as obs_trace
-from repro.util.progress import (
-    ProgressCallback,
-    ProgressEvent,
-    combine_callbacks,
-    tag_backend,
-)
+from repro.util.progress import ProgressCallback, ProgressEvent, tag_backend
 
 __all__ = ["estimate_betweenness"]
 
@@ -100,7 +97,6 @@ def _finalize_result(
                 epoch=result.num_epochs,
                 num_samples=result.num_samples,
                 omega=result.omega,
-                ts=elapsed,
             )
         )
     return result
@@ -164,9 +160,10 @@ def estimate_betweenness(
         ``eps``/``delta``/``seed`` and keyword overrides are layered on top.
     checkpoint_path:
         If set and the resolved backend supports refinement (see
-        ``supports_refinement`` in the registry), the finished session is
-        snapshotted there — a later call can then serve a *tighter* request
-        via ``resume_from`` instead of resampling from zero.
+        ``supports_refinement`` in the registry), the run is kept in a
+        session and snapshotted there — a later call can then serve a
+        *tighter* request via ``resume_from`` instead of resampling from
+        zero.  Other backends ignore it.
     resume_from:
         Path to a session checkpoint (from ``checkpoint_path`` or
         :meth:`repro.session.EstimationSession.checkpoint`).  The call
@@ -230,7 +227,7 @@ def estimate_betweenness(
 
     if update_from is not None and resume_from is not None:
         raise ValueError("update_from and resume_from are mutually exclusive")
-    # One root span per facade call; the session/driver/store spans nest
+    # One root span per facade call; the phase/driver/store spans nest
     # under it, so a traced run exports a single tree covering
     # diameter -> calibration -> sampling -> check.
     with obs_trace.span("estimate") as root:
@@ -325,13 +322,12 @@ def _warm_estimate(
 
     if update and not 0.0 < update_threshold <= 1.0:
         raise ValueError(f"update_threshold must be in (0, 1], got {update_threshold}")
-    progress = tag_backend(combine_callbacks(callbacks), "sequential")
     start = time.perf_counter()
     try:
         delta_obj = _resolve_graph_delta(graph, graph_delta) if update else None
         # A parent checkpoint re-opens the graph it records.
         session = EstimationSession.restore(
-            snapshot, graph=None if update else graph, progress=progress
+            snapshot, graph=None if update else graph, progress=callbacks
         )
         if opts.seed is not None and session.seed is not None and opts.seed != session.seed:
             raise ValueError(
@@ -371,7 +367,7 @@ def _warm_estimate(
         eps=eff_eps,
         delta=eff_delta,
         elapsed=time.perf_counter() - start,
-        progress=progress,
+        progress=session.progress,
     )
 
 
@@ -383,27 +379,27 @@ def _cold_estimate(
     callbacks,
     checkpoint_path,
 ) -> BetweennessResult:
-    """Run a fresh single-use session (the classic one-shot code path)."""
-    from repro.session import open_session
-
-    session = open_session(
-        graph,
-        algorithm=algorithm,
-        options=opts,
-        resources=resources,
-        callbacks=callbacks,
-    )
+    """Run the backend's registered runner, or a session when the run is kept."""
+    spec = select_backend(graph.num_vertices, resources) if algorithm == AUTO else get_backend(algorithm)
     start = time.perf_counter()
-    result = session.run()
-    elapsed = time.perf_counter() - start
-    if checkpoint_path is not None and session.supports_refinement:
+    if checkpoint_path is not None and spec.supports_refinement:
+        from repro.session import EstimationSession
+
+        session = EstimationSession(graph, opts, progress=callbacks, kernel=resources.kernel)
+        result = session.run()
+        elapsed = time.perf_counter() - start
         session.checkpoint(checkpoint_path)
+        progress = session.progress
+    else:
+        progress = tag_backend(callbacks, spec.name)
+        result = spec.runner(graph, opts, resources, progress)
+        elapsed = time.perf_counter() - start
     return _finalize_result(
         result,
-        backend=session.algorithm,
+        backend=spec.name,
         resources=resources,
         eps=opts.eps,
         delta=opts.delta,
         elapsed=elapsed,
-        progress=session.progress,
+        progress=progress,
     )

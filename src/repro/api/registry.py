@@ -65,13 +65,14 @@ class BackendSpec:
         that do their own traversal (exact Brandes, source sampling) ignore
         the field and leave this False.
     supports_refinement:
-        Whether :func:`repro.session.open_session` can drive the backend as
-        a fully resumable session (``refine``/``checkpoint``/``restore``).
-        Only set this for backends whose sampling is performed by the native
-        incremental sequential engine; the session layer uses the flag to
-        decide between the native engine and one-shot delegation, and the
-        query service uses it to decide which cached results may carry a
-        refinable checkpoint.
+        Whether the backend's run can be kept as a resumable session
+        (``refine``/``checkpoint``/``restore``): the one-worker computation
+        of the rank engine, whose state a session holds.
+        :func:`repro.session.open_session` refuses every other backend with
+        ``SessionCapabilityError``; the facade opens a session only for
+        ``checkpoint_path`` on such a backend (every other call runs the
+        ``runner``), and the query service uses the flag to decide which
+        cached results may carry a refinable checkpoint.
     supports_updates:
         Whether the backend's session checkpoints can be carried across an
         edge delta by the incremental estimator (:mod:`repro.evolve`) —

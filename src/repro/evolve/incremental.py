@@ -234,7 +234,7 @@ def update_session(
     is the re-certified estimate.
 
     Raises :class:`EvolveError` when the source cannot support an update
-    (delegated backend, pre-log snapshot, vertex-count mismatch) and
+    (a parallel rank's checkpoint, pre-log snapshot, vertex-count mismatch) and
     :class:`~repro.store.DeltaError` when the delta does not connect the two
     graphs; neither modifies the session.
     """

@@ -129,7 +129,7 @@ def summarize(tree: dict) -> dict:
     """A flat per-phase time breakdown of one span-tree dict.
 
     ``phases`` maps dotted paths (relative to the root, e.g.
-    ``"session.run.diameter"``) to accumulated seconds — repeated spans on
+    ``"adaptive_sampling.check"``) to accumulated seconds — repeated spans on
     the same path add up, so a loop of ``check`` spans becomes one aggregate
     entry.  This is what the facade stores in ``result.extra["trace"]`` and
     what ``repro-betweenness obs`` pretty-prints; it tolerates trees read

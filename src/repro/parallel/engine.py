@@ -100,8 +100,6 @@ _IDLE_POLL_S = 1e-4
 class EpochStats:
     """Per-rank statistics of one run of the epoch loop."""
 
-    rank: int
-    num_threads: int
     num_epochs: int = 0
     #: Samples this rank's threads drew from their adaptive streams, the
     #: opening's (drawn while the pre-loop collectives were in flight) and an
@@ -342,7 +340,7 @@ def adaptive_sampling_epochs(
     if pool is None:
         pool = FramePool(num_threads, num_vertices)
     failures: List[BaseException] = []
-    stats = EpochStats(rank=comm.rank, num_threads=num_threads, opening_samples=pool.claims(0).claimed)
+    stats = EpochStats(opening_samples=pool.claims(0).claimed)
 
     seeded = comm.is_root and initial_frame is not None
     aggregated = initial_frame.copy() if seeded else StateFrame.zeros(num_vertices)  # S at rank 0
@@ -512,7 +510,7 @@ def run_rank(
     n = graph.num_vertices
     if n < 2:
         trivial = BetweennessResult(scores=np.zeros(n), eps=options.eps, delta=options.delta)
-        return (trivial if comm.is_root else None), EpochStats(rank, sampling_threads)
+        return (trivial if comm.is_root else None), EpochStats()
     phases = obs_trace.PhaseRecorder()
     if not comm.is_root:
         progress = None
@@ -702,6 +700,7 @@ def run_rank(
     if state is not None and one_worker:  # the state one worker continues
         state._frame, state._checks = aggregated, base_epoch + stats.num_epochs
     extra = {
+        "edges_touched": float(aggregated.edges_touched),
         "communication_bytes": float(stats.communication_bytes),
         "num_processes": float(comm.size),
         "threads_per_process": float(threads),

@@ -1,10 +1,12 @@
 """Resumable estimation sessions (see :mod:`repro.session.session`).
 
-The session layer turns the one-shot ``estimate_betweenness`` call into a
-handle: :func:`open_session` creates an :class:`EstimationSession` that owns
-the RNG stream, scratch pools and stopping state; ``run`` produces the
-classic result, ``refine`` tightens it by sampling only the delta,
-``checkpoint``/``restore`` move sessions across processes, and
+A session keeps a run's state where ``estimate_betweenness``, which calls a
+backend's registered runner, throws it away: :func:`open_session` creates an
+:class:`EstimationSession` (for a backend registered with
+``supports_refinement=True``) that owns the RNG stream, the frames and the
+stopping state, and hands them to the rank engine's one worker.  ``run``
+produces the runner's result, ``refine`` tightens it by sampling only the
+delta, ``checkpoint``/``restore`` move sessions across processes, and
 ``peek``/``top_k`` answer confidence-aware queries from the live
 accumulators.
 """

@@ -1,8 +1,8 @@
 """Resumable estimation sessions: incremental refinement over live state.
 
-The one-shot :func:`repro.estimate_betweenness` facade answers a single
-``(eps, delta)`` request and throws the sampling state away.  An
-:class:`EstimationSession` keeps it alive — the RNG stream, the sampler, the
+A backend's registered runner, which :func:`repro.estimate_betweenness` calls,
+answers a single ``(eps, delta)`` request and throws the sampling state away.
+An :class:`EstimationSession` keeps it alive — the RNG stream, the sampler, the
 per-vertex accumulators and the stopping state — and exposes ``run`` (the
 classic adaptive run), ``refine`` (tighten ``eps``/``delta`` drawing *only*
 the additional samples), ``checkpoint``/``restore`` (CRC-checked ``.snap``
@@ -10,13 +10,17 @@ files, :mod:`repro.session.snapshot`) and ``peek``/``top_k``
 (confidence-aware queries on the same f/g bounds as the stopping rule).
 
 A session holds state: the frames, the RNG stream, the sample log and the
-snapshot.  It runs no phase of its own: ``run``, ``refine`` and graph updates
+snapshot, nothing else: no backend spec, no resources, no runner.  It runs
+no phase of its own: ``run``, ``refine`` and graph updates
 (:mod:`repro.evolve`) hand the state to :func:`repro.parallel.engine.run_rank`
 on a ``SelfComm`` with one thread.  One worker is one computation, the same
 as every one-worker backend: sequential KADABRA on one stream, checked on the
 :class:`~repro.core.stopping.CheckSchedule` and stopped at ``omega`` at the
-latest.  A parallel run's rank 0 keeps its state in a (non-refinable) session
-too, so ``dist --checkpoint`` writes this module's snapshot format.
+latest.  The facade opens one only to keep a run (``checkpoint_path`` on a
+backend registered with ``supports_refinement=True``), so a plain call and a
+kept one return the same result.  A parallel run's rank 0 keeps its state in
+a (non-refinable) session too, so ``dist --checkpoint`` writes this module's
+snapshot format.
 
 Why refinement is *exact*: the sample stream is a pure function of ``(graph,
 seed, sampler kind)`` — the batch kernels draw it identically for any batch
@@ -35,7 +39,7 @@ bit-identical to a fresh run at that target (``tests/test_session.py``).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -55,7 +59,7 @@ from repro.parallel.engine import run_rank, stopping_condition
 from repro.sampling.rng import generator_from_state, generator_state
 from repro.session.sample_log import SampleLog
 from repro.session.snapshot import SnapshotError, read_snapshot, require_keys, write_snapshot
-from repro.util.progress import ProgressCallback, ProgressEvent
+from repro.util.progress import ProgressCallback, ProgressEvent, tag_backend
 from repro.util.validation import check_positive, check_probability
 
 __all__ = [
@@ -91,7 +95,7 @@ class SessionStateError(RuntimeError):
 
 
 class SessionCapabilityError(RuntimeError):
-    """The session's backend does not support the requested operation."""
+    """The session (or the backend asked for) does not support the requested operation."""
 
 
 @dataclass(frozen=True)
@@ -156,17 +160,14 @@ def _graph_checksum(graph) -> Optional[str]:
 class EstimationSession:
     """A resumable betweenness estimation over one graph and one RNG stream.
 
-    Create sessions with :func:`open_session` (registry-aware, used by the
-    facade) or :meth:`restore` (from a checkpoint).  **Native** sessions
-    (``algorithm="sequential"`` or a backend registered with
-    ``supports_refinement=True``) hand their state to the rank engine's one
-    worker and support the full surface.  **Delegated** ones (every other
-    backend) execute the registered runner once in ``run``; ``refine`` and
-    ``checkpoint`` raise :class:`SessionCapabilityError` and
-    ``peek``/``top_k`` fall back to the uniform-split bounds of
-    :mod:`repro.core.topk`.  A parallel run's rank 0
-    state is a delegated session that checkpoints and restores but still
-    refuses ``refine``: its samples came from the ranks' streams.
+    Create sessions with :func:`open_session` or :meth:`restore` (from a
+    checkpoint).  A session holds the state of the rank engine's one worker
+    and hands it to :func:`~repro.parallel.engine.run_rank` for ``run`` and
+    ``refine``.  A parallel run's rank 0 keeps its state in a session too
+    (``run_rank``'s ``on_aggregate``); that one checkpoints and restores but
+    refuses ``refine`` with :class:`SessionCapabilityError`: its samples came
+    from the ranks' streams.  ``progress`` receives every event tagged
+    ``"sequential"`` and stamped with the seconds since the session opened.
     """
 
     def __init__(
@@ -176,26 +177,19 @@ class EstimationSession:
         *,
         progress: Optional[ProgressCallback] = None,
         kernel: Optional[str] = None,
-        _spec=None,
-        _resources=None,
     ) -> None:
         if not hasattr(graph, "num_vertices"):
             raise TypeError(f"graph must be a CSRGraph-like object, got {type(graph).__name__}")
         self._graph = graph
         self._options = options if options is not None else KadabraOptions()
-        self._progress = progress
+        self._progress = tag_backend(progress, "sequential")
         # Resolved once: what the sampler is built with, here and after a
         # restore or a graph update, and what the checkpoint records.
-        self._kernel = kernel if kernel is not None else getattr(_resources, "kernel", None)
-        self._spec = _spec
-        self._resources = _resources
-        self._native = _spec is None or getattr(_spec, "supports_refinement", False)
-        self._algorithm = _spec.name if _spec is not None else "sequential"
-
-        # Progress events carry ts = monotonic seconds since session creation
-        # (see ProgressEvent.ts); monotonic, so producer/consumer clock skew
-        # cannot make the stream run backwards.
-        self._start_monotonic = time.monotonic()
+        self._kernel = kernel
+        # Only the session's own stream can be refined; a parallel rank's
+        # state (built by run_rank, or restored) clears this.
+        self._native = True
+        self._algorithm = "sequential"
         self._ran = False
         self._eps: Optional[float] = None
         self._delta: Optional[float] = None
@@ -208,12 +202,10 @@ class EstimationSession:
         self._condition: Optional[StoppingCondition] = None
         self._rng: Optional[np.random.Generator] = None
         self._sampler = None
-        self._last_result: Optional[BetweennessResult] = None
-        # Native sessions log every sample's (pair, distance, interior path):
-        # the extra state that makes their checkpoints update-refinable when
-        # the graph mutates (see repro.evolve).  Delegated backends never
-        # draw through the session, so their sessions carry no log.
-        self._sample_log: Optional[SampleLog] = SampleLog.empty() if self._native else None
+        # Every sample's (pair, distance, interior path): the extra state that
+        # makes checkpoints update-refinable when the graph mutates (see
+        # repro.evolve).  A parallel rank's state carries none.
+        self._sample_log: Optional[SampleLog] = SampleLog.empty()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -262,13 +254,13 @@ class EstimationSession:
 
     @property
     def sample_log(self) -> Optional[SampleLog]:
-        """The per-sample path log, or ``None`` (delegated backends, or a
+        """The per-sample path log, or ``None`` (a parallel rank's state, or a
         session restored from a pre-log snapshot)."""
         return self._sample_log
 
     @property
     def progress(self) -> Optional[ProgressCallback]:
-        """The (possibly backend-tagged) progress callback this session emits to."""
+        """The callback this session emits to: the caller's, tagged and stamped."""
         return self._progress
 
     def __repr__(self) -> str:
@@ -283,17 +275,13 @@ class EstimationSession:
     # ------------------------------------------------------------------ #
     def _emit(self, **kwargs) -> None:
         if self._progress is not None:
-            self._stamp(ProgressEvent(**kwargs))
-
-    def _stamp(self, event: ProgressEvent) -> None:
-        """Emit ``event`` timestamped since the session's creation."""
-        self._progress(replace(event, ts=time.monotonic() - self._start_monotonic))
+            self._progress(ProgressEvent(**kwargs))
 
     def _ensure_engine(self) -> None:
-        """Create the RNG and the sampler if they are not there yet."""
+        """Create the RNG and the sampler (of a graph that has samples) if they are not there yet."""
         if self._rng is None:
             self._rng = np.random.default_rng(self._options.seed)
-        if self._sampler is None:
+        if self._sampler is None and self._graph.num_vertices >= 2:
             self._sampler = make_sampler(self._graph, self._options, kernel=self._kernel)
 
     def _target_options(self, eps, delta) -> KadabraOptions:
@@ -311,44 +299,33 @@ class EstimationSession:
         The engine runs phase 1 when the state holds no diameter bound,
         extends the calibration frame to the target's count, recalibrates
         and checks on the target's grid from the live position on, drawing
-        from this session's stream; the state is updated in place.
+        from this session's stream; the state is updated in place.  The
+        engine's result is returned with the session's accounting: epochs
+        counted since the first ``run``, samples split into drawn and reused.
         """
         self._ensure_engine()
-        progress = None if self._progress is None else self._stamp
-        ran, _stats = run_rank(
-            SelfComm(), self._graph, target, kernel=self._kernel, progress=progress, resume=self
+        result, _stats = run_rank(
+            SelfComm(), self._graph, target, kernel=self._kernel, progress=self._progress, resume=self
         )
         self._ran = True
         self._eps, self._delta = target.eps, target.delta
-        result = self._build_result(ran.phase_seconds, samples_reused=samples_reused)
-        if "samples_replayed" in ran.extra:
-            result.extra["samples_replayed"] = ran.extra["samples_replayed"]
+        result.num_epochs = self._checks
+        result.samples_drawn = result.num_samples - samples_reused
+        result.samples_reused = samples_reused
         return result
 
-    def _build_result(self, phase_seconds: Dict[str, float], *, samples_reused: int) -> BetweennessResult:
-        tau = self._frame.num_samples
-        result = BetweennessResult(
+    def _state_result(self) -> BetweennessResult:
+        """The estimate the state holds, drawing nothing."""
+        return BetweennessResult(
             scores=self._frame.betweenness_estimates(),
-            num_samples=tau,
+            num_samples=self._frame.num_samples,
             eps=self._eps,
             delta=self._delta,
             omega=self._omega,
             vertex_diameter=self._vd,
             num_epochs=self._checks,
-            phase_seconds=phase_seconds,
             extra={"edges_touched": float(self._frame.edges_touched)},
-            samples_drawn=tau - samples_reused,
-            samples_reused=samples_reused,
         )
-        self._last_result = result
-        return result
-
-    def _trivial_result(self, eps: float, delta: float) -> BetweennessResult:
-        self._ran = True
-        self._eps, self._delta = eps, delta
-        result = BetweennessResult(scores=np.zeros(self._graph.num_vertices), eps=eps, delta=delta)
-        self._last_result = result
-        return result
 
     # ------------------------------------------------------------------ #
     # run
@@ -358,8 +335,8 @@ class EstimationSession:
 
         ``eps``/``delta`` default to the session options.  ``run`` may only
         be called once per session; tighten an existing estimate with
-        :meth:`refine` instead.  For native sessions the sampling flow is
-        bit-identical to the pre-session sequential driver.
+        :meth:`refine` instead.  The result is the sequential backend's
+        runner's at that target, bit for bit.
         """
         with obs_trace.span("session.run", algorithm=self.algorithm):
             return self._run_to_target(eps, delta)
@@ -370,20 +347,7 @@ class EstimationSession:
                 "session has already run; use refine(eps, delta) to tighten "
                 "the guarantee without resampling"
             )
-        target = self._target_options(eps, delta)
-        if not self._native:
-            start = time.perf_counter()
-            result = self._spec.runner(self._graph, target, self._resources, self._progress)
-            result.phase_seconds.setdefault("total", time.perf_counter() - start)
-            self._ran = True
-            self._eps, self._delta = target.eps, target.delta
-            self._frame.num_samples = int(result.num_samples)
-            self._last_result = result
-            return result
-
-        if self._graph.num_vertices < 2:
-            return self._trivial_result(target.eps, target.delta)
-        return self._advance(target, samples_reused=0)
+        return self._advance(self._target_options(eps, delta), samples_reused=0)
 
     # ------------------------------------------------------------------ #
     # refine
@@ -421,33 +385,21 @@ class EstimationSession:
             )
         reused = self._frame.num_samples
         if target.eps == self._eps and target.delta == self._delta:
-            return self._build_result({}, samples_reused=reused)
-        if self._graph.num_vertices < 2:
-            return self._trivial_result(target.eps, target.delta)
+            result = self._state_result()
+            result.samples_reused = reused
+            return result
         return self._advance(target, samples_reused=reused)
 
     # ------------------------------------------------------------------ #
     # Confidence-aware queries
     # ------------------------------------------------------------------ #
-    def _result_for_bounds(self) -> BetweennessResult:
-        if not self._native and self._last_result is not None:
-            return self._last_result
-        return BetweennessResult(
-            scores=self._frame.betweenness_estimates(),
-            num_samples=self._frame.num_samples,
-            eps=self._eps,
-            delta=self._delta,
-            omega=self._omega,
-            vertex_diameter=self._vd,
-        )
-
     def peek(self) -> ConfidenceEstimate:
         """The current point estimate with per-vertex confidence bounds.
 
         Before ``run`` the bounds are infinite; afterwards they are the f/g
         deviation bounds of the samples so far.  ``peek`` never draws.
         """
-        result = self._result_for_bounds()
+        result = self._state_result()
         lower, upper = confidence_bounds(result, *self._deltas())
         return ConfidenceEstimate(
             scores=result.scores,
@@ -465,7 +417,7 @@ class EstimationSession:
         test runs at exactly the confidence level the stopping rule certified.
         """
         delta_l, delta_u = self._deltas()
-        return identify_top_k(self._result_for_bounds(), k, delta_l=delta_l, delta_u=delta_u)
+        return identify_top_k(self._state_result(), k, delta_l=delta_l, delta_u=delta_u)
 
     def _deltas(self):
         """``(delta_L, delta_U)`` of the live stopping condition, or ``(None, None)``."""
@@ -495,24 +447,16 @@ class EstimationSession:
             return self._checkpoint_to(path)
 
     def _checkpoint_to(self, path: PathLike) -> Path:
-        if not self._native and self._calibration_frame is None:
-            raise SessionCapabilityError(
-                f"backend {self.algorithm!r} does not support checkpointing"
-            )
         if not self._ran:
             raise SessionStateError("nothing to checkpoint: run() has not completed")
-        if self._native and self._rng is None:  # trivial (< 2 vertices) sessions
+        if self._calibration_frame is None:  # trivial (< 2 vertices) sessions
             self._ensure_engine()
-            self._calibration_frame = self._calibration_frame or StateFrame.zeros(
-                self._graph.num_vertices
-            )
-            self._calibration_rng_state = (
-                self._calibration_rng_state or generator_state(self._rng)
-            )
+            self._calibration_frame = StateFrame.zeros(self._graph.num_vertices)
+            self._calibration_rng_state = generator_state(self._rng)
         meta = {
             "kind": _SNAPSHOT_KIND,
-            # "sequential" marks the session's own, refinable stream.
-            "algorithm": "sequential" if self._native else self._algorithm,
+            # "sequential" marks the session's own, refinable stream; a rank's state names its backend.
+            "algorithm": self._algorithm,
             "created_at": time.time(),
             "graph": self._graph_identity(),
             "options": asdict(self._options),
@@ -696,20 +640,20 @@ def open_session(
     callbacks=None,
     **option_overrides,
 ) -> EstimationSession:
-    """Open an estimation session — the handle behind the one-shot facade.
+    """Open a resumable estimation session on ``graph``.
 
     Parameters mirror :func:`repro.estimate_betweenness`: ``graph`` may be a
     :class:`~repro.graph.csr.CSRGraph`, a path or a catalog name;
     ``algorithm`` is a backend registry name or ``"auto"``; ``options`` plus
     ``seed``/keyword overrides configure the run (``eps``/``delta`` are
-    usually passed to ``run``/``refine``).  Only backends registered with
-    ``supports_refinement=True`` return fully resumable sessions; the rest
-    are delegated.
+    usually passed to ``run``/``refine``).  The backend must be registered
+    with ``supports_refinement=True``; one that runs once raises
+    :class:`SessionCapabilityError` (call :func:`repro.estimate_betweenness`
+    for it).
     """
     from repro.api import backends as _backends  # noqa: F401  (populate registry)
     from repro.api.registry import AUTO, get_backend, select_backend
     from repro.api.resources import Resources
-    from repro.util.progress import combine_callbacks, tag_backend
 
     if isinstance(graph, (str, Path)):
         from repro.store import load_graph
@@ -720,10 +664,12 @@ def open_session(
     resources = resources if resources is not None else Resources()
     if not isinstance(resources, Resources):
         raise TypeError("resources must be a repro.api.Resources instance")
-    if algorithm == AUTO:
-        spec = select_backend(graph.num_vertices, resources)
-    else:
-        spec = get_backend(algorithm)
+    spec = select_backend(graph.num_vertices, resources) if algorithm == AUTO else get_backend(algorithm)
+    if not spec.supports_refinement:
+        raise SessionCapabilityError(
+            f"backend {spec.name!r} runs once and keeps no session; "
+            f"call estimate_betweenness(graph, algorithm={spec.name!r}) instead"
+        )
 
     base = options if options is not None else KadabraOptions()
     changes = dict(option_overrides)
@@ -731,5 +677,4 @@ def open_session(
         changes["seed"] = seed
     opts = base.with_(**changes) if changes else base
 
-    progress = tag_backend(combine_callbacks(callbacks), spec.name)
-    return EstimationSession(graph, opts, progress=progress, _spec=spec, _resources=resources)
+    return EstimationSession(graph, opts, progress=callbacks, kernel=resources.kernel)

@@ -9,6 +9,7 @@ imports them).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Tuple, Union
 
@@ -37,10 +38,10 @@ class ProgressEvent:
         Registry name of the backend that emitted the event.  Drivers emit
         ``None``; the facade tags events with the resolved backend name.
     ts:
-        Monotonic-clock seconds since the emitting run started (``None``
-        when the emitter predates timestamps or does not track a start),
-        so streamed job progress carries timing without any wall-clock
-        skew between producer and consumer.
+        Monotonic-clock seconds since the run's callback was wrapped by
+        :func:`tag_backend` (``None`` from a driver, before tagging), so
+        streamed job progress carries timing without any wall-clock skew
+        between producer and consumer.
     """
 
     phase: str
@@ -98,8 +99,10 @@ def tag_backend(
     callback: Union[ProgressCallback, Iterable[ProgressCallback], None],
     backend: str,
 ) -> Optional[ProgressCallback]:
-    """Wrap ``callback`` so every event it sees carries the backend name.
+    """Wrap ``callback`` so every event it sees carries the backend name and a ``ts``.
 
+    An event without a ``ts`` is stamped with the monotonic seconds since
+    this call wrapped the callback; one without a backend gets ``backend``.
     Accepts anything :func:`combine_callbacks` accepts — a single callable,
     an iterable of them (normalised internally, so the fan-out sees tagged
     events regardless of composition order), or ``None``.
@@ -107,10 +110,13 @@ def tag_backend(
     callback = combine_callbacks(callback)
     if callback is None:
         return None
+    start = time.monotonic()
 
     def tagged(event: ProgressEvent) -> None:
         if event.backend is None:
             event = replace(event, backend=backend)
+        if event.ts is None:
+            event = replace(event, ts=time.monotonic() - start)
         callback(event)
 
     return tagged

@@ -141,6 +141,26 @@ class TestProgressCallbacks:
         if spec.cost_hint == "n-sssp":
             assert any(e.phase == "sssp" for e in events)
 
+    @pytest.mark.parametrize(
+        "name, resources, kept",
+        [
+            ("sequential", Resources(), False),
+            ("sequential", Resources(), True),
+            ("shared-memory", Resources(threads=2), False),
+            ("distributed", Resources(processes=2), False),
+        ],
+    )
+    def test_every_event_carries_a_ts_that_never_decreases(self, graph, tmp_path, name, resources, kept):
+        events = []
+        estimate_betweenness(
+            graph, algorithm=name, resources=resources, callbacks=events.append,
+            checkpoint_path=tmp_path / "kept.snap" if kept else None, **FAST,
+        )
+        stamps = [e.ts for e in events]
+        assert len(stamps) > 1 and None not in stamps
+        assert stamps == sorted(stamps)
+        assert {e.backend for e in events} == {name}
+
     def test_adaptive_epochs_observable(self, graph):
         events = []
         estimate_betweenness(graph, algorithm="sequential", callbacks=[events.append], **FAST)

@@ -446,24 +446,44 @@ class TestKernelCounters:
 # Facade trace summary
 # --------------------------------------------------------------------- #
 class TestFacadeTrace:
-    def test_extra_trace_present_when_tracing(self):
+    @pytest.mark.parametrize(
+        "name, resources",
+        [("sequential", {}), ("shared-memory", {"threads": 2}), ("distributed", {"processes": 2})],
+    )
+    def test_extra_trace_present_when_tracing(self, name, resources):
+        from repro.api import Resources, estimate_betweenness
+        from repro.graph.generators import barabasi_albert
+
+        graph = barabasi_albert(60, 2, seed=3)
+        enable_tracing()
+        result = estimate_betweenness(
+            graph, algorithm=name, eps=0.2, delta=0.2, seed=3, resources=Resources(**resources)
+        )
+        trace = result.extra["trace"]
+        assert trace["name"] == "estimate"
+        assert trace["seconds"] > 0
+        paths = set(trace["phases"])
+        # Every backend's runner: the phases sit right under the root.
+        assert {"diameter", "calibration", "adaptive_sampling"} <= paths, paths
+        assert not any(path.startswith("session.") for path in paths), paths
+
+    def test_checkpointed_call_traces_the_session_run(self, tmp_path):
         from repro.api import estimate_betweenness
         from repro.graph.generators import barabasi_albert
 
         graph = barabasi_albert(60, 2, seed=3)
         enable_tracing()
         result = estimate_betweenness(
-            graph, algorithm="sequential", eps=0.2, delta=0.2, seed=3
+            graph, algorithm="sequential", eps=0.2, delta=0.2, seed=3,
+            checkpoint_path=tmp_path / "kept.snap",
         )
-        trace = result.extra["trace"]
-        assert trace["name"] == "estimate"
-        assert trace["seconds"] > 0
-        paths = set(trace["phases"])
+        paths = set(result.extra["trace"]["phases"])
         for needed in (
             "session.run",
             "session.run.diameter",
             "session.run.calibration",
             "session.run.adaptive_sampling",
+            "session.checkpoint",
         ):
             assert needed in paths, paths
 
@@ -567,7 +587,7 @@ class TestPhasesAreSpans:
         expected = {"estimate": summary["seconds"]}
         expected.update({f"estimate.{p}": s for p, s in summary["phases"].items()})
         assert shown["phases"].keys() == expected.keys()
-        assert "estimate.session.run.adaptive_sampling.check" in expected
+        assert "estimate.adaptive_sampling.check" in expected
         for key, seconds in expected.items():
             assert shown["phases"][key] == pytest.approx(seconds, abs=1e-8)
 

@@ -1,10 +1,11 @@
 """The one rank engine (``repro.parallel.engine``) behind every parallel path.
 
 * Bit-identity: one worker (``P = 1, T = 1``) is one computation.  The
-  sequential facade and registry runner, the shared-memory, distributed and
-  mpi-only backends, ``run_rank`` on ``SelfComm`` and the socket workers
-  (both algorithms) give the sequential session's result, stopped at omega,
-  pinned by sha256 digests.
+  sequential facade (kept in a checkpointed session or not) and registry
+  runner, the shared-memory, distributed and mpi-only backends, ``run_rank``
+  on ``SelfComm`` and the socket workers (both algorithms) give the
+  sequential session's result, stopped at omega, pinned by sha256 digests;
+  the in-process paths also report the same ``extra`` and phases.
 * Algorithm 1's invariants through the merged epoch loop on threaded ranks.
 * The session runs the engine's one worker, and rank 0's checkpoint state is
   a session.
@@ -30,8 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,13 @@ def facade(algorithm, **resources):
     )
 
 
+def checkpointed(graph):
+    with tempfile.TemporaryDirectory() as work:
+        return estimate_betweenness(
+            graph, algorithm="sequential", checkpoint_path=Path(work) / "kept.snap", **TARGET
+        )
+
+
 def self_comm_rank(algorithm):
     return lambda graph: run_rank(SelfComm(), graph, KadabraOptions(**TARGET), algorithm=algorithm)[0]
 
@@ -103,6 +113,7 @@ def self_comm_rank(algorithm):
 #: Every in-process way to run one worker.
 ONE_WORKER = {
     "sequential": facade("sequential"),
+    "sequential-checkpointed": checkpointed,
     "sequential-runner": lambda graph: get_backend("sequential").runner(
         graph, KadabraOptions(**TARGET), Resources(), None
     ),
@@ -115,11 +126,22 @@ ONE_WORKER = {
 
 
 class TestOneComputationFivePaths:
+    @pytest.fixture(scope="class")
+    def runner_result(self, graph):
+        return ONE_WORKER["sequential-runner"](graph)
+
     @pytest.mark.parametrize("path", list(ONE_WORKER))
-    def test_in_process_paths(self, graph, path):
+    def test_in_process_paths(self, graph, runner_result, path):
         result = ONE_WORKER[path](graph)
         assert fingerprint(result.scores, result.num_samples, result.num_epochs) == FULL_RUN
         assert result.num_samples <= result.omega == OMEGA
+        # One computation, one result: the same statistics and phases.
+        assert result.extra == runner_result.extra
+        assert "edges_touched" in result.extra
+        phases = set(runner_result.phase_seconds)
+        if path.endswith("mpi-only"):
+            phases.discard("ads_ibarrier")  # Algorithm 1 posts no barrier
+        assert set(result.phase_seconds) - {"total"} == phases
 
     @pytest.mark.parametrize("algorithm", ["epoch", "mpi-only"])
     def test_three_epoch_run(self, graph, algorithm):

@@ -89,6 +89,13 @@ class TestRunEquivalence:
         assert result.num_samples == 0
         assert np.all(result.scores == 0.0)
 
+    def test_tiny_graph_run_is_kept(self, tmp_path):
+        from repro.graph.csr import CSRGraph
+
+        graph, path = CSRGraph.empty(1), tmp_path / "tiny.snap"
+        estimate_betweenness(graph, algorithm="sequential", eps=0.1, seed=0, checkpoint_path=path)
+        assert EstimationSession.restore(path, graph=graph).refine(0.05).num_samples == 0
+
 
 class TestRefineExactness:
     """refine == cold run at the tighter target, bit for bit."""
@@ -171,25 +178,10 @@ class TestRefineExactness:
         )
 
 
-class TestDelegatedSessions:
-    def test_delegated_backend_runs_but_cannot_refine(self, small_social_graph):
-        session = open_session(
-            small_social_graph,
-            algorithm="shared-memory",
-            seed=1,
-            max_samples_override=300,
-            calibration_samples=50,
-        )
-        result = session.run(0.2, 0.2)
-        assert result.num_samples > 0
-        assert not session.supports_refinement
-        with pytest.raises(SessionCapabilityError, match="refinement"):
-            session.refine(0.1)
-        with pytest.raises(SessionCapabilityError, match="checkpoint"):
-            session.checkpoint("nowhere.snap")
-        # confidence queries degrade to the uniform-split fallback
-        top = session.top_k(3)
-        assert len(top.vertices) == 3
+class TestSessionCapability:
+    def test_open_session_refuses_a_backend_that_runs_once(self, small_social_graph):
+        with pytest.raises(SessionCapabilityError, match="estimate_betweenness"):
+            open_session(small_social_graph, algorithm="shared-memory", seed=1)
 
     def test_registry_capability_flags(self):
         assert get_backend("sequential").supports_refinement
